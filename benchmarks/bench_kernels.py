@@ -1,9 +1,8 @@
-"""Kernel-dispatch benchmarks: vector vs FFT vs bitpack vs native vs auto.
+"""Kernel benchmarks: vector vs FFT vs bitpack vs native.
 
 One pool per site regime runs through every dispatchable kernel (the
 scalar transcription baseline is excluded -- it is orders of magnitude
-off on these shapes and its asymptote is already pinned by the
-calibration fit in :mod:`repro.engine.autotune`):
+off on these shapes):
 
 - ``mixed``       -- ``BENCH_PROFILE`` sites across the standard
   complexity ladder: ragged read lengths and generous window slack,
@@ -17,20 +16,23 @@ calibration fit in :mod:`repro.engine.autotune`):
   same few-offsets structure at a smaller word count.
 
 ``test_kernels_gate`` is the CI acceptance gate, asserting the three
-claims docs/PERFORMANCE.md makes about dispatch:
+claims docs/PERFORMANCE.md makes about the kernels:
 
-1. on every regime, ``auto`` finishes within ``AUTO_TOLERANCE`` of the
-   best fixed kernel (the router must track the per-shape winner);
+1. when a compiled backend is available, ``native`` finishes within
+   ``AUTO_TOLERANCE`` of every other kernel on every regime -- the
+   evidence behind ``auto`` = ``native`` (if another kernel starts
+   winning a regime, the constant is wrong and this fails);
 2. on at least one fixed-read-length regime, ``bitpack`` strictly
    beats ``fft`` (the regime the SWAR kernel was built for);
 3. when a compiled backend is available, ``native`` runs at least as
    fast as ``bitpack`` on at least one fixed-read-length regime (the
    compiled tier must actually buy something over the interpreted SWAR
    kernel it replaces). The native backend is JIT-warmed before any
-   timing, so one-time compilation is excluded from every round; on
-   hosts with no backend at all this check is skipped -- ``native`` is
-   then bitpack plus a fallback branch, and gating on that margin
-   would gate on noise.
+   timing, so one-time compilation is excluded from every round.
+
+On hosts with no backend at all checks 1 and 3 are skipped --
+``native`` is then bitpack plus a fallback branch, and gating on that
+margin would gate on noise.
 
 A failing check does not block immediately: the gate re-measures at
 escalating best-of counts (``GATE_ROUNDS``) and merges per-kernel
@@ -44,7 +46,6 @@ Refresh the committed numbers with:
 """
 
 import gc
-import os
 import time
 
 import numpy as np
@@ -60,17 +61,15 @@ from repro.workloads.generator import (
 
 from conftest import bench_sites
 
-#: Kernels the pools run through; ``auto`` is the calibrated router.
-BENCHED_KERNELS = ("vector", "fft", "bitpack", "native", "auto")
+#: Kernels the pools run through (``auto`` is ``native``).
+BENCHED_KERNELS = ("vector", "fft", "bitpack", "native")
 COMPLEXITIES = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 SCENARIOS = ("mixed", "uniform250", "short64deep")
 
-#: Auto-dispatch gate allowance: ``auto`` must finish within this
-#: factor of the best fixed kernel on every regime. The measured
-#: dispatch cost (feature extraction + profile lookup) is ~40 us per
-#: site, which is <5% on the ms-scale sites benched here; the rest of
-#: the margin absorbs shared-runner jitter, which on sub-100 ms pool
-#: runs routinely reaches 20%+ even under best-of-N sampling.
+#: ``auto`` = ``native`` gate allowance: ``native`` must finish within
+#: this factor of every other kernel on every regime. The margin
+#: absorbs shared-runner jitter, which on sub-100 ms pool runs
+#: routinely reaches 20%+ even under best-of-N sampling.
 AUTO_TOLERANCE = 1.25
 
 #: Measurement escalation ladder: best-of counts per gate round. The
@@ -162,10 +161,12 @@ def _interleaved_best_of(runs, scenario, kernels):
 
 
 def _gate_failures(times):
-    """Evaluate both gate claims on merged bests; return messages.
+    """Evaluate the gate claims on merged bests; return messages.
 
-    1. ``auto`` within ``AUTO_TOLERANCE`` of the best fixed kernel on
-       every regime (the router tracks the per-shape winner).
+    1. with a compiled backend available, ``native`` within
+       ``AUTO_TOLERANCE`` of every other kernel on every regime (what
+       makes ``auto`` = ``native`` the right constant). Skipped without
+       a backend.
     2. ``bitpack`` strictly beats ``fft`` on at least one
        fixed-read-length regime -- the SWAR kernel's raison d'etre: on
        fixed-read-length sites with tiny window slack, screening only
@@ -179,15 +180,16 @@ def _gate_failures(times):
        (native is then bitpack behind a fallback branch).
     """
     failures = []
-    for scenario in SCENARIOS:
-        fixed = {k: t for k, t in times[scenario].items() if k != "auto"}
-        winner = min(fixed, key=fixed.get)
-        if times[scenario]["auto"] > fixed[winner] * AUTO_TOLERANCE:
-            failures.append(
-                f"auto dispatch missed the {scenario} winner ({winner}): "
-                f"auto {times[scenario]['auto']:.3f}s vs "
-                f"{fixed[winner]:.3f}s * {AUTO_TOLERANCE}"
-            )
+    if native_available():
+        for scenario in SCENARIOS:
+            winner = min(times[scenario], key=times[scenario].get)
+            best = times[scenario][winner]
+            if times[scenario]["native"] > best * AUTO_TOLERANCE:
+                failures.append(
+                    f"native is no longer the {scenario} winner "
+                    f"({winner}): native {times[scenario]['native']:.3f}s "
+                    f"vs {best:.3f}s * {AUTO_TOLERANCE}"
+                )
     ratios = {
         s: times[s]["bitpack"] / times[s]["fft"]
         for s in ("uniform250", "short64deep")
@@ -212,56 +214,47 @@ def _gate_failures(times):
 
 
 def test_kernels_gate():
-    """CI acceptance gate: auto tracks the per-regime winner, and the
-    SWAR kernel beats the FFT kernel on a fixed-read-length regime.
+    """CI acceptance gate: native is the per-regime winner (so ``auto``
+    = ``native`` holds), and the SWAR kernel beats the FFT kernel on a
+    fixed-read-length regime.
 
     Timings are interleaved best-of-N (noise is one-sided) with the
-    documented ``AUTO_TOLERANCE`` on the auto comparison, escalating
+    documented ``AUTO_TOLERANCE`` on the native comparison, escalating
     through ``GATE_ROUNDS`` on failure so shared-runner interference
-    has to persist across every round to block a PR. The gate is about
-    *auto's routing*, so the ``REPRO_KERNEL`` override -- which would
-    silently turn auto into a fixed kernel -- is cleared for its
-    duration."""
-    override = os.environ.pop("REPRO_KERNEL", None)
-    try:
-        # One-time JIT / shared-library compilation happens here, not
-        # inside any timed round.
-        warmup_native()
-        # Pin exactness once (and warm every kernel) before timing.
-        for scenario in SCENARIOS:
-            want = _run(scenario, "vector")
-            for kernel in ("fft", "bitpack", "native", "auto"):
-                for got, ref in zip(_run(scenario, kernel), want):
-                    assert got.same_outputs(ref), (scenario, kernel)
+    has to persist across every round to block a PR."""
+    # One-time JIT / shared-library compilation happens here, not
+    # inside any timed round.
+    warmup_native()
+    # Pin exactness once (and warm every kernel) before timing.
+    for scenario in SCENARIOS:
+        want = _run(scenario, "vector")
+        for kernel in ("fft", "bitpack", "native", "auto"):
+            for got, ref in zip(_run(scenario, kernel), want):
+                assert got.same_outputs(ref), (scenario, kernel)
 
-        times = {s: {k: float("inf") for k in BENCHED_KERNELS}
-                 for s in SCENARIOS}
-        failures = []
-        print()
-        for round_no, runs in enumerate(GATE_ROUNDS, start=1):
-            for scenario in SCENARIOS:
-                round_best = _interleaved_best_of(
-                    runs, scenario, BENCHED_KERNELS
+    times = {s: {k: float("inf") for k in BENCHED_KERNELS}
+             for s in SCENARIOS}
+    failures = []
+    print()
+    for round_no, runs in enumerate(GATE_ROUNDS, start=1):
+        for scenario in SCENARIOS:
+            round_best = _interleaved_best_of(
+                runs, scenario, BENCHED_KERNELS
+            )
+            for kernel, elapsed in round_best.items():
+                times[scenario][kernel] = min(
+                    times[scenario][kernel], elapsed
                 )
-                for kernel, elapsed in round_best.items():
-                    times[scenario][kernel] = min(
-                        times[scenario][kernel], elapsed
-                    )
-                fixed = {k: t for k, t in times[scenario].items()
-                         if k != "auto"}
-                row = "  ".join(f"{k} {times[scenario][k] * 1e3:7.1f} ms"
-                                for k in BENCHED_KERNELS)
-                print(f"  {scenario:<12} ({len(_site_pool(scenario)):2d} "
-                      f"sites)  {row}  best fixed: "
-                      f"{min(fixed, key=fixed.get)}")
-            failures = _gate_failures(times)
-            if not failures:
-                break
-            if round_no < len(GATE_ROUNDS):
-                print(f"  gate round {round_no} (best-of-{runs}) failed "
-                      f"{len(failures)} check(s); escalating to "
-                      f"best-of-{GATE_ROUNDS[round_no]}")
-        assert not failures, "\n".join(failures)
-    finally:
-        if override is not None:
-            os.environ["REPRO_KERNEL"] = override
+            row = "  ".join(f"{k} {times[scenario][k] * 1e3:7.1f} ms"
+                            for k in BENCHED_KERNELS)
+            print(f"  {scenario:<12} ({len(_site_pool(scenario)):2d} "
+                  f"sites)  {row}  best: "
+                  f"{min(times[scenario], key=times[scenario].get)}")
+        failures = _gate_failures(times)
+        if not failures:
+            break
+        if round_no < len(GATE_ROUNDS):
+            print(f"  gate round {round_no} (best-of-{runs}) failed "
+                  f"{len(failures)} check(s); escalating to "
+                  f"best-of-{GATE_ROUNDS[round_no]}")
+    assert not failures, "\n".join(failures)

@@ -330,30 +330,6 @@ def _print_recovery(engine) -> None:
           f"quarantined inline")
 
 
-def _maybe_autotune(args: argparse.Namespace) -> None:
-    """``--autotune``: re-fit the kernel cost model and persist it.
-
-    Writes to ``REPRO_AUTOTUNE_PROFILE`` when set (the profile the run
-    will then load), otherwise to the committed default next to
-    ``repro/engine/autotune.py`` when that directory is writable, else
-    to the per-user cache (non-editable installs have a read-only
-    ``site-packages``). The chosen path is exported back through
-    ``REPRO_AUTOTUNE_PROFILE`` so this run -- including any worker
-    processes it spawns -- dispatches on the fresh fit.
-    """
-    if not getattr(args, "autotune", False):
-        return
-    import os
-
-    from repro.engine.autotune import calibrate, writable_profile_path
-
-    path = os.environ.get("REPRO_AUTOTUNE_PROFILE") or writable_profile_path()
-    profile = calibrate()
-    profile.save(path)
-    os.environ["REPRO_AUTOTUNE_PROFILE"] = str(path)
-    print(f"autotune: calibrated {len(profile.kernels())} kernels -> {path}")
-
-
 def _cmd_realign(args: argparse.Namespace) -> int:
     from repro.core.system import AcceleratedRealigner, SystemConfig
     from repro.genomics.fasta import read_reference
@@ -372,7 +348,6 @@ def _cmd_realign(args: argparse.Namespace) -> int:
     if error is not None:
         print(error, file=sys.stderr)
         return 2
-    _maybe_autotune(args)
     engine = _make_engine(args)
     reference = read_reference(args.reference)
     reads = read_sam(args.sam)
@@ -447,7 +422,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if error is not None:
         print(error, file=sys.stderr)
         return 2
-    _maybe_autotune(args)
     engine = _make_engine(args)
     try:
         report = run_scenario(
@@ -499,7 +473,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if error is not None:
         print(error, file=sys.stderr)
         return 2
-    _maybe_autotune(args)
     census = next(c for c in CHROMOSOME_CENSUS if c.name == "21")
     sites = chromosome_workload(
         census, args.sites / census.ir_targets, BENCH_PROFILE, seed=args.seed,
@@ -668,7 +641,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as bad:
         print(f"error: {bad}", file=sys.stderr)
         return 2
-    _maybe_autotune(args)
     reference = read_reference(args.reference)
     engine = _make_engine(args)
 
@@ -1058,6 +1030,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
     """Batched-engine knobs shared by ``realign`` and ``trace``."""
+    from repro.engine.autotune import KERNEL_CHOICES
+
     subparser.add_argument(
         "--workers", type=int, default=1,
         help="engine worker processes (1 = in-process, no pool)",
@@ -1087,17 +1061,12 @@ def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
     )
     subparser.add_argument(
         "--kernel",
-        choices=("auto", "scalar", "vector", "fft", "bitpack", "native"),
+        choices=KERNEL_CHOICES,
         default="auto",
-        help="WHD kernel: a fixed exact kernel, or 'auto' (default) for "
-             "the calibrated per-site choice; 'native' is the compiled "
-             "tier and degrades to bitpack when no backend is usable "
+        help="WHD kernel: one of the exact kernels by name; 'auto' "
+             "(default) means 'native', the compiled tier, which "
+             "degrades to bitpack when no backend is usable "
              "(docs/PERFORMANCE.md)",
-    )
-    subparser.add_argument(
-        "--autotune", action="store_true",
-        help="re-time the kernels on this host and persist the cost "
-             "profile before running (see REPRO_AUTOTUNE_PROFILE)",
     )
     subparser.add_argument(
         "--worker-fault-rate", type=float, default=0.0,
@@ -1130,7 +1099,14 @@ def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    from repro.engine.native import native_mode
+
+    try:
+        native_mode()
+    except ValueError as error:
+        parser.error(str(error))
     if args.command == "simulate":
         return _cmd_simulate(args)
     if args.command == "realign":

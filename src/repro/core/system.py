@@ -414,10 +414,8 @@ class AcceleratedRealigner:
         fallback sites (targets that exhaust hardware recovery): an
         :class:`repro.engine.EngineConfig` (its ``scoring`` is overridden
         by the system config's) or a live :class:`repro.engine.Engine`.
-        None (the default) serves fallback sites per site through the
-        calibrated kernel dispatch
-        (:func:`repro.engine.autotune.dispatch_realign`); ``kernel``
-        pins that per-site choice. Every path is bit-identical to the
+        None (the default) serves fallback sites per site through
+        :func:`repro.engine.autotune.dispatch_realign` on ``kernel``. Every path is bit-identical to the
         hardware's decisions by construction."""
         from repro.engine.autotune import KERNEL_CHOICES
 
@@ -469,8 +467,8 @@ class AcceleratedRealigner:
             # kernel -- bit-identical to the unit's by construction
             # (pinned by the hardware/software equivalence tests). With
             # an engine configured, all fallback sites run through one
-            # batched call; otherwise each goes through the calibrated
-            # per-site kernel dispatch.
+            # batched call; otherwise each goes through the per-site
+            # kernel dispatch.
             from repro.engine.autotune import dispatch_realign
 
             indices = sorted(fallback)

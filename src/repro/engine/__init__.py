@@ -1,7 +1,7 @@
 """Batched, filtered, parallel execution of the realignment kernel.
 
 The paper keeps 32 hardware units saturated; this package is the
-software analogue for the repository's numpy realigner. It layers four
+software analogue for the repository's numpy realigner. It layers
 independent optimizations, each preserving byte-identical output:
 
 - :mod:`repro.engine.batch` -- whole-site ``(C, R, K)`` tensor
@@ -11,13 +11,10 @@ independent optimizations, each preserving byte-identical output:
 - :mod:`repro.engine.native` -- the same SWAR pipeline as *compiled*
   machine code (numba jit or a ctypes-loaded C library), with graceful
   degradation to bitpack when neither backend is usable;
-- :mod:`repro.engine.autotune` -- a measured per-kernel cost model
-  that routes every site to the cheapest exact kernel
-  (``--kernel auto``), calibrated and persisted to JSON;
+- :mod:`repro.engine.autotune` -- the kernel names and the one
+  dispatch point (``--kernel auto`` means ``native``);
 - :mod:`repro.engine.prefilter` -- GateKeeper-style count bounds that
   prune offsets, consensus rows, and cannot-beat-reference pairs;
-- :mod:`repro.engine.memo` -- an LRU over duplicate
-  (consensus set, read, quals) grid columns;
 - :mod:`repro.engine.parallel` -- site sharding across a
   ``multiprocessing`` pool with work-stealing and deterministic merge;
 - :mod:`repro.engine.stream` -- the streaming data plane: a bounded
@@ -26,19 +23,10 @@ independent optimizations, each preserving byte-identical output:
   that emits results in deterministic chunk order as they complete.
 
 See ``docs/ARCHITECTURE.md`` for the data flow and
-``docs/PERFORMANCE.md`` for the cost model and measured speedups.
+``docs/PERFORMANCE.md`` for kernel selection and measured speedups.
 """
 
-from repro.engine.autotune import (
-    KERNELS,
-    KERNEL_CHOICES,
-    CostProfile,
-    SiteFeatures,
-    calibrate,
-    choose_kernel,
-    dispatch_realign,
-    resolve_profile,
-)
+from repro.engine.autotune import KERNELS, KERNEL_CHOICES, dispatch_realign
 from repro.engine.batch import (
     PackedSite,
     fast_fft_length,
@@ -53,7 +41,6 @@ from repro.engine.bitpack import (
     pack_bases,
     realign_site_bitpacked,
 )
-from repro.engine.memo import PairMemo
 from repro.engine.native import (
     min_whd_grid_native,
     native_available,
@@ -80,7 +67,6 @@ from repro.engine.prefilter import (
 
 __all__ = [
     "ChunkDescriptor",
-    "CostProfile",
     "Engine",
     "EngineConfig",
     "HAVE_SHARED_MEMORY",
@@ -89,15 +75,11 @@ __all__ = [
     "PackedConsensus",
     "PackedRead",
     "PackedSite",
-    "PairMemo",
     "PrefilterStats",
     "PREFILTER_TOLERANCE",
     "ReorderBuffer",
     "ShardStats",
-    "SiteFeatures",
     "StreamingEngine",
-    "calibrate",
-    "choose_kernel",
     "consensus_keep_mask",
     "dispatch_realign",
     "fast_fft_length",

@@ -1,5 +1,4 @@
-"""Calibrated per-site kernel dispatch: route each site to the
-cheapest exact kernel.
+"""Kernel names and the one place a site is routed to a kernel.
 
 The repository carries five exact WHD kernels -- scalar
 (:func:`repro.realign.whd.min_whd_pair` loops), vectorized
@@ -7,62 +6,28 @@ The repository carries five exact WHD kernels -- scalar
 (:mod:`repro.engine.batch`), bit-packed SWAR
 (:mod:`repro.engine.bitpack`), and the compiled native tier
 (:mod:`repro.engine.native`, the SWAR pipeline as machine code via
-numba or a ctypes-loaded C library). They produce byte-identical results but
-their costs scale on *different* site dimensions: the FFT pass pays
-``(C + R) * Lf log Lf`` transforms regardless of how few offsets a site
-actually needs, the SWAR kernel pays per packed word and wins when the
-offset range ``K`` is tiny, the vectorized kernel wins on skinny sites
-where any batching setup dominates, and the scalar kernel exists as the
-transcription baseline. GeneTEK (see PAPERS.md) sizes hardware units to
-the site dimensions for the same reason; this module is the software
-mirror: a **measured** cost model over site features, calibrated by
-timing the real kernels on synthesized sites, persisted to JSON so CI
-dispatch is deterministic, and consulted per site by
-:func:`choose_kernel` / :func:`dispatch_realign`.
+numba or a ctypes-loaded C library). They produce byte-identical
+results, so the choice only moves the time to produce them.
 
-Model form: for each kernel, predicted seconds are a nonnegative linear
-combination of a few structural terms (see :class:`SiteFeatures` and
-``_BASES``) -- a constant (per-site setup), the pair count (per-pair
-Python/numpy dispatch), and the kernel's dominant arithmetic volume.
-Nonnegative least squares keeps every coefficient physically meaningful
-(no negative per-op costs), so the model extrapolates sanely beyond the
-calibration shapes.
+``kernel="auto"`` means ``native``: the compiled tier is the fastest
+kernel on every site pool any workload produces (docs/PERFORMANCE.md,
+"Kernel selection", has the ten-pool table), so the choice is a
+constant, not a per-site model. The only observed input is the
+platform: when no compiled backend loads (or ``REPRO_NATIVE=off``),
+:func:`repro.engine.native.realign_site_native` itself degrades to the
+bitpack kernel, counts ``kernel.native.unavailable`` and warns once.
+The other four kernels stay selectable by name: ``scalar``/``vector``
+are the reference forms, ``fft`` is the benchmarks' pinned baseline and
+oracle, ``bitpack`` is the no-compiler path.
 
-Environment knobs:
+(The module name is historical; the end-to-end benchmark imports
+:func:`dispatch_realign` from here.)
 
-- ``REPRO_KERNEL`` -- overrides *auto* dispatch with a fixed kernel
-  (``scalar`` / ``vector`` / ``fft`` / ``bitpack`` / ``native``).
-  Explicitly requested kernels are never overridden; CI uses this to
-  force the whole tier-1 suite through one kernel.
-- ``REPRO_NATIVE`` -- backend policy for the native tier (``auto`` /
-  ``numba`` / ``cc`` / ``off``); see :mod:`repro.engine.native`. When
-  no compiled backend is usable, routing *to* native still succeeds --
-  the kernel itself degrades to bitpack and counts
-  ``kernel.native.unavailable``.
-- ``REPRO_AUTOTUNE_PROFILE`` -- path to a calibration profile JSON;
-  falls back to the committed ``autotune_profile.json`` next to this
-  module (recalibrate with ``realign --autotune`` or
-  :func:`calibrate`).
-
-Telemetry (emitted by :func:`dispatch_realign` when a session is
-passed): ``kernel.chosen.<name>`` counts routing decisions;
-``kernel.predicted_vs_actual`` accumulates the absolute prediction
-error in microseconds (only on the ``auto`` path, where a prediction
-exists), so ``predicted_vs_actual / sites`` trending up flags a stale
-profile.
+Telemetry: :func:`dispatch_realign` counts ``kernel.chosen.<name>`` per
+site when a session is passed.
 """
 
 from __future__ import annotations
-
-import json
-import math
-import os
-import time
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.realign.site import RealignmentSite
 from repro.realign.whd import SiteResult
@@ -70,301 +35,8 @@ from repro.realign.whd import SiteResult
 #: Dispatchable kernel names, in documentation order.
 KERNELS = ("scalar", "vector", "fft", "bitpack", "native")
 
-#: ``--kernel`` choices: the fixed kernels plus the calibrated router.
+#: ``--kernel`` / ``EngineConfig.kernel`` choices: ``auto`` = ``native``.
 KERNEL_CHOICES = ("auto",) + KERNELS
-
-#: Committed default profile, calibrated by ``benchmarks/bench_kernels.py
-#: --calibrate`` (see docs/PERFORMANCE.md for the recalibration recipe).
-DEFAULT_PROFILE_PATH = Path(__file__).with_name("autotune_profile.json")
-
-_ENV_KERNEL = "REPRO_KERNEL"
-_ENV_PROFILE = "REPRO_AUTOTUNE_PROFILE"
-
-
-def user_profile_path() -> Path:
-    """Per-user calibration location: ``$XDG_CACHE_HOME`` (or
-    ``~/.cache``) ``/repro/autotune_profile.json``. Consulted by
-    :func:`resolve_profile` after the env override and before the
-    committed default, so a local ``--autotune`` survives even when the
-    installed package directory is read-only."""
-    cache = os.environ.get("XDG_CACHE_HOME")
-    base = Path(cache) if cache else Path.home() / ".cache"
-    return base / "repro" / "autotune_profile.json"
-
-
-def writable_profile_path() -> Path:
-    """Where ``--autotune`` should persist its fit.
-
-    The committed default next to this module when that directory is
-    writable (editable installs, source checkouts); otherwise the user
-    cache path -- non-editable installs put the package in a read-only
-    ``site-packages``, and calibration must not die on PermissionError
-    there. Creates the user cache directory on the fallback path.
-    """
-    parent = DEFAULT_PROFILE_PATH.parent
-    default_writable = os.access(parent, os.W_OK) and (
-        not DEFAULT_PROFILE_PATH.exists()
-        or os.access(DEFAULT_PROFILE_PATH, os.W_OK)
-    )
-    if default_writable:
-        return DEFAULT_PROFILE_PATH
-    path = user_profile_path()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-@dataclass(frozen=True)
-class SiteFeatures:
-    """The structural site dimensions the cost model is defined over.
-
-    Derived in ``O(C + R)`` from sequence lengths alone -- cheap enough
-    to compute per site on the dispatch path.
-
-    >>> from repro.experiments.figure4 import build_site
-    >>> f = SiteFeatures.from_site(build_site())
-    >>> (f.C, f.R, f.m_max, f.n_max, f.K, f.valid_cells)
-    (3, 2, 7, 4, 4, 24)
-    >>> f.read_words  # 4-base reads still occupy one 64-bit word
-    1
-    """
-
-    C: int  # consensus count
-    R: int  # read count
-    m_max: int  # longest consensus
-    n_max: int  # longest read
-    K: int  # offset-axis extent: m_max - min read length + 1
-    Lf: int  # FFT length covering m_max + n_max
-    valid_cells: int  # total in-range offsets, sum of (m_i - n_j + 1)
-    read_words: int  # packed uint64 words per read row
-
-    @classmethod
-    def from_site(cls, site: RealignmentSite) -> "SiteFeatures":
-        from repro.engine.batch import fast_fft_length
-
-        mlens = np.fromiter(
-            (len(c) for c in site.consensuses), dtype=np.int64
-        )
-        nlens = np.fromiter((len(r) for r in site.reads), dtype=np.int64)
-        m_max = int(mlens.max())
-        n_max = int(nlens.max())
-        return cls(
-            C=int(mlens.size),
-            R=int(nlens.size),
-            m_max=m_max,
-            n_max=n_max,
-            K=m_max - int(nlens.min()) + 1,
-            Lf=fast_fft_length(m_max + n_max),
-            valid_cells=int((np.add.outer(mlens, -nlens) + 1).sum()),
-            read_words=(n_max + 31) // 32,
-        )
-
-
-def _basis_scalar(f: SiteFeatures) -> List[float]:
-    # Per-pair Python loop over offsets, each summing n terms.
-    return [1.0, f.C * f.R, float(f.valid_cells) * f.n_max]
-
-
-def _basis_vector(f: SiteFeatures) -> List[float]:
-    # One numpy profile call per pair over the same comparison volume.
-    return [1.0, f.C * f.R, float(f.valid_cells) * f.n_max]
-
-
-def _basis_fft(f: SiteFeatures) -> List[float]:
-    # Transforms + pointwise products span the padded length Lf even
-    # when only a handful of offsets are in range; the exact-eval tail
-    # is proportional to the (heavily prefiltered) cell count.
-    lf_log = f.Lf * max(math.log2(f.Lf), 1.0)
-    return [
-        1.0,
-        (f.C + f.R) * lf_log,
-        float(f.C) * f.R * f.Lf,
-        float(f.valid_cells),
-    ]
-
-
-def _basis_bitpack(f: SiteFeatures) -> List[float]:
-    # Packing touches every base once; the screening pass costs one
-    # word op per (consensus, offset, read, word) cell; the exact
-    # gather is proportional to surviving offsets (~ valid_cells scaled
-    # by the survival rate, folded into the coefficient).
-    span = f.read_words * 32.0
-    return [
-        1.0,
-        (f.C + f.R) * span,
-        float(f.C) * f.K * f.R * f.read_words,
-        float(f.valid_cells),
-    ]
-
-
-def _basis_native(f: SiteFeatures) -> List[float]:
-    # Same pipeline as bitpack but the word loop runs as machine code:
-    # the constant covers packing + the foreign-call overhead, the word
-    # volume term carries a far smaller fitted coefficient, and the
-    # exact tail is folded into valid_cells as for bitpack.
-    span = f.read_words * 32.0
-    return [
-        1.0,
-        (f.C + f.R) * span,
-        float(f.C) * f.K * f.R * f.read_words,
-        float(f.valid_cells),
-    ]
-
-
-_BASES: Dict[str, Callable[[SiteFeatures], List[float]]] = {
-    "scalar": _basis_scalar,
-    "vector": _basis_vector,
-    "fft": _basis_fft,
-    "bitpack": _basis_bitpack,
-    "native": _basis_native,
-}
-
-
-def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Nonnegative least squares; scipy when present, else lstsq+clip."""
-    try:
-        from scipy.optimize import nnls
-
-        coef, _ = nnls(A, b)
-        return coef
-    except ImportError:  # pragma: no cover - exercised without scipy
-        coef, *_ = np.linalg.lstsq(A, b, rcond=None)
-        return np.clip(coef, 0.0, None)
-
-
-@dataclass(frozen=True)
-class CostProfile:
-    """Fitted per-kernel cost coefficients (seconds per basis term).
-
-    ``predict`` and ``choose`` are pure functions of the profile, so a
-    committed profile makes dispatch deterministic across machines and
-    CI runs (the *decisions* are pinned; every kernel is exact, so the
-    outputs never depend on the decision anyway).
-
-    >>> profile = CostProfile(coefficients={
-    ...     "vector": (0.0, 1e-6, 0.0),
-    ...     "fft": (1e-3, 0.0, 0.0, 0.0),
-    ... })
-    >>> from repro.experiments.figure4 import build_site
-    >>> f = SiteFeatures.from_site(build_site())
-    >>> profile.choose(f)  # 6 pairs * 1us beats a 1ms setup charge
-    'vector'
-    >>> round(profile.predict("fft", f), 4)
-    0.001
-    """
-
-    coefficients: Dict[str, Tuple[float, ...]]
-    meta: Optional[Dict[str, object]] = None
-
-    def kernels(self) -> Tuple[str, ...]:
-        return tuple(k for k in KERNELS if k in self.coefficients)
-
-    def predict(self, kernel: str, features: SiteFeatures) -> float:
-        """Predicted seconds for ``kernel`` on a site with ``features``."""
-        coef = self.coefficients[kernel]
-        basis = _BASES[kernel](features)
-        return float(sum(c * x for c, x in zip(coef, basis)))
-
-    def choose(self, features: SiteFeatures) -> str:
-        """Cheapest predicted kernel; ties break in ``KERNELS`` order."""
-        best, best_cost = None, math.inf
-        for kernel in self.kernels():
-            cost = self.predict(kernel, features)
-            if cost < best_cost:
-                best, best_cost = kernel, cost
-        if best is None:
-            raise ValueError("profile has no fitted kernels")
-        return best
-
-    # -- persistence ----------------------------------------------------
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "version": 1,
-                "meta": self.meta or {},
-                "kernels": {
-                    k: list(v) for k, v in self.coefficients.items()
-                },
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json())
-
-    @classmethod
-    def from_json(cls, text: str) -> "CostProfile":
-        data = json.loads(text)
-        if data.get("version") != 1:
-            raise ValueError(
-                f"unsupported autotune profile version {data.get('version')!r}"
-            )
-        coefficients = {}
-        for kernel, coef in data["kernels"].items():
-            if kernel not in _BASES:
-                raise ValueError(f"unknown kernel {kernel!r} in profile")
-            coefficients[kernel] = tuple(float(c) for c in coef)
-        return cls(coefficients=coefficients, meta=data.get("meta") or {})
-
-    @classmethod
-    def load(cls, path) -> "CostProfile":
-        return cls.from_json(Path(path).read_text())
-
-
-#: Fallback used when no profile file exists anywhere (fresh checkout
-#: mid-calibration): plain asymptotic operation counts with a uniform
-#: per-op cost and per-site setup charges that reflect each kernel's
-#: relative overhead. Ordering-correct for the extremes (skinny ->
-#: vector, huge -> fft/bitpack) even if the crossovers are unfitted.
-_BUILTIN = CostProfile(
-    coefficients={
-        "scalar": (0.0, 2e-5, 2e-7),
-        "vector": (0.0, 4e-6, 1.2e-9),
-        "fft": (1.5e-4, 6e-9, 1.2e-9, 2e-8),
-        "bitpack": (1.2e-4, 1e-8, 1.5e-9, 2e-8),
-        "native": (8e-5, 5e-9, 2e-10, 5e-9),
-    },
-    meta={"source": "builtin-uncalibrated"},
-)
-
-_cached_default: Optional[CostProfile] = None
-
-
-def resolve_profile(path=None) -> CostProfile:
-    """Load the active profile:
-    explicit path > env > user cache > committed > builtin.
-
-    The user-cache / committed lookup is cached process-wide (dispatch
-    consults it per site); explicit/env paths are re-read on every call
-    so a just-written ``--autotune`` profile takes effect immediately
-    (``--autotune`` also exports its output path via
-    ``REPRO_AUTOTUNE_PROFILE``, which keeps worker processes and this
-    cache coherent within a run).
-    """
-    global _cached_default
-    if path is not None:
-        return CostProfile.load(path)
-    env = os.environ.get(_ENV_PROFILE)
-    if env:
-        return CostProfile.load(env)
-    if _cached_default is None:
-        user_path = user_profile_path()
-        if user_path.exists():
-            _cached_default = CostProfile.load(user_path)
-        elif DEFAULT_PROFILE_PATH.exists():
-            _cached_default = CostProfile.load(DEFAULT_PROFILE_PATH)
-        else:  # pragma: no cover - only during initial calibration
-            _cached_default = _BUILTIN
-    return _cached_default
-
-
-def choose_kernel(
-    site: RealignmentSite, profile: Optional[CostProfile] = None
-) -> str:
-    """The profile's cheapest kernel for ``site`` (no env override)."""
-    if profile is None:
-        profile = resolve_profile()
-    return profile.choose(SiteFeatures.from_site(site))
 
 
 def dispatch_realign(
@@ -373,19 +45,13 @@ def dispatch_realign(
     scoring: str = "similarity",
     prefilter: bool = True,
     telemetry=None,
-    memo=None,
-    profile: Optional[CostProfile] = None,
 ) -> SiteResult:
     """Run Algorithms 1 + 2 on ``site`` through the selected kernel.
 
-    ``kernel="auto"`` consults the calibration profile (and honours the
-    ``REPRO_KERNEL`` environment override -- *only* auto is
-    overridable; an explicitly requested kernel always runs). All
-    kernels are exact, so the returned :class:`SiteResult` is
+    All kernels are exact, so the returned :class:`SiteResult` is
     byte-identical across choices; only the time to produce it varies.
-    ``prefilter`` and ``memo`` apply to the FFT kernel alone (the
-    others have no equivalent machinery; the memo is ignored
-    elsewhere).
+    ``prefilter`` applies to the FFT kernel alone (the others have no
+    equivalent machinery).
 
     >>> from repro.experiments.figure4 import build_site
     >>> site = build_site()
@@ -398,42 +64,21 @@ def dispatch_realign(
         raise ValueError(
             f"unknown kernel {kernel!r}; choose from {KERNEL_CHOICES}"
         )
-    predicted: Optional[float] = None
     if kernel == "auto":
-        override = os.environ.get(_ENV_KERNEL)
-        if override:
-            if override not in KERNELS:
-                raise ValueError(
-                    f"{_ENV_KERNEL}={override!r} is not one of {KERNELS}"
-                )
-            kernel = override
-        else:
-            if profile is None:
-                profile = resolve_profile()
-            features = SiteFeatures.from_site(site)
-            kernel = profile.choose(features)
-            predicted = profile.predict(kernel, features)
-
-    start = time.perf_counter() if telemetry is not None else 0.0
-    result = _run_kernel(site, kernel, scoring, prefilter, telemetry, memo)
+        kernel = "native"
+    result = _run_kernel(site, kernel, scoring, prefilter, telemetry)
     if telemetry is not None:
         telemetry.count(f"kernel.chosen.{kernel}", 1)
-        if predicted is not None:
-            actual = time.perf_counter() - start
-            telemetry.count(
-                "kernel.predicted_vs_actual",
-                int(abs(predicted - actual) * 1e6),
-            )
     return result
 
 
-def _run_kernel(site, kernel, scoring, prefilter, telemetry, memo):
+def _run_kernel(site, kernel, scoring, prefilter, telemetry):
     if kernel == "fft":
         from repro.engine.batch import realign_site_batched
 
         return realign_site_batched(
             site, prefilter=prefilter, scoring=scoring,
-            telemetry=telemetry, memo=memo,
+            telemetry=telemetry,
         )
     if kernel == "bitpack":
         from repro.engine.bitpack import realign_site_bitpacked
@@ -455,117 +100,4 @@ def _run_kernel(site, kernel, scoring, prefilter, telemetry, memo):
     )
 
 
-# -- calibration ---------------------------------------------------------
-
-#: Shape spread the fit runs over: the point is coverage of the feature
-#: axes (pair count, offset extent, FFT length, packed words), not
-#: realism of any one profile. (name, C~, R~, read-length range, slack).
-_CALIBRATION_SHAPES = (
-    ("skinny", 2, 3, (20, 40), 6.0),
-    ("small", 3, 8, (30, 80), 10.0),
-    ("medium", 6, 24, (60, 140), 20.0),
-    ("wide", 8, 48, (80, 220), 48.0),
-    ("deep", 12, 96, (120, 200), 16.0),
-    ("uniform250", 10, 128, (250, 250), 4.0),
-    ("short-deep", 8, 160, (64, 64), 3.0),
-)
-
-#: Sites whose scalar comparison volume exceeds this are not timed under
-#: the scalar kernel (it would dominate calibration wall-clock); its
-#: asymptote is pinned by the smaller shapes, which is all dispatch
-#: needs -- scalar never wins above this volume anyway.
-_SCALAR_COMPARISON_CAP = 2_000_000
-
-
-def _calibration_sites(seed: int, per_shape: int):
-    from repro.workloads.generator import SiteProfile, synthesize_site
-
-    rng = np.random.default_rng(seed)
-    sites = []
-    for name, C, R, length_range, slack in _CALIBRATION_SHAPES:
-        profile = SiteProfile(
-            name=name,
-            mean_consensuses=C,
-            mean_reads=R,
-            read_length_range=length_range,
-            window_slack_mean=slack,
-            read_tail_sigma=0.0 if length_range[0] == length_range[1]
-            else 0.7,
-        )
-        sites.extend(synthesize_site(rng, profile) for _ in range(per_shape))
-    return sites
-
-
-def calibrate(
-    sites: Optional[Sequence[RealignmentSite]] = None,
-    repeats: int = 3,
-    seed: int = 2024,
-    per_shape: int = 3,
-) -> CostProfile:
-    """Time every kernel on a shape spread and fit the cost model.
-
-    Each (site, kernel) pair is timed ``repeats`` times and the best is
-    kept (measurement noise is one-sided). The scalar kernel is skipped
-    on sites above ``_SCALAR_COMPARISON_CAP`` comparisons; its rows are
-    fitted from the smaller shapes. The native tier is JIT-warmed
-    *before* any timing (so one-time compilation cannot poison its
-    rows) and left out of the fit entirely when no compiled backend is
-    usable -- dispatch then simply never routes to it. Returns the
-    fitted profile -- callers persist it with :meth:`CostProfile.save`.
-    """
-    from repro.engine.native import warmup_native
-
-    native_ok = warmup_native()
-    if sites is None:
-        sites = _calibration_sites(seed, per_shape)
-    features = [SiteFeatures.from_site(site) for site in sites]
-    rows: Dict[str, List[List[float]]] = {k: [] for k in KERNELS}
-    times: Dict[str, List[float]] = {k: [] for k in KERNELS}
-    for site, f in zip(sites, features):
-        for kernel in KERNELS:
-            if kernel == "native" and not native_ok:
-                continue
-            if (kernel == "scalar"
-                    and f.valid_cells * f.n_max > _SCALAR_COMPARISON_CAP):
-                continue
-            best = math.inf
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                _run_kernel(site, kernel, "similarity", True, None, None)
-                best = min(best, time.perf_counter() - t0)
-            rows[kernel].append(_BASES[kernel](f))
-            times[kernel].append(best)
-    coefficients = {}
-    for kernel in KERNELS:
-        if not rows[kernel]:
-            continue
-        A = np.asarray(rows[kernel], dtype=np.float64)
-        b = np.asarray(times[kernel], dtype=np.float64)
-        # Weight by 1/time so small-site rows (where crossovers live)
-        # are not drowned out by the large sites' absolute seconds.
-        w = 1.0 / np.maximum(b, 1e-6)
-        coefficients[kernel] = tuple(_nnls(A * w[:, None], b * w))
-    return CostProfile(
-        coefficients=coefficients,
-        meta={
-            "source": "calibrate",
-            "sites": len(list(sites)),
-            "repeats": repeats,
-            "seed": seed,
-        },
-    )
-
-
-__all__ = [
-    "CostProfile",
-    "DEFAULT_PROFILE_PATH",
-    "KERNELS",
-    "KERNEL_CHOICES",
-    "SiteFeatures",
-    "calibrate",
-    "choose_kernel",
-    "dispatch_realign",
-    "resolve_profile",
-    "user_profile_path",
-    "writable_profile_path",
-]
+__all__ = ["KERNELS", "KERNEL_CHOICES", "dispatch_realign"]

@@ -130,7 +130,7 @@ class PackedSite:
         site: RealignmentSite,
         read_indices: Optional[Sequence[int]] = None,
     ) -> "PackedSite":
-        """Pack ``site`` (optionally a subset of its reads, for the memo)."""
+        """Pack ``site`` (optionally a subset of its reads)."""
         cons_arrays = site.consensus_arrays()
         read_arrays = site.read_arrays()
         if read_indices is None:
@@ -327,7 +327,6 @@ def _grids(
     packed: PackedSite,
     prefilter: bool,
     scoring: str,
-    allow_elimination: bool,
     stats: PrefilterStats,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Grid computation core shared by the public entry points."""
@@ -341,11 +340,7 @@ def _grids(
     mw = np.full((packed.C, packed.R), WHD_SENTINEL, dtype=np.int64)
     mi = np.zeros((packed.C, packed.R), dtype=np.int64)
 
-    if not allow_elimination:
-        keep = np.ones(packed.C, dtype=bool)
-        evaluated = _exact_minima(packed, c_idx, r_idx, k_idx, mw, mi)
-        ref_row = mw[0]
-    elif scoring == "absdiff":
+    if scoring == "absdiff":
         # absdiff elimination bounds compare against the reference row,
         # so evaluate it exactly first, then the surviving alternates.
         ref_sel = c_idx == 0
@@ -402,10 +397,7 @@ def min_whd_grid_batched(
     """
     st = stats if stats is not None else PrefilterStats()
     st.sites += 1
-    return _grids(
-        PackedSite.from_site(site), prefilter, scoring,
-        allow_elimination=True, stats=st,
-    )
+    return _grids(PackedSite.from_site(site), prefilter, scoring, stats=st)
 
 
 def pair_lower_bounds(site: RealignmentSite) -> np.ndarray:
@@ -420,7 +412,6 @@ def realign_site_batched(
     prefilter: bool = True,
     scoring: str = "similarity",
     telemetry=None,
-    memo=None,
     stats: Optional[PrefilterStats] = None,
 ) -> SiteResult:
     """Run Algorithms 1 + 2 on one site through the batched engine.
@@ -435,75 +426,22 @@ def realign_site_batched(
     >>> realign_site_batched(site).same_outputs(realign_site(site))
     True
 
-    ``memo`` is an optional :class:`repro.engine.memo.PairMemo`; hits
-    reuse previously computed grid columns for identical
-    (consensus set, read, quals) keys, and duplicate reads within the
-    site collapse to one evaluation. Memoized columns must be fully
-    exact, so consensus-row elimination is disabled whenever a memo is
-    active (a column computed under one site's elimination mask would be
-    unsound to reuse in another).
-
     ``telemetry`` gets the serial kernel's semantic ``kernel.*``
     counters plus the engine's work accounting (``kernel.cells_*`` as
     emitted by the accelerator model, and ``engine.*``). With row
     elimination active, ``kernel.whd_mass`` sums only the computed
     (non-sentinel) cells.
     """
-    local = PrefilterStats()
-    C, R = site.num_consensuses, site.num_reads
-    mlens = np.array([len(c) for c in site.consensuses], dtype=np.int64)
-    lens = np.array([len(r) for r in site.reads], dtype=np.int64)
-    valid_total = int((np.add.outer(mlens, -lens) + 1).sum())
-    deduped = 0
-
-    if memo is None:
-        mw, mi = _grids(
-            PackedSite.from_site(site), prefilter, scoring,
-            allow_elimination=True, stats=local,
-        )
-    else:
-        mw = np.empty((C, R), dtype=np.int64)
-        mi = np.empty((C, R), dtype=np.int64)
-        groups: dict = {}
-        for j in range(R):
-            key = (site.consensuses,) + site.read_key(j)
-            groups.setdefault(key, []).append(j)
-        deduped = R - len(groups)
-        missing = {}
-        for key, js in groups.items():
-            column = memo.get(key)
-            if column is not None:
-                mw[:, js] = column[0][:, None]
-                mi[:, js] = column[1][:, None]
-            else:
-                missing[key] = js
-        if missing:
-            order = list(missing)
-            packed = PackedSite.from_site(
-                site, read_indices=[missing[key][0] for key in order]
-            )
-            sub_w, sub_i = _grids(
-                packed, prefilter, scoring,
-                allow_elimination=False, stats=local,
-            )
-            for p, key in enumerate(order):
-                column = (sub_w[:, p].copy(), sub_i[:, p].copy())
-                memo.put(key, column)
-                js = missing[key]
-                mw[:, js] = column[0][:, None]
-                mi[:, js] = column[1][:, None]
-        # Account against the whole site, not just the missed subset:
-        # memo hits and in-site duplicates are avoided work too.
-        local.cells_valid = valid_total
-
-    local.sites = 1
+    local = PrefilterStats(sites=1)
+    mw, mi = _grids(PackedSite.from_site(site), prefilter, scoring,
+                    stats=local)
     best_cons, scores = score_and_select(mw, method=scoring)
     realign, new_pos = reads_realignments(mw, mi, best_cons, site.start)
 
     if telemetry is not None:
         telemetry.count("kernel.sites", 1)
         telemetry.count("kernel.grid_cells", int(mw.size))
-        telemetry.count("kernel.offsets_evaluated", valid_total)
+        telemetry.count("kernel.offsets_evaluated", local.cells_valid)
         computed = mw[mw != WHD_SENTINEL]
         telemetry.count("kernel.whd_mass", int(computed.sum()))
         telemetry.count("kernel.reads_realigned", int(realign.sum()))
@@ -512,8 +450,6 @@ def realign_site_batched(
         telemetry.count("kernel.cells_pruned", local.cells_pruned)
         telemetry.count("engine.rows_eliminated", local.rows_eliminated)
         telemetry.count("engine.pairs_pruned", local.pairs_pruned)
-        if deduped:
-            telemetry.count("engine.reads_deduped", deduped)
 
     if stats is not None:
         stats.merge(local)

@@ -40,8 +40,8 @@ cell-identical to the scalar kernel's (property-tested in
 ``tests/test_kernel_dispatch.py``, pinned against ``tests/golden/``).
 Cost scales as ``O(K * ceil(n/32))`` word ops per pair plus an ``O(m)``
 per-consensus shift precompute, with none of the FFT path's transform
-setup -- which is why the autotuned dispatcher
-(:mod:`repro.engine.autotune`) routes small and skinny sites here.
+setup. This is the kernel the native tier degrades to on a host with
+no compiled backend.
 """
 
 from __future__ import annotations

@@ -42,15 +42,14 @@ counting ``kernel.native.unavailable`` in telemetry and logging one
 warning -- never an error (the no-numba CI job pins this). The
 ``REPRO_NATIVE`` environment variable forces a backend (``numba`` /
 ``cc``), disables the tier (``off``), or leaves the default probe
-order (``auto``).
+order (``auto``); any other value is a ``ValueError``.
 
 JIT warmup: the first call into a backend pays its one-time
 compilation (numba jit) or shared-library build (cc). So that this
-cost cannot poison a calibration fit or a served request's latency,
+cost cannot land in a timed chunk or a served request's latency,
 :func:`warmup_native` compiles and exercises both grid kernels on a
-tiny site; the pool initializer in :mod:`repro.engine.parallel`, the
-serving plane, and :func:`repro.engine.autotune.calibrate` all invoke
-it before timing or traffic starts.
+tiny site; the pool initializer in :mod:`repro.engine.parallel` and
+the serving plane invoke it before timing or traffic starts.
 
 The Figure 4 worked example (``TGAA`` / ``CCTTAGA`` and friends, m=7,
 n=4, k=0..3) lands identically to the scalar kernel -- through the
@@ -97,6 +96,8 @@ from repro.realign.whd import (
 logger = logging.getLogger(__name__)
 
 _ENV_NATIVE = "REPRO_NATIVE"
+_OFF_MODES = ("off", "none", "0", "disabled")
+_NATIVE_MODES = ("auto", "numba", "cc") + _OFF_MODES
 
 #: Below this ``C * R * K * n`` comparison volume the compiled scalar
 #: grid kernel runs instead of the SWAR pipeline: tiny sites spend more
@@ -456,10 +457,27 @@ _warm = False
 _fallback_warned = False
 
 
+def native_mode() -> str:
+    """The ``REPRO_NATIVE`` policy, validated.
+
+    A misspelt value must not silently mean ``auto``: ``REPRO_NATIVE=of``
+    would run the compiled tier while CI believed it disabled.
+    """
+    raw = os.environ.get(_ENV_NATIVE, "")
+    mode = raw.strip().lower() or "auto"
+    if mode not in _NATIVE_MODES:
+        raise ValueError(
+            f"{_ENV_NATIVE}={raw!r} is not one of {'|'.join(_NATIVE_MODES)}"
+        )
+    return mode
+
+
 def _probe_backend():
-    """Resolve the compiled backend per ``REPRO_NATIVE``; never raises."""
-    mode = os.environ.get(_ENV_NATIVE, "auto").strip().lower() or "auto"
-    if mode in ("off", "none", "0", "disabled"):
+    """Resolve the compiled backend per ``REPRO_NATIVE``. A backend
+    that fails to load degrades to ``None``; only an unknown
+    ``REPRO_NATIVE`` value raises."""
+    mode = native_mode()
+    if mode in _OFF_MODES:
         return None
     loaders = {"numba": (_load_numba_backend,),
                "cc": (_load_cc_backend,)}.get(
@@ -510,9 +528,9 @@ def warmup_native() -> bool:
 
     Idempotent and exception-safe. The first numba call jits (seconds,
     cold cache) and the first cc call may compile the shared library;
-    running both here -- from the pool initializer, the serving plane's
-    startup, or ``calibrate()`` -- keeps that one-time cost out of any
-    timed region or served request.
+    running both here -- from the pool initializer or the serving
+    plane's startup -- keeps that one-time cost out of any timed region
+    or served request.
     """
     global _backend, _warm
     if _warm:
@@ -724,6 +742,7 @@ __all__ = [
     "min_whd_grid_native",
     "native_available",
     "native_backend_name",
+    "native_mode",
     "realign_site_native",
     "reset_backend",
     "warmup_native",

@@ -10,11 +10,9 @@ are merged in submission order, which makes the output -- and therefore
 the final SAM -- byte-identical to the serial path regardless of worker
 count or completion order (pinned against ``tests/golden/``).
 
-Within a worker, each chunk's sites run through the calibrated kernel
-dispatch (:func:`repro.engine.autotune.dispatch_realign` -- per-site
-choice of the scalar/vector/FFT/bitpack exact kernels, or a fixed
-``EngineConfig.kernel``) with its own
-:class:`~repro.engine.memo.PairMemo` (when enabled), and accumulates
+Within a worker, each chunk's sites run through
+:func:`repro.engine.autotune.dispatch_realign` on the kernel named by
+``EngineConfig.kernel``, and the worker accumulates
 telemetry counters locally; the parent folds counters into its own
 telemetry session after the merge and records one wall-clock span per
 shard (see :func:`repro.perf.fleet.record_engine_shards`), so a Chrome
@@ -28,13 +26,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.autotune import (
-    KERNEL_CHOICES,
-    CostProfile,
-    dispatch_realign,
-    resolve_profile,
-)
-from repro.engine.memo import PairMemo
+from repro.engine.autotune import KERNEL_CHOICES, dispatch_realign
+from repro.engine.native import native_mode
 from repro.realign.site import RealignmentSite
 from repro.realign.whd import SCORING_METHODS, SiteResult
 
@@ -46,15 +39,9 @@ class EngineConfig:
     ``workers=1`` runs shards inline (no pool, no pickling) but still
     through the batched kernel; ``batch`` is the shard size in sites --
     large enough to amortize per-task IPC, small enough that
-    work-stealing can balance uneven shards. ``memo_capacity=0``
-    disables the pair memo, which also keeps consensus-row elimination
-    active (see :mod:`repro.engine.memo` for why they exclude each
-    other). ``kernel`` routes each site through
-    :func:`repro.engine.autotune.dispatch_realign`: a fixed kernel
-    name, or ``"auto"`` (default) for the calibrated per-site choice.
-    The pair memo is an FFT-path feature, so a nonzero
-    ``memo_capacity`` pins the kernel to ``"fft"`` regardless of this
-    setting.
+    work-stealing can balance uneven shards. ``kernel`` routes each
+    site through :func:`repro.engine.autotune.dispatch_realign`: a
+    kernel name, or ``"auto"`` (default), which means ``"native"``.
 
     >>> EngineConfig(workers=2, batch=4).prefilter
     True
@@ -72,7 +59,6 @@ class EngineConfig:
     batch: int = 8
     prefilter: bool = True
     scoring: str = "similarity"
-    memo_capacity: int = 0
     kernel: str = "auto"
 
     def __post_init__(self):
@@ -82,15 +68,14 @@ class EngineConfig:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
         if self.scoring not in SCORING_METHODS:
             raise ValueError(f"unknown scoring method {self.scoring!r}")
-        if self.memo_capacity < 0:
-            raise ValueError(
-                f"memo_capacity must be >= 0, got {self.memo_capacity}"
-            )
         if self.kernel not in KERNEL_CHOICES:
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; "
                 f"choose from {KERNEL_CHOICES}"
             )
+        # Reject a misspelt REPRO_NATIVE here, in the parent: raised
+        # from a pool initializer it would respawn workers forever.
+        native_mode()
 
 
 @dataclass
@@ -124,26 +109,22 @@ class _CounterSink:
 
 
 #: Per-worker invariant state, set once by the pool initializer. The
-#: EngineConfig (and the autotune cost profile it dispatches with)
-#: never varies between chunks of one run, so shipping it in every task
-#: payload (as the engine originally did) re-pickled the same bytes per
-#: chunk; the initializer sends it exactly once per worker process.
+#: EngineConfig never varies between chunks of one run, so shipping it
+#: in every task payload would re-pickle the same bytes per chunk; the
+#: initializer sends it exactly once per worker process.
 _WORKER_CONFIG: Optional[EngineConfig] = None
-_WORKER_PROFILE: Optional[CostProfile] = None
 
 
-def _init_worker(config: EngineConfig,
-                 profile: Optional[CostProfile] = None) -> None:
-    """Pool initializer: install the run-invariant config + profile.
+def _init_worker(config: EngineConfig) -> None:
+    """Pool initializer: install the run-invariant config.
 
     When the run can route sites through the native tier (``kernel``
     is ``auto`` or ``native``), each worker also pre-warms the compiled
     backend here, so one-time JIT/shared-library compilation happens
     during pool startup instead of inside the first timed chunk.
     """
-    global _WORKER_CONFIG, _WORKER_PROFILE
+    global _WORKER_CONFIG
     _WORKER_CONFIG = config
-    _WORKER_PROFILE = profile
     if config.kernel in ("auto", "native"):
         from repro.engine.native import warmup_native
 
@@ -172,25 +153,16 @@ def _realign_chunk(
     """
     start = time.perf_counter()
     sink = _CounterSink()
-    memo = PairMemo(config.memo_capacity) if config.memo_capacity else None
-    # Memoized grid columns only exist on the FFT path; a configured
-    # memo therefore pins the kernel (documented on EngineConfig).
-    kernel = "fft" if memo is not None else config.kernel
     results = [
         dispatch_realign(
             site,
-            kernel=kernel,
+            kernel=config.kernel,
             scoring=config.scoring,
             prefilter=config.prefilter,
             telemetry=sink,
-            memo=memo,
-            profile=_WORKER_PROFILE,
         )
         for site in sites
     ]
-    if memo is not None:
-        for name, value in memo.snapshot().items():
-            sink.count(name, value)
     return chunk_id, results, start, time.perf_counter(), sink.counters
 
 
@@ -334,10 +306,7 @@ class Engine:
         if self._rpool is None:
             from repro.resilience.workers import ResilientPool
 
-            profile = (resolve_profile()
-                       if self.config.kernel == "auto" else None)
-            self._rpool = ResilientPool(self.config, self.recovery,
-                                        profile=profile)
+            self._rpool = ResilientPool(self.config, self.recovery)
         return self._rpool
 
     def _ensure_pool(self):
@@ -346,15 +315,10 @@ class Engine:
                 ctx = multiprocessing.get_context("fork")
             except ValueError:  # pragma: no cover - non-POSIX platforms
                 ctx = multiprocessing.get_context()
-            # Resolve the autotune profile once, in the parent, so every
-            # worker dispatches with identical coefficients (and no
-            # worker re-reads the profile file per process).
-            profile = (resolve_profile()
-                       if self.config.kernel == "auto" else None)
             self._pool = ctx.Pool(
                 processes=self.config.workers,
                 initializer=_init_worker,
-                initargs=(self.config, profile),
+                initargs=(self.config,),
             )
         return self._pool
 

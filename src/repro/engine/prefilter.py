@@ -62,7 +62,7 @@ class PrefilterStats:
     ``cells_valid`` counts every in-range (consensus, read, offset) cell
     the scalar kernel would evaluate; ``cells_evaluated`` counts the
     cells the engine actually evaluated exactly. Their difference is the
-    work the filter (plus memoization, when enabled) avoided.
+    work the filter avoided.
     """
 
     sites: int = 0

@@ -62,8 +62,7 @@ def run(execute_pipeline: bool = True, seed: int = 2) -> Figure2Result:
         sample = simulate_sample({"22": 20_000}, profile=profile, seed=seed)
         # Pin the baseline numpy kernel: this figure profiles the
         # *unaccelerated* refinement pipeline, so its stage breakdown
-        # must not shift when `auto` dispatch (or a REPRO_KERNEL CI
-        # override) routes realignment to a faster kernel tier.
+        # must not shift with the compiled tier `auto` resolves to.
         pipeline = RefinementPipeline(sample.reference, kernel="vector")
         result.measured = pipeline.run(sample.reads)
     return result

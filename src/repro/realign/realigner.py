@@ -10,7 +10,6 @@ in :mod:`repro.perf` and :mod:`repro.baselines`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -94,7 +93,6 @@ class IndelRealigner:
         reference: ReferenceGenome,
         creator_config: Optional[TargetCreatorConfig] = None,
         limits: SiteLimits = PAPER_LIMITS,
-        vectorized: Optional[bool] = None,
         consensus_strategy: str = "observed",
         scoring: str = "similarity",
         engine=None,
@@ -109,9 +107,7 @@ class IndelRealigner:
         ``kernel`` names the WHD kernel for the per-site path
         (``auto``/``scalar``/``vector``/``fft``/``bitpack``/``native``;
         see :func:`repro.engine.autotune.dispatch_realign`) -- every
-        choice is exact, so outputs are identical. ``vectorized`` is the
-        deprecated spelling of ``kernel="vector"``/``"scalar"``; it
-        still works but warns, and an explicit ``kernel`` wins.
+        choice is exact, so outputs are identical.
         ``engine`` optionally routes the kernel through the batched
         execution engine (:mod:`repro.engine`): pass an
         :class:`repro.engine.EngineConfig` (its ``scoring`` is overridden
@@ -128,19 +124,9 @@ class IndelRealigner:
             raise ValueError(
                 f"unknown kernel {kernel!r}; choose from {KERNEL_CHOICES}"
             )
-        if vectorized is not None:
-            warnings.warn(
-                "IndelRealigner(vectorized=...) is deprecated; use "
-                "kernel='vector' / kernel='scalar' instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if kernel == "auto":
-                kernel = "vector" if vectorized else "scalar"
         self.reference = reference
         self.creator_config = creator_config or TargetCreatorConfig(limits=limits)
         self.limits = limits
-        self.vectorized = vectorized
         self.kernel = kernel
         self.consensus_strategy = consensus_strategy
         self.scoring = scoring
@@ -229,7 +215,7 @@ class IndelRealigner:
         (targets are disjoint by construction). With an ``engine``
         configured, every window's site runs through one
         :meth:`repro.engine.Engine.run_sites` call (batched kernel,
-        optional prefilter/memo/worker pool) instead of the per-site
+        optional prefilter/worker pool) instead of the per-site
         loop; the realigned reads are byte-identical either way.
         ``telemetry`` is forwarded to whichever kernel path runs.
 

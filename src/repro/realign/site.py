@@ -157,16 +157,6 @@ class RealignmentSite:
     def read_arrays(self) -> Tuple[np.ndarray, ...]:
         return tuple(seq_to_array(r) for r in self.reads)
 
-    def read_key(self, read_index: int) -> Tuple[str, bytes]:
-        """Hashable identity of one read's kernel inputs.
-
-        Two reads with equal keys (bases and qualities) produce equal
-        WHD grid columns against any common consensus set -- the
-        memoization key used by :mod:`repro.engine.memo` (prefixed with
-        the site's consensus tuple).
-        """
-        return self.reads[read_index], self.quals[read_index].tobytes()
-
     def offsets(self, cons_index: int, read_index: int) -> int:
         """Number of sliding offsets for one pair: ``m - n + 1``.
 

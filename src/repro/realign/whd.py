@@ -142,9 +142,11 @@ def min_whd_grid(
     Returns ``(min_whd, min_whd_idx)`` as int64 arrays of shape
     ``(num_consensuses, num_reads)``.
 
-    The ``vectorized`` flag predates the calibrated kernel dispatch
-    (:func:`repro.engine.autotune.dispatch_realign`) and is kept only
-    for compatibility: new call sites should route through dispatch
+    ``vectorized`` selects between the two reference forms (the
+    literal scalar loops and the per-pair numpy profile) that tests and
+    ``tests/golden/regenerate.py`` compare every other kernel against;
+    production call sites route through
+    :func:`repro.engine.autotune.dispatch_realign`
     (``kernel="vector"`` / ``"scalar"`` reproduce the two settings).
 
     The Figure 4 site (3 consensuses x 2 reads; consensus 0 is the
@@ -299,10 +301,10 @@ def realign_site(site: RealignmentSite, vectorized: bool = True,
                  telemetry=None) -> SiteResult:
     """Run Algorithms 1 and 2 on one site.
 
-    ``vectorized`` is deprecated-but-working (see
-    :func:`min_whd_grid`); prefer
+    ``vectorized`` picks the reference form (see
+    :func:`min_whd_grid`); production call sites use
     :func:`repro.engine.autotune.dispatch_realign`, which also knows
-    the FFT-batched and bit-packed kernels.
+    the FFT-batched, bit-packed and native kernels.
 
     ``telemetry`` optionally records ``kernel.*`` counters. They are
     defined on the algorithm's *semantics*, not its implementation --

@@ -77,10 +77,9 @@ class RefinementPipeline:
         kernel: str = "auto",
     ):
         """``kernel`` is forwarded to the software realigner. Profiling
-        experiments pin it (an explicit kernel is never overridden by
-        ``REPRO_KERNEL``) so their measured stage breakdown does not
-        shift whenever the kernel tier or a CI kernel-override job
-        changes which implementation ``auto`` resolves to."""
+        experiments pin it so their measured stage breakdown does not
+        depend on what ``auto`` means or on whether a compiled backend
+        loaded."""
         self.reference = reference
         self.use_accelerator = use_accelerator
         self.system_config = system_config

@@ -399,12 +399,12 @@ def record_recovery_spans(telemetry, events: Sequence[RecoveryEvent],
 _WORKER_FAULT_PLAN: Optional[WorkerFaultPlan] = None
 
 
-def _init_resilient_worker(config, profile, plan) -> None:
-    """Pool initializer: engine config/profile plus the fault plan."""
+def _init_resilient_worker(config, plan) -> None:
+    """Pool initializer: engine config plus the fault plan."""
     global _WORKER_FAULT_PLAN
     from repro.engine import parallel
 
-    parallel._init_worker(config, profile)
+    parallel._init_worker(config)
     _WORKER_FAULT_PLAN = plan if plan is not None and not plan.is_fault_free \
         else None
 
@@ -540,10 +540,9 @@ class ResilientPool:
     surface from the quarantine path with their genuine traceback.
     """
 
-    def __init__(self, config, recovery: WorkerRecovery, profile=None):
+    def __init__(self, config, recovery: WorkerRecovery):
         self.config = config
         self.recovery = recovery
-        self.profile = profile
         self._lock = threading.RLock()
         self._executor: Optional[ProcessPoolExecutor] = None
         self._generation = 0
@@ -648,7 +647,7 @@ class ResilientPool:
                 max_workers=self.config.workers,
                 mp_context=ctx,
                 initializer=_init_resilient_worker,
-                initargs=(self.config, self.profile,
+                initargs=(self.config,
                           None if plan.is_fault_free else plan),
             )
         return self._executor

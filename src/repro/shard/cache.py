@@ -1,10 +1,8 @@
 """Content-addressed cross-request caching of whole site results.
 
-:class:`~repro.engine.memo.PairMemo` proved that duplicate-heavy
-workloads memoize extremely well at read-column granularity *within*
-one engine run. Multi-tenant cohort traffic duplicates at a coarser
-granularity *across* requests: two tenants re-submitting the same
-cohort region produce byte-identical :class:`RealignmentSite` inputs,
+Multi-tenant cohort traffic duplicates at site granularity *across*
+requests: two tenants re-submitting the same cohort region produce
+byte-identical :class:`RealignmentSite` inputs,
 so the entire :class:`~repro.realign.whd.SiteResult` can be reused --
 no kernel, no dispatch, no worker round-trip.
 
@@ -15,8 +13,8 @@ over exactly the inputs the WHD kernel reads --
   reference window),
 - every read's bases and quality bytes,
 - the grid-shaping configuration: ``scoring`` (changes the Algorithm 2
-  scores), ``prefilter`` and memo-active (both change which grid cells
-  hold sentinels vs. exact values).
+  scores) and ``prefilter`` (changes which grid cells hold sentinels
+  vs. exact values).
 
 Deliberately **excluded** from the key:
 
@@ -31,10 +29,10 @@ Deliberately **excluded** from the key:
   the dispatch layer never changes results (pinned by the golden
   matrix), so caching across them is sound by construction.
 
-Capacity is a **byte budget** over the stored numpy arrays (LRU, like
-PairMemo but sized in bytes, since site results vary by orders of
-magnitude). Thread-safe: the serving plane consults the cache from the
-event loop while the engine executor thread inserts.
+Capacity is a **byte budget** over the stored numpy arrays (LRU, sized
+in bytes since site results vary by orders of magnitude). Thread-safe:
+the serving plane consults the cache from the event loop while the
+engine executor thread inserts.
 """
 
 from __future__ import annotations
@@ -60,7 +58,7 @@ def site_cache_key(site: RealignmentSite, config) -> bytes:
     """Canonical content hash of one site's kernel inputs.
 
     ``config`` is an :class:`~repro.engine.parallel.EngineConfig` (or
-    anything with ``scoring`` / ``prefilter`` / ``memo_capacity``); see
+    anything with ``scoring`` / ``prefilter``); see
     the module docstring for what is hashed and what is deliberately
     excluded.
     """
@@ -68,11 +66,10 @@ def site_cache_key(site: RealignmentSite, config) -> bytes:
     scoring = getattr(config, "scoring", "similarity").encode()
     digest.update(struct.pack("<H", len(scoring)))
     digest.update(scoring)
-    # Prefilter and an active memo both change grid sentinel content
-    # (not the architecturally visible outputs), and cached values
-    # carry full grids -- so both are part of the key.
+    # Prefilter changes grid sentinel content (not the architecturally
+    # visible outputs), and cached values carry full grids -- so it is
+    # part of the key.
     digest.update(b"\x01" if getattr(config, "prefilter", True) else b"\x00")
-    digest.update(b"\x01" if getattr(config, "memo_capacity", 0) else b"\x00")
     digest.update(struct.pack("<I", site.num_consensuses))
     for consensus in site.consensuses:
         raw = consensus.encode()

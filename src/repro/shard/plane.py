@@ -88,8 +88,8 @@ def shard_for(chrom: str, start: int, shards: int,
     region_span}"`` -- deterministic across processes and Python
     invocations (no ``PYTHONHASHSEED`` dependence), so a region always
     lands on the same shard and a re-submitted cohort job reuses
-    whatever per-shard locality (page cache, branch history, a future
-    per-shard memo) its first submission warmed.
+    whatever per-shard locality (page cache, branch history) its first
+    submission warmed.
 
     >>> shard_for("22", 10_000, 4) == shard_for("22", 10_000, 4)
     True
@@ -212,8 +212,6 @@ class ShardPlane:
         self._deadline = (self.recovery.chunk_deadline
                           if self.recovery is not None else 30.0)
         self._factory = transport_factory
-        self._profile_resolved = False
-        self._profile = None
         self._transports: Dict[int, Optional[ShardTransport]] = {}
         self._spawned_once: set = set()
         #: Latest run's chunk records (executing shard, timestamps).
@@ -577,15 +575,6 @@ class ShardPlane:
         count("shard.sites", len(chunk.sites))
 
     # -- transports ------------------------------------------------------
-    def _resolve_profile(self):
-        if not self._profile_resolved:
-            from repro.engine.autotune import resolve_profile
-
-            self._profile = (resolve_profile()
-                             if self.config.kernel == "auto" else None)
-            self._profile_resolved = True
-        return self._profile
-
     def _transport_alive(self, shard: int) -> bool:
         transport = self._transports.get(shard)
         return transport is not None and transport.alive()
@@ -604,9 +593,7 @@ class ShardPlane:
                 plan = (self._plan
                         if self._plan is not None
                         and not self._plan.is_fault_free else None)
-                transport = PipeShardTransport(
-                    shard, self.config, self._resolve_profile(), plan
-                )
+                transport = PipeShardTransport(shard, self.config, plan)
         except Exception:  # noqa: BLE001 - spawn failure -> quarantine
             return None
         if shard in self._spawned_once:

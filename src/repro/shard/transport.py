@@ -16,7 +16,7 @@ loop. :class:`PipeShardTransport` is the in-tree implementation: one
 forked long-lived worker process per shard over a duplex
 ``multiprocessing`` pipe, running chunks through the same
 :func:`repro.engine.parallel._realign_chunk` the barrier and
-streaming engines use (so every kernel, memo, and prefilter behaviour
+streaming engines use (so every kernel and prefilter behaviour
 is shared, and output stays byte-identical by construction).
 
 Chaos integration mirrors the resilient pool: each worker carries the
@@ -71,7 +71,7 @@ class ShardTransport:
         raise NotImplementedError
 
 
-def _shard_worker_main(conn, shard_id: int, config, profile, plan) -> None:
+def _shard_worker_main(conn, shard_id: int, config, plan) -> None:
     """The long-lived shard worker loop (child process entry point).
 
     Chunks run through the shared ``_realign_chunk`` path. A planned
@@ -85,7 +85,7 @@ def _shard_worker_main(conn, shard_id: int, config, profile, plan) -> None:
     from repro.engine import parallel
     from repro.resilience.workers import perform_fault
 
-    parallel._init_worker(config, profile)
+    parallel._init_worker(config)
     if plan is not None and plan.is_fault_free:
         plan = None
     while True:
@@ -116,7 +116,7 @@ def _shard_worker_main(conn, shard_id: int, config, profile, plan) -> None:
 class PipeShardTransport(ShardTransport):
     """A forked worker process behind a duplex multiprocessing pipe."""
 
-    def __init__(self, shard_id: int, config, profile=None, plan=None):
+    def __init__(self, shard_id: int, config, plan=None):
         self.shard_id = shard_id
         try:
             ctx = multiprocessing.get_context("fork")
@@ -125,7 +125,7 @@ class PipeShardTransport(ShardTransport):
         self._conn, child_conn = ctx.Pipe(duplex=True)
         self._process = ctx.Process(
             target=_shard_worker_main,
-            args=(child_conn, shard_id, config, profile, plan),
+            args=(child_conn, shard_id, config, plan),
             daemon=True,
             name=f"repro-shard-{shard_id}",
         )

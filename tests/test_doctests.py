@@ -19,7 +19,6 @@ DOCUMENTED_MODULES = [
     "repro.engine.native",
     "repro.engine.autotune",
     "repro.engine.prefilter",
-    "repro.engine.memo",
     "repro.engine.parallel",
     "repro.shard.plane",
     "repro.shard.cache",

@@ -1,9 +1,9 @@
 """Unit and integration tests for the batched parallel engine.
 
 The engine's contract is byte-identical output to the scalar kernel for
-every configuration (prefilter on/off, memo on/off, any worker count).
+every configuration (prefilter on/off, any worker count).
 These tests pin that contract at each layer: tensor packing, the
-prefilter's pruning bookkeeping, memoization, shard merge determinism,
+prefilter's pruning bookkeeping, shard merge determinism,
 the realigner integrations, and the CLI flags.
 """
 
@@ -16,7 +16,6 @@ from repro.engine import (
     Engine,
     EngineConfig,
     PackedSite,
-    PairMemo,
     PrefilterStats,
     min_whd_grid_batched,
     pair_lower_bounds,
@@ -119,59 +118,6 @@ class TestBatchedGrid:
         assert pruned_rows > 0  # the filter actually fires on this pool
 
 
-class TestPairMemo:
-    def test_lru_eviction(self):
-        memo = PairMemo(capacity=2)
-        memo.put("a", 1)
-        memo.put("b", 2)
-        assert memo.get("a") == 1  # refreshes a
-        memo.put("c", 3)  # evicts b, the least recently used
-        assert memo.get("b") is None
-        assert memo.get("a") == 1
-        assert memo.get("c") == 3
-        snap = memo.snapshot()
-        assert snap["engine.memo_evictions"] == 1
-        assert snap["engine.memo_size"] == 2
-
-    def test_memoized_path_is_identical(self):
-        memo = PairMemo(capacity=512)
-        for site in _sites(3, seed=17):
-            got = realign_site_batched(site, memo=memo)
-            want = realign_site(site)
-            assert got.same_outputs(want)
-        # A second pass over the same sites is answered from the memo.
-        before = memo.hits
-        for site in _sites(3, seed=17):
-            got = realign_site_batched(site, memo=memo)
-            assert got.same_outputs(realign_site(site))
-        assert memo.hits > before
-
-    def test_duplicate_reads_within_site_deduplicate(self):
-        site = _sites(1, seed=2)[0]
-        dup = type(site)(
-            chrom=site.chrom,
-            start=site.start,
-            consensuses=site.consensuses,
-            reads=site.reads + (site.reads[0],),
-            quals=site.quals + (site.quals[0],),
-            limits=site.limits,
-        )
-        memo = PairMemo(capacity=64)
-
-        class Sink:
-            def __init__(self):
-                self.counters = {}
-
-            def count(self, name, delta=1):
-                self.counters[name] = self.counters.get(name, 0) + delta
-
-        sink = Sink()
-        got = realign_site_batched(dup, telemetry=sink, memo=memo)
-        want = realign_site(dup)
-        assert got.same_outputs(want)
-        assert sink.counters.get("engine.reads_deduped", 0) >= 1
-
-
 class TestEngineDeterminism:
     def test_workers_do_not_change_results(self):
         sites = _sites(10, seed=77)
@@ -206,8 +152,7 @@ class TestEngineDeterminism:
         sites = _sites(5, seed=29)
         telemetry = Telemetry()
         # kernel pinned: the prune counters asserted below are emitted
-        # by the FFT kernel's prefilter, and an explicit kernel is
-        # immune to the REPRO_KERNEL override CI applies to this suite.
+        # by the FFT kernel's prefilter.
         Engine(EngineConfig(workers=1, batch=2, kernel="fft")).run_sites(
             sites, telemetry=telemetry
         )
@@ -231,8 +176,6 @@ class TestEngineDeterminism:
             EngineConfig(batch=0)
         with pytest.raises(ValueError):
             EngineConfig(scoring="magic")
-        with pytest.raises(ValueError):
-            EngineConfig(memo_capacity=-1)
 
 
 class TestRealignerIntegration:
@@ -260,7 +203,6 @@ class TestRealignerIntegration:
             EngineConfig(),
             EngineConfig(workers=2, batch=3),
             EngineConfig(prefilter=False),
-            EngineConfig(memo_capacity=1024),
         ):
             got, report = IndelRealigner(
                 sample.reference, engine=config

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
-    PairMemo,
     min_whd_grid_batched,
     pair_lower_bounds,
     realign_site_batched,
@@ -109,29 +108,6 @@ class TestPrefilterSoundness:
         beats_ref = true_w < true_w[0][None, :]
         assert not (flagged & beats_ref).any()
         assert not flagged[0].any()  # the reference row is never flagged
-
-
-class TestMemoProperties:
-    @given(st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_memo_with_duplicate_reads_is_exact(self, data):
-        site = ragged_site(data.draw)
-        dup_of = data.draw(st.integers(0, site.num_reads - 1))
-        dup = RealignmentSite(
-            chrom=site.chrom, start=site.start,
-            consensuses=site.consensuses,
-            reads=site.reads + (site.reads[dup_of],),
-            quals=site.quals + (site.quals[dup_of],),
-        )
-        memo = PairMemo(capacity=256)
-        got = realign_site_batched(dup, memo=memo)
-        want = realign_site(dup)
-        assert got.same_outputs(want)
-        np.testing.assert_array_equal(got.min_whd, want.min_whd)
-        # The duplicate column is answered from the in-site dedup or the
-        # memo, never recomputed differently.
-        np.testing.assert_array_equal(got.min_whd[:, -1],
-                                      got.min_whd[:, dup_of])
 
 
 class TestPackingProperties:

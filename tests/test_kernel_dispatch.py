@@ -1,17 +1,17 @@
-"""Cross-kernel exactness and calibrated-dispatch tests.
+"""Cross-kernel exactness and kernel-dispatch tests.
 
 Five exact kernels implement Algorithm 1 -- scalar, vectorized,
 FFT-batched, bit-packed SWAR, and the compiled native tier -- and
-:mod:`repro.engine.autotune` routes sites between them. Two properties
-keep that sound:
+:mod:`repro.engine.autotune` routes each site to the one named. Two
+properties keep that sound:
 
 - **exactness**: every kernel produces cell-identical ``(min_whd,
   min_idx)`` grids and identical ``SiteResult`` outputs on any site,
   including degenerate shapes (read as long as the consensus, a single
   read, no alternate consensuses, N bases, zero qualities);
-- **dispatch semantics**: ``auto`` consults the persisted cost profile,
-  the ``REPRO_KERNEL`` override applies to ``auto`` only, and an
-  explicitly requested kernel always runs.
+- **dispatch semantics**: ``auto`` means ``native`` (with or without
+  a compiled backend, in-process and across every worker plane), and
+  an explicitly requested kernel always runs.
 
 The native tier never *requires* a compiled backend: without one it
 degrades to bitpack, so every parity test here runs (and must pass)
@@ -19,23 +19,12 @@ either way. Only the tests that poke a backend *directly* skip when
 none is available.
 """
 
-import os
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.autotune import (
-    KERNELS,
-    CostProfile,
-    SiteFeatures,
-    calibrate,
-    choose_kernel,
-    dispatch_realign,
-    resolve_profile,
-)
+from repro.engine.autotune import KERNELS, dispatch_realign
 from repro.engine.batch import min_whd_grid_batched
 from repro.engine.bitpack import min_whd_grid_bitpacked
 from repro.engine.native import (
@@ -60,6 +49,22 @@ class Sink:
 
     def count(self, name, delta=1):
         self.counters[name] = self.counters.get(name, 0) + int(delta)
+
+
+def chosen(counters):
+    """The ``kernel.chosen.*`` subset of a flat counter mapping."""
+    return {name: value for name, value in counters.items()
+            if name.startswith("kernel.chosen.")}
+
+
+@pytest.fixture()
+def fresh_backend():
+    """Re-probe the native backend around a test and restore after."""
+    from repro.engine import native
+
+    native.reset_backend()
+    yield native
+    native.reset_backend()
 
 
 def ragged_site(draw):
@@ -176,87 +181,66 @@ class TestDispatchSemantics:
         with pytest.raises(ValueError, match="unknown kernel"):
             dispatch_realign(self.site(), kernel="simd")
 
-    def test_auto_emits_choice_and_misprediction_counters(self, monkeypatch):
-        # The CI job that forces REPRO_KERNEL must not defeat the
-        # profile-consulting path this test is about.
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_auto_is_native(self):
         sink = Sink()
         dispatch_realign(self.site(), kernel="auto", telemetry=sink)
-        chosen = [k for k in sink.counters if k.startswith("kernel.chosen.")]
-        assert len(chosen) == 1
-        assert chosen[0].split(".")[-1] in KERNELS
-        assert "kernel.predicted_vs_actual" in sink.counters
+        assert chosen(sink.counters) == {"kernel.chosen.native": 1}
+
+    def test_auto_is_native_without_a_backend(self, monkeypatch, caplog,
+                                              fresh_backend):
+        # No compiled backend: auto is still native, and native itself
+        # degrades -- one counter per site, one warning per process.
+        monkeypatch.setenv("REPRO_NATIVE", "off")
+        fresh_backend.reset_backend()
+        sink = Sink()
+        sites = [self.site(), self.site()]
+        with caplog.at_level("WARNING", logger="repro.engine.native"):
+            got = [dispatch_realign(site, kernel="auto", telemetry=sink)
+                   for site in sites]
+        assert chosen(sink.counters) == {"kernel.chosen.native": 2}
+        assert sink.counters.get("kernel.native.unavailable") == 2
+        assert len([r for r in caplog.records
+                    if "native kernel tier unavailable" in r.message]) == 1
+        for result, site in zip(got, sites):
+            assert result.same_outputs(realign_site(site, vectorized=False))
 
     def test_fixed_kernel_emits_choice_but_no_prediction(self):
         sink = Sink()
         dispatch_realign(self.site(), kernel="bitpack", telemetry=sink)
-        assert sink.counters.get("kernel.chosen.bitpack") == 1
-        assert "kernel.predicted_vs_actual" not in sink.counters
+        assert chosen(sink.counters) == {"kernel.chosen.bitpack": 1}
 
-    def test_env_override_applies_to_auto_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        site = self.site()
-        sink = Sink()
-        dispatch_realign(site, kernel="auto", telemetry=sink)
-        assert sink.counters.get("kernel.chosen.scalar") == 1
-        sink = Sink()
-        dispatch_realign(site, kernel="bitpack", telemetry=sink)
-        assert sink.counters.get("kernel.chosen.bitpack") == 1
+    @pytest.mark.parametrize("value", ["of", "ccc", "true"])
+    def test_unknown_native_mode_rejected(self, monkeypatch, fresh_backend,
+                                          value):
+        # A typo must not silently mean `auto`: REPRO_NATIVE=of would
+        # run the compiled tier while CI believed it disabled.
+        from repro.engine import EngineConfig
 
-    def test_env_override_validated(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "warp")
-        with pytest.raises(ValueError, match="REPRO_KERNEL"):
-            dispatch_realign(self.site(), kernel="auto")
+        monkeypatch.setenv("REPRO_NATIVE", value)
+        fresh_backend.reset_backend()
+        with pytest.raises(ValueError, match="REPRO_NATIVE.*auto.numba.cc"):
+            fresh_backend.get_backend()
+        with pytest.raises(ValueError, match="REPRO_NATIVE"):
+            EngineConfig()
 
-    def test_choose_kernel_is_deterministic(self):
-        profile = resolve_profile()
-        site = self.site()
-        picks = {choose_kernel(site, profile) for _ in range(5)}
-        assert len(picks) == 1
-        assert picks.pop() in KERNELS
+    def test_unknown_native_mode_exits_2_from_the_cli(self, monkeypatch,
+                                                      capsys):
+        from repro.__main__ import main
 
+        monkeypatch.setenv("REPRO_NATIVE", "of")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure4"])
+        assert exit_info.value.code == 2
+        assert "REPRO_NATIVE='of'" in capsys.readouterr().err
 
-class TestCostProfile:
-    def test_committed_profile_loads_and_covers_all_kernels(self):
-        profile = resolve_profile()
-        assert set(profile.kernels()) == set(KERNELS)
-        f = SiteFeatures.from_site(
-            synthesize_site(np.random.default_rng(1), BENCH_PROFILE)
-        )
-        for kernel in KERNELS:
-            assert profile.predict(kernel, f) >= 0.0
+    @pytest.mark.parametrize("value, mode", [
+        ("", "auto"), (" OFF ", "off"), ("Cc", "cc"), ("0", "0"),
+    ])
+    def test_known_native_modes_accepted(self, monkeypatch, value, mode):
+        from repro.engine.native import native_mode
 
-    def test_json_round_trip(self):
-        profile = resolve_profile()
-        clone = CostProfile.from_json(profile.to_json())
-        assert clone.coefficients == profile.coefficients
-
-    def test_bad_version_rejected(self):
-        with pytest.raises(ValueError, match="version"):
-            CostProfile.from_json('{"version": 9, "kernels": {}}')
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            CostProfile.from_json(
-                '{"version": 1, "kernels": {"warp": [1.0]}}'
-            )
-
-    def test_calibrate_smoke(self):
-        """A tiny calibration run yields nonnegative, usable coefficients."""
-        rng = np.random.default_rng(7)
-        sites = [synthesize_site(rng, BENCH_PROFILE, complexity=c)
-                 for c in (0.1, 0.3, 0.6)]
-        profile = calibrate(sites=sites, repeats=1)
-        # The native tier only yields timing rows when a compiled
-        # backend is usable on this host; the fit covers it exactly
-        # when it does.
-        expected = set(KERNELS) if native_available() \
-            else set(KERNELS) - {"native"}
-        assert set(profile.kernels()) == expected
-        for coef in profile.coefficients.values():
-            assert all(c >= 0.0 for c in coef)
-        f = SiteFeatures.from_site(sites[0])
-        assert profile.choose(f) in KERNELS
+        monkeypatch.setenv("REPRO_NATIVE", value)
+        assert native_mode() == mode
 
 
 class TestEngineKernelWiring:
@@ -276,20 +260,6 @@ class TestEngineKernelWiring:
         got = Engine(EngineConfig(kernel=kernel, batch=2)).run_sites(sites)
         assert all(g.same_outputs(w) for g, w in zip(got, want))
 
-    def test_memo_pins_the_fft_kernel(self):
-        from repro.engine import Engine, EngineConfig
-        from repro.telemetry import Telemetry
-
-        sites = self.sites()
-        session = Telemetry(label="memo-pin")
-        config = EngineConfig(kernel="vector", memo_capacity=64, batch=3)
-        got = Engine(config).run_sites(sites, telemetry=session)
-        flat = session.counters.flat()
-        assert flat.get("kernel.chosen.fft") == len(sites)
-        assert "kernel.chosen.vector" not in flat
-        want = [realign_site(site) for site in sites]
-        assert all(g.same_outputs(w) for g, w in zip(got, want))
-
     def test_streaming_engine_honours_kernel(self):
         from repro.engine import EngineConfig, StreamingEngine
         from repro.telemetry import Telemetry
@@ -304,24 +274,43 @@ class TestEngineKernelWiring:
         assert all(g.same_outputs(w) for g, w in zip(got, want))
 
 
-class TestDeprecatedVectorizedFlag:
-    def test_warns_and_maps_to_fixed_kernels(self):
-        from repro.realign.realigner import IndelRealigner
+class TestAutoAcrossWorkerPlanes:
+    """``auto`` resolves inside the worker that runs the site, so every
+    multiprocess plane must fold ``kernel.chosen.native`` -- and nothing
+    else -- back into the parent's telemetry."""
 
-        with pytest.warns(DeprecationWarning, match="vectorized"):
-            realigner = IndelRealigner(None, vectorized=True)
-        assert realigner.kernel == "vector"
-        with pytest.warns(DeprecationWarning, match="vectorized"):
-            realigner = IndelRealigner(None, vectorized=False)
-        assert realigner.kernel == "scalar"
+    def sites(self):
+        rng = np.random.default_rng(5)
+        return [synthesize_site(rng, BENCH_PROFILE, complexity=0.4)
+                for _ in range(6)]
 
-    def test_explicit_kernel_wins_over_flag(self):
-        from repro.realign.realigner import IndelRealigner
+    def check(self, engine):
+        from repro.telemetry import Telemetry
 
-        with pytest.warns(DeprecationWarning):
-            realigner = IndelRealigner(None, vectorized=False,
-                                       kernel="bitpack")
-        assert realigner.kernel == "bitpack"
+        sites = self.sites()
+        session = Telemetry(label="auto-planes")
+        with engine:
+            got = engine.run_sites(sites, telemetry=session)
+        assert (chosen(session.counters.flat())
+                == {"kernel.chosen.native": len(sites)})
+        want = [realign_site(site) for site in sites]
+        assert all(g.same_outputs(w) for g, w in zip(got, want))
+
+    def test_pool(self):
+        from repro.engine import Engine, EngineConfig
+
+        self.check(Engine(EngineConfig(workers=2, batch=2)))
+
+    def test_streaming_engine(self):
+        from repro.engine import EngineConfig, StreamingEngine
+
+        self.check(StreamingEngine(EngineConfig(workers=2, batch=2)))
+
+    def test_shard_plane(self):
+        from repro.engine import EngineConfig
+        from repro.shard import ShardPlane
+
+        self.check(ShardPlane(EngineConfig(batch=2), shards=2))
 
 
 class TestPopcountFallback:
@@ -396,15 +385,6 @@ class TestNativeKernel:
     unique to the tier -- forced backend paths, warmup, and the
     degrade-to-bitpack contract.
     """
-
-    @pytest.fixture()
-    def fresh_backend(self):
-        """Re-probe the backend around each test and restore after."""
-        from repro.engine import native
-
-        native.reset_backend()
-        yield native
-        native.reset_backend()
 
     needs_backend = pytest.mark.skipif(
         not native_available(),
@@ -489,67 +469,3 @@ class TestNativeKernel:
             mw, mi = min_whd_grid_native(site)
             np.testing.assert_array_equal(mw, ref_w)
             np.testing.assert_array_equal(mi, ref_i)
-
-
-class TestProfilePersistencePaths:
-    """``--autotune`` must not require a writable package directory."""
-
-    def test_writable_path_prefers_committed_default(self):
-        from repro.engine import autotune
-
-        # The source checkout is writable, so the committed file wins.
-        assert (autotune.writable_profile_path()
-                == autotune.DEFAULT_PROFILE_PATH)
-
-    def test_writable_path_falls_back_to_user_cache(
-        self, monkeypatch, tmp_path
-    ):
-        from repro.engine import autotune
-
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        real_access = os.access
-
-        def deny_package_dir(path, mode):
-            if Path(path) == autotune.DEFAULT_PROFILE_PATH.parent:
-                return False  # simulate read-only site-packages
-            return real_access(path, mode)
-
-        monkeypatch.setattr(autotune.os, "access", deny_package_dir)
-        path = autotune.writable_profile_path()
-        assert path == tmp_path / "repro" / "autotune_profile.json"
-        assert path.parent.is_dir()  # created, ready for save()
-
-    def test_resolve_profile_prefers_user_cache(
-        self, monkeypatch, tmp_path
-    ):
-        from repro.engine import autotune
-
-        monkeypatch.delenv("REPRO_AUTOTUNE_PROFILE", raising=False)
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        cache = tmp_path / "repro" / "autotune_profile.json"
-        cache.parent.mkdir(parents=True)
-        base = CostProfile.load(autotune.DEFAULT_PROFILE_PATH)
-        CostProfile(
-            coefficients=base.coefficients,
-            meta={"source": "user-cache-test"},
-        ).save(cache)
-        monkeypatch.setattr(autotune, "_cached_default", None)
-        assert resolve_profile().meta.get("source") == "user-cache-test"
-
-    def test_resolve_profile_env_beats_user_cache(
-        self, monkeypatch, tmp_path
-    ):
-        from repro.engine import autotune
-
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        cache = tmp_path / "repro" / "autotune_profile.json"
-        cache.parent.mkdir(parents=True)
-        base = CostProfile.load(autotune.DEFAULT_PROFILE_PATH)
-        CostProfile(coefficients=base.coefficients,
-                    meta={"source": "cache"}).save(cache)
-        env_path = tmp_path / "env_profile.json"
-        CostProfile(coefficients=base.coefficients,
-                    meta={"source": "env"}).save(env_path)
-        monkeypatch.setenv("REPRO_AUTOTUNE_PROFILE", str(env_path))
-        monkeypatch.setattr(autotune, "_cached_default", None)
-        assert resolve_profile().meta.get("source") == "env"

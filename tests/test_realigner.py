@@ -115,18 +115,3 @@ class TestVectorizedParity:
         slow, _ = IndelRealigner(reference, kernel="scalar").realign(reads)
         for a, b in zip(fast, slow):
             assert a.pos == b.pos and str(a.cigar) == str(b.cigar)
-
-    def test_deprecated_flag_still_selects_the_same_kernels(
-        self, deletion_scenario
-    ):
-        """vectorized= is deprecated-but-working: it warns and maps onto
-        the named kernels."""
-        reference, _ref_seq, reads = deletion_scenario
-        with pytest.warns(DeprecationWarning, match="vectorized"):
-            fast, _ = IndelRealigner(reference,
-                                     vectorized=True).realign(reads)
-        with pytest.warns(DeprecationWarning, match="vectorized"):
-            slow, _ = IndelRealigner(reference,
-                                     vectorized=False).realign(reads)
-        for a, b in zip(fast, slow):
-            assert a.pos == b.pos and str(a.cigar) == str(b.cigar)

@@ -90,16 +90,14 @@ class TestSiteCacheKey:
         assert site_cache_key(a, config) != site_cache_key(b, config)
 
     def test_grid_shaping_config_is_keyed(self):
-        """prefilter/memo/scoring change grids; kernel/workers do not."""
+        """prefilter/scoring change grids; kernel/workers/batch do not."""
         rng = np.random.default_rng(3)
         site = synthesize_site(rng, BENCH_PROFILE, 0.5)
         base = site_cache_key(site, EngineConfig())
         assert base != site_cache_key(site, EngineConfig(prefilter=False))
         assert base != site_cache_key(site, EngineConfig(scoring="absdiff"))
-        assert base != site_cache_key(
-            site, EngineConfig(memo_capacity=64, kernel="fft")
-        )
-        assert base == site_cache_key(site, EngineConfig(kernel="bitpack"))
+        for kernel in ("fft", "bitpack", "native", "vector", "scalar"):
+            assert base == site_cache_key(site, EngineConfig(kernel=kernel))
         assert base == site_cache_key(site, EngineConfig(workers=4, batch=2))
 
 
