@@ -267,28 +267,31 @@ def _check_recovery_flags(args: argparse.Namespace):
 
 
 def _make_recovery(args: argparse.Namespace):
-    """The :class:`WorkerRecovery` the ``--worker-fault-rate`` /
-    ``--chunk-deadline`` flags describe, or ``None`` (the engines then
-    fall back to the ``REPRO_WORKER_FAULT_RATE`` environment)."""
-    if args.worker_fault_rate == 0.0 and args.chunk_deadline is None:
-        return None
-    from repro.resilience.workers import WorkerRecovery
+    """The run's :class:`WorkerRecovery`: the environment's values
+    overlaid by whichever of ``--worker-fault-rate`` /
+    ``--chunk-deadline`` were given."""
+    from dataclasses import replace
 
-    overrides = {}
+    from repro.resilience.workers import WorkerFaultPlan, WorkerRecovery
+
+    recovery = WorkerRecovery.from_env()
+    if args.worker_fault_rate > 0.0:
+        recovery = replace(recovery, plan=WorkerFaultPlan.chaos(
+            args.chaos_seed, args.worker_fault_rate,
+            hang_seconds=recovery.plan.hang_seconds,
+        ))
     if args.chunk_deadline is not None:
-        overrides["chunk_deadline"] = args.chunk_deadline
-    return WorkerRecovery.chaos(args.chaos_seed, args.worker_fault_rate,
-                                **overrides)
+        recovery = replace(recovery, chunk_deadline=args.chunk_deadline)
+    return recovery
 
 
 def _make_engine(args: argparse.Namespace):
-    """The engine the ``--workers/--batch/--stream`` flags describe:
-    a plain :class:`EngineConfig` (the realigner builds its own barrier
-    engine), a live :class:`StreamingEngine` when ``--stream``, a live
-    :class:`Engine` when worker recovery is requested -- or a
+    """The live plane the engine flags describe: a
     :class:`~repro.shard.plane.ShardPlane` when ``--shards``/``--site
-    -cache-mb`` ask for horizontal dispatch or cross-request caching."""
-    from repro.engine import EngineConfig
+    -cache-mb`` ask for horizontal dispatch or cross-request caching,
+    a :class:`StreamingEngine` when ``--stream``, else an
+    :class:`Engine`. The caller closes it."""
+    from repro.engine import Engine, EngineConfig, StreamingEngine
 
     config = EngineConfig(workers=args.workers, batch=args.batch,
                           prefilter=args.prefilter, kernel=args.kernel)
@@ -302,27 +305,22 @@ def _make_engine(args: argparse.Namespace):
                  if cache_mb > 0 else None)
         return ShardPlane(config, shards=shards, cache=cache,
                           recovery=recovery)
-    if not args.stream:
-        if recovery is None:
-            return config
-        from repro.engine import Engine
-
-        return Engine(config, recovery=recovery)
-    from repro.engine import StreamingEngine
-
-    return StreamingEngine(config, queue_depth=args.queue_depth,
-                           use_shmem=args.shmem, recovery=recovery)
+    if args.stream:
+        return StreamingEngine(config, queue_depth=args.queue_depth,
+                               use_shmem=args.shmem, recovery=recovery)
+    return Engine(config, recovery=recovery)
 
 
-def _print_recovery(engine) -> None:
-    """One summary line of the run's host-plane recovery activity."""
-    recovery = getattr(engine, "recovery", None)
-    if recovery is None:
+def _print_recovery(engine, args: argparse.Namespace) -> None:
+    """One summary line of the worker pool's recovery activity: when a
+    recovery flag was given, or when the pool had to recover anything."""
+    counters = engine.recovery_counters
+    if not (args.worker_fault_rate > 0.0 or args.chunk_deadline is not None
+            or any(name.startswith("worker.") for name in counters)):
         return
-    counters = getattr(engine, "recovery_counters", {}) or {}
     injected = sum(value for name, value in counters.items()
                    if name.startswith("worker.injected."))
-    print(f"recovery: deadline {recovery.chunk_deadline:g}s, "
+    print(f"recovery: deadline {engine.recovery.chunk_deadline:g}s, "
           f"{injected} worker faults injected, "
           f"{counters.get('worker.retries', 0)} retries, "
           f"{counters.get('worker.pool_respawns', 0)} pool respawns, "
@@ -404,9 +402,8 @@ def _cmd_realign(args: argparse.Namespace) -> int:
                   f"arena bytes {stats.get('stream.arena_bytes', 0)}, "
                   f"backpressure "
                   f"{stats.get('stream.backpressure_us', 0)} us")
-    if hasattr(engine, "close"):  # a live engine, not a bare config
-        _print_recovery(engine)
-        engine.close()
+    _print_recovery(engine, args)
+    engine.close()
     write_sam(updated, args.out, reference)
     print(f"{report.targets_identified} targets, {report.sites_built} sites, "
           f"{report.reads_realigned} reads realigned "
@@ -428,9 +425,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             args.scenario, engine=engine, kernel=args.kernel, seed=args.seed,
         )
     finally:
-        if hasattr(engine, "close"):
-            _print_recovery(engine)
-            engine.close()
+        _print_recovery(engine, args)
+        engine.close()
     if args.out is not None:
         args.out.write_text(report.to_json())
         print(f"report -> {args.out}")
@@ -533,11 +529,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.engine import Engine, EngineConfig
 
     engine_session = Telemetry(label="engine")
+    config = EngineConfig(workers=args.workers, batch=args.batch,
+                          prefilter=args.prefilter, kernel=args.kernel)
     recovery = _make_recovery(args)
-    with Engine(EngineConfig(workers=args.workers, batch=args.batch,
-                             prefilter=args.prefilter,
-                             kernel=args.kernel),
-                recovery=recovery) as engine:
+    with Engine(config, recovery=recovery) as engine:
         engine.run_sites(sites, telemetry=engine_session)
     sessions.append(engine_session)
     if args.stream:
@@ -549,12 +544,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         from repro.engine import StreamingEngine
 
         stream_session = Telemetry(label="stream")
-        with StreamingEngine(
-            EngineConfig(workers=args.workers, batch=args.batch,
-                         prefilter=args.prefilter, kernel=args.kernel),
-            queue_depth=args.queue_depth, use_shmem=args.shmem,
-            recovery=recovery,
-        ) as stream_engine:
+        with StreamingEngine(config, queue_depth=args.queue_depth,
+                             use_shmem=args.shmem,
+                             recovery=recovery) as stream_engine:
             stream_engine.run_sites(sites, telemetry=stream_session)
         sessions.append(stream_session)
     write_chrome_trace(sessions, args.out)
@@ -678,9 +670,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         return 0
     finally:
-        if hasattr(engine, "close"):
-            _print_recovery(engine)
-            engine.close()
+        _print_recovery(engine, args)
+        engine.close()
 
 
 def _loadgen_inputs(args: argparse.Namespace):
@@ -768,8 +759,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         try:
             updated, report = asyncio.run(selftest())
         finally:
-            if hasattr(engine, "close"):
-                engine.close()
+            engine.close()
         expected, _ = IndelRealigner(reference).realign(reads)
         identical = ([format_read(r) for r in updated]
                      == [format_read(r) for r in expected])
@@ -1078,9 +1068,9 @@ def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--chunk-deadline", type=float, default=None, dest="chunk_deadline",
         metavar="SECONDS",
-        help="per-chunk watchdog deadline; enables worker-crash "
-             "recovery (retry/bisect/quarantine + pool respawn) even "
-             "at fault rate 0",
+        help="per-chunk watchdog deadline of the worker pool's crash "
+             "recovery (retry/bisect/quarantine + pool respawn), which "
+             "is always on (default: REPRO_CHUNK_DEADLINE, else 30)",
     )
     subparser.add_argument(
         "--shards", type=int, default=1,
@@ -1101,10 +1091,13 @@ def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    from repro.engine.native import native_mode
+    from repro.engine.native import native_mode, shards_from_env
+    from repro.resilience.workers import WorkerRecovery
 
     try:
         native_mode()
+        WorkerRecovery.from_env()
+        shards_from_env()
     except ValueError as error:
         parser.error(str(error))
     if args.command == "simulate":

@@ -17,7 +17,7 @@ model plus the DMA/clock models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -413,10 +413,12 @@ class AcceleratedRealigner:
         """``engine`` optionally names the software kernel that serves
         fallback sites (targets that exhaust hardware recovery): an
         :class:`repro.engine.EngineConfig` (its ``scoring`` is overridden
-        by the system config's) or a live :class:`repro.engine.Engine`.
-        None (the default) serves fallback sites per site through
-        :func:`repro.engine.autotune.dispatch_realign` on ``kernel``. Every path is bit-identical to the
-        hardware's decisions by construction."""
+        by the system config's) or anything with ``run_sites`` (a live
+        engine, a shard plane). None (the default) serves fallback
+        sites per site through
+        :func:`repro.engine.autotune.dispatch_realign` on ``kernel``.
+        Every path is bit-identical to the hardware's decisions by
+        construction."""
         from repro.engine.autotune import KERNEL_CHOICES
 
         if kernel not in KERNEL_CHOICES:
@@ -431,21 +433,11 @@ class AcceleratedRealigner:
         self._engine = None
 
     def _engine_instance(self):
-        if self.engine is None:
-            return None
-        if self._engine is None:
-            from repro.engine import Engine, EngineConfig
+        if self._engine is None and self.engine is not None:
+            from repro.engine import resolve_engine
 
-            if isinstance(self.engine, Engine):
-                self._engine = self.engine
-            elif isinstance(self.engine, EngineConfig):
-                self._engine = Engine(
-                    replace(self.engine, scoring=self.system.config.scoring)
-                )
-            else:
-                raise TypeError(
-                    "engine must be an EngineConfig, an Engine, or None"
-                )
+            self._engine = resolve_engine(self.engine,
+                                          self.system.config.scoring)
         return self._engine
 
     def realign(

@@ -15,12 +15,12 @@ independent optimizations, each preserving byte-identical output:
   dispatch point (``--kernel auto`` means ``native``);
 - :mod:`repro.engine.prefilter` -- GateKeeper-style count bounds that
   prune offsets, consensus rows, and cannot-beat-reference pairs;
-- :mod:`repro.engine.parallel` -- site sharding across a
-  ``multiprocessing`` pool with work-stealing and deterministic merge;
-- :mod:`repro.engine.stream` -- the streaming data plane: a bounded
-  in-flight window over the same pool, zero-copy dispatch through
-  :mod:`repro.engine.shmem` arenas, and an incremental reordering merge
-  that emits results in deterministic chunk order as they complete.
+- :mod:`repro.engine.parallel` -- the one chunk dispatch loop: a
+  fault-tolerant worker pool with work-stealing and an incremental
+  reordering merge that emits results in deterministic chunk order;
+- :mod:`repro.engine.stream` -- the streaming data plane: the same loop
+  with a bounded in-flight window and zero-copy dispatch through
+  :mod:`repro.engine.shmem` arenas.
 
 See ``docs/ARCHITECTURE.md`` for the data flow and
 ``docs/PERFORMANCE.md`` for kernel selection and measured speedups.
@@ -48,14 +48,20 @@ from repro.engine.native import (
     realign_site_native,
     warmup_native,
 )
-from repro.engine.parallel import Engine, EngineConfig, ShardStats
+from repro.engine.parallel import (
+    Engine,
+    EngineConfig,
+    ReorderBuffer,
+    ShardStats,
+    resolve_engine,
+)
 from repro.engine.shmem import (
     HAVE_SHARED_MEMORY,
     ChunkDescriptor,
     pack_chunk,
     unpack_chunk,
 )
-from repro.engine.stream import ReorderBuffer, StreamingEngine
+from repro.engine.stream import StreamingEngine
 from repro.engine.prefilter import (
     PREFILTER_TOLERANCE,
     PrefilterStats,
@@ -97,6 +103,7 @@ __all__ = [
     "realign_site_batched",
     "realign_site_bitpacked",
     "realign_site_native",
+    "resolve_engine",
     "unpack_chunk",
     "warmup_native",
 ]

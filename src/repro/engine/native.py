@@ -472,6 +472,41 @@ def native_mode() -> str:
     return mode
 
 
+def env_number(name: str, parse, default, accept, form: str, env=None):
+    """One validated ``REPRO_*`` number from the environment.
+
+    Unset or blank means ``default``; anything ``parse`` rejects or
+    ``accept`` refuses is a one-line :class:`ValueError` naming the
+    variable, the bad value and the accepted ``form`` -- never
+    ``int()``'s traceback from wherever the value was first used.
+
+    >>> env_number("REPRO_SHARDS", int, 1, lambda n: n >= 1,
+    ...            "an integer >= 1", env={"REPRO_SHARDS": "abc"})
+    Traceback (most recent call last):
+        ...
+    ValueError: REPRO_SHARDS='abc' is not an integer >= 1
+    """
+    env = os.environ if env is None else env
+    text = env.get(name, "").strip()
+    if not text:
+        return default
+    try:
+        value = parse(text)
+    except ValueError:
+        value = None
+    if value is None or not accept(value):
+        raise ValueError(f"{name}={text!r} is not {form}")
+    return value
+
+
+def shards_from_env(env=None) -> int:
+    """``REPRO_SHARDS``: the shard count an engine-less
+    :class:`~repro.realign.realigner.IndelRealigner` runs on (default
+    1, the per-site loop) -- how CI reruns tier-1 shard-parallel."""
+    return env_number("REPRO_SHARDS", int, 1, lambda n: n >= 1,
+                      "an integer >= 1", env)
+
+
 def _probe_backend():
     """Resolve the compiled backend per ``REPRO_NATIVE``. A backend
     that fails to load degrades to ``None``; only an unknown
@@ -738,6 +773,7 @@ def realign_site_native(
 
 
 __all__ = [
+    "env_number",
     "get_backend",
     "min_whd_grid_native",
     "native_available",
@@ -745,5 +781,6 @@ __all__ = [
     "native_mode",
     "realign_site_native",
     "reset_backend",
+    "shards_from_env",
     "warmup_native",
 ]

@@ -1,35 +1,46 @@
-"""Sharded multiprocess execution of independent realignment sites.
+"""Chunked execution of independent realignment sites: one dispatch loop.
 
 Realignment sites are embarrassingly parallel -- target creation
-guarantees a read belongs to at most one site -- so the engine shards a
-site list into fixed-size chunks and feeds them to a persistent
-``multiprocessing`` pool via ``imap_unordered``: idle workers steal the
-next pending chunk, so stragglers (sites are Zipf-like in size) do not
-serialize the tail. Results come back tagged with their chunk index and
-are merged in submission order, which makes the output -- and therefore
-the final SAM -- byte-identical to the serial path regardless of worker
-count or completion order (pinned against ``tests/golden/``).
+guarantees a read belongs to at most one site -- so the engine cuts a
+site list into fixed-size chunks and runs them through **one**
+generator, :meth:`Engine.stream_sites`, which owns chunking, the
+inline-versus-pooled decision, the in-flight window, the in-order
+merge, arena release and the counter/span fold. The paper's
+synchronous- and asynchronous-parallel schedules are that loop at two
+window sizes: :class:`Engine` submits every chunk at once (a barrier is
+window = all chunks), :class:`repro.engine.stream.StreamingEngine`
+keeps ``queue_depth x workers`` in flight. Idle workers take the next
+pending chunk, so stragglers (sites are Zipf-like in size) do not
+serialize the tail.
 
-Within a worker, each chunk's sites run through
-:func:`repro.engine.autotune.dispatch_realign` on the kernel named by
-``EngineConfig.kernel``, and the worker accumulates
-telemetry counters locally; the parent folds counters into its own
-telemetry session after the merge and records one wall-clock span per
-shard (see :func:`repro.perf.fleet.record_engine_shards`), so a Chrome
-trace shows the shards overlapping.
+There is one pool, :class:`repro.resilience.workers.ResilientPool`: a
+killed, hung or erroring worker is retried, bisected or quarantined
+inline under a per-chunk deadline on every pooled run -- recovery is
+the pool, not a mode. A :class:`ReorderBuffer` re-sequences completed
+chunks into submission order, so the output -- and the final SAM -- is
+byte-identical to the serial path at any worker count, window or
+completion order (pinned against ``tests/golden/``).
+
+Workers run each site through
+:func:`repro.engine.autotune.dispatch_realign` and count telemetry
+locally; the parent folds the counters into its session when the run
+ends (or is abandoned) and records one wall-clock span per chunk
+(:func:`repro.perf.fleet.record_engine_shards`), so a Chrome trace
+shows the chunks overlapping.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import queue as queue_module
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.autotune import KERNEL_CHOICES, dispatch_realign
 from repro.engine.native import native_mode
 from repro.realign.site import RealignmentSite
 from repro.realign.whd import SCORING_METHODS, SiteResult
+from repro.telemetry.spans import CAT_ENGINE
 
 
 @dataclass(frozen=True)
@@ -88,10 +99,6 @@ class ShardStats:
     end: float
     counters: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def seconds(self) -> float:
-        return self.end - self.start
-
 
 class _CounterSink:
     """Minimal stand-in for a telemetry session inside a worker.
@@ -131,17 +138,6 @@ def _init_worker(config: EngineConfig) -> None:
         warmup_native()
 
 
-def _run_chunk(payload) -> Tuple[int, List[SiteResult], float, float, Dict[str, int]]:
-    """Worker entry point: realign one chunk of sites.
-
-    Module-level (not a closure) so it pickles under both fork and
-    spawn start methods. The payload carries only what varies per task
-    -- ``(chunk_id, sites)``; the config comes from the initializer.
-    """
-    chunk_id, sites = payload
-    return _realign_chunk(chunk_id, sites, _WORKER_CONFIG)
-
-
 def _realign_chunk(
     chunk_id: int, sites: Sequence[RealignmentSite], config: EngineConfig
 ) -> Tuple[int, List[SiteResult], float, float, Dict[str, int]]:
@@ -166,26 +162,72 @@ def _realign_chunk(
     return chunk_id, results, start, time.perf_counter(), sink.counters
 
 
+class ReorderBuffer:
+    """Re-sequence out-of-order completions into submission order.
+
+    ``push(index, value)`` files one completion and returns every value
+    that became emittable (the contiguous run starting at the next
+    expected index). ``peak_pending`` records the deepest the buffer
+    ever got: with random completion order it is bounded by the
+    in-flight window, which is what bounds a streamed run's peak memory.
+
+    >>> buffer = ReorderBuffer()
+    >>> buffer.push(2, "c"), buffer.push(1, "b")
+    ([], [])
+    >>> buffer.push(0, "a")
+    ['a', 'b', 'c']
+    >>> buffer.pending, buffer.peak_pending
+    (0, 3)
+    """
+
+    def __init__(self, start: int = 0):
+        self._next = start
+        self._held: Dict[int, object] = {}
+        self.peak_pending = 0
+
+    @property
+    def pending(self) -> int:
+        return len(self._held)
+
+    @property
+    def next_index(self) -> int:
+        return self._next
+
+    def push(self, index: int, value) -> List:
+        if index < self._next or index in self._held:
+            raise ValueError(f"chunk {index} already emitted or buffered")
+        self._held[index] = value
+        self.peak_pending = max(self.peak_pending, len(self._held))
+        ready: List = []
+        while self._next in self._held:
+            ready.append(self._held.pop(self._next))
+            self._next += 1
+        return ready
+
+
 class Engine:
     """Batched parallel realignment over a list of independent sites.
 
     The worker pool is created lazily on the first multiprocess run and
-    persists across :meth:`run_sites` calls (forking a pool costs tens
-    of milliseconds -- far more than a warm task round-trip), so create
-    the engine once and reuse it. Usable as a context manager; the pool
-    is also reaped on garbage collection.
+    persists across runs (forking a pool costs tens of milliseconds --
+    far more than a warm task round-trip), so create the engine once
+    and reuse it; ``workers=1`` never creates a pool, thread or arena.
+    Usable as a context manager; the pool is also reaped on garbage
+    collection.
 
     ``recovery`` (a :class:`~repro.resilience.workers.WorkerRecovery`)
-    switches multiprocess dispatch onto the fault-tolerant
-    :class:`~repro.resilience.workers.ResilientPool`: per-chunk
-    deadlines, retry/bisect/quarantine of lost chunks, pool respawn on
-    worker death -- with byte-identical output. When ``None`` (the
-    default), the environment is consulted
-    (:meth:`~repro.resilience.workers.WorkerRecovery.from_env`), so CI
-    can run any engine workload under injected chaos; with no relevant
-    environment either, the original unrecovered pool path runs
-    unchanged.
+    sets the pool's chunk deadline, retry policy and -- for chaos
+    testing -- fault plan. ``None`` (the default) means
+    :meth:`~repro.resilience.workers.WorkerRecovery.from_env`: the
+    fault-free defaults overlaid by any ``REPRO_*`` values, which is
+    how CI runs any engine workload under injected chaos.
     """
+
+    #: In-flight chunk bound; ``None`` submits every chunk at once.
+    _window: Optional[int] = None
+    #: Span category, track prefix and span-name prefix of the chunk
+    #: timeline (:func:`repro.perf.fleet.record_engine_shards`).
+    _timeline = (CAT_ENGINE, "engine shard", "shard")
 
     def __init__(self, config: Optional[EngineConfig] = None,
                  recovery=None):
@@ -194,113 +236,162 @@ class Engine:
         self.config = config if config is not None else EngineConfig()
         self.recovery = (recovery if recovery is not None
                          else WorkerRecovery.from_env())
-        self.shard_stats: List[ShardStats] = []  # from the latest run
-        #: Recovery observations from the latest run (resilient mode).
+        self._rpool = None
+        self._reset()
+
+    def _reset(self) -> None:
+        """Forget the previous run's observations."""
+        #: One record per completed chunk of the latest run, by chunk id.
+        self.shard_stats: List[ShardStats] = []
+        #: The pool's recovery observations from the latest run.
         self.recovery_counters: Dict[str, int] = {}
         self.recovery_events: List = []
-        self._pool = None
-        self._rpool = None
+
+    def _pack(self, chunk_id: int, chunk: List[RealignmentSite]):
+        """``(descriptor, arena handle)`` for one chunk, or ``(None,
+        None)`` to ship the sites pickled in the task itself."""
+        return None, None
 
     def run_sites(
         self,
         sites: Sequence[RealignmentSite],
         telemetry=None,
     ) -> List[SiteResult]:
-        """Realign ``sites``; results align index-for-index with input.
+        """Realign ``sites``; results align index-for-index with input."""
+        return list(self.stream_sites(sites, telemetry=telemetry))
 
-        The merge is deterministic: shard results are reassembled in
-        chunk-submission order, so the output is identical for any
-        ``workers`` setting.
+    def stream_sites(
+        self,
+        sites: Sequence[RealignmentSite],
+        telemetry=None,
+    ) -> Iterator[SiteResult]:
+        """Yield one :class:`SiteResult` per site, in input order.
+
+        Site ``i``'s result is yielded as soon as every chunk up to
+        ``i``'s has completed, so the output is identical for any
+        ``workers`` or window setting and consumers downstream overlap
+        their work with the chunks still in flight. Abandoning the
+        generator mid-run is safe: arenas are released, the pool
+        survives for the next run, and ``shard_stats`` / telemetry
+        record the chunks that completed before the abandon.
         """
-        from repro.perf.fleet import record_engine_shards
-
+        self._reset()
         if not sites:
-            self.shard_stats = []
-            return []
-        run_start = time.perf_counter()
-        payloads = [
-            (chunk_id, list(sites[lo : lo + self.config.batch]))
-            for chunk_id, lo in enumerate(
-                range(0, len(sites), self.config.batch)
-            )
-        ]
-        if self.config.workers == 1 or len(payloads) == 1:
-            outcomes = [
-                _realign_chunk(chunk_id, chunk, self.config)
-                for chunk_id, chunk in payloads
-            ]
-        elif self.recovery is not None:
-            outcomes = self._run_recovered(payloads)
-        else:
-            pool = self._ensure_pool()
-            outcomes = list(pool.imap_unordered(_run_chunk, payloads))
-
-        by_chunk = {chunk_id: rest for chunk_id, *rest in outcomes}
-        results: List[SiteResult] = []
-        stats: List[ShardStats] = []
-        merged: Dict[str, int] = {}
-        for chunk_id, payload in enumerate(payloads):
-            chunk_results, start, end, counters = by_chunk[chunk_id]
-            results.extend(chunk_results)
-            stats.append(ShardStats(
-                shard=chunk_id, sites=len(payload[1]),
-                start=start, end=end, counters=counters,
-            ))
-            for name, value in counters.items():
-                merged[name] = merged.get(name, 0) + value
-        self.shard_stats = stats
-        self._fold_recovery(telemetry, run_start)
-        if telemetry is not None:
-            for name, value in merged.items():
-                telemetry.count(name, value)
-            record_engine_shards(telemetry, stats, origin=run_start,
-                                 workers=self.config.workers)
-        return results
-
-    def _run_recovered(self, payloads):
-        """Barrier dispatch over the fault-tolerant pool."""
-        import queue as queue_module
-
-        from repro.resilience.policy import ResilienceError
-
-        rpool = self._ensure_rpool()
-        rpool.begin_run()
-        done: "queue_module.Queue" = queue_module.Queue()
-        for chunk_id, chunk in payloads:
-            rpool.submit_chunk(chunk_id, chunk, on_done=done.put)
-        # Recovery guarantees forward progress; the bound only turns a
-        # recovery-machinery bug from a silent hang into a loud error.
-        bound = self.recovery.completion_bound_seconds(
-            self.config.batch, len(payloads)
-        )
-        outcomes = []
-        for _ in payloads:
-            try:
-                outcome = done.get(timeout=bound)
-            except queue_module.Empty:
-                raise ResilienceError(
-                    "worker recovery made no progress within "
-                    f"{bound:.0f}s ({len(outcomes)}/{len(payloads)} "
-                    "chunks completed)"
-                ) from None
-            if isinstance(outcome, BaseException):
-                raise outcome
-            outcomes.append(outcome)
-        return outcomes
-
-    def _fold_recovery(self, telemetry, run_start: float) -> None:
-        """Drain the resilient pool's observations into telemetry."""
-        if self._rpool is None:
             return
+        run_start = time.perf_counter()
+        batch = self.config.batch
+        chunks = [list(sites[lo:lo + batch])
+                  for lo in range(0, len(sites), batch)]
+        arenas: Dict[int, object] = {}
+        reorder = ReorderBuffer()
+        observed = {"in_flight_peak": 1, "backpressure_us": 0,
+                    "arena_bytes": 0}
+        try:
+            if self.config.workers == 1 or len(chunks) == 1:
+                for chunk_id, chunk in enumerate(chunks):
+                    outcome = _realign_chunk(chunk_id, chunk, self.config)
+                    self._file_outcome(outcome)
+                    yield from outcome[1]
+                return
+            from repro.resilience.policy import ResilienceError
+
+            rpool = self._ensure_rpool()
+            rpool.begin_run()
+            # Recovery guarantees forward progress; the bound only turns
+            # a recovery-machinery bug from a silent hang into a loud
+            # ResilienceError.
+            bound = self.recovery.completion_bound_seconds(batch,
+                                                           len(chunks))
+            window = self._window or len(chunks)
+            done: queue_module.Queue = queue_module.Queue()
+            submitted = completed = 0
+            while completed < len(chunks):
+                # Chunks held in the reorder buffer count against the
+                # window: they are finished results waiting on a slower
+                # predecessor, and submitting past them would let peak
+                # memory grow beyond the window whenever the head chunk
+                # is the slow one. No deadlock lurks here -- submission
+                # is in order, so the next expected chunk is always
+                # either in flight or already emitted.
+                while (submitted < len(chunks)
+                       and submitted - completed + reorder.pending < window):
+                    descriptor, handle = self._pack(submitted,
+                                                    chunks[submitted])
+                    if handle is not None:
+                        arenas[submitted] = handle
+                        observed["arena_bytes"] += descriptor.nbytes
+                    rpool.submit_chunk(submitted, chunks[submitted],
+                                       on_done=done.put,
+                                       descriptor=descriptor)
+                    submitted += 1
+                    observed["in_flight_peak"] = max(
+                        observed["in_flight_peak"], submitted - completed
+                    )
+                # The window is full (or the tail is draining): block
+                # until a chunk completes. Time spent here with tasks
+                # still unsubmitted is backpressure by definition.
+                wait_start = time.perf_counter()
+                try:
+                    outcome = done.get(timeout=bound)
+                except queue_module.Empty:
+                    raise ResilienceError(
+                        "worker recovery made no progress within "
+                        f"{bound:.0f}s ({completed}/{len(chunks)} "
+                        "chunks completed)"
+                    ) from None
+                if submitted < len(chunks):
+                    observed["backpressure_us"] += int(
+                        (time.perf_counter() - wait_start) * 1e6
+                    )
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                chunk_id = outcome[0]
+                # The parent owns every arena, so even a chunk whose
+                # worker was SIGKILLed mid-read is unlinked here, not
+                # leaked.
+                if chunk_id in arenas:
+                    arenas.pop(chunk_id).release()
+                completed += 1
+                self._file_outcome(outcome)
+                for chunk_results in reorder.push(chunk_id, outcome[1]):
+                    yield from chunk_results
+        finally:
+            # Runs on exhaustion, failure AND when the consumer abandons
+            # the generator: whatever completed is still observed.
+            for handle in arenas.values():
+                handle.release()
+            observed["reorder_peak"] = reorder.peak_pending
+            self._finish(telemetry, run_start, observed)
+
+    def _file_outcome(self, outcome) -> None:
+        chunk_id, results, start, end, counters = outcome
+        self.shard_stats.append(ShardStats(
+            shard=chunk_id, sites=len(results),
+            start=start, end=end, counters=counters,
+        ))
+
+    def _finish(self, telemetry, run_start: float,
+                observed: Dict[str, int]) -> None:
+        """Fold the run's observations into ``self`` and ``telemetry``."""
+        from repro.perf.fleet import record_engine_shards
         from repro.resilience.workers import record_recovery_spans
 
-        counters, events = self._rpool.drain()
-        self.recovery_counters = counters
-        self.recovery_events = events
-        if telemetry is not None:
-            for name, value in counters.items():
+        self.shard_stats.sort(key=lambda stat: stat.shard)
+        if self._rpool is not None:
+            self.recovery_counters, self.recovery_events = (
+                self._rpool.drain()
+            )
+        if telemetry is None:
+            return
+        for stat in self.shard_stats:
+            for name, value in stat.counters.items():
                 telemetry.count(name, value)
-            record_recovery_spans(telemetry, events, origin=run_start)
+        for name, value in self.recovery_counters.items():
+            telemetry.count(name, value)
+        record_recovery_spans(telemetry, self.recovery_events,
+                              origin=run_start)
+        record_engine_shards(telemetry, self.shard_stats, *self._timeline,
+                             origin=run_start, workers=self.config.workers)
 
     def _ensure_rpool(self):
         if self._rpool is None:
@@ -309,24 +400,7 @@ class Engine:
             self._rpool = ResilientPool(self.config, self.recovery)
         return self._rpool
 
-    def _ensure_pool(self):
-        if self._pool is None:
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                ctx = multiprocessing.get_context()
-            self._pool = ctx.Pool(
-                processes=self.config.workers,
-                initializer=_init_worker,
-                initargs=(self.config,),
-            )
-        return self._pool
-
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
         if self._rpool is not None:
             self._rpool.close()
             self._rpool = None
@@ -342,3 +416,19 @@ class Engine:
             self.close()
         except Exception:
             pass
+
+
+def resolve_engine(engine, scoring: str):
+    """The live engine an ``engine=`` argument names.
+
+    An :class:`EngineConfig` becomes a new :class:`Engine` with the
+    caller's ``scoring``; anything with the ``run_sites`` contract (an
+    engine, a streaming engine, a shard plane) is used as is.
+    """
+    if isinstance(engine, EngineConfig):
+        return Engine(replace(engine, scoring=scoring))
+    if hasattr(engine, "run_sites"):
+        return engine
+    raise TypeError(
+        "engine must be an EngineConfig or an object with run_sites()"
+    )

@@ -1,11 +1,12 @@
 """The streaming data plane: overlapped dispatch, incremental merge.
 
-:class:`repro.engine.parallel.Engine` is a barrier engine: it submits
-every chunk, blocks on ``list(imap_unordered(...))``, and only then
-merges -- so peak memory scales with the *whole* site list's results
-and the fastest workers idle through the tail. The paper's system keeps
-its 32 units saturated by overlapping host DMA with on-chip compute;
-:class:`StreamingEngine` is the software mirror of that dataflow:
+:class:`repro.engine.parallel.Engine` submits every chunk up front, so
+peak memory scales with the *whole* site list's payloads and results.
+The paper's system keeps its 32 units saturated by overlapping host DMA
+with on-chip compute; :class:`StreamingEngine` is the software mirror of
+that dataflow -- the same dispatch loop
+(:meth:`~repro.engine.parallel.Engine.stream_sites`) under two different
+policies:
 
 - **bounded in-flight window.** At most ``queue_depth x workers``
   chunks are in flight or parked in the reorder buffer; the next chunk
@@ -17,13 +18,11 @@ its 32 units saturated by overlapping host DMA with on-chip compute;
   (or a platform without ``multiprocessing.shared_memory``) falls back
   to carrying the packed bytes inline -- same semantics, one pickle
   copy more.
-- **incremental in-order merge.** A :class:`ReorderBuffer` re-sequences
-  completed chunks into submission order and ``stream_sites`` yields
-  each site's result *as soon as its chunk's turn comes* -- the
-  realigned SAM downstream is byte-identical to the serial kernel (the
-  chunk boundaries and kernel are exactly the barrier engine's), but
-  the first results emerge while later chunks are still computing, and
-  nothing holds the full result list unless the caller builds one.
+
+The chunk boundaries, kernel, pool and in-order merge are exactly the
+barrier engine's, so the realigned SAM downstream is byte-identical to
+the serial kernel; what changes is that the first results emerge while
+later chunks have not even been packed.
 
 Telemetry (all optional, zero overhead when off): ``CAT_STREAM`` spans
 -- one per chunk, overlapping across workers -- plus
@@ -34,96 +33,34 @@ Telemetry (all optional, zero overhead when off): ``CAT_STREAM`` spans
 
 from __future__ import annotations
 
-import queue as queue_module
-import time
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from repro.engine.parallel import (
-    Engine,
-    EngineConfig,
-    ShardStats,
-    _realign_chunk,
-)
+from repro.engine.parallel import Engine, EngineConfig
 from repro.engine.shmem import (
     HAVE_SHARED_MEMORY,
     drain_lifecycle_counters,
     ensure_resource_tracker,
     pack_chunk,
-    unpack_chunk,
 )
 from repro.realign.site import RealignmentSite
-from repro.realign.whd import SiteResult
-from repro.resilience.policy import ResilienceError
-
-
-def _run_stream_chunk(descriptor):
-    """Worker entry point: decode one arena chunk and realign it."""
-    from repro.engine import parallel
-
-    sites = unpack_chunk(descriptor)
-    return _realign_chunk(descriptor.chunk_id, sites,
-                          parallel._WORKER_CONFIG)
-
-
-class ReorderBuffer:
-    """Re-sequence out-of-order completions into submission order.
-
-    ``push(index, value)`` files one completion and returns every value
-    that became emittable (the contiguous run starting at the next
-    expected index) -- the incremental analogue of the barrier engine's
-    end-of-run merge. ``peak_pending`` records the deepest the buffer
-    ever got: with random completion order it is bounded by the
-    in-flight window, which is what bounds the stream's peak memory.
-
-    >>> buffer = ReorderBuffer()
-    >>> buffer.push(2, "c"), buffer.push(1, "b")
-    ([], [])
-    >>> buffer.push(0, "a")
-    ['a', 'b', 'c']
-    >>> buffer.pending, buffer.peak_pending
-    (0, 2)
-    """
-
-    def __init__(self, start: int = 0):
-        self._next = start
-        self._held: Dict[int, object] = {}
-        self.peak_pending = 0
-
-    @property
-    def pending(self) -> int:
-        return len(self._held)
-
-    @property
-    def next_index(self) -> int:
-        return self._next
-
-    def push(self, index: int, value) -> List:
-        if index < self._next or index in self._held:
-            raise ValueError(f"chunk {index} already emitted or buffered")
-        self._held[index] = value
-        self.peak_pending = max(self.peak_pending, len(self._held))
-        ready: List = []
-        while self._next in self._held:
-            ready.append(self._held.pop(self._next))
-            self._next += 1
-        return ready
+from repro.telemetry.spans import CAT_STREAM
 
 
 class StreamingEngine(Engine):
-    """Engine with streaming dispatch and incremental in-order results.
+    """Engine with a bounded in-flight window and shared-memory dispatch.
 
     Drop-in for :class:`~repro.engine.parallel.Engine` everywhere an
     engine is accepted (``IndelRealigner``, ``AcceleratedRealigner``,
-    the CLI): :meth:`run_sites` returns the same list, byte-identical
-    at any worker count, queue depth, or shmem setting. The new
-    capability is :meth:`stream_sites`, a generator that yields results
-    in input order as chunks complete.
+    the CLI): results are byte-identical at any worker count, queue
+    depth, or shmem setting.
 
     ``queue_depth`` is the number of in-flight chunks *per worker*; 2
     (the default) keeps every worker one chunk ahead -- enough to hide
     dispatch latency, small enough to bound memory and let
     work-stealing balance the tail.
     """
+
+    _timeline = (CAT_STREAM, "stream chunk", "chunk")
 
     def __init__(
         self,
@@ -137,210 +74,46 @@ class StreamingEngine(Engine):
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
         self.queue_depth = queue_depth
         self.use_shmem = bool(use_shmem) and HAVE_SHARED_MEMORY
+        self._window = queue_depth * self.config.workers
+
+    def _reset(self) -> None:
+        super()._reset()
         #: Stream-plane observations from the latest run.
         self.stream_stats: Dict[str, int] = {}
 
-    # -- public API -----------------------------------------------------
-    def run_sites(
-        self,
-        sites: Sequence[RealignmentSite],
-        telemetry=None,
-    ) -> List[SiteResult]:
-        """Barrier-compatible entry point over the streaming plane."""
-        return list(self.stream_sites(sites, telemetry=telemetry))
+    def _pack(self, chunk_id: int, chunk: List[RealignmentSite]):
+        return pack_chunk(chunk_id, chunk, use_shmem=self.use_shmem)
 
-    def stream_sites(
-        self,
-        sites: Sequence[RealignmentSite],
-        telemetry=None,
-    ) -> Iterator[SiteResult]:
-        """Yield one :class:`SiteResult` per site, in input order.
-
-        Results for site ``i`` are yielded as soon as every chunk up to
-        ``i``'s has completed -- consumers downstream (the streaming
-        refinement pipeline, an eventual service endpoint) overlap
-        their work with the chunks still in flight. Abandoning the
-        generator mid-stream is safe: arenas are released, the pool
-        survives for the next run, and ``stream_stats`` / telemetry
-        record the chunks that completed before the abandon.
-        """
-        self.shard_stats = []
-        self.stream_stats = {}
-        if not sites:
-            return
-        chunks = [
-            (chunk_id, list(sites[lo : lo + self.config.batch]))
-            for chunk_id, lo in enumerate(
-                range(0, len(sites), self.config.batch)
-            )
-        ]
-        run_start = time.perf_counter()
-        if self.config.workers == 1 or len(chunks) == 1:
-            yield from self._stream_inline(chunks, telemetry, run_start)
-        else:
-            yield from self._stream_pooled(chunks, telemetry, run_start)
-
-    # -- single-process path --------------------------------------------
-    def _stream_inline(self, chunks, telemetry, run_start):
-        """workers=1: no pool, no arenas -- but still chunk-incremental."""
-        merged: Dict[str, int] = {}
-        try:
-            for chunk_id, chunk in chunks:
-                outcome = _realign_chunk(chunk_id, chunk, self.config)
-                self._file_outcome(outcome, len(chunk), merged)
-                yield from outcome[1]
-        finally:
-            # Runs on normal exhaustion AND when the consumer abandons
-            # the generator: whatever completed is still observed.
-            self._finish(telemetry, merged, run_start, in_flight_peak=1,
-                         reorder_peak=0, backpressure_us=0, arena_bytes=0)
-
-    # -- pooled path ----------------------------------------------------
-    def _stream_pooled(self, chunks, telemetry, run_start):
+    def _ensure_rpool(self):
         if self.use_shmem:
             # Must happen before the pool forks: workers inherit the
             # parent's resource tracker instead of spawning their own
             # (see shmem.ensure_resource_tracker).
             ensure_resource_tracker()
-        recovered = self.recovery is not None
-        if recovered:
-            rpool = self._ensure_rpool()
-            rpool.begin_run()
-            # Recovery guarantees forward progress; the bound only
-            # turns a recovery-machinery bug from a silent hang into a
-            # loud ResilienceError.
-            get_bound = self.recovery.completion_bound_seconds(
-                self.config.batch, len(chunks)
-            )
-        else:
-            pool = self._ensure_pool()
-        window = self.queue_depth * self.config.workers
-        done: queue_module.Queue = queue_module.Queue()
-        arenas: Dict[int, object] = {}
-        reorder = ReorderBuffer()
-        merged: Dict[str, int] = {}
-        arena_bytes = 0
-        arena_recovered = 0
-        backpressure_us = 0
-        in_flight = 0
-        in_flight_peak = 0
-        submitted = 0
-        completed = 0
-        try:
-            while completed < len(chunks):
-                # Chunks held in the reorder buffer count against the
-                # window: they are finished results waiting on a slower
-                # predecessor, and submitting past them would let peak
-                # memory grow beyond the window whenever the head chunk
-                # is the slow one. No deadlock lurks here -- submission
-                # is in order, so the next expected chunk is always
-                # either in flight or already emitted.
-                while (submitted < len(chunks)
-                       and in_flight + reorder.pending < window):
-                    chunk_id, chunk = chunks[submitted]
-                    descriptor, handle = pack_chunk(
-                        chunk_id, chunk, use_shmem=self.use_shmem
-                    )
-                    arenas[chunk_id] = handle
-                    arena_bytes += descriptor.nbytes
-                    if recovered:
-                        rpool.submit_chunk(chunk_id, chunk,
-                                           on_done=done.put,
-                                           descriptor=descriptor)
-                    else:
-                        pool.apply_async(
-                            _run_stream_chunk, (descriptor,),
-                            callback=done.put, error_callback=done.put,
-                        )
-                    submitted += 1
-                    in_flight += 1
-                    in_flight_peak = max(in_flight_peak, in_flight)
-                # The window is full (or the tail is draining): block
-                # until a chunk completes. Time spent here with tasks
-                # still unsubmitted is backpressure by definition.
-                wait_start = time.perf_counter()
-                if recovered:
-                    try:
-                        outcome = done.get(timeout=get_bound)
-                    except queue_module.Empty:
-                        raise ResilienceError(
-                            "worker recovery made no progress within "
-                            f"{get_bound:.0f}s ({completed}/{len(chunks)} "
-                            "chunks completed)"
-                        ) from None
-                else:
-                    outcome = done.get()
-                if submitted < len(chunks):
-                    backpressure_us += int(
-                        (time.perf_counter() - wait_start) * 1e6
-                    )
-                if isinstance(outcome, BaseException):
-                    raise outcome
-                chunk_id = outcome[0]
-                # The parent owns every arena, so even a chunk whose
-                # worker was SIGKILLed mid-read is unlinked here, not
-                # leaked; recovered chunks are counted separately.
-                arenas.pop(chunk_id).release()
-                if outcome[4].get("worker.chunks_recovered"):
-                    arena_recovered += 1
-                in_flight -= 1
-                completed += 1
-                self._file_outcome(outcome, len(chunks[chunk_id][1]),
-                                   merged)
-                for chunk_results in reorder.push(chunk_id, outcome[1]):
-                    yield from chunk_results
-        finally:
-            for handle in arenas.values():
-                handle.release()
-            arenas.clear()
-            # In the finally so an abandoned or failed stream still
-            # folds the completed chunks' counters into telemetry and
-            # leaves stream_stats describing the partial run.
-            self._finish(telemetry, merged, run_start,
-                         in_flight_peak=in_flight_peak,
-                         reorder_peak=reorder.peak_pending,
-                         backpressure_us=backpressure_us,
-                         arena_bytes=arena_bytes,
-                         arena_recovered=arena_recovered)
-            self._fold_recovery(telemetry, run_start)
+        return super()._ensure_rpool()
 
-    # -- shared bookkeeping ---------------------------------------------
-    def _file_outcome(self, outcome, num_sites: int,
-                      merged: Dict[str, int]) -> None:
-        chunk_id, _results, start, end, counters = outcome
-        self.shard_stats.append(ShardStats(
-            shard=chunk_id, sites=num_sites,
-            start=start, end=end, counters=counters,
-        ))
-        for name, value in counters.items():
-            merged[name] = merged.get(name, 0) + value
-
-    def _finish(self, telemetry, merged, run_start, *, in_flight_peak,
-                reorder_peak, backpressure_us, arena_bytes,
-                arena_recovered: int = 0) -> None:
-        from repro.perf.fleet import record_stream_chunks
-
-        self.shard_stats.sort(key=lambda s: s.shard)
+    def _finish(self, telemetry, run_start: float,
+                observed: Dict[str, int]) -> None:
         self.stream_stats = {
             "stream.chunks": len(self.shard_stats),
             "stream.queue_depth": self.queue_depth,
-            "stream.max_in_flight": in_flight_peak,
-            "stream.reorder_peak": reorder_peak,
-            "stream.backpressure_us": backpressure_us,
-            "stream.arena_bytes": arena_bytes,
-            "stream.arena_recovered": arena_recovered,
+            "stream.max_in_flight": observed["in_flight_peak"],
+            "stream.reorder_peak": observed["reorder_peak"],
+            "stream.backpressure_us": observed["backpressure_us"],
+            "stream.arena_bytes": observed["arena_bytes"],
+            # Chunks whose arena outlived a crashed or hung worker.
+            "stream.arena_recovered": sum(
+                1 for stat in self.shard_stats
+                if stat.counters.get("worker.chunks_recovered")
+            ),
             "stream.shmem": int(self.use_shmem),
         }
         if telemetry is not None:
-            for name, value in merged.items():
-                telemetry.count(name, value)
             for name, value in self.stream_stats.items():
                 telemetry.count(name, value)
             for name, value in drain_lifecycle_counters().items():
                 telemetry.count(name, value)
-            record_stream_chunks(telemetry, self.shard_stats,
-                                 origin=run_start,
-                                 workers=self.config.workers)
+        super()._finish(telemetry, run_start, observed)
 
 
-__all__ = ["ReorderBuffer", "StreamingEngine"]
+__all__ = ["StreamingEngine"]

@@ -156,64 +156,30 @@ def record_fleet_spans(telemetry, plan: FleetPlan,
                         len(preempted.rescheduled))
 
 
-def record_engine_shards(telemetry, shards, origin: Optional[float] = None,
-                         workers: int = 1) -> None:
-    """Record a batched-engine run as a span timeline (one track/shard).
+def record_engine_shards(telemetry, shards, category: str, track: str,
+                         label: str, origin: float, workers: int) -> None:
+    """Record an engine run as a span timeline (one track per chunk).
 
-    The host-side analogue of :func:`record_fleet_spans`: each shard of
-    a :class:`repro.engine.parallel.Engine` run becomes one span on its
-    own track, offset from ``origin`` (the run's start timestamp on the
-    same ``perf_counter`` clock), so a Chrome trace shows shards
-    overlapping across worker processes. Engine timelines tick in
-    *seconds*, like fleet timelines.
+    The host-side analogue of :func:`record_fleet_spans`: each chunk of
+    an engine run becomes one ``category`` span ``"{label} N (S
+    sites)"`` on the track ``"{track} N"``, offset from ``origin`` (the
+    run's start on the same ``perf_counter`` clock), so a Chrome trace
+    shows chunks overlapping across workers -- and, under the streaming
+    engine's bounded window, starting later than ``queue_depth x
+    workers`` would allow (the visual signature of backpressure).
+    Engine timelines tick in *seconds*, like fleet timelines.
     """
-    from repro.telemetry.spans import CAT_ENGINE
-
-    if telemetry is None or not shards:
+    if not shards:
         return
     if telemetry.ticks_per_second is None:
         telemetry.ticks_per_second = 1.0
-    base = origin if origin is not None else min(s.start for s in shards)
     for shard in shards:
         telemetry.span(
-            f"shard {shard.shard} ({shard.sites} sites)",
-            f"engine shard {shard.shard}",
-            shard.start - base,
-            shard.end - base,
-            CAT_ENGINE,
-        )
-    telemetry.count("engine.shards", len(shards))
-    telemetry.count("engine.shard_sites", sum(s.sites for s in shards))
-    telemetry.count("engine.workers", workers)
-
-
-def record_stream_chunks(telemetry, shards, origin: Optional[float] = None,
-                         workers: int = 1) -> None:
-    """Record a streaming-engine run as a span timeline (one track/chunk).
-
-    Companion to :func:`record_engine_shards` for
-    :class:`repro.engine.stream.StreamingEngine`: each completed chunk
-    becomes one ``CAT_STREAM`` span offset from ``origin`` on the shared
-    ``perf_counter`` clock. Because the stream overlaps dispatch with
-    compute, a Chrome trace of these spans shows the staggered start
-    times the bounded window produces -- the visual signature of
-    backpressure is chunks starting later than ``queue_depth x workers``
-    would allow.
-    """
-    from repro.telemetry.spans import CAT_STREAM
-
-    if telemetry is None or not shards:
-        return
-    if telemetry.ticks_per_second is None:
-        telemetry.ticks_per_second = 1.0
-    base = origin if origin is not None else min(s.start for s in shards)
-    for shard in shards:
-        telemetry.span(
-            f"chunk {shard.shard} ({shard.sites} sites)",
-            f"stream chunk {shard.shard}",
-            shard.start - base,
-            shard.end - base,
-            CAT_STREAM,
+            f"{label} {shard.shard} ({shard.sites} sites)",
+            f"{track} {shard.shard}",
+            shard.start - origin,
+            shard.end - origin,
+            category,
         )
     telemetry.count("engine.shards", len(shards))
     telemetry.count("engine.shard_sites", sum(s.sites for s in shards))

@@ -111,7 +111,8 @@ class IndelRealigner:
         ``engine`` optionally routes the kernel through the batched
         execution engine (:mod:`repro.engine`): pass an
         :class:`repro.engine.EngineConfig` (its ``scoring`` is overridden
-        by this realigner's) or a ready :class:`repro.engine.Engine`
+        by this realigner's) or anything with ``run_sites`` -- a ready
+        :class:`repro.engine.Engine`, a streaming engine, a shard plane
         (used as-is; its config's scoring must match). The engine path is
         byte-identical to the per-site path (pinned by goldens)."""
         if consensus_strategy not in ("observed", "assembly"):
@@ -142,39 +143,23 @@ class IndelRealigner:
         shard-parallel without touching any call site (the shard plane
         is byte-identical, so nothing else changes).
         """
-        if self.engine is None:
-            import os
+        if self._engine is not None:
+            return self._engine
+        if self.engine is not None:
+            from repro.engine import resolve_engine
 
-            shards_text = os.environ.get("REPRO_SHARDS", "").strip()
-            if shards_text and int(shards_text) > 1 \
-                    and self._engine is None:
+            self._engine = resolve_engine(self.engine, self.scoring)
+        else:
+            from repro.engine.native import shards_from_env
+
+            shards = shards_from_env()
+            if shards > 1:
                 from repro.engine import EngineConfig
                 from repro.shard import ShardPlane
 
                 self._engine = ShardPlane(
                     EngineConfig(scoring=self.scoring, kernel=self.kernel),
-                    shards=int(shards_text),
-                )
-            return self._engine
-        if self._engine is None:
-            from dataclasses import replace as _replace
-
-            from repro.engine import Engine, EngineConfig
-
-            if isinstance(self.engine, Engine):
-                self._engine = self.engine
-            elif isinstance(self.engine, EngineConfig):
-                self._engine = Engine(
-                    _replace(self.engine, scoring=self.scoring)
-                )
-            elif hasattr(self.engine, "run_sites"):
-                # Duck-typed engines -- the shard plane, a streaming
-                # engine, anything with the run_sites contract.
-                self._engine = self.engine
-            else:
-                raise TypeError(
-                    "engine must be an EngineConfig, an Engine, an object "
-                    "with run_sites(), or None"
+                    shards=shards,
                 )
         return self._engine
 

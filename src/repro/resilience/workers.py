@@ -1,15 +1,14 @@
 """Fault tolerance for the host data plane (the worker process pool).
 
 PR 1 made the *simulated accelerator* plane fault-tolerant; this module
-does the same for the real multiprocess host plane that
-:class:`repro.engine.parallel.Engine` and
+does the same for the real multiprocess host plane -- it is the one
+worker pool :class:`repro.engine.parallel.Engine` and
 :class:`repro.engine.stream.StreamingEngine` run on. On a cloud fleet,
 host-side failure is the steady state -- spot preemption, OOM-killed
-workers, hung processes -- and the unprotected pool turns each of them
+workers, hung processes -- and an unprotected pool turns each of them
 into a run-wide outage: a worker SIGKILLed mid-chunk silently loses the
-chunk's result and the bounded in-flight window blocks forever, a
-broken pool aborts the run, a crashed worker leaks its shared-memory
-arena.
+chunk's result and the in-flight window blocks forever, a broken pool
+aborts the run, a crashed worker leaks its shared-memory arena.
 
 The machinery mirrors the accelerator-side design piece for piece:
 
@@ -19,9 +18,10 @@ The machinery mirrors the accelerator-side design piece for piece:
   worker faults (SIGKILL, hang, delay, error) drawn per
   ``(chunk, offset, attempt)`` plus scripted overrides so a test can
   kill a worker at a *chosen* chunk;
-- :class:`WorkerRecovery` is the policy switch (fault plan, per-chunk
+- :class:`WorkerRecovery` is the policy (fault plan, per-chunk
   deadline, the existing :class:`~repro.resilience.policy.RetryPolicy`
-  for backoff);
+  for backoff), with fault-free defaults the ``REPRO_*`` environment
+  overlays;
 - :class:`ResilientPool` is the recovery engine: a watchdog thread
   arms a deadline per dispatched chunk, detects lost results (hung or
   killed workers), resubmits under retry/backoff, respawns the pool on
@@ -53,6 +53,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.native import env_number
 from repro.resilience.faults import keyed_draw
 from repro.resilience.policy import RetryPolicy
 
@@ -273,24 +274,25 @@ def perform_fault(event: WorkerFaultEvent) -> None:
 
 @dataclass(frozen=True)
 class WorkerRecovery:
-    """Everything host data-plane recovery needs, in one switch.
+    """Everything host data-plane recovery needs, in one value.
 
-    Pass one to :class:`repro.engine.Engine` /
-    :class:`repro.engine.StreamingEngine` (or set the environment
-    variables below) to run the worker pool in resilient mode.
-    ``chunk_deadline`` is the wall-clock seconds a dispatched chunk may
-    stay unanswered before the watchdog declares it lost; it must
+    Every pooled engine or shard-plane run is governed by one of
+    these; the defaults are fault-free under a 30 s chunk deadline.
+    ``chunk_deadline`` is the wall-clock seconds a chunk may stay
+    unanswered, once a worker has been handed it, before the watchdog
+    declares it lost; it must
     comfortably exceed the slowest real chunk, but a too-tight deadline
     only costs duplicate work -- late results are still accepted, so
     output never changes. ``cycle_seconds`` scales the shared
     :class:`~repro.resilience.policy.RetryPolicy` cycle schedule onto
     the host's wall clock.
 
-    Environment (read by :meth:`from_env`, consulted by the engines
-    when no explicit recovery is given -- this is how CI runs the whole
-    tier-1 suite under injected worker faults):
+    Environment (read by :meth:`from_env`, which the engines call when
+    no explicit recovery is given -- this is how CI runs the whole
+    tier-1 suite under injected worker faults); each variable only
+    sets its value, none switches anything on:
 
-    - ``REPRO_WORKER_FAULT_RATE``: scalar chaos rate for
+    - ``REPRO_WORKER_FAULT_RATE``: scalar chaos rate in [0, 1] for
       :meth:`WorkerFaultPlan.chaos`;
     - ``REPRO_CHAOS_SEED``: the plan seed (default 0);
     - ``REPRO_CHUNK_DEADLINE``: per-chunk deadline seconds;
@@ -317,29 +319,23 @@ class WorkerRecovery:
         return cls(plan=WorkerFaultPlan.chaos(seed, rate), **overrides)
 
     @classmethod
-    def from_env(cls, env=None) -> Optional["WorkerRecovery"]:
-        """Build a recovery config from the environment, or ``None``.
-
-        Returns ``None`` when neither ``REPRO_WORKER_FAULT_RATE`` nor
-        ``REPRO_CHUNK_DEADLINE`` is set, so the engines' default
-        (unrecovered, zero-overhead) paths stay exactly as they were.
-        """
-        env = os.environ if env is None else env
-        rate_text = env.get("REPRO_WORKER_FAULT_RATE", "").strip()
-        deadline_text = env.get("REPRO_CHUNK_DEADLINE", "").strip()
-        if not rate_text and not deadline_text:
-            return None
-        rate = float(rate_text) if rate_text else 0.0
-        seed = int(env.get("REPRO_CHAOS_SEED", "0") or 0)
-        plan_overrides = {}
-        hang_text = env.get("REPRO_WORKER_HANG_SECONDS", "").strip()
-        if hang_text:
-            plan_overrides["hang_seconds"] = float(hang_text)
-        overrides = {}
-        if deadline_text:
-            overrides["chunk_deadline"] = float(deadline_text)
-        return cls(plan=WorkerFaultPlan.chaos(seed, rate, **plan_overrides),
-                   **overrides)
+    def from_env(cls, env=None) -> "WorkerRecovery":
+        """The defaults, overlaid by whatever the environment sets (a
+        malformed value is :func:`~repro.engine.native.env_number`'s
+        ``ValueError``)."""
+        seconds = (lambda s: 0.0 < s < float("inf"),
+                   "a positive number of seconds", env)
+        rate = env_number("REPRO_WORKER_FAULT_RATE", float, 0.0,
+                          lambda r: 0.0 <= r <= 1.0, "a number in [0, 1]",
+                          env)
+        seed = env_number("REPRO_CHAOS_SEED", int, 0, lambda n: True,
+                          "an integer", env)
+        deadline = env_number("REPRO_CHUNK_DEADLINE", float,
+                              cls.chunk_deadline, *seconds)
+        hang = env_number("REPRO_WORKER_HANG_SECONDS", float,
+                          WorkerFaultPlan.hang_seconds, *seconds)
+        return cls(plan=WorkerFaultPlan.chaos(seed, rate, hang_seconds=hang),
+                   chunk_deadline=deadline)
 
     def completion_bound_seconds(self, batch: int, chunks: int) -> float:
         """A generous upper bound on one run's recovery time.
@@ -369,7 +365,7 @@ def record_recovery_spans(telemetry, events: Sequence[RecoveryEvent],
                           origin: Optional[float] = None) -> None:
     """Record recovery actions as ``CAT_RECOVERY`` spans on one track.
 
-    Companion to :func:`repro.perf.fleet.record_stream_chunks`: events
+    Companion to :func:`repro.perf.fleet.record_engine_shards`: events
     land on a single ``worker recovery`` track, offset from ``origin``
     on the shared ``perf_counter`` clock, so a Chrome trace shows each
     kill/retry/quarantine next to the chunk timeline it disrupted.
@@ -405,8 +401,7 @@ def _init_resilient_worker(config, plan) -> None:
     from repro.engine import parallel
 
     parallel._init_worker(config)
-    _WORKER_FAULT_PLAN = plan if plan is not None and not plan.is_fault_free \
-        else None
+    _WORKER_FAULT_PLAN = None if plan.is_fault_free else plan
 
 
 @dataclass(frozen=True)
@@ -461,6 +456,7 @@ class _TaskState:
     attempt: int = 0        # next attempt number to dispatch
     epoch: int = 0          # bumps per (re)dispatch; stale futures ignored
     dispatched: bool = False
+    future: Optional[object] = None  # the live dispatch, while dispatched
     dispatched_at: float = 0.0
     deadline: float = float("inf")
     not_before: float = 0.0
@@ -479,7 +475,6 @@ class _ChunkState:
     chunk_id: int
     num_sites: int
     on_done: Callable
-    submitted_at: float
     parts: Dict[int, Tuple] = field(default_factory=dict)
     covered: set = field(default_factory=set)
     recovered: bool = False
@@ -511,14 +506,16 @@ class ResilientPool:
     Chunks submitted via :meth:`submit_chunk` are dispatched to a
     ``ProcessPoolExecutor`` and delivered to ``on_done`` exactly once,
     as the same ``(chunk_id, results, start, end, counters)`` outcome
-    tuple the plain pool paths produce -- so
-    :class:`~repro.engine.parallel.Engine` and
-    :class:`~repro.engine.stream.StreamingEngine` consume recovered and
-    unrecovered chunks identically. Recovery is layered:
+    tuple the inline path produces -- so
+    :meth:`repro.engine.parallel.Engine.stream_sites` consumes
+    recovered and untouched chunks identically. Recovery is layered:
 
     1. **deadline watchdog** -- every dispatched chunk gets
-       ``chunk_deadline`` seconds; an overdue chunk is presumed lost
-       (hung or killed worker) and resubmitted with backoff. The old
+       ``chunk_deadline`` seconds from the moment the executor hands it
+       to a worker (time queued behind other chunks is free, so a run
+       may outlast the deadline many times over); an overdue chunk is
+       presumed lost (hung or killed worker) and resubmitted with
+       backoff. The old
        attempt's result is *still accepted if it arrives first* --
        first completion wins, duplicates are dropped -- so a deadline
        that fires on a merely-slow chunk costs duplicate work, never
@@ -545,7 +542,6 @@ class ResilientPool:
         self.recovery = recovery
         self._lock = threading.RLock()
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._generation = 0
         self._tasks: Dict[Tuple[int, int], _TaskState] = {}
         self._chunks: Dict[int, _ChunkState] = {}
         self._counters: Dict[str, int] = {}
@@ -587,7 +583,6 @@ class ResilientPool:
             now = time.perf_counter()
             self._chunks[chunk_id] = _ChunkState(
                 chunk_id=chunk_id, num_sites=len(sites), on_done=on_done,
-                submitted_at=now,
             )
             task = _TaskState(chunk_id=chunk_id, lo=0, sites=list(sites),
                               descriptor=descriptor)
@@ -642,13 +637,11 @@ class ResilientPool:
                 ctx = multiprocessing.get_context("fork")
             except ValueError:  # pragma: no cover - non-POSIX platforms
                 ctx = multiprocessing.get_context()
-            plan = self.recovery.plan
             self._executor = ProcessPoolExecutor(
                 max_workers=self.config.workers,
                 mp_context=ctx,
                 initializer=_init_resilient_worker,
-                initargs=(self.config,
-                          None if plan.is_fault_free else plan),
+                initargs=(self.config, self.recovery.plan),
             )
         return self._executor
 
@@ -678,15 +671,15 @@ class ResilientPool:
             self._broken = True
             return
         task.dispatched = True
+        task.future = future
         task.dispatched_at = now
         task.deadline = now + self.recovery.chunk_deadline
-        epoch, generation = task.epoch, self._generation
         future.add_done_callback(
-            lambda f, key=task.key, e=epoch, g=generation:
-                self._on_future(key, e, g, f)
+            lambda f, key=task.key, epoch=task.epoch:
+                self._on_future(key, epoch, f)
         )
 
-    def _on_future(self, key, epoch: int, generation: int, future) -> None:
+    def _on_future(self, key, epoch: int, future) -> None:
         """Executor callback: file a completion or escalate a failure."""
         try:
             if future.cancelled():
@@ -868,7 +861,13 @@ class ResilientPool:
                 return
             now = time.perf_counter()
             for task in list(self._tasks.values()):
-                if task.dispatched and now >= task.deadline:
+                if not task.dispatched:
+                    continue
+                if not (task.future.running() or task.future.done()):
+                    # Still queued in the executor: the deadline bounds
+                    # time with a worker, not time waiting for one.
+                    task.deadline = now + self.recovery.chunk_deadline
+                elif now >= task.deadline:
                     self._count("worker.deadline_expired")
                     self._event(
                         f"deadline chunk {task.chunk_id}"
@@ -885,7 +884,6 @@ class ResilientPool:
             if self._broken:
                 teardown, self._executor = self._executor, None
                 self._broken = False
-                self._generation += 1
                 self._count("worker.pool_respawns")
                 self._event("respawn pool", now, time.perf_counter())
                 # Every dispatched task's future died with the pool.

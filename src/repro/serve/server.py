@@ -8,7 +8,7 @@ owns the realigner *front half* (target identification + site
 building, CPU-bound, run on the default executor so the loop stays
 responsive) and the *back half* (applying kernel decisions to reads);
 the kernel itself runs wherever the engine says -- inline, a worker
-pool, or the streaming plane with worker-crash recovery armed.
+pool, the streaming plane, or a shard plane.
 
 The optional startup canary (:mod:`repro.serve.canary`) routes the toy
 evaluation scenario through this exact serving path before the first
@@ -61,7 +61,6 @@ class RealignmentServer:
         service_config: Optional[ServiceConfig] = None,
         telemetry=None,
         realigner_kwargs: Optional[dict] = None,
-        cache=None,
     ):
         from repro.engine import EngineConfig
 
@@ -72,7 +71,6 @@ class RealignmentServer:
             engine if engine is not None else EngineConfig(),
             config=service_config,
             telemetry=telemetry,
-            cache=cache,
         )
         self.canary_result: dict = {}
         self._server: Optional[asyncio.AbstractServer] = None

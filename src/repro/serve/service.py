@@ -63,36 +63,24 @@ class RealignmentService:
     ``engine`` is anything with ``run_sites(sites) -> [SiteResult]``
     and (optionally) ``close()``: an
     :class:`~repro.engine.parallel.Engine`, a
-    :class:`~repro.engine.stream.StreamingEngine` (with or without
-    :class:`~repro.resilience.workers.WorkerRecovery`), or an
+    :class:`~repro.engine.stream.StreamingEngine`, a
+    :class:`~repro.shard.plane.ShardPlane`, or an
     :class:`~repro.engine.parallel.EngineConfig` (a live barrier engine
     is built from it and owned by the service). ``telemetry`` is an
     optional :class:`~repro.telemetry.Telemetry` session; engine
     counters fold into it per dispatch and the service's own
-    ``serve.*`` counters fold in at :meth:`close`. ``cache`` is an
-    optional :class:`~repro.shard.cache.SiteResultCache`: hits
-    short-circuit whole sites before the engine dispatch (engines that
-    carry their own cache -- the shard plane -- consult it themselves,
-    and the service just surfaces its counters).
+    ``serve.*`` counters fold in at :meth:`close`. An engine that
+    carries a :class:`~repro.shard.cache.SiteResultCache` (the shard
+    plane) consults it inside ``run_sites``; the service only surfaces
+    its counters and hit rate in :meth:`snapshot`.
     """
 
     def __init__(self, engine, config: Optional[ServiceConfig] = None,
-                 telemetry=None, cache=None):
+                 telemetry=None):
         from repro.engine import Engine, EngineConfig
 
-        if isinstance(engine, EngineConfig):
-            engine = Engine(engine)
-            self._owns_engine = True
-        else:
-            self._owns_engine = False
-        self.engine = engine
-        # The content-addressed site-result cache. A shard plane
-        # consults its own cache inside run_sites; the service-level
-        # splice below only activates for engines that don't, so a hit
-        # is never double-counted and a site never hashed twice.
-        engine_cache = getattr(engine, "cache", None)
-        self.cache = cache if cache is not None else engine_cache
-        self._splice_cache = cache is not None and engine_cache is None
+        self._owns_engine = isinstance(engine, EngineConfig)
+        self.engine = Engine(engine) if self._owns_engine else engine
         self.config = config if config is not None else ServiceConfig()
         self.telemetry = telemetry
         self.latencies = LatencyRecorder()
@@ -365,7 +353,8 @@ class RealignmentService:
         try:
             results = await self._loop.run_in_executor(
                 self._executor,
-                lambda: self._run_engine(sites),
+                lambda: self.engine.run_sites(sites,
+                                              telemetry=self.telemetry),
             )
         except Exception as error:
             self._count("serve.batches_failed", 1)
@@ -388,30 +377,6 @@ class RealignmentService:
             self._count("serve.sites_completed", job.num_sites)
             self.latencies.record(job.tenant, done - job.enqueued_at)
             self._retire(job)
-
-    def _run_engine(self, sites: List):
-        """One engine dispatch, through the service-level cache splice.
-
-        Engines with their own cache (the shard plane) skip this splice
-        entirely -- their ``run_sites`` already short-circuits hits.
-        """
-        if not self._splice_cache:
-            return self.engine.run_sites(sites, telemetry=self.telemetry)
-        from repro.shard.cache import lookup_sites
-
-        engine_config = getattr(self.engine, "config", None)
-        results, miss_indices, keys = lookup_sites(self.cache, sites,
-                                                   engine_config)
-        self._count("serve.cache_hits", len(sites) - len(miss_indices))
-        self._count("serve.cache_misses", len(miss_indices))
-        if miss_indices:
-            computed = self.engine.run_sites(
-                [sites[i] for i in miss_indices], telemetry=self.telemetry
-            )
-            for index, result in zip(miss_indices, computed):
-                results[index] = result
-                self.cache.put(keys[index], sites[index].start, result)
-        return results
 
     # -- bookkeeping ----------------------------------------------------
     def _count(self, name: str, delta: int) -> None:
@@ -455,9 +420,10 @@ class RealignmentService:
         if hasattr(self.engine, "stream_stats"):
             counters.update(self.engine.stream_stats or {})
         cache_hit_rate = 0.0
-        if self.cache is not None:
-            counters.update(self.cache.snapshot())
-            cache_hit_rate = self.cache.hit_rate
+        cache = getattr(self.engine, "cache", None)
+        if cache is not None:
+            counters.update(cache.snapshot())
+            cache_hit_rate = cache.hit_rate
         occupancy = getattr(self.engine, "occupancy", None)
         shard_saturation = occupancy() if callable(occupancy) else {}
         return ServiceSnapshot(

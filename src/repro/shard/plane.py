@@ -18,7 +18,7 @@ Scheduling policy, in dispatch-priority order per idle shard:
 
 1. its own home queue (region-hash locality),
 2. **steal** from the tail of the longest other home queue (the same
-   idle-worker stealing ``imap_unordered`` gives the barrier engine),
+   idle-worker stealing the engines' shared pool queue gives them),
 3. **straggler re-steal**: once every queue is empty, a chunk in
    flight longer than ``max(straggler_min_s, straggler_factor x p95)``
    of recently completed chunk walls is dispatched *again* on the idle
@@ -177,7 +177,7 @@ class ShardPlane:
     (no processes), the deterministic baseline the scaling bench and
     the golden matrix compare against.
 
-    ``recovery`` defaults to the environment
+    ``recovery`` defaults to the environment's
     (:meth:`~repro.resilience.workers.WorkerRecovery.from_env`) so CI
     chaos reruns reach the shard plane with no plumbing; its fault
     plan rides into every worker and its ``chunk_deadline`` arms the
@@ -208,9 +208,6 @@ class ShardPlane:
         self.cache = cache
         self.recovery = (recovery if recovery is not None
                          else WorkerRecovery.from_env())
-        self._plan = self.recovery.plan if self.recovery is not None else None
-        self._deadline = (self.recovery.chunk_deadline
-                          if self.recovery is not None else 30.0)
         self._factory = transport_factory
         self._transports: Dict[int, Optional[ShardTransport]] = {}
         self._spawned_once: set = set()
@@ -446,7 +443,7 @@ class ShardPlane:
                                  note_busy, count, now)
             now = time.perf_counter()
             for shard, inf in list(inflight.items()):
-                if now - inf.since > self._deadline:
+                if now - inf.since > self.recovery.chunk_deadline:
                     on_death(shard, now, expired=True)
                 elif not self._transport_alive(shard):
                     on_death(shard, now)
@@ -590,10 +587,8 @@ class ShardPlane:
             if self._factory is not None:
                 transport = self._factory(shard)
             else:
-                plan = (self._plan
-                        if self._plan is not None
-                        and not self._plan.is_fault_free else None)
-                transport = PipeShardTransport(shard, self.config, plan)
+                transport = PipeShardTransport(shard, self.config,
+                                               self.recovery.plan)
         except Exception:  # noqa: BLE001 - spawn failure -> quarantine
             return None
         if shard in self._spawned_once:

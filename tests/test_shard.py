@@ -291,6 +291,17 @@ class TestRealignerIntegration:
                [(r.name, r.pos, str(r.cigar)) for r in serial]
 
 
+    @pytest.mark.parametrize("value", ["abc", "0", "2.5"])
+    def test_repro_shards_env_rejects_bad_values(self, monkeypatch, value):
+        from repro.genomics.simulate import simulate_sample
+        from repro.realign.realigner import IndelRealigner
+
+        sample = simulate_sample({"chrS": 2_000}, seed=12)
+        monkeypatch.setenv("REPRO_SHARDS", value)
+        with pytest.raises(ValueError, match=f"REPRO_SHARDS='{value}'"):
+            IndelRealigner(sample.reference).realign([])
+
+
 class TestServingIntegration:
     def test_snapshot_surfaces_cache_and_shards(self):
         import asyncio
@@ -318,28 +329,6 @@ class TestServingIntegration:
         assert as_dict["cache_hit_rate"] == snapshot.cache_hit_rate
         assert "shard_saturation" in as_dict
         assert "cache" in snapshot.describe()
-
-    def test_service_level_cache_splice(self):
-        import asyncio
-
-        from repro.serve.service import RealignmentService
-
-        async def run():
-            cache = SiteResultCache.from_megabytes(16)
-            service = RealignmentService(EngineConfig(batch=4), cache=cache)
-            await service.start()
-            try:
-                sites = _sites(5, seed=9)
-                first = await service.submit_sites(sites)
-                second = await service.submit_sites(sites)
-                return first, second, service.snapshot()
-            finally:
-                await service.close()
-
-        first, second, snapshot = asyncio.run(run())
-        _assert_identical(second, first)
-        assert snapshot.counters["serve.cache_hits"] == 5
-        assert snapshot.counters["serve.cache_misses"] == 5
 
 
 class TestDuplicateHeavySchedule:

@@ -158,12 +158,14 @@ class TestStreamingEngine:
         sites = _sites(9, seed=19)
         with Engine(EngineConfig(workers=1, batch=2)) as barrier:
             want = barrier.run_sites(sites)
-        with StreamingEngine(EngineConfig(workers=2, batch=2)) as stream:
-            seen = 0
-            for got in stream.stream_sites(sites):
-                assert got.same_outputs(want[seen])
-                seen += 1
-        assert seen == len(sites)
+        # One generator serves both windows: barrier and streaming.
+        for engine_cls in (Engine, StreamingEngine):
+            with engine_cls(EngineConfig(workers=2, batch=2)) as engine:
+                seen = 0
+                for got in engine.stream_sites(sites):
+                    assert got.same_outputs(want[seen])
+                    seen += 1
+            assert seen == len(sites)
 
     def test_window_bounds_in_flight_chunks(self):
         sites = _sites(12, seed=5)
@@ -205,28 +207,33 @@ class TestStreamingEngine:
 
     def test_abandoned_generator_releases_arenas_and_pool_survives(self):
         sites = _sites(8, seed=3)
-        with StreamingEngine(EngineConfig(workers=2, batch=2)) as stream:
-            iterator = stream.stream_sites(sites)
-            next(iterator)
-            iterator.close()
-            # The engine is still usable after an abandoned stream.
-            assert len(stream.run_sites(sites)) == len(sites)
+        for engine_cls in (Engine, StreamingEngine):
+            with engine_cls(EngineConfig(workers=2, batch=2)) as engine:
+                iterator = engine.stream_sites(sites)
+                next(iterator)
+                iterator.close()
+                # The engine is still usable after an abandoned stream.
+                assert len(engine.run_sites(sites)) == len(sites)
 
     def test_abandoned_generator_still_records_stats(self):
         from repro.telemetry import Telemetry
 
         sites = _sites(8, seed=3)
-        with StreamingEngine(EngineConfig(workers=2, batch=2)) as stream:
-            telemetry = Telemetry()
-            iterator = stream.stream_sites(sites, telemetry=telemetry)
-            next(iterator)
-            iterator.close()
-            # The chunks that completed before the abandon are folded
-            # into stream_stats and the telemetry session.
-            assert stream.stream_stats["stream.chunks"] >= 1
-            flat = telemetry.counters.flat()
-            assert flat["stream.chunks"] >= 1
-            assert flat["kernel.sites"] >= 1
+        for engine_cls, chunk_counter in ((Engine, "engine.shards"),
+                                          (StreamingEngine, "stream.chunks")):
+            with engine_cls(EngineConfig(workers=2, batch=2)) as engine:
+                telemetry = Telemetry()
+                iterator = engine.stream_sites(sites, telemetry=telemetry)
+                next(iterator)
+                iterator.close()
+                # The chunks that completed before the abandon are folded
+                # into the engine's stats and the telemetry session.
+                assert len(engine.shard_stats) >= 1
+                flat = telemetry.counters.flat()
+                assert flat[chunk_counter] >= 1
+                assert flat["kernel.sites"] >= 1
+                if engine_cls is StreamingEngine:
+                    assert engine.stream_stats["stream.chunks"] >= 1
 
     def test_empty_and_validation(self):
         with StreamingEngine(EngineConfig()) as stream:
@@ -582,6 +589,50 @@ class TestStreamCli:
             sample_dir, "noshm.sam", "--stream", "--workers", "2",
             "--no-shmem",
         ) == serial
+
+    def test_accelerated_chaos_fallback_accepts_any_plane(self, sample_dir):
+        # Regression: AcceleratedRealigner carried a stale copy of the
+        # engine resolver that raised TypeError on a shard plane as
+        # soon as one target drained to the software fallback.
+        chaos = ("--accelerated", "--fault-rate", "0.9", "--chaos-seed", "3")
+        control = self._realign(sample_dir, "chaos-stream.sam", *chaos,
+                                "--workers", "2", "--stream")
+        assert self._realign(sample_dir, "chaos-shards.sam", *chaos,
+                             "--shards", "2") == control
+
+    def test_recovery_line_follows_the_flags(self, sample_dir, capsys,
+                                             monkeypatch):
+        # Fault-free: the summary appears exactly when a recovery flag
+        # was given (it also appears, unasked, after real recovery).
+        monkeypatch.delenv("REPRO_WORKER_FAULT_RATE", raising=False)
+        for plane in (("--workers", "2"), ("--shards", "2")):
+            self._realign(sample_dir, "quiet.sam", *plane)
+            assert "recovery:" not in capsys.readouterr().out
+            self._realign(sample_dir, "asked.sam", *plane,
+                          "--chunk-deadline", "20")
+            assert "recovery: deadline 20s, 0 worker faults injected, " \
+                   "0 retries" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name,value,extra", [
+        ("REPRO_SHARDS", "abc", ()),
+        ("REPRO_SHARDS", "0", ()),
+        ("REPRO_WORKER_FAULT_RATE", "lots", ("--workers", "2")),
+    ], ids=["shards-text", "shards-zero", "fault-rate"])
+    def test_bad_env_number_exits_2(self, sample_dir, monkeypatch, capsys,
+                                    name, value, extra):
+        from repro.__main__ import main as cli_main
+
+        monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([
+                "realign", "--reference", str(sample_dir / "reference.fa"),
+                "--sam", str(sample_dir / "aligned.sam"),
+                "--out", str(sample_dir / "bad-env.sam"), *extra,
+            ])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{name}={value!r}" in err
+        assert "Traceback" not in err
 
     def test_bad_queue_depth_rejected(self, sample_dir, capsys):
         from repro.__main__ import main as cli_main

@@ -14,6 +14,7 @@ import gc
 import io
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.resilience.workers import (
     WorkerRecovery,
     record_recovery_spans,
 )
+from repro.shard import ShardPlane
 from repro.telemetry import CAT_RECOVERY, Telemetry
 from tests.test_stream import _sites
 
@@ -114,9 +116,28 @@ class TestWorkerFaultPlan:
 
 
 class TestWorkerRecoveryConfig:
-    def test_from_env_returns_none_without_relevant_vars(self):
-        assert WorkerRecovery.from_env(env={}) is None
-        assert WorkerRecovery.from_env(env={"REPRO_CHAOS_SEED": "7"}) is None
+    def test_from_env_without_vars_is_the_defaults(self):
+        assert WorkerRecovery.from_env(env={}) == WorkerRecovery()
+        seeded = WorkerRecovery.from_env(env={"REPRO_CHAOS_SEED": "7"})
+        assert seeded.plan.seed == 7
+        assert seeded.plan.is_fault_free
+        assert replace(seeded, plan=WorkerFaultPlan.none()) == WorkerRecovery()
+
+    @pytest.mark.parametrize("name,value", [
+        ("REPRO_WORKER_FAULT_RATE", "lots"),
+        ("REPRO_WORKER_FAULT_RATE", "1.5"),
+        ("REPRO_CHUNK_DEADLINE", "x"),
+        ("REPRO_CHUNK_DEADLINE", "0"),
+        ("REPRO_CHAOS_SEED", "x"),
+        ("REPRO_WORKER_HANG_SECONDS", "x"),
+        ("REPRO_WORKER_HANG_SECONDS", "-1"),
+    ])
+    def test_from_env_rejects_bad_numbers_by_name(self, name, value):
+        with pytest.raises(ValueError) as caught:
+            WorkerRecovery.from_env(env={name: value})
+        message = str(caught.value)
+        assert name in message and repr(value) in message
+        assert "\n" not in message
 
     def test_from_env_builds_chaos_plan(self):
         recovery = WorkerRecovery.from_env(env={
@@ -423,14 +444,60 @@ class TestEnvDrivenRecovery:
         finally:
             engine.close()
 
-    def test_engine_defaults_to_no_recovery(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKER_FAULT_RATE", raising=False)
-        monkeypatch.delenv("REPRO_CHUNK_DEADLINE", raising=False)
-        engine = Engine(EngineConfig(workers=2, batch=2))
-        try:
-            assert engine.recovery is None
-        finally:
-            engine.close()
+    @pytest.mark.parametrize("make_plane", [
+        lambda: Engine(EngineConfig(workers=2, batch=2)),
+        lambda: StreamingEngine(EngineConfig(workers=2, batch=2)),
+        lambda: ShardPlane(EngineConfig(batch=2), shards=2),
+    ], ids=["Engine", "StreamingEngine", "ShardPlane"])
+    def test_none_means_defaults(self, monkeypatch, make_plane):
+        # recovery=None means "the defaults", never "off": every pooled
+        # run is under the watchdog, and fault-free it observes nothing.
+        for name in ("REPRO_WORKER_FAULT_RATE", "REPRO_CHUNK_DEADLINE",
+                     "REPRO_CHAOS_SEED", "REPRO_WORKER_HANG_SECONDS"):
+            monkeypatch.delenv(name, raising=False)
+        sites = _sites(6, seed=41)
+        with make_plane() as plane:
+            assert plane.recovery == WorkerRecovery()
+            _assert_identical(plane.run_sites(sites), _serial_results(sites))
+            if isinstance(plane, ShardPlane):
+                assert not {"shard.retries", "shard.worker_deaths",
+                            "shard.respawns", "shard.quarantined",
+                            "shard.inline_chunks"} & set(
+                                plane.recovery_counters)
+            else:
+                assert plane.recovery_counters == {}
+                assert plane.recovery_events == []
+
+
+class TestDeadlineExcludesQueueWait:
+    @pytest.mark.parametrize("make_engine", [
+        lambda config, recovery: Engine(config, recovery=recovery),
+        lambda config, recovery: StreamingEngine(
+            config, queue_depth=12, recovery=recovery),
+    ], ids=["Engine", "StreamingEngine"])
+    def test_run_longer_than_deadline_observes_nothing(self, monkeypatch,
+                                                       make_engine):
+        # The barrier window submits all 24 chunks at once; at 50 ms a
+        # chunk on 2 workers the last one waits ~0.6 s for a worker. A
+        # 0.4 s deadline is 8 chunks long but shorter than that wait: it
+        # must start when a worker is handed the chunk, not at submit.
+        from repro.engine import parallel
+
+        real = parallel._realign_chunk
+
+        def slow(chunk_id, sites, config):
+            time.sleep(0.05)
+            return real(chunk_id, sites, config)
+
+        monkeypatch.setattr(parallel, "_realign_chunk", slow)  # pre-fork
+        sites = _sites(24, seed=53)
+        want = [result for site in sites for result in real(0, [site],
+                                                            EngineConfig())[1]]
+        with make_engine(EngineConfig(workers=2, batch=1),
+                         WorkerRecovery(chunk_deadline=0.4)) as engine:
+            _assert_identical(engine.run_sites(sites), want)
+            assert engine.recovery_counters == {}
+            assert engine.recovery_events == []
 
 
 class TestShmemLifecycle:
