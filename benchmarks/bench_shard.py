@@ -6,9 +6,10 @@ runs through three planes:
 
 - ``shard_plane_inline``    -- ``ShardPlane(shards=1)``: the exact
   inline path, no worker processes; the single-shard baseline;
-- ``shard_plane_processes`` -- ``ShardPlane(shards=4)``: four
-  long-lived shard workers over pipes (skipped on hosts with fewer
-  than 4 cores, where process scaling is not measurable);
+- ``shard_plane_processes`` -- ``ShardPlane(shards=4)``: the
+  engines' worker pool at four workers under the region-hash chunk
+  plan (skipped on hosts with fewer than 4 cores, where process
+  scaling is not measurable);
 - ``shard_cache_cold`` / ``shard_cache_warm`` -- a duplicate-heavy
   request sequence (85% of requests drawn from a hot eighth of the
   pool, mirroring the ``duplicate_heavy`` serving schedule) against a
@@ -20,8 +21,8 @@ runs through three planes:
    replay all match the serial engine exactly.
 2. **Shard scaling >= ``MODEL_SCALING_FLOOR``x at 4 shards.** The
    per-chunk kernel times are *measured* (best-of-``GATE_RUNS`` per
-   chunk, serial, in-process) and then replayed through the plane's
-   greedy work-steal schedule in virtual time: an idle shard always
+   chunk, serial, in-process) and then replayed through the pool's
+   schedule in virtual time: an idle worker always
    takes the next pending chunk, so the modeled makespan at N shards
    is the classic least-loaded list schedule. The ratio
    ``makespan(1) / makespan(4)`` is machine-independent -- it divides
@@ -36,14 +37,10 @@ runs through three planes:
    (the cache is cleared before every cold round), single-core safe
    because a warm pass is pure content hashing.
 
-Refresh the committed numbers with:
-
-    PYTHONPATH=src REPRO_BENCH_SITES=48 python -m pytest \
-        benchmarks/bench_shard.py --benchmark-json=benchmarks/BENCH_shard.json
-
-(The JSON's ``shard_scaling_model`` entry carries the modeled
-makespans in ``extra_info``; the cold/warm entries carry the cache
-speedup directly in their stats.)
+No numbers are committed for this module (nothing read them). Under
+``--benchmark-json`` the ``shard_scaling_model`` entry carries the
+modeled makespans in ``extra_info``; the cold/warm entries carry the
+cache speedup directly in their stats.
 """
 
 import os
@@ -57,8 +54,8 @@ from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
 from conftest import bench_sites
 
-#: Kernel pinned so the committed baseline keeps measuring the same
-#: plane as BENCH_serve.json; kernel routing is benched elsewhere.
+#: Kernel pinned so this module keeps measuring the same plane as
+#: BENCH_serve.json; kernel routing is benched elsewhere.
 POOL_KERNEL = "fft"
 COMPLEXITIES = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 
@@ -73,7 +70,7 @@ HOT_FRACTION = 0.85
 GATE_RUNS = 3
 GATE_SHARDS = 4
 #: Modeled makespan ratio at 4 shards (measured chunk times replayed
-#: through the work-steal schedule) must reach this floor.
+#: through the pool's schedule) must reach this floor.
 MODEL_SCALING_FLOOR = 2.0
 #: Real wall-clock ratio at 4 shards, gated only on hosts with >= 4
 #: cores (CI runners qualify).
@@ -139,7 +136,7 @@ def _chunk_durations(sites, runs=GATE_RUNS):
 
 def _greedy_makespan(durations, shards):
     """Least-loaded list schedule -- the virtual-time equivalent of the
-    plane's dispatch (one inflight chunk per shard, idle shards steal
+    pool's dispatch (one chunk per worker, an idle worker takes
     whatever is pending next)."""
     loads = [0.0] * shards
     for duration in durations:
@@ -167,8 +164,8 @@ def test_shard_plane_processes(once, benchmark):
 
 
 def test_shard_scaling_model(once, benchmark):
-    """Measured chunk times replayed through the work-steal schedule;
-    the modeled makespans land in the committed JSON's extra_info."""
+    """Measured chunk times replayed through the pool's schedule; the
+    modeled makespans land in the benchmark JSON's extra_info."""
     sites = _site_pool()
     durations = once(_chunk_durations, sites)
     makespan_1 = sum(durations)

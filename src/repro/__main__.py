@@ -257,9 +257,11 @@ def _check_recovery_flags(args: argparse.Namespace):
     if not 0.0 <= args.worker_fault_rate <= 1.0:
         return (f"error: --worker-fault-rate must be in [0, 1], "
                 f"got {args.worker_fault_rate}")
-    if args.worker_fault_rate > 0.0 and args.workers < 2:
-        return ("error: --worker-fault-rate requires --workers >= 2 "
-                "(the inline engine has no worker pool to fault)")
+    if (args.worker_fault_rate > 0.0 and args.workers < 2
+            and getattr(args, "shards", 1) < 2):
+        return ("error: --worker-fault-rate requires --workers >= 2 or "
+                "--shards >= 2 (the inline engine has no worker pool "
+                "to fault)")
     if args.chunk_deadline is not None and args.chunk_deadline <= 0.0:
         return (f"error: --chunk-deadline must be positive, "
                 f"got {args.chunk_deadline}")
@@ -606,7 +608,8 @@ def _engine_flag_errors(args: argparse.Namespace):
         return "error: --site-cache-mb must be >= 0"
     if getattr(args, "shards", 1) > 1 and args.stream:
         return ("error: --shards and --stream are mutually exclusive "
-                "(the shard plane owns its own dispatch)")
+                "(the shard plane runs the barrier window with pickled "
+                "payloads)")
     return _check_recovery_flags(args)
 
 
@@ -1063,7 +1066,7 @@ def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
         dest="worker_fault_rate",
         help="host chaos mode: per-chunk-dispatch probability of an "
              "injected worker fault (SIGKILL/hang/delay/error), seeded "
-             "by --chaos-seed; requires --workers >= 2",
+             "by --chaos-seed; requires --workers >= 2 or --shards >= 2",
     )
     subparser.add_argument(
         "--chunk-deadline", type=float, default=None, dest="chunk_deadline",
@@ -1074,10 +1077,11 @@ def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
     )
     subparser.add_argument(
         "--shards", type=int, default=1,
-        help="horizontal shard plane: partition sites by contig/region "
-             "hash across N long-lived shard workers (byte-identical "
+        help="horizontal shard plane: cut chunks by contig/region "
+             "hash and run them on a pool of N workers (byte-identical "
              "output at any N; docs/SHARDING.md); incompatible with "
-             "--stream",
+             "--stream (the shard plane runs the barrier window with "
+             "pickled payloads)",
     )
     subparser.add_argument(
         "--site-cache-mb", type=float, default=0.0, dest="site_cache_mb",

@@ -414,11 +414,9 @@ class AcceleratedRealigner:
         fallback sites (targets that exhaust hardware recovery): an
         :class:`repro.engine.EngineConfig` (its ``scoring`` is overridden
         by the system config's) or anything with ``run_sites`` (a live
-        engine, a shard plane). None (the default) serves fallback
-        sites per site through
-        :func:`repro.engine.autotune.dispatch_realign` on ``kernel``.
-        Every path is bit-identical to the hardware's decisions by
-        construction."""
+        engine, a shard plane). None (the default) is the inline
+        engine on ``kernel``. Every plane is bit-identical to the
+        hardware's decisions by construction."""
         from repro.engine.autotune import KERNEL_CHOICES
 
         if kernel not in KERNEL_CHOICES:
@@ -433,10 +431,13 @@ class AcceleratedRealigner:
         self._engine = None
 
     def _engine_instance(self):
-        if self._engine is None and self.engine is not None:
-            from repro.engine import resolve_engine
+        if self._engine is None:
+            from repro.engine import EngineConfig, resolve_engine
 
-            self._engine = resolve_engine(self.engine,
+            engine = self.engine
+            if engine is None:
+                engine = EngineConfig(kernel=self.kernel)
+            self._engine = resolve_engine(engine,
                                           self.system.config.scoring)
         return self._engine
 
@@ -457,27 +458,13 @@ class AcceleratedRealigner:
             # Graceful degradation: these targets exhausted hardware
             # recovery, so their decisions come from the software
             # kernel -- bit-identical to the unit's by construction
-            # (pinned by the hardware/software equivalence tests). With
-            # an engine configured, all fallback sites run through one
-            # batched call; otherwise each goes through the per-site
-            # kernel dispatch.
-            from repro.engine.autotune import dispatch_realign
-
+            # (pinned by the hardware/software equivalence tests). All
+            # fallback sites run through one call on the engine.
             indices = sorted(fallback)
-            engine = self._engine_instance()
-            if engine is not None:
-                batched = engine.run_sites(
-                    [windows[i].site for i in indices], telemetry=telemetry
-                )
-                fallback_results = dict(zip(indices, batched))
-            else:
-                fallback_results = {
-                    i: dispatch_realign(
-                        windows[i].site, kernel=self.kernel,
-                        scoring=self.system.config.scoring,
-                    )
-                    for i in indices
-                }
+            batched = self._engine_instance().run_sites(
+                [windows[i].site for i in indices], telemetry=telemetry
+            )
+            fallback_results = dict(zip(indices, batched))
         updates: Dict[str, Read] = {}
         for index, (window, result) in enumerate(zip(windows,
                                                      run.unit_results)):

@@ -502,7 +502,7 @@ def env_number(name: str, parse, default, accept, form: str, env=None):
 def shards_from_env(env=None) -> int:
     """``REPRO_SHARDS``: the shard count an engine-less
     :class:`~repro.realign.realigner.IndelRealigner` runs on (default
-    1, the per-site loop) -- how CI reruns tier-1 shard-parallel."""
+    1, the inline engine) -- how CI reruns tier-1 shard-parallel."""
     return env_number("REPRO_SHARDS", int, 1, lambda n: n >= 1,
                       "an integer >= 1", env)
 

@@ -252,6 +252,17 @@ class Engine:
         None)`` to ship the sites pickled in the task itself."""
         return None, None
 
+    def _chunks(
+        self, sites: Sequence[RealignmentSite]
+    ) -> List[List[RealignmentSite]]:
+        """The chunk plan: contiguous ``config.batch``-site slices.
+
+        Results are yielded chunk by chunk, so a plan that reorders
+        sites must scatter them back itself."""
+        batch = self.config.batch
+        return [list(sites[lo:lo + batch])
+                for lo in range(0, len(sites), batch)]
+
     def run_sites(
         self,
         sites: Sequence[RealignmentSite],
@@ -279,9 +290,7 @@ class Engine:
         if not sites:
             return
         run_start = time.perf_counter()
-        batch = self.config.batch
-        chunks = [list(sites[lo:lo + batch])
-                  for lo in range(0, len(sites), batch)]
+        chunks = self._chunks(sites)
         arenas: Dict[int, object] = {}
         reorder = ReorderBuffer()
         observed = {"in_flight_peak": 1, "backpressure_us": 0,
@@ -300,8 +309,8 @@ class Engine:
             # Recovery guarantees forward progress; the bound only turns
             # a recovery-machinery bug from a silent hang into a loud
             # ResilienceError.
-            bound = self.recovery.completion_bound_seconds(batch,
-                                                           len(chunks))
+            bound = self.recovery.completion_bound_seconds(
+                self.config.batch, len(chunks))
             window = self._window or len(chunks)
             done: queue_module.Queue = queue_module.Queue()
             submitted = completed = 0
@@ -373,7 +382,6 @@ class Engine:
     def _finish(self, telemetry, run_start: float,
                 observed: Dict[str, int]) -> None:
         """Fold the run's observations into ``self`` and ``telemetry``."""
-        from repro.perf.fleet import record_engine_shards
         from repro.resilience.workers import record_recovery_spans
 
         self.shard_stats.sort(key=lambda stat: stat.shard)
@@ -390,6 +398,12 @@ class Engine:
             telemetry.count(name, value)
         record_recovery_spans(telemetry, self.recovery_events,
                               origin=run_start)
+        self._record_timeline(telemetry, run_start)
+
+    def _record_timeline(self, telemetry, run_start: float) -> None:
+        """One span per completed chunk, on ``_timeline``'s tracks."""
+        from repro.perf.fleet import record_engine_shards
+
         record_engine_shards(telemetry, self.shard_stats, *self._timeline,
                              origin=run_start, workers=self.config.workers)
 

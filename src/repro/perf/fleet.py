@@ -192,14 +192,11 @@ def record_shard_chunks(telemetry, chunks,
 
     Companion to :func:`record_engine_shards` for
     :class:`repro.shard.plane.ShardPlane`: every completed chunk
-    becomes one ``CAT_SHARD`` span on the track of the shard that
-    *executed* it (which, under stealing or straggler re-dispatch, may
-    differ from its home shard). ``chunks`` is an iterable of
-    ``(shard, chunk_id, n_sites, start, end)`` tuples on the shared
-    ``perf_counter`` clock; chunks quarantined to the parent's inline
-    path carry shard ``-1`` and land on the ``shard plane inline``
-    track. Shard timelines tick in *seconds*, like fleet and engine
-    timelines.
+    becomes one ``CAT_SHARD`` span on the track of its *home* shard
+    (the pool runs it on whichever worker is free). ``chunks`` is an
+    iterable of ``(home, chunk_id, n_sites, start, end)`` tuples on the
+    shared ``perf_counter`` clock. Shard timelines tick in *seconds*,
+    like fleet and engine timelines.
     """
     from repro.telemetry.spans import CAT_SHARD
 
@@ -209,12 +206,10 @@ def record_shard_chunks(telemetry, chunks,
     if telemetry.ticks_per_second is None:
         telemetry.ticks_per_second = 1.0
     base = origin if origin is not None else min(c[3] for c in chunks)
-    for shard, chunk_id, n_sites, start, end in chunks:
-        track = ("shard plane inline" if shard < 0
-                 else f"shard plane {shard}")
+    for home, chunk_id, n_sites, start, end in chunks:
         telemetry.span(
             f"chunk {chunk_id} ({n_sites} sites)",
-            track,
+            f"shard plane {home}",
             max(start - base, 0.0),
             max(end - base, 0.0),
             CAT_SHARD,

@@ -104,17 +104,17 @@ class IndelRealigner:
         de Bruijn assembly, :mod:`repro.realign.assembly`).
         ``scoring`` selects Algorithm 2's consensus-score semantics
         (see :func:`repro.realign.whd.score_and_select`).
-        ``kernel`` names the WHD kernel for the per-site path
+        ``kernel`` names the WHD kernel of the default plane
         (``auto``/``scalar``/``vector``/``fft``/``bitpack``/``native``;
         see :func:`repro.engine.autotune.dispatch_realign`) -- every
         choice is exact, so outputs are identical.
-        ``engine`` optionally routes the kernel through the batched
-        execution engine (:mod:`repro.engine`): pass an
-        :class:`repro.engine.EngineConfig` (its ``scoring`` is overridden
-        by this realigner's) or anything with ``run_sites`` -- a ready
-        :class:`repro.engine.Engine`, a streaming engine, a shard plane
-        (used as-is; its config's scoring must match). The engine path is
-        byte-identical to the per-site path (pinned by goldens)."""
+        ``engine`` names the execution plane (:mod:`repro.engine`) the
+        sites run on: an :class:`repro.engine.EngineConfig` (its
+        ``scoring`` is overridden by this realigner's) or anything with
+        ``run_sites`` -- a ready :class:`repro.engine.Engine`, a
+        streaming engine, a shard plane (used as-is; its config's
+        scoring must match). None (the default) is the inline engine on
+        ``kernel``. Every plane is byte-identical (pinned by goldens)."""
         if consensus_strategy not in ("observed", "assembly"):
             raise ValueError(
                 f"unknown consensus strategy {consensus_strategy!r}"
@@ -135,32 +135,31 @@ class IndelRealigner:
         self._engine = None
 
     def _engine_instance(self):
-        """Lazily resolve ``self.engine`` into a live engine (or None).
+        """Lazily resolve ``self.engine`` into a live plane.
 
-        With no explicit engine, ``REPRO_SHARDS=N`` (N > 1) routes the
-        default per-site path through a :class:`~repro.shard.plane
-        .ShardPlane` instead -- how CI reruns the whole tier-1 suite
-        shard-parallel without touching any call site (the shard plane
-        is byte-identical, so nothing else changes).
+        With no explicit engine the plane is the inline
+        :class:`~repro.engine.Engine` (one worker: no pool, no
+        pickling, the same per-site kernel dispatch) -- unless
+        ``REPRO_SHARDS=N`` (N > 1) routes the default path through a
+        :class:`~repro.shard.plane.ShardPlane` instead, which is how CI
+        reruns the whole tier-1 suite shard-parallel without touching
+        any call site (the shard plane is byte-identical, so nothing
+        else changes).
         """
-        if self._engine is not None:
-            return self._engine
-        if self.engine is not None:
-            from repro.engine import resolve_engine
-
-            self._engine = resolve_engine(self.engine, self.scoring)
-        else:
+        if self._engine is None:
+            from repro.engine import EngineConfig, resolve_engine
             from repro.engine.native import shards_from_env
 
-            shards = shards_from_env()
-            if shards > 1:
-                from repro.engine import EngineConfig
-                from repro.shard import ShardPlane
+            engine = self.engine
+            if engine is None:
+                engine = EngineConfig(scoring=self.scoring,
+                                      kernel=self.kernel)
+                shards = shards_from_env()
+                if shards > 1:
+                    from repro.shard import ShardPlane
 
-                self._engine = ShardPlane(
-                    EngineConfig(scoring=self.scoring, kernel=self.kernel),
-                    shards=shards,
-                )
+                    engine = ShardPlane(engine, shards=shards)
+            self._engine = resolve_engine(engine, self.scoring)
         return self._engine
 
     def build_sites(
@@ -197,12 +196,10 @@ class IndelRealigner:
         """Realign a read set; returns (updated reads, report).
 
         Reads keep their input order. Each read is realigned at most once
-        (targets are disjoint by construction). With an ``engine``
-        configured, every window's site runs through one
-        :meth:`repro.engine.Engine.run_sites` call (batched kernel,
-        optional prefilter/worker pool) instead of the per-site
-        loop; the realigned reads are byte-identical either way.
-        ``telemetry`` is forwarded to whichever kernel path runs.
+        (targets are disjoint by construction). Every window's site
+        runs through one ``run_sites`` call on the realigner's plane
+        (:meth:`_engine_instance`), which ``telemetry`` is forwarded
+        to; the realigned reads are byte-identical on any plane.
 
         ``observer``, when given, is called once per realigned site as
         ``observer(window, result, moved)`` where ``moved`` maps each
@@ -217,19 +214,9 @@ class IndelRealigner:
             sites_built=len(windows),
             reads_examined=len(reads),
         )
-        engine = self._engine_instance()
-        if engine is not None:
-            results = engine.run_sites(
-                [window.site for window in windows], telemetry=telemetry
-            )
-        else:
-            from repro.engine.autotune import dispatch_realign
-
-            results = [
-                dispatch_realign(window.site, kernel=self.kernel,
-                                 scoring=self.scoring, telemetry=telemetry)
-                for window in windows
-            ]
+        results = self._engine_instance().run_sites(
+            [window.site for window in windows], telemetry=telemetry
+        )
         updates: Dict[str, Read] = {}
         for window, result in zip(windows, results):
             site = window.site

@@ -1,9 +1,9 @@
 """Horizontal shard plane + content-addressed cross-request cache.
 
-The fleet-level scaling layer (docs/SHARDING.md): region-hash
-partitioning across long-lived shard workers with byte-identical
-merge, plus a canonical-hash :class:`SiteResultCache` that
-short-circuits whole sites for duplicate-heavy multi-tenant traffic.
+The fleet-level scaling layer (docs/SHARDING.md): a region-hash chunk
+plan on the engines' one dispatch loop with byte-identical scatter,
+plus a canonical-hash :class:`SiteResultCache` that short-circuits
+whole sites for duplicate-heavy multi-tenant traffic.
 """
 
 from repro.shard.cache import (
@@ -14,32 +14,18 @@ from repro.shard.cache import (
 )
 from repro.shard.plane import (
     DEFAULT_REGION_SPAN,
-    INLINE_SHARD,
-    ShardChunk,
     ShardPlane,
     ShardPlaneConfig,
     shard_for,
-)
-from repro.shard.transport import (
-    PipeShardTransport,
-    ShardTransport,
-    ShardTransportError,
-    wait_ready,
 )
 
 __all__ = [
     "CachedSiteResult",
     "DEFAULT_REGION_SPAN",
-    "INLINE_SHARD",
-    "PipeShardTransport",
-    "ShardChunk",
     "ShardPlane",
     "ShardPlaneConfig",
-    "ShardTransport",
-    "ShardTransportError",
     "SiteResultCache",
     "lookup_sites",
     "shard_for",
     "site_cache_key",
-    "wait_ready",
 ]

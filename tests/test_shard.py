@@ -11,6 +11,12 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine, EngineConfig
+from repro.resilience.workers import (
+    ForcedWorkerFault,
+    WorkerFaultKind,
+    WorkerFaultPlan,
+    WorkerRecovery,
+)
 from repro.shard import (
     DEFAULT_REGION_SPAN,
     ShardPlane,
@@ -187,13 +193,13 @@ class TestShardPlane:
                 _assert_identical(plane.run_sites(sites), want)
 
     def test_unspread_sites_still_complete(self):
-        """Every site hashing to one home shard is legal: stealing
-        drains the queue and the merge is unaffected."""
+        """Every site hashing to one home shard is legal: any free
+        worker takes the home's chunks and the merge is unaffected."""
         sites = _sites(6, seed=2, spread=False)
         want = Engine(EngineConfig(batch=2)).run_sites(sites)
         with ShardPlane(EngineConfig(batch=2), shards=3) as plane:
             _assert_identical(plane.run_sites(sites), want)
-            assert plane.recovery_counters.get("shard.steals", 0) > 0
+            assert plane.recovery_counters["shard.sites"] == len(sites)
 
     def test_empty_run(self):
         with ShardPlane(EngineConfig(), shards=2) as plane:
@@ -242,7 +248,7 @@ class TestShardPlane:
         with pytest.raises(ValueError):
             ShardPlaneConfig(shards=0)
         with pytest.raises(ValueError):
-            ShardPlaneConfig(max_attempts=0)
+            ShardPlaneConfig(region_span=0)
         with pytest.raises(ValueError):
             ShardPlane(EngineConfig(), shards=3,
                        plane=ShardPlaneConfig(shards=2))
@@ -254,6 +260,50 @@ class TestShardPlane:
             occupancy = plane.occupancy()
         assert occupancy
         assert all(0.0 <= v <= 1.0 for v in occupancy.values())
+
+    def test_stream_sites_yields_input_order(self):
+        """The loop sees home-major order; no caller ever does."""
+        sites = _sites(10, seed=9)
+        homes = [shard_for(s.chrom, s.start, 2) for s in sites]
+        assert homes != sorted(homes), "fixture homes must interleave"
+        want = Engine(EngineConfig(batch=2)).run_sites(sites)
+        with ShardPlane(EngineConfig(batch=2), shards=2) as plane:
+            _assert_identical(list(plane.stream_sites(sites)), want)
+
+    def test_all_hits_pass_forgets_the_previous_run(self):
+        sites = _sites(8, seed=3)
+        recovery = WorkerRecovery(plan=WorkerFaultPlan.scripted(
+            ForcedWorkerFault(chunk=0, attempt=0,
+                              kind=WorkerFaultKind.ERROR)))
+        with ShardPlane(EngineConfig(batch=3), shards=2,
+                        cache=SiteResultCache.from_megabytes(32),
+                        recovery=recovery) as plane:
+            plane.run_sites(sites)
+            cold = dict(plane.recovery_counters)
+            assert plane.shard_stats and plane.recovery_events
+            # shard.retries is the pool's count under the probe's name.
+            assert cold["shard.retries"] == cold["worker.retries"] >= 1
+            plane.run_sites(sites)
+            assert plane.shard_stats == []
+            assert plane.recovery_events == []
+            assert plane.occupancy() == {}
+            assert set(plane.recovery_counters) == {"shard.cache_hits",
+                                                    "shard.cache_misses"}
+
+    def test_pool_is_sized_by_shards_not_workers(self):
+        import multiprocessing
+
+        sites = _sites(8, seed=7)
+        before = set(multiprocessing.active_children())
+        with ShardPlane(EngineConfig(workers=4, batch=2), shards=1,
+                        recovery=WorkerRecovery()) as plane:
+            plane.run_sites(sites)
+            assert set(multiprocessing.active_children()) <= before
+        with ShardPlane(EngineConfig(workers=4, batch=2), shards=2,
+                        recovery=WorkerRecovery()) as plane:
+            plane.run_sites(sites)
+            spawned = set(multiprocessing.active_children()) - before
+            assert len(spawned) == 2
 
 
 class TestRealignerIntegration:

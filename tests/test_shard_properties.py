@@ -4,10 +4,11 @@ The single invariant, mirroring ``test_worker_chaos.py`` one level up:
 for *any* workload, *any* shard count, *any* region partition, and
 *any* seeded schedule of shard-worker faults -- SIGKILL, hang, delay,
 error -- the plane terminates and produces output byte-identical to a
-fault-free serial run, with re-dispatch work bounded (every chunk is
-dispatched at most ``max_attempts`` times before it is quarantined to
-the exact inline path). Hypothesis drives the seeds; the fault plan's
-keyed-generator design makes every failing example replayable.
+fault-free serial run, with re-dispatch work bounded (the pool's
+retry -> bisect -> inline-quarantine ladder, exactly as
+``test_worker_chaos._retry_bound`` states it). Hypothesis drives the
+seeds; the fault plan's keyed-generator design makes every failing
+example replayable.
 """
 
 import numpy as np
@@ -99,14 +100,16 @@ class TestShardChaosProperties:
                         recovery=_recovery(chaos_seed, rate)) as plane:
             _assert_identical(plane.run_sites(sites), want)
             counters = dict(plane.recovery_counters)
-        # Re-dispatch work is bounded: every chunk gets at most
-        # max_attempts dispatches before inline quarantine, and each
-        # chunk completes exactly once.
+        # Re-dispatch work is bounded as on any pooled engine: each
+        # chunk may exhaust its attempt budget, bisect down to single
+        # sites (<= 2 * batch tree nodes) and exhaust each node's
+        # budget again; and each chunk completes exactly once.
         chunks = counters.get("shard.completed_chunks", 0)
         assert chunks >= 1
-        assert counters.get("shard.dispatched_chunks", 0) <= (
-            chunks * plane_config.max_attempts
-        )
+        dispatches = (counters.get("worker.retries", 0)
+                      + counters.get("worker.resubmitted", 0))
+        assert dispatches <= (chunks * 2 * max(2, 2 * batch)
+                              * WorkerRecovery().retry.max_attempts)
         assert counters.get("shard.sites", 0) == n
 
     @given(
@@ -140,8 +143,7 @@ class TestShardChaosProperties:
         run -- forward progress never depends on a worker surviving."""
         sites = _sites(4, seed=7, span=4096)
         want = Engine(EngineConfig(workers=1, batch=2)).run_sites(sites)
-        plane_config = ShardPlaneConfig(shards=2, max_attempts=2,
-                                        quarantine_after=1)
+        plane_config = ShardPlaneConfig(shards=2)
         with ShardPlane(EngineConfig(batch=2), plane=plane_config,
                         recovery=_recovery(chaos_seed, 1.0)) as plane:
             _assert_identical(plane.run_sites(sites), want)

@@ -9,6 +9,7 @@ double-buffered dispatch model, the trace export floor, and the CLI.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -612,6 +613,21 @@ class TestStreamCli:
                           "--chunk-deadline", "20")
             assert "recovery: deadline 20s, 0 worker faults injected, " \
                    "0 retries" in capsys.readouterr().out
+        # Faulted: every pooled plane takes the chaos flags (--shards
+        # alone forks a pool), reports what its pool observed, and
+        # still writes the serial SAM.
+        serial = self._realign(sample_dir, "serial.sam")
+        for plane in (("--workers", "2"), ("--shards", "2"),
+                      ("--shards", "2", "--workers", "2",
+                       "--chunk-deadline", "5")):
+            capsys.readouterr()
+            assert self._realign(
+                sample_dir, "faulted.sam", *plane,
+                "--worker-fault-rate", "0.3", "--chaos-seed", "3",
+            ) == serial
+            line = re.search(r"recovery: .* (\d+) worker faults injected, "
+                             r"(\d+) retries", capsys.readouterr().out)
+            assert line and int(line[1]) > 0 and int(line[2]) > 0
 
     @pytest.mark.parametrize("name,value,extra", [
         ("REPRO_SHARDS", "abc", ()),

@@ -208,6 +208,15 @@ def _recovery(*faults, deadline=8.0, **plan_overrides):
     )
 
 
+#: The barrier planes: the three scripted-fault tests below place their
+#: fault on chunk 0, which exists under any chunk plan.
+_barrier_planes = pytest.mark.parametrize("make_plane", [
+    lambda config, recovery: Engine(config, recovery=recovery),
+    lambda config, recovery: ShardPlane(config, shards=2,
+                                        recovery=recovery),
+], ids=["Engine", "ShardPlane"])
+
+
 class TestEngineRecovery:
     def test_fault_free_recovery_is_byte_identical(self):
         sites = _sites(8, seed=23)
@@ -217,16 +226,17 @@ class TestEngineRecovery:
             _assert_identical(engine.run_sites(sites), want)
             assert engine.recovery_counters == {}
 
-    def test_sigkill_mid_chunk_respawns_and_completes(self):
+    @_barrier_planes
+    def test_sigkill_mid_chunk_respawns_and_completes(self, make_plane):
         sites = _sites(8, seed=31)
         want = _serial_results(sites)
         recovery = _recovery(
-            ForcedWorkerFault(chunk=1, attempt=0,
+            ForcedWorkerFault(chunk=0, attempt=0,
                               kind=WorkerFaultKind.KILL),
         )
         telemetry = Telemetry()
-        with Engine(EngineConfig(workers=2, batch=2),
-                    recovery=recovery) as engine:
+        with make_plane(EngineConfig(workers=2, batch=2),
+                        recovery) as engine:
             _assert_identical(engine.run_sites(sites, telemetry=telemetry),
                               want)
             counters = engine.recovery_counters
@@ -236,34 +246,36 @@ class TestEngineRecovery:
         assert flat["worker.pool_respawns"] >= 1
         assert telemetry.spans_in(CAT_RECOVERY)
 
-    def test_injected_error_is_retried(self):
+    @_barrier_planes
+    def test_injected_error_is_retried(self, make_plane):
         sites = _sites(6, seed=37)
         want = _serial_results(sites)
         recovery = _recovery(
             ForcedWorkerFault(chunk=0, attempt=0,
                               kind=WorkerFaultKind.ERROR),
         )
-        with Engine(EngineConfig(workers=2, batch=2),
-                    recovery=recovery) as engine:
+        with make_plane(EngineConfig(workers=2, batch=2),
+                        recovery) as engine:
             _assert_identical(engine.run_sites(sites), want)
             counters = engine.recovery_counters
         assert counters["worker.errors"] == 1
         assert counters["worker.retries"] >= 1
 
-    def test_hang_expires_deadline_and_recovers(self):
+    @_barrier_planes
+    def test_hang_expires_deadline_and_recovers(self, make_plane):
         sites = _sites(6, seed=41)
         want = _serial_results(sites)
         recovery = WorkerRecovery(
             plan=WorkerFaultPlan.scripted(
-                ForcedWorkerFault(chunk=1, attempt=0,
+                ForcedWorkerFault(chunk=0, attempt=0,
                                   kind=WorkerFaultKind.HANG),
                 hang_seconds=2.0,
             ),
             chunk_deadline=0.5,
         )
         start = time.perf_counter()
-        with Engine(EngineConfig(workers=2, batch=2),
-                    recovery=recovery) as engine:
+        with make_plane(EngineConfig(workers=2, batch=2),
+                        recovery) as engine:
             _assert_identical(engine.run_sites(sites), want)
             counters = engine.recovery_counters
         assert counters["worker.deadline_expired"] >= 1
@@ -474,7 +486,9 @@ class TestDeadlineExcludesQueueWait:
         lambda config, recovery: Engine(config, recovery=recovery),
         lambda config, recovery: StreamingEngine(
             config, queue_depth=12, recovery=recovery),
-    ], ids=["Engine", "StreamingEngine"])
+        lambda config, recovery: ShardPlane(config, shards=2,
+                                            recovery=recovery),
+    ], ids=["Engine", "StreamingEngine", "ShardPlane"])
     def test_run_longer_than_deadline_observes_nothing(self, monkeypatch,
                                                        make_engine):
         # The barrier window submits all 24 chunks at once; at 50 ms a
@@ -496,7 +510,9 @@ class TestDeadlineExcludesQueueWait:
         with make_engine(EngineConfig(workers=2, batch=1),
                          WorkerRecovery(chunk_deadline=0.4)) as engine:
             _assert_identical(engine.run_sites(sites), want)
-            assert engine.recovery_counters == {}
+            # (a shard plane's own shard.* tallies ride along)
+            assert not [name for name in engine.recovery_counters
+                        if not name.startswith("shard.")]
             assert engine.recovery_events == []
 
 
