@@ -31,6 +31,16 @@ REALIGN_PARAMS = {
     "seed": 7,
 }
 
+#: The front half's second input: deep, several contigs with
+#: numerically overlapping coordinates.
+FRONT_HALF_PANEL_PARAMS = {
+    "contigs": 4,
+    "length": 1_500,
+    "coverage": 60.0,
+    "indel_rate": 3e-3,
+    "seed": 11,
+}
+
 SITE_SEED = 2019
 SITE_COMPLEXITIES = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 
@@ -63,6 +73,68 @@ def realigned_sam_golden() -> dict:
             for read in updated
         ],
     }
+
+
+def front_half_golden() -> dict:
+    """Every decision of ``build_sites``, before any kernel runs.
+
+    The end-to-end goldens see the front half only through the reads
+    that moved; this pins what it decided: every target interval and,
+    per consensus window, the window start, the consensus strings
+    (as sha256), the ordered read membership and the INDEL each
+    alternate consensus was built from.
+    """
+    import hashlib
+
+    from repro.genomics.simulate import SimulationProfile, simulate_sample
+    from repro.realign.realigner import IndelRealigner
+
+    single, panel = REALIGN_PARAMS, FRONT_HALF_PANEL_PARAMS
+    inputs = {
+        "single_contig": (
+            single,
+            {single["contig"]: single["length"]},
+        ),
+        "deep_panel": (
+            panel,
+            {f"chr{i + 1}": panel["length"]
+             for i in range(panel["contigs"])},
+        ),
+    }
+    golden = {}
+    for label, (params, contigs) in inputs.items():
+        sample = simulate_sample(
+            contigs,
+            profile=SimulationProfile(coverage=params["coverage"],
+                                      indel_rate=params["indel_rate"]),
+            seed=params["seed"],
+        )
+        targets, windows = IndelRealigner(sample.reference).build_sites(
+            sample.reads
+        )
+        golden[label] = {
+            "params": params,
+            "targets": [[t.chrom, t.start, t.end] for t in targets],
+            "windows": [
+                {
+                    "chrom": window.site.chrom,
+                    "start": window.site.start,
+                    "consensuses_sha256": [
+                        hashlib.sha256(c.encode()).hexdigest()
+                        for c in window.site.consensuses
+                    ],
+                    "reads": [read.name for read in window.reads],
+                    "indels": [
+                        None if indel is None else
+                        [indel.ref_pos, indel.op.value, indel.length,
+                         indel.inserted]
+                        for indel in window.indels
+                    ],
+                }
+                for window in windows
+            ],
+        }
+    return golden
 
 
 def site_results_golden() -> dict:
@@ -111,6 +183,7 @@ def main() -> None:
     targets = {
         "realigned_sam.json": realigned_sam_golden(),
         "site_results.json": site_results_golden(),
+        "front_half.json": front_half_golden(),
         "evaluation_toy.json": evaluation_golden("toy"),
         "evaluation_cohort.json": evaluation_golden("cohort"),
         "evaluation_adversarial.json": evaluation_golden("adversarial"),

@@ -28,6 +28,7 @@ from regenerate import (  # noqa: E402  (needs the path hack above)
     SITE_COMPLEXITIES,
     SITE_SEED,
     evaluation_golden,
+    front_half_golden,
     realigned_sam_golden,
     site_results_golden,
 )
@@ -313,6 +314,46 @@ class TestEvaluationGoldens:
         )
         assert totals["concordance_after"] >= totals["concordance_before"]
         assert totals["reads_moved"] > 0
+
+
+class TestFrontHalfGolden:
+    """What ``build_sites`` decided, pinned before any kernel runs.
+
+    ``front_half.json`` was written by the commit *before* the front
+    half went columnar, so it is the old per-position pileup and
+    full-scan membership speaking: the SAM goldens only see reads that
+    moved, this sees every target, window, member and consensus."""
+
+    @pytest.fixture(scope="class")
+    def recomputed(self):
+        return front_half_golden()
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return _load("front_half.json")
+
+    @pytest.mark.parametrize("label", ["single_contig", "deep_panel"])
+    def test_targets_and_windows(self, recomputed, golden, label):
+        got, want = recomputed[label], golden[label]
+        assert got["params"] == want["params"], (
+            "regenerate.py parameters changed without regenerating the "
+            f"golden. {REGEN_HINT}"
+        )
+        assert got["targets"] == want["targets"], (
+            f"front half [{label}]: targets drifted. {REGEN_HINT}"
+        )
+        assert len(got["windows"]) == len(want["windows"]), (
+            f"front half [{label}]: golden built {len(want['windows'])} "
+            f"windows, got {len(got['windows'])}. {REGEN_HINT}"
+        )
+        for index, (g, w) in enumerate(zip(got["windows"], want["windows"])):
+            for key in ("chrom", "start", "reads", "indels",
+                        "consensuses_sha256"):
+                assert g[key] == w[key], (
+                    f"front half [{label}]: window #{index} "
+                    f"({w['chrom']}:{w['start']}) {key} drifted. "
+                    f"{REGEN_HINT}"
+                )
 
 
 class TestSiteResultGolden:
