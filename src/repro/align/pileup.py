@@ -2,8 +2,11 @@
 
 A pileup column collects, for one reference position, every read base
 aligned across it (with its quality), plus the INDELs anchored there.
-Consumers: the variant caller (:mod:`repro.variants.caller`) and INDEL
-target identification (:mod:`repro.realign.targets`).
+Consumers: the variant caller (:mod:`repro.variants.caller`), BQSR and
+the refinement pipeline. INDEL target identification
+(:mod:`repro.realign.targets`) needs one boolean per position, not the
+evidence behind it, and takes the same walk as counts instead of
+objects: :func:`mismatch_loci`.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
+
+import numpy as np
 
 from repro.genomics.cigar import CigarOp
 from repro.genomics.read import Read
@@ -93,6 +98,80 @@ def pileup(reads: Iterable[Read], skip_duplicates: bool = True
             elif op is CigarOp.SOFT_CLIP:
                 read_offset += length
     return columns
+
+
+def mismatch_loci(
+    reads: Iterable[Read],
+    reference,
+    min_depth: int,
+    min_fraction: float,
+) -> Dict[str, List[int]]:
+    """Positions, per contig, where deep coverage mostly mismatches.
+
+    A locus is a column of :func:`pileup` with ``depth >= min_depth``
+    and ``mismatches / depth >= min_fraction`` (``min_fraction > 0``)
+    against ``reference``, compared on the raw character (``N`` over
+    ``A`` mismatches, ``N`` over ``N`` does not). The walk is
+    :func:`pileup`'s -- unmapped and duplicate reads skipped, clipped
+    and inserted bases in no column, a deletion adding no depth -- but
+    it emits M blocks instead of column objects. Mismatches are counted
+    where the blocks' bases, laid end to end, differ from the reference
+    bases under them; depth is needed only at those columns, as blocks
+    begun minus blocks ended. Nothing is as long as the contig. A
+    column past the contig end has no reference base and is never a
+    locus.
+    """
+    blocks: Dict[str, Tuple[List[int], List[int], List[str]]] = {}
+    for read in reads:
+        if not read.is_mapped or read.is_duplicate:
+            continue
+        starts, ends, bases = blocks.setdefault(read.chrom, ([], [], []))
+        read_offset = 0
+        ref_pos = read.pos
+        for op, length in read.cigar:
+            if op is CigarOp.MATCH:
+                starts.append(ref_pos)
+                ends.append(ref_pos + length)
+                bases.append(read.seq[read_offset : read_offset + length])
+                read_offset += length
+                ref_pos += length
+            elif op is CigarOp.DELETION:
+                ref_pos += length
+            else:  # insertion or soft clip: bases in no column
+                read_offset += length
+    loci: Dict[str, List[int]] = {}
+    for chrom, (starts, ends, bases) in blocks.items():
+        if not starts:
+            continue
+        block_start, block_end = np.array(starts), np.array(ends)
+        by_start, by_end = np.sort(block_start), np.sort(block_end)
+        # The deepest column is the first of some block.
+        deepest = (np.arange(1, by_start.size + 1)
+                   - np.searchsorted(by_end, by_start, side="right")).max()
+        if deepest < min_depth:
+            continue
+        contig = reference.fetch(chrom, 0, reference.length(chrom))
+        # A block overhanging the contig compares against padding.
+        under = "".join([contig[s:e].ljust(e - s)
+                         for s, e in zip(starts, ends)])
+        wrong = np.flatnonzero(
+            np.frombuffer("".join(bases).encode("ascii"), np.uint8)
+            != np.frombuffer(under.encode("ascii"), np.uint8)
+        )
+        # ``wrong`` indexes the end-to-end base stream: find the block
+        # each offset falls in and count back from that block's end.
+        stops = np.cumsum(block_end - block_start)
+        block = np.searchsorted(stops, wrong, side="right")
+        columns, mismatches = np.unique(
+            block_end[block] - (stops[block] - wrong), return_counts=True
+        )
+        depth = (np.searchsorted(by_start, columns, side="right")
+                 - np.searchsorted(by_end, columns, side="right"))
+        found = columns[(columns < len(contig)) & (depth >= min_depth)
+                        & (mismatches / depth >= min_fraction)]
+        if found.size:
+            loci[chrom] = found.tolist()
+    return loci
 
 
 def merge_columns(

@@ -465,7 +465,7 @@ class AcceleratedRealigner:
                 [windows[i].site for i in indices], telemetry=telemetry
             )
             fallback_results = dict(zip(indices, batched))
-        updates: Dict[str, Read] = {}
+        updates: Dict[int, Read] = {}  # by input object: mates share a name
         for index, (window, result) in enumerate(zip(windows,
                                                      run.unit_results)):
             if index in fallback:
@@ -473,11 +473,11 @@ class AcceleratedRealigner:
             report.unpruned_comparisons += window.site.unpruned_comparisons()
             for j, read in enumerate(window.reads):
                 if result.realign[j]:
-                    updates[read.name] = apply_realignment(
+                    updates[id(read)] = apply_realignment(
                         read, window, result.best_cons, int(result.new_pos[j])
                     )
                     report.reads_realigned += 1
-        updated = [updates.get(read.name, read) for read in reads]
+        updated = [updates.get(id(read), read) for read in reads]
         for before, after in zip(reads, updated):
             if (before.pos, str(before.cigar)) != (after.pos,
                                                    str(after.cigar)):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 
@@ -52,7 +53,13 @@ class CigarError(ValueError):
 
 @dataclass(frozen=True)
 class Cigar:
-    """An immutable sequence of ``(CigarOp, length)`` elements."""
+    """An immutable sequence of ``(CigarOp, length)`` elements.
+
+    The derived lengths are computed once per instance
+    (``cached_property`` stores into ``__dict__``, which a frozen
+    dataclass allows), so ``Read.end`` is O(1) after its first use;
+    equality and hash stay on ``elements`` alone.
+    """
 
     elements: Tuple[Tuple[CigarOp, int], ...]
 
@@ -107,17 +114,17 @@ class Cigar:
     def __len__(self) -> int:
         return len(self.elements)
 
-    @property
+    @cached_property
     def read_length(self) -> int:
         """Number of read bases this alignment consumes."""
         return sum(length for op, length in self.elements if op.consumes_read)
 
-    @property
+    @cached_property
     def reference_length(self) -> int:
         """Number of reference bases this alignment spans."""
         return sum(length for op, length in self.elements if op.consumes_reference)
 
-    @property
+    @cached_property
     def has_indel(self) -> bool:
         """True if the alignment contains an insertion or deletion."""
         return any(op in (CigarOp.INSERTION, CigarOp.DELETION) for op, _ in self.elements)

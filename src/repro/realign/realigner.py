@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.genomics.read import Read
 from repro.genomics.reference import ReferenceGenome
 from repro.realign.consensus import (
@@ -179,14 +181,31 @@ class IndelRealigner:
         # A read belongs to exactly one target: consensus windows extend
         # beyond their (disjoint) target intervals, so without claiming,
         # a read anchored near two targets could be realigned twice with
-        # order-dependent results.
-        claimed: set = set()
+        # order-dependent results. Each builder decides membership with
+        # ``reads_for_target``; it is handed the target's unclaimed
+        # anchored reads, found through the start-sorted views, in
+        # input order, instead of every read.
+        views = _start_sorted(reads)
+        claimed = np.zeros(len(reads), dtype=bool)
         windows: List[ConsensusWindow] = []
         for target in targets:
-            available = [read for read in reads if read.name not in claimed]
-            built = builder(target, available, self.reference, self.limits)
+            if target.chrom not in views:
+                continue
+            pos, last, index, max_span = views[target.chrom]
+            # An anchored read starts no further left than the longest
+            # read reaches back, and no further right than the target's
+            # end (which only a read spanning no reference base hits).
+            near = slice(np.searchsorted(pos, target.start - max_span),
+                         np.searchsorted(pos, target.end, side="right"))
+            pos, last, index = pos[near], last[near], index[near]
+            anchored = (((target.start <= pos) & (pos < target.end))
+                        | ((target.start <= last) & (last < target.end)))
+            candidates = np.sort(index[anchored & ~claimed[index]]).tolist()
+            built = builder(target, [reads[i] for i in candidates],
+                            self.reference, self.limits)
             if built is not None:
-                claimed.update(read.name for read in built.reads)
+                used = {id(read) for read in built.reads}
+                claimed[[i for i in candidates if id(reads[i]) in used]] = True
                 windows.append(built)
         return targets, windows
 
@@ -217,7 +236,8 @@ class IndelRealigner:
         results = self._engine_instance().run_sites(
             [window.site for window in windows], telemetry=telemetry
         )
-        updates: Dict[str, Read] = {}
+        # Keyed on the input object, not its name: mates share a QNAME.
+        updates: Dict[int, Read] = {}
         for window, result in zip(windows, results):
             site = window.site
             report.unpruned_comparisons += site.unpruned_comparisons()
@@ -228,7 +248,7 @@ class IndelRealigner:
                     updated_read = apply_realignment(
                         read, window, result.best_cons, int(result.new_pos[j])
                     )
-                    updates[read.name] = updated_read
+                    updates[id(read)] = updated_read
                     report.reads_realigned += 1
                     if (updated_read.pos != read.pos
                             or str(updated_read.cigar) != str(read.cigar)):
@@ -236,8 +256,33 @@ class IndelRealigner:
                         moved[read.name] = updated_read
             if observer is not None:
                 observer(window, result, moved)
-        updated = [updates.get(read.name, read) for read in reads]
+        updated = [updates.get(id(read), read) for read in reads]
         return updated, report
+
+
+def _start_sorted(reads: Sequence[Read]) -> Dict[str, tuple]:
+    """Per contig, the reads a target may anchor, sorted by start.
+
+    Each view is ``(pos, last, index, max_span)``: start, last covered
+    position (``end - 1``) and input index of every mapped
+    non-duplicate read of the contig in ascending ``pos``, and the
+    largest reference span among them -- which bounds how far left of
+    a target an anchored read can start.
+    """
+    columns: Dict[str, Tuple[List[int], List[int], List[int]]] = {}
+    for index, read in enumerate(reads):
+        if read.is_mapped and not read.is_duplicate:
+            pos, last, indices = columns.setdefault(read.chrom, ([], [], []))
+            pos.append(read.pos)
+            last.append(read.end - 1)
+            indices.append(index)
+    views = {}
+    for chrom, (pos, last, indices) in columns.items():
+        pos, last, indices = np.array(pos), np.array(last), np.array(indices)
+        order = np.argsort(pos)
+        views[chrom] = (pos[order], last[order], indices[order],
+                        int((last - pos).max()) + 1)
+    return views
 
 
 def apply_realignment(

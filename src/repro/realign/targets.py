@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.align.pileup import pileup
+from repro.align.pileup import mismatch_loci
 from repro.genomics.read import Read
 from repro.genomics.reference import ReferenceGenome
 from repro.realign.site import SiteLimits, PAPER_LIMITS
@@ -84,24 +84,6 @@ def _indel_loci(reads: Iterable[Read]) -> Dict[str, List[int]]:
     return loci
 
 
-def _mismatch_cluster_loci(
-    reads: Sequence[Read],
-    reference: ReferenceGenome,
-    config: TargetCreatorConfig,
-) -> Dict[str, List[int]]:
-    """Positions where a large fraction of deep coverage mismatches."""
-    loci: Dict[str, List[int]] = {}
-    columns = pileup(reads)
-    for (chrom, pos), column in columns.items():
-        if column.depth < config.mismatch_min_depth:
-            continue
-        ref_base = reference.fetch(chrom, pos, pos + 1)
-        mismatches = sum(1 for base in column.bases if base != ref_base)
-        if mismatches / column.depth >= config.mismatch_min_fraction:
-            loci.setdefault(chrom, []).append(pos)
-    return loci
-
-
 def _merge_loci(
     loci: Sequence[int], merge_distance: int, flank: int,
     contig_length: int, max_span: int,
@@ -127,11 +109,21 @@ def identify_targets(
     :class:`~repro.genomics.variants.Variant` or a ``(chrom, pos)``
     pair. Known sites are merged with read evidence, so realignment
     can trigger even where every carrier read was misaligned gap-free.
+
+    Mismatch clusters are counted per contig in arrays
+    (:func:`repro.align.pileup.mismatch_loci`), not read off one
+    :class:`~repro.align.pileup.PileupColumn` per position as they were
+    before; the targets are the same on every input but one. Reads
+    overhanging the contig end used to be ignored while fewer than
+    ``mismatch_min_depth`` of them overhung and to raise ``IndexError``
+    (no reference base to fetch) from that depth on; now a column past
+    the contig end is never evidence, whatever its depth.
     """
     evidence = _indel_loci(reads)
     if config.use_mismatch_clusters:
-        for chrom, positions in _mismatch_cluster_loci(
-            reads, reference, config
+        for chrom, positions in mismatch_loci(
+            reads, reference, config.mismatch_min_depth,
+            config.mismatch_min_fraction,
         ).items():
             evidence.setdefault(chrom, []).extend(positions)
     for site in known_sites:

@@ -118,18 +118,19 @@ def apply_site_results(reads: Sequence[Read], windows, results) -> List[Read]:
     Mirrors the update step of
     :meth:`repro.realign.realigner.IndelRealigner.realign` exactly
     (same :func:`~repro.realign.realigner.apply_realignment` call, same
-    name-keyed update map, same input order out), so a server that ran
-    ``build_sites`` locally but the kernel remotely reproduces the
-    batch path byte for byte.
+    update map keyed on the input object -- ``windows`` must come from
+    ``build_sites(reads)`` on this very list -- same input order out),
+    so a server that ran ``build_sites`` locally but the kernel remotely
+    reproduces the batch path byte for byte.
     """
-    updates: Dict[str, Read] = {}
+    updates: Dict[int, Read] = {}
     for window, result in zip(windows, results):
         for j, read in enumerate(window.reads):
             if result.realign[j]:
-                updates[read.name] = apply_realignment(
+                updates[id(read)] = apply_realignment(
                     read, window, result.best_cons, int(result.new_pos[j])
                 )
-    return [updates.get(read.name, read) for read in reads]
+    return [updates.get(id(read), read) for read in reads]
 
 
 __all__ = ["RegionJob", "apply_site_results", "partition_jobs"]

@@ -45,7 +45,10 @@ from repro.realign.targets import (
 )
 
 # Registered before any @given below binds its settings: a test without
-# max_examples of its own takes the active profile's.
+# max_examples of its own takes the active profile's. (Recent hypothesis
+# ships a ``ci`` profile and selects it by itself when it sees a CI
+# environment; this replaces it, so on such a runner every pass over
+# this file gets the larger budget.)
 settings.register_profile(
     "ci", max_examples=400, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
@@ -325,6 +328,27 @@ def test_a_read_anchored_in_two_targets_goes_to_the_first(reference):
     assert [(t.start, t.end) for t in targets] == [(88, 113), (147, 172)]
     assert [[r.name for r in w.reads] for w in windows] == [
         ["both", "left"], ["right"]]
+    check(reads, reference, config)
+
+
+def test_two_reads_with_one_name_are_two_reads(reference):
+    """Mates share a QNAME. The second target's read carries the name
+    of a read the first target claimed, and still belongs to the
+    second target's site: claims follow the object, not its name."""
+    config = TargetCreatorConfig(merge_distance=10, flank=12,
+                                 use_mismatch_clusters=False)
+    fetch = reference.fetch
+    reads = [
+        _read("pair", "c0", 90, fetch("c0", 90, 100)
+              + fetch("c0", 101, 111), "10M1D10M"),
+        _read("pair", "c0", 250, fetch("c0", 250, 259)
+              + fetch("c0", 261, 272), "9M2D11M"),
+    ]
+    _targets, windows = IndelRealigner(
+        reference, creator_config=config).build_sites(reads)
+    assert [len(w.reads) for w in windows] == [1, 1]
+    assert windows[0].reads[0] is reads[0]
+    assert windows[1].reads[0] is reads[1]
     check(reads, reference, config)
 
 

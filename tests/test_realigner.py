@@ -115,3 +115,38 @@ class TestVectorizedParity:
         slow, _ = IndelRealigner(reference, kernel="scalar").realign(reads)
         for a, b in zip(fast, slow):
             assert a.pos == b.pos and str(a.cigar) == str(b.cigar)
+
+
+class TestSharedReadNames:
+    """Mates share a QNAME: claims and updates follow the read, never
+    its name. (Name-keyed, a far-away read came back replaced
+    wholesale by its realigned namesake.)"""
+
+    @pytest.mark.parametrize("entry", ["software", "accelerated", "served"])
+    def test_each_namesake_comes_back_as_itself(self, deletion_scenario,
+                                                entry):
+        reference, ref_seq, reads = deletion_scenario
+        index = next(i for i, r in enumerate(reads) if r.name == "bad1")
+        realigned = reads[index]
+        bystander = Read("bad1", "c", 200, ref_seq[200:300],
+                         full_quals(100), Cigar.parse("100M"))
+        reads = reads + [bystander]
+        if entry == "software":
+            updated, _report = IndelRealigner(reference).realign(reads)
+        elif entry == "accelerated":
+            from repro.core.system import AcceleratedRealigner
+
+            updated, _run, _report = AcceleratedRealigner(
+                reference).realign(reads)
+        else:
+            from repro.engine import Engine, EngineConfig
+            from repro.serve.jobs import apply_site_results
+
+            _targets, windows = IndelRealigner(reference).build_sites(reads)
+            with Engine(EngineConfig()) as engine:
+                results = engine.run_sites([w.site for w in windows])
+            updated = apply_site_results(reads, windows, results)
+        assert updated[-1] is bystander
+        moved = updated[index]
+        assert (moved.name, moved.seq) == (realigned.name, realigned.seq)
+        assert moved.pos == realigned.pos and "5D" in str(moved.cigar)

@@ -220,3 +220,115 @@ class TestBuildSite:
     def test_no_reads_no_site(self, reference):
         target = RealignmentTarget("1", 1000, 1100)
         assert build_site(target, [], reference) is None
+
+
+class TestOverhangingReads:
+    """A column past the contig end has no reference base and is never
+    evidence, however deep. (One PileupColumn per position used to skip
+    such columns while shallow and raise IndexError from
+    ``ReferenceGenome.fetch`` once ``mismatch_min_depth`` reads
+    overhung.)"""
+
+    def test_five_overhanging_reads_keep_their_in_contig_evidence(
+            self, reference):
+        # Every base wrong, 47 of them over the contig and 3 past it.
+        window = reference.fetch("1", 4_953, 5_000)
+        wrong = "".join("A" if c != "A" else "C" for c in window) + "AAA"
+        overhanging = [make_read(f"o{i}", 4_953, wrong, "50M")
+                       for i in range(5)]
+        inside = [make_read(f"i{i}", 4_953, wrong[:47], "47M")
+                  for i in range(5)]
+        targets = identify_targets(overhanging, reference)
+        assert targets == identify_targets(inside, reference)
+        assert [(t.start, t.end) for t in targets] == [(4_703, 5_000)]
+        # The same overhang over bases that all match is no evidence:
+        # nothing inside the contig disagrees with the reference.
+        matching = [make_read(f"m{i}", 4_953, window + "AAA", "50M")
+                    for i in range(5)]
+        assert identify_targets(matching, reference) == []
+
+
+    def test_a_read_placed_far_past_the_contig_costs_nothing(
+            self, reference):
+        """Work follows reads and evidence, not coordinates: nothing
+        is sized by the position a stray read claims."""
+        indel = make_read("a", 1_000, "A" * 50, "20M2D30M")
+        stray = make_read("far", 10**12, "A" * 50, "50M")
+        assert (identify_targets([indel, stray], reference)
+                == identify_targets([indel], reference))
+
+
+class TestFrontHalfScaling:
+    """Counts, not seconds: the work ``build_sites`` does per read and
+    per position, on the golden 12 kb / 18x sample."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        import json
+        from pathlib import Path
+
+        path = Path(__file__).parent / "golden" / "front_half.json"
+        return json.loads(path.read_text())["single_contig"]
+
+    @pytest.fixture(scope="class")
+    def sample(self, golden):
+        from repro.genomics.simulate import SimulationProfile, simulate_sample
+
+        params = golden["params"]
+        return simulate_sample(
+            {params["contig"]: params["length"]},
+            profile=SimulationProfile(coverage=params["coverage"],
+                                      indel_rate=params["indel_rate"]),
+            seed=params["seed"],
+        )
+
+    def test_membership_sees_each_read_at_most_twice(self, sample,
+                                                     monkeypatch):
+        """A read's start and its end each land in at most one of the
+        disjoint targets, so the membership rule is handed at most
+        2 x mapped reads over a whole call -- not targets x reads."""
+        import repro.realign.consensus as consensus
+        from repro.realign.realigner import IndelRealigner
+
+        handed = []
+
+        def counting(target, reads):
+            handed.append(len(reads))
+            return reads_for_target(target, reads)
+
+        monkeypatch.setattr(consensus, "reads_for_target", counting)
+        targets, windows = IndelRealigner(sample.reference).build_sites(
+            sample.reads)
+        mapped = sum(read.is_mapped for read in sample.reads)
+        assert windows and len(handed) == len(targets)
+        assert sum(handed) <= 2 * mapped
+
+    def test_targets_need_no_pileup_column(self, sample, golden,
+                                           monkeypatch):
+        import repro.align.pileup as pileup_module
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a PileupColumn was built")
+
+        monkeypatch.setattr(pileup_module, "PileupColumn", refuse)
+        targets = identify_targets(sample.reads, sample.reference)
+        assert [[t.chrom, t.start, t.end] for t in targets] == \
+            golden["targets"]
+
+    def test_read_end_walks_the_cigar_once(self):
+        class CountingElements(tuple):
+            walks = 0
+
+            def __iter__(self):
+                type(self).walks += 1
+                return super().__iter__()
+
+        cigar = Cigar(CountingElements(Cigar.parse("20M2D30M").elements))
+        read = Read("a", "1", 100, "A" * 50, np.full(50, 30, np.uint8),
+                    cigar)
+        CountingElements.walks = 0
+        assert read.end == 152
+        first = CountingElements.walks
+        assert first >= 1
+        assert read.end == 152 and read.anchored_in(150, 160)
+        assert CountingElements.walks == first
