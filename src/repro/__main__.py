@@ -257,11 +257,9 @@ def _check_recovery_flags(args: argparse.Namespace):
     if not 0.0 <= args.worker_fault_rate <= 1.0:
         return (f"error: --worker-fault-rate must be in [0, 1], "
                 f"got {args.worker_fault_rate}")
-    if (args.worker_fault_rate > 0.0 and args.workers < 2
-            and getattr(args, "shards", 1) < 2):
-        return ("error: --worker-fault-rate requires --workers >= 2 or "
-                "--shards >= 2 (the inline engine has no worker pool "
-                "to fault)")
+    if args.worker_fault_rate > 0.0 and args.workers < 2:
+        return ("error: --worker-fault-rate requires --workers >= 2 "
+                "(the inline engine has no worker pool to fault)")
     if args.chunk_deadline is not None and args.chunk_deadline <= 0.0:
         return (f"error: --chunk-deadline must be positive, "
                 f"got {args.chunk_deadline}")
@@ -288,29 +286,26 @@ def _make_recovery(args: argparse.Namespace):
 
 
 def _make_engine(args: argparse.Namespace):
-    """The live plane the engine flags describe: a
-    :class:`~repro.shard.plane.ShardPlane` when ``--shards``/``--site
-    -cache-mb`` ask for horizontal dispatch or cross-request caching,
-    a :class:`StreamingEngine` when ``--stream``, else an
-    :class:`Engine`. The caller closes it."""
+    """The live engine the engine flags describe: a
+    :class:`StreamingEngine` when ``--stream``, else an
+    :class:`Engine`, with a :class:`~repro.shard.cache.SiteResultCache`
+    in front when ``--site-cache-mb`` asks for one. The caller closes
+    it."""
     from repro.engine import Engine, EngineConfig, StreamingEngine
 
     config = EngineConfig(workers=args.workers, batch=args.batch,
                           prefilter=args.prefilter, kernel=args.kernel)
-    recovery = _make_recovery(args)
-    shards = getattr(args, "shards", 1)
-    cache_mb = getattr(args, "site_cache_mb", 0.0)
-    if shards > 1 or cache_mb > 0:
-        from repro.shard import ShardPlane, SiteResultCache
+    cache = None
+    if args.site_cache_mb > 0:
+        from repro.shard.cache import SiteResultCache
 
-        cache = (SiteResultCache.from_megabytes(cache_mb)
-                 if cache_mb > 0 else None)
-        return ShardPlane(config, shards=shards, cache=cache,
-                          recovery=recovery)
+        cache = SiteResultCache.from_megabytes(args.site_cache_mb)
+    recovery = _make_recovery(args)
     if args.stream:
         return StreamingEngine(config, queue_depth=args.queue_depth,
-                               use_shmem=args.shmem, recovery=recovery)
-    return Engine(config, recovery=recovery)
+                               use_shmem=args.shmem, recovery=recovery,
+                               cache=cache)
+    return Engine(config, recovery=recovery, cache=cache)
 
 
 def _print_recovery(engine, args: argparse.Namespace) -> None:
@@ -344,68 +339,72 @@ def _cmd_realign(args: argparse.Namespace) -> int:
         print("error: --fault-rate requires --accelerated (chaos mode "
               "injects faults into the FPGA system model)", file=sys.stderr)
         return 2
+    if args.telemetry is not None and not args.accelerated:
+        print("error: --telemetry requires --accelerated (the software "
+              "realigner has no hardware timeline)", file=sys.stderr)
+        return 2
     error = _engine_flag_errors(args)
     if error is not None:
         print(error, file=sys.stderr)
         return 2
     engine = _make_engine(args)
-    reference = read_reference(args.reference)
-    reads = read_sam(args.sam)
-    if args.accelerated:
-        config = SystemConfig.iracc()
-        if args.fault_rate > 0.0:
-            from dataclasses import replace
+    try:
+        reference = read_reference(args.reference)
+        reads = read_sam(args.sam)
+        if args.accelerated:
+            config = SystemConfig.iracc()
+            if args.fault_rate > 0.0:
+                from dataclasses import replace
 
-            from repro.resilience.policy import ResilienceConfig
+                from repro.resilience.policy import ResilienceConfig
 
-            config = replace(config, resilience=ResilienceConfig.chaos(
-                args.chaos_seed, args.fault_rate
-            ))
-        telemetry = None
-        if args.telemetry is not None:
-            from repro.telemetry import Telemetry
+                config = replace(config, resilience=ResilienceConfig.chaos(
+                    args.chaos_seed, args.fault_rate
+                ))
+            telemetry = None
+            if args.telemetry is not None:
+                from repro.telemetry import Telemetry
 
-            telemetry = Telemetry(label=config.name)
-        # The engine serves any targets that drain to the software
-        # fallback under chaos; fault-free runs never touch it.
-        realigner = AcceleratedRealigner(reference, config, engine=engine)
-        updated, run, report = realigner.realign(reads, telemetry=telemetry)
-        print(f"accelerated run: {run.total_seconds * 1e3:.2f} modelled ms, "
-              f"{run.pruned_fraction:.0%} of comparisons pruned")
-        if run.resilience is not None:
-            print(f"chaos mode (seed {args.chaos_seed}, rate "
-                  f"{args.fault_rate:.0%}): {run.resilience.describe()}")
-        if telemetry is not None:
-            from repro.telemetry import write_chrome_trace
-            from repro.telemetry.metrics import derive_schedule_metrics
+                telemetry = Telemetry(label=config.name)
+            # The engine serves any targets that drain to the software
+            # fallback under chaos; fault-free runs never touch it.
+            realigner = AcceleratedRealigner(reference, config, engine=engine)
+            updated, run, report = realigner.realign(reads,
+                                                     telemetry=telemetry)
+            print(f"accelerated run: {run.total_seconds * 1e3:.2f} modelled "
+                  f"ms, {run.pruned_fraction:.0%} of comparisons pruned")
+            if run.resilience is not None:
+                print(f"chaos mode (seed {args.chaos_seed}, rate "
+                      f"{args.fault_rate:.0%}): {run.resilience.describe()}")
+            if telemetry is not None:
+                from repro.telemetry import write_chrome_trace
+                from repro.telemetry.metrics import derive_schedule_metrics
 
-            write_chrome_trace(telemetry, args.telemetry)
-            print(f"telemetry: {derive_schedule_metrics(telemetry).describe()}")
-            print(f"trace -> {args.telemetry}")
-    else:
-        if args.telemetry is not None:
-            print("error: --telemetry requires --accelerated (the software "
-                  "realigner has no hardware timeline)", file=sys.stderr)
-            return 2
-        updated, report = IndelRealigner(reference,
-                                         engine=engine).realign(reads)
-        print(f"engine: workers={args.workers} batch={args.batch} "
-              f"kernel={args.kernel} "
-              f"prefilter={'on' if args.prefilter else 'off'}"
-              + (f" stream(depth={args.queue_depth}, "
-                 f"shmem={'on' if args.shmem else 'off'})"
-                 if args.stream else ""))
-    if args.stream:
-        stats = engine.stream_stats
-        if stats:
-            print(f"stream: {stats.get('stream.chunks', 0)} chunks, "
-                  f"max in-flight {stats.get('stream.max_in_flight', 0)}, "
-                  f"reorder peak {stats.get('stream.reorder_peak', 0)}, "
-                  f"arena bytes {stats.get('stream.arena_bytes', 0)}, "
-                  f"backpressure "
-                  f"{stats.get('stream.backpressure_us', 0)} us")
-    _print_recovery(engine, args)
-    engine.close()
+                write_chrome_trace(telemetry, args.telemetry)
+                metrics = derive_schedule_metrics(telemetry)
+                print(f"telemetry: {metrics.describe()}")
+                print(f"trace -> {args.telemetry}")
+        else:
+            updated, report = IndelRealigner(reference,
+                                             engine=engine).realign(reads)
+            print(f"engine: workers={args.workers} batch={args.batch} "
+                  f"kernel={args.kernel} "
+                  f"prefilter={'on' if args.prefilter else 'off'}"
+                  + (f" stream(depth={args.queue_depth}, "
+                     f"shmem={'on' if args.shmem else 'off'})"
+                     if args.stream else ""))
+        if args.stream:
+            stats = engine.stream_stats
+            if stats:
+                print(f"stream: {stats.get('stream.chunks', 0)} chunks, "
+                      f"max in-flight {stats.get('stream.max_in_flight', 0)}, "
+                      f"reorder peak {stats.get('stream.reorder_peak', 0)}, "
+                      f"arena bytes {stats.get('stream.arena_bytes', 0)}, "
+                      f"backpressure "
+                      f"{stats.get('stream.backpressure_us', 0)} us")
+        _print_recovery(engine, args)
+    finally:
+        engine.close()
     write_sam(updated, args.out, reference)
     print(f"{report.targets_identified} targets, {report.sites_built} sites, "
           f"{report.reads_realigned} reads realigned "
@@ -602,14 +601,8 @@ def _engine_flag_errors(args: argparse.Namespace):
         return "error: --workers and --batch must be >= 1"
     if args.queue_depth < 1:
         return "error: --queue-depth must be >= 1"
-    if getattr(args, "shards", 1) < 1:
-        return "error: --shards must be >= 1"
-    if getattr(args, "site_cache_mb", 0.0) < 0:
+    if args.site_cache_mb < 0:
         return "error: --site-cache-mb must be >= 0"
-    if getattr(args, "shards", 1) > 1 and args.stream:
-        return ("error: --shards and --stream are mutually exclusive "
-                "(the shard plane runs the barrier window with pickled "
-                "payloads)")
     return _check_recovery_flags(args)
 
 
@@ -795,12 +788,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             return 1
         print(f"served output matches {args.compare} "
               f"({len(got_lines)} reads)")
-        _print_server_planes(report.server)
+        _print_site_cache(report.server)
     return 0
 
 
-def _print_server_planes(server_stats) -> None:
-    """Cache and shard-plane lines from a server's snapshot dict."""
+def _print_site_cache(server_stats) -> None:
+    """The site-cache line from a server's snapshot dict."""
     if not isinstance(server_stats, dict):
         return
     counters = server_stats.get("counters", {}) or {}
@@ -811,11 +804,6 @@ def _print_server_planes(server_stats) -> None:
               f"{counters.get('cache.misses', 0)} misses, "
               f"{counters.get('cache.evictions', 0)} evictions, "
               f"{counters.get('cache.bytes', 0)} bytes held)")
-    saturation = server_stats.get("shard_saturation", {}) or {}
-    if saturation:
-        busy = ", ".join(f"{name} {value:.1%}"
-                         for name, value in sorted(saturation.items()))
-        print(f"shard saturation: {busy}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1066,7 +1054,7 @@ def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
         dest="worker_fault_rate",
         help="host chaos mode: per-chunk-dispatch probability of an "
              "injected worker fault (SIGKILL/hang/delay/error), seeded "
-             "by --chaos-seed; requires --workers >= 2 or --shards >= 2",
+             "by --chaos-seed; requires --workers >= 2",
     )
     subparser.add_argument(
         "--chunk-deadline", type=float, default=None, dest="chunk_deadline",
@@ -1074,14 +1062,6 @@ def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
         help="per-chunk watchdog deadline of the worker pool's crash "
              "recovery (retry/bisect/quarantine + pool respawn), which "
              "is always on (default: REPRO_CHUNK_DEADLINE, else 30)",
-    )
-    subparser.add_argument(
-        "--shards", type=int, default=1,
-        help="horizontal shard plane: cut chunks by contig/region "
-             "hash and run them on a pool of N workers (byte-identical "
-             "output at any N; docs/SHARDING.md); incompatible with "
-             "--stream (the shard plane runs the barrier window with "
-             "pickled payloads)",
     )
     subparser.add_argument(
         "--site-cache-mb", type=float, default=0.0, dest="site_cache_mb",
@@ -1095,13 +1075,12 @@ def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    from repro.engine.native import native_mode, shards_from_env
+    from repro.engine.native import native_mode
     from repro.resilience.workers import WorkerRecovery
 
     try:
         native_mode()
         WorkerRecovery.from_env()
-        shards_from_env()
     except ValueError as error:
         parser.error(str(error))
     if args.command == "simulate":

@@ -414,7 +414,7 @@ class AcceleratedRealigner:
         fallback sites (targets that exhaust hardware recovery): an
         :class:`repro.engine.EngineConfig` (its ``scoring`` is overridden
         by the system config's) or anything with ``run_sites`` (a live
-        engine, a shard plane). None (the default) is the inline
+        engine). None (the default) is the inline
         engine on ``kernel``. Every plane is bit-identical to the
         hardware's decisions by construction."""
         from repro.engine.autotune import KERNEL_CHOICES

@@ -9,15 +9,16 @@ independent optimizations, each preserving byte-identical output:
 - :mod:`repro.engine.bitpack` -- GateKeeper-style bit-packed SWAR
   kernel: 2-bit bases in uint64 lanes, 32 comparisons per word op;
 - :mod:`repro.engine.native` -- the same SWAR pipeline as *compiled*
-  machine code (numba jit or a ctypes-loaded C library), with graceful
-  degradation to bitpack when neither backend is usable;
+  machine code (a ctypes-loaded C library), with graceful
+  degradation to bitpack when it cannot be built;
 - :mod:`repro.engine.autotune` -- the kernel names and the one
   dispatch point (``--kernel auto`` means ``native``);
 - :mod:`repro.engine.prefilter` -- GateKeeper-style count bounds that
   prune offsets, consensus rows, and cannot-beat-reference pairs;
-- :mod:`repro.engine.parallel` -- the one chunk dispatch loop: a
-  fault-tolerant worker pool with work-stealing and an incremental
-  reordering merge that emits results in deterministic chunk order;
+- :mod:`repro.engine.parallel` -- the one chunk dispatch loop: an
+  optional site-result cache in front, a fault-tolerant worker pool
+  with work-stealing and an incremental reordering merge that emits
+  results in deterministic chunk order;
 - :mod:`repro.engine.stream` -- the streaming data plane: the same loop
   with a bounded in-flight window and zero-copy dispatch through
   :mod:`repro.engine.shmem` arenas.

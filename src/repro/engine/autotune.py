@@ -6,7 +6,7 @@ The repository carries five exact WHD kernels -- scalar
 (:mod:`repro.engine.batch`), bit-packed SWAR
 (:mod:`repro.engine.bitpack`), and the compiled native tier
 (:mod:`repro.engine.native`, the SWAR pipeline as machine code via
-numba or a ctypes-loaded C library). They produce byte-identical
+a ctypes-loaded C library). They produce byte-identical
 results, so the choice only moves the time to produce them.
 
 ``kernel="auto"`` means ``native``: the compiled tier is the fastest

@@ -25,31 +25,24 @@ machine code over the packed planes:
 4. **Exact unpack-and-dot** for the bound-straddling offsets: iterate
    the set mismatch bits and sum the read's qualities at those lanes.
 
-Two backends provide the compiled entry points, tried in order:
+The compiled entry points are a small C translation of those loops
+(the **cc** backend), built once with the system C compiler into a
+cached shared library and called through ``ctypes``.
 
-- **numba** -- ``@njit(cache=True, parallel=False)`` jit of the grid
-  loops (``parallel=False`` on purpose: the engines already
-  parallelize across sites with a process pool, and an inner thread
-  pool would oversubscribe the workers);
-- **cc** -- a small C translation of the same loops, compiled once
-  with the system C compiler into a cached shared library and called
-  through ``ctypes`` (hosts without numba -- this repo's CI containers
-  included -- still get native speed).
+It is not required: when no C compiler works, every entry point
+degrades to the interpreted bitpack kernel, counting
+``kernel.native.unavailable`` in telemetry and logging one warning --
+never an error (the ``REPRO_NATIVE=off`` CI pass pins this). The
+``REPRO_NATIVE`` environment variable disables the tier (``off``) or
+leaves the default probe (``auto``); any other value is a
+``ValueError``.
 
-Neither backend is required: when numba is missing *and* no C compiler
-works, every entry point degrades to the interpreted bitpack kernel,
-counting ``kernel.native.unavailable`` in telemetry and logging one
-warning -- never an error (the no-numba CI job pins this). The
-``REPRO_NATIVE`` environment variable forces a backend (``numba`` /
-``cc``), disables the tier (``off``), or leaves the default probe
-order (``auto``); any other value is a ``ValueError``.
-
-JIT warmup: the first call into a backend pays its one-time
-compilation (numba jit) or shared-library build (cc). So that this
-cost cannot land in a timed chunk or a served request's latency,
-:func:`warmup_native` compiles and exercises both grid kernels on a
-tiny site; the pool initializer in :mod:`repro.engine.parallel` and
-the serving plane invoke it before timing or traffic starts.
+Warmup: the first call into the backend may pay the one-time
+shared-library build. So that this cost cannot land in a timed chunk
+or a served request's latency, :func:`warmup_native` compiles and
+exercises both grid kernels on a tiny site; the pool initializer in
+:mod:`repro.engine.parallel` and the serving plane invoke it before
+timing or traffic starts.
 
 The Figure 4 worked example (``TGAA`` / ``CCTTAGA`` and friends, m=7,
 n=4, k=0..3) lands identically to the scalar kernel -- through the
@@ -97,7 +90,7 @@ logger = logging.getLogger(__name__)
 
 _ENV_NATIVE = "REPRO_NATIVE"
 _OFF_MODES = ("off", "none", "0", "disabled")
-_NATIVE_MODES = ("auto", "numba", "cc") + _OFF_MODES
+_NATIVE_MODES = ("auto",) + _OFF_MODES
 
 #: Below this ``C * R * K * n`` comparison volume the compiled scalar
 #: grid kernel runs instead of the SWAR pipeline: tiny sites spend more
@@ -326,128 +319,6 @@ def _load_cc_backend() -> Optional[_CcBackend]:
 
 
 # ---------------------------------------------------------------------
-# the numba translation of the same loops
-# ---------------------------------------------------------------------
-
-class _NumbaBackend:
-    """The grid kernels under ``@njit``; compiled lazily, cached on disk."""
-
-    name = "numba"
-
-    def __init__(self, swar, scalar):
-        self._swar = swar
-        self._scalar = scalar
-
-    def swar_grid(self, shifted, shifted_n, mlens, width, rwords, rnmask,
-                  rvalid, rquals, qlow, nlens, wr, qstride, track_n,
-                  out_whd, out_idx) -> int:
-        return int(self._swar(
-            shifted.reshape(-1), shifted_n.reshape(-1), mlens, width,
-            rwords.reshape(-1), rnmask.reshape(-1), rvalid.reshape(-1),
-            rquals.reshape(-1), qlow.reshape(-1), wr, qstride,
-            nlens, track_n, out_whd, out_idx,
-        ))
-
-    def scalar_grid(self, cons, mlens, mstride, reads, nlens, nstride,
-                    rquals, out_whd, out_idx) -> None:
-        self._scalar(cons, mlens, reads, nlens, rquals, out_whd, out_idx)
-
-
-def _load_numba_backend() -> Optional[_NumbaBackend]:
-    try:
-        from numba import njit
-    except ImportError:
-        return None
-
-    # parallel=False on purpose: sites already fan out across a process
-    # pool (repro.engine.parallel); an inner thread team would
-    # oversubscribe every worker. cache=True persists the compiled
-    # machine code so only the first process ever pays the jit.
-    jit = njit(cache=True, parallel=False, nogil=True)
-
-    @jit
-    def _popcount64(x):
-        x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-        x = ((x & np.uint64(0x3333333333333333))
-             + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333)))
-        x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-    @jit
-    def swar(shifted, shifted_n, mlens, width, rwords, rnmask, rvalid,
-             rquals, qlow, wr, qstride, nlens, track_n, out_whd, out_idx):
-        EVEN = np.uint64(0x5555555555555555)
-        one = np.uint64(1)
-        num_cons = mlens.size
-        num_reads = nlens.size
-        exact = 0
-        for i in range(num_cons):
-            cbase = i * 32 * width
-            for j in range(num_reads):
-                rbase = j * wr
-                qbase = j * wr * 32
-                K = mlens[i] - nlens[j] + 1
-                best = np.int64(2147483647)
-                best_idx = np.int64(0)
-                for k in range(K):
-                    wbase = cbase + (k & 31) * width + (k >> 5)
-                    cnt = np.int64(0)
-                    for w in range(wr):
-                        x = shifted[wbase + w] ^ rwords[rbase + w]
-                        m = (x | (x >> one)) & EVEN
-                        if track_n:
-                            m |= shifted_n[wbase + w] ^ rnmask[rbase + w]
-                        m &= rvalid[rbase + w]
-                        cnt += np.int64(_popcount64(m))
-                    if qlow[j * qstride + cnt] >= best:
-                        continue
-                    exact += 1
-                    whd = np.int64(0)
-                    for w in range(wr):
-                        x = shifted[wbase + w] ^ rwords[rbase + w]
-                        m = (x | (x >> one)) & EVEN
-                        if track_n:
-                            m |= shifted_n[wbase + w] ^ rnmask[rbase + w]
-                        m &= rvalid[rbase + w]
-                        while m:
-                            lsb = m & (np.uint64(0) - m)
-                            lane = np.int64(
-                                _popcount64(lsb - one)
-                            ) >> 1
-                            whd += rquals[qbase + w * 32 + lane]
-                            m ^= lsb
-                    if whd < best:
-                        best = whd
-                        best_idx = np.int64(k)
-                out_whd[i, j] = best
-                out_idx[i, j] = best_idx
-        return exact
-
-    @jit
-    def scalar(cons, mlens, reads, nlens, rquals, out_whd, out_idx):
-        num_cons = mlens.size
-        num_reads = nlens.size
-        for i in range(num_cons):
-            for j in range(num_reads):
-                n = nlens[j]
-                K = mlens[i] - n + 1
-                best = np.int64(2147483647)
-                best_idx = np.int64(0)
-                for k in range(K):
-                    whd = np.int64(0)
-                    for t in range(n):
-                        if cons[i, k + t] != reads[j, t]:
-                            whd += rquals[j, t]
-                    if whd < best:
-                        best = whd
-                        best_idx = np.int64(k)
-                out_whd[i, j] = best
-                out_idx[i, j] = best_idx
-
-    return _NumbaBackend(swar, scalar)
-
-
-# ---------------------------------------------------------------------
 # backend resolution, warmup, availability
 # ---------------------------------------------------------------------
 
@@ -480,11 +351,11 @@ def env_number(name: str, parse, default, accept, form: str, env=None):
     variable, the bad value and the accepted ``form`` -- never
     ``int()``'s traceback from wherever the value was first used.
 
-    >>> env_number("REPRO_SHARDS", int, 1, lambda n: n >= 1,
-    ...            "an integer >= 1", env={"REPRO_SHARDS": "abc"})
+    >>> env_number("REPRO_CHAOS_SEED", int, 0, lambda n: True,
+    ...            "an integer", env={"REPRO_CHAOS_SEED": "abc"})
     Traceback (most recent call last):
         ...
-    ValueError: REPRO_SHARDS='abc' is not an integer >= 1
+    ValueError: REPRO_CHAOS_SEED='abc' is not an integer
     """
     env = os.environ if env is None else env
     text = env.get(name, "").strip()
@@ -499,34 +370,17 @@ def env_number(name: str, parse, default, accept, form: str, env=None):
     return value
 
 
-def shards_from_env(env=None) -> int:
-    """``REPRO_SHARDS``: the shard count an engine-less
-    :class:`~repro.realign.realigner.IndelRealigner` runs on (default
-    1, the inline engine) -- how CI reruns tier-1 shard-parallel."""
-    return env_number("REPRO_SHARDS", int, 1, lambda n: n >= 1,
-                      "an integer >= 1", env)
-
-
 def _probe_backend():
     """Resolve the compiled backend per ``REPRO_NATIVE``. A backend
     that fails to load degrades to ``None``; only an unknown
     ``REPRO_NATIVE`` value raises."""
-    mode = native_mode()
-    if mode in _OFF_MODES:
+    if native_mode() in _OFF_MODES:
         return None
-    loaders = {"numba": (_load_numba_backend,),
-               "cc": (_load_cc_backend,)}.get(
-        mode, (_load_numba_backend, _load_cc_backend)
-    )
-    for loader in loaders:
-        try:
-            backend = loader()
-        except Exception as error:  # noqa: BLE001 - degrade, never raise
-            logger.debug("native backend probe failed: %r", error)
-            backend = None
-        if backend is not None:
-            return backend
-    return None
+    try:
+        return _load_cc_backend()
+    except Exception as error:  # noqa: BLE001 - degrade, never raise
+        logger.debug("native backend probe failed: %r", error)
+        return None
 
 
 def get_backend():
@@ -553,7 +407,7 @@ def native_available() -> bool:
 
 
 def native_backend_name() -> Optional[str]:
-    """``"numba"``, ``"cc"``, or ``None``."""
+    """``"cc"``, or ``None`` when no compiled backend is usable."""
     backend = get_backend()
     return None if backend is None else backend.name
 
@@ -561,11 +415,10 @@ def native_backend_name() -> Optional[str]:
 def warmup_native() -> bool:
     """Compile and exercise both grid kernels once; returns availability.
 
-    Idempotent and exception-safe. The first numba call jits (seconds,
-    cold cache) and the first cc call may compile the shared library;
-    running both here -- from the pool initializer or the serving
-    plane's startup -- keeps that one-time cost out of any timed region
-    or served request.
+    Idempotent and exception-safe. The first call may compile the
+    shared library; running it here -- from the pool initializer or
+    the serving plane's startup -- keeps that one-time cost out of any
+    timed region or served request.
     """
     global _backend, _warm
     if _warm:
@@ -737,9 +590,9 @@ def realign_site_native(
         if not _fallback_warned:
             _fallback_warned = True
             logger.warning(
-                "native kernel tier unavailable (no numba, no C "
-                "compiler, or REPRO_NATIVE=off); serving sites through "
-                "the interpreted bitpack kernel instead"
+                "native kernel tier unavailable (no C compiler, or "
+                "REPRO_NATIVE=off); serving sites through the "
+                "interpreted bitpack kernel instead"
             )
         return realign_site_bitpacked(site, scoring=scoring,
                                       telemetry=telemetry)
@@ -781,6 +634,5 @@ __all__ = [
     "native_mode",
     "realign_site_native",
     "reset_backend",
-    "shards_from_env",
     "warmup_native",
 ]

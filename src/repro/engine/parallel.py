@@ -3,9 +3,10 @@
 Realignment sites are embarrassingly parallel -- target creation
 guarantees a read belongs to at most one site -- so the engine cuts a
 site list into fixed-size chunks and runs them through **one**
-generator, :meth:`Engine.stream_sites`, which owns chunking, the
-inline-versus-pooled decision, the in-flight window, the in-order
-merge, arena release and the counter/span fold. The paper's
+generator, :meth:`Engine.stream_sites`, which owns the site-result
+cache consult, chunking, the inline-versus-pooled decision, the
+in-flight window, the in-order merge, arena release and the
+counter/span fold. The paper's
 synchronous- and asynchronous-parallel schedules are that loop at two
 window sizes: :class:`Engine` submits every chunk at once (a barrier is
 window = all chunks), :class:`repro.engine.stream.StreamingEngine`
@@ -221,6 +222,11 @@ class Engine:
     :meth:`~repro.resilience.workers.WorkerRecovery.from_env`: the
     fault-free defaults overlaid by any ``REPRO_*`` values, which is
     how CI runs any engine workload under injected chaos.
+
+    ``cache`` (a :class:`~repro.shard.cache.SiteResultCache`) is
+    consulted once per run, in front of chunking: hits never reach a
+    chunk, misses are inserted as their results are yielded, and the
+    output is the same with or without it (docs/SHARDING.md).
     """
 
     #: In-flight chunk bound; ``None`` submits every chunk at once.
@@ -230,12 +236,13 @@ class Engine:
     _timeline = (CAT_ENGINE, "engine shard", "shard")
 
     def __init__(self, config: Optional[EngineConfig] = None,
-                 recovery=None):
+                 recovery=None, cache=None):
         from repro.resilience.workers import WorkerRecovery
 
         self.config = config if config is not None else EngineConfig()
         self.recovery = (recovery if recovery is not None
                          else WorkerRecovery.from_env())
+        self.cache = cache
         self._rpool = None
         self._reset()
 
@@ -251,17 +258,6 @@ class Engine:
         """``(descriptor, arena handle)`` for one chunk, or ``(None,
         None)`` to ship the sites pickled in the task itself."""
         return None, None
-
-    def _chunks(
-        self, sites: Sequence[RealignmentSite]
-    ) -> List[List[RealignmentSite]]:
-        """The chunk plan: contiguous ``config.batch``-site slices.
-
-        Results are yielded chunk by chunk, so a plan that reorders
-        sites must scatter them back itself."""
-        batch = self.config.batch
-        return [list(sites[lo:lo + batch])
-                for lo in range(0, len(sites), batch)]
 
     def run_sites(
         self,
@@ -285,12 +281,50 @@ class Engine:
         generator mid-run is safe: arenas are released, the pool
         survives for the next run, and ``shard_stats`` / telemetry
         record the chunks that completed before the abandon.
+
+        This is the one place the cache is consulted: hits are yielded
+        from it (leading hits before anything is dispatched), only the
+        misses are chunked, and each fresh result is inserted on its
+        way out. A run of nothing but hits dispatches nothing and
+        leaves ``shard_stats`` empty.
         """
         self._reset()
         if not sites:
             return
+        if self.cache is None:
+            yield from self._dispatch(list(sites), telemetry)
+            return
+        # Whoever built the cache has imported its module already; a
+        # cache-less run never loads it.
+        from repro.shard.cache import lookup_sites
+
+        hits, misses, keys = lookup_sites(self.cache, sites, self.config)
+        if telemetry is not None:
+            telemetry.count("engine.cache_hits", len(sites) - len(misses))
+            telemetry.count("engine.cache_misses", len(misses))
+        fresh = self._dispatch([sites[index] for index in misses], telemetry)
+        try:
+            for site, key, result in zip(sites, keys, hits):
+                if result is None:
+                    result = next(fresh)
+                    self.cache.put(key, site.start, result)
+                yield result
+        finally:
+            # Also on failure and abandon: the dispatch loop folds
+            # whatever completed when it is closed.
+            fresh.close()
+
+    def _dispatch(
+        self,
+        sites: List[RealignmentSite],
+        telemetry,
+    ) -> Iterator[SiteResult]:
+        """The chunk loop behind :meth:`stream_sites`: contiguous
+        ``config.batch``-site chunks of the (non-empty) miss list,
+        results in input order."""
         run_start = time.perf_counter()
-        chunks = self._chunks(sites)
+        batch = self.config.batch
+        chunks = [sites[lo:lo + batch] for lo in range(0, len(sites), batch)]
         arenas: Dict[int, object] = {}
         reorder = ReorderBuffer()
         observed = {"in_flight_peak": 1, "backpressure_us": 0,
@@ -398,10 +432,6 @@ class Engine:
             telemetry.count(name, value)
         record_recovery_spans(telemetry, self.recovery_events,
                               origin=run_start)
-        self._record_timeline(telemetry, run_start)
-
-    def _record_timeline(self, telemetry, run_start: float) -> None:
-        """One span per completed chunk, on ``_timeline``'s tracks."""
         from repro.perf.fleet import record_engine_shards
 
         record_engine_shards(telemetry, self.shard_stats, *self._timeline,
@@ -437,7 +467,7 @@ def resolve_engine(engine, scoring: str):
 
     An :class:`EngineConfig` becomes a new :class:`Engine` with the
     caller's ``scoring``; anything with the ``run_sites`` contract (an
-    engine, a streaming engine, a shard plane) is used as is.
+    engine, a streaming engine, a test fake) is used as is.
     """
     if isinstance(engine, EngineConfig):
         return Engine(replace(engine, scoring=scoring))

@@ -68,8 +68,9 @@ class StreamingEngine(Engine):
         queue_depth: int = 2,
         use_shmem: bool = True,
         recovery=None,
+        cache=None,
     ):
-        super().__init__(config, recovery=recovery)
+        super().__init__(config, recovery=recovery, cache=cache)
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
         self.queue_depth = queue_depth

@@ -186,37 +186,6 @@ def record_engine_shards(telemetry, shards, category: str, track: str,
     telemetry.count("engine.workers", workers)
 
 
-def record_shard_chunks(telemetry, chunks,
-                        origin: Optional[float] = None) -> None:
-    """Record a shard-plane run as a span timeline (one track/shard).
-
-    Companion to :func:`record_engine_shards` for
-    :class:`repro.shard.plane.ShardPlane`: every completed chunk
-    becomes one ``CAT_SHARD`` span on the track of its *home* shard
-    (the pool runs it on whichever worker is free). ``chunks`` is an
-    iterable of ``(home, chunk_id, n_sites, start, end)`` tuples on the
-    shared ``perf_counter`` clock. Shard timelines tick in *seconds*,
-    like fleet and engine timelines.
-    """
-    from repro.telemetry.spans import CAT_SHARD
-
-    chunks = list(chunks)
-    if telemetry is None or not chunks:
-        return
-    if telemetry.ticks_per_second is None:
-        telemetry.ticks_per_second = 1.0
-    base = origin if origin is not None else min(c[3] for c in chunks)
-    for home, chunk_id, n_sites, start, end in chunks:
-        telemetry.span(
-            f"chunk {chunk_id} ({n_sites} sites)",
-            f"shard plane {home}",
-            max(start - base, 0.0),
-            max(end - base, 0.0),
-            CAT_SHARD,
-        )
-    telemetry.count("shard.spans", len(chunks))
-
-
 @dataclass(frozen=True)
 class PreemptionEvent:
     """One spot reclamation: instance ``instance`` dies at ``at_seconds``."""

@@ -113,9 +113,9 @@ class IndelRealigner:
         ``engine`` names the execution plane (:mod:`repro.engine`) the
         sites run on: an :class:`repro.engine.EngineConfig` (its
         ``scoring`` is overridden by this realigner's) or anything with
-        ``run_sites`` -- a ready :class:`repro.engine.Engine`, a
-        streaming engine, a shard plane (used as-is; its config's
-        scoring must match). None (the default) is the inline engine on
+        ``run_sites`` -- a ready :class:`repro.engine.Engine` or
+        streaming engine (used as-is; its config's scoring must
+        match). None (the default) is the inline engine on
         ``kernel``. Every plane is byte-identical (pinned by goldens)."""
         if consensus_strategy not in ("observed", "assembly"):
             raise ValueError(
@@ -141,26 +141,14 @@ class IndelRealigner:
 
         With no explicit engine the plane is the inline
         :class:`~repro.engine.Engine` (one worker: no pool, no
-        pickling, the same per-site kernel dispatch) -- unless
-        ``REPRO_SHARDS=N`` (N > 1) routes the default path through a
-        :class:`~repro.shard.plane.ShardPlane` instead, which is how CI
-        reruns the whole tier-1 suite shard-parallel without touching
-        any call site (the shard plane is byte-identical, so nothing
-        else changes).
+        pickling, the same per-site kernel dispatch).
         """
         if self._engine is None:
             from repro.engine import EngineConfig, resolve_engine
-            from repro.engine.native import shards_from_env
 
             engine = self.engine
             if engine is None:
-                engine = EngineConfig(scoring=self.scoring,
-                                      kernel=self.kernel)
-                shards = shards_from_env()
-                if shards > 1:
-                    from repro.shard import ShardPlane
-
-                    engine = ShardPlane(engine, shards=shards)
+                engine = EngineConfig(kernel=self.kernel)
             self._engine = resolve_engine(engine, self.scoring)
         return self._engine
 

@@ -276,8 +276,8 @@ def perform_fault(event: WorkerFaultEvent) -> None:
 class WorkerRecovery:
     """Everything host data-plane recovery needs, in one value.
 
-    Every pooled engine or shard-plane run is governed by one of
-    these; the defaults are fault-free under a 30 s chunk deadline.
+    Every pooled engine run is governed by one of these; the defaults
+    are fault-free under a 30 s chunk deadline.
     ``chunk_deadline`` is the wall-clock seconds a chunk may stay
     unanswered, once a worker has been handed it, before the watchdog
     declares it lost; it must

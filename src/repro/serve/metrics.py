@@ -110,9 +110,6 @@ class ServiceSnapshot:
     canary: Dict[str, object] = field(default_factory=dict)
     #: Cumulative site-result cache hit rate (0.0 with no cache).
     cache_hit_rate: float = 0.0
-    #: Latest run's per-shard busy fraction, ``{"shard0": 0.87, ...}``
-    #: -- empty unless the engine is a shard plane.
-    shard_saturation: Dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -126,7 +123,6 @@ class ServiceSnapshot:
             "saturation": self.saturation,
             "canary": self.canary,
             "cache_hit_rate": self.cache_hit_rate,
-            "shard_saturation": dict(sorted(self.shard_saturation.items())),
         }
 
     def describe(self) -> str:
@@ -142,10 +138,6 @@ class ServiceSnapshot:
         if self.counters.get("cache.hits", 0) or \
                 self.counters.get("cache.misses", 0):
             extras += f", cache {self.cache_hit_rate:.1%} hit"
-        if self.shard_saturation:
-            busiest = max(self.shard_saturation.values())
-            extras += (f", {len(self.shard_saturation)} shards "
-                       f"(busiest {busiest:.1%})")
         return (
             f"{self.counters.get('serve.requests_completed', 0)} completed "
             f"({self.counters.get('serve.requests_rejected', 0)} rejected, "

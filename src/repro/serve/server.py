@@ -8,7 +8,7 @@ owns the realigner *front half* (target identification + site
 building, CPU-bound, run on the default executor so the loop stays
 responsive) and the *back half* (applying kernel decisions to reads);
 the kernel itself runs wherever the engine says -- inline, a worker
-pool, the streaming plane, or a shard plane.
+pool, or the streaming plane.
 
 The optional startup canary (:mod:`repro.serve.canary`) routes the toy
 evaluation scenario through this exact serving path before the first

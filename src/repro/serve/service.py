@@ -63,16 +63,15 @@ class RealignmentService:
     ``engine`` is anything with ``run_sites(sites) -> [SiteResult]``
     and (optionally) ``close()``: an
     :class:`~repro.engine.parallel.Engine`, a
-    :class:`~repro.engine.stream.StreamingEngine`, a
-    :class:`~repro.shard.plane.ShardPlane`, or an
+    :class:`~repro.engine.stream.StreamingEngine`, or an
     :class:`~repro.engine.parallel.EngineConfig` (a live barrier engine
     is built from it and owned by the service). ``telemetry`` is an
     optional :class:`~repro.telemetry.Telemetry` session; engine
     counters fold into it per dispatch and the service's own
     ``serve.*`` counters fold in at :meth:`close`. An engine that
-    carries a :class:`~repro.shard.cache.SiteResultCache` (the shard
-    plane) consults it inside ``run_sites``; the service only surfaces
-    its counters and hit rate in :meth:`snapshot`.
+    carries a :class:`~repro.shard.cache.SiteResultCache` (``cache=``)
+    consults it inside ``run_sites``; the service only surfaces its
+    counters and hit rate in :meth:`snapshot`.
     """
 
     def __init__(self, engine, config: Optional[ServiceConfig] = None,
@@ -424,8 +423,6 @@ class RealignmentService:
         if cache is not None:
             counters.update(cache.snapshot())
             cache_hit_rate = cache.hit_rate
-        occupancy = getattr(self.engine, "occupancy", None)
-        shard_saturation = occupancy() if callable(occupancy) else {}
         return ServiceSnapshot(
             counters=counters,
             latency=self.latencies.summary(),
@@ -436,7 +433,6 @@ class RealignmentService:
             uptime_s=uptime,
             saturation=min(saturated_us / (uptime * 1e6), 1.0),
             cache_hit_rate=cache_hit_rate,
-            shard_saturation=shard_saturation,
         )
 
 

@@ -1,9 +1,10 @@
-"""Horizontal shard plane + content-addressed cross-request cache.
+"""Content-addressed cross-request cache of whole site results.
 
-The fleet-level scaling layer (docs/SHARDING.md): a region-hash chunk
-plan on the engines' one dispatch loop with byte-identical scatter,
-plus a canonical-hash :class:`SiteResultCache` that short-circuits
-whole sites for duplicate-heavy multi-tenant traffic.
+:class:`SiteResultCache` short-circuits whole sites for duplicate-heavy
+multi-tenant traffic (docs/SHARDING.md); the engines consult it through
+their ``cache=`` parameter. :class:`ShardPlane` is kept as the name the
+end-to-end benchmark binds: an :class:`~repro.engine.parallel.Engine`
+with ``workers = shards``.
 """
 
 from repro.shard.cache import (
@@ -12,20 +13,12 @@ from repro.shard.cache import (
     lookup_sites,
     site_cache_key,
 )
-from repro.shard.plane import (
-    DEFAULT_REGION_SPAN,
-    ShardPlane,
-    ShardPlaneConfig,
-    shard_for,
-)
+from repro.shard.plane import ShardPlane
 
 __all__ = [
     "CachedSiteResult",
-    "DEFAULT_REGION_SPAN",
     "ShardPlane",
-    "ShardPlaneConfig",
     "SiteResultCache",
     "lookup_sites",
-    "shard_for",
     "site_cache_key",
 ]

@@ -7,14 +7,16 @@ so the entire :class:`~repro.realign.whd.SiteResult` can be reused --
 no kernel, no dispatch, no worker round-trip.
 
 The cache is **content-addressed**: the key is a canonical SHA-256
-over exactly the inputs the WHD kernel reads --
+over exactly the inputs that decide the architecturally visible outputs
+(:meth:`SiteResult.same_outputs <repro.realign.whd.SiteResult
+.same_outputs>`: picked consensus, realign flags, new positions) --
 
 - the consensus set (count, lengths, bases; consensus 0 is the
   reference window),
 - every read's bases and quality bytes,
-- the grid-shaping configuration: ``scoring`` (changes the Algorithm 2
-  scores) and ``prefilter`` (changes which grid cells hold sentinels
-  vs. exact values).
+- ``scoring``, the one :class:`~repro.engine.parallel.EngineConfig`
+  field that can change them (it picks the Algorithm 2 score, hence
+  the consensus).
 
 Deliberately **excluded** from the key:
 
@@ -25,14 +27,23 @@ Deliberately **excluded** from the key:
   start-relative offsets. A cohort region re-submitted at a lifted
   coordinate (or a PCR-duplicated window on another contig) still
   hits.
-- ``kernel``, ``workers``, ``batch`` -- all five kernels are exact and
-  the dispatch layer never changes results (pinned by the golden
-  matrix), so caching across them is sound by construction.
+- ``kernel``, ``prefilter``, ``workers``, ``batch`` -- all five kernels
+  are exact with the prefilter on or off and the dispatch layer never
+  changes results (pinned by the golden matrix), so caching across
+  them is sound by construction.
+
+So a hit guarantees ``same_outputs``, **not** grid identity: the cached
+``min_whd`` / ``min_whd_idx`` / ``scores`` are whatever the inserting
+run's kernel left there, and the ``fft`` kernel with the prefilter on
+leaves sentinels in the cells it pruned where the other kernels hold
+exact values. ``tests/test_shard.py::TestSiteCacheKey`` lists every
+``EngineConfig`` field as keyed or excluded and fails on a new field
+that is in neither list.
 
 Capacity is a **byte budget** over the stored numpy arrays (LRU, sized
 in bytes since site results vary by orders of magnitude). Thread-safe:
-the serving plane consults the cache from the event loop while the
-engine executor thread inserts.
+the serving plane snapshots the counters from the event loop while the
+engine executor thread looks up and inserts.
 """
 
 from __future__ import annotations
@@ -58,18 +69,13 @@ def site_cache_key(site: RealignmentSite, config) -> bytes:
     """Canonical content hash of one site's kernel inputs.
 
     ``config`` is an :class:`~repro.engine.parallel.EngineConfig` (or
-    anything with ``scoring`` / ``prefilter``); see
-    the module docstring for what is hashed and what is deliberately
-    excluded.
+    anything with ``scoring``); see the module docstring for what is
+    hashed and what is deliberately excluded.
     """
     digest = hashlib.sha256()
     scoring = getattr(config, "scoring", "similarity").encode()
     digest.update(struct.pack("<H", len(scoring)))
     digest.update(scoring)
-    # Prefilter changes grid sentinel content (not the architecturally
-    # visible outputs), and cached values carry full grids -- so it is
-    # part of the key.
-    digest.update(b"\x01" if getattr(config, "prefilter", True) else b"\x00")
     digest.update(struct.pack("<I", site.num_consensuses))
     for consensus in site.consensuses:
         raw = consensus.encode()

@@ -42,7 +42,6 @@ CAT_FLEET = "fleet"          # one job on one fleet instance
 CAT_ENGINE = "engine"        # one shard on a host worker process
 CAT_STREAM = "stream"        # one chunk in the streaming data plane
 CAT_RECOVERY = "recovery"    # a host data-plane recovery action
-CAT_SHARD = "shard"          # one shard-plane chunk (track = home shard)
 
 
 def unit_track(unit: int) -> str:

@@ -1,16 +1,20 @@
-"""Unit tests for the horizontal shard plane and the site-result cache.
+"""Unit tests for the site-result cache and the engines' ``cache=``.
 
-The invariants: the partition function is stable and total; cached
-results are byte-identical to fresh kernel runs at *any* coordinate
-(translation invariance); the LRU byte budget actually bounds memory;
-the plane's merge preserves input order at any shard count; telemetry
-and serving snapshots surface the cache and per-shard occupancy.
+The invariants: cached results are byte-identical to fresh kernel runs
+at *any* coordinate (translation invariance); the key covers exactly
+the config that can change the visible outputs; the LRU byte budget
+actually bounds memory; an engine with a cache -- barrier, streaming or
+under the ``ShardPlane`` name the benchmark binds -- yields the serial
+answer in input order, cold, warm or evicting; telemetry and serving
+snapshots surface the cache.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.engine import Engine, EngineConfig
+from repro.engine import Engine, EngineConfig, StreamingEngine
 from repro.resilience.workers import (
     ForcedWorkerFault,
     WorkerFaultKind,
@@ -18,12 +22,9 @@ from repro.resilience.workers import (
     WorkerRecovery,
 )
 from repro.shard import (
-    DEFAULT_REGION_SPAN,
     ShardPlane,
-    ShardPlaneConfig,
     SiteResultCache,
     lookup_sites,
-    shard_for,
     site_cache_key,
 )
 from repro.workloads.generator import BENCH_PROFILE, synthesize_site
@@ -31,15 +32,14 @@ from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 _SITE_CACHE = {}
 
 
-def _sites(n, seed=0, spread=True):
-    key = (n, seed, spread)
+def _sites(n, seed=0):
+    key = (n, seed)
     if key not in _SITE_CACHE:
         rng = np.random.default_rng(seed)
         _SITE_CACHE[key] = [
             synthesize_site(rng, BENCH_PROFILE,
                             complexity=0.3 + 0.15 * (i % 4),
-                            start=(i * 4 * DEFAULT_REGION_SPAN
-                                   if spread else 0))
+                            start=i * 16_384)
             for i in range(n)
         ]
     return _SITE_CACHE[key]
@@ -54,27 +54,14 @@ def _assert_identical(got, want):
         np.testing.assert_array_equal(a.new_pos, b.new_pos)
 
 
-class TestShardFor:
-    def test_stable_and_total(self):
-        for shards in (1, 2, 3, 8):
-            for start in range(0, 200_000, 7_919):
-                home = shard_for("22", start, shards)
-                assert 0 <= home < shards
-                assert home == shard_for("22", start, shards)
-
-    def test_same_region_same_shard(self):
-        assert shard_for("22", 100, 4) == shard_for("22", 101, 4)
-        assert shard_for("22", 0, 4) == shard_for(
-            "22", DEFAULT_REGION_SPAN - 1, 4
-        )
-
-    def test_contigs_spread(self):
-        homes = {shard_for(str(c), 0, 4) for c in range(1, 23)}
-        assert len(homes) > 1
-
-    def test_rejects_bad_shards(self):
-        with pytest.raises(ValueError):
-            shard_for("22", 0, 0)
+#: Every class that takes ``cache=``, each on a two-worker pool.
+_CACHED_ENGINES = (
+    lambda config, **kw: Engine(
+        dataclasses.replace(config, workers=2), **kw),
+    lambda config, **kw: StreamingEngine(
+        dataclasses.replace(config, workers=2), **kw),
+    lambda config, **kw: ShardPlane(config, shards=2, **kw),
+)
 
 
 class TestSiteCacheKey:
@@ -82,9 +69,7 @@ class TestSiteCacheKey:
         """chrom/start are excluded: a lifted cohort region still hits."""
         rng = np.random.default_rng(3)
         base = synthesize_site(rng, BENCH_PROFILE, 0.5, chrom="1", start=100)
-        from dataclasses import replace
-
-        lifted = replace(base, chrom="7", start=987_654)
+        lifted = dataclasses.replace(base, chrom="7", start=987_654)
         config = EngineConfig()
         assert site_cache_key(base, config) == site_cache_key(lifted, config)
 
@@ -95,16 +80,32 @@ class TestSiteCacheKey:
         config = EngineConfig()
         assert site_cache_key(a, config) != site_cache_key(b, config)
 
-    def test_grid_shaping_config_is_keyed(self):
-        """prefilter/scoring change grids; kernel/workers/batch do not."""
-        rng = np.random.default_rng(3)
-        site = synthesize_site(rng, BENCH_PROFILE, 0.5)
-        base = site_cache_key(site, EngineConfig())
-        assert base != site_cache_key(site, EngineConfig(prefilter=False))
-        assert base != site_cache_key(site, EngineConfig(scoring="absdiff"))
-        for kernel in ("fft", "bitpack", "native", "vector", "scalar"):
-            assert base == site_cache_key(site, EngineConfig(kernel=kernel))
-        assert base == site_cache_key(site, EngineConfig(workers=4, batch=2))
+    #: Every ``EngineConfig`` field, with a second value to vary it to:
+    #: keyed fields can change ``same_outputs``, excluded ones cannot.
+    KEYED = {"scoring": "absdiff"}
+    EXCLUDED = {"workers": 2, "batch": 2, "prefilter": False,
+                "kernel": "fft"}
+
+    def test_every_config_field_is_keyed_or_excluded(self):
+        """A new field must be classified before the cache can be
+        trusted with it; a hit guarantees ``same_outputs`` (not grid
+        identity -- fft with the prefilter on leaves sentinels)."""
+        fields = {f.name for f in dataclasses.fields(EngineConfig)}
+        assert fields == set(self.KEYED) | set(self.EXCLUDED)
+        assert not set(self.KEYED) & set(self.EXCLUDED)
+        sites = _sites(4, seed=3)
+        base = [site_cache_key(site, EngineConfig()) for site in sites]
+        want = Engine(EngineConfig()).run_sites(sites)
+        for name, value in self.EXCLUDED.items():
+            config = EngineConfig(**{name: value})
+            assert [site_cache_key(s, config) for s in sites] == base, name
+            with Engine(config) as engine:
+                got = engine.run_sites(sites)
+            assert all(a.same_outputs(b) for a, b in zip(got, want)), name
+        for name, value in self.KEYED.items():
+            config = EngineConfig(**{name: value})
+            assert all(site_cache_key(s, config) != key
+                       for s, key in zip(sites, base)), name
 
 
 class TestSiteResultCache:
@@ -125,11 +126,9 @@ class TestSiteResultCache:
     def test_materializes_at_new_coordinate(self):
         """A hit at a lifted start rebuilds new_pos against that start,
         byte-identical to realigning the lifted site from scratch."""
-        from dataclasses import replace
-
         rng = np.random.default_rng(5)
         site = synthesize_site(rng, BENCH_PROFILE, 0.6, start=1_000)
-        lifted = replace(site, chrom="9", start=777_000)
+        lifted = dataclasses.replace(site, chrom="9", start=777_000)
         config = EngineConfig()
         cache = SiteResultCache.from_megabytes(4)
         cache.put(site_cache_key(site, config), site.start,
@@ -176,6 +175,25 @@ class TestSiteResultCache:
         assert misses == [0, 1, 2]
         assert keys == [None] * 3
 
+    def test_cacheless_run_never_loads_the_cache_module(self):
+        """``realign`` with default flags must not pay for a cache it
+        does not have (the engine imports the lookup lazily)."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, numpy as np\n"
+            "from repro.engine import Engine, EngineConfig\n"
+            "from repro.workloads.generator import BENCH_PROFILE, "
+            "synthesize_site\n"
+            "site = synthesize_site(np.random.default_rng(0), "
+            "BENCH_PROFILE)\n"
+            "assert len(Engine(EngineConfig()).run_sites([site])) == 1\n"
+            "assert not [m for m in sys.modules "
+            "if m.startswith('repro.shard')]\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+
     def test_snapshot_counter_names(self):
         snap = SiteResultCache.from_megabytes(1).snapshot()
         assert set(snap) == {
@@ -185,90 +203,109 @@ class TestSiteResultCache:
 
 
 class TestShardPlane:
+    """The contract the read-only benchmark binds, and the engines'
+    ``cache=`` through every class that takes it."""
+
     def test_merge_preserves_input_order_at_any_shard_count(self):
         sites = _sites(14, seed=1)
         want = Engine(EngineConfig(batch=4)).run_sites(sites)
-        for shards in (1, 2, 3, 5):
+        for shards in (1, 2, 3):
             with ShardPlane(EngineConfig(batch=4), shards=shards) as plane:
                 _assert_identical(plane.run_sites(sites), want)
-
-    def test_unspread_sites_still_complete(self):
-        """Every site hashing to one home shard is legal: any free
-        worker takes the home's chunks and the merge is unaffected."""
-        sites = _sites(6, seed=2, spread=False)
-        want = Engine(EngineConfig(batch=2)).run_sites(sites)
-        with ShardPlane(EngineConfig(batch=2), shards=3) as plane:
-            _assert_identical(plane.run_sites(sites), want)
-            assert plane.recovery_counters["shard.sites"] == len(sites)
 
     def test_empty_run(self):
         with ShardPlane(EngineConfig(), shards=2) as plane:
             assert plane.run_sites([]) == []
 
+    def test_config_validation(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ShardPlane(EngineConfig(), shards=0)
+
+    def test_pool_is_sized_by_shards_not_workers(self):
+        import multiprocessing
+
+        sites = _sites(8, seed=7)
+        before = set(multiprocessing.active_children())
+        with ShardPlane(EngineConfig(workers=4, batch=2), shards=1,
+                        recovery=WorkerRecovery()) as plane:
+            plane.run_sites(sites)
+            assert set(multiprocessing.active_children()) <= before
+        with ShardPlane(EngineConfig(workers=4, batch=2), shards=2,
+                        recovery=WorkerRecovery()) as plane:
+            plane.run_sites(sites)
+            spawned = set(multiprocessing.active_children()) - before
+            assert len(spawned) == 2
+            # Fault-free, the alias below is absent like worker.* is.
+            assert plane.recovery_counters == {}
+
     def test_cache_cold_then_warm(self):
         sites = _sites(8, seed=3)
         want = Engine(EngineConfig(batch=3)).run_sites(sites)
-        cache = SiteResultCache.from_megabytes(32)
-        with ShardPlane(EngineConfig(batch=3), shards=2,
-                        cache=cache) as plane:
-            _assert_identical(plane.run_sites(sites), want)
-            cold = dict(plane.recovery_counters)
-            _assert_identical(plane.run_sites(sites), want)
-            warm = dict(plane.recovery_counters)
-        assert cold["shard.cache_misses"] == len(sites)
-        assert warm["shard.cache_hits"] == len(sites)
-        assert "shard.dispatched_chunks" not in warm
+        for make in _CACHED_ENGINES:
+            cache = SiteResultCache.from_megabytes(32)
+            with make(EngineConfig(batch=3), cache=cache) as engine:
+                _assert_identical(engine.run_sites(sites), want)
+                assert (cache.hits, cache.misses) == (0, len(sites))
+                assert len(engine.shard_stats) == 3
+                _assert_identical(engine.run_sites(sites), want)
+                assert (cache.hits, cache.misses) == (len(sites),
+                                                      len(sites))
+                assert engine.shard_stats == []
 
     def test_evicting_cache_stays_identical(self):
         sites = _sites(10, seed=4)
         want = Engine(EngineConfig(batch=2)).run_sites(sites)
-        # A budget too small for the working set: constant eviction.
-        cache = SiteResultCache(capacity_bytes=4_096)
-        with ShardPlane(EngineConfig(batch=2), shards=2,
-                        cache=cache) as plane:
-            for _ in range(2):
-                _assert_identical(plane.run_sites(sites), want)
-        assert cache.evictions > 0
+        for make in _CACHED_ENGINES:
+            # A budget too small for the working set: constant eviction.
+            cache = SiteResultCache(capacity_bytes=4_096)
+            with make(EngineConfig(batch=2), cache=cache) as engine:
+                for _ in range(2):
+                    _assert_identical(engine.run_sites(sites), want)
+            assert cache.evictions > 0
 
     def test_telemetry_spans_and_counters(self):
+        """The per-run tallies are the loop's, under one pair of names;
+        chunks are the engine's spans whatever the class is called."""
         from repro.telemetry.spans import Telemetry
 
         sites = _sites(9, seed=6)
-        telemetry = Telemetry(ticks_per_second=1.0)
-        with ShardPlane(EngineConfig(batch=3), shards=2) as plane:
+        cache = SiteResultCache.from_megabytes(32)
+        with ShardPlane(EngineConfig(batch=3), shards=2,
+                        cache=cache) as plane:
+            plane.run_sites(sites[:3])
+            telemetry = Telemetry(ticks_per_second=1.0)
             plane.run_sites(sites, telemetry=telemetry)
-        shard_spans = telemetry.spans_in("shard")
-        assert shard_spans, "expected CAT_SHARD spans on shard tracks"
-        assert all(s.track.startswith("shard plane") for s in shard_spans)
+        assert len(telemetry.spans_in("engine")) == 2
         board = telemetry.counters.scalars
-        assert board.get("shard.completed_chunks", 0) >= 1
-        assert board.get("shard.sites", 0) == len(sites)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ShardPlaneConfig(shards=0)
-        with pytest.raises(ValueError):
-            ShardPlaneConfig(region_span=0)
-        with pytest.raises(ValueError):
-            ShardPlane(EngineConfig(), shards=3,
-                       plane=ShardPlaneConfig(shards=2))
-
-    def test_occupancy_reported(self):
-        sites = _sites(8, seed=7)
-        with ShardPlane(EngineConfig(batch=2), shards=2) as plane:
-            plane.run_sites(sites)
-            occupancy = plane.occupancy()
-        assert occupancy
-        assert all(0.0 <= v <= 1.0 for v in occupancy.values())
+        assert board["engine.cache_hits"] == 3
+        assert board["engine.cache_misses"] == 6
+        assert board["engine.shard_sites"] == 6
+        assert not [name for name in board if name.startswith("shard.")]
 
     def test_stream_sites_yields_input_order(self):
-        """The loop sees home-major order; no caller ever does."""
+        """Hits and fresh results interleave back into input order."""
         sites = _sites(10, seed=9)
-        homes = [shard_for(s.chrom, s.start, 2) for s in sites]
-        assert homes != sorted(homes), "fixture homes must interleave"
         want = Engine(EngineConfig(batch=2)).run_sites(sites)
-        with ShardPlane(EngineConfig(batch=2), shards=2) as plane:
-            _assert_identical(list(plane.stream_sites(sites)), want)
+        for make in _CACHED_ENGINES:
+            cache = SiteResultCache.from_megabytes(32)
+            with make(EngineConfig(batch=2), cache=cache) as engine:
+                engine.run_sites(sites[1::3])
+                _assert_identical(list(engine.stream_sites(sites)), want)
+                assert sum(s.sites for s in engine.shard_stats) == 7
+
+    def test_warm_prefix_is_yielded_before_any_chunk_completes(self):
+        sites = _sites(8, seed=9)
+        want = Engine(EngineConfig(batch=2)).run_sites(sites)
+        for engine_cls in (Engine, StreamingEngine):
+            cache = SiteResultCache.from_megabytes(32)
+            with engine_cls(EngineConfig(workers=2, batch=2),
+                            cache=cache) as engine:
+                engine.run_sites(sites[:3])
+                stream = engine.stream_sites(sites)
+                head = [next(stream) for _ in range(3)]
+                assert engine.shard_stats == []
+                _assert_identical(head + list(stream), want)
+                assert sum(s.sites for s in engine.shard_stats) == 5
 
     def test_all_hits_pass_forgets_the_previous_run(self):
         sites = _sites(8, seed=3)
@@ -286,24 +323,7 @@ class TestShardPlane:
             plane.run_sites(sites)
             assert plane.shard_stats == []
             assert plane.recovery_events == []
-            assert plane.occupancy() == {}
-            assert set(plane.recovery_counters) == {"shard.cache_hits",
-                                                    "shard.cache_misses"}
-
-    def test_pool_is_sized_by_shards_not_workers(self):
-        import multiprocessing
-
-        sites = _sites(8, seed=7)
-        before = set(multiprocessing.active_children())
-        with ShardPlane(EngineConfig(workers=4, batch=2), shards=1,
-                        recovery=WorkerRecovery()) as plane:
-            plane.run_sites(sites)
-            assert set(multiprocessing.active_children()) <= before
-        with ShardPlane(EngineConfig(workers=4, batch=2), shards=2,
-                        recovery=WorkerRecovery()) as plane:
-            plane.run_sites(sites)
-            spawned = set(multiprocessing.active_children()) - before
-            assert len(spawned) == 2
+            assert plane.recovery_counters == {}
 
 
 class TestRealignerIntegration:
@@ -325,43 +345,16 @@ class TestRealignerIntegration:
         assert [(r.name, r.pos, str(r.cigar)) for r in sharded] == \
                [(r.name, r.pos, str(r.cigar)) for r in serial]
 
-    def test_repro_shards_env_routes_default_path(self, monkeypatch):
-        from repro.genomics.simulate import simulate_sample
-        from repro.realign.realigner import IndelRealigner
-
-        sample = simulate_sample({"chrS": 4_000}, seed=12)
-        serial, _ = IndelRealigner(sample.reference).realign(sample.reads)
-        monkeypatch.setenv("REPRO_SHARDS", "2")
-        realigner = IndelRealigner(sample.reference)
-        sharded, _ = realigner.realign(sample.reads)
-        engine = realigner._engine_instance()
-        assert isinstance(engine, ShardPlane)
-        engine.close()
-        assert [(r.name, r.pos, str(r.cigar)) for r in sharded] == \
-               [(r.name, r.pos, str(r.cigar)) for r in serial]
-
-
-    @pytest.mark.parametrize("value", ["abc", "0", "2.5"])
-    def test_repro_shards_env_rejects_bad_values(self, monkeypatch, value):
-        from repro.genomics.simulate import simulate_sample
-        from repro.realign.realigner import IndelRealigner
-
-        sample = simulate_sample({"chrS": 2_000}, seed=12)
-        monkeypatch.setenv("REPRO_SHARDS", value)
-        with pytest.raises(ValueError, match=f"REPRO_SHARDS='{value}'"):
-            IndelRealigner(sample.reference).realign([])
-
-
 class TestServingIntegration:
     def test_snapshot_surfaces_cache_and_shards(self):
         import asyncio
 
         from repro.serve.service import RealignmentService
 
-        async def run():
+        async def run(make):
             cache = SiteResultCache.from_megabytes(16)
-            plane = ShardPlane(EngineConfig(batch=4), shards=2, cache=cache)
-            service = RealignmentService(plane)
+            engine = make(EngineConfig(batch=4), cache=cache)
+            service = RealignmentService(engine)
             await service.start()
             try:
                 sites = _sites(6, seed=8)
@@ -370,15 +363,15 @@ class TestServingIntegration:
                 return service.snapshot()
             finally:
                 await service.close()
-                plane.close()
+                engine.close()
 
-        snapshot = asyncio.run(run())
-        as_dict = snapshot.as_dict()
-        assert snapshot.counters["cache.hits"] > 0
-        assert snapshot.cache_hit_rate > 0.0
-        assert as_dict["cache_hit_rate"] == snapshot.cache_hit_rate
-        assert "shard_saturation" in as_dict
-        assert "cache" in snapshot.describe()
+        for make in _CACHED_ENGINES:
+            snapshot = asyncio.run(run(make))
+            as_dict = snapshot.as_dict()
+            assert snapshot.counters["cache.hits"] == 6
+            assert snapshot.cache_hit_rate == 0.5
+            assert as_dict["cache_hit_rate"] == snapshot.cache_hit_rate
+            assert "cache 50.0% hit" in snapshot.describe()
 
 
 class TestDuplicateHeavySchedule:

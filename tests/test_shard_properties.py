@@ -1,10 +1,10 @@
-"""Chaos property tests for the horizontal shard plane.
+"""Chaos property tests for the pooled engine behind a site cache.
 
-The single invariant, mirroring ``test_worker_chaos.py`` one level up:
-for *any* workload, *any* shard count, *any* region partition, and
-*any* seeded schedule of shard-worker faults -- SIGKILL, hang, delay,
-error -- the plane terminates and produces output byte-identical to a
-fault-free serial run, with re-dispatch work bounded (the pool's
+The single invariant, mirroring ``test_worker_chaos.py`` with a cache
+in front: for *any* workload, *any* worker count and chunk size, cache
+on or off, and *any* seeded schedule of worker faults -- SIGKILL, hang,
+delay, error -- the run terminates and produces output byte-identical
+to a fault-free serial run, with re-dispatch work bounded (the pool's
 retry -> bisect -> inline-quarantine ladder, exactly as
 ``test_worker_chaos._retry_bound`` states it). Hypothesis drives the
 seeds; the fault plan's keyed-generator design makes every failing
@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from repro.engine import Engine, EngineConfig
 from repro.resilience.workers import WorkerFaultPlan, WorkerRecovery
-from repro.shard import ShardPlane, ShardPlaneConfig, SiteResultCache
+from repro.shard import SiteResultCache
+from repro.telemetry.spans import Telemetry
 from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
 #: Hang magnitudes are capped well under the deadline budget so a
@@ -28,15 +29,14 @@ _DEADLINE = 0.75
 _SITE_CACHE = {}
 
 
-def _sites(n, seed, span):
-    """Sites spread over region buckets of width ``span``."""
-    key = (n, seed, span)
+def _sites(n, seed):
+    key = (n, seed)
     if key not in _SITE_CACHE:
         rng = np.random.default_rng(seed)
         _SITE_CACHE[key] = [
             synthesize_site(rng, BENCH_PROFILE,
                             complexity=0.25 + 0.2 * (i % 4),
-                            start=int(rng.integers(0, 64)) * span)
+                            start=int(rng.integers(0, 64)) * 4096)
             for i in range(n)
         ]
     return _SITE_CACHE[key]
@@ -61,56 +61,59 @@ class TestShardChaosProperties:
     @given(
         workload_seed=st.integers(0, 10_000),
         n=st.integers(2, 10),
-        shards=st.integers(1, 4),
+        workers=st.integers(1, 4),
         batch=st.integers(1, 3),
-        region_span=st.sampled_from([512, 4096, 65536]),
+        cached=st.booleans(),
     )
     @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_any_partition_matches_serial(
-        self, workload_seed, n, shards, batch, region_span
+        self, workload_seed, n, workers, batch, cached
     ):
-        """Fault-free: any shard count x any region partition merges to
-        the serial answer, byte for byte."""
-        sites = _sites(n, workload_seed, region_span)
+        """Fault-free: any worker count x any chunk size, with or
+        without a cache (cold, then warm), merges to the serial answer,
+        byte for byte."""
+        sites = _sites(n, workload_seed)
         want = Engine(EngineConfig(workers=1, batch=batch)).run_sites(sites)
-        plane_config = ShardPlaneConfig(shards=shards,
-                                        region_span=region_span)
-        with ShardPlane(EngineConfig(batch=batch),
-                        plane=plane_config) as plane:
-            _assert_identical(plane.run_sites(sites), want)
+        cache = SiteResultCache.from_megabytes(32) if cached else None
+        with Engine(EngineConfig(workers=workers, batch=batch),
+                    cache=cache) as engine:
+            _assert_identical(engine.run_sites(sites), want)
+            _assert_identical(engine.run_sites(sites), want)
 
     @given(
         workload_seed=st.integers(0, 10_000),
         chaos_seed=st.integers(0, 10_000),
         n=st.integers(2, 8),
-        shards=st.integers(2, 3),
+        workers=st.integers(2, 3),
         batch=st.integers(1, 3),
         rate=st.floats(0.05, 0.5),
     )
     @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_shard_chaos_matches_serial_with_bounded_redispatch(
-        self, workload_seed, chaos_seed, n, shards, batch, rate
+        self, workload_seed, chaos_seed, n, workers, batch, rate
     ):
-        sites = _sites(n, workload_seed, 4096)
+        sites = _sites(n, workload_seed)
         want = Engine(EngineConfig(workers=1, batch=batch)).run_sites(sites)
-        plane_config = ShardPlaneConfig(shards=shards)
-        with ShardPlane(EngineConfig(batch=batch), plane=plane_config,
-                        recovery=_recovery(chaos_seed, rate)) as plane:
-            _assert_identical(plane.run_sites(sites), want)
-            counters = dict(plane.recovery_counters)
+        telemetry = Telemetry()
+        with Engine(EngineConfig(workers=workers, batch=batch),
+                    recovery=_recovery(chaos_seed, rate)) as engine:
+            _assert_identical(engine.run_sites(sites, telemetry=telemetry),
+                              want)
+            counters = dict(engine.recovery_counters)
         # Re-dispatch work is bounded as on any pooled engine: each
         # chunk may exhaust its attempt budget, bisect down to single
         # sites (<= 2 * batch tree nodes) and exhaust each node's
         # budget again; and each chunk completes exactly once.
-        chunks = counters.get("shard.completed_chunks", 0)
+        board = telemetry.counters.scalars
+        chunks = board.get("engine.shards", 0)
         assert chunks >= 1
         dispatches = (counters.get("worker.retries", 0)
                       + counters.get("worker.resubmitted", 0))
         assert dispatches <= (chunks * 2 * max(2, 2 * batch)
                               * WorkerRecovery().retry.max_attempts)
-        assert counters.get("shard.sites", 0) == n
+        assert board.get("engine.shard_sites", 0) == n
 
     @given(
         chaos_seed=st.integers(0, 10_000),
@@ -122,18 +125,16 @@ class TestShardChaosProperties:
         """Cold pass under chaos, warm pass under the same chaos plan:
         both byte-identical to serial, and the warm pass never
         re-dispatches what the cache already holds."""
-        sites = _sites(6, seed=4242, span=4096)
+        sites = _sites(6, seed=4242)
         want = Engine(EngineConfig(workers=1, batch=2)).run_sites(sites)
         cache = SiteResultCache.from_megabytes(32)
-        with ShardPlane(EngineConfig(batch=2),
-                        plane=ShardPlaneConfig(shards=2),
-                        cache=cache,
-                        recovery=_recovery(chaos_seed, rate)) as plane:
-            _assert_identical(plane.run_sites(sites), want)
-            _assert_identical(plane.run_sites(sites), want)
-            warm = dict(plane.recovery_counters)
-        assert warm.get("shard.cache_hits", 0) == len(sites)
-        assert "shard.dispatched_chunks" not in warm
+        with Engine(EngineConfig(workers=2, batch=2), cache=cache,
+                    recovery=_recovery(chaos_seed, rate)) as engine:
+            _assert_identical(engine.run_sites(sites), want)
+            _assert_identical(engine.run_sites(sites), want)
+            assert engine.shard_stats == []
+            assert engine.recovery_counters == {}
+        assert cache.hits == len(sites)
 
     @given(chaos_seed=st.integers(0, 10_000))
     @settings(max_examples=3, deadline=None,
@@ -141,11 +142,11 @@ class TestShardChaosProperties:
     def test_total_shard_loss_drains_inline(self, chaos_seed):
         """Workers that always die leave the inline path to finish the
         run -- forward progress never depends on a worker surviving."""
-        sites = _sites(4, seed=7, span=4096)
+        sites = _sites(4, seed=7)
         want = Engine(EngineConfig(workers=1, batch=2)).run_sites(sites)
-        plane_config = ShardPlaneConfig(shards=2)
-        with ShardPlane(EngineConfig(batch=2), plane=plane_config,
-                        recovery=_recovery(chaos_seed, 1.0)) as plane:
-            _assert_identical(plane.run_sites(sites), want)
-            counters = dict(plane.recovery_counters)
-        assert counters.get("shard.completed_chunks", 0) >= 1
+        telemetry = Telemetry()
+        with Engine(EngineConfig(workers=2, batch=2),
+                    recovery=_recovery(chaos_seed, 1.0)) as engine:
+            _assert_identical(engine.run_sites(sites, telemetry=telemetry),
+                              want)
+        assert telemetry.counters.scalars.get("engine.shards", 0) >= 1

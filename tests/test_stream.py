@@ -569,6 +569,10 @@ class TestStreamCli:
         ]) == 0
         return out
 
+    @pytest.fixture(scope="class")
+    def serial(self, sample_dir):
+        return self._realign(sample_dir, "serial.sam")
+
     def _realign(self, sample_dir, out_name, *extra):
         from repro.__main__ import main as cli_main
 
@@ -591,35 +595,59 @@ class TestStreamCli:
             "--no-shmem",
         ) == serial
 
+    @pytest.mark.parametrize("flags", [
+        ("--workers", "2"),
+        ("--workers", "2", "--stream"),
+        ("--workers", "2", "--site-cache-mb", "8"),
+        ("--workers", "2", "--stream", "--site-cache-mb", "8"),
+    ], ids=["pool", "stream", "cache", "stream-cache"])
+    def test_cache_composes_with_every_window(self, sample_dir, serial,
+                                              capsys, flags):
+        # Regression: the cache lived on a third plane, so --stream
+        # --site-cache-mb dropped --stream, did the work, then died on
+        # engine.stream_stats before the SAM was written.
+        assert self._realign(sample_dir, "flags.sam", *flags) == serial
+        assert ("stream: " in capsys.readouterr().out) == (
+            "--stream" in flags)
+
+    def test_shards_flag_is_gone(self, sample_dir, capsys):
+        from repro.__main__ import main as cli_main
+
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([
+                "realign", "--reference", str(sample_dir / "reference.fa"),
+                "--sam", str(sample_dir / "aligned.sam"),
+                "--out", str(sample_dir / "shards.sam"), "--shards", "2",
+            ])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err
+
     def test_accelerated_chaos_fallback_accepts_any_plane(self, sample_dir):
         # Regression: AcceleratedRealigner carried a stale copy of the
-        # engine resolver that raised TypeError on a shard plane as
-        # soon as one target drained to the software fallback.
+        # engine resolver that raised TypeError on a non-Engine plane
+        # as soon as one target drained to the software fallback.
         chaos = ("--accelerated", "--fault-rate", "0.9", "--chaos-seed", "3")
-        control = self._realign(sample_dir, "chaos-stream.sam", *chaos,
-                                "--workers", "2", "--stream")
-        assert self._realign(sample_dir, "chaos-shards.sam", *chaos,
-                             "--shards", "2") == control
+        control = self._realign(sample_dir, "chaos-inline.sam", *chaos)
+        assert self._realign(sample_dir, "chaos-stream.sam", *chaos,
+                             "--workers", "2", "--stream",
+                             "--site-cache-mb", "8") == control
 
     def test_recovery_line_follows_the_flags(self, sample_dir, capsys,
                                              monkeypatch):
         # Fault-free: the summary appears exactly when a recovery flag
         # was given (it also appears, unasked, after real recovery).
         monkeypatch.delenv("REPRO_WORKER_FAULT_RATE", raising=False)
-        for plane in (("--workers", "2"), ("--shards", "2")):
-            self._realign(sample_dir, "quiet.sam", *plane)
-            assert "recovery:" not in capsys.readouterr().out
-            self._realign(sample_dir, "asked.sam", *plane,
-                          "--chunk-deadline", "20")
-            assert "recovery: deadline 20s, 0 worker faults injected, " \
-                   "0 retries" in capsys.readouterr().out
-        # Faulted: every pooled plane takes the chaos flags (--shards
-        # alone forks a pool), reports what its pool observed, and
-        # still writes the serial SAM.
+        self._realign(sample_dir, "quiet.sam", "--workers", "2")
+        assert "recovery:" not in capsys.readouterr().out
+        self._realign(sample_dir, "asked.sam", "--workers", "2",
+                      "--chunk-deadline", "20")
+        assert "recovery: deadline 20s, 0 worker faults injected, " \
+               "0 retries" in capsys.readouterr().out
+        # Faulted: the pool takes the chaos flags, reports what it
+        # observed, and still writes the serial SAM.
         serial = self._realign(sample_dir, "serial.sam")
-        for plane in (("--workers", "2"), ("--shards", "2"),
-                      ("--shards", "2", "--workers", "2",
-                       "--chunk-deadline", "5")):
+        for plane in (("--workers", "2"),
+                      ("--workers", "2", "--chunk-deadline", "5")):
             capsys.readouterr()
             assert self._realign(
                 sample_dir, "faulted.sam", *plane,
@@ -630,10 +658,9 @@ class TestStreamCli:
             assert line and int(line[1]) > 0 and int(line[2]) > 0
 
     @pytest.mark.parametrize("name,value,extra", [
-        ("REPRO_SHARDS", "abc", ()),
-        ("REPRO_SHARDS", "0", ()),
         ("REPRO_WORKER_FAULT_RATE", "lots", ("--workers", "2")),
-    ], ids=["shards-text", "shards-zero", "fault-rate"])
+        ("REPRO_CHUNK_DEADLINE", "0", ()),
+    ], ids=["fault-rate", "deadline-zero"])
     def test_bad_env_number_exits_2(self, sample_dir, monkeypatch, capsys,
                                     name, value, extra):
         from repro.__main__ import main as cli_main

@@ -33,7 +33,6 @@ from repro.resilience.workers import (
     WorkerRecovery,
     record_recovery_spans,
 )
-from repro.shard import ShardPlane
 from repro.telemetry import CAT_RECOVERY, Telemetry
 from tests.test_stream import _sites
 
@@ -208,13 +207,11 @@ def _recovery(*faults, deadline=8.0, **plan_overrides):
     )
 
 
-#: The barrier planes: the three scripted-fault tests below place their
-#: fault on chunk 0, which exists under any chunk plan.
+#: One row since ``ShardPlane`` became this engine under another name;
+#: still a parametrization so the three ids keep their ``[Engine]``.
 _barrier_planes = pytest.mark.parametrize("make_plane", [
     lambda config, recovery: Engine(config, recovery=recovery),
-    lambda config, recovery: ShardPlane(config, shards=2,
-                                        recovery=recovery),
-], ids=["Engine", "ShardPlane"])
+], ids=["Engine"])
 
 
 class TestEngineRecovery:
@@ -459,8 +456,7 @@ class TestEnvDrivenRecovery:
     @pytest.mark.parametrize("make_plane", [
         lambda: Engine(EngineConfig(workers=2, batch=2)),
         lambda: StreamingEngine(EngineConfig(workers=2, batch=2)),
-        lambda: ShardPlane(EngineConfig(batch=2), shards=2),
-    ], ids=["Engine", "StreamingEngine", "ShardPlane"])
+    ], ids=["Engine", "StreamingEngine"])
     def test_none_means_defaults(self, monkeypatch, make_plane):
         # recovery=None means "the defaults", never "off": every pooled
         # run is under the watchdog, and fault-free it observes nothing.
@@ -471,14 +467,8 @@ class TestEnvDrivenRecovery:
         with make_plane() as plane:
             assert plane.recovery == WorkerRecovery()
             _assert_identical(plane.run_sites(sites), _serial_results(sites))
-            if isinstance(plane, ShardPlane):
-                assert not {"shard.retries", "shard.worker_deaths",
-                            "shard.respawns", "shard.quarantined",
-                            "shard.inline_chunks"} & set(
-                                plane.recovery_counters)
-            else:
-                assert plane.recovery_counters == {}
-                assert plane.recovery_events == []
+            assert plane.recovery_counters == {}
+            assert plane.recovery_events == []
 
 
 class TestDeadlineExcludesQueueWait:
@@ -486,9 +476,7 @@ class TestDeadlineExcludesQueueWait:
         lambda config, recovery: Engine(config, recovery=recovery),
         lambda config, recovery: StreamingEngine(
             config, queue_depth=12, recovery=recovery),
-        lambda config, recovery: ShardPlane(config, shards=2,
-                                            recovery=recovery),
-    ], ids=["Engine", "StreamingEngine", "ShardPlane"])
+    ], ids=["Engine", "StreamingEngine"])
     def test_run_longer_than_deadline_observes_nothing(self, monkeypatch,
                                                        make_engine):
         # The barrier window submits all 24 chunks at once; at 50 ms a
@@ -510,9 +498,7 @@ class TestDeadlineExcludesQueueWait:
         with make_engine(EngineConfig(workers=2, batch=1),
                          WorkerRecovery(chunk_deadline=0.4)) as engine:
             _assert_identical(engine.run_sites(sites), want)
-            # (a shard plane's own shard.* tallies ride along)
-            assert not [name for name in engine.recovery_counters
-                        if not name.startswith("shard.")]
+            assert engine.recovery_counters == {}
             assert engine.recovery_events == []
 
 
