@@ -35,8 +35,8 @@ from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
 from conftest import bench_sites
 
-#: Kernel pinned so the committed baseline keeps measuring the same
-#: plane as BENCH_stream.json; kernel routing is benched elsewhere.
+#: Kernel pinned so the committed baseline (BENCH_serve.json) keeps
+#: measuring the same plane; kernel routing is benched elsewhere.
 POOL_KERNEL = "fft"
 COMPLEXITIES = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 

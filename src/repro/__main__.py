@@ -303,8 +303,7 @@ def _make_engine(args: argparse.Namespace):
     recovery = _make_recovery(args)
     if args.stream:
         return StreamingEngine(config, queue_depth=args.queue_depth,
-                               use_shmem=args.shmem, recovery=recovery,
-                               cache=cache)
+                               recovery=recovery, cache=cache)
     return Engine(config, recovery=recovery, cache=cache)
 
 
@@ -390,8 +389,7 @@ def _cmd_realign(args: argparse.Namespace) -> int:
             print(f"engine: workers={args.workers} batch={args.batch} "
                   f"kernel={args.kernel} "
                   f"prefilter={'on' if args.prefilter else 'off'}"
-                  + (f" stream(depth={args.queue_depth}, "
-                     f"shmem={'on' if args.shmem else 'off'})"
+                  + (f" stream(depth={args.queue_depth})"
                      if args.stream else ""))
         if args.stream:
             stats = engine.stream_stats
@@ -399,7 +397,6 @@ def _cmd_realign(args: argparse.Namespace) -> int:
                 print(f"stream: {stats.get('stream.chunks', 0)} chunks, "
                       f"max in-flight {stats.get('stream.max_in_flight', 0)}, "
                       f"reorder peak {stats.get('stream.reorder_peak', 0)}, "
-                      f"arena bytes {stats.get('stream.arena_bytes', 0)}, "
                       f"backpressure "
                       f"{stats.get('stream.backpressure_us', 0)} us")
         _print_recovery(engine, args)
@@ -546,7 +543,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
         stream_session = Telemetry(label="stream")
         with StreamingEngine(config, queue_depth=args.queue_depth,
-                             use_shmem=args.shmem,
                              recovery=recovery) as stream_engine:
             stream_engine.run_sites(sites, telemetry=stream_session)
         sessions.append(stream_session)
@@ -571,14 +567,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             continue
         if session.label == "stream":
             flat = session.counters.flat()
-            shmem = "shmem" if flat.get("stream.shmem", 0) else "pickle"
             print(f"[stream] {flat.get('stream.chunks', 0)} chunks, "
                   f"window {flat.get('stream.queue_depth', 0)}x"
                   f"{args.workers}, max in-flight "
                   f"{flat.get('stream.max_in_flight', 0)}, reorder peak "
-                  f"{flat.get('stream.reorder_peak', 0)}, "
-                  f"{flat.get('stream.arena_bytes', 0)} arena bytes "
-                  f"({shmem}), backpressure "
+                  f"{flat.get('stream.reorder_peak', 0)}, backpressure "
                   f"{flat.get('stream.backpressure_us', 0)} us")
             continue
         metrics = derive_schedule_metrics(session)
@@ -1028,17 +1021,12 @@ def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--stream", action="store_true",
         help="use the streaming engine: bounded in-flight window, "
-             "zero-copy shared-memory dispatch, incremental in-order merge",
+             "incremental in-order merge",
     )
     subparser.add_argument(
         "--queue-depth", type=int, default=2, dest="queue_depth",
         help="in-flight chunks per worker for --stream (window = "
              "depth x workers)",
-    )
-    subparser.add_argument(
-        "--no-shmem", dest="shmem", action="store_false",
-        help="disable shared-memory arenas for --stream (pickle site "
-             "payloads instead)",
     )
     subparser.add_argument(
         "--kernel",
@@ -1076,6 +1064,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     from repro.engine.native import native_mode
+    from repro.genomics.fasta import FastaError
+    from repro.genomics.samlite import SamError
     from repro.resilience.workers import WorkerRecovery
 
     try:
@@ -1083,6 +1073,15 @@ def main(argv=None) -> int:
         WorkerRecovery.from_env()
     except ValueError as error:
         parser.error(str(error))
+    try:
+        return _run_command(args)
+    except (SamError, FastaError, OSError) as error:
+        # A bad input is the user's to fix: say which and where.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+
+
+def _run_command(args: argparse.Namespace) -> int:
     if args.command == "simulate":
         return _cmd_simulate(args)
     if args.command == "realign":

@@ -37,7 +37,7 @@ from repro.hw.memory import PcieDmaModel
 from repro.realign.realigner import (
     IndelRealigner,
     RealignerReport,
-    apply_realignment,
+    apply_site_results,
 )
 from repro.realign.site import RealignmentSite, SiteLimits, PAPER_LIMITS
 
@@ -465,21 +465,7 @@ class AcceleratedRealigner:
                 [windows[i].site for i in indices], telemetry=telemetry
             )
             fallback_results = dict(zip(indices, batched))
-        updates: Dict[int, Read] = {}  # by input object: mates share a name
-        for index, (window, result) in enumerate(zip(windows,
-                                                     run.unit_results)):
-            if index in fallback:
-                result = fallback_results[index]
-            report.unpruned_comparisons += window.site.unpruned_comparisons()
-            for j, read in enumerate(window.reads):
-                if result.realign[j]:
-                    updates[id(read)] = apply_realignment(
-                        read, window, result.best_cons, int(result.new_pos[j])
-                    )
-                    report.reads_realigned += 1
-        updated = [updates.get(id(read), read) for read in reads]
-        for before, after in zip(reads, updated):
-            if (before.pos, str(before.cigar)) != (after.pos,
-                                                   str(after.cigar)):
-                report.reads_moved += 1
+        results = [fallback_results.get(index, result)
+                   for index, result in enumerate(run.unit_results)]
+        updated = apply_site_results(reads, windows, results, report)
         return updated, run, report

@@ -20,8 +20,7 @@ independent optimizations, each preserving byte-identical output:
   with work-stealing and an incremental reordering merge that emits
   results in deterministic chunk order;
 - :mod:`repro.engine.stream` -- the streaming data plane: the same loop
-  with a bounded in-flight window and zero-copy dispatch through
-  :mod:`repro.engine.shmem` arenas.
+  with a bounded in-flight window.
 
 See ``docs/ARCHITECTURE.md`` for the data flow and
 ``docs/PERFORMANCE.md`` for kernel selection and measured speedups.
@@ -56,12 +55,6 @@ from repro.engine.parallel import (
     ShardStats,
     resolve_engine,
 )
-from repro.engine.shmem import (
-    HAVE_SHARED_MEMORY,
-    ChunkDescriptor,
-    pack_chunk,
-    unpack_chunk,
-)
 from repro.engine.stream import StreamingEngine
 from repro.engine.prefilter import (
     PREFILTER_TOLERANCE,
@@ -73,10 +66,8 @@ from repro.engine.prefilter import (
 )
 
 __all__ = [
-    "ChunkDescriptor",
     "Engine",
     "EngineConfig",
-    "HAVE_SHARED_MEMORY",
     "KERNELS",
     "KERNEL_CHOICES",
     "PackedConsensus",
@@ -97,7 +88,6 @@ __all__ = [
     "native_backend_name",
     "offset_candidates",
     "pack_bases",
-    "pack_chunk",
     "pair_bounds",
     "pair_lower_bounds",
     "pairs_cannot_beat_reference",
@@ -105,6 +95,5 @@ __all__ = [
     "realign_site_bitpacked",
     "realign_site_native",
     "resolve_engine",
-    "unpack_chunk",
     "warmup_native",
 ]

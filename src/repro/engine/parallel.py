@@ -5,9 +5,9 @@ guarantees a read belongs to at most one site -- so the engine cuts a
 site list into fixed-size chunks and runs them through **one**
 generator, :meth:`Engine.stream_sites`, which owns the site-result
 cache consult, chunking, the inline-versus-pooled decision, the
-in-flight window, the in-order merge, arena release and the
-counter/span fold. The paper's
-synchronous- and asynchronous-parallel schedules are that loop at two
+in-flight window, the in-order merge and the counter/span fold. The
+paper's synchronous- and asynchronous-parallel schedules are that loop
+at two
 window sizes: :class:`Engine` submits every chunk at once (a barrier is
 window = all chunks), :class:`repro.engine.stream.StreamingEngine`
 keeps ``queue_depth x workers`` in flight. Idle workers take the next
@@ -212,7 +212,7 @@ class Engine:
     The worker pool is created lazily on the first multiprocess run and
     persists across runs (forking a pool costs tens of milliseconds --
     far more than a warm task round-trip), so create the engine once
-    and reuse it; ``workers=1`` never creates a pool, thread or arena.
+    and reuse it; ``workers=1`` never creates a pool or thread.
     Usable as a context manager; the pool is also reaped on garbage
     collection.
 
@@ -254,11 +254,6 @@ class Engine:
         self.recovery_counters: Dict[str, int] = {}
         self.recovery_events: List = []
 
-    def _pack(self, chunk_id: int, chunk: List[RealignmentSite]):
-        """``(descriptor, arena handle)`` for one chunk, or ``(None,
-        None)`` to ship the sites pickled in the task itself."""
-        return None, None
-
     def run_sites(
         self,
         sites: Sequence[RealignmentSite],
@@ -278,9 +273,9 @@ class Engine:
         ``i``'s has completed, so the output is identical for any
         ``workers`` or window setting and consumers downstream overlap
         their work with the chunks still in flight. Abandoning the
-        generator mid-run is safe: arenas are released, the pool
-        survives for the next run, and ``shard_stats`` / telemetry
-        record the chunks that completed before the abandon.
+        generator mid-run is safe: the pool survives for the next run,
+        and ``shard_stats`` / telemetry record the chunks that
+        completed before the abandon.
 
         This is the one place the cache is consulted: hits are yielded
         from it (leading hits before anything is dispatched), only the
@@ -325,10 +320,8 @@ class Engine:
         run_start = time.perf_counter()
         batch = self.config.batch
         chunks = [sites[lo:lo + batch] for lo in range(0, len(sites), batch)]
-        arenas: Dict[int, object] = {}
         reorder = ReorderBuffer()
-        observed = {"in_flight_peak": 1, "backpressure_us": 0,
-                    "arena_bytes": 0}
+        observed = {"in_flight_peak": 1, "backpressure_us": 0}
         try:
             if self.config.workers == 1 or len(chunks) == 1:
                 for chunk_id, chunk in enumerate(chunks):
@@ -358,14 +351,8 @@ class Engine:
                 # either in flight or already emitted.
                 while (submitted < len(chunks)
                        and submitted - completed + reorder.pending < window):
-                    descriptor, handle = self._pack(submitted,
-                                                    chunks[submitted])
-                    if handle is not None:
-                        arenas[submitted] = handle
-                        observed["arena_bytes"] += descriptor.nbytes
                     rpool.submit_chunk(submitted, chunks[submitted],
-                                       on_done=done.put,
-                                       descriptor=descriptor)
+                                       on_done=done.put)
                     submitted += 1
                     observed["in_flight_peak"] = max(
                         observed["in_flight_peak"], submitted - completed
@@ -388,21 +375,13 @@ class Engine:
                     )
                 if isinstance(outcome, BaseException):
                     raise outcome
-                chunk_id = outcome[0]
-                # The parent owns every arena, so even a chunk whose
-                # worker was SIGKILLed mid-read is unlinked here, not
-                # leaked.
-                if chunk_id in arenas:
-                    arenas.pop(chunk_id).release()
                 completed += 1
                 self._file_outcome(outcome)
-                for chunk_results in reorder.push(chunk_id, outcome[1]):
+                for chunk_results in reorder.push(outcome[0], outcome[1]):
                     yield from chunk_results
         finally:
             # Runs on exhaustion, failure AND when the consumer abandons
             # the generator: whatever completed is still observed.
-            for handle in arenas.values():
-                handle.release()
             observed["reorder_peak"] = reorder.peak_pending
             self._finish(telemetry, run_start, observed)
 

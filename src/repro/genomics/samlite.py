@@ -120,13 +120,23 @@ def write_sam(
 
 
 def parse_sam(source: PathOrFile) -> Iterator[Read]:
-    """Yield reads from a SAM-lite file, skipping header lines."""
+    """Yield reads from a SAM-lite file, skipping header lines.
+
+    Whatever a line raises (a bad field, CIGAR, quality string or
+    read) comes out as a :class:`SamError` located ``path:line``
+    (``<stream>`` for a handle).
+    """
     handle, owned = _as_text_handle(source, "r")
+    path = source if owned else "<stream>"
     try:
-        for line in handle:
+        for lineno, line in enumerate(handle, 1):
             if not line.strip() or line.startswith("@"):
                 continue
-            yield parse_read(line)
+            try:
+                read = parse_read(line)
+            except ValueError as error:
+                raise SamError(f"{path}:{lineno}: {error}") from None
+            yield read
     finally:
         if owned:
             handle.close()

@@ -4,13 +4,13 @@ Drives the full per-contig flow: identify targets, assemble a
 :class:`RealignmentSite` per target, run Algorithms 1 + 2, and rewrite the
 winning reads' alignments. This is the *functional* reference against
 which the accelerator model must be bit-identical; its *work counters*
-(unpruned base comparisons, per-site shapes) feed the performance models
-in :mod:`repro.perf` and :mod:`repro.baselines`.
+(unpruned base comparisons) feed the performance models in
+:mod:`repro.perf` and :mod:`repro.baselines`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,40 +22,13 @@ from repro.realign.consensus import (
     build_site,
     realigned_read_placement,
 )
-from repro.realign.site import RealignmentSite, SiteLimits, PAPER_LIMITS
+from repro.realign.site import SiteLimits, PAPER_LIMITS
 from repro.realign.targets import (
     RealignmentTarget,
     TargetCreatorConfig,
     identify_targets,
 )
 from repro.realign.whd import SiteResult
-
-
-@dataclass(frozen=True)
-class SiteShape:
-    """Structural summary of one realigned site (feeds the perf models)."""
-
-    chrom: str
-    start: int
-    num_consensuses: int
-    num_reads: int
-    consensus_lengths: Tuple[int, ...]
-    read_lengths: Tuple[int, ...]
-    unpruned_comparisons: int
-    reads_realigned: int
-
-    @classmethod
-    def from_site(cls, site: RealignmentSite, result: SiteResult) -> "SiteShape":
-        return cls(
-            chrom=site.chrom,
-            start=site.start,
-            num_consensuses=site.num_consensuses,
-            num_reads=site.num_reads,
-            consensus_lengths=tuple(len(c) for c in site.consensuses),
-            read_lengths=tuple(len(r) for r in site.reads),
-            unpruned_comparisons=site.unpruned_comparisons(),
-            reads_realigned=result.num_realigned,
-        )
 
 
 @dataclass
@@ -75,7 +48,6 @@ class RealignerReport:
     reads_realigned: int = 0
     reads_moved: int = 0
     unpruned_comparisons: int = 0
-    site_shapes: List[SiteShape] = field(default_factory=list)
 
     def merge(self, other: "RealignerReport") -> None:
         self.targets_identified += other.targets_identified
@@ -84,7 +56,6 @@ class RealignerReport:
         self.reads_realigned += other.reads_realigned
         self.reads_moved += other.reads_moved
         self.unpruned_comparisons += other.unpruned_comparisons
-        self.site_shapes.extend(other.site_shapes)
 
 
 class IndelRealigner:
@@ -224,27 +195,8 @@ class IndelRealigner:
         results = self._engine_instance().run_sites(
             [window.site for window in windows], telemetry=telemetry
         )
-        # Keyed on the input object, not its name: mates share a QNAME.
-        updates: Dict[int, Read] = {}
-        for window, result in zip(windows, results):
-            site = window.site
-            report.unpruned_comparisons += site.unpruned_comparisons()
-            report.site_shapes.append(SiteShape.from_site(site, result))
-            moved: Dict[str, Read] = {}
-            for j, read in enumerate(window.reads):
-                if result.realign[j]:
-                    updated_read = apply_realignment(
-                        read, window, result.best_cons, int(result.new_pos[j])
-                    )
-                    updates[id(read)] = updated_read
-                    report.reads_realigned += 1
-                    if (updated_read.pos != read.pos
-                            or str(updated_read.cigar) != str(read.cigar)):
-                        report.reads_moved += 1
-                        moved[read.name] = updated_read
-            if observer is not None:
-                observer(window, result, moved)
-        updated = [updates.get(id(read), read) for read in reads]
+        updated = apply_site_results(reads, windows, results, report,
+                                     observer=observer)
         return updated, report
 
 
@@ -271,6 +223,48 @@ def _start_sorted(reads: Sequence[Read]) -> Dict[str, tuple]:
         views[chrom] = (pos[order], last[order], indices[order],
                         int((last - pos).max()) + 1)
     return views
+
+
+def apply_site_results(
+    reads: Sequence[Read],
+    windows: Sequence[ConsensusWindow],
+    results: Sequence[SiteResult],
+    report: Optional[RealignerReport] = None,
+    observer=None,
+) -> List[Read]:
+    """Apply the kernel's decisions to ``reads`` -- the back half every
+    realigner shares (software, accelerated, served).
+
+    ``windows`` must come from ``build_sites(reads)`` on this very list:
+    updates are keyed on the input object, not its name (mates share a
+    QNAME). Reads keep their input order. ``report``, when given, gains
+    the realigned / moved / unpruned-comparison counts; ``observer`` is
+    called once per site as ``observer(window, result, moved)`` with
+    ``moved`` mapping each repositioned read's name to its updated
+    :class:`Read`.
+    """
+    updates: Dict[int, Read] = {}
+    for window, result in zip(windows, results):
+        moved: Dict[str, Read] = {}
+        realigned = repositioned = 0  # counted per read: names repeat
+        for j, read in enumerate(window.reads):
+            if result.realign[j]:
+                updated_read = apply_realignment(
+                    read, window, result.best_cons, int(result.new_pos[j])
+                )
+                updates[id(read)] = updated_read
+                realigned += 1
+                if (updated_read.pos != read.pos
+                        or updated_read.cigar != read.cigar):
+                    repositioned += 1
+                    moved[read.name] = updated_read
+        if report is not None:
+            report.unpruned_comparisons += window.site.unpruned_comparisons()
+            report.reads_realigned += realigned
+            report.reads_moved += repositioned
+        if observer is not None:
+            observer(window, result, moved)
+    return [updates.get(id(read), read) for read in reads]
 
 
 def apply_realignment(

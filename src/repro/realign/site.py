@@ -110,34 +110,6 @@ class RealignmentSite:
                     f"read ({max_read_len}); pad the target window"
                 )
 
-    @classmethod
-    def trusted(
-        cls,
-        chrom: str,
-        start: int,
-        consensuses: Tuple[str, ...],
-        reads: Tuple[str, ...],
-        quals: Tuple[np.ndarray, ...],
-        limits: SiteLimits = PAPER_LIMITS,
-    ) -> "RealignmentSite":
-        """Construct without re-running ``__post_init__`` validation.
-
-        For inputs that provably came from an already-validated site --
-        the shared-memory arena decode path
-        (:mod:`repro.engine.shmem`) rebuilds thousands of sites per
-        run, and re-validating each byte would dominate the worker's
-        unpack cost. ``quals`` must already be uint8 arrays. Anything
-        else must go through the normal constructor.
-        """
-        site = object.__new__(cls)
-        object.__setattr__(site, "chrom", chrom)
-        object.__setattr__(site, "start", start)
-        object.__setattr__(site, "consensuses", tuple(consensuses))
-        object.__setattr__(site, "reads", tuple(reads))
-        object.__setattr__(site, "quals", tuple(quals))
-        object.__setattr__(site, "limits", limits)
-        return site
-
     @property
     def num_consensuses(self) -> int:
         return len(self.consensuses)

@@ -8,7 +8,7 @@ host-side failure is the steady state -- spot preemption, OOM-killed
 workers, hung processes -- and an unprotected pool turns each of them
 into a run-wide outage: a worker SIGKILLed mid-chunk silently loses the
 chunk's result and the in-flight window blocks forever, a broken pool
-aborts the run, a crashed worker leaks its shared-memory arena.
+aborts the run.
 
 The machinery mirrors the accelerator-side design piece for piece:
 
@@ -406,39 +406,28 @@ def _init_resilient_worker(config, plan) -> None:
 
 @dataclass(frozen=True)
 class _WorkerTask:
-    """One dispatch payload: a chunk (or bisected slice) of sites.
-
-    Exactly one of ``sites`` / ``descriptor`` is set. The descriptor is
-    the zero-copy shared-memory path (first attempt of a streamed
-    chunk); retries and bisected slices carry sites inline -- recovery
-    is rare, so the one extra pickle never shows on the fast path.
-    """
+    """One dispatch payload: a chunk (or bisected slice) of sites,
+    pickled into the task on first attempt and retry alike."""
 
     chunk_id: int
     lo: int
     attempt: int
-    sites: Optional[Tuple] = None
-    descriptor: Optional[object] = None
+    sites: Tuple
 
 
 def _run_resilient_task(task: _WorkerTask):
     """Worker entry point: maybe fault, then realign the task's sites."""
     from repro.engine import parallel
-    from repro.engine.shmem import unpack_chunk
 
     if _WORKER_FAULT_PLAN is not None:
         event = _WORKER_FAULT_PLAN.chunk_outcome(task.chunk_id, task.lo,
                                                  task.attempt)
         if event is not None:
             perform_fault(event)
-    if task.descriptor is not None:
-        sites = unpack_chunk(task.descriptor)
-    else:
-        sites = list(task.sites)
     _chunk_id, results, start, end, counters = parallel._realign_chunk(
-        task.chunk_id, sites, parallel._WORKER_CONFIG
+        task.chunk_id, task.sites, parallel._WORKER_CONFIG
     )
-    return (task.chunk_id, task.lo, len(sites), results, start, end,
+    return (task.chunk_id, task.lo, len(task.sites), results, start, end,
             counters)
 
 
@@ -452,7 +441,6 @@ class _TaskState:
     chunk_id: int
     lo: int
     sites: List
-    descriptor: Optional[object] = None
     attempt: int = 0        # next attempt number to dispatch
     epoch: int = 0          # bumps per (re)dispatch; stale futures ignored
     dispatched: bool = False
@@ -564,8 +552,8 @@ class ResilientPool:
             self._events.clear()
             self._expiries_since_completion = 0
 
-    def submit_chunk(self, chunk_id: int, sites: Sequence, on_done: Callable,
-                     descriptor=None) -> None:
+    def submit_chunk(self, chunk_id: int, sites: Sequence,
+                     on_done: Callable) -> None:
         """Submit one chunk; ``on_done`` receives its outcome tuple once.
 
         On unrecoverable failure (a genuine bug surfacing through the
@@ -584,8 +572,7 @@ class ResilientPool:
             self._chunks[chunk_id] = _ChunkState(
                 chunk_id=chunk_id, num_sites=len(sites), on_done=on_done,
             )
-            task = _TaskState(chunk_id=chunk_id, lo=0, sites=list(sites),
-                              descriptor=descriptor)
+            task = _TaskState(chunk_id=chunk_id, lo=0, sites=list(sites))
             self._tasks[task.key] = task
             self._dispatch_locked(task, now)
 
@@ -659,12 +646,8 @@ class ResilientPool:
             # The parent predicts the injection from the shared plan --
             # a SIGKILLed worker cannot report its own death.
             self._count(f"worker.injected.{injected.kind.value}")
-        use_descriptor = task.descriptor is not None and task.attempt == 0
-        payload = _WorkerTask(
-            chunk_id=task.chunk_id, lo=task.lo, attempt=task.attempt,
-            sites=None if use_descriptor else tuple(task.sites),
-            descriptor=task.descriptor if use_descriptor else None,
-        )
+        payload = _WorkerTask(chunk_id=task.chunk_id, lo=task.lo,
+                              attempt=task.attempt, sites=tuple(task.sites))
         try:
             future = executor.submit(_run_resilient_task, payload)
         except (BrokenProcessPool, RuntimeError):

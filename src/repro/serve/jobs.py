@@ -29,7 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.genomics.read import Read
 from repro.genomics.reference import ReferenceGenome
-from repro.realign.realigner import apply_realignment
+# The back half a served job shares with the batch realigners.
+from repro.realign.realigner import apply_site_results
 from repro.refinement.regions import DEFAULT_REGION_GAP
 
 
@@ -110,27 +111,6 @@ def _job(job_id: int, chrom: str, members: List[int],
         indices=tuple(members),
         reads=tuple(reads[i] for i in members),
     )
-
-
-def apply_site_results(reads: Sequence[Read], windows, results) -> List[Read]:
-    """Apply kernel decisions to reads -- the realigner's back half.
-
-    Mirrors the update step of
-    :meth:`repro.realign.realigner.IndelRealigner.realign` exactly
-    (same :func:`~repro.realign.realigner.apply_realignment` call, same
-    update map keyed on the input object -- ``windows`` must come from
-    ``build_sites(reads)`` on this very list -- same input order out),
-    so a server that ran ``build_sites`` locally but the kernel remotely
-    reproduces the batch path byte for byte.
-    """
-    updates: Dict[int, Read] = {}
-    for window, result in zip(windows, results):
-        for j, read in enumerate(window.reads):
-            if result.realign[j]:
-                updates[id(read)] = apply_realignment(
-                    read, window, result.best_cons, int(result.new_pos[j])
-                )
-    return [updates.get(id(read), read) for read in reads]
 
 
 __all__ = ["RegionJob", "apply_site_results", "partition_jobs"]

@@ -133,3 +133,82 @@ class TestSamLite:
     def test_malformed_line_rejected(self):
         with pytest.raises(SamError):
             parse_read("too\tfew\tfields")
+
+    def _sam_lines(self):
+        reads = [self.make_read(name=f"r{i}", pos=10 * i) for i in range(3)]
+        sink = io.StringIO()
+        write_sam(reads, sink, ReferenceGenome.from_dict({"1": "A" * 200}))
+        return sink.getvalue().splitlines()
+
+    @pytest.mark.parametrize("column,value,message", [
+        (5, "10M5Q", "malformed CIGAR '10M5Q' near offset 3"),
+        (3, "ten", "bad numeric field in SAM line"),
+        (10, "II", "read 'r1': 2 quality scores for 4 bases"),
+        (10, "I\x19II", "outside Phred+33 range"),
+    ], ids=["cigar", "numeric", "seq-qual-length", "quality"])
+    def test_bad_line_is_located(self, tmp_path, column, value, message):
+        # Whatever a line raises -- SamError, CigarError, QualityError,
+        # Read's own ValueError -- comes out as SamError path:line.
+        lines = self._sam_lines()
+        fields = lines[-2].split("\t")  # second of three reads
+        fields[column] = value
+        lines[-2] = "\t".join(fields)
+        text = "\n".join(lines) + "\n"
+        lineno = len(lines) - 1
+        path = tmp_path / "bad.sam"
+        path.write_text(text)
+        with pytest.raises(SamError) as from_path:
+            list(parse_sam(path))
+        assert str(from_path.value).startswith(f"{path}:{lineno}: ")
+        assert message in str(from_path.value)
+        with pytest.raises(SamError, match=f"^<stream>:{lineno}: "):
+            list(parse_sam(io.StringIO(text)))
+
+
+class TestMalformedInputCli:
+    """A bad input is one located ``error:`` line and exit 2, never a
+    traceback, and nothing is written."""
+
+    @pytest.fixture(scope="class")
+    def sample(self, tmp_path_factory):
+        from repro.__main__ import main as cli_main
+
+        out = tmp_path_factory.mktemp("bad-input") / "s"
+        assert cli_main(["simulate", "--out", str(out), "--length", "3000",
+                         "--coverage", "8", "--seed", "3"]) == 0
+        return out
+
+    @pytest.mark.parametrize("case,expect", [
+        ("cigar", "bad.sam:12: malformed CIGAR '10M5Q' near offset 3"),
+        ("numeric", "bad.sam:12: bad numeric field in SAM line"),
+        ("seq-qual", "bad.sam:12: read "),
+        ("missing-sam", "No such file or directory"),
+        ("headerless-fasta", "sequence data before any FASTA header"),
+    ])
+    def test_exits_2_with_one_located_line(self, sample, capsys, case,
+                                           expect):
+        from repro.__main__ import main as cli_main
+
+        reference, sam = sample / "reference.fa", sample / "aligned.sam"
+        if case == "missing-sam":
+            sam = sample / "nope.sam"
+        elif case == "headerless-fasta":
+            reference = sample / "headerless.fa"
+            reference.write_text("ACGTACGT\n")
+        else:
+            column, value = {"cigar": (5, "10M5Q"), "numeric": (4, "x"),
+                             "seq-qual": (10, "II")}[case]
+            lines = sam.read_text().splitlines()
+            fields = lines[11].split("\t")
+            fields[column] = value
+            lines[11] = "\t".join(fields)
+            sam = sample / "bad.sam"
+            sam.write_text("\n".join(lines) + "\n")
+        out = sample / "out.sam"
+        capsys.readouterr()
+        assert cli_main(["realign", "--reference", str(reference),
+                         "--sam", str(sam), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert expect in err and "Traceback" not in err
+        assert not out.exists()

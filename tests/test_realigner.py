@@ -74,10 +74,7 @@ class TestDeletionRealignment:
         assert report.sites_built >= 1
         assert report.reads_examined == len(reads)
         assert report.unpruned_comparisons > 0
-        assert len(report.site_shapes) == report.sites_built
-        shape = report.site_shapes[0]
-        assert shape.unpruned_comparisons > 0
-        assert shape.num_reads > 0
+        assert 1 <= report.reads_moved <= report.reads_realigned
 
 
 class TestInsertionRealignment:

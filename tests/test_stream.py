@@ -1,10 +1,9 @@
 """Tests for the streaming data plane.
 
 The plane's contract is the barrier engine's, incrementally: byte-
-identical results at any worker count, queue depth, or shmem setting,
-with bounded in-flight state. These tests pin that contract at each
-layer -- the reorder buffer, the shared-memory arenas, the streaming
-engine, the region cuts, the overlapped refinement pipeline, the
+identical results at any worker count or queue depth, with bounded
+in-flight state. These tests pin that contract at each layer -- the
+reorder buffer, the streaming engine, the region cuts, the overlapped refinement pipeline, the
 double-buffered dispatch model, the trace export floor, and the CLI.
 """
 
@@ -17,13 +16,9 @@ import pytest
 from repro.engine import (
     Engine,
     EngineConfig,
-    HAVE_SHARED_MEMORY,
     ReorderBuffer,
     StreamingEngine,
-    pack_chunk,
-    unpack_chunk,
 )
-from repro.engine.shmem import ChunkDescriptor
 from repro.genomics.cigar import Cigar
 from repro.genomics.read import Read
 from repro.genomics.reference import ReferenceGenome
@@ -79,76 +74,14 @@ class TestReorderBuffer:
         assert buffer.push(5, "x") == ["x"]
 
 
-class TestArenas:
-    def _roundtrip(self, use_shmem):
-        sites = _sites(3, seed=7)
-        descriptor, handle = pack_chunk(4, sites, use_shmem=use_shmem)
-        try:
-            rebuilt = unpack_chunk(descriptor)
-        finally:
-            handle.release()
-        assert descriptor.chunk_id == 4
-        assert len(rebuilt) == len(sites)
-        for got, want in zip(rebuilt, sites):
-            assert got.chrom == want.chrom
-            assert got.start == want.start
-            assert got.consensuses == want.consensuses
-            assert got.reads == want.reads
-            for a, b in zip(got.quals, want.quals):
-                np.testing.assert_array_equal(a, b)
-            assert got.limits == want.limits
-
-    def test_inline_roundtrip(self):
-        self._roundtrip(use_shmem=False)
-
-    @pytest.mark.skipif(not HAVE_SHARED_MEMORY,
-                        reason="no multiprocessing.shared_memory")
-    def test_shmem_roundtrip(self):
-        self._roundtrip(use_shmem=True)
-
-    @pytest.mark.skipif(not HAVE_SHARED_MEMORY,
-                        reason="no multiprocessing.shared_memory")
-    def test_unpacked_sites_outlive_the_arena(self):
-        sites = _sites(1, seed=3)
-        descriptor, handle = pack_chunk(0, sites, use_shmem=True)
-        rebuilt = unpack_chunk(descriptor)
-        handle.release()
-        handle.release()  # idempotent
-        assert rebuilt[0].reads == sites[0].reads
-        np.testing.assert_array_equal(rebuilt[0].quals[0], sites[0].quals[0])
-
-    def test_descriptor_is_small_and_exclusive(self):
-        import pickle
-
-        sites = _sites(2, seed=9)
-        descriptor, handle = pack_chunk(0, sites, use_shmem=HAVE_SHARED_MEMORY)
-        try:
-            if HAVE_SHARED_MEMORY:
-                # The pickled descriptor carries names + shapes, not the
-                # megabases -- the zero-copy dispatch claim.
-                assert len(pickle.dumps(descriptor)) < descriptor.nbytes / 10
-        finally:
-            handle.release()
-        with pytest.raises(ValueError):
-            ChunkDescriptor(chunk_id=0, sites=(), nbytes=0)
-        with pytest.raises(ValueError):
-            ChunkDescriptor(chunk_id=0, sites=(), nbytes=0,
-                            arena="x", payload=b"y")
-
-
 class TestStreamingEngine:
-    @pytest.mark.parametrize("workers,depth,shmem", [
-        (1, 2, True),
-        (3, 1, True),
-        (3, 2, True),
-        (3, 2, False),
-    ])
-    def test_matches_barrier_engine(self, workers, depth, shmem):
+    @pytest.mark.parametrize("workers,depth", [(1, 2), (3, 1), (3, 2)])
+    def test_matches_barrier_engine(self, workers, depth):
         sites = _sites(10, seed=77)
         with Engine(EngineConfig(workers=workers, batch=3)) as barrier:
             want = barrier.run_sites(sites)
         with StreamingEngine(EngineConfig(workers=workers, batch=3),
-                             queue_depth=depth, use_shmem=shmem) as stream:
+                             queue_depth=depth) as stream:
             got = stream.run_sites(sites)
         assert len(got) == len(want) == len(sites)
         for a, b in zip(got, want):
@@ -177,9 +110,6 @@ class TestStreamingEngine:
         assert stats["stream.chunks"] == 12
         assert 1 <= stats["stream.max_in_flight"] <= 2  # depth x workers
         assert stats["stream.reorder_peak"] <= 2
-        assert stats["stream.shmem"] == int(HAVE_SHARED_MEMORY)
-        if HAVE_SHARED_MEMORY:
-            assert stats["stream.arena_bytes"] > 0
 
     def test_shard_stats_match_barrier_layout(self):
         sites = _sites(9, seed=19)
@@ -590,10 +520,6 @@ class TestStreamCli:
             sample_dir, "stream.sam", "--stream", "--workers", "2",
             "--queue-depth", "3",
         ) == serial
-        assert self._realign(
-            sample_dir, "noshm.sam", "--stream", "--workers", "2",
-            "--no-shmem",
-        ) == serial
 
     @pytest.mark.parametrize("flags", [
         ("--workers", "2"),
@@ -613,14 +539,19 @@ class TestStreamCli:
     def test_shards_flag_is_gone(self, sample_dir, capsys):
         from repro.__main__ import main as cli_main
 
-        with pytest.raises(SystemExit) as exit_info:
-            cli_main([
-                "realign", "--reference", str(sample_dir / "reference.fa"),
-                "--sam", str(sample_dir / "aligned.sam"),
-                "--out", str(sample_dir / "shards.sam"), "--shards", "2",
-            ])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments: --shards" in capsys.readouterr().err
+        # ... and so is --no-shmem: there is one payload to choose from.
+        for gone, flags in (("--shards", ("--shards", "2")),
+                            ("--no-shmem", ("--stream", "--no-shmem"))):
+            with pytest.raises(SystemExit) as exit_info:
+                cli_main([
+                    "realign",
+                    "--reference", str(sample_dir / "reference.fa"),
+                    "--sam", str(sample_dir / "aligned.sam"),
+                    "--out", str(sample_dir / "gone.sam"), *flags,
+                ])
+            assert exit_info.value.code == 2
+            assert (f"unrecognized arguments: {gone}"
+                    in capsys.readouterr().err)
 
     def test_accelerated_chaos_fallback_accepts_any_plane(self, sample_dir):
         # Regression: AcceleratedRealigner carried a stale copy of the

@@ -67,19 +67,18 @@ class TestStreamingEngineProperties:
         batch=st.integers(1, 4),
         workers=st.sampled_from([1, 2]),
         depth=st.integers(1, 3),
-        shmem=st.booleans(),
     )
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_matches_barrier_for_any_configuration(
-        self, seed, n, batch, workers, depth, shmem
+        self, seed, n, batch, workers, depth
     ):
         sites = _sites(n, seed)
         with Engine(EngineConfig(workers=1, batch=batch)) as barrier:
             want = barrier.run_sites(sites)
         with StreamingEngine(
             EngineConfig(workers=workers, batch=batch),
-            queue_depth=depth, use_shmem=shmem,
+            queue_depth=depth,
         ) as stream:
             got = stream.run_sites(sites)
         assert len(got) == len(want)

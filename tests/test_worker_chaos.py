@@ -93,17 +93,16 @@ class TestWorkerChaosProperties:
         batch=st.integers(1, 3),
         depth=st.integers(1, 3),
         rate=st.floats(0.05, 0.5),
-        shmem=st.booleans(),
     )
     @settings(max_examples=4, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_streaming_chaos_matches_serial(
-        self, workload_seed, chaos_seed, n, batch, depth, rate, shmem
+        self, workload_seed, chaos_seed, n, batch, depth, rate
     ):
         sites = _sites(n, workload_seed)
         want = Engine(EngineConfig(workers=1, batch=batch)).run_sites(sites)
         with StreamingEngine(EngineConfig(workers=2, batch=batch),
-                             queue_depth=depth, use_shmem=shmem,
+                             queue_depth=depth,
                              recovery=_recovery(chaos_seed, rate)) as stream:
             _assert_identical(stream.run_sites(sites), want)
             counters = stream.recovery_counters

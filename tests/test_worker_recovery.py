@@ -6,25 +6,17 @@ engines complete without hanging and their output is byte-identical to
 a fault-free run, with every recovery action visible in telemetry.
 Specific regressions pinned here: a worker SIGKILLed mid-chunk at
 ``queue_depth=1`` used to block the in-flight window forever; a
-``BrokenProcessPool`` used to abort a ``--stream`` run; a crashed
-worker's shared-memory arena used to leak silently.
+``BrokenProcessPool`` used to abort a ``--stream`` run.
 """
 
-import gc
 import io
 import os
 import time
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.engine import Engine, EngineConfig, StreamingEngine
-from repro.engine.shmem import (
-    HAVE_SHARED_MEMORY,
-    drain_lifecycle_counters,
-    pack_chunk,
-)
 from repro.resilience.workers import (
     ForcedWorkerFault,
     RecoveryEvent,
@@ -341,16 +333,16 @@ class TestStreamingRecovery:
                              queue_depth=1, recovery=recovery) as stream:
             got = list(stream.stream_sites(sites, telemetry=telemetry))
             counters = stream.recovery_counters
-            stats = dict(stream.stream_stats)
         _assert_identical(got, want)
         assert counters["worker.injected.worker-kill"] == 1
         assert counters["worker.pool_respawns"] >= 1
-        assert stats["stream.arena_recovered"] >= 1
+        assert telemetry.counters.flat()["worker.chunks_recovered"] >= 1
         assert telemetry.spans_in(CAT_RECOVERY)
 
     def test_crashed_worker_arena_is_unlinked(self):
-        if not HAVE_SHARED_MEMORY:
-            pytest.skip("no multiprocessing.shared_memory")
+        # Nothing to unlink any more: a pooled run touches no shared
+        # memory, in flight or afterwards, killed worker or not. This is
+        # the guard against a second transport coming back.
         shm_dir = "/dev/shm"
         if not os.path.isdir(shm_dir):
             pytest.skip("no /dev/shm to observe")
@@ -361,13 +353,41 @@ class TestStreamingRecovery:
         )
         before = set(os.listdir(shm_dir))
         with StreamingEngine(EngineConfig(workers=2, batch=2),
-                             queue_depth=1, use_shmem=True,
+                             queue_depth=1, recovery=recovery) as stream:
+            for _result in stream.stream_sites(sites):
+                assert set(os.listdir(shm_dir)) == before  # chunks in flight
+            assert stream.recovery_counters["worker.pool_respawns"] >= 1
+        assert set(os.listdir(shm_dir)) == before
+
+    def test_first_dispatch_and_retry_ship_the_same_payload(self,
+                                                            monkeypatch):
+        # One payload, one code path: what a retry re-sends is what the
+        # first dispatch sent -- the chunk's sites, pickled into the task.
+        import dataclasses
+        from concurrent.futures import ProcessPoolExecutor
+
+        sent = []
+        submit = ProcessPoolExecutor.submit
+
+        def spy(executor, fn, task):
+            sent.append(task)
+            return submit(executor, fn, task)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
+        sites = _sites(6, seed=61)
+        recovery = _recovery(
+            ForcedWorkerFault(chunk=1, attempt=0,
+                              kind=WorkerFaultKind.ERROR),
+        )
+        with StreamingEngine(EngineConfig(workers=2, batch=2),
                              recovery=recovery) as stream:
-            stream.run_sites(sites)
-            assert stream.stream_stats["stream.arena_recovered"] >= 1
-        gc.collect()
-        leaked = set(os.listdir(shm_dir)) - before
-        assert not leaked, f"arenas leaked after worker crash: {leaked}"
+            _assert_identical(stream.run_sites(sites),
+                              _serial_results(sites))
+        first, retry = [task for task in sent if task.chunk_id == 1]
+        assert (first.attempt, retry.attempt) == (0, 1)
+        assert first.sites == retry.sites == tuple(sites[2:4])
+        assert [f.name for f in dataclasses.fields(first)] == [
+            "chunk_id", "lo", "attempt", "sites"]
 
     def test_streamed_chaos_matches_barrier_and_serial_sam(self):
         # The acceptance run: one fixed seed, >= 3 distinct fault kinds
@@ -500,39 +520,6 @@ class TestDeadlineExcludesQueueWait:
             _assert_identical(engine.run_sites(sites), want)
             assert engine.recovery_counters == {}
             assert engine.recovery_events == []
-
-
-class TestShmemLifecycle:
-    def test_gc_reclaimed_arena_is_counted(self):
-        if not HAVE_SHARED_MEMORY:
-            pytest.skip("no multiprocessing.shared_memory")
-        drain_lifecycle_counters()
-        _descriptor, handle = pack_chunk(0, _sites(1, seed=71),
-                                         use_shmem=True)
-        del handle
-        gc.collect()
-        counters = drain_lifecycle_counters()
-        assert counters.get("shmem.arena_gc_reclaimed") == 1
-
-    def test_release_after_external_unlink_is_counted(self):
-        if not HAVE_SHARED_MEMORY:
-            pytest.skip("no multiprocessing.shared_memory")
-        drain_lifecycle_counters()
-        _descriptor, handle = pack_chunk(0, _sites(1, seed=73),
-                                         use_shmem=True)
-        handle._shm.unlink()  # someone else (a tracker) got there first
-        handle.release()
-        counters = drain_lifecycle_counters()
-        assert counters.get("shmem.unlink_missing") == 1
-
-    def test_clean_release_counts_nothing(self):
-        drain_lifecycle_counters()
-        _descriptor, handle = pack_chunk(0, _sites(1, seed=79),
-                                         use_shmem=True)
-        handle.release()
-        del handle
-        gc.collect()
-        assert drain_lifecycle_counters() == {}
 
 
 class TestPipelineShutdown:
