@@ -2,11 +2,10 @@
 
 A pileup column collects, for one reference position, every read base
 aligned across it (with its quality), plus the INDELs anchored there.
-Consumers: the variant caller (:mod:`repro.variants.caller`), BQSR and
-the refinement pipeline. INDEL target identification
-(:mod:`repro.realign.targets`) needs one boolean per position, not the
-evidence behind it, and takes the same walk as counts instead of
-objects: :func:`mismatch_loci`.
+Consumers: the variant callers (:mod:`repro.variants`) and BQSR. INDEL
+target identification (:mod:`repro.realign.targets`) needs one boolean
+per position, not the evidence behind it, and takes the same walk as
+counts instead of objects: :func:`mismatch_loci`.
 """
 
 from __future__ import annotations
@@ -172,29 +171,6 @@ def mismatch_loci(
         if found.size:
             loci[chrom] = found.tolist()
     return loci
-
-
-def merge_columns(
-    into: Dict[Tuple[str, int], PileupColumn],
-    new: Dict[Tuple[str, int], PileupColumn],
-) -> Dict[Tuple[str, int], PileupColumn]:
-    """Fold one pileup into another in place (and return it).
-
-    Used by the streaming refinement pipeline to accumulate the global
-    pileup region-by-region. When both pileups hold a column for the
-    same position, the incoming column's evidence is appended -- though
-    region cuts are chosen so that never happens (no read spans a cut).
-    """
-    for key, column in new.items():
-        existing = into.get(key)
-        if existing is None:
-            into[key] = column
-        else:
-            existing.bases.extend(column.bases)
-            existing.quals.extend(column.quals)
-            existing.insertions.extend(column.insertions)
-            existing.deletions.extend(column.deletions)
-    return into
 
 
 def max_depth(columns: Dict[Tuple[str, int], PileupColumn]) -> int:

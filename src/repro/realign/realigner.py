@@ -49,14 +49,6 @@ class RealignerReport:
     reads_moved: int = 0
     unpruned_comparisons: int = 0
 
-    def merge(self, other: "RealignerReport") -> None:
-        self.targets_identified += other.targets_identified
-        self.sites_built += other.sites_built
-        self.reads_examined += other.reads_examined
-        self.reads_realigned += other.reads_realigned
-        self.reads_moved += other.reads_moved
-        self.unpruned_comparisons += other.unpruned_comparisons
-
 
 class IndelRealigner:
     """Software INDEL realigner over a reference genome."""

@@ -15,7 +15,7 @@ passes are numpy-vectorized per read segment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -86,17 +86,12 @@ class BqsrModel:
         return int((self.observations > 0).sum())
 
 
-def variant_mask(
-    columns, reference: ReferenceGenome
+def _variant_like_positions(
+    reads: Sequence[Read], reference: ReferenceGenome
 ) -> Set[Tuple[str, int]]:
     """Columns where every read disagrees with the reference: likely
-    real variants, masked from error counting.
-
-    Takes the pileup columns rather than the reads so the streaming
-    pipeline can accumulate columns region-by-region (columns key on
-    ``(chrom, pos)``; regions never share a position) and derive the
-    identical mask at drain time.
-    """
+    real variants, masked from error counting."""
+    columns = pileup(reads)
     return {
         key
         for key, col in columns.items()
@@ -109,26 +104,10 @@ def variant_mask(
     }
 
 
-def _variant_like_positions(
-    reads: Sequence[Read], reference: ReferenceGenome
-) -> Set[Tuple[str, int]]:
-    return variant_mask(pileup(reads), reference)
-
-
-def fit_model(
-    reads: Sequence[Read],
-    reference: ReferenceGenome,
-    masked: Optional[Set[Tuple[str, int]]] = None,
-) -> BqsrModel:
-    """First pass: tabulate empirical mismatch rates per covariate.
-
-    ``masked`` optionally supplies a precomputed variant mask (from
-    :func:`variant_mask` over incrementally merged columns); by default
-    it is derived from ``reads`` directly.
-    """
+def fit_model(reads: Sequence[Read], reference: ReferenceGenome) -> BqsrModel:
+    """First pass: tabulate empirical mismatch rates per covariate."""
     model = BqsrModel()
-    if masked is None:
-        masked = _variant_like_positions(reads, reference)
+    masked = _variant_like_positions(reads, reference)
     for read in reads:
         if not read.is_mapped or read.is_duplicate:
             continue
@@ -164,12 +143,10 @@ def fit_model(
 
 
 def recalibrate(
-    reads: Sequence[Read],
-    reference: ReferenceGenome,
-    masked: Optional[Set[Tuple[str, int]]] = None,
+    reads: Sequence[Read], reference: ReferenceGenome
 ) -> Tuple[List[Read], BqsrModel]:
     """Two-pass BQSR: fit the table, then rewrite every read's scores."""
-    model = fit_model(reads, reference, masked=masked)
+    model = fit_model(reads, reference)
     table = model.quality_table()
     updated: List[Read] = []
     for read in reads:

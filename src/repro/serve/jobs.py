@@ -1,15 +1,35 @@
 """Region jobs: how a read set becomes independent serving requests.
 
 The service realigns *sites*; a client holds a *SAM file*. The bridge
-is the region decomposition proved exact for the streaming refinement
-pipeline (:mod:`repro.refinement.regions`): per-contig buckets, cut
-wherever a ``>= 4096``-base coverage gap guarantees no duplicate
-group, pileup column, or consensus window can span the cut. Target
-identification accumulates evidence per contig and consensus windows
-extend at most ``flank + max_consensus_length/2`` (250 + 1024 < 4096)
-beyond read-borne evidence, so realigning each region's reads in
-isolation produces exactly the targets -- and exactly the realigned
-placements -- the whole-file batch path produces for those reads.
+is :func:`partition_jobs`, the one place the region cut rule lives:
+per-contig buckets, cut within a contig wherever coverage leaves a
+quiet zone wider than :data:`REGION_GAP` bases. Realigning each job's
+reads in isolation then produces exactly the targets, sites and
+placements the whole-file batch path produces for those reads, because
+nothing the realigner builds can reach across such a zone:
+
+- nothing spans contigs -- evidence accumulates, targets form and reads
+  anchor per contig;
+- evidence loci (INDEL CIGAR elements, mismatch-cluster columns) lie
+  inside read spans, so loci on opposite sides of a cut are more than
+  ``REGION_GAP`` apart and never share a cluster (clusters merge within
+  ``TargetCreatorConfig.merge_distance``, 100), and a mismatch column's
+  depth counts reads of one side only;
+- a target pads its cluster by ``flank`` (250) and takes the reads whose
+  start or end lands inside it, so it anchors no read from the far
+  side, and the two sides' padded targets neither overlap nor come
+  within ``merge_distance`` of each other:
+  ``REGION_GAP > 2 * flank + merge_distance``;
+- a consensus window holds reference bases only and ends within
+  ``max_consensus_length // 2`` (1024) of its anchored reads or of its
+  target's centre, so a realigned read stays on its own side and the
+  zone is still a cut afterwards:
+  ``REGION_GAP > flank + max_consensus_length // 2``.
+
+Both bounds are for the default ``TargetCreatorConfig()`` and
+``PAPER_LIMITS`` -- the only configuration a served job runs under --
+and ``tests/test_serve.py::TestPartitionJobs`` fails if a default
+drifts past them.
 
 Order matters twice and is preserved twice:
 
@@ -31,7 +51,10 @@ from repro.genomics.read import Read
 from repro.genomics.reference import ReferenceGenome
 # The back half a served job shares with the batch realigners.
 from repro.realign.realigner import apply_site_results
-from repro.refinement.regions import DEFAULT_REGION_GAP
+
+#: Minimum coverage gap (bases) at which a contig is cut into
+#: independent jobs; the module docstring states what it must exceed.
+REGION_GAP = 4096
 
 
 @dataclass(frozen=True)
@@ -51,21 +74,19 @@ class RegionJob:
 def partition_jobs(
     reads: Sequence[Read],
     reference: Optional[ReferenceGenome] = None,
-    region_gap: int = DEFAULT_REGION_GAP,
 ) -> List[RegionJob]:
     """Partition reads into independent region jobs.
 
     Every input index appears in exactly one job. Contigs are bucketed
-    first (cross-contig structure cannot exist); within a contig, reads
-    are scanned in coordinate order and cut where the next read starts
-    more than ``region_gap`` bases past the furthest end seen -- the
-    running-frontier rule of
-    :func:`repro.refinement.regions.split_regions`. Unmapped reads form
-    one final job (no coordinates, no cross-read structure, and the
-    realigner passes them through untouched).
+    first, in reference declaration order, then unknown contigs by
+    name; within a contig, reads are scanned in coordinate order and
+    cut where the next read starts more than :data:`REGION_GAP` bases
+    past the furthest end seen so far -- the running maximum, not the
+    previous read's end, because a long earlier read can span past many
+    short successors. Unmapped reads form one final job (no
+    coordinates, no cross-read structure, and the realigner passes them
+    through untouched).
     """
-    if region_gap < 0:
-        raise ValueError(f"region_gap must be >= 0, got {region_gap}")
     by_contig: Dict[str, List[int]] = {}
     unmapped: List[int] = []
     for index, read in enumerate(reads):
@@ -91,7 +112,7 @@ def partition_jobs(
         frontier = reads[scan[0]].end
         for index in scan[1:]:
             read = reads[index]
-            if read.pos > frontier + region_gap:
+            if read.pos > frontier + REGION_GAP:
                 jobs.append(_job(len(jobs), chrom, current, reads))
                 current = []
             current.append(index)
@@ -113,4 +134,4 @@ def _job(job_id: int, chrom: str, members: List[int],
     )
 
 
-__all__ = ["RegionJob", "apply_site_results", "partition_jobs"]
+__all__ = ["REGION_GAP", "RegionJob", "apply_site_results", "partition_jobs"]

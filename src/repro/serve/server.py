@@ -47,11 +47,11 @@ class RealignmentServer:
 
     ``engine`` is forwarded to :class:`RealignmentService` (an
     ``EngineConfig``, a live engine, or ``None`` for the inline
-    default); ``realigner_kwargs`` reach the
-    :class:`~repro.realign.realigner.IndelRealigner` used for target
-    identification, so a server can mirror any batch-CLI configuration
-    exactly -- which is what makes served output byte-identical to
-    ``repro realign`` on the same inputs.
+    default). Target identification runs the default
+    :class:`~repro.realign.realigner.IndelRealigner`, the one ``repro
+    realign`` builds -- which is what makes served output
+    byte-identical to it on the same inputs, and the configuration
+    :data:`repro.serve.jobs.REGION_GAP` is bounded for.
     """
 
     def __init__(
@@ -60,13 +60,11 @@ class RealignmentServer:
         engine=None,
         service_config: Optional[ServiceConfig] = None,
         telemetry=None,
-        realigner_kwargs: Optional[dict] = None,
     ):
         from repro.engine import EngineConfig
 
         self.reference = reference
-        self.realigner = IndelRealigner(reference,
-                                        **(realigner_kwargs or {}))
+        self.realigner = IndelRealigner(reference)
         self.service = RealignmentService(
             engine if engine is not None else EngineConfig(),
             config=service_config,

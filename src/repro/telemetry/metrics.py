@@ -72,7 +72,9 @@ def _critical_path(spans: List[TraceSpan], makespan: int) -> List[TraceSpan]:
     Greedy backward walk: start from the span that ends last; its
     predecessor is any span whose end equals the current span's start
     (ties prefer the longest predecessor, which maximizes the chain's
-    accounted cycles). Spans of zero duration cannot anchor the walk.
+    accounted cycles). Spans of zero duration cannot anchor the walk,
+    and no span joins the chain twice: two zero-duration spans at one
+    tick are each other's predecessor, and the walk would never end.
     """
     if not spans or makespan == 0:
         return []
@@ -81,12 +83,14 @@ def _critical_path(spans: List[TraceSpan], makespan: int) -> List[TraceSpan]:
         by_end.setdefault(span.end, []).append(span)
     current = max(spans, key=lambda s: (s.end, s.duration))
     chain = [current]
+    used = {id(current)}
     while True:
-        candidates = by_end.get(chain[-1].start, [])
-        candidates = [s for s in candidates if s is not chain[-1]]
+        candidates = [s for s in by_end.get(chain[-1].start, [])
+                      if id(s) not in used]
         if not candidates:
             break
         chain.append(max(candidates, key=lambda s: s.duration))
+        used.add(id(chain[-1]))
     chain.reverse()
     return chain
 

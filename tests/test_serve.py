@@ -23,12 +23,17 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine, EngineConfig, StreamingEngine
+from repro.genomics.cigar import Cigar
+from repro.genomics.read import Read
+from repro.genomics.reference import ReferenceGenome
 from repro.genomics.samlite import format_read
-from repro.genomics.simulate import simulate_sample
+from repro.genomics.simulate import SimulationProfile, simulate_sample
 from repro.realign.realigner import IndelRealigner
+from repro.realign.site import PAPER_LIMITS
+from repro.realign.targets import TargetCreatorConfig
 from repro.resilience.workers import WorkerRecovery
 from repro.serve.client import ServiceClient
-from repro.serve.jobs import partition_jobs
+from repro.serve.jobs import REGION_GAP, partition_jobs
 from repro.serve.loadgen import run_loadgen, simulate_load
 from repro.serve.metrics import latency_summary, percentile
 from repro.serve.protocol import (
@@ -55,6 +60,12 @@ from repro.workloads.serving import (
 
 def _sample(lengths=None, seed=5):
     return simulate_sample(lengths or {"chrS": 4000}, seed=seed)
+
+
+def _read(name, chrom, pos, length=4):
+    cigar = Cigar.parse(f"{length}M") if chrom is not None else None
+    return Read(name, chrom, pos, "A" * length,
+                np.full(length, 30, np.uint8), cigar)
 
 
 def _sites(n, seed=2019, complexity=0.5):
@@ -122,6 +133,7 @@ class TestPartitionJobs:
         indices = [i for job in jobs for i in job.indices]
         assert sorted(indices) == list(range(len(sample.reads)))
         assert len(indices) == len(set(indices))
+        assert partition_jobs([]) == []
 
     def test_reads_keep_input_order_within_jobs(self):
         sample = _sample()
@@ -134,8 +146,8 @@ class TestPartitionJobs:
         sample = _sample({"chrS": 4000})
         reads = list(sample.reads)
         # Clone the contig's reads far to the right: well past the
-        # default 4096-base frontier gap, so they must land in a
-        # separate job on the same contig.
+        # frontier gap, so they must land in a separate job on the
+        # same contig.
         shifted = [replace(r, name=f"{r.name}/far", pos=r.pos + 20_000)
                    for r in reads if r.is_mapped]
         jobs = partition_jobs(reads + shifted, sample.reference)
@@ -145,7 +157,85 @@ class TestPartitionJobs:
                         max(r.end for r in j.reads))
                        for j in mapped_jobs)
         for (_, end), (start, _) in zip(spans, spans[1:]):
-            assert start > end + 4096
+            assert start > end + REGION_GAP
+
+    def test_cut_follows_the_running_frontier(self):
+        # "long" ends at 300: a read more than the gap past "short" is
+        # not a cut while it is within the gap of "long".
+        long, short = _read("long", "1", 0, 300), _read("short", "1", 10)
+        for name, pos, cut in (
+            ("mid", short.end + REGION_GAP + 1, False),
+            ("edge", long.end + REGION_GAP, False),
+            ("far", long.end + REGION_GAP + 1, True),
+        ):
+            jobs = partition_jobs([long, short, _read(name, "1", pos)])
+            assert [[r.name for r in job.reads] for job in jobs] == (
+                [["long", "short"], [name]] if cut
+                else [["long", "short", name]]
+            )
+
+    def test_contigs_follow_reference_rank_then_name_unmapped_last(self):
+        ref = ReferenceGenome.from_dict({"2": "A" * 50, "1": "A" * 50})
+        reads = [_read("a", "1", 5), _read("b", "2", 5), _read("c", "zz", 5),
+                 _read("u", None, 0), _read("d", "2", 9)]
+        jobs = partition_jobs(reads, ref)
+        assert [job.chrom for job in jobs] == ["2", "1", "zz", "*"]
+        assert [[r.name for r in job.reads] for job in jobs] == [
+            ["b", "d"], ["a"], ["c"], ["u"]
+        ]
+
+    def test_input_order_does_not_decide_membership(self):
+        sample = _sample({"chrS": 4000, "chrT": 3000})
+        reads = list(sample.reads)
+        reads += [replace(r, name=f"{r.name}/far", pos=r.pos + 20_000)
+                  for r in reads if r.chrom == "chrS"]
+        shuffled = [reads[i] for i in
+                    np.random.default_rng(3).permutation(len(reads))]
+        jobs = partition_jobs(shuffled, sample.reference)
+        assert ([{r.name for r in job.reads} for job in jobs]
+                == [{r.name for r in job.reads}
+                    for job in partition_jobs(reads, sample.reference)])
+        assert all(list(job.indices) == sorted(job.indices) for job in jobs)
+
+    def test_cut_contig_realigns_exactly_as_the_whole_file(self):
+        """The exactness the cut rule claims, on an input it cuts."""
+        sample = simulate_sample(
+            {"chrG": 24_000},
+            SimulationProfile(coverage=25.0, indel_rate=1.5e-3), seed=11,
+        )
+        reads = [r for r in sample.reads
+                 if not (r.is_mapped and r.end > 9_000 and r.pos < 13_400)]
+        jobs = partition_jobs(reads, sample.reference)
+        assert [job.chrom for job in jobs] == ["chrG", "chrG"]
+        assert (min(r.pos for r in jobs[1].reads)
+                > max(r.end for r in jobs[0].reads) + REGION_GAP)
+        whole, report = IndelRealigner(sample.reference).realign(reads)
+
+        def counts(r):
+            return (r.targets_identified, r.sites_built,
+                    r.reads_realigned, r.reads_moved)
+
+        served = [None] * len(reads)
+        parts = []
+        for job in jobs:
+            updated, part = IndelRealigner(sample.reference).realign(
+                list(job.reads)
+            )
+            assert part.reads_moved > 0  # both sides have work to lose
+            parts.append(counts(part))
+            for index, read in zip(job.indices, updated):
+                served[index] = read
+        assert ([format_read(r) for r in served]
+                == [format_read(r) for r in whole])
+        assert tuple(map(sum, zip(*parts))) == counts(report)
+
+    def test_region_gap_clears_what_the_default_realigner_reaches(self):
+        """Fails when a default drifts without REGION_GAP being
+        revisited (the bounds are the module docstring's)."""
+        config = TargetCreatorConfig()
+        assert REGION_GAP > 2 * config.flank + config.merge_distance
+        assert (REGION_GAP
+                > config.flank + PAPER_LIMITS.max_consensus_length // 2)
 
     def test_unmapped_reads_form_one_final_job(self):
         sample = _sample()

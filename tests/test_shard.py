@@ -194,6 +194,20 @@ class TestSiteResultCache:
         )
         subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
 
+    def test_server_never_loads_the_fpga_model(self):
+        """``repro serve`` realigns in software: importing the server
+        must not pay for the refinement pipeline or the FPGA model."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "import repro.serve.server\n"
+            "assert not [m for m in sys.modules if m.startswith(("
+            "'repro.refinement', 'repro.core.system', 'repro.hw'))]\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+
     def test_snapshot_counter_names(self):
         snap = SiteResultCache.from_megabytes(1).snapshot()
         assert set(snap) == {

@@ -104,6 +104,17 @@ class TestMetrics:
         assert metrics.critical_path_spans == 2  # xfer 0 -> target 0
         assert metrics.critical_path_ticks == 110
 
+    def test_critical_path_ends_on_zero_width_spans_sharing_a_tick(self):
+        # Two free transfers at tick 0 are each other's predecessor;
+        # the walk used to alternate between them forever.
+        telemetry = Telemetry()
+        telemetry.span("xfer 0", "pcie-channel", 0, 0, CAT_TRANSFER)
+        telemetry.span("xfer 1", "pcie-channel", 0, 0, CAT_TRANSFER)
+        telemetry.span("target 0", "unit 0", 0, 100, CAT_COMPUTE)
+        metrics = derive_schedule_metrics(telemetry)
+        assert metrics.critical_path_ticks == 100
+        assert metrics.critical_path_spans == 3
+
     def test_recovery_overhead_counts_faulted_spans(self):
         telemetry = Telemetry()
         telemetry.span("target 0 (attempt 1)", "unit 0", 0, 40, CAT_FAULTED)

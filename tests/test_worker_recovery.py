@@ -339,7 +339,7 @@ class TestStreamingRecovery:
         assert telemetry.counters.flat()["worker.chunks_recovered"] >= 1
         assert telemetry.spans_in(CAT_RECOVERY)
 
-    def test_crashed_worker_arena_is_unlinked(self):
+    def test_killed_worker_run_touches_no_shared_memory(self):
         # Nothing to unlink any more: a pooled run touches no shared
         # memory, in flight or afterwards, killed worker or not. This is
         # the guard against a second transport coming back.
@@ -520,55 +520,3 @@ class TestDeadlineExcludesQueueWait:
             _assert_identical(engine.run_sites(sites), want)
             assert engine.recovery_counters == {}
             assert engine.recovery_events == []
-
-
-class TestPipelineShutdown:
-    def _sample(self):
-        from repro.genomics.simulate import SimulationProfile, simulate_sample
-
-        return simulate_sample(
-            {"1": 9_000},
-            profile=SimulationProfile(coverage=16.0, indel_rate=1e-3),
-            seed=17,
-        )
-
-    @staticmethod
-    def _refine_threads():
-        import threading
-
-        return [t for t in threading.enumerate()
-                if t.name.startswith("refine-")]
-
-    def test_keyboard_interrupt_joins_all_stage_threads(self, monkeypatch):
-        from repro.refinement import pipeline as pipeline_module
-        from repro.refinement.pipeline import StreamingRefinementPipeline
-
-        sample = self._sample()
-
-        def explode(*_args, **_kwargs):
-            raise KeyboardInterrupt()
-
-        # The drain loop (main thread) is where Ctrl-C lands; its first
-        # pileup merge raising must unwind every stage thread.
-        monkeypatch.setattr(pipeline_module, "merge_columns", explode)
-        pipeline = StreamingRefinementPipeline(sample.reference,
-                                               queue_depth=1)
-        with pytest.raises(KeyboardInterrupt):
-            pipeline.run(sample.reads)
-        assert self._refine_threads() == []
-
-    def test_stage_error_joins_all_stage_threads(self, monkeypatch):
-        from repro.refinement import pipeline as pipeline_module
-        from repro.refinement.pipeline import StreamingRefinementPipeline
-
-        sample = self._sample()
-
-        def explode(*_args, **_kwargs):
-            raise RuntimeError("injected stage failure")
-
-        monkeypatch.setattr(pipeline_module, "mark_duplicates", explode)
-        pipeline = StreamingRefinementPipeline(sample.reference,
-                                               queue_depth=1)
-        with pytest.raises(RuntimeError, match="injected stage failure"):
-            pipeline.run(sample.reads)
-        assert self._refine_threads() == []
