@@ -1005,7 +1005,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
     """Batched-engine knobs shared by ``realign``, ``trace``,
     ``evaluate``, ``serve`` and ``loadgen``."""
-    from repro.engine.autotune import KERNEL_CHOICES
+    from repro.kernels import KERNEL_CHOICES
 
     subparser.add_argument(
         "--workers", type=int, default=1,

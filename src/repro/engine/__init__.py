@@ -5,7 +5,8 @@ software analogue for the repository's numpy realigner. It layers
 independent optimizations, each preserving byte-identical output:
 
 - :mod:`repro.engine.batch` -- whole-site ``(C, R, K)`` tensor
-  evaluation via FFT match counting instead of per-pair loops;
+  evaluation via FFT match counting (numpy's pocketfft) instead of
+  per-pair loops;
 - :mod:`repro.engine.bitpack` -- GateKeeper-style bit-packed SWAR
   kernel: 2-bit bases in uint64 lanes, 32 comparisons per word op;
 - :mod:`repro.engine.native` -- the same SWAR pipeline as *compiled*

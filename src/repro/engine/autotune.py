@@ -29,14 +29,9 @@ site when a session is passed.
 
 from __future__ import annotations
 
+from repro.kernels import KERNELS, KERNEL_CHOICES
 from repro.realign.site import RealignmentSite
 from repro.realign.whd import SiteResult
-
-#: Dispatchable kernel names, in documentation order.
-KERNELS = ("scalar", "vector", "fft", "bitpack", "native")
-
-#: ``--kernel`` / ``EngineConfig.kernel`` choices: ``auto`` = ``native``.
-KERNEL_CHOICES = ("auto",) + KERNELS
 
 
 def dispatch_realign(

@@ -11,7 +11,8 @@ all offsets simultaneously --
     matches[c, r, k] = sum_b (onehot_b(cons_c) * shift_k(onehot_b(read_r)))
 
 so a site costs ``O(B * (C + R) * L log L + C * R * L)`` instead of the
-sliding-window ``O(C * R * K * n)``, with all loops inside numpy/pocketfft.
+sliding-window ``O(C * R * K * n)``, with all loops inside numpy and its
+pocketfft (``numpy.fft``, the one FFT the declared dependency provides).
 
 Two passes are built on this:
 
@@ -56,11 +57,6 @@ from repro.realign.whd import (
     reads_realignments,
     score_and_select,
 )
-
-try:  # scipy's pocketfft is ~20% faster here; numpy is the fallback
-    from scipy.fft import irfft as _irfft, rfft as _rfft
-except ImportError:  # pragma: no cover - exercised where scipy is absent
-    _irfft, _rfft = np.fft.irfft, np.fft.rfft
 
 #: Soft cap, in tensor *elements*, on any one intermediate the batched
 #: passes materialize; reads are chunked to stay under it. Worst-case
@@ -206,20 +202,20 @@ def _correlate(cons_fft: np.ndarray, read_channels: np.ndarray,
     ``n_max - 1 + k`` for every read regardless of its true length
     (the padding contributes zero). Returns the ``(C, Rc, K)`` slice.
     """
-    rf = _rfft(read_channels, n=packed.Lf, axis=2)
+    rf = np.fft.rfft(read_channels, n=packed.Lf, axis=2)
     # Contract the base channels per frequency as one batched matmul
     # (BLAS) rather than einsum: (F, C, B) @ (F, B, R) -> (F, C, R).
     prod = np.matmul(
         cons_fft.transpose(2, 0, 1), rf.transpose(2, 1, 0)
     ).transpose(1, 2, 0)
-    conv = _irfft(prod, n=packed.Lf, axis=2)
+    conv = np.fft.irfft(prod, n=packed.Lf, axis=2)
     return conv[:, :, packed.n_max - 1 : packed.n_max - 1 + packed.K]
 
 
 def _weighted_grids(packed: PackedSite) -> Tuple[np.ndarray, np.ndarray]:
     """Exact ``(min_whd, min_idx)`` via the float64 weighted pass."""
     cons_oh = _onehot(packed.cons, packed.bases).astype(np.float64)
-    cons_fft = _rfft(cons_oh, n=packed.Lf, axis=2)
+    cons_fft = np.fft.rfft(cons_oh, n=packed.Lf, axis=2)
     total_q = packed.quals.sum(axis=1, dtype=np.int64)  # (R,)
     mw = np.empty((packed.C, packed.R), dtype=np.int64)
     mi = np.empty((packed.C, packed.R), dtype=np.int64)
@@ -247,7 +243,7 @@ def _count_candidates(packed: PackedSite):
     cells are consecutive) and the bounds are ``(C, R)`` int64.
     """
     cons_oh = _onehot(packed.cons, packed.bases)
-    cons_fft = _rfft(cons_oh, n=packed.Lf, axis=2)
+    cons_fft = np.fft.rfft(cons_oh, n=packed.Lf, axis=2)
     lb_pair = np.empty((packed.C, packed.R), dtype=np.int64)
     ub_pair = np.empty((packed.C, packed.R), dtype=np.int64)
     chunks_c, chunks_r, chunks_k = [], [], []

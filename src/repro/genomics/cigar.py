@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 
@@ -71,8 +71,15 @@ class Cigar:
                 raise CigarError(f"CIGAR element length must be positive: {op}{length}")
 
     @classmethod
+    @lru_cache(maxsize=4096)
     def parse(cls, text: str) -> "Cigar":
-        """Parse a CIGAR string such as ``"70M2D30M"``."""
+        """Parse a CIGAR string such as ``"70M2D30M"``.
+
+        Memoised on the text: a sample repeats a handful of CIGARs
+        (most reads are one full-length ``M``), instances are immutable,
+        and a shared one computes its derived lengths once for every
+        read that carries it. A malformed string raises on every call.
+        """
         if not text:
             raise CigarError("empty CIGAR string")
         elements: List[Tuple[CigarOp, int]] = []

@@ -50,15 +50,22 @@ class Read:
 
     def __post_init__(self) -> None:
         validate_bases(self.seq)
-        quals = np.asarray(self.quals, dtype=np.uint8)
-        object.__setattr__(self, "quals", quals)
+        quals = np.asarray(self.quals)
         if quals.ndim != 1 or quals.size != len(self.seq):
             raise ValueError(
                 f"read {self.name!r}: {quals.size} quality scores "
                 f"for {len(self.seq)} bases"
             )
-        if quals.size and int(quals.max()) > MAX_PHRED:
-            raise ValueError(f"read {self.name!r}: Phred score above {MAX_PHRED}")
+        if quals.size:
+            # Range-check at the input's own width: narrowing first
+            # would wrap 300 to a legal-looking 44.
+            if quals.dtype != np.uint8 and quals.min() < 0:
+                raise ValueError(f"read {self.name!r}: negative Phred score")
+            if quals.max() > MAX_PHRED:
+                raise ValueError(
+                    f"read {self.name!r}: Phred score above {MAX_PHRED}"
+                )
+        object.__setattr__(self, "quals", quals.astype(np.uint8, copy=False))
         if self.cigar is not None:
             validate_cigar_against_read(self.cigar, len(self.seq))
         if self.is_mapped and self.pos < 0:
@@ -139,7 +146,7 @@ class Read:
 
     def with_quals(self, quals: np.ndarray) -> "Read":
         """Return a copy with recalibrated quality scores (used by BQSR)."""
-        return replace(self, quals=np.asarray(quals, dtype=np.uint8))
+        return replace(self, quals=quals)
 
 
 def coordinate_key(read: Read) -> Tuple[str, int, bool]:

@@ -23,6 +23,10 @@ _COMPLEMENT = {"A": "T", "T": "A", "C": "G", "G": "C", "N": "N"}
 
 _BASE_SET = frozenset(BASES)
 
+#: ``str.translate`` table deleting every valid base: what survives it
+#: is exactly the invalid characters, non-ASCII included.
+_DROP_BASES = str.maketrans("", "", BASES)
+
 #: ASCII codes for the alphabet, for validating uint8 arrays.
 BASE_CODES = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)
 
@@ -38,13 +42,17 @@ def validate_bases(seq: str) -> str:
     accepted: the pipeline normalises case at ingest (see
     :mod:`repro.genomics.fasta`), and silently accepting mixed case here
     would mask ingest bugs.
+
+    Validity is decided by one C-level pass; the per-character walk
+    runs only to locate the offender for the error message.
     """
-    for index, base in enumerate(seq):
-        if base not in _BASE_SET:
-            raise SequenceError(
-                f"invalid base {base!r} at position {index} "
-                f"(expected one of {BASES})"
-            )
+    if seq.translate(_DROP_BASES):
+        for index, base in enumerate(seq):
+            if base not in _BASE_SET:
+                raise SequenceError(
+                    f"invalid base {base!r} at position {index} "
+                    f"(expected one of {BASES})"
+                )
     return seq
 
 

@@ -48,6 +48,35 @@ class TestParsing:
         assert Cigar.parse(str(cigar)) == cigar
 
 
+class TestParseIsMemoised:
+    """``Cigar.parse`` interns by text; nothing else about it changes."""
+
+    @given(st.lists(element, min_size=1, max_size=10))
+    def test_one_instance_per_text(self, elements):
+        built = Cigar(tuple(elements))  # not through the cache
+        text = str(built)
+        parsed = Cigar.parse(text)
+        assert parsed is Cigar.parse(text)
+        assert parsed == built and hash(parsed) == hash(built)
+        assert str(parsed) == text
+        assert parsed.read_length == built.read_length
+        assert parsed.reference_length == built.reference_length
+
+    @pytest.mark.parametrize("text", ["", "10M5Q", "M", "0M", "10M "])
+    def test_a_malformed_string_raises_every_time(self, text):
+        for _ in range(2):
+            with pytest.raises(CigarError):
+                Cigar.parse(text)
+
+    def test_cache_is_bounded(self):
+        bound = Cigar.parse.cache_info().maxsize
+        assert bound is not None
+        for length in range(1, 10_001):
+            Cigar.parse(f"{length}M")
+        info = Cigar.parse.cache_info()
+        assert info.currsize == bound < 10_000
+
+
 class TestFromElements:
     def test_merges_adjacent_same_op(self):
         cigar = Cigar.from_elements(

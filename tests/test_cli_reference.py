@@ -48,6 +48,24 @@ class TestCommandRegistry:
             assert name in _subcommands()
 
 
+class TestParserImports:
+    def test_building_the_parser_loads_no_engine_and_no_numpy(self):
+        """``--help`` and every usage error stop inside the parser: they
+        must cost the interpreter and ``argparse``, not the kernels."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "import repro.__main__\n"
+            "repro.__main__.build_parser()\n"
+            "loaded = [m for m in sys.modules if m == 'numpy' "
+            "or m.startswith('repro.engine')]\n"
+            "assert not loaded, loaded\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+
+
 class TestHelpEpilog:
     def test_epilog_lists_every_command(self):
         epilog = _epilog()

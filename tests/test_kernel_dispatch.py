@@ -204,6 +204,24 @@ class TestDispatchSemantics:
         for result, site in zip(got, sites):
             assert result.same_outputs(realign_site(site, vectorized=False))
 
+    def test_no_realign_import_and_no_kernel_loads_scipy(self):
+        """numpy is the only runtime dependency: the ``fft`` kernel runs
+        on ``numpy.fft`` whether or not scipy happens to be installed."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "import repro.engine, repro.core.system\n"
+            "import repro.realign.realigner, repro.genomics.samlite\n"
+            "from repro.engine.autotune import dispatch_realign\n"
+            "from repro.experiments.figure4 import build_site\n"
+            "dispatch_realign(build_site(), kernel='fft')\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded[:5]\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+
     def test_fixed_kernel_emits_choice_but_no_prediction(self):
         sink = Sink()
         dispatch_realign(self.site(), kernel="bitpack", telemetry=sink)

@@ -45,6 +45,29 @@ class TestConstruction:
         with pytest.raises(ValueError, match="mapq"):
             make_read(mapq=500)
 
+    @pytest.mark.parametrize("as_input", [np.array, list],
+                             ids=["array", "list"])
+    @pytest.mark.parametrize("bad, message", [
+        (300, "read 'r': Phred score above 93"),  # would wrap to Q44
+        (256, "read 'r': Phred score above 93"),  # would wrap to Q0
+        (296, "read 'r': Phred score above 93"),  # would wrap to Q40
+        (-1, "read 'r': negative Phred score"),   # would wrap to 255
+    ], ids=["300", "256", "296", "minus-1"])
+    def test_out_of_range_quality_fails_instead_of_wrapping(
+            self, bad, message, as_input):
+        quals = as_input([bad, 10, 10, 10])
+        with pytest.raises(ValueError, match=message) as caught:
+            Read("r", None, 0, "ACGT", quals)
+        assert type(caught.value) is ValueError  # not OverflowError
+        with pytest.raises(ValueError, match=message) as caught:
+            Read("r", None, 0, "ACGT", np.full(4, 9, np.uint8)).with_quals(quals)
+        assert type(caught.value) is ValueError
+
+    def test_wide_in_range_quality_is_narrowed(self):
+        read = Read("r", None, 0, "ACGT", [0, 93, 41, 2])
+        assert read.quals.dtype == np.uint8
+        assert read.quals.tolist() == [0, 93, 41, 2]
+
 
 class TestCoordinates:
     def test_end_accounts_for_deletions(self):

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import repro.genomics.sequence as sequence_module
 from repro.genomics.sequence import (
     BASES,
     SequenceError,
@@ -35,6 +36,52 @@ class TestValidation:
     def test_rejects_unknown_character(self):
         with pytest.raises(SequenceError, match="invalid base 'X'"):
             validate_bases("ACXGT")
+
+
+def _loop_validate_bases(seq: str) -> str:
+    """The definition: the per-character walk ``validate_bases`` was."""
+    for index, base in enumerate(seq):
+        if base not in frozenset(BASES):
+            raise SequenceError(
+                f"invalid base {base!r} at position {index} "
+                f"(expected one of {BASES})"
+            )
+    return seq
+
+
+class TestValidationAgainstItsDefinition:
+    @given(st.one_of(
+        st.text(max_size=80),
+        st.text(alphabet=BASES + "acgtn \t\n-*Xé☃", max_size=80),
+        st.tuples(bases_text, st.characters(), bases_text).map("".join),
+    ))
+    @example("")
+    @example("X")        # the invalid character only,
+    @example("XACGT")    # first,
+    @example("ACGTX")    # last
+    @example("ACG☃")
+    @example("ACGT\n")
+    @example("AC GT")
+    @example("acgt")
+    @example("ACG\udc80")
+    def test_same_object_or_same_error(self, seq):
+        try:
+            want = _loop_validate_bases(seq)
+        except SequenceError as error:
+            with pytest.raises(SequenceError) as caught:
+                validate_bases(seq)
+            assert str(caught.value) == str(error)
+        else:
+            assert validate_bases(seq) is want is seq
+
+    def test_valid_input_takes_no_python_step_per_base(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("the per-character walk ran")
+
+        monkeypatch.setattr(sequence_module, "enumerate", refuse,
+                            raising=False)
+        seq = "ACGTN" * 10 ** 5
+        assert validate_bases(seq) is seq
 
 
 class TestArrayConversion:
