@@ -294,7 +294,7 @@ def _make_engine(args: argparse.Namespace):
     from repro.engine import Engine, EngineConfig, StreamingEngine
 
     config = EngineConfig(workers=args.workers, batch=args.batch,
-                          prefilter=args.prefilter, kernel=args.kernel)
+                          kernel=args.kernel)
     cache = None
     if args.site_cache_mb > 0:
         from repro.shard.cache import SiteResultCache
@@ -325,7 +325,6 @@ def _print_recovery(engine, args: argparse.Namespace) -> None:
 
 
 def _cmd_realign(args: argparse.Namespace) -> int:
-    from repro.core.system import AcceleratedRealigner, SystemConfig
     from repro.genomics.fasta import read_reference
     from repro.genomics.samlite import read_sam, write_sam
     from repro.realign.realigner import IndelRealigner
@@ -351,6 +350,8 @@ def _cmd_realign(args: argparse.Namespace) -> int:
         reference = read_reference(args.reference)
         reads = read_sam(args.sam)
         if args.accelerated:
+            from repro.core.system import AcceleratedRealigner, SystemConfig
+
             config = SystemConfig.iracc()
             if args.fault_rate > 0.0:
                 from dataclasses import replace
@@ -387,8 +388,7 @@ def _cmd_realign(args: argparse.Namespace) -> int:
             updated, report = IndelRealigner(reference,
                                              engine=engine).realign(reads)
             print(f"engine: workers={args.workers} batch={args.batch} "
-                  f"kernel={args.kernel} "
-                  f"prefilter={'on' if args.prefilter else 'off'}"
+                  f"kernel={args.kernel}"
                   + (f" stream(depth={args.queue_depth})"
                      if args.stream else ""))
         if args.stream:
@@ -528,7 +528,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     engine_session = Telemetry(label="engine")
     config = EngineConfig(workers=args.workers, batch=args.batch,
-                          prefilter=args.prefilter, kernel=args.kernel)
+                          kernel=args.kernel)
     recovery = _make_recovery(args)
     with Engine(config, recovery=recovery) as engine:
         engine.run_sites(sites, telemetry=engine_session)
@@ -1014,10 +1014,6 @@ def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--batch", type=int, default=8,
         help="sites per engine shard (work-stealing chunk size)",
-    )
-    subparser.add_argument(
-        "--no-prefilter", dest="prefilter", action="store_false",
-        help="disable the GateKeeper-style pre-alignment filter",
     )
     subparser.add_argument(
         "--stream", action="store_true",

@@ -13,14 +13,3 @@ seed-and-extend structure so the reproduction owns its whole pipeline:
 - :mod:`repro.align.pileup` -- per-locus read pileups, used by the variant
   caller and by IR target identification.
 """
-
-from repro.align.smith_waterman import AlignmentResult, smith_waterman
-from repro.align.suffix_array import SuffixArray
-from repro.align.seed_extend import SeedAndExtendAligner
-
-__all__ = [
-    "AlignmentResult",
-    "SeedAndExtendAligner",
-    "SuffixArray",
-    "smith_waterman",
-]

@@ -6,7 +6,8 @@ seed extension dynamic programming algorithm ... [has] been accelerated
 via FPGA and ASIC implementations"). Affine gap scoring
 (``gap_open + k * gap_extend`` for a k-base gap) matches BWA-MEM and --
 unlike linear gaps -- keeps a contiguous INDEL as one run in the
-traceback, which the assembly-based consensus generator depends on.
+traceback, so the seed-and-extend aligner reports one INDEL as one
+CIGAR run.
 
 The three Gotoh matrices are filled row by row; the match and
 insertion recurrences vectorize over the previous row while the deletion

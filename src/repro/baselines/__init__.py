@@ -10,16 +10,3 @@
 - :mod:`repro.baselines.gpu` -- the GPU comparison survey and the
   required-speedup arithmetic (no GPU INDEL realigner exists).
 """
-
-from repro.baselines.gatk3 import Gatk3Baseline
-from repro.baselines.adam import AdamBaseline
-from repro.baselines.hls import hls_system_config
-from repro.baselines.gpu import GPU_SURVEY, GpuSurveyPoint
-
-__all__ = [
-    "AdamBaseline",
-    "GPU_SURVEY",
-    "Gatk3Baseline",
-    "GpuSurveyPoint",
-    "hls_system_config",
-]

@@ -17,55 +17,3 @@
 - :mod:`repro.core.system` -- the deployed system: a sea of 32 IR units
   on an F1 instance, end to end.
 """
-
-from repro.core.isa import (
-    BufferId,
-    IrFunct,
-    RoccCommand,
-    decode_instruction,
-    encode_instruction,
-    ir_set_addr,
-    ir_set_len,
-    ir_set_size,
-    ir_set_target,
-    ir_start,
-    target_command_stream,
-)
-from repro.core.hdc import HammingDistanceCalculator, PairComputation
-from repro.core.selector import ConsensusSelector, SelectorComputation
-from repro.core.accelerator import IRUnit, UnitConfig, UnitRunResult
-from repro.core.scheduler import (
-    ScheduledTarget,
-    ScheduleResult,
-    schedule_async,
-    schedule_sync,
-)
-from repro.core.system import AcceleratedIRSystem, SystemConfig, SystemRunResult
-
-__all__ = [
-    "AcceleratedIRSystem",
-    "BufferId",
-    "ConsensusSelector",
-    "HammingDistanceCalculator",
-    "IRUnit",
-    "IrFunct",
-    "PairComputation",
-    "RoccCommand",
-    "ScheduleResult",
-    "ScheduledTarget",
-    "SelectorComputation",
-    "SystemConfig",
-    "SystemRunResult",
-    "UnitConfig",
-    "UnitRunResult",
-    "decode_instruction",
-    "encode_instruction",
-    "ir_set_addr",
-    "ir_set_len",
-    "ir_set_size",
-    "ir_set_target",
-    "ir_start",
-    "schedule_async",
-    "schedule_sync",
-    "target_command_stream",
-]

@@ -29,38 +29,6 @@ class HostPlanError(RuntimeError):
     """Raised when a plan cannot fit the FPGA memory."""
 
 
-@dataclass(frozen=True)
-class HostWatchdog:
-    """The host control loop's per-dispatch watchdog policy.
-
-    The paper's control program "waits for responses" with no bound; a
-    hung unit or a dropped MMIO response would stall the whole dispatch
-    loop forever. The watchdog arms a deadline when a target is started:
-    the host knows each target's expected compute cycles (the cycle
-    model it used for planning is deterministic), so the deadline is a
-    multiple of that expectation plus fixed slack for MMIO/PCIe jitter.
-    On expiry the host treats the dispatch as failed, resets the unit
-    (``reset_cycles`` of soft-reset turnaround), and hands the target to
-    the retry machinery.
-    """
-
-    multiplier: float = 4.0
-    slack_cycles: int = 1024
-    reset_cycles: int = 64
-
-    def __post_init__(self) -> None:
-        if self.multiplier < 1.0:
-            raise ValueError("watchdog multiplier must be >= 1")
-        if self.slack_cycles < 0 or self.reset_cycles < 0:
-            raise ValueError("watchdog cycles must be non-negative")
-
-    def deadline_cycles(self, expected_compute_cycles: int) -> int:
-        """Cycles after dispatch at which the watchdog fires."""
-        if expected_compute_cycles < 0:
-            raise ValueError("expected cycles must be non-negative")
-        return int(expected_compute_cycles * self.multiplier) + self.slack_cycles
-
-
 @dataclass
 class WatchdogBank:
     """Armed watchdog timers, one per in-flight unit dispatch."""

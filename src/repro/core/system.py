@@ -34,6 +34,7 @@ from repro.genomics.read import Read
 from repro.genomics.reference import ReferenceGenome
 from repro.hw.clock import ClockRecipe, F1_CLOCK_125MHZ
 from repro.hw.memory import PcieDmaModel
+from repro.kernels import KERNEL_CHOICES
 from repro.realign.realigner import (
     IndelRealigner,
     RealignerReport,
@@ -417,8 +418,6 @@ class AcceleratedRealigner:
         engine). None (the default) is the inline
         engine on ``kernel``. Every plane is bit-identical to the
         hardware's decisions by construction."""
-        from repro.engine.autotune import KERNEL_CHOICES
-
         if kernel not in KERNEL_CHOICES:
             raise ValueError(
                 f"unknown kernel {kernel!r}; choose from {KERNEL_CHOICES}"

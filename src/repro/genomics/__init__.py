@@ -8,52 +8,3 @@ configurable error and INDEL rates, and light-weight FASTA/FASTQ/SAM
 readers and writers so the rest of the system operates on realistic data
 structures end to end.
 """
-
-from repro.genomics.sequence import (
-    BASES,
-    complement,
-    random_bases,
-    reverse_complement,
-    seq_from_array,
-    seq_to_array,
-    validate_bases,
-)
-from repro.genomics.quality import (
-    MAX_PHRED,
-    phred_from_ascii,
-    phred_to_ascii,
-    phred_to_error_prob,
-    error_prob_to_phred,
-)
-from repro.genomics.cigar import Cigar, CigarOp
-from repro.genomics.intervals import GenomicInterval, merge_intervals
-from repro.genomics.read import Read
-from repro.genomics.reference import Contig, ReferenceGenome
-from repro.genomics.stats import ReadSetStats, compute_stats
-from repro.genomics.variants import Variant, VariantKind
-
-__all__ = [
-    "BASES",
-    "MAX_PHRED",
-    "Cigar",
-    "CigarOp",
-    "Contig",
-    "GenomicInterval",
-    "Read",
-    "ReadSetStats",
-    "ReferenceGenome",
-    "Variant",
-    "VariantKind",
-    "compute_stats",
-    "merge_intervals",
-    "complement",
-    "error_prob_to_phred",
-    "phred_from_ascii",
-    "phred_to_ascii",
-    "phred_to_error_prob",
-    "random_bases",
-    "reverse_complement",
-    "seq_from_array",
-    "seq_to_array",
-    "validate_bases",
-]

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, List, TextIO, Union
 
 import numpy as np
 
-from repro.genomics.quality import phred_from_ascii, phred_to_ascii
+from repro.genomics.quality import MAX_PHRED, phred_from_ascii, phred_to_ascii
 from repro.genomics.sequence import validate_bases
 
 PathOrFile = Union[str, Path, TextIO]
@@ -33,13 +33,19 @@ class FastqRecord:
 
     def __post_init__(self) -> None:
         validate_bases(self.seq)
-        quals = np.asarray(self.quals, dtype=np.uint8)
-        object.__setattr__(self, "quals", quals)
+        quals = np.asarray(self.quals)
         if quals.size != len(self.seq):
             raise FastqError(
                 f"record {self.name!r}: {quals.size} quality scores "
                 f"for {len(self.seq)} bases"
             )
+        # Range-check at the input's own width: narrowing first would
+        # wrap 300 to a legal-looking 44.
+        if quals.size and not (0 <= quals.min() and quals.max() <= MAX_PHRED):
+            raise FastqError(
+                f"record {self.name!r}: Phred score outside [0, {MAX_PHRED}]"
+            )
+        object.__setattr__(self, "quals", quals.astype(np.uint8, copy=False))
 
 
 def _as_text_handle(source: PathOrFile, mode: str):

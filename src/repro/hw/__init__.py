@@ -7,34 +7,3 @@ plumbing, TileLink width adaptation, and the round-robin arbiters that
 coalesce each unit's five memory channels (5:1) and the 32 units (32:1)
 onto one DDR channel.
 """
-
-from repro.hw.clock import ClockRecipe, F1_CLOCK_125MHZ, F1_CLOCK_250MHZ
-from repro.hw.bram import Bram36Requirement, blocks_for_buffer
-from repro.hw.resources import (
-    FpgaDevice,
-    UtilizationReport,
-    VIRTEX_ULTRASCALE_PLUS_VU9P,
-)
-from repro.hw.memory import DdrChannelModel, PcieDmaModel
-from repro.hw.axi import AxiLiteBus, AxiPort, MmioRegisterFile
-from repro.hw.tilelink import TileLinkLink, beats_for_transfer
-from repro.hw.arbiter import RoundRobinArbiter
-
-__all__ = [
-    "AxiLiteBus",
-    "AxiPort",
-    "Bram36Requirement",
-    "ClockRecipe",
-    "DdrChannelModel",
-    "F1_CLOCK_125MHZ",
-    "F1_CLOCK_250MHZ",
-    "FpgaDevice",
-    "MmioRegisterFile",
-    "PcieDmaModel",
-    "RoundRobinArbiter",
-    "TileLinkLink",
-    "UtilizationReport",
-    "VIRTEX_ULTRASCALE_PLUS_VU9P",
-    "beats_for_transfer",
-    "blocks_for_buffer",
-]

@@ -145,7 +145,7 @@ class MmioRegisterFile:
 # or never arrive at all. The resilient host protects the response word
 # with a CRC-8 so corruption is *detected* (and the dispatch retried)
 # rather than mis-routing a completion to the wrong unit; drops are
-# caught by the host watchdog (see repro.core.host.HostWatchdog).
+# caught by the host watchdog (see repro.resilience.policy.HostWatchdog).
 
 #: CRC-8-ATM generator polynomial (x^8 + x^2 + x + 1).
 CRC8_POLY = 0x07

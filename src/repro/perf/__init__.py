@@ -8,30 +8,3 @@
   behind Figures 2 and 3.
 - :mod:`repro.perf.cost` -- dollars-to-run arithmetic (Figure 9 right).
 """
-
-from repro.perf.instances import (
-    EC2Instance,
-    F1_2XLARGE,
-    INSTANCE_CATALOG,
-    P3_2XLARGE,
-    R3_2XLARGE,
-)
-from repro.perf.model import (
-    GATK3_WHOLE_GENOME_SECONDS,
-    Gatk3PerformanceModel,
-    census_unpruned_comparisons,
-)
-from repro.perf.cost import CostReport, cost_of_run
-
-__all__ = [
-    "CostReport",
-    "EC2Instance",
-    "F1_2XLARGE",
-    "GATK3_WHOLE_GENOME_SECONDS",
-    "Gatk3PerformanceModel",
-    "INSTANCE_CATALOG",
-    "P3_2XLARGE",
-    "R3_2XLARGE",
-    "census_unpruned_comparisons",
-    "cost_of_run",
-]

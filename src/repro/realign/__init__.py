@@ -13,36 +13,3 @@
 - :mod:`repro.realign.realigner` -- the end-to-end software INDEL
   realigner (the GATK3 functional baseline).
 """
-
-from repro.realign.site import RealignmentSite, SiteLimits
-from repro.realign.whd import (
-    WHD_SENTINEL,
-    SiteResult,
-    calc_whd,
-    min_whd_grid,
-    min_whd_pair,
-    realign_site,
-    score_and_select,
-    whd_profile,
-)
-from repro.realign.targets import RealignmentTarget, identify_targets
-from repro.realign.consensus import generate_consensuses
-from repro.realign.realigner import IndelRealigner, RealignerReport
-
-__all__ = [
-    "IndelRealigner",
-    "RealignerReport",
-    "RealignmentSite",
-    "RealignmentTarget",
-    "SiteLimits",
-    "SiteResult",
-    "WHD_SENTINEL",
-    "calc_whd",
-    "generate_consensuses",
-    "identify_targets",
-    "min_whd_grid",
-    "min_whd_pair",
-    "realign_site",
-    "score_and_select",
-    "whd_profile",
-]

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.genomics.read import Read
 from repro.genomics.reference import ReferenceGenome
+from repro.kernels import KERNEL_CHOICES
 from repro.realign.consensus import (
     ConsensusWindow,
     build_site,
@@ -58,16 +59,11 @@ class IndelRealigner:
         reference: ReferenceGenome,
         creator_config: Optional[TargetCreatorConfig] = None,
         limits: SiteLimits = PAPER_LIMITS,
-        consensus_strategy: str = "observed",
         scoring: str = "similarity",
         engine=None,
         kernel: str = "auto",
     ):
-        """``consensus_strategy`` selects how alternate haplotypes are
-        built: ``"observed"`` (the GATK3/paper approach -- INDELs lifted
-        from read CIGARs) or ``"assembly"`` (HaplotypeCaller-style local
-        de Bruijn assembly, :mod:`repro.realign.assembly`).
-        ``scoring`` selects Algorithm 2's consensus-score semantics
+        """``scoring`` selects Algorithm 2's consensus-score semantics
         (see :func:`repro.realign.whd.score_and_select`).
         ``kernel`` names the WHD kernel of the default plane
         (``auto``/``scalar``/``vector``/``fft``/``bitpack``/``native``;
@@ -80,12 +76,6 @@ class IndelRealigner:
         streaming engine (used as-is; its config's scoring must
         match). None (the default) is the inline engine on
         ``kernel``. Every plane is byte-identical (pinned by goldens)."""
-        if consensus_strategy not in ("observed", "assembly"):
-            raise ValueError(
-                f"unknown consensus strategy {consensus_strategy!r}"
-            )
-        from repro.engine.autotune import KERNEL_CHOICES
-
         if kernel not in KERNEL_CHOICES:
             raise ValueError(
                 f"unknown kernel {kernel!r}; choose from {KERNEL_CHOICES}"
@@ -94,7 +84,6 @@ class IndelRealigner:
         self.creator_config = creator_config or TargetCreatorConfig(limits=limits)
         self.limits = limits
         self.kernel = kernel
-        self.consensus_strategy = consensus_strategy
         self.scoring = scoring
         self.engine = engine
         self._engine = None
@@ -124,15 +113,10 @@ class IndelRealigner:
         this front half on the host and offloads only the WHD kernel.
         """
         targets = identify_targets(reads, self.reference, self.creator_config)
-        if self.consensus_strategy == "assembly":
-            from repro.realign.assembly import build_site_by_assembly
-            builder = build_site_by_assembly
-        else:
-            builder = build_site
         # A read belongs to exactly one target: consensus windows extend
         # beyond their (disjoint) target intervals, so without claiming,
         # a read anchored near two targets could be realigned twice with
-        # order-dependent results. Each builder decides membership with
+        # order-dependent results. ``build_site`` decides membership with
         # ``reads_for_target``; it is handed the target's unclaimed
         # anchored reads, found through the start-sorted views, in
         # input order, instead of every read.
@@ -152,8 +136,8 @@ class IndelRealigner:
             anchored = (((target.start <= pos) & (pos < target.end))
                         | ((target.start <= last) & (last < target.end)))
             candidates = np.sort(index[anchored & ~claimed[index]]).tolist()
-            built = builder(target, [reads[i] for i in candidates],
-                            self.reference, self.limits)
+            built = build_site(target, [reads[i] for i in candidates],
+                               self.reference, self.limits)
             if built is not None:
                 used = {id(read) for read in built.reads}
                 claimed[[i for i in candidates if id(reads[i]) in used]] = True

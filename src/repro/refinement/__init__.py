@@ -7,22 +7,3 @@ quality score recalibration. The pipeline driver runs them in order and
 records per-stage work so Figure 2/3-style breakdowns can be produced
 from real executions, not just the analytic model.
 """
-
-from repro.refinement.sort import sort_reads
-from repro.refinement.duplicates import mark_duplicates
-from repro.refinement.bqsr import BqsrModel, recalibrate
-from repro.refinement.pipeline import (
-    PipelineResult,
-    RefinementPipeline,
-    StageTiming,
-)
-
-__all__ = [
-    "BqsrModel",
-    "PipelineResult",
-    "RefinementPipeline",
-    "StageTiming",
-    "mark_duplicates",
-    "recalibrate",
-    "sort_reads",
-]

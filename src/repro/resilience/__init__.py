@@ -9,9 +9,9 @@ fault-free run:
 
 - :mod:`repro.resilience.faults` -- the fault taxonomy and the seeded,
   order-independent :class:`FaultPlan` injector;
-- :mod:`repro.resilience.policy` -- retry/backoff, quarantine, and the
-  :class:`ResilienceConfig` that switches the system into resilient
-  operation;
+- :mod:`repro.resilience.policy` -- retry/backoff, quarantine, the
+  host watchdog's deadline policy, and the :class:`ResilienceConfig`
+  that switches the system into resilient operation;
 - :mod:`repro.resilience.health` -- per-unit health records and
   fault-event counters threaded into ``SystemRunResult``;
 - :mod:`repro.resilience.recovery` -- the watchdog-driven asynchronous
@@ -25,55 +25,3 @@ fault-free run:
 
 See ``docs/RESILIENCE.md`` for the taxonomy, policies, and guarantees.
 """
-
-from repro.resilience.faults import FaultEvent, FaultKind, FaultPlan
-from repro.resilience.health import (
-    FaultCounters,
-    ResilienceStats,
-    UnitHealth,
-)
-from repro.resilience.policy import (
-    QuarantinePolicy,
-    ResilienceConfig,
-    ResilienceError,
-    RetryPolicy,
-)
-from repro.resilience.recovery import (
-    ResilientScheduleResult,
-    schedule_with_recovery,
-)
-from repro.resilience.workers import (
-    ForcedWorkerFault,
-    InjectedWorkerError,
-    RecoveryEvent,
-    ResilientPool,
-    WorkerFaultEvent,
-    WorkerFaultKind,
-    WorkerFaultPlan,
-    WorkerRecovery,
-    record_recovery_spans,
-)
-
-__all__ = [
-    "FaultCounters",
-    "FaultEvent",
-    "FaultKind",
-    "FaultPlan",
-    "ForcedWorkerFault",
-    "InjectedWorkerError",
-    "QuarantinePolicy",
-    "RecoveryEvent",
-    "ResilienceConfig",
-    "ResilienceError",
-    "ResilienceStats",
-    "ResilientPool",
-    "ResilientScheduleResult",
-    "RetryPolicy",
-    "UnitHealth",
-    "WorkerFaultEvent",
-    "WorkerFaultKind",
-    "WorkerFaultPlan",
-    "WorkerRecovery",
-    "record_recovery_spans",
-    "schedule_with_recovery",
-]

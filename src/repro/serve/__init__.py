@@ -8,48 +8,3 @@ over a JSONL TCP protocol; :class:`~repro.serve.client.ServiceClient`
 and :mod:`~repro.serve.loadgen` drive it. ``docs/SERVING.md`` is the
 narrative; ``repro serve`` / ``repro loadgen`` are the entry points.
 """
-
-from repro.serve.client import RealignResult, ServiceClient
-from repro.serve.jobs import RegionJob, apply_site_results, partition_jobs
-from repro.serve.loadgen import LoadReport, run_loadgen, simulate_load
-from repro.serve.metrics import (
-    LatencyRecorder,
-    ServiceSnapshot,
-    latency_summary,
-    percentile,
-)
-from repro.serve.request import (
-    ADMISSION_POLICIES,
-    DEFAULT_TENANT,
-    DeadlineExceeded,
-    ServeError,
-    ServiceClosed,
-    ServiceConfig,
-    ServiceSaturated,
-)
-from repro.serve.server import RealignmentServer
-from repro.serve.service import RealignmentService
-
-__all__ = [
-    "ADMISSION_POLICIES",
-    "DEFAULT_TENANT",
-    "DeadlineExceeded",
-    "LatencyRecorder",
-    "LoadReport",
-    "RealignResult",
-    "RealignmentServer",
-    "RealignmentService",
-    "RegionJob",
-    "ServeError",
-    "ServiceClient",
-    "ServiceClosed",
-    "ServiceConfig",
-    "ServiceSaturated",
-    "ServiceSnapshot",
-    "apply_site_results",
-    "latency_summary",
-    "partition_jobs",
-    "percentile",
-    "run_loadgen",
-    "simulate_load",
-]

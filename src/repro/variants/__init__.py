@@ -8,22 +8,3 @@ variant calls must contain as few errors as possible" -- the
 :mod:`repro.variants.evaluation` module measures exactly how much IR
 improves calls against the simulator's truth set.
 """
-
-from repro.variants.caller import CallerConfig, SomaticCaller, VariantCall
-from repro.variants.vcf import format_vcf, parse_vcf
-from repro.variants.evaluation import (
-    EvaluationResult,
-    evaluate_calls,
-    left_normalize,
-)
-
-__all__ = [
-    "CallerConfig",
-    "EvaluationResult",
-    "SomaticCaller",
-    "VariantCall",
-    "evaluate_calls",
-    "format_vcf",
-    "left_normalize",
-    "parse_vcf",
-]

@@ -24,71 +24,3 @@ Without that dataset, the reproduction uses:
   spot-preemption replay) for driving the serving plane
   (``repro.serve``, docs/SERVING.md).
 """
-
-from repro.workloads.adversarial import (
-    AdversarialProfile,
-    AdversarialSample,
-    TRUSEQ_ADAPTER,
-    adversarial_sample,
-    corrupt_sample,
-)
-from repro.workloads.chromosomes import (
-    CHROMOSOME_CENSUS,
-    ChromosomeCensus,
-    census_for,
-    total_targets,
-)
-from repro.workloads.generator import (
-    BENCH_PROFILE,
-    REAL_PROFILE,
-    SiteProfile,
-    chromosome_workload,
-    expected_comparisons_per_site,
-    synthesize_site,
-)
-from repro.workloads.cohort import (
-    Cohort,
-    CohortProfile,
-    CohortSample,
-    indel_support,
-    measured_frequency,
-    simulate_cohort,
-)
-from repro.workloads.serving import (
-    LoadProfile,
-    ScheduledRequest,
-    TENANT_PREFIX,
-    apply_preemption_replay,
-    synthesize_load_schedule,
-)
-from repro.workloads.toy import figure7_toy_targets
-
-__all__ = [
-    "AdversarialProfile",
-    "AdversarialSample",
-    "BENCH_PROFILE",
-    "CHROMOSOME_CENSUS",
-    "Cohort",
-    "CohortProfile",
-    "CohortSample",
-    "ChromosomeCensus",
-    "LoadProfile",
-    "REAL_PROFILE",
-    "ScheduledRequest",
-    "SiteProfile",
-    "TENANT_PREFIX",
-    "TRUSEQ_ADAPTER",
-    "adversarial_sample",
-    "apply_preemption_replay",
-    "census_for",
-    "chromosome_workload",
-    "corrupt_sample",
-    "expected_comparisons_per_site",
-    "figure7_toy_targets",
-    "indel_support",
-    "measured_frequency",
-    "simulate_cohort",
-    "synthesize_load_schedule",
-    "synthesize_site",
-    "total_targets",
-]

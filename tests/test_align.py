@@ -52,7 +52,7 @@ class TestSmithWaterman:
     def test_affine_gaps_keep_indels_contiguous(self):
         # A 5-base deletion stays one run even when interior bases of the
         # deleted region happen to match (the linear-gap splitting
-        # artifact the assembly consensus generator cannot tolerate).
+        # artifact).
         target = "ACGGTACCATGG" + "TATGA" + "CCTTAGACGGTA"
         query = "ACGGTACCATGG" + "CCTTAGACGGTA"
         result = smith_waterman(query, target)

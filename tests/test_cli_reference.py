@@ -65,6 +65,60 @@ class TestParserImports:
         )
         subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
 
+    def test_flagless_realign_loads_no_fpga_model(self, tmp_path):
+        """A software run pays for the software path: no FPGA model, no
+        refinement pipeline, no hardware-recovery scheduler, and at most
+        40 of the package's modules."""
+        import subprocess
+        import sys
+
+        from repro.__main__ import main as cli_main
+
+        sample = tmp_path / "sample"
+        assert cli_main(["simulate", "--out", str(sample), "--length",
+                         "4000", "--coverage", "12", "--seed", "3"]) == 0
+        argv = ["realign", "--reference", str(sample / "reference.fa"),
+                "--sam", str(sample / "aligned.sam"),
+                "--out", str(sample / "out.sam")]
+        code = (
+            "import sys\n"
+            "from repro.__main__ import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "banned = [m for m in sys.modules if m == 'networkx' "
+            "or m in ('repro.resilience.recovery', 'repro.resilience.health') "
+            "or m.startswith(('repro.core', 'repro.hw', "
+            "'repro.refinement'))]\n"
+            "assert not banned, banned\n"
+            "ours = sorted(m for m in sys.modules if m.startswith('repro.'))\n"
+            "assert len(ours) <= 40, ours\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+
+
+class TestDependencies:
+    def test_numpy_is_the_only_third_party_import(self):
+        """``pyproject.toml`` declares numpy and CI installs numpy: any
+        other import in ``src/repro`` -- top-level or nested in a
+        function -- breaks a clean install the first time it runs."""
+        import ast
+        import sys
+
+        foreign = set()
+        for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                foreign.update(
+                    (path.name, name) for name in names
+                    if name.split(".")[0] not in {"repro", "numpy"}
+                    | sys.stdlib_module_names
+                )
+        assert not foreign, sorted(foreign)
+
 
 class TestHelpEpilog:
     def test_epilog_lists_every_command(self):

@@ -285,9 +285,6 @@ class TestEngineCli:
         assert self._realign(
             sample_dir, "workers.sam", "--workers", "2", "--batch", "3"
         ) == serial
-        assert self._realign(
-            sample_dir, "nopref.sam", "--no-prefilter"
-        ) == serial
 
     def test_bad_engine_flags_rejected(self, sample_dir, capsys):
         from repro.__main__ import main as cli_main

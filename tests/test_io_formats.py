@@ -86,6 +86,15 @@ class TestFastq:
         with pytest.raises(FastqError):
             FastqRecord("r", "ACGT", np.array([30], np.uint8))
 
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("score", [300, 256, -1])
+    def test_record_range_checks_before_narrowing(self, score, as_array):
+        """300 narrowed to uint8 first would pass as 44."""
+        quals = [30, score, 30, 30]
+        with pytest.raises(FastqError, match="'wide'"):
+            FastqRecord("wide", "ACGT", np.array(quals) if as_array else quals)
+        assert FastqRecord("edge", "AC", [0, 93]).quals.dtype == np.uint8
+
 
 class TestSamLite:
     def make_read(self, **kwargs):

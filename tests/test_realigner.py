@@ -114,6 +114,15 @@ class TestVectorizedParity:
             assert a.pos == b.pos and str(a.cigar) == str(b.cigar)
 
 
+class TestOneConsensusGenerator:
+    def test_consensus_strategy_is_not_a_parameter(self, deletion_scenario):
+        """``build_site`` is the one generator (EXPERIMENTS.md,
+        "Consensus strategy"); even the old default value is refused."""
+        reference, _ref_seq, _reads = deletion_scenario
+        with pytest.raises(TypeError, match="consensus_strategy"):
+            IndelRealigner(reference, consensus_strategy="observed")
+
+
 class TestSharedReadNames:
     """Mates share a QNAME: claims and updates follow the read, never
     its name. (Name-keyed, a far-away read came back replaced

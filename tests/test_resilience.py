@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.host import HostPlanError, HostWatchdog, WatchdogBank
+from repro.core.host import HostPlanError, WatchdogBank
 from repro.core.router import RoccCommandRouter, RouterError
 from repro.core.scheduler import ScheduledTarget, schedule, schedule_async
 from repro.core.system import AcceleratedIRSystem, SystemConfig
@@ -17,6 +17,7 @@ from repro.hw.memory import PcieDmaModel
 from repro.perf.fleet import FleetJob, plan_fleet, simulate_preemptions
 from repro.resilience.faults import FaultKind, FaultPlan
 from repro.resilience.policy import (
+    HostWatchdog,
     QuarantinePolicy,
     ResilienceConfig,
     ResilienceError,

@@ -195,16 +195,26 @@ class TestSiteResultCache:
         subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
 
     def test_server_never_loads_the_fpga_model(self):
-        """``repro serve`` realigns in software: importing the server
-        must not pay for the refinement pipeline or the FPGA model."""
+        """``repro serve`` realigns in software: a constructed server
+        and a site through the inline engine must not pay for the
+        refinement pipeline or the FPGA model."""
         import subprocess
         import sys
 
         code = (
-            "import sys\n"
-            "import repro.serve.server\n"
-            "assert not [m for m in sys.modules if m.startswith(("
-            "'repro.refinement', 'repro.core.system', 'repro.hw'))]\n"
+            "import sys, numpy as np\n"
+            "from repro.engine import Engine\n"
+            "from repro.genomics.reference import ReferenceGenome\n"
+            "from repro.serve.server import RealignmentServer\n"
+            "from repro.workloads.generator import BENCH_PROFILE, "
+            "synthesize_site\n"
+            "RealignmentServer(ReferenceGenome.from_dict({'c': 'ACGT' * 50}))\n"
+            "site = synthesize_site(np.random.default_rng(0), "
+            "BENCH_PROFILE)\n"
+            "assert len(Engine().run_sites([site])) == 1\n"
+            "loaded = [m for m in sys.modules if m.startswith(("
+            "'repro.refinement', 'repro.core', 'repro.hw'))]\n"
+            "assert not loaded, loaded\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
 
