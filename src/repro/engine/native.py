@@ -17,13 +17,13 @@ machine code over the packed planes:
 2. **XOR+fold SWAR mismatch masks** with the N plane folded in and
    padding lanes masked off -- one ``popcount`` per word gives each
    offset's mismatch *count*.
-3. **Order-statistic screening**: with ``c`` mismatches the WHD is at
-   least ``qlow[c]`` (sum of the ``c`` smallest qualities); an offset
-   whose lower bound cannot *strictly* beat the running minimum is
-   skipped, which preserves both the minimum and its earliest offset
-   exactly (the scalar kernel's strict-``<`` update rule).
-4. **Exact unpack-and-dot** for the bound-straddling offsets: iterate
-   the set mismatch bits and sum the read's qualities at those lanes.
+3. **Seeded pruning** (the paper's Section IV): a one-word pre-scan
+   seeds each pair's bound with the exact WHD of its offset with the
+   fewest word-0 mismatches; any offset is abandoned word by word once
+   ``qlow[cnt]`` (its ``cnt`` smallest qualities, a lower bound on its
+   WHD) exceeds that bound or reaches the running minimum -- exactly.
+4. **Exact unpack-and-dot** for the surviving offsets: iterate the set
+   mismatch bits and sum the read's qualities at those lanes.
 
 The compiled entry points are a small C translation of those loops
 (the **cc** backend), built once with the system C compiler into a
@@ -75,7 +75,6 @@ from repro.engine.bitpack import (
     BASES_PER_WORD,
     _CODE_LUT,
     _ConsensusSet,
-    _LANE_SHIFTS,
     realign_site_bitpacked,
 )
 from repro.realign.site import RealignmentSite
@@ -114,11 +113,32 @@ _C_SOURCE = r"""
 static const uint64_t EVEN = 0x5555555555555555ULL;
 static const int64_t WHD_SENTINEL = 2147483647;
 
-/* SWAR grid: earliest minimum WHD per (consensus, read) pair over the
- * packed planes.  Mirrors repro.engine.bitpack stage for stage; the
- * screening skip (qlow[cnt] >= best) can only discard offsets that
- * lose to the running minimum *strictly*, so the earliest-minimum
- * update rule is preserved exactly. */
+/* One word's XOR+fold mismatch mask, N plane in, padding masked off. */
+static inline uint64_t mismatches(uint64_t c, uint64_t cn, uint64_t r,
+                                  uint64_t rn, uint64_t v, int64_t track_n)
+{
+    uint64_t x = c ^ r;
+    return (((x | (x >> 1)) & EVEN) | (track_n ? cn ^ rn : 0)) & v;
+}
+
+/* Exact WHD of one window: the read's qualities at the set lanes. */
+static int64_t exact_whd(const uint64_t *win, const uint64_t *winn,
+    const uint64_t *rw, const uint64_t *rn, const uint64_t *rv,
+    const int64_t *rq, int64_t wr, int64_t track_n)
+{
+    int64_t whd = 0;
+    for (int64_t w = 0; w < wr; w++)
+        for (uint64_t m = mismatches(win[w], winn[w], rw[w], rn[w], rv[w],
+                                     track_n); m; m &= m - 1)
+            whd += rq[w * 32 + (__builtin_ctzll(m) >> 1)];
+    return whd;
+}
+
+/* SWAR grid: earliest minimum WHD per (consensus, read) pair.  The
+ * seed (fewest word-0 mismatches) attains `bound`, so the minimum is
+ * <= bound; an offset with qlow[cnt] > bound loses to it strictly, one
+ * with qlow[cnt] >= best cannot win a strict < update: abandoning both
+ * is exact (an earlier tie with the seed is still evaluated). */
 int64_t repro_native_swar_grid(
     const uint64_t *shifted,   /* C x 32 x W consensus phase tables   */
     const uint64_t *shifted_n, /* C x 32 x W consensus N-flag tables  */
@@ -132,6 +152,7 @@ int64_t repro_native_swar_grid(
     const int64_t *nlens,      /* R read lengths                      */
     int64_t num_reads, int64_t wr, int64_t qstride,
     int64_t track_n,
+    uint64_t *w0, uint64_t *n0, int16_t *c0, /* max(mlens) scratch    */
     int64_t *out_whd,          /* C x R */
     int64_t *out_idx)          /* C x R */
 {
@@ -139,6 +160,11 @@ int64_t repro_native_swar_grid(
     for (int64_t i = 0; i < num_cons; i++) {
         const uint64_t *cons = shifted + i * 32 * width;
         const uint64_t *consn = shifted_n + i * 32 * width;
+        /* word 0 of each offset's window, in offset order: vectorises */
+        for (int64_t k = 0; k < mlens[i]; k++) {
+            w0[k] = cons[(k & 31) * width + (k >> 5)];
+            n0[k] = consn[(k & 31) * width + (k >> 5)];
+        }
         for (int64_t j = 0; j < num_reads; j++) {
             const uint64_t *rw = rwords + j * wr;
             const uint64_t *rn = rnmask + j * wr;
@@ -146,43 +172,42 @@ int64_t repro_native_swar_grid(
             const int64_t *rq = rquals + j * wr * 32;
             const int64_t *ql = qlow + j * qstride;
             int64_t K = mlens[i] - nlens[j] + 1;
-            int64_t best = WHD_SENTINEL;
-            int64_t best_idx = 0;
+            /* pass 0: word-0 counts; the earliest of the fewest seeds */
+            int16_t fewest = 64;
             for (int64_t k = 0; k < K; k++) {
-                const uint64_t *win = cons + (k & 31) * width + (k >> 5);
-                const uint64_t *winn = consn + (k & 31) * width + (k >> 5);
-                /* pass 1: mismatch count, one popcount per word */
-                int64_t cnt = 0;
-                for (int64_t w = 0; w < wr; w++) {
-                    uint64_t x = win[w] ^ rw[w];
-                    uint64_t m = (x | (x >> 1)) & EVEN;
-                    if (track_n)
-                        m |= winn[w] ^ rn[w];
-                    m &= rv[w];
-                    cnt += __builtin_popcountll(m);
-                }
-                /* screen: WHD >= qlow[cnt]; a strict < update cannot
-                 * fire when the bound already ties or beats it */
-                if (ql[cnt] >= best)
+                c0[k] = (int16_t)__builtin_popcountll(mismatches(
+                    w0[k], n0[k], rw[0], rn[0], rv[0], track_n));
+                fewest = c0[k] < fewest ? c0[k] : fewest;
+            }
+            int64_t seed = 0;
+            while (c0[seed] != fewest)
+                seed++;
+            int64_t at = (seed & 31) * width + (seed >> 5);
+            const int64_t bound = exact_whd(cons + at, consn + at, rw, rn,
+                                            rv, rq, wr, track_n);
+            int64_t best = WHD_SENTINEL, best_idx = 0, lim = 0;
+            exact++;
+            /* qlow is nondecreasing: "qlow[cnt] <= bound && qlow[cnt]
+             * < best", the condition to keep scanning, is cnt <= lim */
+            while (lim < nlens[j] && ql[lim + 1] <= bound)
+                lim++;
+            for (int64_t k = 0; k < K; k++) {
+                int64_t cnt = c0[k];
+                at = (k & 31) * width + (k >> 5);
+                for (int64_t w = 1; w < wr && cnt <= lim; w++)
+                    cnt += __builtin_popcountll(mismatches(
+                        cons[at + w], consn[at + w], rw[w], rn[w], rv[w],
+                        track_n));
+                if (cnt > lim)
                     continue;
-                exact++;
-                /* pass 2: exact weighted sum over the set lanes */
-                int64_t whd = 0;
-                for (int64_t w = 0; w < wr; w++) {
-                    uint64_t x = win[w] ^ rw[w];
-                    uint64_t m = (x | (x >> 1)) & EVEN;
-                    if (track_n)
-                        m |= winn[w] ^ rn[w];
-                    m &= rv[w];
-                    while (m) {
-                        int tz = __builtin_ctzll(m);
-                        whd += rq[w * 32 + (tz >> 1)];
-                        m &= m - 1;
-                    }
-                }
+                int64_t whd = k == seed ? bound : exact_whd(
+                    cons + at, consn + at, rw, rn, rv, rq, wr, track_n);
+                exact += k != seed;
                 if (whd < best) {
                     best = whd;
                     best_idx = k;
+                    while (lim >= 0 && ql[lim] >= best)
+                        lim--;
                 }
             }
             out_whd[i * num_reads + j] = best;
@@ -260,6 +285,9 @@ class _CcBackend:
     def swar_grid(self, shifted, shifted_n, mlens, width, rwords, rnmask,
                   rvalid, rquals, qlow, nlens, wr, qstride, track_n,
                   out_whd, out_idx) -> int:
+        # Pass 0's scratch, sized by the site (SiteLimits is configurable)
+        w0, n0 = np.empty((2, int(mlens.max())), dtype=np.uint64)
+        c0 = np.empty(w0.size, dtype=np.int16)
         return int(self._swar(
             self._ptr(shifted), self._ptr(shifted_n), self._ptr(mlens),
             ctypes.c_int64(mlens.size), ctypes.c_int64(width),
@@ -267,6 +295,7 @@ class _CcBackend:
             self._ptr(rquals), self._ptr(qlow), self._ptr(nlens),
             ctypes.c_int64(nlens.size), ctypes.c_int64(wr),
             ctypes.c_int64(qstride), ctypes.c_int64(int(track_n)),
+            self._ptr(w0), self._ptr(n0), self._ptr(c0),
             self._ptr(out_whd), self._ptr(out_idx),
         ))
 
@@ -290,16 +319,28 @@ def _find_cc() -> Optional[str]:
     return None
 
 
+def _library_path(cc: str, cpu: str) -> Path:
+    """Per source, flags, compiler *and* CPU: -march=native builds must
+    not be shared between machines (SIGILL instead of the degrade)."""
+    tag = hashlib.sha256(
+        (_C_SOURCE + " ".join(_CC_FLAGS) + cc + cpu).encode()
+    ).hexdigest()[:16]
+    return _native_cache_dir() / f"whd_{tag}.so"
+
+
 def _load_cc_backend() -> Optional[_CcBackend]:
-    """Compile (once, cached by source hash) and load the C kernels."""
+    """Compile (once, cached per source and CPU) and load the C kernels."""
     cc = _find_cc()
     if cc is None:
         return None
-    tag = hashlib.sha256(
-        (_C_SOURCE + " ".join(_CC_FLAGS) + cc).encode()
-    ).hexdigest()[:16]
-    cache_dir = _native_cache_dir()
-    lib_path = cache_dir / f"whd_{tag}.so"
+    try:  # the CPU feature line: what -march=native compiles for
+        with open("/proc/cpuinfo") as handle:
+            cpu = next((line for line in handle
+                        if line.startswith(("flags", "Features"))), "")
+    except OSError:
+        cpu = ""
+    lib_path = _library_path(cc, os.uname().machine + cpu)
+    cache_dir = lib_path.parent
     if not lib_path.exists():
         cache_dir.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=cache_dir) as tmp:
@@ -450,45 +491,45 @@ def warmup_native() -> bool:
 # ---------------------------------------------------------------------
 
 def _pack_reads(
-    arrays: Sequence[np.ndarray], quals: Sequence[np.ndarray]
+    reads: Sequence[str], quals: Sequence[np.ndarray], lengths: np.ndarray
 ) -> Tuple[np.ndarray, ...]:
     """All reads padded to one word count, planes ready for the kernel.
 
     Unlike :class:`repro.engine.bitpack._ReadGroup` (which groups reads
     by word count to keep numpy tensors tight), the compiled kernel
     pays per *valid* word only via the validity mask, so a single
-    padded layout is simpler and just as fast.
+    padded layout is simpler and just as fast. One vectorised pass.
     """
-    lengths = np.array([a.size for a in arrays], dtype=np.int64)
     n_max = int(lengths.max())
     Wr = (n_max + BASES_PER_WORD - 1) // BASES_PER_WORD
     span = Wr * BASES_PER_WORD
-    R = len(arrays)
-    mat = np.zeros((R, span), dtype=np.uint8)
-    qmat = np.zeros((R, span), dtype=np.int64)
-    for row, (arr, q) in enumerate(zip(arrays, quals)):
-        mat[row, : arr.size] = arr
-        qmat[row, : arr.size] = np.asarray(q, dtype=np.int64)
+    R = len(reads)
     in_len = np.arange(span)[None, :] < lengths[:, None]
+    mat = np.zeros((R, span), dtype=np.uint8)
+    mat[in_len] = np.frombuffer("".join(reads).encode("ascii"),
+                                dtype=np.uint8)
+    q8 = np.zeros((R, span), dtype=np.uint8)
+    q8[in_len] = np.concatenate(quals)
 
-    def fold(flags: np.ndarray) -> np.ndarray:
-        shaped = flags.reshape(R, Wr, BASES_PER_WORD)
-        return np.bitwise_or.reduce(shaped << _LANE_SHIFTS, axis=-1)
+    def fold(lanes: np.ndarray) -> np.ndarray:
+        # four 2-bit lanes a byte, little-endian: bitpack's word layout
+        q = lanes.reshape(R, span // 4, 4)
+        packed = q[..., 0] | q[..., 1] << 2 | q[..., 2] << 4 | q[..., 3] << 6
+        return packed.view("<u8").astype(np.uint64, copy=False)
 
-    words = fold(_CODE_LUT[mat].astype(np.uint64))
+    words = fold(_CODE_LUT[mat])
     n_flags = mat == ord("N")
-    nmask = fold(n_flags.astype(np.uint64))
-    valid = fold(in_len.astype(np.uint64))
+    nmask = fold(n_flags.view(np.uint8))
+    valid = fold(in_len.view(np.uint8))
     # Sorted-quality prefix sums: qlow[c] bounds the WHD of any offset
-    # with c mismatches from below. Rows are ragged in n; pad cells are
-    # unreachable (counts never exceed the read's own length).
-    qlow = np.full((R, n_max + 1), _QLOW_PAD, dtype=np.int64)
-    for row, arr in enumerate(arrays):
-        ordered = np.sort(qmat[row, : arr.size])
-        qlow[row, : arr.size + 1] = np.concatenate(
-            ([0], np.cumsum(ordered))
-        )
-    return (words, nmask, valid, qmat, qlow, lengths,
+    # with c mismatches from below. Pads sort last (Phred <= 93), then
+    # read _QLOW_PAD: counts never exceed the read's own length.
+    pad = ~in_len[:, :n_max]
+    qlow = np.zeros((R, n_max + 1), dtype=np.int64)
+    qlow[:, 1:] = np.cumsum(np.sort(np.where(pad, 255, q8[:, :n_max]),
+                                    axis=1, kind="stable"), axis=1)
+    qlow[:, 1:][pad] = _QLOW_PAD
+    return (words, nmask, valid, q8.astype(np.int64), qlow,
             bool(n_flags.any()), Wr)
 
 
@@ -498,9 +539,8 @@ def _grids_native(
     """Fill the ``(C, R)`` grids through the compiled backend."""
     C, R = site.num_consensuses, site.num_reads
     cons_arrays = site.consensus_arrays()
-    read_arrays = site.read_arrays()
     mlens = np.array([a.size for a in cons_arrays], dtype=np.int64)
-    nlens = np.array([a.size for a in read_arrays], dtype=np.int64)
+    nlens = np.fromiter(map(len, site.reads), dtype=np.int64, count=R)
     out_whd = np.empty((C, R), dtype=np.int64)
     out_idx = np.empty((C, R), dtype=np.int64)
     m_max = int(mlens.max())
@@ -514,7 +554,7 @@ def _grids_native(
             cmat[row, : arr.size] = arr
         rmat = np.zeros((R, n_max), dtype=np.uint8)
         qmat = np.zeros((R, n_max), dtype=np.int64)
-        for row, (arr, q) in enumerate(zip(read_arrays, site.quals)):
+        for row, (arr, q) in enumerate(zip(site.read_arrays(), site.quals)):
             rmat[row, : arr.size] = arr
             qmat[row, : arr.size] = np.asarray(q, dtype=np.int64)
         backend.scalar_grid(cmat, mlens, m_max, rmat, nlens, n_max,
@@ -522,8 +562,8 @@ def _grids_native(
         # The scalar loops evaluate every in-range offset exactly.
         return out_whd, out_idx, int((np.add.outer(mlens, -nlens) + 1)
                                      .clip(min=0).sum())
-    (words, nmask, valid, qmat, qlow, lengths, reads_have_n,
-     Wr) = _pack_reads(read_arrays, site.quals)
+    (words, nmask, valid, qmat, qlow, reads_have_n,
+     Wr) = _pack_reads(site.reads, site.quals, nlens)
     cset = _ConsensusSet.build(cons_arrays, pad_words=Wr + 1)
     track_n = cset.has_n or reads_have_n
     shifted = np.ascontiguousarray(cset.shifted)
@@ -569,8 +609,8 @@ def realign_site_native(
     """Run Algorithms 1 + 2 on one site through the compiled tier.
 
     Emits the same semantic ``kernel.*`` counters as every other kernel
-    plus ``native.offsets_exact`` (offsets that survived screening into
-    the exact evaluation). With no usable backend the call degrades to
+    plus ``native.offsets_exact`` (each pair's seed plus the offsets
+    that survived pruning). With no usable backend the call degrades to
     :func:`repro.engine.bitpack.realign_site_bitpacked`, counting
     ``kernel.native.unavailable`` -- callers never see an error.
 
@@ -602,11 +642,10 @@ def realign_site_native(
         min_whd, min_idx, best_cons, site.start
     )
     if telemetry is not None:
-        offsets_total = sum(
-            len(cons) - len(read) + 1
-            for cons in site.consensuses
-            for read in site.reads
-        )
+        # sum of m - n + 1 over every pair (the site enforces m >= n)
+        C, R = min_whd.shape
+        offsets_total = (R * sum(map(len, site.consensuses))
+                         - C * (sum(map(len, site.reads)) - R))
         telemetry.count("kernel.sites", 1)
         telemetry.count("kernel.grid_cells", int(min_whd.size))
         telemetry.count("kernel.offsets_evaluated", offsets_total)

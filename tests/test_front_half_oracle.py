@@ -43,15 +43,8 @@ from repro.realign.targets import (
     identify_targets,
 )
 
-# Registered before any @given below binds its settings: a test without
-# max_examples of its own takes the active profile's. (Recent hypothesis
-# ships a ``ci`` profile and selects it by itself when it sees a CI
-# environment; this replaces it, so on such a runner every pass over
-# this file gets the larger budget.)
-settings.register_profile(
-    "ci", max_examples=400, deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+# A test without max_examples of its own takes the active profile's
+# (the ``ci`` profile is registered in tests/conftest.py).
 relaxed = settings(deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
 

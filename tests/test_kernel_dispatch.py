@@ -21,7 +21,7 @@ none is available.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.autotune import KERNELS, dispatch_realign
@@ -32,10 +32,11 @@ from repro.engine.native import (
     native_available,
     realign_site_native,
 )
-from repro.realign.site import RealignmentSite
+from repro.realign.site import RealignmentSite, SiteLimits
 from repro.realign.whd import min_whd_grid, realign_site
 from repro.workloads.generator import (
     BENCH_PROFILE,
+    REAL_PROFILE,
     SiteProfile,
     synthesize_site,
 )
@@ -126,6 +127,48 @@ def degenerate_sites():
                   for r in boundary_reads),
         ),
     ]
+
+
+def seed_stress_site(draw):
+    """Sites built to break the native kernel's seeded bound were it
+    inexact.
+
+    Periodic consensuses tie many offsets (the earliest must still win),
+    ``N`` appears in reads and consensuses, all-zero or constant
+    qualities flatten ``qlow`` so nothing prunes, a zero-slack
+    consensus leaves ``K = 1``, and read lengths straddle the 32-base
+    words. Random bases come from a drawn seed so 256-base reads stay
+    cheap to draw; the structure is drawn and shrinks.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = draw(st.lists(st.sampled_from([31, 32, 33, 63, 64, 65, 256]),
+                            min_size=1, max_size=3))
+
+    def bases(length):
+        if draw(st.booleans()):  # periodic: every period is a tied offset
+            unit = draw(st.text(alphabet="ACGTN", min_size=1, max_size=3))
+            return (unit * length)[:length]
+        return "".join(rng.choice(list("ACGTN"), size=length))
+
+    cons = tuple(bases(max(lengths) + draw(st.sampled_from([0, 1, 5, 40])))
+                 for _ in range(draw(st.integers(1, 3))))
+    reads = []
+    for n in lengths:
+        if draw(st.booleans()):  # a consensus window, one base redrawn
+            source = draw(st.sampled_from(cons))
+            at = draw(st.integers(0, len(source) - n))
+            read = list(source[at:at + n])
+            read[draw(st.integers(0, n - 1))] = draw(st.sampled_from("ACGTN"))
+            reads.append("".join(read))
+        else:
+            reads.append(bases(n))
+    level = draw(st.one_of(st.just(0), st.integers(1, 93), st.none()))
+    quals = tuple(
+        rng.integers(0, 94, size=n, dtype=np.uint8) if level is None
+        else np.full(n, level, dtype=np.uint8)
+        for n in lengths
+    )
+    return RealignmentSite("c", 0, cons, tuple(reads), quals)
 
 
 def assert_all_kernels_agree(site):
@@ -437,6 +480,82 @@ class TestNativeKernel:
                                              force_swar=force_swar)
             np.testing.assert_array_equal(mw, ref_w)
             np.testing.assert_array_equal(mi, ref_i)
+
+    @needs_backend
+    @given(st.data())
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_seeded_bound_matches_scalar(self, data):
+        # Both compiled paths against the scalar loops on sites built to
+        # stress the seed; the example budget is the active profile's
+        # (CI runs this with --hypothesis-profile=ci).
+        from repro.engine import native
+
+        site = seed_stress_site(data.draw)
+        ref_w, ref_i = min_whd_grid(site, vectorized=False)
+        for force_swar in (True, False):
+            mw, mi, _ = native._grids_native(site, native.get_backend(),
+                                             force_swar=force_swar)
+            np.testing.assert_array_equal(mw, ref_w)
+            np.testing.assert_array_equal(mi, ref_i)
+
+    @needs_backend
+    def test_seeded_bound_past_the_paper_consensus_limit(self):
+        # SiteLimits is configurable: pass 0's scratch is sized by the
+        # site, so a 3 000-base consensus with true offsets past 2 048
+        # must still come out exact.
+        from repro.engine import native
+
+        rng = np.random.default_rng(4096)
+        cons = "".join(rng.choice(list("ACGT"), size=3000))
+        reads = (cons[2900:2964], cons[2500:2533], "ACGT" * 8)
+        site = RealignmentSite(
+            "c", 0, (cons, cons[1:] + "A"), reads,
+            tuple(rng.integers(0, 41, size=len(r), dtype=np.uint8)
+                  for r in reads),
+            limits=SiteLimits(max_consensus_length=4096),
+        )
+        ref_w, ref_i = min_whd_grid(site, vectorized=False)
+        assert (ref_i > 2048).any()
+        for force_swar in (True, False):
+            mw, mi, _ = native._grids_native(site, native.get_backend(),
+                                             force_swar=force_swar)
+            np.testing.assert_array_equal(mw, ref_w)
+            np.testing.assert_array_equal(mi, ref_i)
+
+    @needs_backend
+    def test_seeded_bound_prunes_real_profile_sites(self):
+        # The paper's Section IV pruning on the benchmark's own sites:
+        # at most 1 % of offsets reach an exact evaluation.
+        rng = np.random.default_rng(2019)
+        sink = Sink()
+        for i in range(16):
+            site = synthesize_site(rng, REAL_PROFILE, start=i * 5000)
+            realign_site_native(site, telemetry=sink)
+        exact = sink.counters["native.offsets_exact"]
+        assert exact <= 0.01 * sink.counters["native.offsets_screened"]
+
+    @needs_backend
+    def test_offsets_screened_is_the_sum_over_pairs(self):
+        ragged = degenerate_sites()[3]
+        site = RealignmentSite(
+            "c", 0, ragged.consensuses + (ragged.consensuses[0][:66],),
+            ragged.reads + ("ACGTA",), ragged.quals + ([9] * 5,),
+        )
+        sink = Sink()
+        realign_site_native(site, telemetry=sink)
+        assert sink.counters["native.offsets_screened"] == sum(
+            site.offsets(i, j) for i in range(site.num_consensuses)
+            for j in range(site.num_reads)
+        )
+
+    def test_library_path_follows_the_cpu(self):
+        # -march=native builds for the CPU it runs on: a cache shared
+        # between machines must key a different library per CPU.
+        from repro.engine.native import _library_path
+
+        old = _library_path("cc", "x86_64flags\t\t: fpu sse2\n")
+        new = _library_path("cc", "x86_64flags\t\t: fpu sse2 avx512f\n")
+        assert old != new and old.parent == new.parent
 
     @needs_backend
     def test_screening_counters_are_consistent(self):
