@@ -13,8 +13,10 @@ kernel at the same worker count:
 ``test_stream_gate`` is the CI acceptance gate and states the one claim
 the window makes: byte-identical results, and strictly less peak
 traced heap than the barrier at 48+ sites (the CI smoke scale).
-Memory is measured with ``tracemalloc``, which sees the whole payload:
-every chunk is pickled from the parent's heap. Pooled throughput is
+Memory is measured with ``tracemalloc``, which traces every thread of
+the process: the unit threads' kernel buffers and results live on the
+same heap as the caller's, and a chunk's sites are never copied.
+Pooled throughput is
 not gated here -- that is ``bench_engine.py``'s gate and the e2e
 ``engine.pool_w2.*`` / ``engine.stream_w2.*`` probes' report.
 """
@@ -58,7 +60,8 @@ def _peak_traced_bytes(func, runs=GATE_RUNS):
     """Minimum peak traced-heap over ``runs`` executions of ``func``.
 
     A single run's peak can be inflated by incidental allocations
-    (pool pickling buffers still queued, GC timing), so the gate takes
+    (how the unit threads' kernel buffers happen to overlap, GC
+    timing), so the gate takes
     the best of N: transient noise only ever raises a peak, never
     lowers it, so the minimum is the stable per-plane floor.
     """

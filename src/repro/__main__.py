@@ -50,8 +50,7 @@ Examples::
         --workers 4 --stream --queue-depth 3
     python -m repro realign --reference /tmp/sample/reference.fa \
         --sam /tmp/sample/aligned.sam --out /tmp/sample/realigned.sam \
-        --workers 2 --stream --worker-fault-rate 0.2 --chaos-seed 7 \
-        --chunk-deadline 5
+        --workers 2 --stream --worker-fault-rate 0.2 --chaos-seed 7
     python -m repro trace --out /tmp/trace.json --fault-rate 0.1
     python -m repro trace --out /tmp/trace.json --workers 2 --stream
     python -m repro evaluate --scenario adversarial --out /tmp/report.json
@@ -260,29 +259,17 @@ def _check_recovery_flags(args: argparse.Namespace):
     if args.worker_fault_rate > 0.0 and args.workers < 2:
         return ("error: --worker-fault-rate requires --workers >= 2 "
                 "(the inline engine has no worker pool to fault)")
-    if args.chunk_deadline is not None and args.chunk_deadline <= 0.0:
-        return (f"error: --chunk-deadline must be positive, "
-                f"got {args.chunk_deadline}")
     return None
 
 
 def _make_recovery(args: argparse.Namespace):
-    """The run's :class:`WorkerRecovery`: the environment's values
-    overlaid by whichever of ``--worker-fault-rate`` /
-    ``--chunk-deadline`` were given."""
-    from dataclasses import replace
+    """The run's :class:`WorkerRecovery`: the environment's, or a
+    chaos plan when ``--worker-fault-rate`` was given."""
+    from repro.resilience.workers import WorkerRecovery
 
-    from repro.resilience.workers import WorkerFaultPlan, WorkerRecovery
-
-    recovery = WorkerRecovery.from_env()
     if args.worker_fault_rate > 0.0:
-        recovery = replace(recovery, plan=WorkerFaultPlan.chaos(
-            args.chaos_seed, args.worker_fault_rate,
-            hang_seconds=recovery.plan.hang_seconds,
-        ))
-    if args.chunk_deadline is not None:
-        recovery = replace(recovery, chunk_deadline=args.chunk_deadline)
-    return recovery
+        return WorkerRecovery.chaos(args.chaos_seed, args.worker_fault_rate)
+    return WorkerRecovery.from_env()
 
 
 def _make_engine(args: argparse.Namespace):
@@ -308,18 +295,17 @@ def _make_engine(args: argparse.Namespace):
 
 
 def _print_recovery(engine, args: argparse.Namespace) -> None:
-    """One summary line of the worker pool's recovery activity: when a
-    recovery flag was given, or when the pool had to recover anything."""
+    """One summary line of the worker pool's recovery activity: when
+    ``--worker-fault-rate`` was given, or when the pool had to recover
+    anything."""
     counters = engine.recovery_counters
-    if not (args.worker_fault_rate > 0.0 or args.chunk_deadline is not None
+    if not (args.worker_fault_rate > 0.0
             or any(name.startswith("worker.") for name in counters)):
         return
     injected = sum(value for name, value in counters.items()
                    if name.startswith("worker.injected."))
-    print(f"recovery: deadline {engine.recovery.chunk_deadline:g}s, "
-          f"{injected} worker faults injected, "
+    print(f"recovery: {injected} worker faults injected, "
           f"{counters.get('worker.retries', 0)} retries, "
-          f"{counters.get('worker.pool_respawns', 0)} pool respawns, "
           f"{counters.get('worker.quarantined_sites', 0)} sites "
           f"quarantined inline")
 
@@ -1009,7 +995,7 @@ def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
 
     subparser.add_argument(
         "--workers", type=int, default=1,
-        help="engine worker processes (1 = in-process, no pool)",
+        help="engine worker threads (1 = inline, no pool)",
     )
     subparser.add_argument(
         "--batch", type=int, default=8,
@@ -1038,15 +1024,8 @@ def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
         "--worker-fault-rate", type=float, default=0.0,
         dest="worker_fault_rate",
         help="host chaos mode: per-chunk-dispatch probability of an "
-             "injected worker fault (SIGKILL/hang/delay/error), seeded "
-             "by --chaos-seed; requires --workers >= 2",
-    )
-    subparser.add_argument(
-        "--chunk-deadline", type=float, default=None, dest="chunk_deadline",
-        metavar="SECONDS",
-        help="per-chunk watchdog deadline of the worker pool's crash "
-             "recovery (retry/bisect/quarantine + pool respawn), which "
-             "is always on (default: REPRO_CHUNK_DEADLINE, else 30)",
+             "injected worker fault (delay/error), seeded by "
+             "--chaos-seed; requires --workers >= 2",
     )
     subparser.add_argument(
         "--site-cache-mb", type=float, default=0.0, dest="site_cache_mb",

@@ -40,9 +40,12 @@ leaves the default probe (``auto``); any other value is a
 Warmup: the first call into the backend may pay the one-time
 shared-library build. So that this cost cannot land in a timed chunk
 or a served request's latency, :func:`warmup_native` compiles and
-exercises both grid kernels on a tiny site; the pool initializer in
-:mod:`repro.engine.parallel` and the serving plane invoke it before
-timing or traffic starts.
+exercises both grid kernels on a tiny site. The engine calls it once,
+before it starts its worker threads (:mod:`repro.engine.parallel`), and
+the serving plane before it accepts traffic. Warming before the threads
+start also keeps the build to one: the probe in :func:`get_backend` is
+an unlocked check-then-set, so two threads making their first call
+together could each compile the library.
 
 The Figure 4 worked example (``TGAA`` / ``CCTTAGA`` and friends, m=7,
 n=4, k=0..3) lands identically to the scalar kernel -- through the
@@ -64,10 +67,9 @@ import hashlib
 import logging
 import os
 import subprocess
-import sys
 import tempfile
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,7 +82,6 @@ from repro.engine.bitpack import (
 from repro.realign.site import RealignmentSite
 from repro.realign.whd import (
     SiteResult,
-    WHD_SENTINEL,
     reads_realignments,
     score_and_select,
 )
@@ -457,9 +458,9 @@ def warmup_native() -> bool:
     """Compile and exercise both grid kernels once; returns availability.
 
     Idempotent and exception-safe. The first call may compile the
-    shared library; running it here -- from the pool initializer or
-    the serving plane's startup -- keeps that one-time cost out of any
-    timed region or served request.
+    shared library; running it here -- before the engine starts its
+    threads, or at the serving plane's startup -- keeps that one-time
+    cost out of any timed region or served request.
     """
     global _backend, _warm
     if _warm:

@@ -14,20 +14,25 @@ keeps ``queue_depth x workers`` in flight. Idle workers take the next
 pending chunk, so stragglers (sites are Zipf-like in size) do not
 serialize the tail.
 
-There is one pool, :class:`repro.resilience.workers.ResilientPool`: a
-killed, hung or erroring worker is retried, bisected or quarantined
-inline under a per-chunk deadline on every pooled run -- recovery is
-the pool, not a mode. A :class:`ReorderBuffer` re-sequences completed
-chunks into submission order, so the output -- and the final SAM -- is
-byte-identical to the serial path at any worker count, window or
-completion order (pinned against ``tests/golden/``).
+The workers are the paper's units: ``workers`` threads in this process
+sharing one memory, like the 32 IR units share the FPGA's DRAM. The
+compiled kernel is one ``ctypes`` call per site and releases the GIL
+for its length, and the numpy kernels release it for their large array
+ops, so the threads run the kernels in parallel with no fork, no pickle
+and no copy of the sites. Every pooled chunk runs through
+:func:`repro.resilience.workers.realign_chunk_recovering`: an erroring
+chunk is retried, bisected or quarantined on every pooled run --
+recovery is the pool, not a mode. A :class:`ReorderBuffer` re-sequences
+completed chunks into submission order, so the output -- and the final
+SAM -- is byte-identical to the serial path at any worker count, window
+or completion order (pinned against ``tests/golden/``).
 
 Workers run each site through
-:func:`repro.engine.autotune.dispatch_realign` and count telemetry
-locally; the parent folds the counters into its session when the run
-ends (or is abandoned) and records one wall-clock span per chunk
-(:func:`repro.perf.fleet.record_engine_shards`), so a Chrome trace
-shows the chunks overlapping.
+:func:`repro.engine.autotune.dispatch_realign` and count telemetry into
+a per-chunk sink; the engine folds the counters into its session when
+the run ends (or is abandoned) and records one wall-clock span per
+chunk (:func:`repro.perf.fleet.record_engine_shards`), so a Chrome
+trace shows the chunks overlapping.
 """
 
 from __future__ import annotations
@@ -48,12 +53,12 @@ from repro.telemetry.spans import CAT_ENGINE
 class EngineConfig:
     """Tuning knobs for the batched parallel engine.
 
-    ``workers=1`` runs shards inline (no pool, no pickling) but still
-    through the batched kernel; ``batch`` is the shard size in sites --
-    large enough to amortize per-task IPC, small enough that
-    work-stealing can balance uneven shards. ``kernel`` routes each
-    site through :func:`repro.engine.autotune.dispatch_realign`: a
-    kernel name, or ``"auto"`` (default), which means ``"native"``.
+    ``workers=1`` runs shards inline (no threads) but still through the
+    batched kernel; ``batch`` is the shard size in sites -- large enough
+    to amortize per-chunk dispatch, small enough that work-stealing can
+    balance uneven shards. ``kernel`` routes each site through
+    :func:`repro.engine.autotune.dispatch_realign`: a kernel name, or
+    ``"auto"`` (default), which means ``"native"``.
 
     >>> EngineConfig(workers=2, batch=4).prefilter
     True
@@ -85,8 +90,8 @@ class EngineConfig:
                 f"unknown kernel {self.kernel!r}; "
                 f"choose from {KERNEL_CHOICES}"
             )
-        # Reject a misspelt REPRO_NATIVE here, in the parent: raised
-        # from a pool initializer it would respawn workers forever.
+        # Reject a misspelt REPRO_NATIVE when the engine is configured,
+        # not from inside the first chunk.
         native_mode()
 
 
@@ -102,11 +107,11 @@ class ShardStats:
 
 
 class _CounterSink:
-    """Minimal stand-in for a telemetry session inside a worker.
+    """Minimal stand-in for a telemetry session inside one chunk.
 
-    The kernel only calls ``count``; the parent process folds the
-    accumulated deltas into its real telemetry session after the merge
-    (span clocks do not transfer between processes, counters do).
+    The kernel only calls ``count``; the engine folds the accumulated
+    deltas into its real telemetry session after the merge, on the
+    consuming thread, so no session is shared between worker threads.
     """
 
     def __init__(self):
@@ -116,37 +121,13 @@ class _CounterSink:
         self.counters[name] = self.counters.get(name, 0) + int(delta)
 
 
-#: Per-worker invariant state, set once by the pool initializer. The
-#: EngineConfig never varies between chunks of one run, so shipping it
-#: in every task payload would re-pickle the same bytes per chunk; the
-#: initializer sends it exactly once per worker process.
-_WORKER_CONFIG: Optional[EngineConfig] = None
-
-
-def _init_worker(config: EngineConfig) -> None:
-    """Pool initializer: install the run-invariant config.
-
-    When the run can route sites through the native tier (``kernel``
-    is ``auto`` or ``native``), each worker also pre-warms the compiled
-    backend here, so one-time JIT/shared-library compilation happens
-    during pool startup instead of inside the first timed chunk.
-    """
-    global _WORKER_CONFIG
-    _WORKER_CONFIG = config
-    if config.kernel in ("auto", "native"):
-        from repro.engine.native import warmup_native
-
-        warmup_native()
-
-
 def _realign_chunk(
     chunk_id: int, sites: Sequence[RealignmentSite], config: EngineConfig
 ) -> Tuple[int, List[SiteResult], float, float, Dict[str, int]]:
     """Realign one chunk (shared by the pool, inline, and stream paths).
 
-    ``time.perf_counter`` is CLOCK_MONOTONIC on Linux, so the returned
-    timestamps are comparable across processes and the parent can lay
-    shards on a shared timeline.
+    The returned ``perf_counter`` timestamps let the engine lay every
+    worker's shards on one timeline.
     """
     start = time.perf_counter()
     sink = _CounterSink()
@@ -209,16 +190,15 @@ class ReorderBuffer:
 class Engine:
     """Batched parallel realignment over a list of independent sites.
 
-    The worker pool is created lazily on the first multiprocess run and
-    persists across runs (forking a pool costs tens of milliseconds --
-    far more than a warm task round-trip), so create the engine once
-    and reuse it; ``workers=1`` never creates a pool or thread.
-    Usable as a context manager; the pool is also reaped on garbage
-    collection.
+    The ``workers`` threads are started on the first pooled run (two or
+    more workers and more than one chunk) and persist across runs, so
+    create the engine once and reuse it; ``workers=1`` never starts a
+    thread. Usable as a context manager; :meth:`close` joins the
+    threads, and garbage collection does too.
 
     ``recovery`` (a :class:`~repro.resilience.workers.WorkerRecovery`)
-    sets the pool's chunk deadline, retry policy and -- for chaos
-    testing -- fault plan. ``None`` (the default) means
+    sets the pool's retry policy and -- for chaos testing -- fault
+    plan. ``None`` (the default) means
     :meth:`~repro.resilience.workers.WorkerRecovery.from_env`: the
     fault-free defaults overlaid by any ``REPRO_*`` values, which is
     how CI runs any engine workload under injected chaos.
@@ -243,7 +223,7 @@ class Engine:
         self.recovery = (recovery if recovery is not None
                          else WorkerRecovery.from_env())
         self.cache = cache
-        self._rpool = None
+        self._executor = None
         self._reset()
 
     def _reset(self) -> None:
@@ -322,6 +302,7 @@ class Engine:
         chunks = [sites[lo:lo + batch] for lo in range(0, len(sites), batch)]
         reorder = ReorderBuffer()
         observed = {"in_flight_peak": 1, "backpressure_us": 0}
+        in_flight: set = set()
         try:
             if self.config.workers == 1 or len(chunks) == 1:
                 for chunk_id, chunk in enumerate(chunks):
@@ -329,15 +310,9 @@ class Engine:
                     self._file_outcome(outcome)
                     yield from outcome[1]
                 return
-            from repro.resilience.policy import ResilienceError
+            from repro.resilience.workers import realign_chunk_recovering
 
-            rpool = self._ensure_rpool()
-            rpool.begin_run()
-            # Recovery guarantees forward progress; the bound only turns
-            # a recovery-machinery bug from a silent hang into a loud
-            # ResilienceError.
-            bound = self.recovery.completion_bound_seconds(
-                self.config.batch, len(chunks))
+            executor = self._ensure_executor()
             window = self._window or len(chunks)
             done: queue_module.Queue = queue_module.Queue()
             submitted = completed = 0
@@ -351,37 +326,42 @@ class Engine:
                 # either in flight or already emitted.
                 while (submitted < len(chunks)
                        and submitted - completed + reorder.pending < window):
-                    rpool.submit_chunk(submitted, chunks[submitted],
-                                       on_done=done.put)
+                    future = executor.submit(
+                        realign_chunk_recovering, submitted,
+                        chunks[submitted], self.config, self.recovery)
+                    future.add_done_callback(done.put)
+                    in_flight.add(future)
                     submitted += 1
                     observed["in_flight_peak"] = max(
                         observed["in_flight_peak"], submitted - completed
                     )
                 # The window is full (or the tail is draining): block
                 # until a chunk completes. Time spent here with tasks
-                # still unsubmitted is backpressure by definition.
+                # still unsubmitted is backpressure by definition. A
+                # thread's future always resolves, so this cannot wait
+                # on a lost result.
                 wait_start = time.perf_counter()
-                try:
-                    outcome = done.get(timeout=bound)
-                except queue_module.Empty:
-                    raise ResilienceError(
-                        "worker recovery made no progress within "
-                        f"{bound:.0f}s ({completed}/{len(chunks)} "
-                        "chunks completed)"
-                    ) from None
+                finished = done.get()
+                in_flight.discard(finished)
                 if submitted < len(chunks):
                     observed["backpressure_us"] += int(
                         (time.perf_counter() - wait_start) * 1e6
                     )
-                if isinstance(outcome, BaseException):
-                    raise outcome
+                outcome, counters, events = finished.result()
                 completed += 1
                 self._file_outcome(outcome)
+                for name, value in counters.items():
+                    self.recovery_counters[name] = (
+                        self.recovery_counters.get(name, 0) + value)
+                self.recovery_events.extend(events)
                 for chunk_results in reorder.push(outcome[0], outcome[1]):
                     yield from chunk_results
         finally:
             # Runs on exhaustion, failure AND when the consumer abandons
-            # the generator: whatever completed is still observed.
+            # the generator: chunks not yet started are dropped, and
+            # whatever completed is still observed.
+            for future in in_flight:
+                future.cancel()
             observed["reorder_peak"] = reorder.peak_pending
             self._finish(telemetry, run_start, observed)
 
@@ -398,10 +378,6 @@ class Engine:
         from repro.resilience.workers import record_recovery_spans
 
         self.shard_stats.sort(key=lambda stat: stat.shard)
-        if self._rpool is not None:
-            self.recovery_counters, self.recovery_events = (
-                self._rpool.drain()
-            )
         if telemetry is None:
             return
         for stat in self.shard_stats:
@@ -416,17 +392,31 @@ class Engine:
         record_engine_shards(telemetry, self.shard_stats, *self._timeline,
                              origin=run_start, workers=self.config.workers)
 
-    def _ensure_rpool(self):
-        if self._rpool is None:
-            from repro.resilience.workers import ResilientPool
+    def _ensure_executor(self):
+        """The ``workers`` unit threads, started on the first pooled run.
 
-            self._rpool = ResilientPool(self.config, self.recovery)
-        return self._rpool
+        The compiled kernel is warmed here first, once: two threads
+        making their first kernel call together would otherwise race
+        the backend probe and build the library twice.
+        """
+        if self._executor is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            if self.config.kernel in ("auto", "native"):
+                from repro.engine.native import warmup_native
+
+                warmup_native()
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.config.workers,
+                thread_name_prefix="repro-unit",
+            )
+        return self._executor
 
     def close(self) -> None:
-        if self._rpool is not None:
-            self._rpool.close()
-            self._rpool = None
+        """Join the unit threads (chunks not yet started are dropped)."""
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "Engine":
         return self

@@ -92,8 +92,8 @@ class IndelRealigner:
         """Lazily resolve ``self.engine`` into a live plane.
 
         With no explicit engine the plane is the inline
-        :class:`~repro.engine.Engine` (one worker: no pool, no
-        pickling, the same per-site kernel dispatch).
+        :class:`~repro.engine.Engine` (one worker: no threads, the
+        same per-site kernel dispatch).
         """
         if self._engine is None:
             from repro.engine import EngineConfig, resolve_engine

@@ -18,10 +18,10 @@ fault-free run:
   scheduler that retries, quarantines, and degrades to the software
   realigner;
 - :mod:`repro.resilience.workers` -- the same design applied to the
-  *host* data plane: :class:`WorkerFaultPlan` chaos (SIGKILL / hang /
-  delay / error of real worker processes) and the
-  :class:`ResilientPool` watchdog (chunk deadlines, retry/bisect/
-  quarantine, pool respawn) behind ``Engine``/``StreamingEngine``.
+  *host* data plane: :class:`WorkerFaultPlan` chaos (delay / error of
+  the engine's unit threads) and the one recovering chunk call
+  (retry / bisect / quarantine) that ``Engine``/``StreamingEngine``
+  run every pooled chunk through.
 
 See ``docs/RESILIENCE.md`` for the taxonomy, policies, and guarantees.
 """

@@ -28,8 +28,8 @@ and every kernel is exact, so realigning a site inside a coalesced
 batch of strangers yields the same :class:`~repro.realign.whd
 .SiteResult` as realigning it alone (pinned by tests/test_serve.py).
 
-Engine calls are blocking (multiprocessing pools underneath), so the
-service runs them on a dedicated single-thread executor: the event
+Engine calls are blocking (the engine's own unit threads underneath),
+so the service runs them on a dedicated single-thread executor: the event
 loop stays responsive for admission and I/O while exactly one engine
 dispatch is in flight -- the engine itself is the intra-batch
 parallelism, and serializing dispatches is what makes the outstanding
@@ -384,8 +384,8 @@ class RealignmentService:
     def _fold_engine_counters(self) -> None:
         """Accumulate per-dispatch engine observations into ours.
 
-        ``recovery_counters`` describes only the *latest* run (the pool
-        drains them each dispatch), so the service sums them across
+        ``recovery_counters`` describes only the *latest* run (the engine
+        resets them each dispatch), so the service sums them across
         dispatches -- a snapshot then reports every injected fault and
         recovery action since start, not just the last batch's.
         """

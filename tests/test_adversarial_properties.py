@@ -169,11 +169,9 @@ class TestChaosComposition:
         baseline, _ = IndelRealigner(reference).realign(reads)
 
         saved = {name: os.environ.get(name)
-                 for name in ("REPRO_WORKER_FAULT_RATE", "REPRO_CHAOS_SEED",
-                              "REPRO_CHUNK_DEADLINE")}
+                 for name in ("REPRO_WORKER_FAULT_RATE", "REPRO_CHAOS_SEED")}
         os.environ["REPRO_WORKER_FAULT_RATE"] = "0.4"
         os.environ["REPRO_CHAOS_SEED"] = "71"
-        os.environ["REPRO_CHUNK_DEADLINE"] = "5.0"
         try:
             config = EngineConfig(workers=2, batch=2)
             engine = (StreamingEngine(config) if streaming

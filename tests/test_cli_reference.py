@@ -94,6 +94,32 @@ class TestParserImports:
         )
         subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
 
+    def test_pooled_engine_is_one_process(self):
+        """``workers=2`` runs its units as threads of this process: no
+        process-pool machinery is loaded, and ``close()`` joins every
+        thread it started."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, threading\n"
+            "import numpy as np\n"
+            "from repro.engine import Engine, EngineConfig\n"
+            "from repro.workloads.generator import REAL_PROFILE, "
+            "synthesize_site\n"
+            "rng = np.random.default_rng(3)\n"
+            "sites = [synthesize_site(rng, REAL_PROFILE, start=i * 5000) "
+            "for i in range(8)]\n"
+            "engine = Engine(EngineConfig(workers=2, batch=2))\n"
+            "assert len(engine.run_sites(sites)) == 8\n"
+            "loaded = [m for m in ('multiprocessing', "
+            "'concurrent.futures.process') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+            "engine.close()\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+
 
 class TestDependencies:
     def test_numpy_is_the_only_third_party_import(self):

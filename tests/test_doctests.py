@@ -31,9 +31,6 @@ DOCUMENTED_MODULES = [
 
 @pytest.mark.parametrize("module_name", DOCUMENTED_MODULES)
 def test_module_doctests(module_name):
-    # Importing repro.core.system first sidesteps the pre-existing
-    # resilience <-> core import cycle for any module that touches it.
-    importlib.import_module("repro.core.system")
     module = importlib.import_module(module_name)
     results = doctest.testmod(module, verbose=False)
     assert results.failed == 0, (

@@ -129,6 +129,35 @@ class TestEngineDeterminism:
             assert a.same_outputs(b)
             np.testing.assert_array_equal(a.min_whd, b.min_whd)
 
+    @pytest.mark.parametrize("kernel", ["native", "fft"])
+    def test_thread_bank_under_forced_switching_matches_serial(self,
+                                                               kernel):
+        # More unit threads than cores, one site per chunk, and a
+        # switch interval short enough to interleave every bytecode:
+        # a lost update in any state the units share would show as a
+        # wrong result or a wrong counter total.
+        import sys
+
+        from repro.telemetry import Telemetry
+
+        sites = _sites(12, seed=83)
+        serial = Engine(EngineConfig(batch=1, kernel=kernel)).run_sites(
+            sites)
+        telemetry = Telemetry()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Engine(EngineConfig(workers=4, batch=1,
+                                     kernel=kernel)) as engine:
+                threaded = engine.run_sites(sites, telemetry=telemetry)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded, strict=True):
+            assert a.same_outputs(b)
+            np.testing.assert_array_equal(a.min_whd, b.min_whd)
+        flat = telemetry.counters.flat()
+        assert flat["kernel.sites"] == flat["engine.shard_sites"] == 12
+
     def test_repeat_runs_are_stable(self):
         sites = _sites(7, seed=13)
         with Engine(EngineConfig(workers=2, batch=2)) as engine:

@@ -336,9 +336,9 @@ class TestEngineKernelWiring:
 
 
 class TestAutoAcrossWorkerPlanes:
-    """``auto`` resolves inside the worker that runs the site, so every
-    multiprocess plane must fold ``kernel.chosen.native`` -- and nothing
-    else -- back into the parent's telemetry."""
+    """``auto`` resolves inside the unit thread that runs the site, so
+    every pooled plane must fold ``kernel.chosen.native`` -- and nothing
+    else -- back into the caller's telemetry."""
 
     def sites(self):
         rng = np.random.default_rng(5)
@@ -598,6 +598,30 @@ class TestNativeKernel:
         monkeypatch.setenv("REPRO_NATIVE", "off")
         fresh_backend.reset_backend()
         assert fresh_backend.warmup_native() is False
+
+    def test_threaded_engine_probes_the_backend_once(self, monkeypatch,
+                                                     fresh_backend):
+        # The engine warms the kernel before it starts its unit threads,
+        # so two units' first calls cannot race the unlocked probe into
+        # a second build of the library.
+        from repro.engine import Engine, EngineConfig
+
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        fresh_backend.reset_backend()
+        calls = []
+        real = fresh_backend._load_cc_backend
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(fresh_backend, "_load_cc_backend", counting)
+        rng = np.random.default_rng(17)
+        sites = [synthesize_site(rng, BENCH_PROFILE, complexity=0.4)
+                 for _ in range(8)]
+        with Engine(EngineConfig(workers=2, batch=2)) as engine:
+            engine.run_sites(sites)
+        assert len(calls) == 1
 
     @needs_backend
     def test_grid_entry_point_matches_reference(self):

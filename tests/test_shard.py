@@ -246,19 +246,23 @@ class TestShardPlane:
             ShardPlane(EngineConfig(), shards=0)
 
     def test_pool_is_sized_by_shards_not_workers(self):
-        import multiprocessing
+        import threading
+
+        def units():
+            return [thread for thread in threading.enumerate()
+                    if thread.name.startswith("repro-unit")]
 
         sites = _sites(8, seed=7)
-        before = set(multiprocessing.active_children())
+        before = units()
         with ShardPlane(EngineConfig(workers=4, batch=2), shards=1,
                         recovery=WorkerRecovery()) as plane:
             plane.run_sites(sites)
-            assert set(multiprocessing.active_children()) <= before
+            assert units() == before
         with ShardPlane(EngineConfig(workers=4, batch=2), shards=2,
                         recovery=WorkerRecovery()) as plane:
             plane.run_sites(sites)
-            spawned = set(multiprocessing.active_children()) - before
-            assert len(spawned) == 2
+            started = [thread for thread in units() if thread not in before]
+            assert len(started) == 2
             # Fault-free, the alias below is absent like worker.* is.
             assert plane.recovery_counters == {}
 

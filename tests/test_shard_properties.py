@@ -2,9 +2,9 @@
 
 The single invariant, mirroring ``test_worker_chaos.py`` with a cache
 in front: for *any* workload, *any* worker count and chunk size, cache
-on or off, and *any* seeded schedule of worker faults -- SIGKILL, hang,
-delay, error -- the run terminates and produces output byte-identical
-to a fault-free serial run, with re-dispatch work bounded (the pool's
+on or off, and *any* seeded schedule of unit faults -- delay, error --
+the run terminates and produces output byte-identical to a fault-free
+serial run, with re-dispatch work bounded (the pool's
 retry -> bisect -> inline-quarantine ladder, exactly as
 ``test_worker_chaos._retry_bound`` states it). Hypothesis drives the
 seeds; the fault plan's keyed-generator design makes every failing
@@ -21,10 +21,8 @@ from repro.shard import SiteResultCache
 from repro.telemetry.spans import Telemetry
 from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
-#: Hang magnitudes are capped well under the deadline budget so a
-#: drawn hang costs one expiry (~1 s), not the default 60 s.
-_PLAN_OVERRIDES = {"hang_seconds": 2.0, "delay_range": (0.001, 0.01)}
-_DEADLINE = 0.75
+#: Short delays keep a drawn DELAY cheap without changing what it tests.
+_PLAN_OVERRIDES = {"delay_range": (0.001, 0.01)}
 
 _SITE_CACHE = {}
 
@@ -45,7 +43,6 @@ def _sites(n, seed):
 def _recovery(chaos_seed, rate):
     return WorkerRecovery(
         plan=WorkerFaultPlan.chaos(chaos_seed, rate, **_PLAN_OVERRIDES),
-        chunk_deadline=_DEADLINE,
     )
 
 
@@ -109,8 +106,7 @@ class TestShardChaosProperties:
         board = telemetry.counters.scalars
         chunks = board.get("engine.shards", 0)
         assert chunks >= 1
-        dispatches = (counters.get("worker.retries", 0)
-                      + counters.get("worker.resubmitted", 0))
+        dispatches = counters.get("worker.retries", 0)
         assert dispatches <= (chunks * 2 * max(2, 2 * batch)
                               * WorkerRecovery().retry.max_attempts)
         assert board.get("engine.shard_sites", 0) == n
@@ -140,13 +136,18 @@ class TestShardChaosProperties:
     @settings(max_examples=3, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_total_shard_loss_drains_inline(self, chaos_seed):
-        """Workers that always die leave the inline path to finish the
-        run -- forward progress never depends on a worker surviving."""
+        """Units that always fail leave quarantine to finish the run --
+        forward progress never depends on an injected attempt
+        succeeding: every site is quarantined to an uninjected run."""
         sites = _sites(4, seed=7)
         want = Engine(EngineConfig(workers=1, batch=2)).run_sites(sites)
         telemetry = Telemetry()
+        always = WorkerRecovery(plan=WorkerFaultPlan(seed=chaos_seed,
+                                                     error_rate=1.0))
         with Engine(EngineConfig(workers=2, batch=2),
-                    recovery=_recovery(chaos_seed, 1.0)) as engine:
+                    recovery=always) as engine:
             _assert_identical(engine.run_sites(sites, telemetry=telemetry),
                               want)
+            counters = engine.recovery_counters
+        assert counters["worker.quarantined_sites"] == len(sites)
         assert telemetry.counters.scalars.get("engine.shards", 0) >= 1

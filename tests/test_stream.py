@@ -311,33 +311,27 @@ class TestStreamCli:
 
     def test_recovery_line_follows_the_flags(self, sample_dir, capsys,
                                              monkeypatch):
-        # Fault-free: the summary appears exactly when a recovery flag
-        # was given (it also appears, unasked, after real recovery).
+        # Fault-free: no summary (it appears, unasked, after real
+        # recovery).
         monkeypatch.delenv("REPRO_WORKER_FAULT_RATE", raising=False)
         self._realign(sample_dir, "quiet.sam", "--workers", "2")
         assert "recovery:" not in capsys.readouterr().out
-        self._realign(sample_dir, "asked.sam", "--workers", "2",
-                      "--chunk-deadline", "20")
-        assert "recovery: deadline 20s, 0 worker faults injected, " \
-               "0 retries" in capsys.readouterr().out
         # Faulted: the pool takes the chaos flags, reports what it
         # observed, and still writes the serial SAM.
         serial = self._realign(sample_dir, "serial.sam")
-        for plane in (("--workers", "2"),
-                      ("--workers", "2", "--chunk-deadline", "5")):
+        for plane in (("--workers", "2"), ("--workers", "2", "--stream")):
             capsys.readouterr()
             assert self._realign(
                 sample_dir, "faulted.sam", *plane,
                 "--worker-fault-rate", "0.3", "--chaos-seed", "3",
             ) == serial
-            line = re.search(r"recovery: .* (\d+) worker faults injected, "
+            line = re.search(r"recovery: (\d+) worker faults injected, "
                              r"(\d+) retries", capsys.readouterr().out)
             assert line and int(line[1]) > 0 and int(line[2]) > 0
 
     @pytest.mark.parametrize("name,value,extra", [
         ("REPRO_WORKER_FAULT_RATE", "lots", ("--workers", "2")),
-        ("REPRO_CHUNK_DEADLINE", "0", ()),
-    ], ids=["fault-rate", "deadline-zero"])
+    ], ids=["fault-rate"])
     def test_bad_env_number_exits_2(self, sample_dir, monkeypatch, capsys,
                                     name, value, extra):
         from repro.__main__ import main as cli_main

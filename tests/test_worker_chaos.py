@@ -1,7 +1,7 @@
 """Chaos property tests for the fault-tolerant host data plane.
 
 The single invariant: for *any* workload and *any* seeded schedule of
-worker faults -- SIGKILL, hang, delay, error -- both engines terminate
+unit faults -- delay, error -- both engines terminate
 and produce output byte-identical to a fault-free serial run, with the
 recovery machinery's work bounded (retries cannot exceed what the
 retry policy plus bisection permit). Hypothesis drives the seeds; the
@@ -17,10 +17,8 @@ from repro.engine import Engine, EngineConfig, StreamingEngine
 from repro.resilience.workers import WorkerFaultPlan, WorkerRecovery
 from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
-#: Hang magnitudes are capped well under the deadline budget so a
-#: drawn hang costs one expiry (~1 s), not the default 60 s.
-_PLAN_OVERRIDES = {"hang_seconds": 2.0, "delay_range": (0.001, 0.01)}
-_DEADLINE = 0.75
+#: Short delays keep a drawn DELAY cheap without changing what it tests.
+_PLAN_OVERRIDES = {"delay_range": (0.001, 0.01)}
 
 _SITE_CACHE = {}
 
@@ -40,7 +38,6 @@ def _sites(n, seed):
 def _recovery(chaos_seed, rate):
     return WorkerRecovery(
         plan=WorkerFaultPlan.chaos(chaos_seed, rate, **_PLAN_OVERRIDES),
-        chunk_deadline=_DEADLINE,
     )
 
 
@@ -82,8 +79,7 @@ class TestWorkerChaosProperties:
                     recovery=_recovery(chaos_seed, rate)) as engine:
             _assert_identical(engine.run_sites(sites), want)
             counters = engine.recovery_counters
-        dispatches = (counters.get("worker.retries", 0)
-                      + counters.get("worker.resubmitted", 0))
+        dispatches = counters.get("worker.retries", 0)
         assert dispatches <= _retry_bound(n, batch)
 
     @given(
@@ -106,8 +102,7 @@ class TestWorkerChaosProperties:
                              recovery=_recovery(chaos_seed, rate)) as stream:
             _assert_identical(stream.run_sites(sites), want)
             counters = stream.recovery_counters
-        dispatches = (counters.get("worker.retries", 0)
-                      + counters.get("worker.resubmitted", 0))
+        dispatches = counters.get("worker.retries", 0)
         assert dispatches <= _retry_bound(n, batch)
 
     @given(chaos_seed=st.integers(0, 10_000), rate=st.floats(0.1, 0.6))

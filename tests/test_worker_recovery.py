@@ -1,17 +1,12 @@
 """Tests for host data-plane fault tolerance (resilience.workers).
 
 The contract under test mirrors the accelerator plane's: under any
-seeded schedule of worker faults -- SIGKILL, hang, delay, error -- the
-engines complete without hanging and their output is byte-identical to
-a fault-free run, with every recovery action visible in telemetry.
-Specific regressions pinned here: a worker SIGKILLed mid-chunk at
-``queue_depth=1`` used to block the in-flight window forever; a
-``BrokenProcessPool`` used to abort a ``--stream`` run.
+seeded schedule of unit faults -- delay, error -- the engines complete
+and their output is byte-identical to a fault-free run, with every
+recovery action visible in telemetry.
 """
 
 import io
-import os
-import time
 from dataclasses import replace
 
 import pytest
@@ -27,10 +22,6 @@ from repro.resilience.workers import (
 )
 from repro.telemetry import CAT_RECOVERY, Telemetry
 from tests.test_stream import _sites
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::pytest.PytestUnraisableExceptionWarning"
-)
 
 
 def _serial_results(sites):
@@ -66,7 +57,7 @@ class TestWorkerFaultPlan:
         plan = WorkerFaultPlan.chaos(seed=1, rate=1.0)
         outcomes = [plan.chunk_outcome(chunk, 0, 0) for chunk in range(64)]
         kinds = {event.kind for event in outcomes if event is not None}
-        # rate=1.0 means every dispatch faults, across all four kinds.
+        # rate=1.0 means every dispatch faults, across both kinds.
         assert all(event is not None for event in outcomes)
         assert kinds == set(WorkerFaultKind)
 
@@ -95,13 +86,11 @@ class TestWorkerFaultPlan:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WorkerFaultPlan(kill_rate=1.5)
+            WorkerFaultPlan(error_rate=1.5)
         with pytest.raises(ValueError):
-            WorkerFaultPlan(kill_rate=0.6, error_rate=0.6)
+            WorkerFaultPlan(delay_rate=0.6, error_rate=0.6)
         with pytest.raises(ValueError):
             WorkerFaultPlan(delay_range=(0.5, 0.1))
-        with pytest.raises(ValueError):
-            WorkerFaultPlan(hang_seconds=0.0)
         with pytest.raises(ValueError):
             WorkerFaultPlan.chaos(seed=0, rate=2.0)
 
@@ -117,11 +106,7 @@ class TestWorkerRecoveryConfig:
     @pytest.mark.parametrize("name,value", [
         ("REPRO_WORKER_FAULT_RATE", "lots"),
         ("REPRO_WORKER_FAULT_RATE", "1.5"),
-        ("REPRO_CHUNK_DEADLINE", "x"),
-        ("REPRO_CHUNK_DEADLINE", "0"),
         ("REPRO_CHAOS_SEED", "x"),
-        ("REPRO_WORKER_HANG_SECONDS", "x"),
-        ("REPRO_WORKER_HANG_SECONDS", "-1"),
     ])
     def test_from_env_rejects_bad_numbers_by_name(self, name, value):
         with pytest.raises(ValueError) as caught:
@@ -134,29 +119,16 @@ class TestWorkerRecoveryConfig:
         recovery = WorkerRecovery.from_env(env={
             "REPRO_WORKER_FAULT_RATE": "0.2",
             "REPRO_CHAOS_SEED": "11",
-            "REPRO_CHUNK_DEADLINE": "4.5",
-            "REPRO_WORKER_HANG_SECONDS": "2.0",
         })
-        assert recovery is not None
         assert recovery.plan.seed == 11
         assert recovery.plan.worker_fault_rate == pytest.approx(0.2)
-        assert recovery.plan.hang_seconds == 2.0
-        assert recovery.chunk_deadline == 4.5
-
-    def test_from_env_deadline_alone_enables_recovery(self):
-        recovery = WorkerRecovery.from_env(
-            env={"REPRO_CHUNK_DEADLINE": "9"})
-        assert recovery is not None
-        assert recovery.plan.is_fault_free
-        assert recovery.chunk_deadline == 9.0
+        assert recovery.plan.delay_rate == recovery.plan.error_rate
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WorkerRecovery(chunk_deadline=0.0)
-        with pytest.raises(ValueError):
             WorkerRecovery(cycle_seconds=0.0)
         with pytest.raises(ValueError):
-            WorkerRecovery(watchdog_tick=-1.0)
+            WorkerRecovery(cycle_seconds=-1.0)
 
     def test_backoff_seconds_scales_cycle_schedule(self):
         policy = WorkerRecovery().retry
@@ -173,14 +145,14 @@ class TestRecoverySpans:
     def test_events_become_recovery_spans_and_counter(self):
         telemetry = Telemetry()
         events = [
-            RecoveryEvent(name="deadline chunk 3", start=10.0, end=10.5,
+            RecoveryEvent(name="error chunk 3", start=10.0, end=10.5,
                           chunk=3, attempt=0),
-            RecoveryEvent(name="respawn pool", start=10.5, end=10.6),
+            RecoveryEvent(name="bisect chunk 3", start=10.5, end=10.6),
         ]
         record_recovery_spans(telemetry, events, origin=10.0)
         spans = telemetry.spans_in(CAT_RECOVERY)
-        assert [span.name for span in spans] == ["deadline chunk 3",
-                                                 "respawn pool"]
+        assert [span.name for span in spans] == ["error chunk 3",
+                                                 "bisect chunk 3"]
         assert all(span.track == "worker recovery" for span in spans)
         assert spans[0].start == 0.0 and spans[0].end == 0.5
         assert telemetry.counters.flat()["worker.recovery_spans"] == 2
@@ -192,15 +164,14 @@ class TestRecoverySpans:
         assert telemetry.spans == []
 
 
-def _recovery(*faults, deadline=8.0, **plan_overrides):
+def _recovery(*faults, **plan_overrides):
     return WorkerRecovery(
         plan=WorkerFaultPlan.scripted(*faults, **plan_overrides),
-        chunk_deadline=deadline,
     )
 
 
 #: One row since ``ShardPlane`` became this engine under another name;
-#: still a parametrization so the three ids keep their ``[Engine]``.
+#: still a parametrization so the id keeps its ``[Engine]``.
 _barrier_planes = pytest.mark.parametrize("make_plane", [
     lambda config, recovery: Engine(config, recovery=recovery),
 ], ids=["Engine"])
@@ -214,26 +185,6 @@ class TestEngineRecovery:
                     recovery=_recovery()) as engine:
             _assert_identical(engine.run_sites(sites), want)
             assert engine.recovery_counters == {}
-
-    @_barrier_planes
-    def test_sigkill_mid_chunk_respawns_and_completes(self, make_plane):
-        sites = _sites(8, seed=31)
-        want = _serial_results(sites)
-        recovery = _recovery(
-            ForcedWorkerFault(chunk=0, attempt=0,
-                              kind=WorkerFaultKind.KILL),
-        )
-        telemetry = Telemetry()
-        with make_plane(EngineConfig(workers=2, batch=2),
-                        recovery) as engine:
-            _assert_identical(engine.run_sites(sites, telemetry=telemetry),
-                              want)
-            counters = engine.recovery_counters
-        assert counters["worker.injected.worker-kill"] == 1
-        assert counters["worker.pool_respawns"] >= 1
-        flat = telemetry.counters.flat()
-        assert flat["worker.pool_respawns"] >= 1
-        assert telemetry.spans_in(CAT_RECOVERY)
 
     @_barrier_planes
     def test_injected_error_is_retried(self, make_plane):
@@ -250,28 +201,6 @@ class TestEngineRecovery:
         assert counters["worker.errors"] == 1
         assert counters["worker.retries"] >= 1
 
-    @_barrier_planes
-    def test_hang_expires_deadline_and_recovers(self, make_plane):
-        sites = _sites(6, seed=41)
-        want = _serial_results(sites)
-        recovery = WorkerRecovery(
-            plan=WorkerFaultPlan.scripted(
-                ForcedWorkerFault(chunk=0, attempt=0,
-                                  kind=WorkerFaultKind.HANG),
-                hang_seconds=2.0,
-            ),
-            chunk_deadline=0.5,
-        )
-        start = time.perf_counter()
-        with make_plane(EngineConfig(workers=2, batch=2),
-                        recovery) as engine:
-            _assert_identical(engine.run_sites(sites), want)
-            counters = engine.recovery_counters
-        assert counters["worker.deadline_expired"] >= 1
-        # The hang is 2 s; the run must finish well under the hang-free
-        # serial bound plus one deadline + retry, not wait it out fully.
-        assert time.perf_counter() - start < 30.0
-
     def test_poison_chunk_bisects_then_quarantines_inline(self):
         sites = _sites(4, seed=43)
         want = _serial_results(sites)
@@ -285,7 +214,7 @@ class TestEngineRecovery:
             for lo in (0, 1)
             for attempt in range(attempts)
         ]
-        recovery = _recovery(*faults, deadline=8.0)
+        recovery = _recovery(*faults)
         with Engine(EngineConfig(workers=2, batch=2),
                     recovery=recovery) as engine:
             _assert_identical(engine.run_sites(sites), want)
@@ -303,7 +232,7 @@ class TestEngineRecovery:
         # Fault every attempt at (chunk 1, lo=0). The whole chunk
         # exhausts and bisects; the lo=0 half inherits the same fault
         # key and quarantines, but the lo=1 half -- never faulted --
-        # completes in the pool: exactly one site leaves the fast path.
+        # completes on its first attempt: exactly one site is quarantined.
         faults = [
             ForcedWorkerFault(chunk=1, attempt=attempt,
                               kind=WorkerFaultKind.ERROR)
@@ -317,82 +246,32 @@ class TestEngineRecovery:
         assert counters["worker.quarantined_sites"] == 1
         assert counters["worker.errors"] == 2 * attempts
 
+    def test_genuine_error_reaches_the_caller(self, monkeypatch):
+        # A real (uninjected) failure rides the same ladder -- retry,
+        # bisect, quarantine -- and the quarantined run raises it, with
+        # its own type and message, out of run_sites.
+        from repro.engine import parallel
+
+        sites = _sites(4, seed=71)
+        poison = sites[3]
+        real = parallel._realign_chunk
+
+        def flaky(chunk_id, part, config):
+            if any(site is poison for site in part):
+                raise KeyError("poison site")
+            return real(chunk_id, part, config)
+
+        monkeypatch.setattr(parallel, "_realign_chunk", flaky)
+        with Engine(EngineConfig(workers=2, batch=2),
+                    recovery=_recovery()) as engine:
+            with pytest.raises(KeyError, match="poison site"):
+                engine.run_sites(sites)
+
 
 class TestStreamingRecovery:
-    def test_sigkill_at_queue_depth_one_completes(self):
-        # The original hang: a killed worker lost its chunk and the
-        # depth-1 window never freed. The watchdog must finish the run.
-        sites = _sites(8, seed=53)
-        want = _serial_results(sites)
-        recovery = _recovery(
-            ForcedWorkerFault(chunk=1, attempt=0,
-                              kind=WorkerFaultKind.KILL),
-        )
-        telemetry = Telemetry()
-        with StreamingEngine(EngineConfig(workers=2, batch=2),
-                             queue_depth=1, recovery=recovery) as stream:
-            got = list(stream.stream_sites(sites, telemetry=telemetry))
-            counters = stream.recovery_counters
-        _assert_identical(got, want)
-        assert counters["worker.injected.worker-kill"] == 1
-        assert counters["worker.pool_respawns"] >= 1
-        assert telemetry.counters.flat()["worker.chunks_recovered"] >= 1
-        assert telemetry.spans_in(CAT_RECOVERY)
-
-    def test_killed_worker_run_touches_no_shared_memory(self):
-        # Nothing to unlink any more: a pooled run touches no shared
-        # memory, in flight or afterwards, killed worker or not. This is
-        # the guard against a second transport coming back.
-        shm_dir = "/dev/shm"
-        if not os.path.isdir(shm_dir):
-            pytest.skip("no /dev/shm to observe")
-        sites = _sites(6, seed=59)
-        recovery = _recovery(
-            ForcedWorkerFault(chunk=0, attempt=0,
-                              kind=WorkerFaultKind.KILL),
-        )
-        before = set(os.listdir(shm_dir))
-        with StreamingEngine(EngineConfig(workers=2, batch=2),
-                             queue_depth=1, recovery=recovery) as stream:
-            for _result in stream.stream_sites(sites):
-                assert set(os.listdir(shm_dir)) == before  # chunks in flight
-            assert stream.recovery_counters["worker.pool_respawns"] >= 1
-        assert set(os.listdir(shm_dir)) == before
-
-    def test_first_dispatch_and_retry_ship_the_same_payload(self,
-                                                            monkeypatch):
-        # One payload, one code path: what a retry re-sends is what the
-        # first dispatch sent -- the chunk's sites, pickled into the task.
-        import dataclasses
-        from concurrent.futures import ProcessPoolExecutor
-
-        sent = []
-        submit = ProcessPoolExecutor.submit
-
-        def spy(executor, fn, task):
-            sent.append(task)
-            return submit(executor, fn, task)
-
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
-        sites = _sites(6, seed=61)
-        recovery = _recovery(
-            ForcedWorkerFault(chunk=1, attempt=0,
-                              kind=WorkerFaultKind.ERROR),
-        )
-        with StreamingEngine(EngineConfig(workers=2, batch=2),
-                             recovery=recovery) as stream:
-            _assert_identical(stream.run_sites(sites),
-                              _serial_results(sites))
-        first, retry = [task for task in sent if task.chunk_id == 1]
-        assert (first.attempt, retry.attempt) == (0, 1)
-        assert first.sites == retry.sites == tuple(sites[2:4])
-        assert [f.name for f in dataclasses.fields(first)] == [
-            "chunk_id", "lo", "attempt", "sites"]
-
     def test_streamed_chaos_matches_barrier_and_serial_sam(self):
-        # The acceptance run: one fixed seed, >= 3 distinct fault kinds
-        # including SIGKILL of a live worker mid-chunk, on both engines;
-        # SAM output byte-identical to fault-free on each.
+        # The acceptance run: both fault kinds, on both engines; SAM
+        # output byte-identical to fault-free on each.
         from repro.genomics.samlite import write_sam
         from repro.genomics.simulate import SimulationProfile, simulate_sample
         from repro.realign.realigner import IndelRealigner
@@ -413,15 +292,12 @@ class TestStreamingRecovery:
 
         want = sam_with(None)
         faults = (
-            ForcedWorkerFault(chunk=1, attempt=0,
-                              kind=WorkerFaultKind.KILL),
             ForcedWorkerFault(chunk=0, attempt=0,
                               kind=WorkerFaultKind.ERROR),
             ForcedWorkerFault(chunk=2, attempt=0,
                               kind=WorkerFaultKind.DELAY),
         )
         config = EngineConfig(workers=2, batch=2)
-        telemetry = Telemetry()
         with Engine(config, recovery=_recovery(*faults)) as engine:
             barrier_sam = sam_with(engine)
             barrier_counters = dict(engine.recovery_counters)
@@ -435,19 +311,18 @@ class TestStreamingRecovery:
             stream_counters = dict(stream.recovery_counters)
         assert barrier_sam == want
         assert stream_sam == want
-        injected = {name for name in barrier_counters
-                    if name.startswith("worker.injected.")}
-        assert injected == {
-            "worker.injected.worker-kill",
-            "worker.injected.worker-error",
-            "worker.injected.worker-delay",
-        }
-        assert barrier_counters["worker.pool_respawns"] >= 1
-        assert stream_counters["worker.pool_respawns"] >= 1
+        for counters in (barrier_counters, stream_counters):
+            injected = {name for name in counters
+                        if name.startswith("worker.injected.")}
+            assert injected == {
+                "worker.injected.worker-error",
+                "worker.injected.worker-delay",
+            }
+            assert counters["worker.retries"] >= 1
 
     def test_recovery_engine_works_across_runs(self):
-        # The resilient pool persists like the plain pool; state from an
-        # earlier run (same chunk ids!) must not contaminate the next.
+        # The unit threads persist across runs; state from an earlier
+        # run (same chunk ids!) must not contaminate the next.
         sites_a = _sites(6, seed=61)
         sites_b = _sites(6, seed=67)
         recovery = _recovery(
@@ -464,12 +339,11 @@ class TestStreamingRecovery:
 
 class TestEnvDrivenRecovery:
     def test_engine_picks_up_recovery_from_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_FAULT_RATE", "0.0")
-        monkeypatch.setenv("REPRO_CHUNK_DEADLINE", "20")
+        monkeypatch.setenv("REPRO_WORKER_FAULT_RATE", "0.3")
+        monkeypatch.setenv("REPRO_CHAOS_SEED", "20")
         engine = Engine(EngineConfig(workers=2, batch=2))
         try:
-            assert engine.recovery is not None
-            assert engine.recovery.chunk_deadline == 20.0
+            assert engine.recovery == WorkerRecovery.chaos(20, 0.3)
         finally:
             engine.close()
 
@@ -479,9 +353,8 @@ class TestEnvDrivenRecovery:
     ], ids=["Engine", "StreamingEngine"])
     def test_none_means_defaults(self, monkeypatch, make_plane):
         # recovery=None means "the defaults", never "off": every pooled
-        # run is under the watchdog, and fault-free it observes nothing.
-        for name in ("REPRO_WORKER_FAULT_RATE", "REPRO_CHUNK_DEADLINE",
-                     "REPRO_CHAOS_SEED", "REPRO_WORKER_HANG_SECONDS"):
+        # chunk runs under recovery, and fault-free it observes nothing.
+        for name in ("REPRO_WORKER_FAULT_RATE", "REPRO_CHAOS_SEED"):
             monkeypatch.delenv(name, raising=False)
         sites = _sites(6, seed=41)
         with make_plane() as plane:
@@ -490,33 +363,3 @@ class TestEnvDrivenRecovery:
             assert plane.recovery_counters == {}
             assert plane.recovery_events == []
 
-
-class TestDeadlineExcludesQueueWait:
-    @pytest.mark.parametrize("make_engine", [
-        lambda config, recovery: Engine(config, recovery=recovery),
-        lambda config, recovery: StreamingEngine(
-            config, queue_depth=12, recovery=recovery),
-    ], ids=["Engine", "StreamingEngine"])
-    def test_run_longer_than_deadline_observes_nothing(self, monkeypatch,
-                                                       make_engine):
-        # The barrier window submits all 24 chunks at once; at 50 ms a
-        # chunk on 2 workers the last one waits ~0.6 s for a worker. A
-        # 0.4 s deadline is 8 chunks long but shorter than that wait: it
-        # must start when a worker is handed the chunk, not at submit.
-        from repro.engine import parallel
-
-        real = parallel._realign_chunk
-
-        def slow(chunk_id, sites, config):
-            time.sleep(0.05)
-            return real(chunk_id, sites, config)
-
-        monkeypatch.setattr(parallel, "_realign_chunk", slow)  # pre-fork
-        sites = _sites(24, seed=53)
-        want = [result for site in sites for result in real(0, [site],
-                                                            EngineConfig())[1]]
-        with make_engine(EngineConfig(workers=2, batch=1),
-                         WorkerRecovery(chunk_deadline=0.4)) as engine:
-            _assert_identical(engine.run_sites(sites), want)
-            assert engine.recovery_counters == {}
-            assert engine.recovery_events == []
