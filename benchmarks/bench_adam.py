@@ -1,16 +1,11 @@
-"""Section V-B: IR ACC versus ADAM (paper: 30.2x-69.1x, avg 41.4x)."""
+"""Section V-B: IR ACC versus ADAM (paper: 30.2x-69.1x, avg 41.4x).
 
-from conftest import bench_replication
+The run is ``conftest.comparisons_outcome``, shared with
+``bench_hls.py``.
+"""
 
-from repro.experiments import comparisons
 
-
-def test_adam_comparison(once):
-    outcome = once(
-        comparisons.run,
-        sites_per_chromosome=48,
-        replication=bench_replication(),
-        chromosomes=("2", "9", "21"),
-    )
+def test_adam_comparison(comparisons_outcome):
+    outcome = comparisons_outcome
     assert 15 < outcome.adam_gmean < 80  # paper avg: 41.4x
     assert all(s > 10 for s in outcome.adam_speedups)

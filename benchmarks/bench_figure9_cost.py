@@ -2,22 +2,15 @@
 
 Paper bars: GATK3 $28, ADAM $14.5, IR ACC $0.90 -- 32x / 17x cost
 efficiency. The cost extrapolation uses the measured gmean speedup over
-the full-scale census anchor (42.1 h of GATK3 at $0.665/hr).
+the full-scale census anchor (42.1 h of GATK3 at $0.665/hr). The run is
+``conftest.figure9_outcome``, shared with ``bench_figure9_speedup.py``.
 """
 
-from conftest import bench_replication, bench_sites
-
-from repro.experiments import figure9
 from repro.perf.cost import cost_efficiency
 
 
-def test_figure9_cost(once):
-    outcome = once(
-        figure9.run,
-        sites_per_chromosome=bench_sites(),
-        replication=bench_replication(),
-    )
-    costs = outcome.costs
+def test_figure9_cost(figure9_outcome):
+    costs = figure9_outcome.costs
     print()
     for name, report in costs.items():
         print(f"{name:8s} {report.instance.name:12s} "

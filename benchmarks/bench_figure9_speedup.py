@@ -3,16 +3,13 @@
 Regenerates the paper's headline result -- IR ACC at 66.7x-115.4x over
 8-thread GATK3 (gmean 81.3x) across chromosomes 1-22, with the
 IRAcc-TaskP and IRAcc-TaskP-Async design points on the representative
-subset.
+subset. The run is ``conftest.figure9_outcome``, shared with
+``bench_figure9_cost.py``.
 """
 
-from conftest import bench_replication, bench_sites
 
-from repro.experiments import figure9
-
-
-def test_figure9_speedup(once):
-    outcome = once(figure9.main, bench_sites(), bench_replication())
+def test_figure9_speedup(figure9_outcome):
+    outcome = figure9_outcome
     lo, hi = outcome.speedup_range
     # Shape assertions: who wins, by roughly what factor.
     assert outcome.gmean_speedup > 50

@@ -1,14 +1,12 @@
-"""Section V-B: the SDAccel HLS build (paper: only 1.3x-3.1x over GATK3)."""
+"""Section V-B: the SDAccel HLS build (paper: only 1.3x-3.1x over GATK3).
 
-from conftest import bench_replication
+The run is ``conftest.comparisons_outcome``, shared with
+``bench_adam.py``.
+"""
 
-from repro.experiments import comparisons
 
-
-def test_hls_comparison(once):
-    outcome = once(
-        comparisons.main,
-    )
+def test_hls_comparison(comparisons_outcome):
+    outcome = comparisons_outcome
     lo, hi = outcome.hls_range
     # The HLS build helps, but an order of magnitude less than IR ACC.
     assert 0.8 < lo <= hi < 8.0

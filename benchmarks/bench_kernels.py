@@ -39,6 +39,11 @@ escalating best-of counts (``GATE_ROUNDS``) and merges per-kernel
 bests, so only a slowdown that persists across every round -- a real
 regression, not a noisy co-tenant -- fails CI.
 
+The microbenchmarks at the end time one WHD call at a time with
+pytest-benchmark's normal repetition: the vectorised ``whd_profile``,
+the simulator's Hamming-distance calculator in its analytic 32-lane and
+1-lane forms, and one site through a modelled IR unit.
+
 Refresh the committed numbers with:
 
     PYTHONPATH=src REPRO_BENCH_SITES=48 python -m pytest \
@@ -51,8 +56,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.accelerator import IRUnit, UnitConfig
+from repro.core.hdc import HammingDistanceCalculator
 from repro.engine.autotune import dispatch_realign
 from repro.engine.native import native_available, warmup_native
+from repro.realign.whd import realign_site, whd_profile
 from repro.workloads.generator import (
     BENCH_PROFILE,
     SiteProfile,
@@ -258,3 +266,40 @@ def test_kernels_gate():
                   f"{len(failures)} check(s); escalating to "
                   f"best-of-{GATE_ROUNDS[round_no]}")
     assert not failures, "\n".join(failures)
+
+
+def _pair(m=1024, n=200, seed=0):
+    rng = np.random.default_rng(seed)
+    codes = np.frombuffer(b"ACGT", dtype=np.uint8)
+    cons = codes[rng.integers(0, 4, m)]
+    read = np.concatenate([cons[100:100 + n // 2],
+                           codes[rng.integers(0, 4, n - n // 2)]])
+    quals = rng.integers(20, 41, n).astype(np.uint8)
+    return cons, read, quals
+
+
+def test_whd_profile_kernel(benchmark):
+    cons, read, quals = _pair()
+    profile = benchmark(whd_profile, cons, read, quals)
+    assert profile.shape == (1024 - 200 + 1,)
+
+
+def test_hdc_analytic_parallel(benchmark):
+    cons, read, quals = _pair()
+    hdc = HammingDistanceCalculator(lanes=32, prune=True)
+    result = benchmark(hdc.compute_pair, cons, read, quals)
+    assert result.comparisons <= result.unpruned_comparisons
+
+
+def test_hdc_analytic_scalar(benchmark):
+    cons, read, quals = _pair()
+    hdc = HammingDistanceCalculator(lanes=1, prune=True)
+    result = benchmark(hdc.compute_pair, cons, read, quals)
+    assert result.cycles > 0
+
+
+def test_site_through_unit(benchmark):
+    site = synthesize_site(np.random.default_rng(1), BENCH_PROFILE)
+    unit = IRUnit(UnitConfig(lanes=32))
+    result = benchmark(unit.run_site, site)
+    assert result.matches(realign_site(site))

@@ -76,7 +76,7 @@ from pathlib import Path
 #: subcommand without documenting it is a test failure, not a silent
 #: omission.
 COMMANDS = {
-    "figure2": "roofline: WHD arithmetic intensity vs. the F1 ceilings",
+    "figure2": "execution-time breakdown of the three analysis pipelines",
     "figure3": "kernel microbenchmark: cycles per WHD cell vs. the paper",
     "figure4": "the paper's worked WHD example, end to end",
     "figure7": "speedup vs. software GATK across chromosome workloads",

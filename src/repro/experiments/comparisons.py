@@ -69,8 +69,9 @@ def run(sites_per_chromosome: int = 96, replication: int = 24,
     )
 
 
-def main() -> ComparisonsResult:
-    outcome = run()
+def main(sites_per_chromosome: int = 96, replication: int = 24
+         ) -> ComparisonsResult:
+    outcome = run(sites_per_chromosome, replication)
     print(banner("Section V-B comparisons"))
     print(f"IR ACC over ADAM: gmean {outcome.adam_gmean:.1f}x, range "
           f"{min(outcome.adam_speedups):.1f}-{max(outcome.adam_speedups):.1f}x"

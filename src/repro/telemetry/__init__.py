@@ -15,8 +15,8 @@ Usage::
 
 Every instrumented hot path takes ``telemetry=None`` by default and
 guards each event site with a single ``is not None`` check -- with
-telemetry off there is no recorder, no allocation, and no measurable
-overhead (pinned by ``benchmarks/bench_telemetry.py``); with it on,
+telemetry off there is no recorder and no allocation; with it on, the
+cost stays small (gated by ``benchmarks/bench_telemetry.py``) and
 functional outputs are byte-identical (pinned by property tests).
 
 See ``docs/TELEMETRY.md`` for counter definitions and the span schema.

@@ -4,9 +4,9 @@ Covers the left-normalized INDEL matcher (the ambiguous-anchor cases
 that used to double-count equivalent edits), the mismatch/concordance
 counters, the report structures, the per-scenario accuracy gate
 (realignment must *help*, with pinned truth-INDEL F1 floors), the
-cross-kernel/engine accuracy matrix (every execution path produces the
-same scorecard), and chaos composition (injected worker faults change
-nothing about the scores).
+kernel and engine axes of the accuracy matrix (every execution path
+produces the same scorecard), and chaos composition (injected worker
+faults change nothing about the scores).
 """
 
 from __future__ import annotations
@@ -337,27 +337,32 @@ class TestAccuracyGate:
 
 
 class TestAccuracyMatrix:
-    """Every kernel x engine combination emits the same scorecard.
+    """Each kernel, and each pooled engine, emits the serial ``auto``
+    scorecard.
 
     The byte-identity goldens pin read-level equality; this pins the
     derived *evaluation* -- if a dispatch path ever diverged, the drift
-    would read as an accuracy delta, named by scenario and field.
+    would read as an accuracy delta, named by scenario and field. Two
+    axes, not their cross product: the numpy kernels run serially, and
+    ``auto`` runs on the barrier and the streaming engine. An engine
+    hands each site to the kernel it was configured with and nothing
+    else, so a (kernel, engine) cell adds nothing to the two axes.
+    ``scalar`` is not here: its one end-to-end run is the golden
+    matrix's ``scalar-barrier`` cell (tests/test_golden.py).
     """
-
-    KERNELS = ("auto", "scalar", "vector", "fft", "bitpack")
 
     @pytest.fixture(scope="class")
     def baseline(self, reports):
         return reports["toy"].to_dict()
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", ("vector", "fft", "bitpack"))
     def test_serial_kernels_match_baseline(self, baseline, kernel):
         report = run_scenario("toy", kernel=kernel)
         assert report.to_dict() == baseline, (
             f"serial kernel {kernel} produced a different evaluation"
         )
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", ("auto",))
     def test_barrier_engine_matches_baseline(self, baseline, kernel):
         config = EngineConfig(workers=2, batch=3, kernel=kernel)
         report = run_scenario("toy", engine=config)
@@ -366,7 +371,7 @@ class TestAccuracyMatrix:
             f"evaluation"
         )
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("kernel", ("auto",))
     def test_streaming_engine_matches_baseline(self, baseline, kernel):
         engine = StreamingEngine(
             EngineConfig(workers=2, batch=3, kernel=kernel)
