@@ -1,34 +1,12 @@
 """Command-line driver: ``python -m repro <command>``.
 
-Commands:
-
-- ``figure2`` / ``figure3`` / ``figure4`` / ``figure7`` / ``figure9`` /
-  ``tables`` / ``microarch`` / ``comparisons`` -- print one experiment's
-  paper-versus-measured tables (the same code the benchmark harness
-  runs).
-- ``resilience`` -- chaos-mode sweep: modelled speedup vs. injected
-  fault rate, with watchdog/retry/quarantine/fallback recovery.
-- ``all`` -- run every experiment in order.
-- ``simulate`` -- write a synthetic sample (FASTA + SAM) to a directory.
-- ``realign`` -- run the software INDEL realigner over a SAM file.
-- ``evaluate`` -- run an accuracy scenario (toy / cohort / adversarial)
-  through the before/after pipeline and print the outcome scorecard
-  (mismatch totals, concordance vs. truth, truth-INDEL F1); ``--out``
-  writes the full deterministic ``EvaluationReport`` JSON.
-- ``trace`` -- run a bench workload through the sync / async / recovery
-  schedulers with telemetry on and write a Chrome ``trace_event`` file
-  (open it at https://ui.perfetto.dev).
-- ``serve`` -- run the realignment service: an asyncio TCP server with
-  request coalescing, admission control, deadlines, and latency
-  telemetry over any engine configuration (docs/SERVING.md).
-- ``loadgen`` -- drive a seeded many-tenant load against a running
-  server (or ``--selftest`` an in-process one) and report latency
-  percentiles, rejections, and byte-identity vs. the batch realigner.
-
-The full command table lives in the ``--help`` epilog (generated from
-``COMMANDS`` below) and in ``docs/CLI.md``; a test keeps all three in
-sync, so a new subcommand cannot silently go undocumented again the way
-``evaluate`` originally did.
+The command table is ``COMMANDS`` below: it feeds the subparsers'
+help, the ``--help`` epilog and the index in ``docs/CLI.md``, and
+``tests/test_cli_reference.py`` keeps all three in sync. Every
+subparser names its command function with ``set_defaults(run=...)``;
+``main`` checks the parsed flags once (``_flag_errors``) and
+dispatches, and every engine-backed command gets its engine from
+``engine_from_args``.
 
 Output paths are validated when arguments are parsed, not at the end of
 the run: a ``realign`` over a large SAM fails in milliseconds -- not
@@ -67,24 +45,31 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
-#: Every subcommand with its one-line description. This single table
-#: feeds the subparser ``help=`` strings, the ``--help`` epilog, and
-#: the generated reference in ``docs/CLI.md``
+#: Every subcommand with its one-line description; a paper command's
+#: is the docstring heading of its ``repro.experiments`` module. This
+#: single table feeds the subparser ``help=`` strings, the ``--help``
+#: epilog, and the index in ``docs/CLI.md``
 #: (``tests/test_cli_reference.py`` keeps them in sync) -- so adding a
 #: subcommand without documenting it is a test failure, not a silent
 #: omission.
 COMMANDS = {
-    "figure2": "execution-time breakdown of the three analysis pipelines",
-    "figure3": "kernel microbenchmark: cycles per WHD cell vs. the paper",
-    "figure4": "the paper's worked WHD example, end to end",
-    "figure7": "speedup vs. software GATK across chromosome workloads",
-    "figure9": "fleet cost/latency frontier for the cloud deployment",
-    "tables": "the paper's configuration and result tables",
-    "appendix": "appendix experiments (sensitivity sweeps)",
-    "microarch": "PE microarchitecture model: occupancy and stalls",
-    "comparisons": "cross-system comparisons (CPU / FPGA / cloud)",
+    "figure2": "Figure 2: genomic-analysis execution-time breakdown",
+    "figure3": "Figure 3: INDEL realignment's share of refinement time, "
+               "per chromosome",
+    "figure4": "Figure 4: the paper's worked INDEL-realignment example",
+    "figure7": "Figure 7: synchronous- vs asynchronous-parallel scheduling",
+    "figure9": "Figure 9: speedups over GATK3 (left) and dollars to run "
+               "(right)",
+    "tables": "Tables I and II: the accelerator ISA and the machine "
+              "configurations",
+    "appendix": "The paper's Appendix: Figure 10 and the glossary, made "
+                "executable",
+    "microarch": "Microarchitecture claims: pruning, resources, throughput, "
+                 "DMA share",
+    "comparisons": "Section V-B comparison points: ADAM, HLS, and GPU",
     "all": "run every experiment in order",
     "resilience": "chaos sweep: modelled speedup vs. injected fault rate",
     "simulate": "write a synthetic sample (FASTA + SAM + truth) to a dir",
@@ -164,64 +149,44 @@ def _out_dir(value: str) -> Path:
     return path
 
 
-def _cmd_experiment(name: str, args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        comparisons,
-        figure2,
-        figure3,
-        figure4,
-        figure7,
-        figure9,
-        microarch,
-        tables,
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """A paper experiment that takes no flags: print its tables."""
+    from importlib import import_module
+
+    import_module(f"repro.experiments.{args.command}").main()
+    return 0
+
+
+def _cmd_figure9(args: argparse.Namespace) -> int:
+    from repro.experiments import figure9
+
+    figure9.main(sites_per_chromosome=args.sites,
+                 replication=args.replication)
+    return 0
+
+
+def _cmd_resilience(args: argparse.Namespace) -> int:
+    from repro.experiments import resilience
+
+    resilience.main(
+        fault_rates=tuple(args.fault_rate or resilience.DEFAULT_FAULT_RATES),
+        sites_per_chromosome=args.sites,
+        replication=args.replication,
+        chaos_seed=args.chaos_seed,
+        trace_out=args.telemetry,
     )
+    return 0
 
-    if name == "figure9":
-        figure9.main(sites_per_chromosome=args.sites,
-                     replication=args.replication)
-        return 0
-    if name == "resilience":
-        from repro.experiments import resilience
-        from repro.experiments.resilience import DEFAULT_FAULT_RATES
 
-        rates = tuple(getattr(args, "fault_rate", None)
-                      or DEFAULT_FAULT_RATES)
-        bad = [rate for rate in rates if not 0.0 <= rate <= 1.0]
-        if bad:
-            print(f"error: --fault-rate must be in [0, 1], got {bad[0]}",
-                  file=sys.stderr)
-            return 2
-        resilience.main(
-            fault_rates=rates,
-            sites_per_chromosome=getattr(args, "sites", 48),
-            replication=getattr(args, "replication", 4),
-            chaos_seed=getattr(args, "chaos_seed", 1234),
-            trace_out=getattr(args, "telemetry", None),
-        )
-        return 0
-    if name == "comparisons":
-        comparisons.main()
-        return 0
-    from repro.experiments import appendix
-
-    module = {
-        "figure2": figure2, "figure3": figure3, "figure4": figure4,
-        "figure7": figure7, "microarch": microarch, "appendix": appendix,
-    }.get(name)
-    if module is not None:
-        module.main()
-        return 0
-    if name == "tables":
-        tables.main()
-        return 0
-    if name == "all":
-        for experiment in ("figure2", "figure3", "figure4", "tables",
-                           "figure7", "appendix", "microarch", "figure9",
-                           "resilience"):
-            _cmd_experiment(experiment, args)
-            print()
-        return 0
-    raise AssertionError(f"unhandled experiment {name}")
+def _cmd_all(args: argparse.Namespace) -> int:
+    """Every experiment in order, each at its own subcommand's defaults."""
+    parser = build_parser()
+    for name in ("figure2", "figure3", "figure4", "tables", "figure7",
+                 "appendix", "microarch", "figure9", "resilience"):
+        leg = parser.parse_args([name])
+        leg.run(leg)
+        print()
+    return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -251,63 +216,60 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_recovery_flags(args: argparse.Namespace):
-    """Validate the worker-recovery flags; an error string or None."""
-    if not 0.0 <= args.worker_fault_rate <= 1.0:
-        return (f"error: --worker-fault-rate must be in [0, 1], "
-                f"got {args.worker_fault_rate}")
-    if args.worker_fault_rate > 0.0 and args.workers < 2:
-        return ("error: --worker-fault-rate requires --workers >= 2 "
-                "(the inline engine has no worker pool to fault)")
-    return None
+@contextmanager
+def engine_from_args(args: argparse.Namespace, stream=None):
+    """The live engine the engine flags describe, closed on exit.
 
-
-def _make_recovery(args: argparse.Namespace):
-    """The run's :class:`WorkerRecovery`: the environment's, or a
-    chaos plan when ``--worker-fault-rate`` was given."""
+    A :class:`StreamingEngine` when ``--stream`` (``stream`` overrides
+    the flag), else an :class:`Engine`; its :class:`WorkerRecovery` is
+    a chaos plan when ``--worker-fault-rate`` was given, else the
+    environment's; a :class:`~repro.shard.cache.SiteResultCache` sits
+    in front when ``--site-cache-mb`` asks for one. When the block
+    completes it prints the ``stream:`` line of a streaming engine and
+    the ``recovery:`` line -- when ``--worker-fault-rate`` was given,
+    or when the pool had to recover anything.
+    """
+    from repro.engine import Engine, EngineConfig, StreamingEngine
     from repro.resilience.workers import WorkerRecovery
 
-    if args.worker_fault_rate > 0.0:
-        return WorkerRecovery.chaos(args.chaos_seed, args.worker_fault_rate)
-    return WorkerRecovery.from_env()
-
-
-def _make_engine(args: argparse.Namespace):
-    """The live engine the engine flags describe: a
-    :class:`StreamingEngine` when ``--stream``, else an
-    :class:`Engine`, with a :class:`~repro.shard.cache.SiteResultCache`
-    in front when ``--site-cache-mb`` asks for one. The caller closes
-    it."""
-    from repro.engine import Engine, EngineConfig, StreamingEngine
-
-    config = EngineConfig(workers=args.workers, batch=args.batch,
-                          kernel=args.kernel)
+    stream = args.stream if stream is None else stream
+    try:
+        recovery = (
+            WorkerRecovery.chaos(args.chaos_seed, args.worker_fault_rate)
+            if args.worker_fault_rate > 0.0 else WorkerRecovery.from_env()
+        )
+    except ValueError as error:  # a malformed REPRO_* number
+        print(f"error: {error}", file=sys.stderr)
+        raise SystemExit(2)
     cache = None
     if args.site_cache_mb > 0:
         from repro.shard.cache import SiteResultCache
 
         cache = SiteResultCache.from_megabytes(args.site_cache_mb)
-    recovery = _make_recovery(args)
-    if args.stream:
-        return StreamingEngine(config, queue_depth=args.queue_depth,
-                               recovery=recovery, cache=cache)
-    return Engine(config, recovery=recovery, cache=cache)
-
-
-def _print_recovery(engine, args: argparse.Namespace) -> None:
-    """One summary line of the worker pool's recovery activity: when
-    ``--worker-fault-rate`` was given, or when the pool had to recover
-    anything."""
-    counters = engine.recovery_counters
-    if not (args.worker_fault_rate > 0.0
-            or any(name.startswith("worker.") for name in counters)):
-        return
-    injected = sum(value for name, value in counters.items()
-                   if name.startswith("worker.injected."))
-    print(f"recovery: {injected} worker faults injected, "
-          f"{counters.get('worker.retries', 0)} retries, "
-          f"{counters.get('worker.quarantined_sites', 0)} sites "
-          f"quarantined inline")
+    config = EngineConfig(workers=args.workers, batch=args.batch,
+                          kernel=args.kernel)
+    engine = (StreamingEngine(config, queue_depth=args.queue_depth,
+                              recovery=recovery, cache=cache)
+              if stream else Engine(config, recovery=recovery, cache=cache))
+    try:
+        yield engine
+        if stream and engine.stream_stats:
+            stats = engine.stream_stats
+            print(f"stream: {stats['stream.chunks']} chunks, "
+                  f"max in-flight {stats['stream.max_in_flight']}, "
+                  f"reorder peak {stats['stream.reorder_peak']}, "
+                  f"backpressure {stats['stream.backpressure_us']} us")
+        counters = engine.recovery_counters
+        if (args.worker_fault_rate > 0.0
+                or any(name.startswith("worker.") for name in counters)):
+            injected = sum(value for name, value in counters.items()
+                           if name.startswith("worker.injected."))
+            print(f"recovery: {injected} worker faults injected, "
+                  f"{counters.get('worker.retries', 0)} retries, "
+                  f"{counters.get('worker.quarantined_sites', 0)} sites "
+                  f"quarantined inline")
+    finally:
+        engine.close()
 
 
 def _cmd_realign(args: argparse.Namespace) -> int:
@@ -315,24 +277,7 @@ def _cmd_realign(args: argparse.Namespace) -> int:
     from repro.genomics.samlite import read_sam, write_sam
     from repro.realign.realigner import IndelRealigner
 
-    if not 0.0 <= args.fault_rate <= 1.0:
-        print(f"error: --fault-rate must be in [0, 1], got {args.fault_rate}",
-              file=sys.stderr)
-        return 2
-    if args.fault_rate > 0.0 and not args.accelerated:
-        print("error: --fault-rate requires --accelerated (chaos mode "
-              "injects faults into the FPGA system model)", file=sys.stderr)
-        return 2
-    if args.telemetry is not None and not args.accelerated:
-        print("error: --telemetry requires --accelerated (the software "
-              "realigner has no hardware timeline)", file=sys.stderr)
-        return 2
-    error = _engine_flag_errors(args)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-    engine = _make_engine(args)
-    try:
+    with engine_from_args(args) as engine:
         reference = read_reference(args.reference)
         reads = read_sam(args.sam)
         if args.accelerated:
@@ -377,17 +322,6 @@ def _cmd_realign(args: argparse.Namespace) -> int:
                   f"kernel={args.kernel}"
                   + (f" stream(depth={args.queue_depth})"
                      if args.stream else ""))
-        if args.stream:
-            stats = engine.stream_stats
-            if stats:
-                print(f"stream: {stats.get('stream.chunks', 0)} chunks, "
-                      f"max in-flight {stats.get('stream.max_in_flight', 0)}, "
-                      f"reorder peak {stats.get('stream.reorder_peak', 0)}, "
-                      f"backpressure "
-                      f"{stats.get('stream.backpressure_us', 0)} us")
-        _print_recovery(engine, args)
-    finally:
-        engine.close()
     write_sam(updated, args.out, reference)
     print(f"{report.targets_identified} targets, {report.sites_built} sites, "
           f"{report.reads_realigned} reads realigned "
@@ -397,20 +331,11 @@ def _cmd_realign(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from repro.evaluate import run_scenario
-    from repro.evaluate.scenarios import SCENARIO_NAMES
 
-    error = _engine_flag_errors(args)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-    engine = _make_engine(args)
-    try:
+    with engine_from_args(args) as engine:
         report = run_scenario(
             args.scenario, engine=engine, kernel=args.kernel, seed=args.seed,
         )
-    finally:
-        _print_recovery(engine, args)
-        engine.close()
     if args.out is not None:
         args.out.write_text(report.to_json())
         print(f"report -> {args.out}")
@@ -445,14 +370,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.workloads.chromosomes import CHROMOSOME_CENSUS
     from repro.workloads.generator import BENCH_PROFILE, chromosome_workload
 
-    if not 0.0 <= args.fault_rate <= 1.0:
-        print(f"error: --fault-rate must be in [0, 1], got {args.fault_rate}",
-              file=sys.stderr)
-        return 2
-    error = _engine_flag_errors(args)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
     census = next(c for c in CHROMOSOME_CENSUS if c.name == "21")
     sites = chromosome_workload(
         census, args.sites / census.ir_targets, BENCH_PROFILE, seed=args.seed,
@@ -508,30 +425,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         fleet_session = Telemetry(label="fleet")
         record_fleet_spans(fleet_session, plan, preempted)
         sessions.append(fleet_session)
-    # Host-side batched engine session: the same workload through the
-    # software engine, with shard spans + prefilter counters recorded.
-    from repro.engine import Engine, EngineConfig
-
-    engine_session = Telemetry(label="engine")
-    config = EngineConfig(workers=args.workers, batch=args.batch,
-                          kernel=args.kernel)
-    recovery = _make_recovery(args)
-    with Engine(config, recovery=recovery) as engine:
-        engine.run_sites(sites, telemetry=engine_session)
-    sessions.append(engine_session)
-    if args.stream:
-        # Streaming data-plane session over the same workload: chunk
-        # spans land on CAT_STREAM tracks with queue/backpressure
-        # counters next to the barrier engine's session for comparison
-        # (and, under --worker-fault-rate, CAT_RECOVERY spans beside
-        # the chunks whose workers were killed/hung/errored).
-        from repro.engine import StreamingEngine
-
-        stream_session = Telemetry(label="stream")
-        with StreamingEngine(config, queue_depth=args.queue_depth,
-                             recovery=recovery) as stream_engine:
-            stream_engine.run_sites(sites, telemetry=stream_session)
-        sessions.append(stream_session)
+    # The same workload through the host engine (shard spans, prefilter
+    # and cache counters) and, with --stream, through the streaming
+    # engine too (chunk spans on CAT_STREAM tracks, queue/backpressure
+    # counters; CAT_RECOVERY spans under --worker-fault-rate).
+    for label in ("engine", "stream") if args.stream else ("engine",):
+        session = Telemetry(label=label)
+        with engine_from_args(args, stream=label == "stream") as engine:
+            engine.run_sites(sites, telemetry=session)
+        sessions.append(session)
     write_chrome_trace(sessions, args.out)
     for session in sessions:
         if session.label == "fleet":
@@ -574,17 +476,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0 if matched else 1
 
 
-def _engine_flag_errors(args: argparse.Namespace):
-    """Shared validation for the engine-flag block; error string or None."""
-    if args.workers < 1 or args.batch < 1:
-        return "error: --workers and --batch must be >= 1"
-    if args.queue_depth < 1:
-        return "error: --queue-depth must be >= 1"
-    if args.site_cache_mb < 0:
-        return "error: --site-cache-mb must be >= 0"
-    return _check_recovery_flags(args)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -592,10 +483,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.request import ServiceConfig
     from repro.serve.server import RealignmentServer
 
-    error = _engine_flag_errors(args)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
     try:
         service_config = ServiceConfig(
             max_queue_sites=args.max_queue_sites,
@@ -609,9 +496,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: {bad}", file=sys.stderr)
         return 2
     reference = read_reference(args.reference)
-    engine = _make_engine(args)
 
-    async def run() -> int:
+    async def run(engine) -> int:
         server = RealignmentServer(reference, engine=engine,
                                    service_config=service_config)
         host, port = await server.start(args.host, args.port)
@@ -640,13 +526,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serve: {server.service.snapshot().describe()}")
         return 0
 
-    try:
-        return asyncio.run(run())
-    except KeyboardInterrupt:
-        return 0
-    finally:
-        _print_recovery(engine, args)
-        engine.close()
+    with engine_from_args(args) as engine:
+        try:
+            return asyncio.run(run(engine))
+        except KeyboardInterrupt:
+            return 0
 
 
 def _loadgen_inputs(args: argparse.Namespace):
@@ -656,8 +540,6 @@ def _loadgen_inputs(args: argparse.Namespace):
     from repro.genomics.simulate import SimulationProfile, simulate_sample
 
     if args.sam is not None:
-        if args.reference is None:
-            raise ValueError("--sam requires --reference")
         return read_reference(args.reference), read_sam(args.sam)
     profile = SimulationProfile(coverage=args.coverage)
     sample = simulate_sample({"chrL": args.length}, profile=profile,
@@ -681,10 +563,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             preempt_rate=args.preempt_rate,
             schedule=args.schedule,
         )
-        reference, reads = _loadgen_inputs(args)
     except ValueError as bad:
         print(f"error: {bad}", file=sys.stderr)
         return 2
+    reference, reads = _loadgen_inputs(args)
 
     if args.dry_run:
         from repro.realign.realigner import IndelRealigner
@@ -714,16 +596,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         return updated, report
 
     if args.selftest:
-        error = _engine_flag_errors(args)
-        if error is not None:
-            print(error, file=sys.stderr)
-            return 2
         from repro.realign.realigner import IndelRealigner
         from repro.serve.server import RealignmentServer
 
-        engine = _make_engine(args)
-
-        async def selftest():
+        async def selftest(engine):
             server = RealignmentServer(reference, engine=engine)
             host, port = await server.start(port=0)
             try:
@@ -731,10 +607,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             finally:
                 await server.close()
 
-        try:
-            updated, report = asyncio.run(selftest())
-        finally:
-            engine.close()
+        with engine_from_args(args) as engine:
+            updated, report = asyncio.run(selftest(engine))
         expected, _ = IndelRealigner(reference).realign(reads)
         identical = ([format_read(r) for r in updated]
                      == [format_read(r) for r in expected])
@@ -794,18 +668,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name: str, run) -> argparse.ArgumentParser:
+        subparser = sub.add_parser(name, help=COMMANDS[name])
+        subparser.set_defaults(run=run)
+        return subparser
+
     for name in ("figure2", "figure3", "figure4", "figure7", "tables",
-                 "appendix", "microarch", "comparisons", "all"):
-        sub.add_parser(name, help=COMMANDS[name])
-    figure9_parser = sub.add_parser("figure9", help=COMMANDS["figure9"])
+                 "appendix", "microarch", "comparisons"):
+        command(name, _cmd_experiment)
+    command("all", _cmd_all)
+    figure9_parser = command("figure9", _cmd_figure9)
     figure9_parser.add_argument("--sites", type=int, default=96,
                                 help="sites per chromosome")
     figure9_parser.add_argument("--replication", type=int, default=24,
                                 help="schedule replication rounds")
 
-    resilience_parser = sub.add_parser(
-        "resilience", help=COMMANDS["resilience"],
-    )
+    resilience_parser = command("resilience", _cmd_resilience)
     resilience_parser.add_argument(
         "--fault-rate", type=float, action="append", dest="fault_rate",
         help="fault rate to sweep (repeatable; default 0/2/5/10/20%%)",
@@ -821,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a Chrome trace of the sweep (one session per rate)",
     )
 
-    simulate = sub.add_parser("simulate", help=COMMANDS["simulate"])
+    simulate = command("simulate", _cmd_simulate)
     simulate.add_argument("--out", required=True, type=_out_dir)
     simulate.add_argument("--contig", default="chr22")
     simulate.add_argument("--length", type=int, default=30_000)
@@ -829,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--indel-rate", type=float, default=8e-4)
     simulate.add_argument("--seed", type=int, default=0)
 
-    realign = sub.add_parser("realign", help=COMMANDS["realign"])
+    realign = command("realign", _cmd_realign)
     realign.add_argument("--reference", required=True)
     realign.add_argument("--sam", required=True)
     realign.add_argument("--out", required=True, type=_out_file)
@@ -839,9 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="fault_rate",
                          help="chaos mode: per-attempt fault rate "
                               "(requires --accelerated)")
-    realign.add_argument("--chaos-seed", type=int, default=0,
-                         dest="chaos_seed",
-                         help="seed for the deterministic FaultPlan")
     realign.add_argument(
         "--telemetry", type=_out_file, default=None, metavar="PATH",
         help="write a Chrome trace of the accelerated run "
@@ -849,9 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_flags(realign)
 
-    trace = sub.add_parser(
-        "trace", help=COMMANDS["trace"],
-    )
+    trace = command("trace", _cmd_trace)
     trace.add_argument("--out", required=True, type=_out_file,
                        help="trace_event JSON file to write")
     trace.add_argument("--sites", type=int, default=24,
@@ -863,16 +736,11 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--fault-rate", type=float, default=0.0,
                        dest="fault_rate",
                        help="add a chaos session at this fault rate")
-    trace.add_argument("--chaos-seed", type=int, default=1234,
-                       dest="chaos_seed",
-                       help="seed for the deterministic FaultPlan")
     trace.add_argument("--fleet", type=int, default=0,
                        help="add a fleet session with this many instances")
     _add_engine_flags(trace)
 
-    evaluate = sub.add_parser(
-        "evaluate", help=COMMANDS["evaluate"],
-    )
+    evaluate = command("evaluate", _cmd_evaluate)
     evaluate.add_argument(
         "--scenario", choices=("toy", "cohort", "adversarial"),
         default="toy",
@@ -887,12 +755,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit non-zero unless the accuracy invariants hold "
              "(mismatches drop, concordance does not regress)",
     )
-    evaluate.add_argument("--chaos-seed", type=int, default=1234,
-                          dest="chaos_seed",
-                          help="seed for the deterministic FaultPlan")
     _add_engine_flags(evaluate)
 
-    serve = sub.add_parser("serve", help=COMMANDS["serve"])
+    serve = command("serve", _cmd_serve)
     serve.add_argument("--reference", required=True,
                        help="reference FASTA the server realigns against")
     serve.add_argument("--host", default="127.0.0.1")
@@ -921,12 +786,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the toy evaluation scenario through the "
                             "serving path before accepting traffic; "
                             "refuse to serve if outcomes regress")
-    serve.add_argument("--chaos-seed", type=int, default=1234,
-                       dest="chaos_seed",
-                       help="seed for the deterministic FaultPlan")
     _add_engine_flags(serve)
 
-    loadgen = sub.add_parser("loadgen", help=COMMANDS["loadgen"])
+    loadgen = command("loadgen", _cmd_loadgen)
     loadgen.add_argument("--host", default="127.0.0.1")
     loadgen.add_argument("--port", type=int, default=8765)
     loadgen.add_argument("--reference", default=None,
@@ -981,9 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "byte-identical to the batch realigner")
     loadgen.add_argument("--shutdown", action="store_true",
                          help="send the server a shutdown op afterwards")
-    loadgen.add_argument("--chaos-seed", type=int, default=1234,
-                         dest="chaos_seed",
-                         help="seed for the deterministic FaultPlan")
     _add_engine_flags(loadgen)
     return parser
 
@@ -1028,6 +887,11 @@ def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
              "--chaos-seed; requires --workers >= 2",
     )
     subparser.add_argument(
+        "--chaos-seed", type=int, default=1234, dest="chaos_seed",
+        help="seed for the deterministic FaultPlan (--fault-rate, "
+             "--worker-fault-rate)",
+    )
+    subparser.add_argument(
         "--site-cache-mb", type=float, default=0.0, dest="site_cache_mb",
         metavar="MB",
         help="content-addressed site-result cache byte budget (LRU); "
@@ -1036,44 +900,60 @@ def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
     )
 
 
+def _flag_errors(args: argparse.Namespace):
+    """The one check of the parsed flags' ranges and combinations: the
+    first violation's message, or None. ``main`` runs it before any
+    command, so no command body re-validates a flag."""
+    flags = vars(args)
+    if "workers" in flags:
+        if args.workers < 1 or args.batch < 1:
+            return "--workers and --batch must be >= 1"
+        if args.queue_depth < 1:
+            return "--queue-depth must be >= 1"
+        if args.site_cache_mb < 0:
+            return "--site-cache-mb must be >= 0"
+    for name in ("fault_rate", "worker_fault_rate"):
+        rates = flags.get(name)
+        for rate in rates if isinstance(rates, list) else [rates]:
+            if rate is not None and not 0.0 <= rate <= 1.0:
+                flag = "--" + name.replace("_", "-")
+                return f"{flag} must be in [0, 1], got {rate}"
+    if flags.get("accelerated") is False:
+        if args.fault_rate > 0.0:
+            return ("--fault-rate requires --accelerated (chaos mode "
+                    "injects faults into the FPGA system model)")
+        if args.telemetry is not None:
+            return ("--telemetry requires --accelerated (the software "
+                    "realigner has no hardware timeline)")
+    if flags.get("worker_fault_rate", 0.0) > 0.0 and args.workers < 2:
+        return ("--worker-fault-rate requires --workers >= 2 "
+                "(the inline engine has no worker pool to fault)")
+    if flags.get("sam") is not None and flags.get("reference") is None:
+        return "--sam requires --reference"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     from repro.engine.native import native_mode
     from repro.genomics.fasta import FastaError
     from repro.genomics.samlite import SamError
-    from repro.resilience.workers import WorkerRecovery
 
     try:
         native_mode()
-        WorkerRecovery.from_env()
     except ValueError as error:
         parser.error(str(error))
+    error = _flag_errors(args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     try:
-        return _run_command(args)
+        return args.run(args)
     except (SamError, FastaError, OSError) as error:
         # A bad input is the user's to fix: say which and where.
         print(f"error: {error}", file=sys.stderr)
         return 2
-
-
-def _run_command(args: argparse.Namespace) -> int:
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "realign":
-        return _cmd_realign(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "evaluate":
-        return _cmd_evaluate(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "loadgen":
-        return _cmd_loadgen(args)
-    if not hasattr(args, "sites"):
-        args.sites = 96
-        args.replication = 24
-    return _cmd_experiment(args.command, args)
 
 
 if __name__ == "__main__":

@@ -7,13 +7,18 @@ mentioned. The fix is structural: the parser's subcommands, the
 subcommand without documenting it fails CI instead of shipping.
 """
 
+import importlib
+import json
 import re
 from pathlib import Path
 
-from repro.__main__ import COMMANDS, _epilog, build_parser
+from repro.__main__ import COMMANDS, _epilog, build_parser, main as cli_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CLI_DOC = REPO_ROOT / "docs" / "CLI.md"
+#: The commands that print one ``repro.experiments`` module's tables.
+PAPER_COMMANDS = ("figure2", "figure3", "figure4", "figure7", "figure9",
+                  "tables", "appendix", "microarch", "comparisons")
 
 
 def _subcommands():
@@ -40,12 +45,60 @@ class TestCommandRegistry:
         for name, description in COMMANDS.items():
             assert description.strip(), f"{name} has an empty description"
 
+    def test_paper_commands_describe_their_experiment(self):
+        # A paper command's one-liner is its experiment module's
+        # docstring heading, so the help cannot describe an experiment
+        # the command does not run.
+        for name in PAPER_COMMANDS:
+            module = importlib.import_module(f"repro.experiments.{name}")
+            heading = module.__doc__.strip().splitlines()[0].rstrip(".")
+            assert COMMANDS[name] == heading, name
+
     def test_regressed_commands_are_present(self):
         # The specific regression this file exists to prevent, plus the
         # serving pair added alongside it.
         for name in ("evaluate", "serve", "loadgen"):
             assert name in COMMANDS
             assert name in _subcommands()
+
+
+class TestHelpPages:
+    def test_every_subcommand_help_renders(self):
+        # A stray ``%`` in a help string only fails at format time.
+        for name, subparser in _subcommands().items():
+            assert f"python -m repro {name}" in subparser.format_help()
+
+
+class TestDispatch:
+    def test_all_runs_each_experiment_at_its_own_defaults(self,
+                                                         monkeypatch):
+        from repro.experiments.resilience import DEFAULT_FAULT_RATES
+
+        order = ("figure2", "figure3", "figure4", "tables", "figure7",
+                 "appendix", "microarch", "figure9", "resilience")
+        calls = []
+        for name in order:
+            module = importlib.import_module(f"repro.experiments.{name}")
+            monkeypatch.setattr(
+                module, "main",
+                lambda name=name, **kwargs: calls.append((name, kwargs)),
+            )
+        assert cli_main(["all"]) == 0
+        assert tuple(name for name, _ in calls) == order
+        kwargs = dict(calls)
+        assert kwargs["figure9"] == {"sites_per_chromosome": 96,
+                                     "replication": 24}
+        assert kwargs["resilience"] == {
+            "fault_rates": DEFAULT_FAULT_RATES, "sites_per_chromosome": 48,
+            "replication": 4, "chaos_seed": 1234, "trace_out": None,
+        }
+
+    def test_trace_engine_session_uses_the_site_cache(self, tmp_path):
+        out = tmp_path / "trace.json"
+        assert cli_main(["trace", "--out", str(out), "--sites", "6",
+                         "--site-cache-mb", "8"]) == 0
+        counters = json.loads(out.read_text())["otherData"]["counters"]
+        assert counters["engine"]["engine.cache_misses"] > 0
 
 
 class TestParserImports:
@@ -171,6 +224,19 @@ class TestCliDoc:
             assert re.search(rf"`{re.escape(name)}`", text), (
                 f"docs/CLI.md does not mention `{name}`"
             )
+
+    def test_doc_mentions_every_long_option(self):
+        text = CLI_DOC.read_text()
+        missing = sorted({
+            (name, option)
+            for name, subparser in _subcommands().items()
+            for action in subparser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+            and not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])",
+                              text)
+        })
+        assert not missing, f"options missing from docs/CLI.md: {missing}"
 
     def test_doc_descriptions_match_registry(self):
         # The index table must carry the same one-liners as --help; a
