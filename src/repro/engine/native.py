@@ -11,9 +11,10 @@ closes that gap with a *compiled* implementation of the same pipeline
 :data:`repro.engine.autotune.KERNELS` -- so the hot loop runs as
 machine code over the packed planes:
 
-1. **2-bit pack** (host side, reusing :mod:`repro.engine.bitpack`'s
-   layout): bases 32-per-``uint64``, an N-flag plane, per-word validity
-   masks, bit-identical to the interpreted kernel's packing.
+1. **2-bit pack**, packed in C in :mod:`repro.engine.bitpack`'s
+   layout: bases 32-per-``uint64``, an N-flag plane, per-word validity
+   masks, each consensus's 32 phase tables derived from its words by
+   shift-and-carry, and ``qlow`` by a counting sort of the qualities.
 2. **XOR+fold SWAR mismatch masks** with the N plane folded in and
    padding lanes masked off -- one ``popcount`` per word gives each
    offset's mismatch *count*.
@@ -25,22 +26,25 @@ machine code over the packed planes:
 4. **Exact unpack-and-dot** for the surviving offsets: iterate the set
    mismatch bits and sum the read's qualities at those lanes.
 
-The compiled entry points are a small C translation of those loops
-(the **cc** backend), built once with the system C compiler into a
-cached shared library and called through ``ctypes``.
+The compiled entry point is a small C translation of those loops (the
+**cc** backend), built once with the system C compiler into a cached
+shared library and called through ``ctypes``: one call per site, with
+the GIL released for all of it, so engine threads run sites
+concurrently.
 
 It is not required: when no C compiler works, every entry point
 degrades to the interpreted bitpack kernel, counting
-``kernel.native.unavailable`` in telemetry and logging one warning --
-never an error (the ``REPRO_NATIVE=off`` CI pass pins this). The
-``REPRO_NATIVE`` environment variable disables the tier (``off``) or
-leaves the default probe (``auto``); any other value is a
+``kernel.native.unavailable`` in telemetry and logging one warning
+that says why (disabled, no compiler, the build's first error line, a
+load error) -- never an error (the ``REPRO_NATIVE=off`` CI pass pins
+this). The ``REPRO_NATIVE`` environment variable disables the tier
+(``off``) or leaves the default probe (``auto``); any other value is a
 ``ValueError``.
 
 Warmup: the first call into the backend may pay the one-time
 shared-library build. So that this cost cannot land in a timed chunk
 or a served request's latency, :func:`warmup_native` compiles and
-exercises both grid kernels on a tiny site. The engine calls it once,
+exercises the site kernel on a tiny site. The engine calls it once,
 before it starts its worker threads (:mod:`repro.engine.parallel`), and
 the serving plane before it accepts traffic. Warming before the threads
 start also keeps the build to one: the probe in :func:`get_backend` is
@@ -69,16 +73,10 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.engine.bitpack import (
-    BASES_PER_WORD,
-    _CODE_LUT,
-    _ConsensusSet,
-    realign_site_bitpacked,
-)
 from repro.realign.site import RealignmentSite
 from repro.realign.whd import (
     SiteResult,
@@ -92,17 +90,6 @@ _ENV_NATIVE = "REPRO_NATIVE"
 _OFF_MODES = ("off", "none", "0", "disabled")
 _NATIVE_MODES = ("auto",) + _OFF_MODES
 
-#: Below this ``C * R * K * n`` comparison volume the compiled scalar
-#: grid kernel runs instead of the SWAR pipeline: tiny sites spend more
-#: in the host-side packing than the word ops save. Both paths are
-#: exact, so the threshold affects time only, never output.
-_SCALAR_VOLUME_CUTOFF = 4096
-
-#: ``qlow`` rows are padded to the longest read; pad cells are never
-#: indexed (a pair's mismatch count cannot exceed its own read length)
-#: but are filled with this so an indexing bug screens loudly.
-_QLOW_PAD = np.int64(1) << 40
-
 
 # ---------------------------------------------------------------------
 # the C translation of the grid loops (the "cc" backend)
@@ -110,9 +97,15 @@ _QLOW_PAD = np.int64(1) << 40
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 
 static const uint64_t EVEN = 0x5555555555555555ULL;
 static const int64_t WHD_SENTINEL = 2147483647;
+static const int64_t QLOW_PAD = 1LL << 40;
+
+/* ASCII -> 2-bit code: A=0, C=1, G=2, T=3; N (flagged apart) and
+ * anything else share code 0. */
+static const uint8_t CODE[256] = {['C'] = 1, ['G'] = 2, ['T'] = 3};
 
 /* One word's XOR+fold mismatch mask, N plane in, padding masked off. */
 static inline uint64_t mismatches(uint64_t c, uint64_t cn, uint64_t r,
@@ -140,7 +133,7 @@ static int64_t exact_whd(const uint64_t *win, const uint64_t *winn,
  * <= bound; an offset with qlow[cnt] > bound loses to it strictly, one
  * with qlow[cnt] >= best cannot win a strict < update: abandoning both
  * is exact (an earlier tie with the seed is still evaluated). */
-int64_t repro_native_swar_grid(
+static int64_t swar_grid(
     const uint64_t *shifted,   /* C x 32 x W consensus phase tables   */
     const uint64_t *shifted_n, /* C x 32 x W consensus N-flag tables  */
     const int64_t *mlens,      /* C consensus lengths                 */
@@ -218,43 +211,119 @@ int64_t repro_native_swar_grid(
     return exact;
 }
 
-/* Scalar-fallback grid: the paper's Algorithm 1 loops over raw ASCII
- * bytes, for sites too small to amortize the packing. */
-void repro_native_scalar_grid(
-    const uint8_t *cons,   /* C x mstride, zero padded */
-    const int64_t *mlens,
-    int64_t num_cons, int64_t mstride,
-    const uint8_t *reads,  /* R x nstride, zero padded */
-    const int64_t *nlens,
-    int64_t num_reads, int64_t nstride,
-    const int64_t *rquals, /* R x nstride */
-    int64_t *out_whd,
-    int64_t *out_idx)
+/* 2-bit fold of one sequence, 32 bases a word: base t in bits 2(t%32)
+ * and 2(t%32)+1 of word t/32, its N flag on the even bit.  Returns
+ * whether any base is N. */
+static int64_t pack_bases(const uint8_t *seq, int64_t len, uint64_t *words,
+                          uint64_t *nflags)
 {
-    for (int64_t i = 0; i < num_cons; i++) {
-        const uint8_t *cr = cons + i * mstride;
-        for (int64_t j = 0; j < num_reads; j++) {
-            const uint8_t *rd = reads + j * nstride;
-            const int64_t *rq = rquals + j * nstride;
-            int64_t n = nlens[j];
-            int64_t K = mlens[i] - n + 1;
-            int64_t best = WHD_SENTINEL;
-            int64_t best_idx = 0;
-            for (int64_t k = 0; k < K; k++) {
-                int64_t whd = 0;
-                for (int64_t t = 0; t < n; t++) {
-                    if (cr[k + t] != rd[t])
-                        whd += rq[t];
-                }
-                if (whd < best) {
-                    best = whd;
-                    best_idx = k;
-                }
-            }
-            out_whd[i * num_reads + j] = best;
-            out_idx[i * num_reads + j] = best_idx;
+    uint64_t any_n = 0;
+    for (int64_t w = 0; w * 32 < len; w++) {
+        const uint8_t *s = seq + w * 32;
+        int64_t stop = len - w * 32 < 32 ? len - w * 32 : 32;
+        uint64_t b = 0, n = 0;
+        for (int64_t t = 0; t < stop; t++) {
+            b |= (uint64_t)CODE[s[t]] << (2 * t);
+            n |= (uint64_t)(s[t] == 'N') << (2 * t);
         }
+        words[w] = b;
+        nflags[w] = n;
+        any_n |= n;
     }
+    return any_n != 0;
+}
+
+/* Phases 1..31 of a packed sequence from phase 0 (row 0 of `rows`,
+ * zero past its `count` words): phase p is the suffix from base p. */
+static void phase_shifts(uint64_t *rows, int64_t count, int64_t width)
+{
+    for (int64_t p = 1; p < 32; p++)
+        for (int64_t w = 0; w < count; w++)
+            rows[p * width + w] = rows[w] >> (2 * p)
+                                  | rows[w + 1] << (64 - 2 * p);
+}
+
+/* One whole site: pack the consensuses into phase tables and the reads
+ * into planes, then fill the C x R grids.  Returns the exact offset
+ * count, or -1 when the scratch cannot be allocated (grids untouched). */
+int64_t repro_native_site(
+    const uint8_t *cons_bytes, /* the C consensuses, joined           */
+    const int64_t *mlens, int64_t num_cons,
+    const uint8_t *read_bytes, /* the R reads, joined                 */
+    const uint8_t *quals,      /* their qualities, joined             */
+    const int64_t *nlens, int64_t num_reads,
+    int64_t *out_whd,          /* C x R */
+    int64_t *out_idx)          /* C x R */
+{
+    int64_t m_max = 0, n_max = 0;
+    for (int64_t i = 0; i < num_cons; i++)
+        m_max = mlens[i] > m_max ? mlens[i] : m_max;
+    for (int64_t j = 0; j < num_reads; j++)
+        n_max = nlens[j] > n_max ? nlens[j] : n_max;
+    const int64_t wr = (n_max + 31) / 32, qstride = n_max + 1;
+    /* room for every offset's window and a zero word past each phase */
+    const int64_t width = (m_max + 31) / 32 + wr + 1;
+    const int64_t table = num_cons * 32 * width, plane = num_reads * wr;
+    uint64_t *scratch = calloc((size_t)(2 * table + 3 * plane
+                                        + plane * 32 + num_reads * qstride
+                                        + 2 * m_max + (m_max + 3) / 4),
+                               sizeof(uint64_t));
+    if (!scratch)
+        return -1;
+    uint64_t *shifted = scratch, *shifted_n = shifted + table;
+    uint64_t *rwords = shifted_n + table, *rnmask = rwords + plane;
+    uint64_t *rvalid = rnmask + plane;
+    int64_t *rquals = (int64_t *)(rvalid + plane);
+    int64_t *qlow = rquals + plane * 32;
+    uint64_t *w0 = (uint64_t *)(qlow + num_reads * qstride);
+    uint64_t *n0 = w0 + m_max;
+    int16_t *c0 = (int16_t *)(n0 + m_max);
+
+    int64_t track_n = 0;
+    for (int64_t i = 0; i < num_cons; i++) {
+        uint64_t *rows = shifted + i * 32 * width;
+        uint64_t *rows_n = shifted_n + i * 32 * width;
+        int64_t count = (mlens[i] + 31) / 32;
+        track_n |= pack_bases(cons_bytes, mlens[i], rows, rows_n);
+        phase_shifts(rows, count, width);
+        phase_shifts(rows_n, count, width);
+        cons_bytes += mlens[i];
+    }
+    int64_t hist[256] = {0};
+    for (int64_t j = 0; j < num_reads; j++) {
+        const int64_t n = nlens[j];
+        track_n |= pack_bases(read_bytes, n, rwords + j * wr,
+                              rnmask + j * wr);
+        for (int64_t w = 0; w < wr; w++) {
+            int64_t rest = n - 32 * w;
+            rvalid[j * wr + w] = rest >= 32 ? EVEN : rest <= 0 ? 0
+                                 : EVEN & ((1ULL << (2 * rest)) - 1);
+        }
+        /* qlow[c]: the c smallest qualities summed, by counting sort;
+         * counts past the read's length never index it, so pad loudly */
+        int64_t *rq = rquals + j * wr * 32, *ql = qlow + j * qstride;
+        uint8_t lo = 255, hi = 0;
+        for (int64_t t = 0; t < n; t++) {
+            rq[t] = quals[t];
+            hist[quals[t]]++;
+            lo = quals[t] < lo ? quals[t] : lo;
+            hi = quals[t] > hi ? quals[t] : hi;
+        }
+        int64_t c = 0;
+        for (int64_t v = lo; v <= hi; v++)
+            for (; hist[v] > 0; hist[v]--, c++)
+                ql[c + 1] = ql[c] + v;
+        for (c = n + 1; c < qstride; c++)
+            ql[c] = QLOW_PAD;
+        read_bytes += n;
+        quals += n;
+    }
+    int64_t exact = swar_grid(shifted, shifted_n, mlens, num_cons, width,
+                              rwords, rnmask, rvalid, rquals, qlow, nlens,
+                              num_reads, wr, qstride, track_n, w0, n0, c0,
+                              out_whd, out_idx);
+    free(scratch);
+    return exact;
 }
 """
 
@@ -269,46 +338,26 @@ def _native_cache_dir() -> Path:
 
 
 class _CcBackend:
-    """The grid kernels compiled from C, called through ctypes."""
+    """The whole-site kernel compiled from C, called through ctypes.
+
+    ``CDLL`` releases the GIL for the length of each call, so one site
+    -- packing and grid -- runs off the GIL on an engine thread.
+    """
 
     name = "cc"
 
     def __init__(self, lib: ctypes.CDLL):
-        self._swar = lib.repro_native_swar_grid
-        self._swar.restype = ctypes.c_int64
-        self._scalar = lib.repro_native_scalar_grid
-        self._scalar.restype = None
+        def array(dtype):
+            return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
 
-    @staticmethod
-    def _ptr(arr: np.ndarray):
-        return arr.ctypes.data_as(ctypes.c_void_p)
-
-    def swar_grid(self, shifted, shifted_n, mlens, width, rwords, rnmask,
-                  rvalid, rquals, qlow, nlens, wr, qstride, track_n,
-                  out_whd, out_idx) -> int:
-        # Pass 0's scratch, sized by the site (SiteLimits is configurable)
-        w0, n0 = np.empty((2, int(mlens.max())), dtype=np.uint64)
-        c0 = np.empty(w0.size, dtype=np.int16)
-        return int(self._swar(
-            self._ptr(shifted), self._ptr(shifted_n), self._ptr(mlens),
-            ctypes.c_int64(mlens.size), ctypes.c_int64(width),
-            self._ptr(rwords), self._ptr(rnmask), self._ptr(rvalid),
-            self._ptr(rquals), self._ptr(qlow), self._ptr(nlens),
-            ctypes.c_int64(nlens.size), ctypes.c_int64(wr),
-            ctypes.c_int64(qstride), ctypes.c_int64(int(track_n)),
-            self._ptr(w0), self._ptr(n0), self._ptr(c0),
-            self._ptr(out_whd), self._ptr(out_idx),
-        ))
-
-    def scalar_grid(self, cons, mlens, mstride, reads, nlens, nstride,
-                    rquals, out_whd, out_idx) -> None:
-        self._scalar(
-            self._ptr(cons), self._ptr(mlens),
-            ctypes.c_int64(mlens.size), ctypes.c_int64(mstride),
-            self._ptr(reads), self._ptr(nlens),
-            ctypes.c_int64(nlens.size), ctypes.c_int64(nstride),
-            self._ptr(rquals), self._ptr(out_whd), self._ptr(out_idx),
-        )
+        i64 = ctypes.c_int64
+        self.site = lib.repro_native_site
+        self.site.argtypes = [
+            ctypes.c_char_p, array(np.int64), i64,
+            ctypes.c_char_p, array(np.uint8), array(np.int64), i64,
+            array(np.int64), array(np.int64),
+        ]
+        self.site.restype = i64
 
 
 def _find_cc() -> Optional[str]:
@@ -329,11 +378,15 @@ def _library_path(cc: str, cpu: str) -> Path:
     return _native_cache_dir() / f"whd_{tag}.so"
 
 
-def _load_cc_backend() -> Optional[_CcBackend]:
-    """Compile (once, cached per source and CPU) and load the C kernels."""
+def _load_cc_backend() -> _CcBackend:
+    """Compile (once, cached per source and CPU) and load the C kernel.
+
+    Raises ``RuntimeError`` saying why when there is no compiler or the
+    build fails; a library that will not load raises ``OSError``.
+    """
     cc = _find_cc()
     if cc is None:
-        return None
+        raise RuntimeError("no C compiler found")
     try:  # the CPU feature line: what -march=native compiles for
         with open("/proc/cpuinfo") as handle:
             cpu = next((line for line in handle
@@ -353,8 +406,10 @@ def _load_cc_backend() -> Optional[_CcBackend]:
                 capture_output=True, text=True, timeout=120,
             )
             if proc.returncode != 0:
-                logger.debug("native cc build failed: %s", proc.stderr)
-                return None
+                first = proc.stderr.strip().partition("\n")[0]
+                raise RuntimeError(
+                    f"C build failed: {cc} exited {proc.returncode}"
+                    + (f": {first}" if first else ""))
             # Atomic publish: concurrent workers may race the build.
             os.replace(out, lib_path)
     return _CcBackend(ctypes.CDLL(str(lib_path)))
@@ -368,6 +423,8 @@ def _load_cc_backend() -> Optional[_CcBackend]:
 _backend = False
 _warm = False
 _fallback_warned = False
+#: Why ``_backend`` is ``None``: the degrade warning states it.
+_why_unavailable = ""
 
 
 def native_mode() -> str:
@@ -414,14 +471,19 @@ def env_number(name: str, parse, default, accept, form: str, env=None):
 
 def _probe_backend():
     """Resolve the compiled backend per ``REPRO_NATIVE``. A backend
-    that fails to load degrades to ``None``; only an unknown
-    ``REPRO_NATIVE`` value raises."""
+    that fails to build or load degrades to ``None``, with the reason
+    recorded for the degrade warning; only an unknown ``REPRO_NATIVE``
+    value raises."""
+    global _why_unavailable
     if native_mode() in _OFF_MODES:
+        _why_unavailable = f"{_ENV_NATIVE}=off"
         return None
     try:
         return _load_cc_backend()
     except Exception as error:  # noqa: BLE001 - degrade, never raise
-        logger.debug("native backend probe failed: %r", error)
+        _why_unavailable = (str(error) if isinstance(error, RuntimeError)
+                            else f"load error: {error!r}")
+        logger.debug("native backend probe failed: %s", _why_unavailable)
         return None
 
 
@@ -437,10 +499,11 @@ def get_backend():
 
 def reset_backend() -> None:
     """Forget the probed backend and warmup state (test hook)."""
-    global _backend, _warm, _fallback_warned
+    global _backend, _warm, _fallback_warned, _why_unavailable
     _backend = False
     _warm = False
     _fallback_warned = False
+    _why_unavailable = ""
 
 
 def native_available() -> bool:
@@ -455,14 +518,14 @@ def native_backend_name() -> Optional[str]:
 
 
 def warmup_native() -> bool:
-    """Compile and exercise both grid kernels once; returns availability.
+    """Compile and exercise the site kernel once; returns availability.
 
     Idempotent and exception-safe. The first call may compile the
     shared library; running it here -- before the engine starts its
     threads, or at the serving plane's startup -- keeps that one-time
     cost out of any timed region or served request.
     """
-    global _backend, _warm
+    global _backend, _warm, _why_unavailable
     if _warm:
         return native_available()
     _warm = True
@@ -477,106 +540,38 @@ def warmup_native() -> bool:
             quals=(np.array([10, 20, 45, 10], dtype=np.uint8),
                    np.array([7, 7, 7, 7], dtype=np.uint8)),
         )
-        _grids_native(site, backend, force_swar=True)
-        _grids_native(site, backend, force_swar=False)
+        _grids_native(site, backend)
     except Exception as error:  # noqa: BLE001 - degrade, never raise
         logger.warning("native kernel warmup failed (%r); "
                        "falling back to bitpack", error)
         _backend = None
+        _why_unavailable = f"warmup failed: {error!r}"
         return False
     return True
 
 
 # ---------------------------------------------------------------------
-# host-side packing + grid entry points
+# grid entry points
 # ---------------------------------------------------------------------
 
-def _pack_reads(
-    reads: Sequence[str], quals: Sequence[np.ndarray], lengths: np.ndarray
-) -> Tuple[np.ndarray, ...]:
-    """All reads padded to one word count, planes ready for the kernel.
-
-    Unlike :class:`repro.engine.bitpack._ReadGroup` (which groups reads
-    by word count to keep numpy tensors tight), the compiled kernel
-    pays per *valid* word only via the validity mask, so a single
-    padded layout is simpler and just as fast. One vectorised pass.
-    """
-    n_max = int(lengths.max())
-    Wr = (n_max + BASES_PER_WORD - 1) // BASES_PER_WORD
-    span = Wr * BASES_PER_WORD
-    R = len(reads)
-    in_len = np.arange(span)[None, :] < lengths[:, None]
-    mat = np.zeros((R, span), dtype=np.uint8)
-    mat[in_len] = np.frombuffer("".join(reads).encode("ascii"),
-                                dtype=np.uint8)
-    q8 = np.zeros((R, span), dtype=np.uint8)
-    q8[in_len] = np.concatenate(quals)
-
-    def fold(lanes: np.ndarray) -> np.ndarray:
-        # four 2-bit lanes a byte, little-endian: bitpack's word layout
-        q = lanes.reshape(R, span // 4, 4)
-        packed = q[..., 0] | q[..., 1] << 2 | q[..., 2] << 4 | q[..., 3] << 6
-        return packed.view("<u8").astype(np.uint64, copy=False)
-
-    words = fold(_CODE_LUT[mat])
-    n_flags = mat == ord("N")
-    nmask = fold(n_flags.view(np.uint8))
-    valid = fold(in_len.view(np.uint8))
-    # Sorted-quality prefix sums: qlow[c] bounds the WHD of any offset
-    # with c mismatches from below. Pads sort last (Phred <= 93), then
-    # read _QLOW_PAD: counts never exceed the read's own length.
-    pad = ~in_len[:, :n_max]
-    qlow = np.zeros((R, n_max + 1), dtype=np.int64)
-    qlow[:, 1:] = np.cumsum(np.sort(np.where(pad, 255, q8[:, :n_max]),
-                                    axis=1, kind="stable"), axis=1)
-    qlow[:, 1:][pad] = _QLOW_PAD
-    return (words, nmask, valid, q8.astype(np.int64), qlow,
-            bool(n_flags.any()), Wr)
-
-
 def _grids_native(
-    site: RealignmentSite, backend, force_swar: Optional[bool] = None
+    site: RealignmentSite, backend
 ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Fill the ``(C, R)`` grids through the compiled backend."""
+    """Fill the ``(C, R)`` grids through the compiled backend: one C
+    call packs the site's bases and qualities and runs the grid."""
     C, R = site.num_consensuses, site.num_reads
-    cons_arrays = site.consensus_arrays()
-    mlens = np.array([a.size for a in cons_arrays], dtype=np.int64)
-    nlens = np.fromiter(map(len, site.reads), dtype=np.int64, count=R)
     out_whd = np.empty((C, R), dtype=np.int64)
     out_idx = np.empty((C, R), dtype=np.int64)
-    m_max = int(mlens.max())
-    n_max = int(nlens.max())
-    volume = C * R * (m_max - int(nlens.min()) + 1) * n_max
-    use_swar = (volume > _SCALAR_VOLUME_CUTOFF if force_swar is None
-                else force_swar)
-    if not use_swar:
-        cmat = np.zeros((C, m_max), dtype=np.uint8)
-        for row, arr in enumerate(cons_arrays):
-            cmat[row, : arr.size] = arr
-        rmat = np.zeros((R, n_max), dtype=np.uint8)
-        qmat = np.zeros((R, n_max), dtype=np.int64)
-        for row, (arr, q) in enumerate(zip(site.read_arrays(), site.quals)):
-            rmat[row, : arr.size] = arr
-            qmat[row, : arr.size] = np.asarray(q, dtype=np.int64)
-        backend.scalar_grid(cmat, mlens, m_max, rmat, nlens, n_max,
-                            qmat, out_whd, out_idx)
-        # The scalar loops evaluate every in-range offset exactly.
-        return out_whd, out_idx, int((np.add.outer(mlens, -nlens) + 1)
-                                     .clip(min=0).sum())
-    (words, nmask, valid, qmat, qlow, reads_have_n,
-     Wr) = _pack_reads(site.reads, site.quals, nlens)
-    cset = _ConsensusSet.build(cons_arrays, pad_words=Wr + 1)
-    track_n = cset.has_n or reads_have_n
-    shifted = np.ascontiguousarray(cset.shifted)
-    shifted_n = np.ascontiguousarray(cset.shifted_n)
-    exact = backend.swar_grid(
-        shifted, shifted_n, mlens, shifted.shape[2],
-        np.ascontiguousarray(words), np.ascontiguousarray(nmask),
-        np.ascontiguousarray(valid), np.ascontiguousarray(qmat),
-        np.ascontiguousarray(qlow), nlens, Wr, qlow.shape[1],
-        track_n, out_whd, out_idx,
+    exact = backend.site(
+        "".join(site.consensuses).encode("ascii"),
+        np.fromiter(map(len, site.consensuses), dtype=np.int64, count=C),
+        C, "".join(site.reads).encode("ascii"), np.concatenate(site.quals),
+        np.fromiter(map(len, site.reads), dtype=np.int64, count=R),
+        R, out_whd, out_idx,
     )
-    return out_whd, out_idx, int(exact)
+    if exact < 0:  # nothing written: the C scratch allocation failed
+        raise MemoryError("native kernel: no memory for a site's planes")
+    return out_whd, out_idx, exact
 
 
 def min_whd_grid_native(
@@ -631,10 +626,12 @@ def realign_site_native(
         if not _fallback_warned:
             _fallback_warned = True
             logger.warning(
-                "native kernel tier unavailable (no C compiler, or "
-                "REPRO_NATIVE=off); serving sites through the "
-                "interpreted bitpack kernel instead"
+                "native kernel tier unavailable (%s); serving sites "
+                "through the interpreted bitpack kernel instead",
+                _why_unavailable,
             )
+        from repro.engine.bitpack import realign_site_bitpacked
+
         return realign_site_bitpacked(site, scoring=scoring,
                                       telemetry=telemetry)
     min_whd, min_idx, exact_offsets = _grids_native(site, backend)

@@ -129,6 +129,44 @@ def degenerate_sites():
     ]
 
 
+def packer_edge_sites():
+    """Shapes the property draws do not reach, for the C packer."""
+    rng = np.random.default_rng(29)
+
+    def bases(n):
+        return "".join(rng.choice(list("ACGT"), size=n))
+
+    def quals(n):
+        return rng.integers(0, 256, size=n, dtype=np.uint8)
+
+    cons = bases(120)
+    long_cons = bases(340)
+    word = bases(64)
+    top = np.array([0, 255, 94, 0, 200, 93, 255, 1, 128, 94], np.uint8)
+    return {
+        # the counting sort's bottom and top buckets (any uint8 passes);
+        # random reads, so every minimum weighs mismatched qualities
+        "qualities-0-and-94-255": RealignmentSite(
+            "c", 0, (cons, cons[3:] + "ACG"), (bases(10), bases(40)),
+            (top, np.concatenate([top, 255 - top, top[::-1], top]))),
+        "one-base-read": RealignmentSite(
+            "c", 0, (cons[:12], "ACGTTGCAACGT"), ("G", "T"),
+            (np.array([30], np.uint8), np.array([0], np.uint8))),
+        # 10 read words, past PAPER_LIMITS' 256-base reads
+        "300-base-read": RealignmentSite(
+            "c", 0, (long_cons, long_cons[::-1]), (long_cons[20:320],),
+            (quals(300),), limits=SiteLimits(max_read_length=512)),
+        # K = 1 with the read ending on a word boundary
+        "64-base-consensus-and-read": RealignmentSite(
+            "c", 0, (word, word[1:] + "A"), (word,), (quals(64),)),
+        # qlow rows padded past three of the four lengths
+        "four-read-lengths": RealignmentSite(
+            "c", 0, (cons, cons[::-1]),
+            (cons[:5], cons[10:50], cons[20:90], cons[15:115]),
+            tuple(quals(n) for n in (5, 40, 70, 100))),
+    }
+
+
 def seed_stress_site(draw):
     """Sites built to break the native kernel's seeded bound were it
     inexact.
@@ -466,37 +504,97 @@ class TestNativeKernel:
         assert warmup_native() is True
 
     @needs_backend
-    @pytest.mark.parametrize("force_swar", [True, False])
+    @pytest.mark.parametrize("force_swar", [True])
     def test_both_compiled_paths_match_scalar(self, force_swar):
-        # Force the SWAR pipeline and the compiled scalar-fallback grid
-        # in turn; the volume heuristic that picks between them must
-        # never be able to change an output.
+        # The SWAR pipeline, called directly on the probed backend, is
+        # the one compiled path; the compiled scalar-fallback grid it
+        # was once paired with (force_swar=False) is gone.
         from repro.engine import native
 
+        assert force_swar
         backend = native.get_backend()
         for site in degenerate_sites():
             ref_w, ref_i = min_whd_grid(site, vectorized=False)
-            mw, mi, _ = native._grids_native(site, backend,
-                                             force_swar=force_swar)
+            mw, mi, exact = native._grids_native(site, backend)
             np.testing.assert_array_equal(mw, ref_w)
             np.testing.assert_array_equal(mi, ref_i)
+            assert exact >= 0
 
     @needs_backend
     @given(st.data())
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_seeded_bound_matches_scalar(self, data):
-        # Both compiled paths against the scalar loops on sites built to
-        # stress the seed; the example budget is the active profile's
-        # (CI runs this with --hypothesis-profile=ci).
+        # The compiled site kernel against the scalar loops on sites
+        # built to stress the seed; the example budget is the active
+        # profile's (CI runs this with --hypothesis-profile=ci).
         from repro.engine import native
 
         site = seed_stress_site(data.draw)
         ref_w, ref_i = min_whd_grid(site, vectorized=False)
-        for force_swar in (True, False):
-            mw, mi, _ = native._grids_native(site, native.get_backend(),
-                                             force_swar=force_swar)
-            np.testing.assert_array_equal(mw, ref_w)
-            np.testing.assert_array_equal(mi, ref_i)
+        mw, mi, _ = native._grids_native(site, native.get_backend())
+        np.testing.assert_array_equal(mw, ref_w)
+        np.testing.assert_array_equal(mi, ref_i)
+
+    @needs_backend
+    @pytest.mark.parametrize("shape", sorted(packer_edge_sites()))
+    def test_packer_edge_shapes_match_scalar(self, shape):
+        from repro.engine import native
+
+        site = packer_edge_sites()[shape]
+        ref_w, ref_i = min_whd_grid(site, vectorized=False)
+        mw, mi, _ = native._grids_native(site, native.get_backend())
+        np.testing.assert_array_equal(mw, ref_w)
+        np.testing.assert_array_equal(mi, ref_i)
+
+    def test_allocation_failure_is_a_memory_error(self):
+        # The C entry returns -1 before it writes a grid cell when its
+        # scratch cannot be allocated; that must not read as a result.
+        from types import SimpleNamespace
+
+        from repro.engine import native
+
+        backend = SimpleNamespace(site=lambda *args: -1)
+        with pytest.raises(MemoryError):
+            native._grids_native(degenerate_sites()[0], backend)
+
+    def test_c_source_compiles_warning_free(self, tmp_path):
+        # An implicit declaration or a type slip in the C source builds
+        # with a guessed prototype on one compiler and fails on the next
+        # (which silently degrades the tier to bitpack): make it red here.
+        import subprocess
+
+        from repro.engine import native
+
+        cc = native._find_cc()
+        if cc is None:
+            pytest.skip("no C compiler here")
+        src = tmp_path / "whd.c"
+        src.write_text(native._C_SOURCE)
+        proc = subprocess.run(
+            [cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+             str(src)], capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_failed_build_is_named_in_the_warning(self, monkeypatch,
+                                                  fresh_backend, tmp_path,
+                                                  caplog):
+        # A compiler that fails is not "no C compiler": the one degrade
+        # warning must say the build failed.
+        import shutil
+
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(fresh_backend, "_find_cc",
+                            lambda: shutil.which("false"))
+        fresh_backend.reset_backend()
+        site = synthesize_site(np.random.default_rng(12), BENCH_PROFILE)
+        with caplog.at_level("WARNING", logger="repro.engine.native"):
+            got = fresh_backend.realign_site_native(site)
+        warnings = [r.message for r in caplog.records
+                    if "native kernel tier unavailable" in r.message]
+        assert len(warnings) == 1 and "build failed" in warnings[0]
+        assert got.same_outputs(realign_site(site))
 
     @needs_backend
     def test_seeded_bound_past_the_paper_consensus_limit(self):
@@ -516,11 +614,9 @@ class TestNativeKernel:
         )
         ref_w, ref_i = min_whd_grid(site, vectorized=False)
         assert (ref_i > 2048).any()
-        for force_swar in (True, False):
-            mw, mi, _ = native._grids_native(site, native.get_backend(),
-                                             force_swar=force_swar)
-            np.testing.assert_array_equal(mw, ref_w)
-            np.testing.assert_array_equal(mi, ref_i)
+        mw, mi, _ = native._grids_native(site, native.get_backend())
+        np.testing.assert_array_equal(mw, ref_w)
+        np.testing.assert_array_equal(mi, ref_i)
 
     @needs_backend
     def test_seeded_bound_prunes_real_profile_sites(self):
