@@ -37,7 +37,12 @@ _STATUS_ERRORS = {
 
 
 class RealignResult:
-    """One completed realign call: updated SAM lines + server timings."""
+    """One completed realign call: updated SAM lines + server timings.
+
+    ``sam`` is the caller's lines with the reads that moved patched in
+    place (POS and CIGAR, columns 4 and 6); every other line and column
+    is exactly what was sent.
+    """
 
     __slots__ = ("sam", "sites", "latency_ms")
 
@@ -45,6 +50,42 @@ class RealignResult:
         self.sam = sam
         self.sites = sites
         self.latency_ms = latency_ms
+
+
+def patch_moved(sam_lines: Sequence[str], moved) -> List[str]:
+    """Apply a ``realign`` reply's ``moved`` list to the lines sent.
+
+    Each entry is ``[index, pos, cigar]``: the read at ``sam_lines[index]``
+    now starts at 1-based ``pos`` with ``cigar``. A malformed entry --
+    an index out of range or repeated, a ``pos`` that is not an integer
+    >= 1, a ``cigar`` that is not a string -- raises
+    :class:`ProtocolError`.
+    """
+    if not isinstance(moved, list):
+        raise ProtocolError("realign reply has no 'moved' list")
+    lines = list(sam_lines)
+    seen = set()
+    for entry in moved:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise ProtocolError(f"moved entry {entry!r} is not "
+                                "[index, pos, cigar]")
+        index, pos, cigar = entry
+        if (type(index) is not int or not 0 <= index < len(lines)
+                or index in seen):
+            raise ProtocolError(f"moved index {index!r} is out of range "
+                                "or repeated")
+        if type(pos) is not int or pos < 1:
+            raise ProtocolError(f"moved pos {pos!r} is not an integer >= 1")
+        if not isinstance(cigar, str):
+            raise ProtocolError(f"moved cigar {cigar!r} is not a string")
+        seen.add(index)
+        fields = lines[index].split("\t", 6)
+        if len(fields) < 7:
+            raise ProtocolError(f"sam[{index}] has no POS and CIGAR to patch")
+        fields[3] = str(pos)
+        fields[5] = cigar
+        lines[index] = "\t".join(fields)
+    return lines
 
 
 class ServiceClient:
@@ -122,14 +163,16 @@ class ServiceClient:
         tenant: str = DEFAULT_TENANT,
         deadline_s: Optional[float] = None,
     ) -> RealignResult:
-        """Realign one job's reads; raises the mirrored serve errors."""
-        message = {"op": "realign", "tenant": tenant,
-                   "sam": list(sam_lines)}
+        """Realign one job's reads; raises the mirrored serve errors, or
+        :class:`ProtocolError` for a reply whose ``moved`` list does not
+        fit the lines sent."""
+        sam_lines = list(sam_lines)
+        message = {"op": "realign", "tenant": tenant, "sam": sam_lines}
         if deadline_s is not None:
             message["deadline_s"] = float(deadline_s)
         response = await self._call(message)
         return RealignResult(
-            sam=list(response.get("sam", [])),
+            sam=patch_moved(sam_lines, response.get("moved")),
             sites=int(response.get("sites", 0)),
             latency_ms=float(response.get("latency_ms", 0.0)),
         )
@@ -170,4 +213,4 @@ class ServiceClient:
         await self.close()
 
 
-__all__ = ["RealignResult", "ServiceClient"]
+__all__ = ["RealignResult", "ServiceClient", "patch_moved"]

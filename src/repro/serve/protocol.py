@@ -11,10 +11,19 @@ concurrent requests coalesce into shared engine batches).
 Operations:
 
 - ``realign``: ``{"id", "op": "realign", "tenant", "sam": [lines...],
-  "deadline_s"?}`` -> ``{"id", "ok": true, "sam": [lines...],
-  "sites": n, "latency_ms": x}``; read payloads travel as SAM-lite
-  lines (the repo's one read serialization -- reusing it keeps the
-  byte-identity argument trivial).
+  "deadline_s"?}`` -> ``{"id", "ok": true, "status": "ok", "moved":
+  [[index, pos, cigar], ...], "sites": n, "latency_ms": x}``. Reads go
+  out as SAM lines; only what realignment decided comes back, as the
+  paper's accelerator returns a flag and a new position per read, not
+  the reads. ``moved`` lists each read whose POS or CIGAR changed:
+  ``index`` into the request's ``sam`` list, the new 1-based ``pos``
+  and the new ``cigar`` string. Realignment changes nothing else in a
+  read, so the client rebuilds the output by patching columns 4 and 6
+  of the lines it sent (:func:`repro.serve.client.patch_moved`); every
+  other line and column is returned verbatim. This is the one
+  ``realign`` reply; there is no version flag. A ``sam`` entry that is
+  not a string, or does not parse, fails the request with its index
+  (``sam[5]: ...``).
 - ``stats``: the service snapshot (counters, percentiles, saturation).
 - ``ping``: liveness probe.
 - ``shutdown``: ask the server to drain and exit.

@@ -22,7 +22,7 @@ import asyncio
 from typing import List, Optional, Tuple
 
 from repro.genomics.reference import ReferenceGenome
-from repro.genomics.samlite import format_read, parse_read
+from repro.genomics.samlite import SamError, parse_read
 from repro.realign.realigner import IndelRealigner
 from repro.serve.jobs import apply_site_results
 from repro.serve.protocol import (
@@ -147,7 +147,10 @@ class RealignmentServer:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (asyncio.CancelledError, ConnectionError, OSError):
+                # Cancelled: shutdown caught this handler closing. It
+                # has nothing left to do; re-raising only makes the
+                # streams machinery log the cancelled task.
                 pass
 
     async def _handle_message(self, message, writer, write_lock) -> None:
@@ -199,7 +202,14 @@ class RealignmentServer:
             deadline_s = float(deadline_s)
             if deadline_s <= 0:
                 raise ProtocolError("deadline_s must be positive")
-        reads = [parse_read(line) for line in lines]
+        reads = []
+        for index, line in enumerate(lines):
+            if not isinstance(line, str):
+                raise ProtocolError(f"sam[{index}] is not a string")
+            try:
+                reads.append(parse_read(line))
+            except ValueError as error:
+                raise SamError(f"sam[{index}]: {error}") from None
         # Front half off the loop: target identification + consensus
         # generation are pure CPU.
         _targets, windows = await loop.run_in_executor(
@@ -210,12 +220,21 @@ class RealignmentServer:
             tenant=tenant,
             deadline_s=deadline_s,
         )
+        # Realignment changes a read's POS and CIGAR only (a new Read
+        # object; untouched reads come back as themselves), so the reply
+        # names the reads that moved and the client patches its lines.
         updated = apply_site_results(reads, windows, results)
+        moved = [
+            [index, new.pos + 1, str(new.cigar)]
+            for index, (old, new) in enumerate(zip(reads, updated))
+            if new is not old
+            and (new.pos != old.pos or new.cigar != old.cigar)
+        ]
         return {
             "id": request_id,
             "ok": True,
             "status": "ok",
-            "sam": [format_read(read) for read in updated],
+            "moved": moved,
             "sites": len(windows),
             "latency_ms": (loop.time() - start) * 1e3,
         }

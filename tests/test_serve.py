@@ -16,6 +16,7 @@ Four layers under test:
 """
 
 import asyncio
+import logging
 import threading
 from dataclasses import replace
 
@@ -37,6 +38,7 @@ from repro.serve.jobs import REGION_GAP, partition_jobs
 from repro.serve.loadgen import run_loadgen, simulate_load
 from repro.serve.metrics import latency_summary, percentile
 from repro.serve.protocol import (
+    MAX_MESSAGE_BYTES,
     ProtocolError,
     decode_message,
     encode_message,
@@ -711,6 +713,7 @@ class TestServerByteIdentity:
 
     def test_protocol_failures_keep_the_connection_alive(self):
         sample = _sample({"chrS": 2000}, seed=3)
+        lines = [format_read(r) for r in sample.reads[:8]]
 
         async def scenario():
             server = RealignmentServer(sample.reference)
@@ -721,10 +724,16 @@ class TestServerByteIdentity:
                 writer.write(encode_message({"id": 1, "op": "nonsense"}))
                 writer.write(encode_message({"id": 2, "op": "realign",
                                              "sam": "not-a-list"}))
+                writer.write(encode_message({
+                    "id": 4, "op": "realign",
+                    "sam": lines[:5] + [5] + lines[6:]}))
+                writer.write(encode_message({
+                    "id": 5, "op": "realign",
+                    "sam": lines[:5] + ["a\tb"] + lines[6:]}))
                 writer.write(encode_message({"id": 3, "op": "ping"}))
                 await writer.drain()
                 frames = [decode_message(await reader.readline())
-                          for _ in range(4)]
+                          for _ in range(6)]
                 writer.close()
                 await writer.wait_closed()
             finally:
@@ -736,7 +745,38 @@ class TestServerByteIdentity:
         assert by_id[None]["status"] == "error"  # unparseable line
         assert by_id[1]["status"] == "error"  # unknown op
         assert by_id[2]["status"] == "error"  # malformed realign
+        assert by_id[4]["status"] == "error"  # typed, located by index
+        assert by_id[4]["error"] == "ProtocolError: sam[5] is not a string"
+        assert by_id[5]["status"] == "error"
+        assert by_id[5]["error"] == (
+            "SamError: sam[5]: SAM line has 2 fields, expected >= 11"
+        )
         assert by_id[3]["ok"] is True  # connection survived it all
+
+    def test_shutdown_while_a_handler_closes_logs_nothing(self, caplog):
+        """A handler still awaiting its writer's close when the server
+        goes down is cancelled there; that must not log a traceback."""
+        sample = _sample({"chrS": 2000}, seed=3)
+        lines = [format_read(r) for r in sample.reads]
+
+        async def scenario():
+            server = RealignmentServer(sample.reference)
+            host, port = await server.start(port=0)
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=MAX_MESSAGE_BYTES)
+            writer.write(encode_message({"id": 1, "op": "realign",
+                                         "sam": lines}))
+            await writer.drain()
+            reply = decode_message(await reader.readline())
+            writer.close()
+            await server.close()
+            return reply
+
+        with caplog.at_level(logging.DEBUG):
+            reply = asyncio.run(scenario())
+        assert reply["ok"] is True
+        assert [record.getMessage() for record in caplog.records
+                if record.levelno >= logging.ERROR] == []
 
     def test_server_rejects_when_saturated(self):
         sample = _sample({"chrS": 6000}, seed=2)

@@ -1,0 +1,205 @@
+"""The ``realign`` reply carries the diff: the reads that moved.
+
+The server answers with ``moved: [[index, pos, cigar], ...]`` and the
+client patches columns 4 and 6 of the lines it sent. Three layers:
+
+- the client's validation of a reply, on hand-built frames (no server);
+- a hypothesis property over SAM lines carrying what the CLI's codec
+  drops (RNEXT/PNEXT/TLEN, ``NM``/``MD``/``RG`` tags, flag bits
+  0x1/0x2/0x40/0x80): unmoved lines come back verbatim, moved lines
+  differ from the sent line in POS and CIGAR only, and those two
+  columns are the batch realigner's;
+- one TCP round trip on a tagged paired-end job.
+
+CI runs the property with ``--hypothesis-profile=ci
+--hypothesis-seed=2019``.
+"""
+
+import asyncio
+import threading
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.genomics.samlite import format_read
+from repro.genomics.simulate import SimulationProfile, simulate_sample
+from repro.realign.realigner import IndelRealigner
+from repro.serve.client import ServiceClient, patch_moved
+from repro.serve.protocol import ProtocolError
+from repro.serve.server import RealignmentServer
+
+# A test without max_examples of its own takes the active profile's
+# (the ``ci`` profile is registered in tests/conftest.py).
+relaxed = settings(deadline=None,
+                   suppress_health_check=[HealthCheck.too_slow])
+
+LINES = ["r0\t0\tchr1\t10\t60\t4M\t=\t30\t24\tACGT\tIIII\tNM:i:0",
+         "r1\t16\tchr1\t20\t60\t4M\t*\t0\t0\tACGT\tIIII"]
+
+
+class _FrameClient(ServiceClient):
+    """A client whose every call is answered by one hand-built frame."""
+
+    def __init__(self, frame: dict):
+        super().__init__()
+        self.frame = frame
+
+    async def _call(self, message: dict) -> dict:
+        return self.frame
+
+
+def _realign_with(frame: dict):
+    return asyncio.run(_FrameClient(frame).realign(LINES))
+
+
+class TestClientValidatesTheDiff:
+    def test_patches_pos_and_cigar_only(self):
+        result = _realign_with({"ok": True, "moved": [[0, 12, "1M1D3M"]],
+                                "sites": 1, "latency_ms": 2.5})
+        assert result.sam == [
+            "r0\t0\tchr1\t12\t60\t1M1D3M\t=\t30\t24\tACGT\tIIII\tNM:i:0",
+            LINES[1],
+        ]
+        assert (result.sites, result.latency_ms) == (1, 2.5)
+
+    def test_nothing_moved_returns_the_lines_sent(self):
+        result = _realign_with({"ok": True, "moved": [], "sites": 0})
+        assert result.sam == LINES
+
+    @pytest.mark.parametrize("moved", [
+        None,                                # no diff at all
+        "0,12,4M",                           # not a list
+        [[0, 12]],                           # entry too short
+        [(0, 12, "4M")],                     # entry not a list
+        [[2, 12, "4M"]],                     # index past the end
+        [[-1, 12, "4M"]],                    # negative index
+        [["0", 12, "4M"]],                   # index not an integer
+        [[True, 12, "4M"]],                  # a bool is not an index
+        [[0, 12, "4M"], [0, 13, "4M"]],      # index repeated
+        [[0, 0, "4M"]],                      # pos < 1
+        [[0, 12.0, "4M"]],                   # pos not an integer
+        [[0, "12", "4M"]],
+        [[0, 12, 4]],                        # cigar not a string
+        [[0, 12, None]],
+    ])
+    def test_malformed_diff_is_a_protocol_error(self, moved):
+        frame = {"ok": True, "sites": 1}
+        if moved is not None:
+            frame["moved"] = moved
+        with pytest.raises(ProtocolError):
+            _realign_with(frame)
+
+    def test_a_line_without_pos_and_cigar_cannot_be_patched(self):
+        with pytest.raises(ProtocolError, match=r"sam\[0\]"):
+            patch_moved(["r0\t0\tchr1"], [[0, 12, "4M"]])
+
+
+# -- served output against the batch realigner -------------------------
+
+#: 96 reads, 20 of which the realigner moves.
+SAMPLE = simulate_sample(
+    {"chrS": 2000},
+    profile=SimulationProfile(coverage=12, indel_rate=0.003), seed=3,
+)
+BEFORE = [format_read(read) for read in SAMPLE.reads]
+AFTER = [format_read(read)
+         for read in IndelRealigner(SAMPLE.reference).realign(SAMPLE.reads)[0]]
+
+
+def _expected(sent):
+    """The sent lines, with POS and CIGAR taken from the batch
+    realigner's output wherever it moved the read."""
+    expected = []
+    for line, before, after in zip(sent, BEFORE, AFTER):
+        if before != after:
+            fields = line.split("\t")
+            out = after.split("\t")
+            fields[3], fields[5] = out[3], out[5]
+            line = "\t".join(fields)
+        expected.append(line)
+    return expected
+
+
+def _decorate(line, flag_bits, rnext, pnext, tlen, tags):
+    fields = line.split("\t")
+    fields[1] = str(int(fields[1]) | flag_bits)
+    fields[6:9] = [rnext, str(pnext), str(tlen)]
+    return "\t".join(fields + list(tags))
+
+
+async def _round_trip(host, port, lines):
+    async with await ServiceClient.open(host, port) as client:
+        return (await client.realign(lines)).sam
+
+
+@pytest.fixture(scope="module")
+def served():
+    """One server on an event loop of its own thread, for the module."""
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    server = RealignmentServer(SAMPLE.reference)
+    address = asyncio.run_coroutine_threadsafe(
+        server.start(port=0), loop).result(60)
+    try:
+        yield address
+    finally:
+        asyncio.run_coroutine_threadsafe(server.close(), loop).result(60)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(60)
+        assert not thread.is_alive()
+        loop.close()
+
+
+tags = st.one_of(
+    st.integers(0, 30).map("NM:i:{}".format),
+    st.from_regex(r"[0-9]{1,3}(\^?[ACGT][0-9]{1,3}){0,3}",
+                  fullmatch=True).map("MD:Z:{}".format),
+    st.sampled_from(["grp1", "lib.A", "rg-2"]).map("RG:Z:{}".format),
+)
+decorations = st.tuples(
+    st.sets(st.sampled_from([0x1, 0x2, 0x40, 0x80])).map(sum),
+    st.sampled_from(["*", "=", "chrS", "chrMate"]),
+    st.integers(0, 10 ** 6),
+    st.integers(-2000, 2000),
+    st.lists(tags, max_size=3),
+)
+
+
+class TestServedPathIsLossless:
+    def test_the_sample_moves_some_reads(self):
+        assert 0 < sum(b != a for b, a in zip(BEFORE, AFTER)) < len(BEFORE)
+
+    @relaxed
+    @given(st.lists(decorations, min_size=1, max_size=16))
+    def test_unmoved_lines_come_back_verbatim(self, served, drawn):
+        # Every line is decorated, cycling through what was drawn.
+        sent = [_decorate(line, *drawn[i % len(drawn)])
+                for i, line in enumerate(BEFORE)]
+        assert asyncio.run(_round_trip(*served, sent)) == _expected(sent)
+
+    def test_tagged_paired_end_job_round_trip(self):
+        # Reads 2k and 2k + 1 are mates: first and last segment.
+        sent = []
+        for i, line in enumerate(BEFORE):
+            fields = line.split("\t")
+            mate = BEFORE[min(i ^ 1, len(BEFORE) - 1)].split("\t")
+            pos, mate_pos = int(fields[3]), int(mate[3])
+            span = abs(mate_pos - pos) + len(fields[9])
+            first = i % 2 == 0
+            sent.append(_decorate(
+                line, 0x1 | 0x2 | (0x40 if first else 0x80), "=", mate_pos,
+                span if first else -span,
+                [f"NM:i:{i % 3}", f"MD:Z:{len(fields[9])}", "RG:Z:lib1"],
+            ))
+
+        async def scenario():
+            server = RealignmentServer(SAMPLE.reference)
+            host, port = await server.start(port=0)
+            try:
+                return await _round_trip(host, port, sent)
+            finally:
+                await server.close()
+
+        assert asyncio.run(scenario()) == _expected(sent)
