@@ -274,12 +274,23 @@ def engine_from_args(args: argparse.Namespace, stream=None):
 
 def _cmd_realign(args: argparse.Namespace) -> int:
     from repro.genomics.fasta import read_reference
-    from repro.genomics.samlite import read_sam, write_sam
-    from repro.realign.realigner import IndelRealigner
+    from repro.genomics.samlite import copy_patched, read_sam
+    from repro.realign.realigner import IndelRealigner, moved_records
 
+    # --sam is read twice: parsed into reads, then copied to --out with
+    # the moved reads' POS and CIGAR patched. A pipe cannot be re-read.
+    sam = Path(args.sam)
+    if sam.exists() and not sam.is_file():
+        print(f"error: --sam {sam} is not a regular file (it is read "
+              "twice)", file=sys.stderr)
+        return 2
+    if args.out.exists() and args.out.samefile(sam):
+        print("error: --out must not be --sam (the input is copied to it)",
+              file=sys.stderr)
+        return 2
     with engine_from_args(args) as engine:
         reference = read_reference(args.reference)
-        reads = read_sam(args.sam)
+        reads = read_sam(args.sam, reference)
         if args.accelerated:
             from repro.core.system import AcceleratedRealigner, SystemConfig
 
@@ -322,7 +333,14 @@ def _cmd_realign(args: argparse.Namespace) -> int:
                   f"kernel={args.kernel}"
                   + (f" stream(depth={args.queue_depth})"
                      if args.stream else ""))
-    write_sam(updated, args.out, reference)
+    moved = moved_records(reads, updated)
+    try:
+        with open(args.out, "w") as sink:
+            copy_patched(args.sam, sink, moved, len(reads))
+    except BaseException:
+        if args.out.is_file() and not args.out.is_symlink():
+            args.out.unlink()
+        raise
     print(f"{report.targets_identified} targets, {report.sites_built} sites, "
           f"{report.reads_realigned} reads realigned "
           f"({report.reads_moved} moved) -> {args.out}")
@@ -534,23 +552,29 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _loadgen_inputs(args: argparse.Namespace):
-    """The (reference, reads) a loadgen run partitions into jobs."""
+    """The (reference, header, lines, reads) of the ``--sam`` file, or
+    of the simulated sample rendered once as SAM."""
+    import io
+
     from repro.genomics.fasta import read_reference
-    from repro.genomics.samlite import read_sam
+    from repro.genomics.samlite import read_sam_lines, write_sam
     from repro.genomics.simulate import SimulationProfile, simulate_sample
 
     if args.sam is not None:
-        return read_reference(args.reference), read_sam(args.sam)
-    profile = SimulationProfile(coverage=args.coverage)
-    sample = simulate_sample({"chrL": args.length}, profile=profile,
-                             seed=args.seed)
-    return sample.reference, sample.reads
+        reference, source = read_reference(args.reference), args.sam
+    else:
+        profile = SimulationProfile(coverage=args.coverage)
+        sample = simulate_sample({"chrL": args.length}, profile=profile,
+                                 seed=args.seed)
+        reference, source = sample.reference, io.StringIO()
+        write_sam(sample.reads, source, reference)
+        source.seek(0)
+    return (reference, *read_sam_lines(source, reference))
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.genomics.samlite import format_read, write_sam
     from repro.serve.loadgen import run_loadgen, simulate_load
     from repro.workloads.serving import LoadProfile
 
@@ -566,7 +590,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     except ValueError as bad:
         print(f"error: {bad}", file=sys.stderr)
         return 2
-    reference, reads = _loadgen_inputs(args)
+    reference, header, lines, reads = _loadgen_inputs(args)
 
     if args.dry_run:
         from repro.realign.realigner import IndelRealigner
@@ -584,7 +608,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
     async def drive(host: str, port: int):
         updated, report = await run_loadgen(
-            host, port, reads, reference, profile=profile,
+            host, port, lines, reads, reference, profile=profile,
             seed=args.seed, time_scale=args.time_scale,
         )
         if args.shutdown:
@@ -596,7 +620,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         return updated, report
 
     if args.selftest:
-        from repro.realign.realigner import IndelRealigner
+        from repro.realign.realigner import IndelRealigner, moved_records
+        from repro.serve.client import patch_moved
         from repro.serve.server import RealignmentServer
 
         async def selftest(engine):
@@ -609,9 +634,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
         with engine_from_args(args) as engine:
             updated, report = asyncio.run(selftest(engine))
-        expected, _ = IndelRealigner(reference).realign(reads)
-        identical = ([format_read(r) for r in updated]
-                     == [format_read(r) for r in expected])
+        # The CLI's contract on the same lines: patch what moved.
+        realigned, _ = IndelRealigner(reference).realign(reads)
+        identical = updated == patch_moved(lines,
+                                           moved_records(reads, realigned))
         print(report.summary())
         print(f"selftest: served output is "
               f"{'byte-identical' if identical else 'DIVERGENT'} "
@@ -628,19 +654,17 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             print(f"report -> {args.json_out}")
 
     if args.out is not None:
-        write_sam(updated, args.out, reference)
+        args.out.write_text("".join(f"{line}\n" for line in header + updated))
         print(f"{len(updated)} reads -> {args.out}")
     if args.compare is not None:
-        from repro.genomics.samlite import read_sam
+        from repro.genomics.samlite import read_sam_lines
 
-        expected_lines = [format_read(r) for r in read_sam(args.compare)]
-        got_lines = [format_read(r) for r in updated]
-        if got_lines != expected_lines:
+        if read_sam_lines(args.compare)[1] != updated:
             print(f"error: served output diverges from {args.compare}",
                   file=sys.stderr)
             return 1
         print(f"served output matches {args.compare} "
-              f"({len(got_lines)} reads)")
+              f"({len(updated)} reads)")
         _print_site_cache(report.server)
     return 0
 

@@ -1,16 +1,18 @@
-"""SAM-lite: a text serialisation of aligned reads.
+"""SAM-lite: SAM text in, reads out, and the input patched back.
 
-A restricted SAM dialect carrying exactly the columns the refinement
-pipeline uses. It exists so pipeline stages can be checkpointed to disk
-and inspected, and so the examples produce artifacts a bioinformatician
-would recognise. Flags encoded: 0x10 (reverse strand), 0x400 (duplicate),
-0x4 (unmapped).
+The reader keeps what realignment uses of a SAM line: name, flags 0x4
+(unmapped), 0x10 (reverse) and 0x400 (duplicate), RNAME, POS, MAPQ,
+CIGAR, bases and qualities. Realigned output is the input's own text
+with POS and CIGAR of the moved reads patched (:func:`patch_line`), so
+the header, every other column and every tag come through verbatim.
+:func:`format_read` / :func:`write_sam` are the simulator's writer,
+which renders only those columns.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, TextIO, Union
+from typing import Iterable, Iterator, List, Optional, TextIO, Tuple, Union
 
 from repro.genomics.cigar import Cigar
 from repro.genomics.quality import phred_from_ascii, phred_to_ascii
@@ -119,29 +121,112 @@ def write_sam(
             handle.close()
 
 
-def parse_sam(source: PathOrFile) -> Iterator[Read]:
-    """Yield reads from a SAM-lite file, skipping header lines.
+def _is_alignment(line: str) -> bool:
+    """Not a blank or ``@`` header line (file lines are never empty)."""
+    return not (line.isspace() or line.startswith("@"))
 
-    Whatever a line raises (a bad field, CIGAR, quality string or
-    read) comes out as a :class:`SamError` located ``path:line``
-    (``<stream>`` for a handle).
-    """
+
+def check_placement(read: Read, reference: ReferenceGenome) -> None:
+    """Raise :class:`SamError` unless a mapped ``read`` lies on a contig
+    of ``reference``, inside it. The text boundaries (a SAM file, a
+    served job's lines) call this; in-memory reads are not checked."""
+    if not read.is_mapped:
+        return
+    try:
+        length = reference.length(read.chrom)
+    except KeyError:
+        raise SamError(f"RNAME {read.chrom!r} is not a contig of the "
+                       "reference") from None
+    end = read.pos + read.cigar.reference_length
+    if end > length:
+        raise SamError(f"alignment {read.chrom}:{read.pos + 1}-{end} runs "
+                       f"past the contig end ({length})")
+
+
+def _lines(
+    source: PathOrFile, reference: Optional[ReferenceGenome]
+) -> Iterator[Tuple[str, Optional[Read]]]:
+    """``(line, read)`` for each line of ``source``, ``read`` None for a
+    blank or header line; errors are located ``path:line``."""
     handle, owned = _as_text_handle(source, "r")
     path = source if owned else "<stream>"
     try:
         for lineno, line in enumerate(handle, 1):
-            if not line.strip() or line.startswith("@"):
+            if not _is_alignment(line):
+                yield line, None
                 continue
             try:
                 read = parse_read(line)
+                if reference is not None:
+                    check_placement(read, reference)
             except ValueError as error:
                 raise SamError(f"{path}:{lineno}: {error}") from None
-            yield read
+            yield line, read
     finally:
         if owned:
             handle.close()
 
 
-def read_sam(source: PathOrFile) -> List[Read]:
+def parse_sam(
+    source: PathOrFile, reference: Optional[ReferenceGenome] = None
+) -> Iterator[Read]:
+    """Yield reads from a SAM-lite file, skipping blank and header lines.
+
+    Whatever a line raises (a bad field, CIGAR, quality string or
+    read) comes out as a :class:`SamError` located ``path:line``
+    (``<stream>`` for a handle); with ``reference``, so does a mapped
+    read off it (:func:`check_placement`).
+    """
+    return (read for _line, read in _lines(source, reference)
+            if read is not None)
+
+
+def read_sam(
+    source: PathOrFile, reference: Optional[ReferenceGenome] = None
+) -> List[Read]:
     """Eagerly load a SAM-lite file."""
-    return list(parse_sam(source))
+    return list(parse_sam(source, reference))
+
+
+def read_sam_lines(source: PathOrFile,
+                   reference: Optional[ReferenceGenome] = None):
+    """``(header, lines, reads)``: the blank and header lines, the
+    alignment lines (newlines stripped) and their reads, as
+    :func:`parse_sam` reads them."""
+    header, lines, reads = [], [], []
+    for line, read in _lines(source, reference):
+        if read is None:
+            header.append(line.rstrip("\n"))
+        else:
+            lines.append(line.rstrip("\n"))
+            reads.append(read)
+    return header, lines, reads
+
+
+def patch_line(line: str, pos: int, cigar: str) -> str:
+    """``line`` with POS (column 4) and CIGAR (column 6) replaced."""
+    fields = line.split("\t", 6)
+    if len(fields) < 7:
+        raise SamError("no POS and CIGAR to patch")
+    fields[3], fields[5] = str(pos), cigar
+    return "\t".join(fields)
+
+
+def copy_patched(path, sink: TextIO, moved, count: int) -> None:
+    """Copy the SAM file at ``path`` to ``sink``, patching alignment
+    line ``index`` (counted as :func:`parse_sam` counts reads) for each
+    ``[index, pos, cigar]`` in ``moved``. The file must still hold the
+    ``count`` reads ``moved`` was computed from, else :class:`SamError`.
+    """
+    patches = {index: (pos, cigar) for index, pos, cigar in moved}
+    index = 0
+    with open(path) as handle:
+        for line in handle:
+            if _is_alignment(line):
+                if index in patches:
+                    line = patch_line(line, *patches[index])
+                index += 1
+            sink.write(line)
+    if index != count:
+        raise SamError(f"{path}: {index} reads on the second read, "
+                       f"{count} on the first")

@@ -243,6 +243,22 @@ def apply_site_results(
     return [updates.get(id(read), read) for read in reads]
 
 
+def moved_records(
+    reads: Sequence[Read], updated: Sequence[Read]
+) -> List[List]:
+    """``[index, pos, cigar]`` -- new 1-based POS, new CIGAR -- for each
+    read of ``reads`` that :func:`apply_site_results` moved. With the
+    input's text this is the whole output: every realign path patches
+    these into the input's lines, and the server replies with them.
+    """
+    return [
+        [index, new.pos + 1, str(new.cigar)]
+        for index, (old, new) in enumerate(zip(reads, updated))
+        if new is not old
+        and (new.pos != old.pos or new.cigar != old.cigar)
+    ]
+
+
 def apply_realignment(
     read: Read,
     window: ConsensusWindow,

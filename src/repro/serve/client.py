@@ -15,6 +15,7 @@ import asyncio
 import itertools
 from typing import Dict, List, Optional, Sequence
 
+from repro.genomics.samlite import SamError, patch_line
 from repro.serve.protocol import (
     MAX_MESSAGE_BYTES,
     ProtocolError,
@@ -56,7 +57,8 @@ def patch_moved(sam_lines: Sequence[str], moved) -> List[str]:
     """Apply a ``realign`` reply's ``moved`` list to the lines sent.
 
     Each entry is ``[index, pos, cigar]``: the read at ``sam_lines[index]``
-    now starts at 1-based ``pos`` with ``cigar``. A malformed entry --
+    now starts at 1-based ``pos`` with ``cigar``
+    (:func:`repro.genomics.samlite.patch_line`). A malformed entry --
     an index out of range or repeated, a ``pos`` that is not an integer
     >= 1, a ``cigar`` that is not a string -- raises
     :class:`ProtocolError`.
@@ -79,12 +81,10 @@ def patch_moved(sam_lines: Sequence[str], moved) -> List[str]:
         if not isinstance(cigar, str):
             raise ProtocolError(f"moved cigar {cigar!r} is not a string")
         seen.add(index)
-        fields = lines[index].split("\t", 6)
-        if len(fields) < 7:
-            raise ProtocolError(f"sam[{index}] has no POS and CIGAR to patch")
-        fields[3] = str(pos)
-        fields[5] = cigar
-        lines[index] = "\t".join(fields)
+        try:
+            lines[index] = patch_line(lines[index], pos, cigar)
+        except SamError as error:
+            raise ProtocolError(f"sam[{index}]: {error}") from None
     return lines
 
 

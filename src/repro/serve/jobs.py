@@ -66,10 +66,6 @@ class RegionJob:
     indices: Tuple[int, ...]  # positions in the original read list
     reads: Tuple[Read, ...]  # the same reads, original relative order
 
-    @property
-    def num_reads(self) -> int:
-        return len(self.reads)
-
 
 def partition_jobs(
     reads: Sequence[Read],

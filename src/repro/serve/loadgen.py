@@ -2,8 +2,9 @@
 
 ``run_loadgen`` drives a seeded many-tenant schedule
 (:mod:`repro.workloads.serving`) against a running ``repro serve``:
-the input SAM is partitioned into independent region jobs
-(:func:`repro.serve.jobs.partition_jobs`), each tenant gets its own
+the input SAM lines are partitioned into independent region jobs
+(:func:`repro.serve.jobs.partition_jobs`, on the reads parsed from
+them), each job sends its own lines, each tenant gets its own
 connection, requests fire at their scheduled arrivals (scalable with
 ``time_scale``), and client-observed latencies are collected into a
 :class:`LoadReport` alongside the server's own snapshot. Because job
@@ -11,9 +12,9 @@ indices are assigned round-robin over the job list, every job is
 requested at least once whenever the schedule has >= num_jobs
 requests; any job that still lacks a successful response after the
 scheduled wave (rejected under backpressure, expired, client instance
-preempted) is re-submitted in a final sweep, so the reassembled SAM is
-always complete -- and byte-identical to ``repro realign`` on the same
-inputs, which ``--compare``/``--selftest`` and CI's serve smoke step
+preempted) is re-submitted in a final sweep, so the reassembled lines
+are always complete -- and byte-identical to ``repro realign``'s on the
+same input, which ``--compare``/``--selftest`` and CI's serve smoke step
 assert.
 
 ``simulate_load`` is the same schedule run through a *virtual-time*
@@ -30,9 +31,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.genomics.samlite import format_read, parse_read
 from repro.serve.client import ServiceClient
-from repro.serve.jobs import RegionJob, partition_jobs
+from repro.serve.jobs import partition_jobs
 from repro.serve.metrics import LatencyRecorder
 from repro.serve.request import (
     DeadlineExceeded,
@@ -106,17 +106,21 @@ class LoadReport:
 async def run_loadgen(
     host: str,
     port: int,
+    lines: Sequence[str],
     reads: Sequence,
     reference=None,
     profile: Optional[LoadProfile] = None,
     seed: int = 0,
     time_scale: float = 1.0,
-) -> Tuple[List, LoadReport]:
-    """Drive a scheduled load; returns (realigned reads, report).
+) -> Tuple[List[str], LoadReport]:
+    """Drive a scheduled load; returns (realigned lines, report).
 
-    ``time_scale`` multiplies scheduled arrival gaps: ``0.0`` fires the
-    whole schedule at once (max coalescing pressure), ``1.0`` replays
-    it in real time. The returned reads are complete and in input order
+    ``lines`` are SAM alignment lines and ``reads[i]`` is parsed from
+    ``lines[i]``: the reads cut the region jobs, the lines are what a
+    job sends. ``time_scale`` multiplies scheduled arrival gaps:
+    ``0.0`` fires the whole schedule at once (max coalescing pressure),
+    ``1.0`` replays it in real time. The returned lines are the input's
+    with the moved reads patched, complete and in input order
     regardless of per-request rejections -- see the sweep pass.
     """
     if profile is None:
@@ -150,7 +154,7 @@ async def run_loadgen(
             sent = loop.time()
             try:
                 result = await clients[request.tenant].realign(
-                    [format_read(read) for read in job.reads],
+                    [lines[i] for i in job.indices],
                     tenant=request.tenant,
                     deadline_s=request.deadline_s,
                 )
@@ -176,7 +180,7 @@ async def run_loadgen(
             if job.job_id in job_lines:
                 continue
             result = await sweeper.realign(
-                [format_read(read) for read in job.reads],
+                [lines[i] for i in job.indices],
                 tenant="sweep",
             )
             job_lines[job.job_id] = result.sam
@@ -189,23 +193,13 @@ async def run_loadgen(
     report.wall_s = loop.time() - started
     report.latency = recorder.summary()
     report.tenant_latency = recorder.tenant_summaries()
-    return _reassemble(reads, jobs, job_lines), report
-
-
-def _reassemble(reads: Sequence, jobs: List[RegionJob],
-                job_lines: Dict[int, List[str]]) -> List:
-    """Merge per-job responses back into input order, by input index."""
-    updated = list(reads)
+    # A job's result holds exactly the lines it sent (patched), so the
+    # input order is restored by index.
+    updated = list(lines)
     for job in jobs:
-        lines = job_lines[job.job_id]
-        if len(lines) != len(job.indices):
-            raise ServeError(
-                f"job {job.job_id} returned {len(lines)} reads, "
-                f"expected {len(job.indices)}"
-            )
-        for index, line in zip(job.indices, lines):
-            updated[index] = parse_read(line)
-    return updated
+        for index, line in zip(job.indices, job_lines[job.job_id]):
+            updated[index] = line
+    return updated, report
 
 
 def simulate_load(

@@ -22,9 +22,12 @@ import asyncio
 from typing import List, Optional, Tuple
 
 from repro.genomics.reference import ReferenceGenome
-from repro.genomics.samlite import SamError, parse_read
-from repro.realign.realigner import IndelRealigner
-from repro.serve.jobs import apply_site_results
+from repro.genomics.samlite import SamError, check_placement, parse_read
+from repro.realign.realigner import (
+    IndelRealigner,
+    apply_site_results,
+    moved_records,
+)
 from repro.serve.protocol import (
     MAX_MESSAGE_BYTES,
     ProtocolError,
@@ -207,9 +210,11 @@ class RealignmentServer:
             if not isinstance(line, str):
                 raise ProtocolError(f"sam[{index}] is not a string")
             try:
-                reads.append(parse_read(line))
+                read = parse_read(line)
+                check_placement(read, self.reference)
             except ValueError as error:
                 raise SamError(f"sam[{index}]: {error}") from None
+            reads.append(read)
         # Front half off the loop: target identification + consensus
         # generation are pure CPU.
         _targets, windows = await loop.run_in_executor(
@@ -220,16 +225,8 @@ class RealignmentServer:
             tenant=tenant,
             deadline_s=deadline_s,
         )
-        # Realignment changes a read's POS and CIGAR only (a new Read
-        # object; untouched reads come back as themselves), so the reply
-        # names the reads that moved and the client patches its lines.
-        updated = apply_site_results(reads, windows, results)
-        moved = [
-            [index, new.pos + 1, str(new.cigar)]
-            for index, (old, new) in enumerate(zip(reads, updated))
-            if new is not old
-            and (new.pos != old.pos or new.cigar != old.cigar)
-        ]
+        moved = moved_records(reads, apply_site_results(reads, windows,
+                                                        results))
         return {
             "id": request_id,
             "ok": True,

@@ -1,12 +1,7 @@
-"""Unit tests for the energy model and workload traces."""
+"""Unit tests for the energy model."""
 
-import io
-import json
-
-import numpy as np
 import pytest
 
-from repro.core.accelerator import IRUnit, UnitConfig
 from repro.perf.energy import (
     EnergyReport,
     accelerated_energy,
@@ -14,13 +9,6 @@ from repro.perf.energy import (
     software_energy,
 )
 from repro.perf.model import GATK3_WHOLE_GENOME_SECONDS
-from repro.workloads.generator import BENCH_PROFILE, synthesize_site
-from repro.workloads.trace import (
-    TraceError,
-    WorkloadTrace,
-    load_trace,
-    save_trace,
-)
 
 
 class TestEnergy:
@@ -42,64 +30,3 @@ class TestEnergy:
         ratio = energy_efficiency(gatk3, iracc)
         assert ratio > 100
         assert iracc.average_watts < gatk3.average_watts
-
-
-class TestTrace:
-    @pytest.fixture
-    def sites(self):
-        rng = np.random.default_rng(14)
-        return [synthesize_site(rng, BENCH_PROFILE, complexity=0.4)
-                for _ in range(4)]
-
-    def test_roundtrip_preserves_sites(self, sites, tmp_path):
-        trace = WorkloadTrace(sites=sites, description="test", seed=14)
-        path = tmp_path / "workload.json"
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        assert loaded.description == "test"
-        assert loaded.seed == 14
-        assert len(loaded.sites) == len(sites)
-        for original, replayed in zip(sites, loaded.sites):
-            assert replayed.consensuses == original.consensuses
-            assert replayed.reads == original.reads
-            for a, b in zip(replayed.quals, original.quals):
-                assert np.array_equal(a, b)
-
-    def test_replay_reproduces_kernel_bit_for_bit(self, sites, tmp_path):
-        path = tmp_path / "workload.json"
-        save_trace(WorkloadTrace(sites=sites), path)
-        loaded = load_trace(path)
-        unit = IRUnit(UnitConfig(lanes=32))
-        for original, replayed in zip(sites, loaded.sites):
-            a = unit.run_site(original)
-            b = unit.run_site(replayed)
-            assert a.cycles == b.cycles
-            assert np.array_equal(a.new_pos, b.new_pos)
-
-    def test_version_check(self, sites):
-        buffer = io.StringIO()
-        save_trace(WorkloadTrace(sites=sites), buffer)
-        document = json.loads(buffer.getvalue())
-        document["version"] = 99
-        with pytest.raises(TraceError, match="version"):
-            load_trace(io.StringIO(json.dumps(document)))
-
-    def test_count_mismatch_detected(self, sites):
-        buffer = io.StringIO()
-        save_trace(WorkloadTrace(sites=sites), buffer)
-        document = json.loads(buffer.getvalue())
-        document["sites"].pop()
-        with pytest.raises(TraceError, match="claims"):
-            load_trace(io.StringIO(json.dumps(document)))
-
-    def test_missing_field_detected(self):
-        document = {"version": 1, "num_sites": 1,
-                    "sites": [{"chrom": "1"}]}
-        with pytest.raises(TraceError):
-            load_trace(io.StringIO(json.dumps(document)))
-
-    def test_work_summary(self, sites):
-        trace = WorkloadTrace(sites=sites)
-        assert trace.total_unpruned_comparisons() == sum(
-            site.unpruned_comparisons() for site in sites
-        )

@@ -191,6 +191,9 @@ class TestMalformedInputCli:
         ("cigar", "bad.sam:12: malformed CIGAR '10M5Q' near offset 3"),
         ("numeric", "bad.sam:12: bad numeric field in SAM line"),
         ("seq-qual", "bad.sam:12: read "),
+        ("off-contig", "bad.sam:12: RNAME 'chrNope' is not a contig of "
+                       "the reference"),
+        ("past-end", "bad.sam:12: alignment chr22:2990-"),
         ("missing-sam", "No such file or directory"),
         ("headerless-fasta", "sequence data before any FASTA header"),
     ])
@@ -206,7 +209,9 @@ class TestMalformedInputCli:
             reference.write_text("ACGTACGT\n")
         else:
             column, value = {"cigar": (5, "10M5Q"), "numeric": (4, "x"),
-                             "seq-qual": (10, "II")}[case]
+                             "seq-qual": (10, "II"),
+                             "off-contig": (2, "chrNope"),
+                             "past-end": (3, "2990")}[case]
             lines = sam.read_text().splitlines()
             fields = lines[11].split("\t")
             fields[column] = value

@@ -687,13 +687,14 @@ class TestServerByteIdentity:
         sample = _sample({"chrS": 4000, "chrT": 2500}, seed=9)
         expected, _ = IndelRealigner(sample.reference).realign(sample.reads)
         expected_lines = [format_read(r) for r in expected]
+        lines = [format_read(r) for r in sample.reads]
 
         async def scenario():
             server = RealignmentServer(sample.reference)
             host, port = await server.start(port=0)
             try:
                 updated, report = await run_loadgen(
-                    host, port, sample.reads, sample.reference,
+                    host, port, lines, sample.reads, sample.reference,
                     profile=LoadProfile(tenants=3, requests_per_tenant=2,
                                         mean_interarrival_s=0.001),
                     seed=4, time_scale=0.0,
@@ -703,7 +704,7 @@ class TestServerByteIdentity:
             return updated, report
 
         updated, report = asyncio.run(scenario())
-        assert [format_read(r) for r in updated] == expected_lines
+        assert updated == expected_lines
         assert report.completed + report.sweep_requests >= report.jobs
         assert report.tenants == 3
         assert report.server["counters"]["serve.batches_dispatched"] >= 1
@@ -730,10 +731,17 @@ class TestServerByteIdentity:
                 writer.write(encode_message({
                     "id": 5, "op": "realign",
                     "sam": lines[:5] + ["a\tb"] + lines[6:]}))
+                for request_id, column, value in ((6, 2, "chrNope"),
+                                                  (7, 3, "1995")):
+                    fields = lines[5].split("\t")
+                    fields[column] = value
+                    writer.write(encode_message({
+                        "id": request_id, "op": "realign",
+                        "sam": lines[:5] + ["\t".join(fields)] + lines[6:]}))
                 writer.write(encode_message({"id": 3, "op": "ping"}))
                 await writer.drain()
                 frames = [decode_message(await reader.readline())
-                          for _ in range(6)]
+                          for _ in range(8)]
                 writer.close()
                 await writer.wait_closed()
             finally:
@@ -751,6 +759,11 @@ class TestServerByteIdentity:
         assert by_id[5]["error"] == (
             "SamError: sam[5]: SAM line has 2 fields, expected >= 11"
         )
+        assert by_id[6]["error"] == ("SamError: sam[5]: RNAME 'chrNope' is "
+                                     "not a contig of the reference")
+        assert by_id[7]["error"].startswith(
+            "SamError: sam[5]: alignment chrS:1995-")
+        assert by_id[7]["error"].endswith("runs past the contig end (2000)")
         assert by_id[3]["ok"] is True  # connection survived it all
 
     def test_shutdown_while_a_handler_closes_logs_nothing(self, caplog):

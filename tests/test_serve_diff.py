@@ -1,27 +1,34 @@
 """The ``realign`` reply carries the diff: the reads that moved.
 
 The server answers with ``moved: [[index, pos, cigar], ...]`` and the
-client patches columns 4 and 6 of the lines it sent. Three layers:
+client patches columns 4 and 6 of the lines it sent; ``repro realign``
+patches the same columns of its input file. Four layers:
 
 - the client's validation of a reply, on hand-built frames (no server);
-- a hypothesis property over SAM lines carrying what the CLI's codec
-  drops (RNEXT/PNEXT/TLEN, ``NM``/``MD``/``RG`` tags, flag bits
+- a hypothesis property over SAM lines carrying what the reader
+  ignores (RNEXT/PNEXT/TLEN, ``NM``/``MD``/``RG`` tags, flag bits
   0x1/0x2/0x40/0x80): unmoved lines come back verbatim, moved lines
   differ from the sent line in POS and CIGAR only, and those two
   columns are the batch realigner's;
-- one TCP round trip on a tagged paired-end job.
+- one TCP round trip on a tagged paired-end job;
+- ``repro realign`` on the same drawn lines, written to a file with a
+  header: its output is the header verbatim and the same lines the
+  server returns.
 
-CI runs the property with ``--hypothesis-profile=ci
+CI runs both properties with ``--hypothesis-profile=ci
 --hypothesis-seed=2019``.
 """
 
 import asyncio
+import os
 import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.__main__ import main as cli_main
+from repro.genomics.fasta import write_reference
 from repro.genomics.samlite import format_read
 from repro.genomics.simulate import SimulationProfile, simulate_sample
 from repro.realign.realigner import IndelRealigner
@@ -167,6 +174,37 @@ decorations = st.tuples(
 )
 
 
+#: A header the realign CLI must copy verbatim.
+HEADER = ["@HD\tVN:1.6\tSO:coordinate", "@SQ\tSN:chrS\tLN:2000",
+          "@RG\tID:grp1\tSM:sample1", "@CO\tfree text"]
+
+
+def _decorated(drawn):
+    """Every line decorated, cycling through what was drawn."""
+    return [_decorate(line, *drawn[i % len(drawn)])
+            for i, line in enumerate(BEFORE)]
+
+
+def _text(lines):
+    return "".join(f"{line}\n" for line in lines)
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("cli-diff")
+    write_reference(SAMPLE.reference, workdir / "reference.fa")
+    return workdir
+
+
+def _cli_realign(workdir, text):
+    """``repro realign`` in-process on ``text``; the --out file's text."""
+    sam, out = workdir / "in.sam", workdir / "out.sam"
+    sam.write_text(text)
+    assert cli_main(["realign", "--reference", str(workdir / "reference.fa"),
+                     "--sam", str(sam), "--out", str(out)]) == 0
+    return out.read_text()
+
+
 class TestServedPathIsLossless:
     def test_the_sample_moves_some_reads(self):
         assert 0 < sum(b != a for b, a in zip(BEFORE, AFTER)) < len(BEFORE)
@@ -174,10 +212,37 @@ class TestServedPathIsLossless:
     @relaxed
     @given(st.lists(decorations, min_size=1, max_size=16))
     def test_unmoved_lines_come_back_verbatim(self, served, drawn):
-        # Every line is decorated, cycling through what was drawn.
-        sent = [_decorate(line, *drawn[i % len(drawn)])
-                for i, line in enumerate(BEFORE)]
+        sent = _decorated(drawn)
         assert asyncio.run(_round_trip(*served, sent)) == _expected(sent)
+
+    @relaxed
+    @given(st.lists(decorations, min_size=1, max_size=16))
+    def test_cli_writes_the_served_lines(self, cli_dir, drawn):
+        sent = _decorated(drawn)
+        assert (_cli_realign(cli_dir, _text(HEADER + sent))
+                == _text(HEADER + _expected(sent)))
+
+    def test_cli_on_a_headerless_file(self, cli_dir):
+        assert _cli_realign(cli_dir, _text(BEFORE)) == _text(AFTER)
+
+    def test_cli_rejects_a_fifo_sam_without_opening_it(self, cli_dir,
+                                                       capsys):
+        fifo, out = cli_dir / "reads.fifo", cli_dir / "fifo-out.sam"
+        os.mkfifo(fifo)
+        # Opening a FIFO with no writer blocks, so a CLI that opened it
+        # would never return.
+        code = []
+        thread = threading.Thread(daemon=True, target=lambda: code.append(
+            cli_main(["realign", "--reference",
+                      str(cli_dir / "reference.fa"),
+                      "--sam", str(fifo), "--out", str(out)])))
+        thread.start()
+        thread.join(60)
+        assert code == [2]
+        err = capsys.readouterr().err
+        assert err == f"error: --sam {fifo} is not a regular file (it is " \
+                      "read twice)\n"
+        assert not out.exists()
 
     def test_tagged_paired_end_job_round_trip(self):
         # Reads 2k and 2k + 1 are mates: first and last segment.
