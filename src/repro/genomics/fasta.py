@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Iterable, List, TextIO, Tuple, Union
 
 from repro.genomics.reference import Contig, ReferenceGenome
+from repro.genomics.sequence import SequenceError, validate_bases
 
 PathOrFile = Union[str, Path, TextIO]
 
@@ -27,13 +28,20 @@ def _as_text_handle(source: PathOrFile, mode: str):
 
 
 def parse_fasta(source: PathOrFile) -> List[Tuple[str, str]]:
-    """Parse FASTA into ``(name, sequence)`` pairs, upper-casing bases."""
+    """Parse FASTA into ``(name, sequence)`` pairs, upper-casing bases.
+
+    A malformed record -- a bad base, a repeated or empty name, data
+    before the first header -- is a :class:`FastaError` located
+    ``path:line`` (``<stream>`` for a handle).
+    """
     handle, owned = _as_text_handle(source, "r")
+    path = source if owned else "<stream>"
     try:
         records: List[Tuple[str, str]] = []
+        names = set()
         name = None
         chunks: List[str] = []
-        for raw_line in handle:
+        for lineno, raw_line in enumerate(handle, 1):
             line = raw_line.strip()
             if not line:
                 continue
@@ -42,16 +50,25 @@ def parse_fasta(source: PathOrFile) -> List[Tuple[str, str]]:
                     records.append((name, "".join(chunks)))
                 name = line[1:].split()[0] if len(line) > 1 else ""
                 if not name:
-                    raise FastaError("FASTA record with empty name")
+                    raise FastaError(f"{path}:{lineno}: FASTA record with "
+                                     "empty name")
+                if name in names:
+                    raise FastaError(f"{path}:{lineno}: duplicate contig "
+                                     f"name {name!r}")
+                names.add(name)
                 chunks = []
             else:
                 if name is None:
-                    raise FastaError("sequence data before any FASTA header")
-                chunks.append(line.upper())
+                    raise FastaError(f"{path}:{lineno}: sequence data before "
+                                     "any FASTA header")
+                try:
+                    chunks.append(validate_bases(line.upper()))
+                except SequenceError as error:
+                    raise FastaError(f"{path}:{lineno}: {error}") from None
         if name is not None:
             records.append((name, "".join(chunks)))
         if not records:
-            raise FastaError("no FASTA records found")
+            raise FastaError(f"{path}: no FASTA records found")
         return records
     finally:
         if owned:

@@ -12,14 +12,30 @@ start position and mapping quality score").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from itertools import accumulate
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.genomics.cigar import Cigar, validate_cigar_against_read
 from repro.genomics.quality import MAX_PHRED
-from repro.genomics.sequence import validate_bases
+from repro.genomics.sequence import SequenceError, validate_bases
+
+#: One row of :meth:`Read.batch`: the fields in ``Read``'s order, with
+#: ``quals`` replaced by how many of the batch's scores are this read's.
+BatchRow = Tuple[str, Optional[str], int, str, int, Optional[Cigar], int,
+                 bool, bool]
+
+
+class RowError(ValueError):
+    """The first row of a :meth:`Read.batch` that is not a valid read:
+    ``row`` is its index, ``error`` what ``Read`` raised for it."""
+
+    def __init__(self, row: int, error: ValueError):
+        super().__init__(str(error))
+        self.row = row
+        self.error = error
 
 
 @dataclass(frozen=True)
@@ -72,6 +88,55 @@ class Read:
             raise ValueError(f"read {self.name!r}: negative mapped position {self.pos}")
         if not 0 <= self.mapq <= 254:
             raise ValueError(f"read {self.name!r}: mapq {self.mapq} outside [0, 254]")
+
+    @classmethod
+    def batch(cls, rows: Sequence[BatchRow], scores: np.ndarray) -> List["Read"]:
+        """One read per row; read ``i``'s ``quals`` is a view of its
+        ``rows[i][4]`` scores, which follow the previous rows' in the 1-D
+        ``uint8`` buffer ``scores``.
+
+        The invariants ``__post_init__`` checks per read are checked here
+        once per field over the whole batch, and the reads are built
+        without it: this is the only constructor that bypasses it. If a
+        check fails, every row is built through ``__post_init__``
+        instead, and the first that raises is :class:`RowError`, with
+        the message that row alone raises.
+        """
+        if not rows:
+            return []
+        _names, _chroms, positions, seqs, counts, cigars, mapqs, *_flags = \
+            zip(*rows)
+        stops = list(accumulate(counts))
+        if not _valid_batch(seqs, scores, counts, stops[-1], cigars,
+                            positions, mapqs):
+            reads = []
+            for index, (row, stop) in enumerate(zip(rows, stops)):
+                name, chrom, pos, seq, count, *rest = row
+                try:
+                    reads.append(cls(name, chrom, pos, seq,
+                                     scores[stop - count:stop], *rest))
+                except ValueError as error:
+                    raise RowError(index, error) from None
+            return reads
+        # Per-field object.__setattr__, as the generated __init__ does:
+        # touching read.__dict__ instead would give every read a dict of
+        # its own, 64 bytes more than its inline attribute values.
+        new, put = object.__new__, object.__setattr__
+        reads = []
+        for (name, chrom, pos, seq, count, cigar, mapq, is_reverse,
+             is_duplicate), stop in zip(rows, stops):
+            read = new(cls)
+            put(read, "name", name)
+            put(read, "chrom", chrom)
+            put(read, "pos", pos)
+            put(read, "seq", seq)
+            put(read, "quals", scores[stop - count:stop])
+            put(read, "cigar", cigar)
+            put(read, "mapq", mapq)
+            put(read, "is_reverse", is_reverse)
+            put(read, "is_duplicate", is_duplicate)
+            reads.append(read)
+        return reads
 
     @property
     def is_mapped(self) -> bool:
@@ -147,6 +212,28 @@ class Read:
     def with_quals(self, quals: np.ndarray) -> "Read":
         """Return a copy with recalibrated quality scores (used by BQSR)."""
         return replace(self, quals=quals)
+
+
+def _valid_batch(seqs, scores, counts, total, cigars, positions,
+                 mapqs) -> bool:
+    """True if no row of a :meth:`Read.batch` can fail ``__post_init__``
+    or be changed by it (a negative POS of an unmapped read, legal,
+    makes it False too)."""
+    try:
+        validate_bases("".join(seqs))
+    except SequenceError:
+        return False
+    lengths = tuple(map(len, seqs))
+    return (
+        counts == lengths
+        and scores.dtype == np.uint8 and scores.ndim == 1
+        and scores.size == total
+        and not (total and scores.max() > MAX_PHRED)
+        and all(cigar is None or cigar.read_length == length
+                for cigar, length in zip(cigars, lengths))
+        and min(positions) >= 0
+        and 0 <= min(mapqs) and max(mapqs) <= 254
+    )
 
 
 def coordinate_key(read: Read) -> Tuple[str, int, bool]:

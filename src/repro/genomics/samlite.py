@@ -2,21 +2,29 @@
 
 The reader keeps what realignment uses of a SAM line: name, flags 0x4
 (unmapped), 0x10 (reverse) and 0x400 (duplicate), RNAME, POS, MAPQ,
-CIGAR, bases and qualities. Realigned output is the input's own text
-with POS and CIGAR of the moved reads patched (:func:`patch_line`), so
-the header, every other column and every tag come through verbatim.
+CIGAR, bases and qualities. Every text boundary -- a file, in chunks
+of :data:`CHUNK_LINES` lines, a served job's lines, and
+:func:`parse_read` -- goes through one batch parser,
+:func:`parse_lines`: it checks bases, qualities and placements once
+per field of a batch, not once per read, and builds the reads with
+:meth:`~repro.genomics.read.Read.batch`. Realigned output is the
+input's own text with POS and CIGAR of the moved reads patched
+(:func:`patch_line`), so the header, every other column and every tag
+come through verbatim.
 :func:`format_read` / :func:`write_sam` are the simulator's writer,
 which renders only those columns.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, TextIO, Tuple, Union
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
+                    TextIO, Tuple, Union)
 
-from repro.genomics.cigar import Cigar
-from repro.genomics.quality import phred_from_ascii, phred_to_ascii
-from repro.genomics.read import Read
+from repro.genomics.cigar import Cigar, CigarError
+from repro.genomics.quality import QualityError, phred_from_ascii, phred_to_ascii
+from repro.genomics.read import Read, RowError
 from repro.genomics.reference import ReferenceGenome
 
 PathOrFile = Union[str, Path, TextIO]
@@ -24,6 +32,12 @@ PathOrFile = Union[str, Path, TextIO]
 FLAG_UNMAPPED = 0x4
 FLAG_REVERSE = 0x10
 FLAG_DUPLICATE = 0x400
+
+#: File lines the readers hand :func:`parse_lines` at a time. A chunk's
+#: split rows live until it is parsed, and the reads kept from it pin
+#: the arenas they were allocated in, so a larger chunk raises the
+#: CLI's peak RSS while saving little time (docs/PERFORMANCE.md).
+CHUNK_LINES = 256
 
 
 class SamError(ValueError):
@@ -75,31 +89,101 @@ def format_read(read: Read) -> str:
     )
 
 
-def parse_read(line: str) -> Read:
-    """Parse one SAM-lite alignment line back into a :class:`Read`."""
-    fields = line.rstrip("\n").split("\t")
-    if len(fields) < 11:
-        raise SamError(f"SAM line has {len(fields)} fields, expected >= 11")
-    name, flag_text, chrom, pos_text, mapq_text, cigar_text = fields[:6]
-    seq, quals_text = fields[9], fields[10]
+def parse_lines(lines: Sequence[str],
+                reference: Optional[ReferenceGenome] = None,
+                locate: Optional[Callable[[int], str]] = None) -> List[Read]:
+    """Parse SAM-lite alignment lines (trailing newline optional) into
+    reads, checking the batch once per field, not once per read.
+
+    Each line is split once. The qualities of all lines are decoded in
+    one pass, and each read's ``quals`` is a read-only view of that one
+    buffer; :meth:`Read.batch` checks the bases and the other read
+    invariants over the batch. With ``reference``, a mapped read must
+    lie on one of its contigs, inside it.
+
+    A bad batch raises what its first bad line alone raises, for the
+    first failure in that line in this order: field count, numeric
+    field, quality characters, CIGAR syntax, bases, quality count, CIGAR
+    length, POS, MAPQ, RNAME, alignment end. With ``locate``, that is a
+    :class:`SamError` prefixed ``locate(index): ``.
+    """
+    rows = [line.rstrip("\n").split("\t") for line in lines]
+    # Each check runs on rows[:limit], the rows that passed every
+    # earlier check, and a failure at row i sets limit = i: the error
+    # left at the end is the first bad row's first failure.
+    limit, error = len(rows), None
+    if rows and min(map(len, rows)) < 11:
+        limit = next(i for i, fields in enumerate(rows) if len(fields) < 11)
+        error = SamError(f"SAM line has {len(rows[limit])} fields, "
+                         "expected >= 11")
+    texts = [fields[10] for fields in rows[:limit]]
+    bad_quals = limit
     try:
-        flag = int(flag_text)
-        pos = int(pos_text)
-        mapq = int(mapq_text)
-    except ValueError as exc:
-        raise SamError(f"bad numeric field in SAM line: {exc}") from None
-    unmapped = bool(flag & FLAG_UNMAPPED) or chrom == "*" or cigar_text == "*"
-    return Read(
-        name=name,
-        chrom=None if unmapped else chrom,
-        pos=0 if unmapped else pos - 1,
-        seq=seq,
-        quals=phred_from_ascii(quals_text),
-        cigar=None if unmapped else Cigar.parse(cigar_text),
-        mapq=mapq,
-        is_reverse=bool(flag & FLAG_REVERSE),
-        is_duplicate=bool(flag & FLAG_DUPLICATE),
-    )
+        scores = phred_from_ascii("".join(texts))
+    except QualityError:
+        for bad_quals, text in enumerate(texts):
+            try:
+                phred_from_ascii(text)
+            except QualityError as exc:
+                quals_error = exc
+                break
+    lengths = (None if reference is None
+               else {contig.name: len(contig) for contig in reference})
+    batch = []
+    for index in range(limit):
+        fields = rows[index]
+        try:
+            flag, pos, mapq = int(fields[1]), int(fields[3]), int(fields[4])
+        except ValueError as exc:
+            limit, error = index, SamError(
+                f"bad numeric field in SAM line: {exc}")
+            break
+        if index == bad_quals:
+            limit, error = index, quals_error
+            break
+        chrom, cigar = fields[2], fields[5]
+        if flag & FLAG_UNMAPPED or chrom == "*" or cigar == "*":
+            chrom, pos, cigar = None, 0, None
+        else:
+            try:
+                cigar, pos = Cigar.parse(cigar), pos - 1
+            except CigarError as exc:
+                limit, error = index, exc
+                break
+        batch.append((fields[0], chrom, pos, fields[9], len(fields[10]),
+                      cigar, mapq, bool(flag & FLAG_REVERSE),
+                      bool(flag & FLAG_DUPLICATE)))
+        # A misplaced read stays in the batch: its Read invariants are
+        # checked first.
+        if chrom is not None and lengths is not None:
+            length = lengths.get(chrom)
+            if length is None:
+                limit, error = index, SamError(
+                    f"RNAME {chrom!r} is not a contig of the reference")
+                break
+            end = pos + cigar.reference_length
+            if end > length:
+                limit, error = index, SamError(
+                    f"alignment {chrom}:{pos + 1}-{end} runs past the "
+                    f"contig end ({length})")
+                break
+    if len(batch) < len(texts):  # decode only the rows in the batch
+        scores = phred_from_ascii("".join(texts[:len(batch)]))
+    scores.flags.writeable = False  # the reads' quals are views of it
+    try:
+        reads = Read.batch(batch, scores)
+    except RowError as bad:
+        limit, error = bad.row, bad.error
+    if error is None:
+        return reads
+    if locate is None:
+        raise error
+    raise SamError(f"{locate(limit)}: {error}") from None
+
+
+def parse_read(line: str) -> Read:
+    """Parse one SAM-lite alignment line: :func:`parse_lines` of one."""
+    return parse_lines([line])[0]
 
 
 def write_sam(
@@ -126,42 +210,24 @@ def _is_alignment(line: str) -> bool:
     return not (line.isspace() or line.startswith("@"))
 
 
-def check_placement(read: Read, reference: ReferenceGenome) -> None:
-    """Raise :class:`SamError` unless a mapped ``read`` lies on a contig
-    of ``reference``, inside it. The text boundaries (a SAM file, a
-    served job's lines) call this; in-memory reads are not checked."""
-    if not read.is_mapped:
-        return
-    try:
-        length = reference.length(read.chrom)
-    except KeyError:
-        raise SamError(f"RNAME {read.chrom!r} is not a contig of the "
-                       "reference") from None
-    end = read.pos + read.cigar.reference_length
-    if end > length:
-        raise SamError(f"alignment {read.chrom}:{read.pos + 1}-{end} runs "
-                       f"past the contig end ({length})")
-
-
 def _lines(
     source: PathOrFile, reference: Optional[ReferenceGenome]
 ) -> Iterator[Tuple[str, Optional[Read]]]:
     """``(line, read)`` for each line of ``source``, ``read`` None for a
-    blank or header line; errors are located ``path:line``."""
+    blank or header line. The alignment lines go to :func:`parse_lines`
+    :data:`CHUNK_LINES` file lines at a time; errors are located
+    ``path:line``."""
     handle, owned = _as_text_handle(source, "r")
     path = source if owned else "<stream>"
     try:
-        for lineno, line in enumerate(handle, 1):
-            if not _is_alignment(line):
-                yield line, None
-                continue
-            try:
-                read = parse_read(line)
-                if reference is not None:
-                    check_placement(read, reference)
-            except ValueError as error:
-                raise SamError(f"{path}:{lineno}: {error}") from None
-            yield line, read
+        first = 1  # the chunk's first line number
+        while chunk := list(islice(handle, CHUNK_LINES)):
+            rows = [i for i, line in enumerate(chunk) if _is_alignment(line)]
+            reads = iter(parse_lines([chunk[i] for i in rows], reference,
+                                     lambda k: f"{path}:{first + rows[k]}"))
+            for line in chunk:
+                yield line, next(reads) if _is_alignment(line) else None
+            first += len(chunk)
     finally:
         if owned:
             handle.close()
@@ -175,7 +241,8 @@ def parse_sam(
     Whatever a line raises (a bad field, CIGAR, quality string or
     read) comes out as a :class:`SamError` located ``path:line``
     (``<stream>`` for a handle); with ``reference``, so does a mapped
-    read off it (:func:`check_placement`).
+    read off it. The first bad line is reported, as
+    :func:`parse_lines` orders its failures.
     """
     return (read for _line, read in _lines(source, reference)
             if read is not None)

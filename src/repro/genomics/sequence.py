@@ -23,9 +23,9 @@ _COMPLEMENT = {"A": "T", "T": "A", "C": "G", "G": "C", "N": "N"}
 
 _BASE_SET = frozenset(BASES)
 
-#: ``str.translate`` table deleting every valid base: what survives it
-#: is exactly the invalid characters, non-ASCII included.
-_DROP_BASES = str.maketrans("", "", BASES)
+#: What ``bytes.translate`` deletes from an ASCII sequence: what
+#: survives is exactly its invalid characters.
+_BASE_BYTES = BASES.encode("ascii")
 
 #: ASCII codes for the alphabet, for validating uint8 arrays.
 BASE_CODES = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)
@@ -46,7 +46,7 @@ def validate_bases(seq: str) -> str:
     Validity is decided by one C-level pass; the per-character walk
     runs only to locate the offender for the error message.
     """
-    if seq.translate(_DROP_BASES):
+    if not seq.isascii() or seq.encode("ascii").translate(None, _BASE_BYTES):
         for index, base in enumerate(seq):
             if base not in _BASE_SET:
                 raise SequenceError(

@@ -22,7 +22,7 @@ import asyncio
 from typing import List, Optional, Tuple
 
 from repro.genomics.reference import ReferenceGenome
-from repro.genomics.samlite import SamError, check_placement, parse_read
+from repro.genomics.samlite import parse_lines
 from repro.realign.realigner import (
     IndelRealigner,
     apply_site_results,
@@ -205,16 +205,13 @@ class RealignmentServer:
             deadline_s = float(deadline_s)
             if deadline_s <= 0:
                 raise ProtocolError("deadline_s must be positive")
-        reads = []
-        for index, line in enumerate(lines):
-            if not isinstance(line, str):
-                raise ProtocolError(f"sam[{index}] is not a string")
-            try:
-                read = parse_read(line)
-                check_placement(read, self.reference)
-            except ValueError as error:
-                raise SamError(f"sam[{index}]: {error}") from None
-            reads.append(read)
+        # A bad line before the first non-string one is reported first.
+        strings = next((index for index, line in enumerate(lines)
+                        if not isinstance(line, str)), len(lines))
+        reads = parse_lines(lines[:strings], self.reference,
+                            "sam[{}]".format)
+        if strings < len(lines):
+            raise ProtocolError(f"sam[{strings}] is not a string")
         # Front half off the loop: target identification + consensus
         # generation are pure CPU.
         _targets, windows = await loop.run_in_executor(

@@ -24,6 +24,7 @@ from repro.genomics.reference import ReferenceGenome
 from repro.genomics.samlite import (
     SamError,
     format_read,
+    parse_lines,
     parse_read,
     parse_sam,
     write_sam,
@@ -139,6 +140,30 @@ class TestSamLite:
         header = path.read_text().splitlines()[1]
         assert header == "@SQ\tSN:1\tLN:200"
 
+    def test_parsed_quals_are_read_only_views_of_one_buffer(self):
+        """Parsed reads own no quality array: each is a read-only view
+        of its batch's one decoded buffer, so an in-place write raises.
+        The paths that change qualities make new arrays and still work."""
+        from repro.workloads.adversarial import (
+            AdversarialProfile,
+            _scramble_tail,
+        )
+
+        lines = [line for line in self._sam_lines()
+                 if not line.startswith("@")]
+        first, second, _ = parse_lines(lines)
+        assert first.quals.base is second.quals.base
+        assert not first.quals.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first.quals[0] = 1
+        recalibrated = first.with_quals(np.full(len(first), 7, np.uint8))
+        assert recalibrated.quals.tolist() == [7] * len(first)
+        profile = AdversarialProfile(tail_fraction=0.5)
+        scrambled = _scramble_tail(second, profile,
+                                   np.random.default_rng(0))
+        assert scrambled.quals.tolist() == [30, 30] + [profile.tail_quality] * 2
+        assert second.quals.tolist() == [30] * 4
+
     def test_malformed_line_rejected(self):
         with pytest.raises(SamError):
             parse_read("too\tfew\tfields")
@@ -196,6 +221,8 @@ class TestMalformedInputCli:
         ("past-end", "bad.sam:12: alignment chr22:2990-"),
         ("missing-sam", "No such file or directory"),
         ("headerless-fasta", "sequence data before any FASTA header"),
+        ("bad-base-fasta", "bad-base.fa:3: invalid base 'R' at position 2"),
+        ("duplicate-fasta", "duplicate.fa:3: duplicate contig name 'chr22'"),
     ])
     def test_exits_2_with_one_located_line(self, sample, capsys, case,
                                            expect):
@@ -207,6 +234,12 @@ class TestMalformedInputCli:
         elif case == "headerless-fasta":
             reference = sample / "headerless.fa"
             reference.write_text("ACGTACGT\n")
+        elif case == "bad-base-fasta":
+            reference = sample / "bad-base.fa"
+            reference.write_text(">chr22\nACGTACGT\nACRTACGT\n")
+        elif case == "duplicate-fasta":
+            reference = sample / "duplicate.fa"
+            reference.write_text(">chr22\nACGT\n>chr22\nACGT\n")
         else:
             column, value = {"cigar": (5, "10M5Q"), "numeric": (4, "x"),
                              "seq-qual": (10, "II"),

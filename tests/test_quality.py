@@ -159,8 +159,9 @@ class TestCodecAgainstItsDefinition:
             assert got.flags.writeable and got.flags.owndata
 
     def test_non_ascii_quality_text_is_a_quality_error(self):
-        """The served path calls ``parse_read`` with no ``parse_sam``
-        around it to retype a ``UnicodeEncodeError``."""
+        """The served path calls the batch parser, ``parse_lines``, with
+        no ``parse_sam`` around it to retype a ``UnicodeEncodeError``;
+        ``parse_read`` is that parser on a batch of one."""
         from repro.genomics.samlite import parse_read
 
         with pytest.raises(QualityError, match="outside Phred\\+33 range: 'é'"):
