@@ -90,53 +90,35 @@ class Read:
             raise ValueError(f"read {self.name!r}: mapq {self.mapq} outside [0, 254]")
 
     @classmethod
-    def batch(cls, rows: Sequence[BatchRow], scores: np.ndarray) -> List["Read"]:
-        """One read per row; read ``i``'s ``quals`` is a view of its
-        ``rows[i][4]`` scores, which follow the previous rows' in the 1-D
-        ``uint8`` buffer ``scores``.
+    def batch(cls, rows: Sequence[BatchRow], scores: np.ndarray) -> "ReadBatch":
+        """Check one read per row; read ``i``'s ``quals`` is a view of
+        its ``rows[i][4]`` scores, which follow the previous rows' in
+        the 1-D ``uint8`` buffer ``scores``.
 
-        The invariants ``__post_init__`` checks per read are checked here
-        once per field over the whole batch, and the reads are built
-        without it: this is the only constructor that bypasses it. If a
-        check fails, every row is built through ``__post_init__``
-        instead, and the first that raises is :class:`RowError`, with
-        the message that row alone raises.
+        The invariants ``__post_init__`` checks per read are checked
+        here once per field over the whole batch. If a check fails,
+        every row is built through ``__post_init__`` instead, and the
+        first that raises is :class:`RowError`, with the message that
+        row alone raises; when none does, the batch keeps those reads.
+        The returned :class:`ReadBatch` cannot fail when it is built.
         """
         if not rows:
-            return []
+            return ReadBatch(rows, scores)
         _names, _chroms, positions, seqs, counts, cigars, mapqs, *_flags = \
             zip(*rows)
         stops = list(accumulate(counts))
-        if not _valid_batch(seqs, scores, counts, stops[-1], cigars,
-                            positions, mapqs):
-            reads = []
-            for index, (row, stop) in enumerate(zip(rows, stops)):
-                name, chrom, pos, seq, count, *rest = row
-                try:
-                    reads.append(cls(name, chrom, pos, seq,
-                                     scores[stop - count:stop], *rest))
-                except ValueError as error:
-                    raise RowError(index, error) from None
-            return reads
-        # Per-field object.__setattr__, as the generated __init__ does:
-        # touching read.__dict__ instead would give every read a dict of
-        # its own, 64 bytes more than its inline attribute values.
-        new, put = object.__new__, object.__setattr__
+        if _valid_batch(seqs, scores, counts, stops[-1], cigars, positions,
+                        mapqs):
+            return ReadBatch(rows, scores)
         reads = []
-        for (name, chrom, pos, seq, count, cigar, mapq, is_reverse,
-             is_duplicate), stop in zip(rows, stops):
-            read = new(cls)
-            put(read, "name", name)
-            put(read, "chrom", chrom)
-            put(read, "pos", pos)
-            put(read, "seq", seq)
-            put(read, "quals", scores[stop - count:stop])
-            put(read, "cigar", cigar)
-            put(read, "mapq", mapq)
-            put(read, "is_reverse", is_reverse)
-            put(read, "is_duplicate", is_duplicate)
-            reads.append(read)
-        return reads
+        for index, (row, stop) in enumerate(zip(rows, stops)):
+            name, chrom, pos, seq, count, *rest = row
+            try:
+                reads.append(cls(name, chrom, pos, seq,
+                                 scores[stop - count:stop], *rest))
+            except ValueError as error:
+                raise RowError(index, error) from None
+        return ReadBatch(rows, scores, reads)
 
     @property
     def is_mapped(self) -> bool:
@@ -212,6 +194,56 @@ class Read:
     def with_quals(self, quals: np.ndarray) -> "Read":
         """Return a copy with recalibrated quality scores (used by BQSR)."""
         return replace(self, quals=quals)
+
+
+class ReadBatch:
+    """Rows that :meth:`Read.batch` checked, and the one read-only
+    ``scores`` buffer their qualities are slices of. The reads are
+    built only when :meth:`reads` is called, so a caller that needs
+    only :attr:`has_indel` never builds one."""
+
+    __slots__ = ("rows", "scores", "_reads")
+
+    def __init__(self, rows: Sequence[BatchRow], scores: np.ndarray,
+                 reads: Optional[List[Read]] = None):
+        self.rows = rows
+        self.scores = scores
+        self._reads = reads
+
+    @property
+    def has_indel(self) -> bool:
+        """True if some mapped row's CIGAR carries an I or D, whether or
+        not the read is a duplicate or anchored in any target."""
+        return any(row[5] is not None and row[5].has_indel
+                   for row in self.rows)
+
+    def reads(self) -> List[Read]:
+        """One read per row, built without ``__post_init__``, whose
+        invariants :meth:`Read.batch` checked: this is the only code
+        that bypasses it."""
+        if self._reads is not None:
+            return self._reads
+        # Per-field object.__setattr__, as the generated __init__ does:
+        # touching read.__dict__ instead would give every read a dict of
+        # its own, 64 bytes more than its inline attribute values.
+        new, put, scores = object.__new__, object.__setattr__, self.scores
+        reads, start = [], 0
+        for (name, chrom, pos, seq, count, cigar, mapq, is_reverse,
+             is_duplicate) in self.rows:
+            read = new(Read)
+            put(read, "name", name)
+            put(read, "chrom", chrom)
+            put(read, "pos", pos)
+            put(read, "seq", seq)
+            put(read, "quals", scores[start:start + count])
+            put(read, "cigar", cigar)
+            put(read, "mapq", mapq)
+            put(read, "is_reverse", is_reverse)
+            put(read, "is_duplicate", is_duplicate)
+            reads.append(read)
+            start += count
+        self._reads = reads
+        return reads
 
 
 def _valid_batch(seqs, scores, counts, total, cigars, positions,

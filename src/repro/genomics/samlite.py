@@ -4,10 +4,13 @@ The reader keeps what realignment uses of a SAM line: name, flags 0x4
 (unmapped), 0x10 (reverse) and 0x400 (duplicate), RNAME, POS, MAPQ,
 CIGAR, bases and qualities. Every text boundary -- a file, in chunks
 of :data:`CHUNK_LINES` lines, a served job's lines, and
-:func:`parse_read` -- goes through one batch parser,
-:func:`parse_lines`: it checks bases, qualities and placements once
-per field of a batch, not once per read, and builds the reads with
-:meth:`~repro.genomics.read.Read.batch`. Realigned output is the
+:func:`parse_read` -- goes through one batch parser in two halves.
+:func:`scan_lines` checks bases, qualities and placements once per
+field of a batch, not once per read, and returns the checked rows;
+their :meth:`~repro.genomics.read.ReadBatch.reads` builds the reads.
+:func:`parse_lines` is the two in a row. The server scans a job and
+builds its reads only when some CIGAR carries an INDEL, the only jobs
+realignment can change (docs/SERVING.md). Realigned output is the
 input's own text with POS and CIGAR of the moved reads patched
 (:func:`patch_line`), so the header, every other column and every tag
 come through verbatim.
@@ -24,7 +27,7 @@ from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
 
 from repro.genomics.cigar import Cigar, CigarError
 from repro.genomics.quality import QualityError, phred_from_ascii, phred_to_ascii
-from repro.genomics.read import Read, RowError
+from repro.genomics.read import Read, ReadBatch, RowError
 from repro.genomics.reference import ReferenceGenome
 
 PathOrFile = Union[str, Path, TextIO]
@@ -89,17 +92,19 @@ def format_read(read: Read) -> str:
     )
 
 
-def parse_lines(lines: Sequence[str],
-                reference: Optional[ReferenceGenome] = None,
-                locate: Optional[Callable[[int], str]] = None) -> List[Read]:
-    """Parse SAM-lite alignment lines (trailing newline optional) into
-    reads, checking the batch once per field, not once per read.
+def scan_lines(lines: Sequence[str],
+               reference: Optional[ReferenceGenome] = None,
+               locate: Optional[Callable[[int], str]] = None) -> ReadBatch:
+    """Check SAM-lite alignment lines (trailing newline optional) once
+    per field of the batch, not once per read, without building a read.
 
     Each line is split once. The qualities of all lines are decoded in
-    one pass, and each read's ``quals`` is a read-only view of that one
-    buffer; :meth:`Read.batch` checks the bases and the other read
-    invariants over the batch. With ``reference``, a mapped read must
-    lie on one of its contigs, inside it.
+    one pass into one read-only buffer, which each read's ``quals``
+    will be a view of; :meth:`Read.batch` checks the bases and the
+    other read invariants over the batch. With ``reference``, a mapped
+    read must lie on one of its contigs, inside it. The returned
+    :class:`~repro.genomics.read.ReadBatch` builds the reads on
+    :meth:`~repro.genomics.read.ReadBatch.reads` and cannot fail then.
 
     A bad batch raises what its first bad line alone raises, for the
     first failure in that line in this order: field count, numeric
@@ -171,14 +176,22 @@ def parse_lines(lines: Sequence[str],
         scores = phred_from_ascii("".join(texts[:len(batch)]))
     scores.flags.writeable = False  # the reads' quals are views of it
     try:
-        reads = Read.batch(batch, scores)
+        checked = Read.batch(batch, scores)
     except RowError as bad:
         limit, error = bad.row, bad.error
     if error is None:
-        return reads
+        return checked
     if locate is None:
         raise error
     raise SamError(f"{locate(limit)}: {error}") from None
+
+
+def parse_lines(lines: Sequence[str],
+                reference: Optional[ReferenceGenome] = None,
+                locate: Optional[Callable[[int], str]] = None) -> List[Read]:
+    """The reads of SAM-lite alignment lines: :func:`scan_lines`, then
+    :meth:`~repro.genomics.read.ReadBatch.reads`."""
+    return scan_lines(lines, reference, locate).reads()
 
 
 def parse_read(line: str) -> Read:

@@ -140,7 +140,8 @@ class ServiceSnapshot:
             extras += f", cache {self.cache_hit_rate:.1%} hit"
         return (
             f"{self.counters.get('serve.requests_completed', 0)} completed "
-            f"({self.counters.get('serve.requests_rejected', 0)} rejected, "
+            f"({self.counters.get('serve.requests_empty', 0)} without a site, "
+            f"{self.counters.get('serve.requests_rejected', 0)} rejected, "
             f"{self.counters.get('serve.requests_expired', 0)} expired), "
             f"{lat}, saturation {self.saturation:.1%}, "
             f"queue {self.queue_depth} req / "

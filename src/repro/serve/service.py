@@ -178,7 +178,8 @@ class RealignmentService:
         frees (``admission="queue"``); raises :class:`DeadlineExceeded`
         if the deadline passes while parked or queued; raises
         :class:`ServiceClosed` during/after shutdown. An empty site
-        list completes immediately (no queue traffic).
+        list completes immediately (no queue traffic, no engine call)
+        and counts ``serve.requests_empty``.
         """
         if self._batcher is None:
             raise RuntimeError("service not started")
@@ -187,6 +188,7 @@ class RealignmentService:
         sites = list(sites)
         self._count("serve.requests", 1)
         if not sites:
+            self._count("serve.requests_empty", 1)
             self._count("serve.requests_completed", 1)
             return []
         if deadline_s is None:

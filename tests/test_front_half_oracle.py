@@ -16,7 +16,8 @@ agree exactly:
   a start-sorted index).
 
 Both definitions are product code with product callers; only their
-composition lives here. The example budget comes from the active
+composition lives here. One more property holds the premise of the
+server's gate: with no INDEL in any CIGAR, no site is built. The example budget comes from the active
 hypothesis profile: the tier-1 run uses the default one, CI reruns this
 file with ``--hypothesis-profile=ci --hypothesis-seed=2019``.
 """
@@ -274,6 +275,37 @@ def test_build_sites_matches_the_definitions(case, strategy):
     INDELs, for every consensus generator."""
     reads, reference, config = case
     check(reads, reference, config, strategy)
+
+
+def gap_free(read):
+    """``read`` with each I of its CIGAR an M and each D dropped: the
+    same bases, no INDEL."""
+    if read.cigar is None:
+        return read
+    return replace(read, cigar=Cigar.from_elements(
+        (CigarOp.MATCH if op is CigarOp.INSERTION else op, length)
+        for op, length in read.cigar if op is not CigarOp.DELETION))
+
+
+@given(front_half_inputs(), st.sampled_from(sorted(BUILDERS)))
+@relaxed
+def test_gap_free_cigars_build_no_site(case, strategy):
+    """The premise of the server's gate (serve/server.py), which answers
+    a job no CIGAR of which carries an INDEL without building a read:
+    such a job gets no site, however its mismatches cluster into
+    targets and whichever reads are duplicates, and no consensus
+    generator makes one for any target even offered every read. A
+    generator that proposes INDELs no read carries fails this, and the
+    gate must go with it."""
+    reads, reference, config = case
+    reads = [gap_free(read) for read in reads]
+    assert not any(read.has_indel for read in reads)
+    realigner = IndelRealigner(reference, creator_config=config)
+    targets, windows = realigner.build_sites(reads)
+    assert windows == []
+    assert all(BUILDERS[strategy](target, reads, reference,
+                                  realigner.limits) is None
+               for target in targets)
 
 
 # -- examples the strategies are built to reach, pinned ------------------

@@ -14,6 +14,12 @@ batch parser must give
   ``path:line: ...`` from a file read in chunks of a few lines with
   header and blank lines among the reads.
 
+Its check half, :func:`~repro.genomics.samlite.scan_lines`, alone must
+raise the same first error, raw, as ``sam[i]`` and as ``path:line``;
+on a valid batch its ``reads()`` must not raise, and its ``has_indel``
+must be whether any of those reads has an INDEL -- what the server's
+gate answers a job on.
+
 CI runs the property with ``--hypothesis-profile=ci
 --hypothesis-seed=2019``.
 """
@@ -266,13 +272,22 @@ def test_batch_parser_matches_the_per_line_reference(lines, chunk, extra):
     if failure is None:
         _same_reads(samlite.parse_lines(lines, REFERENCE), want)
         _same_reads(from_file, want)
+        checked = samlite.scan_lines(lines, REFERENCE)
+        assert checked.has_indel == any(read.has_indel for read in want)
+        _same_reads(checked.reads(), want)
         return
     index, error = failure
-    with pytest.raises(ValueError) as raw:
-        samlite.parse_lines(lines, REFERENCE)
-    assert type(raw.value) is type(error) and str(raw.value) == str(error)
-    with pytest.raises(SamError) as served:
-        samlite.parse_lines(lines, REFERENCE, "sam[{}]".format)
-    assert str(served.value) == f"sam[{index}]: {error}"
+    for parse in (samlite.parse_lines, samlite.scan_lines):
+        with pytest.raises(ValueError) as raw:
+            parse(lines, REFERENCE)
+        assert type(raw.value) is type(error)
+        assert str(raw.value) == str(error)
+        with pytest.raises(SamError) as served:
+            parse(lines, REFERENCE, "sam[{}]".format)
+        assert str(served.value) == f"sam[{index}]: {error}"
+    with pytest.raises(SamError) as located:
+        samlite.scan_lines(lines, REFERENCE,
+                           lambda k: f"{path}:{linenos[k]}")
+    assert str(located.value) == f"{path}:{linenos[index]}: {error}"
     assert isinstance(from_file, SamError)
     assert str(from_file) == f"{path}:{linenos[index]}: {error}"

@@ -46,6 +46,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.request import (
     DeadlineExceeded,
+    ServeError,
     ServiceClosed,
     ServiceConfig,
     ServiceSaturated,
@@ -569,10 +570,14 @@ class TestServiceRequestPlane:
             await service.start()
             result = await service.submit_sites([], tenant="idle")
             await service.close()
-            return result
+            return result, service.snapshot()
 
-        assert asyncio.run(scenario()) == []
+        result, snapshot = asyncio.run(scenario())
+        assert result == []
         assert engine.calls == 0
+        assert snapshot.counters["serve.requests_empty"] == 1
+        assert snapshot.describe().startswith(
+            "1 completed (1 without a site, 0 rejected, 0 expired)")
 
     def test_engine_failure_fails_the_batch_and_frees_room(self):
         class _BrokenEngine:
@@ -620,6 +625,15 @@ class TestServiceRequestPlane:
 # ---------------------------------------------------------------------
 # the TCP stack against the real realigner
 # ---------------------------------------------------------------------
+
+#: ``deadline_s`` values a realign request is refused for, by request
+#: id: JSON's NaN and Infinity (which ``json`` decodes), booleans,
+#: numeric strings, an integer no float holds, and numbers <= 0.
+BAD_DEADLINES = {8: float("nan"), 9: float("inf"), 10: float("-inf"),
+                 11: True, 12: False, 13: "5", 14: "1e3", 15: 10 ** 400,
+                 16: 0, 17: -1.5}
+
+
 class TestServerByteIdentity:
     def test_single_request_round_trip_matches_batch_realigner(self):
         sample = _sample({"chrS": 4000}, seed=8)
@@ -738,10 +752,14 @@ class TestServerByteIdentity:
                     writer.write(encode_message({
                         "id": request_id, "op": "realign",
                         "sam": lines[:5] + ["\t".join(fields)] + lines[6:]}))
+                for request_id, deadline_s in BAD_DEADLINES.items():
+                    writer.write(encode_message({
+                        "id": request_id, "op": "realign", "sam": lines,
+                        "deadline_s": deadline_s}))
                 writer.write(encode_message({"id": 3, "op": "ping"}))
                 await writer.drain()
                 frames = [decode_message(await reader.readline())
-                          for _ in range(8)]
+                          for _ in range(8 + len(BAD_DEADLINES))]
                 writer.close()
                 await writer.wait_closed()
             finally:
@@ -764,7 +782,94 @@ class TestServerByteIdentity:
         assert by_id[7]["error"].startswith(
             "SamError: sam[5]: alignment chrS:1995-")
         assert by_id[7]["error"].endswith("runs past the contig end (2000)")
+        for request_id in BAD_DEADLINES:
+            assert by_id[request_id]["status"] == "error"
+            assert by_id[request_id]["error"] == (
+                "ProtocolError: deadline_s must be a finite number > 0")
         assert by_id[3]["ok"] is True  # connection survived it all
+
+    def test_an_indel_free_job_is_checked_and_answered_without_a_site(self):
+        """No CIGAR of the job carries an INDEL, so the server answers
+        at once, after the same checks: a bad line fails with the
+        message the full path gives, located ``sam[i]``."""
+        sample = _sample({"chrS": 4000}, seed=5)
+        reads = [read for read in sample.reads if not read.has_indel]
+        assert len(reads) < len(sample.reads)  # the filter took
+        assert not IndelRealigner(sample.reference).realign(reads)[1] \
+            .reads_moved
+        lines = [format_read(read) for read in reads[:12]]
+        fields = lines[5].split("\t")
+        bad = {
+            1: "a\tb",
+            2: "\t".join(fields[:2] + ["chrNope"] + fields[3:]),
+            3: "\t".join(fields[:9] + ["R" + fields[9][1:]] + fields[10:]),
+            4: "\t".join(fields[:10] + [fields[10] + "I"]),
+        }
+
+        async def scenario():
+            server = RealignmentServer(sample.reference)
+            host, port = await server.start(port=0)
+            try:
+                async with await ServiceClient.open(host, port) as client:
+                    ok = await client.realign(lines)
+                    failed = {}
+                    for request_id, line in bad.items():
+                        with pytest.raises(ServeError) as error:
+                            await client.realign(
+                                lines[:5] + [line] + lines[6:])
+                        failed[request_id] = str(error.value)
+                    stats = await client.stats()
+            finally:
+                await server.close()
+            return ok, failed, stats
+
+        ok, failed, stats = asyncio.run(scenario())
+        assert (ok.sam, ok.sites) == (lines, 0)
+        assert stats["counters"]["serve.requests_empty"] == 1
+        assert stats["counters"]["serve.requests_completed"] == 1
+        assert failed == {
+            1: "SamError: sam[5]: SAM line has 2 fields, expected >= 11",
+            2: "SamError: sam[5]: RNAME 'chrNope' is not a contig of the "
+               "reference",
+            3: "SamError: sam[5]: invalid base 'R' at position 0 "
+               "(expected one of ACGTN)",
+            4: f"SamError: sam[5]: read {fields[0]!r}: "
+               f"{len(fields[9]) + 1} quality scores for {len(fields[9])} "
+               "bases",
+        }
+
+    @pytest.mark.parametrize("seed", [2019, 2021])
+    def test_every_region_job_gets_the_batch_realigners_output(self, seed):
+        """The benchmark's served shape: 2 kb contigs at 30x, cut into
+        region jobs. Gated (INDEL-free) or not, every job comes back
+        as the batch realigner writes it."""
+        sample = simulate_sample(
+            {f"ctg{i:02d}": 2000 for i in range(32)},
+            profile=SimulationProfile(coverage=30.0), seed=seed)
+        realigner = IndelRealigner(sample.reference)
+        jobs = partition_jobs(sample.reads, sample.reference)
+        expected = [[format_read(read) for read in
+                     realigner.realign(job.reads)[0]] for job in jobs]
+        gated = sum(not any(read.has_indel for read in job.reads)
+                    for job in jobs)
+        assert 0 < gated < len(jobs)
+
+        async def scenario():
+            server = RealignmentServer(sample.reference)
+            host, port = await server.start(port=0)
+            try:
+                async with await ServiceClient.open(host, port) as client:
+                    results = [await client.realign(
+                        [format_read(read) for read in job.reads])
+                        for job in jobs]
+                    stats = await client.stats()
+            finally:
+                await server.close()
+            return results, stats
+
+        results, stats = asyncio.run(scenario())
+        assert [result.sam for result in results] == expected
+        assert stats["counters"]["serve.requests_empty"] == gated
 
     def test_shutdown_while_a_handler_closes_logs_nothing(self, caplog):
         """A handler still awaiting its writer's close when the server
