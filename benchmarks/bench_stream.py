@@ -1,14 +1,15 @@
-"""Streaming vs barrier engine: the peak-memory gate.
+"""Bounded window vs barrier: the peak-memory gate.
 
 One site pool (``REPRO_BENCH_SITES`` sites, default 96) runs through
-the barrier ``Engine`` and the ``StreamingEngine`` on the default
-kernel at the same worker count:
+one ``Engine`` at two windows, on the default kernel at the same worker
+count:
 
-- barrier -- ``Engine.run_sites`` at 4 workers: submit all, block,
-  merge; peak memory holds every chunk's payload and results at once;
-- stream  -- ``StreamingEngine.stream_sites`` at 4 workers, queue
-  depth 1: bounded in-flight window, incremental in-order merge, each
-  result consumed and dropped as it is yielded.
+- barrier -- ``Engine.run_sites`` at 4 workers with a window that holds
+  every chunk (``queue_depth = ceil(chunks / workers)``): submit all,
+  block, merge; peak memory holds every chunk's results at once;
+- stream  -- ``Engine.stream_sites`` at 4 workers, queue depth 1:
+  bounded in-flight window, incremental in-order merge, each result
+  consumed and dropped as it is yielded.
 
 ``test_stream_gate`` is the CI acceptance gate and states the one claim
 the window makes: byte-identical results, and strictly less peak
@@ -21,11 +22,12 @@ not gated here -- that is ``bench_engine.py``'s gate and the e2e
 ``engine.pool_w2.*`` / ``engine.stream_w2.*`` probes' report.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 
-from repro.engine import Engine, EngineConfig, StreamingEngine
+from repro.engine import Engine, EngineConfig
 from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
 from conftest import bench_sites
@@ -80,12 +82,14 @@ def _peak_traced_bytes(func, runs=GATE_RUNS):
 
 def test_stream_gate():
     """CI acceptance gate: identical results, strictly lower peak
-    memory than the barrier engine at the CI smoke scale."""
+    memory than the barrier window at the CI smoke scale."""
     sites = _site_pool()
     config = EngineConfig(workers=POOL_WORKERS, batch=POOL_BATCH)
-    with Engine(config) as barrier, StreamingEngine(
-        config, queue_depth=QUEUE_DEPTH
-    ) as stream:
+    # The barrier is the window that holds every chunk.
+    chunks = math.ceil(len(sites) / POOL_BATCH)
+    barrier = Engine(config, queue_depth=math.ceil(chunks / POOL_WORKERS))
+    stream = Engine(config, queue_depth=QUEUE_DEPTH)
+    with barrier, stream:
         # Warm both pools and pin byte-identity before measuring.
         want = barrier.run_sites(sites)
         got = stream.run_sites(sites)

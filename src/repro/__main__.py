@@ -25,14 +25,11 @@ Examples::
         --workers 4 --batch 12
     python -m repro realign --reference /tmp/sample/reference.fa \
         --sam /tmp/sample/aligned.sam --out /tmp/sample/realigned.sam \
-        --workers 4 --stream --queue-depth 3
-    python -m repro realign --reference /tmp/sample/reference.fa \
-        --sam /tmp/sample/aligned.sam --out /tmp/sample/realigned.sam \
-        --workers 2 --stream --worker-fault-rate 0.2 --chaos-seed 7
+        --workers 2 --worker-fault-rate 0.2 --chaos-seed 7
     python -m repro trace --out /tmp/trace.json --fault-rate 0.1
-    python -m repro trace --out /tmp/trace.json --workers 2 --stream
+    python -m repro trace --out /tmp/trace.json --workers 2
     python -m repro evaluate --scenario adversarial --out /tmp/report.json
-    python -m repro evaluate --scenario cohort --workers 2 --stream
+    python -m repro evaluate --scenario cohort --workers 2
     python -m repro serve --reference /tmp/sample/reference.fa --port 8765
     python -m repro loadgen --host 127.0.0.1 --port 8765 \
         --reference /tmp/sample/reference.fa --sam /tmp/sample/aligned.sam \
@@ -217,22 +214,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 @contextmanager
-def engine_from_args(args: argparse.Namespace, stream=None):
-    """The live engine the engine flags describe, closed on exit.
+def engine_from_args(args: argparse.Namespace):
+    """The live :class:`Engine` the engine flags describe, closed on exit.
 
-    A :class:`StreamingEngine` when ``--stream`` (``stream`` overrides
-    the flag), else an :class:`Engine`; its :class:`WorkerRecovery` is
-    a chaos plan when ``--worker-fault-rate`` was given, else the
-    environment's; a :class:`~repro.shard.cache.SiteResultCache` sits
-    in front when ``--site-cache-mb`` asks for one. When the block
-    completes it prints the ``stream:`` line of a streaming engine and
-    the ``recovery:`` line -- when ``--worker-fault-rate`` was given,
-    or when the pool had to recover anything.
+    Its :class:`WorkerRecovery` is a chaos plan when
+    ``--worker-fault-rate`` was given, else the environment's; a
+    :class:`~repro.shard.cache.SiteResultCache` sits in front when
+    ``--site-cache-mb`` asks for one. When the block completes it
+    prints the ``stream:`` line of a pooled run (``--workers >= 2``:
+    only a pool has a window) and the ``recovery:`` line -- when
+    ``--worker-fault-rate`` was given, or when the pool had to recover
+    anything.
     """
-    from repro.engine import Engine, EngineConfig, StreamingEngine
+    from repro.engine import Engine, EngineConfig
     from repro.resilience.workers import WorkerRecovery
 
-    stream = args.stream if stream is None else stream
     try:
         recovery = (
             WorkerRecovery.chaos(args.chaos_seed, args.worker_fault_rate)
@@ -248,12 +244,10 @@ def engine_from_args(args: argparse.Namespace, stream=None):
         cache = SiteResultCache.from_megabytes(args.site_cache_mb)
     config = EngineConfig(workers=args.workers, batch=args.batch,
                           kernel=args.kernel)
-    engine = (StreamingEngine(config, queue_depth=args.queue_depth,
-                              recovery=recovery, cache=cache)
-              if stream else Engine(config, recovery=recovery, cache=cache))
+    engine = Engine(config, recovery=recovery, cache=cache)
     try:
         yield engine
-        if stream and engine.stream_stats:
+        if args.workers >= 2 and engine.stream_stats:
             stats = engine.stream_stats
             print(f"stream: {stats['stream.chunks']} chunks, "
                   f"max in-flight {stats['stream.max_in_flight']}, "
@@ -330,9 +324,7 @@ def _cmd_realign(args: argparse.Namespace) -> int:
             updated, report = IndelRealigner(reference,
                                              engine=engine).realign(reads)
             print(f"engine: workers={args.workers} batch={args.batch} "
-                  f"kernel={args.kernel}"
-                  + (f" stream(depth={args.queue_depth})"
-                     if args.stream else ""))
+                  f"kernel={args.kernel}")
     moved = moved_records(reads, updated)
     try:
         with open(args.out, "w") as sink:
@@ -352,7 +344,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
     with engine_from_args(args) as engine:
         report = run_scenario(
-            args.scenario, engine=engine, kernel=args.kernel, seed=args.seed,
+            args.scenario, engine=engine, seed=args.seed,
         )
     if args.out is not None:
         args.out.write_text(report.to_json())
@@ -443,15 +435,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         fleet_session = Telemetry(label="fleet")
         record_fleet_spans(fleet_session, plan, preempted)
         sessions.append(fleet_session)
-    # The same workload through the host engine (shard spans, prefilter
-    # and cache counters) and, with --stream, through the streaming
-    # engine too (chunk spans on CAT_STREAM tracks, queue/backpressure
-    # counters; CAT_RECOVERY spans under --worker-fault-rate).
-    for label in ("engine", "stream") if args.stream else ("engine",):
-        session = Telemetry(label=label)
-        with engine_from_args(args, stream=label == "stream") as engine:
-            engine.run_sites(sites, telemetry=session)
-        sessions.append(session)
+    # The same workload through the host engine (shard spans, kernel,
+    # window and cache counters; CAT_RECOVERY spans under
+    # --worker-fault-rate).
+    session = Telemetry(label="engine")
+    with engine_from_args(args) as engine:
+        engine.run_sites(sites, telemetry=session)
+    sessions.append(session)
     write_chrome_trace(sessions, args.out)
     for session in sessions:
         if session.label == "fleet":
@@ -470,15 +460,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                   f"{flat.get('engine.shards', 0)} shards "
                   f"({args.workers} workers), "
                   f"{fraction:.1%} of WHD cells pruned")
-            continue
-        if session.label == "stream":
-            flat = session.counters.flat()
-            print(f"[stream] {flat.get('stream.chunks', 0)} chunks, "
-                  f"window {flat.get('stream.queue_depth', 0)}x"
-                  f"{args.workers}, max in-flight "
-                  f"{flat.get('stream.max_in_flight', 0)}, reorder peak "
-                  f"{flat.get('stream.reorder_peak', 0)}, backpressure "
-                  f"{flat.get('stream.backpressure_us', 0)} us")
             continue
         metrics = derive_schedule_metrics(session)
         print(f"[{session.label}] {metrics.describe()}")
@@ -885,16 +866,6 @@ def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
         help="sites per engine shard (work-stealing chunk size)",
     )
     subparser.add_argument(
-        "--stream", action="store_true",
-        help="use the streaming engine: bounded in-flight window, "
-             "incremental in-order merge",
-    )
-    subparser.add_argument(
-        "--queue-depth", type=int, default=2, dest="queue_depth",
-        help="in-flight chunks per worker for --stream (window = "
-             "depth x workers)",
-    )
-    subparser.add_argument(
         "--kernel",
         choices=KERNEL_CHOICES,
         default="auto",
@@ -932,8 +903,6 @@ def _flag_errors(args: argparse.Namespace):
     if "workers" in flags:
         if args.workers < 1 or args.batch < 1:
             return "--workers and --batch must be >= 1"
-        if args.queue_depth < 1:
-            return "--queue-depth must be >= 1"
         if args.site_cache_mb < 0:
             return "--site-cache-mb must be >= 0"
     for name in ("fault_rate", "worker_fault_rate"):

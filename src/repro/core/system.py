@@ -34,7 +34,6 @@ from repro.genomics.read import Read
 from repro.genomics.reference import ReferenceGenome
 from repro.hw.clock import ClockRecipe, F1_CLOCK_125MHZ
 from repro.hw.memory import PcieDmaModel
-from repro.kernels import KERNEL_CHOICES
 from repro.realign.realigner import (
     IndelRealigner,
     RealignerReport,
@@ -76,7 +75,7 @@ class SystemConfig:
     # prepares and DMAs group N+1, so the response-poll turnaround of
     # every group except a round's last hides behind the next group's
     # compute instead of extending the unit's busy time (the software
-    # mirror is the streaming engine's queue_depth >= 2 window). The
+    # mirror is the engine's default queue_depth = 2 window). The
     # drain -- the final group, with nothing left to overlap -- still
     # pays the full turnaround. False (default) charges every group,
     # reproducing the single-buffered dispatch model bit-for-bit.
@@ -409,36 +408,19 @@ class AcceleratedRealigner:
         reference: ReferenceGenome,
         config: Optional[SystemConfig] = None,
         engine=None,
-        kernel: str = "auto",
     ):
-        """``engine`` optionally names the software kernel that serves
-        fallback sites (targets that exhaust hardware recovery): an
-        :class:`repro.engine.EngineConfig` (its ``scoring`` is overridden
-        by the system config's) or anything with ``run_sites`` (a live
-        engine). None (the default) is the inline
-        engine on ``kernel``. Every plane is bit-identical to the
-        hardware's decisions by construction."""
-        if kernel not in KERNEL_CHOICES:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; choose from {KERNEL_CHOICES}"
-            )
+        """``engine`` optionally names the software plane that serves
+        fallback sites (targets that exhaust hardware recovery), exactly
+        as :class:`repro.realign.realigner.IndelRealigner` takes it (an
+        :class:`repro.engine.EngineConfig` gets the system config's
+        ``scoring``); None (the default) is the inline engine. Every
+        plane is bit-identical to the hardware's decisions by
+        construction."""
         self.reference = reference
         self.system = AcceleratedIRSystem(config)
-        self._front_half = IndelRealigner(reference)
-        self.engine = engine
-        self.kernel = kernel
-        self._engine = None
-
-    def _engine_instance(self):
-        if self._engine is None:
-            from repro.engine import EngineConfig, resolve_engine
-
-            engine = self.engine
-            if engine is None:
-                engine = EngineConfig(kernel=self.kernel)
-            self._engine = resolve_engine(engine,
-                                          self.system.config.scoring)
-        return self._engine
+        self._front_half = IndelRealigner(
+            reference, engine=engine, scoring=self.system.config.scoring
+        )
 
     def realign(
         self, reads: Sequence[Read], telemetry=None
@@ -460,7 +442,7 @@ class AcceleratedRealigner:
             # (pinned by the hardware/software equivalence tests). All
             # fallback sites run through one call on the engine.
             indices = sorted(fallback)
-            batched = self._engine_instance().run_sites(
+            batched = self._front_half._engine_instance().run_sites(
                 [windows[i].site for i in indices], telemetry=telemetry
             )
             fallback_results = dict(zip(indices, batched))

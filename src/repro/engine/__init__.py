@@ -18,10 +18,9 @@ independent optimizations, each preserving byte-identical output:
   prune offsets, consensus rows, and cannot-beat-reference pairs;
 - :mod:`repro.engine.parallel` -- the one chunk dispatch loop: an
   optional site-result cache in front, a fault-tolerant worker pool
-  with work-stealing and an incremental reordering merge that emits
-  results in deterministic chunk order;
-- :mod:`repro.engine.stream` -- the streaming data plane: the same loop
-  with a bounded in-flight window.
+  with work-stealing behind a bounded in-flight window, and an
+  incremental reordering merge that emits results in deterministic
+  chunk order.
 
 See ``docs/ARCHITECTURE.md`` for the data flow and
 ``docs/PERFORMANCE.md`` for kernel selection and measured speedups.
@@ -56,7 +55,6 @@ from repro.engine.parallel import (
     ShardStats,
     resolve_engine,
 )
-from repro.engine.stream import StreamingEngine
 from repro.engine.prefilter import (
     PREFILTER_TOLERANCE,
     PrefilterStats,
@@ -65,6 +63,10 @@ from repro.engine.prefilter import (
     pair_bounds,
     pairs_cannot_beat_reference,
 )
+
+# The old name of the windowed engine, kept only because the end-to-end
+# benchmark's probe imports it; new code uses Engine.
+StreamingEngine = Engine
 
 __all__ = [
     "Engine",
@@ -78,7 +80,6 @@ __all__ = [
     "PREFILTER_TOLERANCE",
     "ReorderBuffer",
     "ShardStats",
-    "StreamingEngine",
     "consensus_keep_mask",
     "dispatch_realign",
     "fast_fft_length",

@@ -38,15 +38,12 @@ def dispatch_realign(
     site: RealignmentSite,
     kernel: str = "auto",
     scoring: str = "similarity",
-    prefilter: bool = True,
     telemetry=None,
 ) -> SiteResult:
     """Run Algorithms 1 + 2 on ``site`` through the selected kernel.
 
     All kernels are exact, so the returned :class:`SiteResult` is
     byte-identical across choices; only the time to produce it varies.
-    ``prefilter`` applies to the FFT kernel alone (the others have no
-    equivalent machinery).
 
     >>> from repro.experiments.figure4 import build_site
     >>> site = build_site()
@@ -61,20 +58,18 @@ def dispatch_realign(
         )
     if kernel == "auto":
         kernel = "native"
-    result = _run_kernel(site, kernel, scoring, prefilter, telemetry)
+    result = _run_kernel(site, kernel, scoring, telemetry)
     if telemetry is not None:
         telemetry.count(f"kernel.chosen.{kernel}", 1)
     return result
 
 
-def _run_kernel(site, kernel, scoring, prefilter, telemetry):
+def _run_kernel(site, kernel, scoring, telemetry):
     if kernel == "fft":
         from repro.engine.batch import realign_site_batched
 
-        return realign_site_batched(
-            site, prefilter=prefilter, scoring=scoring,
-            telemetry=telemetry,
-        )
+        return realign_site_batched(site, scoring=scoring,
+                                    telemetry=telemetry)
     if kernel == "bitpack":
         from repro.engine.bitpack import realign_site_bitpacked
 

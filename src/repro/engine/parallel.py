@@ -6,13 +6,15 @@ site list into fixed-size chunks and runs them through **one**
 generator, :meth:`Engine.stream_sites`, which owns the site-result
 cache consult, chunking, the inline-versus-pooled decision, the
 in-flight window, the in-order merge and the counter/span fold. The
-paper's synchronous- and asynchronous-parallel schedules are that loop
-at two
-window sizes: :class:`Engine` submits every chunk at once (a barrier is
-window = all chunks), :class:`repro.engine.stream.StreamingEngine`
-keeps ``queue_depth x workers`` in flight. Idle workers take the next
-pending chunk, so stragglers (sites are Zipf-like in size) do not
-serialize the tail.
+pool runs the paper's asynchronous schedule: at most ``queue_depth x
+workers`` chunks are in flight or parked in the reorder buffer, and the
+next chunk is submitted only when a slot frees (backpressure), so peak
+memory is the window, not the site list, and the first results emerge
+before later chunks are submitted. Idle workers take the next pending
+chunk, so stragglers (sites are Zipf-like in size) do not serialize the
+tail. (The synchronous, barrier schedule survives only in the FPGA
+model, :mod:`repro.core.scheduler`; on the host it is the window that
+holds every chunk, and buys nothing the bounded one does not.)
 
 The workers are the paper's units: ``workers`` threads in this process
 sharing one memory, like the 32 IR units share the FPGA's DRAM. The
@@ -30,9 +32,10 @@ or completion order (pinned against ``tests/golden/``).
 Workers run each site through
 :func:`repro.engine.autotune.dispatch_realign` and count telemetry into
 a per-chunk sink; the engine folds the counters into its session when
-the run ends (or is abandoned) and records one wall-clock span per
-chunk (:func:`repro.perf.fleet.record_engine_shards`), so a Chrome
-trace shows the chunks overlapping.
+the run ends (or is abandoned), with the window's ``stream.*``
+counters, and records one wall-clock span per chunk
+(:func:`repro.perf.fleet.record_engine_shards`), so a Chrome trace
+shows the chunks overlapping.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from repro.engine.autotune import KERNEL_CHOICES, dispatch_realign
 from repro.engine.native import native_mode
 from repro.realign.site import RealignmentSite
 from repro.realign.whd import SCORING_METHODS, SiteResult
-from repro.telemetry.spans import CAT_ENGINE
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,8 @@ class EngineConfig:
     :func:`repro.engine.autotune.dispatch_realign`: a kernel name, or
     ``"auto"`` (default), which means ``"native"``.
 
-    >>> EngineConfig(workers=2, batch=4).prefilter
-    True
+    >>> EngineConfig(workers=2, batch=4).kernel
+    'auto'
     >>> EngineConfig(workers=0)
     Traceback (most recent call last):
         ...
@@ -74,7 +76,6 @@ class EngineConfig:
 
     workers: int = 1
     batch: int = 8
-    prefilter: bool = True
     scoring: str = "similarity"
     kernel: str = "auto"
 
@@ -124,7 +125,7 @@ class _CounterSink:
 def _realign_chunk(
     chunk_id: int, sites: Sequence[RealignmentSite], config: EngineConfig
 ) -> Tuple[int, List[SiteResult], float, float, Dict[str, int]]:
-    """Realign one chunk (shared by the pool, inline, and stream paths).
+    """Realign one chunk (shared by the pool and the inline path).
 
     The returned ``perf_counter`` timestamps let the engine lay every
     worker's shards on one timeline.
@@ -136,7 +137,6 @@ def _realign_chunk(
             site,
             kernel=config.kernel,
             scoring=config.scoring,
-            prefilter=config.prefilter,
             telemetry=sink,
         )
         for site in sites
@@ -207,19 +207,24 @@ class Engine:
     consulted once per run, in front of chunking: hits never reach a
     chunk, misses are inserted as their results are yielded, and the
     output is the same with or without it (docs/SHARDING.md).
+
+    ``queue_depth`` is the number of in-flight chunks *per worker*: a
+    pooled run holds at most ``queue_depth x workers`` chunks in flight
+    or parked in the reorder buffer. 2 (the default) keeps every worker
+    one chunk ahead -- enough to hide dispatch latency, small enough to
+    bound memory and let work-stealing balance the tail; a window that
+    holds every chunk is the old barrier. Results are byte-identical at
+    any depth.
     """
 
-    #: In-flight chunk bound; ``None`` submits every chunk at once.
-    _window: Optional[int] = None
-    #: Span category, track prefix and span-name prefix of the chunk
-    #: timeline (:func:`repro.perf.fleet.record_engine_shards`).
-    _timeline = (CAT_ENGINE, "engine shard", "shard")
-
     def __init__(self, config: Optional[EngineConfig] = None,
-                 recovery=None, cache=None):
+                 queue_depth: int = 2, recovery=None, cache=None):
         from repro.resilience.workers import WorkerRecovery
 
+        if queue_depth < 1:
+            raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
         self.config = config if config is not None else EngineConfig()
+        self.queue_depth = queue_depth
         self.recovery = (recovery if recovery is not None
                          else WorkerRecovery.from_env())
         self.cache = cache
@@ -233,6 +238,8 @@ class Engine:
         #: The pool's recovery observations from the latest run.
         self.recovery_counters: Dict[str, int] = {}
         self.recovery_events: List = []
+        #: The window's observations from the latest run (``stream.*``).
+        self.stream_stats: Dict[str, int] = {}
 
     def run_sites(
         self,
@@ -313,7 +320,7 @@ class Engine:
             from repro.resilience.workers import realign_chunk_recovering
 
             executor = self._ensure_executor()
-            window = self._window or len(chunks)
+            window = self.queue_depth * self.config.workers
             done: queue_module.Queue = queue_module.Queue()
             submitted = completed = 0
             while completed < len(chunks):
@@ -378,8 +385,17 @@ class Engine:
         from repro.resilience.workers import record_recovery_spans
 
         self.shard_stats.sort(key=lambda stat: stat.shard)
+        self.stream_stats = {
+            "stream.chunks": len(self.shard_stats),
+            "stream.queue_depth": self.queue_depth,
+            "stream.max_in_flight": observed["in_flight_peak"],
+            "stream.reorder_peak": observed["reorder_peak"],
+            "stream.backpressure_us": observed["backpressure_us"],
+        }
         if telemetry is None:
             return
+        for name, value in self.stream_stats.items():
+            telemetry.count(name, value)
         for stat in self.shard_stats:
             for name, value in stat.counters.items():
                 telemetry.count(name, value)
@@ -389,8 +405,8 @@ class Engine:
                               origin=run_start)
         from repro.perf.fleet import record_engine_shards
 
-        record_engine_shards(telemetry, self.shard_stats, *self._timeline,
-                             origin=run_start, workers=self.config.workers)
+        record_engine_shards(telemetry, self.shard_stats, run_start,
+                             self.config.workers)
 
     def _ensure_executor(self):
         """The ``workers`` unit threads, started on the first pooled run.
@@ -436,7 +452,7 @@ def resolve_engine(engine, scoring: str):
 
     An :class:`EngineConfig` becomes a new :class:`Engine` with the
     caller's ``scoring``; anything with the ``run_sites`` contract (an
-    engine, a streaming engine, a test fake) is used as is.
+    engine, a test fake) is used as is.
     """
     if isinstance(engine, EngineConfig):
         return Engine(replace(engine, scoring=scoring))

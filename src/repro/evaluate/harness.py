@@ -8,9 +8,9 @@ hook), and truth-INDEL recovery through the somatic caller with
 left-normalized matching. The harness is deliberately engine-agnostic:
 pass any ``engine`` accepted by
 :class:`repro.realign.realigner.IndelRealigner` (``None`` for the
-serial path, an :class:`~repro.engine.EngineConfig`, a live
-:class:`~repro.engine.Engine` or :class:`~repro.engine.StreamingEngine`)
-and the report must come out score-identical -- the cross-kernel/engine
+inline path, an :class:`~repro.engine.EngineConfig` naming any kernel,
+or a live :class:`~repro.engine.Engine` at any window) and the report
+must come out score-identical -- the cross-kernel/engine
 accuracy matrix in ``tests/test_evaluation.py`` enforces exactly that.
 """
 
@@ -113,7 +113,6 @@ def evaluate_sample(
     name: str,
     sample: SimulatedSample,
     engine=None,
-    kernel: str = "auto",
     caller_config: Optional[CallerConfig] = None,
 ) -> Tuple[SampleEvaluation, List[Read]]:
     """Score one sample's realignment outcomes.
@@ -129,7 +128,7 @@ def evaluate_sample(
     def observer(window, result, moved):
         site_records.append((window, moved))
 
-    realigner = IndelRealigner(reference, engine=engine, kernel=kernel)
+    realigner = IndelRealigner(reference, engine=engine)
     after, report = realigner.realign(before, observer=observer)
 
     mismatch_before, aligned_before = mismatch_totals(before, reference)

@@ -135,14 +135,14 @@ def build_scenario(name: str, seed: Optional[int] = None) -> ScenarioData:
 def run_scenario(
     name: str,
     engine=None,
-    kernel: str = "auto",
     seed: Optional[int] = None,
     caller_config: Optional[CallerConfig] = None,
 ) -> EvaluationReport:
     """Build a scenario, realign it, and score the outcomes.
 
-    ``engine``/``kernel`` select the execution path exactly as
-    :class:`repro.realign.realigner.IndelRealigner` does; the resulting
+    ``engine`` selects the execution path exactly as
+    :class:`repro.realign.realigner.IndelRealigner` does (an
+    :class:`~repro.engine.EngineConfig` names the kernel); the resulting
     report must be identical for every choice (kernels are exact and
     engines are byte-identical), which the accuracy matrix test pins.
     """
@@ -155,7 +155,7 @@ def run_scenario(
     after_by_sample: Dict[str, List] = {}
     for sample_name, sample in data.samples:
         evaluation, after = evaluate_sample(
-            sample_name, sample, engine=engine, kernel=kernel,
+            sample_name, sample, engine=engine,
             caller_config=caller_config,
         )
         report.samples.append(evaluation)

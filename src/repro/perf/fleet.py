@@ -156,30 +156,32 @@ def record_fleet_spans(telemetry, plan: FleetPlan,
                         len(preempted.rescheduled))
 
 
-def record_engine_shards(telemetry, shards, category: str, track: str,
-                         label: str, origin: float, workers: int) -> None:
+def record_engine_shards(telemetry, shards, origin: float,
+                         workers: int) -> None:
     """Record an engine run as a span timeline (one track per chunk).
 
     The host-side analogue of :func:`record_fleet_spans`: each chunk of
-    an engine run becomes one ``category`` span ``"{label} N (S
-    sites)"`` on the track ``"{track} N"``, offset from ``origin`` (the
-    run's start on the same ``perf_counter`` clock), so a Chrome trace
-    shows chunks overlapping across workers -- and, under the streaming
+    an engine run becomes one ``CAT_ENGINE`` span ``"shard N (S
+    sites)"`` on the track ``"engine shard N"``, offset from ``origin``
+    (the run's start on the same ``perf_counter`` clock), so a Chrome
+    trace shows chunks overlapping across workers -- and, under the
     engine's bounded window, starting later than ``queue_depth x
     workers`` would allow (the visual signature of backpressure).
     Engine timelines tick in *seconds*, like fleet timelines.
     """
+    from repro.telemetry.spans import CAT_ENGINE
+
     if not shards:
         return
     if telemetry.ticks_per_second is None:
         telemetry.ticks_per_second = 1.0
     for shard in shards:
         telemetry.span(
-            f"{label} {shard.shard} ({shard.sites} sites)",
-            f"{track} {shard.shard}",
+            f"shard {shard.shard} ({shard.sites} sites)",
+            f"engine shard {shard.shard}",
             shard.start - origin,
             shard.end - origin,
-            category,
+            CAT_ENGINE,
         )
     telemetry.count("engine.shards", len(shards))
     telemetry.count("engine.shard_sites", sum(s.sites for s in shards))

@@ -72,9 +72,8 @@ class IndelRealigner:
         ``engine`` names the execution plane (:mod:`repro.engine`) the
         sites run on: an :class:`repro.engine.EngineConfig` (its
         ``scoring`` is overridden by this realigner's) or anything with
-        ``run_sites`` -- a ready :class:`repro.engine.Engine` or
-        streaming engine (used as-is; its config's scoring must
-        match). None (the default) is the inline engine on
+        ``run_sites`` -- a ready :class:`repro.engine.Engine` (used
+        as-is; its config's scoring must match). None (the default) is the inline engine on
         ``kernel``. Every plane is byte-identical (pinned by goldens)."""
         if kernel not in KERNEL_CHOICES:
             raise ValueError(

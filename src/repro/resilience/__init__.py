@@ -20,8 +20,8 @@ fault-free run:
 - :mod:`repro.resilience.workers` -- the same design applied to the
   *host* data plane: :class:`WorkerFaultPlan` chaos (delay / error of
   the engine's unit threads) and the one recovering chunk call
-  (retry / bisect / quarantine) that ``Engine``/``StreamingEngine``
-  run every pooled chunk through.
+  (retry / bisect / quarantine) that ``Engine`` runs every pooled
+  chunk through.
 
 See ``docs/RESILIENCE.md`` for the taxonomy, policies, and guarantees.
 """

@@ -2,8 +2,7 @@
 
 PR 1 made the *simulated accelerator* plane fault-tolerant; this module
 does the same for the host plane that
-:class:`repro.engine.parallel.Engine` and
-:class:`repro.engine.stream.StreamingEngine` dispatch onto: ``workers``
+:class:`repro.engine.parallel.Engine` dispatches onto: ``workers``
 threads in this process, each running whole chunks the way the paper's
 IR units take whole targets.
 
@@ -31,7 +30,7 @@ accelerator-side design:
 Recovery is observable: ``worker.*`` counters (injections by kind,
 errors, retries, bisections, quarantines) and one ``CAT_RECOVERY`` span
 per recovery action (:func:`record_recovery_spans`), next to the
-``CAT_STREAM`` / ``CAT_ENGINE`` chunk timelines. See docs/RESILIENCE.md
+``CAT_ENGINE`` chunk timeline. See docs/RESILIENCE.md
 ("Host data plane fault model").
 """
 

@@ -12,6 +12,7 @@ one-site requests.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -112,19 +113,25 @@ class ServiceConfig:
             raise ValueError(
                 f"coalesce_sites must be >= 1, got {self.coalesce_sites}"
             )
-        if self.coalesce_wait_ms < 0:
+        # Chained comparisons, so NaN fails them too: an infinite or
+        # NaN linger would hold a lone job forever, and a NaN deadline
+        # never expires.
+        if not 0 <= self.coalesce_wait_ms < math.inf:
             raise ValueError(
-                f"coalesce_wait_ms must be >= 0, got {self.coalesce_wait_ms}"
+                f"coalesce_wait_ms must be a finite number >= 0, "
+                f"got {self.coalesce_wait_ms}"
             )
         if self.admission not in ADMISSION_POLICIES:
             raise ValueError(
                 f"unknown admission policy {self.admission!r}; "
                 f"choose from {ADMISSION_POLICIES}"
             )
-        if self.default_deadline_s <= 0:
-            raise ValueError("default_deadline_s must be positive")
-        if self.drain_timeout_s <= 0:
-            raise ValueError("drain_timeout_s must be positive")
+        for name in ("default_deadline_s", "drain_timeout_s"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be a finite number > 0, got {value}"
+                )
 
 
 _JOB_IDS = itertools.count()

@@ -7,9 +7,9 @@ connection or fifty -- coalesce into shared engine batches. The server
 owns the realigner *front half* (target identification + site
 building, CPU-bound, run on the default executor so the loop stays
 responsive) and the *back half* (applying kernel decisions to reads);
-the kernel itself runs wherever the engine says -- inline, a worker
-pool, or the streaming plane. A job whose CIGARs carry no INDEL runs
-neither half: it is checked and answered with nothing moved.
+the kernel itself runs wherever the engine says -- inline, or on its
+worker pool behind a bounded window. A job whose CIGARs carry no INDEL
+runs neither half: it is checked and answered with nothing moved.
 
 The optional startup canary (:mod:`repro.serve.canary`) routes the toy
 evaluation scenario through this exact serving path before the first

@@ -1,4 +1,4 @@
-"""The asyncio request plane over the batched/streaming engines.
+"""The asyncio request plane over the batched engine.
 
 ``RealignmentService`` turns an engine -- the batch-CLI workhorse --
 into a shared, admission-controlled server component:
@@ -12,7 +12,7 @@ into a shared, admission-controlled server component:
   within the coalesced batch.
 - **admission control + backpressure.** At most ``max_queue_sites``
   sites may be outstanding (accepted, not yet completed) -- the
-  service-level extension of ``StreamingEngine``'s bounded
+  service-level extension of the engine's bounded
   ``queue_depth x workers`` in-flight window. Over-limit submissions
   are rejected (:class:`~repro.serve.request.ServiceSaturated`) or, in
   ``admission="queue"`` mode, parked until room frees -- and either
@@ -62,10 +62,9 @@ class RealignmentService:
 
     ``engine`` is anything with ``run_sites(sites) -> [SiteResult]``
     and (optionally) ``close()``: an
-    :class:`~repro.engine.parallel.Engine`, a
-    :class:`~repro.engine.stream.StreamingEngine`, or an
-    :class:`~repro.engine.parallel.EngineConfig` (a live barrier engine
-    is built from it and owned by the service). ``telemetry`` is an
+    :class:`~repro.engine.parallel.Engine`, or an
+    :class:`~repro.engine.parallel.EngineConfig` (a live engine is
+    built from it and owned by the service). ``telemetry`` is an
     optional :class:`~repro.telemetry.Telemetry` session; engine
     counters fold into it per dispatch and the service's own
     ``serve.*`` counters fold in at :meth:`close`. An engine that
@@ -418,8 +417,7 @@ class RealignmentService:
             saturated_us += int((now - self._saturated_since) * 1e6)
         counters = dict(self.counters)
         counters["serve.saturated_us"] = saturated_us
-        if hasattr(self.engine, "stream_stats"):
-            counters.update(self.engine.stream_stats or {})
+        counters.update(getattr(self.engine, "stream_stats", {}))
         cache_hit_rate = 0.0
         cache = getattr(self.engine, "cache", None)
         if cache is not None:

@@ -27,14 +27,13 @@ Deliberately **excluded** from the key:
   start-relative offsets. A cohort region re-submitted at a lifted
   coordinate (or a PCR-duplicated window on another contig) still
   hits.
-- ``kernel``, ``prefilter``, ``workers``, ``batch`` -- all five kernels
-  are exact with the prefilter on or off and the dispatch layer never
-  changes results (pinned by the golden matrix), so caching across
-  them is sound by construction.
+- ``kernel``, ``workers``, ``batch`` -- all five kernels are exact and
+  the dispatch layer never changes results (pinned by the golden
+  matrix), so caching across them is sound by construction.
 
 So a hit guarantees ``same_outputs``, **not** grid identity: the cached
 ``min_whd`` / ``min_whd_idx`` / ``scores`` are whatever the inserting
-run's kernel left there, and the ``fft`` kernel with the prefilter on
+run's kernel left there, and the ``fft`` kernel (its prefilter on)
 leaves sentinels in the cells it pruned where the other kernels hold
 exact values. ``tests/test_shard.py::TestSiteCacheKey`` lists every
 ``EngineConfig`` field as keyed or excluded and fails on a new field

@@ -41,7 +41,6 @@ from repro.telemetry.spans import (
     CAT_FAULTED,
     CAT_FLEET,
     CAT_RECOVERY,
-    CAT_STREAM,
     CAT_TRANSFER,
     Telemetry,
     TraceInstant,
@@ -56,7 +55,6 @@ __all__ = [
     "CAT_FAULTED",
     "CAT_FLEET",
     "CAT_RECOVERY",
-    "CAT_STREAM",
     "CAT_TRANSFER",
     "CHANNEL_UNIT",
     "CounterBoard",

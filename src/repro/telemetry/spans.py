@@ -40,7 +40,6 @@ CAT_TRANSFER = "transfer"    # PCIe channel occupancy for one target
 CAT_FALLBACK = "fallback"    # software completion on the host CPU
 CAT_FLEET = "fleet"          # one job on one fleet instance
 CAT_ENGINE = "engine"        # one shard on a host unit thread
-CAT_STREAM = "stream"        # one chunk in the streaming data plane
 CAT_RECOVERY = "recovery"    # a host data-plane recovery action
 
 

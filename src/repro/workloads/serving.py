@@ -29,6 +29,7 @@ mirror of the paper's spot-market story.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Tuple
 
@@ -74,16 +75,22 @@ class LoadProfile:
             raise ValueError(f"tenants must be >= 1, got {self.tenants}")
         if self.requests_per_tenant < 1:
             raise ValueError("requests_per_tenant must be >= 1")
-        if self.mean_interarrival_s <= 0:
-            raise ValueError("mean_interarrival_s must be positive")
-        if self.deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
+        # Chained comparisons, so NaN fails them too.
+        for name in ("mean_interarrival_s", "deadline_s"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be a finite number > 0, got {value}"
+                )
         if not 0.0 <= self.preempt_rate <= 1.0:
             raise ValueError(
                 f"preempt_rate must be in [0, 1], got {self.preempt_rate}"
             )
-        if self.restart_delay_s < 0:
-            raise ValueError("restart_delay_s must be >= 0")
+        if not 0 <= self.restart_delay_s < math.inf:
+            raise ValueError(
+                f"restart_delay_s must be a finite number >= 0, "
+                f"got {self.restart_delay_s}"
+            )
         if self.schedule not in self.SCHEDULES:
             raise ValueError(
                 f"schedule must be one of {self.SCHEDULES}, "

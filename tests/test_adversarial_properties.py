@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Engine, EngineConfig, StreamingEngine
+from repro.engine import Engine, EngineConfig, realign_site_batched
 from repro.genomics.simulate import SimulationProfile, simulate_sample
 from repro.realign.realigner import IndelRealigner
 from repro.workloads.adversarial import (
@@ -148,13 +148,20 @@ class TestHostileRealignment:
         reads = hostile.sample.reads
         filtered, _ = IndelRealigner(
             reference, engine=EngineConfig(workers=1, batch=4,
-                                           prefilter=True),
+                                           kernel="fft"),
         ).realign(reads)
         unfiltered, _ = IndelRealigner(
-            reference, engine=EngineConfig(workers=1, batch=4,
-                                           prefilter=False),
+            reference, engine=_UnfilteredFft(),
         ).realign(reads)
         assert alignment_key(filtered) == alignment_key(unfiltered)
+
+
+class _UnfilteredFft:
+    """A plane that runs the fft kernel with its prefilter off."""
+
+    def run_sites(self, sites, telemetry=None):
+        return [realign_site_batched(site, prefilter=False)
+                for site in sites]
 
 
 class TestChaosComposition:
@@ -174,8 +181,7 @@ class TestChaosComposition:
         os.environ["REPRO_CHAOS_SEED"] = "71"
         try:
             config = EngineConfig(workers=2, batch=2)
-            engine = (StreamingEngine(config) if streaming
-                      else Engine(config))
+            engine = Engine(config, queue_depth=1 if streaming else 2)
             try:
                 chaotic, _ = IndelRealigner(
                     reference, engine=engine

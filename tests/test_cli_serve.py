@@ -100,6 +100,23 @@ class TestLoadgenCli:
         ]) == 2
         assert "--workers" in capsys.readouterr().err
 
+    def test_bad_load_profile_rejected(self, capsys):
+        # A NaN deadline used to send every request with a deadline the
+        # server refuses, report the failures and still exit 0.
+        for flags, field in (
+            (("--deadline-s", "nan"), "deadline_s"),
+            (("--deadline-s", "inf"), "deadline_s"),
+            (("--deadline-s", "0"), "deadline_s"),
+            (("--mean-interarrival-ms", "nan"), "mean_interarrival_s"),
+            (("--mean-interarrival-ms", "inf"), "mean_interarrival_s"),
+            (("--mean-interarrival-ms", "0"), "mean_interarrival_s"),
+        ):
+            assert cli_main([
+                "loadgen", "--selftest", "--length", "6000", *flags,
+            ]) == 2, flags
+            err = capsys.readouterr().err
+            assert field in err and "Traceback" not in err, flags
+
 
 class TestServeCli:
     def test_serve_accepts_traffic_then_shuts_down(self, sample_dir,
@@ -151,11 +168,23 @@ class TestServeCli:
         assert "completed" in out  # the final snapshot line
 
     def test_bad_service_config_rejected(self, sample_dir, capsys):
-        assert cli_main([
-            "serve", "--reference", str(sample_dir / "reference.fa"),
-            "--max-queue-sites", "0",
-        ]) == 2
-        assert "max_queue_sites" in capsys.readouterr().err
+        # A non-finite linger held a lone job forever, and a NaN
+        # deadline never expired: both exit 2 before serving.
+        for flags, field in (
+            (("--max-queue-sites", "0"), "max_queue_sites"),
+            (("--coalesce-wait-ms", "inf"), "coalesce_wait_ms"),
+            (("--coalesce-wait-ms", "nan"), "coalesce_wait_ms"),
+            (("--coalesce-wait-ms", "-1"), "coalesce_wait_ms"),
+            (("--deadline-s", "nan"), "default_deadline_s"),
+            (("--deadline-s", "inf"), "default_deadline_s"),
+            (("--deadline-s", "0"), "default_deadline_s"),
+        ):
+            assert cli_main([
+                "serve", "--reference", str(sample_dir / "reference.fa"),
+                *flags,
+            ]) == 2, flags
+            err = capsys.readouterr().err
+            assert field in err and "Traceback" not in err, flags
 
     def test_bad_engine_flags_rejected(self, sample_dir, capsys):
         assert cli_main([

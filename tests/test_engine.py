@@ -231,7 +231,6 @@ class TestRealignerIntegration:
         for config in (
             EngineConfig(),
             EngineConfig(workers=2, batch=3),
-            EngineConfig(prefilter=False),
         ):
             got, report = IndelRealigner(
                 sample.reference, engine=config

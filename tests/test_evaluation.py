@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.engine import Engine, EngineConfig, StreamingEngine
+from repro.engine import Engine, EngineConfig
 from repro.genomics.cigar import Cigar
 from repro.genomics.read import Read
 from repro.genomics.reference import ReferenceGenome
@@ -39,6 +39,11 @@ from repro.variants.evaluation import (
     evaluate_calls,
     left_normalize,
 )
+
+
+#: A window this many chunks per worker deep holds every chunk of the
+#: toy scenario: the barrier schedule.
+BARRIER_DEPTH = 64
 
 
 def _call(chrom, pos, ref, alt):
@@ -357,15 +362,22 @@ class TestAccuracyMatrix:
 
     @pytest.mark.parametrize("kernel", ("vector", "fft", "bitpack"))
     def test_serial_kernels_match_baseline(self, baseline, kernel):
-        report = run_scenario("toy", kernel=kernel)
+        report = run_scenario("toy", engine=EngineConfig(kernel=kernel))
         assert report.to_dict() == baseline, (
             f"serial kernel {kernel} produced a different evaluation"
         )
 
     @pytest.mark.parametrize("kernel", ("auto",))
     def test_barrier_engine_matches_baseline(self, baseline, kernel):
-        config = EngineConfig(workers=2, batch=3, kernel=kernel)
-        report = run_scenario("toy", engine=config)
+        engine = Engine(EngineConfig(workers=2, batch=3, kernel=kernel),
+                        queue_depth=BARRIER_DEPTH)
+        try:
+            report = run_scenario("toy", engine=engine)
+            stats = engine.stream_stats
+        finally:
+            engine.close()
+        # Every chunk was submitted before the first completed.
+        assert stats["stream.max_in_flight"] == stats["stream.chunks"]
         assert report.to_dict() == baseline, (
             f"barrier engine with kernel {kernel} produced a different "
             f"evaluation"
@@ -373,9 +385,9 @@ class TestAccuracyMatrix:
 
     @pytest.mark.parametrize("kernel", ("auto",))
     def test_streaming_engine_matches_baseline(self, baseline, kernel):
-        engine = StreamingEngine(
-            EngineConfig(workers=2, batch=3, kernel=kernel)
-        )
+        # Six one-site chunks through a two-chunk window.
+        engine = Engine(EngineConfig(workers=2, batch=1, kernel=kernel),
+                        queue_depth=1)
         try:
             report = run_scenario("toy", engine=engine)
         finally:
@@ -408,7 +420,7 @@ class TestEvaluateCli:
         assert cli_main(["evaluate", "--scenario", "toy",
                          "--out", str(serial)]) == 0
         assert cli_main(["evaluate", "--scenario", "toy", "--workers", "2",
-                         "--stream", "--out", str(streamed)]) == 0
+                         "--out", str(streamed)]) == 0
         assert serial.read_text() == streamed.read_text()
 
     def test_bad_flags_rejected(self, tmp_path, capsys):
@@ -429,6 +441,7 @@ class TestChaosComposition:
         baseline = reports["toy"].to_dict()
         engine = Engine(
             EngineConfig(workers=2, batch=2),
+            queue_depth=BARRIER_DEPTH,
             recovery=WorkerRecovery.chaos(97, 0.4),
         )
         try:
@@ -439,8 +452,9 @@ class TestChaosComposition:
 
     def test_streaming_engine_under_chaos_matches_baseline(self, reports):
         baseline = reports["toy"].to_dict()
-        engine = StreamingEngine(
+        engine = Engine(
             EngineConfig(workers=2, batch=2),
+            queue_depth=1,
             recovery=WorkerRecovery.chaos(53, 0.4),
         )
         try:

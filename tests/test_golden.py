@@ -117,7 +117,9 @@ class TestRealignedSamGolden:
 
 
 #: The golden matrix as two axes, not their cross product. Every kernel
-#: runs on the pooled barrier plane, and ``auto`` runs on every plane.
+#: runs on the pooled engine at the barrier's window (one that holds
+#: every chunk), and ``auto`` also runs at the default window behind a
+#: cache (``shard``, the engine under the name the benchmark binds).
 #: A (kernel, plane) cross cell would prove nothing beyond the two cells
 #: it sits between: a plane hands each site to
 #: ``dispatch_realign(site, kernel=...)`` on a unit thread and the site
@@ -127,8 +129,7 @@ class TestRealignedSamGolden:
 #: pure-Python reference.
 KERNEL_AXIS = [(kernel, "barrier")
                for kernel in ("scalar", "vector", "fft", "bitpack", "native")]
-PLANE_AXIS = [("auto", plane)
-              for plane in ("barrier", "stream", "shard", "stream-cache")]
+PLANE_AXIS = [("auto", plane) for plane in ("barrier", "shard")]
 
 
 class TestEngineMatchesGolden:
@@ -189,29 +190,27 @@ class TestEngineMatchesGolden:
         self, golden, sample, kernel, plane
     ):
         """All five kernels land every read where the golden does on
-        the pooled barrier plane, and ``auto`` does so through the
-        barrier and streaming windows alike -- the dispatch layer is
-        only allowed to change *when* results arrive, never what they
-        are (``KERNEL_AXIS``/``PLANE_AXIS`` say why two axes suffice).
+        the pooled engine at the barrier's window, and ``auto`` does so
+        at the default window too -- the window is only allowed to
+        change *when* results arrive, never what they are
+        (``KERNEL_AXIS``/``PLANE_AXIS`` say why two axes suffice).
         ``native`` runs here with or without a compiled backend: its
-        fallback path is exact too. The two cache rows (``shard`` is
-        the barrier engine under the name the benchmark binds) realign
+        fallback path is exact too. The cache row (``shard``) realigns
         twice through one content-addressed cache: a cold pass (every
         site computed, inserted) and a warm pass (every site served
         from the cache) must both match the golden."""
-        from repro.engine import EngineConfig, StreamingEngine
+        from repro.engine import Engine, EngineConfig
         from repro.realign.realigner import IndelRealigner
         from repro.shard import ShardPlane, SiteResultCache
 
         config = EngineConfig(workers=2, batch=3, kernel=kernel)
-        cache = (SiteResultCache.from_megabytes(64)
-                 if plane in ("shard", "stream-cache") else None)
+        cache = None
         if plane == "barrier":
-            engine = config
-        elif plane == "shard":
-            engine = ShardPlane(config, shards=2, cache=cache)
+            # A window of one chunk per read holds every chunk.
+            engine = Engine(config, queue_depth=len(sample.reads))
         else:
-            engine = StreamingEngine(config, cache=cache)
+            cache = SiteResultCache.from_megabytes(64)
+            engine = ShardPlane(config, shards=2, cache=cache)
         realigner = IndelRealigner(sample.reference, engine=engine)
         try:
             updated, _report = realigner.realign(sample.reads)
@@ -223,8 +222,7 @@ class TestEngineMatchesGolden:
                 )
                 self._assert_matches(warm, golden, f"{kernel}-{plane}-warm")
         finally:
-            if plane != "barrier":
-                engine.close()
+            engine.close()
         self._assert_matches(updated, golden, f"{kernel}-{plane}")
 
     def test_batched_kernel_reproduces_golden_grids(self):

@@ -360,13 +360,14 @@ class TestEngineKernelWiring:
         assert all(g.same_outputs(w) for g, w in zip(got, want))
 
     def test_streaming_engine_honours_kernel(self):
-        from repro.engine import EngineConfig, StreamingEngine
+        from repro.engine import Engine, EngineConfig
         from repro.telemetry import Telemetry
 
         sites = self.sites()
         session = Telemetry(label="stream-kernel")
-        engine = StreamingEngine(EngineConfig(kernel="bitpack", batch=2))
-        got = engine.run_sites(sites, telemetry=session)
+        with Engine(EngineConfig(kernel="bitpack", batch=2, workers=2),
+                    queue_depth=1) as engine:
+            got = engine.run_sites(sites, telemetry=session)
         assert (session.counters.flat().get("kernel.chosen.bitpack")
                 == len(sites))
         want = [realign_site(site) for site in sites]
@@ -401,9 +402,9 @@ class TestAutoAcrossWorkerPlanes:
         self.check(Engine(EngineConfig(workers=2, batch=2)))
 
     def test_streaming_engine(self):
-        from repro.engine import EngineConfig, StreamingEngine
+        from repro.engine import Engine, EngineConfig
 
-        self.check(StreamingEngine(EngineConfig(workers=2, batch=2)))
+        self.check(Engine(EngineConfig(workers=2, batch=2), queue_depth=1))
 
     def test_shard_plane(self):
         from repro.engine import EngineConfig

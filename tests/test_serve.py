@@ -17,13 +17,14 @@ Four layers under test:
 
 import asyncio
 import logging
+import math
 import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.engine import Engine, EngineConfig, StreamingEngine
+from repro.engine import Engine, EngineConfig
 from repro.genomics.cigar import Cigar
 from repro.genomics.read import Read
 from repro.genomics.reference import ReferenceGenome
@@ -248,6 +249,22 @@ class TestPartitionJobs:
         jobs = partition_jobs(reads + [unmapped], sample.reference)
         assert jobs[-1].chrom == "*"
         assert jobs[-1].indices == (len(reads),)
+
+
+class TestConfigValues:
+    """Every time field must be finite: an infinite or NaN linger held a
+    lone job forever, and a NaN deadline never expires."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected(self, value):
+        for field in ("coalesce_wait_ms", "default_deadline_s",
+                      "drain_timeout_s"):
+            with pytest.raises(ValueError, match=field):
+                ServiceConfig(**{field: value})
+        for field in ("mean_interarrival_s", "deadline_s",
+                      "restart_delay_s"):
+            with pytest.raises(ValueError, match=field):
+                LoadProfile(**{field: value})
 
 
 class TestLoadSchedules:
@@ -976,10 +993,7 @@ class TestServeChaos:
         sites = _sites(10)
         serial = Engine(EngineConfig()).run_sites(sites)
         config = EngineConfig(workers=2, batch=2)
-        engine = StreamingEngine(
-            config, queue_depth=2,
-            recovery=WorkerRecovery.from_env(),
-        )
+        engine = Engine(config, recovery=WorkerRecovery.from_env())
 
         async def scenario():
             service = RealignmentService(engine, ServiceConfig(

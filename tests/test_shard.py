@@ -3,7 +3,7 @@
 The invariants: cached results are byte-identical to fresh kernel runs
 at *any* coordinate (translation invariance); the key covers exactly
 the config that can change the visible outputs; the LRU byte budget
-actually bounds memory; an engine with a cache -- barrier, streaming or
+actually bounds memory; an engine with a cache -- at any window, or
 under the ``ShardPlane`` name the benchmark binds -- yields the serial
 answer in input order, cold, warm or evicting; telemetry and serving
 snapshots surface the cache.
@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.engine import Engine, EngineConfig, StreamingEngine
+from repro.engine import Engine, EngineConfig
 from repro.resilience.workers import (
     ForcedWorkerFault,
     WorkerFaultKind,
@@ -58,8 +58,6 @@ def _assert_identical(got, want):
 _CACHED_ENGINES = (
     lambda config, **kw: Engine(
         dataclasses.replace(config, workers=2), **kw),
-    lambda config, **kw: StreamingEngine(
-        dataclasses.replace(config, workers=2), **kw),
     lambda config, **kw: ShardPlane(config, shards=2, **kw),
 )
 
@@ -83,8 +81,7 @@ class TestSiteCacheKey:
     #: Every ``EngineConfig`` field, with a second value to vary it to:
     #: keyed fields can change ``same_outputs``, excluded ones cannot.
     KEYED = {"scoring": "absdiff"}
-    EXCLUDED = {"workers": 2, "batch": 2, "prefilter": False,
-                "kernel": "fft"}
+    EXCLUDED = {"workers": 2, "batch": 2, "kernel": "fft"}
 
     def test_every_config_field_is_keyed_or_excluded(self):
         """A new field must be classified before the cache can be
@@ -324,10 +321,10 @@ class TestShardPlane:
     def test_warm_prefix_is_yielded_before_any_chunk_completes(self):
         sites = _sites(8, seed=9)
         want = Engine(EngineConfig(batch=2)).run_sites(sites)
-        for engine_cls in (Engine, StreamingEngine):
+        for depth in (1, 2):
             cache = SiteResultCache.from_megabytes(32)
-            with engine_cls(EngineConfig(workers=2, batch=2),
-                            cache=cache) as engine:
+            with Engine(EngineConfig(workers=2, batch=2), queue_depth=depth,
+                        cache=cache) as engine:
                 engine.run_sites(sites[:3])
                 stream = engine.stream_sites(sites)
                 head = [next(stream) for _ in range(3)]

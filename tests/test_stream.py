@@ -1,26 +1,29 @@
-"""Tests for the streaming data plane.
+"""Tests for the engine's bounded in-flight window.
 
-The plane's contract is the barrier engine's, incrementally: byte-
-identical results at any worker count or queue depth, with bounded
-in-flight state. These tests pin that contract at each layer -- the
-reorder buffer, the streaming engine, the double-buffered dispatch
-model, the trace export floor, and the CLI.
+The one engine streams: byte-identical results at any worker count or
+queue depth -- a window that holds every chunk (the old barrier)
+included -- with bounded in-flight state. These tests pin that
+contract at each layer -- the reorder buffer, the windowed engine, the
+double-buffered dispatch model, the trace export floor, and the CLI.
 """
 
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
-from repro.engine import (
-    Engine,
-    EngineConfig,
-    ReorderBuffer,
-    StreamingEngine,
-)
+from repro.engine import Engine, EngineConfig, ReorderBuffer
 from repro.genomics.simulate import SimulationProfile, simulate_sample
 from repro.workloads.generator import BENCH_PROFILE, synthesize_site
+
+
+def _barrier(config, sites):
+    """The engine whose window holds every chunk of ``sites``: the
+    barrier schedule, which submits everything up front."""
+    chunks = math.ceil(len(sites) / config.batch)
+    return Engine(config, queue_depth=math.ceil(chunks / config.workers))
 
 
 def _sites(n=6, seed=11):
@@ -68,10 +71,10 @@ class TestStreamingEngine:
     @pytest.mark.parametrize("workers,depth", [(1, 2), (3, 1), (3, 2)])
     def test_matches_barrier_engine(self, workers, depth):
         sites = _sites(10, seed=77)
-        with Engine(EngineConfig(workers=workers, batch=3)) as barrier:
+        config = EngineConfig(workers=workers, batch=3)
+        with _barrier(config, sites) as barrier:
             want = barrier.run_sites(sites)
-        with StreamingEngine(EngineConfig(workers=workers, batch=3),
-                             queue_depth=depth) as stream:
+        with Engine(config, queue_depth=depth) as stream:
             got = stream.run_sites(sites)
         assert len(got) == len(want) == len(sites)
         for a, b in zip(got, want):
@@ -82,9 +85,10 @@ class TestStreamingEngine:
         sites = _sites(9, seed=19)
         with Engine(EngineConfig(workers=1, batch=2)) as barrier:
             want = barrier.run_sites(sites)
-        # One generator serves both windows: barrier and streaming.
-        for engine_cls in (Engine, StreamingEngine):
-            with engine_cls(EngineConfig(workers=2, batch=2)) as engine:
+        # One generator serves every window, the barrier's included.
+        config = EngineConfig(workers=2, batch=2)
+        for engine in (Engine(config), _barrier(config, sites)):
+            with engine:
                 seen = 0
                 for got in engine.stream_sites(sites):
                     assert got.same_outputs(want[seen])
@@ -93,8 +97,8 @@ class TestStreamingEngine:
 
     def test_window_bounds_in_flight_chunks(self):
         sites = _sites(12, seed=5)
-        with StreamingEngine(EngineConfig(workers=2, batch=1),
-                             queue_depth=1) as stream:
+        with Engine(EngineConfig(workers=2, batch=1),
+                    queue_depth=1) as stream:
             stream.run_sites(sites)
             stats = stream.stream_stats
         assert stats["stream.chunks"] == 12
@@ -105,7 +109,7 @@ class TestStreamingEngine:
         sites = _sites(9, seed=19)
         barrier = Engine(EngineConfig(workers=1, batch=4))
         barrier.run_sites(sites)
-        with StreamingEngine(EngineConfig(workers=2, batch=4)) as stream:
+        with Engine(EngineConfig(workers=2, batch=4)) as stream:
             stream.run_sites(sites)
         assert ([s.shard for s in stream.shard_stats]
                 == [s.shard for s in barrier.shard_stats])
@@ -113,23 +117,27 @@ class TestStreamingEngine:
                 == [s.sites for s in barrier.shard_stats])
 
     def test_counters_and_stream_spans_reach_telemetry(self):
-        from repro.telemetry import CAT_STREAM, Telemetry
+        from repro.telemetry import CAT_ENGINE, Telemetry
 
         sites = _sites(6, seed=29)
-        telemetry = Telemetry()
-        with StreamingEngine(EngineConfig(workers=2, batch=2)) as stream:
-            stream.run_sites(sites, telemetry=telemetry)
-        flat = telemetry.counters.flat()
-        assert flat["kernel.sites"] == len(sites)
-        assert flat["stream.chunks"] == 3
-        assert flat["stream.queue_depth"] == 2
-        spans = [s for s in telemetry.spans if s.category == CAT_STREAM]
-        assert len(spans) == 3
+        # The window's counters and the one chunk timeline, pooled or
+        # inline.
+        for workers in (2, 1):
+            telemetry = Telemetry()
+            with Engine(EngineConfig(workers=workers, batch=2)) as stream:
+                stream.run_sites(sites, telemetry=telemetry)
+            flat = telemetry.counters.flat()
+            assert flat["kernel.sites"] == len(sites)
+            assert flat["stream.chunks"] == flat["engine.shards"] == 3
+            assert flat["stream.queue_depth"] == 2
+            assert {s.category for s in telemetry.spans} == {CAT_ENGINE}
+            assert len(telemetry.spans) == 3
 
     def test_engine_survives_an_abandoned_generator(self):
         sites = _sites(8, seed=3)
-        for engine_cls in (Engine, StreamingEngine):
-            with engine_cls(EngineConfig(workers=2, batch=2)) as engine:
+        for depth in (1, 2, 4):
+            with Engine(EngineConfig(workers=2, batch=2),
+                        queue_depth=depth) as engine:
                 iterator = engine.stream_sites(sites)
                 next(iterator)
                 iterator.close()
@@ -140,9 +148,9 @@ class TestStreamingEngine:
         from repro.telemetry import Telemetry
 
         sites = _sites(8, seed=3)
-        for engine_cls, chunk_counter in ((Engine, "engine.shards"),
-                                          (StreamingEngine, "stream.chunks")):
-            with engine_cls(EngineConfig(workers=2, batch=2)) as engine:
+        for depth in (1, 2, 4):
+            with Engine(EngineConfig(workers=2, batch=2),
+                        queue_depth=depth) as engine:
                 telemetry = Telemetry()
                 iterator = engine.stream_sites(sites, telemetry=telemetry)
                 next(iterator)
@@ -151,17 +159,18 @@ class TestStreamingEngine:
                 # into the engine's stats and the telemetry session.
                 assert len(engine.shard_stats) >= 1
                 flat = telemetry.counters.flat()
-                assert flat[chunk_counter] >= 1
+                assert flat["engine.shards"] >= 1
+                assert flat["stream.chunks"] >= 1
                 assert flat["kernel.sites"] >= 1
-                if engine_cls is StreamingEngine:
-                    assert engine.stream_stats["stream.chunks"] >= 1
+                assert engine.stream_stats["stream.chunks"] >= 1
 
     def test_empty_and_validation(self):
-        with StreamingEngine(EngineConfig()) as stream:
+        with Engine(EngineConfig()) as stream:
             assert stream.run_sites([]) == []
             assert stream.shard_stats == []
-        with pytest.raises(ValueError):
-            StreamingEngine(EngineConfig(), queue_depth=0)
+            assert stream.stream_stats == {}
+        with pytest.raises(ValueError, match="queue_depth must be >= 1"):
+            Engine(EngineConfig(), queue_depth=0)
 
     def test_realigner_accepts_streaming_engine(self):
         sample = simulate_sample(
@@ -174,7 +183,8 @@ class TestStreamingEngine:
         base, base_report = IndelRealigner(sample.reference).realign(
             sample.reads
         )
-        with StreamingEngine(EngineConfig(workers=2, batch=3)) as stream:
+        with Engine(EngineConfig(workers=2, batch=3),
+                    queue_depth=1) as stream:
             got, report = IndelRealigner(
                 sample.reference, engine=stream
             ).realign(sample.reads)
@@ -260,34 +270,36 @@ class TestStreamCli:
         ]) == 0
         return out.read_bytes()
 
-    def test_stream_flags_keep_sam_identical(self, sample_dir):
+    def test_stream_flags_keep_sam_identical(self, sample_dir, capsys):
+        # Only a pool has a window, so only a pooled run prints it.
         serial = self._realign(sample_dir, "serial.sam")
+        assert "stream: " not in capsys.readouterr().out
         assert self._realign(
-            sample_dir, "stream.sam", "--stream", "--workers", "2",
-            "--queue-depth", "3",
+            sample_dir, "stream.sam", "--workers", "4", "--batch", "3",
         ) == serial
+        assert "stream: " in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags", [
         ("--workers", "2"),
-        ("--workers", "2", "--stream"),
         ("--workers", "2", "--site-cache-mb", "8"),
-        ("--workers", "2", "--stream", "--site-cache-mb", "8"),
-    ], ids=["pool", "stream", "cache", "stream-cache"])
+    ], ids=["pool", "cache"])
     def test_cache_composes_with_every_window(self, sample_dir, serial,
                                               capsys, flags):
-        # Regression: the cache lived on a third plane, so --stream
-        # --site-cache-mb dropped --stream, did the work, then died on
-        # engine.stream_stats before the SAM was written.
+        # Regression: the cache lived on a third plane, so a windowed
+        # run with --site-cache-mb dropped the window, did the work,
+        # then died on engine.stream_stats before the SAM was written.
         assert self._realign(sample_dir, "flags.sam", *flags) == serial
-        assert ("stream: " in capsys.readouterr().out) == (
-            "--stream" in flags)
+        assert "stream: " in capsys.readouterr().out
 
     def test_shards_flag_is_gone(self, sample_dir, capsys):
         from repro.__main__ import main as cli_main
 
-        # ... and so is --no-shmem: there is one payload to choose from.
+        # ... and so are --no-shmem (one payload to choose from) and
+        # --stream / --queue-depth (one window, at a fixed depth).
         for gone, flags in (("--shards", ("--shards", "2")),
-                            ("--no-shmem", ("--stream", "--no-shmem"))):
+                            ("--no-shmem", ("--no-shmem",)),
+                            ("--stream", ("--stream",)),
+                            ("--queue-depth", ("--queue-depth", "3"))):
             with pytest.raises(SystemExit) as exit_info:
                 cli_main([
                     "realign",
@@ -299,6 +311,22 @@ class TestStreamCli:
             assert (f"unrecognized arguments: {gone}"
                     in capsys.readouterr().err)
 
+    def test_bad_queue_depth_rejected(self, sample_dir, capsys):
+        from repro.__main__ import main as cli_main
+
+        # The window depth is fixed, so no depth — a bad one least of
+        # all — gets past the parser, and nothing is written.
+        out = sample_dir / "bad.sam"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([
+                "realign", "--reference", str(sample_dir / "reference.fa"),
+                "--sam", str(sample_dir / "aligned.sam"),
+                "--out", str(out), "--queue-depth", "0",
+            ])
+        assert exit_info.value.code == 2
+        assert "--queue-depth" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_accelerated_chaos_fallback_accepts_any_plane(self, sample_dir):
         # Regression: AcceleratedRealigner carried a stale copy of the
         # engine resolver that raised TypeError on a non-Engine plane
@@ -306,7 +334,7 @@ class TestStreamCli:
         chaos = ("--accelerated", "--fault-rate", "0.9", "--chaos-seed", "3")
         control = self._realign(sample_dir, "chaos-inline.sam", *chaos)
         assert self._realign(sample_dir, "chaos-stream.sam", *chaos,
-                             "--workers", "2", "--stream",
+                             "--workers", "2",
                              "--site-cache-mb", "8") == control
 
     def test_recovery_line_follows_the_flags(self, sample_dir, capsys,
@@ -319,7 +347,7 @@ class TestStreamCli:
         # Faulted: the pool takes the chaos flags, reports what it
         # observed, and still writes the serial SAM.
         serial = self._realign(sample_dir, "serial.sam")
-        for plane in (("--workers", "2"), ("--workers", "2", "--stream")):
+        for plane in (("--workers", "2"), ("--workers", "3", "--batch", "2")):
             capsys.readouterr()
             assert self._realign(
                 sample_dir, "faulted.sam", *plane,
@@ -348,29 +376,22 @@ class TestStreamCli:
         assert f"{name}={value!r}" in err
         assert "Traceback" not in err
 
-    def test_bad_queue_depth_rejected(self, sample_dir, capsys):
-        from repro.__main__ import main as cli_main
-
-        assert cli_main([
-            "realign", "--reference", str(sample_dir / "reference.fa"),
-            "--sam", str(sample_dir / "aligned.sam"),
-            "--out", str(sample_dir / "bad.sam"),
-            "--stream", "--queue-depth", "0",
-        ]) == 2
-        assert "--queue-depth" in capsys.readouterr().err
-
     def test_trace_records_stream_session(self, sample_dir, capsys):
         from repro.__main__ import main as cli_main
 
+        # One engine session: the window's counters ride on it, and the
+        # pooled run prints its stream: line.
         trace = sample_dir / "trace.json"
         assert cli_main([
             "trace", "--out", str(trace), "--sites", "8",
-            "--workers", "2", "--batch", "4", "--stream",
+            "--workers", "2", "--batch", "4",
         ]) == 0
-        assert "[stream]" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[engine]" in out and "stream: " in out
         payload = json.loads(trace.read_text())
-        processes = {
+        processes = [
             e["args"]["name"] for e in payload["traceEvents"]
             if e.get("name") == "process_name"
-        }
-        assert "stream" in processes
+        ]
+        assert processes.count("engine") == 1
+        assert "stream" not in processes

@@ -1,17 +1,20 @@
-"""Property tests for the streaming data plane (hypothesis).
+"""Property tests for the engine's bounded window (hypothesis).
 
-The invariant under test is single: the streaming engine's output is
-byte-identical to the barrier engine's for *any* site set, worker
-count, queue depth, or transport -- including when chaos-mode fault
+The invariant under test is single: the engine's output is
+byte-identical to the serial kernel's for *any* site set, worker
+count, or queue depth -- from one chunk per worker up to a window that
+holds every chunk (the old barrier) -- including when chaos-mode fault
 injection drains targets through it as the software fallback.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Engine, EngineConfig, ReorderBuffer, StreamingEngine
+from repro.engine import Engine, EngineConfig, ReorderBuffer, dispatch_realign
 from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
 
@@ -66,7 +69,7 @@ class TestStreamingEngineProperties:
         n=st.integers(1, 8),
         batch=st.integers(1, 4),
         workers=st.sampled_from([1, 2]),
-        depth=st.integers(1, 3),
+        depth=st.integers(1, 8),
     )
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -74,18 +77,18 @@ class TestStreamingEngineProperties:
         self, seed, n, batch, workers, depth
     ):
         sites = _sites(n, seed)
-        with Engine(EngineConfig(workers=1, batch=batch)) as barrier:
-            want = barrier.run_sites(sites)
-        with StreamingEngine(
-            EngineConfig(workers=workers, batch=batch),
-            queue_depth=depth,
-        ) as stream:
-            got = stream.run_sites(sites)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.same_outputs(b)
-            np.testing.assert_array_equal(a.min_whd, b.min_whd)
-            np.testing.assert_array_equal(a.new_pos, b.new_pos)
+        want = [dispatch_realign(site) for site in sites]
+        # The drawn depth, and the window that holds every chunk.
+        barrier = math.ceil(math.ceil(n / batch) / workers)
+        for queue_depth in sorted({min(depth, barrier), barrier}):
+            with Engine(EngineConfig(workers=workers, batch=batch),
+                        queue_depth=queue_depth) as stream:
+                got = stream.run_sites(sites)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.same_outputs(b)
+                np.testing.assert_array_equal(a.min_whd, b.min_whd)
+                np.testing.assert_array_equal(a.new_pos, b.new_pos)
 
 
 class TestFaultInjectionProperties:
@@ -111,7 +114,8 @@ class TestFaultInjectionProperties:
         self, sample, chaos_seed, rate
     ):
         """Chaos runs that drain targets to the software fallback stay
-        byte-identical when the fallback is a streaming engine."""
+        byte-identical when the fallback is a pooled engine at its
+        tightest window."""
         from dataclasses import replace
 
         from repro.core.system import AcceleratedRealigner, SystemConfig
@@ -124,7 +128,8 @@ class TestFaultInjectionProperties:
             SystemConfig.iracc(),
             resilience=ResilienceConfig.chaos(chaos_seed, rate),
         )
-        with StreamingEngine(EngineConfig(workers=2, batch=2)) as engine:
+        with Engine(EngineConfig(workers=2, batch=2),
+                    queue_depth=1) as engine:
             faulted, _run, _report = AcceleratedRealigner(
                 sample.reference, config, engine=engine
             ).realign(sample.reads)

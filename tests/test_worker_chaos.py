@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Engine, EngineConfig, StreamingEngine
+from repro.engine import Engine, EngineConfig
 from repro.resilience.workers import WorkerFaultPlan, WorkerRecovery
 from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
@@ -75,7 +75,8 @@ class TestWorkerChaosProperties:
     ):
         sites = _sites(n, workload_seed)
         want = Engine(EngineConfig(workers=1, batch=batch)).run_sites(sites)
-        with Engine(EngineConfig(workers=2, batch=batch),
+        # A window of n chunks per worker holds every chunk.
+        with Engine(EngineConfig(workers=2, batch=batch), queue_depth=n,
                     recovery=_recovery(chaos_seed, rate)) as engine:
             _assert_identical(engine.run_sites(sites), want)
             counters = engine.recovery_counters
@@ -97,9 +98,9 @@ class TestWorkerChaosProperties:
     ):
         sites = _sites(n, workload_seed)
         want = Engine(EngineConfig(workers=1, batch=batch)).run_sites(sites)
-        with StreamingEngine(EngineConfig(workers=2, batch=batch),
-                             queue_depth=depth,
-                             recovery=_recovery(chaos_seed, rate)) as stream:
+        with Engine(EngineConfig(workers=2, batch=batch),
+                    queue_depth=depth,
+                    recovery=_recovery(chaos_seed, rate)) as stream:
             _assert_identical(stream.run_sites(sites), want)
             counters = stream.recovery_counters
         dispatches = counters.get("worker.retries", 0)
@@ -111,14 +112,14 @@ class TestWorkerChaosProperties:
     def test_stream_and_barrier_agree_under_same_chaos(
         self, chaos_seed, rate
     ):
-        """The two engines recover through different dispatch loops but
-        must converge on the same results for the same fault plan."""
+        """A window of one chunk per worker and a window that holds
+        every chunk (the barrier) submit in different orders but must
+        converge on the same results for the same fault plan."""
         sites = _sites(6, seed=4242)
-        with Engine(EngineConfig(workers=2, batch=2),
+        with Engine(EngineConfig(workers=2, batch=2), queue_depth=2,
                     recovery=_recovery(chaos_seed, rate)) as barrier:
             barrier_got = barrier.run_sites(sites)
-        with StreamingEngine(EngineConfig(workers=2, batch=2),
-                             queue_depth=2,
-                             recovery=_recovery(chaos_seed, rate)) as stream:
+        with Engine(EngineConfig(workers=2, batch=2), queue_depth=1,
+                    recovery=_recovery(chaos_seed, rate)) as stream:
             stream_got = stream.run_sites(sites)
         _assert_identical(stream_got, barrier_got)

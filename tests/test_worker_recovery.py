@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.engine import Engine, EngineConfig, StreamingEngine
+from repro.engine import Engine, EngineConfig
 from repro.resilience.workers import (
     ForcedWorkerFault,
     RecoveryEvent,
@@ -270,8 +270,9 @@ class TestEngineRecovery:
 
 class TestStreamingRecovery:
     def test_streamed_chaos_matches_barrier_and_serial_sam(self):
-        # The acceptance run: both fault kinds, on both engines; SAM
-        # output byte-identical to fault-free on each.
+        # The acceptance run: both fault kinds, at the barrier's window
+        # and the tightest one; SAM output byte-identical to fault-free
+        # on each.
         from repro.genomics.samlite import write_sam
         from repro.genomics.simulate import SimulationProfile, simulate_sample
         from repro.realign.realigner import IndelRealigner
@@ -298,11 +299,13 @@ class TestStreamingRecovery:
                               kind=WorkerFaultKind.DELAY),
         )
         config = EngineConfig(workers=2, batch=2)
-        with Engine(config, recovery=_recovery(*faults)) as engine:
+        # The barrier: a window that holds every chunk of the sample.
+        with Engine(config, queue_depth=len(sample.reads),
+                    recovery=_recovery(*faults)) as engine:
             barrier_sam = sam_with(engine)
             barrier_counters = dict(engine.recovery_counters)
-        with StreamingEngine(config, queue_depth=1,
-                             recovery=_recovery(*faults)) as stream:
+        with Engine(config, queue_depth=1,
+                    recovery=_recovery(*faults)) as stream:
             reads, _ = IndelRealigner(sample.reference,
                                       engine=stream).realign(sample.reads)
             sink = io.StringIO()
@@ -329,8 +332,8 @@ class TestStreamingRecovery:
             ForcedWorkerFault(chunk=0, attempt=0,
                               kind=WorkerFaultKind.ERROR),
         )
-        with StreamingEngine(EngineConfig(workers=2, batch=2),
-                             queue_depth=1, recovery=recovery) as stream:
+        with Engine(EngineConfig(workers=2, batch=2),
+                    queue_depth=1, recovery=recovery) as stream:
             _assert_identical(stream.run_sites(sites_a),
                               _serial_results(sites_a))
             _assert_identical(stream.run_sites(sites_b),
@@ -349,8 +352,7 @@ class TestEnvDrivenRecovery:
 
     @pytest.mark.parametrize("make_plane", [
         lambda: Engine(EngineConfig(workers=2, batch=2)),
-        lambda: StreamingEngine(EngineConfig(workers=2, batch=2)),
-    ], ids=["Engine", "StreamingEngine"])
+    ], ids=["Engine"])
     def test_none_means_defaults(self, monkeypatch, make_plane):
         # recovery=None means "the defaults", never "off": every pooled
         # chunk runs under recovery, and fault-free it observes nothing.
