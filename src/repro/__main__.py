@@ -282,6 +282,11 @@ def _cmd_realign(args: argparse.Namespace) -> int:
         print("error: --out must not be --sam (the input is copied to it)",
               file=sys.stderr)
         return 2
+    telemetry = None
+    if args.telemetry is not None:
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry(label="realign")
     with engine_from_args(args) as engine:
         reference = read_reference(args.reference)
         reads = read_sam(args.sam, reference)
@@ -297,11 +302,8 @@ def _cmd_realign(args: argparse.Namespace) -> int:
                 config = replace(config, resilience=ResilienceConfig.chaos(
                     args.chaos_seed, args.fault_rate
                 ))
-            telemetry = None
-            if args.telemetry is not None:
-                from repro.telemetry import Telemetry
-
-                telemetry = Telemetry(label=config.name)
+            if telemetry is not None:
+                telemetry.label = config.name
             # The engine serves any targets that drain to the software
             # fallback under chaos; fault-free runs never touch it.
             realigner = AcceleratedRealigner(reference, config, engine=engine)
@@ -313,18 +315,20 @@ def _cmd_realign(args: argparse.Namespace) -> int:
                 print(f"chaos mode (seed {args.chaos_seed}, rate "
                       f"{args.fault_rate:.0%}): {run.resilience.describe()}")
             if telemetry is not None:
-                from repro.telemetry import write_chrome_trace
                 from repro.telemetry.metrics import derive_schedule_metrics
 
-                write_chrome_trace(telemetry, args.telemetry)
                 metrics = derive_schedule_metrics(telemetry)
                 print(f"telemetry: {metrics.describe()}")
-                print(f"trace -> {args.telemetry}")
         else:
-            updated, report = IndelRealigner(reference,
-                                             engine=engine).realign(reads)
+            updated, report = IndelRealigner(reference, engine=engine).realign(
+                reads, telemetry=telemetry)
             print(f"engine: workers={args.workers} batch={args.batch} "
                   f"kernel={args.kernel}")
+        if telemetry is not None:
+            from repro.telemetry import write_chrome_trace
+
+            write_chrome_trace(telemetry, args.telemetry)
+            print(f"trace -> {args.telemetry}")
     moved = moved_records(reads, updated)
     try:
         with open(args.out, "w") as sink:
@@ -724,8 +728,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "(requires --accelerated)")
     realign.add_argument(
         "--telemetry", type=_out_file, default=None, metavar="PATH",
-        help="write a Chrome trace of the accelerated run "
-             "(requires --accelerated)",
+        help="write a Chrome trace of the run: the engine's chunks "
+             "(one track each), and with --accelerated the modelled "
+             "hardware timeline",
     )
     _add_engine_flags(realign)
 
@@ -855,11 +860,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
     """Batched-engine knobs shared by ``realign``, ``trace``,
     ``evaluate``, ``serve`` and ``loadgen``."""
-    from repro.kernels import KERNEL_CHOICES
+    from repro.kernels import KERNEL_CHOICES, default_workers
 
     subparser.add_argument(
-        "--workers", type=int, default=1,
-        help="engine worker threads (1 = inline, no pool)",
+        "--workers", type=int, default=default_workers(),
+        help="engine worker threads (default: %(default)s, the CPUs this "
+             "process may run on; 1 = inline, no pool)",
     )
     subparser.add_argument(
         "--batch", type=int, default=8,
@@ -915,9 +921,6 @@ def _flag_errors(args: argparse.Namespace):
         if args.fault_rate > 0.0:
             return ("--fault-rate requires --accelerated (chaos mode "
                     "injects faults into the FPGA system model)")
-        if args.telemetry is not None:
-            return ("--telemetry requires --accelerated (the software "
-                    "realigner has no hardware timeline)")
     if flags.get("worker_fault_rate", 0.0) > 0.0 and args.workers < 2:
         return ("--worker-fault-rate requires --workers >= 2 "
                 "(the inline engine has no worker pool to fault)")

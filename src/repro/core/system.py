@@ -413,7 +413,7 @@ class AcceleratedRealigner:
         fallback sites (targets that exhaust hardware recovery), exactly
         as :class:`repro.realign.realigner.IndelRealigner` takes it (an
         :class:`repro.engine.EngineConfig` gets the system config's
-        ``scoring``); None (the default) is the inline engine. Every
+        ``scoring``); None (the default) is the default engine. Every
         plane is bit-identical to the hardware's decisions by
         construction."""
         self.reference = reference

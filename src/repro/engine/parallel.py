@@ -47,6 +47,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.autotune import KERNEL_CHOICES, dispatch_realign
 from repro.engine.native import native_mode
+from repro.kernels import default_workers
 from repro.realign.site import RealignmentSite
 from repro.realign.whd import SCORING_METHODS, SiteResult
 
@@ -55,8 +56,12 @@ from repro.realign.whd import SCORING_METHODS, SiteResult
 class EngineConfig:
     """Tuning knobs for the batched parallel engine.
 
-    ``workers=1`` runs shards inline (no threads) but still through the
-    batched kernel; ``batch`` is the shard size in sites -- large enough
+    ``workers`` is the number of unit threads, and defaults to the CPUs
+    this process may run on (:func:`~repro.kernels.default_workers`:
+    the affinity mask, else the CPU count) -- the units are the cores.
+    ``workers=1`` (the default on a one-CPU host) runs shards inline (no
+    threads) but still through the batched kernel; ``batch`` is the
+    shard size in sites -- large enough
     to amortize per-chunk dispatch, small enough that work-stealing can
     balance uneven shards. ``kernel`` routes each site through
     :func:`repro.engine.autotune.dispatch_realign`: a kernel name, or
@@ -64,6 +69,8 @@ class EngineConfig:
 
     >>> EngineConfig(workers=2, batch=4).kernel
     'auto'
+    >>> EngineConfig().workers == default_workers()
+    True
     >>> EngineConfig(workers=0)
     Traceback (most recent call last):
         ...
@@ -74,7 +81,7 @@ class EngineConfig:
     ValueError: unknown kernel 'simd'; choose from ('auto', 'scalar', 'vector', 'fft', 'bitpack', 'native')
     """
 
-    workers: int = 1
+    workers: int = field(default_factory=default_workers)
     batch: int = 8
     scoring: str = "similarity"
     kernel: str = "auto"

@@ -73,8 +73,9 @@ class IndelRealigner:
         sites run on: an :class:`repro.engine.EngineConfig` (its
         ``scoring`` is overridden by this realigner's) or anything with
         ``run_sites`` -- a ready :class:`repro.engine.Engine` (used
-        as-is; its config's scoring must match). None (the default) is the inline engine on
-        ``kernel``. Every plane is byte-identical (pinned by goldens)."""
+        as-is; its config's scoring must match). None (the default) is
+        the default engine on ``kernel`` (:meth:`_engine_instance`).
+        Every plane is byte-identical (pinned by goldens)."""
         if kernel not in KERNEL_CHOICES:
             raise ValueError(
                 f"unknown kernel {kernel!r}; choose from {KERNEL_CHOICES}"
@@ -90,9 +91,11 @@ class IndelRealigner:
     def _engine_instance(self):
         """Lazily resolve ``self.engine`` into a live plane.
 
-        With no explicit engine the plane is the inline
-        :class:`~repro.engine.Engine` (one worker: no threads, the
-        same per-site kernel dispatch).
+        With no explicit engine the plane is a default
+        :class:`~repro.engine.Engine` on ``kernel``: one unit thread per
+        CPU this process may run on (inline on a one-CPU host), started
+        on its first pooled run and joined when the engine -- held only
+        by this realigner -- is collected with it.
         """
         if self._engine is None:
             from repro.engine import EngineConfig, resolve_engine

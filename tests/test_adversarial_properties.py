@@ -173,7 +173,8 @@ class TestChaosComposition:
                                  seed=7)
         reference = hostile.sample.reference
         reads = hostile.sample.reads
-        baseline, _ = IndelRealigner(reference).realign(reads)
+        baseline, _ = IndelRealigner(
+            reference, engine=EngineConfig(workers=1)).realign(reads)
 
         saved = {name: os.environ.get(name)
                  for name in ("REPRO_WORKER_FAULT_RATE", "REPRO_CHAOS_SEED")}

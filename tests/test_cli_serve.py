@@ -55,6 +55,7 @@ class TestLoadgenCli:
         assert cli_main([
             "realign", "--reference", str(sample_dir / "reference.fa"),
             "--sam", str(sample_dir / "aligned.sam"), "--out", str(batch),
+            "--workers", "1",
         ]) == 0
         served = tmp_path / "served.sam"
         assert cli_main([

@@ -141,7 +141,8 @@ class TestEngineDeterminism:
         from repro.telemetry import Telemetry
 
         sites = _sites(12, seed=83)
-        serial = Engine(EngineConfig(batch=1, kernel=kernel)).run_sites(
+        serial = Engine(EngineConfig(workers=1, batch=1,
+                                     kernel=kernel)).run_sites(
             sites)
         telemetry = Telemetry()
         interval = sys.getswitchinterval()
@@ -225,9 +226,9 @@ class TestRealignerIntegration:
     def test_engine_realigner_matches_serial(self, sample):
         from repro.realign.realigner import IndelRealigner
 
-        base, base_report = IndelRealigner(sample.reference).realign(
-            sample.reads
-        )
+        base, base_report = IndelRealigner(
+            sample.reference, engine=EngineConfig(workers=1)
+        ).realign(sample.reads)
         for config in (
             EngineConfig(),
             EngineConfig(workers=2, batch=3),
@@ -242,8 +243,9 @@ class TestRealignerIntegration:
     def test_engine_scoring_follows_realigner(self, sample):
         from repro.realign.realigner import IndelRealigner
 
-        base, _ = IndelRealigner(sample.reference,
-                                 scoring="absdiff").realign(sample.reads)
+        base, _ = IndelRealigner(sample.reference, scoring="absdiff",
+                                 engine=EngineConfig(workers=1)).realign(
+            sample.reads)
         got, _ = IndelRealigner(sample.reference, scoring="absdiff",
                                 engine=EngineConfig()).realign(sample.reads)
         assert self._sam(got) == self._sam(base)
@@ -309,7 +311,7 @@ class TestEngineCli:
         return out.read_bytes()
 
     def test_worker_and_prefilter_flags_keep_sam_identical(self, sample_dir):
-        serial = self._realign(sample_dir, "serial.sam")
+        serial = self._realign(sample_dir, "serial.sam", "--workers", "1")
         assert self._realign(
             sample_dir, "workers.sam", "--workers", "2", "--batch", "3"
         ) == serial

@@ -265,7 +265,8 @@ F1_FLOORS = {"toy": 0.90, "cohort": 0.80, "adversarial": 0.80}
 @pytest.fixture(scope="module")
 def reports():
     """One serial-auto report per scenario, shared across gate tests."""
-    return {name: run_scenario(name) for name in SCENARIO_NAMES}
+    return {name: run_scenario(name, engine=EngineConfig(workers=1))
+            for name in SCENARIO_NAMES}
 
 
 class TestAccuracyGate:
@@ -362,7 +363,8 @@ class TestAccuracyMatrix:
 
     @pytest.mark.parametrize("kernel", ("vector", "fft", "bitpack"))
     def test_serial_kernels_match_baseline(self, baseline, kernel):
-        report = run_scenario("toy", engine=EngineConfig(kernel=kernel))
+        report = run_scenario("toy", engine=EngineConfig(workers=1,
+                                                         kernel=kernel))
         assert report.to_dict() == baseline, (
             f"serial kernel {kernel} produced a different evaluation"
         )
@@ -417,7 +419,7 @@ class TestEvaluateCli:
 
         serial = tmp_path / "serial.json"
         streamed = tmp_path / "streamed.json"
-        assert cli_main(["evaluate", "--scenario", "toy",
+        assert cli_main(["evaluate", "--scenario", "toy", "--workers", "1",
                          "--out", str(serial)]) == 0
         assert cli_main(["evaluate", "--scenario", "toy", "--workers", "2",
                          "--out", str(streamed)]) == 0
@@ -430,7 +432,7 @@ class TestEvaluateCli:
                          "--workers", "0"]) == 2
         assert "--workers and --batch" in capsys.readouterr().err
         assert cli_main(["evaluate", "--scenario", "toy",
-                         "--worker-fault-rate", "0.5"]) == 2
+                         "--workers", "1", "--worker-fault-rate", "0.5"]) == 2
         assert "--workers >= 2" in capsys.readouterr().err
 
 

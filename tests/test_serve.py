@@ -213,7 +213,8 @@ class TestPartitionJobs:
         assert [job.chrom for job in jobs] == ["chrG", "chrG"]
         assert (min(r.pos for r in jobs[1].reads)
                 > max(r.end for r in jobs[0].reads) + REGION_GAP)
-        whole, report = IndelRealigner(sample.reference).realign(reads)
+        whole, report = IndelRealigner(
+            sample.reference, engine=EngineConfig(workers=1)).realign(reads)
 
         def counts(r):
             return (r.targets_identified, r.sites_built,
@@ -399,7 +400,7 @@ class _GateRealEngine(_GateEngine):
 
     def __init__(self):
         super().__init__()
-        self._inner = Engine(EngineConfig())
+        self._inner = Engine(EngineConfig(workers=1))
 
     def run_sites(self, sites, telemetry=None):
         self.entered.set()
@@ -654,7 +655,9 @@ BAD_DEADLINES = {8: float("nan"), 9: float("inf"), 10: float("-inf"),
 class TestServerByteIdentity:
     def test_single_request_round_trip_matches_batch_realigner(self):
         sample = _sample({"chrS": 4000}, seed=8)
-        expected, _ = IndelRealigner(sample.reference).realign(sample.reads)
+        expected, _ = IndelRealigner(
+            sample.reference, engine=EngineConfig(workers=1),
+        ).realign(sample.reads)
         expected_lines = [format_read(r) for r in expected]
 
         async def scenario():
@@ -690,7 +693,8 @@ class TestServerByteIdentity:
 
         sample = _sample({"chrS": 4000}, seed=8)
         expected, _ = IndelRealigner(
-            sample.reference, engine=EngineConfig(kernel="native"),
+            sample.reference,
+            engine=EngineConfig(workers=1, kernel="native"),
         ).realign(sample.reads)
         expected_lines = [format_read(r) for r in expected]
 
@@ -716,7 +720,9 @@ class TestServerByteIdentity:
 
     def test_loadgen_reassembly_matches_batch_realigner(self):
         sample = _sample({"chrS": 4000, "chrT": 2500}, seed=9)
-        expected, _ = IndelRealigner(sample.reference).realign(sample.reads)
+        expected, _ = IndelRealigner(
+            sample.reference, engine=EngineConfig(workers=1),
+        ).realign(sample.reads)
         expected_lines = [format_read(r) for r in expected]
         lines = [format_read(r) for r in sample.reads]
 
@@ -863,7 +869,8 @@ class TestServerByteIdentity:
         sample = simulate_sample(
             {f"ctg{i:02d}": 2000 for i in range(32)},
             profile=SimulationProfile(coverage=30.0), seed=seed)
-        realigner = IndelRealigner(sample.reference)
+        realigner = IndelRealigner(sample.reference,
+                                   engine=EngineConfig(workers=1))
         jobs = partition_jobs(sample.reads, sample.reference)
         expected = [[format_read(read) for read in
                      realigner.realign(job.reads)[0]] for job in jobs]
@@ -991,7 +998,7 @@ class TestServeChaos:
         # inject through the service's small coalesced batches.
         monkeypatch.setenv("REPRO_CHAOS_SEED", "3")
         sites = _sites(10)
-        serial = Engine(EngineConfig()).run_sites(sites)
+        serial = Engine(EngineConfig(workers=1)).run_sites(sites)
         config = EngineConfig(workers=2, batch=2)
         engine = Engine(config, recovery=WorkerRecovery.from_env())
 

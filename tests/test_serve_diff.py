@@ -28,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import main as cli_main
+from repro.engine import EngineConfig
 from repro.genomics.fasta import write_reference
 from repro.genomics.samlite import format_read
 from repro.genomics.simulate import SimulationProfile, simulate_sample
@@ -111,7 +112,9 @@ SAMPLE = simulate_sample(
 )
 BEFORE = [format_read(read) for read in SAMPLE.reads]
 AFTER = [format_read(read)
-         for read in IndelRealigner(SAMPLE.reference).realign(SAMPLE.reads)[0]]
+         for read in IndelRealigner(
+             SAMPLE.reference, engine=EngineConfig(workers=1),
+         ).realign(SAMPLE.reads)[0]]
 
 
 def _expected(sent):

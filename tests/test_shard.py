@@ -92,7 +92,7 @@ class TestSiteCacheKey:
         assert not set(self.KEYED) & set(self.EXCLUDED)
         sites = _sites(4, seed=3)
         base = [site_cache_key(site, EngineConfig()) for site in sites]
-        want = Engine(EngineConfig()).run_sites(sites)
+        want = Engine(EngineConfig(workers=1)).run_sites(sites)
         for name, value in self.EXCLUDED.items():
             config = EngineConfig(**{name: value})
             assert [site_cache_key(s, config) for s in sites] == base, name
@@ -107,7 +107,7 @@ class TestSiteCacheKey:
 
 class TestSiteResultCache:
     def _result_for(self, site):
-        return Engine(EngineConfig()).run_sites([site])[0]
+        return Engine(EngineConfig(workers=1)).run_sites([site])[0]
 
     def test_round_trip_is_identical(self):
         rng = np.random.default_rng(5)
@@ -229,7 +229,7 @@ class TestShardPlane:
 
     def test_merge_preserves_input_order_at_any_shard_count(self):
         sites = _sites(14, seed=1)
-        want = Engine(EngineConfig(batch=4)).run_sites(sites)
+        want = Engine(EngineConfig(workers=1, batch=4)).run_sites(sites)
         for shards in (1, 2, 3):
             with ShardPlane(EngineConfig(batch=4), shards=shards) as plane:
                 _assert_identical(plane.run_sites(sites), want)
@@ -265,7 +265,7 @@ class TestShardPlane:
 
     def test_cache_cold_then_warm(self):
         sites = _sites(8, seed=3)
-        want = Engine(EngineConfig(batch=3)).run_sites(sites)
+        want = Engine(EngineConfig(workers=1, batch=3)).run_sites(sites)
         for make in _CACHED_ENGINES:
             cache = SiteResultCache.from_megabytes(32)
             with make(EngineConfig(batch=3), cache=cache) as engine:
@@ -279,7 +279,7 @@ class TestShardPlane:
 
     def test_evicting_cache_stays_identical(self):
         sites = _sites(10, seed=4)
-        want = Engine(EngineConfig(batch=2)).run_sites(sites)
+        want = Engine(EngineConfig(workers=1, batch=2)).run_sites(sites)
         for make in _CACHED_ENGINES:
             # A budget too small for the working set: constant eviction.
             cache = SiteResultCache(capacity_bytes=4_096)
@@ -310,7 +310,7 @@ class TestShardPlane:
     def test_stream_sites_yields_input_order(self):
         """Hits and fresh results interleave back into input order."""
         sites = _sites(10, seed=9)
-        want = Engine(EngineConfig(batch=2)).run_sites(sites)
+        want = Engine(EngineConfig(workers=1, batch=2)).run_sites(sites)
         for make in _CACHED_ENGINES:
             cache = SiteResultCache.from_megabytes(32)
             with make(EngineConfig(batch=2), cache=cache) as engine:
@@ -320,7 +320,7 @@ class TestShardPlane:
 
     def test_warm_prefix_is_yielded_before_any_chunk_completes(self):
         sites = _sites(8, seed=9)
-        want = Engine(EngineConfig(batch=2)).run_sites(sites)
+        want = Engine(EngineConfig(workers=1, batch=2)).run_sites(sites)
         for depth in (1, 2):
             cache = SiteResultCache.from_megabytes(32)
             with Engine(EngineConfig(workers=2, batch=2), queue_depth=depth,
@@ -357,9 +357,9 @@ class TestRealignerIntegration:
         from repro.realign.realigner import IndelRealigner
 
         sample = simulate_sample({"chrS": 5_000}, seed=11)
-        serial, _report = IndelRealigner(sample.reference).realign(
-            sample.reads
-        )
+        serial, _report = IndelRealigner(
+            sample.reference, engine=EngineConfig(workers=1)
+        ).realign(sample.reads)
         plane = ShardPlane(EngineConfig(batch=3), shards=2)
         try:
             sharded, _report = IndelRealigner(

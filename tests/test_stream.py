@@ -180,9 +180,9 @@ class TestStreamingEngine:
         )
         from repro.realign.realigner import IndelRealigner
 
-        base, base_report = IndelRealigner(sample.reference).realign(
-            sample.reads
-        )
+        base, base_report = IndelRealigner(
+            sample.reference, engine=EngineConfig(workers=1)
+        ).realign(sample.reads)
         with Engine(EngineConfig(workers=2, batch=3),
                     queue_depth=1) as stream:
             got, report = IndelRealigner(
@@ -257,7 +257,7 @@ class TestStreamCli:
 
     @pytest.fixture(scope="class")
     def serial(self, sample_dir):
-        return self._realign(sample_dir, "serial.sam")
+        return self._realign(sample_dir, "serial.sam", "--workers", "1")
 
     def _realign(self, sample_dir, out_name, *extra):
         from repro.__main__ import main as cli_main
@@ -272,7 +272,7 @@ class TestStreamCli:
 
     def test_stream_flags_keep_sam_identical(self, sample_dir, capsys):
         # Only a pool has a window, so only a pooled run prints it.
-        serial = self._realign(sample_dir, "serial.sam")
+        serial = self._realign(sample_dir, "serial.sam", "--workers", "1")
         assert "stream: " not in capsys.readouterr().out
         assert self._realign(
             sample_dir, "stream.sam", "--workers", "4", "--batch", "3",
@@ -332,7 +332,8 @@ class TestStreamCli:
         # engine resolver that raised TypeError on a non-Engine plane
         # as soon as one target drained to the software fallback.
         chaos = ("--accelerated", "--fault-rate", "0.9", "--chaos-seed", "3")
-        control = self._realign(sample_dir, "chaos-inline.sam", *chaos)
+        control = self._realign(sample_dir, "chaos-inline.sam", *chaos,
+                               "--workers", "1")
         assert self._realign(sample_dir, "chaos-stream.sam", *chaos,
                              "--workers", "2",
                              "--site-cache-mb", "8") == control
@@ -346,7 +347,7 @@ class TestStreamCli:
         assert "recovery:" not in capsys.readouterr().out
         # Faulted: the pool takes the chaos flags, reports what it
         # observed, and still writes the serial SAM.
-        serial = self._realign(sample_dir, "serial.sam")
+        serial = self._realign(sample_dir, "serial.sam", "--workers", "1")
         for plane in (("--workers", "2"), ("--workers", "3", "--batch", "2")):
             capsys.readouterr()
             assert self._realign(

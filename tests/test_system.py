@@ -10,6 +10,7 @@ from repro.core.system import (
     AcceleratedRealigner,
     SystemConfig,
 )
+from repro.engine import EngineConfig
 from repro.genomics.simulate import SimulationProfile, simulate_sample
 from repro.hw.memory import DdrChannelModel
 from repro.realign.realigner import IndelRealigner
@@ -118,7 +119,8 @@ class TestAcceleratedRealigner:
         profile = SimulationProfile(indel_rate=1.5e-3, coverage=25)
         sample = simulate_sample({"1": 15_000}, profile=profile, seed=21)
         software, software_report = IndelRealigner(
-            sample.reference).realign(sample.reads)
+            sample.reference, engine=EngineConfig(workers=1),
+        ).realign(sample.reads)
         accelerated, run, report = AcceleratedRealigner(
             sample.reference
         ).realign(sample.reads)

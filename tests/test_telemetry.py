@@ -317,19 +317,41 @@ class TestOutputPathValidation:
         ]) == 0
         assert (target / "reference.fa").exists()
 
-    def test_telemetry_requires_accelerated(self, tmp_path, capsys):
+    def test_software_telemetry_writes_one_engine_span_per_chunk(
+        self, tmp_path, capsys
+    ):
+        # The software path (no --accelerated) writes a trace too: one
+        # CAT_ENGINE span per chunk, each on its own "engine shard N"
+        # track, so the units' chunks can be seen side by side.
         sample = tmp_path / "sample"
         assert cli_main([
-            "simulate", "--out", str(sample), "--length", "4000",
-            "--coverage", "8",
+            "simulate", "--out", str(sample), "--length", "9000",
+            "--coverage", "14", "--indel-rate", "0.0015", "--seed", "7",
         ]) == 0
+        capsys.readouterr()
+        trace_path = tmp_path / "software-trace.json"
         assert cli_main([
             "realign", "--reference", str(sample / "reference.fa"),
             "--sam", str(sample / "aligned.sam"),
             "--out", str(sample / "out.sam"),
-            "--telemetry", str(tmp_path / "t.json"),
-        ]) == 2
-        assert "--telemetry requires --accelerated" in self._err(capsys)
+            "--workers", "2", "--batch", "2",
+            "--telemetry", str(trace_path),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert f"trace -> {trace_path}" in out
+        sites = int(out.split(" sites, ")[0].rsplit(" ", 1)[1])
+        chunks = -(-sites // 2)
+        assert chunks >= 2
+        payload = json.loads(trace_path.read_text())
+        spans = [event for event in payload["traceEvents"]
+                 if event["ph"] == "X"]
+        assert [event["cat"] for event in spans] == ["engine"] * chunks
+        assert sorted(event["name"].split(" (")[0] for event in spans) == \
+            sorted(f"shard {index}" for index in range(chunks))
+        assert len({event["tid"] for event in spans}) == chunks
+        counters = payload["otherData"]["counters"]
+        assert counters["engine.shards"] == chunks
+        assert counters["engine.workers"] == 2
 
     def test_realign_telemetry_writes_trace(self, tmp_path, capsys):
         sample = tmp_path / "sample"

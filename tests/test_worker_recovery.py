@@ -291,7 +291,7 @@ class TestStreamingRecovery:
             write_sam(reads, sink, sample.reference)
             return sink.getvalue()
 
-        want = sam_with(None)
+        want = sam_with(EngineConfig(workers=1))
         faults = (
             ForcedWorkerFault(chunk=0, attempt=0,
                               kind=WorkerFaultKind.ERROR),
