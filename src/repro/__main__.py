@@ -490,8 +490,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service_config = ServiceConfig(
             max_queue_sites=args.max_queue_sites,
             max_tenant_sites=args.max_tenant_sites,
-            coalesce_sites=args.coalesce_sites,
-            coalesce_wait_ms=args.coalesce_wait_ms,
             admission=args.admission,
             default_deadline_s=args.deadline_s,
         )
@@ -518,9 +516,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 return 1
         print(f"serving on {host}:{port} "
               f"(admission={service_config.admission}, "
-              f"limit={service_config.max_queue_sites} sites, "
-              f"coalesce={service_config.coalesce_sites} sites / "
-              f"{service_config.coalesce_wait_ms:g}ms); "
+              f"limit={service_config.max_queue_sites} sites); "
               f"Ctrl-C or a shutdown op to stop", flush=True)
         try:
             await server.serve_until_shutdown()
@@ -779,12 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-tenant-sites", type=int, default=None,
                        dest="max_tenant_sites",
                        help="per-tenant outstanding-site cap (fairness)")
-    serve.add_argument("--coalesce-sites", type=int, default=32,
-                       dest="coalesce_sites",
-                       help="dispatch an engine batch at this many sites")
-    serve.add_argument("--coalesce-wait-ms", type=float, default=2.0,
-                       dest="coalesce_wait_ms",
-                       help="max linger before dispatching a partial batch")
     serve.add_argument("--admission", choices=("reject", "queue"),
                        default="reject",
                        help="over-limit submissions: reject now, or park "

@@ -69,10 +69,6 @@ class TargetPlan:
     output_bytes: int
     commands: List[RoccCommand]
 
-    @property
-    def total_bytes(self) -> int:
-        return self.input_bytes + self.output_bytes
-
 
 @dataclass
 class HostPlan:
@@ -84,14 +80,6 @@ class HostPlan:
     @property
     def total_commands(self) -> int:
         return sum(len(t.commands) for t in self.targets)
-
-    @property
-    def total_input_bytes(self) -> int:
-        return sum(t.input_bytes for t in self.targets)
-
-    @property
-    def total_output_bytes(self) -> int:
-        return sum(t.output_bytes for t in self.targets)
 
     def config_cycles(self, bus: AxiLiteBus = AxiLiteBus()) -> int:
         """AXILite cycles the host spends issuing every command.

@@ -22,7 +22,7 @@ model, the toy Figure 7 workload, or hypothesis-generated cases.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Sequence
 
 
@@ -130,6 +130,32 @@ def coalesce_transfers(
                     compute_cycles=target.compute_cycles,
                 )
             )
+    return out
+
+
+def charge_turnaround(
+    targets: Sequence[ScheduledTarget], batch_size: int,
+    turnaround_cycles: int, double_buffer: bool,
+) -> List[ScheduledTarget]:
+    """Add the host's response-poll turnaround to each dispatch group.
+
+    Batched dispatch answers a whole group of ``batch_size`` consecutive
+    targets with one poll turnaround, charged to the group's last
+    member; with ``batch_size == 1`` every target is its group's last,
+    which is exactly the paper's per-target dispatch. Double buffering
+    hides that turnaround behind the next group's (already-prepared)
+    compute, so only the final group -- the drain -- still pays it.
+    """
+    if batch_size <= 0:
+        raise ValueError("batch_size must be positive")
+    last = len(targets) - 1
+    out: List[ScheduledTarget] = []
+    for pos, target in enumerate(targets):
+        last_in_group = pos % batch_size == batch_size - 1 or pos == last
+        if last_in_group and (not double_buffer or pos == last):
+            target = replace(target, compute_cycles=target.compute_cycles
+                             + turnaround_cycles)
+        out.append(target)
     return out
 
 

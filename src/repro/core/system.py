@@ -27,6 +27,7 @@ from repro.core.host import HostPlan, plan_targets
 from repro.core.scheduler import (
     ScheduledTarget,
     ScheduleResult,
+    charge_turnaround,
     coalesce_transfers,
     schedule,
 )
@@ -289,33 +290,18 @@ class AcceleratedIRSystem:
             )
             for site in sites
         ]
-        scheduled: List[ScheduledTarget] = []
+        # Every round dispatches the same targets, each round's final
+        # group draining on its own.
         batch = self.config.dispatch_batch
-        for round_index in range(replication):
-            round_targets: List[ScheduledTarget] = []
-            for index, result in enumerate(unit_results):
-                # Batched dispatch answers a whole group with one poll
-                # turnaround, charged to the group's last member; with
-                # batch == 1 every target is its group's last, which is
-                # exactly the paper's per-target dispatch. Double
-                # buffering hides that turnaround behind the next
-                # group's (already-prepared) compute, so only a round's
-                # final group -- the drain -- still pays it.
-                last_in_round = index == len(unit_results) - 1
-                last_in_group = index % batch == batch - 1 or last_in_round
-                charged = last_in_group and (
-                    not self.config.double_buffer or last_in_round
-                )
-                latency = (self.config.response_latency_cycles
-                           if charged else 0)
-                round_targets.append(
-                    ScheduledTarget(
-                        index=index,
-                        transfer_cycles=transfer_cycles[index],
-                        compute_cycles=result.cycles.total + latency,
-                    )
-                )
-            scheduled.extend(coalesce_transfers(round_targets, batch))
+        one_round = charge_turnaround(
+            [ScheduledTarget(index=index,
+                             transfer_cycles=transfer_cycles[index],
+                             compute_cycles=result.cycles.total)
+             for index, result in enumerate(unit_results)],
+            batch, self.config.response_latency_cycles,
+            self.config.double_buffer,
+        )
+        scheduled = coalesce_transfers(one_round, batch) * replication
         resilience = self.config.resilience
         dma_penalties = None
         if resilience is not None:

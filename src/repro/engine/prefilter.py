@@ -40,7 +40,7 @@ Three sound prunes are derived, all preserving byte-identical output:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -87,16 +87,6 @@ class PrefilterStats:
         self.cells_evaluated += other.cells_evaluated
         self.rows_eliminated += other.rows_eliminated
         self.pairs_pruned += other.pairs_pruned
-
-    def as_counters(self) -> Dict[str, int]:
-        return {
-            "engine.sites": self.sites,
-            "engine.cells_valid": self.cells_valid,
-            "engine.cells_evaluated": self.cells_evaluated,
-            "engine.cells_pruned": self.cells_pruned,
-            "engine.rows_eliminated": self.rows_eliminated,
-            "engine.pairs_pruned": self.pairs_pruned,
-        }
 
 
 def pair_bounds(

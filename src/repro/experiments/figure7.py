@@ -23,6 +23,7 @@ from repro.core.accelerator import IRUnit, UnitConfig
 from repro.core.scheduler import (
     ScheduledTarget,
     ScheduleResult,
+    charge_turnaround,
     coalesce_transfers,
     schedule_async,
     schedule_sync,
@@ -105,21 +106,11 @@ def run(seed: int = 22) -> Figure7Result:
         for i, c in enumerate(cycles)
     ]
     def with_turnaround(double_buffer: bool) -> List[ScheduledTarget]:
-        # Mirrors AcceleratedIRSystem.run's charging rule: the poll
-        # turnaround lands on each group's last target, unless double
-        # buffering hides it behind the next group (drain still pays).
-        charged_targets = []
-        for i, c in enumerate(cycles):
-            last_in_round = i == len(cycles) - 1
-            last_in_group = i % DISPATCH_BATCH == DISPATCH_BATCH - 1
-            charged = (last_in_group or last_in_round) and (
-                not double_buffer or last_in_round
-            )
-            charged_targets.append(ScheduledTarget(
-                index=i, transfer_cycles=120,
-                compute_cycles=c + (RESPONSE_LATENCY if charged else 0),
-            ))
-        return coalesce_transfers(charged_targets, DISPATCH_BATCH)
+        return coalesce_transfers(
+            charge_turnaround(targets, DISPATCH_BATCH, RESPONSE_LATENCY,
+                              double_buffer),
+            DISPATCH_BATCH,
+        )
 
     sync_telemetry, async_telemetry = Telemetry(), Telemetry()
     return Figure7Result(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, TextIO, Union
+from typing import Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
@@ -81,11 +81,6 @@ def parse_fastq(source: PathOrFile) -> Iterator[FastqRecord]:
     finally:
         if owned:
             handle.close()
-
-
-def read_fastq(source: PathOrFile) -> List[FastqRecord]:
-    """Eagerly load a FASTQ file."""
-    return list(parse_fastq(source))
 
 
 def write_fastq(records: Iterable[FastqRecord], sink: PathOrFile) -> None:

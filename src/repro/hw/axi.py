@@ -131,12 +131,6 @@ class MmioRegisterFile:
             self.telemetry.count("mmio.responses_polled")
         return self._responses.popleft()
 
-    def pending_commands(self) -> int:
-        return len(self._commands)
-
-    def pending_responses(self) -> int:
-        return len(self._responses)
-
 
 # -- response integrity ------------------------------------------------
 #

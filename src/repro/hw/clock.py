@@ -29,10 +29,6 @@ class ClockRecipe:
         if not 0 <= self.routing_delay_fraction <= 1:
             raise ValueError("routing_delay_fraction must be in [0, 1]")
 
-    @property
-    def period_s(self) -> float:
-        return 1.0 / self.frequency_hz
-
     def cycles_to_seconds(self, cycles: float) -> float:
         if cycles < 0:
             raise ValueError("cycle count must be non-negative")
@@ -42,10 +38,6 @@ class ClockRecipe:
         if seconds < 0:
             raise ValueError("duration must be non-negative")
         return seconds * self.frequency_hz
-
-    def cycles_to_microseconds(self, cycles: float) -> float:
-        """Cycle timestamps in trace-viewer units (Perfetto uses us)."""
-        return self.cycles_to_seconds(cycles) * 1e6
 
 
 #: The deployed design point: timing closes with >90% routing delay.

@@ -11,9 +11,8 @@ fit?" that shaped the design.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import List
 
 from repro.hw.bram import Bram36Requirement, blocks_for_buffer
 
@@ -116,10 +115,6 @@ class UtilizationReport:
     @property
     def clb_utilization(self) -> float:
         return self.clb_luts_used / self.device.clb_luts
-
-    @property
-    def dsp_utilization(self) -> float:
-        return self.dsp_used / self.device.dsp_slices
 
     @property
     def fits(self) -> bool:

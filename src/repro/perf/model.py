@@ -26,7 +26,6 @@ ADAM is modelled relative to GATK3: the paper's geometric means give
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.workloads.chromosomes import CHROMOSOME_CENSUS, ChromosomeCensus
 from repro.workloads.generator import (
@@ -113,18 +112,4 @@ class Gatk3PerformanceModel:
         """Full-scale modelled runtime of one chromosome."""
         return self.seconds_for_comparisons(
             chromosome_unpruned_comparisons(census, profile), threads
-        )
-
-
-@dataclass(frozen=True)
-class AdamPerformanceModel:
-    """ADAM on Spark, modelled relative to GATK3 (see module docstring)."""
-
-    gatk3: Gatk3PerformanceModel
-    speedup_over_gatk3: float = ADAM_SPEEDUP_OVER_GATK3
-
-    def seconds_for_comparisons(self, unpruned_comparisons: float) -> float:
-        return (
-            self.gatk3.seconds_for_comparisons(unpruned_comparisons)
-            / self.speedup_over_gatk3
         )

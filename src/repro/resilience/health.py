@@ -26,12 +26,6 @@ class UnitHealth:
     quarantined: bool = False
     busy_cycles: int = 0
 
-    @property
-    def failure_rate(self) -> float:
-        if self.attempts == 0:
-            return 0.0
-        return self.failures / self.attempts
-
     def record_success(self, busy_cycles: int) -> None:
         self.attempts += 1
         self.successes += 1
@@ -87,10 +81,6 @@ class ResilienceStats:
     def active_units(self) -> int:
         """Units still in service at the end of the run (N - k)."""
         return sum(1 for h in self.unit_health if not h.quarantined)
-
-    @property
-    def hardware_completions(self) -> int:
-        return sum(1 for mode in self.completions.values() if mode == "hw")
 
     @property
     def software_completions(self) -> int:

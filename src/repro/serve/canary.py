@@ -10,10 +10,10 @@ deployment whose serving path would corrupt outcomes (a bad slice
 boundary, a result mis-ordered across coalesced jobs) fails its canary
 before taking real traffic.
 
-The bridge is :class:`ServiceBackedEngine`: an
-:class:`~repro.engine.parallel.Engine` subclass the realigner accepts
-as-is, whose ``run_sites`` submits to the service from the worker
-thread via ``asyncio.run_coroutine_threadsafe``.
+The bridge is :class:`ServiceBackedEngine`: a plain object with the
+``run_sites`` contract, which the realigner accepts as an engine, whose
+``run_sites`` submits to the service from the worker thread via
+``asyncio.run_coroutine_threadsafe``.
 """
 
 from __future__ import annotations
@@ -21,23 +21,21 @@ from __future__ import annotations
 import asyncio
 from typing import List, Optional, Sequence
 
-from repro.engine import Engine, EngineConfig
 
-
-class ServiceBackedEngine(Engine):
+class ServiceBackedEngine:
     """An engine facade that routes ``run_sites`` through a service.
 
     Passing this to :class:`~repro.realign.realigner.IndelRealigner`
-    (which type-checks for :class:`Engine`) makes any batch code path
-    exercise the live request plane. Must be called from a thread other
-    than the service's event loop (the realigner runs in an executor
-    during the canary), because it blocks on the cross-thread future.
+    (which takes any object with ``run_sites`` as its engine) makes
+    any batch code path exercise the live request plane. Must be called
+    from a thread other than the service's event loop (the realigner
+    runs in an executor during the canary), because it blocks on the
+    cross-thread future.
     """
 
     def __init__(self, service, loop: asyncio.AbstractEventLoop,
                  tenant: str = "canary",
                  deadline_s: Optional[float] = None):
-        super().__init__(EngineConfig())
         self._service = service
         self._service_loop = loop
         self._tenant = tenant

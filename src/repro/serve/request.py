@@ -11,7 +11,6 @@ one-site requests.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -68,15 +67,12 @@ class ServiceConfig:
       engine's ``queue_depth x workers`` in-flight window. Submissions
       that would exceed it are rejected (``admission="reject"``) or
       parked until room frees (``admission="queue"``); parked requests
-      still expire at their deadline.
+      still expire at their deadline. It bounds an engine batch too:
+      the batcher dispatches what is queued, and nothing is queued
+      that was not admitted.
     - ``max_tenant_sites`` optionally caps one tenant's outstanding
       sites (fairness: a single tenant cannot occupy the whole queue).
       ``None`` disables the per-tenant cap.
-    - ``coalesce_sites`` / ``coalesce_wait_ms``: the batcher dispatches
-      an engine call once it has gathered this many sites, or when the
-      oldest gathered request has lingered this long -- the same
-      request-coalescing trick ``SystemConfig.dispatch_batch`` plays
-      for the accelerator's transfer channel.
     - ``default_deadline_s`` applies to requests that do not carry one.
     - ``drain_timeout_s`` bounds graceful shutdown: jobs still queued
       when it expires fail with :class:`ServiceClosed`.
@@ -93,8 +89,6 @@ class ServiceConfig:
 
     max_queue_sites: int = 512
     max_tenant_sites: Optional[int] = None
-    coalesce_sites: int = 32
-    coalesce_wait_ms: float = 2.0
     admission: str = "reject"
     default_deadline_s: float = 30.0
     drain_timeout_s: float = 30.0
@@ -109,23 +103,13 @@ class ServiceConfig:
                 f"max_tenant_sites must be >= 1 or None, "
                 f"got {self.max_tenant_sites}"
             )
-        if self.coalesce_sites < 1:
-            raise ValueError(
-                f"coalesce_sites must be >= 1, got {self.coalesce_sites}"
-            )
-        # Chained comparisons, so NaN fails them too: an infinite or
-        # NaN linger would hold a lone job forever, and a NaN deadline
-        # never expires.
-        if not 0 <= self.coalesce_wait_ms < math.inf:
-            raise ValueError(
-                f"coalesce_wait_ms must be a finite number >= 0, "
-                f"got {self.coalesce_wait_ms}"
-            )
         if self.admission not in ADMISSION_POLICIES:
             raise ValueError(
                 f"unknown admission policy {self.admission!r}; "
                 f"choose from {ADMISSION_POLICIES}"
             )
+        # A chained comparison, so NaN fails it too: a NaN deadline
+        # never expires.
         for name in ("default_deadline_s", "drain_timeout_s"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
@@ -134,21 +118,16 @@ class ServiceConfig:
                 )
 
 
-_JOB_IDS = itertools.count()
-
-
 class SiteJob:
-    """One accepted submission, queued for the coalescing batcher.
+    """One accepted submission, queued for the batcher.
 
     Plain class (not a dataclass): it owns a mutable asyncio future and
     identity semantics are what the queue bookkeeping wants.
     """
 
-    __slots__ = ("job_id", "tenant", "sites", "future", "enqueued_at",
-                 "deadline_at")
+    __slots__ = ("tenant", "sites", "future", "enqueued_at", "deadline_at")
 
     def __init__(self, tenant, sites, future, enqueued_at, deadline_at):
-        self.job_id = next(_JOB_IDS)
         self.tenant = tenant
         self.sites = sites
         self.future = future

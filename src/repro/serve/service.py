@@ -3,13 +3,14 @@
 ``RealignmentService`` turns an engine -- the batch-CLI workhorse --
 into a shared, admission-controlled server component:
 
-- **coalescing.** Concurrent requests' sites are gathered into one
-  engine dispatch (up to ``coalesce_sites`` sites, or until the oldest
-  request has lingered ``coalesce_wait_ms``), exactly the batching
-  trick ``SystemConfig.dispatch_batch`` plays for the accelerator's
-  transfer channel. Small requests from many tenants amortize the
-  engine's per-call overhead; the engine's own pool then parallelizes
-  within the coalesced batch.
+- **coalescing.** Each engine dispatch takes every job queued at that
+  moment and never waits for more: a job that arrives at an idle
+  service runs alone at once, and jobs admitted while a dispatch is in
+  flight leave together in the next one -- the paper's asynchronous
+  scheduler, which hands work to a unit as soon as it answers rather
+  than filling a batch first. Admission (``max_queue_sites``) bounds a
+  batch; a job is never split. The engine's own pool then parallelizes
+  within the batch.
 - **admission control + backpressure.** At most ``max_queue_sites``
   sites may be outstanding (accepted, not yet completed) -- the
   service-level extension of the engine's bounded
@@ -294,39 +295,22 @@ class RealignmentService:
         async with self._room:
             self._room.notify_all()
 
-    # -- the coalescing batcher ----------------------------------------
+    # -- the batcher ---------------------------------------------------
     async def _dispatch_loop(self) -> None:
         while True:
             job = await self._queue.get()
             if job is _STOP:
                 return
-            batch, stop = await self._gather(job)
+            # Take what is queued behind it, and wait for nothing more.
+            batch = [job]
+            while not self._queue.empty():
+                job = self._queue.get_nowait()
+                if job is _STOP:
+                    break
+                batch.append(job)
             await self._dispatch(batch)
-            if stop:
-                return
-
-    async def _gather(self, first: SiteJob):
-        """Coalesce queued jobs behind ``first`` into one engine batch."""
-        batch = [first]
-        gathered = first.num_sites
-        linger_until = (time.perf_counter()
-                        + self.config.coalesce_wait_ms / 1e3)
-        stop = False
-        while gathered < self.config.coalesce_sites:
-            timeout = linger_until - time.perf_counter()
-            if timeout <= 0 and self._queue.empty():
-                break
-            try:
-                job = await asyncio.wait_for(self._queue.get(),
-                                             max(timeout, 0.0))
-            except asyncio.TimeoutError:
-                break
             if job is _STOP:
-                stop = True
-                break
-            batch.append(job)
-            gathered += job.num_sites
-        return batch, stop
+                return
 
     async def _dispatch(self, batch: List[SiteJob]) -> None:
         now = time.perf_counter()

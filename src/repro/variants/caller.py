@@ -10,14 +10,12 @@ realignment) remain the somatic standard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from repro.align.pileup import PileupColumn, pileup
 from repro.genomics.read import Read
 from repro.genomics.reference import ReferenceGenome
-from repro.genomics.variants import Variant, VariantKind
+from repro.genomics.variants import VariantKind
 
 
 @dataclass(frozen=True)
@@ -45,9 +43,6 @@ class VariantCall:
         if len(self.alt) > len(self.ref):
             return VariantKind.INSERTION
         return VariantKind.DELETION
-
-    def as_variant(self) -> Variant:
-        return Variant(self.chrom, self.pos, self.ref, self.alt)
 
 
 @dataclass(frozen=True)

@@ -97,10 +97,6 @@ class LoadProfile:
                 f"got {self.schedule!r}"
             )
 
-    @property
-    def total_requests(self) -> int:
-        return self.tenants * self.requests_per_tenant
-
 
 @dataclass(frozen=True)
 class ScheduledRequest:

@@ -169,13 +169,9 @@ class TestServeCli:
         assert "completed" in out  # the final snapshot line
 
     def test_bad_service_config_rejected(self, sample_dir, capsys):
-        # A non-finite linger held a lone job forever, and a NaN
-        # deadline never expired: both exit 2 before serving.
+        # A NaN deadline never expired: it exits 2 before serving.
         for flags, field in (
             (("--max-queue-sites", "0"), "max_queue_sites"),
-            (("--coalesce-wait-ms", "inf"), "coalesce_wait_ms"),
-            (("--coalesce-wait-ms", "nan"), "coalesce_wait_ms"),
-            (("--coalesce-wait-ms", "-1"), "coalesce_wait_ms"),
             (("--deadline-s", "nan"), "default_deadline_s"),
             (("--deadline-s", "inf"), "default_deadline_s"),
             (("--deadline-s", "0"), "default_deadline_s"),

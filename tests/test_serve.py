@@ -253,13 +253,11 @@ class TestPartitionJobs:
 
 
 class TestConfigValues:
-    """Every time field must be finite: an infinite or NaN linger held a
-    lone job forever, and a NaN deadline never expires."""
+    """Every time field must be finite: a NaN deadline never expires."""
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_times_rejected(self, value):
-        for field in ("coalesce_wait_ms", "default_deadline_s",
-                      "drain_timeout_s"):
+        for field in ("default_deadline_s", "drain_timeout_s"):
             with pytest.raises(ValueError, match=field):
                 ServiceConfig(**{field: value})
         for field in ("mean_interarrival_s", "deadline_s",
@@ -415,9 +413,7 @@ class TestServiceRequestPlane:
         engine = _EchoEngine()
 
         async def scenario():
-            service = RealignmentService(engine, ServiceConfig(
-                coalesce_sites=64, coalesce_wait_ms=50.0,
-            ))
+            service = RealignmentService(engine)
             await service.start()
             results = await asyncio.gather(
                 service.submit_sites(["a1", "a2"], tenant="a"),
@@ -429,6 +425,8 @@ class TestServiceRequestPlane:
 
         results, service = asyncio.run(scenario())
         assert results == [["a1", "a2"], ["b1"], ["c1", "c2", "c3"]]
+        # gather's three submissions all enqueue before the batcher
+        # wakes, so its one dispatch takes all three.
         assert engine.calls == 1, "three concurrent requests, one dispatch"
         assert engine.batch_sizes == [6]
         counters = service.counters
@@ -436,13 +434,94 @@ class TestServiceRequestPlane:
         assert counters["serve.sites_dispatched"] == 6
         assert counters["serve.coalesced_sites_peak"] == 6
 
+    def test_batcher_takes_what_is_queued_and_waits_for_nothing(self):
+        engine = _GateEngine()
+
+        async def scenario():
+            service = RealignmentService(engine)
+            await service.start()
+            first = asyncio.create_task(
+                service.submit_sites(["a1"], tenant="a")
+            )
+            # A job at an idle service leaves within a few loop turns:
+            # no timer stands between the queue and the dispatch.
+            for _ in range(10):
+                await asyncio.sleep(0)
+                if service.counters.get("serve.batches_dispatched"):
+                    break
+            assert service.counters.get("serve.batches_dispatched") == 1
+            await asyncio.get_running_loop().run_in_executor(
+                None, engine.entered.wait, 10.0
+            )
+            # Admitted while the engine holds the idle job's dispatch:
+            # both wait in the queue and leave together.
+            held = [asyncio.create_task(service.submit_sites(sites,
+                                                             tenant=t))
+                    for sites, t in ((["b1", "b2"], "b"),
+                                     (["c1", "c2", "c3"], "c"))]
+            await asyncio.sleep(0.02)
+            assert not any(task.done() for task in held)
+            engine.release.set()
+            results = await asyncio.gather(first, *held)
+            await service.close()
+            return results, service
+
+        results, service = asyncio.run(scenario())
+        assert results == [["a1"], ["b1", "b2"], ["c1", "c2", "c3"]]
+        assert engine.batch_sizes == [1, 2 + 3]
+        assert service.counters["serve.batches_dispatched"] == 2
+        assert service.counters["serve.coalesced_sites_peak"] == 5
+
+    def test_queued_jobs_still_meet_the_dispatch_checks(self):
+        engine = _GateEngine()
+
+        async def scenario():
+            service = RealignmentService(engine)
+            await service.start()
+            first = asyncio.create_task(
+                service.submit_sites(["a1"], tenant="a")
+            )
+            await asyncio.get_running_loop().run_in_executor(
+                None, engine.entered.wait, 10.0
+            )
+            late = asyncio.create_task(
+                service.submit_sites(["x1", "x2"], tenant="x",
+                                     deadline_s=0.01)
+            )
+            gone = asyncio.create_task(
+                service.submit_sites(["y1"], tenant="y")
+            )
+            live = asyncio.create_task(
+                service.submit_sites(["z1", "z2", "z3"], tenant="z")
+            )
+            await asyncio.sleep(0.05)  # past ``late``'s deadline
+            gone.cancel()
+            engine.release.set()
+            assert await first == ["a1"]
+            assert await live == ["z1", "z2", "z3"]
+            with pytest.raises(DeadlineExceeded, match="while queued"):
+                await late
+            with pytest.raises(asyncio.CancelledError):
+                await gone
+            await service.close()
+            return service
+
+        service = asyncio.run(scenario())
+        # The expired and the cancelled job never reach the engine, and
+        # both give their room back.
+        assert engine.batch_sizes == [1, 3]
+        assert service.counters["serve.requests_expired"] == 1
+        assert service.counters["serve.sites_expired"] == 2
+        assert service.counters["serve.requests_completed"] == 2
+        assert service._outstanding == 0
+
     def test_reject_admission_raises_when_saturated(self):
         engine = _GateEngine()
 
         async def scenario():
-            service = RealignmentService(engine, ServiceConfig(
-                max_queue_sites=4, coalesce_sites=1, coalesce_wait_ms=0.0,
-            ))
+            service = RealignmentService(
+                engine, ServiceConfig(max_queue_sites=4)
+            )
             await service.start()
             first = asyncio.create_task(
                 service.submit_sites(["s1", "s2", "s3"], tenant="big")
@@ -472,7 +551,6 @@ class TestServiceRequestPlane:
         async def scenario():
             service = RealignmentService(engine, ServiceConfig(
                 max_queue_sites=100, max_tenant_sites=3,
-                coalesce_sites=1, coalesce_wait_ms=0.0,
             ))
             await service.start()
             first = asyncio.create_task(
@@ -499,7 +577,6 @@ class TestServiceRequestPlane:
         async def scenario():
             service = RealignmentService(engine, ServiceConfig(
                 max_queue_sites=2, admission="queue",
-                coalesce_sites=1, coalesce_wait_ms=0.0,
             ))
             await service.start()
             first = asyncio.create_task(
@@ -528,7 +605,6 @@ class TestServiceRequestPlane:
         async def scenario():
             service = RealignmentService(engine, ServiceConfig(
                 max_queue_sites=2, admission="queue",
-                coalesce_sites=1, coalesce_wait_ms=0.0,
             ))
             await service.start()
             first = asyncio.create_task(
@@ -552,9 +628,7 @@ class TestServiceRequestPlane:
         engine = _GateEngine()
 
         async def scenario():
-            service = RealignmentService(engine, ServiceConfig(
-                coalesce_sites=1, coalesce_wait_ms=0.0,
-            ))
+            service = RealignmentService(engine)
             await service.start()
             first = asyncio.create_task(
                 service.submit_sites(["a1"], tenant="a")
@@ -603,9 +677,7 @@ class TestServiceRequestPlane:
                 raise RuntimeError("kernel exploded")
 
         async def scenario():
-            service = RealignmentService(_BrokenEngine(), ServiceConfig(
-                coalesce_sites=1, coalesce_wait_ms=0.0,
-            ))
+            service = RealignmentService(_BrokenEngine())
             await service.start()
             with pytest.raises(RuntimeError, match="kernel exploded"):
                 await service.submit_sites(["s1"], tenant="t")
@@ -620,9 +692,9 @@ class TestServiceRequestPlane:
         engine = _EchoEngine()
 
         async def scenario():
-            service = RealignmentService(engine, ServiceConfig(
-                max_queue_sites=8, coalesce_sites=1, coalesce_wait_ms=0.0,
-            ))
+            service = RealignmentService(
+                engine, ServiceConfig(max_queue_sites=8)
+            )
             await service.start()
             await service.submit_sites(["s1", "s2"], tenant="t0")
             snapshot = service.snapshot()
@@ -930,9 +1002,7 @@ class TestServerByteIdentity:
         async def scenario():
             server = RealignmentServer(
                 sample.reference,
-                service_config=ServiceConfig(max_queue_sites=1,
-                                             coalesce_sites=1,
-                                             coalesce_wait_ms=0.0),
+                service_config=ServiceConfig(max_queue_sites=1),
             )
             # Swap in a gated engine so the one admitted site keeps the
             # queue full while the second request arrives.
@@ -1003,9 +1073,7 @@ class TestServeChaos:
         engine = Engine(config, recovery=WorkerRecovery.from_env())
 
         async def scenario():
-            service = RealignmentService(engine, ServiceConfig(
-                coalesce_sites=4, coalesce_wait_ms=1.0,
-            ))
+            service = RealignmentService(engine)
             await service.start()
             results = await asyncio.gather(*(
                 service.submit_sites(sites[i:i + 2], tenant=f"t{i % 3}")
