@@ -9,9 +9,9 @@ four ways:
   in-process (workers=1);
 - ``no_prefilter`` -- the batched kernel alone, isolating how much of
   the win is the filter vs the tensorized evaluation;
-- ``engine_pool``  -- the full Engine at 4 workers (pool created and
-  warmed in setup, so the measurement sees steady-state dispatch, not
-  fork cost).
+- ``engine_pool``  -- the full Engine at 4 unit threads on the FFT
+  kernel, warmed in setup, so the measurement sees steady-state
+  dispatch, not the first call's one-time costs.
 
 ``test_batched_beats_serial_throughput`` turns the headline claim into
 an assertion so CI fails if the engine regresses below the serial path.

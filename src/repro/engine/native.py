@@ -11,18 +11,21 @@ closes that gap with a *compiled* implementation of the same pipeline
 :data:`repro.engine.autotune.KERNELS` -- so the hot loop runs as
 machine code over the packed planes:
 
-1. **2-bit pack**, packed in C in :mod:`repro.engine.bitpack`'s
-   layout: bases 32-per-``uint64``, an N-flag plane, per-word validity
-   masks, each consensus's 32 phase tables derived from its words by
-   shift-and-carry, and ``qlow`` by a counting sort of the qualities.
+1. **2-bit pack** in C: the reads in :mod:`repro.engine.bitpack`'s
+   layout (32 bases a ``uint64``, N flags, validity masks), ``qlow`` by
+   a counting sort of the qualities, and each consensus as sliding-window
+   words built in one backward pass: ``win[k]`` holds bases ``k..k+31``
+   (a twin their N flags), so word ``w`` of offset ``k`` is ``win[k+32w]``.
 2. **XOR+fold SWAR mismatch masks** with the N plane folded in and
    padding lanes masked off -- one ``popcount`` per word gives each
    offset's mismatch *count*.
 3. **Seeded pruning** (the paper's Section IV): a one-word pre-scan
    seeds each pair's bound with the exact WHD of its offset with the
-   fewest word-0 mismatches; any offset is abandoned word by word once
-   ``qlow[cnt]`` (its ``cnt`` smallest qualities, a lower bound on its
-   WHD) exceeds that bound or reaches the running minimum -- exactly.
+   fewest word-0 mismatches. Word-major, each later word's count is then
+   added to a live range of offsets in one loop the compiler vectorises,
+   narrowed first to those whose ``qlow[cnt]`` (their ``cnt`` smallest
+   qualities, a lower bound on the WHD) is within the bound or the
+   running minimum; counts only grow, so the pruning is exact.
 4. **Exact unpack-and-dot** for the surviving offsets: iterate the set
    mismatch bits and sum the read's qualities at those lanes.
 
@@ -115,15 +118,15 @@ static inline uint64_t mismatches(uint64_t c, uint64_t cn, uint64_t r,
     return (((x | (x >> 1)) & EVEN) | (track_n ? cn ^ rn : 0)) & v;
 }
 
-/* Exact WHD of one window: the read's qualities at the set lanes. */
+/* Exact WHD of offset k, given win + k: its window word w is win[32w]. */
 static int64_t exact_whd(const uint64_t *win, const uint64_t *winn,
     const uint64_t *rw, const uint64_t *rn, const uint64_t *rv,
-    const int64_t *rq, int64_t wr, int64_t track_n)
+    const int64_t *rq, int64_t words, int64_t track_n)
 {
     int64_t whd = 0;
-    for (int64_t w = 0; w < wr; w++)
-        for (uint64_t m = mismatches(win[w], winn[w], rw[w], rn[w], rv[w],
-                                     track_n); m; m &= m - 1)
+    for (int64_t w = 0; w < words; w++)
+        for (uint64_t m = mismatches(win[32 * w], winn[32 * w], rw[w], rn[w],
+                                     rv[w], track_n); m; m &= m - 1)
             whd += rq[w * 32 + (__builtin_ctzll(m) >> 1)];
     return whd;
 }
@@ -132,70 +135,71 @@ static int64_t exact_whd(const uint64_t *win, const uint64_t *winn,
  * seed (fewest word-0 mismatches) attains `bound`, so the minimum is
  * <= bound; an offset with qlow[cnt] > bound loses to it strictly, one
  * with qlow[cnt] >= best cannot win a strict < update: abandoning both
- * is exact (an earlier tie with the seed is still evaluated). */
+ * is exact (an earlier tie with the seed is still evaluated).  Pass 1
+ * adds each later word to a live range of offsets at once; counts only
+ * grow, so the offsets it leaves out exceed lim already, and the exact
+ * step judges the rest in offset order: the grids and the exact count
+ * of an offset-at-a-time scan. */
 static int64_t swar_grid(
-    const uint64_t *shifted,   /* C x 32 x W consensus phase tables   */
-    const uint64_t *shifted_n, /* C x 32 x W consensus N-flag tables  */
-    const int64_t *mlens,      /* C consensus lengths                 */
-    int64_t num_cons, int64_t width,
+    const uint64_t *win,       /* sum(mlens) consensus window words   */
+    const uint64_t *winn,      /* their N-flag twins                  */
+    const int64_t *mlens, int64_t num_cons, /* C consensus lengths */
     const uint64_t *rwords,    /* R x Wr packed read bases            */
     const uint64_t *rnmask,    /* R x Wr read N flags                 */
     const uint64_t *rvalid,    /* R x Wr even-bit validity            */
     const int64_t *rquals,     /* R x (Wr*32) qualities, zero padded  */
     const int64_t *qlow,       /* R x qstride sorted-qual prefix sums */
     const int64_t *nlens,      /* R read lengths                      */
-    int64_t num_reads, int64_t wr, int64_t qstride,
-    int64_t track_n,
-    uint64_t *w0, uint64_t *n0, int16_t *c0, /* max(mlens) scratch    */
+    int64_t num_reads, int64_t wr, int64_t qstride, int64_t track_n,
+    int32_t *c,                /* max(mlens) whole-read counts        */
     int64_t *out_whd,          /* C x R */
     int64_t *out_idx)          /* C x R */
 {
     int64_t exact = 0;
-    for (int64_t i = 0; i < num_cons; i++) {
-        const uint64_t *cons = shifted + i * 32 * width;
-        const uint64_t *consn = shifted_n + i * 32 * width;
-        /* word 0 of each offset's window, in offset order: vectorises */
-        for (int64_t k = 0; k < mlens[i]; k++) {
-            w0[k] = cons[(k & 31) * width + (k >> 5)];
-            n0[k] = consn[(k & 31) * width + (k >> 5)];
-        }
+    for (int64_t i = 0; i < num_cons; win += mlens[i], winn += mlens[i], i++)
         for (int64_t j = 0; j < num_reads; j++) {
             const uint64_t *rw = rwords + j * wr;
             const uint64_t *rn = rnmask + j * wr;
             const uint64_t *rv = rvalid + j * wr;
             const int64_t *rq = rquals + j * wr * 32;
             const int64_t *ql = qlow + j * qstride;
-            int64_t K = mlens[i] - nlens[j] + 1;
+            const int64_t K = mlens[i] - nlens[j] + 1;
+            const int64_t words = (nlens[j] + 31) / 32;
             /* pass 0: word-0 counts; the earliest of the fewest seeds */
-            int16_t fewest = 64;
+            int32_t fewest = 64;
             for (int64_t k = 0; k < K; k++) {
-                c0[k] = (int16_t)__builtin_popcountll(mismatches(
-                    w0[k], n0[k], rw[0], rn[0], rv[0], track_n));
-                fewest = c0[k] < fewest ? c0[k] : fewest;
+                c[k] = __builtin_popcountll(mismatches(
+                    win[k], winn[k], rw[0], rn[0], rv[0], track_n));
+                fewest = c[k] < fewest ? c[k] : fewest;
             }
             int64_t seed = 0;
-            while (c0[seed] != fewest)
+            while (c[seed] != fewest)
                 seed++;
-            int64_t at = (seed & 31) * width + (seed >> 5);
-            const int64_t bound = exact_whd(cons + at, consn + at, rw, rn,
-                                            rv, rq, wr, track_n);
+            const int64_t bound = exact_whd(win + seed, winn + seed, rw, rn,
+                                            rv, rq, words, track_n);
             int64_t best = WHD_SENTINEL, best_idx = 0, lim = 0;
             exact++;
             /* qlow is nondecreasing: "qlow[cnt] <= bound && qlow[cnt]
-             * < best", the condition to keep scanning, is cnt <= lim */
+             * < best", the condition to keep an offset, is cnt <= lim */
             while (lim < nlens[j] && ql[lim + 1] <= bound)
                 lim++;
-            for (int64_t k = 0; k < K; k++) {
-                int64_t cnt = c0[k];
-                at = (k & 31) * width + (k >> 5);
-                for (int64_t w = 1; w < wr && cnt <= lim; w++)
-                    cnt += __builtin_popcountll(mismatches(
-                        cons[at + w], consn[at + w], rw[w], rn[w], rv[w],
-                        track_n));
-                if (cnt > lim)
+            /* pass 1, word-major over the live range [lo, hi) */
+            int64_t lo = 0, hi = K;
+            for (int64_t w = 1; w < words && lo < hi; w++) {
+                while (lo < hi && c[lo] > lim)
+                    lo++;
+                while (lo < hi && c[hi - 1] > lim)
+                    hi--;
+                const uint64_t *ww = win + 32 * w, *wn = winn + 32 * w;
+                for (int64_t k = lo; k < hi; k++)
+                    c[k] += __builtin_popcountll(mismatches(
+                        ww[k], wn[k], rw[w], rn[w], rv[w], track_n));
+            }
+            for (int64_t k = lo; k < hi; k++) {
+                if (c[k] > lim)
                     continue;
                 int64_t whd = k == seed ? bound : exact_whd(
-                    cons + at, consn + at, rw, rn, rv, rq, wr, track_n);
+                    win + k, winn + k, rw, rn, rv, rq, words, track_n);
                 exact += k != seed;
                 if (whd < best) {
                     best = whd;
@@ -207,7 +211,6 @@ static int64_t swar_grid(
             out_whd[i * num_reads + j] = best;
             out_idx[i * num_reads + j] = best_idx;
         }
-    }
     return exact;
 }
 
@@ -233,17 +236,24 @@ static int64_t pack_bases(const uint8_t *seq, int64_t len, uint64_t *words,
     return any_n != 0;
 }
 
-/* Phases 1..31 of a packed sequence from phase 0 (row 0 of `rows`,
- * zero past its `count` words): phase p is the suffix from base p. */
-static void phase_shifts(uint64_t *rows, int64_t count, int64_t width)
+/* Sliding-window words of one sequence in one backward pass: win[k]
+ * holds bases k..k+31 (zero past the end) in pack_bases' layout, winn[k]
+ * their N flags.  Returns whether any base is N. */
+static int64_t pack_windows(const uint8_t *seq, int64_t len, uint64_t *win,
+                            uint64_t *winn)
 {
-    for (int64_t p = 1; p < 32; p++)
-        for (int64_t w = 0; w < count; w++)
-            rows[p * width + w] = rows[w] >> (2 * p)
-                                  | rows[w + 1] << (64 - 2 * p);
+    uint64_t b = 0, n = 0, any_n = 0;
+    for (int64_t k = len - 1; k >= 0; k--) {
+        b = b << 2 | CODE[seq[k]];
+        n = n << 2 | (seq[k] == 'N');
+        win[k] = b;
+        winn[k] = n;
+        any_n |= n;
+    }
+    return any_n != 0;
 }
 
-/* One whole site: pack the consensuses into phase tables and the reads
+/* One whole site: pack the consensuses into window words and the reads
  * into planes, then fill the C x R grids.  Returns the exact offset
  * count, or -1 when the scratch cannot be allocated (grids untouched). */
 int64_t repro_native_site(
@@ -255,40 +265,30 @@ int64_t repro_native_site(
     int64_t *out_whd,          /* C x R */
     int64_t *out_idx)          /* C x R */
 {
-    int64_t m_max = 0, n_max = 0;
-    for (int64_t i = 0; i < num_cons; i++)
+    int64_t m_max = 0, m_sum = 0, n_max = 0;
+    for (int64_t i = 0; i < num_cons; m_sum += mlens[i], i++)
         m_max = mlens[i] > m_max ? mlens[i] : m_max;
     for (int64_t j = 0; j < num_reads; j++)
         n_max = nlens[j] > n_max ? nlens[j] : n_max;
     const int64_t wr = (n_max + 31) / 32, qstride = n_max + 1;
-    /* room for every offset's window and a zero word past each phase */
-    const int64_t width = (m_max + 31) / 32 + wr + 1;
-    const int64_t table = num_cons * 32 * width, plane = num_reads * wr;
-    uint64_t *scratch = calloc((size_t)(2 * table + 3 * plane
+    const int64_t plane = num_reads * wr;
+    uint64_t *scratch = calloc((size_t)(2 * m_sum + 3 * plane
                                         + plane * 32 + num_reads * qstride
-                                        + 2 * m_max + (m_max + 3) / 4),
+                                        + (m_max + 1) / 2),
                                sizeof(uint64_t));
     if (!scratch)
         return -1;
-    uint64_t *shifted = scratch, *shifted_n = shifted + table;
-    uint64_t *rwords = shifted_n + table, *rnmask = rwords + plane;
+    uint64_t *win = scratch, *winn = win + m_sum;
+    uint64_t *rwords = winn + m_sum, *rnmask = rwords + plane;
     uint64_t *rvalid = rnmask + plane;
     int64_t *rquals = (int64_t *)(rvalid + plane);
     int64_t *qlow = rquals + plane * 32;
-    uint64_t *w0 = (uint64_t *)(qlow + num_reads * qstride);
-    uint64_t *n0 = w0 + m_max;
-    int16_t *c0 = (int16_t *)(n0 + m_max);
+    int32_t *c = (int32_t *)(qlow + num_reads * qstride);
 
     int64_t track_n = 0;
-    for (int64_t i = 0; i < num_cons; i++) {
-        uint64_t *rows = shifted + i * 32 * width;
-        uint64_t *rows_n = shifted_n + i * 32 * width;
-        int64_t count = (mlens[i] + 31) / 32;
-        track_n |= pack_bases(cons_bytes, mlens[i], rows, rows_n);
-        phase_shifts(rows, count, width);
-        phase_shifts(rows_n, count, width);
-        cons_bytes += mlens[i];
-    }
+    for (int64_t i = 0, at = 0; i < num_cons; at += mlens[i], i++)
+        track_n |= pack_windows(cons_bytes + at, mlens[i], win + at,
+                                winn + at);
     int64_t hist[256] = {0};
     for (int64_t j = 0; j < num_reads; j++) {
         const int64_t n = nlens[j];
@@ -318,10 +318,9 @@ int64_t repro_native_site(
         read_bytes += n;
         quals += n;
     }
-    int64_t exact = swar_grid(shifted, shifted_n, mlens, num_cons, width,
-                              rwords, rnmask, rvalid, rquals, qlow, nlens,
-                              num_reads, wr, qstride, track_n, w0, n0, c0,
-                              out_whd, out_idx);
+    int64_t exact = swar_grid(win, winn, mlens, num_cons, rwords, rnmask,
+                              rvalid, rquals, qlow, nlens, num_reads, wr,
+                              qstride, track_n, c, out_whd, out_idx);
     free(scratch);
     return exact;
 }

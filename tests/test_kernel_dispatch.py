@@ -620,6 +620,34 @@ class TestNativeKernel:
         np.testing.assert_array_equal(mi, ref_i)
 
     @needs_backend
+    def test_whole_read_counts_past_int16(self):
+        # Pass 1 keeps whole-read mismatch counts, and an offset inside
+        # the live range keeps counting however far past lim it is. On a
+        # 40 000-base read under raised SiteLimits, offsets 0 and 2 tie
+        # with 40 spread mismatches and keep offset 1 (~40 000
+        # mismatches, all words) in range: a count that wrapped (an
+        # int16 accumulator) would send it to an exact evaluation.
+        from repro.engine import native
+
+        rng = np.random.default_rng(32768)
+        read = list("AC" * 20_000)
+        for t in range(500, len(read), 1000):
+            read[t] = "G"
+        read = "".join(read)
+        site = RealignmentSite(
+            "c", 0, ("AC" * 20_001,), (read,),
+            (rng.integers(2, 42, size=len(read), dtype=np.uint8),),
+            limits=SiteLimits(max_consensus_length=40_002,
+                              max_read_length=40_000),
+        )
+        ref_w, ref_i = min_whd_grid(site, vectorized=False)
+        assert ref_i.tolist() == [[0]]
+        mw, mi, exact = native._grids_native(site, native.get_backend())
+        np.testing.assert_array_equal(mw, ref_w)
+        np.testing.assert_array_equal(mi, ref_i)
+        assert exact == 2  # the seed (offset 0) and the tie at offset 2
+
+    @needs_backend
     def test_seeded_bound_prunes_real_profile_sites(self):
         # The paper's Section IV pruning on the benchmark's own sites:
         # at most 1 % of offsets reach an exact evaluation.
@@ -630,6 +658,10 @@ class TestNativeKernel:
             realign_site_native(site, telemetry=sink)
         exact = sink.counters["native.offsets_exact"]
         assert exact <= 0.01 * sink.counters["native.offsets_screened"]
+        # The count itself is pinned: the offsets the word-major pass
+        # sends to an exact evaluation are exactly those the
+        # offset-at-a-time scan sent (measured at commit 9a07f7e).
+        assert exact == 13600
 
     @needs_backend
     def test_offsets_screened_is_the_sum_over_pairs(self):
