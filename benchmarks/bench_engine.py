@@ -26,7 +26,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import Engine, EngineConfig, realign_site_batched
+from repro.engine import Engine, EngineConfig
+from repro.engine.batch import realign_site_batched
 from repro.realign.whd import realign_site
 from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 

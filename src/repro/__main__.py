@@ -489,8 +489,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         service_config = ServiceConfig(
             max_queue_sites=args.max_queue_sites,
-            max_tenant_sites=args.max_tenant_sites,
-            admission=args.admission,
             default_deadline_s=args.deadline_s,
         )
     except ValueError as bad:
@@ -515,8 +513,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 await server.close()
                 return 1
         print(f"serving on {host}:{port} "
-              f"(admission={service_config.admission}, "
-              f"limit={service_config.max_queue_sites} sites); "
+              f"(limit={service_config.max_queue_sites} sites); "
               f"Ctrl-C or a shutdown op to stop", flush=True)
         try:
             await server.serve_until_shutdown()
@@ -771,14 +768,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 = pick an ephemeral port)")
     serve.add_argument("--max-queue-sites", type=int, default=512,
                        dest="max_queue_sites",
-                       help="admission limit on outstanding sites")
-    serve.add_argument("--max-tenant-sites", type=int, default=None,
-                       dest="max_tenant_sites",
-                       help="per-tenant outstanding-site cap (fairness)")
-    serve.add_argument("--admission", choices=("reject", "queue"),
-                       default="reject",
-                       help="over-limit submissions: reject now, or park "
-                            "until room frees (deadlines still apply)")
+                       help="admission limit on outstanding sites: a "
+                            "submission over it is rejected at once")
     serve.add_argument("--deadline-s", type=float, default=30.0,
                        dest="deadline_s",
                        help="default per-request deadline")

@@ -171,8 +171,3 @@ def mismatch_loci(
         if found.size:
             loci[chrom] = found.tolist()
     return loci
-
-
-def max_depth(columns: Dict[Tuple[str, int], PileupColumn]) -> int:
-    """Deepest column in a pileup (0 when empty)."""
-    return max((col.depth for col in columns.values()), default=0)

@@ -69,10 +69,6 @@ class AlignmentResult:
     query_end: int
     cigar: Cigar
 
-    @property
-    def query_span(self) -> int:
-        return self.query_end - self.query_start
-
 
 _NEG = np.int32(-(1 << 28))
 

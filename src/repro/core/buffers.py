@@ -109,13 +109,11 @@ class OutputBuffer:
     num_entries: int
     entry_bytes: int
     _values: Optional[np.ndarray] = None
-    _written: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if self.num_entries <= 0 or self.entry_bytes <= 0:
             raise ValueError("buffer geometry must be positive")
         self._values = np.zeros(self.num_entries, dtype=np.int64)
-        self._written = np.zeros(self.num_entries, dtype=bool)
 
     @property
     def capacity_bytes(self) -> int:
@@ -130,19 +128,14 @@ class OutputBuffer:
                 f"{self.name}: value {value} does not fit {self.entry_bytes} B"
             )
         self._values[index] = value
-        self._written[index] = True
 
     def read(self, index: int) -> int:
         if not 0 <= index < self.num_entries:
             raise BufferError(f"{self.name}: index {index} out of range")
         return int(self._values[index])
 
-    def was_written(self, index: int) -> bool:
-        return bool(self._written[index])
-
     def clear(self) -> None:
         self._values[:] = 0
-        self._written[:] = False
 
 
 def make_unit_buffers(limits) -> dict:

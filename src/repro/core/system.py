@@ -194,12 +194,6 @@ class SystemRunResult:
         return self.resilience.active_units
 
     @property
-    def fault_events(self) -> int:
-        return 0 if self.resilience is None else (
-            self.resilience.counters.total_injected
-        )
-
-    @property
     def fallback_site_indices(self) -> set:
         """Distinct input sites that completed on the software fallback.
 

@@ -24,44 +24,21 @@ independent optimizations, each preserving byte-identical output:
 
 See ``docs/ARCHITECTURE.md`` for the data flow and
 ``docs/PERFORMANCE.md`` for kernel selection and measured speedups.
+
+The kernel modules are not imported here: the dispatch in
+:mod:`repro.engine.autotune` loads the one it runs, so importing
+:class:`Engine` costs no FFT, bit-packing or prefilter code. Import a
+kernel's names from the module that defines it
+(``from repro.engine.batch import realign_site_batched``).
 """
 
 from repro.engine.autotune import KERNELS, KERNEL_CHOICES, dispatch_realign
-from repro.engine.batch import (
-    PackedSite,
-    fast_fft_length,
-    min_whd_grid_batched,
-    pair_lower_bounds,
-    realign_site_batched,
-)
-from repro.engine.bitpack import (
-    PackedConsensus,
-    PackedRead,
-    min_whd_grid_bitpacked,
-    pack_bases,
-    realign_site_bitpacked,
-)
-from repro.engine.native import (
-    min_whd_grid_native,
-    native_available,
-    native_backend_name,
-    realign_site_native,
-    warmup_native,
-)
 from repro.engine.parallel import (
     Engine,
     EngineConfig,
     ReorderBuffer,
     ShardStats,
     resolve_engine,
-)
-from repro.engine.prefilter import (
-    PREFILTER_TOLERANCE,
-    PrefilterStats,
-    consensus_keep_mask,
-    offset_candidates,
-    pair_bounds,
-    pairs_cannot_beat_reference,
 )
 
 # The old name of the windowed engine, kept only because the end-to-end
@@ -73,29 +50,9 @@ __all__ = [
     "EngineConfig",
     "KERNELS",
     "KERNEL_CHOICES",
-    "PackedConsensus",
-    "PackedRead",
-    "PackedSite",
-    "PrefilterStats",
-    "PREFILTER_TOLERANCE",
     "ReorderBuffer",
     "ShardStats",
-    "consensus_keep_mask",
+    "StreamingEngine",
     "dispatch_realign",
-    "fast_fft_length",
-    "min_whd_grid_batched",
-    "min_whd_grid_bitpacked",
-    "min_whd_grid_native",
-    "native_available",
-    "native_backend_name",
-    "offset_candidates",
-    "pack_bases",
-    "pair_bounds",
-    "pair_lower_bounds",
-    "pairs_cannot_beat_reference",
-    "realign_site_batched",
-    "realign_site_bitpacked",
-    "realign_site_native",
     "resolve_engine",
-    "warmup_native",
 ]

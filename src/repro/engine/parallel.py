@@ -178,10 +178,6 @@ class ReorderBuffer:
     def pending(self) -> int:
         return len(self._held)
 
-    @property
-    def next_index(self) -> int:
-        return self._next
-
     def push(self, index: int, value) -> List:
         if index < self._next or index in self._held:
             raise ValueError(f"chunk {index} already emitted or buffered")

@@ -75,12 +75,6 @@ class PrefilterStats:
     def cells_pruned(self) -> int:
         return max(self.cells_valid - self.cells_evaluated, 0)
 
-    @property
-    def prune_fraction(self) -> float:
-        if self.cells_valid == 0:
-            return 0.0
-        return self.cells_pruned / self.cells_valid
-
     def merge(self, other: "PrefilterStats") -> None:
         self.sites += other.sites
         self.cells_valid += other.cells_valid

@@ -61,11 +61,6 @@ def seq_to_array(seq: str) -> np.ndarray:
     return np.frombuffer(seq.encode("ascii"), dtype=np.uint8).copy()
 
 
-def seq_from_array(array: np.ndarray) -> str:
-    """Decode a ``numpy.uint8`` ASCII array back to a sequence string."""
-    return bytes(np.asarray(array, dtype=np.uint8)).decode("ascii")
-
-
 def complement(base: str) -> str:
     """Return the Watson-Crick complement of a single base."""
     try:

@@ -60,11 +60,6 @@ class AxiLiteBus:
             raise ValueError("word count must be non-negative")
         return num_words * self.access_cycles
 
-    def read_cycles(self, num_words: int = 1) -> int:
-        if num_words < 0:
-            raise ValueError("word count must be non-negative")
-        return num_words * self.access_cycles
-
 
 class QueueFullError(RuntimeError):
     """A bounded ready/valid queue rejected a push."""

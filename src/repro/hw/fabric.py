@@ -75,12 +75,6 @@ class FabricResult:
     beats_served: int
     per_unit_finish: List[int]
 
-    @property
-    def throughput_beats_per_cycle(self) -> float:
-        if self.cycles == 0:
-            return 0.0
-        return self.beats_served / self.cycles
-
     def unit_stretch(self, unit: int, request_beats: int) -> float:
         """One unit's slowdown versus owning an uncontended
         1-beat/cycle port (its fill would then take ``request_beats``

@@ -139,8 +139,3 @@ class FpgaMemorySystem:
     @property
     def capacity_bytes(self) -> int:
         return self.channels_instantiated * self.channel.capacity_bytes
-
-    @property
-    def total_capacity_bytes(self) -> int:
-        """All 64 GB, as listed in Table II, whether instantiated or not."""
-        return self.channels_available * self.channel.capacity_bytes

@@ -52,8 +52,3 @@ class TileLinkLink:
             frequency *= 1.0 - self.routing_penalty_per_doubling
             width //= 2
         return frequency
-
-
-def beats_for_transfer(num_bytes: int, width_bits: int = 256) -> int:
-    """Convenience: beats to move ``num_bytes`` over a ``width_bits`` link."""
-    return TileLinkLink(data_width_bits=width_bits).beats(num_bytes)

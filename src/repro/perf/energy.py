@@ -58,16 +58,3 @@ def accelerated_energy(seconds: float) -> EnergyReport:
     watts = FPGA_CARD_TDP_W * FPGA_ACTIVE_FRACTION + HOST_CPU_FEEDING_W
     return EnergyReport(system="IR ACC", seconds=seconds,
                         average_watts=watts)
-
-
-def energy_efficiency(baseline: EnergyReport, accelerated: EnergyReport
-                      ) -> float:
-    """How many times less energy the accelerated run uses.
-
-    With the paper's 81x speedup and these envelopes the accelerated
-    system is two orders of magnitude more energy efficient -- speedup
-    compounds with the lower power draw.
-    """
-    if accelerated.joules == 0:
-        raise ValueError("accelerated energy must be positive")
-    return baseline.joules / accelerated.joules

@@ -252,14 +252,3 @@ def build_site(
         limits=limits,
     )
     return ConsensusWindow(site=site, reads=tuple(usable), indels=tuple(indels))
-
-
-def generate_consensuses(
-    target: RealignmentTarget,
-    reads: Sequence[Read],
-    reference: ReferenceGenome,
-    limits: SiteLimits = PAPER_LIMITS,
-) -> List[str]:
-    """Return just the consensus strings for a target (reference first)."""
-    built = build_site(target, reads, reference, limits)
-    return list(built.site.consensuses) if built else []

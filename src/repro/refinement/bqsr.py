@@ -77,14 +77,6 @@ class BqsrModel:
         rate = np.clip(rate, 1e-9, 1.0 - 1e-9)
         return clamp_phred(np.round(-10.0 * np.log10(rate)), MAX_PHRED)
 
-    def recalibrated_quality(self, reported_q: int, cycle: int) -> int:
-        bucket = min(cycle // CYCLE_BUCKET, MAX_CYCLE_BUCKETS - 1)
-        return int(self.quality_table()[reported_q, bucket])
-
-    def bucket_count(self) -> int:
-        """Number of (Q, cycle) buckets with at least one observation."""
-        return int((self.observations > 0).sum())
-
 
 def _variant_like_positions(
     reads: Sequence[Read], reference: ReferenceGenome

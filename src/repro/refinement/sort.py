@@ -39,12 +39,3 @@ def sort_reads(
         return (0, (0, rank), read.pos, read.is_reverse)
 
     return sorted(reads, key=key)
-
-
-def is_coordinate_sorted(
-    reads: Sequence[Read],
-    reference: Optional[ReferenceGenome] = None,
-) -> bool:
-    """True if ``reads`` is already in coordinate order."""
-    ordered = sort_reads(reads, reference)
-    return all(a is b for a, b in zip(reads, ordered))

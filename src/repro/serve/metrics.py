@@ -95,7 +95,7 @@ class ServiceSnapshot:
     ``saturation`` is ``serve.saturated_us / uptime_us`` -- the
     fraction of the observation window during which the outstanding
     -site count sat at or above the admission limit (i.e. new work was
-    being rejected or parked). ``queue_depth`` / ``outstanding_sites``
+    being rejected). ``queue_depth`` / ``outstanding_sites``
     are instantaneous; the ``*_peak`` counters carry the run's maxima.
     """
 

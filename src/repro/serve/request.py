@@ -18,10 +18,6 @@ from typing import Optional
 #: Tenant used when a request does not name one.
 DEFAULT_TENANT = "anonymous"
 
-#: Admission policies: reject over-limit submissions immediately, or
-#: park them (still counting their deadline) until the queue drains.
-ADMISSION_POLICIES = ("reject", "queue")
-
 
 class ServeError(RuntimeError):
     """Base class for request-plane failures."""
@@ -63,16 +59,12 @@ class ServiceConfig:
     """Tuning knobs of the asyncio request plane.
 
     - ``max_queue_sites`` bounds *outstanding* sites -- accepted but not
-      yet completed -- the service-level analogue of the streaming
-      engine's ``queue_depth x workers`` in-flight window. Submissions
-      that would exceed it are rejected (``admission="reject"``) or
-      parked until room frees (``admission="queue"``); parked requests
-      still expire at their deadline. It bounds an engine batch too:
-      the batcher dispatches what is queued, and nothing is queued
-      that was not admitted.
-    - ``max_tenant_sites`` optionally caps one tenant's outstanding
-      sites (fairness: a single tenant cannot occupy the whole queue).
-      ``None`` disables the per-tenant cap.
+      yet completed -- the service-level analogue of the engine's
+      ``queue_depth x workers`` in-flight window. A submission that
+      would exceed it is rejected at once with
+      :class:`ServiceSaturated`; nothing waits for room. It bounds an
+      engine batch too: the batcher dispatches what is queued, and
+      nothing is queued that was not admitted.
     - ``default_deadline_s`` applies to requests that do not carry one.
     - ``drain_timeout_s`` bounds graceful shutdown: jobs still queued
       when it expires fail with :class:`ServiceClosed`.
@@ -81,15 +73,13 @@ class ServiceConfig:
     Traceback (most recent call last):
         ...
     ValueError: max_queue_sites must be >= 1, got 0
-    >>> ServiceConfig(admission="drop")
+    >>> ServiceConfig(drain_timeout_s=0)
     Traceback (most recent call last):
         ...
-    ValueError: unknown admission policy 'drop'; choose from ('reject', 'queue')
+    ValueError: drain_timeout_s must be a finite number > 0, got 0
     """
 
     max_queue_sites: int = 512
-    max_tenant_sites: Optional[int] = None
-    admission: str = "reject"
     default_deadline_s: float = 30.0
     drain_timeout_s: float = 30.0
 
@@ -97,16 +87,6 @@ class ServiceConfig:
         if self.max_queue_sites < 1:
             raise ValueError(
                 f"max_queue_sites must be >= 1, got {self.max_queue_sites}"
-            )
-        if self.max_tenant_sites is not None and self.max_tenant_sites < 1:
-            raise ValueError(
-                f"max_tenant_sites must be >= 1 or None, "
-                f"got {self.max_tenant_sites}"
-            )
-        if self.admission not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"unknown admission policy {self.admission!r}; "
-                f"choose from {ADMISSION_POLICIES}"
             )
         # A chained comparison, so NaN fails it too: a NaN deadline
         # never expires.
@@ -140,7 +120,6 @@ class SiteJob:
 
 
 __all__ = [
-    "ADMISSION_POLICIES",
     "DEFAULT_TENANT",
     "DeadlineExceeded",
     "ServeError",

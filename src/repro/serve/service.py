@@ -14,11 +14,13 @@ into a shared, admission-controlled server component:
 - **admission control + backpressure.** At most ``max_queue_sites``
   sites may be outstanding (accepted, not yet completed) -- the
   service-level extension of the engine's bounded
-  ``queue_depth x workers`` in-flight window. Over-limit submissions
-  are rejected (:class:`~repro.serve.request.ServiceSaturated`) or, in
-  ``admission="queue"`` mode, parked until room frees -- and either
-  way every request carries a deadline past which it fails with
-  :class:`~repro.serve.request.DeadlineExceeded` instead of computing.
+  ``queue_depth x workers`` in-flight window. An over-limit
+  submission is refused at once
+  (:class:`~repro.serve.request.ServiceSaturated`), never parked: the
+  client decides whether and when to retry. Every admitted request
+  carries a deadline; one that passes while the job is queued fails it
+  with :class:`~repro.serve.request.DeadlineExceeded` at dispatch
+  instead of computing.
 - **observability.** Per-request latency (p50/p95/p99), queue depth,
   outstanding sites, saturation (fraction of uptime at the admission
   limit), and per-tenant tallies, all from the same counter fabric the
@@ -86,12 +88,10 @@ class RealignmentService:
         self.counters: Dict[str, int] = {}
         self.tenant_sites: Dict[str, int] = {}
         self._queue: Optional[asyncio.Queue] = None
-        self._room: Optional[asyncio.Condition] = None
         self._batcher: Optional[asyncio.Task] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._outstanding = 0
-        self._outstanding_by_tenant: Dict[str, int] = {}
         self._closing = False
         self._started_at = 0.0
         self._saturated_since: Optional[float] = None
@@ -113,7 +113,6 @@ class RealignmentService:
             warmup_native()
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue()
-        self._room = asyncio.Condition()
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-engine"
         )
@@ -134,8 +133,6 @@ class RealignmentService:
             return
         self._closing = True
         self._queue.put_nowait(_STOP)
-        async with self._room:  # wake parked submitters -> ServiceClosed
-            self._room.notify_all()
         timeout = self.config.drain_timeout_s if drain else 0.0
         try:
             await asyncio.wait_for(asyncio.shield(self._batcher), timeout)
@@ -173,10 +170,9 @@ class RealignmentService:
     ) -> List:
         """Realign ``sites``; returns their results in input order.
 
-        Raises :class:`ServiceSaturated` when admission control refuses
-        the submission (``admission="reject"``), or parks until room
-        frees (``admission="queue"``); raises :class:`DeadlineExceeded`
-        if the deadline passes while parked or queued; raises
+        Raises :class:`ServiceSaturated` at once when admission control
+        refuses the submission; raises :class:`DeadlineExceeded` if the
+        deadline passes while the job is queued; raises
         :class:`ServiceClosed` during/after shutdown. An empty site
         list completes immediately (no queue traffic, no engine call)
         and counts ``serve.requests_empty``.
@@ -194,14 +190,13 @@ class RealignmentService:
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
         now = time.perf_counter()
-        deadline_at = now + deadline_s
-        await self._admit(len(sites), tenant, deadline_at)
+        self._admit(len(sites), tenant, now)
         job = SiteJob(
             tenant=tenant,
             sites=sites,
             future=self._loop.create_future(),
-            enqueued_at=time.perf_counter(),
-            deadline_at=deadline_at,
+            enqueued_at=now,
+            deadline_at=now + deadline_s,
         )
         self._count("serve.requests_accepted", 1)
         self._count("serve.sites_accepted", len(sites))
@@ -212,88 +207,33 @@ class RealignmentService:
         self._count_peak("serve.queue_depth_peak", self._queue.qsize())
         return await job.future
 
-    def _has_room(self, num_sites: int, tenant: str) -> bool:
-        # A single job larger than a cap may run when it would run
-        # *alone* under that cap -- otherwise it could never be
-        # admitted at all; the bound degrades to "one oversized job at
-        # a time", which is still a memory bound.
-        if self._outstanding + num_sites > self.config.max_queue_sites:
-            oversized = num_sites > self.config.max_queue_sites
-            if not (oversized and self._outstanding == 0):
-                return False
-        cap = self.config.max_tenant_sites
-        if cap is not None:
-            held = self._outstanding_by_tenant.get(tenant, 0)
-            if held + num_sites > cap and not (num_sites > cap
-                                               and held == 0):
-                return False
-        return True
+    def _admit(self, num_sites: int, tenant: str, now: float) -> None:
+        """Take room for ``num_sites`` or refuse with ServiceSaturated.
 
-    async def _admit(self, num_sites: int, tenant: str,
-                     deadline_at: float) -> None:
-        now = time.perf_counter()
-        if self._has_room(num_sites, tenant):
-            self._take_room(num_sites, tenant, now)
-            return
-        self._note_saturation(now, saturated=True)
-        if self.config.admission == "reject":
+        A single job larger than the cap may run when it would run
+        *alone* -- otherwise it could never be admitted at all; the
+        bound degrades to "one oversized job at a time", which is still
+        a memory bound.
+        """
+        limit = self.config.max_queue_sites
+        if (self._outstanding + num_sites > limit
+                and not (num_sites > limit and self._outstanding == 0)):
+            self._note_saturation(now, saturated=True)
             self._count("serve.requests_rejected", 1)
             self._count("serve.sites_rejected", num_sites)
-            raise ServiceSaturated(num_sites, self._outstanding,
-                                   self.config.max_queue_sites, tenant)
-        wait_start = now
-        async with self._room:
-            while not self._has_room(num_sites, tenant):
-                if self._closing:
-                    raise ServiceClosed("service is shutting down")
-                remaining = deadline_at - time.perf_counter()
-                if remaining <= 0:
-                    self._count("serve.requests_expired", 1)
-                    self._count("serve.sites_expired", num_sites)
-                    raise DeadlineExceeded(
-                        f"deadline passed after waiting "
-                        f"{time.perf_counter() - wait_start:.3f}s "
-                        f"for admission ({tenant})"
-                    )
-                try:
-                    await asyncio.wait_for(self._room.wait(), remaining)
-                except asyncio.TimeoutError:
-                    continue  # re-check: deadline branch above fires
-            now = time.perf_counter()
-            self._take_room(num_sites, tenant, now)
-        self._count("serve.admission_wait_us",
-                    int((now - wait_start) * 1e6))
-
-    def _take_room(self, num_sites: int, tenant: str, now: float) -> None:
+            raise ServiceSaturated(num_sites, self._outstanding, limit,
+                                   tenant)
         self._outstanding += num_sites
-        self._outstanding_by_tenant[tenant] = (
-            self._outstanding_by_tenant.get(tenant, 0) + num_sites
-        )
         self._count_peak("serve.outstanding_peak", self._outstanding)
-        self._note_saturation(
-            now, saturated=self._outstanding >= self.config.max_queue_sites
-        )
+        self._note_saturation(now, saturated=self._outstanding >= limit)
 
     def _retire(self, job: SiteJob) -> None:
-        """Release a job's admission claim and wake parked submitters."""
+        """Release a job's admission claim."""
         self._outstanding -= job.num_sites
-        held = self._outstanding_by_tenant.get(job.tenant, 0) - job.num_sites
-        if held > 0:
-            self._outstanding_by_tenant[job.tenant] = held
-        else:
-            self._outstanding_by_tenant.pop(job.tenant, None)
         self._note_saturation(
             time.perf_counter(),
             saturated=self._outstanding >= self.config.max_queue_sites,
         )
-        if self._room is not None and self.config.admission == "queue":
-            # Only queue mode parks submitters on the condition; the
-            # notify runs as a loop task so _retire itself stays sync.
-            self._loop.create_task(self._notify_room())
-
-    async def _notify_room(self) -> None:
-        async with self._room:
-            self._room.notify_all()
 
     # -- the batcher ---------------------------------------------------
     async def _dispatch_loop(self) -> None:

@@ -29,7 +29,6 @@ from repro.telemetry.counters import (
     UnitCounters,
 )
 from repro.telemetry.export import (
-    counters_dict,
     to_chrome_trace,
     write_chrome_trace,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "TraceInstant",
     "TraceSpan",
     "UnitCounters",
-    "counters_dict",
     "derive_schedule_metrics",
     "to_chrome_trace",
     "unit_track",

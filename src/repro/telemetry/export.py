@@ -139,17 +139,11 @@ def write_chrome_trace(telemetry: Union[Telemetry, Sequence[Telemetry]],
     return path
 
 
-def counters_dict(telemetry: Telemetry) -> Dict[str, int]:
-    """The flat counter export (scalars + per-unit blocks)."""
-    return telemetry.counters.flat()
-
-
 __all__ = [
     "CHANNEL_UNIT",
     "HOST_UNIT",
     "MIN_SPAN_DURATION_US",
     "TRACE_PID",
-    "counters_dict",
     "to_chrome_trace",
     "write_chrome_trace",
 ]

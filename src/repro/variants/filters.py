@@ -46,11 +46,6 @@ class FilterReport:
     passed: List[VariantCall] = field(default_factory=list)
     rejected: List[Tuple[VariantCall, str]] = field(default_factory=list)
 
-    @property
-    def pass_fraction(self) -> float:
-        total = len(self.passed) + len(self.rejected)
-        return len(self.passed) / total if total else 0.0
-
     def rejections_by_reason(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for _call, reason in self.rejected:

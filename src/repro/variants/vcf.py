@@ -1,22 +1,15 @@
 """VCF-lite serialisation of variant calls.
 
-Enough of VCF 4.2 to round-trip this library's calls (CHROM, POS, REF,
-ALT, QUAL plus DP/AC in INFO) and be readable by standard tools.
+Enough of VCF 4.2 to render this library's calls (CHROM, POS, REF,
+ALT, QUAL plus DP/AC in INFO) readably by standard tools.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Iterable, List, Optional, TextIO, Union
+from typing import Iterable, List, Optional
 
 from repro.genomics.reference import ReferenceGenome
 from repro.variants.caller import VariantCall
-
-PathOrFile = Union[str, Path, TextIO]
-
-
-class VcfError(ValueError):
-    """Raised for malformed VCF-lite input."""
 
 
 def _header_lines(reference: Optional[ReferenceGenome]) -> List[str]:
@@ -48,53 +41,3 @@ def format_vcf(
             ])
         )
     return "\n".join(lines) + "\n"
-
-
-def write_vcf(
-    calls: Iterable[VariantCall],
-    sink: PathOrFile,
-    reference: Optional[ReferenceGenome] = None,
-) -> None:
-    """Write calls to a VCF file or handle."""
-    text = format_vcf(calls, reference)
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w") as handle:
-            handle.write(text)
-    else:
-        sink.write(text)
-
-
-def parse_vcf(source: PathOrFile) -> List[VariantCall]:
-    """Parse a VCF-lite file back into calls."""
-    if isinstance(source, (str, Path)):
-        with open(source) as handle:
-            lines = handle.readlines()
-    else:
-        lines = source.readlines()
-    calls: List[VariantCall] = []
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) < 8:
-            raise VcfError(f"VCF record has {len(fields)} fields, expected >= 8")
-        chrom, pos_text, _id, ref, alt, qual_text, _filter, info = fields[:8]
-        info_map = {}
-        for item in info.split(";"):
-            if "=" in item:
-                key, value = item.split("=", 1)
-                info_map[key] = value
-        try:
-            calls.append(VariantCall(
-                chrom=chrom,
-                pos=int(pos_text) - 1,
-                ref=ref,
-                alt=alt,
-                quality=float(qual_text),
-                depth=int(info_map.get("DP", 0)),
-                alt_count=int(info_map.get("AC", 0)),
-            ))
-        except ValueError as exc:
-            raise VcfError(f"bad VCF record {line!r}: {exc}") from None
-    return calls

@@ -93,11 +93,6 @@ class AdversarialSample:
     labels: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     counts: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def clean_read_names(self) -> List[str]:
-        return [read.name for read in self.sample.reads
-                if read.name not in self.labels]
-
 
 def _scramble_tail(read: Read, profile: AdversarialProfile,
                    rng: np.random.Generator) -> Read:

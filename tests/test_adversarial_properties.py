@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Engine, EngineConfig, realign_site_batched
+from repro.engine import Engine, EngineConfig
+from repro.engine.batch import realign_site_batched
 from repro.genomics.simulate import SimulationProfile, simulate_sample
 from repro.realign.realigner import IndelRealigner
 from repro.workloads.adversarial import (

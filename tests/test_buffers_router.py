@@ -67,8 +67,7 @@ class TestOutputBuffer:
         buffer = OutputBuffer("out", num_entries=8, entry_bytes=1)
         buffer.write(3, 1)
         assert buffer.read(3) == 1
-        assert buffer.was_written(3)
-        assert not buffer.was_written(2)
+        assert buffer.read(2) == 0
 
     def test_value_range(self):
         buffer = OutputBuffer("out", num_entries=2, entry_bytes=1)
@@ -81,7 +80,6 @@ class TestOutputBuffer:
         buffer = OutputBuffer("out", num_entries=2, entry_bytes=4)
         buffer.write(0, 5)
         buffer.clear()
-        assert not buffer.was_written(0)
         assert buffer.read(0) == 0
 
 

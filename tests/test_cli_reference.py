@@ -118,14 +118,12 @@ class TestParserImports:
         )
         subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
 
-    def test_flagless_realign_loads_no_fpga_model(self, tmp_path):
-        """A software run pays for the software path: no FPGA model, no
-        refinement pipeline, no hardware-recovery scheduler, and at most
-        40 of the package's modules."""
+    @staticmethod
+    def _check_after_flagless_realign(tmp_path, check):
+        """Run a flagless ``repro realign`` in a fresh interpreter, then
+        ``check`` (Python source) in that interpreter."""
         import subprocess
         import sys
-
-        from repro.__main__ import main as cli_main
 
         sample = tmp_path / "sample"
         assert cli_main(["simulate", "--out", str(sample), "--length",
@@ -136,7 +134,15 @@ class TestParserImports:
         code = (
             "import sys\n"
             "from repro.__main__ import main\n"
-            f"assert main({argv!r}) == 0\n"
+            f"assert main({argv!r}) == 0\n" + check
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+
+    def test_flagless_realign_loads_no_fpga_model(self, tmp_path):
+        """A software run pays for the software path: no FPGA model, no
+        refinement pipeline, no hardware-recovery scheduler, and at most
+        40 of the package's modules."""
+        self._check_after_flagless_realign(tmp_path, (
             "banned = [m for m in sys.modules if m == 'networkx' "
             "or m in ('repro.resilience.recovery', 'repro.resilience.health') "
             "or m.startswith(('repro.core', 'repro.hw', "
@@ -144,8 +150,22 @@ class TestParserImports:
             "assert not banned, banned\n"
             "ours = sorted(m for m in sys.modules if m.startswith('repro.'))\n"
             "assert len(ours) <= 40, ours\n"
-        )
-        subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+        ))
+
+    def test_flagless_realign_loads_only_the_kernel_it_runs(self, tmp_path):
+        """``from repro.engine import Engine`` loads no kernel module:
+        the dispatch imports the one it runs. A flagless realign runs
+        ``native``, so the FFT kernel, the prefilter and -- unless the
+        compiled tier is unavailable and bitpack serves instead -- the
+        bit-packed kernel stay unloaded."""
+        self._check_after_flagless_realign(tmp_path, (
+            "from repro.engine.native import native_available\n"
+            "unused = {'repro.engine.batch', 'repro.engine.prefilter'}\n"
+            "if native_available():\n"
+            "    unused.add('repro.engine.bitpack')\n"
+            "loaded = sorted(unused & set(sys.modules))\n"
+            "assert not loaded, loaded\n"
+        ))
 
     def test_pooled_engine_is_one_process(self):
         """``workers=2`` runs its units as threads of this process: no

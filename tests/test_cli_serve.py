@@ -183,6 +183,32 @@ class TestServeCli:
             err = capsys.readouterr().err
             assert field in err and "Traceback" not in err, flags
 
+    def test_admission_flags_are_gone(self, sample_dir, capsys):
+        # Reject is the one admission policy and the cap is global: no
+        # queue mode and no per-tenant cap get past the parser. (The
+        # parser alone, so a regression fails here instead of serving.)
+        from repro.__main__ import build_parser
+
+        for gone, flags in (("--admission", ("--admission", "queue")),
+                            ("--max-tenant-sites",
+                             ("--max-tenant-sites", "3"))):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args([
+                    "serve", "--reference",
+                    str(sample_dir / "reference.fa"), *flags,
+                ])
+            assert exit_info.value.code == 2
+            assert (f"unrecognized arguments: {gone}"
+                    in capsys.readouterr().err)
+
+    def test_admission_config_fields_are_gone(self):
+        from repro.serve.request import ServiceConfig
+
+        for field, value in (("admission", "queue"),
+                             ("max_tenant_sites", 3)):
+            with pytest.raises(TypeError, match=field):
+                ServiceConfig(**{field: value})
+
     def test_bad_engine_flags_rejected(self, sample_dir, capsys):
         assert cli_main([
             "serve", "--reference", str(sample_dir / "reference.fa"),

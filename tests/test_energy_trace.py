@@ -5,7 +5,6 @@ import pytest
 from repro.perf.energy import (
     EnergyReport,
     accelerated_energy,
-    energy_efficiency,
     software_energy,
 )
 from repro.perf.model import GATK3_WHOLE_GENOME_SECONDS
@@ -27,6 +26,6 @@ class TestEnergy:
         """81x speedup at lower power: >100x energy efficiency."""
         gatk3 = software_energy("GATK3", GATK3_WHOLE_GENOME_SECONDS)
         iracc = accelerated_energy(GATK3_WHOLE_GENOME_SECONDS / 81.0)
-        ratio = energy_efficiency(gatk3, iracc)
+        ratio = gatk3.joules / iracc.joules
         assert ratio > 100
         assert iracc.average_watts < gatk3.average_watts

@@ -12,12 +12,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
+from repro.engine.batch import (
+    PackedSite,
+    fast_fft_length,
     min_whd_grid_batched,
     pair_lower_bounds,
     realign_site_batched,
 )
-from repro.engine.batch import PackedSite, fast_fft_length
 from repro.engine.prefilter import pairs_cannot_beat_reference
 from repro.realign.site import RealignmentSite
 from repro.realign.whd import min_whd_grid, realign_site

@@ -18,7 +18,6 @@ class TestFilters:
     def test_passes_clean_call(self):
         report = apply_filters([call()])
         assert len(report.passed) == 1
-        assert report.pass_fraction == 1.0
 
     def test_depth_and_support_floors(self):
         report = apply_filters([call(depth=3), call(alt=1), call(quality=5)])

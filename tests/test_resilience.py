@@ -434,7 +434,6 @@ class TestSystemIntegration:
         assert stats.counters.total_injected > 0
         assert chaotic.total_seconds > plain.total_seconds
         assert len(stats.completions) == len(sites)
-        assert chaotic.fault_events == stats.counters.total_injected
         assert 0 < stats.active_units <= 32
 
     def test_replicated_chaos_keys_positions_not_sites(self):

@@ -6,8 +6,9 @@ Four layers under test:
   partitioning, seeded load schedules, the virtual-time queue model) --
   deterministic, no sockets, exact expected values;
 - the :class:`RealignmentService` request plane against stub engines --
-  admission control, queue-mode parking, deadlines, graceful drain,
-  coalescing, all driven with ``asyncio.run`` (no pytest-asyncio);
+  reject-only admission under one global cap, deadlines, graceful
+  drain, coalescing, all driven with ``asyncio.run`` (no
+  pytest-asyncio);
 - the TCP server/client/loadgen stack against the real realigner --
   the headline invariant: served output is byte-identical to the batch
   path;
@@ -545,84 +546,38 @@ class TestServiceRequestPlane:
         assert service.counters["serve.requests_rejected"] == 1
         assert service.counters["serve.sites_rejected"] == 2
 
-    def test_tenant_cap_rejects_hog_but_admits_others(self):
+    def test_oversized_job_runs_alone(self):
         engine = _GateEngine()
 
         async def scenario():
-            service = RealignmentService(engine, ServiceConfig(
-                max_queue_sites=100, max_tenant_sites=3,
-            ))
+            service = RealignmentService(
+                engine, ServiceConfig(max_queue_sites=2)
+            )
             await service.start()
-            first = asyncio.create_task(
-                service.submit_sites(["h1", "h2", "h3"], tenant="hog")
+            # Larger than the cap, but nothing is outstanding: admitted.
+            big = asyncio.create_task(
+                service.submit_sites(["b1", "b2", "b3"], tenant="big")
             )
             await asyncio.get_running_loop().run_in_executor(
                 None, engine.entered.wait, 10.0
             )
+            # While it runs, even one site is refused, and so is a
+            # second oversized job.
             with pytest.raises(ServiceSaturated):
-                await service.submit_sites(["h4"], tenant="hog")
-            other = asyncio.create_task(
-                service.submit_sites(["o1"], tenant="other")
-            )
+                await service.submit_sites(["s1"], tenant="small")
+            with pytest.raises(ServiceSaturated):
+                await service.submit_sites(["c1", "c2", "c3"], tenant="big")
             engine.release.set()
-            results = await asyncio.gather(first, other)
-            await service.close()
-            return results
-
-        assert asyncio.run(scenario()) == [["h1", "h2", "h3"], ["o1"]]
-
-    def test_queue_admission_parks_until_room_frees(self):
-        engine = _GateEngine()
-
-        async def scenario():
-            service = RealignmentService(engine, ServiceConfig(
-                max_queue_sites=2, admission="queue",
-            ))
-            await service.start()
-            first = asyncio.create_task(
-                service.submit_sites(["a1", "a2"], tenant="a")
-            )
-            await asyncio.get_running_loop().run_in_executor(
-                None, engine.entered.wait, 10.0
-            )
-            parked = asyncio.create_task(
-                service.submit_sites(["b1", "b2"], tenant="b")
-            )
-            await asyncio.sleep(0.05)
-            assert not parked.done(), "second request should be parked"
-            engine.release.set()
-            results = await asyncio.gather(first, parked)
-            await service.close()
-            return results, service
-
-        results, service = asyncio.run(scenario())
-        assert results == [["a1", "a2"], ["b1", "b2"]]
-        assert service.counters["serve.admission_wait_us"] > 0
-
-    def test_queue_admission_expires_at_the_deadline(self):
-        engine = _GateEngine()
-
-        async def scenario():
-            service = RealignmentService(engine, ServiceConfig(
-                max_queue_sites=2, admission="queue",
-            ))
-            await service.start()
-            first = asyncio.create_task(
-                service.submit_sites(["a1", "a2"], tenant="a")
-            )
-            await asyncio.get_running_loop().run_in_executor(
-                None, engine.entered.wait, 10.0
-            )
-            with pytest.raises(DeadlineExceeded):
-                await service.submit_sites(["b1"], tenant="b",
-                                           deadline_s=0.05)
-            engine.release.set()
-            await first
+            assert await big == ["b1", "b2", "b3"]
+            assert await service.submit_sites(["s1"],
+                                              tenant="small") == ["s1"]
             await service.close()
             return service
 
         service = asyncio.run(scenario())
-        assert service.counters["serve.requests_expired"] == 1
+        assert service.counters["serve.requests_rejected"] == 2
+        assert service.counters["serve.outstanding_peak"] == 3
+        assert service._outstanding == 0
 
     def test_graceful_shutdown_drains_in_flight_jobs(self):
         engine = _GateEngine()

@@ -63,7 +63,6 @@ class TestReorderBuffer:
 
     def test_custom_start(self):
         buffer = ReorderBuffer(start=5)
-        assert buffer.next_index == 5
         assert buffer.push(5, "x") == ["x"]
 
 
