@@ -10,7 +10,6 @@ counts instead of objects: :func:`mismatch_loci`.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 

@@ -14,8 +14,8 @@ exercise the router/MMIO machinery under realistic multi-unit load.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.accelerator import IRUnit, UnitConfig, UnitRunResult
 from repro.core.host import plan_targets

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-import numpy as np
-
 from repro.core.accelerator import IRUnit, UnitConfig, UnitRunResult
 from repro.core.host import HostPlan, plan_targets
 from repro.core.scheduler import (

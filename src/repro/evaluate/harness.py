@@ -23,7 +23,6 @@ from repro.genomics.read import Read
 from repro.genomics.reference import ReferenceGenome
 from repro.genomics.simulate import SimulatedSample, TruthPlacement
 from repro.evaluate.report import (
-    EvaluationReport,
     IndelRecovery,
     SampleEvaluation,
     SiteOutcome,

@@ -17,8 +17,8 @@ Two complementary reproductions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.experiments.reporting import banner, format_table
 from repro.genomics.simulate import SimulationProfile, simulate_sample

@@ -13,7 +13,7 @@ scores (30 and 35), the picked consensus, and the realignment decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 

@@ -31,7 +31,7 @@ from repro.core.scheduler import (
 from repro.experiments.reporting import banner, format_table
 from repro.telemetry import Telemetry
 from repro.telemetry.metrics import ScheduleMetrics, derive_schedule_metrics
-from repro.workloads.toy import NUM_TARGETS, figure7_toy_targets
+from repro.workloads.toy import figure7_toy_targets
 
 #: Figure 7 runs the toy on 4 units.
 NUM_UNITS = 4

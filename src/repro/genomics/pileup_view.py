@@ -12,7 +12,7 @@ insertions flagged with ``+``, soft clips in lower case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.genomics.cigar import CigarOp
 from repro.genomics.read import Read

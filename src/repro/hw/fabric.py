@@ -18,7 +18,7 @@ versus an uncontended fabric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.core.buffers import BLOCK_BYTES

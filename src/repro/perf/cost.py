@@ -10,7 +10,6 @@ $14.5 to run on R3 instances respectively."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
 
 from repro.perf.instances import EC2Instance
 

@@ -26,13 +26,13 @@ set so the genome-wide average IR share matches the measured 58%.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.perf.model import (
     Gatk3PerformanceModel,
     chromosome_unpruned_comparisons,
 )
-from repro.workloads.chromosomes import CHROMOSOME_CENSUS, ChromosomeCensus
+from repro.workloads.chromosomes import CHROMOSOME_CENSUS
 from repro.workloads.generator import REAL_PROFILE, SiteProfile
 
 #: Figure 2 absolute pipeline runtimes (hours) on the paper's testbed.

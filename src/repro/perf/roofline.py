@@ -12,7 +12,7 @@ memory roofs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.hw.clock import F1_CLOCK_125MHZ, ClockRecipe
 from repro.realign.site import RealignmentSite

@@ -21,7 +21,7 @@ length ``n <= 256``, and every consensus at least as long as every read
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -31,7 +31,7 @@ the Figure 4 worked example (k = 0..3 for m = 7, n = 4); we use
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

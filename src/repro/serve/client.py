@@ -142,10 +142,10 @@ class ServiceClient:
         if self._closed or self._writer is None:
             raise ServiceClosed("client is closed")
         request_id = next(self._ids)
-        message = dict(message, id=request_id)
+        frame = encode_message(dict(message, id=request_id))
         future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
-        self._writer.write(encode_message(message))
+        self._writer.write(frame)
         await self._writer.drain()
         response = await future
         if response.get("ok"):
@@ -164,8 +164,10 @@ class ServiceClient:
         deadline_s: Optional[float] = None,
     ) -> RealignResult:
         """Realign one job's reads; raises the mirrored serve errors, or
-        :class:`ProtocolError` for a reply whose ``moved`` list does not
-        fit the lines sent."""
+        :class:`ProtocolError` for a line that cannot travel in a frame
+        body (not a string, empty, or holding a newline; nothing is
+        sent then) or a reply whose ``moved`` list does not fit the
+        lines sent."""
         sam_lines = list(sam_lines)
         message = {"op": "realign", "tenant": tenant, "sam": sam_lines}
         if deadline_s is not None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import math
-from typing import List, Optional, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.genomics.reference import ReferenceGenome
 from repro.genomics.samlite import scan_lines
@@ -133,35 +133,37 @@ class RealignmentServer:
     # -- connection handling --------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
         write_lock = asyncio.Lock()
-        tasks: List[asyncio.Task] = []
+        tasks: Set[asyncio.Task] = set()
         try:
             while True:
                 try:
                     message = await read_message(reader)
-                except asyncio.CancelledError:
-                    # Shutdown cancels live handlers; exit quietly (the
-                    # streams machinery logs a cancelled handler task as
-                    # an unretrieved exception otherwise).
-                    break
                 except ProtocolError as error:
-                    async with write_lock:
-                        writer.write(encode_message(
-                            error_response(None, "error", str(error))
-                        ))
-                        await writer.drain()
+                    await self._send(writer, write_lock, error_response(
+                        error.request_id, "error", f"ProtocolError: {error}"))
+                    if error.fatal:
+                        break  # no way to find the next frame
                     continue
                 if message is None:
                     break
                 # Each request is its own task: a connection awaiting a
                 # slow realign keeps submitting, so its later requests
                 # (and other connections') coalesce with the first.
-                tasks.append(asyncio.create_task(
-                    self._handle_message(message, writer, write_lock)
-                ))
+                task = asyncio.create_task(
+                    self._handle_message(message, writer, write_lock))
+                tasks.add(task)
+                task.add_done_callback(tasks.discard)
+            # The peer stopped sending, or sent a frame that ends the
+            # stream: it still gets a reply to every request before it.
+            await asyncio.gather(*tasks)
+        except asyncio.CancelledError:
+            # Shutdown cancels live handlers; exit quietly (the streams
+            # machinery logs a cancelled handler task as an unretrieved
+            # exception otherwise).
+            pass
         finally:
             for task in tasks:
-                if not task.done():
-                    task.cancel()
+                task.cancel()
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
             writer.close()
@@ -172,6 +174,15 @@ class RealignmentServer:
                 # has nothing left to do; re-raising only makes the
                 # streams machinery log the cancelled task.
                 pass
+
+    @staticmethod
+    async def _send(writer, write_lock, response: dict) -> None:
+        async with write_lock:
+            writer.write(encode_message(response))
+            try:
+                await writer.drain()
+            except (ConnectionError, OSError):
+                pass  # peer went away; nothing to deliver the reply to
 
     async def _handle_message(self, message, writer, write_lock) -> None:
         request_id = message.get("id")
@@ -203,28 +214,18 @@ class RealignmentServer:
             response = error_response(  # connection, let alone the server
                 request_id, "error", f"{type(error).__name__}: {error}"
             )
-        async with write_lock:
-            writer.write(encode_message(response))
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass  # peer went away; nothing to deliver the reply to
+        await self._send(writer, write_lock, response)
 
     async def _handle_realign(self, request_id, message) -> dict:
         loop = asyncio.get_running_loop()
         start = loop.time()
-        lines = message.get("sam")
-        if not isinstance(lines, list):
-            raise ProtocolError("realign needs a 'sam' list of read lines")
+        lines = message.get("sam")  # only ever a body's lines
+        if lines is None:
+            raise ProtocolError("realign sends its lines as the frame's "
+                                "body: the header needs 'sam_bytes'")
         tenant = str(message.get("tenant", DEFAULT_TENANT))
         deadline_s = _deadline_s(message.get("deadline_s"))
-        # A bad line before the first non-string one is reported first.
-        strings = next((index for index, line in enumerate(lines)
-                        if not isinstance(line, str)), len(lines))
-        batch = scan_lines(lines[:strings], self.reference,
-                           "sam[{}]".format)
-        if strings < len(lines):
-            raise ProtocolError(f"sam[{strings}] is not a string")
+        batch = scan_lines(lines, self.reference, "sam[{}]".format)
         if batch.has_indel:
             reads = batch.reads()
             # Front half off the loop: target identification + consensus

@@ -31,7 +31,7 @@ Counter semantics (all in unit-clock cycles unless noted):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict, Iterator
 
 #: Pseudo-unit id for the host CPU's software-fallback track (matches

@@ -25,12 +25,11 @@ Two profiles:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.genomics.quality import clamp_phred
-from repro.genomics.sequence import CALLED_BASES
 from repro.realign.site import RealignmentSite, SiteLimits, PAPER_LIMITS
 from repro.workloads.chromosomes import ChromosomeCensus
 

@@ -17,6 +17,7 @@ Four layers under test:
 """
 
 import asyncio
+import json
 import logging
 import math
 import threading
@@ -105,6 +106,167 @@ class TestProtocol:
             error_response(7, "ok", "not a failure")
         with pytest.raises(ValueError):
             error_response(7, "weird", "unknown status")
+
+
+def _raw_session(reference, data: bytes):
+    """Send ``data`` to a fresh server on one connection, half-close it
+    and return every reply frame until the server closes it."""
+
+    async def scenario():
+        server = RealignmentServer(reference)
+        host, port = await server.start(port=0)
+        try:
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=MAX_MESSAGE_BYTES)
+            writer.write(data)
+            writer.write_eof()
+            replies = []
+            while line := await reader.readline():
+                replies.append(decode_message(line))
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await server.close()
+        return replies
+
+    return asyncio.run(scenario())
+
+
+def _header(**fields) -> bytes:
+    """One JSON line as written, ``sam`` and ``sam_bytes`` included."""
+    return (json.dumps(fields, sort_keys=True, separators=(",", ":"))
+            + "\n").encode()
+
+
+class TestWireFrames:
+    """A ``realign`` frame is a JSON header announcing ``sam_bytes``,
+    then that many bytes of the job's lines joined by newlines."""
+
+    SAMPLE = _sample({"chrS": 2000}, seed=3)
+    LINES = [format_read(read) for read in SAMPLE.reads[:8]]
+
+    def test_the_body_is_the_joined_lines(self):
+        frame = encode_message({"id": 1, "op": "realign", "tenant": "t",
+                                "sam": self.LINES})
+        body = "\n".join(self.LINES).encode()
+        assert frame == _header(id=1, op="realign", sam_bytes=len(body),
+                                tenant="t") + body
+
+    def test_an_empty_job_round_trips(self):
+        message = {"id": 1, "op": "realign", "tenant": "t", "sam": []}
+        frame = encode_message(message)
+        assert frame.endswith(b'"sam_bytes":0,"tenant":"t"}\n')
+        assert decode_message(frame) == message
+        replies = _raw_session(self.SAMPLE.reference, frame)
+        assert [(r["id"], r["moved"], r["sites"]) for r in replies] == [
+            (1, [], 0)]
+
+    @pytest.mark.parametrize("bad", ["r\tx\nr\ty", "", 5, b"r\tx",
+                                     "r\ud800"])
+    def test_a_line_that_cannot_be_a_body_line_is_refused_unsent(self, bad):
+        class Writer:
+            written = []
+
+            def write(self, data):
+                self.written.append(data)
+
+            async def drain(self):
+                pass
+
+        client = ServiceClient()
+        client._writer = Writer()
+        with pytest.raises(ProtocolError) as raised:
+            asyncio.run(client.realign(self.LINES[:3] + [bad]
+                                       + self.LINES[4:]))
+        assert str(raised.value) == (
+            "sam[3] is not a non-empty line of UTF-8 text")
+        assert Writer.written == [] and client._pending == {}
+        with pytest.raises(ProtocolError, match="list of lines"):
+            encode_message({"op": "realign", "sam": "not-a-list"})
+
+    @pytest.mark.parametrize("sam_bytes", [-1, True, "12",
+                                           MAX_MESSAGE_BYTES + 1])
+    def test_a_bad_sam_bytes_is_answered_once_then_closed(
+            self, sam_bytes, caplog):
+        data = (_header(id=1, op="realign", tenant="t", sam_bytes=sam_bytes)
+                + b"x" * 12 + _header(id=2, op="ping"))
+        with caplog.at_level(logging.DEBUG):
+            replies = _raw_session(self.SAMPLE.reference, data)
+        assert replies == [error_response(
+            1, "error", "ProtocolError: sam_bytes must be an integer in "
+            f"0..{MAX_MESSAGE_BYTES}")]
+        assert [record.getMessage() for record in caplog.records
+                if record.levelno >= logging.ERROR] == []
+
+    def test_a_bad_header_still_has_its_body_read(self):
+        body = "\n".join(self.LINES).encode()
+        data = b"".join([
+            _header(id=1, op="realign", tenant="t", deadline_s=-1,
+                    sam_bytes=len(body)), body,
+            _header(id=2, op="nonsense", sam_bytes=len(body)), body,
+            _header(id=3, op="realign", tenant="t", sam=["r"],
+                    sam_bytes=len(body)), body,
+            _header(id=4, op="ping"),
+        ])
+        by_id = {reply["id"]: reply
+                 for reply in _raw_session(self.SAMPLE.reference, data)}
+        assert by_id[1]["error"] == (
+            "ProtocolError: deadline_s must be a finite number > 0")
+        assert by_id[2]["error"] == "unknown op 'nonsense'"
+        assert by_id[3]["error"] == ("ProtocolError: 'sam' travels as the "
+                                     "frame's body, not in its header")
+        assert by_id[4] == {"id": 4, "ok": True, "status": "ok"}
+        assert len(by_id) == 4
+
+    def test_a_body_that_is_not_utf8_is_a_protocol_error(self):
+        body = b"r0\t0\t\xff\xfe"
+        frame = _header(id=1, op="realign", sam_bytes=len(body)) + body
+        with pytest.raises(ProtocolError, match="sam body is not UTF-8"):
+            decode_message(frame)
+        replies = _raw_session(self.SAMPLE.reference,
+                               frame + _header(id=2, op="ping"))
+        assert [(r["id"], r["ok"]) for r in replies] == [(1, False),
+                                                        (2, True)]
+        assert replies[0]["error"].startswith(
+            "ProtocolError: sam body is not UTF-8")
+
+    def test_a_body_cut_short_by_eof_ends_the_connection_quietly(
+            self, caplog):
+        frame = encode_message({"id": 1, "op": "realign", "tenant": "t",
+                                "sam": self.LINES})
+        with caplog.at_level(logging.DEBUG):
+            replies = _raw_session(self.SAMPLE.reference,
+                                   _header(id=0, op="ping") + frame[:-10])
+        assert replies == [{"id": 0, "ok": True, "status": "ok"}]
+        assert [record.getMessage() for record in caplog.records
+                if record.levelno >= logging.ERROR] == []
+        with pytest.raises(ProtocolError, match="expected"):
+            decode_message(frame[:-10])
+
+    def test_a_json_sam_list_is_refused(self):
+        data = _header(id=1, op="realign", tenant="t", sam=self.LINES)
+        with pytest.raises(ProtocolError, match="not in its header"):
+            decode_message(data)
+        [reply] = _raw_session(self.SAMPLE.reference, data)
+        assert reply == error_response(
+            1, "error", "ProtocolError: 'sam' travels as the frame's body, "
+            "not in its header")
+
+    def test_a_half_closed_connection_gets_every_reply(self):
+        """A peer that sends its requests and shuts its side still gets
+        an answer to each: the server finishes what is in flight
+        before it closes the connection."""
+        sample = _sample({"chrS": 6000}, seed=2)  # builds sites
+        lines = [format_read(read) for read in sample.reads]
+        frames = b"".join(encode_message({
+            "id": request_id, "op": "realign", "tenant": "t",
+            "sam": lines}) for request_id in range(1, 5))
+        replies = _raw_session(sample.reference,
+                               frames + _header(id=5, op="ping"))
+        assert sorted(reply["id"] for reply in replies) == [1, 2, 3, 4, 5]
+        assert all(reply["ok"] for reply in replies)
+        assert all(reply["sites"] > 0 for reply in replies
+                   if reply["id"] != 5)
 
 
 class TestPercentiles:
@@ -787,11 +949,9 @@ class TestServerByteIdentity:
                 reader, writer = await asyncio.open_connection(host, port)
                 writer.write(b"this is not json\n")
                 writer.write(encode_message({"id": 1, "op": "nonsense"}))
-                writer.write(encode_message({"id": 2, "op": "realign",
-                                             "sam": "not-a-list"}))
-                writer.write(encode_message({
-                    "id": 4, "op": "realign",
-                    "sam": lines[:5] + [5] + lines[6:]}))
+                # Raw frames: the client encoder refuses both.
+                writer.write(b'{"id":2,"op":"realign","sam":"not-a-list"}\n')
+                writer.write(b'{"id":4,"op":"realign","tenant":"t"}\n')
                 writer.write(encode_message({
                     "id": 5, "op": "realign",
                     "sam": lines[:5] + ["a\tb"] + lines[6:]}))
@@ -820,9 +980,13 @@ class TestServerByteIdentity:
         by_id = {frame.get("id"): frame for frame in frames}
         assert by_id[None]["status"] == "error"  # unparseable line
         assert by_id[1]["status"] == "error"  # unknown op
-        assert by_id[2]["status"] == "error"  # malformed realign
-        assert by_id[4]["status"] == "error"  # typed, located by index
-        assert by_id[4]["error"] == "ProtocolError: sam[5] is not a string"
+        assert by_id[2]["status"] == "error"  # a JSON 'sam' is refused
+        assert by_id[2]["error"] == ("ProtocolError: 'sam' travels as the "
+                                     "frame's body, not in its header")
+        assert by_id[4]["status"] == "error"  # a realign with no body
+        assert by_id[4]["error"] == ("ProtocolError: realign sends its lines "
+                                     "as the frame's body: the header "
+                                     "needs 'sam_bytes'")
         assert by_id[5]["status"] == "error"
         assert by_id[5]["error"] == (
             "SamError: sam[5]: SAM line has 2 fields, expected >= 11"
