@@ -1,4 +1,4 @@
-"""Execution-engine benchmarks: serial kernel vs batched vs multiprocess.
+"""Execution-engine benchmarks: serial kernel vs batched vs the thread pool.
 
 One site pool (``REPRO_BENCH_SITES`` sites, default 96) is realigned
 four ways:
@@ -9,9 +9,10 @@ four ways:
   in-process (workers=1);
 - ``no_prefilter`` -- the batched kernel alone, isolating how much of
   the win is the filter vs the tensorized evaluation;
-- ``engine_pool``  -- the full Engine at 4 unit threads on the FFT
-  kernel, warmed in setup, so the measurement sees steady-state
-  dispatch, not the first call's one-time costs.
+- ``thread_pool``  -- the full Engine at 4 unit threads on its default
+  kernel (``auto``, the compiled tier), warmed in setup, so the
+  measurement sees steady-state dispatch, not the first call's
+  one-time costs (the C library build among them).
 
 ``test_batched_beats_serial_throughput`` turns the headline claim into
 an assertion so CI fails if the engine regresses below the serial path.
@@ -73,12 +74,10 @@ def test_engine_batched_no_prefilter(benchmark):
     assert len(results) == len(sites)
 
 
-def test_engine_multiprocess_pool(benchmark):
+def test_engine_thread_pool(benchmark):
     sites = _site_pool()
-    # kernel pinned so the committed baseline keeps measuring the
-    # FFT-batched plane; kernel routing is benched in bench_kernels.py.
-    with Engine(EngineConfig(workers=POOL_WORKERS, batch=POOL_BATCH,
-                             kernel="fft")) as eng:
+    with Engine(EngineConfig(workers=POOL_WORKERS,
+                             batch=POOL_BATCH)) as eng:
         eng.run_sites(sites[: POOL_BATCH * POOL_WORKERS])  # warm the pool
         results = benchmark(eng.run_sites, sites)
     for got, want in zip(results, _serial(sites)):

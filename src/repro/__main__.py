@@ -23,9 +23,6 @@ Examples::
     python -m repro realign --reference /tmp/sample/reference.fa \
         --sam /tmp/sample/aligned.sam --out /tmp/sample/realigned.sam \
         --workers 4 --batch 12
-    python -m repro realign --reference /tmp/sample/reference.fa \
-        --sam /tmp/sample/aligned.sam --out /tmp/sample/realigned.sam \
-        --workers 2 --worker-fault-rate 0.2 --chaos-seed 7
     python -m repro trace --out /tmp/trace.json --fault-rate 0.1
     python -m repro trace --out /tmp/trace.json --workers 2
     python -m repro evaluate --scenario adversarial --out /tmp/report.json
@@ -217,26 +214,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def engine_from_args(args: argparse.Namespace):
     """The live :class:`Engine` the engine flags describe, closed on exit.
 
-    Its :class:`WorkerRecovery` is a chaos plan when
-    ``--worker-fault-rate`` was given, else the environment's; a
-    :class:`~repro.shard.cache.SiteResultCache` sits in front when
+    A :class:`~repro.shard.cache.SiteResultCache` sits in front when
     ``--site-cache-mb`` asks for one. When the block completes it
     prints the ``stream:`` line of a pooled run (``--workers >= 2``:
-    only a pool has a window) and the ``recovery:`` line -- when
-    ``--worker-fault-rate`` was given, or when the pool had to recover
-    anything.
+    only a pool has a window).
     """
     from repro.engine import Engine, EngineConfig
-    from repro.resilience.workers import WorkerRecovery
 
-    try:
-        recovery = (
-            WorkerRecovery.chaos(args.chaos_seed, args.worker_fault_rate)
-            if args.worker_fault_rate > 0.0 else WorkerRecovery.from_env()
-        )
-    except ValueError as error:  # a malformed REPRO_* number
-        print(f"error: {error}", file=sys.stderr)
-        raise SystemExit(2)
     cache = None
     if args.site_cache_mb > 0:
         from repro.shard.cache import SiteResultCache
@@ -244,7 +228,7 @@ def engine_from_args(args: argparse.Namespace):
         cache = SiteResultCache.from_megabytes(args.site_cache_mb)
     config = EngineConfig(workers=args.workers, batch=args.batch,
                           kernel=args.kernel)
-    engine = Engine(config, recovery=recovery, cache=cache)
+    engine = Engine(config, cache=cache)
     try:
         yield engine
         if args.workers >= 2 and engine.stream_stats:
@@ -253,15 +237,6 @@ def engine_from_args(args: argparse.Namespace):
                   f"max in-flight {stats['stream.max_in_flight']}, "
                   f"reorder peak {stats['stream.reorder_peak']}, "
                   f"backpressure {stats['stream.backpressure_us']} us")
-        counters = engine.recovery_counters
-        if (args.worker_fault_rate > 0.0
-                or any(name.startswith("worker.") for name in counters)):
-            injected = sum(value for name, value in counters.items()
-                           if name.startswith("worker.injected."))
-            print(f"recovery: {injected} worker faults injected, "
-                  f"{counters.get('worker.retries', 0)} retries, "
-                  f"{counters.get('worker.quarantined_sites', 0)} sites "
-                  f"quarantined inline")
     finally:
         engine.close()
 
@@ -361,7 +336,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
               "accuracy regression", file=sys.stderr)
     if args.check and not regressed:
         # The same invariants the committed goldens gate on, runnable
-        # against any engine/kernel/recovery combination from the CLI.
+        # against any engine/kernel combination from the CLI.
         moved = totals["reads_moved"]
         improved = totals["mismatch_after"] < totals["mismatch_before"]
         concordant = (totals["concordance_after"]
@@ -440,8 +415,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         record_fleet_spans(fleet_session, plan, preempted)
         sessions.append(fleet_session)
     # The same workload through the host engine (shard spans, kernel,
-    # window and cache counters; CAT_RECOVERY spans under
-    # --worker-fault-rate).
+    # window and cache counters).
     session = Telemetry(label="engine")
     with engine_from_args(args) as engine:
         engine.run_sites(sites, telemetry=session)
@@ -719,6 +693,8 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="fault_rate",
                          help="chaos mode: per-attempt fault rate "
                               "(requires --accelerated)")
+    realign.add_argument("--chaos-seed", type=int, default=1234,
+                         help="seed for the deterministic FaultPlan")
     realign.add_argument(
         "--telemetry", type=_out_file, default=None, metavar="PATH",
         help="write a Chrome trace of the run: the engine's chunks "
@@ -739,6 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--fault-rate", type=float, default=0.0,
                        dest="fault_rate",
                        help="add a chaos session at this fault rate")
+    trace.add_argument("--chaos-seed", type=int, default=1234,
+                       help="seed for the deterministic FaultPlan")
     trace.add_argument("--fleet", type=int, default=0,
                        help="add a fleet session with this many instances")
     _add_engine_flags(trace)
@@ -862,18 +840,6 @@ def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
              "(docs/PERFORMANCE.md)",
     )
     subparser.add_argument(
-        "--worker-fault-rate", type=float, default=0.0,
-        dest="worker_fault_rate",
-        help="host chaos mode: per-chunk-dispatch probability of an "
-             "injected worker fault (delay/error), seeded by "
-             "--chaos-seed; requires --workers >= 2",
-    )
-    subparser.add_argument(
-        "--chaos-seed", type=int, default=1234, dest="chaos_seed",
-        help="seed for the deterministic FaultPlan (--fault-rate, "
-             "--worker-fault-rate)",
-    )
-    subparser.add_argument(
         "--site-cache-mb", type=float, default=0.0, dest="site_cache_mb",
         metavar="MB",
         help="content-addressed site-result cache byte budget (LRU); "
@@ -892,19 +858,14 @@ def _flag_errors(args: argparse.Namespace):
             return "--workers and --batch must be >= 1"
         if args.site_cache_mb < 0:
             return "--site-cache-mb must be >= 0"
-    for name in ("fault_rate", "worker_fault_rate"):
-        rates = flags.get(name)
-        for rate in rates if isinstance(rates, list) else [rates]:
-            if rate is not None and not 0.0 <= rate <= 1.0:
-                flag = "--" + name.replace("_", "-")
-                return f"{flag} must be in [0, 1], got {rate}"
+    rates = flags.get("fault_rate")
+    for rate in rates if isinstance(rates, list) else [rates]:
+        if rate is not None and not 0.0 <= rate <= 1.0:
+            return f"--fault-rate must be in [0, 1], got {rate}"
     if flags.get("accelerated") is False:
         if args.fault_rate > 0.0:
             return ("--fault-rate requires --accelerated (chaos mode "
                     "injects faults into the FPGA system model)")
-    if flags.get("worker_fault_rate", 0.0) > 0.0 and args.workers < 2:
-        return ("--worker-fault-rate requires --workers >= 2 "
-                "(the inline engine has no worker pool to fault)")
     if flags.get("sam") is not None and flags.get("reference") is None:
         return "--sam requires --reference"
     return None

@@ -17,7 +17,7 @@ independent optimizations, each preserving byte-identical output:
 - :mod:`repro.engine.prefilter` -- GateKeeper-style count bounds that
   prune offsets, consensus rows, and cannot-beat-reference pairs;
 - :mod:`repro.engine.parallel` -- the one chunk dispatch loop: an
-  optional site-result cache in front, a fault-tolerant worker pool
+  optional site-result cache in front, a worker pool
   with work-stealing behind a bounded in-flight window, and an
   incremental reordering merge that emits results in deterministic
   chunk order.

@@ -441,33 +441,6 @@ def native_mode() -> str:
     return mode
 
 
-def env_number(name: str, parse, default, accept, form: str, env=None):
-    """One validated ``REPRO_*`` number from the environment.
-
-    Unset or blank means ``default``; anything ``parse`` rejects or
-    ``accept`` refuses is a one-line :class:`ValueError` naming the
-    variable, the bad value and the accepted ``form`` -- never
-    ``int()``'s traceback from wherever the value was first used.
-
-    >>> env_number("REPRO_CHAOS_SEED", int, 0, lambda n: True,
-    ...            "an integer", env={"REPRO_CHAOS_SEED": "abc"})
-    Traceback (most recent call last):
-        ...
-    ValueError: REPRO_CHAOS_SEED='abc' is not an integer
-    """
-    env = os.environ if env is None else env
-    text = env.get(name, "").strip()
-    if not text:
-        return default
-    try:
-        value = parse(text)
-    except ValueError:
-        value = None
-    if value is None or not accept(value):
-        raise ValueError(f"{name}={text!r} is not {form}")
-    return value
-
-
 def _probe_backend():
     """Resolve the compiled backend per ``REPRO_NATIVE``. A backend
     that fails to build or load degrades to ``None``, with the reason
@@ -662,7 +635,6 @@ def realign_site_native(
 
 
 __all__ = [
-    "env_number",
     "get_backend",
     "min_whd_grid_native",
     "native_available",

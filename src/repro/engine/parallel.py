@@ -21,10 +21,12 @@ sharing one memory, like the 32 IR units share the FPGA's DRAM. The
 compiled kernel is one ``ctypes`` call per site and releases the GIL
 for its length, and the numpy kernels release it for their large array
 ops, so the threads run the kernels in parallel with no fork, no pickle
-and no copy of the sites. Every pooled chunk runs through
-:func:`repro.resilience.workers.realign_chunk_recovering`: an erroring
-chunk is retried, bisected or quarantined on every pooled run --
-recovery is the pool, not a mode. A :class:`ReorderBuffer` re-sequences
+and no copy of the sites. A chunk computes a pure function of its
+sites, so a chunk that raises would raise again: its exception leaves
+:meth:`Engine.stream_sites` at once, the chunks not yet started are
+cancelled, and the ones that completed are still recorded
+(docs/RESILIENCE.md, "Host data plane: errors propagate"). A
+:class:`ReorderBuffer` re-sequences
 completed chunks into submission order, so the output -- and the final
 SAM -- is byte-identical to the serial path at any worker count, window
 or completion order (pinned against ``tests/golden/``).
@@ -199,13 +201,6 @@ class Engine:
     thread. Usable as a context manager; :meth:`close` joins the
     threads, and garbage collection does too.
 
-    ``recovery`` (a :class:`~repro.resilience.workers.WorkerRecovery`)
-    sets the pool's retry policy and -- for chaos testing -- fault
-    plan. ``None`` (the default) means
-    :meth:`~repro.resilience.workers.WorkerRecovery.from_env`: the
-    fault-free defaults overlaid by any ``REPRO_*`` values, which is
-    how CI runs any engine workload under injected chaos.
-
     ``cache`` (a :class:`~repro.shard.cache.SiteResultCache`) is
     consulted once per run, in front of chunking: hits never reach a
     chunk, misses are inserted as their results are yielded, and the
@@ -221,16 +216,16 @@ class Engine:
     """
 
     def __init__(self, config: Optional[EngineConfig] = None,
-                 queue_depth: int = 2, recovery=None, cache=None):
-        from repro.resilience.workers import WorkerRecovery
-
+                 queue_depth: int = 2, cache=None):
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
         self.config = config if config is not None else EngineConfig()
         self.queue_depth = queue_depth
-        self.recovery = (recovery if recovery is not None
-                         else WorkerRecovery.from_env())
         self.cache = cache
+        #: Always empty: a failing chunk raises, nothing is recovered.
+        #: Only the end-to-end benchmark's pool and shard probes read
+        #: it, and it goes with them.
+        self.recovery_counters: Dict[str, int] = {}
         self._executor = None
         self._reset()
 
@@ -238,9 +233,6 @@ class Engine:
         """Forget the previous run's observations."""
         #: One record per completed chunk of the latest run, by chunk id.
         self.shard_stats: List[ShardStats] = []
-        #: The pool's recovery observations from the latest run.
-        self.recovery_counters: Dict[str, int] = {}
-        self.recovery_events: List = []
         #: The window's observations from the latest run (``stream.*``).
         self.stream_stats: Dict[str, int] = {}
 
@@ -320,8 +312,6 @@ class Engine:
                     self._file_outcome(outcome)
                     yield from outcome[1]
                 return
-            from repro.resilience.workers import realign_chunk_recovering
-
             executor = self._ensure_executor()
             window = self.queue_depth * self.config.workers
             done: queue_module.Queue = queue_module.Queue()
@@ -337,8 +327,8 @@ class Engine:
                 while (submitted < len(chunks)
                        and submitted - completed + reorder.pending < window):
                     future = executor.submit(
-                        realign_chunk_recovering, submitted,
-                        chunks[submitted], self.config, self.recovery)
+                        _realign_chunk, submitted, chunks[submitted],
+                        self.config)
                     future.add_done_callback(done.put)
                     in_flight.add(future)
                     submitted += 1
@@ -357,13 +347,9 @@ class Engine:
                     observed["backpressure_us"] += int(
                         (time.perf_counter() - wait_start) * 1e6
                     )
-                outcome, counters, events = finished.result()
+                outcome = finished.result()
                 completed += 1
                 self._file_outcome(outcome)
-                for name, value in counters.items():
-                    self.recovery_counters[name] = (
-                        self.recovery_counters.get(name, 0) + value)
-                self.recovery_events.extend(events)
                 for chunk_results in reorder.push(outcome[0], outcome[1]):
                     yield from chunk_results
         finally:
@@ -385,8 +371,6 @@ class Engine:
     def _finish(self, telemetry, run_start: float,
                 observed: Dict[str, int]) -> None:
         """Fold the run's observations into ``self`` and ``telemetry``."""
-        from repro.resilience.workers import record_recovery_spans
-
         self.shard_stats.sort(key=lambda stat: stat.shard)
         self.stream_stats = {
             "stream.chunks": len(self.shard_stats),
@@ -402,10 +386,6 @@ class Engine:
         for stat in self.shard_stats:
             for name, value in stat.counters.items():
                 telemetry.count(name, value)
-        for name, value in self.recovery_counters.items():
-            telemetry.count(name, value)
-        record_recovery_spans(telemetry, self.recovery_events,
-                              origin=run_start)
         from repro.perf.fleet import record_engine_shards
 
         record_engine_shards(telemetry, self.shard_stats, run_start,

@@ -99,16 +99,8 @@ def identify_targets(
     reads: Sequence[Read],
     reference: ReferenceGenome,
     config: TargetCreatorConfig = TargetCreatorConfig(),
-    known_sites: Sequence = (),
 ) -> List[RealignmentTarget]:
     """Return the sorted, disjoint IR targets for a set of aligned reads.
-
-    ``known_sites`` optionally seeds targets at catalogued INDELs (GATK's
-    RealignerTargetCreator accepts known-variant files such as the Mills
-    INDEL catalogue for the same purpose): each entry is either a
-    :class:`~repro.genomics.variants.Variant` or a ``(chrom, pos)``
-    pair. Known sites are merged with read evidence, so realignment
-    can trigger even where every carrier read was misaligned gap-free.
 
     Mismatch clusters are counted per contig in arrays
     (:func:`repro.align.pileup.mismatch_loci`), not read off one
@@ -126,13 +118,6 @@ def identify_targets(
             config.mismatch_min_fraction,
         ).items():
             evidence.setdefault(chrom, []).extend(positions)
-    for site in known_sites:
-        if hasattr(site, "chrom") and hasattr(site, "pos"):
-            chrom, pos = site.chrom, site.pos
-        else:
-            chrom, pos = site
-        if chrom in reference and 0 <= pos < reference.length(chrom):
-            evidence.setdefault(chrom, []).append(int(pos))
     # Leave room for flanking pad applied at consensus-window construction.
     max_span = config.limits.max_consensus_length // 2
     targets: List[RealignmentTarget] = []

@@ -16,12 +16,11 @@ fault-free run:
   fault-event counters threaded into ``SystemRunResult``;
 - :mod:`repro.resilience.recovery` -- the watchdog-driven asynchronous
   scheduler that retries, quarantines, and degrades to the software
-  realigner;
-- :mod:`repro.resilience.workers` -- the same design applied to the
-  *host* data plane: :class:`WorkerFaultPlan` chaos (delay / error of
-  the engine's unit threads) and the one recovering chunk call
-  (retry / bisect / quarantine) that ``Engine`` runs every pooled
-  chunk through.
+  realigner.
+
+The host data plane has no counterpart: its units are threads running
+a pure function of each chunk, so a chunk that raises fails the run
+with its own exception (``docs/RESILIENCE.md``).
 
 See ``docs/RESILIENCE.md`` for the taxonomy, policies, and guarantees.
 """

@@ -33,19 +33,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 
-def keyed_draw(seed: int, domain: str, *key: int) -> float:
-    """One uniform [0, 1) draw keyed by ``(seed, domain, *key)``.
-
-    The shared primitive behind every chaos plan (hardware
-    :class:`FaultPlan`, host :class:`~repro.resilience.workers.WorkerFaultPlan`):
-    identical keys give identical draws in any query order, and distinct
-    domains decorrelate draws that share numeric identifiers.
-    """
-    digest = sum(ord(c) * 131 ** i for i, c in enumerate(domain))
-    words = (seed, digest % (2**31)) + tuple(int(k) % (2**31) for k in key)
-    return float(np.random.default_rng(words).random())
-
-
 class FaultKind(enum.Enum):
     """Everything the chaos layer can break."""
 
@@ -178,7 +165,10 @@ class FaultPlan:
         Identical keys give identical draws in any query order; distinct
         domains decorrelate draws that share numeric identifiers.
         """
-        return keyed_draw(self.seed, domain, *key)
+        digest = sum(ord(c) * 131 ** i for i, c in enumerate(domain))
+        words = ((self.seed, digest % (2**31))
+                 + tuple(int(k) % (2**31) for k in key))
+        return float(np.random.default_rng(words).random())
 
     def attempt_outcome(
         self, unit: int, target: int, attempt: int

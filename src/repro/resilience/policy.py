@@ -56,22 +56,6 @@ class RetryPolicy:
         scale = 1.0 + self.jitter_fraction * (2.0 * jitter - 1.0)
         return max(1, int(round(base * scale)))
 
-    def backoff_seconds(self, attempt: int, plan, target: int,
-                        cycle_seconds: float = 1e-6) -> float:
-        """Wall-clock backoff for host-side (worker pool) recovery.
-
-        The host data plane has no cycle clock, so the cycle schedule is
-        scaled by ``cycle_seconds`` (default 1 cycle = 1 microsecond --
-        sub-millisecond first backoff, ~16 ms cap). ``plan`` is any
-        chaos plan exposing the keyed ``draw`` method
-        (:class:`~repro.resilience.faults.FaultPlan` or
-        :class:`~repro.resilience.workers.WorkerFaultPlan`), so a chaos
-        run's full host recovery schedule replays from one seed too.
-        """
-        if cycle_seconds <= 0:
-            raise ValueError("cycle_seconds must be positive")
-        return self.backoff_cycles(attempt, plan, target) * cycle_seconds
-
 
 @dataclass(frozen=True)
 class QuarantinePolicy:

@@ -282,14 +282,12 @@ class RealignmentService:
             )
         except Exception as error:
             self._count("serve.batches_failed", 1)
-            self._fold_engine_counters()
             for job in live:
                 self._count("serve.requests_failed", 1)
                 if not job.future.done():
                     job.future.set_exception(error)
                 self._retire(job)
             return
-        self._fold_engine_counters()
         done = time.perf_counter()
         offset = 0
         for job in live:
@@ -305,19 +303,6 @@ class RealignmentService:
     # -- bookkeeping ----------------------------------------------------
     def _count(self, name: str, delta: int) -> None:
         self.counters[name] = self.counters.get(name, 0) + delta
-
-    def _fold_engine_counters(self) -> None:
-        """Accumulate per-dispatch engine observations into ours.
-
-        ``recovery_counters`` describes only the *latest* run (the engine
-        resets them each dispatch), so the service sums them across
-        dispatches -- a snapshot then reports every injected fault and
-        recovery action since start, not just the last batch's.
-        """
-        recovery = getattr(self.engine, "recovery_counters", None)
-        if recovery:
-            for name, value in recovery.items():
-                self._count(name, value)
 
     def _count_peak(self, name: str, value: int) -> None:
         if value > self.counters.get(name, 0):

@@ -16,25 +16,16 @@ from repro.engine.parallel import Engine, EngineConfig
 
 
 class ShardPlane(Engine):
-    """``Engine(replace(config, workers=shards), cache=, recovery=)``,
-    plus ``shard.retries`` in ``recovery_counters``: the pool's
-    ``worker.retries`` under the name the benchmark's
-    ``resilience.shard.redispatches`` probe reads.
+    """``Engine(replace(config, workers=shards), cache=)``.
 
     >>> ShardPlane(EngineConfig(workers=4), shards=1).config.workers
     1
     """
 
     def __init__(self, config: Optional[EngineConfig] = None,
-                 shards: int = 2, cache=None, recovery=None):
+                 shards: int = 2, cache=None):
         super().__init__(replace(config or EngineConfig(), workers=shards),
-                         recovery=recovery, cache=cache)
-
-    def _finish(self, telemetry, run_start, observed) -> None:
-        super()._finish(telemetry, run_start, observed)
-        retries = self.recovery_counters.get("worker.retries")
-        if retries:
-            self.recovery_counters["shard.retries"] = retries
+                         cache=cache)
 
 
 __all__ = ["ShardPlane"]

@@ -40,7 +40,7 @@ CAT_TRANSFER = "transfer"    # PCIe channel occupancy for one target
 CAT_FALLBACK = "fallback"    # software completion on the host CPU
 CAT_FLEET = "fleet"          # one job on one fleet instance
 CAT_ENGINE = "engine"        # one shard on a host unit thread
-CAT_RECOVERY = "recovery"    # a host data-plane recovery action
+CAT_RECOVERY = "recovery"    # a modelled watchdog or quarantine instant
 
 
 def unit_track(unit: int) -> str:

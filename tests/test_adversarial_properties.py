@@ -2,24 +2,19 @@
 
 The realigner's contract on hostile input is *stability*, not heroics:
 corruption schedules are deterministic functions of their seed, the
-realigner's output on a corrupted sample is deterministic, and neither
-the prefilter nor injected worker faults may change a single byte of
-it. Hypothesis drives the corruption schedule (seeds and rates); the
-chaos-composition checks drive the ``REPRO_WORKER_FAULT_RATE``
-environment path end to end.
+realigner's output on a corrupted sample is deterministic, and the
+prefilter may not change a single byte of it. Hypothesis drives the
+corruption schedule (seeds and rates).
 """
 
 from __future__ import annotations
 
 import functools
-import os
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Engine, EngineConfig
+from repro.engine import EngineConfig
 from repro.engine.batch import realign_site_batched
 from repro.genomics.simulate import SimulationProfile, simulate_sample
 from repro.realign.realigner import IndelRealigner
@@ -163,37 +158,3 @@ class _UnfilteredFft:
     def run_sites(self, sites, telemetry=None):
         return [realign_site_batched(site, prefilter=False)
                 for site in sites]
-
-
-class TestChaosComposition:
-    """Worker faults injected from the environment change nothing."""
-
-    @pytest.mark.parametrize("streaming", [False, True])
-    def test_env_fault_rate_does_not_change_output(self, streaming):
-        hostile = corrupt_sample(clean_sample(2), AdversarialProfile(),
-                                 seed=7)
-        reference = hostile.sample.reference
-        reads = hostile.sample.reads
-        baseline, _ = IndelRealigner(
-            reference, engine=EngineConfig(workers=1)).realign(reads)
-
-        saved = {name: os.environ.get(name)
-                 for name in ("REPRO_WORKER_FAULT_RATE", "REPRO_CHAOS_SEED")}
-        os.environ["REPRO_WORKER_FAULT_RATE"] = "0.4"
-        os.environ["REPRO_CHAOS_SEED"] = "71"
-        try:
-            config = EngineConfig(workers=2, batch=2)
-            engine = Engine(config, queue_depth=1 if streaming else 2)
-            try:
-                chaotic, _ = IndelRealigner(
-                    reference, engine=engine
-                ).realign(reads)
-            finally:
-                engine.close()
-        finally:
-            for name, value in saved.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
-        assert alignment_key(chaotic) == alignment_key(baseline)

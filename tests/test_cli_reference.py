@@ -12,6 +12,8 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 from repro.__main__ import COMMANDS, _epilog, build_parser, main as cli_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -101,6 +103,66 @@ class TestDispatch:
         assert counters["engine"]["engine.cache_misses"] > 0
 
 
+class TestChaosFlags:
+    """Only the FPGA model takes injected faults: ``--fault-rate`` and
+    its ``--chaos-seed`` live on ``realign`` and ``trace``, and no
+    command injects faults into the host engine."""
+
+    @staticmethod
+    def _argv(tmp_path):
+        reference = tmp_path / "ref.fa"
+        reference.write_text(">c\nACGT\n")
+        return {
+            "realign": ["realign", "--reference", str(reference), "--sam",
+                        str(reference), "--out", str(tmp_path / "o.sam")],
+            "trace": ["trace", "--out", str(tmp_path / "t.json")],
+            "evaluate": ["evaluate"],
+            "serve": ["serve", "--reference", str(reference)],
+            "loadgen": ["loadgen"],
+        }
+
+    def test_host_fault_flags_are_gone(self, tmp_path, capsys):
+        for name, argv in self._argv(tmp_path).items():
+            gone = [("--worker-fault-rate", "0.3")]
+            if name not in ("realign", "trace"):
+                gone.append(("--chaos-seed", "7"))
+            for flag in gone:
+                with pytest.raises(SystemExit) as exit_info:
+                    cli_main(argv + list(flag))
+                assert exit_info.value.code == 2, (name, flag)
+                assert (f"unrecognized arguments: {flag[0]}"
+                        in capsys.readouterr().err)
+
+    def test_chaos_seed_still_seeds_the_fault_rate(self, tmp_path, capsys):
+        sample = tmp_path / "sample"
+        assert cli_main(["simulate", "--out", str(sample), "--length",
+                         "4000", "--coverage", "12", "--seed", "3"]) == 0
+
+        def chaos_lines(command, seed):
+            argv = {
+                "realign": ["realign", "--reference",
+                            str(sample / "reference.fa"), "--sam",
+                            str(sample / "aligned.sam"), "--out",
+                            str(tmp_path / "o.sam"), "--accelerated",
+                            "--fault-rate", "0.9"],
+                "trace": ["trace", "--out", str(tmp_path / "t.json"),
+                          "--sites", "6", "--fault-rate", "0.5"],
+            }[command]
+            capsys.readouterr()
+            assert cli_main(argv + ["--chaos-seed", str(seed),
+                                    "--workers", "1"]) == 0
+            # Without the seed's own echo, so that only the faults the
+            # seed drew can tell two runs apart.
+            return [re.sub(r"seed \d+", "seed", line)
+                    for line in capsys.readouterr().out.splitlines()
+                    if "chaos" in line]
+
+        for command in ("realign", "trace"):
+            first = chaos_lines(command, 1)
+            assert first and first == chaos_lines(command, 1), command
+            assert chaos_lines(command, 2) != first, command
+
+
 class TestParserImports:
     def test_building_the_parser_loads_no_engine_and_no_numpy(self):
         """``--help`` and every usage error stop inside the parser: they
@@ -140,16 +202,16 @@ class TestParserImports:
 
     def test_flagless_realign_loads_no_fpga_model(self, tmp_path):
         """A software run pays for the software path: no FPGA model, no
-        refinement pipeline, no hardware-recovery scheduler, and at most
-        40 of the package's modules."""
+        refinement pipeline, nothing from the resilience package (the
+        host plane raises, it does not recover), and at most 25 of the
+        package's modules."""
         self._check_after_flagless_realign(tmp_path, (
             "banned = [m for m in sys.modules if m == 'networkx' "
-            "or m in ('repro.resilience.recovery', 'repro.resilience.health') "
             "or m.startswith(('repro.core', 'repro.hw', "
-            "'repro.refinement'))]\n"
+            "'repro.refinement', 'repro.resilience'))]\n"
             "assert not banned, banned\n"
             "ours = sorted(m for m in sys.modules if m.startswith('repro.'))\n"
-            "assert len(ours) <= 40, ours\n"
+            "assert len(ours) <= 25, ours\n"
         ))
 
     def test_flagless_realign_loads_only_the_kernel_it_runs(self, tmp_path):

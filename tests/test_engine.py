@@ -206,6 +206,61 @@ class TestEngineDeterminism:
             EngineConfig(scoring="magic")
 
 
+class TestPooledChunks:
+    def test_chunk_error_reaches_the_caller_after_one_call(self,
+                                                           monkeypatch):
+        # A chunk computes a pure function of its sites, so the pool
+        # does not retry one that raised: its exception leaves
+        # run_sites with its own type and message, and the pool serves
+        # the next run.
+        from repro.engine import parallel
+
+        sites = _sites(4, seed=71)
+        poison = sites[3]
+        real = parallel._realign_chunk
+        poisoned_calls = []
+
+        def failing(chunk_id, part, config):
+            if any(site is poison for site in part):
+                poisoned_calls.append(chunk_id)
+                raise KeyError("poison site")
+            return real(chunk_id, part, config)
+
+        monkeypatch.setattr(parallel, "_realign_chunk", failing)
+        with Engine(EngineConfig(workers=2, batch=2)) as engine:
+            with pytest.raises(KeyError, match="poison site"):
+                engine.run_sites(sites)
+            assert poisoned_calls == [1]
+            assert engine.recovery_counters == {}
+            clean = sites[:3]
+            serial = Engine(EngineConfig(workers=1)).run_sites(clean)
+            for a, b in zip(serial, engine.run_sites(clean), strict=True):
+                assert a.same_outputs(b)
+
+    def test_out_of_order_completion_merges_in_order(self, monkeypatch):
+        # Lower chunk ids finish last, so later chunks park in the
+        # reorder buffer until their predecessors arrive.
+        import time
+
+        from repro.engine import parallel
+
+        sites = _sites(8, seed=89)
+        real = parallel._realign_chunk
+
+        def slow_head(chunk_id, part, config):
+            time.sleep(0.02 * (len(sites) - chunk_id))
+            return real(chunk_id, part, config)
+
+        serial = Engine(EngineConfig(workers=1, batch=1)).run_sites(sites)
+        monkeypatch.setattr(parallel, "_realign_chunk", slow_head)
+        with Engine(EngineConfig(workers=4, batch=1)) as engine:
+            pooled = engine.run_sites(sites)
+            assert engine.stream_stats["stream.reorder_peak"] >= 2
+        for a, b in zip(serial, pooled, strict=True):
+            assert a.same_outputs(b)
+            np.testing.assert_array_equal(a.min_whd, b.min_whd)
+
+
 class TestRealignerIntegration:
     @pytest.fixture(scope="class")
     def sample(self):

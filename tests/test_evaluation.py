@@ -5,8 +5,7 @@ that used to double-count equivalent edits), the mismatch/concordance
 counters, the report structures, the per-scenario accuracy gate
 (realignment must *help*, with pinned truth-INDEL F1 floors), the
 kernel and engine axes of the accuracy matrix (every execution path
-produces the same scorecard), and chaos composition (injected worker
-faults change nothing about the scores).
+produces the same scorecard).
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.evaluate import (
     truth_concordance,
 )
 from repro.evaluate.report import TrajectoryOutcome
-from repro.resilience.workers import WorkerRecovery
 from repro.variants.caller import VariantCall
 from repro.variants.evaluation import (
     evaluate_calls,
@@ -431,36 +429,3 @@ class TestEvaluateCli:
         assert cli_main(["evaluate", "--scenario", "toy",
                          "--workers", "0"]) == 2
         assert "--workers and --batch" in capsys.readouterr().err
-        assert cli_main(["evaluate", "--scenario", "toy",
-                         "--workers", "1", "--worker-fault-rate", "0.5"]) == 2
-        assert "--workers >= 2" in capsys.readouterr().err
-
-
-class TestChaosComposition:
-    """Injected worker faults must not change a single score."""
-
-    def test_barrier_engine_under_chaos_matches_baseline(self, reports):
-        baseline = reports["toy"].to_dict()
-        engine = Engine(
-            EngineConfig(workers=2, batch=2),
-            queue_depth=BARRIER_DEPTH,
-            recovery=WorkerRecovery.chaos(97, 0.4),
-        )
-        try:
-            report = run_scenario("toy", engine=engine)
-        finally:
-            engine.close()
-        assert report.to_dict() == baseline
-
-    def test_streaming_engine_under_chaos_matches_baseline(self, reports):
-        baseline = reports["toy"].to_dict()
-        engine = Engine(
-            EngineConfig(workers=2, batch=2),
-            queue_depth=1,
-            recovery=WorkerRecovery.chaos(53, 0.4),
-        )
-        try:
-            report = run_scenario("toy", engine=engine)
-        finally:
-            engine.close()
-        assert report.to_dict() == baseline

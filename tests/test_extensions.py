@@ -1,6 +1,5 @@
-"""Tests for the extension features: known sites, industry comparison, CLI."""
+"""Tests for the extension features: industry comparison, CLI."""
 
-import numpy as np
 import pytest
 
 from repro.baselines.industry import (
@@ -8,45 +7,7 @@ from repro.baselines.industry import (
     amdahl_ceiling,
     whole_analysis_advantage,
 )
-from repro.genomics.cigar import Cigar
-from repro.genomics.read import Read
-from repro.genomics.reference import Contig, ReferenceGenome
-from repro.genomics.sequence import random_bases
-from repro.genomics.variants import Variant
-from repro.realign.targets import TargetCreatorConfig, identify_targets
 from repro.__main__ import build_parser, main as cli_main
-
-
-class TestKnownSites:
-    @pytest.fixture
-    def reference(self):
-        rng = np.random.default_rng(55)
-        return ReferenceGenome([Contig("1", random_bases(5_000, rng))])
-
-    def test_known_site_seeds_target_without_read_evidence(self, reference):
-        # All carriers misaligned gap-free: no CIGAR evidence at all.
-        seq = reference.fetch("1", 1000, 1080)
-        reads = [Read(f"r{i}", "1", 1000, seq, np.full(80, 30, np.uint8),
-                      Cigar.parse("80M")) for i in range(3)]
-        config = TargetCreatorConfig(use_mismatch_clusters=False)
-        assert identify_targets(reads, reference, config) == []
-        known = [Variant("1", 1_040, reference.fetch("1", 1040, 1043),
-                         reference.fetch("1", 1040, 1041))]
-        targets = identify_targets(reads, reference, config,
-                                   known_sites=known)
-        assert len(targets) == 1
-        assert targets[0].start <= 1_040 < targets[0].end
-
-    def test_known_site_as_tuple(self, reference):
-        config = TargetCreatorConfig(use_mismatch_clusters=False)
-        targets = identify_targets([], reference, config,
-                                   known_sites=[("1", 2_000)])
-        assert len(targets) == 1
-
-    def test_known_site_outside_reference_ignored(self, reference):
-        config = TargetCreatorConfig(use_mismatch_clusters=False)
-        assert identify_targets([], reference, config,
-                                known_sites=[("9", 10), ("1", 10**9)]) == []
 
 
 class TestIndustryComparison:

@@ -1,6 +1,6 @@
 """The serving plane: request coalescing, backpressure, byte-identity.
 
-Four layers under test:
+Three layers under test:
 
 - the pure pieces (wire protocol, percentile math, region-job
   partitioning, seeded load schedules, the virtual-time queue model) --
@@ -11,9 +11,7 @@ Four layers under test:
   pytest-asyncio);
 - the TCP server/client/loadgen stack against the real realigner --
   the headline invariant: served output is byte-identical to the batch
-  path;
-- chaos composition -- ``REPRO_WORKER_FAULT_RATE`` worker faults under
-  live serving traffic still produce kernel-exact results.
+  path.
 """
 
 import asyncio
@@ -35,7 +33,6 @@ from repro.genomics.simulate import SimulationProfile, simulate_sample
 from repro.realign.realigner import IndelRealigner
 from repro.realign.site import PAPER_LIMITS
 from repro.realign.targets import TargetCreatorConfig
-from repro.resilience.workers import WorkerRecovery
 from repro.serve.client import ServiceClient
 from repro.serve.jobs import REGION_GAP, partition_jobs
 from repro.serve.loadgen import run_loadgen, simulate_load
@@ -1172,44 +1169,3 @@ class TestServerByteIdentity:
 async def _bound_address(server):
     sockname = server._server.sockets[0].getsockname()
     return sockname[0], sockname[1]
-
-
-# ---------------------------------------------------------------------
-# chaos composition: worker faults under live serving traffic
-# ---------------------------------------------------------------------
-class TestServeChaos:
-    def test_worker_faults_under_serving_traffic_stay_exact(self,
-                                                            monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_FAULT_RATE", "0.3")
-        # Seed 3 faults every run's chunk 0 on attempt 0 (worker-error,
-        # clean retry). Dispatch chunk IDs restart at 0 per engine call,
-        # so a seed whose faults live on higher chunk IDs would never
-        # inject through the service's small coalesced batches.
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "3")
-        sites = _sites(10)
-        serial = Engine(EngineConfig(workers=1)).run_sites(sites)
-        config = EngineConfig(workers=2, batch=2)
-        engine = Engine(config, recovery=WorkerRecovery.from_env())
-
-        async def scenario():
-            service = RealignmentService(engine)
-            await service.start()
-            results = await asyncio.gather(*(
-                service.submit_sites(sites[i:i + 2], tenant=f"t{i % 3}")
-                for i in range(0, len(sites), 2)
-            ))
-            snapshot = service.snapshot()
-            await service.close()
-            return results, snapshot
-
-        try:
-            results, snapshot = asyncio.run(scenario())
-        finally:
-            engine.close()
-        flat = [result for slice_ in results for result in slice_]
-        assert len(flat) == len(sites)
-        for mine, reference in zip(flat, serial):
-            assert mine.same_outputs(reference)
-        injected = sum(value for name, value in snapshot.counters.items()
-                       if name.startswith("worker.injected."))
-        assert injected > 0, "chaos rate 0.3 over 10 sites must inject"

@@ -15,12 +15,6 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine, EngineConfig
-from repro.resilience.workers import (
-    ForcedWorkerFault,
-    WorkerFaultKind,
-    WorkerFaultPlan,
-    WorkerRecovery,
-)
 from repro.shard import (
     ShardPlane,
     SiteResultCache,
@@ -251,17 +245,15 @@ class TestShardPlane:
 
         sites = _sites(8, seed=7)
         before = units()
-        with ShardPlane(EngineConfig(workers=4, batch=2), shards=1,
-                        recovery=WorkerRecovery()) as plane:
+        with ShardPlane(EngineConfig(workers=4, batch=2),
+                        shards=1) as plane:
             plane.run_sites(sites)
             assert units() == before
-        with ShardPlane(EngineConfig(workers=4, batch=2), shards=2,
-                        recovery=WorkerRecovery()) as plane:
+        with ShardPlane(EngineConfig(workers=4, batch=2),
+                        shards=2) as plane:
             plane.run_sites(sites)
             started = [thread for thread in units() if thread not in before]
             assert len(started) == 2
-            # Fault-free, the alias below is absent like worker.* is.
-            assert plane.recovery_counters == {}
 
     def test_cache_cold_then_warm(self):
         sites = _sites(8, seed=3)
@@ -334,21 +326,12 @@ class TestShardPlane:
 
     def test_all_hits_pass_forgets_the_previous_run(self):
         sites = _sites(8, seed=3)
-        recovery = WorkerRecovery(plan=WorkerFaultPlan.scripted(
-            ForcedWorkerFault(chunk=0, attempt=0,
-                              kind=WorkerFaultKind.ERROR)))
         with ShardPlane(EngineConfig(batch=3), shards=2,
-                        cache=SiteResultCache.from_megabytes(32),
-                        recovery=recovery) as plane:
+                        cache=SiteResultCache.from_megabytes(32)) as plane:
             plane.run_sites(sites)
-            cold = dict(plane.recovery_counters)
-            assert plane.shard_stats and plane.recovery_events
-            # shard.retries is the pool's count under the probe's name.
-            assert cold["shard.retries"] == cold["worker.retries"] >= 1
+            assert plane.shard_stats
             plane.run_sites(sites)
             assert plane.shard_stats == []
-            assert plane.recovery_events == []
-            assert plane.recovery_counters == {}
 
 
 class TestRealignerIntegration:

@@ -9,7 +9,6 @@ double-buffered dispatch model, the trace export floor, and the CLI.
 
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -336,45 +335,6 @@ class TestStreamCli:
         assert self._realign(sample_dir, "chaos-stream.sam", *chaos,
                              "--workers", "2",
                              "--site-cache-mb", "8") == control
-
-    def test_recovery_line_follows_the_flags(self, sample_dir, capsys,
-                                             monkeypatch):
-        # Fault-free: no summary (it appears, unasked, after real
-        # recovery).
-        monkeypatch.delenv("REPRO_WORKER_FAULT_RATE", raising=False)
-        self._realign(sample_dir, "quiet.sam", "--workers", "2")
-        assert "recovery:" not in capsys.readouterr().out
-        # Faulted: the pool takes the chaos flags, reports what it
-        # observed, and still writes the serial SAM.
-        serial = self._realign(sample_dir, "serial.sam", "--workers", "1")
-        for plane in (("--workers", "2"), ("--workers", "3", "--batch", "2")):
-            capsys.readouterr()
-            assert self._realign(
-                sample_dir, "faulted.sam", *plane,
-                "--worker-fault-rate", "0.3", "--chaos-seed", "3",
-            ) == serial
-            line = re.search(r"recovery: (\d+) worker faults injected, "
-                             r"(\d+) retries", capsys.readouterr().out)
-            assert line and int(line[1]) > 0 and int(line[2]) > 0
-
-    @pytest.mark.parametrize("name,value,extra", [
-        ("REPRO_WORKER_FAULT_RATE", "lots", ("--workers", "2")),
-    ], ids=["fault-rate"])
-    def test_bad_env_number_exits_2(self, sample_dir, monkeypatch, capsys,
-                                    name, value, extra):
-        from repro.__main__ import main as cli_main
-
-        monkeypatch.setenv(name, value)
-        with pytest.raises(SystemExit) as exit_info:
-            cli_main([
-                "realign", "--reference", str(sample_dir / "reference.fa"),
-                "--sam", str(sample_dir / "aligned.sam"),
-                "--out", str(sample_dir / "bad-env.sam"), *extra,
-            ])
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert f"{name}={value!r}" in err
-        assert "Traceback" not in err
 
     def test_trace_records_stream_session(self, sample_dir, capsys):
         from repro.__main__ import main as cli_main
