@@ -16,7 +16,6 @@ from repro.genomics.simulate import SimulationProfile, simulate_sample
 from repro.refinement.pipeline import RefinementPipeline
 from repro.variants.caller import SomaticCaller
 from repro.variants.evaluation import evaluate_calls
-from repro.variants.vcf import format_vcf
 
 
 def main():
@@ -65,23 +64,6 @@ def main():
           f"({len(post.false_positives)} false calls)")
     print(f"false positives removed by refinement: "
           f"{len(raw.false_positives) - len(post.false_positives)}")
-
-    # --- somatic hard filters on top --------------------------------
-    from repro.variants.filters import apply_filters
-
-    filtered = apply_filters(post_calls)
-    final = evaluate_calls(filtered.passed, sample.truth_variants)
-    print(f"\nafter somatic filters: precision {final.precision:.2f}, "
-          f"recall {final.recall:.2f}, F1 {final.f1:.2f}")
-    rejections = filtered.rejections_by_reason()
-    if rejections:
-        print(f"filter rejections: {rejections}")
-
-    print("\nfirst VCF records of the refined call set:")
-    vcf_lines = format_vcf(post_calls[:5], sample.reference).splitlines()
-    for line in vcf_lines:
-        if not line.startswith("##"):
-            print(f"  {line}")
 
 
 if __name__ == "__main__":

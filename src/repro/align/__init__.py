@@ -1,15 +1,9 @@
-"""Primary-alignment substrate.
+"""Read pileups over aligned reads.
 
-The paper's pipeline 1 ("primary alignment or read mapping") uses BWA-MEM:
-SMEM generation, suffix-array lookup, and Smith-Waterman seed extension
-(Figure 2 names exactly these stages). This subpackage implements the same
-seed-and-extend structure so the reproduction owns its whole pipeline:
-
-- :mod:`repro.align.smith_waterman` -- the O(mn) local-alignment DP that
-  prior accelerators target (the paper's motivation contrasts it with IR).
-- :mod:`repro.align.suffix_array` -- exact-match seed lookup.
-- :mod:`repro.align.seed_extend` -- a BWA-MEM-style aligner built from the
-  two kernels above.
-- :mod:`repro.align.pileup` -- per-locus read pileups, used by the variant
-  caller and by IR target identification.
+Primary alignment (the paper's pipeline 1, BWA-MEM: SMEM generation,
+suffix-array lookup, Smith-Waterman seed extension) is upstream of INDEL
+realignment; the reproduction takes its reads already aligned, from SAM
+or the simulator, and only costs that stage (``repro.perf.pipelines``).
+What stays here is :mod:`repro.align.pileup` -- per-locus read pileups,
+used by the variant caller and by IR target identification.
 """

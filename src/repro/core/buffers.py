@@ -8,7 +8,7 @@ byte-selected" with 32-byte blocks, which is what lets the parallel
 Hamming distance calculator read 32 bytes per cycle without shifters.
 
 The cycle-stepped unit model reads and writes through these objects so
-capacity violations and block addressing are actually exercised; the
+capacity violations and block-aligned slots are actually exercised; the
 analytic model only uses their size arithmetic.
 """
 
@@ -85,20 +85,6 @@ class RecordBuffer:
                 f"{self._lengths[slot]} B in slot {slot}"
             )
         return int(self._data[slot * self.slot_bytes + offset])
-
-    def read_block(self, slot: int, block: int) -> np.ndarray:
-        """Block-indexed 32-byte read (the parallel calculator's port).
-
-        Reads past the record's tail return the slot's zero padding,
-        exactly like real BRAM returns whatever the cells hold; the
-        datapath masks lanes beyond the record length.
-        """
-        base = slot * self.slot_bytes + block * BLOCK_BYTES
-        if block < 0 or base + BLOCK_BYTES > (slot + 1) * self.slot_bytes:
-            raise BufferError(
-                f"{self.name}: block {block} outside slot {slot}"
-            )
-        return self._data[base : base + BLOCK_BYTES]
 
 
 @dataclass

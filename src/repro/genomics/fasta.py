@@ -7,7 +7,6 @@ first whitespace in a ``>`` line is ignored, as samtools does).
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 from typing import Iterable, List, TextIO, Tuple, Union
 
@@ -103,10 +102,3 @@ def write_fasta(
 def write_reference(reference: ReferenceGenome, sink: PathOrFile) -> None:
     """Write a :class:`ReferenceGenome` as FASTA."""
     write_fasta(((c.name, c.sequence) for c in reference), sink)
-
-
-def reference_to_string(reference: ReferenceGenome) -> str:
-    """Render a reference as a FASTA string (handy in tests and examples)."""
-    buffer = io.StringIO()
-    write_reference(reference, buffer)
-    return buffer.getvalue()

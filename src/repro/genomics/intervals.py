@@ -2,8 +2,8 @@
 
 Half-open ``(chrom, start, end)`` intervals with the operations the
 pipeline's interval-shaped stages need: normalisation (sort + merge),
-intersection, complement against a reference, and point-cluster
-flushing (the primitive under IR target creation).
+complement against a reference, and point-cluster flushing (the
+primitive under IR target creation).
 """
 
 from __future__ import annotations
@@ -60,22 +60,6 @@ def merge_intervals(
     return merged
 
 
-def intersect(
-    left: Sequence[GenomicInterval], right: Sequence[GenomicInterval]
-) -> List[GenomicInterval]:
-    """Pairwise intersection of two interval sets (both get normalised)."""
-    result: List[GenomicInterval] = []
-    left_merged = merge_intervals(left)
-    right_merged = merge_intervals(right)
-    for a in left_merged:
-        for b in right_merged:
-            if a.overlaps(b):
-                result.append(GenomicInterval(
-                    a.chrom, max(a.start, b.start), min(a.end, b.end)
-                ))
-    return sorted(result)
-
-
 def complement(
     intervals: Sequence[GenomicInterval], reference: ReferenceGenome
 ) -> List[GenomicInterval]:
@@ -95,11 +79,6 @@ def complement(
         if cursor < len(contig):
             result.append(GenomicInterval(contig.name, cursor, len(contig)))
     return result
-
-
-def total_span(intervals: Sequence[GenomicInterval]) -> int:
-    """Total bases covered (after merging overlaps)."""
-    return sum(interval.span for interval in merge_intervals(intervals))
 
 
 def cluster_points(

@@ -10,7 +10,7 @@ mapping against a string of corresponding read bases."*
 We use the Sanger/Illumina 1.8+ convention (Phred+33). Quality scores are
 stored as raw integers (``numpy.uint8``) inside the pipeline -- the
 accelerator consumes one byte per score -- and only converted to ASCII at
-the FASTQ boundary. That conversion is one ``bytes.translate`` per read
+the SAM boundary. That conversion is one ``bytes.translate`` per read
 through a 256-entry table, never a Python step per base: the table's
 delete set drops every byte outside the legal range, so a shorter result
 *is* the range check.
@@ -85,23 +85,6 @@ def phred_from_ascii(text: str) -> np.ndarray:
             f"quality string contains characters outside Phred+33 range: {text!r}"
         )
     return np.frombuffer(decoded, dtype=np.uint8).copy()
-
-
-def phred_to_error_prob(score: float) -> float:
-    """Return the base-calling error probability for a Phred score.
-
-    ``Q = -10 * log10(P_error)``, so ``P_error = 10 ** (-Q / 10)``.
-    """
-    if score < 0:
-        raise QualityError(f"Phred score must be non-negative, got {score}")
-    return 10.0 ** (-score / 10.0)
-
-
-def error_prob_to_phred(prob: float) -> float:
-    """Return the Phred score for a base-calling error probability."""
-    if not 0.0 < prob <= 1.0:
-        raise QualityError(f"error probability must be in (0, 1], got {prob}")
-    return -10.0 * np.log10(prob)
 
 
 def clamp_phred(scores: np.ndarray, ceiling: int = ILLUMINA_MAX_PHRED) -> np.ndarray:

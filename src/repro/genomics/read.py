@@ -266,10 +266,3 @@ def _valid_batch(seqs, scores, counts, total, cigars, positions,
         and min(positions) >= 0
         and 0 <= min(mapqs) and max(mapqs) <= 254
     )
-
-
-def coordinate_key(read: Read) -> Tuple[str, int, bool]:
-    """Sort key for coordinate order: (contig, position, strand)."""
-    if not read.is_mapped:
-        return ("￿", 1 << 60, False)
-    return (read.chrom, read.pos, read.is_reverse)

@@ -109,8 +109,10 @@ def scan_lines(lines: Sequence[str],
     A bad batch raises what its first bad line alone raises, for the
     first failure in that line in this order: field count, numeric
     field, quality characters, CIGAR syntax, bases, quality count, CIGAR
-    length, POS, MAPQ, RNAME, alignment end. With ``locate``, that is a
-    :class:`SamError` prefixed ``locate(index): ``.
+    length, POS, MAPQ, RNAME, alignment end. It is always a
+    :class:`SamError`: a field decoder's error or a ``Read`` invariant's
+    ``ValueError`` keeps its message and is the ``__cause__``. With
+    ``locate``, the message is prefixed ``locate(index): ``.
     """
     rows = [line.rstrip("\n").split("\t") for line in lines]
     # Each check runs on rows[:limit], the rows that passed every
@@ -182,7 +184,9 @@ def scan_lines(lines: Sequence[str],
     if error is None:
         return checked
     if locate is None:
-        raise error
+        if isinstance(error, SamError):
+            raise error
+        raise SamError(str(error)) from error
     raise SamError(f"{locate(limit)}: {error}") from None
 
 

@@ -19,8 +19,6 @@ BASES = "ACGTN"
 #: The four unambiguous bases, used for random generation and mutation.
 CALLED_BASES = "ACGT"
 
-_COMPLEMENT = {"A": "T", "T": "A", "C": "G", "G": "C", "N": "N"}
-
 _BASE_SET = frozenset(BASES)
 
 #: What ``bytes.translate`` deletes from an ASCII sequence: what
@@ -61,46 +59,9 @@ def seq_to_array(seq: str) -> np.ndarray:
     return np.frombuffer(seq.encode("ascii"), dtype=np.uint8).copy()
 
 
-def complement(base: str) -> str:
-    """Return the Watson-Crick complement of a single base."""
-    try:
-        return _COMPLEMENT[base]
-    except KeyError:
-        raise SequenceError(f"invalid base {base!r}") from None
-
-
-def reverse_complement(seq: str) -> str:
-    """Return the reverse complement of a sequence.
-
-    Used by the read simulator for reads sampled from the reverse strand.
-    """
-    return "".join(_COMPLEMENT[base] for base in reversed(validate_bases(seq)))
-
-
 def random_bases(length: int, rng: np.random.Generator) -> str:
     """Generate ``length`` random unambiguous bases using ``rng``."""
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
     codes = rng.integers(0, len(CALLED_BASES), size=length)
     return "".join(CALLED_BASES[code] for code in codes)
-
-
-def gc_content(seq: str) -> float:
-    """Return the G+C fraction of a sequence (``N`` bases excluded).
-
-    Returns 0.0 for sequences with no called bases.
-    """
-    called = sum(1 for base in seq if base in "ACGT")
-    if called == 0:
-        return 0.0
-    gc = sum(1 for base in seq if base in "GC")
-    return gc / called
-
-
-def hamming_distance(left: str, right: str) -> int:
-    """Return the plain (unweighted) Hamming distance of two equal-length strings."""
-    if len(left) != len(right):
-        raise ValueError(
-            f"sequences must have equal length, got {len(left)} and {len(right)}"
-        )
-    return sum(1 for a, b in zip(left, right) if a != b)

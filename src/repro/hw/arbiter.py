@@ -5,8 +5,7 @@ memory channels (three MemReaders + two MemWriters) coalesce through an
 *Intra-IR Mem ARB 5:1*, and the 32 per-unit channels coalesce through the
 *IR Mem ARB 32:1* before the AXI crossbar. The functional model is a
 work-conserving round-robin arbiter; tests pin fairness (no starvation,
-bounded wait) and work conservation, and the system model uses its
-steady-state contention factor.
+bounded wait) and work conservation.
 """
 
 from __future__ import annotations
@@ -64,18 +63,3 @@ class RoundRobinArbiter:
             remaining[winner] -= 1
             order.append(winner)
         return order
-
-
-def contention_slowdown(active_requesters: int, capacity: int = 1) -> float:
-    """Steady-state service-rate dilution behind an arbiter.
-
-    With ``active_requesters`` continuously busy masters sharing
-    ``capacity`` grant slots per cycle, each master is served at
-    ``capacity / active`` of the unshared rate. The system model applies
-    this to the (tiny) buffer-fill phases; compute phases hit local BRAM
-    and bypass the fabric entirely, which is why the paper's design
-    scales to 32 units on one DDR channel.
-    """
-    if active_requesters <= 0 or capacity <= 0:
-        raise ValueError("arguments must be positive")
-    return max(1.0, active_requesters / capacity)

@@ -110,32 +110,5 @@ class DdrChannelModel:
         if self.access_latency_s < 0:
             raise ValueError("access latency must be non-negative")
 
-    def burst_seconds(self, num_bytes: int) -> float:
-        """Latency of one burst read/write of ``num_bytes``."""
-        if num_bytes < 0:
-            raise ValueError("byte count must be non-negative")
-        if num_bytes == 0:
-            return 0.0
-        return self.access_latency_s + num_bytes / self.bandwidth_bytes_per_s
-
     def fits(self, num_bytes: int) -> bool:
         return 0 <= num_bytes <= self.capacity_bytes
-
-
-@dataclass(frozen=True)
-class FpgaMemorySystem:
-    """The deployed memory configuration: 1 of 4 channels instantiated."""
-
-    channels_available: int = 4
-    channels_instantiated: int = 1
-    channel: DdrChannelModel = DdrChannelModel()
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.channels_instantiated <= self.channels_available:
-            raise ValueError(
-                "instantiated channels must be within the available count"
-            )
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.channels_instantiated * self.channel.capacity_bytes

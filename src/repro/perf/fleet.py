@@ -49,12 +49,6 @@ class FleetPlan:
         )
 
     @property
-    def total_work_seconds(self) -> float:
-        return sum(
-            job.seconds for jobs in self.assignments.values() for job in jobs
-        )
-
-    @property
     def cost_dollars(self) -> float:
         """Billed per-instance for its busy time (per-second billing)."""
         return sum(
@@ -67,7 +61,12 @@ class FleetPlan:
         span = self.makespan_seconds
         if span == 0:
             return 0.0
-        return self.total_work_seconds / (self.num_instances * span)
+        # The mean of per-instance shares, each <= 1 in floating point:
+        # total work / (instances x span) can round to just above 1.
+        return sum(
+            sum(job.seconds for job in jobs) / span
+            for jobs in self.assignments.values()
+        ) / self.num_instances
 
 
 def plan_fleet(
@@ -91,34 +90,6 @@ def plan_fleet(
         plan.assignments[index].append(job)
         heapq.heappush(heap, (load + job.seconds, index))
     return plan
-
-
-def fleet_size_for_deadline(
-    jobs: Sequence[FleetJob],
-    deadline_seconds: float,
-    instance: EC2Instance = F1_2XLARGE,
-    max_instances: int = 4096,
-) -> Optional[FleetPlan]:
-    """Smallest fleet whose LPT makespan meets the deadline.
-
-    Returns ``None`` when even ``max_instances`` cannot meet it (a job
-    longer than the deadline cannot be split: targets within a job
-    could, but the planner works at job granularity).
-    """
-    if deadline_seconds <= 0:
-        raise ValueError("deadline must be positive")
-    longest = max((job.seconds for job in jobs), default=0.0)
-    if longest > deadline_seconds:
-        return None
-    total = sum(job.seconds for job in jobs)
-    # Lower bound on the fleet; then grow until LPT fits.
-    size = max(1, int(total // deadline_seconds))
-    while size <= max_instances:
-        plan = plan_fleet(jobs, size, instance)
-        if plan.makespan_seconds <= deadline_seconds:
-            return plan
-        size += 1
-    return None
 
 
 def record_fleet_spans(telemetry, plan: FleetPlan,

@@ -102,14 +102,3 @@ class Gatk3PerformanceModel:
         effective = min(threads, self.max_threads)
         rate = self.comparisons_per_second * effective / self.max_threads
         return unpruned_comparisons / rate
-
-    def seconds_for_chromosome(
-        self,
-        census: ChromosomeCensus,
-        profile: SiteProfile = REAL_PROFILE,
-        threads: int = GATK3_MAX_THREADS,
-    ) -> float:
-        """Full-scale modelled runtime of one chromosome."""
-        return self.seconds_for_comparisons(
-            chromosome_unpruned_comparisons(census, profile), threads
-        )

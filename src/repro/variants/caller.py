@@ -31,12 +31,6 @@ class VariantCall:
     alt_count: int
 
     @property
-    def allele_fraction(self) -> float:
-        if self.depth == 0:
-            return 0.0
-        return self.alt_count / self.depth
-
-    @property
     def kind(self) -> VariantKind:
         if len(self.ref) == len(self.alt) == 1:
             return VariantKind.SNP

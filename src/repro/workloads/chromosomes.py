@@ -114,8 +114,3 @@ def census_for(name: str) -> ChromosomeCensus:
         return _BY_NAME[name]
     except KeyError:
         raise KeyError(f"no census for chromosome {name!r}") from None
-
-
-def total_targets() -> int:
-    """Whole-genome (Ch1-22) IR target count."""
-    return sum(c.ir_targets for c in CHROMOSOME_CENSUS)

@@ -30,8 +30,6 @@ class TestRecordBuffer:
         buffer.load_slot(2, payload)
         assert buffer.slot_length(2) == 40
         assert buffer.read_byte(2, 39) == 39
-        block = buffer.read_block(2, 1)
-        assert block.tolist() == list(range(32, 40)) + [0] * 24
 
     def test_slot_bounds(self):
         buffer = RecordBuffer("test", num_slots=2, slot_bytes=32)
@@ -46,11 +44,6 @@ class TestRecordBuffer:
         with pytest.raises(BufferError):
             buffer.read_byte(0, 4)
 
-    def test_block_read_outside_slot(self):
-        buffer = RecordBuffer("test", num_slots=1, slot_bytes=32)
-        with pytest.raises(BufferError):
-            buffer.read_block(0, 1)
-
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             RecordBuffer("x", num_slots=1, slot_bytes=33)
@@ -59,7 +52,10 @@ class TestRecordBuffer:
         buffer = RecordBuffer("test", num_slots=1, slot_bytes=32)
         buffer.load_slot(0, np.full(32, 9, np.uint8))
         buffer.load_slot(0, np.full(4, 7, np.uint8))
-        assert buffer.read_block(0, 0).tolist() == [7] * 4 + [0] * 28
+        assert buffer.slot_length(0) == 4
+        assert [buffer.read_byte(0, i) for i in range(4)] == [7] * 4
+        with pytest.raises(BufferError):
+            buffer.read_byte(0, 4)
 
 
 class TestOutputBuffer:

@@ -5,6 +5,12 @@ file (or directory) inside the repo. External ``http(s)``/``mailto``
 links are skipped -- CI has no network and their liveness is not this
 repo's contract -- and pure ``#anchor`` fragments are checked only for
 the target file's existence, not the heading.
+
+So must every Python file those documents cite in inline code: a
+backticked ``repro/...``, ``src/repro/...``, ``examples/...``,
+``benchmarks/...`` or ``tests/...`` path ending ``.py`` (``repro/`` is
+read under ``src/``; a ``*`` in the path must match a file), so deleting
+a module leaves no citation of it behind.
 """
 
 import re
@@ -21,17 +27,34 @@ DOC_FILES = sorted(
 # skips fenced code blocks below.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
+# `...` spans, and in them a cited repository Python file.
+CODE_RE = re.compile(r"`([^`]+)`")
+PY_PATH_RE = re.compile(
+    r"(?<![\w/.])((?:src/)?repro|examples|benchmarks|tests)/[\w/*.-]*?\.py\b")
 
-def _links(path: Path):
+
+def _prose(path: Path):
+    """``(lineno, line)`` of ``path`` outside fenced code blocks."""
     in_fence = False
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if line.lstrip().startswith("```"):
             in_fence = not in_fence
             continue
-        if in_fence:
-            continue
+        if not in_fence:
+            yield lineno, line
+
+
+def _links(path: Path):
+    for lineno, line in _prose(path):
         for match in LINK_RE.finditer(line):
             yield lineno, match.group(1)
+
+
+def _cited_py_paths(path: Path):
+    for lineno, line in _prose(path):
+        for code in CODE_RE.finditer(line):
+            for match in PY_PATH_RE.finditer(code.group(1)):
+                yield lineno, match.group(0)
 
 
 def test_doc_files_exist():
@@ -52,3 +75,24 @@ def test_intra_repo_links_resolve(doc):
         if not resolved.exists():
             dead.append(f"{doc.relative_to(REPO_ROOT)}:{lineno} -> {target}")
     assert not dead, "dead intra-repo links:\n" + "\n".join(dead)
+
+
+@pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
+def test_cited_python_paths_resolve(doc):
+    dead = []
+    for lineno, cited in _cited_py_paths(doc):
+        relative = f"src/{cited}" if cited.startswith("repro/") else cited
+        if not list(REPO_ROOT.glob(relative)):
+            dead.append(f"{doc.relative_to(REPO_ROOT)}:{lineno} -> {cited}")
+    assert not dead, "cited files that do not exist:\n" + "\n".join(dead)
+
+
+def test_the_citation_scan_finds_every_cited_path(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text("`repro/align/smith_waterman.py::smith_waterman`, "
+                   "`src/repro/realign/whd.py` and `python examples/x.py`\n"
+                   "```\n`tests/in_a_fence.py`\n```\n"
+                   "see `benchmarks/bench_figure9_*.py` (`perf/model.py`)\n")
+    assert list(_cited_py_paths(doc)) == [
+        (1, "repro/align/smith_waterman.py"), (1, "src/repro/realign/whd.py"),
+        (1, "examples/x.py"), (5, "benchmarks/bench_figure9_*.py")]

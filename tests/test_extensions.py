@@ -1,35 +1,6 @@
-"""Tests for the extension features: industry comparison, CLI."""
+"""Tests for the extension features: the CLI."""
 
-import pytest
-
-from repro.baselines.industry import (
-    RELATED_SYSTEMS,
-    amdahl_ceiling,
-    whole_analysis_advantage,
-)
 from repro.__main__ import build_parser, main as cli_main
-
-
-class TestIndustryComparison:
-    def test_amdahl_ceilings(self):
-        bounds = whole_analysis_advantage()
-        # Infinite Smith-Waterman speedup buys ~5%; IR buys up to 52%.
-        assert bounds["smith_waterman"] == pytest.approx(1 / 0.95)
-        assert bounds["indel_realignment"] == pytest.approx(1 / 0.66)
-        assert 1.4 < bounds["indel_realignment_at_81x"] < 1.52
-        assert bounds["indel_realignment"] > bounds["primary_alignment"] \
-            > bounds["smith_waterman"]
-
-    def test_amdahl_validation(self):
-        with pytest.raises(ValueError):
-            amdahl_ceiling(0.0)
-        with pytest.raises(ValueError):
-            amdahl_ceiling(0.5, 0)
-
-    def test_related_systems_include_dragen_and_this_work(self):
-        names = {s.name for s in RELATED_SYSTEMS}
-        assert "DRAGEN" in names
-        assert any("IR ACC" in n for n in names)
 
 
 class TestCli:

@@ -6,7 +6,6 @@ never silently corrupts results.
 """
 
 import functools
-import io
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from repro.core.system import (
     AcceleratedRealigner,
     SystemConfig,
 )
-from repro.genomics.fastq import FastqError, parse_fastq
 from repro.genomics.quality import QualityError, phred_from_ascii
 from repro.genomics.samlite import SamError, parse_read
 from repro.genomics.sequence import SequenceError, validate_bases
@@ -37,17 +35,6 @@ from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
 
 class TestMalformedTextInputs:
-    def test_binary_garbage_in_fastq(self):
-        with pytest.raises((FastqError, QualityError, SequenceError)):
-            list(parse_fastq(io.StringIO("@r\n\x00\x01\n+\nxx\n")))
-
-    def test_truncated_fastq_record(self):
-        # Header with a sequence but no separator/qualities: loud error.
-        with pytest.raises(FastqError):
-            list(parse_fastq(io.StringIO("@r\nACGT\n")))
-        with pytest.raises((FastqError, QualityError)):
-            list(parse_fastq(io.StringIO("@r\nACGT\nplus\n!!!!\n")))
-
     def test_sam_with_corrupt_flag(self):
         with pytest.raises(SamError):
             parse_read("r\tNaN\t1\t10\t60\t4M\t*\t0\t0\tACGT\t!!!!")

@@ -1,56 +1,10 @@
-"""Unit tests for somatic call filters and the roofline model."""
+"""Unit tests for the roofline model."""
 
 import numpy as np
 import pytest
 
 from repro.perf.roofline import RooflineModel, RooflinePoint, summarize
-from repro.variants.caller import VariantCall
-from repro.variants.filters import FilterConfig, apply_filters
 from repro.workloads.generator import BENCH_PROFILE, REAL_PROFILE, synthesize_site
-
-
-def call(pos=100, depth=30, alt=10, quality=90.0, chrom="1", ref="A",
-         alt_allele="T"):
-    return VariantCall(chrom, pos, ref, alt_allele, quality, depth, alt)
-
-
-class TestFilters:
-    def test_passes_clean_call(self):
-        report = apply_filters([call()])
-        assert len(report.passed) == 1
-
-    def test_depth_and_support_floors(self):
-        report = apply_filters([call(depth=3), call(alt=1), call(quality=5)])
-        assert report.passed == []
-        reasons = report.rejections_by_reason()
-        assert reasons == {"low_depth": 1, "low_alt_support": 1,
-                           "low_quality": 1}
-
-    def test_germline_fraction_filter(self):
-        config = FilterConfig(max_allele_fraction_for_somatic=0.4)
-        report = apply_filters([call(alt=25, depth=30)], config)
-        assert report.rejections_by_reason() == {"germline_fraction": 1}
-        # Disabled by default.
-        assert apply_filters([call(alt=25, depth=30)]).passed
-
-    def test_clustered_events_rejected(self):
-        calls = [call(pos=100 + i) for i in range(6)]
-        report = apply_filters(calls)
-        assert report.rejections_by_reason() == {"clustered_events": 6}
-
-    def test_sparse_calls_not_clustered(self):
-        calls = [call(pos=100), call(pos=400), call(pos=900)]
-        assert len(apply_filters(calls).passed) == 3
-
-    def test_cluster_respects_chromosomes(self):
-        calls = [call(pos=100, chrom=str(c)) for c in range(1, 7)]
-        assert len(apply_filters(calls).passed) == 6
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FilterConfig(min_depth=0)
-        with pytest.raises(ValueError):
-            FilterConfig(cluster_window=0)
 
 
 class TestRoofline:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw.arbiter import RoundRobinArbiter, contention_slowdown
+from repro.hw.arbiter import RoundRobinArbiter
 from repro.hw.axi import AXI4_DMA_PORT, AXILITE_CONTROL_PORT, AxiLiteBus, AxiPort
 from repro.hw.bram import blocks_for_buffer
 from repro.hw.clock import (
@@ -12,7 +12,7 @@ from repro.hw.clock import (
     F1_CLOCK_250MHZ,
     ClockRecipe,
 )
-from repro.hw.memory import DdrChannelModel, FpgaMemorySystem, PcieDmaModel
+from repro.hw.memory import DdrChannelModel, PcieDmaModel
 from repro.hw.resources import (
     VIRTEX_ULTRASCALE_PLUS_VU9P,
     ir_unit_bram36,
@@ -93,18 +93,10 @@ class TestMemoryModels:
         assert dma.transfer_seconds(0) == 0.0
         assert dma.transfer_seconds(8_000_000_000) == pytest.approx(1.0, rel=0.01)
 
-    def test_ddr_burst(self):
+    def test_ddr_capacity(self):
         ddr = DdrChannelModel()
-        assert ddr.burst_seconds(0) == 0.0
-        assert ddr.burst_seconds(1600) > ddr.access_latency_s
         assert ddr.fits(16 * 1024**3)
         assert not ddr.fits(17 * 1024**3)
-
-    def test_memory_system_single_channel(self):
-        system = FpgaMemorySystem()
-        assert system.capacity_bytes == 16 * 1024**3
-        with pytest.raises(ValueError):
-            FpgaMemorySystem(channels_instantiated=5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -180,9 +172,3 @@ class TestArbiter:
                     assert wait <= len(counts)
             last_seen[winner] = step
             remaining[winner] -= 1
-
-    def test_contention_slowdown(self):
-        assert contention_slowdown(8, 1) == 8.0
-        assert contention_slowdown(2, 4) == 1.0
-        with pytest.raises(ValueError):
-            contention_slowdown(0)

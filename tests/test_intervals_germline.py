@@ -1,27 +1,16 @@
-"""Unit tests for interval arithmetic and the germline genotyper."""
+"""Unit tests for interval arithmetic."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.genomics.cigar import Cigar
 from repro.genomics.intervals import (
     GenomicInterval,
     cluster_points,
     complement,
-    intersect,
     merge_intervals,
-    total_span,
 )
-from repro.genomics.read import Read
-from repro.genomics.reference import Contig, ReferenceGenome
-from repro.genomics.sequence import random_bases
-from repro.variants.germline import (
-    Genotype,
-    GenotyperConfig,
-    GermlineGenotyper,
-)
+from repro.genomics.reference import ReferenceGenome
 
 
 def iv(chrom, start, end):
@@ -46,18 +35,10 @@ class TestIntervals:
         merged = merge_intervals([iv("1", 0, 10), iv("2", 5, 15)])
         assert len(merged) == 2
 
-    def test_intersect(self):
-        result = intersect([iv("1", 0, 100)],
-                           [iv("1", 50, 150), iv("2", 0, 10)])
-        assert result == [iv("1", 50, 100)]
-
     def test_complement(self):
         reference = ReferenceGenome.from_dict({"1": "A" * 100})
         holes = complement([iv("1", 10, 20), iv("1", 50, 60)], reference)
         assert holes == [iv("1", 0, 10), iv("1", 20, 50), iv("1", 60, 100)]
-
-    def test_total_span_deduplicates(self):
-        assert total_span([iv("1", 0, 10), iv("1", 5, 15)]) == 15
 
     @given(st.lists(st.tuples(st.integers(0, 500), st.integers(1, 40)),
                     max_size=20))
@@ -90,60 +71,3 @@ class TestIntervals:
             cluster_points([1], -1, 0, 10, 10)
         with pytest.raises(ValueError):
             cluster_points([1], 0, 0, 10, 0)
-
-
-class TestGermlineGenotyper:
-    @pytest.fixture
-    def reference(self):
-        rng = np.random.default_rng(61)
-        return ReferenceGenome([Contig("1", random_bases(500, rng))])
-
-    def pileup_reads(self, reference, pos, alt_fraction, depth=20, alt=None):
-        window = reference.fetch("1", 100, 160)
-        ref_base = window[pos - 100]
-        alt = alt or ("A" if ref_base != "A" else "C")
-        reads = []
-        for i in range(depth):
-            bases = list(window)
-            if i < round(depth * alt_fraction):
-                bases[pos - 100] = alt
-            reads.append(Read(f"r{i}", "1", 100, "".join(bases),
-                              np.full(60, 35, np.uint8), Cigar.parse("60M")))
-        return reads, alt
-
-    def test_homozygous_alt(self, reference):
-        reads, alt = self.pileup_reads(reference, 130, alt_fraction=1.0)
-        calls = GermlineGenotyper(reference).call(reads)
-        assert len(calls) == 1
-        assert calls[0].genotype is Genotype.HOM_ALT
-        assert calls[0].alt == alt
-        assert calls[0].genotype_quality > 20
-
-    def test_heterozygous(self, reference):
-        reads, _ = self.pileup_reads(reference, 130, alt_fraction=0.5)
-        calls = GermlineGenotyper(reference).call(reads)
-        assert len(calls) == 1
-        assert calls[0].genotype is Genotype.HET
-
-    def test_clean_pileup_no_calls(self, reference):
-        reads, _ = self.pileup_reads(reference, 130, alt_fraction=0.0)
-        assert GermlineGenotyper(reference).call(reads) == []
-
-    def test_low_fraction_somatic_is_missed(self, reference):
-        """The regime the paper targets: a diploid germline model calls
-        10% allele fraction HOM_REF -- somatic calling needs the
-        dedicated caller."""
-        reads, _ = self.pileup_reads(reference, 130, alt_fraction=0.1,
-                                     depth=30)
-        assert GermlineGenotyper(reference).call(reads) == []
-
-    def test_depth_floor(self, reference):
-        reads, _ = self.pileup_reads(reference, 130, alt_fraction=1.0,
-                                     depth=4)
-        assert GermlineGenotyper(reference).call(reads) == []
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            GenotyperConfig(heterozygosity=0.7)
-        with pytest.raises(ValueError):
-            GenotyperConfig(min_depth=0)

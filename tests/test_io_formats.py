@@ -1,4 +1,4 @@
-"""Unit tests for FASTA, FASTQ, and SAM-lite IO."""
+"""Unit tests for FASTA and SAM-lite IO."""
 
 import io
 
@@ -10,14 +10,8 @@ from repro.genomics.fasta import (
     FastaError,
     parse_fasta,
     read_reference,
-    reference_to_string,
     write_fasta,
-)
-from repro.genomics.fastq import (
-    FastqError,
-    FastqRecord,
-    parse_fastq,
-    write_fastq,
+    write_reference,
 )
 from repro.genomics.read import Read
 from repro.genomics.reference import ReferenceGenome
@@ -52,49 +46,16 @@ class TestFasta:
 
     def test_reference_roundtrip(self):
         ref = ReferenceGenome.from_dict({"1": "ACGTT", "2": "GGG"})
-        text = reference_to_string(ref)
-        loaded = read_reference(io.StringIO(text))
+        text = io.StringIO()
+        write_reference(ref, text)
+        text.seek(0)
+        loaded = read_reference(text)
         assert loaded.contig("1").sequence == "ACGTT"
         assert loaded.contig("2").sequence == "GGG"
 
     def test_bad_line_width(self):
         with pytest.raises(ValueError):
             write_fasta([("a", "ACGT")], io.StringIO(), line_width=0)
-
-
-class TestFastq:
-    def test_roundtrip(self, tmp_path):
-        records = [
-            FastqRecord("r1", "ACGT", np.array([30, 31, 32, 33], np.uint8)),
-            FastqRecord("r2", "TT", np.array([2, 40], np.uint8)),
-        ]
-        path = tmp_path / "reads.fq"
-        write_fastq(records, path)
-        loaded = list(parse_fastq(path))
-        assert [r.name for r in loaded] == ["r1", "r2"]
-        assert loaded[0].quals.tolist() == [30, 31, 32, 33]
-
-    def test_length_mismatch_rejected(self):
-        text = "@r\nACGT\n+\n!!\n"
-        with pytest.raises(FastqError):
-            list(parse_fastq(io.StringIO(text)))
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(FastqError):
-            list(parse_fastq(io.StringIO("r\nACGT\n+\n!!!!\n")))
-
-    def test_record_validates_quals(self):
-        with pytest.raises(FastqError):
-            FastqRecord("r", "ACGT", np.array([30], np.uint8))
-
-    @pytest.mark.parametrize("as_array", [False, True])
-    @pytest.mark.parametrize("score", [300, 256, -1])
-    def test_record_range_checks_before_narrowing(self, score, as_array):
-        """300 narrowed to uint8 first would pass as 44."""
-        quals = [30, score, 30, 30]
-        with pytest.raises(FastqError, match="'wide'"):
-            FastqRecord("wide", "ACGT", np.array(quals) if as_array else quals)
-        assert FastqRecord("edge", "AC", [0, 93]).quals.dtype == np.uint8
 
 
 class TestSamLite:

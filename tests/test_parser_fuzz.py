@@ -7,8 +7,9 @@ Three properties (ROADMAP 8(b)):
   with random character edits (replace, insert, delete -- tabs,
   newlines, digits, bases, Phred characters and non-ASCII text
   included) either returns a batch whose reads build, or raises a
-  ``ValueError`` of a documented type. With ``locate`` that error is a
-  :class:`~repro.genomics.samlite.SamError` reading
+  :class:`~repro.genomics.samlite.SamError`, whose ``__cause__``, if
+  any, is a field decoder's error or a ``Read`` invariant's
+  ``ValueError``. With ``locate`` it reads
   ``"<located line>: <the unlocated error>"``, and the located line
   alone raises the unlocated error;
 - :meth:`Cigar.parse <repro.genomics.cigar.Cigar.parse>` on any text
@@ -45,10 +46,14 @@ relaxed = settings(deadline=None,
 SAMPLE = simulate_sample({"chrF": 3000}, seed=7)
 LINES = [format_read(read) for read in SAMPLE.reads]
 
-#: What ``scan_lines`` may raise without ``locate``: the parser's own
-#: error, a field decoder's, or the plain ``ValueError`` a ``Read``
-#: raises for its own invariants (quality count, MAPQ range).
-SCAN_ERRORS = (SamError, CigarError, QualityError, SequenceError, ValueError)
+#: What ``scan_lines`` may raise without ``locate``: its own error, and
+#: nothing else.
+SCAN_ERRORS = (SamError,)
+
+#: What that error's ``__cause__`` may be: a field decoder's error, or
+#: the plain ``ValueError`` a ``Read`` raises for its own invariants
+#: (quality count, MAPQ range); None when the parser found it itself.
+SCAN_CAUSES = (type(None), CigarError, QualityError, SequenceError, ValueError)
 
 #: Characters an edit draws from: every field's alphabet, the field and
 #: line separators, and text outside ASCII and outside Phred+33.
@@ -98,12 +103,14 @@ def test_scan_lines_raises_only_documented_errors(lines, with_reference):
         assert located is None
         return
     assert type(error) in SCAN_ERRORS, repr(error)
+    assert type(error.__cause__) in SCAN_CAUSES, repr(error.__cause__)
     assert type(located) is SamError, repr(located)
     prefix, _, message = str(located).partition(": ")
     assert message == str(error)
     row = int(prefix.removeprefix("line "))
     alone = _raised(lambda: scan_lines([lines[row]], reference))
     assert type(alone) is type(error) and str(alone) == str(error)
+    assert type(alone.__cause__) is type(error.__cause__)
 
 
 @relaxed

@@ -27,7 +27,6 @@ from repro.perf.pipelines import (
     refinement_breakdown,
     stage_hours,
 )
-from repro.workloads.chromosomes import CHROMOSOME_CENSUS, census_for
 from repro.workloads.generator import synthesize_site
 
 
@@ -69,12 +68,6 @@ class TestGatk3Model:
         t16 = model.seconds_for_comparisons(1e9, threads=16)
         assert t4 == pytest.approx(2 * t8)
         assert t16 == t8
-
-    def test_per_chromosome_proportional_to_census(self):
-        model = Gatk3PerformanceModel.calibrated()
-        small = model.seconds_for_chromosome(census_for("21"))
-        large = model.seconds_for_chromosome(census_for("2"))
-        assert large > small
 
     def test_baseline_wraps_model(self):
         baseline = Gatk3Baseline()

@@ -12,10 +12,8 @@ from repro.genomics.quality import (
     PHRED_OFFSET,
     QualityError,
     clamp_phred,
-    error_prob_to_phred,
     phred_from_ascii,
     phred_to_ascii,
-    phred_to_error_prob,
 )
 
 
@@ -161,13 +159,16 @@ class TestCodecAgainstItsDefinition:
     def test_non_ascii_quality_text_is_a_quality_error(self):
         """The served path calls the batch parser, ``parse_lines``, with
         no ``parse_sam`` around it to retype a ``UnicodeEncodeError``;
-        ``parse_read`` is that parser on a batch of one."""
-        from repro.genomics.samlite import parse_read
+        ``parse_read`` is that parser on a batch of one, and raises the
+        ``QualityError`` as the cause of its ``SamError``."""
+        from repro.genomics.samlite import SamError, parse_read
 
         with pytest.raises(QualityError, match="outside Phred\\+33 range: 'é'"):
             phred_from_ascii("é")
-        with pytest.raises(QualityError):
+        with pytest.raises(SamError,
+                           match="outside Phred\\+33 range") as caught:
             parse_read("r\t0\t1\t10\t60\t4M\t*\t0\t0\tACGT\tIIIé")
+        assert isinstance(caught.value.__cause__, QualityError)
 
     def test_encoding_takes_no_python_step_per_base(self, monkeypatch):
         def refuse(*_args):
@@ -176,32 +177,6 @@ class TestCodecAgainstItsDefinition:
         monkeypatch.setattr(quality_module, "chr", refuse, raising=False)
         monkeypatch.setattr(quality_module, "int", refuse, raising=False)
         assert phred_to_ascii(np.zeros(10 ** 6, np.uint8)) == "!" * 10 ** 6
-
-
-class TestProbabilities:
-    def test_q10_is_ten_percent(self):
-        assert phred_to_error_prob(10) == pytest.approx(0.1)
-
-    def test_q60_is_one_in_a_million(self):
-        assert phred_to_error_prob(60) == pytest.approx(1e-6)
-
-    def test_inverse(self):
-        assert error_prob_to_phred(0.001) == pytest.approx(30.0)
-
-    def test_negative_score_rejected(self):
-        with pytest.raises(QualityError):
-            phred_to_error_prob(-1)
-
-    def test_bad_probability_rejected(self):
-        with pytest.raises(QualityError):
-            error_prob_to_phred(0.0)
-        with pytest.raises(QualityError):
-            error_prob_to_phred(1.5)
-
-    @given(st.integers(0, MAX_PHRED))
-    def test_prob_phred_roundtrip(self, score):
-        prob = phred_to_error_prob(score)
-        assert error_prob_to_phred(prob) == pytest.approx(score, abs=1e-9)
 
 
 class TestClamp:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.genomics.cigar import Cigar
-from repro.genomics.read import Read, coordinate_key
+from repro.genomics.read import Read
 
 
 def make_read(name="r", chrom="1", pos=100, seq="ACGTACGT", cigar="8M",
@@ -126,13 +126,3 @@ class TestUpdates:
     def test_with_quals(self):
         updated = make_read().with_quals(np.full(8, 11, np.uint8))
         assert updated.quals.tolist() == [11] * 8
-
-
-class TestCoordinateKey:
-    def test_orders_mapped_before_unmapped(self):
-        mapped = make_read()
-        unmapped = Read("u", None, 0, "ACGT", np.full(4, 20, np.uint8))
-        assert coordinate_key(mapped) < coordinate_key(unmapped)
-
-    def test_orders_by_position(self):
-        assert coordinate_key(make_read(pos=5)) < coordinate_key(make_read(pos=9))

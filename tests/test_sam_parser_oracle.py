@@ -9,8 +9,10 @@ batch parser must give
 
 - on a valid batch, the same reads, every field and ``quals`` element
   by element;
-- on an invalid one, the reference's first error: the same type and
-  message raw, ``sam[i]: ...`` as a served job reports it, and
+- on an invalid one, the reference's first error: raw, a
+  :class:`~repro.genomics.samlite.SamError` with the same message whose
+  ``__cause__`` is the reference's error unless that is a ``SamError``
+  itself; ``sam[i]: ...`` as a served job reports it; and
   ``path:line: ...`` from a file read in chunks of a few lines with
   header and blank lines among the reads.
 
@@ -278,10 +280,11 @@ def test_batch_parser_matches_the_per_line_reference(lines, chunk, extra):
         return
     index, error = failure
     for parse in (samlite.parse_lines, samlite.scan_lines):
-        with pytest.raises(ValueError) as raw:
+        with pytest.raises(SamError) as raw:
             parse(lines, REFERENCE)
-        assert type(raw.value) is type(error)
         assert str(raw.value) == str(error)
+        assert type(raw.value.__cause__) is (
+            type(None) if type(error) is SamError else type(error))
         with pytest.raises(SamError) as served:
             parse(lines, REFERENCE, "sam[{}]".format)
         assert str(served.value) == f"sam[{index}]: {error}"

@@ -9,11 +9,7 @@ import repro.genomics.sequence as sequence_module
 from repro.genomics.sequence import (
     BASES,
     SequenceError,
-    complement,
-    gc_content,
-    hamming_distance,
     random_bases,
-    reverse_complement,
     seq_to_array,
     validate_bases,
 )
@@ -98,24 +94,6 @@ class TestArrayConversion:
         assert seq_to_array(seq).tobytes().decode("ascii") == seq
 
 
-class TestComplement:
-    def test_single_base(self):
-        assert complement("A") == "T"
-        assert complement("G") == "C"
-        assert complement("N") == "N"
-
-    def test_invalid_base(self):
-        with pytest.raises(SequenceError):
-            complement("Q")
-
-    def test_reverse_complement(self):
-        assert reverse_complement("AACGT") == "ACGTT"
-
-    @given(bases_text)
-    def test_reverse_complement_involution(self, seq):
-        assert reverse_complement(reverse_complement(seq)) == seq
-
-
 class TestRandomBases:
     def test_length_and_alphabet(self):
         seq = random_bases(500, np.random.default_rng(0))
@@ -130,24 +108,3 @@ class TestRandomBases:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             random_bases(-1, np.random.default_rng(0))
-
-
-class TestStats:
-    def test_gc_content(self):
-        assert gc_content("GGCC") == 1.0
-        assert gc_content("AATT") == 0.0
-        assert gc_content("ACGT") == 0.5
-
-    def test_gc_content_ignores_n(self):
-        assert gc_content("GCNN") == 1.0
-
-    def test_gc_content_empty(self):
-        assert gc_content("NNN") == 0.0
-
-    def test_hamming_distance(self):
-        assert hamming_distance("ACGT", "ACGA") == 1
-        assert hamming_distance("AAAA", "TTTT") == 4
-
-    def test_hamming_distance_length_mismatch(self):
-        with pytest.raises(ValueError):
-            hamming_distance("ACG", "ACGT")

@@ -1,4 +1,4 @@
-"""Unit tests for the somatic caller, VCF output, and truth evaluation."""
+"""Unit tests for the somatic caller and truth evaluation."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.genomics.variants import Variant, VariantKind
 from repro.refinement.pipeline import RefinementPipeline
 from repro.variants.caller import CallerConfig, SomaticCaller, VariantCall
 from repro.variants.evaluation import evaluate_calls
-from repro.variants.vcf import format_vcf
 
 
 def make_read(name, pos, seq, cigar=None, qual=35):
@@ -89,20 +88,6 @@ class TestIndelCalling:
             CallerConfig(min_allele_fraction=2.0)
 
 
-class TestVcf:
-    def make_call(self):
-        return VariantCall("1", 99, "A", "ATT", 90.0, depth=30, alt_count=9)
-
-    def test_format_one_based(self):
-        text = format_vcf([self.make_call()])
-        record = [l for l in text.splitlines() if not l.startswith("#")][0]
-        assert record.split("\t")[1] == "100"
-        assert "DP=30" in record and "AC=9" in record
-
-    def test_allele_fraction(self):
-        assert self.make_call().allele_fraction == pytest.approx(0.3)
-
-
 class TestEvaluation:
     def test_exact_snp_match(self):
         truth = [Variant("1", 50, "A", "T")]
@@ -148,22 +133,3 @@ class TestEndToEndAccuracy:
                               sample.truth_variants)
         assert len(post.false_positives) < len(raw.false_positives)
         assert post.precision > raw.precision
-
-    def test_filters_after_realignment_remove_residual_artifacts(self):
-        """Hard filters mop up the residuals the 256-read hardware cap
-        leaves behind (clustered mismatch events), at little recall
-        cost."""
-        from repro.variants.filters import apply_filters
-
-        profile = SimulationProfile(indel_rate=8e-4, snp_rate=1e-3,
-                                    coverage=40, hotspot_mass=0.1)
-        sample = simulate_sample({"1": 25_000}, profile=profile, seed=11)
-        caller = SomaticCaller(sample.reference)
-        refined = RefinementPipeline(sample.reference).run(sample.reads)
-        post_calls = caller.call(refined.reads)
-        post = evaluate_calls(post_calls, sample.truth_variants)
-        final = evaluate_calls(apply_filters(post_calls).passed,
-                               sample.truth_variants)
-        assert final.precision >= post.precision
-        assert final.recall >= post.recall - 0.1
-        assert final.f1 > post.f1

@@ -12,7 +12,6 @@ from repro.workloads.chromosomes import (
     CHROMOSOME_CENSUS,
     GRCH37_LENGTHS,
     census_for,
-    total_targets,
 )
 from repro.workloads.generator import (
     BENCH_PROFILE,
@@ -65,8 +64,7 @@ class TestCensus:
         total_reads = sum(c.reads for c in CHROMOSOME_CENSUS)
         assert total_reads == pytest.approx(763_275_063, rel=1e-6)
 
-    def test_total_and_lookup(self):
-        assert total_targets() == sum(c.ir_targets for c in CHROMOSOME_CENSUS)
+    def test_unknown_chromosome_lookup_raises(self):
         with pytest.raises(KeyError):
             census_for("X")
 
