@@ -1,7 +1,8 @@
 """Request plane vs direct engine: serving-overhead benchmarks.
 
 One site pool (``REPRO_BENCH_SITES`` sites, default 96) runs twice
-over the same inline engine:
+over the same default engine (the ``native`` kernel, one unit thread
+per CPU), the plane users run:
 
 - ``serve_direct_engine``  -- one ``Engine.run_sites`` call: the
   batch-CLI cost of the workload, no request plane;
@@ -37,9 +38,6 @@ from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
 from conftest import bench_sites
 
-#: Kernel pinned so the committed baseline (BENCH_serve.json) keeps
-#: measuring the same plane; kernel routing is benched elsewhere.
-POOL_KERNEL = "fft"
 COMPLEXITIES = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 
 #: Sites per request job -- small on purpose: many concurrent small
@@ -99,7 +97,7 @@ def _run_service(engine, jobs):
 
 def test_serve_direct_engine(benchmark):
     sites = _site_pool()
-    with Engine(EngineConfig(kernel=POOL_KERNEL)) as engine:
+    with Engine(EngineConfig()) as engine:
         results = benchmark(engine.run_sites, sites)
     assert len(results) == len(sites)
 
@@ -107,7 +105,7 @@ def test_serve_direct_engine(benchmark):
 def test_serve_request_plane(benchmark):
     sites = _site_pool()
     jobs = _jobs(sites)
-    with Engine(EngineConfig(kernel=POOL_KERNEL)) as engine:
+    with Engine(EngineConfig()) as engine:
         results, snapshot = benchmark(_run_service, engine, jobs)
     assert len(results) == len(sites)
     assert snapshot.counters["serve.requests_completed"] == len(jobs)
@@ -135,7 +133,7 @@ def test_serve_gate():
     host speed divides out (docs/SERVING.md)."""
     sites = _site_pool()
     jobs = _jobs(sites)
-    with Engine(EngineConfig(kernel=POOL_KERNEL)) as engine:
+    with Engine(EngineConfig()) as engine:
         # Byte-identity first: a coalesced batch of strangers must
         # realign every site exactly as the direct call does.
         want = engine.run_sites(sites)

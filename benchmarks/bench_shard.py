@@ -31,9 +31,6 @@ from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
 from conftest import bench_sites
 
-#: Kernel pinned so this module keeps measuring the same plane as
-#: BENCH_serve.json; kernel routing is benched elsewhere.
-POOL_KERNEL = "fft"
 COMPLEXITIES = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 
 #: Sites per chunk -- the engine's dispatch unit.
@@ -49,7 +46,7 @@ WARM_SPEEDUP = 3.0
 
 
 def _engine_config():
-    return EngineConfig(kernel=POOL_KERNEL, batch=CHUNK_SITES)
+    return EngineConfig(batch=CHUNK_SITES)
 
 
 def _site_pool():

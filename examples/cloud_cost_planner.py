@@ -9,8 +9,6 @@ throughput from a sampled workload.
 Run:  python examples/cloud_cost_planner.py
 """
 
-import numpy as np
-
 from repro.baselines.adam import AdamBaseline
 from repro.baselines.gatk3 import Gatk3Baseline
 from repro.core.system import AcceleratedIRSystem, SystemConfig

@@ -16,7 +16,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.baselines.gatk3 import Gatk3Baseline
-from repro.core.system import AcceleratedIRSystem, AcceleratedRealigner, SystemConfig
+from repro.core.system import AcceleratedRealigner, SystemConfig
 from repro.genomics.cigar import Cigar
 from repro.genomics.read import Read
 from repro.genomics.reference import Contig, ReferenceGenome

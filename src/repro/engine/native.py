@@ -35,12 +35,19 @@ shared library and called through ``ctypes``: one call per site, with
 the GIL released for all of it, so engine threads run sites
 concurrently.
 
+The same library holds the served job's check, ``repro_scan_sam``
+(:func:`sam_checker`): one pass over a ``realign`` body's bytes that
+accepts only what :func:`repro.genomics.samlite.scan_lines` accepts,
+and says whether some mapped read's CIGAR carries an INDEL, so the
+server answers a job no INDEL can change without decoding it.
+
 It is not required: when no C compiler works, every entry point
 degrades to the interpreted bitpack kernel, counting
 ``kernel.native.unavailable`` in telemetry and logging one warning
 that says why (disabled, no compiler, the build's first error line, a
 load error) -- never an error (the ``REPRO_NATIVE=off`` CI pass pins
-this). The ``REPRO_NATIVE`` environment variable disables the tier
+this); :func:`sam_checker` returns ``None``, and the server scans every
+body in Python. The ``REPRO_NATIVE`` environment variable disables the tier
 (``off``) or leaves the default probe (``auto``); any other value is a
 ``ValueError``.
 
@@ -76,7 +83,7 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -101,6 +108,7 @@ _NATIVE_MODES = ("auto",) + _OFF_MODES
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 static const uint64_t EVEN = 0x5555555555555555ULL;
 static const int64_t WHD_SENTINEL = 2147483647;
@@ -324,6 +332,134 @@ int64_t repro_native_site(
     free(scratch);
     return exact;
 }
+
+/* ---- a served job's one-pass check (repro_scan_sam) ---- */
+
+/* 1 for a nonzero byte, else 0, in byte-wide operations only. */
+static inline uint8_t nonzero(uint8_t x)
+{
+    return (uint8_t)(x | (uint8_t)(0 - x)) >> 7;
+}
+
+/* 1..max plain ASCII digits as their value; -1 for anything else (a
+ * sign, a space, '_', an empty field, more digits than max). */
+static int64_t plain_digits(const uint8_t *s, int64_t len, int64_t max)
+{
+    int64_t value = 0;
+    if (len < 1 || len > max)
+        return -1;
+    for (int64_t i = 0; i < len; i++) {
+        if (s[i] < '0' || s[i] > '9')
+            return -1;
+        value = value * 10 + (s[i] - '0');
+    }
+    return value;
+}
+
+/* One alignment line, its fields 0..10 at at[f] for len[f] bytes,
+ * checked as scan_lines checks it: -1 declines, else whether a mapped
+ * read's CIGAR carries an I or D. */
+static int64_t scan_line(const uint8_t **at, const int64_t *len,
+    const uint8_t *names, const int64_t *name_at, const int64_t *contig_len,
+    int64_t num_contigs)
+{
+    const int64_t flag = plain_digits(at[1], len[1], 18);
+    const int64_t pos = plain_digits(at[3], len[3], 18);
+    const int64_t mapq = plain_digits(at[4], len[4], 18);
+    if (flag < 0 || pos < 0 || mapq < 0 || mapq > 254 || len[9] != len[10])
+        return -1;
+    /* bases in ACGTN, qualities in '!'..'~': reductions that the
+     * compiler vectorises (byte-wide, no branch, no table) */
+    uint8_t bad = 0;
+    const uint8_t *bases = at[9], *quals = at[10];
+    for (int64_t i = 0; i < len[9]; i++) {
+        const uint8_t b = bases[i];
+        bad |= nonzero(b ^ 'A') & nonzero(b ^ 'C') & nonzero(b ^ 'G')
+               & nonzero(b ^ 'T') & nonzero(b ^ 'N');
+    }
+    for (int64_t i = 0; i < len[10]; i++)
+        bad |= (uint8_t)(quals[i] - '!') > '~' - '!';
+    if (bad)
+        return -1;
+    /* unmapped: scan_lines checks neither its RNAME nor its CIGAR */
+    if (flag & 4 || (len[2] == 1 && at[2][0] == '*')
+        || (len[5] == 1 && at[5][0] == '*'))
+        return 0;
+    int64_t read_len = 0, ref_len = 0, indel = 0;
+    const uint8_t *c = at[5], *stop = at[5] + len[5];
+    if (c == stop || pos < 1)
+        return -1;
+    while (c < stop) {
+        const uint8_t *digits = c;
+        while (c < stop && *c >= '0' && *c <= '9')
+            c++;
+        const int64_t n = plain_digits(digits, c - digits, 9);
+        if (n < 1 || c == stop)
+            return -1;
+        switch (*c++) {
+        case 'M': read_len += n; ref_len += n; break;
+        case 'I': read_len += n; indel = 1; break;
+        case 'D': ref_len += n; indel = 1; break;
+        case 'S': read_len += n; break;
+        default: return -1;
+        }
+    }
+    if (read_len != len[9])
+        return -1;
+    int64_t k = 0;
+    while (k < num_contigs && (name_at[k + 1] - name_at[k] != len[2]
+           || memcmp(names + name_at[k], at[2], (size_t)len[2]) != 0))
+        k++;
+    if (k == num_contigs)
+        return -1;
+    return pos - 1 + ref_len <= contig_len[k] ? indel : -1;
+}
+
+/* A served job's body -- its SAM lines joined by '\n' -- checked in one
+ * pass: -1 declines it, 0 accepts it with no INDEL, 1 with one.  It
+ * accepts only bodies scan_lines accepts, with the same has_indel, and
+ * declines what it is unsure of: any byte >= 0x80 (so every body it
+ * accepts is UTF-8), an empty line, a trailing newline, a numeric field
+ * that is not 1..18 plain digits.  The contigs are names[name_at[k] ..
+ * name_at[k + 1]) of contig_len[k] bases. */
+int64_t repro_scan_sam(const uint8_t *body, int64_t n, const uint8_t *names,
+    const int64_t *name_at, const int64_t *contig_len, int64_t num_contigs)
+{
+    uint8_t high = 0;
+    for (int64_t i = 0; i < n; i++)
+        high |= body[i];
+    if (high & 0x80)
+        return -1;
+    int64_t verdict = 0;
+    const uint8_t *p = body, *end = body + n;
+    while (p < end) {
+        const uint8_t *eol = memchr(p, '\n', (size_t)(end - p));
+        if (eol == NULL)
+            eol = end;
+        else if (eol + 1 == end)
+            return -1;
+        const uint8_t *at[11];
+        int64_t len[11];
+        for (int f = 0; f < 11; f++) {
+            const uint8_t *tab = memchr(p, '\t', (size_t)(eol - p));
+            if (tab == NULL) {
+                if (f < 10)
+                    return -1;  /* fewer than 11 fields */
+                tab = eol;
+            }
+            at[f] = p;
+            len[f] = tab - p;
+            p = tab + 1;
+        }
+        const int64_t line = scan_line(at, len, names, name_at, contig_len,
+                                       num_contigs);
+        if (line < 0)
+            return -1;
+        verdict |= line;
+        p = eol + 1;
+    }
+    return verdict;
+}
 """
 
 _CC_FLAGS = ["-O3", "-march=native", "-funroll-loops", "-std=c99",
@@ -357,6 +493,10 @@ class _CcBackend:
             array(np.int64), array(np.int64),
         ]
         self.site.restype = i64
+        self.scan = lib.repro_scan_sam
+        self.scan.argtypes = [ctypes.c_char_p, i64, ctypes.c_char_p,
+                              array(np.int64), array(np.int64), i64]
+        self.scan.restype = i64
 
 
 def _find_cc() -> Optional[str]:
@@ -634,7 +774,43 @@ def realign_site_native(
     )
 
 
+# ---------------------------------------------------------------------
+# the served job's check
+# ---------------------------------------------------------------------
+
+#: :func:`sam_checker` verdicts on a ``realign`` body.
+SCAN_DECLINED, SCAN_NO_INDEL, SCAN_INDEL = -1, 0, 1
+
+
+def sam_checker(reference) -> Optional[Callable[[bytes], int]]:
+    """The compiled one-pass check of a served job's body (its SAM lines
+    joined by ``"\\n"``, as bytes) against ``reference``, or ``None``
+    when no compiled backend is usable.
+
+    The check returns :data:`SCAN_NO_INDEL` or :data:`SCAN_INDEL` only
+    for a body whose lines :func:`~repro.genomics.samlite.scan_lines`
+    accepts with that ``has_indel``; it returns :data:`SCAN_DECLINED`
+    for anything it is unsure of (any byte >= 0x80, an empty line or a
+    trailing newline, a numeric field that is not 1..18 plain digits, a
+    CIGAR outside ``(\\d+[MIDS])+`` with positive lengths, ...), which
+    the caller then scans in Python.
+    """
+    backend = get_backend()
+    if backend is None:
+        return None
+    names = [contig.name.encode("utf-8", "surrogatepass")
+             for contig in reference]
+    blob = b"".join(names)
+    name_at = np.cumsum([0, *map(len, names)], dtype=np.int64)
+    lengths = np.array([len(contig) for contig in reference], dtype=np.int64)
+    scan, count = backend.scan, len(names)
+    return lambda body: scan(body, len(body), blob, name_at, lengths, count)
+
+
 __all__ = [
+    "SCAN_DECLINED",
+    "SCAN_INDEL",
+    "SCAN_NO_INDEL",
     "get_backend",
     "min_whd_grid_native",
     "native_available",
@@ -642,5 +818,6 @@ __all__ = [
     "native_mode",
     "realign_site_native",
     "reset_backend",
+    "sam_checker",
     "warmup_native",
 ]

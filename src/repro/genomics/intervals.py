@@ -1,84 +1,10 @@
-"""Genomic interval arithmetic.
-
-Half-open ``(chrom, start, end)`` intervals with the operations the
-pipeline's interval-shaped stages need: normalisation (sort + merge),
-complement against a reference, and point-cluster flushing (the
-primitive under IR target creation).
+"""Genomic interval arithmetic: point-cluster flushing, the primitive
+under IR target creation (:mod:`repro.realign.targets`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
-
-from repro.genomics.reference import ReferenceGenome
-
-
-@dataclass(frozen=True, order=True)
-class GenomicInterval:
-    """One 0-based half-open interval."""
-
-    chrom: str
-    start: int
-    end: int
-
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
-            raise ValueError(
-                f"invalid interval {self.chrom}:{self.start}-{self.end}"
-            )
-
-    @property
-    def span(self) -> int:
-        return self.end - self.start
-
-    def overlaps(self, other: "GenomicInterval") -> bool:
-        return (self.chrom == other.chrom
-                and self.start < other.end and other.start < self.end)
-
-    def contains(self, chrom: str, pos: int) -> bool:
-        return chrom == self.chrom and self.start <= pos < self.end
-
-
-def merge_intervals(
-    intervals: Iterable[GenomicInterval], gap: int = 0
-) -> List[GenomicInterval]:
-    """Sort and merge intervals closer than ``gap`` (0 = touching)."""
-    if gap < 0:
-        raise ValueError("gap must be non-negative")
-    merged: List[GenomicInterval] = []
-    for interval in sorted(intervals):
-        if (merged
-                and merged[-1].chrom == interval.chrom
-                and interval.start <= merged[-1].end + gap):
-            last = merged.pop()
-            merged.append(GenomicInterval(
-                last.chrom, last.start, max(last.end, interval.end)
-            ))
-        else:
-            merged.append(interval)
-    return merged
-
-
-def complement(
-    intervals: Sequence[GenomicInterval], reference: ReferenceGenome
-) -> List[GenomicInterval]:
-    """Reference regions *not* covered by ``intervals``."""
-    merged = merge_intervals(intervals)
-    by_chrom: Dict[str, List[GenomicInterval]] = {}
-    for interval in merged:
-        by_chrom.setdefault(interval.chrom, []).append(interval)
-    result: List[GenomicInterval] = []
-    for contig in reference:
-        cursor = 0
-        for interval in by_chrom.get(contig.name, []):
-            if interval.start > cursor:
-                result.append(GenomicInterval(contig.name, cursor,
-                                              interval.start))
-            cursor = max(cursor, interval.end)
-        if cursor < len(contig):
-            result.append(GenomicInterval(contig.name, cursor, len(contig)))
-    return result
+from typing import List, Sequence, Tuple
 
 
 def cluster_points(

@@ -14,6 +14,9 @@ request's client-chosen ``id``, so one connection pipelines many
 requests. A failure is ``{"id", "ok": false, "status", "error"}``, its
 status mirroring a :mod:`repro.serve.request` exception.
 
+The server's reader (:func:`read_message`) keeps a ``realign``'s body
+as bytes, for its compiled check, and decodes it only when it must.
+
 A header with a valid ``sam_bytes`` always has its body read, whatever
 else is wrong with it, so the next frame is still answered. An invalid
 one leaves no way to find the next frame: one error reply, and the
@@ -108,18 +111,27 @@ def _header(line: bytes) -> Tuple[dict, Optional[int]]:
     return message, length
 
 
-def _with_body(message: dict, body: Optional[bytes]) -> dict:
-    """The message, with its body's lines under ``sam``."""
+def body_lines(body: bytes, request_id=None) -> list:
+    """A body's lines; :class:`ProtocolError` if it is not UTF-8."""
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise ProtocolError(f"sam body is not UTF-8: {error}",
+                            request_id) from None
+    return text.split("\n") if text else []
+
+
+def _with_body(message: dict, body: Optional[bytes],
+               decode: bool = True) -> dict:
+    """The message, with its body's lines under ``sam``; without
+    ``decode``, a ``realign``'s body stays the bytes it came as."""
     if "sam" in message:
         raise ProtocolError("'sam' travels as the frame's body, not in "
                             "its header", message.get("id"))
-    if body is not None:
-        try:
-            text = body.decode("utf-8")
-        except UnicodeDecodeError as error:
-            raise ProtocolError(f"sam body is not UTF-8: {error}",
-                                message.get("id")) from None
-        message["sam"] = text.split("\n") if text else []
+    if body is not None and not decode and message.get("op") == "realign":
+        message["sam"] = body
+    elif body is not None:
+        message["sam"] = body_lines(body, message.get("id"))
     return message
 
 
@@ -137,7 +149,10 @@ def decode_message(frame: bytes) -> dict:
 
 async def read_message(reader) -> Optional[dict]:
     """Read one frame from an ``asyncio.StreamReader``; None at EOF,
-    inside a body too."""
+    inside a body too. A ``realign``'s ``sam`` is its body's bytes,
+    which the server checks before it decodes them
+    (:func:`body_lines`); any other body is decoded here, as
+    :func:`decode_message` decodes it."""
     line = await reader.readline()
     if not line:
         return None
@@ -146,7 +161,7 @@ async def read_message(reader) -> Optional[dict]:
         body = None if length is None else await reader.readexactly(length)
     except asyncio.IncompleteReadError:
         return None
-    return _with_body(message, body)
+    return _with_body(message, body, decode=False)
 
 
 def error_response(request_id, status: str, error: str) -> dict:
@@ -159,6 +174,7 @@ __all__ = [
     "MAX_MESSAGE_BYTES",
     "ProtocolError",
     "STATUSES",
+    "body_lines",
     "decode_message",
     "encode_message",
     "error_response",

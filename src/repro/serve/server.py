@@ -9,7 +9,10 @@ building, CPU-bound, run on the default executor so the loop stays
 responsive) and the *back half* (applying kernel decisions to reads);
 the kernel itself runs wherever the engine says -- inline, or on its
 worker pool behind a bounded window. A job whose CIGARs carry no INDEL
-runs neither half: it is checked and answered with nothing moved.
+runs neither half: it is checked and answered with nothing moved. The
+check is one pass of the compiled library over the job's bytes
+(:func:`repro.engine.native.sam_checker`); a body it declines, or any
+body without the compiled tier, is decoded and scanned in Python.
 
 The optional startup canary (:mod:`repro.serve.canary`) routes the toy
 evaluation scenario through this exact serving path before the first
@@ -23,6 +26,7 @@ import asyncio
 import math
 from typing import Optional, Set, Tuple
 
+from repro.engine.native import SCAN_DECLINED, SCAN_NO_INDEL, sam_checker
 from repro.genomics.reference import ReferenceGenome
 from repro.genomics.samlite import scan_lines
 from repro.realign.realigner import (
@@ -33,6 +37,7 @@ from repro.realign.realigner import (
 from repro.serve.protocol import (
     MAX_MESSAGE_BYTES,
     ProtocolError,
+    body_lines,
     encode_message,
     error_response,
     read_message,
@@ -85,6 +90,8 @@ class RealignmentServer:
 
         self.reference = reference
         self.realigner = IndelRealigner(reference)
+        #: The compiled check of a job's body; None without the tier.
+        self._check = sam_checker(reference)
         self.service = RealignmentService(
             engine if engine is not None else EngineConfig(),
             config=service_config,
@@ -219,14 +226,23 @@ class RealignmentServer:
     async def _handle_realign(self, request_id, message) -> dict:
         loop = asyncio.get_running_loop()
         start = loop.time()
-        lines = message.get("sam")  # only ever a body's lines
-        if lines is None:
+        body = message.get("sam")  # only ever a body's bytes
+        if body is None:
             raise ProtocolError("realign sends its lines as the frame's "
                                 "body: the header needs 'sam_bytes'")
+        verdict = None if self._check is None else self._check(body)
+        if verdict == SCAN_DECLINED:
+            self.service.note_declined()
+        # The check accepts only ASCII. A body it did not accept is
+        # decoded here, before the header's fields are read, so a
+        # non-UTF-8 one fails first, as when the read path decoded it.
+        lines = None if verdict == SCAN_NO_INDEL else body_lines(body,
+                                                                 request_id)
         tenant = str(message.get("tenant", DEFAULT_TENANT))
         deadline_s = _deadline_s(message.get("deadline_s"))
-        batch = scan_lines(lines, self.reference, "sam[{}]".format)
-        if batch.has_indel:
+        batch = (None if lines is None
+                 else scan_lines(lines, self.reference, "sam[{}]".format))
+        if batch is not None and batch.has_indel:
             reads = batch.reads()
             # Front half off the loop: target identification + consensus
             # generation are pure CPU.

@@ -301,6 +301,11 @@ class RealignmentService:
             self._retire(job)
 
     # -- bookkeeping ----------------------------------------------------
+    def note_declined(self) -> None:
+        """Count a ``realign`` body the server's compiled check declined,
+        which the Python scan then checked: ``serve.requests_declined``."""
+        self._count("serve.requests_declined", 1)
+
     def _count(self, name: str, delta: int) -> None:
         self.counters[name] = self.counters.get(name, 0) + delta
 
@@ -325,6 +330,7 @@ class RealignmentService:
         if self._saturated_since is not None:
             saturated_us += int((now - self._saturated_since) * 1e6)
         counters = dict(self.counters)
+        counters.setdefault("serve.requests_declined", 0)
         counters["serve.saturated_us"] = saturated_us
         counters.update(getattr(self.engine, "stream_stats", {}))
         cache_hit_rate = 0.0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.buffers import (
-    BLOCK_BYTES,
     BufferError,
     OutputBuffer,
     RecordBuffer,

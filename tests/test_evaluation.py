@@ -20,12 +20,11 @@ from repro.genomics.cigar import Cigar
 from repro.genomics.read import Read
 from repro.genomics.reference import ReferenceGenome
 from repro.genomics.simulate import TruthPlacement
-from repro.genomics.variants import Variant, VariantKind
+from repro.genomics.variants import Variant
 from repro.evaluate import (
     DEFAULT_SEEDS,
     IndelRecovery,
     SCENARIO_NAMES,
-    build_scenario,
     mismatch_totals,
     read_mismatches,
     run_scenario,

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.hw.fabric import (
     CHANNELS_PER_UNIT,
     DDR_BEATS_PER_CYCLE,
-    FabricResult,
     UnitFillRequest,
     fill_stretch_for_sites,
     simulate_fill,

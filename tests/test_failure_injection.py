@@ -26,7 +26,7 @@ from repro.genomics.samlite import SamError, parse_read
 from repro.genomics.sequence import SequenceError, validate_bases
 from repro.hw.axi import MmioRegisterFile, QueueFullError
 from repro.hw.memory import DdrChannelModel
-from repro.realign.realigner import IndelRealigner, apply_realignment
+from repro.realign.realigner import IndelRealigner
 from repro.realign.site import RealignmentSite, SiteError, SiteLimits
 from repro.genomics.reference import ReferenceGenome
 from repro.genomics.read import Read

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.perf.roofline import RooflineModel, RooflinePoint, summarize
+from repro.perf.roofline import RooflineModel, summarize
 from repro.workloads.generator import BENCH_PROFILE, REAL_PROFILE, synthesize_site
 
 

@@ -24,7 +24,6 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN_DIR))
 
 from regenerate import (  # noqa: E402  (needs the path hack above)
-    REALIGN_PARAMS,
     SITE_COMPLEXITIES,
     SITE_SEED,
     evaluation_golden,

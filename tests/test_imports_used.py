@@ -1,4 +1,5 @@
-"""No module-level import in ``src/repro`` goes unused.
+"""No module-level import in ``src/repro``, ``tests`` or ``examples``
+goes unused.
 
 An unused import costs launch time when it names a module, and a
 reader's time always: it claims a dependency that is not there. The
@@ -13,7 +14,10 @@ too.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+
+#: The scanned trees: the package, its tests and its examples.
+SCANNED = (ROOT / "src" / "repro", ROOT / "tests", ROOT / "examples")
 
 
 def _module_imports(body):
@@ -65,10 +69,11 @@ def _used_names(tree):
 
 def test_no_module_level_import_is_unused():
     unused = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(path for tree in SCANNED
+                       for path in tree.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         used = _used_names(tree)
-        unused.extend(f"{path.relative_to(SRC)}:{line}: {name}"
+        unused.extend(f"{path.relative_to(ROOT)}:{line}: {name}"
                       for name, line in _module_imports(tree.body).items()
                       if name not in used)
     assert unused == []

@@ -1,7 +1,6 @@
 """Deeper property tests on kernel and placement invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -17,14 +17,30 @@ Three properties (ROADMAP 8(b)):
   :class:`~repro.genomics.cigar.CigarError`;
 - :func:`~repro.serve.client.patch_moved` on any reply value patches
   exactly the lines its entries name, or raises
-  :class:`~repro.serve.protocol.ProtocolError`.
+  :class:`~repro.serve.protocol.ProtocolError`;
+- the server's compiled check of a ``realign`` body
+  (:func:`~repro.engine.native.sam_checker`) accepts only what
+  ``scan_lines`` accepts, with the same ``has_indel``: on the edited
+  batches above, and on whole bodies edited field by field (signs,
+  ``_``, 20-digit numbers, ``0M``, ``*`` RNAME and CIGAR, flag 0x4,
+  ``\r``, non-ASCII text, empty and trailing lines). It declines
+  nothing the simulator writes, so the fast path provably runs.
 
 CI runs them with ``--hypothesis-profile=ci --hypothesis-seed=2019``.
 """
 
+import re
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.engine.native import (
+    SCAN_DECLINED,
+    SCAN_INDEL,
+    SCAN_NO_INDEL,
+    sam_checker,
+)
 from repro.genomics.cigar import Cigar, CigarError
 from repro.genomics.quality import QualityError
 from repro.genomics.samlite import (
@@ -34,9 +50,10 @@ from repro.genomics.samlite import (
     scan_lines,
 )
 from repro.genomics.sequence import SequenceError
-from repro.genomics.simulate import simulate_sample
+from repro.genomics.simulate import SimulationProfile, simulate_sample
 from repro.serve.client import patch_moved
-from repro.serve.protocol import ProtocolError
+from repro.serve.jobs import partition_jobs
+from repro.serve.protocol import ProtocolError, body_lines
 
 # A test without max_examples of its own takes the active profile's
 # (the ``ci`` profile is registered in tests/conftest.py).
@@ -157,3 +174,170 @@ def test_patch_moved_raises_only_protocol_error(moved, short):
             assert after == before
     for index, pos, cigar in moved:
         assert patched[index] == patch_line(sent[index], pos, cigar)
+
+
+# ---------------------------------------------------------------------
+# the compiled check of a served body against scan_lines
+# ---------------------------------------------------------------------
+
+#: The check against the sample's reference; None without the
+#: compiled tier (``REPRO_NATIVE=off``), where the server scans every
+#: body in Python and these tests have nothing to compare.
+CHECK = sam_checker(SAMPLE.reference)
+needs_check = pytest.mark.skipif(CHECK is None,
+                                 reason="no compiled kernel tier")
+CONTIG_LENGTH = SAMPLE.reference.length("chrF")
+
+
+def _check_agrees(body: bytes, reference=SAMPLE.reference,
+                  check=CHECK) -> int:
+    """The check's verdict on ``body``; when it accepts, ``scan_lines``
+    accepts the body's lines with the same ``has_indel``."""
+    verdict = check(body)
+    assert verdict in (SCAN_DECLINED, SCAN_NO_INDEL, SCAN_INDEL)
+    if verdict != SCAN_DECLINED:
+        batch = scan_lines(body_lines(body), reference)
+        assert batch.has_indel == (verdict == SCAN_INDEL)
+    return verdict
+
+
+#: Values a body edit puts in a column: near misses of the column's
+#: rule, and legal values at its edges (reads are 250 bases).
+FIELD_VALUES = {
+    0: ("r\u00e9ad", "", "read\r", "*"),
+    1: ("0", "4", "16", "1024", "1044", "+12", "1_0", "0x4", " 4", "-4",
+        "9" * 18, "9" * 20, "", "\u0664"),
+    2: ("*", "chrF", "chrNope", "chrF\r", "chr\u00e9", ""),
+    3: ("0", "1", "+12", "1_0", "2751", "2752", "9" * 18, "9" * 20, "-1",
+        ""),
+    4: ("0", "60", "254", "255", "0254", "+60", "9" * 20, ""),
+    5: ("*", "0M", "", "M", "250", "0250M", "250M\r", "125M0I125M",
+        "1X249M", "\u0662\u0665\u0660M"),
+    9: ("*", "", "a", "R"),
+    10: ("*", "", " ", "\x7f", "~"),
+}
+
+
+@st.composite
+def _cigar_for(draw, read_length: int) -> str:
+    """A CIGAR of up to four random elements and a closing M, consuming
+    ``read_length`` bases give or take one; lengths may have a leading
+    zero."""
+    elements = draw(st.lists(st.tuples(st.sampled_from("MIDS"),
+                                       st.integers(1, 60)), max_size=4))
+    consumed = sum(length for op, length in elements if op != "D")
+    rest = read_length - consumed + draw(st.sampled_from((-1, 0, 0, 1)))
+    if rest > 0:
+        elements.append(("M", rest))
+    pad = draw(st.sampled_from(("", "", "0")))
+    return "".join(f"{pad}{length}{op}" for op, length in elements)
+
+
+@st.composite
+def edited_body(draw) -> bytes:
+    """One to eight consecutive valid lines, with up to four field
+    edits, joined into a body that may end in a newline or hold an
+    empty line."""
+    start = draw(st.integers(0, len(LINES) - 8))
+    count = draw(st.integers(1, 8))
+    rows = [line.split("\t") for line in LINES[start:start + count]]
+    for _ in range(draw(st.integers(0, 4))):
+        fields = rows[draw(st.integers(0, count - 1))]
+        kind = draw(st.sampled_from(("value", "cigar", "end", "clip",
+                                     "line")))
+        if kind == "value" and len(fields) > 10:
+            column = draw(st.sampled_from(sorted(FIELD_VALUES)))
+            fields[column] = draw(st.sampled_from(FIELD_VALUES[column]))
+        elif kind == "cigar" and len(fields) > 9:
+            fields[5] = draw(_cigar_for(len(fields[9])))
+        elif kind == "end" and len(fields) > 5:
+            # POS that puts the alignment's end at, or past, the contig's
+            spans = re.findall(r"(\d+)([MD])", fields[5])
+            span = sum(int(length) for length, _op in spans)
+            fields[3] = str(CONTIG_LENGTH - span + draw(st.integers(1, 2)))
+        elif kind == "clip" and len(fields) > 10:
+            keep = draw(st.integers(0, len(fields[9])))
+            fields[9], fields[10] = fields[9][:keep], fields[10][:keep]
+        elif kind == "line":
+            edit = draw(st.sampled_from(("\r", "\tRG:Z:lib1", "\t",
+                                         "\tXN:Z:\u00e9", "drop")))
+            if edit == "drop":
+                fields.pop()
+            else:
+                fields[-1] += edit
+    lines = ["\t".join(fields) for fields in rows]
+    shape = draw(st.sampled_from(("as is", "as is", "trailing newline",
+                                  "empty line")))
+    if shape == "trailing newline":
+        lines.append("")
+    elif shape == "empty line":
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    return "\n".join(lines).encode("utf-8")
+
+
+@needs_check
+@relaxed
+@given(body=edited_body())
+def test_an_accepted_body_is_one_scan_lines_accepts(body):
+    _check_agrees(body)
+
+
+@needs_check
+@relaxed
+@given(lines=edited_batch())
+def test_an_accepted_edited_batch_is_one_scan_lines_accepts(lines):
+    _check_agrees("\n".join(lines).encode("utf-8"))
+
+
+@needs_check
+def test_the_edits_the_check_must_decline_and_accept():
+    """Each listed edit of one valid line, and the verdict it gets: the
+    property above is not vacuous on either side."""
+    fields = LINES[0].split("\t")
+    indel = next(line for line in LINES
+                 if re.search(r"\d[ID]", line.split("\t")[5]))
+
+    def edited(column, value):
+        return "\t".join(fields[:column] + [value] + fields[column + 1:])
+
+    declined = [LINES[0] + "\n", "\n" + LINES[0], LINES[0] + "\r",
+                edited(1, "+16"), edited(1, "1_6"), edited(3, "9" * 20),
+                edited(5, "0M"), edited(5, "125M0I125M"),
+                edited(2, "chrNope"), edited(0, "r\u00e9ad"),
+                edited(4, "255"), edited(3, "0")]
+    for body in declined:
+        assert _check_agrees(body.encode("utf-8")) == SCAN_DECLINED, body
+    accepted = {
+        LINES[0]: SCAN_NO_INDEL,
+        indel: SCAN_INDEL,
+        f"{LINES[0]}\n{indel}": SCAN_INDEL,
+        edited(2, "*"): SCAN_NO_INDEL,
+        edited(5, "*"): SCAN_NO_INDEL,
+        "\t".join(fields[:1] + ["4"] + fields[2:5] + ["junk"]
+                  + fields[6:]): SCAN_NO_INDEL,
+        edited(1, "0004"): SCAN_NO_INDEL,
+        LINES[0] + "\tRG:Z:lib1\r": SCAN_NO_INDEL,
+        "": SCAN_NO_INDEL,
+    }
+    for body, verdict in accepted.items():
+        assert _check_agrees(body.encode("utf-8")) == verdict, body
+
+
+@needs_check
+def test_the_check_declines_no_simulated_job():
+    """Every ``serve_regions``-shaped job at seed 2019 (32 contigs of
+    2 kb at 30x), and one whole 60 kb / 30x body, is accepted."""
+    profile = SimulationProfile(coverage=30.0)
+    sample = simulate_sample({f"ctg{i:02d}": 2000 for i in range(32)},
+                             profile=profile, seed=2019)
+    check = sam_checker(sample.reference)
+    jobs = partition_jobs(sample.reads, sample.reference)
+    verdicts = [_check_agrees("\n".join(map(format_read, job.reads))
+                              .encode(), sample.reference, check)
+                for job in jobs]
+    assert len(jobs) == 32 and SCAN_DECLINED not in verdicts
+    assert SCAN_INDEL in verdicts and SCAN_NO_INDEL in verdicts
+    sample = simulate_sample({"chrW": 60_000}, profile=profile, seed=2019)
+    body = "\n".join(map(format_read, sample.reads)).encode()
+    assert _check_agrees(body, sample.reference,
+                         sam_checker(sample.reference)) == SCAN_INDEL

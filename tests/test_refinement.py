@@ -12,7 +12,6 @@ from repro.genomics.simulate import SimulationProfile, simulate_sample
 from repro.refinement.bqsr import (
     CYCLE_BUCKET,
     BqsrModel,
-    fit_model,
     recalibrate,
 )
 from repro.refinement.duplicates import mark_duplicates

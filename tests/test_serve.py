@@ -782,6 +782,7 @@ class TestServiceRequestPlane:
         assert result == []
         assert engine.calls == 0
         assert snapshot.counters["serve.requests_empty"] == 1
+        assert snapshot.counters["serve.requests_declined"] == 0
         assert snapshot.describe().startswith(
             "1 completed (1 without a site, 0 rejected, 0 expired)")
 
@@ -999,10 +1000,11 @@ class TestServerByteIdentity:
                 "ProtocolError: deadline_s must be a finite number > 0")
         assert by_id[3]["ok"] is True  # connection survived it all
 
-    def test_an_indel_free_job_is_checked_and_answered_without_a_site(self):
-        """No CIGAR of the job carries an INDEL, so the server answers
-        at once, after the same checks: a bad line fails with the
-        message the full path gives, located ``sam[i]``."""
+    def _indel_free_session(self):
+        """One good INDEL-free job and four jobs with one bad line each,
+        served; returns the good reply, each bad one's error, the
+        ``stats`` counters and whether the server had the compiled
+        check."""
         sample = _sample({"chrS": 4000}, seed=5)
         reads = [read for read in sample.reads if not read.has_indel]
         assert len(reads) < len(sample.reads)  # the filter took
@@ -1032,12 +1034,10 @@ class TestServerByteIdentity:
                     stats = await client.stats()
             finally:
                 await server.close()
-            return ok, failed, stats
+            return ok, failed, stats["counters"], server._check is not None
 
-        ok, failed, stats = asyncio.run(scenario())
+        ok, failed, counters, checked = asyncio.run(scenario())
         assert (ok.sam, ok.sites) == (lines, 0)
-        assert stats["counters"]["serve.requests_empty"] == 1
-        assert stats["counters"]["serve.requests_completed"] == 1
         assert failed == {
             1: "SamError: sam[5]: SAM line has 2 fields, expected >= 11",
             2: "SamError: sam[5]: RNAME 'chrNope' is not a contig of the "
@@ -1048,6 +1048,35 @@ class TestServerByteIdentity:
                f"{len(fields[9]) + 1} quality scores for {len(fields[9])} "
                "bases",
         }
+        assert counters["serve.requests_empty"] == 1
+        assert counters["serve.requests_completed"] == 1
+        return counters, checked, len(bad)
+
+    def test_an_indel_free_job_is_checked_and_answered_without_a_site(self):
+        """No CIGAR of the job carries an INDEL, so the server answers
+        at once, after the same checks: a bad line fails with the
+        message the full path gives, located ``sam[i]``. The compiled
+        check declines each bad body, which the Python scan then
+        locates; the good one it accepts, so it counts in
+        ``serve.requests_empty`` and not in ``serve.requests_declined``."""
+        counters, checked, bad = self._indel_free_session()
+        assert counters["serve.requests_declined"] == (bad if checked
+                                                       else 0)
+
+    def test_without_the_compiled_tier_every_job_is_scanned_in_python(
+            self, monkeypatch):
+        """``REPRO_NATIVE=off``: no check, the same replies, and nothing
+        counted as declined."""
+        from repro.engine import native
+
+        monkeypatch.setenv("REPRO_NATIVE", "off")
+        native.reset_backend()
+        try:
+            counters, checked, _bad = self._indel_free_session()
+        finally:
+            native.reset_backend()
+        assert not checked
+        assert counters["serve.requests_declined"] == 0
 
     @pytest.mark.parametrize("seed", [2019, 2021])
     def test_every_region_job_gets_the_batch_realigners_output(self, seed):
@@ -1082,6 +1111,8 @@ class TestServerByteIdentity:
         results, stats = asyncio.run(scenario())
         assert [result.sam for result in results] == expected
         assert stats["counters"]["serve.requests_empty"] == gated
+        # the compiled check takes every job the simulator writes
+        assert stats["counters"]["serve.requests_declined"] == 0
 
     def test_shutdown_while_a_handler_closes_logs_nothing(self, caplog):
         """A handler still awaiting its writer's close when the server
