@@ -15,15 +15,14 @@ minutes -- when ``--out`` points into a missing or read-only directory.
 Examples::
 
     python -m repro figure9 --sites 48 --replication 16
-    python -m repro resilience --fault-rate 0.05 --fault-rate 0.2
     python -m repro simulate --length 30000 --out /tmp/sample
     python -m repro realign --reference /tmp/sample/reference.fa \
         --sam /tmp/sample/aligned.sam --out /tmp/sample/realigned.sam \
-        --accelerated --fault-rate 0.1 --chaos-seed 7
+        --accelerated
     python -m repro realign --reference /tmp/sample/reference.fa \
         --sam /tmp/sample/aligned.sam --out /tmp/sample/realigned.sam \
         --workers 4 --batch 12
-    python -m repro trace --out /tmp/trace.json --fault-rate 0.1
+    python -m repro trace --out /tmp/trace.json --fleet 4
     python -m repro trace --out /tmp/trace.json --workers 2
     python -m repro evaluate --scenario adversarial --out /tmp/report.json
     python -m repro evaluate --scenario cohort --workers 2
@@ -65,16 +64,19 @@ COMMANDS = {
                  "DMA share",
     "comparisons": "Section V-B comparison points: ADAM, HLS, and GPU",
     "all": "run every experiment in order",
-    "resilience": "chaos sweep: modelled speedup vs. injected fault rate",
     "simulate": "write a synthetic sample (FASTA + SAM + truth) to a dir",
     "realign": "run the INDEL realigner over a SAM file (batch)",
-    "trace": "record sync/async/recovery telemetry to a Chrome trace",
+    "trace": "record sync/async/fleet/engine telemetry to a Chrome trace",
     "evaluate": "score realignment outcomes on a truth-bearing scenario",
     "serve": "serve realignment over TCP: coalescing, admission control, "
              "latency telemetry",
     "loadgen": "drive a seeded many-tenant load against a server "
                "(or --selftest)",
 }
+
+#: The paper commands that take no flags, in the order ``all`` runs them.
+PAPER_COMMANDS = ("figure2", "figure3", "figure4", "figure7", "tables",
+                  "appendix", "microarch", "comparisons")
 
 
 def _epilog() -> str:
@@ -159,24 +161,10 @@ def _cmd_figure9(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_resilience(args: argparse.Namespace) -> int:
-    from repro.experiments import resilience
-
-    resilience.main(
-        fault_rates=tuple(args.fault_rate or resilience.DEFAULT_FAULT_RATES),
-        sites_per_chromosome=args.sites,
-        replication=args.replication,
-        chaos_seed=args.chaos_seed,
-        trace_out=args.telemetry,
-    )
-    return 0
-
-
 def _cmd_all(args: argparse.Namespace) -> int:
     """Every experiment in order, each at its own subcommand's defaults."""
     parser = build_parser()
-    for name in ("figure2", "figure3", "figure4", "tables", "figure7",
-                 "appendix", "microarch", "figure9", "resilience"):
+    for name in (*PAPER_COMMANDS, "figure9"):
         leg = parser.parse_args([name])
         leg.run(leg)
         print()
@@ -269,26 +257,13 @@ def _cmd_realign(args: argparse.Namespace) -> int:
             from repro.core.system import AcceleratedRealigner, SystemConfig
 
             config = SystemConfig.iracc()
-            if args.fault_rate > 0.0:
-                from dataclasses import replace
-
-                from repro.resilience.policy import ResilienceConfig
-
-                config = replace(config, resilience=ResilienceConfig.chaos(
-                    args.chaos_seed, args.fault_rate
-                ))
             if telemetry is not None:
                 telemetry.label = config.name
-            # The engine serves any targets that drain to the software
-            # fallback under chaos; fault-free runs never touch it.
-            realigner = AcceleratedRealigner(reference, config, engine=engine)
+            realigner = AcceleratedRealigner(reference, config)
             updated, run, report = realigner.realign(reads,
                                                      telemetry=telemetry)
             print(f"accelerated run: {run.total_seconds * 1e3:.2f} modelled "
                   f"ms, {run.pruned_fraction:.0%} of comparisons pruned")
-            if run.resilience is not None:
-                print(f"chaos mode (seed {args.chaos_seed}, rate "
-                      f"{args.fault_rate:.0%}): {run.resilience.describe()}")
             if telemetry is not None:
                 from repro.telemetry.metrics import derive_schedule_metrics
 
@@ -353,7 +328,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.core.system import AcceleratedIRSystem, SystemConfig
-    from repro.resilience.policy import ResilienceConfig
     from repro.telemetry import Telemetry, write_chrome_trace
     from repro.telemetry.metrics import derive_schedule_metrics
     from repro.workloads.chromosomes import CHROMOSOME_CENSUS
@@ -365,54 +339,23 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     sessions = []
 
-    def record(label: str, config: SystemConfig) -> Telemetry:
+    for label, config in (
+        ("sync", SystemConfig(name="IR ACC (sync)", lanes=32,
+                              scheduling="sync")),
+        ("async", SystemConfig.iracc()),
+    ):
         telemetry = Telemetry(label=label)
         AcceleratedIRSystem(config).run(
             sites, replication=args.replication, telemetry=telemetry,
         )
         sessions.append(telemetry)
-        return telemetry
-
-    record("sync", SystemConfig(name="IR ACC (sync)", lanes=32,
-                                scheduling="sync"))
-    async_session = record("async", SystemConfig.iracc())
-    recovery_session = record(
-        "recovery (fault-free)",
-        SystemConfig(name="IR ACC", lanes=32, scheduling="async",
-                     resilience=ResilienceConfig()),
-    )
-    if args.fault_rate > 0.0:
-        record(
-            f"chaos {args.fault_rate:.0%}",
-            SystemConfig(
-                name="IR ACC", lanes=32, scheduling="async",
-                resilience=ResilienceConfig.chaos(
-                    args.chaos_seed, args.fault_rate
-                ),
-            ),
-        )
     if args.fleet > 0:
-        from repro.perf.fleet import (
-            FleetJob,
-            plan_fleet,
-            record_fleet_spans,
-            simulate_preemptions,
-        )
+        from repro.perf.fleet import FleetJob, plan_fleet, record_fleet_spans
 
         jobs = [FleetJob(name=f"shard{i}", seconds=600.0 + 60.0 * (i % 5))
                 for i in range(2 * args.fleet)]
-        plan = plan_fleet(jobs, args.fleet)
-        preempted = None
-        if args.fault_rate > 0.0:
-            from repro.resilience.faults import FaultPlan
-
-            preempted = simulate_preemptions(
-                plan,
-                FaultPlan.chaos(args.chaos_seed,
-                                args.fault_rate).preemption_fraction,
-            )
         fleet_session = Telemetry(label="fleet")
-        record_fleet_spans(fleet_session, plan, preempted)
+        record_fleet_spans(fleet_session, plan_fleet(jobs, args.fleet))
         sessions.append(fleet_session)
     # The same workload through the host engine (shard spans, kernel,
     # window and cache counters).
@@ -425,8 +368,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         if session.label == "fleet":
             flat = session.counters.flat()
             print(f"[fleet] {flat.get('fleet.jobs', 0)} jobs on "
-                  f"{flat.get('fleet.instances', 0)} instances, "
-                  f"{flat.get('fleet.preemptions', 0)} preemptions")
+                  f"{flat.get('fleet.instances', 0)} instances")
             continue
         if session.label == "engine":
             flat = session.counters.flat()
@@ -441,16 +383,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             continue
         metrics = derive_schedule_metrics(session)
         print(f"[{session.label}] {metrics.describe()}")
-    matched = set(async_session.spans) == set(recovery_session.spans)
-    if matched:
-        print(f"fault-free recovery timeline is span-identical to "
-              f"schedule_async ({len(async_session.spans)} spans)")
-    else:
-        print("warning: fault-free recovery spans diverge from "
-              "schedule_async", file=sys.stderr)
     print(f"{sum(len(s.spans) for s in sessions)} spans, "
           f"{len(sessions)} sessions -> {args.out}")
-    return 0 if matched else 1
+    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -536,7 +471,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             requests_per_tenant=args.requests_per_tenant,
             mean_interarrival_s=args.mean_interarrival_ms / 1e3,
             deadline_s=args.deadline_s,
-            preempt_rate=args.preempt_rate,
             schedule=args.schedule,
         )
     except ValueError as bad:
@@ -649,8 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
         subparser.set_defaults(run=run)
         return subparser
 
-    for name in ("figure2", "figure3", "figure4", "figure7", "tables",
-                 "appendix", "microarch", "comparisons"):
+    for name in PAPER_COMMANDS:
         command(name, _cmd_experiment)
     command("all", _cmd_all)
     figure9_parser = command("figure9", _cmd_figure9)
@@ -658,22 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="sites per chromosome")
     figure9_parser.add_argument("--replication", type=int, default=24,
                                 help="schedule replication rounds")
-
-    resilience_parser = command("resilience", _cmd_resilience)
-    resilience_parser.add_argument(
-        "--fault-rate", type=float, action="append", dest="fault_rate",
-        help="fault rate to sweep (repeatable; default 0/2/5/10/20%%)",
-    )
-    resilience_parser.add_argument("--chaos-seed", type=int, default=1234,
-                                   help="seed for the deterministic FaultPlan")
-    resilience_parser.add_argument("--sites", type=int, default=48,
-                                   help="sites in the sweep workload")
-    resilience_parser.add_argument("--replication", type=int, default=4,
-                                   help="schedule replication rounds")
-    resilience_parser.add_argument(
-        "--telemetry", type=_out_file, default=None, metavar="PATH",
-        help="write a Chrome trace of the sweep (one session per rate)",
-    )
 
     simulate = command("simulate", _cmd_simulate)
     simulate.add_argument("--out", required=True, type=_out_dir)
@@ -689,12 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     realign.add_argument("--out", required=True, type=_out_file)
     realign.add_argument("--accelerated", action="store_true",
                          help="run the kernel on the FPGA system model")
-    realign.add_argument("--fault-rate", type=float, default=0.0,
-                         dest="fault_rate",
-                         help="chaos mode: per-attempt fault rate "
-                              "(requires --accelerated)")
-    realign.add_argument("--chaos-seed", type=int, default=1234,
-                         help="seed for the deterministic FaultPlan")
     realign.add_argument(
         "--telemetry", type=_out_file, default=None, metavar="PATH",
         help="write a Chrome trace of the run: the engine's chunks "
@@ -712,11 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="schedule replication rounds")
     trace.add_argument("--seed", type=int, default=42,
                        help="workload synthesis seed")
-    trace.add_argument("--fault-rate", type=float, default=0.0,
-                       dest="fault_rate",
-                       help="add a chaos session at this fault rate")
-    trace.add_argument("--chaos-seed", type=int, default=1234,
-                       help="seed for the deterministic FaultPlan")
     trace.add_argument("--fleet", type=int, default=0,
                        help="add a fleet session with this many instances")
     _add_engine_flags(trace)
@@ -778,9 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--deadline-s", type=float, default=30.0,
                          dest="deadline_s",
                          help="per-request deadline")
-    loadgen.add_argument("--preempt-rate", type=float, default=0.0,
-                         dest="preempt_rate",
-                         help="client-fleet spot-preemption replay rate")
     loadgen.add_argument("--schedule",
                          choices=("uniform", "duplicate_heavy"),
                          default="uniform",
@@ -858,14 +761,6 @@ def _flag_errors(args: argparse.Namespace):
             return "--workers and --batch must be >= 1"
         if args.site_cache_mb < 0:
             return "--site-cache-mb must be >= 0"
-    rates = flags.get("fault_rate")
-    for rate in rates if isinstance(rates, list) else [rates]:
-        if rate is not None and not 0.0 <= rate <= 1.0:
-            return f"--fault-rate must be in [0, 1], got {rate}"
-    if flags.get("accelerated") is False:
-        if args.fault_rate > 0.0:
-            return ("--fault-rate requires --accelerated (chaos mode "
-                    "injects faults into the FPGA system model)")
     if flags.get("sam") is not None and flags.get("reference") is None:
         return "--sam requires --reference"
     return None

@@ -17,7 +17,7 @@ generated through :func:`repro.core.isa.target_command_stream`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.isa import BufferId, RoccCommand, target_command_stream
 from repro.hw.axi import AxiLiteBus
@@ -27,36 +27,6 @@ from repro.realign.site import RealignmentSite
 
 class HostPlanError(RuntimeError):
     """Raised when a plan cannot fit the FPGA memory."""
-
-
-@dataclass
-class WatchdogBank:
-    """Armed watchdog timers, one per in-flight unit dispatch."""
-
-    deadlines: Dict[int, int] = field(default_factory=dict)
-    expirations: int = 0
-
-    def arm(self, unit: int, deadline: int) -> None:
-        if unit in self.deadlines:
-            raise HostPlanError(f"unit {unit} already has an armed watchdog")
-        self.deadlines[unit] = deadline
-
-    def disarm(self, unit: int) -> None:
-        self.deadlines.pop(unit, None)
-
-    def expire(self, unit: int) -> None:
-        """The unit's deadline passed without a response."""
-        if unit not in self.deadlines:
-            raise HostPlanError(f"unit {unit} has no armed watchdog")
-        del self.deadlines[unit]
-        self.expirations += 1
-
-    def expired(self, now: int) -> List[int]:
-        """Units whose deadlines have passed at cycle ``now``."""
-        return sorted(u for u, d in self.deadlines.items() if d <= now)
-
-    def next_deadline(self) -> Optional[int]:
-        return min(self.deadlines.values()) if self.deadlines else None
 
 
 @dataclass(frozen=True)
@@ -101,7 +71,6 @@ def plan_targets(
     sites: Sequence[RealignmentSite],
     ddr: DdrChannelModel = DdrChannelModel(),
     unit_assignment: Sequence[int] = (),
-    dispatch_batch: int = 1,
     telemetry=None,
 ) -> HostPlan:
     """Lay out every site's buffers in FPGA DRAM and build its commands.
@@ -109,15 +78,11 @@ def plan_targets(
     ``unit_assignment`` optionally names the unit each target's command
     stream addresses (defaults to round-robin over 32, matching the
     dispatch order of the asynchronous scheduler's steady state).
-    ``dispatch_batch`` is the host's transfer-coalescing group size (see
-    :func:`repro.core.scheduler.coalesce_transfers`); it changes no
-    buffer layout or command stream -- groups share DMA bursts, not
-    memory -- but is accounted as ``host.batches_planned``.
+    The host dispatches one target per DMA burst, so
+    ``host.batches_planned`` equals ``host.targets_planned``.
     ``telemetry`` optionally counts the plan's footprint (commands
     generated, bytes allocated) on the host's counter namespace.
     """
-    if dispatch_batch <= 0:
-        raise ValueError("dispatch_batch must be positive")
     plan = HostPlan()
     cursor = 0
 
@@ -163,8 +128,5 @@ def plan_targets(
         telemetry.count("host.commands_planned", plan.total_commands)
         telemetry.count("host.bytes_allocated", plan.bytes_allocated)
         telemetry.count("host.config_cycles", plan.config_cycles())
-        telemetry.count(
-            "host.batches_planned",
-            -(-len(plan.targets) // dispatch_batch) if plan.targets else 0,
-        )
+        telemetry.count("host.batches_planned", len(plan.targets))
     return plan

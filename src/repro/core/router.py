@@ -12,7 +12,7 @@ back through the MMIO response queue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.core.isa import BufferId, IrFunct, RoccCommand
 from repro.hw.axi import MmioRegisterFile
@@ -66,31 +66,8 @@ class RoccCommandRouter:
         self.units: List[UnitProgrammingState] = [
             UnitProgrammingState() for _ in range(num_units)
         ]
-        self.quarantined: Set[int] = set()
         self.commands_routed = 0
         self.starts_issued = 0
-
-    def quarantine_unit(self, unit_id: int) -> None:
-        """Fence a unit off: further commands to it are protocol errors.
-
-        The host's recovery loop calls this when a unit crosses its
-        failure threshold; the sea keeps serving on the remaining units.
-        A busy unit may be quarantined (its watchdog already expired);
-        its in-flight state is torn down.
-        """
-        if not 0 <= unit_id < self.num_units:
-            raise RouterError(f"cannot quarantine unknown unit {unit_id}")
-        self.quarantined.add(unit_id)
-        state = self.units[unit_id]
-        state.busy = False
-        state.reset()
-
-    def release_unit(self, unit_id: int) -> None:
-        """Return a repaired/reloaded unit to service."""
-        self.quarantined.discard(unit_id)
-
-    def healthy_units(self) -> List[int]:
-        return [u for u in range(self.num_units) if u not in self.quarantined]
 
     def dispatch(self, command: RoccCommand) -> Optional[int]:
         """Apply one command; returns the unit id on ``ir_start``."""
@@ -98,10 +75,6 @@ class RoccCommandRouter:
             raise RouterError(
                 f"command routed to unit {command.unit_id}, "
                 f"but only {self.num_units} units exist"
-            )
-        if command.unit_id in self.quarantined:
-            raise RouterError(
-                f"command routed to quarantined unit {command.unit_id}"
             )
         state = self.units[command.unit_id]
         self.commands_routed += 1

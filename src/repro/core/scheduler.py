@@ -245,31 +245,9 @@ def schedule(
     targets: Sequence[ScheduledTarget],
     num_units: int,
     scheme: str,
-    resilience=None,
-    dma_penalties=None,
     telemetry=None,
 ) -> ScheduleResult:
-    """Dispatch on scheme name: ``'sync'`` or ``'async'``.
-
-    Passing a :class:`repro.resilience.policy.ResilienceConfig` as
-    ``resilience`` routes the asynchronous scheme through the
-    fault-tolerant scheduler (watchdog timeouts, retry/backoff, unit
-    quarantine, software fallback); with a fault-free plan the result is
-    identical to :func:`schedule_async`. Recovery rides on the MMIO
-    response-polling protocol, so the synchronous scheme cannot use it.
-    """
-    if resilience is not None:
-        if scheme != "async":
-            raise ValueError(
-                "fault recovery requires the asynchronous scheduling "
-                "scheme (the watchdog lives in the response-polling loop)"
-            )
-        from repro.resilience.recovery import schedule_with_recovery
-
-        return schedule_with_recovery(
-            targets, num_units, resilience, dma_penalties=dma_penalties,
-            telemetry=telemetry,
-        )
+    """Dispatch on scheme name: ``'sync'`` or ``'async'``."""
     if scheme == "sync":
         return schedule_sync(targets, num_units, telemetry=telemetry)
     if scheme == "async":

@@ -18,17 +18,11 @@ model plus the DMA/clock models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.accelerator import IRUnit, UnitConfig, UnitRunResult
 from repro.core.host import HostPlan, plan_targets
-from repro.core.scheduler import (
-    ScheduledTarget,
-    ScheduleResult,
-    charge_turnaround,
-    coalesce_transfers,
-    schedule,
-)
+from repro.core.scheduler import ScheduledTarget, ScheduleResult, schedule
 from repro.genomics.read import Read
 from repro.genomics.reference import ReferenceGenome
 from repro.hw.clock import ClockRecipe, F1_CLOCK_125MHZ
@@ -39,10 +33,6 @@ from repro.realign.realigner import (
     apply_site_results,
 )
 from repro.realign.site import RealignmentSite, SiteLimits, PAPER_LIMITS
-
-if TYPE_CHECKING:  # annotation-only: breaks the core <-> resilience cycle
-    from repro.resilience.health import ResilienceStats
-    from repro.resilience.policy import ResilienceConfig
 
 
 @dataclass(frozen=True)
@@ -63,40 +53,12 @@ class SystemConfig:
     # the next target's start (Section IV's asynchronous scheme). ~1 us
     # of PCIe round-trip at 125 MHz.
     response_latency_cycles: int = 125
-    # Batched dispatch: the host coalesces the DMA transfers of
-    # ``dispatch_batch`` consecutive targets into one burst and answers
-    # the whole group with a single response-poll turnaround (charged to
-    # the group's last target). 1 (the default) reproduces the paper's
-    # per-target dispatch exactly; larger groups amortize host overhead
-    # the way the batched software engine amortizes kernel overhead.
-    dispatch_batch: int = 1
-    # Double-buffered host dispatch: while group N computes, the host
-    # prepares and DMAs group N+1, so the response-poll turnaround of
-    # every group except a round's last hides behind the next group's
-    # compute instead of extending the unit's busy time (the software
-    # mirror is the engine's default queue_depth = 2 window). The
-    # drain -- the final group, with nothing left to overlap -- still
-    # pays the full turnaround. False (default) charges every group,
-    # reproducing the single-buffered dispatch model bit-for-bit.
-    double_buffer: bool = False
-    # Fault tolerance: a ResilienceConfig switches the run into chaos
-    # mode -- its FaultPlan injects faults, and the watchdog/retry/
-    # quarantine/fallback machinery recovers from them. None (default)
-    # is the paper's fault-free operation, bit-for-bit unchanged.
-    resilience: Optional[ResilienceConfig] = None
 
     def __post_init__(self) -> None:
         if self.num_units <= 0:
             raise ValueError("num_units must be positive")
-        if self.dispatch_batch <= 0:
-            raise ValueError("dispatch_batch must be positive")
         if self.scheduling not in ("sync", "async"):
             raise ValueError(f"unknown scheduling scheme {self.scheduling!r}")
-        if self.resilience is not None and self.scheduling != "async":
-            raise ValueError(
-                "fault recovery requires asynchronous scheduling: the "
-                "watchdog lives in the MMIO response-polling loop"
-            )
 
     # -- the paper's three design points --------------------------------
     @classmethod
@@ -126,7 +88,6 @@ class SystemRunResult:
     total_seconds: float
     transfer_seconds: float
     replication: int = 1
-    resilience: Optional[ResilienceStats] = None
 
     @property
     def targets_processed(self) -> int:
@@ -182,30 +143,6 @@ class SystemRunResult:
         if self.total_seconds == 0:
             return 0.0
         return self.unpruned_comparisons / self.total_seconds
-
-    # -- fault-tolerance observability ----------------------------------
-    @property
-    def active_units(self) -> int:
-        """Units still in service at the end of the run (N - k)."""
-        if self.resilience is None:
-            return self.config.num_units
-        return self.resilience.active_units
-
-    @property
-    def fallback_site_indices(self) -> set:
-        """Distinct input sites that completed on the software fallback.
-
-        Scheduled positions replicate the site list round by round;
-        a site counts as fallen back if *any* of its replicas did.
-        """
-        if self.resilience is None or not self.unit_results:
-            return set()
-        num_sites = len(self.unit_results)
-        return {
-            position % num_sites
-            for position, mode in self.resilience.completions.items()
-            if mode == "sw"
-        }
 
 
 class AcceleratedIRSystem:
@@ -264,7 +201,6 @@ class AcceleratedIRSystem:
             sites,
             unit_assignment=[i % self.config.num_units
                              for i in range(len(sites))],
-            dispatch_batch=self.config.dispatch_batch,
             telemetry=telemetry,
         )
         unit_results: List[UnitRunResult] = []
@@ -282,40 +218,20 @@ class AcceleratedIRSystem:
             )
             for site in sites
         ]
-        # Every round dispatches the same targets, each round's final
-        # group draining on its own.
-        batch = self.config.dispatch_batch
-        one_round = charge_turnaround(
-            [ScheduledTarget(index=index,
-                             transfer_cycles=transfer_cycles[index],
-                             compute_cycles=result.cycles.total)
-             for index, result in enumerate(unit_results)],
-            batch, self.config.response_latency_cycles,
-            self.config.double_buffer,
-        )
-        scheduled = coalesce_transfers(one_round, batch) * replication
-        resilience = self.config.resilience
-        dma_penalties = None
-        if resilience is not None:
-            # Channel cycles wasted per faulted transfer attempt, from
-            # the PCIe model's error/timeout latencies.
-            per_site = [
-                tuple(
-                    int(round(self.config.clock.seconds_to_cycles(
-                        self.config.dma.faulted_transfer_seconds(
-                            site.input_bytes() + site.output_bytes(), outcome
-                        )
-                    )))
-                    for outcome in ("error", "timeout")
-                )
-                for site in sites
-            ]
-            dma_penalties = per_site * replication
-        timeline = schedule(scheduled, self.config.num_units,
-                            self.config.scheduling,
-                            resilience=resilience,
-                            dma_penalties=dma_penalties,
-                            telemetry=telemetry)
+        # Every round dispatches the same targets, each charged the
+        # host's response-poll turnaround (per-target dispatch: the
+        # batch_size == 1 case of scheduler.charge_turnaround).
+        one_round = [
+            ScheduledTarget(
+                index=index,
+                transfer_cycles=transfer_cycles[index],
+                compute_cycles=(result.cycles.total
+                                + self.config.response_latency_cycles),
+            )
+            for index, result in enumerate(unit_results)
+        ]
+        timeline = schedule(one_round * replication, self.config.num_units,
+                            self.config.scheduling, telemetry=telemetry)
         total_seconds = self.config.clock.cycles_to_seconds(timeline.makespan)
         if telemetry is not None:
             self._record_run_counters(telemetry, sites, unit_results,
@@ -328,17 +244,15 @@ class AcceleratedIRSystem:
             total_seconds=total_seconds,
             transfer_seconds=sum(transfers) * replication,
             replication=replication,
-            resilience=(timeline.stats() if resilience is not None else None),
         )
-
 
     def _record_run_counters(self, telemetry, sites, unit_results,
                              timeline, replication) -> None:
         """Fold the kernel's WHD cell counts into the unit counters.
 
         Each dispatch recomputes its site on the unit that ran it (the
-        scheduler's span/completion records name that unit), so cell
-        counters accumulate per dispatch, replication included.
+        scheduler's span names that unit), so cell counters accumulate
+        per dispatch, replication included.
         """
         totals = {"evaluated": 0, "pruned": 0}
 
@@ -351,15 +265,8 @@ class AcceleratedIRSystem:
             totals["evaluated"] += result.comparisons
             totals["pruned"] += pruned
 
-        completion_units = getattr(timeline, "completion_units", None)
-        if completion_units is None:
-            # Fault-free scheduler: every timeline span is a completion.
-            for span in timeline.spans:
-                credit(span.unit, span.target_index)
-        else:
-            num_sites = len(unit_results)
-            for position, unit in completion_units.items():
-                credit(unit, position % num_sites)
+        for span in timeline.spans:
+            credit(span.unit, span.target_index)
         telemetry.count("kernel.cells_evaluated", totals["evaluated"])
         telemetry.count("kernel.cells_pruned", totals["pruned"])
         telemetry.count("schedule.targets", len(sites) * replication)
@@ -385,19 +292,11 @@ class AcceleratedRealigner:
         self,
         reference: ReferenceGenome,
         config: Optional[SystemConfig] = None,
-        engine=None,
     ):
-        """``engine`` optionally names the software plane that serves
-        fallback sites (targets that exhaust hardware recovery), exactly
-        as :class:`repro.realign.realigner.IndelRealigner` takes it (an
-        :class:`repro.engine.EngineConfig` gets the system config's
-        ``scoring``); None (the default) is the default engine. Every
-        plane is bit-identical to the hardware's decisions by
-        construction."""
         self.reference = reference
         self.system = AcceleratedIRSystem(config)
         self._front_half = IndelRealigner(
-            reference, engine=engine, scoring=self.system.config.scoring
+            reference, scoring=self.system.config.scoring
         )
 
     def realign(
@@ -411,20 +310,6 @@ class AcceleratedRealigner:
         )
         site_list = [window.site for window in windows]
         run = self.system.run(site_list, telemetry=telemetry)
-        fallback = run.fallback_site_indices
-        fallback_results: Dict[int, "SiteResult"] = {}
-        if fallback:
-            # Graceful degradation: these targets exhausted hardware
-            # recovery, so their decisions come from the software
-            # kernel -- bit-identical to the unit's by construction
-            # (pinned by the hardware/software equivalence tests). All
-            # fallback sites run through one call on the engine.
-            indices = sorted(fallback)
-            batched = self._front_half._engine_instance().run_sites(
-                [windows[i].site for i in indices], telemetry=telemetry
-            )
-            fallback_results = dict(zip(indices, batched))
-        results = [fallback_results.get(index, result)
-                   for index, result in enumerate(run.unit_results)]
-        updated = apply_site_results(reads, windows, results, report)
+        updated = apply_site_results(reads, windows, run.unit_results,
+                                     report)
         return updated, run, report

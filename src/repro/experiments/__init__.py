@@ -16,7 +16,6 @@ module                reproduces
 ``microarch``         pruning rate, BRAM/CLB, peak throughput, DMA share
 ``comparisons``       ADAM, HLS, and GPU comparison points
 ``appendix``          Figure 10 (target pileup) and the glossary
-``resilience``        speedup vs. injected fault rate (beyond the paper)
 ====================  =====================================================
 """
 
@@ -29,7 +28,6 @@ from repro.experiments import (
     figure7,
     figure9,
     microarch,
-    resilience,
     tables,
 )
 
@@ -42,6 +40,5 @@ __all__ = [
     "figure7",
     "figure9",
     "microarch",
-    "resilience",
     "tables",
 ]

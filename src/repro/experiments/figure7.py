@@ -40,7 +40,7 @@ NUM_UNITS = 4
 PAPER_T3_OVER_T1 = 8.0
 
 #: Transfer-coalescing group size for the batched-dispatch variant row
-#: (one DMA burst per group of 4 targets; see SystemConfig.dispatch_batch).
+#: (one DMA burst per group of 4 targets; see coalesce_transfers).
 DISPATCH_BATCH = 4
 
 #: Host response-poll turnaround per dispatch group, in unit-clock
@@ -54,16 +54,15 @@ class Figure7Result:
     compute_cycles: List[int]
     sync: ScheduleResult
     async_: ScheduleResult
-    #: Asynchronous scheme over coalesced transfers (dispatch_batch > 1):
-    #: the same compute spans fed one DMA burst per group of
-    #: DISPATCH_BATCH targets.
+    #: Asynchronous scheme over coalesced transfers: the same compute
+    #: spans fed one DMA burst per group of DISPATCH_BATCH targets.
     async_batched: ScheduleResult = None
     #: Batched dispatch with the host's response-poll turnaround charged
     #: to every group (single-buffered host: prepare, dispatch, wait).
     async_turnaround: ScheduleResult = None
     #: Same turnaround under double-buffered dispatch: group N+1 is
     #: prepared while N computes, so only the drain still pays it
-    #: (SystemConfig.double_buffer's schedule-level signature).
+    #: (charge_turnaround's double_buffer).
     async_overlapped: ScheduleResult = None
     #: One telemetry session per scheme; every number main() prints is
     #: read back from these recorders, not recomputed ad hoc.

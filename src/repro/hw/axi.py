@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Optional
+from typing import Deque, Optional
 
 
 @dataclass(frozen=True)
@@ -126,70 +126,3 @@ class MmioRegisterFile:
             self.telemetry.count("mmio.responses_polled")
         return self._responses.popleft()
 
-
-# -- response integrity ------------------------------------------------
-#
-# A completion response that crosses the AXILite window can be silently
-# corrupted (single-event upsets, marginal timing at the shell boundary)
-# or never arrive at all. The resilient host protects the response word
-# with a CRC-8 so corruption is *detected* (and the dispatch retried)
-# rather than mis-routing a completion to the wrong unit; drops are
-# caught by the host watchdog (see repro.resilience.policy.HostWatchdog).
-
-#: CRC-8-ATM generator polynomial (x^8 + x^2 + x + 1).
-CRC8_POLY = 0x07
-
-
-def crc8(value: int) -> int:
-    """CRC-8 over ``value``'s bytes (big-endian, minimal width)."""
-    if value < 0:
-        raise ValueError("CRC input must be non-negative")
-    data = value.to_bytes(max(1, (value.bit_length() + 7) // 8), "big")
-    crc = 0
-    for byte in data:
-        crc ^= byte
-        for _ in range(8):
-            crc = ((crc << 1) ^ CRC8_POLY if crc & 0x80 else crc << 1) & 0xFF
-    return crc
-
-
-def protect_response(payload: int) -> int:
-    """Frame a response payload with its CRC-8 in the low byte."""
-    if payload < 0:
-        raise ValueError("response payload must be non-negative")
-    return (payload << 8) | crc8(payload)
-
-
-def check_response(word: int) -> Optional[int]:
-    """Unframe a protected response; ``None`` if the CRC disagrees."""
-    payload = word >> 8
-    return payload if crc8(payload) == (word & 0xFF) else None
-
-
-@dataclass
-class LossyMmioRegisterFile(MmioRegisterFile):
-    """An MMIO register file whose response path can drop or corrupt.
-
-    ``injector`` decides each pushed response's fate: ``"ok"`` (framed
-    with its CRC and delivered), ``"drop"`` (never enqueued -- the host
-    watchdog must notice), or ``"corrupt"`` (delivered with a payload
-    bit flipped, so :func:`check_response` rejects it). The host side
-    must poll with :func:`check_response` instead of trusting raw words.
-    """
-
-    injector: Callable[[int], str] = field(default=lambda payload: "ok")
-    responses_dropped: int = 0
-    responses_corrupted: int = 0
-
-    def push_response(self, payload: int) -> None:
-        fate = self.injector(payload)
-        if fate == "drop":
-            self.responses_dropped += 1
-            return
-        word = protect_response(payload)
-        if fate == "corrupt":
-            self.responses_corrupted += 1
-            word ^= 1 << 8  # flip payload bit 0: CRC now disagrees
-        elif fate != "ok":
-            raise ValueError(f"unknown response fate {fate!r}")
-        super().push_response(word)

@@ -26,17 +26,12 @@ class PcieDmaModel:
 
     bandwidth_bytes_per_s: float = 8e9
     setup_latency_s: float = 5e-6
-    # How long the EDMA driver waits on a silent descriptor before
-    # declaring the transfer dead (the AWS driver's default is O(ms)).
-    timeout_s: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.bandwidth_bytes_per_s <= 0:
             raise ValueError("bandwidth must be positive")
         if self.setup_latency_s < 0:
             raise ValueError("setup latency must be non-negative")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout must be positive")
 
     def transfer_seconds(self, num_bytes: int) -> float:
         """Latency to move ``num_bytes`` in one DMA transaction."""
@@ -69,26 +64,6 @@ class PcieDmaModel:
         return int(round(clock.seconds_to_cycles(
             self.streaming_seconds(num_bytes)
         )))
-
-    def faulted_transfer_seconds(self, num_bytes: int, outcome: str) -> float:
-        """Wall-clock charged to a transfer attempt with a given fate.
-
-        - ``"ok"`` -- the normal streaming cost;
-        - ``"error"`` -- the EDMA driver aborts mid-stream and reports a
-          status error: the setup plus (on average) half the payload's
-          channel time is wasted before the host sees the failure;
-        - ``"timeout"`` -- the descriptor goes silent and the host eats
-          the full driver timeout before retrying.
-        """
-        if outcome == "ok":
-            return self.streaming_seconds(num_bytes)
-        if outcome == "error":
-            return self.setup_latency_s + 0.5 * self.streaming_seconds(
-                num_bytes
-            )
-        if outcome == "timeout":
-            return self.timeout_s
-        raise ValueError(f"unknown transfer outcome {outcome!r}")
 
 
 @dataclass(frozen=True)

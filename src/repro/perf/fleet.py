@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.perf.instances import EC2Instance, F1_2XLARGE
 
@@ -92,16 +92,12 @@ def plan_fleet(
     return plan
 
 
-def record_fleet_spans(telemetry, plan: FleetPlan,
-                       preempted: Optional["PreemptedFleetResult"] = None,
-                       ) -> None:
+def record_fleet_spans(telemetry, plan: FleetPlan) -> None:
     """Record a fleet plan as a span timeline (one track per instance).
 
     Jobs run back-to-back in assignment (LPT) order, so each instance's
-    track tiles from zero to its busy time; passing the matching
-    ``preempted`` replay additionally marks each reclamation with an
-    instant event at its cut point. Fleet timelines tick in *seconds*
-    (``ticks_per_second=1``), unlike the cycle-model traces.
+    track tiles from zero to its busy time. Fleet timelines tick in
+    *seconds* (``ticks_per_second=1``), unlike the cycle-model traces.
     """
     from repro.telemetry.spans import CAT_FLEET
 
@@ -117,14 +113,6 @@ def record_fleet_spans(telemetry, plan: FleetPlan,
     telemetry.count("fleet.instances", plan.num_instances)
     telemetry.count("fleet.jobs",
                     sum(len(jobs) for jobs in plan.assignments.values()))
-    if preempted is not None:
-        for event in preempted.events:
-            telemetry.instant("spot reclaimed",
-                              f"instance {event.instance}",
-                              event.at_seconds, "preemption")
-        telemetry.count("fleet.preemptions", len(preempted.events))
-        telemetry.count("fleet.jobs_rescheduled",
-                        len(preempted.rescheduled))
 
 
 def record_engine_shards(telemetry, shards, origin: float,
@@ -157,105 +145,6 @@ def record_engine_shards(telemetry, shards, origin: float,
     telemetry.count("engine.shards", len(shards))
     telemetry.count("engine.shard_sites", sum(s.sites for s in shards))
     telemetry.count("engine.workers", workers)
-
-
-@dataclass(frozen=True)
-class PreemptionEvent:
-    """One spot reclamation: instance ``instance`` dies at ``at_seconds``."""
-
-    instance: int
-    at_seconds: float
-
-
-@dataclass
-class PreemptedFleetResult:
-    """A fleet plan after a wave of spot preemptions.
-
-    Single-shock model: each instance is reclaimed at most once, at a
-    fraction of its planned busy time; jobs it had already finished
-    survive, everything else (including the in-flight job, which has no
-    checkpoint) restarts on the least-loaded surviving instance with a
-    fixed re-provisioning overhead. If the whole fleet is reclaimed, one
-    on-demand replacement instance drains the remaining jobs serially.
-    """
-
-    original: FleetPlan
-    events: List[PreemptionEvent] = field(default_factory=list)
-    rescheduled: List[FleetJob] = field(default_factory=list)
-    final_loads: Dict[int, float] = field(default_factory=dict)
-    makespan_seconds: float = 0.0
-    lost_work_seconds: float = 0.0
-    restart_overhead_seconds: float = 0.0
-
-    @property
-    def cost_dollars(self) -> float:
-        """Each instance bills for the time it actually ran."""
-        return sum(
-            self.original.instance.cost(load)
-            for load in self.final_loads.values()
-        )
-
-    @property
-    def makespan_inflation(self) -> float:
-        base = self.original.makespan_seconds
-        if base == 0:
-            return 1.0
-        return self.makespan_seconds / base
-
-
-def simulate_preemptions(
-    plan: FleetPlan,
-    preempt_fraction: Callable[[int], Optional[float]],
-    restart_overhead_s: float = 90.0,
-) -> PreemptedFleetResult:
-    """Replay ``plan`` under spot reclamations and re-place lost work.
-
-    ``preempt_fraction(i)`` returns the fraction of instance ``i``'s
-    busy time at which AWS reclaims it, or ``None`` if it survives --
-    :meth:`repro.resilience.faults.FaultPlan.preemption_fraction` plugs
-    in directly, making fleet chaos reproducible from the same seed as
-    accelerator chaos.
-    """
-    if restart_overhead_s < 0:
-        raise ValueError("restart overhead must be non-negative")
-    result = PreemptedFleetResult(original=plan)
-    survivors: Dict[int, float] = {}
-    orphans: List[FleetJob] = []
-    for index, jobs in sorted(plan.assignments.items()):
-        busy = sum(job.seconds for job in jobs)
-        fraction = preempt_fraction(index)
-        if fraction is None:
-            survivors[index] = busy
-            continue
-        if not 0.0 < fraction < 1.0:
-            raise ValueError("preemption fraction must be in (0, 1)")
-        cut = fraction * busy
-        result.events.append(PreemptionEvent(index, cut))
-        elapsed = 0.0
-        for job in jobs:  # jobs ran in assignment (LPT) order
-            if elapsed + job.seconds <= cut:
-                elapsed += job.seconds  # finished before the reclaim
-            else:
-                orphans.append(job)
-        result.lost_work_seconds += max(cut - elapsed, 0.0)
-        result.final_loads[index] = cut  # spot bills to the reclaim
-    if orphans and not survivors:
-        # The whole fleet died: one on-demand replacement drains it.
-        replacement = max(plan.assignments, default=-1) + 1
-        survivors[replacement] = 0.0
-    heap: List[Tuple[float, int]] = [
-        (load, index) for index, load in survivors.items()
-    ]
-    heapq.heapify(heap)
-    for job in sorted(orphans, key=lambda j: (-j.seconds, j.name)):
-        load, index = heapq.heappop(heap)
-        result.rescheduled.append(job)
-        result.restart_overhead_seconds += restart_overhead_s
-        heapq.heappush(heap, (load + restart_overhead_s + job.seconds, index))
-    for load, index in heap:
-        result.final_loads[index] = load
-    result.makespan_seconds = max(result.final_loads.values(), default=0.0)
-    return result
 
 
 def diagnostic_turnaround(

@@ -11,11 +11,10 @@ connection, requests fire at their scheduled arrivals (scalable with
 indices are assigned round-robin over the job list, every job is
 requested at least once whenever the schedule has >= num_jobs
 requests; any job that still lacks a successful response after the
-scheduled wave (rejected under backpressure, expired, client instance
-preempted) is re-submitted in a final sweep, so the reassembled lines
-are always complete -- and byte-identical to ``repro realign``'s on the
-same input, which ``--compare``/``--selftest`` and CI's serve smoke step
-assert.
+scheduled wave (rejected under backpressure, expired) is re-submitted
+in a final sweep, so the reassembled lines are always complete -- and
+byte-identical to ``repro realign``'s on the same input, which
+``--compare``/``--selftest`` and CI's serve smoke step assert.
 
 ``simulate_load`` is the same schedule run through a *virtual-time*
 single-server FIFO queue model instead of a socket: service time is an
@@ -42,7 +41,6 @@ from repro.serve.request import (
 from repro.workloads.serving import (
     LoadProfile,
     ScheduledRequest,
-    apply_preemption_replay,
     synthesize_load_schedule,
 )
 
@@ -56,9 +54,7 @@ class LoadReport:
     rejected: int = 0
     expired: int = 0
     failed: int = 0
-    retried_requests: int = 0
     sweep_requests: int = 0
-    preempted_instances: int = 0
     jobs: int = 0
     tenants: int = 0
     wall_s: float = 0.0
@@ -73,9 +69,7 @@ class LoadReport:
             "rejected": self.rejected,
             "expired": self.expired,
             "failed": self.failed,
-            "retried_requests": self.retried_requests,
             "sweep_requests": self.sweep_requests,
-            "preempted_instances": self.preempted_instances,
             "jobs": self.jobs,
             "tenants": self.tenants,
             "wall_s": self.wall_s,
@@ -129,14 +123,8 @@ async def run_loadgen(
         raise ValueError(f"time_scale must be >= 0, got {time_scale}")
     jobs = partition_jobs(reads, reference)
     schedule = synthesize_load_schedule(profile, len(jobs), seed)
-    schedule, preempted = apply_preemption_replay(schedule, profile, seed)
 
-    report = LoadReport(
-        jobs=len(jobs),
-        tenants=profile.tenants,
-        preempted_instances=preempted,
-        retried_requests=sum(1 for r in schedule if r.is_retry),
-    )
+    report = LoadReport(jobs=len(jobs), tenants=profile.tenants)
     job_lines: Dict[int, List[str]] = {}
     recorder = LatencyRecorder()
     clients: Dict[str, ServiceClient] = {}
@@ -233,12 +221,9 @@ def simulate_load(
     if not job_sites:
         raise ValueError("job_sites must be non-empty")
     schedule = synthesize_load_schedule(profile, len(job_sites), seed)
-    schedule, preempted = apply_preemption_replay(schedule, profile, seed)
     report = LoadReport(
         jobs=len(job_sites),
         tenants=profile.tenants,
-        preempted_instances=preempted,
-        retried_requests=sum(1 for r in schedule if r.is_retry),
         requests=len(schedule),
     )
     recorder = LatencyRecorder()

@@ -24,7 +24,6 @@ See ``docs/TELEMETRY.md`` for counter definitions and the span schema.
 
 from repro.telemetry.counters import (
     CHANNEL_UNIT,
-    HOST_UNIT,
     CounterBoard,
     UnitCounters,
 )
@@ -36,13 +35,9 @@ from repro.telemetry.metrics import ScheduleMetrics, derive_schedule_metrics
 from repro.telemetry.spans import (
     CAT_COMPUTE,
     CAT_ENGINE,
-    CAT_FALLBACK,
-    CAT_FAULTED,
     CAT_FLEET,
-    CAT_RECOVERY,
     CAT_TRANSFER,
     Telemetry,
-    TraceInstant,
     TraceSpan,
     unit_track,
 )
@@ -50,17 +45,12 @@ from repro.telemetry.spans import (
 __all__ = [
     "CAT_COMPUTE",
     "CAT_ENGINE",
-    "CAT_FALLBACK",
-    "CAT_FAULTED",
     "CAT_FLEET",
-    "CAT_RECOVERY",
     "CAT_TRANSFER",
     "CHANNEL_UNIT",
     "CounterBoard",
-    "HOST_UNIT",
     "ScheduleMetrics",
     "Telemetry",
-    "TraceInstant",
     "TraceSpan",
     "UnitCounters",
     "derive_schedule_metrics",

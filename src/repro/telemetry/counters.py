@@ -4,15 +4,12 @@ The paper reports only end-to-end totals (Table 2's runtimes, Figure
 7's qualitative utilization gap); production accelerator stacks expose
 *where cycles go* as first-class hardware counters. This module is that
 counter file: one :class:`UnitCounters` block per IR unit -- busy /
-idle / stall cycles, targets completed, WHD cells evaluated and pruned,
-retries and quarantines -- plus the special tracks for the PCIe transfer
-channel and the host software-fallback path.
+idle / stall cycles, targets completed, WHD cells evaluated and pruned
+-- plus the special track for the PCIe transfer channel.
 
 Counter semantics (all in unit-clock cycles unless noted):
 
-- ``busy_cycles``: cycles the unit held a dispatched target (successful
-  *and* failed attempts -- a hung attempt occupies the unit until the
-  watchdog reclaims it).
+- ``busy_cycles``: cycles the unit held a dispatched target.
 - ``idle_cycles``: ``makespan - busy_cycles``; the complement, so
   ``busy + idle == makespan`` is an invariant pinned by property tests.
 - ``stall_cycles``: the subset of idle time spent *between* dispatches
@@ -24,19 +21,12 @@ Counter semantics (all in unit-clock cycles unless noted):
   performed (post-pruning).
 - ``whd_cells_pruned``: comparisons computation pruning eliminated
   (``unpruned - evaluated``).
-- ``retries`` / ``quarantined``: recovery actions attributed to the
-  unit (failed attempts that were requeued; whether the unit left
-  service).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from typing import Dict, Iterator
-
-#: Pseudo-unit id for the host CPU's software-fallback track (matches
-#: repro.resilience.recovery.HOST_UNIT).
-HOST_UNIT = -1
 
 #: Pseudo-unit id for the serialized PCIe transfer channel.
 CHANNEL_UNIT = -2
@@ -53,8 +43,6 @@ class UnitCounters:
     targets_completed: int = 0
     whd_cells_evaluated: int = 0
     whd_cells_pruned: int = 0
-    retries: int = 0
-    quarantined: bool = False
 
     @property
     def total_cycles(self) -> int:
@@ -116,14 +104,12 @@ class CounterBoard:
     def flat(self) -> Dict[str, int]:
         """Everything as one flat ``name -> value`` dict.
 
-        Per-unit counters flatten to ``unit{N}.{field}``; the host and
-        channel pseudo-units flatten to ``host_sw.*`` / ``channel.*``.
+        Per-unit counters flatten to ``unit{N}.{field}``; the channel
+        pseudo-unit flattens to ``channel.*``.
         """
         out = dict(sorted(self.scalars.items()))
         for block in self.iter_units():
-            if block.unit == HOST_UNIT:
-                prefix = "host_sw"
-            elif block.unit == CHANNEL_UNIT:
+            if block.unit == CHANNEL_UNIT:
                 prefix = "channel"
             else:
                 prefix = f"unit{block.unit}"

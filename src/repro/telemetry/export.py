@@ -3,8 +3,8 @@
 The span timeline exports to the Chrome trace-event format (the JSON
 array flavour wrapped in a ``traceEvents`` object), which Perfetto
 (https://ui.perfetto.dev) and ``chrome://tracing`` open directly: one
-"thread" per track (IR units, the PCIe channel, the host software
-fallback), complete ``X`` events for spans, ``i`` events for instants.
+"thread" per track (IR units, the PCIe channel, fleet instances, engine
+shards) and one complete ``X`` event per span.
 
 Timestamps convert from the recorder's timebase to microseconds; a
 session with no declared timebase exports 1 tick = 1 us (the cycle
@@ -17,7 +17,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Sequence, Union
 
-from repro.telemetry.counters import CHANNEL_UNIT, HOST_UNIT
+from repro.telemetry.counters import CHANNEL_UNIT
 from repro.telemetry.spans import Telemetry, unit_track
 
 #: Synthetic process id for the single-process trace.
@@ -32,11 +32,9 @@ MIN_SPAN_DURATION_US = 1.0
 
 
 def _track_order(track: str) -> int:
-    """Stable display order: channel, units ascending, host fallback."""
+    """Stable display order: channel, units ascending, other tracks."""
     if track == "pcie-channel":
         return -(10**6)
-    if track == "host-sw":
-        return 10**6
     if track.startswith("unit "):
         return int(track.split()[1])
     return 10**5
@@ -44,7 +42,6 @@ def _track_order(track: str) -> int:
 
 def _tid_map(telemetry: Telemetry) -> Dict[str, int]:
     tracks = {span.track for span in telemetry.spans}
-    tracks.update(instant.track for instant in telemetry.instants)
     tracks.update(
         unit_track(block.unit) for block in telemetry.counters.iter_units()
     )
@@ -88,17 +85,6 @@ def _session_events(telemetry: Telemetry, pid: int) -> List[Dict]:
             "dur": max(span.duration * us_per_tick, MIN_SPAN_DURATION_US),
             "args": dict(span.args),
         })
-    for instant in telemetry.instants:
-        events.append({
-            "ph": "i",
-            "pid": pid,
-            "tid": tids[instant.track],
-            "name": instant.name,
-            "cat": instant.category or "instant",
-            "ts": instant.ts * us_per_tick,
-            "s": "t",  # thread-scoped instant
-            "args": dict(instant.args),
-        })
     return events
 
 
@@ -141,7 +127,6 @@ def write_chrome_trace(telemetry: Union[Telemetry, Sequence[Telemetry]],
 
 __all__ = [
     "CHANNEL_UNIT",
-    "HOST_UNIT",
     "MIN_SPAN_DURATION_US",
     "TRACE_PID",
     "to_chrome_trace",

@@ -16,12 +16,7 @@ tests all quote one set of numbers:
   the makespan: each link's start coincides with the previous link's
   end (dispatch follows transfer, or back-to-back occupancy of one
   resource), so the chain is the sequence of events that actually
-  gated the run;
-- **recovery overhead fraction** -- cycles burned on failed dispatch
-  attempts and faulted DMA transfers, as a share of all cycles spent
-  (wasted + useful; zero on a fault-free run). Normalizing by spent
-  cycles rather than the makespan keeps the fraction in ``[0, 1]``
-  even when several units burn failed attempts concurrently.
+  gated the run.
 """
 
 from __future__ import annotations
@@ -31,8 +26,6 @@ from typing import Dict, List
 
 from repro.telemetry.spans import (
     CAT_COMPUTE,
-    CAT_FALLBACK,
-    CAT_FAULTED,
     CAT_TRANSFER,
     Telemetry,
     TraceSpan,
@@ -49,7 +42,6 @@ class ScheduleMetrics:
     channel_utilization: float
     critical_path_ticks: int
     critical_path_spans: int
-    recovery_overhead_fraction: float
 
     def describe(self) -> str:
         occ = ", ".join(
@@ -61,8 +53,7 @@ class ScheduleMetrics:
             f"mean occupancy {self.mean_occupancy:.1%} ({occ}); "
             f"channel utilization {self.channel_utilization:.1%}; "
             f"critical path {self.critical_path_ticks} ticks over "
-            f"{self.critical_path_spans} spans; "
-            f"recovery overhead {self.recovery_overhead_fraction:.1%}"
+            f"{self.critical_path_spans} spans"
         )
 
 
@@ -97,7 +88,7 @@ def _critical_path(spans: List[TraceSpan], makespan: int) -> List[TraceSpan]:
 
 def derive_schedule_metrics(telemetry: Telemetry) -> ScheduleMetrics:
     """Compute :class:`ScheduleMetrics` from a recorded session."""
-    work_spans = telemetry.spans_in(CAT_COMPUTE, CAT_FAULTED, CAT_FALLBACK)
+    work_spans = telemetry.spans_in(CAT_COMPUTE)
     transfer_spans = telemetry.spans_in(CAT_TRANSFER)
     makespan = telemetry.makespan_ticks
 
@@ -119,14 +110,6 @@ def derive_schedule_metrics(telemetry: Telemetry) -> ScheduleMetrics:
     channel_utilization = transfer_busy / makespan if makespan else 0.0
 
     chain = _critical_path(work_spans + transfer_spans, makespan)
-    wasted = sum(
-        span.duration for span in telemetry.spans_in(CAT_FAULTED)
-    ) + telemetry.counters.get("dma.penalty_cycles")
-    useful = sum(
-        span.duration
-        for span in telemetry.spans_in(CAT_COMPUTE, CAT_FALLBACK)
-    )
-    spent = wasted + useful
     return ScheduleMetrics(
         makespan_ticks=makespan,
         unit_occupancy=occupancy,
@@ -134,5 +117,4 @@ def derive_schedule_metrics(telemetry: Telemetry) -> ScheduleMetrics:
         channel_utilization=channel_utilization,
         critical_path_ticks=sum(span.duration for span in chain),
         critical_path_spans=len(chain),
-        recovery_overhead_fraction=(wasted / spent if spent else 0.0),
     )

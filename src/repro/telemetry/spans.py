@@ -3,15 +3,14 @@
 A :class:`Telemetry` session collects everything one run of the
 accelerated system observes about itself: complete spans (a named
 interval on a named track -- one track per IR unit, one for the PCIe
-transfer channel, one for the host software-fallback path), instant
-events (watchdog expirations, DMA faults, quarantines), and the
+transfer channel) and the
 :class:`~repro.telemetry.counters.CounterBoard`.
 
 The instrumentation contract is *zero overhead when disabled*: hot
 paths take ``telemetry: Optional[Telemetry] = None`` and guard every
 event site with ``if telemetry is not None`` -- no null-object method
-calls, no string formatting, nothing on the fault-free fast path when
-tracing is off. Property tests pin that enabling telemetry changes no
+calls, no string formatting, nothing on the fast path when tracing
+is off. Property tests pin that enabling telemetry changes no
 functional output byte.
 
 Timestamps are integer ticks on the recorder's own timebase --
@@ -28,25 +27,19 @@ from typing import List, Optional, Tuple
 
 from repro.telemetry.counters import (
     CHANNEL_UNIT,
-    HOST_UNIT,
     CounterBoard,
     UnitCounters,
 )
 
 #: Span categories (Chrome trace_event ``cat`` field).
 CAT_COMPUTE = "compute"      # a target computing on an IR unit
-CAT_FAULTED = "faulted"      # a failed dispatch attempt (recovery only)
 CAT_TRANSFER = "transfer"    # PCIe channel occupancy for one target
-CAT_FALLBACK = "fallback"    # software completion on the host CPU
 CAT_FLEET = "fleet"          # one job on one fleet instance
 CAT_ENGINE = "engine"        # one shard on a host unit thread
-CAT_RECOVERY = "recovery"    # a modelled watchdog or quarantine instant
 
 
 def unit_track(unit: int) -> str:
-    """Canonical track name for a unit id (pseudo-units included)."""
-    if unit == HOST_UNIT:
-        return "host-sw"
+    """Canonical track name for a unit id (the channel included)."""
     if unit == CHANNEL_UNIT:
         return "pcie-channel"
     return f"unit {unit}"
@@ -56,9 +49,8 @@ def unit_track(unit: int) -> str:
 class TraceSpan:
     """One complete interval on one track.
 
-    Frozen and fully hashable so span *sets* can be compared -- the
-    acceptance criterion "a fault-free recovery run and schedule_async
-    produce identical span sets" is literally ``set(a) == set(b)``.
+    Frozen and fully hashable, so two runs' span *sets* compare with
+    ``set(a) == set(b)``.
     """
 
     name: str
@@ -80,25 +72,13 @@ class TraceSpan:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class TraceInstant:
-    """One point event on one track (watchdog expiry, DMA fault, ...)."""
-
-    name: str
-    track: str
-    ts: int
-    category: str = ""
-    args: Tuple[Tuple[str, int], ...] = ()
-
-
 @dataclass
 class Telemetry:
-    """One run's telemetry session: spans + instants + counters."""
+    """One run's telemetry session: spans + counters."""
 
     ticks_per_second: Optional[float] = None
     label: str = "repro"
     spans: List[TraceSpan] = field(default_factory=list)
-    instants: List[TraceInstant] = field(default_factory=list)
     counters: CounterBoard = field(default_factory=CounterBoard)
 
     # -- recording ------------------------------------------------------
@@ -108,14 +88,6 @@ class Telemetry:
                            category=category,
                            args=tuple(sorted(args.items())))
         self.spans.append(record)
-        return record
-
-    def instant(self, name: str, track: str, ts: int,
-                category: str = "", **args: int) -> TraceInstant:
-        record = TraceInstant(name=name, track=track, ts=ts,
-                              category=category,
-                              args=tuple(sorted(args.items())))
-        self.instants.append(record)
         return record
 
     def count(self, name: str, delta: int = 1) -> None:
@@ -133,21 +105,16 @@ class Telemetry:
             self.span(f"target {span.target_index}", unit_track(span.unit),
                       span.start, span.end, CAT_COMPUTE)
 
-    def finalize_unit_cycles(self, result,
-                             count_completions: bool = True) -> None:
+    def finalize_unit_cycles(self, result) -> None:
         """Derive busy/idle/stall counters from a schedule's timeline.
 
-        ``busy`` is the summed occupancy of every attempt span on the
-        unit; ``idle`` its complement against the makespan; ``stall``
-        the inter-dispatch gaps (channel serialization / sync barrier),
+        ``busy`` is the summed occupancy of every span on the unit;
+        ``idle`` its complement against the makespan; ``stall`` the
+        inter-dispatch gaps (channel serialization / sync barrier),
         which excludes ramp-in before the first dispatch and drain-out
-        after the last. Every scheduled unit gets a block even if no
-        target ever reached it (all idle).
-
-        The fault-free schedulers complete every span they record, so
-        they leave ``count_completions`` on; the recovery scheduler's
-        timeline includes failed attempts, so it counts completions
-        itself and passes ``False``.
+        after the last. Every span is one completed target. Every
+        scheduled unit gets a block even if no target ever reached it
+        (all idle).
         """
         makespan = result.makespan
         per_unit: dict = {u: [] for u in range(result.num_units)}
@@ -163,8 +130,7 @@ class Telemetry:
             block.busy_cycles += busy
             block.idle_cycles += makespan - busy
             block.stall_cycles += stall
-            if count_completions:
-                block.targets_completed += len(spans)
+            block.targets_completed += len(spans)
 
     # -- views ----------------------------------------------------------
     def spans_in(self, *categories: str) -> List[TraceSpan]:

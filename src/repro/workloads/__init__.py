@@ -20,7 +20,7 @@ Without that dataset, the reproduction uses:
   low-quality tails, adapter read-through) that stresses prefilter
   soundness and realignment stability;
 - :mod:`repro.workloads.serving` -- seeded many-tenant request
-  schedules (Poisson arrivals, round-robin job assignment, fleet
-  spot-preemption replay) for driving the serving plane
+  schedules (Poisson arrivals, round-robin job assignment) for driving
+  the serving plane
   (``repro.serve``, docs/SERVING.md).
 """

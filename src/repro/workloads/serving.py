@@ -3,10 +3,9 @@
 The paper's deployment is a *shared* fleet: many users' cohorts hitting
 a pool of F1 instances behind ADAM/Spark. The serving layer
 (:mod:`repro.serve`) needs that regime reproduced on a laptop -- many
-tenants, overlapping requests, bursts, and (optionally) a spot
--preemption wave knocking out part of the client fleet mid-run -- all
-fully deterministic so latency-percentile tests and the serving bench
-gate can pin their numbers.
+tenants, overlapping requests and bursts -- all fully deterministic so
+latency-percentile tests and the serving bench gate can pin their
+numbers.
 
 This module owns the *schedule*; what a request contains (which region
 job, which SAM lines) is the load generator's business
@@ -17,21 +16,13 @@ merged into one global arrival order. Job indices are assigned round
 -robin over the job list in construction order, so any schedule with at
 least ``num_jobs`` requests covers every job at least once (the load
 generator relies on this to reassemble a complete SAM).
-
-The preemption replay (:func:`apply_preemption_replay`) reuses the
-fleet machinery from :mod:`repro.perf.fleet` verbatim: tenants are
-placed on client instances with :func:`~repro.perf.fleet.plan_fleet`,
-:meth:`repro.resilience.faults.FaultPlan.preemption_fraction` decides
-which instances die and when, and every request a dead instance had not
-yet issued is re-submitted after a restart delay -- the client-side
-mirror of the paper's spot-market story.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -47,16 +38,12 @@ class LoadProfile:
     ``mean_interarrival_s`` is each tenant's mean gap between request
     *issues* (exponential, seeded); tenants are independent, so the
     aggregate offered rate is ``tenants / mean_interarrival_s``.
-    ``preempt_rate`` is the per-client-instance spot-reclaim
-    probability replayed by :func:`apply_preemption_replay`.
     """
 
     tenants: int = 4
     requests_per_tenant: int = 8
     mean_interarrival_s: float = 0.01
     deadline_s: float = 30.0
-    preempt_rate: float = 0.0
-    restart_delay_s: float = 0.05
     schedule: str = "uniform"
 
     #: Valid ``schedule`` values: ``uniform`` assigns jobs round-robin
@@ -82,15 +69,6 @@ class LoadProfile:
                 raise ValueError(
                     f"{name} must be a finite number > 0, got {value}"
                 )
-        if not 0.0 <= self.preempt_rate <= 1.0:
-            raise ValueError(
-                f"preempt_rate must be in [0, 1], got {self.preempt_rate}"
-            )
-        if not 0 <= self.restart_delay_s < math.inf:
-            raise ValueError(
-                f"restart_delay_s must be a finite number >= 0, "
-                f"got {self.restart_delay_s}"
-            )
         if self.schedule not in self.SCHEDULES:
             raise ValueError(
                 f"schedule must be one of {self.SCHEDULES}, "
@@ -100,22 +78,12 @@ class LoadProfile:
 
 @dataclass(frozen=True)
 class ScheduledRequest:
-    """One planned request: who sends what, when.
-
-    ``retry_of_instance`` is ``-1`` for first-issue requests; replayed
-    (post-preemption) re-submissions carry the dead client instance's
-    index so reports can attribute the retry wave.
-    """
+    """One planned request: who sends what, when."""
 
     arrival_s: float
     tenant: str
     job: int
     deadline_s: float
-    retry_of_instance: int = -1
-
-    @property
-    def is_retry(self) -> bool:
-        return self.retry_of_instance >= 0
 
 
 def synthesize_load_schedule(
@@ -181,81 +149,9 @@ def synthesize_load_schedule(
     return sorted(requests, key=lambda r: (r.arrival_s, r.tenant, r.job))
 
 
-def apply_preemption_replay(
-    schedule: List[ScheduledRequest],
-    profile: LoadProfile,
-    seed: int = 0,
-    instances: int = 0,
-) -> Tuple[List[ScheduledRequest], int]:
-    """Replay a spot-preemption wave over the client fleet.
-
-    Tenants are placed on ``instances`` client instances (default: one
-    per two tenants) with the same LPT planner the fleet cost model
-    uses, weighting each tenant by its scheduled span. Each instance is
-    then reclaimed -- or not -- by
-    :meth:`~repro.resilience.faults.FaultPlan.preemption_fraction` at a
-    seeded fraction of its span. Requests a reclaimed instance had not
-    yet issued are re-submitted ``restart_delay_s`` after the reclaim
-    (never earlier than originally planned), tagged with the dead
-    instance's index.
-
-    Returns ``(new_schedule, preempted_instances)``. With
-    ``profile.preempt_rate == 0`` the schedule is returned unchanged.
-    """
-    if profile.preempt_rate == 0.0 or not schedule:
-        return schedule, 0
-    from repro.perf.fleet import FleetJob, plan_fleet
-    from repro.resilience.faults import FaultPlan
-
-    if instances <= 0:
-        instances = max(1, profile.tenants // 2)
-    spans = {}
-    for request in schedule:
-        spans[request.tenant] = max(
-            spans.get(request.tenant, 0.0), request.arrival_s
-        )
-    plan = plan_fleet(
-        [FleetJob(name=tenant, seconds=span or 1e-9)
-         for tenant, span in sorted(spans.items())],
-        instances,
-    )
-    tenant_instance = {
-        job.name: index
-        for index, jobs in plan.assignments.items()
-        for job in jobs
-    }
-    fractions = FaultPlan.chaos(seed, profile.preempt_rate)
-    reclaim_at = {}
-    for index, jobs in plan.assignments.items():
-        if not jobs:
-            continue
-        fraction = fractions.preemption_fraction(index)
-        if fraction is not None:
-            span = max(spans[job.name] for job in jobs)
-            reclaim_at[index] = fraction * span
-    if not reclaim_at:
-        return schedule, 0
-    replayed: List[ScheduledRequest] = []
-    for request in schedule:
-        instance = tenant_instance[request.tenant]
-        cut = reclaim_at.get(instance)
-        if cut is not None and request.arrival_s >= cut:
-            replayed.append(replace(
-                request,
-                arrival_s=max(request.arrival_s,
-                              cut + profile.restart_delay_s),
-                retry_of_instance=instance,
-            ))
-        else:
-            replayed.append(request)
-    replayed.sort(key=lambda r: (r.arrival_s, r.tenant, r.job))
-    return replayed, len(reclaim_at)
-
-
 __all__ = [
     "LoadProfile",
     "ScheduledRequest",
     "TENANT_PREFIX",
-    "apply_preemption_replay",
     "synthesize_load_schedule",
 ]

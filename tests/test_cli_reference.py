@@ -74,10 +74,11 @@ class TestHelpPages:
 class TestDispatch:
     def test_all_runs_each_experiment_at_its_own_defaults(self,
                                                          monkeypatch):
-        from repro.experiments.resilience import DEFAULT_FAULT_RATES
-
-        order = ("figure2", "figure3", "figure4", "tables", "figure7",
-                 "appendix", "microarch", "figure9", "resilience")
+        # The parser's flagless paper commands in order, then figure9:
+        # every experiment, comparisons included.
+        order = ("figure2", "figure3", "figure4", "figure7", "tables",
+                 "appendix", "microarch", "comparisons", "figure9")
+        assert sorted(order) == sorted(PAPER_COMMANDS)
         calls = []
         for name in order:
             module = importlib.import_module(f"repro.experiments.{name}")
@@ -90,10 +91,6 @@ class TestDispatch:
         kwargs = dict(calls)
         assert kwargs["figure9"] == {"sites_per_chromosome": 96,
                                      "replication": 24}
-        assert kwargs["resilience"] == {
-            "fault_rates": DEFAULT_FAULT_RATES, "sites_per_chromosome": 48,
-            "replication": 4, "chaos_seed": 1234, "trace_out": None,
-        }
 
     def test_trace_engine_session_uses_the_site_cache(self, tmp_path):
         out = tmp_path / "trace.json"
@@ -104,9 +101,10 @@ class TestDispatch:
 
 
 class TestChaosFlags:
-    """Only the FPGA model takes injected faults: ``--fault-rate`` and
-    its ``--chaos-seed`` live on ``realign`` and ``trace``, and no
-    command injects faults into the host engine."""
+    """Nothing injects faults: the FPGA model is the paper's fault-free
+    F1, and the host plane raises instead of retrying. Every chaos flag
+    is an argparse error on every command, and ``resilience`` is no
+    command."""
 
     @staticmethod
     def _argv(tmp_path):
@@ -123,44 +121,20 @@ class TestChaosFlags:
 
     def test_host_fault_flags_are_gone(self, tmp_path, capsys):
         for name, argv in self._argv(tmp_path).items():
-            gone = [("--worker-fault-rate", "0.3")]
-            if name not in ("realign", "trace"):
-                gone.append(("--chaos-seed", "7"))
-            for flag in gone:
-                with pytest.raises(SystemExit) as exit_info:
-                    cli_main(argv + list(flag))
-                assert exit_info.value.code == 2, (name, flag)
-                assert (f"unrecognized arguments: {flag[0]}"
-                        in capsys.readouterr().err)
-
-    def test_chaos_seed_still_seeds_the_fault_rate(self, tmp_path, capsys):
-        sample = tmp_path / "sample"
-        assert cli_main(["simulate", "--out", str(sample), "--length",
-                         "4000", "--coverage", "12", "--seed", "3"]) == 0
-
-        def chaos_lines(command, seed):
-            argv = {
-                "realign": ["realign", "--reference",
-                            str(sample / "reference.fa"), "--sam",
-                            str(sample / "aligned.sam"), "--out",
-                            str(tmp_path / "o.sam"), "--accelerated",
-                            "--fault-rate", "0.9"],
-                "trace": ["trace", "--out", str(tmp_path / "t.json"),
-                          "--sites", "6", "--fault-rate", "0.5"],
-            }[command]
-            capsys.readouterr()
-            assert cli_main(argv + ["--chaos-seed", str(seed),
-                                    "--workers", "1"]) == 0
-            # Without the seed's own echo, so that only the faults the
-            # seed drew can tell two runs apart.
-            return [re.sub(r"seed \d+", "seed", line)
-                    for line in capsys.readouterr().out.splitlines()
-                    if "chaos" in line]
-
-        for command in ("realign", "trace"):
-            first = chaos_lines(command, 1)
-            assert first and first == chaos_lines(command, 1), command
-            assert chaos_lines(command, 2) != first, command
+            with pytest.raises(SystemExit) as exit_info:
+                cli_main(argv + ["--worker-fault-rate", "0.3"])
+            assert exit_info.value.code == 2, name
+            assert ("unrecognized arguments: --worker-fault-rate"
+                    in capsys.readouterr().err)
+        chaos = re.compile(r"fault|chaos|preempt")
+        for name, subparser in _subcommands().items():
+            options = [option for action in subparser._actions
+                       for option in action.option_strings]
+            assert not [o for o in options if chaos.search(o)], name
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["resilience"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'resilience'" in capsys.readouterr().err
 
 
 class TestParserImports:
@@ -202,13 +176,11 @@ class TestParserImports:
 
     def test_flagless_realign_loads_no_fpga_model(self, tmp_path):
         """A software run pays for the software path: no FPGA model, no
-        refinement pipeline, nothing from the resilience package (the
-        host plane raises, it does not recover), and at most 25 of the
-        package's modules."""
+        refinement pipeline, and at most 25 of the package's modules."""
         self._check_after_flagless_realign(tmp_path, (
             "banned = [m for m in sys.modules if m == 'networkx' "
             "or m.startswith(('repro.core', 'repro.hw', "
-            "'repro.refinement', 'repro.resilience'))]\n"
+            "'repro.refinement'))]\n"
             "assert not banned, banned\n"
             "ours = sorted(m for m in sys.modules if m.startswith('repro.'))\n"
             "assert len(ours) <= 25, ours\n"

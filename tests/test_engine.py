@@ -310,35 +310,6 @@ class TestRealignerIntegration:
         with pytest.raises(TypeError):
             realigner.realign(sample.reads)
 
-    def test_fallback_sites_under_chaos_match_with_engine(self, sample):
-        """Chaos runs that drain targets to the software fallback stay
-        byte-identical when the fallback is served by the engine."""
-        from dataclasses import replace
-
-        from repro.core.system import AcceleratedRealigner, SystemConfig
-        from repro.resilience.faults import FaultPlan
-        from repro.resilience.policy import ResilienceConfig, RetryPolicy
-
-        clean, _run, _report = AcceleratedRealigner(
-            sample.reference, SystemConfig.iracc()
-        ).realign(sample.reads)
-        config = replace(
-            SystemConfig.iracc(),
-            resilience=ResilienceConfig(
-                plan=FaultPlan.chaos(0, 0.9),
-                retry=RetryPolicy(max_attempts=1),
-            ),
-        )
-        scalar, run, _ = AcceleratedRealigner(
-            sample.reference, config
-        ).realign(sample.reads)
-        assert run.fallback_site_indices  # chaos actually forced fallbacks
-        engined, run2, _ = AcceleratedRealigner(
-            sample.reference, config, engine=EngineConfig(workers=2, batch=2)
-        ).realign(sample.reads)
-        assert run2.fallback_site_indices == run.fallback_site_indices
-        assert self._sam(engined) == self._sam(scalar) == self._sam(clean)
-
 
 class TestEngineCli:
     @pytest.fixture(scope="class")

@@ -5,22 +5,14 @@ every layer fails loudly (typed exceptions) or degrades gracefully --
 never silently corrupts results.
 """
 
-import functools
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.buffers import BufferError, RecordBuffer
 from repro.core.host import HostPlanError, plan_targets
 from repro.core.isa import IsaError, ir_set_addr, BufferId
 from repro.core.router import RoccCommandRouter, RouterError
-from repro.core.scheduler import ScheduledTarget
-from repro.core.system import (
-    AcceleratedIRSystem,
-    AcceleratedRealigner,
-    SystemConfig,
-)
+from repro.core.system import AcceleratedIRSystem, SystemConfig
 from repro.genomics.quality import QualityError, phred_from_ascii
 from repro.genomics.samlite import SamError, parse_read
 from repro.genomics.sequence import SequenceError, validate_bases
@@ -169,122 +161,3 @@ class TestIdempotence:
         for a, b in zip(once, twice):
             assert a.pos == b.pos
             assert str(a.cigar) == str(b.cigar)
-
-
-class TestChaosProperties:
-    """Hypothesis properties for the fault-injection layer: under *any*
-    seeded FaultPlan, the recovery scheduler preserves the timeline
-    invariants of the fault-free scheduler, and the realigner's output
-    stays bit-identical to a fault-free run."""
-
-    targets_strategy = st.lists(
-        st.tuples(st.integers(0, 20), st.integers(1, 500)), min_size=1,
-        max_size=40,
-    ).map(lambda pairs: [
-        ScheduledTarget(index=i, transfer_cycles=t, compute_cycles=c)
-        for i, (t, c) in enumerate(pairs)
-    ])
-
-    @given(targets_strategy, st.integers(1, 8), st.integers(0, 2**31 - 1),
-           st.floats(0.0, 0.9))
-    @settings(max_examples=60, deadline=None)
-    def test_recovery_preserves_timeline_invariants(
-        self, targets, num_units, chaos_seed, rate
-    ):
-        from repro.resilience.policy import ResilienceConfig
-        from repro.resilience.recovery import schedule_with_recovery
-
-        config = ResilienceConfig.chaos(chaos_seed, rate)
-        result = schedule_with_recovery(targets, num_units, config)
-        # Every scheduled position completes exactly once, hw or sw.
-        assert sorted(result.completions) == list(range(len(targets)))
-        assert set(result.completions.values()) <= {"hw", "sw"}
-        # Spans on one unit never overlap (failed attempts included),
-        # and the host's software timeline is serial too.
-        by_unit = {}
-        for span in result.spans:
-            by_unit.setdefault(span.unit, []).append(span)
-        by_unit.setdefault(-1, []).extend(result.fallback_spans)
-        for spans in by_unit.values():
-            spans.sort(key=lambda s: s.start)
-            for left, right in zip(spans, spans[1:]):
-                assert left.end <= right.start
-        # The makespan covers every span on every timeline.
-        ends = [s.end for s in result.spans + result.fallback_spans]
-        assert result.makespan == max(ends, default=0)
-        # The ledger is internally consistent.
-        assert len(result.events) == result.counters.total_injected
-        assert len(result.quarantined_units) == \
-            result.counters.quarantined_units
-
-    @given(targets_strategy, st.integers(1, 8), st.integers(0, 2**31 - 1),
-           st.floats(0.0, 0.9))
-    @settings(max_examples=30, deadline=None)
-    def test_recovery_is_deterministic(
-        self, targets, num_units, chaos_seed, rate
-    ):
-        from repro.resilience.policy import ResilienceConfig
-        from repro.resilience.recovery import schedule_with_recovery
-
-        config = ResilienceConfig.chaos(chaos_seed, rate)
-        first = schedule_with_recovery(targets, num_units, config)
-        second = schedule_with_recovery(targets, num_units, config)
-        assert first.spans == second.spans
-        assert first.fallback_spans == second.fallback_spans
-        assert first.completions == second.completions
-        assert first.makespan == second.makespan
-
-    @given(targets_strategy, st.integers(1, 8))
-    @settings(max_examples=30, deadline=None)
-    def test_fault_free_plan_is_exactly_schedule_async(
-        self, targets, num_units
-    ):
-        from repro.core.scheduler import schedule_async
-        from repro.resilience.faults import FaultPlan
-        from repro.resilience.policy import ResilienceConfig
-        from repro.resilience.recovery import schedule_with_recovery
-
-        base = schedule_async(targets, num_units)
-        resilient = schedule_with_recovery(
-            targets, num_units, ResilienceConfig(plan=FaultPlan.none())
-        )
-        assert resilient.spans == base.spans
-        assert resilient.makespan == base.makespan
-        assert resilient.transfer_cycles_total == base.transfer_cycles_total
-        assert resilient.counters.total_injected == 0
-
-    @given(st.integers(0, 2**31 - 1), st.floats(0.05, 0.8))
-    @settings(max_examples=8, deadline=None)
-    def test_realignment_bit_identical_under_chaos(self, chaos_seed, rate):
-        """The degradation guarantee: whatever the FaultPlan does --
-        including targets that drain to the software fallback -- the
-        realigned reads are bit-identical to the fault-free run."""
-        from dataclasses import replace
-
-        from repro.resilience.policy import ResilienceConfig
-
-        reference, reads, clean = _chaos_baseline()
-        config = replace(SystemConfig.iracc(),
-                         resilience=ResilienceConfig.chaos(chaos_seed, rate))
-        chaotic, run, _report = AcceleratedRealigner(
-            reference, config
-        ).realign(reads)
-        assert run.resilience is not None
-        assert len(chaotic) == len(clean)
-        for ours, theirs in zip(chaotic, clean):
-            assert ours.name == theirs.name
-            assert ours.pos == theirs.pos
-            assert str(ours.cigar) == str(theirs.cigar)
-            assert ours.seq == theirs.seq
-
-
-@functools.lru_cache(maxsize=1)
-def _chaos_baseline():
-    """A small simulated sample plus its fault-free realignment."""
-    from repro.genomics.simulate import simulate_sample
-
-    sample = simulate_sample({"c": 6_000}, seed=3)
-    clean, _run, _report = AcceleratedRealigner(
-        sample.reference, SystemConfig.iracc()
-    ).realign(sample.reads)
-    return sample.reference, sample.reads, clean

@@ -54,11 +54,7 @@ from repro.serve.request import (
 from repro.serve.server import RealignmentServer
 from repro.serve.service import RealignmentService
 from repro.workloads.generator import synthesize_site
-from repro.workloads.serving import (
-    LoadProfile,
-    apply_preemption_replay,
-    synthesize_load_schedule,
-)
+from repro.workloads.serving import LoadProfile, synthesize_load_schedule
 
 
 def _sample(lengths=None, seed=5):
@@ -420,8 +416,7 @@ class TestConfigValues:
         for field in ("default_deadline_s", "drain_timeout_s"):
             with pytest.raises(ValueError, match=field):
                 ServiceConfig(**{field: value})
-        for field in ("mean_interarrival_s", "deadline_s",
-                      "restart_delay_s"):
+        for field in ("mean_interarrival_s", "deadline_s"):
             with pytest.raises(ValueError, match=field):
                 LoadProfile(**{field: value})
 
@@ -448,40 +443,6 @@ class TestLoadSchedules:
         profile = LoadProfile(tenants=2, requests_per_tenant=4)
         schedule = synthesize_load_schedule(profile, num_jobs=5, seed=1)
         assert {r.job for r in schedule} == set(range(5))
-
-    def test_preemption_replay_is_deterministic_and_tagged(self):
-        profile = LoadProfile(tenants=4, requests_per_tenant=6,
-                              preempt_rate=0.9, restart_delay_s=0.02)
-        schedule = synthesize_load_schedule(profile, 3, seed=5)
-        replayed, hit = apply_preemption_replay(schedule, profile, seed=5)
-        again, hit2 = apply_preemption_replay(schedule, profile, seed=5)
-        assert (replayed, hit) == (again, hit2)
-        assert hit >= 1
-        retries = [r for r in replayed if r.is_retry]
-        assert retries, "a 90% preemption wave must delay some requests"
-        # The replay only shifts times: the (tenant, job) workload is
-        # preserved, untouched requests appear verbatim, and every
-        # retry fires at or after its instance's reclaim + restart.
-        assert (sorted((r.tenant, r.job) for r in replayed)
-                == sorted((r.tenant, r.job) for r in schedule))
-        originals = set((r.tenant, r.job, r.arrival_s) for r in schedule)
-        for request in replayed:
-            if not request.is_retry:
-                assert (request.tenant, request.job,
-                        request.arrival_s) in originals
-        cut_plus_delay = {}
-        for retry in retries:
-            instance = retry.retry_of_instance
-            cut_plus_delay.setdefault(instance, retry.arrival_s)
-            cut_plus_delay[instance] = min(cut_plus_delay[instance],
-                                           retry.arrival_s)
-        for retry in retries:
-            assert retry.arrival_s >= cut_plus_delay[retry.retry_of_instance]
-
-    def test_zero_rate_is_identity(self):
-        profile = LoadProfile(tenants=2, requests_per_tenant=2)
-        schedule = synthesize_load_schedule(profile, 2, seed=0)
-        assert apply_preemption_replay(schedule, profile, 0) == (schedule, 0)
 
 
 class TestSimulateLoad:

@@ -192,31 +192,6 @@ class TestStreamingEngine:
 
 
 class TestDoubleBufferedDispatch:
-    def _run(self, double_buffer):
-        from dataclasses import replace
-
-        from repro.core.system import AcceleratedIRSystem, SystemConfig
-
-        sites = _sites(8, seed=13)
-        config = replace(SystemConfig.iracc(), dispatch_batch=4,
-                         double_buffer=double_buffer)
-        return AcceleratedIRSystem(config).run(sites), sites
-
-    def test_default_stays_single_buffered(self):
-        from repro.core.system import SystemConfig
-
-        assert SystemConfig().double_buffer is False
-        assert SystemConfig.iracc().double_buffer is False
-
-    def test_overlap_never_slows_the_schedule(self):
-        single, _ = self._run(double_buffer=False)
-        double, _ = self._run(double_buffer=True)
-        assert double.schedule.makespan <= single.schedule.makespan
-        # Same kernel work either way -- only the charged turnaround moves.
-        assert [r.cycles.total for r in double.unit_results] == [
-            r.cycles.total for r in single.unit_results
-        ]
-
     def test_figure7_overlapped_rows(self):
         from repro.experiments.figure7 import run
 
@@ -324,17 +299,6 @@ class TestStreamCli:
         assert exit_info.value.code == 2
         assert "--queue-depth" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_accelerated_chaos_fallback_accepts_any_plane(self, sample_dir):
-        # Regression: AcceleratedRealigner carried a stale copy of the
-        # engine resolver that raised TypeError on a non-Engine plane
-        # as soon as one target drained to the software fallback.
-        chaos = ("--accelerated", "--fault-rate", "0.9", "--chaos-seed", "3")
-        control = self._realign(sample_dir, "chaos-inline.sam", *chaos,
-                               "--workers", "1")
-        assert self._realign(sample_dir, "chaos-stream.sam", *chaos,
-                             "--workers", "2",
-                             "--site-cache-mb", "8") == control
 
     def test_trace_records_stream_session(self, sample_dir, capsys):
         from repro.__main__ import main as cli_main

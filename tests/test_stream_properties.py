@@ -3,14 +3,12 @@
 The invariant under test is single: the engine's output is
 byte-identical to the serial kernel's for *any* site set, worker
 count, or queue depth -- from one chunk per worker up to a window that
-holds every chunk (the old barrier) -- including when chaos-mode fault
-injection drains targets through it as the software fallback.
+holds every chunk (the old barrier).
 """
 
 import math
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -89,48 +87,3 @@ class TestStreamingEngineProperties:
                 assert a.same_outputs(b)
                 np.testing.assert_array_equal(a.min_whd, b.min_whd)
                 np.testing.assert_array_equal(a.new_pos, b.new_pos)
-
-
-class TestFaultInjectionProperties:
-    @pytest.fixture(scope="class")
-    def sample(self):
-        from repro.genomics.simulate import SimulationProfile, simulate_sample
-
-        return simulate_sample(
-            {"chr22": 9_000},
-            profile=SimulationProfile(coverage=16.0, indel_rate=1.5e-3),
-            seed=7,
-        )
-
-    @staticmethod
-    def _sam(reads):
-        return [(r.name, r.pos, str(r.cigar), r.seq) for r in reads]
-
-    @given(chaos_seed=st.integers(0, 1_000),
-           rate=st.floats(0.05, 0.9))
-    @settings(max_examples=5, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_chaos_fallback_through_streaming_engine(
-        self, sample, chaos_seed, rate
-    ):
-        """Chaos runs that drain targets to the software fallback stay
-        byte-identical when the fallback is a pooled engine at its
-        tightest window."""
-        from dataclasses import replace
-
-        from repro.core.system import AcceleratedRealigner, SystemConfig
-        from repro.resilience.policy import ResilienceConfig
-
-        clean, _run, _report = AcceleratedRealigner(
-            sample.reference, SystemConfig.iracc()
-        ).realign(sample.reads)
-        config = replace(
-            SystemConfig.iracc(),
-            resilience=ResilienceConfig.chaos(chaos_seed, rate),
-        )
-        with Engine(EngineConfig(workers=2, batch=2),
-                    queue_depth=1) as engine:
-            faulted, _run, _report = AcceleratedRealigner(
-                sample.reference, config, engine=engine
-            ).realign(sample.reads)
-        assert self._sam(faulted) == self._sam(clean)

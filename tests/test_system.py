@@ -11,6 +11,7 @@ from repro.core.system import (
     SystemConfig,
 )
 from repro.engine import EngineConfig
+from repro.experiments import figure7
 from repro.genomics.simulate import SimulationProfile, simulate_sample
 from repro.hw.memory import DdrChannelModel
 from repro.realign.realigner import IndelRealigner
@@ -112,6 +113,54 @@ class TestSystemRun:
         assert run.compute_cycles == sum(
             r.cycles.total for r in run.unit_results
         )
+
+
+#: The modelled numbers of a seeded 24-site pool, replicated three times
+#: (72 targets on 32 units), per design point: schedule makespan (cycles),
+#: total_seconds, transfer_seconds, pruned_fraction and each site's
+#: cycles.total. Exact: a change to the fault-free model moves them.
+MODELLED_POOL = {
+    "taskp": (3239196, 0.025913568, 2.0835e-05, 0.47927632915543306),
+    "taskp_async": (1472531, 0.011780248, 2.0835e-05, 0.47927632915543306),
+    "iracc": (91981, 0.000735848, 2.0835e-05, 0.29721346779071856),
+}
+SCALAR_SITE_CYCLES = [
+    188820, 55604, 82890, 75308, 66312, 326930, 64450, 38647, 38513,
+    1363423, 93372, 112663, 713341, 162823, 60702, 52156, 18992, 61971,
+    509371, 83406, 294770, 64642, 20246, 98960,
+]
+VECTOR_SITE_CYCLES = [
+    11892, 3626, 5142, 7114, 5996, 25788, 4973, 2524, 2328, 84101, 6118,
+    6453, 40946, 8581, 3759, 3140, 1567, 5650, 26321, 12527, 23921, 4404,
+    1230, 5637,
+]
+
+
+class TestModelledNumbers:
+    @pytest.fixture(scope="class")
+    def pool(self):
+        rng = np.random.default_rng(2019)
+        return [synthesize_site(rng, BENCH_PROFILE, complexity=0.5)
+                for _ in range(24)]
+
+    @pytest.mark.parametrize("point", sorted(MODELLED_POOL))
+    def test_design_point_numbers_are_pinned(self, pool, point):
+        run = AcceleratedIRSystem(getattr(SystemConfig, point)()).run(
+            pool, replication=3
+        )
+        assert (run.schedule.makespan, run.total_seconds,
+                run.transfer_seconds, run.pruned_fraction) \
+            == MODELLED_POOL[point]
+        assert [r.cycles.total for r in run.unit_results] == (
+            VECTOR_SITE_CYCLES if point == "iracc" else SCALAR_SITE_CYCLES
+        )
+
+    def test_figure7_makespans_are_pinned(self):
+        outcome = figure7.run()
+        assert [schedule.makespan for schedule in (
+            outcome.sync, outcome.async_, outcome.async_batched,
+            outcome.async_turnaround, outcome.async_overlapped,
+        )] == [344167, 200324, 200324, 200449, 200324]
 
 
 class TestAcceleratedRealigner:

@@ -18,10 +18,8 @@ from repro.__main__ import main as cli_main
 from repro.core.scheduler import ScheduledTarget, schedule_async
 from repro.telemetry import (
     CAT_COMPUTE,
-    CAT_FAULTED,
     CAT_TRANSFER,
     CHANNEL_UNIT,
-    HOST_UNIT,
     CounterBoard,
     Telemetry,
     TraceSpan,
@@ -42,12 +40,10 @@ class TestCounters:
         board = CounterBoard()
         board.add("schedule.targets", 4)
         board.unit(0).busy_cycles += 10
-        board.unit(HOST_UNIT).targets_completed += 1
         board.unit(CHANNEL_UNIT).busy_cycles += 3
         flat = board.flat()
         assert flat["schedule.targets"] == 4
         assert flat["unit0.busy_cycles"] == 10
-        assert flat["host_sw.targets_completed"] == 1
         assert flat["channel.busy_cycles"] == 3
 
     def test_occupancy_and_pruned_fraction(self):
@@ -61,7 +57,6 @@ class TestCounters:
 
     def test_unit_track_names(self):
         assert unit_track(3) == "unit 3"
-        assert unit_track(HOST_UNIT) == "host-sw"
         assert unit_track(CHANNEL_UNIT) == "pcie-channel"
 
 
@@ -115,21 +110,12 @@ class TestMetrics:
         assert metrics.critical_path_ticks == 100
         assert metrics.critical_path_spans == 3
 
-    def test_recovery_overhead_counts_faulted_spans(self):
-        telemetry = Telemetry()
-        telemetry.span("target 0 (attempt 1)", "unit 0", 0, 40, CAT_FAULTED)
-        telemetry.span("target 0", "unit 0", 40, 100, CAT_COMPUTE)
-        telemetry.unit(0).busy_cycles += 100
-        telemetry.unit(0).idle_cycles += 0
-        metrics = derive_schedule_metrics(telemetry)
-        assert metrics.recovery_overhead_fraction == pytest.approx(0.4)
-
     def test_describe_mentions_every_headline_number(self):
         telemetry = Telemetry()
         schedule_async(TARGETS, 2, telemetry=telemetry)
         text = derive_schedule_metrics(telemetry).describe()
         for needle in ("makespan", "occupancy", "channel utilization",
-                       "critical path", "recovery overhead"):
+                       "critical path"):
             assert needle in text
 
 
@@ -153,29 +139,28 @@ class TestChromeTraceExport:
             counters["unit1.targets_completed"] == len(TARGETS)
 
     def test_multi_session_gets_distinct_pids(self):
-        a, b = Telemetry(label="async"), Telemetry(label="recovery")
+        a, b = Telemetry(label="first"), Telemetry(label="second")
         schedule_async(TARGETS, 2, telemetry=a)
         schedule_async(TARGETS, 2, telemetry=b)
         payload = to_chrome_trace([a, b])
         pids = {event["pid"] for event in payload["traceEvents"]}
         assert pids == {1, 2}
-        assert set(payload["otherData"]["counters"]) == {
-            "async", "recovery"
-        }
+        assert set(payload["otherData"]["counters"]) == {"first", "second"}
 
     def test_empty_session_list_rejected(self):
         with pytest.raises(ValueError):
             to_chrome_trace([])
 
     def test_channel_sorts_before_units_before_host(self):
+        # Host tracks (engine shards, fleet instances) follow the units.
         telemetry = Telemetry()
-        telemetry.span("a", "host-sw", 0, 1, CAT_COMPUTE)
+        telemetry.span("a", "engine shard 0", 0, 1, CAT_COMPUTE)
         telemetry.span("b", "unit 1", 0, 1, CAT_COMPUTE)
         telemetry.span("c", "pcie-channel", 0, 1, CAT_TRANSFER)
         payload = to_chrome_trace(telemetry)
         order = [event["args"]["name"] for event in payload["traceEvents"]
                  if event.get("name") == "thread_name"]
-        assert order == ["pcie-channel", "unit 1", "host-sw"]
+        assert order == ["pcie-channel", "unit 1", "engine shard 0"]
 
 
 class TestFleetSpans:
@@ -212,34 +197,26 @@ class TestTraceCommand:
             event["args"]["name"] for event in payload["traceEvents"]
             if event.get("name") == "process_name"
         ]
-        assert process_names == [
-            "sync", "async", "recovery (fault-free)", "engine",
-        ]
+        assert process_names == ["sync", "async", "engine"]
         assert any(event["ph"] == "X" for event in payload["traceEvents"])
         captured = capsys.readouterr().out
-        assert "span-identical to" in captured
+        assert "[sync]" in captured and "[async]" in captured
         assert "[engine]" in captured
 
-    def test_trace_chaos_and_fleet_sessions(self, tmp_path, capsys):
+    def test_trace_fleet_session(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
         assert cli_main([
-            "trace", "--out", str(out), "--sites", "6",
-            "--fault-rate", "0.2", "--fleet", "2",
+            "trace", "--out", str(out), "--sites", "6", "--fleet", "2",
         ]) == 0
         payload = json.loads(out.read_text())
         process_names = [
             event["args"]["name"] for event in payload["traceEvents"]
             if event.get("name") == "process_name"
         ]
-        assert "chaos 20%" in process_names
-        assert "fleet" in process_names
-
-    def test_trace_rejects_bad_fault_rate(self, tmp_path, capsys):
-        assert cli_main([
-            "trace", "--out", str(tmp_path / "t.json"),
-            "--fault-rate", "1.5",
-        ]) == 2
-        assert "must be in [0, 1]" in capsys.readouterr().err
+        assert process_names == ["sync", "async", "fleet", "engine"]
+        fleet = payload["otherData"]["counters"]["fleet"]
+        assert (fleet["fleet.instances"], fleet["fleet.jobs"]) == (2, 4)
+        assert "[fleet] 4 jobs on 2 instances" in capsys.readouterr().out
 
 
 class TestOutputPathValidation:

@@ -12,8 +12,7 @@ properties pin:
 - the vectorized and scalar WHD kernels report identical ``kernel.*``
   counters for the same site;
 - enabling telemetry changes no functional output -- realignment
-  grids, makespans, schedules -- fault-free *and* under chaos;
-- a fault-free recovery run is span-identical to ``schedule_async``.
+  grids, makespans, schedules.
 """
 
 from __future__ import annotations
@@ -29,9 +28,7 @@ from repro.core.scheduler import (
     schedule_sync,
 )
 from repro.realign.whd import realign_site
-from repro.resilience.policy import ResilienceConfig
-from repro.resilience.recovery import schedule_with_recovery
-from repro.telemetry import CAT_COMPUTE, CAT_FAULTED, Telemetry, unit_track
+from repro.telemetry import CAT_COMPUTE, Telemetry, unit_track
 from repro.telemetry.metrics import derive_schedule_metrics
 from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
@@ -52,21 +49,16 @@ targets_lists = st.lists(
 unit_counts = st.integers(min_value=1, max_value=6)
 
 
-def _schedule(scheme: str, targets, num_units, telemetry,
-              chaos=None):
+def _schedule(scheme: str, targets, num_units, telemetry):
     if scheme == "sync":
         return schedule_sync(targets, num_units, telemetry=telemetry)
-    if scheme == "async":
-        return schedule_async(targets, num_units, telemetry=telemetry)
-    config = chaos if chaos is not None else ResilienceConfig()
-    return schedule_with_recovery(targets, num_units, config,
-                                  telemetry=telemetry)
+    return schedule_async(targets, num_units, telemetry=telemetry)
 
 
 class TestTimeAccountingInvariants:
     @SLOW
     @given(targets=targets_lists, num_units=unit_counts,
-           scheme=st.sampled_from(["sync", "async", "recovery"]))
+           scheme=st.sampled_from(["sync", "async"]))
     def test_busy_plus_idle_is_makespan_for_every_unit(
         self, targets, num_units, scheme
     ):
@@ -97,27 +89,20 @@ class TestTimeAccountingInvariants:
             span_cycles = sum(
                 span.duration for span in telemetry.spans
                 if span.track == track
-                and span.category in (CAT_COMPUTE, CAT_FAULTED)
+                and span.category == CAT_COMPUTE
             )
             assert span_cycles == block.busy_cycles
 
     @SLOW
     @given(targets=targets_lists, num_units=unit_counts,
-           scheme=st.sampled_from(["sync", "async", "recovery"]),
-           seed=st.integers(0, 2**16), rate=st.floats(0.0, 0.4))
-    def test_occupancy_bounded_even_under_chaos(
-        self, targets, num_units, scheme, seed, rate
-    ):
+           scheme=st.sampled_from(["sync", "async"]))
+    def test_occupancy_bounded(self, targets, num_units, scheme):
         telemetry = Telemetry()
-        chaos = None
-        if scheme == "recovery" and rate > 0.0:
-            chaos = ResilienceConfig.chaos(seed, rate)
-        _schedule(scheme, targets, num_units, telemetry, chaos=chaos)
+        _schedule(scheme, targets, num_units, telemetry)
         for block in telemetry.counters.iter_units():
             assert 0.0 <= block.occupancy <= 1.0
         metrics = derive_schedule_metrics(telemetry)
         assert 0.0 <= metrics.mean_occupancy <= 1.0
-        assert 0.0 <= metrics.recovery_overhead_fraction <= 1.0
         assert metrics.critical_path_ticks <= metrics.makespan_ticks
 
 
@@ -141,79 +126,40 @@ class TestKernelCounters:
 class TestTelemetryIsPurelyObservational:
     @SLOW
     @given(targets=targets_lists, num_units=unit_counts,
-           scheme=st.sampled_from(["sync", "async", "recovery"]),
-           seed=st.integers(0, 2**16), rate=st.floats(0.0, 0.3))
+           scheme=st.sampled_from(["sync", "async"]))
     def test_schedules_identical_with_and_without_telemetry(
-        self, targets, num_units, scheme, seed, rate
+        self, targets, num_units, scheme
     ):
-        chaos = None
-        if scheme == "recovery" and rate > 0.0:
-            chaos = ResilienceConfig.chaos(seed, rate)
-        bare = _schedule(scheme, targets, num_units, None, chaos=chaos)
-        chaos2 = (ResilienceConfig.chaos(seed, rate)
-                  if chaos is not None else None)
-        traced = _schedule(scheme, targets, num_units, Telemetry(),
-                           chaos=chaos2)
+        bare = _schedule(scheme, targets, num_units, None)
+        traced = _schedule(scheme, targets, num_units, Telemetry())
         assert bare.makespan == traced.makespan
         assert bare.spans == traced.spans
-        if scheme == "recovery":
-            assert bare.completions == traced.completions
-            assert bare.completion_units == traced.completion_units
 
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(seed=st.integers(0, 10**4), rate=st.sampled_from([0.0, 0.15]))
+    @given(seed=st.integers(0, 10**4),
+           scheduling=st.sampled_from(["sync", "async"]))
     def test_system_output_bytes_identical_with_telemetry_on(
-        self, seed, rate
+        self, seed, scheduling
     ):
         from repro.core.system import AcceleratedIRSystem, SystemConfig
 
         rng = np.random.default_rng(seed)
         sites = [synthesize_site(rng, BENCH_PROFILE) for _ in range(4)]
-        resilience = (ResilienceConfig.chaos(seed, rate)
-                      if rate > 0.0 else None)
 
         def run(telemetry):
             config = SystemConfig(name="IR ACC", lanes=32,
-                                  scheduling="async",
-                                  resilience=resilience)
+                                  scheduling=scheduling)
             return AcceleratedIRSystem(config).run(sites,
                                                    telemetry=telemetry)
 
         bare, traced = run(None), run(Telemetry())
         assert bare.total_seconds == traced.total_seconds
-        assert bare.fallback_site_indices == traced.fallback_site_indices
+        assert bare.schedule.spans == traced.schedule.spans
         for a, b in zip(bare.unit_results, traced.unit_results):
             assert a.matches(b)
             assert a.comparisons == b.comparisons
             assert a.cycles.total == b.cycles.total
-
-
-class TestRecoveryEquivalence:
-    @SLOW
-    @given(targets=targets_lists, num_units=unit_counts)
-    def test_fault_free_recovery_is_span_identical_to_async(
-        self, targets, num_units
-    ):
-        async_t, recovery_t = Telemetry(), Telemetry()
-        async_result = schedule_async(targets, num_units,
-                                      telemetry=async_t)
-        recovery_result = schedule_with_recovery(
-            targets, num_units, ResilienceConfig(), telemetry=recovery_t,
-        )
-        assert set(async_t.spans) == set(recovery_t.spans)
-        assert async_result.makespan == recovery_result.makespan
-        async_counters = async_t.counters.flat()
-        recovery_counters = recovery_t.counters.flat()
-        for block in async_t.counters.iter_units():
-            prefix = (f"unit{block.unit}." if block.unit >= 0
-                      else None)
-            if prefix is None:
-                continue
-            for key in ("busy_cycles", "idle_cycles", "stall_cycles",
-                        "targets_completed"):
-                assert (async_counters[prefix + key]
-                        == recovery_counters[prefix + key])
 
 
 if __name__ == "__main__":
