@@ -11,6 +11,7 @@ Sweeps, on one chromosome-22 workload:
 """
 
 import numpy as np
+import pytest
 from conftest import bench_replication
 
 from repro.core.accelerator import IRUnit, UnitConfig
@@ -19,6 +20,8 @@ from repro.experiments.reporting import format_table
 from repro.hw.tilelink import TileLinkLink
 from repro.workloads.chromosomes import census_for
 from repro.workloads.generator import BENCH_PROFILE, chromosome_workload
+
+pytestmark = pytest.mark.paper
 
 
 def _workload(num_sites=48, seed=5):

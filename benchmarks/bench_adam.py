@@ -4,6 +4,10 @@ The run is ``conftest.comparisons_outcome``, shared with
 ``bench_hls.py``.
 """
 
+import pytest
+
+pytestmark = pytest.mark.paper
+
 
 def test_adam_comparison(comparisons_outcome):
     outcome = comparisons_outcome

@@ -1,6 +1,10 @@
 """Appendix Figure 10: target membership and the before/after pileup."""
 
+import pytest
+
 from repro.experiments import appendix
+
+pytestmark = pytest.mark.paper
 
 
 def test_appendix_figure10(once):

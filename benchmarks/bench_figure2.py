@@ -1,6 +1,10 @@
 """Figure 2: execution-time breakdown of the three analysis pipelines."""
 
+import pytest
+
 from repro.experiments import figure2
+
+pytestmark = pytest.mark.paper
 
 
 def test_figure2_breakdown(once):

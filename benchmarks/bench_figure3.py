@@ -1,6 +1,10 @@
 """Figure 3: IR share of refinement-pipeline time per chromosome."""
 
+import pytest
+
 from repro.experiments import figure3
+
+pytestmark = pytest.mark.paper
 
 
 def test_figure3_ir_fraction(once):

@@ -1,6 +1,10 @@
 """Figure 4: the worked WHD example (every number pinned)."""
 
+import pytest
+
 from repro.experiments import figure4
+
+pytestmark = pytest.mark.paper
 
 
 def test_figure4_worked_example(once):

@@ -1,6 +1,10 @@
 """Figure 7: synchronous vs asynchronous scheduling on the toy workload."""
 
+import pytest
+
 from repro.experiments import figure7
+
+pytestmark = pytest.mark.paper
 
 
 def test_figure7_scheduling(once):

@@ -6,7 +6,11 @@ the full-scale census anchor (42.1 h of GATK3 at $0.665/hr). The run is
 ``conftest.figure9_outcome``, shared with ``bench_figure9_speedup.py``.
 """
 
+import pytest
+
 from repro.perf.cost import cost_efficiency
+
+pytestmark = pytest.mark.paper
 
 
 def test_figure9_cost(figure9_outcome):

@@ -7,6 +7,10 @@ subset. The run is ``conftest.figure9_outcome``, shared with
 ``bench_figure9_cost.py``.
 """
 
+import pytest
+
+pytestmark = pytest.mark.paper
+
 
 def test_figure9_speedup(figure9_outcome):
     outcome = figure9_outcome

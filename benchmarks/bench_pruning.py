@@ -1,6 +1,10 @@
 """Section III-A: computation pruning eliminates >50% of the work."""
 
+import pytest
+
 from repro.experiments import microarch
+
+pytestmark = pytest.mark.paper
 
 
 def test_pruning_and_resources(once):

@@ -1,7 +1,11 @@
 """Sections III-IV: FPGA resources, peak throughput, and DMA share."""
 
+import pytest
+
 from repro.experiments import microarch
 from repro.hw.resources import max_units, utilization
+
+pytestmark = pytest.mark.paper
 
 
 def test_resources_and_throughput(once):

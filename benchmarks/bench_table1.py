@@ -1,6 +1,10 @@
 """Table I: the five RoCC accelerator instructions."""
 
+import pytest
+
 from repro.experiments import tables
+
+pytestmark = pytest.mark.paper
 
 
 def test_table1_isa(once):

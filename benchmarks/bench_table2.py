@@ -1,6 +1,10 @@
 """Table II: machine configurations (and the full tables printout)."""
 
+import pytest
+
 from repro.experiments import tables
+
+pytestmark = pytest.mark.paper
 
 
 def test_table2_machines(once):

@@ -13,6 +13,7 @@ simulations:
 """
 
 import numpy as np
+import pytest
 
 from repro.core.stepped_system import SteppedIRSystem
 from repro.core.system import AcceleratedIRSystem, SystemConfig
@@ -20,6 +21,8 @@ from repro.experiments.reporting import format_table
 from repro.hw.fabric import DDR_BEATS_PER_CYCLE, fill_stretch_for_sites
 from repro.perf.roofline import RooflineModel, summarize
 from repro.workloads.generator import BENCH_PROFILE, REAL_PROFILE, synthesize_site
+
+pytestmark = pytest.mark.paper
 
 
 def _sites(count, profile=BENCH_PROFILE, seed=3):

@@ -22,7 +22,6 @@ Examples::
     python -m repro realign --reference /tmp/sample/reference.fa \
         --sam /tmp/sample/aligned.sam --out /tmp/sample/realigned.sam \
         --workers 4 --batch 12
-    python -m repro trace --out /tmp/trace.json --fleet 4
     python -m repro trace --out /tmp/trace.json --workers 2
     python -m repro evaluate --scenario adversarial --out /tmp/report.json
     python -m repro evaluate --scenario cohort --workers 2
@@ -66,7 +65,7 @@ COMMANDS = {
     "all": "run every experiment in order",
     "simulate": "write a synthetic sample (FASTA + SAM + truth) to a dir",
     "realign": "run the INDEL realigner over a SAM file (batch)",
-    "trace": "record sync/async/fleet/engine telemetry to a Chrome trace",
+    "trace": "record sync/async/engine telemetry to a Chrome trace",
     "evaluate": "score realignment outcomes on a truth-bearing scenario",
     "serve": "serve realignment over TCP: coalescing, admission control, "
              "latency telemetry",
@@ -349,14 +348,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             sites, replication=args.replication, telemetry=telemetry,
         )
         sessions.append(telemetry)
-    if args.fleet > 0:
-        from repro.perf.fleet import FleetJob, plan_fleet, record_fleet_spans
-
-        jobs = [FleetJob(name=f"shard{i}", seconds=600.0 + 60.0 * (i % 5))
-                for i in range(2 * args.fleet)]
-        fleet_session = Telemetry(label="fleet")
-        record_fleet_spans(fleet_session, plan_fleet(jobs, args.fleet))
-        sessions.append(fleet_session)
     # The same workload through the host engine (shard spans, kernel,
     # window and cache counters).
     session = Telemetry(label="engine")
@@ -365,11 +356,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     sessions.append(session)
     write_chrome_trace(sessions, args.out)
     for session in sessions:
-        if session.label == "fleet":
-            flat = session.counters.flat()
-            print(f"[fleet] {flat.get('fleet.jobs', 0)} jobs on "
-                  f"{flat.get('fleet.instances', 0)} instances")
-            continue
         if session.label == "engine":
             flat = session.counters.flat()
             evaluated = flat.get("kernel.cells_evaluated", 0)
@@ -409,18 +395,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = RealignmentServer(reference, engine=engine,
                                    service_config=service_config)
         host, port = await server.start(args.host, args.port)
-        if args.canary:
-            verdict = await server.run_canary()
-            status = "ok" if verdict["ok"] else "FAILED"
-            print(f"canary [{verdict['scenario']}]: {status} "
-                  f"({verdict['reads_moved']} reads moved, mismatches "
-                  f"{verdict['mismatch_before']} -> "
-                  f"{verdict['mismatch_after']})")
-            if not verdict["ok"]:
-                print("error: serving-path canary failed -- refusing to "
-                      "serve", file=sys.stderr)
-                await server.close()
-                return 1
         print(f"serving on {host}:{port} "
               f"(limit={service_config.max_queue_sites} sites); "
               f"Ctrl-C or a shutdown op to stop", flush=True)
@@ -462,7 +436,7 @@ def _loadgen_inputs(args: argparse.Namespace):
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.serve.loadgen import run_loadgen, simulate_load
+    from repro.serve.loadgen import run_loadgen
     from repro.workloads.serving import LoadProfile
 
     try:
@@ -477,20 +451,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         print(f"error: {bad}", file=sys.stderr)
         return 2
     reference, header, lines, reads = _loadgen_inputs(args)
-
-    if args.dry_run:
-        from repro.realign.realigner import IndelRealigner
-        from repro.serve.jobs import partition_jobs
-
-        realigner = IndelRealigner(reference)
-        job_sites = [len(realigner.build_sites(job.reads)[1])
-                     for job in partition_jobs(reads, reference)]
-        report = simulate_load(profile, job_sites, seed=args.seed)
-        print(report.summary())
-        if args.json_out is not None:
-            args.json_out.write_text(report.to_json())
-            print(f"report -> {args.json_out}")
-        return 0
 
     async def drive(host: str, port: int):
         updated, report = await run_loadgen(
@@ -623,8 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="schedule replication rounds")
     trace.add_argument("--seed", type=int, default=42,
                        help="workload synthesis seed")
-    trace.add_argument("--fleet", type=int, default=0,
-                       help="add a fleet session with this many instances")
     _add_engine_flags(trace)
 
     evaluate = command("evaluate", _cmd_evaluate)
@@ -657,10 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--deadline-s", type=float, default=30.0,
                        dest="deadline_s",
                        help="default per-request deadline")
-    serve.add_argument("--canary", action="store_true",
-                       help="run the toy evaluation scenario through the "
-                            "serving path before accepting traffic; "
-                            "refuse to serve if outcomes regress")
     _add_engine_flags(serve)
 
     loadgen = command("loadgen", _cmd_loadgen)
@@ -705,10 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SAM",
                          help="byte-compare the reassembled SAM against "
                               "this file; exit non-zero on divergence")
-    loadgen.add_argument("--dry-run", action="store_true", dest="dry_run",
-                         help="no server: replay the schedule through the "
-                              "virtual-time queue model and report exact "
-                              "percentiles")
     loadgen.add_argument("--selftest", action="store_true",
                          help="start an in-process server, drive the load "
                               "against it, and verify the output is "
@@ -761,6 +711,14 @@ def _flag_errors(args: argparse.Namespace):
             return "--workers and --batch must be >= 1"
         if args.site_cache_mb < 0:
             return "--site-cache-mb must be >= 0"
+    if flags.get("sites", 1) < 1 or flags.get("replication", 1) < 1:
+        return "--sites and --replication must be >= 1"
+    if flags.get("length", 1) < 1:
+        return "--length must be >= 1"
+    if not flags.get("coverage", 1.0) > 0:
+        return "--coverage must be > 0"
+    if not flags.get("time_scale", 0.0) >= 0:
+        return "--time-scale must be >= 0"
     if flags.get("sam") is not None and flags.get("reference") is None:
         return "--sam requires --reference"
     return None

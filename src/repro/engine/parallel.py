@@ -36,8 +36,8 @@ Workers run each site through
 a per-chunk sink; the engine folds the counters into its session when
 the run ends (or is abandoned), with the window's ``stream.*``
 counters, and records one wall-clock span per chunk
-(:func:`repro.perf.fleet.record_engine_shards`), so a Chrome trace
-shows the chunks overlapping.
+(:func:`record_engine_shards`), so a Chrome trace shows the chunks
+overlapping.
 """
 
 from __future__ import annotations
@@ -151,6 +151,37 @@ def _realign_chunk(
         for site in sites
     ]
     return chunk_id, results, start, time.perf_counter(), sink.counters
+
+
+def record_engine_shards(telemetry, shards: Sequence[ShardStats],
+                         origin: float, workers: int) -> None:
+    """Record an engine run as a span timeline (one track per chunk).
+
+    Each chunk becomes one ``CAT_ENGINE`` span ``"shard N (S sites)"``
+    on the track ``"engine shard N"``, offset from ``origin`` (the run's
+    start on the same ``perf_counter`` clock), so a Chrome trace shows
+    chunks overlapping across workers -- and, under the bounded window,
+    starting later than ``queue_depth x workers`` would allow (the
+    visual signature of backpressure). Engine timelines tick in
+    *seconds* (``ticks_per_second=1``).
+    """
+    from repro.telemetry.spans import CAT_ENGINE
+
+    if not shards:
+        return
+    if telemetry.ticks_per_second is None:
+        telemetry.ticks_per_second = 1.0
+    for shard in shards:
+        telemetry.span(
+            f"shard {shard.shard} ({shard.sites} sites)",
+            f"engine shard {shard.shard}",
+            shard.start - origin,
+            shard.end - origin,
+            CAT_ENGINE,
+        )
+    telemetry.count("engine.shards", len(shards))
+    telemetry.count("engine.shard_sites", sum(s.sites for s in shards))
+    telemetry.count("engine.workers", workers)
 
 
 class ReorderBuffer:
@@ -386,8 +417,6 @@ class Engine:
         for stat in self.shard_stats:
             for name, value in stat.counters.items():
                 telemetry.count(name, value)
-        from repro.perf.fleet import record_engine_shards
-
         record_engine_shards(telemetry, self.shard_stats, run_start,
                              self.config.workers)
 

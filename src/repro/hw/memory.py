@@ -20,26 +20,14 @@ class PcieDmaModel:
     """Host <-> FPGA-DRAM bulk transfers over PCIe DMA.
 
     Defaults model a Gen3 x16 link with the AWS EDMA driver: ~8 GB/s
-    effective streaming bandwidth and a fixed per-transfer setup cost
-    (driver call + descriptor ring).
+    effective streaming bandwidth.
     """
 
     bandwidth_bytes_per_s: float = 8e9
-    setup_latency_s: float = 5e-6
 
     def __post_init__(self) -> None:
         if self.bandwidth_bytes_per_s <= 0:
             raise ValueError("bandwidth must be positive")
-        if self.setup_latency_s < 0:
-            raise ValueError("setup latency must be non-negative")
-
-    def transfer_seconds(self, num_bytes: int) -> float:
-        """Latency to move ``num_bytes`` in one DMA transaction."""
-        if num_bytes < 0:
-            raise ValueError("byte count must be non-negative")
-        if num_bytes == 0:
-            return 0.0
-        return self.setup_latency_s + num_bytes / self.bandwidth_bytes_per_s
 
     def streaming_seconds(self, num_bytes: int) -> float:
         """Per-payload share of a large batched transfer.

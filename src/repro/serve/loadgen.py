@@ -15,12 +15,6 @@ scheduled wave (rejected under backpressure, expired) is re-submitted
 in a final sweep, so the reassembled lines are always complete -- and
 byte-identical to ``repro realign``'s on the same input, which
 ``--compare``/``--selftest`` and CI's serve smoke step assert.
-
-``simulate_load`` is the same schedule run through a *virtual-time*
-single-server FIFO queue model instead of a socket: service time is an
-affine function of a request's site count, so completion times -- and
-therefore the p50/p95/p99 a seeded schedule produces -- are exact,
-platform-independent numbers that tests pin to the digit.
 """
 
 from __future__ import annotations
@@ -82,6 +76,17 @@ class LoadReport:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True)
 
     def summary(self) -> str:
+        """One line: request outcomes, then client-observed latency.
+
+        >>> report = LoadReport(requests=3, completed=2, rejected=1,
+        ...                     jobs=2, tenants=1, latency={
+        ...                         "p50_ms": 4.0, "p95_ms": 9.5,
+        ...                         "p99_ms": 9.9})
+        >>> print(report.summary())  # doctest: +NORMALIZE_WHITESPACE
+        loadgen: 3 requests from 1 tenant(s) over 2 job(s): 2 ok,
+        1 rejected, 0 expired, 0 failed (0 swept); p50 4.0ms /
+        p95 9.5ms / p99 9.9ms
+        """
         latency = self.latency
         lat = (
             f"p50 {latency.get('p50_ms', 0.0):.1f}ms / "
@@ -190,58 +195,4 @@ async def run_loadgen(
     return updated, report
 
 
-def simulate_load(
-    profile: LoadProfile,
-    job_sites: Sequence[int],
-    seed: int = 0,
-    per_site_s: float = 0.001,
-    overhead_s: float = 0.002,
-) -> LoadReport:
-    """Virtual-time replay of a schedule through a FIFO queue model.
-
-    The model is the serving plane reduced to its arithmetic: one
-    server (the service's single-thread engine executor), FIFO order by
-    ``(arrival, tenant, job)``, service time ``overhead_s + sites x
-    per_site_s`` per request. A request whose completion would pass its
-    deadline is counted ``expired`` and consumes no service time --
-    admission control's effect on the queue. No clocks, no sockets:
-    identical output on every platform for a given seed, so tests pin
-    exact percentiles.
-
-    >>> profile = LoadProfile(tenants=1, requests_per_tenant=3,
-    ...                       mean_interarrival_s=0.01)
-    >>> report = simulate_load(profile, [4, 4], seed=1)
-    >>> report.requests, report.completed, report.expired
-    (3, 3, 0)
-    >>> report.latency == simulate_load(profile, [4, 4], seed=1).latency
-    True
-    """
-    if per_site_s <= 0 or overhead_s < 0:
-        raise ValueError("per_site_s must be > 0 and overhead_s >= 0")
-    if not job_sites:
-        raise ValueError("job_sites must be non-empty")
-    schedule = synthesize_load_schedule(profile, len(job_sites), seed)
-    report = LoadReport(
-        jobs=len(job_sites),
-        tenants=profile.tenants,
-        requests=len(schedule),
-    )
-    recorder = LatencyRecorder()
-    free_at = 0.0
-    for request in schedule:
-        service_s = overhead_s + job_sites[request.job] * per_site_s
-        begin = max(request.arrival_s, free_at)
-        completion = begin + service_s
-        if completion - request.arrival_s > request.deadline_s:
-            report.expired += 1
-            continue
-        free_at = completion
-        recorder.record(request.tenant, completion - request.arrival_s)
-        report.completed += 1
-    report.wall_s = free_at
-    report.latency = recorder.summary()
-    report.tenant_latency = recorder.tenant_summaries()
-    return report
-
-
-__all__ = ["LoadReport", "run_loadgen", "simulate_load"]
+__all__ = ["LoadReport", "run_loadgen"]

@@ -2,13 +2,11 @@
 
 Latency is recorded per *request* (enqueue to completion, wall clock)
 and summarized as p50/p95/p99 with deterministic linear interpolation
--- the same estimator regardless of platform or numpy version, so
-seeded virtual-time simulations (:func:`repro.serve.loadgen
-.simulate_load`) pin exact values in tests. Saturation is derived from
-the service's counters: the fraction of uptime the admission queue
-spent at or over its limit, plus the reject/expire tallies that tell a
-capacity planner whether the limit or the deadline is what clipped the
-load.
+-- the same estimator regardless of platform or numpy version.
+Saturation is derived from the service's counters: the fraction of
+uptime the admission queue spent at or over its limit, plus the
+reject/expire tallies that tell a capacity planner whether the limit or
+the deadline is what clipped the load.
 """
 
 from __future__ import annotations
@@ -107,7 +105,6 @@ class ServiceSnapshot:
     outstanding_sites: int = 0
     uptime_s: float = 0.0
     saturation: float = 0.0
-    canary: Dict[str, object] = field(default_factory=dict)
     #: Cumulative site-result cache hit rate (0.0 with no cache).
     cache_hit_rate: float = 0.0
 
@@ -121,7 +118,6 @@ class ServiceSnapshot:
             "outstanding_sites": self.outstanding_sites,
             "uptime_s": self.uptime_s,
             "saturation": self.saturation,
-            "canary": self.canary,
             "cache_hit_rate": self.cache_hit_rate,
         }
 

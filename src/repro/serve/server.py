@@ -13,11 +13,6 @@ runs neither half: it is checked and answered with nothing moved. The
 check is one pass of the compiled library over the job's bytes
 (:func:`repro.engine.native.sam_checker`); a body it declines, or any
 body without the compiled tier, is decoded and scanned in Python.
-
-The optional startup canary (:mod:`repro.serve.canary`) routes the toy
-evaluation scenario through this exact serving path before the first
-real request, so a deployment that would corrupt outcomes never starts
-taking traffic.
 """
 
 from __future__ import annotations
@@ -97,7 +92,6 @@ class RealignmentServer:
             config=service_config,
             telemetry=telemetry,
         )
-        self.canary_result: dict = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown = asyncio.Event()
 
@@ -115,14 +109,6 @@ class RealignmentServer:
         )
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
-
-    async def run_canary(self, scenario: str = "toy") -> dict:
-        """Run the serving-path canary; stores and returns its verdict."""
-        from repro.serve.canary import run_canary
-
-        self.canary_result = await run_canary(self.service,
-                                              scenario=scenario)
-        return self.canary_result
 
     async def serve_until_shutdown(self) -> None:
         """Block until a ``shutdown`` op (or :meth:`close`) arrives."""
@@ -198,11 +184,8 @@ class RealignmentServer:
             if op == "ping":
                 response = {"id": request_id, "ok": True, "status": "ok"}
             elif op == "stats":
-                snapshot = self.service.snapshot()
-                if self.canary_result:
-                    snapshot.canary = self.canary_result
                 response = {"id": request_id, "ok": True, "status": "ok",
-                            "stats": snapshot.as_dict()}
+                            "stats": self.service.snapshot().as_dict()}
             elif op == "shutdown":
                 response = {"id": request_id, "ok": True, "status": "ok"}
                 self._shutdown.set()

@@ -35,7 +35,6 @@ from repro.telemetry.metrics import ScheduleMetrics, derive_schedule_metrics
 from repro.telemetry.spans import (
     CAT_COMPUTE,
     CAT_ENGINE,
-    CAT_FLEET,
     CAT_TRANSFER,
     Telemetry,
     TraceSpan,
@@ -45,7 +44,6 @@ from repro.telemetry.spans import (
 __all__ = [
     "CAT_COMPUTE",
     "CAT_ENGINE",
-    "CAT_FLEET",
     "CAT_TRANSFER",
     "CHANNEL_UNIT",
     "CounterBoard",

@@ -3,8 +3,8 @@
 The span timeline exports to the Chrome trace-event format (the JSON
 array flavour wrapped in a ``traceEvents`` object), which Perfetto
 (https://ui.perfetto.dev) and ``chrome://tracing`` open directly: one
-"thread" per track (IR units, the PCIe channel, fleet instances, engine
-shards) and one complete ``X`` event per span.
+"thread" per track (IR units, the PCIe channel, engine shards) and one
+complete ``X`` event per span.
 
 Timestamps convert from the recorder's timebase to microseconds; a
 session with no declared timebase exports 1 tick = 1 us (the cycle
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.telemetry.counters import CHANNEL_UNIT
 from repro.telemetry.spans import Telemetry, unit_track
@@ -31,13 +31,14 @@ TRACE_PID = 1
 MIN_SPAN_DURATION_US = 1.0
 
 
-def _track_order(track: str) -> int:
-    """Stable display order: channel, units ascending, other tracks."""
+def _track_order(track: str) -> Tuple[int, int, str]:
+    """Stable display order: the channel, units ascending, then every
+    other track (engine shards) by its trailing number, then name."""
     if track == "pcie-channel":
-        return -(10**6)
-    if track.startswith("unit "):
-        return int(track.split()[1])
-    return 10**5
+        return (0, 0, track)
+    kind, _, number = track.rpartition(" ")
+    index = int(number) if number.isdigit() else -1
+    return (1 if kind == "unit" else 2, index, track)
 
 
 def _tid_map(telemetry: Telemetry) -> Dict[str, int]:
@@ -72,7 +73,7 @@ def _session_events(telemetry: Telemetry, pid: int) -> List[Dict]:
         events.append({
             "ph": "M", "pid": pid, "tid": tid,
             "name": "thread_sort_index",
-            "args": {"sort_index": _track_order(track)},
+            "args": {"sort_index": tid},
         })
     for span in telemetry.spans:
         events.append({

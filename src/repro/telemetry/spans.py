@@ -15,7 +15,7 @@ functional output byte.
 
 Timestamps are integer ticks on the recorder's own timebase --
 unit-clock cycles for the cycle model (``ticks_per_second`` from the
-:class:`~repro.hw.clock.ClockRecipe`), seconds for fleet timelines
+:class:`~repro.hw.clock.ClockRecipe`), seconds for engine timelines
 (``ticks_per_second=1``). Exporters use the timebase to emit real
 microseconds.
 """
@@ -34,7 +34,6 @@ from repro.telemetry.counters import (
 #: Span categories (Chrome trace_event ``cat`` field).
 CAT_COMPUTE = "compute"      # a target computing on an IR unit
 CAT_TRANSFER = "transfer"    # PCIe channel occupancy for one target
-CAT_FLEET = "fleet"          # one job on one fleet instance
 CAT_ENGINE = "engine"        # one shard on a host unit thread
 
 

@@ -137,6 +137,43 @@ class TestChaosFlags:
         assert "invalid choice: 'resilience'" in capsys.readouterr().err
 
 
+class TestFlagRanges:
+    """A flag out of range is one ``error:`` line and exit 2 from
+    ``_flag_errors``, before the command runs: not a traceback, and not
+    an empty sample."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["trace", "--sites", "0"], "--sites"),
+        (["trace", "--replication", "0"], "--replication"),
+        (["figure9", "--sites", "0"], "--sites"),
+        (["figure9", "--replication", "0"], "--replication"),
+        (["simulate", "--coverage", "0"], "--coverage"),
+        (["simulate", "--length", "0"], "--length"),
+        (["loadgen", "--selftest", "--length", "0"], "--length"),
+        (["loadgen", "--selftest", "--coverage", "-1"], "--coverage"),
+        (["loadgen", "--selftest", "--time-scale", "-1"], "--time-scale"),
+    ])
+    def test_out_of_range_flag_exits_2(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        if argv[0] in ("trace", "simulate"):
+            argv = [*argv, "--out", str(out)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["trace", "--out", "t.json", "--fleet", "2"], "--fleet 2"),
+        (["loadgen", "--dry-run"], "--dry-run"),
+        (["serve", "--reference", "ref.fa", "--canary"], "--canary"),
+    ])
+    def test_removed_side_paths_are_unknown(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 class TestParserImports:
     def test_building_the_parser_loads_no_engine_and_no_numpy(self):
         """``--help`` and every usage error stop inside the parser: they
@@ -155,9 +192,9 @@ class TestParserImports:
         subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
 
     @staticmethod
-    def _check_after_flagless_realign(tmp_path, check):
-        """Run a flagless ``repro realign`` in a fresh interpreter, then
-        ``check`` (Python source) in that interpreter."""
+    def _check_after_flagless_realign(tmp_path, check, flags=()):
+        """Run a ``repro realign`` (flagless, or with ``flags``) in a
+        fresh interpreter, then ``check`` (Python source) in it."""
         import subprocess
         import sys
 
@@ -166,7 +203,7 @@ class TestParserImports:
                          "4000", "--coverage", "12", "--seed", "3"]) == 0
         argv = ["realign", "--reference", str(sample / "reference.fa"),
                 "--sam", str(sample / "aligned.sam"),
-                "--out", str(sample / "out.sam")]
+                "--out", str(sample / "out.sam"), *flags]
         code = (
             "import sys\n"
             "from repro.__main__ import main\n"
@@ -185,6 +222,15 @@ class TestParserImports:
             "ours = sorted(m for m in sys.modules if m.startswith('repro.'))\n"
             "assert len(ours) <= 25, ours\n"
         ))
+
+    def test_telemetry_realign_loads_no_perf_model(self, tmp_path):
+        """The engine records its chunk spans itself: a traced software
+        run loads the telemetry package, not ``repro.perf``."""
+        self._check_after_flagless_realign(tmp_path, (
+            "assert 'repro.telemetry' in sys.modules\n"
+            "loaded = [m for m in sys.modules if m.startswith('repro.perf')]\n"
+            "assert not loaded, loaded\n"
+        ), flags=("--telemetry", str(tmp_path / "trace.json")))
 
     def test_flagless_realign_loads_only_the_kernel_it_runs(self, tmp_path):
         """``from repro.engine import Engine`` loads no kernel module:

@@ -3,7 +3,7 @@
 tests/test_serve.py proves the serving library; this file drives the
 same machinery through the exact entry points users run -- the
 ``repro serve`` process loop (bound port, shutdown op, final snapshot
-line), the ``repro loadgen`` selftest/dry-run/compare paths, and the
+line), the ``repro loadgen`` selftest/compare paths, and the
 flag-validation exits.
 """
 
@@ -69,28 +69,9 @@ class TestLoadgenCli:
         # The compare already passed; pin the raw-bytes claim too.
         assert served.read_bytes() == batch.read_bytes()
 
-    def test_dry_run_reports_exact_percentiles(self, tmp_path, capsys):
-        report_path = tmp_path / "dry.json"
-        assert cli_main([
-            "loadgen", "--dry-run", "--length", "6000",
-            "--tenants", "3", "--requests-per-tenant", "4",
-            "--seed", "1", "--json", str(report_path),
-        ]) == 0
-        assert "p99" in capsys.readouterr().out
-        report = json.loads(report_path.read_text())
-        assert report["requests"] == 12
-        # Virtual time: same seed, same report, every platform.
-        rerun = tmp_path / "dry2.json"
-        assert cli_main([
-            "loadgen", "--dry-run", "--length", "6000",
-            "--tenants", "3", "--requests-per-tenant", "4",
-            "--seed", "1", "--json", str(rerun),
-        ]) == 0
-        assert rerun.read_text() == report_path.read_text()
-
     def test_sam_without_reference_is_rejected(self, sample_dir, capsys):
         assert cli_main([
-            "loadgen", "--dry-run",
+            "loadgen", "--selftest",
             "--sam", str(sample_dir / "aligned.sam"),
         ]) == 2
         assert "--sam requires --reference" in capsys.readouterr().err
@@ -164,6 +145,7 @@ class TestServeCli:
         assert len(result.sam) == 40
         assert result.latency_ms > 0.0
         assert stats["counters"]["serve.requests_completed"] >= 1
+        assert "canary" not in stats
         out = capsys.readouterr().out
         assert f"serving on 127.0.0.1:{port}" in out
         assert "completed" in out  # the final snapshot line

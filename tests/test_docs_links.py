@@ -172,10 +172,10 @@ def test_the_cli_citation_scan_catches_stale_commands_and_options():
     text = ("```\npython -m repro realign --reference r.fa \\\n"
             "    --no-such-flag 1  # --not-scanned\n"
             "python -m repro gone --x\n```\n"
-            "run `repro trace --fleet 2` (not `--nor-this`) or "
+            "run `repro trace --replication 2` (not `--nor-this`) or "
             "`python -m repro <command>`\n")
     assert list(_cli_citations(text)) == [
         (2, "realign", ["--reference", "--no-such-flag"]),
-        (4, "gone", ["--x"]), (6, "trace", ["--fleet"])]
+        (4, "gone", ["--x"]), (6, "trace", ["--replication"])]
     assert _stale_citations("doc", text) == [
         "doc:2: realign has no --no-such-flag", "doc:4: no command 'gone'"]

@@ -89,9 +89,11 @@ class TestResources:
 
 class TestMemoryModels:
     def test_dma_transfer_time(self):
-        dma = PcieDmaModel(bandwidth_bytes_per_s=8e9, setup_latency_s=5e-6)
-        assert dma.transfer_seconds(0) == 0.0
-        assert dma.transfer_seconds(8_000_000_000) == pytest.approx(1.0, rel=0.01)
+        dma = PcieDmaModel(bandwidth_bytes_per_s=8e9)
+        assert dma.streaming_seconds(0) == 0.0
+        assert dma.streaming_seconds(8_000_000_000) == pytest.approx(1.0)
+        with pytest.raises(ValueError):
+            dma.streaming_seconds(-1)
 
     def test_ddr_capacity(self):
         ddr = DdrChannelModel()

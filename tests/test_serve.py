@@ -3,8 +3,8 @@
 Three layers under test:
 
 - the pure pieces (wire protocol, percentile math, region-job
-  partitioning, seeded load schedules, the virtual-time queue model) --
-  deterministic, no sockets, exact expected values;
+  partitioning, seeded load schedules) -- deterministic, no sockets,
+  exact expected values;
 - the :class:`RealignmentService` request plane against stub engines --
   reject-only admission under one global cap, deadlines, graceful
   drain, coalescing, all driven with ``asyncio.run`` (no
@@ -35,7 +35,7 @@ from repro.realign.site import PAPER_LIMITS
 from repro.realign.targets import TargetCreatorConfig
 from repro.serve.client import ServiceClient
 from repro.serve.jobs import REGION_GAP, partition_jobs
-from repro.serve.loadgen import run_loadgen, simulate_load
+from repro.serve.loadgen import run_loadgen
 from repro.serve.metrics import latency_summary, percentile
 from repro.serve.protocol import (
     MAX_MESSAGE_BYTES,
@@ -443,45 +443,6 @@ class TestLoadSchedules:
         profile = LoadProfile(tenants=2, requests_per_tenant=4)
         schedule = synthesize_load_schedule(profile, num_jobs=5, seed=1)
         assert {r.job for r in schedule} == set(range(5))
-
-
-class TestSimulateLoad:
-    def test_matches_hand_computed_fifo_model(self):
-        profile = LoadProfile(tenants=2, requests_per_tenant=3,
-                              mean_interarrival_s=0.004)
-        job_sites = [3, 1]
-        per_site, overhead = 0.002, 0.001
-        report = simulate_load(profile, job_sites, seed=21,
-                               per_site_s=per_site, overhead_s=overhead)
-        # Replay the same schedule through the documented arithmetic.
-        schedule = synthesize_load_schedule(profile, len(job_sites), 21)
-        free_at, expected = 0.0, []
-        for request in schedule:
-            service = overhead + job_sites[request.job] * per_site
-            completion = max(request.arrival_s, free_at) + service
-            free_at = completion
-            expected.append(completion - request.arrival_s)
-        assert report.completed == len(schedule)
-        assert report.latency == latency_summary(expected)
-        assert report.wall_s == free_at
-
-    def test_identical_across_runs(self):
-        profile = LoadProfile(tenants=3, requests_per_tenant=8,
-                              mean_interarrival_s=0.002)
-        first = simulate_load(profile, [4, 2, 1], seed=9)
-        again = simulate_load(profile, [4, 2, 1], seed=9)
-        assert first.to_dict() == again.to_dict()
-        assert (first.latency["p50_ms"] <= first.latency["p95_ms"]
-                <= first.latency["p99_ms"])
-
-    def test_tight_deadlines_expire_instead_of_serving(self):
-        profile = LoadProfile(tenants=1, requests_per_tenant=10,
-                              mean_interarrival_s=0.0001,
-                              deadline_s=0.012)
-        report = simulate_load(profile, [10], seed=3,
-                               per_site_s=0.001, overhead_s=0.001)
-        assert report.expired > 0
-        assert report.completed + report.expired == report.requests
 
 
 # ---------------------------------------------------------------------
@@ -1134,30 +1095,3 @@ class TestServerByteIdentity:
                 await server.close()
 
         asyncio.run(scenario())
-
-    def test_canary_passes_on_a_healthy_deployment(self):
-        sample = _sample({"chrS": 2000}, seed=2)
-
-        async def scenario():
-            server = RealignmentServer(sample.reference)
-            await server.start(port=0)
-            try:
-                verdict = await server.run_canary()
-                async with await ServiceClient.open(
-                    *await _bound_address(server)
-                ) as client:
-                    stats = await client.stats()
-            finally:
-                await server.close()
-            return verdict, stats
-
-        verdict, stats = asyncio.run(scenario())
-        assert verdict["ok"] is True
-        assert verdict["reads_moved"] > 0
-        assert verdict["mismatch_after"] <= verdict["mismatch_before"]
-        assert stats["canary"]["ok"] is True
-
-
-async def _bound_address(server):
-    sockname = server._server.sockets[0].getsockname()
-    return sockname[0], sockname[1]

@@ -1,8 +1,8 @@
 """Unit tests for the telemetry subsystem and its CLI surface.
 
 Covers the counter board, span records, derived metrics, the Chrome
-trace exporter (single- and multi-session), fleet span recording, the
-``python -m repro trace`` command, and the up-front output-path
+trace exporter (single- and multi-session), the ``python -m repro
+trace`` command, and the up-front output-path
 validation that replaced the realigner's end-of-run failure mode.
 """
 
@@ -18,6 +18,7 @@ from repro.__main__ import main as cli_main
 from repro.core.scheduler import ScheduledTarget, schedule_async
 from repro.telemetry import (
     CAT_COMPUTE,
+    CAT_ENGINE,
     CAT_TRANSFER,
     CHANNEL_UNIT,
     CounterBoard,
@@ -152,38 +153,25 @@ class TestChromeTraceExport:
             to_chrome_trace([])
 
     def test_channel_sorts_before_units_before_host(self):
-        # Host tracks (engine shards, fleet instances) follow the units.
+        # Host tracks (engine shards) follow the units, in shard order:
+        # by number ("shard 2" before "shard 10"), whatever the order
+        # they were recorded in and whatever the hash seed.
+        shards = [7, 0, 11, 2, 10, 5, 1, 9, 3, 8, 6, 4]
         telemetry = Telemetry()
-        telemetry.span("a", "engine shard 0", 0, 1, CAT_COMPUTE)
+        for shard in shards[:6]:
+            telemetry.span("s", f"engine shard {shard}", 0, 1, CAT_ENGINE)
         telemetry.span("b", "unit 1", 0, 1, CAT_COMPUTE)
         telemetry.span("c", "pcie-channel", 0, 1, CAT_TRANSFER)
+        for shard in shards[6:]:
+            telemetry.span("s", f"engine shard {shard}", 0, 1, CAT_ENGINE)
         payload = to_chrome_trace(telemetry)
-        order = [event["args"]["name"] for event in payload["traceEvents"]
-                 if event.get("name") == "thread_name"]
-        assert order == ["pcie-channel", "unit 1", "engine shard 0"]
-
-
-class TestFleetSpans:
-    def test_fleet_plan_tiles_instance_tracks(self):
-        from repro.perf.fleet import FleetJob, plan_fleet, record_fleet_spans
-
-        jobs = [FleetJob(name=f"chr{i}", seconds=100.0 + i) for i in range(6)]
-        plan = plan_fleet(jobs, 2)
-        telemetry = Telemetry()
-        record_fleet_spans(telemetry, plan)
-        assert telemetry.ticks_per_second == 1.0
-        flat = telemetry.counters.flat()
-        assert flat["fleet.instances"] == 2
-        assert flat["fleet.jobs"] == 6
-        for index, assigned in plan.assignments.items():
-            track = f"instance {index}"
-            spans = [s for s in telemetry.spans if s.track == track]
-            assert len(spans) == len(assigned)
-            clock = 0.0
-            for span in spans:  # back-to-back in assignment order
-                assert span.start == clock
-                clock = span.end
-            assert clock == sum(job.seconds for job in assigned)
+        threads = [event for event in payload["traceEvents"]
+                   if event.get("name") == "thread_name"]
+        assert [event["args"]["name"] for event in threads] == [
+            "pcie-channel", "unit 1",
+            *(f"engine shard {shard}" for shard in range(12)),
+        ]
+        assert [event["tid"] for event in threads] == list(range(1, 15))
 
 
 class TestTraceCommand:
@@ -202,21 +190,6 @@ class TestTraceCommand:
         captured = capsys.readouterr().out
         assert "[sync]" in captured and "[async]" in captured
         assert "[engine]" in captured
-
-    def test_trace_fleet_session(self, tmp_path, capsys):
-        out = tmp_path / "trace.json"
-        assert cli_main([
-            "trace", "--out", str(out), "--sites", "6", "--fleet", "2",
-        ]) == 0
-        payload = json.loads(out.read_text())
-        process_names = [
-            event["args"]["name"] for event in payload["traceEvents"]
-            if event.get("name") == "process_name"
-        ]
-        assert process_names == ["sync", "async", "fleet", "engine"]
-        fleet = payload["otherData"]["counters"]["fleet"]
-        assert (fleet["fleet.instances"], fleet["fleet.jobs"]) == (2, 4)
-        assert "[fleet] 4 jobs on 2 instances" in capsys.readouterr().out
 
 
 class TestOutputPathValidation:
