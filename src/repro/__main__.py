@@ -229,18 +229,14 @@ def engine_from_args(args: argparse.Namespace):
 
 
 def _cmd_realign(args: argparse.Namespace) -> int:
+    from repro.engine.native import sam_ingester
     from repro.genomics.fasta import read_reference
-    from repro.genomics.samlite import copy_patched, read_sam
+    from repro.genomics.samlite import scan_sam, write_patched
     from repro.realign.realigner import IndelRealigner, moved_records
 
-    # --sam is read twice: parsed into reads, then copied to --out with
-    # the moved reads' POS and CIGAR patched. A pipe cannot be re-read.
-    sam = Path(args.sam)
-    if sam.exists() and not sam.is_file():
-        print(f"error: --sam {sam} is not a regular file (it is read "
-              "twice)", file=sys.stderr)
-        return 2
-    if args.out.exists() and args.out.samefile(sam):
+    # --sam is read once, into one buffer: the columns come from it, and
+    # --out is its byte spans with the moved reads' POS and CIGAR patched.
+    if args.out.exists() and args.out.samefile(args.sam):
         print("error: --out must not be --sam (the input is copied to it)",
               file=sys.stderr)
         return 2
@@ -251,7 +247,12 @@ def _cmd_realign(args: argparse.Namespace) -> int:
         telemetry = Telemetry(label="realign")
     with engine_from_args(args) as engine:
         reference = read_reference(args.reference)
-        reads = read_sam(args.sam, reference)
+        with open(args.sam, "rb") as handle:
+            buffer = handle.read()
+        ingest = sam_ingester(reference)
+        batch = None if ingest is None else ingest(buffer, file=True)
+        if batch is None:
+            buffer, batch = scan_sam(buffer, reference, args.sam)
         if args.accelerated:
             from repro.core.system import AcceleratedRealigner, SystemConfig
 
@@ -259,8 +260,8 @@ def _cmd_realign(args: argparse.Namespace) -> int:
             if telemetry is not None:
                 telemetry.label = config.name
             realigner = AcceleratedRealigner(reference, config)
-            updated, run, report = realigner.realign(reads,
-                                                     telemetry=telemetry)
+            windows, run, report = realigner.decide(batch, telemetry=telemetry)
+            results = run.unit_results
             print(f"accelerated run: {run.total_seconds * 1e3:.2f} modelled "
                   f"ms, {run.pruned_fraction:.0%} of comparisons pruned")
             if telemetry is not None:
@@ -269,8 +270,8 @@ def _cmd_realign(args: argparse.Namespace) -> int:
                 metrics = derive_schedule_metrics(telemetry)
                 print(f"telemetry: {metrics.describe()}")
         else:
-            updated, report = IndelRealigner(reference, engine=engine).realign(
-                reads, telemetry=telemetry)
+            windows, results, report = IndelRealigner(
+                reference, engine=engine).decide(batch, telemetry=telemetry)
             print(f"engine: workers={args.workers} batch={args.batch} "
                   f"kernel={args.kernel}")
         if telemetry is not None:
@@ -278,10 +279,15 @@ def _cmd_realign(args: argparse.Namespace) -> int:
 
             write_chrome_trace(telemetry, args.telemetry)
             print(f"trace -> {args.telemetry}")
-    moved = moved_records(reads, updated)
+    moved = moved_records(windows, results, report)
+    # A new file, not the old one truncated: truncating waits for the
+    # old contents' writeback on some filesystems. A symlink is written
+    # through.
+    if args.out.is_file() and not args.out.is_symlink():
+        args.out.unlink()
     try:
-        with open(args.out, "w") as sink:
-            copy_patched(args.sam, sink, moved, len(reads))
+        with open(args.out, "wb") as sink:
+            write_patched(buffer, batch, moved, sink)
     except BaseException:
         if args.out.is_file() and not args.out.is_symlink():
             args.out.unlink()
@@ -481,9 +487,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         with engine_from_args(args) as engine:
             updated, report = asyncio.run(selftest(engine))
         # The CLI's contract on the same lines: patch what moved.
-        realigned, _ = IndelRealigner(reference).realign(reads)
-        identical = updated == patch_moved(lines,
-                                           moved_records(reads, realigned))
+        windows, results, _ = IndelRealigner(reference).decide(reads)
+        identical = updated == patch_moved(
+            lines, moved_records(windows, results))
         print(report.summary())
         print(f"selftest: served output is "
               f"{'byte-identical' if identical else 'DIVERGENT'} "

@@ -4,19 +4,27 @@ A pileup column collects, for one reference position, every read base
 aligned across it (with its quality), plus the INDELs anchored there.
 Consumers: the variant callers (:mod:`repro.variants`) and BQSR. INDEL
 target identification (:mod:`repro.realign.targets`) needs one boolean
-per position, not the evidence behind it, and takes the same walk as
-counts instead of objects: :func:`mismatch_loci`.
+per position, not the evidence behind it, and takes the same walk over
+a read batch's columns instead of objects: :func:`mismatch_loci`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple, Union
 
 import numpy as np
 
 from repro.genomics.cigar import CigarOp
-from repro.genomics.read import Read
+from repro.genomics.read import (
+    CONTIG,
+    FLAG,
+    FLAG_DUPLICATE,
+    MATCH,
+    Read,
+    ReadBatch,
+    as_batch,
+)
 
 
 @dataclass
@@ -99,7 +107,7 @@ def pileup(reads: Iterable[Read], skip_duplicates: bool = True
 
 
 def mismatch_loci(
-    reads: Iterable[Read],
+    reads: Union[Iterable[Read], ReadBatch],
     reference,
     min_depth: int,
     min_fraction: float,
@@ -112,60 +120,39 @@ def mismatch_loci(
     ``A`` mismatches, ``N`` over ``N`` does not). The walk is
     :func:`pileup`'s -- unmapped and duplicate reads skipped, clipped
     and inserted bases in no column, a deletion adding no depth -- but
-    it emits M blocks instead of column objects. Mismatches are counted
-    where the blocks' bases, laid end to end, differ from the reference
-    bases under them; depth is needed only at those columns, as blocks
-    begun minus blocks ended. Nothing is as long as the contig. A
-    column past the contig end has no reference base and is never a
-    locus.
+    it reads a :class:`~repro.genomics.read.ReadBatch`'s columns
+    (``reads`` is converted to one if it is a list): its M blocks and
+    its :meth:`~repro.genomics.read.ReadBatch.mismatches`. Depth is
+    needed only at the mismatched columns, as blocks begun minus blocks
+    ended. Nothing is as long as the contig. A column past the contig
+    end has no reference base and is never a locus.
     """
-    blocks: Dict[str, Tuple[List[int], List[int], List[str]]] = {}
-    for read in reads:
-        if not read.is_mapped or read.is_duplicate:
-            continue
-        starts, ends, bases = blocks.setdefault(read.chrom, ([], [], []))
-        read_offset = 0
-        ref_pos = read.pos
-        for op, length in read.cigar:
-            if op is CigarOp.MATCH:
-                starts.append(ref_pos)
-                ends.append(ref_pos + length)
-                bases.append(read.seq[read_offset : read_offset + length])
-                read_offset += length
-                ref_pos += length
-            elif op is CigarOp.DELETION:
-                ref_pos += length
-            else:  # insertion or soft clip: bases in no column
-                read_offset += length
+    batch = as_batch(reads, reference)
+    read, ref_start, _offset = batch.layout()
+    kinds, lengths = batch.ops
+    contig = batch.columns[CONTIG]
+    blocks = (kinds == MATCH) & ((batch.columns[FLAG][read]
+                                  & FLAG_DUPLICATE) == 0)
+    block_contig, block_start = contig[read[blocks]], ref_start[blocks]
+    block_end = block_start + lengths[blocks]
+    wrong_read, wrong_pos = batch.mismatches(reference)
+    wrong_contig = contig[wrong_read]
     loci: Dict[str, List[int]] = {}
-    for chrom, (starts, ends, bases) in blocks.items():
-        if not starts:
-            continue
-        block_start, block_end = np.array(starts), np.array(ends)
-        by_start, by_end = np.sort(block_start), np.sort(block_end)
+    for k in np.flatnonzero(np.bincount(block_contig)).tolist():
+        chrom = batch.contigs[k]
+        on = block_contig == k
+        by_start, by_end = np.sort(block_start[on]), np.sort(block_end[on])
         # The deepest column is the first of some block.
         deepest = (np.arange(1, by_start.size + 1)
                    - np.searchsorted(by_end, by_start, side="right")).max()
         if deepest < min_depth:
             continue
-        contig = reference.fetch(chrom, 0, reference.length(chrom))
-        # A block overhanging the contig compares against padding.
-        under = "".join([contig[s:e].ljust(e - s)
-                         for s, e in zip(starts, ends)])
-        wrong = np.flatnonzero(
-            np.frombuffer("".join(bases).encode("ascii"), np.uint8)
-            != np.frombuffer(under.encode("ascii"), np.uint8)
-        )
-        # ``wrong`` indexes the end-to-end base stream: find the block
-        # each offset falls in and count back from that block's end.
-        stops = np.cumsum(block_end - block_start)
-        block = np.searchsorted(stops, wrong, side="right")
-        columns, mismatches = np.unique(
-            block_end[block] - (stops[block] - wrong), return_counts=True
-        )
+        columns, mismatches = np.unique(wrong_pos[wrong_contig == k],
+                                        return_counts=True)
         depth = (np.searchsorted(by_start, columns, side="right")
                  - np.searchsorted(by_end, columns, side="right"))
-        found = columns[(columns < len(contig)) & (depth >= min_depth)
+        length = reference.length(chrom) if chrom in reference else 0
+        found = columns[(columns < length) & (depth >= min_depth)
                         & (mismatches / depth >= min_fraction)]
         if found.size:
             loci[chrom] = found.tolist()

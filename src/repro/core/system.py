@@ -18,15 +18,16 @@ model plus the DMA/clock models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.accelerator import IRUnit, UnitConfig, UnitRunResult
 from repro.core.host import HostPlan, plan_targets
 from repro.core.scheduler import ScheduledTarget, ScheduleResult, schedule
-from repro.genomics.read import Read
+from repro.genomics.read import Read, ReadBatch
 from repro.genomics.reference import ReferenceGenome
 from repro.hw.clock import ClockRecipe, F1_CLOCK_125MHZ
 from repro.hw.memory import PcieDmaModel
+from repro.realign.consensus import ConsensusWindow
 from repro.realign.realigner import (
     IndelRealigner,
     RealignerReport,
@@ -299,9 +300,12 @@ class AcceleratedRealigner:
             reference, scoring=self.system.config.scoring
         )
 
-    def realign(
-        self, reads: Sequence[Read], telemetry=None
-    ) -> Tuple[List[Read], SystemRunResult, RealignerReport]:
+    def decide(
+        self, reads: Union[Sequence[Read], ReadBatch], telemetry=None
+    ) -> Tuple[List[ConsensusWindow], SystemRunResult, RealignerReport]:
+        """The front half on the host and the kernel on the system, nothing
+        applied: ``(windows, run, report)``, the kernel's decisions in
+        ``run.unit_results``."""
         targets, windows = self._front_half.build_sites(reads)
         report = RealignerReport(
             targets_identified=len(targets),
@@ -310,6 +314,12 @@ class AcceleratedRealigner:
         )
         site_list = [window.site for window in windows]
         run = self.system.run(site_list, telemetry=telemetry)
+        return windows, run, report
+
+    def realign(
+        self, reads: Sequence[Read], telemetry=None
+    ) -> Tuple[List[Read], SystemRunResult, RealignerReport]:
+        windows, run, report = self.decide(reads, telemetry)
         updated = apply_site_results(reads, windows, run.unit_results,
                                      report)
         return updated, run, report

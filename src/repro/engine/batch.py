@@ -396,13 +396,6 @@ def min_whd_grid_batched(
     return _grids(PackedSite.from_site(site), prefilter, scoring, stats=st)
 
 
-def pair_lower_bounds(site: RealignmentSite) -> np.ndarray:
-    """The prefilter's ``(C, R)`` WHD lower bounds (for tests/analysis)."""
-    packed = PackedSite.from_site(site)
-    _, _, _, lb_pair, _ = _count_candidates(packed)
-    return lb_pair
-
-
 def realign_site_batched(
     site: RealignmentSite,
     prefilter: bool = True,

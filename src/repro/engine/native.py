@@ -35,19 +35,22 @@ shared library and called through ``ctypes``: one call per site, with
 the GIL released for all of it, so engine threads run sites
 concurrently.
 
-The same library holds the served job's check, ``repro_scan_sam``
-(:func:`sam_checker`): one pass over a ``realign`` body's bytes that
-accepts only what :func:`repro.genomics.samlite.scan_lines` accepts,
-and says whether some mapped read's CIGAR carries an INDEL, so the
-server answers a job no INDEL can change without decoding it.
+The same library holds the SAM tokenizer, ``repro_ingest_sam``
+(:func:`sam_ingester`): one pass over a SAM file's or a served job's
+bytes that accepts only what :func:`repro.genomics.samlite.scan_lines`
+accepts and fills a :class:`~repro.genomics.read.ReadBatch`'s columns
+(line and field spans, flag, POS, MAPQ, contig, reference end, CIGAR
+elements, and the M-block bases that differ from the reference), so
+``repro realign`` reads ``--sam`` once into one buffer, and the server
+answers a job no INDEL can change without decoding it.
 
 It is not required: when no C compiler works, every entry point
 degrades to the interpreted bitpack kernel, counting
 ``kernel.native.unavailable`` in telemetry and logging one warning
 that says why (disabled, no compiler, the build's first error line, a
 load error) -- never an error (the ``REPRO_NATIVE=off`` CI pass pins
-this); :func:`sam_checker` returns ``None``, and the server scans every
-body in Python. The ``REPRO_NATIVE`` environment variable disables the tier
+this); :func:`sam_ingester` returns ``None``, and SAM bytes are read in
+Python. The ``REPRO_NATIVE`` environment variable disables the tier
 (``off``) or leaves the default probe (``auto``); any other value is a
 ``ValueError``.
 
@@ -77,16 +80,17 @@ otherwise, which is the point:
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import logging
 import os
 import subprocess
 import tempfile
+import zlib
 from pathlib import Path
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from repro.genomics.read import COLUMNS, ReadBatch
 from repro.realign.site import RealignmentSite
 from repro.realign.whd import (
     SiteResult,
@@ -333,7 +337,14 @@ int64_t repro_native_site(
     return exact;
 }
 
-/* ---- a served job's one-pass check (repro_scan_sam) ---- */
+/* ---- the SAM tokenizer (repro_ingest_sam) ---- */
+
+/* A line's columns, in repro.genomics.read's order: col[c * cap + i] is
+ * column c of alignment line i. */
+enum { LINE_AT, LINE_END, NAME_END, SEQ_AT, QUAL_AT, LENGTH, FLAG, POS,
+       MAPQ, CONTIG, END };
+/* CIGAR element codes, as repro.genomics.read.OPS orders them */
+enum { OP_M, OP_I, OP_D, OP_S };
 
 /* 1 for a nonzero byte, else 0, in byte-wide operations only. */
 static inline uint8_t nonzero(uint8_t x)
@@ -356,12 +367,20 @@ static int64_t plain_digits(const uint8_t *s, int64_t len, int64_t max)
     return value;
 }
 
-/* One alignment line, its fields 0..10 at at[f] for len[f] bytes,
- * checked as scan_lines checks it: -1 declines, else whether a mapped
- * read's CIGAR carries an I or D. */
-static int64_t scan_line(const uint8_t **at, const int64_t *len,
-    const uint8_t *names, const int64_t *name_at, const int64_t *contig_len,
-    int64_t num_contigs)
+/* One alignment line of buf, its fields 0..10 at at[f] for len[f]
+ * bytes and its newline (or the buffer's end) at eol, checked as
+ * scan_lines checks it and written to column row i.  Its CIGAR
+ * elements go to op[o] (code) and op[op_cap + o] (length) from o = *ops
+ * on, written while o < op_cap and counted in *ops always.  -1
+ * declines, else whether a mapped read's CIGAR carries an I or D.  The
+ * contigs are names[name_at[k] .. name_at[k + 1]) of seq_at[k + 1] -
+ * seq_at[k] bases; *last, the contig of the previous mapped line, is
+ * tried first. */
+static int64_t scan_line(const uint8_t *buf, const uint8_t **at,
+    const int64_t *len, const uint8_t *eol, const uint8_t *names,
+    const int64_t *name_at, const int64_t *seq_at, int64_t num_contigs,
+    int64_t *col, int64_t cap, int64_t i, int64_t *op, int64_t op_cap,
+    int64_t *ops, int64_t *last)
 {
     const int64_t flag = plain_digits(at[1], len[1], 18);
     const int64_t pos = plain_digits(at[3], len[3], 18);
@@ -372,19 +391,31 @@ static int64_t scan_line(const uint8_t **at, const int64_t *len,
      * compiler vectorises (byte-wide, no branch, no table) */
     uint8_t bad = 0;
     const uint8_t *bases = at[9], *quals = at[10];
-    for (int64_t i = 0; i < len[9]; i++) {
-        const uint8_t b = bases[i];
+    for (int64_t k = 0; k < len[9]; k++) {
+        const uint8_t b = bases[k];
         bad |= nonzero(b ^ 'A') & nonzero(b ^ 'C') & nonzero(b ^ 'G')
                & nonzero(b ^ 'T') & nonzero(b ^ 'N');
     }
-    for (int64_t i = 0; i < len[10]; i++)
-        bad |= (uint8_t)(quals[i] - '!') > '~' - '!';
+    for (int64_t k = 0; k < len[10]; k++)
+        bad |= (uint8_t)(quals[k] - '!') > '~' - '!';
     if (bad)
         return -1;
+    col[LINE_AT * cap + i] = at[0] - buf;
+    col[LINE_END * cap + i] = eol - buf;
+    col[NAME_END * cap + i] = at[0] + len[0] - buf;
+    col[SEQ_AT * cap + i] = at[9] - buf;
+    col[QUAL_AT * cap + i] = at[10] - buf;
+    col[LENGTH * cap + i] = len[9];
+    col[MAPQ * cap + i] = mapq;
+    const int64_t kept = flag & (0x10 | 0x400);
     /* unmapped: scan_lines checks neither its RNAME nor its CIGAR */
     if (flag & 4 || (len[2] == 1 && at[2][0] == '*')
-        || (len[5] == 1 && at[5][0] == '*'))
+        || (len[5] == 1 && at[5][0] == '*')) {
+        col[FLAG * cap + i] = kept | 4;
+        col[POS * cap + i] = col[END * cap + i] = 0;
+        col[CONTIG * cap + i] = -1;
         return 0;
+    }
     int64_t read_len = 0, ref_len = 0, indel = 0;
     const uint8_t *c = at[5], *stop = at[5] + len[5];
     if (c == stop || pos < 1)
@@ -396,67 +427,181 @@ static int64_t scan_line(const uint8_t **at, const int64_t *len,
         const int64_t n = plain_digits(digits, c - digits, 9);
         if (n < 1 || c == stop)
             return -1;
+        int64_t code;
         switch (*c++) {
-        case 'M': read_len += n; ref_len += n; break;
-        case 'I': read_len += n; indel = 1; break;
-        case 'D': ref_len += n; indel = 1; break;
-        case 'S': read_len += n; break;
+        case 'M': read_len += n; ref_len += n; code = OP_M; break;
+        case 'I': read_len += n; indel = 1; code = OP_I; break;
+        case 'D': ref_len += n; indel = 1; code = OP_D; break;
+        case 'S': read_len += n; code = OP_S; break;
         default: return -1;
         }
+        if (*ops < op_cap) {
+            op[*ops] = code;
+            op[op_cap + *ops] = n;
+        }
+        (*ops)++;
     }
     if (read_len != len[9])
         return -1;
-    int64_t k = 0;
-    while (k < num_contigs && (name_at[k + 1] - name_at[k] != len[2]
-           || memcmp(names + name_at[k], at[2], (size_t)len[2]) != 0))
-        k++;
-    if (k == num_contigs)
+    int64_t k = *last;
+    if (k >= num_contigs || name_at[k + 1] - name_at[k] != len[2]
+        || memcmp(names + name_at[k], at[2], (size_t)len[2]) != 0) {
+        k = 0;
+        while (k < num_contigs && (name_at[k + 1] - name_at[k] != len[2]
+               || memcmp(names + name_at[k], at[2], (size_t)len[2]) != 0))
+            k++;
+        if (k == num_contigs)
+            return -1;
+        *last = k;
+    }
+    if (pos - 1 + ref_len > seq_at[k + 1] - seq_at[k])
         return -1;
-    return pos - 1 + ref_len <= contig_len[k] ? indel : -1;
+    col[FLAG * cap + i] = kept;
+    col[POS * cap + i] = pos - 1;
+    col[CONTIG * cap + i] = k;
+    col[END * cap + i] = pos - 1 + ref_len;
+    return indel;
 }
 
-/* A served job's body -- its SAM lines joined by '\n' -- checked in one
- * pass: -1 declines it, 0 accepts it with no INDEL, 1 with one.  It
- * accepts only bodies scan_lines accepts, with the same has_indel, and
- * declines what it is unsure of: any byte >= 0x80 (so every body it
- * accepts is UTF-8), an empty line, a trailing newline, a numeric field
- * that is not 1..18 plain digits.  The contigs are names[name_at[k] ..
- * name_at[k + 1]) of contig_len[k] bases. */
-int64_t repro_scan_sam(const uint8_t *body, int64_t n, const uint8_t *names,
-    const int64_t *name_at, const int64_t *contig_len, int64_t num_contigs)
+/* The bases of every mapped, non-duplicate read's M blocks that differ
+ * from the reference (seqs, contig k at seq_at[k]): (read, reference
+ * position) pairs in read order, written to mism[j] and mism[mism_cap +
+ * j] while j < mism_cap.  Returns how many there are. */
+static int64_t mismatch_columns(const uint8_t *buf, const int64_t *col,
+    int64_t cap, int64_t reads, const int64_t *op_at, const int64_t *op,
+    int64_t op_cap, const uint8_t *seqs, const int64_t *seq_at,
+    int64_t *mism, int64_t mism_cap)
 {
-    uint8_t high = 0;
-    for (int64_t i = 0; i < n; i++)
-        high |= body[i];
-    if (high & 0x80)
+    int64_t found = 0;
+    for (int64_t i = 0; i < reads; i++) {
+        if (col[CONTIG * cap + i] < 0 || col[FLAG * cap + i] & 0x400)
+            continue;
+        const uint8_t *q = buf + col[SEQ_AT * cap + i];
+        const uint8_t *r = seqs + seq_at[col[CONTIG * cap + i]];
+        int64_t ref = col[POS * cap + i];
+        for (int64_t o = op_at[i]; o < op_at[i + 1]; o++) {
+            const int64_t code = op[o], n = op[op_cap + o];
+            if (code == OP_M) {
+                int64_t t = 0;
+                for (; t < n; t++) {
+                    /* skip eight equal bases at a time */
+                    uint64_t a, b;
+                    if (t + 8 <= n) {
+                        memcpy(&a, q + t, 8);
+                        memcpy(&b, r + ref + t, 8);
+                        if (a == b) {
+                            t += 7;
+                            continue;
+                        }
+                    }
+                    if (q[t] != r[ref + t]) {
+                        if (found < mism_cap) {
+                            mism[found] = i;
+                            mism[mism_cap + found] = ref + t;
+                        }
+                        found++;
+                    }
+                }
+            }
+            if (code != OP_D)
+                q += n;
+            if (code == OP_M || code == OP_D)
+                ref += n;
+        }
+    }
+    return found;
+}
+
+/* SAM lines in one pass: checked, and tokenized into columns.  A file
+ * (file != 0) skips '@' header lines and may end in a newline; a served
+ * job's body (file == 0) is its lines joined by '\n', and declines a
+ * trailing one.  Either declines an empty line, and a file any '\r' (a
+ * text-mode read would take it for a line end).  The call accepts only
+ * lines scan_lines accepts, and declines what it is unsure of: any byte
+ * >= 0x80 (so every buffer it accepts is UTF-8), a numeric field that
+ * is not 1..18 plain digits.
+ *
+ * Returns -1 (declined), -2 (a capacity below counts: call again with
+ * more room), else whether some mapped read's CIGAR carries an I or D.
+ * counts gets the lines (at most, when -2), CIGAR elements and
+ * mismatches found; col holds cap rows, op_at cap + 1 (read i's
+ * elements are op_at[i] .. op_at[i + 1]).  Contig k is named
+ * names[name_at[k] .. name_at[k + 1]) and has bases seqs[seq_at[k] ..
+ * seq_at[k + 1]).  The mismatch columns are filled for a file, and for
+ * a body with an INDEL: a body without one changes nothing. */
+int64_t repro_ingest_sam(const uint8_t *buf, int64_t n, int64_t file,
+    const uint8_t *names, const int64_t *index, const uint8_t *seqs,
+    int64_t num_contigs, int64_t *work, int64_t cap, int64_t op_cap,
+    int64_t *mism, int64_t mism_cap)
+{
+    /* work: counts[3], then col (COLUMNS x cap), op_at (cap + 1) and op
+     * (2 x op_cap); index: name_at (num_contigs + 1), then seq_at */
+    int64_t *counts = work, *col = work + 3, *op_at = col + 11 * cap;
+    int64_t *op = op_at + cap + 1;
+    const int64_t *name_at = index, *seq_at = index + num_contigs + 1;
+    uint8_t high = 0, cr = 0;
+    for (int64_t i = 0; i < n; i++) {
+        high |= buf[i];
+        cr |= buf[i] == '\r';
+    }
+    if (high & 0x80 || (file && cr))
         return -1;
-    int64_t verdict = 0;
-    const uint8_t *p = body, *end = body + n;
+    int64_t reads = 0, ops = 0, verdict = 0, last = 0;
+    const uint8_t *p = buf, *end = buf + n;
     while (p < end) {
         const uint8_t *eol = memchr(p, '\n', (size_t)(end - p));
         if (eol == NULL)
             eol = end;
-        else if (eol + 1 == end)
+        else if (eol + 1 == end && !file)
             return -1;
-        const uint8_t *at[11];
-        int64_t len[11];
-        for (int f = 0; f < 11; f++) {
-            const uint8_t *tab = memchr(p, '\t', (size_t)(eol - p));
-            if (tab == NULL) {
-                if (f < 10)
-                    return -1;  /* fewer than 11 fields */
-                tab = eol;
-            }
-            at[f] = p;
-            len[f] = tab - p;
-            p = tab + 1;
+        if (!(file && *p == '@') && reads == cap) {
+            /* no row left: count the lines, for the call with room */
+            counts[0] = reads;
+            counts[1] = ops;
+            counts[2] = 0;
+            for (const uint8_t *q = p; q != NULL && q < end; counts[0]++)
+                if ((q = memchr(q, '\n', (size_t)(end - q))) != NULL)
+                    q++;
+            return -2;
         }
-        const int64_t line = scan_line(at, len, names, name_at, contig_len,
-                                       num_contigs);
-        if (line < 0)
-            return -1;
-        verdict |= line;
+        if (!(file && *p == '@')) {
+            const uint8_t *at[11];
+            int64_t len[11];
+            for (int f = 0; f < 11; f++) {
+                const uint8_t *tab = memchr(p, '\t', (size_t)(eol - p));
+                if (tab == NULL) {
+                    if (f < 10)
+                        return -1;  /* fewer than 11 fields */
+                    tab = eol;
+                }
+                at[f] = p;
+                len[f] = tab - p;
+                p = tab + 1;
+            }
+            op_at[reads] = ops;
+            const int64_t line = scan_line(buf, at, len, eol, names, name_at,
+                seq_at, num_contigs, col, cap, reads, op, op_cap, &ops,
+                &last);
+            if (line < 0)
+                return -1;
+            verdict |= line;
+            reads++;
+        }
+        if (eol == end)
+            break;
         p = eol + 1;
+    }
+    op_at[reads] = ops;
+    counts[0] = reads;
+    counts[1] = ops;
+    counts[2] = 0;
+    if (ops > op_cap)
+        return -2;
+    if (file || verdict) {
+        counts[2] = mismatch_columns(buf, col, cap, reads, op_at, op, op_cap,
+                                     seqs, seq_at, mism, mism_cap);
+        if (counts[2] > mism_cap)
+            return -2;
     }
     return verdict;
 }
@@ -493,10 +638,13 @@ class _CcBackend:
             array(np.int64), array(np.int64),
         ]
         self.site.restype = i64
-        self.scan = lib.repro_scan_sam
-        self.scan.argtypes = [ctypes.c_char_p, i64, ctypes.c_char_p,
-                              array(np.int64), array(np.int64), i64]
-        self.scan.restype = i64
+        self.ingest = lib.repro_ingest_sam
+        self.ingest.argtypes = [
+            ctypes.c_char_p, i64, i64, ctypes.c_char_p, array(np.int64),
+            ctypes.c_char_p, i64, array(np.int64), i64, i64,
+            array(np.int64), i64,
+        ]
+        self.ingest.restype = i64
 
 
 def _find_cc() -> Optional[str]:
@@ -510,10 +658,11 @@ def _find_cc() -> Optional[str]:
 
 def _library_path(cc: str, cpu: str) -> Path:
     """Per source, flags, compiler *and* CPU: -march=native builds must
-    not be shared between machines (SIGILL instead of the degrade)."""
-    tag = hashlib.sha256(
-        (_C_SOURCE + " ".join(_CC_FLAGS) + cc + cpu).encode()
-    ).hexdigest()[:16]
+    not be shared between machines (SIGILL instead of the degrade). The
+    tag is two zlib checksums, not a hashlib digest: hashlib loads
+    OpenSSL, 3.3 MB of resident memory in a process that needs none."""
+    key = (_C_SOURCE + " ".join(_CC_FLAGS) + cc + cpu).encode()
+    tag = f"{zlib.crc32(key):08x}{zlib.adler32(key):08x}"
     return _native_cache_dir() / f"whd_{tag}.so"
 
 
@@ -775,25 +924,29 @@ def realign_site_native(
 
 
 # ---------------------------------------------------------------------
-# the served job's check
+# the SAM tokenizer
 # ---------------------------------------------------------------------
 
-#: :func:`sam_checker` verdicts on a ``realign`` body.
-SCAN_DECLINED, SCAN_NO_INDEL, SCAN_INDEL = -1, 0, 1
+_DECLINED, _GROW = -1, -2
 
 
-def sam_checker(reference) -> Optional[Callable[[bytes], int]]:
-    """The compiled one-pass check of a served job's body (its SAM lines
-    joined by ``"\\n"``, as bytes) against ``reference``, or ``None``
-    when no compiled backend is usable.
+def sam_ingester(reference) -> Optional[Callable[..., Optional[ReadBatch]]]:
+    """The compiled one-pass reading of SAM bytes against ``reference``,
+    or ``None`` when no compiled backend is usable.
 
-    The check returns :data:`SCAN_NO_INDEL` or :data:`SCAN_INDEL` only
-    for a body whose lines :func:`~repro.genomics.samlite.scan_lines`
-    accepts with that ``has_indel``; it returns :data:`SCAN_DECLINED`
-    for anything it is unsure of (any byte >= 0x80, an empty line or a
+    ``ingest(buffer, file=False)`` returns the
+    :class:`~repro.genomics.read.ReadBatch` of ``buffer``'s alignment
+    lines -- a file's bytes (``file=True``: ``@`` header lines skipped)
+    or a served job's body (its lines joined by ``"\\n"``) -- with its
+    reads as views of ``buffer``; or ``None`` when the pass declines.
+    It accepts only lines :func:`~repro.genomics.samlite.scan_lines`
+    accepts, with the same columns, and declines anything it is unsure
+    of (any byte >= 0x80, an empty line, a file's ``\\r``, a body's
     trailing newline, a numeric field that is not 1..18 plain digits, a
     CIGAR outside ``(\\d+[MIDS])+`` with positive lengths, ...), which
-    the caller then scans in Python.
+    the caller then reads in Python. The batch's
+    :meth:`~repro.genomics.read.ReadBatch.mismatches` come from the same
+    pass for a file, and for a body that has an INDEL.
     """
     backend = get_backend()
     if backend is None:
@@ -801,16 +954,45 @@ def sam_checker(reference) -> Optional[Callable[[bytes], int]]:
     names = [contig.name.encode("utf-8", "surrogatepass")
              for contig in reference]
     blob = b"".join(names)
-    name_at = np.cumsum([0, *map(len, names)], dtype=np.int64)
-    lengths = np.array([len(contig) for contig in reference], dtype=np.int64)
-    scan, count = backend.scan, len(names)
-    return lambda body: scan(body, len(body), blob, name_at, lengths, count)
+    index = np.cumsum([0, *map(len, names), 0,
+                       *(len(contig) for contig in reference)],
+                      dtype=np.int64)
+    index[len(names) + 1:] -= index[len(names)]  # seq_at restarts at 0
+    bases = "".join(contig.sequence for contig in reference).encode("ascii")
+    contigs, count = tuple(reference.contig_names), len(names)
+    call = backend.ingest
+
+    def ingest(buffer: bytes, file: bool = False) -> Optional[ReadBatch]:
+        # Room for 128-byte lines (a call with too little is told what
+        # it needs); an untouched page costs no memory.
+        cap = len(buffer) // 128 + 16
+        op_cap, mism_cap = 2 * cap, (8 if file else 2) * cap
+        while True:
+            work = np.empty(3 + (COLUMNS + 1) * cap + 1 + 2 * op_cap,
+                            dtype=np.int64)
+            mism = np.empty((2, mism_cap), dtype=np.int64)
+            verdict = call(buffer, len(buffer), file, blob, index, bases,
+                           count, work, cap, op_cap, mism, mism_cap)
+            if verdict != _GROW:
+                break
+            cap, op_cap, mism_cap = (max(had, need) for had, need in zip(
+                (cap, op_cap, mism_cap), work[:3].tolist()))
+        if verdict == _DECLINED:
+            return None
+        reads, found, mismatched = work[:3].tolist()
+        columns = work[3:3 + COLUMNS * cap].reshape(COLUMNS, cap)
+        op_at = work[3 + COLUMNS * cap:3 + (COLUMNS + 1) * cap + 1]
+        ops = work[3 + (COLUMNS + 1) * cap + 1:].reshape(2, op_cap)
+        return ReadBatch(
+            contigs, buffer=buffer, columns=columns[:, :reads],
+            op_at=op_at[:reads + 1], ops=ops[:, :found],
+            mismatches=(mism[0, :mismatched], mism[1, :mismatched])
+            if file or verdict else None)
+
+    return ingest
 
 
 __all__ = [
-    "SCAN_DECLINED",
-    "SCAN_INDEL",
-    "SCAN_NO_INDEL",
     "get_backend",
     "min_whd_grid_native",
     "native_available",
@@ -818,6 +1000,6 @@ __all__ = [
     "native_mode",
     "realign_site_native",
     "reset_backend",
-    "sam_checker",
+    "sam_ingester",
     "warmup_native",
 ]

@@ -108,8 +108,10 @@ class Cigar:
         return cls(tuple(merged))
 
     @classmethod
+    @lru_cache(maxsize=1024)
     def matched(cls, length: int) -> "Cigar":
-        """A pure-match CIGAR (``{length}M``), the post-realignment shape."""
+        """A pure-match CIGAR (``{length}M``), the post-realignment shape
+        (memoised: instances are immutable)."""
         return cls(((CigarOp.MATCH, length),))
 
     def __str__(self) -> str:

@@ -13,12 +13,13 @@ start position and mapping quality score").
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.genomics.cigar import Cigar, validate_cigar_against_read
+from repro.genomics.cigar import Cigar, CigarOp, validate_cigar_against_read
 from repro.genomics.quality import MAX_PHRED
 from repro.genomics.sequence import SequenceError, validate_bases
 
@@ -38,7 +39,7 @@ class RowError(ValueError):
         self.error = error
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Read:
     """One aligned (or unaligned) sequencing read.
 
@@ -90,10 +91,14 @@ class Read:
             raise ValueError(f"read {self.name!r}: mapq {self.mapq} outside [0, 254]")
 
     @classmethod
-    def batch(cls, rows: Sequence[BatchRow], scores: np.ndarray) -> "ReadBatch":
+    def batch(cls, rows: Sequence[BatchRow], scores: np.ndarray,
+              contigs: Sequence[str] = (),
+              lines: Optional[Sequence[str]] = None) -> "ReadBatch":
         """Check one read per row; read ``i``'s ``quals`` is a view of
         its ``rows[i][4]`` scores, which follow the previous rows' in
-        the 1-D ``uint8`` buffer ``scores``.
+        the 1-D ``uint8`` buffer ``scores``. ``contigs`` orders the
+        batch's contig indices; ``lines``, the rows' SAM lines, gives
+        its span columns.
 
         The invariants ``__post_init__`` checks per read are checked
         here once per field over the whole batch. If a check fails,
@@ -102,14 +107,18 @@ class Read:
         row alone raises; when none does, the batch keeps those reads.
         The returned :class:`ReadBatch` cannot fail when it is built.
         """
+        def checked(reads=None):
+            return ReadBatch(contigs, rows=rows, scores=scores, lines=lines,
+                             reads=reads)
+
         if not rows:
-            return ReadBatch(rows, scores)
+            return checked()
         _names, _chroms, positions, seqs, counts, cigars, mapqs, *_flags = \
             zip(*rows)
         stops = list(accumulate(counts))
         if _valid_batch(seqs, scores, counts, stops[-1], cigars, positions,
                         mapqs):
-            return ReadBatch(rows, scores)
+            return checked()
         reads = []
         for index, (row, stop) in enumerate(zip(rows, stops)):
             name, chrom, pos, seq, count, *rest = row
@@ -118,7 +127,7 @@ class Read:
                                  scores[stop - count:stop], *rest))
             except ValueError as error:
                 raise RowError(index, error) from None
-        return ReadBatch(rows, scores, reads)
+        return checked(reads)
 
     @property
     def is_mapped(self) -> bool:
@@ -196,54 +205,341 @@ class Read:
         return replace(self, quals=quals)
 
 
+#: SAM flag bits realignment reads (the batch's ``FLAG`` column keeps
+#: only these, with ``FLAG_UNMAPPED`` set for every unmapped read).
+FLAG_UNMAPPED = 0x4
+FLAG_REVERSE = 0x10
+FLAG_DUPLICATE = 0x400
+
+#: The columns of a :class:`ReadBatch`, the rows of its ``columns``
+#: block, in the order the compiled tokenizer writes them
+#: (:func:`repro.engine.native.sam_ingester`): the alignment line's
+#: span, the end of its QNAME and the starts of its SEQ and QUAL (byte
+#: offsets into the buffer the lines came from), the read length, then
+#: the fields realignment reads. An unmapped read has ``CONTIG`` -1 and
+#: ``POS`` = ``END`` = 0.
+(LINE_AT, LINE_END, NAME_END, SEQ_AT, QUAL_AT, LENGTH, FLAG, POS, MAPQ,
+ CONTIG, END) = range(11)
+COLUMNS = 11
+#: CIGAR element kinds by their code in a batch's ``ops[0]``.
+OPS = (CigarOp.MATCH, CigarOp.INSERTION, CigarOp.DELETION, CigarOp.SOFT_CLIP)
+MATCH, INSERTION, DELETION = range(3)  # S is 3
+#: Mismatch blocks :meth:`ReadBatch.mismatches` compares per pass: its
+#: joined strings stay a few MB however large the batch.
+MISMATCH_BLOCKS = 4096
+
+
+@lru_cache(maxsize=4096)
+def _cigar_codes(cigar: Cigar) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    return (tuple(OPS.index(op) for op, _ in cigar.elements),
+            tuple(length for _, length in cigar.elements))
+
+
+@lru_cache(maxsize=4096)
+def _cigar_of(ops: bytes) -> Cigar:
+    """The CIGAR of a read's ``ops`` columns (as ``int64`` bytes)."""
+    kinds, lengths = np.frombuffer(ops, np.int64).reshape(2, -1).tolist()
+    return Cigar(tuple(zip(map(OPS.__getitem__, kinds), lengths)))
+
+
+def _unchecked(name, chrom, pos, seq, quals, cigar, mapq, is_reverse,
+               is_duplicate) -> Read:
+    """A read built without ``__post_init__``, for fields a batch has
+    checked: per-field ``object.__setattr__``, as the generated
+    ``__init__`` of a frozen dataclass does."""
+    read, put = object.__new__(Read), object.__setattr__
+    put(read, "name", name)
+    put(read, "chrom", chrom)
+    put(read, "pos", pos)
+    put(read, "seq", seq)
+    put(read, "quals", quals)
+    put(read, "cigar", cigar)
+    put(read, "mapq", mapq)
+    put(read, "is_reverse", is_reverse)
+    put(read, "is_duplicate", is_duplicate)
+    return read
+
+
 class ReadBatch:
-    """Rows that :meth:`Read.batch` checked, and the one read-only
-    ``scores`` buffer their qualities are slices of. The reads are
-    built only when :meth:`reads` is called, so a caller that needs
-    only :attr:`has_indel` never builds one."""
+    """Checked reads as ``int64`` columns, and a :class:`Read` per index
+    only when one is asked for.
 
-    __slots__ = ("rows", "scores", "_reads")
+    ``columns`` is the ``(COLUMNS, n)`` block (one row per column named
+    above), ``ops`` the ``(2, m)`` CIGAR elements of every mapped read
+    (kind code, length), read ``i``'s at ``op_at[i]:op_at[i + 1]``, and
+    ``contigs`` names the ``CONTIG`` indices. The front half
+    (:mod:`repro.realign.targets`, :func:`repro.align.pileup
+    .mismatch_loci`, :meth:`repro.realign.realigner.IndelRealigner
+    .build_sites`) reads only these. Three producers fill one:
 
-    def __init__(self, rows: Sequence[BatchRow], scores: np.ndarray,
-                 reads: Optional[List[Read]] = None):
-        self.rows = rows
-        self.scores = scores
+    - the compiled tokenizer over a SAM buffer
+      (:func:`repro.engine.native.sam_ingester`), which also fills the
+      :meth:`mismatches` columns; a read is decoded from ``buffer``'s
+      bytes when it is asked for;
+    - :func:`repro.genomics.samlite.scan_lines`, through
+      :meth:`Read.batch`: rows it checked, whose columns are derived
+      when first used, the spans addressing the lines joined by
+      ``"\\n"`` as UTF-8 -- a served job's body;
+    - :meth:`of`, a list of reads (the API callers), with line spans
+      only where given.
+    """
+
+    __slots__ = ("contigs", "buffer", "_columns", "_op_at", "_ops",
+                 "_mismatches", "_layout", "_rows", "_scores", "_lines",
+                 "_quals_at", "_reads", "_built")
+
+    def __init__(self, contigs: Sequence[str] = (), *, buffer=None,
+                 columns=None, op_at=None, ops=None, mismatches=None,
+                 rows=None, scores=None, lines=None, reads=None):
+        self.contigs = tuple(contigs)
+        self.buffer = buffer
+        self._columns, self._op_at, self._ops = columns, op_at, ops
+        self._mismatches = mismatches
+        self._layout = None
+        self._rows, self._scores, self._lines = rows, scores, lines
+        self._quals_at = None
         self._reads = reads
+        self._built = None  # the reads read() made, by index
+
+    @classmethod
+    def of(cls, reads: Sequence[Read], contigs: Sequence[str] = (),
+           spans=None) -> "ReadBatch":
+        """The batch of ``reads``, whose :meth:`read` ``i`` is
+        ``reads[i]`` itself. ``contigs`` orders the ``CONTIG`` indices
+        (names it lacks follow in order of appearance); ``spans``, a
+        pair of sequences, fills ``LINE_AT`` and ``LINE_END``."""
+        batch = cls(contigs, reads=list(reads))
+        batch._fill(((read.chrom, read.pos, len(read.seq), read.cigar,
+                      read.mapq, read.is_reverse, read.is_duplicate)
+                     for read in batch._reads), len(batch._reads))
+        if spans is not None:
+            batch._columns[LINE_AT], batch._columns[LINE_END] = spans
+        return batch
+
+    def __len__(self) -> int:
+        if self._rows is not None:
+            return len(self._rows)
+        if self._reads is not None:
+            return len(self._reads)
+        return self._columns.shape[1]
+
+    @property
+    def columns(self) -> np.ndarray:
+        if self._columns is None:
+            self._fill(((chrom, pos, len(seq), cigar, mapq, is_reverse,
+                         is_duplicate)
+                        for (_name, chrom, pos, seq, _count, cigar, mapq,
+                             is_reverse, is_duplicate) in self._rows),
+                       len(self._rows))
+            if self._lines is not None:
+                self._columns[:LENGTH] = _spans(self._lines)
+        return self._columns
+
+    @property
+    def op_at(self) -> np.ndarray:
+        self.columns  # noqa: B018 - fills the columns of rows
+        return self._op_at
+
+    @property
+    def ops(self) -> np.ndarray:
+        self.columns  # noqa: B018 - fills the columns of rows
+        return self._ops
+
+    def _fill(self, fields, size: int) -> None:
+        """Columns from ``(chrom, pos, length, cigar, mapq, is_reverse,
+        is_duplicate)`` per read: mapped iff chrom and cigar are set."""
+        index = {name: i for i, name in enumerate(self.contigs)}
+        rows, codes, lengths, op_at = [], [], [], [0]
+        for (chrom, pos, length, cigar, mapq, is_reverse,
+             is_duplicate) in fields:
+            flag = is_reverse * FLAG_REVERSE | is_duplicate * FLAG_DUPLICATE
+            if chrom is None or cigar is None:
+                rows.append((length, flag | FLAG_UNMAPPED, 0, mapq, -1, 0))
+            else:
+                contig = index.setdefault(chrom, len(index))
+                rows.append((length, flag, pos, mapq, contig,
+                             pos + cigar.reference_length))
+                kinds, spans = _cigar_codes(cigar)
+                codes.extend(kinds)
+                lengths.extend(spans)
+            op_at.append(len(codes))
+        self.contigs = tuple(index)
+        self._columns = np.zeros((COLUMNS, size), dtype=np.int64)
+        if rows:
+            self._columns[LENGTH:] = np.array(rows, dtype=np.int64).T
+        self._op_at = np.array(op_at, dtype=np.int64)
+        self._ops = np.array([codes, lengths], dtype=np.int64).reshape(2, -1)
+
+    def layout(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(read, ref_start, read_offset)`` of every CIGAR element: its
+        read's index, the reference position it starts at and how many
+        of the read's bases precede it."""
+        if self._layout is None:
+            kinds, lengths = self.ops
+            read = np.repeat(np.arange(len(self)), np.diff(self.op_at))
+            first = self.op_at[:-1][read]
+
+            def starts(step):
+                before = np.cumsum(step) - step
+                return before - before[first]
+
+            on_ref = np.where((kinds == MATCH) | (kinds == DELETION),
+                              lengths, 0)
+            on_read = np.where(kinds != DELETION, lengths, 0)
+            self._layout = (read,
+                            self.columns[POS][read] + starts(on_ref),
+                            starts(on_read))
+        return self._layout
+
+    @property
+    def indel(self) -> np.ndarray:
+        """Per read: whether its CIGAR carries an I or D (mapped reads
+        only have CIGAR elements here)."""
+        kinds = self.ops[0]
+        carriers = self.layout()[0][(kinds == INSERTION)
+                                    | (kinds == DELETION)]
+        return np.bincount(carriers, minlength=len(self)) > 0
 
     @property
     def has_indel(self) -> bool:
-        """True if some mapped row's CIGAR carries an I or D, whether or
+        """True if some mapped read's CIGAR carries an I or D, whether or
         not the read is a duplicate or anchored in any target."""
-        return any(row[5] is not None and row[5].has_indel
-                   for row in self.rows)
+        if self._rows is not None and self._columns is None:
+            return any(row[5] is not None and row[5].has_indel
+                       for row in self._rows)
+        kinds = self.ops[0]
+        return bool(((kinds == INSERTION) | (kinds == DELETION)).any())
+
+    def seq(self, index: int) -> str:
+        """Read ``index``'s bases, without building the read."""
+        if self._reads is not None:
+            return self._reads[index].seq
+        if self._rows is not None:
+            return self._rows[index][3]
+        at, length = self._columns[[SEQ_AT, LENGTH], index].tolist()
+        return self.buffer[at:at + length].decode("ascii")
+
+    def mismatches(self, reference) -> Tuple[np.ndarray, np.ndarray]:
+        """``(read, pos)``: each base of a mapped, non-duplicate read's M
+        blocks that differs from ``reference`` (raw characters: ``N``
+        over ``A`` differs, ``N`` over ``N`` does not), as its read's
+        index and its reference position, in read order. A base past
+        its contig's end (or on a contig ``reference`` lacks) always
+        differs.
+
+        The compiled tokenizer's are handed over on the first call and
+        not kept: they are the batch's largest columns, and target
+        identification reads them once. Later calls, and the other
+        producers, compare here, :data:`MISMATCH_BLOCKS` blocks at a
+        time."""
+        if self._mismatches is not None:
+            found, self._mismatches = self._mismatches, None
+            return found
+        read, ref_start, read_offset = self.layout()
+        kinds, lengths = self.ops
+        flags = self.columns[FLAG]
+        keep = (kinds == MATCH) & ((flags[read] & FLAG_DUPLICATE) == 0)
+        read, ref_start = read[keep], ref_start[keep]
+        read_offset, lengths = read_offset[keep], lengths[keep]
+        contig = self.columns[CONTIG][read]
+        sequences = [reference.contig(name).sequence if name in reference
+                     else "" for name in self.contigs]
+        found_read, found_pos = [np.zeros(0, np.int64)], [np.zeros(0,
+                                                                   np.int64)]
+        for lo in range(0, read.size, MISMATCH_BLOCKS):
+            part = slice(lo, lo + MISMATCH_BLOCKS)
+            blocks = list(zip(read[part].tolist(), read_offset[part].tolist(),
+                              contig[part].tolist(), ref_start[part].tolist(),
+                              lengths[part].tolist()))
+            bases = "".join([self.seq(i)[at:at + n]
+                             for i, at, _k, _s, n in blocks])
+            under = "".join([sequences[k][s:s + n].ljust(n)
+                             for _i, _at, k, s, n in blocks])
+            wrong = np.flatnonzero(
+                np.frombuffer(bases.encode("ascii"), np.uint8)
+                != np.frombuffer(under.encode("ascii"), np.uint8))
+            # ``wrong`` indexes the blocks' bases laid end to end
+            stops = np.cumsum(lengths[part])
+            block = np.searchsorted(stops, wrong, side="right")
+            found_read.append(read[part][block])
+            found_pos.append(ref_start[part][block] + wrong
+                             - (stops - lengths[part])[block])
+        return np.concatenate(found_read), np.concatenate(found_pos)
+
+    def read(self, index: int) -> Read:
+        """Read ``index``, built on first use and the same object after."""
+        if self._reads is not None:
+            return self._reads[index]
+        if self._built is None:
+            self._built = [None] * len(self)
+        read = self._built[index]
+        if read is None:
+            read = self._built[index] = self._make(index)
+        return read
+
+    def _make(self, index: int) -> Read:
+        if self._rows is not None:
+            if self._quals_at is None:
+                self._quals_at = [0, *accumulate(row[4] for row in self._rows)]
+            name, chrom, pos, seq, count, *rest = self._rows[index]
+            start = self._quals_at[index]
+            return _unchecked(name, chrom, pos, seq,
+                              self._scores[start:start + count], *rest)
+        (line_at, _end, name_end, seq_at, qual_at, length, flag, pos, mapq,
+         contig, _ref_end) = self._columns[:, index].tolist()
+        buffer = self.buffer
+        quals = np.subtract(np.frombuffer(buffer, np.uint8, length, qual_at),
+                            33, dtype=np.uint8)
+        quals.flags.writeable = False
+        cigar = chrom = None
+        if contig >= 0:
+            chrom = self.contigs[contig]
+            first, stop = self._op_at[index:index + 2].tolist()
+            cigar = _cigar_of(self._ops[:, first:stop].tobytes())
+        return _unchecked(buffer[line_at:name_end].decode("ascii"), chrom,
+                          pos, buffer[seq_at:seq_at + length].decode("ascii"),
+                          quals, cigar, mapq, bool(flag & FLAG_REVERSE),
+                          bool(flag & FLAG_DUPLICATE))
 
     def reads(self) -> List[Read]:
-        """One read per row, built without ``__post_init__``, whose
-        invariants :meth:`Read.batch` checked: this is the only code
-        that bypasses it."""
-        if self._reads is not None:
-            return self._reads
-        # Per-field object.__setattr__, as the generated __init__ does:
-        # touching read.__dict__ instead would give every read a dict of
-        # its own, 64 bytes more than its inline attribute values.
-        new, put, scores = object.__new__, object.__setattr__, self.scores
-        reads, start = [], 0
-        for (name, chrom, pos, seq, count, cigar, mapq, is_reverse,
-             is_duplicate) in self.rows:
-            read = new(Read)
-            put(read, "name", name)
-            put(read, "chrom", chrom)
-            put(read, "pos", pos)
-            put(read, "seq", seq)
-            put(read, "quals", scores[start:start + count])
-            put(read, "cigar", cigar)
-            put(read, "mapq", mapq)
-            put(read, "is_reverse", is_reverse)
-            put(read, "is_duplicate", is_duplicate)
-            reads.append(read)
-            start += count
-        self._reads = reads
+        """Every read, in order: those :meth:`read` built, and the rest."""
+        if self._reads is None and self._rows is not None and not self._built:
+            scores, start, reads = self._scores, 0, []
+            for (name, chrom, pos, seq, count, *rest) in self._rows:
+                reads.append(_unchecked(name, chrom, pos, seq,
+                                        scores[start:start + count], *rest))
+                start += count
+            self._reads = reads
+        elif self._reads is None:
+            self._reads = [self.read(i) for i in range(len(self))]
+        return self._reads
+
+
+def as_batch(reads, reference=None) -> ReadBatch:
+    """``reads`` if it is a :class:`ReadBatch`, else :meth:`ReadBatch.of`
+    them, contigs in ``reference``'s order when given."""
+    if isinstance(reads, ReadBatch):
         return reads
+    return ReadBatch.of(reads, () if reference is None
+                        else reference.contig_names)
+
+
+def _spans(lines: Sequence[str]) -> np.ndarray:
+    """``LINE_AT`` .. ``QUAL_AT`` of SAM lines joined by ``"\\n"`` as
+    UTF-8 (a trailing newline of each line dropped first)."""
+    spans = np.zeros((LENGTH, len(lines)), dtype=np.int64)
+    at = 0
+    for row, line in zip(spans.T, lines):
+        line = line.rstrip("\n")
+        fields = line.split("\t", 10)
+        sizes = ([len(field) for field in fields] if line.isascii() else
+                 [len(field.encode("utf-8", "surrogatepass"))
+                  for field in fields])
+        seq_at = at + sum(sizes[:9]) + 9
+        end = at + sum(sizes) + len(sizes) - 1
+        row[:] = (at, end, at + sizes[0], seq_at, seq_at + sizes[9] + 1)
+        at = end + 1
+    return spans
 
 
 def _valid_batch(seqs, scores, counts, total, cigars, positions,

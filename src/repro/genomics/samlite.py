@@ -2,24 +2,27 @@
 
 The reader keeps what realignment uses of a SAM line: name, flags 0x4
 (unmapped), 0x10 (reverse) and 0x400 (duplicate), RNAME, POS, MAPQ,
-CIGAR, bases and qualities. Every text boundary -- a file, in chunks
-of :data:`CHUNK_LINES` lines, a served job's lines, and
-:func:`parse_read` -- goes through one batch parser in two halves.
+CIGAR, bases and qualities. The CLI and the server read SAM bytes
+through the compiled tokenizer first (:func:`repro.engine.native
+.sam_ingester`), which fills a :class:`~repro.genomics.read.ReadBatch`'s
+columns in one pass; this module is the Python reading of what it
+declines, and of every text boundary without it. There, a file (in
+chunks of :data:`CHUNK_LINES` lines), a served job's lines and
+:func:`parse_read` go through one batch parser in two halves:
 :func:`scan_lines` checks bases, qualities and placements once per
-field of a batch, not once per read, and returns the checked rows;
-their :meth:`~repro.genomics.read.ReadBatch.reads` builds the reads.
-:func:`parse_lines` is the two in a row. The server scans a job and
-builds its reads only when some CIGAR carries an INDEL, the only jobs
-realignment can change (docs/SERVING.md). Realigned output is the
-input's own text with POS and CIGAR of the moved reads patched
-(:func:`patch_line`), so the header, every other column and every tag
-come through verbatim.
+field of a batch, not once per read, and returns the checked rows as a
+batch; its :meth:`~repro.genomics.read.ReadBatch.reads` builds the
+reads. :func:`parse_lines` is the two in a row. Realigned output is
+the input's own bytes with POS and CIGAR of the moved reads patched
+(:func:`patch_line`, :func:`write_patched`), so the header, every other
+column and every tag come through verbatim.
 :func:`format_read` / :func:`write_sam` are the simulator's writer,
 which renders only those columns.
 """
 
 from __future__ import annotations
 
+import io
 from itertools import islice
 from pathlib import Path
 from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
@@ -27,14 +30,19 @@ from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
 
 from repro.genomics.cigar import Cigar, CigarError
 from repro.genomics.quality import QualityError, phred_from_ascii, phred_to_ascii
-from repro.genomics.read import Read, ReadBatch, RowError
+from repro.genomics.read import (
+    FLAG_DUPLICATE,
+    FLAG_REVERSE,
+    FLAG_UNMAPPED,
+    LINE_AT,
+    LINE_END,
+    Read,
+    ReadBatch,
+    RowError,
+)
 from repro.genomics.reference import ReferenceGenome
 
 PathOrFile = Union[str, Path, TextIO]
-
-FLAG_UNMAPPED = 0x4
-FLAG_REVERSE = 0x10
-FLAG_DUPLICATE = 0x400
 
 #: File lines the readers hand :func:`parse_lines` at a time. A chunk's
 #: split rows live until it is parsed, and the reads kept from it pin
@@ -178,7 +186,8 @@ def scan_lines(lines: Sequence[str],
         scores = phred_from_ascii("".join(texts[:len(batch)]))
     scores.flags.writeable = False  # the reads' quals are views of it
     try:
-        checked = Read.batch(batch, scores)
+        checked = Read.batch(batch, scores, contigs=() if reference is None
+                             else reference.contig_names, lines=lines)
     except RowError as bad:
         limit, error = bad.row, bad.error
     if error is None:
@@ -228,14 +237,16 @@ def _is_alignment(line: str) -> bool:
 
 
 def _lines(
-    source: PathOrFile, reference: Optional[ReferenceGenome]
+    source: PathOrFile, reference: Optional[ReferenceGenome],
+    path=None,
 ) -> Iterator[Tuple[str, Optional[Read]]]:
     """``(line, read)`` for each line of ``source``, ``read`` None for a
     blank or header line. The alignment lines go to :func:`parse_lines`
     :data:`CHUNK_LINES` file lines at a time; errors are located
-    ``path:line``."""
+    ``path:line`` (by default the source's path, or ``<stream>``)."""
     handle, owned = _as_text_handle(source, "r")
-    path = source if owned else "<stream>"
+    if path is None:
+        path = source if owned else "<stream>"
     try:
         first = 1  # the chunk's first line number
         while chunk := list(islice(handle, CHUNK_LINES)):
@@ -296,21 +307,45 @@ def patch_line(line: str, pos: int, cigar: str) -> str:
     return "\t".join(fields)
 
 
-def copy_patched(path, sink: TextIO, moved, count: int) -> None:
-    """Copy the SAM file at ``path`` to ``sink``, patching alignment
-    line ``index`` (counted as :func:`parse_sam` counts reads) for each
-    ``[index, pos, cigar]`` in ``moved``. The file must still hold the
-    ``count`` reads ``moved`` was computed from, else :class:`SamError`.
+def scan_sam(buffer: bytes, reference: ReferenceGenome,
+             path) -> Tuple[bytes, ReadBatch]:
+    """A SAM file's bytes read in Python: ``(buffer, batch)``, the
+    batch's line spans addressing ``buffer``.
+
+    This is how the CLI reads what the compiled tokenizer declines (or
+    every file without the compiled tier): as a text-mode read of the
+    file does -- UTF-8, ``\\r\\n`` and ``\\r`` read as ``\\n`` (then
+    ``buffer`` is the text as read, re-encoded) -- and line by line as
+    :func:`parse_sam` does, errors located ``path:line``.
     """
-    patches = {index: (pos, cigar) for index, pos, cigar in moved}
-    index = 0
-    with open(path) as handle:
-        for line in handle:
-            if _is_alignment(line):
-                if index in patches:
-                    line = patch_line(line, *patches[index])
-                index += 1
-            sink.write(line)
-    if index != count:
-        raise SamError(f"{path}: {index} reads on the second read, "
-                       f"{count} on the first")
+    if b"\r" in buffer:
+        buffer = (buffer.decode("utf-8").replace("\r\n", "\n")
+                  .replace("\r", "\n").encode("utf-8"))
+    text = io.TextIOWrapper(io.BytesIO(buffer), encoding="utf-8")
+    line_at, line_end, reads, at = [], [], [], 0
+    for line, read in _lines(text, reference, path):
+        size = len(line) if line.isascii() else len(line.encode("utf-8"))
+        if read is not None:
+            reads.append(read)
+            line_at.append(at)
+            line_end.append(at + size - line.endswith("\n"))
+        at += size
+    return buffer, ReadBatch.of(reads, reference.contig_names,
+                                (line_at, line_end))
+
+
+def write_patched(buffer: bytes, batch: ReadBatch, moved, sink) -> None:
+    """Write ``buffer``, a SAM file's bytes, to the binary ``sink`` with
+    POS and CIGAR of alignment line ``index`` patched for each ``[index,
+    pos, cigar]`` of ``moved`` (ascending ``index``): everything else is
+    copied as byte spans of ``buffer``, which ``batch``'s line spans
+    address."""
+    view, at = memoryview(buffer), 0
+    starts, stops = batch.columns[LINE_AT], batch.columns[LINE_END]
+    for index, pos, cigar in moved:
+        start, stop = int(starts[index]), int(stops[index])
+        sink.write(view[at:start])
+        sink.write(patch_line(str(view[start:stop], "utf-8"), pos,
+                              cigar).encode("utf-8"))
+        at = stop
+    sink.write(view[at:])

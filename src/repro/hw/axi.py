@@ -67,16 +67,15 @@ class QueueFullError(RuntimeError):
 
 @dataclass
 class MmioRegisterFile:
-    """Command/response queues behind the AXILite window.
+    """The response queue behind the AXILite window.
 
-    The AXI hub converts RoCC commands and responses to and from AXILite
-    using these queues; ``command_ready`` and ``response_valid`` are the
-    two signals the host-side control program polls.
+    The AXI hub converts the units' completions to AXILite through this
+    queue; ``response_valid`` is the signal the host-side control
+    program polls. (Commands reach the units through the router, which
+    models no queue for them.)
     """
 
-    command_depth: int = 16
     response_depth: int = 16
-    _commands: Deque[int] = field(default_factory=deque)
     _responses: Deque[int] = field(default_factory=deque)
     #: Optional repro.telemetry.Telemetry recorder; when set, every
     #: queue operation increments an ``mmio.*`` counter (None = no
@@ -85,28 +84,8 @@ class MmioRegisterFile:
                                         compare=False)
 
     @property
-    def command_ready(self) -> bool:
-        return len(self._commands) < self.command_depth
-
-    @property
     def response_valid(self) -> bool:
         return bool(self._responses)
-
-    def push_command(self, encoded: int) -> None:
-        """Host side: enqueue one encoded RoCC command."""
-        if not self.command_ready:
-            raise QueueFullError("MMIO command queue full")
-        self._commands.append(encoded)
-        if self.telemetry is not None:
-            self.telemetry.count("mmio.commands_pushed")
-
-    def pop_command(self) -> Optional[int]:
-        """Fabric side: dequeue the next command, if any."""
-        if not self._commands:
-            return None
-        if self.telemetry is not None:
-            self.telemetry.count("mmio.commands_popped")
-        return self._commands.popleft()
 
     def push_response(self, payload: int) -> None:
         """Fabric side: post a completion response."""

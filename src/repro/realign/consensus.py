@@ -99,12 +99,16 @@ class ConsensusWindow:
     ``indels`` is parallel to ``site.consensuses``: ``None`` for the
     reference (index 0), and the :class:`ObservedIndel` each alternate
     consensus was built from -- the information the host needs to
-    reconstruct realigned reads' reference-space CIGARs.
+    reconstruct realigned reads' reference-space CIGARs. ``indices``,
+    parallel to ``reads``, are their positions in the reads
+    :meth:`~repro.realign.realigner.IndelRealigner.build_sites` was
+    given (empty for a window :func:`build_site` returns).
     """
 
     site: RealignmentSite
     reads: Tuple[Read, ...]  # the Read objects, parallel to site.reads
     indels: Tuple[Optional[ObservedIndel], ...] = ()
+    indices: Tuple[int, ...] = ()
 
 
 def realigned_read_placement(

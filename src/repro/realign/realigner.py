@@ -10,12 +10,21 @@ which the accelerator model must be bit-identical; its *work counters*
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.genomics.read import Read
+from repro.genomics.read import (
+    CONTIG,
+    END,
+    FLAG,
+    FLAG_DUPLICATE,
+    POS,
+    Read,
+    ReadBatch,
+    as_batch,
+)
 from repro.genomics.reference import ReferenceGenome
 from repro.kernels import KERNEL_CHOICES
 from repro.realign.consensus import (
@@ -107,14 +116,20 @@ class IndelRealigner:
         return self._engine
 
     def build_sites(
-        self, reads: Sequence[Read]
+        self, reads: Union[Sequence[Read], ReadBatch]
     ) -> Tuple[List[RealignmentTarget], List[ConsensusWindow]]:
         """Target identification + consensus generation, without realigning.
 
         Exposed separately because the accelerated system reuses exactly
         this front half on the host and offloads only the WHD kernel.
+        ``reads`` is a list, or a :class:`~repro.genomics.read.ReadBatch`
+        whose columns decide targets and membership: a read is built
+        only as a candidate of a target where some candidate's CIGAR
+        carries an INDEL, because :func:`build_site` proposes only the
+        INDELs its reads carry and builds no site without one.
         """
-        targets = identify_targets(reads, self.reference, self.creator_config)
+        batch = as_batch(reads, self.reference)
+        targets = identify_targets(batch, self.reference, self.creator_config)
         # A read belongs to exactly one target: consensus windows extend
         # beyond their (disjoint) target intervals, so without claiming,
         # a read anchored near two targets could be realigned twice with
@@ -122,8 +137,9 @@ class IndelRealigner:
         # ``reads_for_target``; it is handed the target's unclaimed
         # anchored reads, found through the start-sorted views, in
         # input order, instead of every read.
-        views = _start_sorted(reads)
-        claimed = np.zeros(len(reads), dtype=bool)
+        views = _start_sorted(batch)
+        claimed = np.zeros(len(batch), dtype=bool)
+        carries = batch.indel
         windows: List[ConsensusWindow] = []
         for target in targets:
             if target.chrom not in views:
@@ -137,33 +153,31 @@ class IndelRealigner:
             pos, last, index = pos[near], last[near], index[near]
             anchored = (((target.start <= pos) & (pos < target.end))
                         | ((target.start <= last) & (last < target.end)))
-            candidates = np.sort(index[anchored & ~claimed[index]]).tolist()
-            built = build_site(target, [reads[i] for i in candidates],
-                               self.reference, self.limits)
+            candidates = np.sort(index[anchored & ~claimed[index]])
+            if not carries[candidates].any():
+                continue
+            candidates = candidates.tolist()
+            members = [batch.read(i) for i in candidates]
+            built = build_site(target, members, self.reference, self.limits)
             if built is not None:
-                used = {id(read) for read in built.reads}
-                claimed[[i for i in candidates if id(reads[i]) in used]] = True
-                windows.append(built)
+                position = {id(read): i
+                            for i, read in zip(candidates, members)}
+                indices = tuple(position[id(read)] for read in built.reads)
+                claimed[list(indices)] = True
+                windows.append(replace(built, indices=indices))
         return targets, windows
 
-    def realign(
-        self, reads: Sequence[Read], telemetry=None, observer=None
-    ) -> Tuple[List[Read], RealignerReport]:
-        """Realign a read set; returns (updated reads, report).
-
-        Reads keep their input order. Each read is realigned at most once
-        (targets are disjoint by construction). Every window's site
-        runs through one ``run_sites`` call on the realigner's plane
+    def decide(
+        self, reads: Union[Sequence[Read], ReadBatch], telemetry=None
+    ) -> Tuple[List[ConsensusWindow], List[SiteResult], RealignerReport]:
+        """The front half and the kernel, nothing applied:
+        ``(windows, results, report)``. Every window's site runs through
+        one ``run_sites`` call on the realigner's plane
         (:meth:`_engine_instance`), which ``telemetry`` is forwarded
-        to; the realigned reads are byte-identical on any plane.
-
-        ``observer``, when given, is called once per realigned site as
-        ``observer(window, result, moved)`` where ``moved`` maps each
-        repositioned read's name to its updated :class:`Read`. The
-        evaluation harness uses this hook to attribute before/after
-        outcome deltas to individual sites without re-deriving the
-        window decomposition.
-        """
+        to; the results are byte-identical on any plane. The report
+        counts targets, sites and reads examined; applying the results
+        (:func:`apply_site_results`, :func:`moved_records`) counts the
+        rest."""
         targets, windows = self.build_sites(reads)
         report = RealignerReport(
             targets_identified=len(targets),
@@ -173,12 +187,31 @@ class IndelRealigner:
         results = self._engine_instance().run_sites(
             [window.site for window in windows], telemetry=telemetry
         )
+        return windows, results, report
+
+    def realign(
+        self, reads: Sequence[Read], telemetry=None, observer=None
+    ) -> Tuple[List[Read], RealignerReport]:
+        """Realign a read set; returns (updated reads, report).
+
+        Reads keep their input order. Each read is realigned at most once
+        (targets are disjoint by construction): :meth:`decide`, then
+        :func:`apply_site_results`.
+
+        ``observer``, when given, is called once per realigned site as
+        ``observer(window, result, moved)`` where ``moved`` maps each
+        repositioned read's name to its updated :class:`Read`. The
+        evaluation harness uses this hook to attribute before/after
+        outcome deltas to individual sites without re-deriving the
+        window decomposition.
+        """
+        windows, results, report = self.decide(reads, telemetry)
         updated = apply_site_results(reads, windows, results, report,
                                      observer=observer)
         return updated, report
 
 
-def _start_sorted(reads: Sequence[Read]) -> Dict[str, tuple]:
+def _start_sorted(batch: ReadBatch) -> Dict[str, tuple]:
     """Per contig, the reads a target may anchor, sorted by start.
 
     Each view is ``(pos, last, index, max_span)``: start, last covered
@@ -187,20 +220,39 @@ def _start_sorted(reads: Sequence[Read]) -> Dict[str, tuple]:
     largest reference span among them -- which bounds how far left of
     a target an anchored read can start.
     """
-    columns: Dict[str, Tuple[List[int], List[int], List[int]]] = {}
-    for index, read in enumerate(reads):
-        if read.is_mapped and not read.is_duplicate:
-            pos, last, indices = columns.setdefault(read.chrom, ([], [], []))
-            pos.append(read.pos)
-            last.append(read.end - 1)
-            indices.append(index)
+    columns = batch.columns
+    contig = columns[CONTIG]
+    eligible = (contig >= 0) & ((columns[FLAG] & FLAG_DUPLICATE) == 0)
     views = {}
-    for chrom, (pos, last, indices) in columns.items():
-        pos, last, indices = np.array(pos), np.array(last), np.array(indices)
+    for k in np.flatnonzero(np.bincount(contig[eligible])).tolist():
+        indices = np.flatnonzero(eligible & (contig == k))
+        pos, last = columns[POS][indices], columns[END][indices] - 1
         order = np.argsort(pos)
-        views[chrom] = (pos[order], last[order], indices[order],
-                        int((last - pos).max()) + 1)
+        views[batch.contigs[k]] = (pos[order], last[order], indices[order],
+                                   int((last - pos).max()) + 1)
     return views
+
+
+def _realigned(window: ConsensusWindow, result: SiteResult):
+    """``(j, read, pos, cigar)`` for each read ``j`` of ``window`` the
+    kernel realigned: its new reference placement. The kernel reports
+    ``new_pos = min_whd_idx + target_start`` (the read's winning offset
+    against the picked consensus, translated by the window start); the
+    host converts it into a reference-space position and CIGAR using
+    the consensus's INDEL."""
+    start = window.site.start
+    indel = window.indels[result.best_cons]
+    for j in np.flatnonzero(result.realign).tolist():
+        read = window.reads[j]
+        yield (j, read, *realigned_read_placement(
+            indel, start, int(result.new_pos[j]) - start, len(read)))
+
+
+def _count(report, window, realigned, moved) -> None:
+    if report is not None:
+        report.unpruned_comparisons += window.site.unpruned_comparisons()
+        report.reads_realigned += realigned
+        report.reads_moved += moved
 
 
 def apply_site_results(
@@ -225,58 +277,38 @@ def apply_site_results(
     for window, result in zip(windows, results):
         moved: Dict[str, Read] = {}
         realigned = repositioned = 0  # counted per read: names repeat
-        for j, read in enumerate(window.reads):
-            if result.realign[j]:
-                updated_read = apply_realignment(
-                    read, window, result.best_cons, int(result.new_pos[j])
-                )
-                updates[id(read)] = updated_read
-                realigned += 1
-                if (updated_read.pos != read.pos
-                        or updated_read.cigar != read.cigar):
-                    repositioned += 1
-                    moved[read.name] = updated_read
-        if report is not None:
-            report.unpruned_comparisons += window.site.unpruned_comparisons()
-            report.reads_realigned += realigned
-            report.reads_moved += repositioned
+        for _j, read, pos, cigar in _realigned(window, result):
+            updated = updates[id(read)] = read.realigned(pos, cigar)
+            realigned += 1
+            if pos != read.pos or cigar != read.cigar:
+                repositioned += 1
+                moved[read.name] = updated
+        _count(report, window, realigned, repositioned)
         if observer is not None:
             observer(window, result, moved)
     return [updates.get(id(read), read) for read in reads]
 
 
 def moved_records(
-    reads: Sequence[Read], updated: Sequence[Read]
+    windows: Sequence[ConsensusWindow],
+    results: Sequence[SiteResult],
+    report: Optional[RealignerReport] = None,
 ) -> List[List]:
     """``[index, pos, cigar]`` -- new 1-based POS, new CIGAR -- for each
-    read of ``reads`` that :func:`apply_site_results` moved. With the
-    input's text this is the whole output: every realign path patches
-    these into the input's lines, and the server replies with them.
+    read the kernel's decisions move, in input order, without building
+    a moved read: ``index`` counts the reads ``build_sites`` was given,
+    which ``windows`` must come from; ``report`` counts
+    as in :func:`apply_site_results`. With the input's text this is the
+    whole output: every realign path patches these into the input's
+    lines, and the server replies with them.
     """
-    return [
-        [index, new.pos + 1, str(new.cigar)]
-        for index, (old, new) in enumerate(zip(reads, updated))
-        if new is not old
-        and (new.pos != old.pos or new.cigar != old.cigar)
-    ]
-
-
-def apply_realignment(
-    read: Read,
-    window: ConsensusWindow,
-    best_cons: int,
-    kernel_new_pos: int,
-) -> Read:
-    """Apply one kernel realignment decision to a read.
-
-    The kernel reports ``new_pos = min_whd_idx + target_start`` (the
-    read's winning offset against the picked consensus, translated by
-    the window start); the host converts it into a reference-space
-    position and CIGAR using the consensus's INDEL.
-    """
-    site = window.site
-    consensus_offset = kernel_new_pos - site.start
-    ref_pos, cigar = realigned_read_placement(
-        window.indels[best_cons], site.start, consensus_offset, len(read)
-    )
-    return read.realigned(ref_pos, cigar)
+    records = []
+    for window, result in zip(windows, results):
+        realigned = moved = 0
+        for j, read, pos, cigar in _realigned(window, result):
+            realigned += 1
+            if pos != read.pos or cigar != read.cigar:
+                records.append([window.indices[j], pos + 1, str(cigar)])
+                moved += 1
+        _count(report, window, realigned, moved)
+    return sorted(records)

@@ -18,10 +18,19 @@ hardware's 2048-byte consensus limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.align.pileup import mismatch_loci
-from repro.genomics.read import Read
+from repro.genomics.read import (
+    CONTIG,
+    DELETION,
+    INSERTION,
+    Read,
+    ReadBatch,
+    as_batch,
+)
 from repro.genomics.reference import ReferenceGenome
 from repro.realign.site import SiteLimits, PAPER_LIMITS
 
@@ -73,15 +82,14 @@ class TargetCreatorConfig:
             raise ValueError("mismatch_min_fraction must be in (0, 1]")
 
 
-def _indel_loci(reads: Iterable[Read]) -> Dict[str, List[int]]:
+def _indel_loci(batch: ReadBatch) -> Dict[str, List[int]]:
     """Reference positions of every I/D CIGAR element, per contig."""
-    loci: Dict[str, List[int]] = {}
-    for read in reads:
-        if not read.is_mapped or not read.has_indel:
-            continue
-        for ref_offset, _op, _length in read.cigar.indels():
-            loci.setdefault(read.chrom, []).append(read.pos + ref_offset)
-    return loci
+    read, ref_start, _offset = batch.layout()
+    kinds = batch.ops[0]
+    carried = (kinds == INSERTION) | (kinds == DELETION)
+    contig, loci = batch.columns[CONTIG][read[carried]], ref_start[carried]
+    return {batch.contigs[k]: loci[contig == k].tolist()
+            for k in np.flatnonzero(np.bincount(contig)).tolist()}
 
 
 def _merge_loci(
@@ -96,11 +104,12 @@ def _merge_loci(
 
 
 def identify_targets(
-    reads: Sequence[Read],
+    reads: Union[Sequence[Read], ReadBatch],
     reference: ReferenceGenome,
     config: TargetCreatorConfig = TargetCreatorConfig(),
 ) -> List[RealignmentTarget]:
-    """Return the sorted, disjoint IR targets for a set of aligned reads.
+    """Return the sorted, disjoint IR targets for a set of aligned reads
+    (a list, or the columns of a :class:`~repro.genomics.read.ReadBatch`).
 
     Mismatch clusters are counted per contig in arrays
     (:func:`repro.align.pileup.mismatch_loci`), not read off one
@@ -111,10 +120,11 @@ def identify_targets(
     (no reference base to fetch) from that depth on; now a column past
     the contig end is never evidence, whatever its depth.
     """
-    evidence = _indel_loci(reads)
+    batch = as_batch(reads, reference)
+    evidence = _indel_loci(batch)
     if config.use_mismatch_clusters:
         for chrom, positions in mismatch_loci(
-            reads, reference, config.mismatch_min_depth,
+            batch, reference, config.mismatch_min_depth,
             config.mismatch_min_fraction,
         ).items():
             evidence.setdefault(chrom, []).extend(positions)

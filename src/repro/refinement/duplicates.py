@@ -24,12 +24,6 @@ class DuplicateReport:
     reads_examined: int
     duplicates_marked: int
 
-    @property
-    def duplicate_fraction(self) -> float:
-        if self.reads_examined == 0:
-            return 0.0
-        return self.duplicates_marked / self.reads_examined
-
 
 def _unclipped_start(read: Read) -> int:
     """Alignment start adjusted for leading soft clips.

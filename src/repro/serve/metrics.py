@@ -72,10 +72,6 @@ class LatencyRecorder:
         self._all.append(seconds)
         self._by_tenant.setdefault(tenant, []).append(seconds)
 
-    @property
-    def count(self) -> int:
-        return len(self._all)
-
     def summary(self) -> Dict[str, float]:
         return latency_summary(self._all)
 

@@ -11,8 +11,10 @@ the kernel itself runs wherever the engine says -- inline, or on its
 worker pool behind a bounded window. A job whose CIGARs carry no INDEL
 runs neither half: it is checked and answered with nothing moved. The
 check is one pass of the compiled library over the job's bytes
-(:func:`repro.engine.native.sam_checker`); a body it declines, or any
-body without the compiled tier, is decoded and scanned in Python.
+(:func:`repro.engine.native.sam_ingester`), which also fills the read
+columns an INDEL job's front half reads and builds its reads from; a
+body it declines, or any body without the compiled tier, is decoded and
+scanned in Python (:func:`repro.genomics.samlite.scan_lines`).
 """
 
 from __future__ import annotations
@@ -21,14 +23,10 @@ import asyncio
 import math
 from typing import Optional, Set, Tuple
 
-from repro.engine.native import SCAN_DECLINED, SCAN_NO_INDEL, sam_checker
+from repro.engine.native import sam_ingester
 from repro.genomics.reference import ReferenceGenome
 from repro.genomics.samlite import scan_lines
-from repro.realign.realigner import (
-    IndelRealigner,
-    apply_site_results,
-    moved_records,
-)
+from repro.realign.realigner import IndelRealigner, moved_records
 from repro.serve.protocol import (
     MAX_MESSAGE_BYTES,
     ProtocolError,
@@ -85,8 +83,8 @@ class RealignmentServer:
 
         self.reference = reference
         self.realigner = IndelRealigner(reference)
-        #: The compiled check of a job's body; None without the tier.
-        self._check = sam_checker(reference)
+        #: The compiled reading of a job's body; None without the tier.
+        self._ingest = sam_ingester(reference)
         self.service = RealignmentService(
             engine if engine is not None else EngineConfig(),
             config=service_config,
@@ -213,32 +211,29 @@ class RealignmentServer:
         if body is None:
             raise ProtocolError("realign sends its lines as the frame's "
                                 "body: the header needs 'sam_bytes'")
-        verdict = None if self._check is None else self._check(body)
-        if verdict == SCAN_DECLINED:
+        batch = None if self._ingest is None else self._ingest(body)
+        if batch is None and self._ingest is not None:
             self.service.note_declined()
-        # The check accepts only ASCII. A body it did not accept is
-        # decoded here, before the header's fields are read, so a
+        # The compiled pass accepts only ASCII. A body it did not accept
+        # is decoded here, before the header's fields are read, so a
         # non-UTF-8 one fails first, as when the read path decoded it.
-        lines = None if verdict == SCAN_NO_INDEL else body_lines(body,
-                                                                 request_id)
+        lines = None if batch is not None else body_lines(body, request_id)
         tenant = str(message.get("tenant", DEFAULT_TENANT))
         deadline_s = _deadline_s(message.get("deadline_s"))
-        batch = (None if lines is None
-                 else scan_lines(lines, self.reference, "sam[{}]".format))
-        if batch is not None and batch.has_indel:
-            reads = batch.reads()
+        if batch is None:
+            batch = scan_lines(lines, self.reference, "sam[{}]".format)
+        if batch.has_indel:
             # Front half off the loop: target identification + consensus
             # generation are pure CPU.
             _targets, windows = await loop.run_in_executor(
-                None, self.realigner.build_sites, reads
+                None, self.realigner.build_sites, batch
             )
             results = await self.service.submit_sites(
                 [window.site for window in windows],
                 tenant=tenant,
                 deadline_s=deadline_s,
             )
-            moved = moved_records(reads, apply_site_results(reads, windows,
-                                                            results))
+            moved = moved_records(windows, results)
         else:
             # build_site proposes only INDELs that an anchored read's
             # CIGAR carries, so a job with none builds no site and moves

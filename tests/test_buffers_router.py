@@ -90,16 +90,14 @@ class TestUnitBuffers:
 
 class TestMmio:
     def test_queue_flow(self):
-        mmio = MmioRegisterFile(command_depth=2)
-        assert mmio.command_ready
-        mmio.push_command(1)
-        mmio.push_command(2)
-        assert not mmio.command_ready
+        mmio = MmioRegisterFile(response_depth=2)
+        mmio.push_response(1)
+        mmio.push_response(2)
         with pytest.raises(QueueFullError):
-            mmio.push_command(3)
-        assert mmio.pop_command() == 1
-        assert mmio.pop_command() == 2
-        assert mmio.pop_command() is None
+            mmio.push_response(3)
+        assert mmio.poll_response() == 1
+        assert mmio.poll_response() == 2
+        assert mmio.poll_response() is None
 
     def test_response_flow(self):
         mmio = MmioRegisterFile()

@@ -16,7 +16,7 @@ from repro.engine import Engine, EngineConfig
 from repro.engine.batch import (
     PackedSite,
     min_whd_grid_batched,
-    pair_lower_bounds,
+    _count_candidates,
     realign_site_batched,
 )
 from repro.engine.prefilter import PrefilterStats
@@ -91,7 +91,7 @@ class TestBatchedGrid:
 
     def test_pair_lower_bounds_are_sound(self):
         for site in _sites(3, seed=31):
-            lb = pair_lower_bounds(site)
+            lb = _count_candidates(PackedSite.from_site(site))[3]
             true_w, _ = min_whd_grid(site)
             assert (lb <= true_w).all()
 

@@ -16,7 +16,7 @@ from repro.engine.batch import (
     PackedSite,
     fast_fft_length,
     min_whd_grid_batched,
-    pair_lower_bounds,
+    _count_candidates,
     realign_site_batched,
 )
 from repro.engine.prefilter import pairs_cannot_beat_reference
@@ -92,7 +92,7 @@ class TestPrefilterSoundness:
     @settings(max_examples=60, deadline=None)
     def test_lower_bounds_never_exceed_true_whd(self, data):
         site = ragged_site(data.draw)
-        lb = pair_lower_bounds(site)
+        lb = _count_candidates(PackedSite.from_site(site))[3]
         true_w, _ = min_whd_grid(site)
         assert (lb <= true_w).all()
 
@@ -103,7 +103,7 @@ class TestPrefilterSoundness:
         reference's could trigger realignment; the filter must never
         flag it as prunable."""
         site = ragged_site(data.draw)
-        lb = pair_lower_bounds(site)
+        lb = _count_candidates(PackedSite.from_site(site))[3]
         true_w, _ = min_whd_grid(site)
         flagged = pairs_cannot_beat_reference(lb, true_w[0])
         beats_ref = true_w < true_w[0][None, :]

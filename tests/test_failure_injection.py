@@ -65,15 +65,15 @@ class TestSiteBoundaryViolations:
 
 
 class TestProtocolViolations:
-    def test_command_flood_fills_mmio_queue(self):
-        mmio = MmioRegisterFile(command_depth=4)
+    def test_response_flood_fills_mmio_queue(self):
+        mmio = MmioRegisterFile(response_depth=4)
         for value in range(4):
-            mmio.push_command(value)
+            mmio.push_response(value)
         with pytest.raises(QueueFullError):
-            mmio.push_command(99)
+            mmio.push_response(99)
         # Draining restores service.
-        assert mmio.pop_command() == 0
-        mmio.push_command(99)
+        assert mmio.poll_response() == 0
+        mmio.push_response(99)
 
     def test_router_rejects_address_for_ghost_unit(self):
         router = RoccCommandRouter(num_units=2)

@@ -1,7 +1,7 @@
 """Structured fuzz of the SAM-lite checker, the CIGAR parser and the
 ``moved`` reply: only the documented error types escape.
 
-Three properties (ROADMAP 8(b)):
+Four properties (ROADMAP 8(b)):
 
 - :func:`~repro.genomics.samlite.scan_lines` on a valid five-line batch
   with random character edits (replace, insert, delete -- tabs,
@@ -18,12 +18,14 @@ Three properties (ROADMAP 8(b)):
 - :func:`~repro.serve.client.patch_moved` on any reply value patches
   exactly the lines its entries name, or raises
   :class:`~repro.serve.protocol.ProtocolError`;
-- the server's compiled check of a ``realign`` body
-  (:func:`~repro.engine.native.sam_checker`) accepts only what
-  ``scan_lines`` accepts, with the same ``has_indel``: on the edited
-  batches above, and on whole bodies edited field by field (signs,
-  ``_``, 20-digit numbers, ``0M``, ``*`` RNAME and CIGAR, flag 0x4,
-  ``\r``, non-ASCII text, empty and trailing lines). It declines
+- the compiled tokenizer (:func:`~repro.engine.native.sam_ingester`)
+  accepts only what ``scan_lines`` accepts, with the same columns
+  (spans, flag, POS, MAPQ, contig, end, CIGAR elements), reads and
+  mismatch columns, whose loci are ``mismatch_loci``'s of the reads:
+  on the edited batches above, and on whole bodies edited field by
+  field (signs, ``_``, 20-digit numbers, ``0M``, ``*`` RNAME and CIGAR,
+  flag 0x4, ``\r``, non-ASCII text, mismatched bases, empty and
+  trailing lines); in a file, after a header, the same. It declines
   nothing the simulator writes, so the fast path provably runs.
 
 CI runs them with ``--hypothesis-profile=ci --hypothesis-seed=2019``.
@@ -31,18 +33,16 @@ CI runs them with ``--hypothesis-profile=ci --hypothesis-seed=2019``.
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine.native import (
-    SCAN_DECLINED,
-    SCAN_INDEL,
-    SCAN_NO_INDEL,
-    sam_checker,
-)
+from repro.align.pileup import mismatch_loci
+from repro.engine.native import sam_ingester
 from repro.genomics.cigar import Cigar, CigarError
 from repro.genomics.quality import QualityError
+from repro.genomics.read import LENGTH
 from repro.genomics.samlite import (
     SamError,
     format_read,
@@ -177,36 +177,62 @@ def test_patch_moved_raises_only_protocol_error(moved, short):
 
 
 # ---------------------------------------------------------------------
-# the compiled check of a served body against scan_lines
+# the compiled tokenizer against scan_lines
 # ---------------------------------------------------------------------
 
-#: The check against the sample's reference; None without the
-#: compiled tier (``REPRO_NATIVE=off``), where the server scans every
-#: body in Python and these tests have nothing to compare.
-CHECK = sam_checker(SAMPLE.reference)
-needs_check = pytest.mark.skipif(CHECK is None,
-                                 reason="no compiled kernel tier")
+#: The tokenizer against the sample's reference; None without the
+#: compiled tier (``REPRO_NATIVE=off``), where SAM bytes are read in
+#: Python and these tests have nothing to compare.
+INGEST = sam_ingester(SAMPLE.reference)
+needs_ingest = pytest.mark.skipif(INGEST is None,
+                                  reason="no compiled kernel tier")
 CONTIG_LENGTH = SAMPLE.reference.length("chrF")
+DECLINED, NO_INDEL, INDEL = "declined", "no INDEL", "INDEL"
+READ_FIELDS = ("name", "chrom", "pos", "seq", "cigar", "mapq", "is_reverse",
+               "is_duplicate")
+
+
+def _same_columns(got, want, reference) -> None:
+    """The compiled batch ``got`` holds ``want``'s columns, reads and
+    mismatch columns, and gives ``mismatch_loci``'s loci."""
+    assert got.contigs == want.contigs
+    assert np.array_equal(got.columns, want.columns)
+    assert np.array_equal(got.op_at, want.op_at)
+    assert np.array_equal(got.ops, want.ops)
+    assert got.has_indel == want.has_indel
+    assert np.array_equal(got.indel, want.indel)
+    for mine, theirs in zip(got.reads(), want.reads()):
+        assert np.array_equal(mine.quals, theirs.quals)
+        assert ([getattr(mine, field) for field in READ_FIELDS]
+                == [getattr(theirs, field) for field in READ_FIELDS])
+    if got.has_indel:
+        # the pass's own columns: handed over once
+        for mine, theirs in zip(got.mismatches(reference),
+                                want.mismatches(reference)):
+            assert np.array_equal(mine, theirs)
+    reads = want.reads()
+    for depth, fraction in ((1, 0.01), (2, 0.5), (4, 0.5)):
+        assert (mismatch_loci(got, reference, depth, fraction)
+                == mismatch_loci(reads, reference, depth, fraction))
 
 
 def _check_agrees(body: bytes, reference=SAMPLE.reference,
-                  check=CHECK) -> int:
-    """The check's verdict on ``body``; when it accepts, ``scan_lines``
-    accepts the body's lines with the same ``has_indel``."""
-    verdict = check(body)
-    assert verdict in (SCAN_DECLINED, SCAN_NO_INDEL, SCAN_INDEL)
-    if verdict != SCAN_DECLINED:
-        batch = scan_lines(body_lines(body), reference)
-        assert batch.has_indel == (verdict == SCAN_INDEL)
-    return verdict
+                  ingest=INGEST) -> str:
+    """The tokenizer's verdict on ``body``; when it accepts,
+    ``scan_lines`` accepts the body's lines with the same columns."""
+    batch = ingest(body)
+    if batch is None:
+        return DECLINED
+    _same_columns(batch, scan_lines(body_lines(body), reference), reference)
+    return INDEL if batch.has_indel else NO_INDEL
 
 
 #: Values a body edit puts in a column: near misses of the column's
 #: rule, and legal values at its edges (reads are 250 bases).
 FIELD_VALUES = {
     0: ("r\u00e9ad", "", "read\r", "*"),
-    1: ("0", "4", "16", "1024", "1044", "+12", "1_0", "0x4", " 4", "-4",
-        "9" * 18, "9" * 20, "", "\u0664"),
+    1: ("0", "4", "16", "99", "147", "1024", "1044", "1107", "+12", "1_0",
+        "0x4", " 4", "-4", "9" * 18, "9" * 20, "", "\u0664"),
     2: ("*", "chrF", "chrNope", "chrF\r", "chr\u00e9", ""),
     3: ("0", "1", "+12", "1_0", "2751", "2752", "9" * 18, "9" * 20, "-1",
         ""),
@@ -244,7 +270,7 @@ def edited_body(draw) -> bytes:
     for _ in range(draw(st.integers(0, 4))):
         fields = rows[draw(st.integers(0, count - 1))]
         kind = draw(st.sampled_from(("value", "cigar", "end", "clip",
-                                     "line")))
+                                     "line", "base")))
         if kind == "value" and len(fields) > 10:
             column = draw(st.sampled_from(sorted(FIELD_VALUES)))
             fields[column] = draw(st.sampled_from(FIELD_VALUES[column]))
@@ -258,6 +284,11 @@ def edited_body(draw) -> bytes:
         elif kind == "clip" and len(fields) > 10:
             keep = draw(st.integers(0, len(fields[9])))
             fields[9], fields[10] = fields[9][:keep], fields[10][:keep]
+        elif kind == "base" and len(fields) > 9 and fields[9]:
+            # a mismatch against the reference, or an N
+            at = draw(st.integers(0, len(fields[9]) - 1))
+            base = draw(st.sampled_from("ACGTN"))
+            fields[9] = fields[9][:at] + base + fields[9][at + 1:]
         elif kind == "line":
             edit = draw(st.sampled_from(("\r", "\tRG:Z:lib1", "\t",
                                          "\tXN:Z:\u00e9", "drop")))
@@ -275,21 +306,49 @@ def edited_body(draw) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
-@needs_check
+@needs_ingest
 @relaxed
 @given(body=edited_body())
 def test_an_accepted_body_is_one_scan_lines_accepts(body):
     _check_agrees(body)
 
 
-@needs_check
+@needs_ingest
 @relaxed
 @given(lines=edited_batch())
 def test_an_accepted_edited_batch_is_one_scan_lines_accepts(lines):
     _check_agrees("\n".join(lines).encode("utf-8"))
 
 
-@needs_check
+@needs_ingest
+@relaxed
+@given(body=edited_body(), header=st.sampled_from(
+    ("", "@HD\tVN:1.6\n", "@HD\tVN:1.6\n@SQ\tSN:chrF\tLN:3000\n")))
+def test_a_file_is_its_body_after_its_header(body, header):
+    """In a file the tokenizer skips ``@`` lines and takes a final
+    newline; what it accepts has the body's columns, its spans moved
+    past the header."""
+    batch = INGEST(body)
+    text = header.encode() + body + b"\n"
+    in_file = INGEST(text, file=True)
+    if batch is None or b"\r" in body:
+        # a text-mode read would take the \r for a line end
+        assert in_file is None
+        return
+    shifted = batch.columns.copy()
+    shifted[:LENGTH] += len(header)
+    assert np.array_equal(in_file.columns, shifted)
+    assert np.array_equal(in_file.ops, batch.ops)
+    # a file's pass fills the mismatch columns whether or not it finds
+    # an INDEL
+    scanned = scan_lines(body_lines(body), SAMPLE.reference)
+    for mine, theirs in zip(in_file.mismatches(SAMPLE.reference),
+                            scanned.mismatches(SAMPLE.reference)):
+        assert np.array_equal(mine, theirs)
+    assert INGEST(text.replace(b"\n", b"\r\n"), file=True) is None
+
+
+@needs_ingest
 def test_the_edits_the_check_must_decline_and_accept():
     """Each listed edit of one valid line, and the verdict it gets: the
     property above is not vacuous on either side."""
@@ -300,44 +359,71 @@ def test_the_edits_the_check_must_decline_and_accept():
     def edited(column, value):
         return "\t".join(fields[:column] + [value] + fields[column + 1:])
 
+    def mismatched(flag):
+        """The line with ``flag`` and its first base changed."""
+        bases = "CGTA"["ACGT".index(fields[9][0])] + fields[9][1:]
+        return "\t".join(fields[:1] + [flag] + fields[2:9] + [bases]
+                         + fields[10:])
+
     declined = [LINES[0] + "\n", "\n" + LINES[0], LINES[0] + "\r",
                 edited(1, "+16"), edited(1, "1_6"), edited(3, "9" * 20),
                 edited(5, "0M"), edited(5, "125M0I125M"),
                 edited(2, "chrNope"), edited(0, "r\u00e9ad"),
                 edited(4, "255"), edited(3, "0")]
     for body in declined:
-        assert _check_agrees(body.encode("utf-8")) == SCAN_DECLINED, body
+        assert _check_agrees(body.encode("utf-8")) == DECLINED, body
     accepted = {
-        LINES[0]: SCAN_NO_INDEL,
-        indel: SCAN_INDEL,
-        f"{LINES[0]}\n{indel}": SCAN_INDEL,
-        edited(2, "*"): SCAN_NO_INDEL,
-        edited(5, "*"): SCAN_NO_INDEL,
+        LINES[0]: NO_INDEL,
+        indel: INDEL,
+        f"{LINES[0]}\n{indel}": INDEL,
+        edited(2, "*"): NO_INDEL,
+        edited(5, "*"): NO_INDEL,
         "\t".join(fields[:1] + ["4"] + fields[2:5] + ["junk"]
-                  + fields[6:]): SCAN_NO_INDEL,
-        edited(1, "0004"): SCAN_NO_INDEL,
-        LINES[0] + "\tRG:Z:lib1\r": SCAN_NO_INDEL,
-        "": SCAN_NO_INDEL,
+                  + fields[6:]): NO_INDEL,
+        edited(1, "0004"): NO_INDEL,
+        LINES[0] + "\tRG:Z:lib1\r": NO_INDEL,
+        "": NO_INDEL,
+        # a duplicate's and a paired read's mismatches next to an INDEL:
+        # the duplicate's are no evidence, flag 0x1 is no column bit
+        f"{mismatched('1024')}\n{mismatched('99')}\n{indel}": INDEL,
     }
     for body, verdict in accepted.items():
         assert _check_agrees(body.encode("utf-8")) == verdict, body
 
 
-@needs_check
+@needs_ingest
 def test_the_check_declines_no_simulated_job():
     """Every ``serve_regions``-shaped job at seed 2019 (32 contigs of
-    2 kb at 30x), and one whole 60 kb / 30x body, is accepted."""
+    2 kb at 30x), and one whole 60 kb / 30x body, is accepted, with
+    ``scan_lines``' columns and mismatch columns."""
     profile = SimulationProfile(coverage=30.0)
     sample = simulate_sample({f"ctg{i:02d}": 2000 for i in range(32)},
                              profile=profile, seed=2019)
-    check = sam_checker(sample.reference)
+    ingest = sam_ingester(sample.reference)
     jobs = partition_jobs(sample.reads, sample.reference)
     verdicts = [_check_agrees("\n".join(map(format_read, job.reads))
-                              .encode(), sample.reference, check)
+                              .encode(), sample.reference, ingest)
                 for job in jobs]
-    assert len(jobs) == 32 and SCAN_DECLINED not in verdicts
-    assert SCAN_INDEL in verdicts and SCAN_NO_INDEL in verdicts
+    assert len(jobs) == 32 and DECLINED not in verdicts
+    assert INDEL in verdicts and NO_INDEL in verdicts
     sample = simulate_sample({"chrW": 60_000}, profile=profile, seed=2019)
     body = "\n".join(map(format_read, sample.reads)).encode()
     assert _check_agrees(body, sample.reference,
-                         sam_checker(sample.reference)) == SCAN_INDEL
+                         sam_ingester(sample.reference)) == INDEL
+
+
+@needs_ingest
+def test_the_tokenizer_makes_room_for_what_it_finds():
+    """Short lines outnumber the first guess at the rows, and reads that
+    mismatch at every base the guess at the mismatch columns: the pass
+    is run again with room, and its columns are still ``scan_lines``'."""
+    contig = SAMPLE.reference.fetch("chrF", 0, CONTIG_LENGTH)
+    lines = []
+    for i in range(300):
+        pos = 9 * i
+        seq = "".join("CGTA"["ACGT".index(base)]
+                      for base in contig[pos:pos + 8])
+        cigar = "3M1I4M" if i % 7 == 0 else "8M"
+        lines.append(f"r{i}\t0\tchrF\t{pos + 1}\t60\t{cigar}\t*\t0\t0\t"
+                     f"{seq}\tIIIIIIII")
+    assert _check_agrees("\n".join(lines).encode()) == INDEL

@@ -956,7 +956,7 @@ class TestServerByteIdentity:
                     stats = await client.stats()
             finally:
                 await server.close()
-            return ok, failed, stats["counters"], server._check is not None
+            return ok, failed, stats["counters"], server._ingest is not None
 
         ok, failed, counters, checked = asyncio.run(scenario())
         assert (ok.sam, ok.sites) == (lines, 0)

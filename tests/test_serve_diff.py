@@ -200,12 +200,13 @@ def cli_dir(tmp_path_factory):
 
 
 def _cli_realign(workdir, text):
-    """``repro realign`` in-process on ``text``; the --out file's text."""
+    """``repro realign`` in-process on ``text``; the --out file's text,
+    its line ends as written."""
     sam, out = workdir / "in.sam", workdir / "out.sam"
-    sam.write_text(text)
+    sam.write_bytes(text.encode("utf-8"))
     assert cli_main(["realign", "--reference", str(workdir / "reference.fa"),
                      "--sam", str(sam), "--out", str(out)]) == 0
-    return out.read_text()
+    return out.read_bytes().decode("utf-8")
 
 
 class TestServedPathIsLossless:
@@ -228,24 +229,72 @@ class TestServedPathIsLossless:
     def test_cli_on_a_headerless_file(self, cli_dir):
         assert _cli_realign(cli_dir, _text(BEFORE)) == _text(AFTER)
 
-    def test_cli_rejects_a_fifo_sam_without_opening_it(self, cli_dir,
-                                                       capsys):
+    def test_cli_realigns_from_a_fifo(self, cli_dir):
+        """``--sam`` is read once, so a pipe works: the output is
+        ``cmp``-identical to the same file's given by path."""
+        text = _text(HEADER + BEFORE)
         fifo, out = cli_dir / "reads.fifo", cli_dir / "fifo-out.sam"
         os.mkfifo(fifo)
-        # Opening a FIFO with no writer blocks, so a CLI that opened it
-        # would never return.
-        code = []
-        thread = threading.Thread(daemon=True, target=lambda: code.append(
-            cli_main(["realign", "--reference",
-                      str(cli_dir / "reference.fa"),
-                      "--sam", str(fifo), "--out", str(out)])))
-        thread.start()
-        thread.join(60)
-        assert code == [2]
-        err = capsys.readouterr().err
-        assert err == f"error: --sam {fifo} is not a regular file (it is " \
-                      "read twice)\n"
-        assert not out.exists()
+        writer = threading.Thread(daemon=True,
+                                  target=lambda: fifo.write_text(text))
+        writer.start()
+        assert cli_main(["realign", "--reference",
+                         str(cli_dir / "reference.fa"),
+                         "--sam", str(fifo), "--out", str(out)]) == 0
+        writer.join(60)
+        assert out.read_bytes() == _cli_realign(cli_dir, text).encode()
+        assert out.read_text() == _text(HEADER + AFTER)
+
+    @pytest.mark.parametrize("kind", ["fresh", "existing", "symlink"])
+    def test_cli_out_is_a_new_file_or_written_through_a_symlink(
+            self, tmp_path, cli_dir, kind):
+        """An existing ``--out`` is unlinked and created again, not
+        truncated in place (truncating waits for the old contents'
+        writeback); a symlink is written through, its target
+        replaced."""
+        sam, out = tmp_path / "in.sam", tmp_path / "out.sam"
+        sam.write_text(_text(HEADER + BEFORE))
+        target, old = tmp_path / "target.sam", tmp_path / "old.sam"
+        if kind == "existing":
+            out.write_text("old contents\n")
+            os.link(out, old)  # keeps the old inode, and shows truncation
+        elif kind == "symlink":
+            target.write_text("old contents\n")
+            out.symlink_to(target)
+        assert cli_main(["realign", "--reference",
+                         str(cli_dir / "reference.fa"),
+                         "--sam", str(sam), "--out", str(out)]) == 0
+        assert out.read_text() == _text(HEADER + AFTER)
+        if kind == "symlink":
+            assert out.is_symlink() and target.read_text() == out.read_text()
+        else:
+            assert out.is_file() and not out.is_symlink()
+        if kind == "existing":
+            assert old.read_text() == "old contents\n"
+            assert not os.path.samefile(out, old)
+
+    @pytest.mark.parametrize("kind", ["crlf", "non-ascii tag", "blank line",
+                                      "header only"])
+    def test_cli_reads_what_the_tokenizer_declines(self, cli_dir, kind):
+        """Input the compiled tokenizer declines is read in Python, as a
+        text-mode read of the file reads it: CRLF line ends come out as
+        LF, a non-ASCII tag and a blank line verbatim, a header-only
+        file as itself."""
+        lines, expected = HEADER + BEFORE, HEADER + AFTER
+        if kind == "crlf":
+            text = _text(lines).replace("\n", "\r\n")
+        elif kind == "non-ascii tag":
+            lines = lines[:7] + [lines[7] + "\tXN:Z:caf\u00e9"] + lines[8:]
+            expected = (expected[:7] + [expected[7] + "\tXN:Z:caf\u00e9"]
+                        + expected[8:])
+            text = _text(lines)
+        elif kind == "blank line":
+            lines, expected = lines + [""], expected + [""]
+            text = _text(lines)
+        else:
+            lines = expected = HEADER
+            text = _text(lines)
+        assert _cli_realign(cli_dir, text) == _text(expected)
 
     def test_tagged_paired_end_job_round_trip(self):
         # Reads 2k and 2k + 1 are mates: first and last segment.

@@ -282,7 +282,9 @@ class TestFrontHalfScaling:
                                                      monkeypatch):
         """A read's start and its end each land in at most one of the
         disjoint targets, so the membership rule is handed at most
-        2 x mapped reads over a whole call -- not targets x reads."""
+        2 x mapped reads over a whole call -- not targets x reads. It is
+        called only for targets where some candidate carries an INDEL:
+        exactly those at which a site can be built."""
         import repro.realign.consensus as consensus
         from repro.realign.realigner import IndelRealigner
 
@@ -296,7 +298,7 @@ class TestFrontHalfScaling:
         targets, windows = IndelRealigner(sample.reference).build_sites(
             sample.reads)
         mapped = sum(read.is_mapped for read in sample.reads)
-        assert windows and len(handed) == len(targets)
+        assert windows and len(windows) <= len(handed) <= len(targets)
         assert sum(handed) <= 2 * mapped
 
     def test_targets_need_no_pileup_column(self, sample, golden,
