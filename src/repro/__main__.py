@@ -231,7 +231,7 @@ def engine_from_args(args: argparse.Namespace):
 def _cmd_realign(args: argparse.Namespace) -> int:
     from repro.engine.native import sam_ingester
     from repro.genomics.fasta import read_reference
-    from repro.genomics.samlite import scan_sam, write_patched
+    from repro.genomics.samlite import ingest, write_patched
     from repro.realign.realigner import IndelRealigner, moved_records
 
     # --sam is read once, into one buffer: the columns come from it, and
@@ -249,10 +249,12 @@ def _cmd_realign(args: argparse.Namespace) -> int:
         reference = read_reference(args.reference)
         with open(args.sam, "rb") as handle:
             buffer = handle.read()
-        ingest = sam_ingester(reference)
-        batch = None if ingest is None else ingest(buffer, file=True)
+        compiled = sam_ingester(reference)
+        batch = None if compiled is None else compiled(buffer, file=True)
         if batch is None:
-            buffer, batch = scan_sam(buffer, reference, args.sam)
+            batch = ingest(buffer, reference, file=True,
+                           locate=lambda k: f"{args.sam}:{k + 1}")
+        del buffer  # --out copies batch.buffer (CR-free, if it had a \r)
         if args.accelerated:
             from repro.core.system import AcceleratedRealigner, SystemConfig
 
@@ -287,7 +289,7 @@ def _cmd_realign(args: argparse.Namespace) -> int:
         args.out.unlink()
     try:
         with open(args.out, "wb") as sink:
-            write_patched(buffer, batch, moved, sink)
+            write_patched(batch, moved, sink)
     except BaseException:
         if args.out.is_file() and not args.out.is_symlink():
             args.out.unlink()
@@ -424,19 +426,41 @@ def _loadgen_inputs(args: argparse.Namespace):
     import io
 
     from repro.genomics.fasta import read_reference
-    from repro.genomics.samlite import read_sam_lines, write_sam
+    from repro.genomics.samlite import write_sam
     from repro.genomics.simulate import SimulationProfile, simulate_sample
 
     if args.sam is not None:
-        reference, source = read_reference(args.reference), args.sam
-    else:
-        profile = SimulationProfile(coverage=args.coverage)
-        sample = simulate_sample({"chrL": args.length}, profile=profile,
-                                 seed=args.seed)
-        reference, source = sample.reference, io.StringIO()
-        write_sam(sample.reads, source, reference)
-        source.seek(0)
-    return (reference, *read_sam_lines(source, reference))
+        reference = read_reference(args.reference)
+        return (reference,
+                *_sam_lines(Path(args.sam).read_bytes(), args.sam, reference))
+    profile = SimulationProfile(coverage=args.coverage)
+    sample = simulate_sample({"chrL": args.length}, profile=profile,
+                             seed=args.seed)
+    sink = io.StringIO()
+    write_sam(sample.reads, sink, sample.reference)
+    return (sample.reference, *_sam_lines(sink.getvalue().encode("utf-8"),
+                                          "<stream>", sample.reference))
+
+
+def _sam_lines(buffer: bytes, path, reference=None):
+    """``(header, lines, reads)`` of a SAM file's bytes: its blank and
+    header lines and its alignment lines, newlines dropped, and their
+    reads, as :func:`~repro.genomics.samlite.ingest` reads them (errors
+    located ``path:line``)."""
+    from repro.genomics.read import LINE_AT
+    from repro.genomics.samlite import ingest
+
+    batch = ingest(buffer, reference, file=True,
+                   locate=lambda k: f"{path}:{k + 1}")
+    starts = set(batch.columns[LINE_AT].tolist())
+    pieces = batch.buffer.split(b"\n")
+    if not pieces[-1]:
+        pieces.pop()  # after the last newline: not a line
+    header, lines, at = [], [], 0
+    for piece in pieces:
+        (lines if at in starts else header).append(piece.decode("utf-8"))
+        at += len(piece) + 1
+    return header, lines, batch.reads()
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
@@ -509,9 +533,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         args.out.write_text("".join(f"{line}\n" for line in header + updated))
         print(f"{len(updated)} reads -> {args.out}")
     if args.compare is not None:
-        from repro.genomics.samlite import read_sam_lines
-
-        if read_sam_lines(args.compare)[1] != updated:
+        if _sam_lines(Path(args.compare).read_bytes(),
+                      args.compare)[1] != updated:
             print(f"error: served output diverges from {args.compare}",
                   file=sys.stderr)
             return 1

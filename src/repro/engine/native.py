@@ -37,10 +37,11 @@ concurrently.
 
 The same library holds the SAM tokenizer, ``repro_ingest_sam``
 (:func:`sam_ingester`): one pass over a SAM file's or a served job's
-bytes that accepts only what :func:`repro.genomics.samlite.scan_lines`
-accepts and fills a :class:`~repro.genomics.read.ReadBatch`'s columns
-(line and field spans, flag, POS, MAPQ, contig, reference end, CIGAR
-elements, and the M-block bases that differ from the reference), so
+bytes that accepts only what its Python twin,
+:func:`repro.genomics.samlite.ingest`, accepts and fills the same
+:class:`~repro.genomics.read.ReadBatch` columns (line and field
+spans, flag, POS, MAPQ, contig, reference end, CIGAR elements, and the
+M-block bases that differ from the reference), so
 ``repro realign`` reads ``--sam`` once into one buffer, and the server
 answers a job no INDEL can change without decoding it.
 
@@ -369,7 +370,7 @@ static int64_t plain_digits(const uint8_t *s, int64_t len, int64_t max)
 
 /* One alignment line of buf, its fields 0..10 at at[f] for len[f]
  * bytes and its newline (or the buffer's end) at eol, checked as
- * scan_lines checks it and written to column row i.  Its CIGAR
+ * samlite.ingest checks it and written to column row i.  Its CIGAR
  * elements go to op[o] (code) and op[op_cap + o] (length) from o = *ops
  * on, written while o < op_cap and counted in *ops always.  -1
  * declines, else whether a mapped read's CIGAR carries an I or D.  The
@@ -408,7 +409,7 @@ static int64_t scan_line(const uint8_t *buf, const uint8_t **at,
     col[LENGTH * cap + i] = len[9];
     col[MAPQ * cap + i] = mapq;
     const int64_t kept = flag & (0x10 | 0x400);
-    /* unmapped: scan_lines checks neither its RNAME nor its CIGAR */
+    /* unmapped: samlite.ingest checks neither its RNAME nor its CIGAR */
     if (flag & 4 || (len[2] == 1 && at[2][0] == '*')
         || (len[5] == 1 && at[5][0] == '*')) {
         col[FLAG * cap + i] = kept | 4;
@@ -517,9 +518,9 @@ static int64_t mismatch_columns(const uint8_t *buf, const int64_t *col,
  * job's body (file == 0) is its lines joined by '\n', and declines a
  * trailing one.  Either declines an empty line, and a file any '\r' (a
  * text-mode read would take it for a line end).  The call accepts only
- * lines scan_lines accepts, and declines what it is unsure of: any byte
- * >= 0x80 (so every buffer it accepts is UTF-8), a numeric field that
- * is not 1..18 plain digits.
+ * lines samlite.ingest accepts, and declines what it is unsure of: any
+ * byte >= 0x80 (so every buffer it accepts is UTF-8), a numeric field
+ * that is not 1..18 plain digits.
  *
  * Returns -1 (declined), -2 (a capacity below counts: call again with
  * more room), else whether some mapped read's CIGAR carries an I or D.
@@ -939,12 +940,13 @@ def sam_ingester(reference) -> Optional[Callable[..., Optional[ReadBatch]]]:
     lines -- a file's bytes (``file=True``: ``@`` header lines skipped)
     or a served job's body (its lines joined by ``"\\n"``) -- with its
     reads as views of ``buffer``; or ``None`` when the pass declines.
-    It accepts only lines :func:`~repro.genomics.samlite.scan_lines`
-    accepts, with the same columns, and declines anything it is unsure
-    of (any byte >= 0x80, an empty line, a file's ``\\r``, a body's
-    trailing newline, a numeric field that is not 1..18 plain digits, a
-    CIGAR outside ``(\\d+[MIDS])+`` with positive lengths, ...), which
-    the caller then reads in Python. The batch's
+    It accepts only what its Python twin,
+    :func:`repro.genomics.samlite.ingest`, accepts on the same bytes and
+    ``file`` flag, with the same columns, and declines anything it is
+    unsure of (any byte >= 0x80, an empty line, a file's ``\\r``, a
+    body's trailing newline, a numeric field that is not 1..18 plain
+    digits, a CIGAR outside ``(\\d+[MIDS])+`` with positive lengths,
+    ...), which the caller then reads in Python. The batch's
     :meth:`~repro.genomics.read.ReadBatch.mismatches` come from the same
     pass for a file, and for a body that has an INDEL.
     """

@@ -14,29 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.genomics.cigar import Cigar, CigarOp, validate_cigar_against_read
-from repro.genomics.quality import MAX_PHRED
-from repro.genomics.sequence import SequenceError, validate_bases
-
-#: One row of :meth:`Read.batch`: the fields in ``Read``'s order, with
-#: ``quals`` replaced by how many of the batch's scores are this read's.
-BatchRow = Tuple[str, Optional[str], int, str, int, Optional[Cigar], int,
-                 bool, bool]
-
-
-class RowError(ValueError):
-    """The first row of a :meth:`Read.batch` that is not a valid read:
-    ``row`` is its index, ``error`` what ``Read`` raised for it."""
-
-    def __init__(self, row: int, error: ValueError):
-        super().__init__(str(error))
-        self.row = row
-        self.error = error
+from repro.genomics.quality import MAX_PHRED, PHRED_OFFSET
+from repro.genomics.sequence import validate_bases
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,45 +73,6 @@ class Read:
             raise ValueError(f"read {self.name!r}: negative mapped position {self.pos}")
         if not 0 <= self.mapq <= 254:
             raise ValueError(f"read {self.name!r}: mapq {self.mapq} outside [0, 254]")
-
-    @classmethod
-    def batch(cls, rows: Sequence[BatchRow], scores: np.ndarray,
-              contigs: Sequence[str] = (),
-              lines: Optional[Sequence[str]] = None) -> "ReadBatch":
-        """Check one read per row; read ``i``'s ``quals`` is a view of
-        its ``rows[i][4]`` scores, which follow the previous rows' in
-        the 1-D ``uint8`` buffer ``scores``. ``contigs`` orders the
-        batch's contig indices; ``lines``, the rows' SAM lines, gives
-        its span columns.
-
-        The invariants ``__post_init__`` checks per read are checked
-        here once per field over the whole batch. If a check fails,
-        every row is built through ``__post_init__`` instead, and the
-        first that raises is :class:`RowError`, with the message that
-        row alone raises; when none does, the batch keeps those reads.
-        The returned :class:`ReadBatch` cannot fail when it is built.
-        """
-        def checked(reads=None):
-            return ReadBatch(contigs, rows=rows, scores=scores, lines=lines,
-                             reads=reads)
-
-        if not rows:
-            return checked()
-        _names, _chroms, positions, seqs, counts, cigars, mapqs, *_flags = \
-            zip(*rows)
-        stops = list(accumulate(counts))
-        if _valid_batch(seqs, scores, counts, stops[-1], cigars, positions,
-                        mapqs):
-            return checked()
-        reads = []
-        for index, (row, stop) in enumerate(zip(rows, stops)):
-            name, chrom, pos, seq, count, *rest = row
-            try:
-                reads.append(cls(name, chrom, pos, seq,
-                                 scores[stop - count:stop], *rest))
-            except ValueError as error:
-                raise RowError(index, error) from None
-        return checked(reads)
 
     @property
     def is_mapped(self) -> bool:
@@ -230,7 +175,8 @@ MISMATCH_BLOCKS = 4096
 
 
 @lru_cache(maxsize=4096)
-def _cigar_codes(cigar: Cigar) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+def cigar_codes(cigar: Cigar) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """``cigar``'s elements as batch ``ops``: kind codes, lengths."""
     return (tuple(OPS.index(op) for op, _ in cigar.elements),
             tuple(length for _, length in cigar.elements))
 
@@ -240,6 +186,13 @@ def _cigar_of(ops: bytes) -> Cigar:
     """The CIGAR of a read's ``ops`` columns (as ``int64`` bytes)."""
     kinds, lengths = np.frombuffer(ops, np.int64).reshape(2, -1).tolist()
     return Cigar(tuple(zip(map(OPS.__getitem__, kinds), lengths)))
+
+
+def _scores(chars: np.ndarray) -> np.ndarray:
+    """Phred scores of checked Sanger characters, read-only."""
+    scores = np.subtract(chars, PHRED_OFFSET, dtype=np.uint8)
+    scores.flags.writeable = False
+    return scores
 
 
 def _unchecked(name, chrom, pos, seq, quals, cigar, mapq, is_reverse,
@@ -270,105 +223,66 @@ class ReadBatch:
     ``contigs`` names the ``CONTIG`` indices. The front half
     (:mod:`repro.realign.targets`, :func:`repro.align.pileup
     .mismatch_loci`, :meth:`repro.realign.realigner.IndelRealigner
-    .build_sites`) reads only these. Three producers fill one:
+    .build_sites`) reads only these. Two producers fill one:
 
-    - the compiled tokenizer over a SAM buffer
-      (:func:`repro.engine.native.sam_ingester`), which also fills the
-      :meth:`mismatches` columns; a read is decoded from ``buffer``'s
-      bytes when it is asked for;
-    - :func:`repro.genomics.samlite.scan_lines`, through
-      :meth:`Read.batch`: rows it checked, whose columns are derived
-      when first used, the spans addressing the lines joined by
-      ``"\\n"`` as UTF-8 -- a served job's body;
-    - :meth:`of`, a list of reads (the API callers), with line spans
-      only where given.
+    - SAM bytes -- a file's, or a served job's body -- read by the
+      compiled tokenizer (:func:`repro.engine.native.sam_ingester`) or
+      by its Python twin (:func:`repro.genomics.samlite.ingest`), which
+      fill the same columns: the spans are byte offsets into
+      ``buffer``, and a read is decoded from its bytes when it is asked
+      for. The compiled pass also fills the :meth:`mismatches` columns;
+    - :meth:`of`, a list of reads (the API callers), with no buffer.
     """
 
-    __slots__ = ("contigs", "buffer", "_columns", "_op_at", "_ops",
-                 "_mismatches", "_layout", "_rows", "_scores", "_lines",
-                 "_quals_at", "_reads", "_built")
+    __slots__ = ("contigs", "buffer", "columns", "op_at", "ops",
+                 "_mismatches", "_layout", "_reads", "_built")
 
-    def __init__(self, contigs: Sequence[str] = (), *, buffer=None,
-                 columns=None, op_at=None, ops=None, mismatches=None,
-                 rows=None, scores=None, lines=None, reads=None):
+    def __init__(self, contigs: Sequence[str], *, columns: np.ndarray,
+                 op_at: np.ndarray, ops: np.ndarray, buffer=None,
+                 mismatches=None, reads=None):
         self.contigs = tuple(contigs)
         self.buffer = buffer
-        self._columns, self._op_at, self._ops = columns, op_at, ops
+        self.columns, self.op_at, self.ops = columns, op_at, ops
         self._mismatches = mismatches
         self._layout = None
-        self._rows, self._scores, self._lines = rows, scores, lines
-        self._quals_at = None
         self._reads = reads
         self._built = None  # the reads read() made, by index
 
     @classmethod
-    def of(cls, reads: Sequence[Read], contigs: Sequence[str] = (),
-           spans=None) -> "ReadBatch":
+    def of(cls, reads: Sequence[Read],
+           contigs: Sequence[str] = ()) -> "ReadBatch":
         """The batch of ``reads``, whose :meth:`read` ``i`` is
         ``reads[i]`` itself. ``contigs`` orders the ``CONTIG`` indices
-        (names it lacks follow in order of appearance); ``spans``, a
-        pair of sequences, fills ``LINE_AT`` and ``LINE_END``."""
-        batch = cls(contigs, reads=list(reads))
-        batch._fill(((read.chrom, read.pos, len(read.seq), read.cigar,
-                      read.mapq, read.is_reverse, read.is_duplicate)
-                     for read in batch._reads), len(batch._reads))
-        if spans is not None:
-            batch._columns[LINE_AT], batch._columns[LINE_END] = spans
-        return batch
-
-    def __len__(self) -> int:
-        if self._rows is not None:
-            return len(self._rows)
-        if self._reads is not None:
-            return len(self._reads)
-        return self._columns.shape[1]
-
-    @property
-    def columns(self) -> np.ndarray:
-        if self._columns is None:
-            self._fill(((chrom, pos, len(seq), cigar, mapq, is_reverse,
-                         is_duplicate)
-                        for (_name, chrom, pos, seq, _count, cigar, mapq,
-                             is_reverse, is_duplicate) in self._rows),
-                       len(self._rows))
-            if self._lines is not None:
-                self._columns[:LENGTH] = _spans(self._lines)
-        return self._columns
-
-    @property
-    def op_at(self) -> np.ndarray:
-        self.columns  # noqa: B018 - fills the columns of rows
-        return self._op_at
-
-    @property
-    def ops(self) -> np.ndarray:
-        self.columns  # noqa: B018 - fills the columns of rows
-        return self._ops
-
-    def _fill(self, fields, size: int) -> None:
-        """Columns from ``(chrom, pos, length, cigar, mapq, is_reverse,
-        is_duplicate)`` per read: mapped iff chrom and cigar are set."""
-        index = {name: i for i, name in enumerate(self.contigs)}
+        (names it lacks follow in order of appearance); the span columns
+        are 0."""
+        reads = list(reads)
+        index = {name: i for i, name in enumerate(contigs)}
         rows, codes, lengths, op_at = [], [], [], [0]
-        for (chrom, pos, length, cigar, mapq, is_reverse,
-             is_duplicate) in fields:
-            flag = is_reverse * FLAG_REVERSE | is_duplicate * FLAG_DUPLICATE
-            if chrom is None or cigar is None:
-                rows.append((length, flag | FLAG_UNMAPPED, 0, mapq, -1, 0))
-            else:
-                contig = index.setdefault(chrom, len(index))
-                rows.append((length, flag, pos, mapq, contig,
-                             pos + cigar.reference_length))
-                kinds, spans = _cigar_codes(cigar)
+        for read in reads:
+            flag = (read.is_reverse * FLAG_REVERSE
+                    | read.is_duplicate * FLAG_DUPLICATE)
+            if read.is_mapped:
+                contig = index.setdefault(read.chrom, len(index))
+                rows.append((len(read.seq), flag, read.pos, read.mapq,
+                             contig, read.end))
+                kinds, spans = cigar_codes(read.cigar)
                 codes.extend(kinds)
                 lengths.extend(spans)
+            else:
+                rows.append((len(read.seq), flag | FLAG_UNMAPPED, 0,
+                             read.mapq, -1, 0))
             op_at.append(len(codes))
-        self.contigs = tuple(index)
-        self._columns = np.zeros((COLUMNS, size), dtype=np.int64)
+        columns = np.zeros((COLUMNS, len(reads)), dtype=np.int64)
         if rows:
-            self._columns[LENGTH:] = np.array(rows, dtype=np.int64).T
-        self._op_at = np.array(op_at, dtype=np.int64)
-        self._ops = np.array([codes, lengths], dtype=np.int64).reshape(2, -1)
+            columns[LENGTH:] = np.array(rows, dtype=np.int64).T
+        return cls(index, columns=columns,
+                   op_at=np.array(op_at, dtype=np.int64),
+                   ops=np.array([codes, lengths],
+                                dtype=np.int64).reshape(2, -1),
+                   reads=reads)
+
+    def __len__(self) -> int:
+        return self.columns.shape[1]
 
     def layout(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(read, ref_start, read_offset)`` of every CIGAR element: its
@@ -404,20 +318,21 @@ class ReadBatch:
     def has_indel(self) -> bool:
         """True if some mapped read's CIGAR carries an I or D, whether or
         not the read is a duplicate or anchored in any target."""
-        if self._rows is not None and self._columns is None:
-            return any(row[5] is not None and row[5].has_indel
-                       for row in self._rows)
         kinds = self.ops[0]
         return bool(((kinds == INSERTION) | (kinds == DELETION)).any())
 
-    def seq(self, index: int) -> str:
-        """Read ``index``'s bases, without building the read."""
-        if self._reads is not None:
-            return self._reads[index].seq
-        if self._rows is not None:
-            return self._rows[index][3]
-        at, length = self._columns[[SEQ_AT, LENGTH], index].tolist()
-        return self.buffer[at:at + length].decode("ascii")
+    def _bases(self, reads, offsets, lengths) -> bytes:
+        """Bases ``offsets[j]`` .. ``offsets[j] + lengths[j]`` of read
+        ``reads[j]`` for each ``j``, laid end to end, without building
+        a read."""
+        if self.buffer is None:
+            seqs = [self._reads[i].seq[at:at + n] for i, at, n in zip(
+                reads.tolist(), offsets.tolist(), lengths.tolist())]
+            return "".join(seqs).encode("ascii")
+        view = memoryview(self.buffer)
+        return b"".join([view[at:at + n] for at, n in zip(
+            (self.columns[SEQ_AT][reads] + offsets).tolist(),
+            lengths.tolist())])
 
     def mismatches(self, reference) -> Tuple[np.ndarray, np.ndarray]:
         """``(read, pos)``: each base of a mapped, non-duplicate read's M
@@ -448,15 +363,12 @@ class ReadBatch:
                                                                    np.int64)]
         for lo in range(0, read.size, MISMATCH_BLOCKS):
             part = slice(lo, lo + MISMATCH_BLOCKS)
-            blocks = list(zip(read[part].tolist(), read_offset[part].tolist(),
-                              contig[part].tolist(), ref_start[part].tolist(),
-                              lengths[part].tolist()))
-            bases = "".join([self.seq(i)[at:at + n]
-                             for i, at, _k, _s, n in blocks])
-            under = "".join([sequences[k][s:s + n].ljust(n)
-                             for _i, _at, k, s, n in blocks])
+            bases = self._bases(read[part], read_offset[part], lengths[part])
+            under = "".join([sequences[k][s:s + n].ljust(n) for k, s, n in zip(
+                contig[part].tolist(), ref_start[part].tolist(),
+                lengths[part].tolist())])
             wrong = np.flatnonzero(
-                np.frombuffer(bases.encode("ascii"), np.uint8)
+                np.frombuffer(bases, np.uint8)
                 != np.frombuffer(under.encode("ascii"), np.uint8))
             # ``wrong`` indexes the blocks' bases laid end to end
             stops = np.cumsum(lengths[part])
@@ -477,41 +389,41 @@ class ReadBatch:
             read = self._built[index] = self._make(index)
         return read
 
-    def _make(self, index: int) -> Read:
-        if self._rows is not None:
-            if self._quals_at is None:
-                self._quals_at = [0, *accumulate(row[4] for row in self._rows)]
-            name, chrom, pos, seq, count, *rest = self._rows[index]
-            start = self._quals_at[index]
-            return _unchecked(name, chrom, pos, seq,
-                              self._scores[start:start + count], *rest)
+    def _make(self, index: int, quals=None) -> Read:
+        """Read ``index`` decoded from ``buffer``; its ``quals`` are
+        decoded here unless given."""
         (line_at, _end, name_end, seq_at, qual_at, length, flag, pos, mapq,
-         contig, _ref_end) = self._columns[:, index].tolist()
+         contig, _ref_end) = self.columns[:, index].tolist()
         buffer = self.buffer
-        quals = np.subtract(np.frombuffer(buffer, np.uint8, length, qual_at),
-                            33, dtype=np.uint8)
-        quals.flags.writeable = False
+        if quals is None:
+            quals = _scores(np.frombuffer(buffer, np.uint8, length, qual_at))
         cigar = chrom = None
         if contig >= 0:
             chrom = self.contigs[contig]
-            first, stop = self._op_at[index:index + 2].tolist()
-            cigar = _cigar_of(self._ops[:, first:stop].tobytes())
-        return _unchecked(buffer[line_at:name_end].decode("ascii"), chrom,
+            first, stop = self.op_at[index:index + 2].tolist()
+            cigar = _cigar_of(self.ops[:, first:stop].tobytes())
+        return _unchecked(buffer[line_at:name_end].decode("utf-8"), chrom,
                           pos, buffer[seq_at:seq_at + length].decode("ascii"),
                           quals, cigar, mapq, bool(flag & FLAG_REVERSE),
                           bool(flag & FLAG_DUPLICATE))
 
     def reads(self) -> List[Read]:
-        """Every read, in order: those :meth:`read` built, and the rest."""
-        if self._reads is None and self._rows is not None and not self._built:
-            scores, start, reads = self._scores, 0, []
-            for (name, chrom, pos, seq, count, *rest) in self._rows:
-                reads.append(_unchecked(name, chrom, pos, seq,
-                                        scores[start:start + count], *rest))
-                start += count
+        """Every read, in order: those :meth:`read` built, and the rest,
+        whose ``quals`` are read-only views of one array decoded in one
+        pass."""
+        if self._reads is None:
+            starts, lengths = self.columns[[QUAL_AT, LENGTH]].tolist()
+            view = memoryview(self.buffer)
+            chars = b"".join([view[at:at + n]
+                              for at, n in zip(starts, lengths)])
+            scores = _scores(np.frombuffer(chars, np.uint8))
+            built, stop = self._built or [None] * len(self), 0
+            reads = []
+            for index, (read, length) in enumerate(zip(built, lengths)):
+                stop += length
+                reads.append(self._make(index, scores[stop - length:stop])
+                             if read is None else read)
             self._reads = reads
-        elif self._reads is None:
-            self._reads = [self.read(i) for i in range(len(self))]
         return self._reads
 
 
@@ -522,43 +434,3 @@ def as_batch(reads, reference=None) -> ReadBatch:
         return reads
     return ReadBatch.of(reads, () if reference is None
                         else reference.contig_names)
-
-
-def _spans(lines: Sequence[str]) -> np.ndarray:
-    """``LINE_AT`` .. ``QUAL_AT`` of SAM lines joined by ``"\\n"`` as
-    UTF-8 (a trailing newline of each line dropped first)."""
-    spans = np.zeros((LENGTH, len(lines)), dtype=np.int64)
-    at = 0
-    for row, line in zip(spans.T, lines):
-        line = line.rstrip("\n")
-        fields = line.split("\t", 10)
-        sizes = ([len(field) for field in fields] if line.isascii() else
-                 [len(field.encode("utf-8", "surrogatepass"))
-                  for field in fields])
-        seq_at = at + sum(sizes[:9]) + 9
-        end = at + sum(sizes) + len(sizes) - 1
-        row[:] = (at, end, at + sizes[0], seq_at, seq_at + sizes[9] + 1)
-        at = end + 1
-    return spans
-
-
-def _valid_batch(seqs, scores, counts, total, cigars, positions,
-                 mapqs) -> bool:
-    """True if no row of a :meth:`Read.batch` can fail ``__post_init__``
-    or be changed by it (a negative POS of an unmapped read, legal,
-    makes it False too)."""
-    try:
-        validate_bases("".join(seqs))
-    except SequenceError:
-        return False
-    lengths = tuple(map(len, seqs))
-    return (
-        counts == lengths
-        and scores.dtype == np.uint8 and scores.ndim == 1
-        and scores.size == total
-        and not (total and scores.max() > MAX_PHRED)
-        and all(cigar is None or cigar.read_length == length
-                for cigar, length in zip(cigars, lengths))
-        and min(positions) >= 0
-        and 0 <= min(mapqs) and max(mapqs) <= 254
-    )

@@ -1,36 +1,37 @@
-"""SAM-lite: SAM text in, reads out, and the input patched back.
+"""SAM-lite: SAM bytes in, read columns out, and the input patched back.
 
 The reader keeps what realignment uses of a SAM line: name, flags 0x4
 (unmapped), 0x10 (reverse) and 0x400 (duplicate), RNAME, POS, MAPQ,
 CIGAR, bases and qualities. The CLI and the server read SAM bytes
 through the compiled tokenizer first (:func:`repro.engine.native
-.sam_ingester`), which fills a :class:`~repro.genomics.read.ReadBatch`'s
-columns in one pass; this module is the Python reading of what it
-declines, and of every text boundary without it. There, a file (in
-chunks of :data:`CHUNK_LINES` lines), a served job's lines and
-:func:`parse_read` go through one batch parser in two halves:
-:func:`scan_lines` checks bases, qualities and placements once per
-field of a batch, not once per read, and returns the checked rows as a
-batch; its :meth:`~repro.genomics.read.ReadBatch.reads` builds the
-reads. :func:`parse_lines` is the two in a row. Realigned output is
-the input's own bytes with POS and CIGAR of the moved reads patched
-(:func:`patch_line`, :func:`write_patched`), so the header, every other
-column and every tag come through verbatim.
-:func:`format_read` / :func:`write_sam` are the simulator's writer,
-which renders only those columns.
+.sam_ingester`); :func:`ingest` is its Python twin, the reading of what
+it declines and of everything without it. Both take the same bytes --
+a file's, or a served job's body -- and fill the same
+:class:`~repro.genomics.read.ReadBatch`: ``int64`` columns whose spans
+address the buffer, from which a read is decoded only when one is
+asked for. :func:`ingest` checks bases, qualities and placements once
+per field of :data:`CHUNK_LINES` lines, not once per read, and builds
+no read; :func:`read_sam` and :func:`parse_read` are its reads, for the
+callers that want them. Realigned output is the input's own bytes with
+POS and CIGAR of the moved reads patched (:func:`patch_line`,
+:func:`write_patched`), so the header, every other column and every
+tag come through verbatim. :func:`format_read` / :func:`write_sam` are
+the simulator's writer, which renders only those columns.
 """
 
 from __future__ import annotations
 
 import io
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
-                    TextIO, Tuple, Union)
+from typing import Callable, Iterable, List, Optional, TextIO, Union
+
+import numpy as np
 
 from repro.genomics.cigar import Cigar, CigarError
 from repro.genomics.quality import QualityError, phred_from_ascii, phred_to_ascii
 from repro.genomics.read import (
+    COLUMNS,
     FLAG_DUPLICATE,
     FLAG_REVERSE,
     FLAG_UNMAPPED,
@@ -38,16 +39,17 @@ from repro.genomics.read import (
     LINE_END,
     Read,
     ReadBatch,
-    RowError,
+    cigar_codes,
 )
 from repro.genomics.reference import ReferenceGenome
+from repro.genomics.sequence import SequenceError, validate_bases
 
 PathOrFile = Union[str, Path, TextIO]
 
-#: File lines the readers hand :func:`parse_lines` at a time. A chunk's
-#: split rows live until it is parsed, and the reads kept from it pin
-#: the arenas they were allocated in, so a larger chunk raises the
-#: CLI's peak RSS while saving little time (docs/PERFORMANCE.md).
+#: Lines :func:`ingest` checks at a time. A chunk's split fields and
+#: row tuples live until its columns are packed into ``int64`` arrays:
+#: at 960 kb, 4 096 lines a chunk hold 11 MB more than 256 and take 25 %
+#: longer (docs/PERFORMANCE.md, "One Python twin").
 CHUNK_LINES = 256
 
 
@@ -100,29 +102,103 @@ def format_read(read: Read) -> str:
     )
 
 
-def scan_lines(lines: Sequence[str],
-               reference: Optional[ReferenceGenome] = None,
-               locate: Optional[Callable[[int], str]] = None) -> ReadBatch:
-    """Check SAM-lite alignment lines (trailing newline optional) once
-    per field of the batch, not once per read, without building a read.
+def ingest(buffer: bytes, reference: Optional[ReferenceGenome] = None,
+           file: bool = False,
+           locate: Optional[Callable[[int], str]] = None) -> ReadBatch:
+    """The :class:`~repro.genomics.read.ReadBatch` of SAM bytes, read in
+    Python: the twin of :func:`repro.engine.native.sam_ingester`'s
+    ``ingest(buffer, file)``, with its columns for what it accepts, and
+    the reading of what it declines.
 
-    Each line is split once. The qualities of all lines are decoded in
-    one pass into one read-only buffer, which each read's ``quals``
-    will be a view of; :meth:`Read.batch` checks the bases and the
-    other read invariants over the batch. With ``reference``, a mapped
-    read must lie on one of its contigs, inside it. The returned
-    :class:`~repro.genomics.read.ReadBatch` builds the reads on
-    :meth:`~repro.genomics.read.ReadBatch.reads` and cannot fail then.
+    ``buffer`` is a served job's body -- its lines joined by ``"\\n"``,
+    so a trailing newline is an empty last line -- or, with ``file``,
+    a file's bytes, read as a text-mode read of the file reads them:
+    ``\\r\\n`` and ``\\r`` as ``\\n`` (the batch's ``buffer`` is then
+    the bytes so rewritten), blank and ``@`` header lines skipped. Either
+    is UTF-8 (else ``UnicodeDecodeError``). With ``reference``, a mapped
+    read must lie on one of its contigs, inside it, and the ``CONTIG``
+    indices follow its order; without, their order of appearance.
 
-    A bad batch raises what its first bad line alone raises, for the
+    A bad buffer raises what its first bad line alone raises, for the
     first failure in that line in this order: field count, numeric
     field, quality characters, CIGAR syntax, bases, quality count, CIGAR
     length, POS, MAPQ, RNAME, alignment end. It is always a
     :class:`SamError`: a field decoder's error or a ``Read`` invariant's
     ``ValueError`` keeps its message and is the ``__cause__``. With
-    ``locate``, the message is prefixed ``locate(index): ``.
+    ``locate``, the message is prefixed ``locate(k): ``, ``k`` the
+    line's 0-based index among all the buffer's lines.
     """
-    rows = [line.rstrip("\n").split("\t") for line in lines]
+    if file and b"\r" in buffer:
+        buffer = (buffer.decode("utf-8").replace("\r\n", "\n")
+                  .replace("\r", "\n").encode("utf-8"))
+    if reference is None:
+        contigs, sizes = {}, None
+    else:
+        contigs = {name: k for k, name in enumerate(reference.contig_names)}
+        sizes = [len(contig) for contig in reference]
+    lines = iter(io.BytesIO(buffer))
+    if not file and buffer.endswith(b"\n"):
+        lines = chain(lines, [b""])
+    blocks, codes, lengths, op_at = [], [], [], [0]
+    k = at = 0  # the next line's index and byte offset
+    while chunk := list(islice(lines, CHUNK_LINES)):
+        # each alignment line's fields, and its index, span and whether
+        # it is ASCII
+        rows, where = [], []
+        for line in chunk:
+            text = line.decode("utf-8").rstrip("\n")
+            if not (file and (not text or text.isspace()
+                              or text.startswith("@"))):
+                rows.append(text.split("\t"))
+                where.append((k, at, at + len(line) - line.endswith(b"\n"),
+                              line.isascii()))
+            k += 1
+            at += len(line)
+        placed, bad, error = _check(rows, contigs, sizes)
+        if error is not None:
+            if locate is not None:
+                raise SamError(f"{locate(where[bad][0])}: {error}") from None
+            if isinstance(error, SamError):
+                raise error
+            raise SamError(str(error)) from error
+        block = []
+        for fields, (_k, line_at, line_end, ascii), (flag, pos, mapq, contig,
+                                                      end, cigar) in zip(
+                rows, where, placed):
+            size = len if ascii else _utf8_size
+            seq_at = line_at + sum(map(size, fields[:9])) + 9
+            block.append((line_at, line_end, line_at + size(fields[0]),
+                          seq_at, seq_at + len(fields[9]) + 1, len(fields[9]),
+                          flag, pos, mapq, contig, end))
+            if cigar is not None:
+                kinds, runs = cigar_codes(cigar)
+                codes.extend(kinds)
+                lengths.extend(runs)
+            op_at.append(len(codes))
+        if block:
+            blocks.append(np.array(block, dtype=np.int64).T)
+    return ReadBatch(
+        contigs, buffer=buffer,
+        columns=(np.concatenate(blocks, axis=1) if blocks
+                 else np.zeros((COLUMNS, 0), dtype=np.int64)),
+        op_at=np.array(op_at, dtype=np.int64),
+        ops=np.array([codes, lengths], dtype=np.int64).reshape(2, -1))
+
+
+def _utf8_size(field: str) -> int:
+    return len(field.encode("utf-8"))
+
+
+def _check(rows: List[List[str]], contigs: dict, sizes: Optional[list]):
+    """Check split alignment lines once per field of the batch, not once
+    per line: ``(placed, bad, error)``. ``placed`` holds ``(flag, pos,
+    mapq, contig, end, cigar)`` -- the batch's ``FLAG``, ``POS``,
+    ``MAPQ``, ``CONTIG`` and ``END`` columns, and the CIGAR, None for an
+    unmapped read -- of every line when ``error`` is None; else ``bad``
+    is the first bad line's index and ``error`` what it raises first.
+    With ``sizes`` (the reference's contig lengths by index), a mapped
+    read must lie inside a contig of ``contigs``; without, ``contigs``
+    takes new names in order."""
     # Each check runs on rows[:limit], the rows that passed every
     # earlier check, and a failure at row i sets limit = i: the error
     # left at the end is the first bad row's first failure.
@@ -134,7 +210,7 @@ def scan_lines(lines: Sequence[str],
     texts = [fields[10] for fields in rows[:limit]]
     bad_quals = limit
     try:
-        scores = phred_from_ascii("".join(texts))
+        phred_from_ascii("".join(texts))
     except QualityError:
         for bad_quals, text in enumerate(texts):
             try:
@@ -142,9 +218,7 @@ def scan_lines(lines: Sequence[str],
             except QualityError as exc:
                 quals_error = exc
                 break
-    lengths = (None if reference is None
-               else {contig.name: len(contig) for contig in reference})
-    batch = []
+    placed = []
     for index in range(limit):
         fields = rows[index]
         try:
@@ -156,60 +230,84 @@ def scan_lines(lines: Sequence[str],
         if index == bad_quals:
             limit, error = index, quals_error
             break
+        kept = flag & (FLAG_REVERSE | FLAG_DUPLICATE)
         chrom, cigar = fields[2], fields[5]
         if flag & FLAG_UNMAPPED or chrom == "*" or cigar == "*":
-            chrom, pos, cigar = None, 0, None
-        else:
+            placed.append((kept | FLAG_UNMAPPED, 0, mapq, -1, 0, None))
+            continue
+        try:
+            cigar = Cigar.parse(cigar)
+        except CigarError as exc:
+            limit, error = index, exc
+            break
+        contig = (contigs.setdefault(chrom, len(contigs)) if sizes is None
+                  else contigs.get(chrom))
+        end = pos - 1 + cigar.reference_length
+        placed.append((kept, pos - 1, mapq, contig, end, cigar))
+        # A misplaced read stays placed: its Read invariants are checked
+        # first.
+        if contig is None:
+            limit, error = index, SamError(
+                f"RNAME {chrom!r} is not a contig of the reference")
+            break
+        if sizes is not None and end > sizes[contig]:
+            limit, error = index, SamError(
+                f"alignment {chrom}:{pos}-{end} runs past the contig end "
+                f"({sizes[contig]})")
+            break
+    rows = rows[:len(placed)]
+    seqs = [fields[9] for fields in rows]
+    if not _valid_batch(seqs, texts[:len(placed)], placed):
+        # The first row that is not a valid read, with the message that
+        # row alone raises.
+        for index, (fields, (flag, pos, mapq, _contig, _end, cigar)) in \
+                enumerate(zip(rows, placed)):
             try:
-                cigar, pos = Cigar.parse(cigar), pos - 1
-            except CigarError as exc:
+                Read(fields[0], None if cigar is None else fields[2], pos,
+                     fields[9], phred_from_ascii(fields[10]), cigar, mapq,
+                     bool(flag & FLAG_REVERSE), bool(flag & FLAG_DUPLICATE))
+            except ValueError as exc:
                 limit, error = index, exc
                 break
-        batch.append((fields[0], chrom, pos, fields[9], len(fields[10]),
-                      cigar, mapq, bool(flag & FLAG_REVERSE),
-                      bool(flag & FLAG_DUPLICATE)))
-        # A misplaced read stays in the batch: its Read invariants are
-        # checked first.
-        if chrom is not None and lengths is not None:
-            length = lengths.get(chrom)
-            if length is None:
-                limit, error = index, SamError(
-                    f"RNAME {chrom!r} is not a contig of the reference")
-                break
-            end = pos + cigar.reference_length
-            if end > length:
-                limit, error = index, SamError(
-                    f"alignment {chrom}:{pos + 1}-{end} runs past the "
-                    f"contig end ({length})")
-                break
-    if len(batch) < len(texts):  # decode only the rows in the batch
-        scores = phred_from_ascii("".join(texts[:len(batch)]))
-    scores.flags.writeable = False  # the reads' quals are views of it
+    return placed, limit, error
+
+
+def _valid_batch(seqs, quals, placed) -> bool:
+    """True if no row of a checked batch can fail ``Read.__post_init__``:
+    its invariants checked once per field over the whole batch."""
     try:
-        checked = Read.batch(batch, scores, contigs=() if reference is None
-                             else reference.contig_names, lines=lines)
-    except RowError as bad:
-        limit, error = bad.row, bad.error
-    if error is None:
-        return checked
-    if locate is None:
-        if isinstance(error, SamError):
-            raise error
-        raise SamError(str(error)) from error
-    raise SamError(f"{locate(limit)}: {error}") from None
-
-
-def parse_lines(lines: Sequence[str],
-                reference: Optional[ReferenceGenome] = None,
-                locate: Optional[Callable[[int], str]] = None) -> List[Read]:
-    """The reads of SAM-lite alignment lines: :func:`scan_lines`, then
-    :meth:`~repro.genomics.read.ReadBatch.reads`."""
-    return scan_lines(lines, reference, locate).reads()
+        validate_bases("".join(seqs))
+    except SequenceError:
+        return False
+    lengths = list(map(len, seqs))
+    return (
+        lengths == list(map(len, quals))
+        and all(cigar is None or cigar.read_length == length
+                for (*_, cigar), length in zip(placed, lengths))
+        and all(pos >= 0 and 0 <= mapq <= 254
+                for _flag, pos, mapq, *_ in placed)
+    )
 
 
 def parse_read(line: str) -> Read:
-    """Parse one SAM-lite alignment line: :func:`parse_lines` of one."""
-    return parse_lines([line])[0]
+    """Parse one SAM-lite alignment line (trailing newline optional):
+    the read of :func:`ingest` on its bytes."""
+    # An empty line is a body of one empty line, not an empty body.
+    return ingest(line.rstrip("\n").encode("utf-8") or b"\n").read(0)
+
+
+def read_sam(
+    source: PathOrFile, reference: Optional[ReferenceGenome] = None
+) -> List[Read]:
+    """The reads of a SAM-lite file (a path, or a text handle), header
+    and blank lines skipped: :func:`ingest`'s, errors located
+    ``path:line`` (``<stream>:line`` for a handle)."""
+    if isinstance(source, (str, Path)):
+        buffer, where = Path(source).read_bytes(), source
+    else:
+        buffer, where = source.read().encode("utf-8"), "<stream>"
+    return ingest(buffer, reference, file=True,
+                  locate=lambda k: f"{where}:{k + 1}").reads()
 
 
 def write_sam(
@@ -231,73 +329,6 @@ def write_sam(
             handle.close()
 
 
-def _is_alignment(line: str) -> bool:
-    """Not a blank or ``@`` header line (file lines are never empty)."""
-    return not (line.isspace() or line.startswith("@"))
-
-
-def _lines(
-    source: PathOrFile, reference: Optional[ReferenceGenome],
-    path=None,
-) -> Iterator[Tuple[str, Optional[Read]]]:
-    """``(line, read)`` for each line of ``source``, ``read`` None for a
-    blank or header line. The alignment lines go to :func:`parse_lines`
-    :data:`CHUNK_LINES` file lines at a time; errors are located
-    ``path:line`` (by default the source's path, or ``<stream>``)."""
-    handle, owned = _as_text_handle(source, "r")
-    if path is None:
-        path = source if owned else "<stream>"
-    try:
-        first = 1  # the chunk's first line number
-        while chunk := list(islice(handle, CHUNK_LINES)):
-            rows = [i for i, line in enumerate(chunk) if _is_alignment(line)]
-            reads = iter(parse_lines([chunk[i] for i in rows], reference,
-                                     lambda k: f"{path}:{first + rows[k]}"))
-            for line in chunk:
-                yield line, next(reads) if _is_alignment(line) else None
-            first += len(chunk)
-    finally:
-        if owned:
-            handle.close()
-
-
-def parse_sam(
-    source: PathOrFile, reference: Optional[ReferenceGenome] = None
-) -> Iterator[Read]:
-    """Yield reads from a SAM-lite file, skipping blank and header lines.
-
-    Whatever a line raises (a bad field, CIGAR, quality string or
-    read) comes out as a :class:`SamError` located ``path:line``
-    (``<stream>`` for a handle); with ``reference``, so does a mapped
-    read off it. The first bad line is reported, as
-    :func:`parse_lines` orders its failures.
-    """
-    return (read for _line, read in _lines(source, reference)
-            if read is not None)
-
-
-def read_sam(
-    source: PathOrFile, reference: Optional[ReferenceGenome] = None
-) -> List[Read]:
-    """Eagerly load a SAM-lite file."""
-    return list(parse_sam(source, reference))
-
-
-def read_sam_lines(source: PathOrFile,
-                   reference: Optional[ReferenceGenome] = None):
-    """``(header, lines, reads)``: the blank and header lines, the
-    alignment lines (newlines stripped) and their reads, as
-    :func:`parse_sam` reads them."""
-    header, lines, reads = [], [], []
-    for line, read in _lines(source, reference):
-        if read is None:
-            header.append(line.rstrip("\n"))
-        else:
-            lines.append(line.rstrip("\n"))
-            reads.append(read)
-    return header, lines, reads
-
-
 def patch_line(line: str, pos: int, cigar: str) -> str:
     """``line`` with POS (column 4) and CIGAR (column 6) replaced."""
     fields = line.split("\t", 6)
@@ -307,40 +338,13 @@ def patch_line(line: str, pos: int, cigar: str) -> str:
     return "\t".join(fields)
 
 
-def scan_sam(buffer: bytes, reference: ReferenceGenome,
-             path) -> Tuple[bytes, ReadBatch]:
-    """A SAM file's bytes read in Python: ``(buffer, batch)``, the
-    batch's line spans addressing ``buffer``.
-
-    This is how the CLI reads what the compiled tokenizer declines (or
-    every file without the compiled tier): as a text-mode read of the
-    file does -- UTF-8, ``\\r\\n`` and ``\\r`` read as ``\\n`` (then
-    ``buffer`` is the text as read, re-encoded) -- and line by line as
-    :func:`parse_sam` does, errors located ``path:line``.
-    """
-    if b"\r" in buffer:
-        buffer = (buffer.decode("utf-8").replace("\r\n", "\n")
-                  .replace("\r", "\n").encode("utf-8"))
-    text = io.TextIOWrapper(io.BytesIO(buffer), encoding="utf-8")
-    line_at, line_end, reads, at = [], [], [], 0
-    for line, read in _lines(text, reference, path):
-        size = len(line) if line.isascii() else len(line.encode("utf-8"))
-        if read is not None:
-            reads.append(read)
-            line_at.append(at)
-            line_end.append(at + size - line.endswith("\n"))
-        at += size
-    return buffer, ReadBatch.of(reads, reference.contig_names,
-                                (line_at, line_end))
-
-
-def write_patched(buffer: bytes, batch: ReadBatch, moved, sink) -> None:
-    """Write ``buffer``, a SAM file's bytes, to the binary ``sink`` with
-    POS and CIGAR of alignment line ``index`` patched for each ``[index,
-    pos, cigar]`` of ``moved`` (ascending ``index``): everything else is
-    copied as byte spans of ``buffer``, which ``batch``'s line spans
-    address."""
-    view, at = memoryview(buffer), 0
+def write_patched(batch: ReadBatch, moved, sink) -> None:
+    """Write ``batch``'s buffer, a SAM file's bytes, to the binary
+    ``sink`` with POS and CIGAR of alignment line ``index`` patched for
+    each ``[index, pos, cigar]`` of ``moved`` (ascending ``index``):
+    everything else is copied as byte spans of the buffer, which the
+    batch's line spans address."""
+    view, at = memoryview(batch.buffer), 0
     starts, stops = batch.columns[LINE_AT], batch.columns[LINE_END]
     for index, pos, cigar in moved:
         start, stop = int(starts[index]), int(stops[index])

@@ -52,13 +52,6 @@ class BqsrModel:
         )
     )
 
-    def observe(self, reported_q: int, cycle: int, is_error: bool) -> None:
-        """Tabulate one base observation (scalar path, used by tests)."""
-        bucket = min(cycle // CYCLE_BUCKET, MAX_CYCLE_BUCKETS - 1)
-        self.observations[reported_q, bucket] += 1
-        if is_error:
-            self.errors[reported_q, bucket] += 1
-
     def observe_batch(self, reported_q: np.ndarray, cycles: np.ndarray,
                       is_error: np.ndarray) -> None:
         """Tabulate a vector of base observations."""

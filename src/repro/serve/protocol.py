@@ -111,13 +111,18 @@ def _header(line: bytes) -> Tuple[dict, Optional[int]]:
     return message, length
 
 
-def body_lines(body: bytes, request_id=None) -> list:
-    """A body's lines; :class:`ProtocolError` if it is not UTF-8."""
+def body_text(body: bytes, request_id=None) -> str:
+    """A body's text; :class:`ProtocolError` if it is not UTF-8."""
     try:
-        text = body.decode("utf-8")
+        return body.decode("utf-8")
     except UnicodeDecodeError as error:
         raise ProtocolError(f"sam body is not UTF-8: {error}",
                             request_id) from None
+
+
+def body_lines(body: bytes, request_id=None) -> list:
+    """A body's lines: its :func:`body_text` split at ``"\\n"``."""
+    text = body_text(body, request_id)
     return text.split("\n") if text else []
 
 
@@ -150,8 +155,8 @@ def decode_message(frame: bytes) -> dict:
 async def read_message(reader) -> Optional[dict]:
     """Read one frame from an ``asyncio.StreamReader``; None at EOF,
     inside a body too. A ``realign``'s ``sam`` is its body's bytes,
-    which the server checks before it decodes them
-    (:func:`body_lines`); any other body is decoded here, as
+    which the server reads as bytes (:func:`body_text` only checks the
+    ones the compiled pass declines); any other body is decoded here, as
     :func:`decode_message` decodes it."""
     line = await reader.readline()
     if not line:
@@ -175,6 +180,7 @@ __all__ = [
     "ProtocolError",
     "STATUSES",
     "body_lines",
+    "body_text",
     "decode_message",
     "encode_message",
     "error_response",

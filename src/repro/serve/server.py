@@ -13,8 +13,9 @@ runs neither half: it is checked and answered with nothing moved. The
 check is one pass of the compiled library over the job's bytes
 (:func:`repro.engine.native.sam_ingester`), which also fills the read
 columns an INDEL job's front half reads and builds its reads from; a
-body it declines, or any body without the compiled tier, is decoded and
-scanned in Python (:func:`repro.genomics.samlite.scan_lines`).
+body it declines, or any body without the compiled tier, is read into
+the same columns by its Python twin (:func:`repro.genomics.samlite
+.ingest`).
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from typing import Optional, Set, Tuple
 
 from repro.engine.native import sam_ingester
 from repro.genomics.reference import ReferenceGenome
-from repro.genomics.samlite import scan_lines
+from repro.genomics.samlite import ingest
 from repro.realign.realigner import IndelRealigner, moved_records
 from repro.serve.protocol import (
     MAX_MESSAGE_BYTES,
     ProtocolError,
-    body_lines,
+    body_text,
     encode_message,
     error_response,
     read_message,
@@ -215,13 +216,14 @@ class RealignmentServer:
         if batch is None and self._ingest is not None:
             self.service.note_declined()
         # The compiled pass accepts only ASCII. A body it did not accept
-        # is decoded here, before the header's fields are read, so a
-        # non-UTF-8 one fails first, as when the read path decoded it.
-        lines = None if batch is not None else body_lines(body, request_id)
+        # is checked to be UTF-8 here, before the header's fields are
+        # read, so a non-UTF-8 one fails first.
+        if batch is None:
+            body_text(body, request_id)
         tenant = str(message.get("tenant", DEFAULT_TENANT))
         deadline_s = _deadline_s(message.get("deadline_s"))
         if batch is None:
-            batch = scan_lines(lines, self.reference, "sam[{}]".format)
+            batch = ingest(body, self.reference, locate="sam[{}]".format)
         if batch.has_indel:
             # Front half off the loop: target identification + consensus
             # generation are pure CPU.

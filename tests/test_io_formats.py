@@ -18,9 +18,9 @@ from repro.genomics.reference import ReferenceGenome
 from repro.genomics.samlite import (
     SamError,
     format_read,
-    parse_lines,
+    ingest,
     parse_read,
-    parse_sam,
+    read_sam,
     write_sam,
 )
 
@@ -96,15 +96,16 @@ class TestSamLite:
         reads = [self.make_read(), self.make_read(name="r2", pos=10)]
         path = tmp_path / "aln.sam"
         write_sam(reads, path, reference=ref)
-        loaded = list(parse_sam(path))
+        loaded = read_sam(path)
         assert [r.name for r in loaded] == ["r1", "r2"]
         header = path.read_text().splitlines()[1]
         assert header == "@SQ\tSN:1\tLN:200"
 
     def test_parsed_quals_are_read_only_views_of_one_buffer(self):
         """Parsed reads own no quality array: each is a read-only view
-        of its batch's one decoded buffer, so an in-place write raises.
-        The paths that change qualities make new arrays and still work."""
+        of the one array its batch's reads decode, so an in-place write
+        raises. The paths that change qualities make new arrays and still
+        work."""
         from repro.workloads.adversarial import (
             AdversarialProfile,
             _scramble_tail,
@@ -112,7 +113,7 @@ class TestSamLite:
 
         lines = [line for line in self._sam_lines()
                  if not line.startswith("@")]
-        first, second, _ = parse_lines(lines)
+        first, second, _ = ingest("\n".join(lines).encode()).reads()
         assert first.quals.base is second.quals.base
         assert not first.quals.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -153,11 +154,11 @@ class TestSamLite:
         path = tmp_path / "bad.sam"
         path.write_text(text)
         with pytest.raises(SamError) as from_path:
-            list(parse_sam(path))
+            read_sam(path)
         assert str(from_path.value).startswith(f"{path}:{lineno}: ")
         assert message in str(from_path.value)
         with pytest.raises(SamError, match=f"^<stream>:{lineno}: "):
-            list(parse_sam(io.StringIO(text)))
+            read_sam(io.StringIO(text))
 
 
 class TestMalformedInputCli:

@@ -1,15 +1,15 @@
-"""Structured fuzz of the SAM-lite checker, the CIGAR parser and the
+"""Structured fuzz of the SAM-lite reader, the CIGAR parser and the
 ``moved`` reply: only the documented error types escape.
 
 Four properties (ROADMAP 8(b)):
 
-- :func:`~repro.genomics.samlite.scan_lines` on a valid five-line batch
-  with random character edits (replace, insert, delete -- tabs,
-  newlines, digits, bases, Phred characters and non-ASCII text
-  included) either returns a batch whose reads build, or raises a
-  :class:`~repro.genomics.samlite.SamError`, whose ``__cause__``, if
-  any, is a field decoder's error or a ``Read`` invariant's
-  ``ValueError``. With ``locate`` it reads
+- the Python reader, :func:`~repro.genomics.samlite.ingest`, on the body
+  of a valid five-line batch with random character edits (replace,
+  insert, delete -- tabs, newlines, digits, bases, Phred characters and
+  non-ASCII text included) either returns a batch whose reads build, or
+  raises a :class:`~repro.genomics.samlite.SamError`, whose
+  ``__cause__``, if any, is a field decoder's error or a ``Read``
+  invariant's ``ValueError``. With ``locate`` it reads
   ``"<located line>: <the unlocated error>"``, and the located line
   alone raises the unlocated error;
 - :meth:`Cigar.parse <repro.genomics.cigar.Cigar.parse>` on any text
@@ -19,18 +19,20 @@ Four properties (ROADMAP 8(b)):
   exactly the lines its entries name, or raises
   :class:`~repro.serve.protocol.ProtocolError`;
 - the compiled tokenizer (:func:`~repro.engine.native.sam_ingester`)
-  accepts only what ``scan_lines`` accepts, with the same columns
-  (spans, flag, POS, MAPQ, contig, end, CIGAR elements), reads and
-  mismatch columns, whose loci are ``mismatch_loci``'s of the reads:
-  on the edited batches above, and on whole bodies edited field by
-  field (signs, ``_``, 20-digit numbers, ``0M``, ``*`` RNAME and CIGAR,
-  flag 0x4, ``\r``, non-ASCII text, mismatched bases, empty and
-  trailing lines); in a file, after a header, the same. It declines
-  nothing the simulator writes, so the fast path provably runs.
+  accepts only what its Python twin ``ingest`` accepts on the same
+  bytes and ``file`` flag, with the same columns (byte spans, flag,
+  POS, MAPQ, contig, end, CIGAR elements), reads and mismatch columns,
+  whose loci are ``mismatch_loci``'s of the reads: on the edited
+  batches above, and on whole bodies edited field by field (signs,
+  ``_``, 20-digit numbers, ``0M``, ``*`` RNAME and CIGAR, flag 0x4,
+  ``\r``, non-ASCII text, mismatched bases, empty and trailing lines);
+  in a file, after a header, the same. It declines nothing the
+  simulator writes, so the fast path provably runs.
 
 CI runs them with ``--hypothesis-profile=ci --hypothesis-seed=2019``.
 """
 
+import io
 import re
 
 import numpy as np
@@ -42,18 +44,18 @@ from repro.align.pileup import mismatch_loci
 from repro.engine.native import sam_ingester
 from repro.genomics.cigar import Cigar, CigarError
 from repro.genomics.quality import QualityError
-from repro.genomics.read import LENGTH
 from repro.genomics.samlite import (
     SamError,
     format_read,
+    ingest,
     patch_line,
-    scan_lines,
+    write_sam,
 )
 from repro.genomics.sequence import SequenceError
 from repro.genomics.simulate import SimulationProfile, simulate_sample
 from repro.serve.client import patch_moved
 from repro.serve.jobs import partition_jobs
-from repro.serve.protocol import ProtocolError, body_lines
+from repro.serve.protocol import ProtocolError
 
 # A test without max_examples of its own takes the active profile's
 # (the ``ci`` profile is registered in tests/conftest.py).
@@ -63,7 +65,7 @@ relaxed = settings(deadline=None,
 SAMPLE = simulate_sample({"chrF": 3000}, seed=7)
 LINES = [format_read(read) for read in SAMPLE.reads]
 
-#: What ``scan_lines`` may raise without ``locate``: its own error, and
+#: What ``ingest`` may raise without ``locate``: its own error, and
 #: nothing else.
 SCAN_ERRORS = (SamError,)
 
@@ -111,11 +113,12 @@ def _raised(call):
 
 @relaxed
 @given(lines=edited_batch(), with_reference=st.booleans())
-def test_scan_lines_raises_only_documented_errors(lines, with_reference):
+def test_the_reader_raises_only_documented_errors(lines, with_reference):
     reference = SAMPLE.reference if with_reference else None
-    error = _raised(lambda: scan_lines(lines, reference).reads())
-    located = _raised(lambda: scan_lines(lines, reference,
-                                         locate=lambda i: f"line {i}"))
+    body = "\n".join(lines).encode("utf-8")
+    error = _raised(lambda: ingest(body, reference).reads())
+    located = _raised(lambda: ingest(body, reference,
+                                     locate=lambda i: f"line {i}"))
     if error is None:
         assert located is None
         return
@@ -124,8 +127,9 @@ def test_scan_lines_raises_only_documented_errors(lines, with_reference):
     assert type(located) is SamError, repr(located)
     prefix, _, message = str(located).partition(": ")
     assert message == str(error)
-    row = int(prefix.removeprefix("line "))
-    alone = _raised(lambda: scan_lines([lines[row]], reference))
+    line = body.split(b"\n")[int(prefix.removeprefix("line "))]
+    # an empty line alone is a body of empty lines, not an empty body
+    alone = _raised(lambda: ingest(line or b"\n", reference))
     assert type(alone) is type(error) and str(alone) == str(error)
     assert type(alone.__cause__) is type(error.__cause__)
 
@@ -177,7 +181,7 @@ def test_patch_moved_raises_only_protocol_error(moved, short):
 
 
 # ---------------------------------------------------------------------
-# the compiled tokenizer against scan_lines
+# the compiled tokenizer against its Python twin
 # ---------------------------------------------------------------------
 
 #: The tokenizer against the sample's reference; None without the
@@ -193,37 +197,41 @@ READ_FIELDS = ("name", "chrom", "pos", "seq", "cigar", "mapq", "is_reverse",
 
 
 def _same_columns(got, want, reference) -> None:
-    """The compiled batch ``got`` holds ``want``'s columns, reads and
-    mismatch columns, and gives ``mismatch_loci``'s loci."""
-    assert got.contigs == want.contigs
+    """The compiled batch ``got`` holds ``want``'s buffer, columns,
+    reads and mismatch columns, and gives ``mismatch_loci``'s loci."""
+    assert got.buffer == want.buffer and got.contigs == want.contigs
     assert np.array_equal(got.columns, want.columns)
     assert np.array_equal(got.op_at, want.op_at)
     assert np.array_equal(got.ops, want.ops)
     assert got.has_indel == want.has_indel
     assert np.array_equal(got.indel, want.indel)
-    for mine, theirs in zip(got.reads(), want.reads()):
+    # a read built alone, and every read built together
+    assert len(got) == len(want)
+    built = [want.read(i) for i in range(len(want))]
+    for mine, theirs, alone in zip(got.reads(), want.reads(), built):
+        assert theirs is alone
         assert np.array_equal(mine.quals, theirs.quals)
         assert ([getattr(mine, field) for field in READ_FIELDS]
                 == [getattr(theirs, field) for field in READ_FIELDS])
-    if got.has_indel:
-        # the pass's own columns: handed over once
-        for mine, theirs in zip(got.mismatches(reference),
-                                want.mismatches(reference)):
-            assert np.array_equal(mine, theirs)
+    # the compiled pass's own columns, where it filled them: handed over
+    # once
+    for mine, theirs in zip(got.mismatches(reference),
+                            want.mismatches(reference)):
+        assert np.array_equal(mine, theirs)
     reads = want.reads()
     for depth, fraction in ((1, 0.01), (2, 0.5), (4, 0.5)):
         assert (mismatch_loci(got, reference, depth, fraction)
                 == mismatch_loci(reads, reference, depth, fraction))
 
 
-def _check_agrees(body: bytes, reference=SAMPLE.reference,
-                  ingest=INGEST) -> str:
-    """The tokenizer's verdict on ``body``; when it accepts,
-    ``scan_lines`` accepts the body's lines with the same columns."""
-    batch = ingest(body)
+def _check_agrees(buffer: bytes, reference=SAMPLE.reference,
+                  compiled=INGEST, file: bool = False) -> str:
+    """The tokenizer's verdict on ``buffer``; when it accepts, ``ingest``
+    accepts the same bytes and flag with the same columns."""
+    batch = compiled(buffer, file=file)
     if batch is None:
         return DECLINED
-    _same_columns(batch, scan_lines(body_lines(body), reference), reference)
+    _same_columns(batch, ingest(buffer, reference, file=file), reference)
     return INDEL if batch.has_indel else NO_INDEL
 
 
@@ -309,14 +317,14 @@ def edited_body(draw) -> bytes:
 @needs_ingest
 @relaxed
 @given(body=edited_body())
-def test_an_accepted_body_is_one_scan_lines_accepts(body):
+def test_an_accepted_body_is_one_the_reader_accepts(body):
     _check_agrees(body)
 
 
 @needs_ingest
 @relaxed
 @given(lines=edited_batch())
-def test_an_accepted_edited_batch_is_one_scan_lines_accepts(lines):
+def test_an_accepted_edited_batch_is_one_the_reader_accepts(lines):
     _check_agrees("\n".join(lines).encode("utf-8"))
 
 
@@ -326,26 +334,20 @@ def test_an_accepted_edited_batch_is_one_scan_lines_accepts(lines):
     ("", "@HD\tVN:1.6\n", "@HD\tVN:1.6\n@SQ\tSN:chrF\tLN:3000\n")))
 def test_a_file_is_its_body_after_its_header(body, header):
     """In a file the tokenizer skips ``@`` lines and takes a final
-    newline; what it accepts has the body's columns, its spans moved
-    past the header."""
-    batch = INGEST(body)
+    newline: it accepts the body's lines after a header when it accepts
+    the body and no ``\\r`` is in it, with the columns ``ingest`` reads
+    from the file's bytes. A ``\\r\\n`` file it declines is read by
+    ``ingest`` as the ``\\n`` one."""
     text = header.encode() + body + b"\n"
-    in_file = INGEST(text, file=True)
-    if batch is None or b"\r" in body:
-        # a text-mode read would take the \r for a line end
-        assert in_file is None
-        return
-    shifted = batch.columns.copy()
-    shifted[:LENGTH] += len(header)
-    assert np.array_equal(in_file.columns, shifted)
-    assert np.array_equal(in_file.ops, batch.ops)
-    # a file's pass fills the mismatch columns whether or not it finds
-    # an INDEL
-    scanned = scan_lines(body_lines(body), SAMPLE.reference)
-    for mine, theirs in zip(in_file.mismatches(SAMPLE.reference),
-                            scanned.mismatches(SAMPLE.reference)):
-        assert np.array_equal(mine, theirs)
-    assert INGEST(text.replace(b"\n", b"\r\n"), file=True) is None
+    verdict = _check_agrees(text, file=True)
+    # a text-mode read would take the \r for a line end
+    assert (verdict == DECLINED) == (INGEST(body) is None or b"\r" in body)
+    crlf = text.replace(b"\n", b"\r\n")
+    assert INGEST(crlf, file=True) is None
+    if verdict != DECLINED:
+        _same_columns(INGEST(text, file=True),
+                      ingest(crlf, SAMPLE.reference, file=True),
+                      SAMPLE.reference)
 
 
 @needs_ingest
@@ -394,29 +396,33 @@ def test_the_edits_the_check_must_decline_and_accept():
 @needs_ingest
 def test_the_check_declines_no_simulated_job():
     """Every ``serve_regions``-shaped job at seed 2019 (32 contigs of
-    2 kb at 30x), and one whole 60 kb / 30x body, is accepted, with
-    ``scan_lines``' columns and mismatch columns."""
+    2 kb at 30x), and one whole 60 kb / 30x body and file, is accepted,
+    with ``ingest``'s columns and mismatch columns."""
     profile = SimulationProfile(coverage=30.0)
     sample = simulate_sample({f"ctg{i:02d}": 2000 for i in range(32)},
                              profile=profile, seed=2019)
-    ingest = sam_ingester(sample.reference)
+    compiled = sam_ingester(sample.reference)
     jobs = partition_jobs(sample.reads, sample.reference)
     verdicts = [_check_agrees("\n".join(map(format_read, job.reads))
-                              .encode(), sample.reference, ingest)
+                              .encode(), sample.reference, compiled)
                 for job in jobs]
     assert len(jobs) == 32 and DECLINED not in verdicts
     assert INDEL in verdicts and NO_INDEL in verdicts
     sample = simulate_sample({"chrW": 60_000}, profile=profile, seed=2019)
+    compiled = sam_ingester(sample.reference)
     body = "\n".join(map(format_read, sample.reads)).encode()
-    assert _check_agrees(body, sample.reference,
-                         sam_ingester(sample.reference)) == INDEL
+    assert _check_agrees(body, sample.reference, compiled) == INDEL
+    text = io.StringIO()
+    write_sam(sample.reads, text, sample.reference)
+    assert _check_agrees(text.getvalue().encode(), sample.reference,
+                         compiled, file=True) == INDEL
 
 
 @needs_ingest
 def test_the_tokenizer_makes_room_for_what_it_finds():
     """Short lines outnumber the first guess at the rows, and reads that
     mismatch at every base the guess at the mismatch columns: the pass
-    is run again with room, and its columns are still ``scan_lines``'."""
+    is run again with room, and its columns are still ``ingest``'s."""
     contig = SAMPLE.reference.fetch("chrF", 0, CONTIG_LENGTH)
     lines = []
     for i in range(300):

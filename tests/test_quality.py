@@ -157,10 +157,10 @@ class TestCodecAgainstItsDefinition:
             assert got.flags.writeable and got.flags.owndata
 
     def test_non_ascii_quality_text_is_a_quality_error(self):
-        """The served path calls the batch parser, ``parse_lines``, with
-        no ``parse_sam`` around it to retype a ``UnicodeEncodeError``;
-        ``parse_read`` is that parser on a batch of one, and raises the
-        ``QualityError`` as the cause of its ``SamError``."""
+        """The served path calls the SAM reader, ``ingest``, with no
+        file reader around it to retype a ``UnicodeEncodeError``;
+        ``parse_read`` is that reader on a body of one line, and raises
+        the ``QualityError`` as the cause of its ``SamError``."""
         from repro.genomics.samlite import SamError, parse_read
 
         with pytest.raises(QualityError, match="outside Phred\\+33 range: 'é'"):

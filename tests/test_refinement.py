@@ -85,10 +85,8 @@ class TestBqsr:
     def test_model_moves_toward_empirical_rate(self):
         model = BqsrModel()
         # Reported Q30 but empirical error rate ~10% => recalibrated ~Q10.
-        for _ in range(2000):
-            model.observe(30, 5, False)
-        for _ in range(200):
-            model.observe(30, 5, True)
+        errors = np.arange(2200) >= 2000
+        model.observe_batch(np.full(2200, 30), np.full(2200, 5), errors)
         recal = model.quality_table()[30, 5 // CYCLE_BUCKET]
         assert 9 <= recal <= 12
 
@@ -97,16 +95,21 @@ class TestBqsr:
         assert model.quality_table()[25, 0] == 25
 
     def test_observe_batch_matches_scalar(self):
-        scalar = BqsrModel()
-        batch = BqsrModel()
+        """Four observations land in the four ``(Q, cycle bucket)``
+        cells the per-base rule gives, written out: bucket ``cycle //
+        32``, so cycle 40 in bucket 1 and cycle 200 in bucket 6."""
+        model = BqsrModel()
         qs = np.array([30, 30, 20, 20], dtype=np.int64)
         cycles = np.array([0, 40, 0, 200])
         errors = np.array([True, False, False, True])
-        for q, c, e in zip(qs, cycles, errors):
-            scalar.observe(int(q), int(c), bool(e))
-        batch.observe_batch(qs, cycles, errors)
-        assert np.array_equal(scalar.observations, batch.observations)
-        assert np.array_equal(scalar.errors, batch.errors)
+        model.observe_batch(qs, cycles, errors)
+        observations = np.zeros_like(model.observations)
+        wrong = np.zeros_like(model.errors)
+        observations[30, 0] = observations[30, 1] = 1
+        observations[20, 0] = observations[20, 6] = 1
+        wrong[30, 0] = wrong[20, 6] = 1
+        assert np.array_equal(model.observations, observations)
+        assert np.array_equal(model.errors, wrong)
 
     def test_recalibrate_end_to_end(self):
         profile = SimulationProfile(coverage=20, base_error_rate=0.02)

@@ -1,26 +1,23 @@
-"""The batch SAM parser against the per-line parser it replaced.
+"""The SAM reader against the per-line parser it replaced.
 
 ``parse_read`` and ``check_placement`` below are the per-line parser
-the repository used before :func:`repro.genomics.samlite.parse_lines`,
-copied verbatim as the reference: one ``Read`` per line through
-``__post_init__``, then the placement check. On drawn batches of
-mapped, unmapped and flagged lines with up to two corrupted lines, the
-batch parser must give
+the repository used before the batch reader, copied verbatim as the
+reference: one ``Read`` per line through ``__post_init__``, then the
+placement check. On drawn batches of mapped, unmapped and flagged lines
+with up to two corrupted lines, :func:`repro.genomics.samlite.ingest`
+-- on the lines as a served job's body, and as a file with header and
+blank lines among the reads, read in chunks of a few lines -- must give
 
 - on a valid batch, the same reads, every field and ``quals`` element
-  by element;
-- on an invalid one, the reference's first error: raw, a
+  by element, whether built one at a time or all together, and a
+  ``has_indel`` that is whether any of those reads has an INDEL -- what
+  the server's gate answers a job on;
+- on an invalid one, the reference's first error: raw from a body, a
   :class:`~repro.genomics.samlite.SamError` with the same message whose
   ``__cause__`` is the reference's error unless that is a ``SamError``
   itself; ``sam[i]: ...`` as a served job reports it; and
-  ``path:line: ...`` from a file read in chunks of a few lines with
-  header and blank lines among the reads.
-
-Its check half, :func:`~repro.genomics.samlite.scan_lines`, alone must
-raise the same first error, raw, as ``sam[i]`` and as ``path:line``;
-on a valid batch its ``reads()`` must not raise, and its ``has_indel``
-must be whether any of those reads has an INDEL -- what the server's
-gate answers a job on.
+  ``path:line: ...`` from the file's bytes, and from
+  :func:`~repro.genomics.samlite.read_sam` on its path.
 
 CI runs the property with ``--hypothesis-profile=ci
 --hypothesis-seed=2019``.
@@ -30,7 +27,6 @@ import os
 import tempfile
 from unittest import mock
 
-import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -262,35 +258,42 @@ def test_batch_parser_matches_the_per_line_reference(lines, chunk, extra):
         text.extend(other for at, other in extra if at == index)
         text.append(line)
         linenos.append(len(text))
-    with tempfile.TemporaryDirectory() as tmp:
+    body = "\n".join(lines).encode("utf-8")
+    file = "".join(f"{line}\n" for line in text).encode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(samlite, "CHUNK_LINES", chunk):
         path = os.path.join(tmp, "drawn.sam")
-        with open(path, "w") as handle:
-            handle.write("".join(f"{line}\n" for line in text))
-        with mock.patch.object(samlite, "CHUNK_LINES", chunk):
+        with open(path, "wb") as handle:
+            handle.write(file)
+        outcomes = {
+            "raw": lambda: samlite.ingest(body, REFERENCE),
+            "served": lambda: samlite.ingest(body, REFERENCE,
+                                             locate="sam[{}]".format),
+            "file": lambda: samlite.ingest(
+                file, REFERENCE, file=True,
+                locate=lambda k: f"{path}:{k + 1}"),
+            "read_sam": lambda: samlite.read_sam(path, REFERENCE),
+        }
+        for mode, call in outcomes.items():
             try:
-                from_file = samlite.read_sam(path, REFERENCE)
+                outcomes[mode] = call()
             except SamError as error:
-                from_file = error
+                outcomes[mode] = error
     if failure is None:
-        _same_reads(samlite.parse_lines(lines, REFERENCE), want)
-        _same_reads(from_file, want)
-        checked = samlite.scan_lines(lines, REFERENCE)
-        assert checked.has_indel == any(read.has_indel for read in want)
-        _same_reads(checked.reads(), want)
+        for mode in ("raw", "served", "file"):
+            batch = outcomes[mode]
+            assert batch.has_indel == any(read.has_indel for read in want)
+            _same_reads([batch.read(i) for i in range(len(batch))], want)
+            _same_reads(batch.reads(), want)
+        _same_reads(outcomes["read_sam"], want)
         return
     index, error = failure
-    for parse in (samlite.parse_lines, samlite.scan_lines):
-        with pytest.raises(SamError) as raw:
-            parse(lines, REFERENCE)
-        assert str(raw.value) == str(error)
-        assert type(raw.value.__cause__) is (
-            type(None) if type(error) is SamError else type(error))
-        with pytest.raises(SamError) as served:
-            parse(lines, REFERENCE, "sam[{}]".format)
-        assert str(served.value) == f"sam[{index}]: {error}"
-    with pytest.raises(SamError) as located:
-        samlite.scan_lines(lines, REFERENCE,
-                           lambda k: f"{path}:{linenos[k]}")
-    assert str(located.value) == f"{path}:{linenos[index]}: {error}"
-    assert isinstance(from_file, SamError)
-    assert str(from_file) == f"{path}:{linenos[index]}: {error}"
+    raw = outcomes["raw"]
+    assert isinstance(raw, SamError) and str(raw) == str(error)
+    assert type(raw.__cause__) is (
+        type(None) if type(error) is SamError else type(error))
+    assert isinstance(outcomes["served"], SamError)
+    assert str(outcomes["served"]) == f"sam[{index}]: {error}"
+    for mode in ("file", "read_sam"):
+        assert isinstance(outcomes[mode], SamError)
+        assert str(outcomes[mode]) == f"{path}:{linenos[index]}: {error}"

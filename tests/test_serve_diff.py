@@ -115,6 +115,9 @@ AFTER = [format_read(read)
          for read in IndelRealigner(
              SAMPLE.reference, engine=EngineConfig(workers=1),
          ).realign(SAMPLE.reads)[0]]
+#: The first read the realigner moves.
+MOVED = next(i for i, (before, after) in enumerate(zip(BEFORE, AFTER))
+             if before != after)
 
 
 def _expected(sent):
@@ -273,13 +276,14 @@ class TestServedPathIsLossless:
             assert old.read_text() == "old contents\n"
             assert not os.path.samefile(out, old)
 
-    @pytest.mark.parametrize("kind", ["crlf", "non-ascii tag", "blank line",
+    @pytest.mark.parametrize("kind", ["crlf", "non-ascii tag",
+                                      "non-ascii name", "blank line",
                                       "header only"])
     def test_cli_reads_what_the_tokenizer_declines(self, cli_dir, kind):
         """Input the compiled tokenizer declines is read in Python, as a
         text-mode read of the file reads it: CRLF line ends come out as
-        LF, a non-ASCII tag and a blank line verbatim, a header-only
-        file as itself."""
+        LF, a non-ASCII tag, a moved read's non-ASCII QNAME and a blank
+        line verbatim, a header-only file as itself."""
         lines, expected = HEADER + BEFORE, HEADER + AFTER
         if kind == "crlf":
             text = _text(lines).replace("\n", "\r\n")
@@ -288,6 +292,12 @@ class TestServedPathIsLossless:
             expected = (expected[:7] + [expected[7] + "\tXN:Z:caf\u00e9"]
                         + expected[8:])
             text = _text(lines)
+        elif kind == "non-ascii name":
+            at = len(HEADER) + MOVED
+            lines, expected = list(lines), list(expected)
+            lines[at] = "caf\u00e9-" + lines[at]
+            expected[at] = "caf\u00e9-" + expected[at]
+            text = _text(lines)
         elif kind == "blank line":
             lines, expected = lines + [""], expected + [""]
             text = _text(lines)
@@ -295,6 +305,14 @@ class TestServedPathIsLossless:
             lines = expected = HEADER
             text = _text(lines)
         assert _cli_realign(cli_dir, text) == _text(expected)
+
+    def test_a_moved_read_with_a_non_ascii_name_round_trips(self, served):
+        """The compiled pass declines a body with a non-ASCII QNAME; the
+        Python reader decodes the name from the body as UTF-8, and the
+        read moves as it does under an ASCII name."""
+        sent = list(BEFORE)
+        sent[MOVED] = "caf\u00e9-" + sent[MOVED]
+        assert asyncio.run(_round_trip(*served, sent)) == _expected(sent)
 
     def test_tagged_paired_end_job_round_trip(self):
         # Reads 2k and 2k + 1 are mates: first and last segment.
