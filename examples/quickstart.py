@@ -7,8 +7,9 @@ Walks the library's core loop end to end in under a minute:
    misaligned by the primary aligner (gap-free alignments full of
    mismatches -- the error INDEL realignment exists to fix);
 3. run the software realigner (the paper's Algorithms 1 + 2);
-4. run the same sites through the 32-unit FPGA accelerator model and
-   check the outputs are bit-identical, then compare modelled runtimes.
+4. run the same realigner with its kernel on the 32-unit FPGA
+   accelerator model and check the outputs are bit-identical, then
+   compare modelled runtimes.
 
 Run:  python examples/quickstart.py
 """
@@ -16,7 +17,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.baselines.gatk3 import Gatk3Baseline
-from repro.core.system import AcceleratedRealigner, SystemConfig
+from repro.core.system import AcceleratedIRSystem, SystemConfig
 from repro.genomics.cigar import Cigar
 from repro.genomics.read import Read
 from repro.genomics.reference import Contig, ReferenceGenome
@@ -66,8 +67,9 @@ def main():
     print(f"misaligned reads now carrying the deletion: {fixed}/{misaligned}")
 
     # --- the same kernel on the accelerated system --------------------
-    accelerated = AcceleratedRealigner(reference, SystemConfig.iracc())
-    hw_reads, run, _ = accelerated.realign(reads)
+    system = AcceleratedIRSystem(SystemConfig.iracc())
+    hw_reads, _ = IndelRealigner(reference, engine=system).realign(reads)
+    run = system.last_run
     identical = all(
         a.pos == b.pos and str(a.cigar) == str(b.cigar)
         for a, b in zip(updated, hw_reads)

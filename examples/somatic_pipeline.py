@@ -11,7 +11,7 @@ level.
 Run:  python examples/somatic_pipeline.py
 """
 
-from repro.core.system import SystemConfig
+from repro.core.system import AcceleratedIRSystem, SystemConfig
 from repro.genomics.simulate import SimulationProfile, simulate_sample
 from repro.refinement.pipeline import RefinementPipeline
 from repro.variants.caller import SomaticCaller
@@ -44,8 +44,7 @@ def main():
 
     # --- the full refinement pipeline, IR on the accelerator ------------
     pipeline = RefinementPipeline(
-        sample.reference, use_accelerator=True,
-        system_config=SystemConfig.iracc(),
+        sample.reference, engine=AcceleratedIRSystem(SystemConfig.iracc()),
     )
     refined = pipeline.run(sample.reads)
     print(f"\nrefinement pipeline stages:")

@@ -256,14 +256,15 @@ def _cmd_realign(args: argparse.Namespace) -> int:
                            locate=lambda k: f"{args.sam}:{k + 1}")
         del buffer  # --out copies batch.buffer (CR-free, if it had a \r)
         if args.accelerated:
-            from repro.core.system import AcceleratedRealigner, SystemConfig
+            from repro.core.system import AcceleratedIRSystem, SystemConfig
 
-            config = SystemConfig.iracc()
+            engine = AcceleratedIRSystem(SystemConfig.iracc())
             if telemetry is not None:
-                telemetry.label = config.name
-            realigner = AcceleratedRealigner(reference, config)
-            windows, run, report = realigner.decide(batch, telemetry=telemetry)
-            results = run.unit_results
+                telemetry.label = engine.config.name
+        windows, results, report = IndelRealigner(
+            reference, engine=engine).decide(batch, telemetry=telemetry)
+        if args.accelerated:
+            run = engine.last_run
             print(f"accelerated run: {run.total_seconds * 1e3:.2f} modelled "
                   f"ms, {run.pruned_fraction:.0%} of comparisons pruned")
             if telemetry is not None:
@@ -272,8 +273,6 @@ def _cmd_realign(args: argparse.Namespace) -> int:
                 metrics = derive_schedule_metrics(telemetry)
                 print(f"telemetry: {metrics.describe()}")
         else:
-            windows, results, report = IndelRealigner(
-                reference, engine=engine).decide(batch, telemetry=telemetry)
             print(f"engine: workers={args.workers} batch={args.batch} "
                   f"kernel={args.kernel}")
         if telemetry is not None:
@@ -481,6 +480,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         print(f"error: {bad}", file=sys.stderr)
         return 2
     reference, header, lines, reads = _loadgen_inputs(args)
+    if not lines:
+        print(f"error: {args.sam or 'the simulated sample'}: no alignment "
+              f"lines to serve", file=sys.stderr)
+        return 2
 
     async def drive(host: str, port: int):
         updated, report = await run_loadgen(

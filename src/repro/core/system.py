@@ -10,29 +10,25 @@ match the paper's evaluation (Figure 9 legend):
 - ``IR ACC`` -- 32 data-parallel (32-lane) units, asynchronous
   scheduling; the shipped configuration.
 
-The functional outputs of a run are bit-identical to the software
-realigner (pinned by tests); the timing outputs come from the cycle
-model plus the DMA/clock models.
+The system is an engine: :meth:`AcceleratedIRSystem.run_sites` is the
+``run_sites`` contract :class:`repro.realign.IndelRealigner` drives, so
+``IndelRealigner(reference, engine=AcceleratedIRSystem(config))`` runs
+the host's front half and the kernel on the model. The functional
+outputs of a run are bit-identical to the host engine's (pinned by
+tests); the timing outputs come from the cycle model plus the
+DMA/clock models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence
 
 from repro.core.accelerator import IRUnit, UnitConfig, UnitRunResult
-from repro.core.host import HostPlan, plan_targets
+from repro.core.host import plan_targets
 from repro.core.scheduler import ScheduledTarget, ScheduleResult, schedule
-from repro.genomics.read import Read, ReadBatch
-from repro.genomics.reference import ReferenceGenome
 from repro.hw.clock import ClockRecipe, F1_CLOCK_125MHZ
 from repro.hw.memory import PcieDmaModel
-from repro.realign.consensus import ConsensusWindow
-from repro.realign.realigner import (
-    IndelRealigner,
-    RealignerReport,
-    apply_site_results,
-)
 from repro.realign.site import RealignmentSite, SiteLimits, PAPER_LIMITS
 
 
@@ -85,7 +81,6 @@ class SystemRunResult:
     config: SystemConfig
     unit_results: List[UnitRunResult]
     schedule: ScheduleResult
-    host_plan: HostPlan
     total_seconds: float
     transfer_seconds: float
     replication: int = 1
@@ -147,10 +142,18 @@ class SystemRunResult:
 
 
 class AcceleratedIRSystem:
-    """The full FPGA-accelerated INDEL realignment system."""
+    """The full FPGA-accelerated INDEL realignment system.
+
+    An engine, like :class:`repro.engine.Engine`: :meth:`run_sites`
+    returns one result per site, and the run behind them -- modelled
+    time, schedule, pruning -- is kept as ``last_run``, the way an
+    engine keeps ``stream_stats`` for its latest run.
+    """
 
     def __init__(self, config: Optional[SystemConfig] = None):
         self.config = config or SystemConfig()
+        #: The latest :meth:`run_sites` call's run (None before one).
+        self.last_run: Optional[SystemRunResult] = None
         self._unit = IRUnit(
             UnitConfig(
                 lanes=self.config.lanes,
@@ -168,6 +171,14 @@ class AcceleratedIRSystem:
             self.config.num_units * self.config.lanes
             * self.config.clock.frequency_hz
         )
+
+    def run_sites(self, sites: Sequence[RealignmentSite],
+                  telemetry=None) -> List[UnitRunResult]:
+        """The engine contract: :meth:`run` ``sites`` once, keep the run
+        as ``last_run``, and return its ``unit_results`` -- one per
+        site, in input order."""
+        self.last_run = self.run(sites, telemetry=telemetry)
+        return self.last_run.unit_results
 
     def run(self, sites: Sequence[RealignmentSite],
             replication: int = 1, telemetry=None) -> SystemRunResult:
@@ -198,7 +209,8 @@ class AcceleratedIRSystem:
             raise ValueError("replication must be positive")
         if telemetry is not None and telemetry.ticks_per_second is None:
             telemetry.ticks_per_second = self.config.clock.frequency_hz
-        plan = plan_targets(
+        # Planned for its DRAM-capacity check and its host.* counters.
+        plan_targets(
             sites,
             unit_assignment=[i % self.config.num_units
                              for i in range(len(sites))],
@@ -241,7 +253,6 @@ class AcceleratedIRSystem:
             config=self.config,
             unit_results=unit_results,
             schedule=timeline,
-            host_plan=plan,
             total_seconds=total_seconds,
             transfer_seconds=sum(transfers) * replication,
             replication=replication,
@@ -277,49 +288,3 @@ class AcceleratedIRSystem:
                 site.input_bytes() + site.output_bytes() for site in sites
             ),
         )
-
-
-class AcceleratedRealigner:
-    """End-to-end INDEL realignment with the kernel offloaded to the FPGA.
-
-    Runs the host-side front half (target identification + consensus
-    generation, shared with :class:`repro.realign.IndelRealigner`), ships
-    every site through the accelerated system, and applies the hardware's
-    realign decisions to the reads. Output reads are bit-identical to
-    the software realigner's.
-    """
-
-    def __init__(
-        self,
-        reference: ReferenceGenome,
-        config: Optional[SystemConfig] = None,
-    ):
-        self.reference = reference
-        self.system = AcceleratedIRSystem(config)
-        self._front_half = IndelRealigner(
-            reference, scoring=self.system.config.scoring
-        )
-
-    def decide(
-        self, reads: Union[Sequence[Read], ReadBatch], telemetry=None
-    ) -> Tuple[List[ConsensusWindow], SystemRunResult, RealignerReport]:
-        """The front half on the host and the kernel on the system, nothing
-        applied: ``(windows, run, report)``, the kernel's decisions in
-        ``run.unit_results``."""
-        targets, windows = self._front_half.build_sites(reads)
-        report = RealignerReport(
-            targets_identified=len(targets),
-            sites_built=len(windows),
-            reads_examined=len(reads),
-        )
-        site_list = [window.site for window in windows]
-        run = self.system.run(site_list, telemetry=telemetry)
-        return windows, run, report
-
-    def realign(
-        self, reads: Sequence[Read], telemetry=None
-    ) -> Tuple[List[Read], SystemRunResult, RealignerReport]:
-        windows, run, report = self.decide(reads, telemetry)
-        updated = apply_site_results(reads, windows, run.unit_results,
-                                     report)
-        return updated, run, report

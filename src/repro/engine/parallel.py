@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import queue as queue_module
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.autotune import KERNEL_CHOICES, dispatch_realign
@@ -459,15 +459,15 @@ class Engine:
             pass
 
 
-def resolve_engine(engine, scoring: str):
+def resolve_engine(engine):
     """The live engine an ``engine=`` argument names.
 
-    An :class:`EngineConfig` becomes a new :class:`Engine` with the
-    caller's ``scoring``; anything with the ``run_sites`` contract (an
-    engine, a test fake) is used as is.
+    An :class:`EngineConfig` becomes a new :class:`Engine`; anything
+    with the ``run_sites`` contract (an engine, the FPGA model, a test
+    fake) is used as is. The score method is the engine's own.
     """
     if isinstance(engine, EngineConfig):
-        return Engine(replace(engine, scoring=scoring))
+        return Engine(engine)
     if hasattr(engine, "run_sites"):
         return engine
     raise TypeError(

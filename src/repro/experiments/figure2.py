@@ -58,12 +58,15 @@ def run(execute_pipeline: bool = True, seed: int = 2) -> Figure2Result:
         ir_total_share=ir_share_of_total(),
     )
     if execute_pipeline:
+        from repro.engine import EngineConfig
+
         profile = SimulationProfile(indel_rate=8e-4, coverage=30)
         sample = simulate_sample({"22": 20_000}, profile=profile, seed=seed)
         # Pin the baseline numpy kernel: this figure profiles the
         # *unaccelerated* refinement pipeline, so its stage breakdown
         # must not shift with the compiled tier `auto` resolves to.
-        pipeline = RefinementPipeline(sample.reference, kernel="vector")
+        pipeline = RefinementPipeline(sample.reference,
+                                      engine=EngineConfig(kernel="vector"))
         result.measured = pipeline.run(sample.reads)
     return result
 

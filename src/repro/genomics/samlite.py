@@ -114,23 +114,24 @@ def ingest(buffer: bytes, reference: Optional[ReferenceGenome] = None,
     so a trailing newline is an empty last line -- or, with ``file``,
     a file's bytes, read as a text-mode read of the file reads them:
     ``\\r\\n`` and ``\\r`` as ``\\n`` (the batch's ``buffer`` is then
-    the bytes so rewritten), blank and ``@`` header lines skipped. Either
-    is UTF-8 (else ``UnicodeDecodeError``). With ``reference``, a mapped
-    read must lie on one of its contigs, inside it, and the ``CONTIG``
+    the bytes so rewritten), blank and ``@`` header lines skipped. Every
+    line, header lines too, is UTF-8. With ``reference``, a mapped read
+    must lie on one of its contigs, inside it, and the ``CONTIG``
     indices follow its order; without, their order of appearance.
 
     A bad buffer raises what its first bad line alone raises, for the
-    first failure in that line in this order: field count, numeric
-    field, quality characters, CIGAR syntax, bases, quality count, CIGAR
-    length, POS, MAPQ, RNAME, alignment end. It is always a
-    :class:`SamError`: a field decoder's error or a ``Read`` invariant's
-    ``ValueError`` keeps its message and is the ``__cause__``. With
-    ``locate``, the message is prefixed ``locate(k): ``, ``k`` the
-    line's 0-based index among all the buffer's lines.
+    first failure in that line in this order: UTF-8, field count,
+    numeric field, quality characters, CIGAR syntax, bases, quality
+    count, CIGAR length, POS, MAPQ, RNAME, alignment end. It is always a
+    :class:`SamError`: the ``UnicodeDecodeError``, a field decoder's
+    error or a ``Read`` invariant's ``ValueError`` keeps its message
+    and is the ``__cause__``. With ``locate``, the message is prefixed
+    ``locate(k): ``, ``k`` the line's 0-based index among all the
+    buffer's lines.
     """
     if file and b"\r" in buffer:
-        buffer = (buffer.decode("utf-8").replace("\r\n", "\n")
-                  .replace("\r", "\n").encode("utf-8"))
+        # No byte of a multi-byte UTF-8 character is a \r or a \n.
+        buffer = buffer.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if reference is None:
         contigs, sizes = {}, None
     else:
@@ -144,9 +145,13 @@ def ingest(buffer: bytes, reference: Optional[ReferenceGenome] = None,
     while chunk := list(islice(lines, CHUNK_LINES)):
         # each alignment line's fields, and its index, span and whether
         # it is ASCII
-        rows, where = [], []
+        rows, where, undecodable = [], [], None
         for line in chunk:
-            text = line.decode("utf-8").rstrip("\n")
+            try:
+                text = line.decode("utf-8").rstrip("\n")
+            except UnicodeDecodeError as error:
+                undecodable = error  # line k; the lines before it go first
+                break
             if not (file and (not text or text.isspace()
                               or text.startswith("@"))):
                 rows.append(text.split("\t"))
@@ -161,6 +166,11 @@ def ingest(buffer: bytes, reference: Optional[ReferenceGenome] = None,
             if isinstance(error, SamError):
                 raise error
             raise SamError(str(error)) from error
+        if undecodable is not None:
+            message = f"line is not UTF-8: {undecodable}"
+            if locate is not None:
+                message = f"{locate(k)}: {message}"
+            raise SamError(message) from undecodable
         block = []
         for fields, (_k, line_at, line_end, ascii), (flag, pos, mapq, contig,
                                                       end, cigar) in zip(

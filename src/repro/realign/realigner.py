@@ -32,7 +32,6 @@ from repro.realign.consensus import (
     build_site,
     realigned_read_placement,
 )
-from repro.realign.site import SiteLimits, PAPER_LIMITS
 from repro.realign.targets import (
     RealignmentTarget,
     TargetCreatorConfig,
@@ -61,39 +60,36 @@ class RealignerReport:
 
 
 class IndelRealigner:
-    """Software INDEL realigner over a reference genome."""
+    """INDEL realigner over a reference genome: the front half on the
+    host, the WHD kernel on its engine (host threads or the FPGA
+    model)."""
 
     def __init__(
         self,
         reference: ReferenceGenome,
         creator_config: Optional[TargetCreatorConfig] = None,
-        limits: SiteLimits = PAPER_LIMITS,
-        scoring: str = "similarity",
         engine=None,
         kernel: str = "auto",
     ):
-        """``scoring`` selects Algorithm 2's consensus-score semantics
-        (see :func:`repro.realign.whd.score_and_select`).
-        ``kernel`` names the WHD kernel of the default plane
-        (``auto``/``scalar``/``vector``/``fft``/``bitpack``/``native``;
-        see :func:`repro.engine.autotune.dispatch_realign`) -- every
-        choice is exact, so outputs are identical.
-        ``engine`` names the execution plane (:mod:`repro.engine`) the
-        sites run on: an :class:`repro.engine.EngineConfig` (its
-        ``scoring`` is overridden by this realigner's) or anything with
-        ``run_sites`` -- a ready :class:`repro.engine.Engine` (used
-        as-is; its config's scoring must match). None (the default) is
-        the default engine on ``kernel`` (:meth:`_engine_instance`).
-        Every plane is byte-identical (pinned by goldens)."""
+        """``engine`` is where the WHD kernel runs
+        (:func:`repro.engine.resolve_engine`): an
+        :class:`repro.engine.EngineConfig`, or anything with the
+        ``run_sites`` contract -- a ready :class:`repro.engine.Engine`
+        or the FPGA model, :class:`repro.core.system.AcceleratedIRSystem`
+        -- used as is. The engine's config carries Algorithm 2's score
+        method (``scoring``). None (the default) is the default engine
+        on ``kernel`` (``auto``/``scalar``/``vector``/``fft``/``bitpack``
+        /``native``; see :func:`repro.engine.autotune.dispatch_realign`).
+        Every kernel and every engine is exact, so outputs are identical
+        (pinned by goldens). ``creator_config.limits`` bounds the sites
+        the front half builds."""
         if kernel not in KERNEL_CHOICES:
             raise ValueError(
                 f"unknown kernel {kernel!r}; choose from {KERNEL_CHOICES}"
             )
         self.reference = reference
-        self.creator_config = creator_config or TargetCreatorConfig(limits=limits)
-        self.limits = limits
+        self.creator_config = creator_config or TargetCreatorConfig()
         self.kernel = kernel
-        self.scoring = scoring
         self.engine = engine
         self._engine = None
 
@@ -112,7 +108,7 @@ class IndelRealigner:
             engine = self.engine
             if engine is None:
                 engine = EngineConfig(kernel=self.kernel)
-            self._engine = resolve_engine(engine, self.scoring)
+            self._engine = resolve_engine(engine)
         return self._engine
 
     def build_sites(
@@ -120,8 +116,8 @@ class IndelRealigner:
     ) -> Tuple[List[RealignmentTarget], List[ConsensusWindow]]:
         """Target identification + consensus generation, without realigning.
 
-        Exposed separately because the accelerated system reuses exactly
-        this front half on the host and offloads only the WHD kernel.
+        Exposed separately because the served path and the end-to-end
+        benchmark run the kernel on an engine of their own.
         ``reads`` is a list, or a :class:`~repro.genomics.read.ReadBatch`
         whose columns decide targets and membership: a read is built
         only as a candidate of a target where some candidate's CIGAR
@@ -158,7 +154,8 @@ class IndelRealigner:
                 continue
             candidates = candidates.tolist()
             members = [batch.read(i) for i in candidates]
-            built = build_site(target, members, self.reference, self.limits)
+            built = build_site(target, members, self.reference,
+                               self.creator_config.limits)
             if built is not None:
                 position = {id(read): i
                             for i, read in zip(candidates, members)}

@@ -92,15 +92,46 @@ def _indel_loci(batch: ReadBatch) -> Dict[str, List[int]]:
             for k in np.flatnonzero(np.bincount(contig)).tolist()}
 
 
-def _merge_loci(
-    loci: Sequence[int], merge_distance: int, flank: int,
-    contig_length: int, max_span: int,
+def cluster_points(
+    points: Sequence[int],
+    merge_distance: int,
+    flank: int,
+    contig_length: int,
+    max_span: int,
 ) -> List[Tuple[int, int]]:
-    """Merge sorted loci into padded, clamped, size-capped intervals."""
-    from repro.genomics.intervals import cluster_points
+    """Cluster sorted loci into padded, clamped, size-capped intervals.
 
-    return cluster_points(loci, merge_distance, flank, contig_length,
-                          max_span)
+    The primitive under target creation: loci within ``merge_distance``
+    share a cluster, each cluster grows ``flank`` on both sides, clamps
+    to the contig, and splits at ``max_span``.
+    """
+    if merge_distance < 0 or flank < 0:
+        raise ValueError("merge_distance and flank must be non-negative")
+    if max_span <= 0 or contig_length <= 0:
+        raise ValueError("max_span and contig_length must be positive")
+    intervals: List[Tuple[int, int]] = []
+
+    def flush(lo: int, hi: int) -> None:
+        start = max(0, lo - flank)
+        end = min(contig_length, hi + 1 + flank)
+        while end - start > max_span:
+            intervals.append((start, start + max_span))
+            start += max_span
+        if end > start:
+            intervals.append((start, end))
+
+    cluster_start = cluster_end = None
+    for locus in sorted(set(points)):
+        if cluster_start is None:
+            cluster_start = cluster_end = locus
+        elif locus - cluster_end <= merge_distance:
+            cluster_end = locus
+        else:
+            flush(cluster_start, cluster_end)
+            cluster_start = cluster_end = locus
+    if cluster_start is not None:
+        flush(cluster_start, cluster_end)
+    return intervals
 
 
 def identify_targets(
@@ -133,7 +164,7 @@ def identify_targets(
     targets: List[RealignmentTarget] = []
     for chrom, loci in evidence.items():
         contig_length = reference.length(chrom)
-        for start, end in _merge_loci(
+        for start, end in cluster_points(
             loci, config.merge_distance, config.flank, contig_length, max_span
         ):
             targets.append(RealignmentTarget(chrom, start, end))

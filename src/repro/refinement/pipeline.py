@@ -2,8 +2,8 @@
 
 Runs the four Figure 1 refinement stages in order -- sort, duplicate
 removal, INDEL realignment, base quality score recalibration -- over a
-read set, optionally swapping the software realigner for the FPGA
-system. Per-stage wall-clock and work counters feed the Figure 2/3
+read set, with the realignment's kernel on any engine -- the host's or
+the FPGA model. Per-stage wall-clock and work counters feed the Figure 2/3
 breakdown experiments from *executed* pipelines (complementing the
 analytic census model in :mod:`repro.perf.pipelines`).
 """
@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-from repro.core.system import AcceleratedRealigner, SystemConfig
 from repro.genomics.read import Read
 from repro.genomics.reference import ReferenceGenome
 from repro.realign.realigner import IndelRealigner, RealignerReport
@@ -65,21 +64,15 @@ class PipelineResult:
 class RefinementPipeline:
     """Sort -> duplicate marking -> INDEL realignment -> BQSR."""
 
-    def __init__(
-        self,
-        reference: ReferenceGenome,
-        use_accelerator: bool = False,
-        system_config: Optional[SystemConfig] = None,
-        kernel: str = "auto",
-    ):
-        """``kernel`` is forwarded to the software realigner. Profiling
-        experiments pin it so their measured stage breakdown does not
-        depend on what ``auto`` means or on whether a compiled backend
-        loaded."""
+    def __init__(self, reference: ReferenceGenome, engine=None):
+        """``engine`` is the realigner's (:class:`IndelRealigner`): an
+        :class:`~repro.engine.EngineConfig`, a live engine, or the FPGA
+        model, :class:`~repro.core.system.AcceleratedIRSystem`.
+        Profiling experiments pin its kernel so their measured stage
+        breakdown does not depend on what ``auto`` means or on whether
+        a compiled backend loaded."""
         self.reference = reference
-        self.use_accelerator = use_accelerator
-        self.system_config = system_config
-        self.kernel = kernel
+        self.realigner = IndelRealigner(reference, engine=engine)
 
     def _timed(self, result: PipelineResult, stage: str,
                action: Callable[[], object]) -> object:
@@ -110,15 +103,7 @@ class RefinementPipeline:
         result.reads = self._timed(result, "duplicate_marking", _dupes)
 
         def _realign() -> List[Read]:
-            if self.use_accelerator:
-                realigner = AcceleratedRealigner(
-                    self.reference, self.system_config
-                )
-                updated, _run, report = realigner.realign(result.reads)
-            else:
-                updated, report = IndelRealigner(
-                    self.reference, kernel=self.kernel
-                ).realign(result.reads)
+            updated, report = self.realigner.realign(result.reads)
             result.realigner_report = report
             return updated
 

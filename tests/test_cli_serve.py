@@ -69,6 +69,41 @@ class TestLoadgenCli:
         # The compare already passed; pin the raw-bytes claim too.
         assert served.read_bytes() == batch.read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--sam", "--compare"])
+    def test_non_utf8_sam_is_one_located_error(self, sample_dir, tmp_path,
+                                                capsys, flag):
+        lines = (sample_dir / "aligned.sam").read_bytes().split(b"\n")
+        at = next(k for k, line in enumerate(lines)
+                  if not line.startswith(b"@")) + 2
+        lines[at] += b"\tXX:Z:a\xffb"
+        bad = tmp_path / "bad.sam"
+        bad.write_bytes(b"\n".join(lines))
+        sam = bad if flag == "--sam" else sample_dir / "aligned.sam"
+        capsys.readouterr()
+        assert cli_main([
+            "loadgen", "--selftest", "--tenants", "2", "--seed", "5",
+            "--reference", str(sample_dir / "reference.fa"),
+            "--sam", str(sam), *((flag, str(bad)) if flag != "--sam" else ()),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:{at + 1}: line is not UTF-8: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_header_only_sam_is_one_error(self, sample_dir, tmp_path,
+                                          capsys):
+        header = tmp_path / "header.sam"
+        header.write_text("".join(
+            f"{line}\n" for line in
+            (sample_dir / "aligned.sam").read_text().splitlines()
+            if line.startswith("@")))
+        assert cli_main([
+            "loadgen", "--selftest",
+            "--reference", str(sample_dir / "reference.fa"),
+            "--sam", str(header),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {header}: no alignment lines to serve\n"
+
     def test_sam_without_reference_is_rejected(self, sample_dir, capsys):
         assert cli_main([
             "loadgen", "--selftest",

@@ -8,7 +8,7 @@ aligned reads, as ``repro realign`` starts from a SAM file.
 import numpy as np
 import pytest
 
-from repro.core.system import SystemConfig
+from repro.core.system import AcceleratedIRSystem, SystemConfig
 from repro.genomics.reference import ReferenceGenome
 from repro.genomics.simulate import ReadSimulator, SimulationProfile
 from repro.refinement.pipeline import RefinementPipeline
@@ -33,8 +33,7 @@ class TestFullFlow:
     def test_refinement_then_calling(self, flow):
         reference, sample, mapped = flow
         refined = RefinementPipeline(
-            reference, use_accelerator=True,
-            system_config=SystemConfig.iracc(),
+            reference, engine=AcceleratedIRSystem(SystemConfig.iracc()),
         ).run(mapped)
         assert len(refined.reads) == len(mapped)
         post = evaluate_calls(

@@ -8,6 +8,7 @@ the realigner integrations, and the CLI flags.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -293,15 +294,20 @@ class TestRealignerIntegration:
             assert report.reads_realigned == base_report.reads_realigned
             assert report.sites_built == base_report.sites_built
 
-    def test_engine_scoring_follows_realigner(self, sample):
+    def test_engine_scoring_follows_engine_config(self, sample):
         from repro.realign.realigner import IndelRealigner
 
-        base, _ = IndelRealigner(sample.reference, scoring="absdiff",
-                                 engine=EngineConfig(workers=1)).realign(
-            sample.reads)
-        got, _ = IndelRealigner(sample.reference, scoring="absdiff",
-                                engine=EngineConfig()).realign(sample.reads)
+        base, _ = IndelRealigner(
+            sample.reference,
+            engine=EngineConfig(workers=1, scoring="absdiff"),
+        ).realign(sample.reads)
+        got, _ = IndelRealigner(
+            sample.reference, engine=EngineConfig(scoring="absdiff"),
+        ).realign(sample.reads)
         assert self._sam(got) == self._sam(base)
+        realigner = IndelRealigner(sample.reference,
+                                   engine=EngineConfig(scoring="absdiff"))
+        assert realigner._engine_instance().config.scoring == "absdiff"
 
     def test_engine_rejects_bad_type(self, sample):
         from repro.realign.realigner import IndelRealigner
@@ -339,6 +345,17 @@ class TestEngineCli:
         assert self._realign(
             sample_dir, "workers.sam", "--workers", "2", "--batch", "3"
         ) == serial
+
+    def test_accelerated_writes_the_flagless_sam(self, sample_dir, capsys):
+        flagless = self._realign(sample_dir, "flagless.sam")
+        assert flagless != (sample_dir / "aligned.sam").read_bytes()
+        capsys.readouterr()
+        assert self._realign(sample_dir, "accelerated.sam",
+                             "--accelerated") == flagless
+        out = capsys.readouterr().out
+        assert re.search(r"^accelerated run: \d+\.\d\d modelled ms, "
+                         r"\d+% of comparisons pruned$", out, re.M), out
+        assert "engine:" not in out
 
     def test_bad_engine_flags_rejected(self, sample_dir, capsys):
         from repro.__main__ import main as cli_main

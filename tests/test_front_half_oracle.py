@@ -33,7 +33,6 @@ from hypothesis import strategies as st
 
 from repro.align.pileup import pileup
 from repro.genomics.cigar import Cigar, CigarOp
-from repro.genomics.intervals import cluster_points
 from repro.genomics.read import Read
 from repro.genomics.reference import ReferenceGenome
 from repro.realign.consensus import build_site
@@ -41,6 +40,7 @@ from repro.realign.realigner import IndelRealigner
 from repro.realign.targets import (
     RealignmentTarget,
     TargetCreatorConfig,
+    cluster_points,
     identify_targets,
 )
 
@@ -125,7 +125,7 @@ def check(reads, reference, config, strategy="observed"):
     realigner = IndelRealigner(reference, creator_config=config)
     assert_same_front_half(
         realigner.build_sites(reads),
-        definition_build_sites(reads, reference, config, realigner.limits,
+        definition_build_sites(reads, reference, config, config.limits,
                                BUILDERS[strategy]),
     )
 
@@ -304,7 +304,7 @@ def test_gap_free_cigars_build_no_site(case, strategy):
     targets, windows = realigner.build_sites(reads)
     assert windows == []
     assert all(BUILDERS[strategy](target, reads, reference,
-                                  realigner.limits) is None
+                                  config.limits) is None
                for target in targets)
 
 

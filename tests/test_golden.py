@@ -86,7 +86,8 @@ class TestRealignedSamGolden:
     def test_accelerated_path_matches_the_same_golden(self, golden):
         """The FPGA system model must land every read where the golden
         (software) realigner does -- HW/SW equivalence, pinned to disk."""
-        from repro.core.system import AcceleratedRealigner, SystemConfig
+        from repro.core.system import AcceleratedIRSystem, SystemConfig
+        from repro.realign.realigner import IndelRealigner
         from repro.genomics.simulate import SimulationProfile, simulate_sample
 
         params = golden["params"]
@@ -98,9 +99,10 @@ class TestRealignedSamGolden:
             ),
             seed=params["seed"],
         )
-        realigner = AcceleratedRealigner(sample.reference,
-                                         SystemConfig.iracc())
-        updated, _run, _report = realigner.realign(sample.reads)
+        system = AcceleratedIRSystem(SystemConfig.iracc())
+        realigner = IndelRealigner(sample.reference, engine=system)
+        updated, report = realigner.realign(sample.reads)
+        assert len(system.last_run.unit_results) == report.sites_built
         for index, (read, want) in enumerate(zip(updated, golden["reads"])):
             got = {
                 "name": read.name,

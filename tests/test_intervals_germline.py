@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.genomics.intervals import cluster_points
+from repro.realign.targets import cluster_points
 
 
 class TestIntervals:

@@ -181,6 +181,8 @@ class TestMalformedInputCli:
         ("off-contig", "bad.sam:12: RNAME 'chrNope' is not a contig of "
                        "the reference"),
         ("past-end", "bad.sam:12: alignment chr22:2990-"),
+        ("non-utf8", "bad.sam:12: line is not UTF-8: 'utf-8' codec can't "
+                     "decode byte 0xff"),
         ("missing-sam", "No such file or directory"),
         ("headerless-fasta", "sequence data before any FASTA header"),
         ("bad-base-fasta", "bad-base.fa:3: invalid base 'R' at position 2"),
@@ -202,6 +204,11 @@ class TestMalformedInputCli:
         elif case == "duplicate-fasta":
             reference = sample / "duplicate.fa"
             reference.write_text(">chr22\nACGT\n>chr22\nACGT\n")
+        elif case == "non-utf8":
+            lines = sam.read_bytes().split(b"\n")
+            lines[11] += b"\tXX:Z:a\xffb"
+            sam = sample / "bad.sam"
+            sam.write_bytes(b"\n".join(lines))
         else:
             column, value = {"cigar": (5, "10M5Q"), "numeric": (4, "x"),
                              "seq-qual": (10, "II"),

@@ -69,10 +69,12 @@ LINES = [format_read(read) for read in SAMPLE.reads]
 #: nothing else.
 SCAN_ERRORS = (SamError,)
 
-#: What that error's ``__cause__`` may be: a field decoder's error, or
-#: the plain ``ValueError`` a ``Read`` raises for its own invariants
-#: (quality count, MAPQ range); None when the parser found it itself.
-SCAN_CAUSES = (type(None), CigarError, QualityError, SequenceError, ValueError)
+#: What that error's ``__cause__`` may be: a line's
+#: ``UnicodeDecodeError``, a field decoder's error, or the plain
+#: ``ValueError`` a ``Read`` raises for its own invariants (quality
+#: count, MAPQ range); None when the parser found it itself.
+SCAN_CAUSES = (type(None), UnicodeDecodeError, CigarError, QualityError,
+               SequenceError, ValueError)
 
 #: Characters an edit draws from: every field's alphabet, the field and
 #: line separators, and text outside ASCII and outside Phred+33.
@@ -132,6 +134,28 @@ def test_the_reader_raises_only_documented_errors(lines, with_reference):
     alone = _raised(lambda: ingest(line or b"\n", reference))
     assert type(alone) is type(error) and str(alone) == str(error)
     assert type(alone.__cause__) is type(error.__cause__)
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+def test_a_line_that_is_not_utf8_is_a_located_sam_error(newline):
+    lines = [line.encode("utf-8") for line in LINES[:5]]
+    lines[3] += b"\tXX:Z:a\xffb"
+    file = newline != b"\n"  # only a file's lines may end in \r\n
+
+    def located(lines):
+        return _raised(lambda: ingest(newline.join(lines), SAMPLE.reference,
+                                      file=file,
+                                      locate=lambda i: f"line {i}"))
+
+    error = located(lines)
+    assert type(error) is SamError, repr(error)
+    assert str(error).startswith("line 3: line is not UTF-8: ")
+    assert type(error.__cause__) is UnicodeDecodeError
+    alone = _raised(lambda: ingest(lines[3], SAMPLE.reference))
+    assert str(error) == f"line 3: {alone}"
+    # the lines before it are read first
+    lines[1] = b"r1\t0"
+    assert str(located(lines)).startswith("line 1: ")
 
 
 @relaxed

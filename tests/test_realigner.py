@@ -140,10 +140,10 @@ class TestSharedReadNames:
         if entry == "software":
             updated, _report = IndelRealigner(reference).realign(reads)
         elif entry == "accelerated":
-            from repro.core.system import AcceleratedRealigner
+            from repro.core.system import AcceleratedIRSystem
 
-            updated, _run, _report = AcceleratedRealigner(
-                reference).realign(reads)
+            updated, _report = IndelRealigner(
+                reference, engine=AcceleratedIRSystem()).realign(reads)
         else:
             from repro.engine import Engine, EngineConfig
             from repro.serve.jobs import apply_site_results

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.system import AcceleratedIRSystem
 from repro.genomics.cigar import Cigar
 from repro.genomics.read import Read
 from repro.genomics.reference import ReferenceGenome
@@ -146,7 +147,9 @@ class TestPipeline:
         profile = SimulationProfile(indel_rate=1.5e-3, coverage=20)
         sample = simulate_sample({"1": 10_000}, profile=profile, seed=19)
         soft = RefinementPipeline(sample.reference).run(sample.reads)
+        system = AcceleratedIRSystem()
         hard = RefinementPipeline(sample.reference,
-                                  use_accelerator=True).run(sample.reads)
+                                  engine=system).run(sample.reads)
+        assert system.last_run.total_seconds > 0
         for a, b in zip(soft.reads, hard.reads):
             assert a.pos == b.pos and str(a.cigar) == str(b.cigar)

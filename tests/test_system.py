@@ -5,11 +5,7 @@ import pytest
 
 from repro.core.host import HostPlanError, plan_targets
 from repro.core.isa import BufferId
-from repro.core.system import (
-    AcceleratedIRSystem,
-    AcceleratedRealigner,
-    SystemConfig,
-)
+from repro.core.system import AcceleratedIRSystem, SystemConfig
 from repro.engine import EngineConfig
 from repro.experiments import figure7
 from repro.genomics.simulate import SimulationProfile, simulate_sample
@@ -164,19 +160,25 @@ class TestModelledNumbers:
 
 
 class TestAcceleratedRealigner:
+    """The realigner with its kernel on the FPGA model."""
+
     def test_matches_software_realigner_end_to_end(self):
         profile = SimulationProfile(indel_rate=1.5e-3, coverage=25)
         sample = simulate_sample({"1": 15_000}, profile=profile, seed=21)
         software, software_report = IndelRealigner(
             sample.reference, engine=EngineConfig(workers=1),
         ).realign(sample.reads)
-        accelerated, run, report = AcceleratedRealigner(
-            sample.reference
+        system = AcceleratedIRSystem()
+        assert system.last_run is None
+        accelerated, report = IndelRealigner(
+            sample.reference, engine=system,
         ).realign(sample.reads)
         assert report.reads_realigned > 0
-        # One back half: both realigners count the same way.
+        # One realigner: the engine changes no count.
         assert report == software_report
+        run = system.last_run
         assert run.total_seconds > 0
+        assert len(run.unit_results) == report.sites_built
         for a, b in zip(software, accelerated):
             assert a.pos == b.pos
             assert str(a.cigar) == str(b.cigar)
