@@ -232,7 +232,7 @@ def _cmd_realign(args: argparse.Namespace) -> int:
     from repro.engine.native import sam_ingester
     from repro.genomics.fasta import read_reference
     from repro.genomics.samlite import ingest, write_patched
-    from repro.realign.realigner import IndelRealigner, moved_records
+    from repro.realign.realigner import IndelRealigner
 
     # --sam is read once, into one buffer: the columns come from it, and
     # --out is its byte spans with the moved reads' POS and CIGAR patched.
@@ -261,7 +261,7 @@ def _cmd_realign(args: argparse.Namespace) -> int:
             engine = AcceleratedIRSystem(SystemConfig.iracc())
             if telemetry is not None:
                 telemetry.label = engine.config.name
-        windows, results, report = IndelRealigner(
+        _windows, moved, report = IndelRealigner(
             reference, engine=engine).decide(batch, telemetry=telemetry)
         if args.accelerated:
             run = engine.last_run
@@ -280,7 +280,6 @@ def _cmd_realign(args: argparse.Namespace) -> int:
 
             write_chrome_trace(telemetry, args.telemetry)
             print(f"trace -> {args.telemetry}")
-    moved = moved_records(windows, results, report)
     # A new file, not the old one truncated: truncating waits for the
     # old contents' writeback on some filesystems. A symlink is written
     # through.
@@ -499,7 +498,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         return updated, report
 
     if args.selftest:
-        from repro.realign.realigner import IndelRealigner, moved_records
+        from repro.realign.realigner import IndelRealigner
         from repro.serve.client import patch_moved
         from repro.serve.server import RealignmentServer
 
@@ -514,9 +513,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         with engine_from_args(args) as engine:
             updated, report = asyncio.run(selftest(engine))
         # The CLI's contract on the same lines: patch what moved.
-        windows, results, _ = IndelRealigner(reference).decide(reads)
-        identical = updated == patch_moved(
-            lines, moved_records(windows, results))
+        _windows, moved, _report = IndelRealigner(reference).decide(reads)
+        identical = updated == patch_moved(lines, moved)
         print(report.summary())
         print(f"selftest: served output is "
               f"{'byte-identical' if identical else 'DIVERGENT'} "
@@ -743,6 +741,10 @@ def _flag_errors(args: argparse.Namespace):
             return "--workers and --batch must be >= 1"
         if args.site_cache_mb < 0:
             return "--site-cache-mb must be >= 0"
+        if flags.get("accelerated") and (args.kernel != "auto"
+                                         or args.site_cache_mb > 0):
+            return ("--accelerated runs the FPGA model, not the host "
+                    "engine: drop --kernel and --site-cache-mb")
     if flags.get("sites", 1) < 1 or flags.get("replication", 1) < 1:
         return "--sites and --replication must be >= 1"
     if flags.get("length", 1) < 1:

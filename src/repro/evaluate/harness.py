@@ -3,8 +3,8 @@
 Runs the realigner over a simulated sample with known truth and scores
 the *outcome*: mismatch totals against the reference, base-level
 concordance against the simulator's truth placements, per-site
-before/after deltas (collected through the realigner's ``observer``
-hook), and truth-INDEL recovery through the somatic caller with
+before/after deltas (a site's reads by their input indices), and
+truth-INDEL recovery through the somatic caller with
 left-normalized matching. The harness is deliberately engine-agnostic:
 pass any ``engine`` accepted by
 :class:`repro.realign.realigner.IndelRealigner` (``None`` for the
@@ -28,7 +28,7 @@ from repro.evaluate.report import (
     SiteOutcome,
     TrajectoryOutcome,
 )
-from repro.realign.realigner import IndelRealigner
+from repro.realign.realigner import IndelRealigner, apply_moved
 from repro.variants.caller import CallerConfig, SomaticCaller
 from repro.variants.evaluation import evaluate_calls
 
@@ -122,13 +122,9 @@ def evaluate_sample(
     """
     reference = sample.reference
     before = list(sample.reads)
-    site_records: List[Tuple[object, Dict[str, Read]]] = []
-
-    def observer(window, result, moved):
-        site_records.append((window, moved))
-
-    realigner = IndelRealigner(reference, engine=engine)
-    after, report = realigner.realign(before, observer=observer)
+    windows, moved, report = IndelRealigner(
+        reference, engine=engine).decide(before)
+    after = apply_moved(before, moved)
 
     mismatch_before, aligned_before = mismatch_totals(before, reference)
     mismatch_after, aligned_after = mismatch_totals(after, reference)
@@ -137,20 +133,17 @@ def evaluate_sample(
     )
     concordant_after, _ = truth_concordance(after, sample.truth_placements)
 
-    after_by_name = {read.name: read for read in after}
+    moved_indices = {index for index, _pos, _cigar in moved}
     site_outcomes: List[SiteOutcome] = []
-    for window, moved in site_records:
-        site_reads_before = list(window.reads)
-        site_reads_after = [
-            after_by_name.get(read.name, read) for read in site_reads_before
-        ]
-        site_mismatch_before, _ = mismatch_totals(site_reads_before, reference)
-        site_mismatch_after, _ = mismatch_totals(site_reads_after, reference)
+    for window in windows:
+        site_mismatch_before, _ = mismatch_totals(window.reads, reference)
+        site_mismatch_after, _ = mismatch_totals(
+            [after[i] for i in window.indices], reference)
         site_outcomes.append(SiteOutcome(
             chrom=window.site.chrom,
             start=window.site.start,
-            reads=len(site_reads_before),
-            moved=len(moved),
+            reads=len(window.indices),
+            moved=sum(i in moved_indices for i in window.indices),
             mismatch_before=site_mismatch_before,
             mismatch_after=site_mismatch_after,
         ))

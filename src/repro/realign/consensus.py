@@ -17,7 +17,7 @@ from repro.genomics.cigar import Cigar, CigarOp
 from repro.genomics.read import Read
 from repro.genomics.reference import ReferenceGenome
 from repro.realign.site import RealignmentSite, SiteLimits, PAPER_LIMITS
-from repro.realign.targets import RealignmentTarget, reads_for_target
+from repro.realign.targets import RealignmentTarget
 
 
 @dataclass(frozen=True)
@@ -172,21 +172,25 @@ def realigned_read_placement(
 
 def build_site(
     target: RealignmentTarget,
-    reads: Sequence[Read],
+    anchored: Sequence[Read],
     reference: ReferenceGenome,
     limits: SiteLimits = PAPER_LIMITS,
 ) -> Optional[ConsensusWindow]:
-    """Assemble the :class:`RealignmentSite` for one target.
+    """Assemble the :class:`RealignmentSite` for one target from its
+    anchored reads.
 
-    Returns ``None`` when the target yields no usable site: no anchored
-    reads, or no alternate consensus (nothing to realign against).
+    ``anchored`` are the reads the target claims: no membership rule runs
+    here (:meth:`~repro.realign.realigner.IndelRealigner.build_sites`
+    decides it, on columns; :func:`repro.realign.targets.reads_for_target`
+    states it read by read). Returns ``None`` when the target yields no
+    usable site: no reads, or no alternate consensus (nothing to
+    realign against).
 
     The window is sized so that every consensus -- including deletion
     consensuses, which are shorter than the window -- remains at least as
     long as the longest read, guaranteeing ``m - n + 1 >= 1`` offsets for
     every pair.
     """
-    anchored = reads_for_target(target, reads)
     if not anchored:
         return None
     if len(anchored) > limits.max_reads:

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.genomics.cigar import Cigar
 from repro.genomics.read import (
     CONTIG,
     END,
@@ -79,13 +80,19 @@ class IndelRealigner:
         -- used as is. The engine's config carries Algorithm 2's score
         method (``scoring``). None (the default) is the default engine
         on ``kernel`` (``auto``/``scalar``/``vector``/``fft``/``bitpack``
-        /``native``; see :func:`repro.engine.autotune.dispatch_realign`).
+        /``native``; see :func:`repro.engine.autotune.dispatch_realign`);
+        an engine names its own kernel, so passing both is an error.
         Every kernel and every engine is exact, so outputs are identical
         (pinned by goldens). ``creator_config.limits`` bounds the sites
         the front half builds."""
         if kernel not in KERNEL_CHOICES:
             raise ValueError(
                 f"unknown kernel {kernel!r}; choose from {KERNEL_CHOICES}"
+            )
+        if engine is not None and kernel != "auto":
+            raise ValueError(
+                f"kernel={kernel!r} conflicts with engine=: the engine "
+                "runs its own kernel (EngineConfig(kernel=...))"
             )
         self.reference = reference
         self.creator_config = creator_config or TargetCreatorConfig()
@@ -129,10 +136,10 @@ class IndelRealigner:
         # A read belongs to exactly one target: consensus windows extend
         # beyond their (disjoint) target intervals, so without claiming,
         # a read anchored near two targets could be realigned twice with
-        # order-dependent results. ``build_site`` decides membership with
-        # ``reads_for_target``; it is handed the target's unclaimed
-        # anchored reads, found through the start-sorted views, in
-        # input order, instead of every read.
+        # order-dependent results. Membership is decided here, once, on
+        # the start-sorted views (the rule of ``reads_for_target``):
+        # ``build_site`` is handed the target's unclaimed anchored
+        # reads, in input order.
         views = _start_sorted(batch)
         claimed = np.zeros(len(batch), dtype=bool)
         carries = batch.indel
@@ -166,15 +173,17 @@ class IndelRealigner:
 
     def decide(
         self, reads: Union[Sequence[Read], ReadBatch], telemetry=None
-    ) -> Tuple[List[ConsensusWindow], List[SiteResult], RealignerReport]:
-        """The front half and the kernel, nothing applied:
-        ``(windows, results, report)``. Every window's site runs through
-        one ``run_sites`` call on the realigner's plane
-        (:meth:`_engine_instance`), which ``telemetry`` is forwarded
-        to; the results are byte-identical on any plane. The report
-        counts targets, sites and reads examined; applying the results
-        (:func:`apply_site_results`, :func:`moved_records`) counts the
-        rest."""
+    ) -> Tuple[List[ConsensusWindow], List[List], RealignerReport]:
+        """Decide every read once: ``(windows, moved, report)``.
+
+        Every window's site runs through one ``run_sites`` call on the
+        realigner's plane (:meth:`_engine_instance`), which
+        ``telemetry`` is forwarded to; the results are byte-identical
+        on any plane. ``moved`` is :func:`moved_records` of them, which
+        also fills the report's realigned, moved and unpruned counts.
+        Nothing is applied: :func:`apply_moved` applies ``moved`` to a
+        read list, :func:`repro.genomics.samlite.write_patched` to the
+        input's text."""
         targets, windows = self.build_sites(reads)
         report = RealignerReport(
             targets_identified=len(targets),
@@ -184,28 +193,19 @@ class IndelRealigner:
         results = self._engine_instance().run_sites(
             [window.site for window in windows], telemetry=telemetry
         )
-        return windows, results, report
+        return windows, moved_records(windows, results, report), report
 
     def realign(
-        self, reads: Sequence[Read], telemetry=None, observer=None
+        self, reads: Sequence[Read], telemetry=None
     ) -> Tuple[List[Read], RealignerReport]:
         """Realign a read set; returns (updated reads, report).
 
         Reads keep their input order. Each read is realigned at most once
         (targets are disjoint by construction): :meth:`decide`, then
-        :func:`apply_site_results`.
-
-        ``observer``, when given, is called once per realigned site as
-        ``observer(window, result, moved)`` where ``moved`` maps each
-        repositioned read's name to its updated :class:`Read`. The
-        evaluation harness uses this hook to attribute before/after
-        outcome deltas to individual sites without re-deriving the
-        window decomposition.
+        :func:`apply_moved`.
         """
-        windows, results, report = self.decide(reads, telemetry)
-        updated = apply_site_results(reads, windows, results, report,
-                                     observer=observer)
-        return updated, report
+        _windows, moved, report = self.decide(reads, telemetry)
+        return apply_moved(reads, moved), report
 
 
 def _start_sorted(batch: ReadBatch) -> Dict[str, tuple]:
@@ -230,26 +230,48 @@ def _start_sorted(batch: ReadBatch) -> Dict[str, tuple]:
     return views
 
 
-def _realigned(window: ConsensusWindow, result: SiteResult):
-    """``(j, read, pos, cigar)`` for each read ``j`` of ``window`` the
-    kernel realigned: its new reference placement. The kernel reports
-    ``new_pos = min_whd_idx + target_start`` (the read's winning offset
-    against the picked consensus, translated by the window start); the
-    host converts it into a reference-space position and CIGAR using
-    the consensus's INDEL."""
-    start = window.site.start
-    indel = window.indels[result.best_cons]
-    for j in np.flatnonzero(result.realign).tolist():
-        read = window.reads[j]
-        yield (j, read, *realigned_read_placement(
-            indel, start, int(result.new_pos[j]) - start, len(read)))
-
-
-def _count(report, window, realigned, moved) -> None:
+def moved_records(
+    windows: Sequence[ConsensusWindow],
+    results: Sequence[SiteResult],
+    report: Optional[RealignerReport] = None,
+) -> List[List]:
+    """The one walk over the kernel's decisions: ``[index, pos, cigar]``
+    -- new 1-based POS, new CIGAR -- for each read they move, in input
+    order, without building a moved read. ``index`` counts the reads
+    ``build_sites`` was given, which ``windows`` must come from;
+    ``report``, when given, gains the realigned / moved /
+    unpruned-comparison counts. The kernel's ``new_pos`` is the read's
+    winning offset against the picked consensus plus the window start;
+    :func:`realigned_read_placement` turns it into reference space. A
+    read re-confirmed at its input placement is realigned, not moved.
+    """
+    records = []
+    for window, result in zip(windows, results):
+        start = window.site.start
+        indel = window.indels[result.best_cons]
+        realigned = np.flatnonzero(result.realign).tolist()
+        for j in realigned:
+            read = window.reads[j]
+            pos, cigar = realigned_read_placement(
+                indel, start, int(result.new_pos[j]) - start, len(read))
+            if pos != read.pos or cigar != read.cigar:
+                records.append([window.indices[j], pos + 1, str(cigar)])
+        if report is not None:
+            report.unpruned_comparisons += window.site.unpruned_comparisons()
+            report.reads_realigned += len(realigned)
     if report is not None:
-        report.unpruned_comparisons += window.site.unpruned_comparisons()
-        report.reads_realigned += realigned
-        report.reads_moved += moved
+        report.reads_moved += len(records)
+    return sorted(records)
+
+
+def apply_moved(reads: Sequence[Read], moved: Sequence[Sequence]) -> List[Read]:
+    """``reads`` with each ``[index, pos, cigar]`` record of ``moved``
+    (:func:`moved_records`) applied, in input order. Only a moved read
+    is copied; every other read comes back as the input object."""
+    updated = list(reads)
+    for index, pos, cigar in moved:
+        updated[index] = updated[index].realigned(pos - 1, Cigar.parse(cigar))
+    return updated
 
 
 def apply_site_results(
@@ -257,55 +279,8 @@ def apply_site_results(
     windows: Sequence[ConsensusWindow],
     results: Sequence[SiteResult],
     report: Optional[RealignerReport] = None,
-    observer=None,
 ) -> List[Read]:
-    """Apply the kernel's decisions to ``reads`` -- the back half every
-    realigner shares (software, accelerated, served).
-
-    ``windows`` must come from ``build_sites(reads)`` on this very list:
-    updates are keyed on the input object, not its name (mates share a
-    QNAME). Reads keep their input order. ``report``, when given, gains
-    the realigned / moved / unpruned-comparison counts; ``observer`` is
-    called once per site as ``observer(window, result, moved)`` with
-    ``moved`` mapping each repositioned read's name to its updated
-    :class:`Read`.
-    """
-    updates: Dict[int, Read] = {}
-    for window, result in zip(windows, results):
-        moved: Dict[str, Read] = {}
-        realigned = repositioned = 0  # counted per read: names repeat
-        for _j, read, pos, cigar in _realigned(window, result):
-            updated = updates[id(read)] = read.realigned(pos, cigar)
-            realigned += 1
-            if pos != read.pos or cigar != read.cigar:
-                repositioned += 1
-                moved[read.name] = updated
-        _count(report, window, realigned, repositioned)
-        if observer is not None:
-            observer(window, result, moved)
-    return [updates.get(id(read), read) for read in reads]
-
-
-def moved_records(
-    windows: Sequence[ConsensusWindow],
-    results: Sequence[SiteResult],
-    report: Optional[RealignerReport] = None,
-) -> List[List]:
-    """``[index, pos, cigar]`` -- new 1-based POS, new CIGAR -- for each
-    read the kernel's decisions move, in input order, without building
-    a moved read: ``index`` counts the reads ``build_sites`` was given,
-    which ``windows`` must come from; ``report`` counts
-    as in :func:`apply_site_results`. With the input's text this is the
-    whole output: every realign path patches these into the input's
-    lines, and the server replies with them.
-    """
-    records = []
-    for window, result in zip(windows, results):
-        realigned = moved = 0
-        for j, read, pos, cigar in _realigned(window, result):
-            realigned += 1
-            if pos != read.pos or cigar != read.cigar:
-                records.append([window.indices[j], pos + 1, str(cigar)])
-                moved += 1
-        _count(report, window, realigned, moved)
-    return sorted(records)
+    """:func:`apply_moved` of :func:`moved_records`, for a caller that
+    ran the kernel itself (the end-to-end benchmark's traced stages);
+    ``windows`` must come from ``build_sites(reads)``."""
+    return apply_moved(reads, moved_records(windows, results, report))

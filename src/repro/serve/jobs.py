@@ -49,7 +49,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.genomics.read import Read
 from repro.genomics.reference import ReferenceGenome
-# The back half a served job shares with the batch realigners.
+# The server applies the kernel's decisions with ``moved_records``; this
+# re-export is kept only for the end-to-end benchmark, which imports it
+# from here.
 from repro.realign.realigner import apply_site_results
 
 #: Minimum coverage gap (bases) at which a contig is cut into

@@ -367,6 +367,25 @@ class TestEngineCli:
         ]) == 2
         assert "--workers and --batch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [("--kernel", "fft"),
+                                       ("--site-cache-mb", "8")])
+    def test_accelerated_refuses_host_engine_flags(self, sample_dir, capsys,
+                                                   flags):
+        """The FPGA model replaces the host engine, so a flag that only
+        chooses the host engine's kernel or cache is refused, not
+        dropped."""
+        from repro.__main__ import main as cli_main
+
+        out = sample_dir / "refused.sam"
+        assert cli_main([
+            "realign", "--reference", str(sample_dir / "reference.fa"),
+            "--sam", str(sample_dir / "aligned.sam"),
+            "--out", str(out), "--accelerated", *flags,
+        ]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --accelerated")
+        assert not out.exists()
+
     def test_trace_records_engine_session(self, sample_dir, capsys):
         from repro.__main__ import main as cli_main
 

@@ -212,6 +212,43 @@ class TestTruthConcordance:
         assert truth_concordance([read], {}) == (0, 0)
 
 
+class TestSiteOutcomes:
+    def test_mates_in_one_site_are_scored_as_themselves(self):
+        """Mates share a QNAME, so a site's outcome follows each read by
+        its input index, not its name. Here the misaligned ``mate`` is
+        realigned onto a 5-base deletion and its namesake, later in the
+        input, keeps its one substituted base: the site ends with that
+        one mismatch. (Keyed by name, both mates read back as the
+        namesake, and the site counted its mismatch twice.)"""
+        from repro.evaluate.harness import evaluate_sample
+        from repro.genomics.reference import Contig
+        from repro.genomics.sequence import random_bases
+        from repro.genomics.simulate import SimulatedSample
+
+        rng = np.random.default_rng(5)
+        ref_seq = random_bases(3_000, rng)
+        donor = ref_seq[:1500] + ref_seq[1505:]
+        reads = [_read(f"ok{i}", "c", start, donor[start:start + 100],
+                       f"{1500 - start}M5D{start - 1400}M")
+                 for i, start in enumerate(range(1405, 1500, 9))]
+        reads.append(_read("mate", "c", 1420, donor[1420:1520], "100M"))
+        namesake = ref_seq[1460:1470] + ("A" if ref_seq[1470] != "A"
+                                         else "C") + ref_seq[1471:1560]
+        reads.append(_read("mate", "c", 1460, namesake, "100M"))
+        sample = SimulatedSample(
+            reads=reads, truth_variants=[],
+            reference=ReferenceGenome([Contig("c", ref_seq)]))
+
+        evaluation, after = evaluate_sample(
+            "mates", sample, engine=EngineConfig(workers=1))
+        assert (after[-2].pos, str(after[-2].cigar)) == (1420, "80M5D20M")
+        assert after[-1] is reads[-1]
+        [site] = evaluation.site_outcomes
+        assert site.reads == len(reads) and site.moved == 1
+        assert site.mismatch_before > 1
+        assert site.mismatch_after == 1
+
+
 class TestReportStructures:
     def test_indel_recovery_math(self):
         recovery = IndelRecovery(tp=8, fp=2, fn=2)

@@ -42,6 +42,7 @@ from repro.realign.targets import (
     TargetCreatorConfig,
     cluster_points,
     identify_targets,
+    reads_for_target,
 )
 
 # A test without max_examples of its own takes the active profile's
@@ -90,13 +91,15 @@ def definition_targets(reads, reference, config):
 
 
 def definition_build_sites(reads, reference, config, limits, builder):
-    """Every target is offered every read no earlier target claimed."""
+    """Every target is offered the reads it anchors that no earlier
+    target claimed."""
     targets = definition_targets(reads, reference, config)
     claimed = set()
     windows = []
     for target in targets:
         unclaimed = [read for read in reads if id(read) not in claimed]
-        built = builder(target, unclaimed, reference, limits)
+        built = builder(target, reads_for_target(target, unclaimed),
+                        reference, limits)
         if built is not None:
             claimed.update(id(read) for read in built.reads)
             windows.append(built)
@@ -294,17 +297,17 @@ def test_gap_free_cigars_build_no_site(case, strategy):
     a job no CIGAR of which carries an INDEL without building a read:
     such a job gets no site, however its mismatches cluster into
     targets and whichever reads are duplicates, and no consensus
-    generator makes one for any target even offered every read. A
-    generator that proposes INDELs no read carries fails this, and the
-    gate must go with it."""
+    generator makes one for any target even offered every read it
+    anchors. A generator that proposes INDELs no read carries fails
+    this, and the gate must go with it."""
     reads, reference, config = case
     reads = [gap_free(read) for read in reads]
     assert not any(read.has_indel for read in reads)
     realigner = IndelRealigner(reference, creator_config=config)
     targets, windows = realigner.build_sites(reads)
     assert windows == []
-    assert all(BUILDERS[strategy](target, reads, reference,
-                                  config.limits) is None
+    assert all(BUILDERS[strategy](target, reads_for_target(target, reads),
+                                  reference, config.limits) is None
                for target in targets)
 
 

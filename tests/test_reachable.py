@@ -1,4 +1,5 @@
-"""Every module in ``src/repro`` is reachable from a product entry point.
+"""Every module in ``src/repro`` is reachable from a product entry point,
+and every name it defines is used outside the tests.
 
 A module only tests or examples import is code the product does not
 run: it costs review, coverage and reading time and answers to no
@@ -8,14 +9,23 @@ by name with ``import_module``) and every ``benchmarks/**/*.py`` file.
 The scan is the stdlib ``ast`` alone: an import anywhere in a module
 (a function-level import counts) is an edge, and loading a module loads
 its parent packages.
+
+The same holds one level down, by name: a ``def`` or ``class`` whose
+name occurs nowhere but at its definition in ``src``, ``benchmarks``
+and ``examples`` is called only by tests, or by nothing.
 """
 
 import ast
-from collections import deque
+import re
+from collections import Counter, deque
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
+
+#: Defined names the product need not use: ``ReferenceGenome.from_dict``
+#: is kept as the tests' and docs' fixture builder.
+UNUSED_ALLOWED = {"from_dict"}
 
 
 def _imported(tree, module, package):
@@ -90,3 +100,39 @@ def test_the_scan_sees_an_orphan():
     }
     assert _orphans(sources, ["pkg.__main__"]) == [
         "pkg.deep.only_tested", "pkg.orphan"]
+
+
+def _used_once(definers, corpus):
+    """Names a ``def`` or ``class`` in ``definers`` (module sources)
+    defines that occur as a word fewer than twice across ``corpus``
+    (every source scanned, ``definers`` among them): only at their
+    definition. A dunder method is called by the language, not by its
+    name, and is not a candidate."""
+    defined = {node.name for text in definers
+               for node in ast.walk(ast.parse(text))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and not re.fullmatch(r"__\w+__", node.name)}
+    words = Counter(re.findall(r"\w+", "\n".join(corpus)))
+    return sorted(name for name in defined if words[name] < 2)
+
+
+def test_every_defined_name_is_used_outside_the_tests():
+    definers = [path.read_text()
+                for path in sorted((SRC / "repro").rglob("*.py"))]
+    corpus = definers + [
+        path.read_text()
+        for folder in ("benchmarks", "examples")
+        for path in sorted((REPO / folder).rglob("*.py"))]
+    unused = set(_used_once(definers, corpus)) - UNUSED_ALLOWED
+    assert sorted(unused) == []
+
+
+def test_the_name_scan_sees_a_name_used_once():
+    definers = ["class Used:\n    def method(self):\n        helper()\n"
+                "    def __enter__(self):\n        return self\n",
+                "def helper():\n    pass\n\ndef orphan():\n    pass\n",
+                "def _private():\n    pass\n"]
+    corpus = definers + ["from pkg import Used\nUsed().method()\n",
+                         "x._private_too = 1\n"]
+    assert _used_once(definers, corpus) == ["_private", "orphan"]

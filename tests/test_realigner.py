@@ -123,10 +123,28 @@ class TestOneConsensusGenerator:
             IndelRealigner(reference, consensus_strategy="observed")
 
 
+class TestKernelSettings:
+    def test_an_engine_and_a_kernel_conflict(self, deletion_scenario):
+        """An engine runs its own kernel: a second one named beside it
+        is an error, not silently dropped. ``kernel=`` alone still
+        chooses the default engine's kernel."""
+        from repro.engine import EngineConfig
+
+        reference, _ref_seq, reads = deletion_scenario
+        with pytest.raises(ValueError, match="conflicts with engine"):
+            IndelRealigner(reference,
+                           engine=EngineConfig(kernel="fft", workers=1),
+                           kernel="scalar")
+        realigner = IndelRealigner(reference, kernel="scalar")
+        assert realigner._engine_instance().config.kernel == "scalar"
+        assert realigner.realign(reads)[0] == \
+            IndelRealigner(reference).realign(reads)[0]
+
+
 class TestSharedReadNames:
-    """Mates share a QNAME: claims and updates follow the read, never
-    its name. (Name-keyed, a far-away read came back replaced
-    wholesale by its realigned namesake.)"""
+    """Mates share a QNAME: claims and updates follow the read's input
+    index, never its name. (Name-keyed, a far-away read came back
+    replaced wholesale by its realigned namesake.)"""
 
     @pytest.mark.parametrize("entry", ["software", "accelerated", "served"])
     def test_each_namesake_comes_back_as_itself(self, deletion_scenario,

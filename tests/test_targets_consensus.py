@@ -281,20 +281,21 @@ class TestFrontHalfScaling:
     def test_membership_sees_each_read_at_most_twice(self, sample,
                                                      monkeypatch):
         """A read's start and its end each land in at most one of the
-        disjoint targets, so the membership rule is handed at most
+        disjoint targets, so the site builder is handed at most
         2 x mapped reads over a whole call -- not targets x reads. It is
         called only for targets where some candidate carries an INDEL:
         exactly those at which a site can be built."""
-        import repro.realign.consensus as consensus
+        import repro.realign.realigner as realigner
         from repro.realign.realigner import IndelRealigner
 
         handed = []
+        build_site_once = realigner.build_site
 
-        def counting(target, reads):
-            handed.append(len(reads))
-            return reads_for_target(target, reads)
+        def counting(target, anchored, *args):
+            handed.append(len(anchored))
+            return build_site_once(target, anchored, *args)
 
-        monkeypatch.setattr(consensus, "reads_for_target", counting)
+        monkeypatch.setattr(realigner, "build_site", counting)
         targets, windows = IndelRealigner(sample.reference).build_sites(
             sample.reads)
         mapped = sum(read.is_mapped for read in sample.reads)
