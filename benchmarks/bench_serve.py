@@ -16,7 +16,7 @@ wall-clock over the full pool must stay within ``SERVE_TOLERANCE`` of
 the direct engine call, results must be byte-identical, and the
 snapshot must report a non-degenerate p99. The two paths are timed
 interleaved (direct, served, direct, served, ...), so a drift in host
-speed lands on both. The tolerance is wider than the streaming gate's:
+speed lands on both. The tolerance is wide because
 the serving path adds an event loop, a future per request, and a
 thread hop per dispatch -- real, bounded overhead that the gate keeps
 bounded rather than pretends away.
@@ -51,8 +51,8 @@ SERVICE_CONFIG = ServiceConfig(
 
 #: Serving-gate tolerance: the request plane must finish the full
 #: pool within this factor of one direct engine call on the same
-#: sites. Same best-of-N reasoning as bench_stream's gate, plus a
-#: wider allowance for the serving machinery itself (event loop,
+#: sites. Best of N, because transient noise only ever slows a run,
+#: plus an allowance for the serving machinery itself (event loop,
 #: futures, single-thread executor hop, latency bookkeeping).
 GATE_RUNS = 3
 SERVE_TOLERANCE = 1.35

@@ -201,10 +201,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def engine_from_args(args: argparse.Namespace):
     """The live :class:`Engine` the engine flags describe, closed on exit.
 
-    A :class:`~repro.shard.cache.SiteResultCache` sits in front when
-    ``--site-cache-mb`` asks for one. When the block completes it
-    prints the ``stream:`` line of a pooled run (``--workers >= 2``:
-    only a pool has a window).
+    ``--workers`` and ``--batch`` left unset take the
+    :class:`EngineConfig` defaults. A
+    :class:`~repro.shard.cache.SiteResultCache` sits in front when
+    ``--site-cache-mb`` asks for one.
     """
     from repro.engine import Engine, EngineConfig
 
@@ -213,17 +213,11 @@ def engine_from_args(args: argparse.Namespace):
         from repro.shard.cache import SiteResultCache
 
         cache = SiteResultCache.from_megabytes(args.site_cache_mb)
-    config = EngineConfig(workers=args.workers, batch=args.batch,
-                          kernel=args.kernel)
-    engine = Engine(config, cache=cache)
+    sizes = {flag: getattr(args, flag) for flag in ("workers", "batch")
+             if getattr(args, flag) is not None}
+    engine = Engine(EngineConfig(kernel=args.kernel, **sizes), cache=cache)
     try:
         yield engine
-        if args.workers >= 2 and engine.stream_stats:
-            stats = engine.stream_stats
-            print(f"stream: {stats['stream.chunks']} chunks, "
-                  f"max in-flight {stats['stream.max_in_flight']}, "
-                  f"reorder peak {stats['stream.reorder_peak']}, "
-                  f"backpressure {stats['stream.backpressure_us']} us")
     finally:
         engine.close()
 
@@ -273,8 +267,9 @@ def _cmd_realign(args: argparse.Namespace) -> int:
                 metrics = derive_schedule_metrics(telemetry)
                 print(f"telemetry: {metrics.describe()}")
         else:
-            print(f"engine: workers={args.workers} batch={args.batch} "
-                  f"kernel={args.kernel}")
+            config = engine.config
+            print(f"engine: workers={config.workers} batch={config.batch} "
+                  f"kernel={config.kernel}")
         if telemetry is not None:
             from repro.telemetry import write_chrome_trace
 
@@ -354,11 +349,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             sites, replication=args.replication, telemetry=telemetry,
         )
         sessions.append(telemetry)
-    # The same workload through the host engine (shard spans, kernel,
-    # window and cache counters).
+    # The same workload through the host engine (shard spans, kernel
+    # and cache counters).
     session = Telemetry(label="engine")
     with engine_from_args(args) as engine:
         engine.run_sites(sites, telemetry=session)
+        workers = engine.config.workers
     sessions.append(session)
     write_chrome_trace(sessions, args.out)
     for session in sessions:
@@ -370,7 +366,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             fraction = pruned / valid if valid else 0.0
             print(f"[engine] {flat.get('kernel.sites', 0)} sites on "
                   f"{flat.get('engine.shards', 0)} shards "
-                  f"({args.workers} workers), "
+                  f"({workers} workers), "
                   f"{fraction:.1%} of WHD cells pruned")
             continue
         metrics = derive_schedule_metrics(session)
@@ -702,16 +698,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_engine_flags(subparser: argparse.ArgumentParser) -> None:
     """Batched-engine knobs shared by ``realign``, ``trace``,
     ``evaluate``, ``serve`` and ``loadgen``."""
-    from repro.kernels import KERNEL_CHOICES, default_workers
+    from repro.kernels import KERNEL_CHOICES
 
     subparser.add_argument(
-        "--workers", type=int, default=default_workers(),
-        help="engine worker threads (default: %(default)s, the CPUs this "
-             "process may run on; 1 = inline, no pool)",
+        "--workers", type=int, default=None,
+        help="engine worker threads (default: the CPUs this process may "
+             "run on; 1 = inline, no pool)",
     )
     subparser.add_argument(
-        "--batch", type=int, default=8,
-        help="sites per engine shard (work-stealing chunk size)",
+        "--batch", type=int, default=None,
+        help="sites per engine shard (work-stealing chunk size; "
+             "default: 8)",
     )
     subparser.add_argument(
         "--kernel",
@@ -737,14 +734,17 @@ def _flag_errors(args: argparse.Namespace):
     command, so no command body re-validates a flag."""
     flags = vars(args)
     if "workers" in flags:
-        if args.workers < 1 or args.batch < 1:
+        if any(value is not None and value < 1
+               for value in (args.workers, args.batch)):
             return "--workers and --batch must be >= 1"
         if args.site_cache_mb < 0:
             return "--site-cache-mb must be >= 0"
-        if flags.get("accelerated") and (args.kernel != "auto"
-                                         or args.site_cache_mb > 0):
+        if flags.get("accelerated") and (
+                args.kernel != "auto" or args.site_cache_mb > 0
+                or args.workers is not None or args.batch is not None):
             return ("--accelerated runs the FPGA model, not the host "
-                    "engine: drop --kernel and --site-cache-mb")
+                    "engine: drop --workers, --batch, --kernel and "
+                    "--site-cache-mb")
     if flags.get("sites", 1) < 1 or flags.get("replication", 1) < 1:
         return "--sites and --replication must be >= 1"
     if flags.get("length", 1) < 1:

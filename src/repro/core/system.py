@@ -147,7 +147,7 @@ class AcceleratedIRSystem:
     An engine, like :class:`repro.engine.Engine`: :meth:`run_sites`
     returns one result per site, and the run behind them -- modelled
     time, schedule, pruning -- is kept as ``last_run``, the way an
-    engine keeps ``stream_stats`` for its latest run.
+    engine keeps ``shard_stats`` for its latest run.
     """
 
     def __init__(self, config: Optional[SystemConfig] = None):

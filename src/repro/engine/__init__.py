@@ -16,11 +16,10 @@ independent optimizations, each preserving byte-identical output:
   dispatch point (``--kernel auto`` means ``native``);
 - :mod:`repro.engine.prefilter` -- GateKeeper-style count bounds that
   prune offsets, consensus rows, and cannot-beat-reference pairs;
-- :mod:`repro.engine.parallel` -- the one chunk dispatch loop: an
-  optional site-result cache in front, a worker pool
-  with work-stealing behind a bounded in-flight window, and an
-  incremental reordering merge that emits results in deterministic
-  chunk order.
+- :mod:`repro.engine.parallel` -- the one entry point,
+  ``Engine.run_sites``: an optional site-result cache in front, and
+  chunks run inline or taken by whichever unit thread is free, merged
+  back in deterministic chunk order.
 
 See ``docs/ARCHITECTURE.md`` for the data flow and
 ``docs/PERFORMANCE.md`` for kernel selection and measured speedups.
@@ -36,13 +35,13 @@ from repro.engine.autotune import KERNELS, KERNEL_CHOICES, dispatch_realign
 from repro.engine.parallel import (
     Engine,
     EngineConfig,
-    ReorderBuffer,
     ShardStats,
     resolve_engine,
 )
 
-# The old name of the windowed engine, kept only because the end-to-end
-# benchmark's probe imports it; new code uses Engine.
+# The old name of the engine, kept only because the end-to-end
+# benchmark's stream probe imports it; new code uses Engine. It goes
+# with that probe (ROADMAP 1(a)).
 StreamingEngine = Engine
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "EngineConfig",
     "KERNELS",
     "KERNEL_CHOICES",
-    "ReorderBuffer",
     "ShardStats",
     "StreamingEngine",
     "dispatch_realign",

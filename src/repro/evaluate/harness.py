@@ -9,7 +9,7 @@ left-normalized matching. The harness is deliberately engine-agnostic:
 pass any ``engine`` accepted by
 :class:`repro.realign.realigner.IndelRealigner` (``None`` for the
 inline path, an :class:`~repro.engine.EngineConfig` naming any kernel,
-or a live :class:`~repro.engine.Engine` at any window) and the report
+or a live :class:`~repro.engine.Engine` at any worker count) and the report
 must come out score-identical -- the cross-kernel/engine
 accuracy matrix in ``tests/test_evaluation.py`` enforces exactly that.
 """

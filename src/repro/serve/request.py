@@ -4,7 +4,7 @@ The service works at *site* granularity -- the same unit the engines
 batch and the accelerator dispatches -- so one network-level realign
 request (a region's worth of reads) becomes one :class:`SiteJob`
 carrying the region's built sites. Admission control counts sites, not
-requests, because sites are what occupy the engine's bounded window: a
+requests, because sites are what an engine dispatch holds: a
 tenant submitting one 400-site request exerts the same pressure as 400
 one-site requests.
 """
@@ -59,8 +59,8 @@ class ServiceConfig:
     """Tuning knobs of the asyncio request plane.
 
     - ``max_queue_sites`` bounds *outstanding* sites -- accepted but not
-      yet completed -- the service-level analogue of the engine's
-      ``queue_depth x workers`` in-flight window. A submission that
+      yet completed -- and with them the sites and results an engine
+      dispatch holds until it returns. A submission that
       would exceed it is rejected at once with
       :class:`ServiceSaturated`; nothing waits for room. It bounds an
       engine batch too: the batcher dispatches what is queued, and

@@ -8,7 +8,7 @@ owns the realigner *front half* (target identification + site
 building, CPU-bound, run on the default executor so the loop stays
 responsive) and the *back half* (applying kernel decisions to reads);
 the kernel itself runs wherever the engine says -- inline, or on its
-worker pool behind a bounded window. A job whose CIGARs carry no INDEL
+unit threads. A job whose CIGARs carry no INDEL
 runs neither half: it is checked and answered with nothing moved. The
 check is one pass of the compiled library over the job's bytes
 (:func:`repro.engine.native.sam_ingester`), which also fills the read
@@ -78,7 +78,6 @@ class RealignmentServer:
         reference: ReferenceGenome,
         engine=None,
         service_config: Optional[ServiceConfig] = None,
-        telemetry=None,
     ):
         from repro.engine import EngineConfig
 
@@ -89,7 +88,6 @@ class RealignmentServer:
         self.service = RealignmentService(
             engine if engine is not None else EngineConfig(),
             config=service_config,
-            telemetry=telemetry,
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown = asyncio.Event()

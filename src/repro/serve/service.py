@@ -12,9 +12,9 @@ into a shared, admission-controlled server component:
   batch; a job is never split. The engine's own pool then parallelizes
   within the batch.
 - **admission control + backpressure.** At most ``max_queue_sites``
-  sites may be outstanding (accepted, not yet completed) -- the
-  service-level extension of the engine's bounded
-  ``queue_depth x workers`` in-flight window. An over-limit
+  sites may be outstanding (accepted, not yet completed), and with
+  them the sites and results an engine dispatch holds until it
+  returns. An over-limit
   submission is refused at once
   (:class:`~repro.serve.request.ServiceSaturated`), never parked: the
   client decides whether and when to retry. Every admitted request
@@ -67,23 +67,19 @@ class RealignmentService:
     and (optionally) ``close()``: an
     :class:`~repro.engine.parallel.Engine`, or an
     :class:`~repro.engine.parallel.EngineConfig` (a live engine is
-    built from it and owned by the service). ``telemetry`` is an
-    optional :class:`~repro.telemetry.Telemetry` session; engine
-    counters fold into it per dispatch and the service's own
-    ``serve.*`` counters fold in at :meth:`close`. An engine that
+    built from it and owned by the service). The service's own
+    ``serve.*`` counters are read from :meth:`snapshot`. An engine that
     carries a :class:`~repro.shard.cache.SiteResultCache` (``cache=``)
     consults it inside ``run_sites``; the service only surfaces its
     counters and hit rate in :meth:`snapshot`.
     """
 
-    def __init__(self, engine, config: Optional[ServiceConfig] = None,
-                 telemetry=None):
+    def __init__(self, engine, config: Optional[ServiceConfig] = None):
         from repro.engine import Engine, EngineConfig
 
         self._owns_engine = isinstance(engine, EngineConfig)
         self.engine = Engine(engine) if self._owns_engine else engine
         self.config = config if config is not None else ServiceConfig()
-        self.telemetry = telemetry
         self.latencies = LatencyRecorder()
         self.counters: Dict[str, int] = {}
         self.tenant_sites: Dict[str, int] = {}
@@ -144,10 +140,6 @@ class RealignmentService:
                 pass
             self._fail_queued(ServiceClosed("service shut down mid-drain"))
         self._note_saturation(time.perf_counter())
-        if self.telemetry is not None:
-            for name, value in self.counters.items():
-                self.telemetry.count(name, value)
-            self.telemetry.count("serve.saturated_us", self._saturated_us)
         self._executor.shutdown(wait=True)
         if self._owns_engine and hasattr(self.engine, "close"):
             self.engine.close()
@@ -277,8 +269,7 @@ class RealignmentService:
         try:
             results = await self._loop.run_in_executor(
                 self._executor,
-                lambda: self.engine.run_sites(sites,
-                                              telemetry=self.telemetry),
+                self.engine.run_sites, sites,
             )
         except Exception as error:
             self._count("serve.batches_failed", 1)
@@ -332,7 +323,6 @@ class RealignmentService:
         counters = dict(self.counters)
         counters.setdefault("serve.requests_declined", 0)
         counters["serve.saturated_us"] = saturated_us
-        counters.update(getattr(self.engine, "stream_stats", {}))
         cache_hit_rate = 0.0
         cache = getattr(self.engine, "cache", None)
         if cache is not None:

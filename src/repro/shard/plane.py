@@ -1,8 +1,8 @@
 """``ShardPlane``: the engine under the name the benchmark binds.
 
 A shard was a chunk's *home*, and a home pinned nothing to a worker --
-so ``shards=N`` is ``workers=N`` on the one dispatch loop
-(:meth:`repro.engine.parallel.Engine.stream_sites`), and the cache in
+so ``shards=N`` is ``workers=N`` on the one entry point
+(:meth:`repro.engine.parallel.Engine.run_sites`), and the cache in
 front of it is the engine's own ``cache=``. New code constructs an
 :class:`~repro.engine.parallel.Engine` directly.
 """

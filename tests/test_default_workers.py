@@ -2,7 +2,7 @@
 on, shared by ``EngineConfig`` and every CLI command's ``--workers``.
 
 Pinned here: the default follows the affinity mask (a process pinned to
-one CPU runs inline, with no thread and no ``stream:`` line), the
+one CPU runs inline, with no thread), the
 default's output is the inline run's byte for byte, and no unit thread
 outlives the engine that started it -- including the default engine an
 ``IndelRealigner`` builds for itself.
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.__main__ import build_parser, main as cli_main
+from repro.__main__ import build_parser, engine_from_args, main as cli_main
 from repro.engine import EngineConfig
 from repro.kernels import default_workers
 
@@ -80,13 +80,15 @@ class TestDefaultFollowsAffinity:
                      ["evaluate"],
                      ["serve", "--reference", "r"],
                      ["loadgen"]):
-            assert build_parser().parse_args(argv).workers == expected
+            with engine_from_args(build_parser().parse_args(argv)) as engine:
+                assert engine.config.workers == expected
 
     @needs_affinity
     def test_one_cpu_process_runs_inline(self, panel):
         """Pinned to one CPU before ``repro`` is imported: the default
         is 1, a several-chunk run starts no thread, and a flagless
-        ``repro realign`` is inline (no ``stream:`` line)."""
+        ``repro realign`` is inline (its ``engine:`` line says
+        ``workers=1``)."""
         argv = _realign_argv(panel, "pinned.sam")
         code = (
             "import contextlib, io, os, threading\n"
@@ -97,14 +99,13 @@ class TestDefaultFollowsAffinity:
             "assert EngineConfig().workers == 1, EngineConfig()\n"
             "engine = Engine()\n"
             "assert len(engine.run_sites(_sites(20))) == 20\n"
-            "assert engine.stream_stats['stream.chunks'] == 3\n"
+            "assert len(engine.shard_stats) == 3\n"
             "assert engine._executor is None\n"
             "assert threading.active_count() == 1, threading.enumerate()\n"
             "stdout = io.StringIO()\n"
             "with contextlib.redirect_stdout(stdout):\n"
             f"    assert main({argv!r}) == 0\n"
             "assert 'engine: workers=1 ' in stdout.getvalue()\n"
-            "assert 'stream:' not in stdout.getvalue(), stdout.getvalue()\n"
             "assert threading.active_count() == 1, threading.enumerate()\n"
         )
         env = dict(os.environ,
@@ -123,7 +124,7 @@ class TestDefaultFollowsAffinity:
         assert sites > EngineConfig().batch
         assert ((panel / "default.sam").read_bytes()
                 == (panel / "inline.sam").read_bytes())
-        assert ("stream: " in default) == (default_workers() >= 2)
+        assert f"engine: workers={default_workers()} batch=8 " in default
 
 
 class TestNoUnitThreadOutlivesItsEngine:

@@ -239,8 +239,8 @@ class TestPooledChunks:
                 assert a.same_outputs(b)
 
     def test_out_of_order_completion_merges_in_order(self, monkeypatch):
-        # Lower chunk ids finish last, so later chunks park in the
-        # reorder buffer until their predecessors arrive.
+        # Lower chunk ids finish last; the results still come back in
+        # chunk order.
         import time
 
         from repro.engine import parallel
@@ -256,10 +256,45 @@ class TestPooledChunks:
         monkeypatch.setattr(parallel, "_realign_chunk", slow_head)
         with Engine(EngineConfig(workers=4, batch=1)) as engine:
             pooled = engine.run_sites(sites)
-            assert engine.stream_stats["stream.reorder_peak"] >= 2
         for a, b in zip(serial, pooled, strict=True):
             assert a.same_outputs(b)
             np.testing.assert_array_equal(a.min_whd, b.min_whd)
+
+    def test_failure_raises_before_an_earlier_chunk_completes(self,
+                                                              monkeypatch):
+        # Chunk 0 blocks until released and chunk 1 raises: the failure
+        # leaves run_sites while chunk 0 still waits (Executor.map
+        # would wait for chunk 0 first), and no later chunk starts.
+        import threading
+
+        from repro.engine import parallel
+
+        sites = _sites(6, seed=71)
+        real = parallel._realign_chunk
+        release = threading.Event()
+        started = []
+        head_done = []
+
+        def gated(chunk_id, part, config):
+            started.append(chunk_id)
+            if chunk_id == 0:
+                release.wait(timeout=60)
+                head_done.append(release.is_set())
+            elif chunk_id == 1:
+                raise KeyError("chunk 1")
+            return real(chunk_id, part, config)
+
+        monkeypatch.setattr(parallel, "_realign_chunk", gated)
+        with Engine(EngineConfig(workers=2, batch=1)) as engine:
+            try:
+                with pytest.raises(KeyError, match="chunk 1"):
+                    engine.run_sites(sites)
+                assert head_done == []
+            finally:
+                release.set()
+        assert head_done == [True]
+        assert sorted(started) == [0, 1]
+        assert engine.shard_stats == []
 
 
 class TestRealignerIntegration:
@@ -368,12 +403,15 @@ class TestEngineCli:
         assert "--workers and --batch" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [("--kernel", "fft"),
-                                       ("--site-cache-mb", "8")])
+                                       ("--site-cache-mb", "8"),
+                                       ("--workers", "4"),
+                                       ("--batch", "3"),
+                                       ("--workers", "4", "--batch", "3")])
     def test_accelerated_refuses_host_engine_flags(self, sample_dir, capsys,
                                                    flags):
         """The FPGA model replaces the host engine, so a flag that only
-        chooses the host engine's kernel or cache is refused, not
-        dropped."""
+        sizes or chooses the host engine's threads, chunks, kernel or
+        cache is refused, not dropped."""
         from repro.__main__ import main as cli_main
 
         out = sample_dir / "refused.sam"

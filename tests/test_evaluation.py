@@ -38,11 +38,6 @@ from repro.variants.evaluation import (
 )
 
 
-#: A window this many chunks per worker deep holds every chunk of the
-#: toy scenario: the barrier schedule.
-BARRIER_DEPTH = 64
-
-
 def _call(chrom, pos, ref, alt):
     return VariantCall(chrom=chrom, pos=pos, ref=ref, alt=alt,
                        quality=50.0, depth=30, alt_count=15)
@@ -384,7 +379,7 @@ class TestAccuracyMatrix:
     derived *evaluation* -- if a dispatch path ever diverged, the drift
     would read as an accuracy delta, named by scenario and field. Two
     axes, not their cross product: the numpy kernels run serially, and
-    ``auto`` runs on the barrier and the streaming engine. An engine
+    ``auto`` runs on two pooled chunkings. An engine
     hands each site to the kernel it was configured with and nothing
     else, so a (kernel, engine) cell adds nothing to the two axes.
     ``scalar`` is not here: its one end-to-end run is the golden
@@ -405,15 +400,13 @@ class TestAccuracyMatrix:
 
     @pytest.mark.parametrize("kernel", ("auto",))
     def test_barrier_engine_matches_baseline(self, baseline, kernel):
-        engine = Engine(EngineConfig(workers=2, batch=3, kernel=kernel),
-                        queue_depth=BARRIER_DEPTH)
+        # The pool queues every chunk at once and returns when all are
+        # done: the barrier schedule.
+        engine = Engine(EngineConfig(workers=2, batch=3, kernel=kernel))
         try:
             report = run_scenario("toy", engine=engine)
-            stats = engine.stream_stats
         finally:
             engine.close()
-        # Every chunk was submitted before the first completed.
-        assert stats["stream.max_in_flight"] == stats["stream.chunks"]
         assert report.to_dict() == baseline, (
             f"barrier engine with kernel {kernel} produced a different "
             f"evaluation"
@@ -421,9 +414,8 @@ class TestAccuracyMatrix:
 
     @pytest.mark.parametrize("kernel", ("auto",))
     def test_streaming_engine_matches_baseline(self, baseline, kernel):
-        # Six one-site chunks through a two-chunk window.
-        engine = Engine(EngineConfig(workers=2, batch=1, kernel=kernel),
-                        queue_depth=1)
+        # One-site chunks on two units.
+        engine = Engine(EngineConfig(workers=2, batch=1, kernel=kernel))
         try:
             report = run_scenario("toy", engine=engine)
         finally:

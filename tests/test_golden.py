@@ -207,8 +207,8 @@ class TestEngineMatchesGolden:
         config = EngineConfig(workers=2, batch=3, kernel=kernel)
         cache = None
         if plane == "barrier":
-            # A window of one chunk per read holds every chunk.
-            engine = Engine(config, queue_depth=len(sample.reads))
+            # The pool queues every chunk at once: the barrier.
+            engine = Engine(config)
         else:
             cache = SiteResultCache.from_megabytes(64)
             engine = ShardPlane(config, shards=2, cache=cache)

@@ -365,8 +365,8 @@ class TestEngineKernelWiring:
 
         sites = self.sites()
         session = Telemetry(label="stream-kernel")
-        with Engine(EngineConfig(kernel="bitpack", batch=2, workers=2),
-                    queue_depth=1) as engine:
+        with Engine(EngineConfig(kernel="bitpack", batch=2,
+                                 workers=2)) as engine:
             got = engine.run_sites(sites, telemetry=session)
         assert (session.counters.flat().get("kernel.chosen.bitpack")
                 == len(sites))
@@ -404,7 +404,7 @@ class TestAutoAcrossWorkerPlanes:
     def test_streaming_engine(self):
         from repro.engine import Engine, EngineConfig
 
-        self.check(Engine(EngineConfig(workers=2, batch=2), queue_depth=1))
+        self.check(Engine(EngineConfig(workers=2, batch=1)))
 
     def test_shard_plane(self):
         from repro.engine import EngineConfig

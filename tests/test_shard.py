@@ -3,7 +3,7 @@
 The invariants: cached results are byte-identical to fresh kernel runs
 at *any* coordinate (translation invariance); the key covers exactly
 the config that can change the visible outputs; the LRU byte budget
-actually bounds memory; an engine with a cache -- at any window, or
+actually bounds memory; an engine with a cache -- at any worker count, or
 under the ``ShardPlane`` name the benchmark binds -- yields the serial
 answer in input order, cold, warm or evicting; telemetry and serving
 snapshots surface the cache.
@@ -299,7 +299,7 @@ class TestShardPlane:
         assert board["engine.shard_sites"] == 6
         assert not [name for name in board if name.startswith("shard.")]
 
-    def test_stream_sites_yields_input_order(self):
+    def test_run_sites_interleaves_hits_in_input_order(self):
         """Hits and fresh results interleave back into input order."""
         sites = _sites(10, seed=9)
         want = Engine(EngineConfig(workers=1, batch=2)).run_sites(sites)
@@ -307,22 +307,8 @@ class TestShardPlane:
             cache = SiteResultCache.from_megabytes(32)
             with make(EngineConfig(batch=2), cache=cache) as engine:
                 engine.run_sites(sites[1::3])
-                _assert_identical(list(engine.stream_sites(sites)), want)
+                _assert_identical(engine.run_sites(sites), want)
                 assert sum(s.sites for s in engine.shard_stats) == 7
-
-    def test_warm_prefix_is_yielded_before_any_chunk_completes(self):
-        sites = _sites(8, seed=9)
-        want = Engine(EngineConfig(workers=1, batch=2)).run_sites(sites)
-        for depth in (1, 2):
-            cache = SiteResultCache.from_megabytes(32)
-            with Engine(EngineConfig(workers=2, batch=2), queue_depth=depth,
-                        cache=cache) as engine:
-                engine.run_sites(sites[:3])
-                stream = engine.stream_sites(sites)
-                head = [next(stream) for _ in range(3)]
-                assert engine.shard_stats == []
-                _assert_identical(head + list(stream), want)
-                assert sum(s.sites for s in engine.shard_stats) == 5
 
     def test_all_hits_pass_forgets_the_previous_run(self):
         sites = _sites(8, seed=3)

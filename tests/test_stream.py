@@ -1,28 +1,19 @@
-"""Tests for the engine's bounded in-flight window.
+"""Tests for the engine's pooled dispatch.
 
-The one engine streams: byte-identical results at any worker count or
-queue depth -- a window that holds every chunk (the old barrier)
-included -- with bounded in-flight state. These tests pin that
-contract at each layer -- the reorder buffer, the windowed engine, the
-double-buffered dispatch model, the trace export floor, and the CLI.
+One entry point, ``Engine.run_sites``: byte-identical results at any
+worker count, chunk size or completion order. These tests pin that
+contract at each layer -- the pooled engine, the double-buffered
+dispatch model, the trace export floor, and the CLI.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
 
-from repro.engine import Engine, EngineConfig, ReorderBuffer
+from repro.engine import Engine, EngineConfig
 from repro.genomics.simulate import SimulationProfile, simulate_sample
 from repro.workloads.generator import BENCH_PROFILE, synthesize_site
-
-
-def _barrier(config, sites):
-    """The engine whose window holds every chunk of ``sites``: the
-    barrier schedule, which submits everything up front."""
-    chunks = math.ceil(len(sites) / config.batch)
-    return Engine(config, queue_depth=math.ceil(chunks / config.workers))
 
 
 def _sites(n=6, seed=11):
@@ -34,74 +25,20 @@ def _sites(n=6, seed=11):
     ]
 
 
-class TestReorderBuffer:
-    def test_in_order_pushes_emit_immediately(self):
-        buffer = ReorderBuffer()
-        assert buffer.push(0, "a") == ["a"]
-        assert buffer.push(1, "b") == ["b"]
-        assert buffer.pending == 0
-        assert buffer.peak_pending == 1
-
-    def test_out_of_order_holds_then_flushes_run(self):
-        buffer = ReorderBuffer()
-        assert buffer.push(3, "d") == []
-        assert buffer.push(1, "b") == []
-        assert buffer.push(0, "a") == ["a", "b"]
-        assert buffer.push(2, "c") == ["c", "d"]
-        assert buffer.pending == 0
-        assert buffer.peak_pending == 3
-
-    def test_duplicate_and_stale_indices_rejected(self):
-        buffer = ReorderBuffer()
-        buffer.push(1, "b")
-        with pytest.raises(ValueError):
-            buffer.push(1, "again")
-        buffer.push(0, "a")
-        with pytest.raises(ValueError):
-            buffer.push(0, "stale")
-
-    def test_custom_start(self):
-        buffer = ReorderBuffer(start=5)
-        assert buffer.push(5, "x") == ["x"]
-
-
 class TestStreamingEngine:
-    @pytest.mark.parametrize("workers,depth", [(1, 2), (3, 1), (3, 2)])
-    def test_matches_barrier_engine(self, workers, depth):
+    @pytest.mark.parametrize("workers,batch",
+                             [(1, 2), (3, 1), (3, 2), (2, 2), (2, 4)])
+    def test_matches_barrier_engine(self, workers, batch):
+        """Against the barrier: one inline chunk holding every site."""
         sites = _sites(10, seed=77)
-        config = EngineConfig(workers=workers, batch=3)
-        with _barrier(config, sites) as barrier:
-            want = barrier.run_sites(sites)
-        with Engine(config, queue_depth=depth) as stream:
-            got = stream.run_sites(sites)
+        want = Engine(EngineConfig(workers=1, batch=len(sites))).run_sites(
+            sites)
+        with Engine(EngineConfig(workers=workers, batch=batch)) as engine:
+            got = engine.run_sites(sites)
         assert len(got) == len(want) == len(sites)
         for a, b in zip(got, want):
             assert a.same_outputs(b)
             np.testing.assert_array_equal(a.min_whd, b.min_whd)
-
-    def test_stream_sites_yields_in_input_order(self):
-        sites = _sites(9, seed=19)
-        with Engine(EngineConfig(workers=1, batch=2)) as barrier:
-            want = barrier.run_sites(sites)
-        # One generator serves every window, the barrier's included.
-        config = EngineConfig(workers=2, batch=2)
-        for engine in (Engine(config), _barrier(config, sites)):
-            with engine:
-                seen = 0
-                for got in engine.stream_sites(sites):
-                    assert got.same_outputs(want[seen])
-                    seen += 1
-            assert seen == len(sites)
-
-    def test_window_bounds_in_flight_chunks(self):
-        sites = _sites(12, seed=5)
-        with Engine(EngineConfig(workers=2, batch=1),
-                    queue_depth=1) as stream:
-            stream.run_sites(sites)
-            stats = stream.stream_stats
-        assert stats["stream.chunks"] == 12
-        assert 1 <= stats["stream.max_in_flight"] <= 2  # depth x workers
-        assert stats["stream.reorder_peak"] <= 2
 
     def test_shard_stats_match_barrier_layout(self):
         sites = _sites(9, seed=19)
@@ -118,57 +55,26 @@ class TestStreamingEngine:
         from repro.telemetry import CAT_ENGINE, Telemetry
 
         sites = _sites(6, seed=29)
-        # The window's counters and the one chunk timeline, pooled or
-        # inline.
+        # The chunk counters and the one chunk timeline, pooled or
+        # inline; no window, so no stream.* counter.
         for workers in (2, 1):
             telemetry = Telemetry()
-            with Engine(EngineConfig(workers=workers, batch=2)) as stream:
-                stream.run_sites(sites, telemetry=telemetry)
+            with Engine(EngineConfig(workers=workers, batch=2)) as engine:
+                engine.run_sites(sites, telemetry=telemetry)
             flat = telemetry.counters.flat()
             assert flat["kernel.sites"] == len(sites)
-            assert flat["stream.chunks"] == flat["engine.shards"] == 3
-            assert flat["stream.queue_depth"] == 2
+            assert flat["engine.shards"] == len(engine.shard_stats) == 3
+            assert not [name for name in flat if name.startswith("stream.")]
             assert {s.category for s in telemetry.spans} == {CAT_ENGINE}
             assert len(telemetry.spans) == 3
 
-    def test_engine_survives_an_abandoned_generator(self):
-        sites = _sites(8, seed=3)
-        for depth in (1, 2, 4):
-            with Engine(EngineConfig(workers=2, batch=2),
-                        queue_depth=depth) as engine:
-                iterator = engine.stream_sites(sites)
-                next(iterator)
-                iterator.close()
-                # The engine is still usable after an abandoned stream.
-                assert len(engine.run_sites(sites)) == len(sites)
-
-    def test_abandoned_generator_still_records_stats(self):
-        from repro.telemetry import Telemetry
-
-        sites = _sites(8, seed=3)
-        for depth in (1, 2, 4):
-            with Engine(EngineConfig(workers=2, batch=2),
-                        queue_depth=depth) as engine:
-                telemetry = Telemetry()
-                iterator = engine.stream_sites(sites, telemetry=telemetry)
-                next(iterator)
-                iterator.close()
-                # The chunks that completed before the abandon are folded
-                # into the engine's stats and the telemetry session.
-                assert len(engine.shard_stats) >= 1
-                flat = telemetry.counters.flat()
-                assert flat["engine.shards"] >= 1
-                assert flat["stream.chunks"] >= 1
-                assert flat["kernel.sites"] >= 1
-                assert engine.stream_stats["stream.chunks"] >= 1
-
     def test_empty_and_validation(self):
-        with Engine(EngineConfig()) as stream:
-            assert stream.run_sites([]) == []
-            assert stream.shard_stats == []
-            assert stream.stream_stats == {}
-        with pytest.raises(ValueError, match="queue_depth must be >= 1"):
-            Engine(EngineConfig(), queue_depth=0)
+        with Engine(EngineConfig()) as engine:
+            assert engine.run_sites([]) == []
+            assert engine.shard_stats == []
+            assert engine.stream_stats == {}
+        with pytest.raises(TypeError, match="queue_depth"):
+            Engine(EngineConfig(), queue_depth=2)
 
     def test_realigner_accepts_streaming_engine(self):
         sample = simulate_sample(
@@ -181,10 +87,9 @@ class TestStreamingEngine:
         base, base_report = IndelRealigner(
             sample.reference, engine=EngineConfig(workers=1)
         ).realign(sample.reads)
-        with Engine(EngineConfig(workers=2, batch=3),
-                    queue_depth=1) as stream:
+        with Engine(EngineConfig(workers=2, batch=3)) as engine:
             got, report = IndelRealigner(
-                sample.reference, engine=stream
+                sample.reference, engine=engine
             ).realign(sample.reads)
         assert ([(r.name, r.pos, str(r.cigar)) for r in got]
                 == [(r.name, r.pos, str(r.cigar)) for r in base])
@@ -244,13 +149,18 @@ class TestStreamCli:
         return out.read_bytes()
 
     def test_stream_flags_keep_sam_identical(self, sample_dir, capsys):
-        # Only a pool has a window, so only a pooled run prints it.
+        # No run has a window, so none prints a stream: line; the
+        # engine: line names the config that ran.
         serial = self._realign(sample_dir, "serial.sam", "--workers", "1")
-        assert "stream: " not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "engine: workers=1 batch=8 " in out
+        assert "stream: " not in out
         assert self._realign(
             sample_dir, "stream.sam", "--workers", "4", "--batch", "3",
         ) == serial
-        assert "stream: " in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "engine: workers=4 batch=3 " in out
+        assert "stream: " not in out
 
     @pytest.mark.parametrize("flags", [
         ("--workers", "2"),
@@ -258,17 +168,17 @@ class TestStreamCli:
     ], ids=["pool", "cache"])
     def test_cache_composes_with_every_window(self, sample_dir, serial,
                                               capsys, flags):
-        # Regression: the cache lived on a third plane, so a windowed
-        # run with --site-cache-mb dropped the window, did the work,
-        # then died on engine.stream_stats before the SAM was written.
+        # Regression: the cache lived on a third plane, so a pooled run
+        # with --site-cache-mb dropped the pool, did the work, then died
+        # on the engine's stats before the SAM was written.
         assert self._realign(sample_dir, "flags.sam", *flags) == serial
-        assert "stream: " in capsys.readouterr().out
+        assert "engine: workers=2 " in capsys.readouterr().out
 
     def test_shards_flag_is_gone(self, sample_dir, capsys):
         from repro.__main__ import main as cli_main
 
         # ... and so are --no-shmem (one payload to choose from) and
-        # --stream / --queue-depth (one window, at a fixed depth).
+        # --stream / --queue-depth (no window).
         for gone, flags in (("--shards", ("--shards", "2")),
                             ("--no-shmem", ("--no-shmem",)),
                             ("--stream", ("--stream",)),
@@ -287,8 +197,8 @@ class TestStreamCli:
     def test_bad_queue_depth_rejected(self, sample_dir, capsys):
         from repro.__main__ import main as cli_main
 
-        # The window depth is fixed, so no depth — a bad one least of
-        # all — gets past the parser, and nothing is written.
+        # There is no window, so no depth -- a bad one least of all --
+        # gets past the parser, and nothing is written.
         out = sample_dir / "bad.sam"
         with pytest.raises(SystemExit) as exit_info:
             cli_main([
@@ -303,15 +213,14 @@ class TestStreamCli:
     def test_trace_records_stream_session(self, sample_dir, capsys):
         from repro.__main__ import main as cli_main
 
-        # One engine session: the window's counters ride on it, and the
-        # pooled run prints its stream: line.
+        # One engine session, and no stream: line (there is no window).
         trace = sample_dir / "trace.json"
         assert cli_main([
             "trace", "--out", str(trace), "--sites", "8",
             "--workers", "2", "--batch", "4",
         ]) == 0
         out = capsys.readouterr().out
-        assert "[engine]" in out and "stream: " in out
+        assert "[engine]" in out and "stream: " not in out
         payload = json.loads(trace.read_text())
         processes = [
             e["args"]["name"] for e in payload["traceEvents"]
