@@ -117,7 +117,7 @@ _C_SOURCE = r"""
 
 static const uint64_t EVEN = 0x5555555555555555ULL;
 static const int64_t WHD_SENTINEL = 2147483647;
-static const int64_t QLOW_PAD = 1LL << 40;
+static const int32_t QLOW_PAD = 1 << 30;
 
 /* ASCII -> 2-bit code: A=0, C=1, G=2, T=3; N (flagged apart) and
  * anything else share code 0. */
@@ -134,7 +134,7 @@ static inline uint64_t mismatches(uint64_t c, uint64_t cn, uint64_t r,
 /* Exact WHD of offset k, given win + k: its window word w is win[32w]. */
 static int64_t exact_whd(const uint64_t *win, const uint64_t *winn,
     const uint64_t *rw, const uint64_t *rn, const uint64_t *rv,
-    const int64_t *rq, int64_t words, int64_t track_n)
+    const int32_t *rq, int64_t words, int64_t track_n)
 {
     int64_t whd = 0;
     for (int64_t w = 0; w < words; w++)
@@ -160,8 +160,8 @@ static int64_t swar_grid(
     const uint64_t *rwords,    /* R x Wr packed read bases            */
     const uint64_t *rnmask,    /* R x Wr read N flags                 */
     const uint64_t *rvalid,    /* R x Wr even-bit validity            */
-    const int64_t *rquals,     /* R x (Wr*32) qualities, zero padded  */
-    const int64_t *qlow,       /* R x qstride sorted-qual prefix sums */
+    const int32_t *rquals,     /* R x (Wr*32) qualities, zero padded  */
+    const int32_t *qlow,       /* R x qstride sorted-qual prefix sums */
     const int64_t *nlens,      /* R read lengths                      */
     int64_t num_reads, int64_t wr, int64_t qstride, int64_t track_n,
     int32_t *c,                /* max(mlens) whole-read counts        */
@@ -174,8 +174,8 @@ static int64_t swar_grid(
             const uint64_t *rw = rwords + j * wr;
             const uint64_t *rn = rnmask + j * wr;
             const uint64_t *rv = rvalid + j * wr;
-            const int64_t *rq = rquals + j * wr * 32;
-            const int64_t *ql = qlow + j * qstride;
+            const int32_t *rq = rquals + j * wr * 32;
+            const int32_t *ql = qlow + j * qstride;
             const int64_t K = mlens[i] - nlens[j] + 1;
             const int64_t words = (nlens[j] + 31) / 32;
             /* pass 0: word-0 counts; the earliest of the fewest seeds */
@@ -267,13 +267,17 @@ static int64_t pack_windows(const uint8_t *seq, int64_t len, uint64_t *win,
 }
 
 /* One whole site: pack the consensuses into window words and the reads
- * into planes, then fill the C x R grids.  Returns the exact offset
- * count, or -1 when the scratch cannot be allocated (grids untouched). */
+ * into planes, then fill the C x R grids.  Read j is the nlens[j] bases
+ * at bases + seq_at[j], its scores the characters at quals + qual_at[j]
+ * less phred (33 for Sanger characters in a SAM buffer, 0 for raw
+ * scores).  A score sum fits int32: 256 reads' bases x 93 at most.
+ * Returns the exact offset count, or -1 when the scratch cannot be
+ * allocated (grids untouched). */
 int64_t repro_native_site(
     const uint8_t *cons_bytes, /* the C consensuses, joined           */
     const int64_t *mlens, int64_t num_cons,
-    const uint8_t *read_bytes, /* the R reads, joined                 */
-    const uint8_t *quals,      /* their qualities, joined             */
+    const uint8_t *bases, const int64_t *seq_at,
+    const uint8_t *quals, const int64_t *qual_at, int64_t phred,
     const int64_t *nlens, int64_t num_reads,
     int64_t *out_whd,          /* C x R */
     int64_t *out_idx)          /* C x R */
@@ -285,18 +289,17 @@ int64_t repro_native_site(
         n_max = nlens[j] > n_max ? nlens[j] : n_max;
     const int64_t wr = (n_max + 31) / 32, qstride = n_max + 1;
     const int64_t plane = num_reads * wr;
-    uint64_t *scratch = calloc((size_t)(2 * m_sum + 3 * plane
-                                        + plane * 32 + num_reads * qstride
-                                        + (m_max + 1) / 2),
-                               sizeof(uint64_t));
+    uint64_t *scratch = calloc(
+        (size_t)((2 * m_sum + 3 * plane) * 8
+                 + (plane * 32 + num_reads * qstride + m_max) * 4), 1);
     if (!scratch)
         return -1;
     uint64_t *win = scratch, *winn = win + m_sum;
     uint64_t *rwords = winn + m_sum, *rnmask = rwords + plane;
     uint64_t *rvalid = rnmask + plane;
-    int64_t *rquals = (int64_t *)(rvalid + plane);
-    int64_t *qlow = rquals + plane * 32;
-    int32_t *c = (int32_t *)(qlow + num_reads * qstride);
+    int32_t *rquals = (int32_t *)(rvalid + plane);
+    int32_t *qlow = rquals + plane * 32;
+    int32_t *c = qlow + num_reads * qstride;
 
     int64_t track_n = 0;
     for (int64_t i = 0, at = 0; i < num_cons; at += mlens[i], i++)
@@ -305,7 +308,7 @@ int64_t repro_native_site(
     int64_t hist[256] = {0};
     for (int64_t j = 0; j < num_reads; j++) {
         const int64_t n = nlens[j];
-        track_n |= pack_bases(read_bytes, n, rwords + j * wr,
+        track_n |= pack_bases(bases + seq_at[j], n, rwords + j * wr,
                               rnmask + j * wr);
         for (int64_t w = 0; w < wr; w++) {
             int64_t rest = n - 32 * w;
@@ -314,13 +317,15 @@ int64_t repro_native_site(
         }
         /* qlow[c]: the c smallest qualities summed, by counting sort;
          * counts past the read's length never index it, so pad loudly */
-        int64_t *rq = rquals + j * wr * 32, *ql = qlow + j * qstride;
+        int32_t *rq = rquals + j * wr * 32, *ql = qlow + j * qstride;
+        const uint8_t *q = quals + qual_at[j];
         uint8_t lo = 255, hi = 0;
         for (int64_t t = 0; t < n; t++) {
-            rq[t] = quals[t];
-            hist[quals[t]]++;
-            lo = quals[t] < lo ? quals[t] : lo;
-            hi = quals[t] > hi ? quals[t] : hi;
+            const uint8_t v = (uint8_t)(q[t] - phred);
+            rq[t] = v;
+            hist[v]++;
+            lo = v < lo ? v : lo;
+            hi = v > hi ? v : hi;
         }
         int64_t c = 0;
         for (int64_t v = lo; v <= hi; v++)
@@ -328,8 +333,6 @@ int64_t repro_native_site(
                 ql[c + 1] = ql[c] + v;
         for (c = n + 1; c < qstride; c++)
             ql[c] = QLOW_PAD;
-        read_bytes += n;
-        quals += n;
     }
     int64_t exact = swar_grid(win, winn, mlens, num_cons, rwords, rnmask,
                               rvalid, rquals, qlow, nlens, num_reads, wr,
@@ -635,8 +638,9 @@ class _CcBackend:
         self.site = lib.repro_native_site
         self.site.argtypes = [
             ctypes.c_char_p, array(np.int64), i64,
-            ctypes.c_char_p, array(np.uint8), array(np.int64), i64,
-            array(np.int64), array(np.int64),
+            ctypes.c_char_p, array(np.int64),
+            ctypes.c_char_p, array(np.int64), i64,
+            array(np.int64), i64, array(np.int64), array(np.int64),
         ]
         self.site.restype = i64
         self.ingest = lib.repro_ingest_sam
@@ -820,15 +824,17 @@ def _grids_native(
     site: RealignmentSite, backend
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Fill the ``(C, R)`` grids through the compiled backend: one C
-    call packs the site's bases and qualities and runs the grid."""
+    call packs the site's bases and qualities, read where
+    :meth:`~repro.realign.site.RealignmentSite.spans` says they are,
+    and runs the grid."""
     C, R = site.num_consensuses, site.num_reads
     out_whd = np.empty((C, R), dtype=np.int64)
     out_idx = np.empty((C, R), dtype=np.int64)
+    bases, seq_at, quals, qual_at, offset = site.spans()
     exact = backend.site(
         "".join(site.consensuses).encode("ascii"),
         np.fromiter(map(len, site.consensuses), dtype=np.int64, count=C),
-        C, "".join(site.reads).encode("ascii"), np.concatenate(site.quals),
-        np.fromiter(map(len, site.reads), dtype=np.int64, count=R),
+        C, bases, seq_at, quals, qual_at, offset, site.lengths,
         R, out_whd, out_idx,
     )
     if exact < 0:  # nothing written: the C scratch allocation failed
@@ -905,7 +911,7 @@ def realign_site_native(
         # sum of m - n + 1 over every pair (the site enforces m >= n)
         C, R = min_whd.shape
         offsets_total = (R * sum(map(len, site.consensuses))
-                         - C * (sum(map(len, site.reads)) - R))
+                         - C * (int(site.lengths.sum()) - R))
         telemetry.count("kernel.sites", 1)
         telemetry.count("kernel.grid_cells", int(min_whd.size))
         telemetry.count("kernel.offsets_evaluated", offsets_total)

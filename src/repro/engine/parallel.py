@@ -123,24 +123,28 @@ class _CounterSink:
 
 
 def _realign_chunk(
-    chunk_id: int, sites: Sequence[RealignmentSite], config: EngineConfig
-) -> Tuple[int, List[SiteResult], float, float, Dict[str, int]]:
+    chunk_id: int, sites: Sequence[RealignmentSite], config: EngineConfig,
+    failed=None,
+) -> Optional[Tuple[int, List[SiteResult], float, float, Dict[str, int]]]:
     """Realign one chunk (shared by the pool and the inline path).
 
     The returned ``perf_counter`` timestamps let the engine lay every
-    worker's shards on one timeline.
+    worker's shards on one timeline. ``failed``, the pooled run's
+    event, is checked before each site: once another chunk of the run
+    has raised, this one stops and returns ``None``.
     """
     start = time.perf_counter()
     sink = _CounterSink()
-    results = [
-        dispatch_realign(
+    results = []
+    for site in sites:
+        if failed is not None and failed.is_set():
+            return None
+        results.append(dispatch_realign(
             site,
             kernel=config.kernel,
             scoring=config.scoring,
             telemetry=sink,
-        )
-        for site in sites
-    ]
+        ))
     return chunk_id, results, start, time.perf_counter(), sink.counters
 
 
@@ -261,9 +265,10 @@ class Engine:
 
         The wait returns at the first exception, so a failing chunk
         raises at once, not after every chunk before it (which is why
-        this is not ``Executor.map``). A unit that would start a chunk
-        after one has failed skips it, and the chunks still queued are
-        cancelled.
+        this is not ``Executor.map``). After a failure the chunks still
+        queued are cancelled, and a running chunk stops before its next
+        site, so the next run on this engine does not queue behind
+        them.
         """
         import threading
         from concurrent.futures import FIRST_EXCEPTION, wait
@@ -271,10 +276,8 @@ class Engine:
         failed = threading.Event()
 
         def run(chunk_id, chunk):
-            if failed.is_set():
-                return None
             try:
-                return _realign_chunk(chunk_id, chunk, self.config)
+                return _realign_chunk(chunk_id, chunk, self.config, failed)
             except BaseException:
                 failed.set()
                 raise

@@ -136,7 +136,8 @@ def evaluate_sample(
     moved_indices = {index for index, _pos, _cigar in moved}
     site_outcomes: List[SiteOutcome] = []
     for window in windows:
-        site_mismatch_before, _ = mismatch_totals(window.reads, reference)
+        site_mismatch_before, _ = mismatch_totals(
+            [before[i] for i in window.indices], reference)
         site_mismatch_after, _ = mismatch_totals(
             [after[i] for i in window.indices], reference)
         site_outcomes.append(SiteOutcome(

@@ -334,6 +334,17 @@ class ReadBatch:
             (self.columns[SEQ_AT][reads] + offsets).tolist(),
             lengths.tolist())])
 
+    def names(self, indices: np.ndarray) -> list:
+        """The QNAMEs of reads ``indices``, without building a read: the
+        buffer's bytes (UTF-8, so they sort as the text does), or the
+        reads' own names for a batch made from reads."""
+        if self.buffer is None:
+            return [self._reads[i].name for i in indices.tolist()]
+        buffer = self.buffer
+        return [buffer[at:end] for at, end in zip(
+            self.columns[LINE_AT][indices].tolist(),
+            self.columns[NAME_END][indices].tolist())]
+
     def mismatches(self, reference) -> Tuple[np.ndarray, np.ndarray]:
         """``(read, pos)``: each base of a mapped, non-duplicate read's M
         blocks that differs from ``reference`` (raw characters: ``N``

@@ -13,8 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.genomics.cigar import Cigar, CigarOp
-from repro.genomics.read import Read
+from repro.genomics.read import (
+    DELETION,
+    END,
+    INSERTION,
+    LENGTH,
+    POS,
+    QUAL_AT,
+    SEQ_AT,
+    ReadBatch,
+)
 from repro.genomics.reference import ReferenceGenome
 from repro.realign.site import RealignmentSite, SiteLimits, PAPER_LIMITS
 from repro.realign.targets import RealignmentTarget
@@ -44,31 +55,36 @@ class ObservedIndel:
             raise ValueError("inserted bases must match the insertion length")
 
 
-def observed_indels(reads: Sequence[Read]) -> Dict[ObservedIndel, int]:
-    """Collect distinct INDELs with their read support counts."""
-    support: Dict[ObservedIndel, int] = {}
-    for read in reads:
-        if not read.is_mapped or not read.has_indel:
-            continue
-        read_offset = 0
-        ref_pos = read.pos
-        for op, length in read.cigar:
-            if op is CigarOp.INSERTION:
-                observation = ObservedIndel(
-                    ref_pos=ref_pos,
-                    op=op,
-                    length=length,
-                    inserted=read.seq[read_offset : read_offset + length],
-                )
-                support[observation] = support.get(observation, 0) + 1
-            elif op is CigarOp.DELETION:
-                observation = ObservedIndel(ref_pos=ref_pos, op=op, length=length)
-                support[observation] = support.get(observation, 0) + 1
-            if op.consumes_read:
-                read_offset += length
-            if op.consumes_reference:
-                ref_pos += length
-    return support
+def observed_indels(batch: ReadBatch,
+                    members: np.ndarray) -> Dict[ObservedIndel, int]:
+    """The distinct INDELs in the CIGARs of reads ``members`` of
+    ``batch``, with their read support counts, in order of first
+    observation (read by read in ``members`` order, each read's
+    elements left to right); inserted bases come from the batch's
+    producer without building a read."""
+    kinds, spans = batch.ops
+    starts = batch.op_at[members]
+    counts = batch.op_at[members + 1] - starts
+    elements = (np.arange(counts.sum())
+                + np.repeat(starts - (np.cumsum(counts) - counts), counts))
+    elements = elements[(kinds[elements] == INSERTION)
+                        | (kinds[elements] == DELETION)]
+    read, ref_pos, read_offset = (column[elements]
+                                  for column in batch.layout())
+    inserted, lengths = kinds[elements] == INSERTION, spans[elements]
+    bases = batch._bases(read[inserted], read_offset[inserted],
+                         lengths[inserted]).decode("ascii")
+    support: Dict[tuple, int] = {}
+    at = 0
+    for is_insertion, pos, length in zip(inserted.tolist(), ref_pos.tolist(),
+                                         lengths.tolist()):
+        if is_insertion:
+            key = (pos, CigarOp.INSERTION, length, bases[at:at + length])
+            at += length
+        else:
+            key = (pos, CigarOp.DELETION, length, "")
+        support[key] = support.get(key, 0) + 1
+    return {ObservedIndel(*key): count for key, count in support.items()}
 
 
 def apply_indel_to_window(
@@ -100,15 +116,13 @@ class ConsensusWindow:
     reference (index 0), and the :class:`ObservedIndel` each alternate
     consensus was built from -- the information the host needs to
     reconstruct realigned reads' reference-space CIGARs. ``indices``,
-    parallel to ``reads``, are their positions in the reads
-    :meth:`~repro.realign.realigner.IndelRealigner.build_sites` was
-    given (empty for a window :func:`build_site` returns).
+    parallel to the site's reads, are their indices in the batch
+    :func:`build_site` was given.
     """
 
     site: RealignmentSite
-    reads: Tuple[Read, ...]  # the Read objects, parallel to site.reads
-    indels: Tuple[Optional[ObservedIndel], ...] = ()
-    indices: Tuple[int, ...] = ()
+    indels: Tuple[Optional[ObservedIndel], ...]
+    indices: Tuple[int, ...]
 
 
 def realigned_read_placement(
@@ -172,35 +186,47 @@ def realigned_read_placement(
 
 def build_site(
     target: RealignmentTarget,
-    anchored: Sequence[Read],
+    batch: ReadBatch,
+    anchored: Sequence[int],
     reference: ReferenceGenome,
     limits: SiteLimits = PAPER_LIMITS,
 ) -> Optional[ConsensusWindow]:
-    """Assemble the :class:`RealignmentSite` for one target from its
-    anchored reads.
+    """Assemble the :class:`RealignmentSite` for one target from the
+    reads ``anchored`` (ascending indices into ``batch``) it claims,
+    reading only the batch's columns.
 
-    ``anchored`` are the reads the target claims: no membership rule runs
-    here (:meth:`~repro.realign.realigner.IndelRealigner.build_sites`
-    decides it, on columns; :func:`repro.realign.targets.reads_for_target`
-    states it read by read). Returns ``None`` when the target yields no
-    usable site: no reads, or no alternate consensus (nothing to
-    realign against).
+    No membership rule runs here
+    (:meth:`~repro.realign.realigner.IndelRealigner.build_sites`
+    decides it; :func:`repro.realign.targets.reads_for_target` states
+    it read by read). Returns ``None`` when the target yields no usable
+    site: no reads, or no alternate consensus (nothing to realign
+    against). The site addresses ``batch.buffer`` when the batch has
+    one (:meth:`RealignmentSite.from_buffer`), and holds the reads' own
+    strings when it was made from reads.
 
     The window is sized so that every consensus -- including deletion
     consensuses, which are shorter than the window -- remains at least as
     long as the longest read, guaranteeing ``m - n + 1 >= 1`` offsets for
     every pair.
     """
-    if not anchored:
+    anchored = np.asarray(anchored, dtype=np.int64)
+    if not anchored.size:
         return None
-    if len(anchored) > limits.max_reads:
-        # Paper: "we generate a maximum of 256 reads per target."
-        anchored = sorted(anchored, key=lambda r: (r.pos, r.name))[: limits.max_reads]
+    columns = batch.columns
+    if anchored.size > limits.max_reads:
+        # Paper: "we generate a maximum of 256 reads per target." By
+        # (pos, name), ties in input order; a name from the buffer is
+        # its UTF-8 bytes, which sort as the text does.
+        keys = list(zip(columns[POS][anchored].tolist(),
+                        batch.names(anchored)))
+        order = sorted(range(anchored.size), key=keys.__getitem__)
+        anchored = anchored[order[: limits.max_reads]]
 
-    support = observed_indels(anchored)
+    support = observed_indels(batch, anchored)
     if not support:
         return None
-    max_read_len = max(len(read) for read in anchored)
+    lengths = columns[LENGTH][anchored]
+    max_read_len = int(lengths.max())
     max_deletion = max(
         (ind.length for ind in support if ind.op is CigarOp.DELETION), default=0
     )
@@ -208,10 +234,10 @@ def build_site(
     # Window: cover every anchored read plus flanks wide enough that a
     # deletion consensus still fits the longest read.
     pad = max_read_len + max_deletion
-    window_start = max(0, min(read.pos for read in anchored) - pad)
+    window_start = max(0, int(columns[POS][anchored].min()) - pad)
     window_end = min(
         reference.length(target.chrom),
-        max(read.end for read in anchored) + pad,
+        int(columns[END][anchored].max()) + pad,
     )
     if window_end - window_start > limits.max_consensus_length:
         # Centre the window on the target and clamp to the hardware limit.
@@ -247,16 +273,23 @@ def build_site(
         return None
 
     # Keep only reads that fit every consensus (site invariant m >= n).
-    min_cons_len = min(len(c) for c in consensuses)
-    usable = [read for read in anchored if len(read) <= min_cons_len]
-    if not usable:
+    usable = anchored[lengths <= min(len(c) for c in consensuses)]
+    if not usable.size:
         return None
-    site = RealignmentSite(
-        chrom=target.chrom,
-        start=window_start,
-        consensuses=tuple(consensuses),
-        reads=tuple(read.seq for read in usable),
-        quals=tuple(read.quals for read in usable),
-        limits=limits,
-    )
-    return ConsensusWindow(site=site, reads=tuple(usable), indels=tuple(indels))
+    if batch.buffer is not None:
+        site = RealignmentSite.from_buffer(
+            target.chrom, window_start, tuple(consensuses), batch.buffer,
+            columns[SEQ_AT][usable], columns[QUAL_AT][usable],
+            columns[LENGTH][usable], limits)
+    else:
+        reads = [batch.read(i) for i in usable.tolist()]
+        site = RealignmentSite(
+            chrom=target.chrom,
+            start=window_start,
+            consensuses=tuple(consensuses),
+            reads=tuple(read.seq for read in reads),
+            quals=tuple(read.quals for read in reads),
+            limits=limits,
+        )
+    return ConsensusWindow(site=site, indels=tuple(indels),
+                           indices=tuple(usable.tolist()))

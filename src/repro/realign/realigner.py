@@ -10,7 +10,7 @@ which the accelerator model must be bit-identical; its *work counters*
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -21,10 +21,12 @@ from repro.genomics.read import (
     END,
     FLAG,
     FLAG_DUPLICATE,
+    LENGTH,
     POS,
     Read,
     ReadBatch,
     as_batch,
+    cigar_codes,
 )
 from repro.genomics.reference import ReferenceGenome
 from repro.kernels import KERNEL_CHOICES
@@ -125,11 +127,13 @@ class IndelRealigner:
 
         Exposed separately because the served path and the end-to-end
         benchmark run the kernel on an engine of their own.
-        ``reads`` is a list, or a :class:`~repro.genomics.read.ReadBatch`
-        whose columns decide targets and membership: a read is built
-        only as a candidate of a target where some candidate's CIGAR
-        carries an INDEL, because :func:`build_site` proposes only the
-        INDELs its reads carry and builds no site without one.
+        ``reads`` is a list (read through :meth:`ReadBatch.of`), or a
+        :class:`~repro.genomics.read.ReadBatch`, whose columns decide
+        everything here: targets, membership and each window
+        (:func:`build_site`), which is built only for a target where
+        some candidate's CIGAR carries an INDEL, because
+        :func:`build_site` proposes only the INDELs its reads carry.
+        No read is built.
         """
         batch = as_batch(reads, self.reference)
         targets = identify_targets(batch, self.reference, self.creator_config)
@@ -138,8 +142,8 @@ class IndelRealigner:
         # a read anchored near two targets could be realigned twice with
         # order-dependent results. Membership is decided here, once, on
         # the start-sorted views (the rule of ``reads_for_target``):
-        # ``build_site`` is handed the target's unclaimed anchored
-        # reads, in input order.
+        # ``build_site`` is handed the indices of the target's
+        # unclaimed anchored reads, ascending.
         views = _start_sorted(batch)
         claimed = np.zeros(len(batch), dtype=bool)
         carries = batch.indel
@@ -159,16 +163,11 @@ class IndelRealigner:
             candidates = np.sort(index[anchored & ~claimed[index]])
             if not carries[candidates].any():
                 continue
-            candidates = candidates.tolist()
-            members = [batch.read(i) for i in candidates]
-            built = build_site(target, members, self.reference,
+            built = build_site(target, batch, candidates, self.reference,
                                self.creator_config.limits)
             if built is not None:
-                position = {id(read): i
-                            for i, read in zip(candidates, members)}
-                indices = tuple(position[id(read)] for read in built.reads)
-                claimed[list(indices)] = True
-                windows.append(replace(built, indices=indices))
+                claimed[list(built.indices)] = True
+                windows.append(built)
         return targets, windows
 
     def decide(
@@ -184,7 +183,8 @@ class IndelRealigner:
         Nothing is applied: :func:`apply_moved` applies ``moved`` to a
         read list, :func:`repro.genomics.samlite.write_patched` to the
         input's text."""
-        targets, windows = self.build_sites(reads)
+        batch = as_batch(reads, self.reference)
+        targets, windows = self.build_sites(batch)
         report = RealignerReport(
             targets_identified=len(targets),
             sites_built=len(windows),
@@ -193,7 +193,7 @@ class IndelRealigner:
         results = self._engine_instance().run_sites(
             [window.site for window in windows], telemetry=telemetry
         )
-        return windows, moved_records(windows, results, report), report
+        return windows, moved_records(batch, windows, results, report), report
 
     def realign(
         self, reads: Sequence[Read], telemetry=None
@@ -231,34 +231,42 @@ def _start_sorted(batch: ReadBatch) -> Dict[str, tuple]:
 
 
 def moved_records(
+    batch: ReadBatch,
     windows: Sequence[ConsensusWindow],
     results: Sequence[SiteResult],
     report: Optional[RealignerReport] = None,
 ) -> List[List]:
     """The one walk over the kernel's decisions: ``[index, pos, cigar]``
     -- new 1-based POS, new CIGAR -- for each read they move, in input
-    order, without building a moved read. ``index`` counts the reads
-    ``build_sites`` was given, which ``windows`` must come from;
+    order, without building a read. ``index`` counts the reads of
+    ``batch``, which ``windows`` must come from (``build_sites(batch)``);
     ``report``, when given, gains the realigned / moved /
     unpruned-comparison counts. The kernel's ``new_pos`` is the read's
     winning offset against the picked consensus plus the window start;
     :func:`realigned_read_placement` turns it into reference space. A
-    read re-confirmed at its input placement is realigned, not moved.
+    read re-confirmed at its input placement (POS and the CIGAR
+    columns) is realigned, not moved.
     """
+    columns, op_at = batch.columns, batch.op_at
+    kinds, spans = batch.ops.tolist()
     records = []
     for window, result in zip(windows, results):
         start = window.site.start
         indel = window.indels[result.best_cons]
-        realigned = np.flatnonzero(result.realign).tolist()
-        for j in realigned:
-            read = window.reads[j]
-            pos, cigar = realigned_read_placement(
-                indel, start, int(result.new_pos[j]) - start, len(read))
-            if pos != read.pos or cigar != read.cigar:
-                records.append([window.indices[j], pos + 1, str(cigar)])
+        realigned = np.flatnonzero(result.realign)
+        rows = np.array(window.indices)[realigned]
+        for index, offset, length, was, first, stop in zip(
+                rows.tolist(), (result.new_pos[realigned] - start).tolist(),
+                columns[LENGTH][rows].tolist(), columns[POS][rows].tolist(),
+                op_at[rows].tolist(), op_at[rows + 1].tolist()):
+            pos, cigar = realigned_read_placement(indel, start, offset,
+                                                  length)
+            if pos != was or cigar_codes(cigar) != (
+                    tuple(kinds[first:stop]), tuple(spans[first:stop])):
+                records.append([index, pos + 1, str(cigar)])
         if report is not None:
             report.unpruned_comparisons += window.site.unpruned_comparisons()
-            report.reads_realigned += len(realigned)
+            report.reads_realigned += realigned.size
     if report is not None:
         report.reads_moved += len(records)
     return sorted(records)
@@ -283,4 +291,5 @@ def apply_site_results(
     """:func:`apply_moved` of :func:`moved_records`, for a caller that
     ran the kernel itself (the end-to-end benchmark's traced stages);
     ``windows`` must come from ``build_sites(reads)``."""
-    return apply_moved(reads, moved_records(windows, results, report))
+    return apply_moved(reads, moved_records(as_batch(reads), windows,
+                                            results, report))

@@ -25,6 +25,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.genomics.quality import PHRED_OFFSET
 from repro.genomics.sequence import seq_to_array, validate_bases
 
 
@@ -57,6 +58,13 @@ class RealignmentSite:
     ``start`` is the reference coordinate of the first base of
     ``consensuses[0]``; realigned read positions are computed as
     ``min_whd_idx + start`` (Algorithm 2 line 25).
+
+    Built from strings, the site checks every read's bases and
+    qualities. :meth:`from_buffer` builds one that addresses the bytes
+    a SAM reader checked already: ``reads`` and ``quals`` are then
+    decoded from them on first use, and the compiled kernel reads the
+    bases and Phred characters in place (:meth:`spans`). ``lengths``
+    holds the read lengths in either form.
     """
 
     chrom: str
@@ -67,48 +75,104 @@ class RealignmentSite:
     limits: SiteLimits = field(default=PAPER_LIMITS)
 
     def __post_init__(self) -> None:
-        if len(self.consensuses) < 1:
-            raise SiteError("a site needs at least the reference consensus")
-        if len(self.consensuses) > self.limits.max_consensuses:
-            raise SiteError(
-                f"{len(self.consensuses)} consensuses exceed the "
-                f"limit of {self.limits.max_consensuses}"
-            )
-        if not self.reads:
-            raise SiteError("a site needs at least one read")
-        if len(self.reads) > self.limits.max_reads:
-            raise SiteError(
-                f"{len(self.reads)} reads exceed the limit of {self.limits.max_reads}"
-            )
         if len(self.reads) != len(self.quals):
             raise SiteError("reads and quals must be parallel sequences")
         quals = tuple(np.asarray(q, dtype=np.uint8) for q in self.quals)
         object.__setattr__(self, "quals", quals)
-        max_read_len = 0
         for read, qual in zip(self.reads, quals):
             validate_bases(read)
-            if not read:
-                raise SiteError("empty read in site")
-            if len(read) > self.limits.max_read_length:
-                raise SiteError(
-                    f"read length {len(read)} exceeds limit "
-                    f"{self.limits.max_read_length}"
-                )
             if qual.size != len(read):
                 raise SiteError("read and quality lengths differ")
-            max_read_len = max(max_read_len, len(read))
+        self._check(np.fromiter(map(len, self.reads), dtype=np.int64,
+                                count=len(self.reads)))
+
+    @classmethod
+    def from_buffer(cls, chrom: str, start: int, consensuses: Tuple[str, ...],
+                    buffer: bytes, seq_at: np.ndarray, qual_at: np.ndarray,
+                    lengths: np.ndarray,
+                    limits: SiteLimits = PAPER_LIMITS) -> "RealignmentSite":
+        """The site whose read ``j`` is the ``lengths[j]`` bases at
+        ``buffer[seq_at[j]:]`` with the Sanger (Phred+33) characters at
+        ``buffer[qual_at[j]:]``, which the caller has checked; the
+        structural limits are checked here."""
+        site = object.__new__(cls)
+        for name, value in (("chrom", chrom), ("start", start),
+                            ("consensuses", consensuses), ("limits", limits),
+                            ("_buffer", (buffer, seq_at, qual_at))):
+            object.__setattr__(site, name, value)
+        site._check(lengths)
+        return site
+
+    def __getattr__(self, name: str):
+        """``reads`` and ``quals`` of a :meth:`from_buffer` site,
+        decoded on first use and kept."""
+        if name not in ("reads", "quals") or "_buffer" not in self.__dict__:
+            raise AttributeError(name)
+        buffer, seq_at, qual_at = self._buffer
+        spans = list(zip(seq_at.tolist(), qual_at.tolist(),
+                         self.lengths.tolist()))
+        object.__setattr__(self, "reads", tuple(
+            buffer[at:at + n].decode("ascii") for at, _q, n in spans))
+        quals = []
+        for _at, at, n in spans:
+            scores = np.subtract(np.frombuffer(buffer, np.uint8, n, at),
+                                 PHRED_OFFSET, dtype=np.uint8)
+            scores.flags.writeable = False
+            quals.append(scores)
+        object.__setattr__(self, "quals", tuple(quals))
+        return getattr(self, name)
+
+    def _check(self, lengths: np.ndarray) -> None:
+        """The paper's structural limits, on the read ``lengths`` (kept
+        as ``self.lengths``) and the consensuses."""
+        limits = self.limits
+        if len(self.consensuses) < 1:
+            raise SiteError("a site needs at least the reference consensus")
+        if len(self.consensuses) > limits.max_consensuses:
+            raise SiteError(
+                f"{len(self.consensuses)} consensuses exceed the "
+                f"limit of {limits.max_consensuses}"
+            )
+        if not lengths.size:
+            raise SiteError("a site needs at least one read")
+        if lengths.size > limits.max_reads:
+            raise SiteError(
+                f"{lengths.size} reads exceed the limit of {limits.max_reads}"
+            )
+        if lengths.min() == 0:
+            raise SiteError("empty read in site")
+        max_read_len = int(lengths.max())
+        if max_read_len > limits.max_read_length:
+            raise SiteError(
+                f"read length {max_read_len} exceeds limit "
+                f"{limits.max_read_length}"
+            )
         for cons in self.consensuses:
             validate_bases(cons)
-            if len(cons) > self.limits.max_consensus_length:
+            if len(cons) > limits.max_consensus_length:
                 raise SiteError(
                     f"consensus length {len(cons)} exceeds limit "
-                    f"{self.limits.max_consensus_length}"
+                    f"{limits.max_consensus_length}"
                 )
             if len(cons) < max_read_len:
                 raise SiteError(
                     f"consensus of length {len(cons)} shorter than the longest "
                     f"read ({max_read_len}); pad the target window"
                 )
+        object.__setattr__(self, "lengths", lengths)
+
+    def spans(self) -> Tuple[bytes, np.ndarray, bytes, np.ndarray, int]:
+        """``(bases, seq_at, quals, qual_at, offset)``: read ``j``'s
+        bases at ``bases[seq_at[j]:]`` and its scores plus ``offset``
+        at ``quals[qual_at[j]:]``, ``lengths[j]`` of each -- the
+        buffer itself for a :meth:`from_buffer` site (offset 33),
+        joined copies for a site built from strings (offset 0)."""
+        if "_buffer" in self.__dict__:
+            buffer, seq_at, qual_at = self._buffer
+            return buffer, seq_at, buffer, qual_at, PHRED_OFFSET
+        at = np.cumsum(self.lengths) - self.lengths
+        return ("".join(self.reads).encode("ascii"), at,
+                np.concatenate(self.quals).tobytes(), at, 0)
 
     @property
     def num_consensuses(self) -> int:
@@ -116,7 +180,7 @@ class RealignmentSite:
 
     @property
     def num_reads(self) -> int:
-        return len(self.reads)
+        return len(self.lengths)
 
     @property
     def reference(self) -> str:
@@ -137,28 +201,25 @@ class RealignmentSite:
         ``m - n + 1`` alignments; we follow the text (see DESIGN.md).
         """
         m = len(self.consensuses[cons_index])
-        n = len(self.reads[read_index])
+        n = int(self.lengths[read_index])
         return m - n + 1
 
     def unpruned_comparisons(self) -> int:
         """Total base comparisons Algorithm 1 performs without pruning.
 
         This is the paper's ``O(CR * (m - n + 1) * n)`` work term and the
-        unit of the software baseline's cost model.
+        unit of the software baseline's cost model. Summed over every
+        pair, ``(m_i - n_j + 1) * n_j`` is
+        ``(sum_i (m_i + 1)) * sum_j n_j - C * sum_j n_j**2``.
         """
-        total = 0
-        for cons in self.consensuses:
-            m = len(cons)
-            for read in self.reads:
-                n = len(read)
-                total += (m - n + 1) * n
-        return total
+        n = self.lengths
+        return (sum(len(c) + 1 for c in self.consensuses) * int(n.sum())
+                - len(self.consensuses) * int(np.dot(n, n)))
 
     def input_bytes(self) -> int:
         """Bytes DMA'd to the FPGA for this site (1 B per base/score)."""
         cons_bytes = sum(len(c) for c in self.consensuses)
-        read_bytes = sum(len(r) for r in self.reads)
-        return cons_bytes + 2 * read_bytes  # bases + quality scores
+        return cons_bytes + 2 * int(self.lengths.sum())  # bases + scores
 
     def output_bytes(self) -> int:
         """Bytes read back: 1 B realign flag + 4 B new position per read."""

@@ -233,11 +233,11 @@ class RealignmentServer:
                 tenant=tenant,
                 deadline_s=deadline_s,
             )
-            moved = moved_records(windows, results)
+            moved = moved_records(batch, windows, results)
         else:
             # build_site proposes only INDELs that an anchored read's
             # CIGAR carries, so a job with none builds no site and moves
-            # no read: it is answered without building a read. The
+            # no read: it is answered without a front half. The
             # empty submission counts the request, and refuses it while
             # closing, as the full path would.
             # test_front_half_oracle.py::test_gap_free_cigars_build_no_site

@@ -123,7 +123,8 @@ def front_half_golden() -> dict:
                         hashlib.sha256(c.encode()).hexdigest()
                         for c in window.site.consensuses
                     ],
-                    "reads": [read.name for read in window.reads],
+                    "reads": [sample.reads[i].name
+                              for i in window.indices],
                     "indels": [
                         None if indel is None else
                         [indel.ref_pos, indel.op.value, indel.length,

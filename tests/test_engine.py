@@ -221,11 +221,11 @@ class TestPooledChunks:
         real = parallel._realign_chunk
         poisoned_calls = []
 
-        def failing(chunk_id, part, config):
+        def failing(chunk_id, part, config, failed=None):
             if any(site is poison for site in part):
                 poisoned_calls.append(chunk_id)
                 raise KeyError("poison site")
-            return real(chunk_id, part, config)
+            return real(chunk_id, part, config, failed)
 
         monkeypatch.setattr(parallel, "_realign_chunk", failing)
         with Engine(EngineConfig(workers=2, batch=2)) as engine:
@@ -248,9 +248,9 @@ class TestPooledChunks:
         sites = _sites(8, seed=89)
         real = parallel._realign_chunk
 
-        def slow_head(chunk_id, part, config):
+        def slow_head(chunk_id, part, config, failed=None):
             time.sleep(0.02 * (len(sites) - chunk_id))
-            return real(chunk_id, part, config)
+            return real(chunk_id, part, config, failed)
 
         serial = Engine(EngineConfig(workers=1, batch=1)).run_sites(sites)
         monkeypatch.setattr(parallel, "_realign_chunk", slow_head)
@@ -275,14 +275,14 @@ class TestPooledChunks:
         started = []
         head_done = []
 
-        def gated(chunk_id, part, config):
+        def gated(chunk_id, part, config, failed=None):
             started.append(chunk_id)
             if chunk_id == 0:
                 release.wait(timeout=60)
                 head_done.append(release.is_set())
             elif chunk_id == 1:
                 raise KeyError("chunk 1")
-            return real(chunk_id, part, config)
+            return real(chunk_id, part, config, failed)
 
         monkeypatch.setattr(parallel, "_realign_chunk", gated)
         with Engine(EngineConfig(workers=2, batch=1)) as engine:
@@ -294,6 +294,42 @@ class TestPooledChunks:
                 release.set()
         assert head_done == [True]
         assert sorted(started) == [0, 1]
+        assert engine.shard_stats == []
+
+    def test_a_failed_run_stops_its_running_chunks(self, monkeypatch):
+        # Two three-site chunks. Chunk 0's first site blocks until the
+        # run has raised; chunk 1's first site raises once chunk 0 is
+        # inside its first site. Chunk 0 then stops before its second
+        # site: after a failure no unit starts another site of the run.
+        import threading
+
+        from repro.engine import parallel
+
+        sites = _sites(6, seed=72)
+        real = parallel.dispatch_realign
+        entered, release = threading.Event(), threading.Event()
+        dispatched = []
+
+        def gated(site, **kwargs):
+            dispatched.append(next(
+                i for i, known in enumerate(sites) if known is site))
+            if site is sites[0]:
+                entered.set()
+                release.wait(timeout=60)
+            elif site is sites[3]:
+                entered.wait(timeout=60)
+                raise KeyError("chunk 1")
+            return real(site, **kwargs)
+
+        monkeypatch.setattr(parallel, "dispatch_realign", gated)
+        engine = Engine(EngineConfig(workers=2, batch=3))
+        try:
+            with pytest.raises(KeyError, match="chunk 1"):
+                engine.run_sites(sites)
+        finally:
+            release.set()
+            engine.close()  # joins the units: chunk 0 has returned
+        assert sorted(dispatched) == [0, 3]
         assert engine.shard_stats == []
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.realign.site import (
     PAPER_LIMITS,
@@ -84,6 +86,19 @@ class TestWorkArithmetic:
         site = make_site()
         # (5 offsets + 6 offsets) * 4 bases
         assert site.unpruned_comparisons() == (5 + 6) * 4
+
+    @given(st.lists(st.integers(1, 256), min_size=1, max_size=20),
+           st.lists(st.integers(0, 300), min_size=1, max_size=8))
+    def test_unpruned_comparisons_closed_form(self, read_lengths, slacks):
+        """The closed form (sum_i (m_i + 1)) * sum_j n_j - C * sum_j n_j**2
+        is the sum of (m_i - n_j + 1) * n_j over every pair."""
+        longest = max(read_lengths)
+        site = make_site(
+            consensuses=["A" * (longest + slack) for slack in slacks],
+            reads=["C" * n for n in read_lengths])
+        assert site.unpruned_comparisons() == sum(
+            (m - n + 1) * n for m in map(len, site.consensuses)
+            for n in read_lengths)
 
     def test_io_bytes(self):
         site = make_site()

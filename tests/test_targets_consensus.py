@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.genomics.cigar import Cigar, CigarOp
-from repro.genomics.read import Read
+from repro.genomics.read import Read, ReadBatch
 from repro.genomics.reference import ReferenceGenome
 from repro.genomics.sequence import random_bases
 from repro.realign.consensus import (
@@ -114,7 +114,7 @@ class TestObservedIndels:
             make_read("b", 90, "A" * 50, "30M2D20M"),
             make_read("c", 100, "A" * 52, "20M2I30M"),
         ]
-        support = observed_indels(reads)
+        support = observed_indels(ReadBatch.of(reads), np.arange(3))
         deletion = ObservedIndel(120, CigarOp.DELETION, 2)
         assert support[deletion] == 2
         insertion = ObservedIndel(120, CigarOp.INSERTION, 2, inserted="AA")
@@ -199,11 +199,12 @@ class TestBuildSite:
             for i in range(4)
         ]
         target = RealignmentTarget("1", 1000, 1400)
-        window = build_site(target, reads, reference)
+        window = build_site(target, ReadBatch.of(reads), range(4), reference)
         assert window is not None
         site = window.site
         assert site.num_consensuses >= 2
         assert site.num_reads == 4
+        assert window.indices == (0, 1, 2, 3)
         assert window.indels[0] is None
         assert all(i is not None for i in window.indels[1:])
 
@@ -211,11 +212,12 @@ class TestBuildSite:
         seq = reference.fetch("1", 1000, 1050)
         reads = [make_read("a", 1000, seq, "50M")]
         target = RealignmentTarget("1", 1000, 1100)
-        assert build_site(target, reads, reference) is None
+        assert build_site(target, ReadBatch.of(reads), [0],
+                          reference) is None
 
     def test_no_reads_no_site(self, reference):
         target = RealignmentTarget("1", 1000, 1100)
-        assert build_site(target, [], reference) is None
+        assert build_site(target, ReadBatch.of([]), [], reference) is None
 
 
 class TestOverhangingReads:
@@ -291,9 +293,9 @@ class TestFrontHalfScaling:
         handed = []
         build_site_once = realigner.build_site
 
-        def counting(target, anchored, *args):
+        def counting(target, batch, anchored, *args):
             handed.append(len(anchored))
-            return build_site_once(target, anchored, *args)
+            return build_site_once(target, batch, anchored, *args)
 
         monkeypatch.setattr(realigner, "build_site", counting)
         targets, windows = IndelRealigner(sample.reference).build_sites(
