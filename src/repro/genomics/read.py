@@ -188,13 +188,6 @@ def _cigar_of(ops: bytes) -> Cigar:
     return Cigar(tuple(zip(map(OPS.__getitem__, kinds), lengths)))
 
 
-def _scores(chars: np.ndarray) -> np.ndarray:
-    """Phred scores of checked Sanger characters, read-only."""
-    scores = np.subtract(chars, PHRED_OFFSET, dtype=np.uint8)
-    scores.flags.writeable = False
-    return scores
-
-
 def _unchecked(name, chrom, pos, seq, quals, cigar, mapq, is_reverse,
                is_duplicate) -> Read:
     """A read built without ``__post_init__``, for fields a batch has
@@ -214,8 +207,8 @@ def _unchecked(name, chrom, pos, seq, quals, cigar, mapq, is_reverse,
 
 
 class ReadBatch:
-    """Checked reads as ``int64`` columns, and a :class:`Read` per index
-    only when one is asked for.
+    """Checked reads as ``int64`` columns, and :class:`Read` objects
+    only when :meth:`reads` is asked for them.
 
     ``columns`` is the ``(COLUMNS, n)`` block (one row per column named
     above), ``ops`` the ``(2, m)`` CIGAR elements of every mapped read
@@ -229,13 +222,14 @@ class ReadBatch:
       compiled tokenizer (:func:`repro.engine.native.sam_ingester`) or
       by its Python twin (:func:`repro.genomics.samlite.ingest`), which
       fill the same columns: the spans are byte offsets into
-      ``buffer``, and a read is decoded from its bytes when it is asked
-      for. The compiled pass also fills the :meth:`mismatches` columns;
+      ``buffer``, which :class:`~repro.realign.site.RealignmentSite`
+      addresses in place and :meth:`reads` decodes. The compiled pass
+      also fills the :meth:`mismatches` columns;
     - :meth:`of`, a list of reads (the API callers), with no buffer.
     """
 
     __slots__ = ("contigs", "buffer", "columns", "op_at", "ops",
-                 "_mismatches", "_layout", "_reads", "_built")
+                 "_mismatches", "_layout", "_reads")
 
     def __init__(self, contigs: Sequence[str], *, columns: np.ndarray,
                  op_at: np.ndarray, ops: np.ndarray, buffer=None,
@@ -246,13 +240,12 @@ class ReadBatch:
         self._mismatches = mismatches
         self._layout = None
         self._reads = reads
-        self._built = None  # the reads read() made, by index
 
     @classmethod
     def of(cls, reads: Sequence[Read],
            contigs: Sequence[str] = ()) -> "ReadBatch":
-        """The batch of ``reads``, whose :meth:`read` ``i`` is
-        ``reads[i]`` itself. ``contigs`` orders the ``CONTIG`` indices
+        """The batch of ``reads``, whose :meth:`reads` are ``reads``
+        themselves. ``contigs`` orders the ``CONTIG`` indices
         (names it lacks follow in order of appearance); the span columns
         are 0."""
         reads = list(reads)
@@ -389,25 +382,11 @@ class ReadBatch:
                              - (stops - lengths[part])[block])
         return np.concatenate(found_read), np.concatenate(found_pos)
 
-    def read(self, index: int) -> Read:
-        """Read ``index``, built on first use and the same object after."""
-        if self._reads is not None:
-            return self._reads[index]
-        if self._built is None:
-            self._built = [None] * len(self)
-        read = self._built[index]
-        if read is None:
-            read = self._built[index] = self._make(index)
-        return read
-
-    def _make(self, index: int, quals=None) -> Read:
-        """Read ``index`` decoded from ``buffer``; its ``quals`` are
-        decoded here unless given."""
-        (line_at, _end, name_end, seq_at, qual_at, length, flag, pos, mapq,
+    def _make(self, index: int, quals: np.ndarray) -> Read:
+        """Read ``index`` decoded from ``buffer``, with ``quals``."""
+        (line_at, _end, name_end, seq_at, _qual_at, length, flag, pos, mapq,
          contig, _ref_end) = self.columns[:, index].tolist()
         buffer = self.buffer
-        if quals is None:
-            quals = _scores(np.frombuffer(buffer, np.uint8, length, qual_at))
         cigar = chrom = None
         if contig >= 0:
             chrom = self.contigs[contig]
@@ -419,22 +398,21 @@ class ReadBatch:
                           bool(flag & FLAG_DUPLICATE))
 
     def reads(self) -> List[Read]:
-        """Every read, in order: those :meth:`read` built, and the rest,
-        whose ``quals`` are read-only views of one array decoded in one
-        pass."""
+        """Every read, in order, built on first use (the reads it was
+        made of, for a batch from :meth:`of`); their ``quals`` are
+        read-only views of one array decoded in one pass."""
         if self._reads is None:
             starts, lengths = self.columns[[QUAL_AT, LENGTH]].tolist()
             view = memoryview(self.buffer)
             chars = b"".join([view[at:at + n]
                               for at, n in zip(starts, lengths)])
-            scores = _scores(np.frombuffer(chars, np.uint8))
-            built, stop = self._built or [None] * len(self), 0
-            reads = []
-            for index, (read, length) in enumerate(zip(built, lengths)):
-                stop += length
-                reads.append(self._make(index, scores[stop - length:stop])
-                             if read is None else read)
-            self._reads = reads
+            scores = np.subtract(np.frombuffer(chars, np.uint8),
+                                 PHRED_OFFSET, dtype=np.uint8)
+            scores.flags.writeable = False
+            stops = np.cumsum(lengths).tolist()
+            self._reads = [self._make(index, scores[stop - length:stop])
+                           for index, (length, stop)
+                           in enumerate(zip(lengths, stops))]
         return self._reads
 
 

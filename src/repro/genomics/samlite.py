@@ -303,7 +303,7 @@ def parse_read(line: str) -> Read:
     """Parse one SAM-lite alignment line (trailing newline optional):
     the read of :func:`ingest` on its bytes."""
     # An empty line is a body of one empty line, not an empty body.
-    return ingest(line.rstrip("\n").encode("utf-8") or b"\n").read(0)
+    return ingest(line.rstrip("\n").encode("utf-8") or b"\n").reads()[0]
 
 
 def read_sam(

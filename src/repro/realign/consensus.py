@@ -192,7 +192,7 @@ def build_site(
     limits: SiteLimits = PAPER_LIMITS,
 ) -> Optional[ConsensusWindow]:
     """Assemble the :class:`RealignmentSite` for one target from the
-    reads ``anchored`` (ascending indices into ``batch``) it claims,
+    reads it claims, ``anchored`` (indices into ``batch``, ascending),
     reading only the batch's columns.
 
     No membership rule runs here
@@ -282,14 +282,9 @@ def build_site(
             columns[SEQ_AT][usable], columns[QUAL_AT][usable],
             columns[LENGTH][usable], limits)
     else:
-        reads = [batch.read(i) for i in usable.tolist()]
-        site = RealignmentSite(
-            chrom=target.chrom,
-            start=window_start,
-            consensuses=tuple(consensuses),
-            reads=tuple(read.seq for read in reads),
-            quals=tuple(read.quals for read in reads),
-            limits=limits,
-        )
+        reads = [batch.reads()[i] for i in usable.tolist()]
+        site = RealignmentSite(target.chrom, window_start, tuple(consensuses),
+                               tuple(read.seq for read in reads),
+                               tuple(read.quals for read in reads), limits)
     return ConsensusWindow(site=site, indels=tuple(indels),
                            indices=tuple(usable.tolist()))

@@ -94,7 +94,16 @@ class RealignmentSite:
         """The site whose read ``j`` is the ``lengths[j]`` bases at
         ``buffer[seq_at[j]:]`` with the Sanger (Phred+33) characters at
         ``buffer[qual_at[j]:]``, which the caller has checked; the
-        structural limits are checked here."""
+        structural limits, and that every span lies in ``buffer`` (the
+        compiled kernel reads them in place), are checked here."""
+        seq_at, qual_at, lengths = (np.ascontiguousarray(a, dtype=np.int64)
+                                    for a in (seq_at, qual_at, lengths))
+        if not seq_at.shape == qual_at.shape == lengths.shape:
+            raise SiteError("seq_at, qual_at and lengths must be parallel")
+        if lengths.size and (min(seq_at.min(), qual_at.min()) < 0 or max(
+                (seq_at + lengths).max(), (qual_at + lengths).max())
+                > len(buffer)):
+            raise SiteError("a read's span lies outside the buffer")
         site = object.__new__(cls)
         for name, value in (("chrom", chrom), ("start", start),
                             ("consensuses", consensuses), ("limits", limits),
@@ -109,17 +118,15 @@ class RealignmentSite:
         if name not in ("reads", "quals") or "_buffer" not in self.__dict__:
             raise AttributeError(name)
         buffer, seq_at, qual_at = self._buffer
-        spans = list(zip(seq_at.tolist(), qual_at.tolist(),
-                         self.lengths.tolist()))
+        lengths = self.lengths.tolist()
         object.__setattr__(self, "reads", tuple(
-            buffer[at:at + n].decode("ascii") for at, _q, n in spans))
-        quals = []
-        for _at, at, n in spans:
-            scores = np.subtract(np.frombuffer(buffer, np.uint8, n, at),
-                                 PHRED_OFFSET, dtype=np.uint8)
-            scores.flags.writeable = False
-            quals.append(scores)
-        object.__setattr__(self, "quals", tuple(quals))
+            buffer[at:at + n].decode("ascii")
+            for at, n in zip(seq_at.tolist(), lengths)))
+        scores = np.frombuffer(b"".join([buffer[at:at + n] for at, n in zip(
+            qual_at.tolist(), lengths)]), np.uint8) - np.uint8(PHRED_OFFSET)
+        scores.flags.writeable = False
+        object.__setattr__(self, "quals", tuple(
+            np.split(scores, np.cumsum(lengths)[:-1])))
         return getattr(self, name)
 
     def _check(self, lengths: np.ndarray) -> None:
@@ -139,7 +146,7 @@ class RealignmentSite:
             raise SiteError(
                 f"{lengths.size} reads exceed the limit of {limits.max_reads}"
             )
-        if lengths.min() == 0:
+        if lengths.min() < 1:
             raise SiteError("empty read in site")
         max_read_len = int(lengths.max())
         if max_read_len > limits.max_read_length:

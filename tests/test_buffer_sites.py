@@ -115,6 +115,10 @@ def test_a_buffer_site_keeps_the_structural_limits():
     with pytest.raises(SiteError, match="shorter than the longest"):
         RealignmentSite.from_buffer("c", 0, ("ACG",), buffer, *at,
                                     np.array([4]))
+    with pytest.raises(SiteError, match="outside the buffer"):
+        RealignmentSite.from_buffer("c", 0, ("ACGTA",), buffer,
+                                    np.array([0]), np.array([7]),
+                                    np.array([4]))
     with pytest.raises(SiteError, match="at least one read"):
         RealignmentSite.from_buffer("c", 0, ("ACG",), buffer,
                                     np.array([], np.int64),

@@ -283,7 +283,6 @@ def test_batch_parser_matches_the_per_line_reference(lines, chunk, extra):
         for mode in ("raw", "served", "file"):
             batch = outcomes[mode]
             assert batch.has_indel == any(read.has_indel for read in want)
-            _same_reads([batch.read(i) for i in range(len(batch))], want)
             _same_reads(batch.reads(), want)
         _same_reads(outcomes["read_sam"], want)
         return
