@@ -2,16 +2,14 @@
 
     python benchmarks/ab.py PARENT CHANGE [--pairs 10] [--seed 2019]
         [--protocol e2e] [--workload panel_80x] [--scale full|smoke]
-        [--seconds N]
     python benchmarks/ab.py PARENT CHANGE --protocol scale
         [--length 960000] [--coverage 30] [--workers 1]
 
-PARENT and CHANGE are git revisions of this repository (each is
-exported with ``git archive`` into the work directory) or directories
-that hold a tree. Each tree's compiled library is built once, before
-anything is timed. Then the protocol runs once per tree per pair, and
-the pairs alternate which tree runs first, so drift on the machine
-falls on both sides alike.
+PARENT and CHANGE are git revisions of this repository, each exported
+with ``git archive`` into a temporary directory. Each tree's compiled
+library is built once, before anything is timed. Then the protocol
+runs once per tree per pair, and the pairs alternate which tree runs
+first, so drift on the machine falls on both sides alike.
 
 - ``e2e``: one workload through each tree's own
   ``benchmarks/e2e/run.py --trace 0``; its end-to-end medians are one
@@ -90,10 +88,7 @@ def table(samples: dict) -> str:
 # -- trees -----------------------------------------------------------------
 
 def export(revision: str, into: Path) -> Path:
-    """The tree of ``revision``: a directory holding ``src/repro`` as
-    is, else the revision exported with ``git archive``."""
-    if (Path(revision) / "src" / "repro").is_dir():
-        return Path(revision).resolve()
+    """The tree of ``revision``, exported with ``git archive``."""
     archive = subprocess.run(
         ["git", "-C", str(REPO), "archive", "--format=tar", revision],
         check=True, stdout=subprocess.PIPE).stdout
@@ -154,8 +149,6 @@ def e2e_run(tree: Path, args) -> dict:
     argv = [sys.executable, "benchmarks/e2e/run.py", "--workload",
             args.workload, "--seed", str(args.seed), "--scale", args.scale,
             "--trace", "0"]
-    if args.seconds is not None:
-        argv += ["--seconds", str(args.seconds)]
     out = launch(argv, tree_env(tree), cwd=tree)["stdout"]
     record = json.loads(out.strip().splitlines()[-1])
     if not record["correct"]:
@@ -198,20 +191,14 @@ def main(argv=None) -> int:
                         default="e2e")
     parser.add_argument("--workload", default="panel_80x")
     parser.add_argument("--scale", choices=("full", "smoke"), default="full")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="each e2e run's timed phase (run.py's own "
-                             "default when unset)")
     parser.add_argument("--length", type=int, default=960_000)
     parser.add_argument("--coverage", type=float, default=30.0)
     parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--workdir", type=Path, default=None,
-                        help="where the trees are exported (a temporary "
-                             "directory, removed afterwards, when unset)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
-    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="ab-"))
+    workdir = Path(tempfile.mkdtemp(prefix="ab-"))
     try:
         trees = {"parent": export(args.parent, workdir / "parent"),
                  "change": export(args.change, workdir / "change")}
@@ -255,8 +242,7 @@ def main(argv=None) -> int:
             return 0 if identical == args.pairs else 1
         return 0
     finally:
-        if args.workdir is None:
-            shutil.rmtree(workdir, ignore_errors=True)
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 if __name__ == "__main__":
