@@ -179,7 +179,7 @@ def scale_run(tree: Path, args, sample: Path, out: Path) -> dict:
     return {key: run[key] for key in ("wall_s", "cpu_s", "peak_rss_mb")}
 
 
-# -- driver ----------------------------------------------------------------
+# -- main ------------------------------------------------------------------
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
