@@ -2,8 +2,7 @@
 
     python benchmarks/ab.py PARENT CHANGE [--pairs 10] [--seed 2019]
         [--protocol e2e] [--workload panel_80x] [--scale full|smoke]
-    python benchmarks/ab.py PARENT CHANGE --protocol scale
-        [--length 960000] [--coverage 30] [--workers 1]
+    python benchmarks/ab.py PARENT CHANGE --protocol scale [--workers 1]
 
 PARENT and CHANGE are git revisions of this repository, each exported
 with ``git archive`` into a temporary directory. Each tree's compiled
@@ -15,8 +14,8 @@ first, so drift on the machine falls on both sides alike.
   ``benchmarks/e2e/run.py --trace 0``; its end-to-end medians are one
   sample per run. Refused when the two trees' ``benchmarks/e2e/``
   differ: both sides must be judged by the same harness.
-- ``scale``: ``repro simulate`` writes one input (with PARENT's tree),
-  then each pair launches a fresh ``repro realign`` per tree: wall,
+- ``scale``: ``repro simulate`` writes one 960 kb input at 30x (with
+  PARENT's tree), then each pair launches a fresh ``repro realign`` per tree: wall,
   CPU and peak RSS from ``wait4``, and the two outputs compared byte
   for byte.
 
@@ -40,6 +39,8 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+#: The scale protocol's input: one contig, bases and coverage.
+SCALE_LENGTH, SCALE_COVERAGE = 960_000, 30
 
 
 # -- statistics ------------------------------------------------------------
@@ -162,8 +163,8 @@ def scale_input(tree: Path, args, workdir: Path) -> Path:
     """``repro simulate`` once, with ``tree``."""
     sample = workdir / "input"
     subprocess.run([sys.executable, "-m", "repro", "simulate", "--out",
-                    str(sample), "--length", str(args.length), "--coverage",
-                    str(args.coverage), "--seed", str(args.seed)],
+                    str(sample), "--length", str(SCALE_LENGTH), "--coverage",
+                    str(SCALE_COVERAGE), "--seed", str(args.seed)],
                    env=tree_env(tree), check=True, stdout=subprocess.DEVNULL)
     return sample
 
@@ -191,8 +192,6 @@ def main(argv=None) -> int:
                         default="e2e")
     parser.add_argument("--workload", default="panel_80x")
     parser.add_argument("--scale", choices=("full", "smoke"), default="full")
-    parser.add_argument("--length", type=int, default=960_000)
-    parser.add_argument("--coverage", type=float, default=30.0)
     parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -232,7 +231,7 @@ def main(argv=None) -> int:
                               f"{runs['change'][m]:.4g}"
                               for m in runs["parent"]), flush=True)
         what = (f"{args.workload} ({args.scale})" if sample is None else
-                f"scale {args.length} bp, {args.coverage}x"
+                f"scale {SCALE_LENGTH} bp, {SCALE_COVERAGE}x"
                 + (f", --workers {args.workers}" if args.workers else ""))
         print(f"\n{args.parent} -> {args.change}, {what}, seed {args.seed}, "
               f"{args.pairs} alternating pairs\n")

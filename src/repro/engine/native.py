@@ -268,16 +268,15 @@ static int64_t pack_windows(const uint8_t *seq, int64_t len, uint64_t *win,
 
 /* One whole site: pack the consensuses into window words and the reads
  * into planes, then fill the C x R grids.  Read j is the nlens[j] bases
- * at bases + seq_at[j], its scores the characters at quals + qual_at[j]
- * less phred (33 for Sanger characters in a SAM buffer, 0 for raw
- * scores).  A score sum fits int32: 256 reads' bases x 93 at most.
+ * at buf + seq_at[j], its scores the characters at buf + qual_at[j] less
+ * phred (33 for Sanger characters in a SAM buffer, 0 for raw scores).  A score sum fits int32: 256 reads' bases x 93 at most.
  * Returns the exact offset count, or -1 when the scratch cannot be
  * allocated (grids untouched). */
 int64_t repro_native_site(
     const uint8_t *cons_bytes, /* the C consensuses, joined           */
     const int64_t *mlens, int64_t num_cons,
-    const uint8_t *bases, const int64_t *seq_at,
-    const uint8_t *quals, const int64_t *qual_at, int64_t phred,
+    const uint8_t *buf, const int64_t *seq_at, const int64_t *qual_at,
+    int64_t phred,
     const int64_t *nlens, int64_t num_reads,
     int64_t *out_whd,          /* C x R */
     int64_t *out_idx)          /* C x R */
@@ -308,7 +307,7 @@ int64_t repro_native_site(
     int64_t hist[256] = {0};
     for (int64_t j = 0; j < num_reads; j++) {
         const int64_t n = nlens[j];
-        track_n |= pack_bases(bases + seq_at[j], n, rwords + j * wr,
+        track_n |= pack_bases(buf + seq_at[j], n, rwords + j * wr,
                               rnmask + j * wr);
         for (int64_t w = 0; w < wr; w++) {
             int64_t rest = n - 32 * w;
@@ -318,7 +317,7 @@ int64_t repro_native_site(
         /* qlow[c]: the c smallest qualities summed, by counting sort;
          * counts past the read's length never index it, so pad loudly */
         int32_t *rq = rquals + j * wr * 32, *ql = qlow + j * qstride;
-        const uint8_t *q = quals + qual_at[j];
+        const uint8_t *q = buf + qual_at[j];
         uint8_t lo = 255, hi = 0;
         for (int64_t t = 0; t < n; t++) {
             const uint8_t v = (uint8_t)(q[t] - phred);
@@ -638,8 +637,7 @@ class _CcBackend:
         self.site = lib.repro_native_site
         self.site.argtypes = [
             ctypes.c_char_p, array(np.int64), i64,
-            ctypes.c_char_p, array(np.int64),
-            ctypes.c_char_p, array(np.int64), i64,
+            ctypes.c_char_p, array(np.int64), array(np.int64), i64,
             array(np.int64), i64, array(np.int64), array(np.int64),
         ]
         self.site.restype = i64
@@ -830,11 +828,10 @@ def _grids_native(
     C, R = site.num_consensuses, site.num_reads
     out_whd = np.empty((C, R), dtype=np.int64)
     out_idx = np.empty((C, R), dtype=np.int64)
-    bases, seq_at, quals, qual_at, offset = site.spans()
     exact = backend.site(
         "".join(site.consensuses).encode("ascii"),
         np.fromiter(map(len, site.consensuses), dtype=np.int64, count=C),
-        C, bases, seq_at, quals, qual_at, offset, site.lengths,
+        C, *site.spans(), site.lengths,
         R, out_whd, out_idx,
     )
     if exact < 0:  # nothing written: the C scratch allocation failed

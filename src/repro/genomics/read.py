@@ -221,18 +221,20 @@ class ReadBatch:
     - SAM bytes -- a file's, or a served job's body -- read by the
       compiled tokenizer (:func:`repro.engine.native.sam_ingester`) or
       by its Python twin (:func:`repro.genomics.samlite.ingest`), which
-      fill the same columns: the spans are byte offsets into
-      ``buffer``, which :class:`~repro.realign.site.RealignmentSite`
-      addresses in place and :meth:`reads` decodes. The compiled pass
-      also fills the :meth:`mismatches` columns;
-    - :meth:`of`, a list of reads (the API callers), with no buffer.
+      fill the same columns. The compiled pass also fills the
+      :meth:`mismatches` columns;
+    - :meth:`of`, a list of reads (the API callers).
+
+    Either way the spans are byte offsets into ``buffer``, which
+    :class:`~repro.realign.site.RealignmentSite` addresses in place and
+    :meth:`reads` decodes.
     """
 
     __slots__ = ("contigs", "buffer", "columns", "op_at", "ops",
                  "_mismatches", "_layout", "_reads")
 
-    def __init__(self, contigs: Sequence[str], *, columns: np.ndarray,
-                 op_at: np.ndarray, ops: np.ndarray, buffer=None,
+    def __init__(self, contigs: Sequence[str], *, buffer: bytes,
+                 columns: np.ndarray, op_at: np.ndarray, ops: np.ndarray,
                  mismatches=None, reads=None):
         self.contigs = tuple(contigs)
         self.buffer = buffer
@@ -246,8 +248,10 @@ class ReadBatch:
            contigs: Sequence[str] = ()) -> "ReadBatch":
         """The batch of ``reads``, whose :meth:`reads` are ``reads``
         themselves. ``contigs`` orders the ``CONTIG`` indices
-        (names it lacks follow in order of appearance); the span columns
-        are 0."""
+        (names it lacks follow in order of appearance). The buffer is
+        the reads' UTF-8 names, then their bases, then their Sanger
+        (Phred+33) characters, each laid end to end; a read's line is
+        its name."""
         reads = list(reads)
         index = {name: i for i, name in enumerate(contigs)}
         rows, codes, lengths, op_at = [], [], [], [0]
@@ -266,9 +270,22 @@ class ReadBatch:
                              read.mapq, -1, 0))
             op_at.append(len(codes))
         columns = np.zeros((COLUMNS, len(reads)), dtype=np.int64)
+        names = [read.name.encode("utf-8") for read in reads]
+        bases = "".join([read.seq for read in reads]).encode("ascii")
+        chars = np.concatenate([np.zeros(0, np.uint8)]
+                               + [read.quals for read in reads])
         if rows:
             columns[LENGTH:] = np.array(rows, dtype=np.int64).T
+            ends = np.cumsum(np.fromiter(map(len, names), np.int64,
+                                         len(names)))
+            columns[[LINE_END, NAME_END]] = ends
+            columns[LINE_AT] = np.concatenate(([0], ends[:-1]))
+            columns[SEQ_AT] = (ends[-1] + np.cumsum(columns[LENGTH])
+                               - columns[LENGTH])
+            columns[QUAL_AT] = columns[SEQ_AT] + len(bases)
         return cls(index, columns=columns,
+                   buffer=b"".join(names) + bases
+                   + (chars + np.uint8(PHRED_OFFSET)).tobytes(),
                    op_at=np.array(op_at, dtype=np.int64),
                    ops=np.array([codes, lengths],
                                 dtype=np.int64).reshape(2, -1),
@@ -318,21 +335,14 @@ class ReadBatch:
         """Bases ``offsets[j]`` .. ``offsets[j] + lengths[j]`` of read
         ``reads[j]`` for each ``j``, laid end to end, without building
         a read."""
-        if self.buffer is None:
-            seqs = [self._reads[i].seq[at:at + n] for i, at, n in zip(
-                reads.tolist(), offsets.tolist(), lengths.tolist())]
-            return "".join(seqs).encode("ascii")
         view = memoryview(self.buffer)
         return b"".join([view[at:at + n] for at, n in zip(
             (self.columns[SEQ_AT][reads] + offsets).tolist(),
             lengths.tolist())])
 
     def names(self, indices: np.ndarray) -> list:
-        """The QNAMEs of reads ``indices``, without building a read: the
-        buffer's bytes (UTF-8, so they sort as the text does), or the
-        reads' own names for a batch made from reads."""
-        if self.buffer is None:
-            return [self._reads[i].name for i in indices.tolist()]
+        """The QNAMEs of reads ``indices`` as the buffer's bytes, without
+        building a read (UTF-8, so they sort as the text does)."""
         buffer = self.buffer
         return [buffer[at:end] for at, end in zip(
             self.columns[LINE_AT][indices].tolist(),

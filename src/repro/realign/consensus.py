@@ -200,9 +200,8 @@ def build_site(
     decides it; :func:`repro.realign.targets.reads_for_target` states
     it read by read). Returns ``None`` when the target yields no usable
     site: no reads, or no alternate consensus (nothing to realign
-    against). The site addresses ``batch.buffer`` when the batch has
-    one (:meth:`RealignmentSite.from_buffer`), and holds the reads' own
-    strings when it was made from reads.
+    against). The site addresses ``batch.buffer``
+    (:meth:`RealignmentSite.from_buffer`).
 
     The window is sized so that every consensus -- including deletion
     consensuses, which are shorter than the window -- remains at least as
@@ -276,15 +275,9 @@ def build_site(
     usable = anchored[lengths <= min(len(c) for c in consensuses)]
     if not usable.size:
         return None
-    if batch.buffer is not None:
-        site = RealignmentSite.from_buffer(
-            target.chrom, window_start, tuple(consensuses), batch.buffer,
-            columns[SEQ_AT][usable], columns[QUAL_AT][usable],
-            columns[LENGTH][usable], limits)
-    else:
-        reads = [batch.reads()[i] for i in usable.tolist()]
-        site = RealignmentSite(target.chrom, window_start, tuple(consensuses),
-                               tuple(read.seq for read in reads),
-                               tuple(read.quals for read in reads), limits)
+    site = RealignmentSite.from_buffer(
+        target.chrom, window_start, tuple(consensuses), batch.buffer,
+        columns[SEQ_AT][usable], columns[QUAL_AT][usable],
+        columns[LENGTH][usable], limits)
     return ConsensusWindow(site=site, indels=tuple(indels),
                            indices=tuple(usable.tolist()))

@@ -59,12 +59,13 @@ class RealignmentSite:
     ``consensuses[0]``; realigned read positions are computed as
     ``min_whd_idx + start`` (Algorithm 2 line 25).
 
-    Built from strings, the site checks every read's bases and
-    qualities. :meth:`from_buffer` builds one that addresses the bytes
-    a SAM reader checked already: ``reads`` and ``quals`` are then
-    decoded from them on first use, and the compiled kernel reads the
-    bases and Phred characters in place (:meth:`spans`). ``lengths``
-    holds the read lengths in either form.
+    A site's reads live in one byte buffer (:meth:`spans`), which the
+    compiled kernel reads in place. Built from strings, the site checks
+    every read's bases and qualities and joins them into a buffer of
+    its own; :meth:`from_buffer` addresses the bytes a SAM reader
+    checked already. Either way ``reads`` and ``quals`` are decoded from
+    the buffer on first use and kept, and ``lengths`` holds the read
+    lengths.
     """
 
     chrom: str
@@ -77,14 +78,20 @@ class RealignmentSite:
     def __post_init__(self) -> None:
         if len(self.reads) != len(self.quals):
             raise SiteError("reads and quals must be parallel sequences")
-        quals = tuple(np.asarray(q, dtype=np.uint8) for q in self.quals)
-        object.__setattr__(self, "quals", quals)
+        quals = [np.asarray(q, dtype=np.uint8) for q in self.quals]
         for read, qual in zip(self.reads, quals):
             validate_bases(read)
             if qual.size != len(read):
                 raise SiteError("read and quality lengths differ")
-        self._check(np.fromiter(map(len, self.reads), dtype=np.int64,
-                                count=len(self.reads)))
+        lengths = np.fromiter(map(len, self.reads), dtype=np.int64,
+                              count=len(self.reads))
+        bases = "".join(self.reads).encode("ascii")
+        seq_at = np.cumsum(lengths) - lengths
+        # decoded again from the buffer on first use
+        object.__delattr__(self, "reads")
+        object.__delattr__(self, "quals")
+        self._address(bases + b"".join(q.tobytes() for q in quals), seq_at,
+                      seq_at + len(bases), lengths, 0)
 
     @classmethod
     def from_buffer(cls, chrom: str, start: int, consensuses: Tuple[str, ...],
@@ -93,9 +100,19 @@ class RealignmentSite:
                     limits: SiteLimits = PAPER_LIMITS) -> "RealignmentSite":
         """The site whose read ``j`` is the ``lengths[j]`` bases at
         ``buffer[seq_at[j]:]`` with the Sanger (Phred+33) characters at
-        ``buffer[qual_at[j]:]``, which the caller has checked; the
-        structural limits, and that every span lies in ``buffer`` (the
-        compiled kernel reads them in place), are checked here."""
+        ``buffer[qual_at[j]:]``, which the caller has checked."""
+        site = object.__new__(cls)
+        for name, value in (("chrom", chrom), ("start", start),
+                            ("consensuses", consensuses), ("limits", limits)):
+            object.__setattr__(site, name, value)
+        site._address(buffer, seq_at, qual_at, lengths, PHRED_OFFSET)
+        return site
+
+    def _address(self, buffer: bytes, seq_at, qual_at, lengths,
+                 phred: int) -> None:
+        """Hold the reads' spans of ``buffer``, their scores plus
+        ``phred``, after checking that every span lies in it and the
+        paper's structural limits."""
         seq_at, qual_at, lengths = (np.ascontiguousarray(a, dtype=np.int64)
                                     for a in (seq_at, qual_at, lengths))
         if not seq_at.shape == qual_at.shape == lengths.shape:
@@ -104,34 +121,6 @@ class RealignmentSite:
                 (seq_at + lengths).max(), (qual_at + lengths).max())
                 > len(buffer)):
             raise SiteError("a read's span lies outside the buffer")
-        site = object.__new__(cls)
-        for name, value in (("chrom", chrom), ("start", start),
-                            ("consensuses", consensuses), ("limits", limits),
-                            ("_buffer", (buffer, seq_at, qual_at))):
-            object.__setattr__(site, name, value)
-        site._check(lengths)
-        return site
-
-    def __getattr__(self, name: str):
-        """``reads`` and ``quals`` of a :meth:`from_buffer` site,
-        decoded on first use and kept."""
-        if name not in ("reads", "quals") or "_buffer" not in self.__dict__:
-            raise AttributeError(name)
-        buffer, seq_at, qual_at = self._buffer
-        lengths = self.lengths.tolist()
-        object.__setattr__(self, "reads", tuple(
-            buffer[at:at + n].decode("ascii")
-            for at, n in zip(seq_at.tolist(), lengths)))
-        scores = np.frombuffer(b"".join([buffer[at:at + n] for at, n in zip(
-            qual_at.tolist(), lengths)]), np.uint8) - np.uint8(PHRED_OFFSET)
-        scores.flags.writeable = False
-        object.__setattr__(self, "quals", tuple(
-            np.split(scores, np.cumsum(lengths)[:-1])))
-        return getattr(self, name)
-
-    def _check(self, lengths: np.ndarray) -> None:
-        """The paper's structural limits, on the read ``lengths`` (kept
-        as ``self.lengths``) and the consensuses."""
         limits = self.limits
         if len(self.consensuses) < 1:
             raise SiteError("a site needs at least the reference consensus")
@@ -167,19 +156,32 @@ class RealignmentSite:
                     f"read ({max_read_len}); pad the target window"
                 )
         object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "_spans", (buffer, seq_at, qual_at, phred))
 
-    def spans(self) -> Tuple[bytes, np.ndarray, bytes, np.ndarray, int]:
-        """``(bases, seq_at, quals, qual_at, offset)``: read ``j``'s
-        bases at ``bases[seq_at[j]:]`` and its scores plus ``offset``
-        at ``quals[qual_at[j]:]``, ``lengths[j]`` of each -- the
-        buffer itself for a :meth:`from_buffer` site (offset 33),
-        joined copies for a site built from strings (offset 0)."""
-        if "_buffer" in self.__dict__:
-            buffer, seq_at, qual_at = self._buffer
-            return buffer, seq_at, buffer, qual_at, PHRED_OFFSET
-        at = np.cumsum(self.lengths) - self.lengths
-        return ("".join(self.reads).encode("ascii"), at,
-                np.concatenate(self.quals).tobytes(), at, 0)
+    def __getattr__(self, name: str):
+        """``reads`` and ``quals``, decoded from the buffer on first use
+        and kept."""
+        if name not in ("reads", "quals") or "_spans" not in self.__dict__:
+            raise AttributeError(name)
+        buffer, seq_at, qual_at, phred = self._spans
+        lengths = self.lengths.tolist()
+        object.__setattr__(self, "reads", tuple(
+            buffer[at:at + n].decode("ascii")
+            for at, n in zip(seq_at.tolist(), lengths)))
+        scores = np.frombuffer(b"".join([buffer[at:at + n] for at, n in zip(
+            qual_at.tolist(), lengths)]), np.uint8) - np.uint8(phred)
+        scores.flags.writeable = False
+        object.__setattr__(self, "quals", tuple(
+            np.split(scores, np.cumsum(lengths)[:-1])))
+        return getattr(self, name)
+
+    def spans(self) -> Tuple[bytes, np.ndarray, np.ndarray, int]:
+        """``(buffer, seq_at, qual_at, phred)``: read ``j``'s
+        ``lengths[j]`` bases at ``buffer[seq_at[j]:]`` and its scores
+        plus ``phred`` at ``buffer[qual_at[j]:]`` -- Sanger characters
+        (``phred`` 33) for a :meth:`from_buffer` site, raw scores (0)
+        for a site built from strings."""
+        return self._spans
 
     @property
     def num_consensuses(self) -> int:

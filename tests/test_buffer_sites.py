@@ -2,12 +2,13 @@
 
 ``RealignmentSite.from_buffer`` points into the bytes a SAM reader
 checked (bases, and Phred characters that the compiled kernel reads in
-place, less 33); a site built from strings holds them. The two forms of
-the same reads must be one site to every consumer: the kernels, the
-interpreted fallback of the compiled tier, the FPGA model and the front
-half, which builds buffer-form sites from a batch with a buffer and
-string-form ones from a list of reads. And the product path, a flagless
-``repro realign``, builds no ``Read`` at all.
+place, less 33); a site built from strings joins them into a buffer of
+its own (raw scores). The two constructors of the same reads must give
+one site to every consumer: the kernels, the interpreted fallback of
+the compiled tier, the FPGA model and the front half, whose batch from
+a SAM reader and batch from a list of reads (``ReadBatch.of``) build
+the same sites. And the product path, a flagless ``repro realign``,
+builds no ``Read`` at all.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import repro.genomics.read as read_module
 from repro.core.system import AcceleratedIRSystem, SystemConfig
 from repro.engine import native
 from repro.engine.autotune import dispatch_realign
-from repro.genomics.read import Read
+from repro.genomics.cigar import Cigar
+from repro.genomics.read import LENGTH, QUAL_AT, SEQ_AT, Read, ReadBatch
 from repro.genomics.samlite import format_read, ingest, read_sam
 from repro.realign.realigner import IndelRealigner
 from repro.realign.site import RealignmentSite, SiteError, SiteLimits
@@ -106,7 +108,7 @@ def test_a_buffer_site_keeps_the_structural_limits():
     at = np.array([0]), np.array([5])
     site = RealignmentSite.from_buffer("c", 0, ("ACGTA",), buffer, *at,
                                        np.array([4]))
-    assert site.spans() == (buffer, at[0], buffer, at[1], 33)
+    assert site.spans() == (buffer, at[0], at[1], 33)
     assert site.reads == ("ACGT",) and site.quals[0].tolist() == [0] * 4
     with pytest.raises(SiteError, match="exceeds limit"):
         RealignmentSite.from_buffer("c", 0, ("ACGTA",), buffer, *at,
@@ -124,6 +126,35 @@ def test_a_buffer_site_keeps_the_structural_limits():
                                     np.array([], np.int64),
                                     np.array([], np.int64),
                                     np.array([], np.int64))
+
+
+def test_a_string_site_joins_its_reads_into_one_buffer():
+    site = RealignmentSite("c", 0, ("ACGTA",), ("ACG", "TA"),
+                           (np.array([1, 2, 255]), [0, 93]))
+    buffer, seq_at, qual_at, phred = site.spans()
+    assert (buffer, seq_at.tolist(), qual_at.tolist(), phred) \
+        == (b"ACGTA\x01\x02\xff\x00\x5d", [0, 3], [5, 8], 0)
+    assert site.reads == ("ACG", "TA")
+    assert [q.tolist() for q in site.quals] == [[1, 2, 255], [0, 93]]
+
+
+def test_a_batch_of_reads_lays_them_into_its_buffer():
+    """Names (as UTF-8), bases and Sanger characters, each end to end:
+    the front half reads a list's batch as it reads a SAM reader's."""
+    reads = [Read("\u00e91", "c", 3, "ACGT", np.array([0, 1, 40, 93]),
+                  Cigar.parse("4M")),
+             Read("r2", None, 0, "GA", np.array([5, 6]))]
+    batch = ReadBatch.of(reads)
+    assert batch.buffer == b"\xc3\xa91r2ACGTGA!\"I~&'"
+    assert batch.names(np.arange(2)) == [b"\xc3\xa91", b"r2"]
+    assert batch._bases(np.arange(2), np.array([1, 0]),
+                        np.array([3, 2])) == b"CGTGA"
+    columns = batch.columns[[SEQ_AT, QUAL_AT, LENGTH]]
+    site = RealignmentSite.from_buffer("c", 0, ("ACGTA",), batch.buffer,
+                                       *columns[:, :1])
+    assert site.reads == ("ACGT",)
+    assert site.quals[0].tolist() == [0, 1, 40, 93]
+    assert all(a is b for a, b in zip(batch.reads(), reads, strict=True))
 
 
 @pytest.fixture(scope="module")

@@ -38,6 +38,7 @@ from repro.align.pileup import pileup
 from repro.genomics.cigar import Cigar, CigarOp
 from repro.genomics.read import Read, ReadBatch
 from repro.genomics.reference import ReferenceGenome
+from repro.genomics.samlite import format_read, ingest
 from repro.realign.consensus import (
     ConsensusWindow,
     ObservedIndel,
@@ -224,12 +225,17 @@ def assert_same_front_half(got, want):
 
 
 def check(reads, reference, config, strategy="observed"):
+    """The product on ``reads`` as a list and as the SAM bytes a reader
+    ingests (sites that address that buffer, names compared as its
+    bytes) agrees with the definitions. The bytes are read without
+    ``reference``, which refuses the reads that overhang a contig."""
     realigner = IndelRealigner(reference, creator_config=config)
-    assert_same_front_half(
-        realigner.build_sites(reads),
-        definition_build_sites(reads, reference, config, config.limits,
-                               BUILDERS[strategy]),
-    )
+    want = definition_build_sites(reads, reference, config, config.limits,
+                                  BUILDERS[strategy])
+    assert_same_front_half(realigner.build_sites(reads), want)
+    body = "".join(format_read(read) + "\n" for read in reads)
+    assert_same_front_half(realigner.build_sites(
+        ingest(body.encode("utf-8"), file=True)), want)
 
 
 # -- the inputs --------------------------------------------------------
