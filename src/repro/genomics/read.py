@@ -235,19 +235,18 @@ class ReadBatch:
 
     def __init__(self, contigs: Sequence[str], *, buffer: bytes,
                  columns: np.ndarray, op_at: np.ndarray, ops: np.ndarray,
-                 mismatches=None, reads=None):
+                 mismatches=None):
         self.contigs = tuple(contigs)
         self.buffer = buffer
         self.columns, self.op_at, self.ops = columns, op_at, ops
         self._mismatches = mismatches
         self._layout = None
-        self._reads = reads
+        self._reads = None
 
     @classmethod
     def of(cls, reads: Sequence[Read],
            contigs: Sequence[str] = ()) -> "ReadBatch":
-        """The batch of ``reads``, whose :meth:`reads` are ``reads``
-        themselves. ``contigs`` orders the ``CONTIG`` indices
+        """The batch of ``reads``. ``contigs`` orders the ``CONTIG`` indices
         (names it lacks follow in order of appearance). The buffer is
         the reads' UTF-8 names, then their bases, then their Sanger
         (Phred+33) characters, each laid end to end; a read's line is
@@ -288,8 +287,7 @@ class ReadBatch:
                    + (chars + np.uint8(PHRED_OFFSET)).tobytes(),
                    op_at=np.array(op_at, dtype=np.int64),
                    ops=np.array([codes, lengths],
-                                dtype=np.int64).reshape(2, -1),
-                   reads=reads)
+                                dtype=np.int64).reshape(2, -1))
 
     def __len__(self) -> int:
         return self.columns.shape[1]
@@ -408,8 +406,7 @@ class ReadBatch:
                           bool(flag & FLAG_DUPLICATE))
 
     def reads(self) -> List[Read]:
-        """Every read, in order, built on first use (the reads it was
-        made of, for a batch from :meth:`of`); their ``quals`` are
+        """Every read, in order, built on first use; their ``quals`` are
         read-only views of one array decoded in one pass."""
         if self._reads is None:
             starts, lengths = self.columns[[QUAL_AT, LENGTH]].tolist()

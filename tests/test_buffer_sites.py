@@ -154,7 +154,10 @@ def test_a_batch_of_reads_lays_them_into_its_buffer():
                                        *columns[:, :1])
     assert site.reads == ("ACGT",)
     assert site.quals[0].tolist() == [0, 1, 40, 93]
-    assert all(a is b for a, b in zip(batch.reads(), reads, strict=True))
+    assert [(r.name, r.chrom, r.pos, r.seq, r.quals.tolist(), r.cigar)
+            for r in batch.reads()] == [
+        ("\u00e91", "c", 3, "ACGT", [0, 1, 40, 93], Cigar.parse("4M")),
+        ("r2", None, 0, "GA", [5, 6], None)]
 
 
 @pytest.fixture(scope="module")
