@@ -15,9 +15,9 @@ first, so drift on the machine falls on both sides alike.
   sample per run. Refused when the two trees' ``benchmarks/e2e/``
   differ: both sides must be judged by the same harness.
 - ``scale``: ``repro simulate`` writes one 960 kb input at 30x (with
-  PARENT's tree), then each pair launches a fresh ``repro realign`` per tree: wall,
-  CPU and peak RSS from ``wait4``, and the two outputs compared byte
-  for byte.
+  PARENT's tree), then each pair launches a fresh ``repro realign``
+  per tree: wall, CPU and peak RSS from ``wait4``, and the two outputs
+  compared byte for byte.
 
 Per metric the table gives each side's median, q1-q3 and min-max, and
 in how many pairs the change was lower.

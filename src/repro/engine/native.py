@@ -269,7 +269,8 @@ static int64_t pack_windows(const uint8_t *seq, int64_t len, uint64_t *win,
 /* One whole site: pack the consensuses into window words and the reads
  * into planes, then fill the C x R grids.  Read j is the nlens[j] bases
  * at buf + seq_at[j], its scores the characters at buf + qual_at[j] less
- * phred (33 for Sanger characters in a SAM buffer, 0 for raw scores).  A score sum fits int32: 256 reads' bases x 93 at most.
+ * phred (33 for Sanger characters in a SAM buffer, 0 for raw scores).
+ * A read's score sum fits int32: 256 bases x 255 at most.
  * Returns the exact offset count, or -1 when the scratch cannot be
  * allocated (grids untouched). */
 int64_t repro_native_site(
