@@ -3,12 +3,13 @@
 One site pool (``REPRO_BENCH_SITES`` sites, default 96) is realigned
 four ways:
 
-- ``serial``    -- the scalar/vectorized per-site kernel, the baseline
-  every speedup in docs/PERFORMANCE.md is quoted against;
-- ``batched``   -- the FFT-batched kernel with the pre-alignment filter,
-  in-process (workers=1);
-- ``no_prefilter`` -- the batched kernel alone, isolating how much of
-  the win is the filter vs the tensorized evaluation;
+- ``serial``    -- the vectorized per-site kernel (``vector``), the
+  baseline every speedup in docs/PERFORMANCE.md is quoted against;
+- ``batched``   -- the FFT-batched kernel (``fft``) with the
+  pre-alignment filter, in-process (workers=1);
+- ``no_prefilter`` -- the batched grid function with its filter off,
+  isolating how much of the win is the filter vs the tensorized
+  evaluation;
 - ``thread_pool``  -- the full Engine at 4 unit threads on its default
   kernel (``auto``, the compiled tier), warmed in setup, so the
   measurement sees steady-state dispatch, not the first call's
@@ -27,9 +28,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import Engine, EngineConfig
-from repro.engine.batch import realign_site_batched
-from repro.realign.whd import realign_site
+from repro.engine import Engine, EngineConfig, dispatch_realign
+from repro.engine.batch import min_whd_grid_batched
+from repro.realign.whd import select_and_realign
 from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
 from conftest import bench_sites
@@ -50,7 +51,11 @@ def _site_pool():
 
 
 def _serial(sites):
-    return [realign_site(site) for site in sites]
+    return [dispatch_realign(site, kernel="vector") for site in sites]
+
+
+def _batched(sites):
+    return [dispatch_realign(site, kernel="fft") for site in sites]
 
 
 def test_engine_serial_baseline(benchmark):
@@ -61,7 +66,7 @@ def test_engine_serial_baseline(benchmark):
 
 def test_engine_batched_inprocess(benchmark):
     sites = _site_pool()
-    results = benchmark(lambda: [realign_site_batched(s) for s in sites])
+    results = benchmark(_batched, sites)
     for got, want in zip(results, _serial(sites)):
         assert got.same_outputs(want)
 
@@ -69,7 +74,8 @@ def test_engine_batched_inprocess(benchmark):
 def test_engine_batched_no_prefilter(benchmark):
     sites = _site_pool()
     results = benchmark(
-        lambda: [realign_site_batched(s, prefilter=False) for s in sites]
+        lambda: [select_and_realign(
+            s, *min_whd_grid_batched(s, prefilter=False)) for s in sites]
     )
     assert len(results) == len(sites)
 
@@ -90,14 +96,14 @@ def test_batched_beats_serial_throughput():
     apples-to-apples regardless of pytest-benchmark calibration."""
     sites = _site_pool()
     _serial(sites)  # touch caches for both contenders
-    [realign_site_batched(s) for s in sites]
+    _batched(sites)
 
     start = time.perf_counter()
     serial = _serial(sites)
     serial_elapsed = time.perf_counter() - start
 
     start = time.perf_counter()
-    batched = [realign_site_batched(s) for s in sites]
+    batched = _batched(sites)
     batched_elapsed = time.perf_counter() - start
 
     for got, want in zip(batched, serial):

@@ -61,7 +61,7 @@ from repro.core.accelerator import IRUnit, UnitConfig
 from repro.core.hdc import HammingDistanceCalculator
 from repro.engine.autotune import dispatch_realign
 from repro.engine.native import native_available, warmup_native
-from repro.realign.whd import realign_site, whd_profile
+from repro.realign.whd import whd_profile
 from repro.workloads.generator import (
     BENCH_PROFILE,
     SiteProfile,
@@ -310,4 +310,4 @@ def test_site_through_unit(benchmark):
     site = synthesize_site(np.random.default_rng(1), BENCH_PROFILE)
     unit = IRUnit(UnitConfig(lanes=32))
     result = benchmark(unit.run_site, site)
-    assert result.matches(realign_site(site))
+    assert result.matches(dispatch_realign(site, kernel="vector"))

@@ -137,7 +137,7 @@ class HammingDistanceCalculator:
         """Closed-form equivalent of :meth:`compute_pair_stepped`.
 
         Derivation: let ``cum[k, t]`` be the running WHD at offset ``k``
-        after base ``t`` (:func:`repro.realign.whd.whd_cumulative`) and
+        after base ``t`` (the register the pruning comparator checks) and
         ``whd[k] = cum[k, n-1]``. The running minimum the comparator
         sees when offset ``k`` starts is the minimum of all *earlier*
         totals -- pruned offsets never record a smaller total, so the

@@ -24,11 +24,13 @@ independent optimizations, each preserving byte-identical output:
 See ``docs/ARCHITECTURE.md`` for the data flow and
 ``docs/PERFORMANCE.md`` for kernel selection and measured speedups.
 
-The kernel modules are not imported here: the dispatch in
-:mod:`repro.engine.autotune` loads the one it runs, so importing
-:class:`Engine` costs no FFT, bit-packing or prefilter code. Import a
-kernel's names from the module that defines it
-(``from repro.engine.batch import realign_site_batched``).
+A kernel is one grid function and one row of the dispatch table in
+:mod:`repro.engine.autotune`. The table loads the FFT and bit-packing
+kernels (and the prefilter) on first use, so importing :class:`Engine`
+costs none of their code. Run a whole site through any kernel with
+``dispatch_realign(site, kernel=...)``; import a grid function from the
+module that defines it
+(``from repro.engine.batch import min_whd_grid_batched``).
 """
 
 from repro.engine.autotune import KERNELS, KERNEL_CHOICES, dispatch_realign

@@ -6,15 +6,20 @@ The repository carries five exact WHD kernels -- scalar
 (:mod:`repro.engine.batch`), bit-packed SWAR
 (:mod:`repro.engine.bitpack`), and the compiled native tier
 (:mod:`repro.engine.native`, the SWAR pipeline as machine code via
-a ctypes-loaded C library). They produce byte-identical
-results, so the choice only moves the time to produce them.
+a ctypes-loaded C library). A kernel is one grid function,
+``(site, scoring, telemetry) -> (min_whd, min_idx)``, and one row of
+:data:`GRIDS`; :func:`dispatch_realign` hands every kernel's grids to
+:func:`repro.realign.whd.select_and_realign`, which picks the
+consensus, realigns the reads and counts the semantic ``kernel.*``
+telemetry. The kernels produce byte-identical results, so the choice
+only moves the time to produce them.
 
 ``kernel="auto"`` means ``native``: the compiled tier is the fastest
 kernel on every site pool any workload produces (docs/PERFORMANCE.md,
 "Kernel selection", has the ten-pool table), so the choice is a
 constant, not a per-site model. The only observed input is the
 platform: when no compiled backend loads (or ``REPRO_NATIVE=off``),
-:func:`repro.engine.native.realign_site_native` itself degrades to the
+:func:`repro.engine.native.min_whd_grid_native` itself degrades to the
 bitpack kernel, counts ``kernel.native.unavailable`` and warns once.
 The other four kernels stay selectable by name: ``scalar``/``vector``
 are the reference forms, ``fft`` is the benchmarks' pinned baseline and
@@ -29,9 +34,38 @@ site when a session is passed.
 
 from __future__ import annotations
 
+from repro.engine.native import min_whd_grid_native
 from repro.kernels import KERNELS, KERNEL_CHOICES
 from repro.realign.site import RealignmentSite
-from repro.realign.whd import SiteResult
+from repro.realign.whd import (
+    SiteResult,
+    min_whd_grid,
+    min_whd_grid_scalar,
+    select_and_realign,
+)
+
+
+def _fft(site, scoring, telemetry):
+    from repro.engine.batch import min_whd_grid_batched
+
+    return min_whd_grid_batched(site, scoring, telemetry)
+
+
+def _bitpack(site, scoring, telemetry):
+    from repro.engine.bitpack import min_whd_grid_bitpacked
+
+    return min_whd_grid_bitpacked(site, scoring, telemetry)
+
+
+#: Each kernel's grid function. The two numpy kernels load on first
+#: use, so a run on ``native`` imports neither.
+GRIDS = {
+    "scalar": min_whd_grid_scalar,
+    "vector": min_whd_grid,
+    "fft": _fft,
+    "bitpack": _bitpack,
+    "native": min_whd_grid_native,
+}
 
 
 def dispatch_realign(
@@ -58,36 +92,11 @@ def dispatch_realign(
         )
     if kernel == "auto":
         kernel = "native"
-    result = _run_kernel(site, kernel, scoring, telemetry)
+    min_whd, min_idx = GRIDS[kernel](site, scoring, telemetry)
+    result = select_and_realign(site, min_whd, min_idx, scoring, telemetry)
     if telemetry is not None:
         telemetry.count(f"kernel.chosen.{kernel}", 1)
     return result
 
 
-def _run_kernel(site, kernel, scoring, telemetry):
-    if kernel == "fft":
-        from repro.engine.batch import realign_site_batched
-
-        return realign_site_batched(site, scoring=scoring,
-                                    telemetry=telemetry)
-    if kernel == "bitpack":
-        from repro.engine.bitpack import realign_site_bitpacked
-
-        return realign_site_bitpacked(
-            site, scoring=scoring, telemetry=telemetry
-        )
-    if kernel == "native":
-        from repro.engine.native import realign_site_native
-
-        return realign_site_native(
-            site, scoring=scoring, telemetry=telemetry
-        )
-    from repro.realign.whd import realign_site
-
-    return realign_site(
-        site, vectorized=(kernel == "vector"), scoring=scoring,
-        telemetry=telemetry,
-    )
-
-
-__all__ = ["KERNELS", "KERNEL_CHOICES", "dispatch_realign"]
+__all__ = ["GRIDS", "KERNELS", "KERNEL_CHOICES", "dispatch_realign"]

@@ -44,19 +44,13 @@ import numpy as np
 
 from repro.engine.prefilter import (
     COUNT_SENTINEL,
-    PrefilterStats,
     consensus_keep_mask,
     offset_candidates,
     pair_bounds,
     pairs_cannot_beat_reference,
 )
 from repro.realign.site import RealignmentSite
-from repro.realign.whd import (
-    SiteResult,
-    WHD_SENTINEL,
-    reads_realignments,
-    score_and_select,
-)
+from repro.realign.whd import WHD_SENTINEL
 
 #: Soft cap, in tensor *elements*, on any one intermediate the batched
 #: passes materialize; reads are chunked to stay under it. Worst-case
@@ -319,19 +313,56 @@ def _exact_minima(
     return int(c_idx.size)
 
 
-def _grids(
-    packed: PackedSite,
-    prefilter: bool,
-    scoring: str,
-    stats: PrefilterStats,
+def min_whd_grid_batched(
+    site: RealignmentSite,
+    scoring: str = "similarity",
+    telemetry=None,
+    prefilter: bool = True,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Grid computation core shared by the public entry points."""
-    valid = packed.valid_cells()
-    stats.cells_valid += valid
-    if not prefilter:
-        stats.cells_evaluated += valid
-        return _weighted_grids(packed)
+    """Batched Algorithm 1 (kernel ``fft``): the whole ``(C, R)`` grid
+    in one evaluation.
 
+    With ``prefilter=False`` the returned grids are cell-for-cell
+    identical to the scalar kernel's. With ``prefilter=True`` (default),
+    rows of alternates that provably cannot win consensus selection are
+    left at :data:`~repro.realign.whd.WHD_SENTINEL`; all other cells are
+    exact, so selection and realignment decisions are unchanged.
+    ``scoring`` only affects which rows elimination may skip, not any
+    computed value.
+
+    ``telemetry`` gets the engine's work accounting: ``kernel.cells_*``
+    (the in-range cells evaluated exactly, and the rest) as the
+    accelerator model emits them, and ``engine.rows_eliminated`` /
+    ``engine.pairs_pruned``.
+
+    The Figure 4 worked example (m=7, n=4, k=0..3), identically to the
+    scalar kernel:
+
+    >>> from repro.experiments.figure4 import build_site
+    >>> mw, mi = min_whd_grid_batched(build_site(), prefilter=False)
+    >>> mw.tolist()
+    [[30, 20], [0, 20], [55, 30]]
+    """
+    packed = PackedSite.from_site(site)
+    valid = packed.valid_cells()
+    if not prefilter:
+        mw, mi = _weighted_grids(packed)
+        evaluated, eliminated, pruned = valid, 0, 0
+    else:
+        mw, mi, evaluated, eliminated, pruned = _prefiltered_grids(
+            packed, scoring)
+    if telemetry is not None:
+        telemetry.count("kernel.cells_evaluated", evaluated)
+        telemetry.count("kernel.cells_pruned", valid - evaluated)
+        telemetry.count("engine.rows_eliminated", eliminated)
+        telemetry.count("engine.pairs_pruned", pruned)
+    return mw, mi
+
+
+def _prefiltered_grids(packed: PackedSite, scoring: str):
+    """The count pass, then exact minima of the surviving cells:
+    ``(min_whd, min_idx, cells evaluated, rows eliminated, pairs
+    pruned)``."""
     c_idx, r_idx, k_idx, lb_pair, ub_pair = _count_candidates(packed)
     mw = np.full((packed.C, packed.R), WHD_SENTINEL, dtype=np.int64)
     mi = np.zeros((packed.C, packed.R), dtype=np.int64)
@@ -359,94 +390,6 @@ def _grids(
             packed, c_idx[sel], r_idx[sel], k_idx[sel], mw, mi
         )
         ref_row = mw[0]
-    stats.cells_evaluated += evaluated
-    stats.rows_eliminated += int(packed.C - int(keep.sum()))
-    stats.pairs_pruned += int(
-        pairs_cannot_beat_reference(lb_pair, ref_row)[keep].sum()
-    )
-    return mw, mi
-
-
-def min_whd_grid_batched(
-    site: RealignmentSite,
-    prefilter: bool = True,
-    scoring: str = "similarity",
-    stats: Optional[PrefilterStats] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched Algorithm 1: the whole ``(C, R)`` grid in one evaluation.
-
-    Drop-in for :func:`repro.realign.whd.min_whd_grid`. With
-    ``prefilter=False`` the returned grids are cell-for-cell identical
-    to the scalar kernel's. With ``prefilter=True`` (default), rows of
-    alternates that provably cannot win consensus selection are left at
-    :data:`~repro.realign.whd.WHD_SENTINEL`; all other cells are exact,
-    so selection and realignment decisions are unchanged. ``scoring``
-    only affects which rows elimination may skip, not any computed value.
-
-    The Figure 4 worked example (m=7, n=4, k=0..3), identically to the
-    scalar kernel:
-
-    >>> from repro.experiments.figure4 import build_site
-    >>> mw, mi = min_whd_grid_batched(build_site(), prefilter=False)
-    >>> mw.tolist()
-    [[30, 20], [0, 20], [55, 30]]
-    """
-    st = stats if stats is not None else PrefilterStats()
-    st.sites += 1
-    return _grids(PackedSite.from_site(site), prefilter, scoring, stats=st)
-
-
-def realign_site_batched(
-    site: RealignmentSite,
-    prefilter: bool = True,
-    scoring: str = "similarity",
-    telemetry=None,
-    stats: Optional[PrefilterStats] = None,
-) -> SiteResult:
-    """Run Algorithms 1 + 2 on one site through the batched engine.
-
-    Functionally equivalent to :func:`repro.realign.whd.realign_site` on
-    the architecturally visible outputs (picked consensus, realign
-    flags, new positions) -- pinned by golden and property tests:
-
-    >>> from repro.experiments.figure4 import build_site
-    >>> from repro.realign.whd import realign_site
-    >>> site = build_site()
-    >>> realign_site_batched(site).same_outputs(realign_site(site))
-    True
-
-    ``telemetry`` gets the serial kernel's semantic ``kernel.*``
-    counters plus the engine's work accounting (``kernel.cells_*`` as
-    emitted by the accelerator model, and ``engine.*``). With row
-    elimination active, ``kernel.whd_mass`` sums only the computed
-    (non-sentinel) cells.
-    """
-    local = PrefilterStats(sites=1)
-    mw, mi = _grids(PackedSite.from_site(site), prefilter, scoring,
-                    stats=local)
-    best_cons, scores = score_and_select(mw, method=scoring)
-    realign, new_pos = reads_realignments(mw, mi, best_cons, site.start)
-
-    if telemetry is not None:
-        telemetry.count("kernel.sites", 1)
-        telemetry.count("kernel.grid_cells", int(mw.size))
-        telemetry.count("kernel.offsets_evaluated", local.cells_valid)
-        computed = mw[mw != WHD_SENTINEL]
-        telemetry.count("kernel.whd_mass", int(computed.sum()))
-        telemetry.count("kernel.reads_realigned", int(realign.sum()))
-        telemetry.count("kernel.consensus_selected", int(best_cons))
-        telemetry.count("kernel.cells_evaluated", local.cells_evaluated)
-        telemetry.count("kernel.cells_pruned", local.cells_pruned)
-        telemetry.count("engine.rows_eliminated", local.rows_eliminated)
-        telemetry.count("engine.pairs_pruned", local.pairs_pruned)
-
-    if stats is not None:
-        stats.merge(local)
-    return SiteResult(
-        best_cons=best_cons,
-        scores=scores,
-        min_whd=mw,
-        min_whd_idx=mi,
-        realign=realign,
-        new_pos=new_pos,
-    )
+    eliminated = packed.C - int(keep.sum())
+    pruned = int(pairs_cannot_beat_reference(lb_pair, ref_row)[keep].sum())
+    return mw, mi, evaluated, eliminated, pruned

@@ -23,17 +23,14 @@ The pipeline, per (consensus, read) pair:
    kernel's character comparison), and padding past the read's true
    length is masked off.
 3. **Count screening.** A population count over each offset's mask
-   gives its mismatch *count*; with per-read quality extremes this
-   bounds every offset's WHD (``minq*cnt <= WHD <= maxq*cnt``), and
-   offsets whose lower bound exceeds the best upper bound can never be
-   the minimum (they exceed it *strictly*, so the earliest-minimum tie
-   rule is preserved too).
-4. **Bit-sliced quality gather.** Only the surviving offsets are
-   evaluated exactly: read qualities are bit-sliced into 8 planes
-   aligned with the mismatch lanes, and the weighted sum at the
-   mismatching positions is recovered as
-   ``sum_b 2^b * popcount(mask & plane_b)`` -- still pure word-wide
-   ops, no per-base unpacking.
+   gives its mismatch *count* ``c``; the read's ``c`` smallest and ``c``
+   largest qualities bound that offset's WHD, and offsets whose lower
+   bound exceeds the pair's best upper bound can never be the minimum
+   (they exceed it *strictly*, so the earliest-minimum tie rule is
+   preserved too).
+4. **Exact unpack-and-dot.** Only the surviving offsets are evaluated
+   exactly: their even-lane mismatch bits unpack to per-base 0/1 and
+   dot with the read's qualities.
 
 The resulting grids -- and therefore every ``SiteResult`` -- are
 cell-identical to the scalar kernel's (property-tested in
@@ -52,11 +49,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.realign.site import RealignmentSite
-from repro.realign.whd import (
-    SiteResult,
-    reads_realignments,
-    score_and_select,
-)
 
 #: Bases per 64-bit word at 2 bits per base.
 BASES_PER_WORD = 32
@@ -76,10 +68,6 @@ for _i, _b in enumerate("ACGT"):
 #: word occupies bits ``2i`` and ``2i+1``; flags live on bit ``2i``).
 _LANE_SHIFTS = (2 * np.arange(BASES_PER_WORD, dtype=np.uint64)).astype(np.uint64)
 
-#: Quality scores are uint8, so 8 bit-planes cover any legal score
-#: (Phred caps at 93 in practice; the planes cost nothing when empty).
-QUALITY_PLANES = 8
-
 #: Byte -> popcount LUT for the numpy<2.0 fallback. Defined
 #: unconditionally so the fallback stays unit-testable on numpy>=2.0
 #: hosts (``tests/test_kernel_dispatch.py::TestPopcountFallback``).
@@ -91,10 +79,9 @@ def _popcount_rows_lut(words: np.ndarray) -> np.ndarray:
 
     Viewing ``uint64`` words as bytes widens only the *last* axis (by
     8x), so summing over ``axis=-1`` preserves every leading dimension.
-    That matters: the screening passes call this on both ``(K, W)``
-    pair masks and the grouped ``(C, K, G, Wr)`` mask tensor, and
-    collapsing the leading dims would silently misshape the counts the
-    minima reductions run over.
+    That matters: the screening pass calls this on the grouped
+    ``(C, K, G, Wr)`` mask tensor, and collapsing the leading dims would
+    silently misshape the counts the minima reductions run over.
     """
     as_bytes = np.ascontiguousarray(words).view(np.uint8)
     return _POP8[as_bytes].sum(axis=-1, dtype=np.int64)
@@ -151,54 +138,6 @@ def pack_bases(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class PackedRead:
-    """One read's kernel inputs in SWAR form (shared across consensuses)."""
-
-    words: np.ndarray  # (Wr,) uint64 2-bit base codes
-    nmask: np.ndarray  # (Wr,) uint64 N flags on even bits
-    valid: np.ndarray  # (Wr,) uint64 even-bit mask of true positions
-    qplanes: np.ndarray  # (QUALITY_PLANES, Wr) uint64 quality bit-slices
-    qlow: np.ndarray  # (n+1,) cumsum of sorted quals: tight WHD lower bound
-    qhigh: np.ndarray  # (n+1,) reverse cumsum: tight WHD upper bound
-    n: int
-    minq: int
-    maxq: int
-
-    @classmethod
-    def pack(cls, arr: np.ndarray, quals: np.ndarray) -> "PackedRead":
-        words, nmask = pack_bases(arr)
-        valid = _pack_even_bits(np.ones(arr.size, dtype=np.uint64))
-        # All 8 quality bit-planes in one pass: (8, n) bits padded and
-        # OR-folded onto the even lanes, mirroring the base packing.
-        bits = (
-            quals[None, :].astype(np.uint64)
-            >> np.arange(QUALITY_PLANES, dtype=np.uint64)[:, None]
-        ) & _ONE
-        padded = np.zeros(
-            (QUALITY_PLANES, words.size * BASES_PER_WORD), dtype=np.uint64
-        )
-        padded[:, : arr.size] = bits
-        qplanes = np.bitwise_or.reduce(
-            padded.reshape(QUALITY_PLANES, words.size, BASES_PER_WORD)
-            << _LANE_SHIFTS,
-            axis=2,
-        )
-        # Order statistics for count screening: with ``c`` mismatches,
-        # the WHD is at least the sum of the ``c`` smallest qualities
-        # and at most the sum of the ``c`` largest -- far tighter than
-        # ``minq*c <= WHD <= maxq*c`` when the quality spread is narrow
-        # (the common case), so far fewer offsets need the exact gather.
-        ordered = np.sort(quals.astype(np.int64))
-        qlow = np.concatenate(([0], np.cumsum(ordered)))
-        qhigh = np.concatenate(([0], np.cumsum(ordered[::-1])))
-        return cls(
-            words=words, nmask=nmask, valid=valid, qplanes=qplanes,
-            qlow=qlow, qhigh=qhigh,
-            n=int(arr.size), minq=int(quals.min()), maxq=int(quals.max()),
-        )
-
-
-@dataclass(frozen=True)
 class PackedConsensus:
     """One consensus pre-shifted to all 32 bit phases.
 
@@ -223,16 +162,6 @@ class PackedConsensus:
             has_n=bool(nmask.any()),
         )
 
-    def windows(self, K: int, read_words: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Packed consensus windows for offsets ``0..K-1``: ``(K, Wr)``."""
-        offsets = np.arange(K)
-        phase = offsets & (BASES_PER_WORD - 1)
-        cols = (offsets >> 5)[:, None] + np.arange(read_words)[None, :]
-        return (
-            self.shifted[phase[:, None], cols],
-            self.shifted_n[phase[:, None], cols],
-        )
-
 
 def _phase_shifts(words: np.ndarray, pad_words: int) -> np.ndarray:
     """All 32 bit-phase shifts of a packed sequence, zero-padded."""
@@ -248,49 +177,6 @@ def _phase_shifts(words: np.ndarray, pad_words: int) -> np.ndarray:
         nxt[None, :] << (np.uint64(64) - shifts)
     )
     return out
-
-
-def mismatch_counts(cons: str, read: str) -> List[int]:
-    """Per-offset mismatch counts from the SWAR mask pipeline.
-
-    The bit-parallel analogue of counting ``cons[k + i] != read[i]``
-    positions per offset -- stage 2 + 3 of the module pipeline with the
-    quality gather left out.
-
-    Figure 4, read 0 (``TGAA``) against the reference consensus
-    (``CCTTAGA``): at ``k = 2`` only read bases 1 and 3 mismatch, the
-    fewest of any offset (the weighted minimum lands there too):
-
-    >>> mismatch_counts("CCTTAGA", "TGAA")
-    [4, 3, 2, 2]
-    """
-    from repro.genomics.sequence import seq_to_array
-
-    cons_arr = seq_to_array(cons)
-    read_arr = seq_to_array(read)
-    if read_arr.size == 0 or cons_arr.size < read_arr.size:
-        raise ValueError(
-            f"invalid pair shapes (m={cons_arr.size}, n={read_arr.size})"
-        )
-    packed_read = PackedRead.pack(
-        read_arr, np.zeros(read_arr.size, dtype=np.uint8)
-    )
-    read_words = packed_read.words.size
-    packed_cons = PackedConsensus.pack(cons_arr, pad_words=read_words + 1)
-    K = cons_arr.size - read_arr.size + 1
-    win_b, win_n = packed_cons.windows(K, read_words)
-    return _offset_masks(win_b, win_n, packed_read)[1].tolist()
-
-
-def _offset_masks(
-    win_b: np.ndarray, win_n: np.ndarray, read: PackedRead
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Mismatch masks ``(K, Wr)`` and their per-offset counts ``(K,)``."""
-    x = win_b ^ read.words[None, :]
-    masks = (x | (x >> _ONE)) & _EVEN
-    masks |= win_n ^ read.nmask[None, :]
-    masks &= read.valid[None, :]
-    return masks, _popcount_rows(masks)
 
 
 #: Soft cap, in uint64 elements, on the ``(K, G, Wr)`` mask tensor one
@@ -441,8 +327,8 @@ def _group_minima(
     All reads in the group share a word count, so one window gather and
     one broadcast XOR serve every (consensus, read) pair. Offsets are
     screened by order-statistic count bounds first (``qlow``/``qhigh``
-    on :class:`_ReadGroup`); survivors get the exact bit-sliced quality
-    sum. A screened-out offset satisfies
+    on :class:`_ReadGroup`); survivors get the exact quality sum. A
+    screened-out offset satisfies
     ``WHD(k) >= qlow[cnt(k)] > min_k' qhigh[cnt(k')] >= min WHD``, i.e.
     it exceeds the true minimum *strictly*, so both the minimum value
     and its earliest offset are preserved exactly. Returns the number
@@ -543,14 +429,29 @@ def _group_minima(
     return evaluated
 
 
-def _grids_bitpacked(
-    site: RealignmentSite,
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Fill the ``(C, R)`` grids; returns ``(min_whd, min_idx, exact)``.
+def min_whd_grid_bitpacked(
+    site: RealignmentSite, scoring: str = "similarity", telemetry=None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Algorithm 1 over SWAR words (kernel ``bitpack``): cell for cell
+    the scalar kernel's grids (property-tested and golden-pinned),
+    computed 32 bases per word op.
 
-    ``exact`` counts the offsets that needed the bit-sliced quality
-    gather after count screening (the kernel's analogue of the FFT
-    path's ``cells_evaluated``).
+    ``telemetry`` gets the screening stage's effectiveness:
+    ``bitpack.offsets_screened`` (every in-range offset) and
+    ``bitpack.offsets_exact`` (those that needed the exact quality sum
+    after count screening -- the kernel's analogue of the FFT path's
+    ``kernel.cells_evaluated``). ``scoring`` is the kernel contract's;
+    this kernel fills every cell whatever the scoring.
+
+    The Figure 4 worked example (``TGAA`` / ``CCTTAGA`` and friends,
+    m=7, n=4, k=0..3), identically to the scalar kernel:
+
+    >>> from repro.experiments.figure4 import build_site
+    >>> mw, mi = min_whd_grid_bitpacked(build_site())
+    >>> mw.tolist()
+    [[30, 20], [0, 20], [55, 30]]
+    >>> mi.tolist()
+    [[2, 0], [3, 1], [2, 0]]
     """
     C, R = site.num_consensuses, site.num_reads
     arrays = site.read_arrays()
@@ -570,86 +471,15 @@ def _grids_bitpacked(
     exact_offsets = 0
     for group in groups:
         exact_offsets += _group_minima(cset, group, min_whd, min_idx)
-    return min_whd, min_idx, exact_offsets
-
-
-def min_whd_grid_bitpacked(
-    site: RealignmentSite,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Algorithm 1 over SWAR words: drop-in for ``min_whd_grid``.
-
-    Cell-for-cell identical to the scalar kernel (property-tested and
-    golden-pinned), computed 32 bases per word op.
-
-    The Figure 4 worked example (``TGAA`` / ``CCTTAGA`` and friends,
-    m=7, n=4, k=0..3), identically to the scalar kernel:
-
-    >>> from repro.experiments.figure4 import build_site
-    >>> mw, mi = min_whd_grid_bitpacked(build_site())
-    >>> mw.tolist()
-    [[30, 20], [0, 20], [55, 30]]
-    >>> mi.tolist()
-    [[2, 0], [3, 1], [2, 0]]
-    """
-    min_whd, min_idx, _ = _grids_bitpacked(site)
-    return min_whd, min_idx
-
-
-def realign_site_bitpacked(
-    site: RealignmentSite,
-    scoring: str = "similarity",
-    telemetry=None,
-) -> SiteResult:
-    """Run Algorithms 1 + 2 on one site through the bit-packed kernel.
-
-    Emits the same semantic ``kernel.*`` counters as
-    :func:`repro.realign.whd.realign_site` (they are defined on the
-    algorithm, not the implementation) plus ``bitpack.*`` counters for
-    the screening stage's effectiveness.
-
-    End to end on the Figure 4 site, identically to the scalar kernel:
-
-    >>> from repro.experiments.figure4 import build_site
-    >>> from repro.realign.whd import realign_site
-    >>> site = build_site()
-    >>> realign_site_bitpacked(site).same_outputs(realign_site(site))
-    True
-    """
-    min_whd, min_idx, exact_offsets = _grids_bitpacked(site)
-    best_cons, scores = score_and_select(min_whd, method=scoring)
-    realign, new_pos = reads_realignments(
-        min_whd, min_idx, best_cons, site.start
-    )
     if telemetry is not None:
-        offsets_total = sum(
-            len(cons) - len(read) + 1
-            for cons in site.consensuses
-            for read in site.reads
-        )
-        telemetry.count("kernel.sites", 1)
-        telemetry.count("kernel.grid_cells", int(min_whd.size))
-        telemetry.count("kernel.offsets_evaluated", offsets_total)
-        telemetry.count("kernel.whd_mass", int(min_whd.sum()))
-        telemetry.count("kernel.reads_realigned", int(realign.sum()))
-        telemetry.count("kernel.consensus_selected", int(best_cons))
-        telemetry.count("bitpack.offsets_screened", offsets_total)
+        telemetry.count("bitpack.offsets_screened", site.total_offsets())
         telemetry.count("bitpack.offsets_exact", exact_offsets)
-    return SiteResult(
-        best_cons=best_cons,
-        scores=scores,
-        min_whd=min_whd,
-        min_whd_idx=min_idx,
-        realign=realign,
-        new_pos=new_pos,
-    )
+    return min_whd, min_idx
 
 
 __all__ = [
     "BASES_PER_WORD",
     "PackedConsensus",
-    "PackedRead",
-    "mismatch_counts",
     "min_whd_grid_bitpacked",
     "pack_bases",
-    "realign_site_bitpacked",
 ]

@@ -45,7 +45,7 @@ M-block bases that differ from the reference), so
 ``repro realign`` reads ``--sam`` once into one buffer, and the server
 answers a job no INDEL can change without decoding it.
 
-It is not required: when no C compiler works, every entry point
+It is not required: when no C compiler works, the grid function
 degrades to the interpreted bitpack kernel, counting
 ``kernel.native.unavailable`` in telemetry and logging one warning
 that says why (disabled, no compiler, the build's first error line, a
@@ -93,11 +93,6 @@ import numpy as np
 
 from repro.genomics.read import COLUMNS, ReadBatch
 from repro.realign.site import RealignmentSite
-from repro.realign.whd import (
-    SiteResult,
-    reads_realignments,
-    score_and_select,
-)
 
 logger = logging.getLogger(__name__)
 
@@ -628,8 +623,6 @@ class _CcBackend:
     -- packing and grid -- runs off the GIL on an engine thread.
     """
 
-    name = "cc"
-
     def __init__(self, lib: ctypes.CDLL):
         def array(dtype):
             return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
@@ -776,12 +769,6 @@ def native_available() -> bool:
     return get_backend() is not None
 
 
-def native_backend_name() -> Optional[str]:
-    """``"cc"``, or ``None`` when no compiled backend is usable."""
-    backend = get_backend()
-    return None if backend is None else backend.name
-
-
 def warmup_native() -> bool:
     """Compile and exercise the site kernel once; returns availability.
 
@@ -805,7 +792,7 @@ def warmup_native() -> bool:
             quals=(np.array([10, 20, 45, 10], dtype=np.uint8),
                    np.array([7, 7, 7, 7], dtype=np.uint8)),
         )
-        _grids_native(site, backend)
+        min_whd_grid_native(site)
     except Exception as error:  # noqa: BLE001 - degrade, never raise
         logger.warning("native kernel warmup failed (%r); "
                        "falling back to bitpack", error)
@@ -816,73 +803,25 @@ def warmup_native() -> bool:
 
 
 # ---------------------------------------------------------------------
-# grid entry points
+# the grid function
 # ---------------------------------------------------------------------
 
-def _grids_native(
-    site: RealignmentSite, backend
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Fill the ``(C, R)`` grids through the compiled backend: one C
-    call packs the site's bases and qualities, read where
-    :meth:`~repro.realign.site.RealignmentSite.spans` says they are,
-    and runs the grid."""
-    C, R = site.num_consensuses, site.num_reads
-    out_whd = np.empty((C, R), dtype=np.int64)
-    out_idx = np.empty((C, R), dtype=np.int64)
-    exact = backend.site(
-        "".join(site.consensuses).encode("ascii"),
-        np.fromiter(map(len, site.consensuses), dtype=np.int64, count=C),
-        C, *site.spans(), site.lengths,
-        R, out_whd, out_idx,
-    )
-    if exact < 0:  # nothing written: the C scratch allocation failed
-        raise MemoryError("native kernel: no memory for a site's planes")
-    return out_whd, out_idx, exact
-
-
 def min_whd_grid_native(
-    site: RealignmentSite,
+    site: RealignmentSite, scoring: str = "similarity", telemetry=None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Algorithm 1 grids through the compiled tier; drop-in for
-    ``min_whd_grid``. Degrades to the interpreted bitpack kernel when
-    no backend is usable -- identical output either way.
+    """Algorithm 1 grids through the compiled tier (kernel ``native``):
+    one C call packs the site's bases and qualities, read where
+    :meth:`~repro.realign.site.RealignmentSite.spans` says they are,
+    and runs the grid.
 
-    >>> from repro.experiments.figure4 import build_site
-    >>> from repro.realign.whd import min_whd_grid
-    >>> ref = min_whd_grid(build_site())
-    >>> got = min_whd_grid_native(build_site())
-    >>> bool((got[0] == ref[0]).all() and (got[1] == ref[1]).all())
-    True
-    """
-    backend = get_backend()
-    if backend is None:
-        from repro.engine.bitpack import min_whd_grid_bitpacked
-
-        return min_whd_grid_bitpacked(site)
-    min_whd, min_idx, _ = _grids_native(site, backend)
-    return min_whd, min_idx
-
-
-def realign_site_native(
-    site: RealignmentSite,
-    scoring: str = "similarity",
-    telemetry=None,
-) -> SiteResult:
-    """Run Algorithms 1 + 2 on one site through the compiled tier.
-
-    Emits the same semantic ``kernel.*`` counters as every other kernel
-    plus ``native.offsets_exact`` (each pair's seed plus the offsets
-    that survived pruning). With no usable backend the call degrades to
-    :func:`repro.engine.bitpack.realign_site_bitpacked`, counting
-    ``kernel.native.unavailable`` -- callers never see an error.
-
-    End to end on the Figure 4 site, identically to the scalar kernel:
-
-    >>> from repro.experiments.figure4 import build_site
-    >>> from repro.realign.whd import realign_site
-    >>> site = build_site()
-    >>> realign_site_native(site).same_outputs(realign_site(site))
-    True
+    ``telemetry`` gets ``native.offsets_screened`` (every in-range
+    offset) and ``native.offsets_exact`` (each pair's seed plus the
+    offsets that survived pruning). With no usable backend the call
+    degrades to :func:`repro.engine.bitpack.min_whd_grid_bitpacked`
+    (identical grids, its ``bitpack.*`` counters), counts
+    ``kernel.native.unavailable`` and warns once per process -- callers
+    never see an error. ``scoring`` is the kernel contract's; this
+    kernel fills every cell whatever the scoring.
     """
     global _fallback_warned
     backend = get_backend()
@@ -896,36 +835,24 @@ def realign_site_native(
                 "through the interpreted bitpack kernel instead",
                 _why_unavailable,
             )
-        from repro.engine.bitpack import realign_site_bitpacked
+        from repro.engine.bitpack import min_whd_grid_bitpacked
 
-        return realign_site_bitpacked(site, scoring=scoring,
-                                      telemetry=telemetry)
-    min_whd, min_idx, exact_offsets = _grids_native(site, backend)
-    best_cons, scores = score_and_select(min_whd, method=scoring)
-    realign, new_pos = reads_realignments(
-        min_whd, min_idx, best_cons, site.start
+        return min_whd_grid_bitpacked(site, scoring, telemetry)
+    C, R = site.num_consensuses, site.num_reads
+    out_whd = np.empty((C, R), dtype=np.int64)
+    out_idx = np.empty((C, R), dtype=np.int64)
+    exact = backend.site(
+        "".join(site.consensuses).encode("ascii"),
+        np.fromiter(map(len, site.consensuses), dtype=np.int64, count=C),
+        C, *site.spans(), site.lengths,
+        R, out_whd, out_idx,
     )
+    if exact < 0:  # nothing written: the C scratch allocation failed
+        raise MemoryError("native kernel: no memory for a site's planes")
     if telemetry is not None:
-        # sum of m - n + 1 over every pair (the site enforces m >= n)
-        C, R = min_whd.shape
-        offsets_total = (R * sum(map(len, site.consensuses))
-                         - C * (int(site.lengths.sum()) - R))
-        telemetry.count("kernel.sites", 1)
-        telemetry.count("kernel.grid_cells", int(min_whd.size))
-        telemetry.count("kernel.offsets_evaluated", offsets_total)
-        telemetry.count("kernel.whd_mass", int(min_whd.sum()))
-        telemetry.count("kernel.reads_realigned", int(realign.sum()))
-        telemetry.count("kernel.consensus_selected", int(best_cons))
-        telemetry.count("native.offsets_screened", offsets_total)
-        telemetry.count("native.offsets_exact", exact_offsets)
-    return SiteResult(
-        best_cons=best_cons,
-        scores=scores,
-        min_whd=min_whd,
-        min_whd_idx=min_idx,
-        realign=realign,
-        new_pos=new_pos,
-    )
+        telemetry.count("native.offsets_screened", site.total_offsets())
+        telemetry.count("native.offsets_exact", exact)
+    return out_whd, out_idx
 
 
 # ---------------------------------------------------------------------
@@ -1002,9 +929,7 @@ __all__ = [
     "get_backend",
     "min_whd_grid_native",
     "native_available",
-    "native_backend_name",
     "native_mode",
-    "realign_site_native",
     "reset_backend",
     "sam_ingester",
     "warmup_native",

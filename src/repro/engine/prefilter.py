@@ -39,7 +39,6 @@ Three sound prunes are derived, all preserving byte-identical output:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -53,34 +52,6 @@ PREFILTER_TOLERANCE = 1
 #: consensus). Far above the largest real count (256 bases) yet small
 #: enough that ``maxq * (COUNT_SENTINEL + 1)`` fits comfortably in int64.
 COUNT_SENTINEL = 1 << 20
-
-
-@dataclass
-class PrefilterStats:
-    """Work accounting for the batched kernel, accumulated across calls.
-
-    ``cells_valid`` counts every in-range (consensus, read, offset) cell
-    the scalar kernel would evaluate; ``cells_evaluated`` counts the
-    cells the engine actually evaluated exactly. Their difference is the
-    work the filter avoided.
-    """
-
-    sites: int = 0
-    cells_valid: int = 0
-    cells_evaluated: int = 0
-    rows_eliminated: int = 0
-    pairs_pruned: int = 0
-
-    @property
-    def cells_pruned(self) -> int:
-        return max(self.cells_valid - self.cells_evaluated, 0)
-
-    def merge(self, other: "PrefilterStats") -> None:
-        self.sites += other.sites
-        self.cells_valid += other.cells_valid
-        self.cells_evaluated += other.cells_evaluated
-        self.rows_eliminated += other.rows_eliminated
-        self.pairs_pruned += other.pairs_pruned
 
 
 def pair_bounds(

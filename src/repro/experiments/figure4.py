@@ -19,7 +19,12 @@ import numpy as np
 
 from repro.experiments.reporting import banner, format_table
 from repro.realign.site import RealignmentSite
-from repro.realign.whd import SiteResult, calc_whd, realign_site
+from repro.realign.whd import (
+    SiteResult,
+    calc_whd,
+    min_whd_grid,
+    select_and_realign,
+)
 
 #: The figure's inputs.
 CONSENSUSES = ("CCTTAGA", "ACCTGAA", "TCTGCCT")
@@ -76,8 +81,9 @@ def build_site() -> RealignmentSite:
 
 def run() -> Figure4Result:
     site = build_site()
-    result = realign_site(site, scoring="absdiff")
-    similarity = realign_site(site, scoring="similarity")
+    grids = min_whd_grid(site)
+    result = select_and_realign(site, *grids, scoring="absdiff")
+    similarity = select_and_realign(site, *grids, scoring="similarity")
     ref = CONSENSUSES[0]
     return Figure4Result(
         site=site,

@@ -168,7 +168,8 @@ FLAG_DUPLICATE = 0x400
 COLUMNS = 11
 #: CIGAR element kinds by their code in a batch's ``ops[0]``.
 OPS = (CigarOp.MATCH, CigarOp.INSERTION, CigarOp.DELETION, CigarOp.SOFT_CLIP)
-MATCH, INSERTION, DELETION = range(3)  # S is 3
+MATCH, INSERTION, DELETION, SOFT_CLIP = range(4)
+_OP_LETTERS = "".join(op.value for op in OPS)
 #: Mismatch blocks :meth:`ReadBatch.mismatches` compares per pass: its
 #: joined strings stay a few MB however large the batch.
 MISMATCH_BLOCKS = 4096
@@ -179,6 +180,13 @@ def cigar_codes(cigar: Cigar) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """``cigar``'s elements as batch ``ops``: kind codes, lengths."""
     return (tuple(OPS.index(op) for op, _ in cigar.elements),
             tuple(length for _, length in cigar.elements))
+
+
+def cigar_string(kinds: Sequence[int], lengths: Sequence[int]) -> str:
+    """The CIGAR text of elements given as batch ``ops``: kind codes,
+    lengths."""
+    return "".join(f"{length}{_OP_LETTERS[kind]}"
+                   for kind, length in zip(kinds, lengths))
 
 
 @lru_cache(maxsize=4096)

@@ -70,8 +70,8 @@ class MmioRegisterFile:
     """The response queue behind the AXILite window.
 
     The AXI hub converts the units' completions to AXILite through this
-    queue; ``response_valid`` is the signal the host-side control
-    program polls. (Commands reach the units through the router, which
+    queue, which the host-side control program polls
+    (:meth:`poll_response`). (Commands reach the units through the router, which
     models no queue for them.)
     """
 
@@ -83,10 +83,6 @@ class MmioRegisterFile:
     telemetry: Optional[object] = field(default=None, repr=False,
                                         compare=False)
 
-    @property
-    def response_valid(self) -> bool:
-        return bool(self._responses)
-
     def push_response(self, payload: int) -> None:
         """Fabric side: post a completion response."""
         if len(self._responses) >= self.response_depth:
@@ -96,7 +92,7 @@ class MmioRegisterFile:
             self.telemetry.count("mmio.responses_pushed")
 
     def poll_response(self) -> Optional[int]:
-        """Host side: pop a response if ``response_valid``."""
+        """Host side: pop a response, or ``None`` when none is queued."""
         if not self._responses:
             if self.telemetry is not None:
                 self.telemetry.count("mmio.empty_polls")

@@ -4,9 +4,9 @@
   "IR target": a reference window, alternate consensuses, and the reads
   anchored in the window).
 - :mod:`repro.realign.whd` -- the weighted-Hamming-distance kernel
-  (Algorithm 1) and consensus selection / read realignment (Algorithm 2),
-  in both a literal scalar form and a numpy-vectorized form that also
-  yields the pruning statistics the accelerator model consumes.
+  (Algorithm 1) in a literal scalar form and a numpy-vectorized form,
+  and consensus selection / read realignment (Algorithm 2), which
+  finishes every kernel's site.
 - :mod:`repro.realign.targets` -- RealignerTargetCreator equivalent.
 - :mod:`repro.realign.consensus` -- consensus generation from INDELs
   observed in the reads.

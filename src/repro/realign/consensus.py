@@ -15,15 +15,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.genomics.cigar import Cigar, CigarOp
+from repro.genomics.cigar import CigarOp
 from repro.genomics.read import (
     DELETION,
     END,
     INSERTION,
     LENGTH,
+    MATCH,
     POS,
     QUAL_AT,
     SEQ_AT,
+    SOFT_CLIP,
     ReadBatch,
 )
 from repro.genomics.reference import ReferenceGenome
@@ -130,12 +132,16 @@ def realigned_read_placement(
     window_start: int,
     consensus_offset: int,
     read_length: int,
-) -> Tuple[int, "Cigar"]:
+) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
     """Translate a consensus-space realignment into reference space.
 
     The kernel (Algorithm 2) reports the read's winning offset ``k``
     against the picked consensus; this host-side step produces the
-    read's reference position and CIGAR:
+    read's reference position and CIGAR, ``(pos, kinds, lengths)``, the
+    CIGAR as a batch's ``ops`` columns (element kind codes, see
+    :data:`repro.genomics.read.OPS`, and lengths), so a caller compares
+    it with the read's columns without building a
+    :class:`~repro.genomics.cigar.Cigar`:
 
     - a read that does not span the consensus's INDEL maps gap-free
       (``{n}M``) at the equivalent reference coordinate;
@@ -143,45 +149,44 @@ def realigned_read_placement(
       starting *inside* the inserted bases gets them soft-clipped --
       there is no reference anchor to their left);
     - a read spanning a deletion carries a ``D`` element.
+
+    Every element has a positive length, and no two neighbours share a
+    kind.
     """
     k, n = consensus_offset, read_length
     if indel is None:
-        return window_start + k, Cigar.matched(n)
+        return window_start + k, (MATCH,), (n,)
     d = indel.ref_pos - window_start  # window offset of the INDEL site
     length = indel.length
     if indel.op is CigarOp.INSERTION:
         # Consensus layout: [0, d) = window[0, d), [d, d+length) = the
         # inserted bases, beyond that window shifted right by `length`.
         if k + n <= d:
-            return window_start + k, Cigar.matched(n)
+            return window_start + k, (MATCH,), (n,)
         if k >= d + length:
-            return window_start + k - length, Cigar.matched(n)
+            return window_start + k - length, (MATCH,), (n,)
         if k >= d:
             # Read starts inside the inserted bases: soft-clip them.
             clipped = min(d + length - k, n)
-            elements = [(CigarOp.SOFT_CLIP, clipped)]
             if n > clipped:
-                elements.append((CigarOp.MATCH, n - clipped))
-            return window_start + d, Cigar.from_elements(elements)
+                return window_start + d, (SOFT_CLIP, MATCH), (clipped,
+                                                              n - clipped)
+            return window_start + d, (SOFT_CLIP,), (clipped,)
         leading = d - k  # matched bases before the insertion
         inserted = min(length, n - leading)
         trailing = n - leading - inserted
-        elements = [(CigarOp.MATCH, leading), (CigarOp.INSERTION, inserted)]
         if trailing > 0:
-            elements.append((CigarOp.MATCH, trailing))
-        return window_start + k, Cigar.from_elements(elements)
+            return window_start + k, (MATCH, INSERTION, MATCH), (
+                leading, inserted, trailing)
+        return window_start + k, (MATCH, INSERTION), (leading, inserted)
     # Deletion: consensus = window[:d] + window[d + length:].
     if k + n <= d:
-        return window_start + k, Cigar.matched(n)
+        return window_start + k, (MATCH,), (n,)
     if k >= d:
-        return window_start + k + length, Cigar.matched(n)
+        return window_start + k + length, (MATCH,), (n,)
     leading = d - k
-    elements = [
-        (CigarOp.MATCH, leading),
-        (CigarOp.DELETION, length),
-        (CigarOp.MATCH, n - leading),
-    ]
-    return window_start + k, Cigar.from_elements(elements)
+    return window_start + k, (MATCH, DELETION, MATCH), (leading, length,
+                                                        n - leading)
 
 
 def build_site(

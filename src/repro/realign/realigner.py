@@ -26,7 +26,7 @@ from repro.genomics.read import (
     Read,
     ReadBatch,
     as_batch,
-    cigar_codes,
+    cigar_string,
 )
 from repro.genomics.reference import ReferenceGenome
 from repro.kernels import KERNEL_CHOICES
@@ -259,11 +259,12 @@ def moved_records(
                 rows.tolist(), (result.new_pos[realigned] - start).tolist(),
                 columns[LENGTH][rows].tolist(), columns[POS][rows].tolist(),
                 op_at[rows].tolist(), op_at[rows + 1].tolist()):
-            pos, cigar = realigned_read_placement(indel, start, offset,
-                                                  length)
-            if pos != was or cigar_codes(cigar) != (
-                    tuple(kinds[first:stop]), tuple(spans[first:stop])):
-                records.append([index, pos + 1, str(cigar)])
+            pos, new_kinds, new_spans = realigned_read_placement(
+                indel, start, offset, length)
+            if (pos != was or new_kinds != tuple(kinds[first:stop])
+                    or new_spans != tuple(spans[first:stop])):
+                records.append([index, pos + 1,
+                                cigar_string(new_kinds, new_spans)])
         if report is not None:
             report.unpruned_comparisons += window.site.unpruned_comparisons()
             report.reads_realigned += realigned.size

@@ -213,6 +213,13 @@ class RealignmentSite:
         n = int(self.lengths[read_index])
         return m - n + 1
 
+    def total_offsets(self) -> int:
+        """:meth:`offsets` summed over every pair, in closed form:
+        ``R * sum_i m_i - C * sum_j n_j + C * R``."""
+        C, R = len(self.consensuses), len(self.lengths)
+        return (R * sum(map(len, self.consensuses))
+                - C * int(self.lengths.sum()) + C * R)
+
     def unpruned_comparisons(self) -> int:
         """Total base comparisons Algorithm 1 performs without pruning.
 

@@ -12,15 +12,20 @@ and realigns exactly the reads for which the picked consensus has a
 *strictly* smaller min-WHD than the reference, to
 ``new_pos = min_whd_idx[best, j] + target_start``.
 
-Two interchangeable implementations are provided and property-tested
-against each other:
+Algorithm 1 has five exact kernels, each one grid function
+``(site, scoring, telemetry) -> (min_whd, min_idx)`` that
+:mod:`repro.engine.autotune` keeps in one table. Two are here, the
+reference forms every other kernel is property-tested against:
 
-- the **scalar** functions are line-for-line transcriptions of the
-  paper's pseudo-code (these are also what the cycle-stepped hardware
-  model executes);
-- the **vectorized** functions compute identical values with numpy
-  sliding windows, and additionally expose the per-offset cumulative
-  sums that the accelerator's computation-pruning model needs.
+- :func:`min_whd_grid_scalar` (kernel ``scalar``) transcribes the
+  paper's pseudo-code line for line (these loops are also what the
+  cycle-stepped hardware model executes);
+- :func:`min_whd_grid` (kernel ``vector``) computes identical values
+  with numpy sliding windows.
+
+Whatever kernel filled the grids, :func:`select_and_realign` finishes
+the site: it runs Algorithm 2 and counts the semantic ``kernel.*``
+telemetry, once for every kernel.
 
 Offset-range note: the pseudo-code's loop bound (``k = 0..m-n-1``) is an
 off-by-one against both the text ("m - n + 1 possible alignments") and
@@ -117,40 +122,40 @@ def whd_profile(cons_arr: np.ndarray, read_arr: np.ndarray,
     return mismatch @ quals_arr.astype(np.int64)
 
 
-def whd_cumulative(cons_arr: np.ndarray, read_arr: np.ndarray,
-                   quals_arr: np.ndarray) -> np.ndarray:
-    """Per-offset *cumulative* weighted mismatch sums, shape ``(K, n)``.
-
-    ``cum[k, t]`` is the running WHD after the calculator has processed
-    read positions ``0..t`` at offset ``k`` -- exactly the register value
-    the hardware's pruning comparator checks each cycle. Row ends equal
-    :func:`whd_profile`.
-    """
-    n = read_arr.size
-    windows = np.lib.stride_tricks.sliding_window_view(cons_arr, n)
-    # int32 is exact here: the largest possible row total is
-    # 256 bases x Phred 93 = 23808.
-    weighted = (windows != read_arr) * quals_arr.astype(np.int32)
-    return np.cumsum(weighted, axis=1, dtype=np.int32)
-
-
-def min_whd_grid(
-    site: RealignmentSite, vectorized: bool = True
+def min_whd_grid_scalar(
+    site: RealignmentSite, scoring: str = "similarity", telemetry=None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Algorithm 1, function ``Min_WHD``: fill the ``(C, R)`` grids.
-
-    Returns ``(min_whd, min_whd_idx)`` as int64 arrays of shape
-    ``(num_consensuses, num_reads)``.
-
-    ``vectorized`` selects between the two reference forms (the
-    literal scalar loops and the per-pair numpy profile) that tests and
-    ``tests/golden/regenerate.py`` compare every other kernel against;
-    production call sites route through
-    :func:`repro.engine.autotune.dispatch_realign`
-    (``kernel="vector"`` / ``"scalar"`` reproduce the two settings).
+    """Algorithm 1, function ``Min_WHD``, as the pseudo-code's loops
+    (kernel ``scalar``): the ``(C, R)`` grids ``(min_whd, min_whd_idx)``,
+    int64. ``scoring`` and ``telemetry`` are the kernel contract's; a
+    reference form uses neither.
 
     The Figure 4 site (3 consensuses x 2 reads; consensus 0 is the
     reference, consensus 1 carries the deletion both reads support):
+
+    >>> from repro.experiments.figure4 import build_site
+    >>> min_whd, min_idx = min_whd_grid_scalar(build_site())
+    >>> min_whd.tolist()
+    [[30, 20], [0, 20], [55, 30]]
+    >>> min_idx.tolist()
+    [[2, 0], [3, 1], [2, 0]]
+    """
+    C, R = site.num_consensuses, site.num_reads
+    min_whd = np.empty((C, R), dtype=np.int64)
+    min_idx = np.empty((C, R), dtype=np.int64)
+    for i, cons in enumerate(site.consensuses):
+        for j, read in enumerate(site.reads):
+            min_whd[i, j], min_idx[i, j] = min_whd_pair(
+                cons, read, site.quals[j]
+            )
+    return min_whd, min_idx
+
+
+def min_whd_grid(
+    site: RealignmentSite, scoring: str = "similarity", telemetry=None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Algorithm 1 with one :func:`whd_profile` per pair (kernel
+    ``vector``): cell for cell the grids of :func:`min_whd_grid_scalar`.
 
     >>> from repro.experiments.figure4 import build_site
     >>> min_whd, min_idx = min_whd_grid(build_site())
@@ -162,20 +167,12 @@ def min_whd_grid(
     C, R = site.num_consensuses, site.num_reads
     min_whd = np.empty((C, R), dtype=np.int64)
     min_idx = np.empty((C, R), dtype=np.int64)
-    if vectorized:
-        cons_arrays = site.consensus_arrays()
-        read_arrays = site.read_arrays()
-        for i, cons_arr in enumerate(cons_arrays):
-            for j, read_arr in enumerate(read_arrays):
-                profile = whd_profile(cons_arr, read_arr, site.quals[j])
-                min_idx[i, j] = int(np.argmin(profile))  # earliest minimum
-                min_whd[i, j] = profile[min_idx[i, j]]
-    else:
-        for i, cons in enumerate(site.consensuses):
-            for j, read in enumerate(site.reads):
-                min_whd[i, j], min_idx[i, j] = min_whd_pair(
-                    cons, read, site.quals[j]
-                )
+    read_arrays = site.read_arrays()
+    for i, cons_arr in enumerate(site.consensus_arrays()):
+        for j, read_arr in enumerate(read_arrays):
+            profile = whd_profile(cons_arr, read_arr, site.quals[j])
+            min_idx[i, j] = int(np.argmin(profile))  # earliest minimum
+            min_whd[i, j] = profile[min_idx[i, j]]
     return min_whd, min_idx
 
 
@@ -261,7 +258,6 @@ def reads_realignments(
     >>> realign.tolist(), new_pos.tolist()
     ([True, False], [10003, -1])
     """
-    R = min_whd.shape[1]
     realign = min_whd[best_cons] < min_whd[0]
     new_pos = np.where(realign, min_idx[best_cons] + target_start, -1)
     return realign.astype(bool), new_pos.astype(np.int64)
@@ -296,45 +292,48 @@ class SiteResult:
         )
 
 
-def realign_site(site: RealignmentSite, vectorized: bool = True,
-                 scoring: str = "similarity",
-                 telemetry=None) -> SiteResult:
-    """Run Algorithms 1 and 2 on one site.
+def select_and_realign(
+    site: RealignmentSite,
+    min_whd: np.ndarray,
+    min_idx: np.ndarray,
+    scoring: str = "similarity",
+    telemetry=None,
+) -> SiteResult:
+    """Algorithm 2 on a kernel's grids: the :class:`SiteResult` that
+    every kernel's site ends in.
 
-    ``vectorized`` picks the reference form (see
-    :func:`min_whd_grid`); production call sites use
-    :func:`repro.engine.autotune.dispatch_realign`, which also knows
-    the FFT-batched, bit-packed and native kernels.
-
-    ``telemetry`` optionally records ``kernel.*`` counters. They are
-    defined on the algorithm's *semantics*, not its implementation --
-    offsets evaluated, grid cells filled, the grid's WHD mass, reads
-    realigned -- so the vectorized and scalar datapaths must report
-    identical numbers for the same site (a property test pins this).
+    ``telemetry`` optionally records the ``kernel.*`` counters. They are
+    defined on the algorithm's *semantics*, not on the kernel that
+    filled the grids -- sites, grid cells, offsets evaluated (every
+    pair's ``m - n + 1``: ``R * sum(m) - C * sum(n) + C * R``), reads
+    realigned, the consensus picked -- so every kernel reports the same
+    numbers for a site (a property test pins this). ``kernel.whd_mass``
+    sums the computed cells, those below :data:`WHD_SENTINEL`; it is
+    the one that differs, because the ``fft`` kernel leaves the rows its
+    prefilter eliminates at the sentinel.
 
     End to end on the Figure 4 site (paper scoring):
 
     >>> from repro.experiments.figure4 import build_site
-    >>> result = realign_site(build_site(), scoring="absdiff")
+    >>> site = build_site()
+    >>> result = select_and_realign(site, *min_whd_grid(site),
+    ...                             scoring="absdiff")
     >>> int(result.best_cons), result.scores.tolist()
     (1, [0, 30, 35])
     >>> result.realign.tolist(), result.new_pos.tolist()
     ([True, False], [10003, -1])
     """
-    min_whd, min_idx = min_whd_grid(site, vectorized=vectorized)
     best_cons, scores = score_and_select(min_whd, method=scoring)
-    realign, new_pos = reads_realignments(min_whd, min_idx, best_cons, site.start)
+    realign, new_pos = reads_realignments(min_whd, min_idx, best_cons,
+                                          site.start)
     if telemetry is not None:
         telemetry.count("kernel.sites", 1)
-        telemetry.count("kernel.grid_cells", int(min_whd.size))
-        telemetry.count("kernel.offsets_evaluated", sum(
-            len(cons) - len(read) + 1
-            for cons in site.consensuses
-            for read in site.reads
-        ))
-        telemetry.count("kernel.whd_mass", int(min_whd.sum()))
+        telemetry.count("kernel.grid_cells", min_whd.size)
+        telemetry.count("kernel.offsets_evaluated", site.total_offsets())
+        telemetry.count("kernel.whd_mass", int(
+            min_whd.sum(where=min_whd < WHD_SENTINEL)))
         telemetry.count("kernel.reads_realigned", int(realign.sum()))
-        telemetry.count("kernel.consensus_selected", int(best_cons))
+        telemetry.count("kernel.consensus_selected", best_cons)
     return SiteResult(
         best_cons=best_cons,
         scores=scores,

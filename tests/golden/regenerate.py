@@ -142,14 +142,14 @@ def site_results_golden() -> dict:
     """Exact SiteResult grids for a spread of synthetic sites."""
     import numpy as np
 
-    from repro.realign.whd import realign_site
+    from repro.engine.autotune import dispatch_realign
     from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
     rng = np.random.default_rng(SITE_SEED)
     entries = []
     for index, complexity in enumerate(SITE_COMPLEXITIES):
         site = synthesize_site(rng, BENCH_PROFILE, complexity=complexity)
-        result = realign_site(site, vectorized=True)
+        result = dispatch_realign(site, kernel="vector")
         entries.append({
             "site": index,
             "complexity": complexity,

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.accelerator import IRUnit, UnitConfig
+from repro.engine.autotune import dispatch_realign
 from repro.realign.site import RealignmentSite
-from repro.realign.whd import realign_site
 from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
 
@@ -43,7 +43,7 @@ class TestFunctionalEquivalence:
         site = small_site(seed)
         unit = IRUnit(UnitConfig(lanes=lanes, prune=prune))
         hardware = unit.run_site(site)
-        software = realign_site(site)
+        software = dispatch_realign(site, kernel="vector")
         assert hardware.matches(software)
 
     def test_figure4_site(self):

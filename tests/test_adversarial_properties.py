@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import EngineConfig
-from repro.engine.batch import realign_site_batched
+from repro.engine.batch import min_whd_grid_batched
 from repro.genomics.simulate import SimulationProfile, simulate_sample
 from repro.realign.realigner import IndelRealigner
+from repro.realign.whd import select_and_realign
 from repro.workloads.adversarial import (
     AdversarialProfile,
     corrupt_sample,
@@ -156,5 +157,6 @@ class _UnfilteredFft:
     """A plane that runs the fft kernel with its prefilter off."""
 
     def run_sites(self, sites, telemetry=None):
-        return [realign_site_batched(site, prefilter=False)
+        return [select_and_realign(
+                    site, *min_whd_grid_batched(site, prefilter=False))
                 for site in sites]

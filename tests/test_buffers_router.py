@@ -101,11 +101,10 @@ class TestMmio:
 
     def test_response_flow(self):
         mmio = MmioRegisterFile()
-        assert not mmio.response_valid
         assert mmio.poll_response() is None
         mmio.push_response(5)
-        assert mmio.response_valid
         assert mmio.poll_response() == 5
+        assert mmio.poll_response() is None
 
 
 class TestRouter:

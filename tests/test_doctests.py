@@ -1,10 +1,12 @@
 """Run the worked-example doctests as part of tier-1.
 
-The WHD kernel docstrings carry the paper's Figure 4 example (m=7, n=4,
-k=0..3) end to end, and the engine modules carry their own small worked
-examples. Running them here keeps the documentation honest: if a kernel
-change breaks a documented example, tier-1 fails before CI's dedicated
-doctest step does.
+The WHD kernel modules carry the paper's Figure 4 example (m=7, n=4,
+k=0..3) end to end -- each kernel's grid function, the function that
+finishes every site, and the dispatcher -- and the engine and serving
+modules carry their own small worked examples. Running them here, in
+the tier-1 suite that CI runs (there is no separate doctest step),
+keeps the documentation honest: a change that breaks a documented
+example fails tier-1.
 """
 
 import doctest
@@ -28,6 +30,9 @@ DOCUMENTED_MODULES = [
     "repro.workloads.serving",
 ]
 
+#: The modules whose examples run the Figure 4 site through a kernel.
+FIGURE4_MODULES = DOCUMENTED_MODULES[:5]
+
 
 @pytest.mark.parametrize("module_name", DOCUMENTED_MODULES)
 def test_module_doctests(module_name):
@@ -39,3 +44,10 @@ def test_module_doctests(module_name):
     assert results.attempted > 0, (
         f"{module_name} has no doctests -- its worked examples were removed"
     )
+    if module_name in FIGURE4_MODULES:
+        sources = [example.source for test in doctest.DocTestFinder()
+                   .find(module) for example in test.examples]
+        assert any("figure4 import build_site" in source
+                   for source in sources), (
+            f"{module_name} lost its worked Figure 4 example"
+        )

@@ -13,16 +13,24 @@ import re
 import numpy as np
 import pytest
 
-from repro.engine import Engine, EngineConfig
+from repro.engine import Engine, EngineConfig, dispatch_realign
 from repro.engine.batch import (
     PackedSite,
     min_whd_grid_batched,
     _count_candidates,
-    realign_site_batched,
 )
-from repro.engine.prefilter import PrefilterStats
-from repro.realign.whd import WHD_SENTINEL, min_whd_grid, realign_site
+from repro.realign.whd import WHD_SENTINEL, min_whd_grid
 from repro.workloads.generator import BENCH_PROFILE, synthesize_site
+
+
+class _Sink:
+    """Counter-only telemetry stand-in."""
+
+    def __init__(self):
+        self.counters = {}
+
+    def count(self, name, delta=1):
+        self.counters[name] = self.counters.get(name, 0) + int(delta)
 
 
 def _sites(n=6, seed=11):
@@ -86,8 +94,9 @@ class TestBatchedGrid:
     def test_prefiltered_outputs_match_scalar(self):
         for scoring in ("similarity", "absdiff"):
             for site in _sites(4, seed=23):
-                got = realign_site_batched(site, scoring=scoring)
-                want = realign_site(site, scoring=scoring)
+                got = dispatch_realign(site, kernel="fft", scoring=scoring)
+                want = dispatch_realign(site, kernel="vector",
+                                        scoring=scoring)
                 assert got.same_outputs(want)
 
     def test_pair_lower_bounds_are_sound(self):
@@ -97,22 +106,23 @@ class TestBatchedGrid:
             assert (lb <= true_w).all()
 
     def test_stats_accounting(self):
-        stats = PrefilterStats()
+        sink = _Sink()
         site = _sites(1)[0]
-        realign_site_batched(site, stats=stats)
-        assert stats.sites == 1
-        assert stats.cells_valid > 0
-        assert stats.cells_evaluated <= stats.cells_valid
-        assert stats.cells_pruned == (stats.cells_valid
-                                      - stats.cells_evaluated)
+        dispatch_realign(site, kernel="fft", telemetry=sink)
+        valid = sink.counters["kernel.offsets_evaluated"]
+        evaluated = sink.counters["kernel.cells_evaluated"]
+        assert sink.counters["kernel.sites"] == 1
+        assert valid == PackedSite.from_site(site).valid_cells() > 0
+        assert evaluated <= valid
+        assert sink.counters["kernel.cells_pruned"] == valid - evaluated
 
     def test_eliminated_rows_stay_sentinel(self):
         pruned_rows = 0
         for site in _sites(6, seed=41):
-            stats = PrefilterStats()
-            mw, _ = min_whd_grid_batched(site, stats=stats)
+            sink = _Sink()
+            mw, _ = min_whd_grid_batched(site, telemetry=sink)
             sentinel_rows = int((mw == WHD_SENTINEL).all(axis=1).sum())
-            assert sentinel_rows == stats.rows_eliminated
+            assert sentinel_rows == sink.counters["engine.rows_eliminated"]
             pruned_rows += sentinel_rows
         assert pruned_rows > 0  # the filter actually fires on this pool
 

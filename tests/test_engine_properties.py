@@ -12,16 +12,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.autotune import dispatch_realign
 from repro.engine.batch import (
     PackedSite,
     fast_fft_length,
     min_whd_grid_batched,
     _count_candidates,
-    realign_site_batched,
 )
 from repro.engine.prefilter import pairs_cannot_beat_reference
 from repro.realign.site import RealignmentSite
-from repro.realign.whd import min_whd_grid, realign_site
+from repro.realign.whd import min_whd_grid
 from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
 
@@ -71,8 +71,8 @@ class TestBatchedExactness:
     @settings(max_examples=60, deadline=None)
     def test_prefiltered_decisions_equal_scalar(self, data, scoring):
         site = ragged_site(data.draw)
-        got = realign_site_batched(site, scoring=scoring)
-        want = realign_site(site, scoring=scoring)
+        got = dispatch_realign(site, kernel="fft", scoring=scoring)
+        want = dispatch_realign(site, kernel="vector", scoring=scoring)
         assert got.same_outputs(want)
 
     @given(st.integers(0, 400))
@@ -80,7 +80,8 @@ class TestBatchedExactness:
     def test_synthesized_sites_equal_scalar(self, seed):
         site = synthesize_site(np.random.default_rng(seed), BENCH_PROFILE,
                                complexity=0.4)
-        assert realign_site_batched(site).same_outputs(realign_site(site))
+        assert dispatch_realign(site, kernel="fft").same_outputs(
+            dispatch_realign(site, kernel="vector"))
         mw, mi = min_whd_grid_batched(site, prefilter=False)
         ref_w, ref_i = min_whd_grid(site)
         np.testing.assert_array_equal(mw, ref_w)

@@ -271,7 +271,7 @@ class TestEngineMatchesGolden:
     def test_prefiltered_engine_reproduces_golden_decisions(self):
         """With the prefilter on, grids may hold sentinels but every
         architecturally visible decision must still match the golden."""
-        from repro.engine.batch import realign_site_batched
+        from repro.engine.autotune import dispatch_realign
         from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
         golden = _load("site_results.json")
@@ -279,7 +279,7 @@ class TestEngineMatchesGolden:
         for want in golden["sites"]:
             site = synthesize_site(rng, BENCH_PROFILE,
                                    complexity=want["complexity"])
-            result = realign_site_batched(site)
+            result = dispatch_realign(site, kernel="fft")
             assert int(result.best_cons) == want["best_cons"], (
                 f"prefiltered engine best_cons drifted on site "
                 f"{want['site']}. {REGEN_HINT}"
@@ -415,14 +415,14 @@ class TestSiteResultGolden:
     def test_scalar_kernel_reproduces_golden_grids(self, golden):
         """The scalar (hardware-shaped) kernel must hit the same grids
         the vectorized kernel wrote into the golden."""
-        from repro.realign.whd import realign_site
+        from repro.engine.autotune import dispatch_realign
         from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
         rng = np.random.default_rng(golden["seed"])
         for want in golden["sites"]:
             site = synthesize_site(rng, BENCH_PROFILE,
                                    complexity=want["complexity"])
-            result = realign_site(site, vectorized=False)
+            result = dispatch_realign(site, kernel="scalar")
             assert result.min_whd.tolist() == want["min_whd"], (
                 f"scalar kernel min_whd drifted from golden on site "
                 f"{want['site']}. {REGEN_HINT}"

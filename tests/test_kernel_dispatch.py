@@ -27,13 +27,9 @@ from hypothesis import strategies as st
 from repro.engine.autotune import KERNELS, dispatch_realign
 from repro.engine.batch import min_whd_grid_batched
 from repro.engine.bitpack import min_whd_grid_bitpacked
-from repro.engine.native import (
-    min_whd_grid_native,
-    native_available,
-    realign_site_native,
-)
+from repro.engine.native import min_whd_grid_native, native_available
 from repro.realign.site import RealignmentSite, SiteLimits
-from repro.realign.whd import min_whd_grid, realign_site
+from repro.realign.whd import min_whd_grid, min_whd_grid_scalar
 from repro.workloads.generator import (
     BENCH_PROFILE,
     REAL_PROFILE,
@@ -210,9 +206,9 @@ def seed_stress_site(draw):
 
 
 def assert_all_kernels_agree(site):
-    ref_w, ref_i = min_whd_grid(site, vectorized=False)
+    ref_w, ref_i = min_whd_grid_scalar(site)
     for label, (mw, mi) in {
-        "vector": min_whd_grid(site, vectorized=True),
+        "vector": min_whd_grid(site),
         "fft": min_whd_grid_batched(site, prefilter=False),
         "bitpack": min_whd_grid_bitpacked(site),
         "native": min_whd_grid_native(site),
@@ -231,7 +227,7 @@ class TestCrossKernelExactness:
     @settings(max_examples=40, deadline=None)
     def test_site_results_same_outputs(self, data, scoring):
         site = ragged_site(data.draw)
-        want = realign_site(site, scoring=scoring)
+        want = dispatch_realign(site, kernel="vector", scoring=scoring)
         for kernel in KERNELS:
             got = dispatch_realign(site, kernel=kernel, scoring=scoring)
             assert got.same_outputs(want), kernel
@@ -240,7 +236,7 @@ class TestCrossKernelExactness:
     def test_degenerate_shapes(self, index):
         site = degenerate_sites()[index]
         assert_all_kernels_agree(site)
-        want = realign_site(site)
+        want = dispatch_realign(site, kernel="vector")
         for kernel in KERNELS:
             assert dispatch_realign(site, kernel=kernel).same_outputs(want)
 
@@ -249,7 +245,7 @@ class TestCrossKernelExactness:
     def test_synthesized_sites(self, seed):
         site = synthesize_site(np.random.default_rng(seed), BENCH_PROFILE,
                                complexity=0.5)
-        want = realign_site(site)
+        want = dispatch_realign(site, kernel="vector")
         for kernel in ("vector", "fft", "bitpack", "native", "auto"):
             assert dispatch_realign(site, kernel=kernel).same_outputs(want)
 
@@ -257,6 +253,21 @@ class TestCrossKernelExactness:
 class TestDispatchSemantics:
     def site(self):
         return synthesize_site(np.random.default_rng(0), BENCH_PROFILE)
+
+    def test_every_kernel_is_one_grid_function(self):
+        # A kernel is one row of the dispatch table, and each engine
+        # kernel module defines exactly one grid function.
+        import importlib
+
+        from repro.engine.autotune import GRIDS
+
+        assert tuple(GRIDS) == KERNELS
+        for module, grid in (("batch", "min_whd_grid_batched"),
+                             ("bitpack", "min_whd_grid_bitpacked"),
+                             ("native", "min_whd_grid_native")):
+            names = vars(importlib.import_module(f"repro.engine.{module}"))
+            assert [name for name in names
+                    if name.startswith("min_whd_grid")] == [grid]
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -283,7 +294,7 @@ class TestDispatchSemantics:
         assert len([r for r in caplog.records
                     if "native kernel tier unavailable" in r.message]) == 1
         for result, site in zip(got, sites):
-            assert result.same_outputs(realign_site(site, vectorized=False))
+            assert result.same_outputs(dispatch_realign(site, kernel="scalar"))
 
     def test_no_realign_import_and_no_kernel_loads_scipy(self):
         """numpy is the only runtime dependency: the ``fft`` kernel runs
@@ -355,7 +366,7 @@ class TestEngineKernelWiring:
         from repro.engine import Engine, EngineConfig
 
         sites = self.sites()
-        want = [realign_site(site) for site in sites]
+        want = [dispatch_realign(site, kernel="vector") for site in sites]
         got = Engine(EngineConfig(kernel=kernel, batch=2)).run_sites(sites)
         assert all(g.same_outputs(w) for g, w in zip(got, want))
 
@@ -370,7 +381,7 @@ class TestEngineKernelWiring:
             got = engine.run_sites(sites, telemetry=session)
         assert (session.counters.flat().get("kernel.chosen.bitpack")
                 == len(sites))
-        want = [realign_site(site) for site in sites]
+        want = [dispatch_realign(site, kernel="vector") for site in sites]
         assert all(g.same_outputs(w) for g, w in zip(got, want))
 
 
@@ -393,7 +404,7 @@ class TestAutoAcrossWorkerPlanes:
             got = engine.run_sites(sites, telemetry=session)
         assert (chosen(session.counters.flat())
                 == {"kernel.chosen.native": len(sites)})
-        want = [realign_site(site) for site in sites]
+        want = [dispatch_realign(site, kernel="vector") for site in sites]
         assert all(g.same_outputs(w) for g, w in zip(got, want))
 
     def test_pool(self):
@@ -416,8 +427,8 @@ class TestAutoAcrossWorkerPlanes:
 class TestPopcountFallback:
     """The numpy<2.0 byte-LUT popcount must preserve leading dims.
 
-    The screening passes call ``_popcount_rows`` on both ``(K, W)``
-    pair masks and the grouped ``(C, K, G, Wr)`` tensor. An earlier
+    The screening pass calls ``_popcount_rows`` on the grouped
+    ``(C, K, G, Wr)`` tensor. An earlier
     fallback reshaped to ``(shape[0], -1)``, flattening the 4-D tensor
     to ``(C,)`` and crashing the default (auto-dispatched) realign path
     on numpy 1.x, so these run the LUT path explicitly on numpy>=2.0
@@ -472,7 +483,7 @@ class TestPopcountFallback:
         )
         for seed in (5, 6):
             site = synthesize_site(np.random.default_rng(seed), uniform)
-            want = realign_site(site)
+            want = dispatch_realign(site, kernel="vector")
             got = dispatch_realign(site, kernel="bitpack")
             assert got.same_outputs(want)
 
@@ -493,9 +504,10 @@ class TestNativeKernel:
 
     @needs_backend
     def test_backend_name_is_reported(self):
-        from repro.engine.native import native_backend_name
+        # The probe resolves to the one compiled backend, the C library.
+        from repro.engine import native
 
-        assert native_backend_name() == "cc"
+        assert isinstance(native.get_backend(), native._CcBackend)
 
     @needs_backend
     def test_warmup_is_idempotent_and_true(self):
@@ -510,16 +522,14 @@ class TestNativeKernel:
         # The SWAR pipeline, called directly on the probed backend, is
         # the one compiled path; the compiled scalar-fallback grid it
         # was once paired with (force_swar=False) is gone.
-        from repro.engine import native
-
         assert force_swar
-        backend = native.get_backend()
         for site in degenerate_sites():
-            ref_w, ref_i = min_whd_grid(site, vectorized=False)
-            mw, mi, exact = native._grids_native(site, backend)
+            ref_w, ref_i = min_whd_grid_scalar(site)
+            sink = Sink()
+            mw, mi = min_whd_grid_native(site, telemetry=sink)
             np.testing.assert_array_equal(mw, ref_w)
             np.testing.assert_array_equal(mi, ref_i)
-            assert exact >= 0
+            assert sink.counters["native.offsets_exact"] >= 0
 
     @needs_backend
     @given(st.data())
@@ -528,26 +538,22 @@ class TestNativeKernel:
         # The compiled site kernel against the scalar loops on sites
         # built to stress the seed; the example budget is the active
         # profile's (CI runs this with --hypothesis-profile=ci).
-        from repro.engine import native
-
         site = seed_stress_site(data.draw)
-        ref_w, ref_i = min_whd_grid(site, vectorized=False)
-        mw, mi, _ = native._grids_native(site, native.get_backend())
+        ref_w, ref_i = min_whd_grid_scalar(site)
+        mw, mi = min_whd_grid_native(site)
         np.testing.assert_array_equal(mw, ref_w)
         np.testing.assert_array_equal(mi, ref_i)
 
     @needs_backend
     @pytest.mark.parametrize("shape", sorted(packer_edge_sites()))
     def test_packer_edge_shapes_match_scalar(self, shape):
-        from repro.engine import native
-
         site = packer_edge_sites()[shape]
-        ref_w, ref_i = min_whd_grid(site, vectorized=False)
-        mw, mi, _ = native._grids_native(site, native.get_backend())
+        ref_w, ref_i = min_whd_grid_scalar(site)
+        mw, mi = min_whd_grid_native(site)
         np.testing.assert_array_equal(mw, ref_w)
         np.testing.assert_array_equal(mi, ref_i)
 
-    def test_allocation_failure_is_a_memory_error(self):
+    def test_allocation_failure_is_a_memory_error(self, monkeypatch):
         # The C entry returns -1 before it writes a grid cell when its
         # scratch cannot be allocated; that must not read as a result.
         from types import SimpleNamespace
@@ -555,8 +561,9 @@ class TestNativeKernel:
         from repro.engine import native
 
         backend = SimpleNamespace(site=lambda *args: -1)
+        monkeypatch.setattr(native, "get_backend", lambda: backend)
         with pytest.raises(MemoryError):
-            native._grids_native(degenerate_sites()[0], backend)
+            native.min_whd_grid_native(degenerate_sites()[0])
 
     def test_c_source_compiles_warning_free(self, tmp_path):
         # An implicit declaration or a type slip in the C source builds
@@ -591,19 +598,17 @@ class TestNativeKernel:
         fresh_backend.reset_backend()
         site = synthesize_site(np.random.default_rng(12), BENCH_PROFILE)
         with caplog.at_level("WARNING", logger="repro.engine.native"):
-            got = fresh_backend.realign_site_native(site)
+            got = dispatch_realign(site, kernel="native")
         warnings = [r.message for r in caplog.records
                     if "native kernel tier unavailable" in r.message]
         assert len(warnings) == 1 and "build failed" in warnings[0]
-        assert got.same_outputs(realign_site(site))
+        assert got.same_outputs(dispatch_realign(site, kernel="vector"))
 
     @needs_backend
     def test_seeded_bound_past_the_paper_consensus_limit(self):
         # SiteLimits is configurable: pass 0's scratch is sized by the
         # site, so a 3 000-base consensus with true offsets past 2 048
         # must still come out exact.
-        from repro.engine import native
-
         rng = np.random.default_rng(4096)
         cons = "".join(rng.choice(list("ACGT"), size=3000))
         reads = (cons[2900:2964], cons[2500:2533], "ACGT" * 8)
@@ -613,9 +618,9 @@ class TestNativeKernel:
                   for r in reads),
             limits=SiteLimits(max_consensus_length=4096),
         )
-        ref_w, ref_i = min_whd_grid(site, vectorized=False)
+        ref_w, ref_i = min_whd_grid_scalar(site)
         assert (ref_i > 2048).any()
-        mw, mi, _ = native._grids_native(site, native.get_backend())
+        mw, mi = min_whd_grid_native(site)
         np.testing.assert_array_equal(mw, ref_w)
         np.testing.assert_array_equal(mi, ref_i)
 
@@ -627,8 +632,6 @@ class TestNativeKernel:
         # with 40 spread mismatches and keep offset 1 (~40 000
         # mismatches, all words) in range: a count that wrapped (an
         # int16 accumulator) would send it to an exact evaluation.
-        from repro.engine import native
-
         rng = np.random.default_rng(32768)
         read = list("AC" * 20_000)
         for t in range(500, len(read), 1000):
@@ -640,12 +643,13 @@ class TestNativeKernel:
             limits=SiteLimits(max_consensus_length=40_002,
                               max_read_length=40_000),
         )
-        ref_w, ref_i = min_whd_grid(site, vectorized=False)
+        ref_w, ref_i = min_whd_grid_scalar(site)
         assert ref_i.tolist() == [[0]]
-        mw, mi, exact = native._grids_native(site, native.get_backend())
+        sink = Sink()
+        mw, mi = min_whd_grid_native(site, telemetry=sink)
         np.testing.assert_array_equal(mw, ref_w)
         np.testing.assert_array_equal(mi, ref_i)
-        assert exact == 2  # the seed (offset 0) and the tie at offset 2
+        assert sink.counters["native.offsets_exact"] == 2  # the seed (offset 0) and the tie at offset 2
 
     @needs_backend
     def test_seeded_bound_prunes_real_profile_sites(self):
@@ -655,7 +659,7 @@ class TestNativeKernel:
         sink = Sink()
         for i in range(16):
             site = synthesize_site(rng, REAL_PROFILE, start=i * 5000)
-            realign_site_native(site, telemetry=sink)
+            dispatch_realign(site, kernel="native", telemetry=sink)
         exact = sink.counters["native.offsets_exact"]
         assert exact <= 0.01 * sink.counters["native.offsets_screened"]
         # The count itself is pinned: the offsets the word-major pass
@@ -671,7 +675,7 @@ class TestNativeKernel:
             ragged.reads + ("ACGTA",), ragged.quals + ([9] * 5,),
         )
         sink = Sink()
-        realign_site_native(site, telemetry=sink)
+        dispatch_realign(site, kernel="native", telemetry=sink)
         assert sink.counters["native.offsets_screened"] == sum(
             site.offsets(i, j) for i in range(site.num_consensuses)
             for j in range(site.num_reads)
@@ -690,7 +694,7 @@ class TestNativeKernel:
     def test_screening_counters_are_consistent(self):
         sink = Sink()
         site = synthesize_site(np.random.default_rng(11), BENCH_PROFILE)
-        realign_site_native(site, telemetry=sink)
+        dispatch_realign(site, kernel="native", telemetry=sink)
         assert sink.counters.get("kernel.sites") == 1
         screened = sink.counters.get("native.offsets_screened")
         exact = sink.counters.get("native.offsets_exact")
@@ -705,12 +709,12 @@ class TestNativeKernel:
         assert not fresh_backend.native_available()
         sink = Sink()
         site = synthesize_site(np.random.default_rng(12), BENCH_PROFILE)
-        got = fresh_backend.realign_site_native(site, telemetry=sink)
+        got = dispatch_realign(site, kernel="native", telemetry=sink)
         assert sink.counters.get("kernel.native.unavailable") == 1
         # Bitpack ran underneath: its screening counters are present
         # and the output is still exact.
         assert "bitpack.offsets_screened" in sink.counters
-        assert got.same_outputs(realign_site(site))
+        assert got.same_outputs(dispatch_realign(site, kernel="vector"))
 
     def test_off_switch_keeps_dispatch_working(self, monkeypatch,
                                                fresh_backend):
@@ -720,7 +724,7 @@ class TestNativeKernel:
         fresh_backend.reset_backend()
         site = synthesize_site(np.random.default_rng(13), BENCH_PROFILE)
         got = dispatch_realign(site, kernel="native")
-        assert got.same_outputs(realign_site(site))
+        assert got.same_outputs(dispatch_realign(site, kernel="vector"))
 
     def test_warmup_reports_false_when_disabled(self, monkeypatch,
                                                 fresh_backend):
@@ -755,7 +759,7 @@ class TestNativeKernel:
     @needs_backend
     def test_grid_entry_point_matches_reference(self):
         for site in degenerate_sites():
-            ref_w, ref_i = min_whd_grid(site, vectorized=False)
+            ref_w, ref_i = min_whd_grid_scalar(site)
             mw, mi = min_whd_grid_native(site)
             np.testing.assert_array_equal(mw, ref_w)
             np.testing.assert_array_equal(mi, ref_i)

@@ -5,14 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hdc import HammingDistanceCalculator
-from repro.genomics.cigar import CigarOp
+from repro.genomics.cigar import Cigar, CigarOp
 from repro.genomics.quality import phred_from_ascii, phred_to_ascii
-from repro.genomics.read import Read
+from repro.genomics.read import OPS, Read
 from repro.genomics.samlite import format_read, parse_read
 from repro.genomics.sequence import seq_to_array
 from repro.realign.consensus import ObservedIndel, realigned_read_placement
 from repro.realign.site import RealignmentSite
-from repro.realign.whd import realign_site
+from repro.realign.whd import min_whd_grid, select_and_realign
 
 
 def make_pair(draw):
@@ -61,7 +61,7 @@ class TestSiteDecisionProperties:
 
         site = synthesize_site(np.random.default_rng(seed), BENCH_PROFILE,
                                complexity=0.4)
-        result = realign_site(site)
+        result = select_and_realign(site, *min_whd_grid(site))
         for j in range(site.num_reads):
             if result.realign[j]:
                 offset = int(result.new_pos[j]) - site.start
@@ -84,8 +84,15 @@ class TestSiteDecisionProperties:
             consensuses=(site.reference, site.reference),
             reads=site.reads, quals=site.quals,
         )
-        result = realign_site(ref_only)
+        result = select_and_realign(ref_only, *min_whd_grid(ref_only))
         assert result.num_realigned == 0
+
+
+def placed_cigar(*args):
+    """``realigned_read_placement`` with its ops columns as a checked
+    :class:`Cigar` (every element length positive)."""
+    pos, kinds, lengths = realigned_read_placement(*args)
+    return pos, Cigar(tuple(zip(map(OPS.__getitem__, kinds), lengths)))
 
 
 class TestPlacementProperties:
@@ -106,7 +113,9 @@ class TestPlacementProperties:
         else:
             indel = ObservedIndel(window_start + d, CigarOp.INSERTION,
                                   length, inserted="A" * length)
-        pos, cigar = realigned_read_placement(indel, window_start, k, n)
+        pos, cigar = placed_cigar(indel, window_start, k, n)
+        ops = [op for op, _ in cigar]
+        assert all(a is not b for a, b in zip(ops, ops[1:]))  # merged
         assert cigar.read_length == n
         assert pos >= window_start
 
@@ -117,7 +126,7 @@ class TestPlacementProperties:
         """A read spanning a deletion covers n + length reference bases;
         one not spanning it covers exactly n."""
         indel = ObservedIndel(1_000 + d, CigarOp.DELETION, length)
-        _pos, cigar = realigned_read_placement(indel, 1_000, k, n)
+        _pos, cigar = placed_cigar(indel, 1_000, k, n)
         spans = k < d < k + n
         expected = n + length if spans else n
         assert cigar.reference_length == expected

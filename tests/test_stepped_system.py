@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.stepped_system import SteppedIRSystem
 from repro.core.system import AcceleratedIRSystem, SystemConfig
-from repro.realign.whd import realign_site
+from repro.engine.autotune import dispatch_realign
 from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
 
@@ -33,7 +33,7 @@ class TestProtocolRun:
     def test_functional_outputs_match_software(self, sites):
         result = SteppedIRSystem(SystemConfig.iracc()).run(sites)
         for site, unit_result in zip(sites, result.unit_results):
-            assert unit_result.matches(realign_site(site))
+            assert unit_result.matches(dispatch_realign(site, kernel="vector"))
 
     def test_no_unit_overlap(self, sites):
         config = SystemConfig(num_units=4)

@@ -7,11 +7,11 @@ from repro.core.host import HostPlanError, plan_targets
 from repro.core.isa import BufferId
 from repro.core.system import AcceleratedIRSystem, SystemConfig
 from repro.engine import EngineConfig
+from repro.engine.autotune import dispatch_realign
 from repro.experiments import figure7
 from repro.genomics.simulate import SimulationProfile, simulate_sample
 from repro.hw.memory import DdrChannelModel
 from repro.realign.realigner import IndelRealigner
-from repro.realign.whd import realign_site
 from repro.workloads.generator import BENCH_PROFILE, synthesize_site
 
 
@@ -75,7 +75,7 @@ class TestSystemRun:
     def test_functional_outputs_match_software(self, sites):
         run = AcceleratedIRSystem(SystemConfig.iracc()).run(sites)
         for site, result in zip(sites, run.unit_results):
-            assert result.matches(realign_site(site))
+            assert result.matches(dispatch_realign(site, kernel="vector"))
 
     def test_design_point_ordering(self, sites):
         times = {}

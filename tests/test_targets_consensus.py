@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.genomics.cigar import Cigar, CigarOp
-from repro.genomics.read import Read, ReadBatch
+from repro.genomics.read import Read, ReadBatch, cigar_string
 from repro.genomics.reference import ReferenceGenome
 from repro.genomics.sequence import random_bases
 from repro.realign.consensus import (
@@ -145,51 +145,45 @@ class TestApplyIndel:
         assert apply_indel_to_window("ABCDEFGHIJ", 10, indel) is None
 
 
+def placement(*args):
+    """``realigned_read_placement`` with its CIGAR as text."""
+    pos, kinds, lengths = realigned_read_placement(*args)
+    return pos, cigar_string(kinds, lengths)
+
+
 class TestReadPlacement:
     def test_reference_consensus(self):
-        pos, cigar = realigned_read_placement(None, 100, 7, 20)
-        assert (pos, str(cigar)) == (107, "20M")
+        assert placement(None, 100, 7, 20) == (107, "20M")
 
     def test_deletion_spanning(self):
         indel = ObservedIndel(150, CigarOp.DELETION, 5)
-        pos, cigar = realigned_read_placement(indel, 100, 30, 40)
-        assert pos == 130
-        assert str(cigar) == "20M5D20M"
+        assert placement(indel, 100, 30, 40) == (130, "20M5D20M")
 
     def test_deletion_read_after(self):
         indel = ObservedIndel(150, CigarOp.DELETION, 5)
-        pos, cigar = realigned_read_placement(indel, 100, 60, 20)
-        assert (pos, str(cigar)) == (165, "20M")
+        assert placement(indel, 100, 60, 20) == (165, "20M")
 
     def test_deletion_read_before(self):
         indel = ObservedIndel(150, CigarOp.DELETION, 5)
-        pos, cigar = realigned_read_placement(indel, 100, 10, 20)
-        assert (pos, str(cigar)) == (110, "20M")
+        assert placement(indel, 100, 10, 20) == (110, "20M")
 
     def test_insertion_spanning(self):
         indel = ObservedIndel(150, CigarOp.INSERTION, 4, inserted="TTTT")
         # Insertion occupies consensus offsets [50, 54).
-        pos, cigar = realigned_read_placement(indel, 100, 40, 30)
-        assert pos == 140
-        assert str(cigar) == "10M4I16M"
+        assert placement(indel, 100, 40, 30) == (140, "10M4I16M")
 
     def test_insertion_read_after(self):
         indel = ObservedIndel(150, CigarOp.INSERTION, 4, inserted="TTTT")
-        pos, cigar = realigned_read_placement(indel, 100, 60, 20)
-        assert (pos, str(cigar)) == (156, "20M")
+        assert placement(indel, 100, 60, 20) == (156, "20M")
 
     def test_insertion_read_starts_inside(self):
         indel = ObservedIndel(150, CigarOp.INSERTION, 4, inserted="TTTT")
-        pos, cigar = realigned_read_placement(indel, 100, 52, 20)
-        assert pos == 150
-        assert str(cigar) == "2S18M"
+        assert placement(indel, 100, 52, 20) == (150, "2S18M")
 
     def test_insertion_clipped_at_read_end(self):
         indel = ObservedIndel(150, CigarOp.INSERTION, 4, inserted="TTTT")
         # Read covers only the first 2 inserted bases.
-        pos, cigar = realigned_read_placement(indel, 100, 40, 12)
-        assert pos == 140
-        assert str(cigar) == "10M2I"
+        assert placement(indel, 100, 40, 12) == (140, "10M2I")
 
 
 class TestBuildSite:

@@ -9,8 +9,10 @@ properties pin:
 - sum of a unit's compute-span durations == its busy cycles (the span
   timeline and the counter board describe the same run);
 - ``occupancy`` always lands in ``[0, 1]``;
-- the vectorized and scalar WHD kernels report identical ``kernel.*``
-  counters for the same site;
+- every WHD kernel reports the same semantic ``kernel.*`` counters for
+  the same site (``fft``'s ``kernel.whd_mass`` sums only the cells it
+  computed), and each kernel's own extra counters are pinned on the
+  Figure 4 site;
 - enabling telemetry changes no functional output -- realignment
   grids, makespans, schedules.
 """
@@ -27,7 +29,10 @@ from repro.core.scheduler import (
     schedule_async,
     schedule_sync,
 )
-from repro.realign.whd import realign_site
+from repro.engine.autotune import KERNELS, dispatch_realign
+from repro.engine.native import native_available
+from repro.experiments.figure4 import build_site
+from repro.realign.whd import SCORING_METHODS
 from repro.telemetry import CAT_COMPUTE, Telemetry, unit_track
 from repro.telemetry.metrics import derive_schedule_metrics
 from repro.workloads.generator import BENCH_PROFILE, synthesize_site
@@ -106,6 +111,35 @@ class TestTimeAccountingInvariants:
         assert metrics.critical_path_ticks <= metrics.makespan_ticks
 
 
+#: The counters one function counts for every kernel, on the
+#: algorithm's semantics.
+SEMANTIC_COUNTERS = ("kernel.sites", "kernel.grid_cells",
+                     "kernel.offsets_evaluated", "kernel.whd_mass",
+                     "kernel.reads_realigned", "kernel.consensus_selected")
+
+#: Each kernel's own counters on the Figure 4 site (24 in-range
+#: offsets); the ``native`` row depends on whether a compiled backend
+#: loads here.
+FIGURE4_EXTRAS = {
+    "scalar": {},
+    "vector": {},
+    "fft": {"kernel.cells_evaluated": 24, "kernel.cells_pruned": 0,
+            "engine.rows_eliminated": 0, "engine.pairs_pruned": 0},
+    "bitpack": {"bitpack.offsets_screened": 24, "bitpack.offsets_exact": 15},
+    "native": ({"native.offsets_screened": 24, "native.offsets_exact": 8}
+               if native_available() else
+               {"kernel.native.unavailable": 1,
+                "bitpack.offsets_screened": 24, "bitpack.offsets_exact": 15}),
+}
+
+
+def _kernel_counters(site, kernel, scoring="similarity"):
+    session = Telemetry()
+    result = dispatch_realign(site, kernel=kernel, scoring=scoring,
+                              telemetry=session)
+    return result, session.counters.flat()
+
+
 class TestKernelCounters:
     @SLOW
     @given(seed=st.integers(0, 10**6),
@@ -115,12 +149,42 @@ class TestKernelCounters:
     ):
         site = synthesize_site(np.random.default_rng(seed), BENCH_PROFILE,
                                complexity=complexity)
-        vec, scalar = Telemetry(), Telemetry()
-        result_vec = realign_site(site, vectorized=True, telemetry=vec)
-        result_scalar = realign_site(site, vectorized=False,
-                                     telemetry=scalar)
-        assert vec.counters.flat() == scalar.counters.flat()
+        result_vec, vec = _kernel_counters(site, "vector")
+        result_scalar, scalar = _kernel_counters(site, "scalar")
+        vec.pop("kernel.chosen.vector")
+        scalar.pop("kernel.chosen.scalar")
+        assert vec == scalar
         assert result_vec.same_outputs(result_scalar)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 10**6), scoring=st.sampled_from(
+        SCORING_METHODS))
+    def test_every_kernel_counts_the_same(self, kernel, seed, scoring):
+        site = synthesize_site(np.random.default_rng(seed), BENCH_PROFILE,
+                               complexity=0.5)
+        _, want = _kernel_counters(site, "vector", scoring)
+        _, got = _kernel_counters(site, kernel, scoring)
+        for name in SEMANTIC_COUNTERS:
+            if kernel == "fft" and name == "kernel.whd_mass":
+                # the mass of the computed cells: rows the prefilter
+                # eliminated stay at the sentinel and count nothing
+                assert got[name] <= want[name]
+                if got["engine.rows_eliminated"] == 0:
+                    assert got[name] == want[name]
+            else:
+                assert got[name] == want[name], name
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_extra_counters_on_the_figure4_site(self, kernel):
+        _, counters = _kernel_counters(build_site(), kernel)
+        assert counters.pop(f"kernel.chosen.{kernel}") == 1
+        assert {name: counters.pop(name) for name in SEMANTIC_COUNTERS} == {
+            "kernel.sites": 1, "kernel.grid_cells": 6,
+            "kernel.offsets_evaluated": 24, "kernel.whd_mass": 155,
+            "kernel.reads_realigned": 1, "kernel.consensus_selected": 1}
+        assert counters == FIGURE4_EXTRAS[kernel]
 
 
 class TestTelemetryIsPurelyObservational:

@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.hdc import HammingDistanceCalculator
 from repro.genomics.sequence import seq_to_array
 from repro.realign.site import RealignmentSite
 from repro.realign.whd import (
     WHD_SENTINEL,
     calc_whd,
     min_whd_grid,
+    min_whd_grid_scalar,
     min_whd_pair,
-    realign_site,
     reads_realignments,
     score_and_select,
-    whd_cumulative,
+    select_and_realign,
     whd_profile,
 )
 
@@ -84,18 +85,22 @@ class TestVectorizedForms:
         assert profile.tolist() == expected
 
     def test_cumulative_last_column_is_profile(self):
+        # The accelerator model's per-offset running sums end in the
+        # profile: its pair minimum is the profile's earliest minimum,
+        # with and without pruning.
         cons = seq_to_array("CCTTAGA")
         read = seq_to_array("TGAA")
-        cum = whd_cumulative(cons, read, QUALS0)
         profile = whd_profile(cons, read, QUALS0)
-        assert cum[:, -1].tolist() == profile.tolist()
-        # Rows are non-decreasing (partial sums).
-        assert (np.diff(cum, axis=1) >= 0).all()
+        for prune in (False, True):
+            pair = HammingDistanceCalculator(lanes=1, prune=prune) \
+                .compute_pair(cons, read, QUALS0)
+            assert (pair.min_whd, pair.min_whd_idx) == (
+                int(profile.min()), int(np.argmin(profile)))
 
     def test_grid_scalar_vs_vectorized(self):
         site = figure4_site()
-        grid_v, idx_v = min_whd_grid(site, vectorized=True)
-        grid_s, idx_s = min_whd_grid(site, vectorized=False)
+        grid_v, idx_v = min_whd_grid(site)
+        grid_s, idx_s = min_whd_grid_scalar(site)
         assert np.array_equal(grid_v, grid_s)
         assert np.array_equal(idx_v, idx_s)
 
@@ -152,7 +157,7 @@ class TestScoreAndSelect:
 class TestRealignments:
     def test_figure4_decisions(self):
         site = figure4_site()
-        result = realign_site(site)
+        result = select_and_realign(site, *min_whd_grid(site))
         assert result.realign.tolist() == [True, False]
         assert result.new_pos.tolist() == [10_003, -1]
         assert result.num_realigned == 1
@@ -165,8 +170,9 @@ class TestRealignments:
         assert new_pos.tolist() == [-1, 0]
 
     def test_same_outputs_predicate(self):
-        a = realign_site(figure4_site())
-        b = realign_site(figure4_site(), vectorized=False)
+        site = figure4_site()
+        a = select_and_realign(site, *min_whd_grid(site))
+        b = select_and_realign(site, *min_whd_grid_scalar(site))
         assert a.same_outputs(b)
 
     def test_sentinel_is_large(self):
